@@ -181,12 +181,16 @@ part-bench:
 	$(GO) run ./cmd/bfbench -experiment partition -benchjson BENCH_9.json
 
 # corpus is the memory-regression gate in check: load 1M distinct hashes
-# (the paper's corpus is ~10M across 180 e-books), measure bytes/hash and
-# checkpoint recovery, and FAIL if process RSS exceeds the budget. The
-# legacy-JSON comparison is disabled here because materialising the JSON
-# image would dominate the budget.
+# (the paper's corpus is ~10M across 180 e-books) through the path that
+# deploys — policy.Engine.ObserveEdit into a registered service — measure
+# bytes/hash and checkpoint recovery, and FAIL if process RSS exceeds the
+# budget. The legacy-JSON comparison is disabled here because materialising
+# the JSON image would dominate the budget. The heap-budget tests hold the
+# same path to ≤ 65 B per distinct hash and Stats.ApproxBytes to the
+# measured heap (both skip under -race, so `test -race` does not run them).
 CORPUS_RSS_BUDGET_MB ?= 256
 corpus:
+	$(GO) test -count=1 -run 'TestEngineHeapBudget|TestApproxBytesTracksHeap' ./internal/policy ./internal/index
 	$(GO) run ./cmd/bfbench -experiment corpus -hashes 1000000 \
 		-compare-json=false -rss-budget-mb $(CORPUS_RSS_BUDGET_MB)
 

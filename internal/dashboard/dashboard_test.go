@@ -27,7 +27,7 @@ func setup(t *testing.T) *httptest.Server {
 	if err := registry.RegisterService("wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := registry.ObserveSegment("wiki/guide#p0", "wiki"); err != nil {
+	if err := registry.ObserveSegment("wiki/guide#p0", "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tracker.ObserveParagraph("wiki/guide#p0", "A paragraph with enough text to fingerprint meaningfully."); err != nil {

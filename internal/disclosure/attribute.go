@@ -34,7 +34,7 @@ func (t *Tracker) AttributeDocument(text string, src segment.ID) ([]Span, error)
 }
 
 func (t *Tracker) attribute(text string, src segment.ID, db *index.DB) ([]Span, error) {
-	fp, err := fingerprint.Compute(text, t.params.Fingerprint)
+	positions, err := fingerprint.Positions(text, t.params.Fingerprint)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func (t *Tracker) attribute(text string, src segment.ID, db *index.DB) ([]Span, 
 		return nil, nil
 	}
 	var spans []Span
-	for _, pos := range fp.Positions() {
+	for _, pos := range positions {
 		if !srcFP.Contains(pos.Hash) {
 			continue
 		}

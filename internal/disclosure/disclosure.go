@@ -237,9 +237,13 @@ func (t *Tracker) Paragraphs() *index.DB { return t.pars }
 func (t *Tracker) Documents() *index.DB { return t.docs }
 
 // Fingerprint computes the fingerprint of text under the tracker's
-// parameters without updating any state.
+// parameters without updating any state. The result is owned by the
+// caller; the intermediate buffers come from the tracker's scratch pool.
 func (t *Tracker) Fingerprint(text string) (*fingerprint.Fingerprint, error) {
-	return fingerprint.Compute(text, t.params.Fingerprint)
+	sc := t.scratchPool.Get().(*observeScratch)
+	fp, err := sc.fps.Compute(text, t.params.Fingerprint)
+	t.scratchPool.Put(sc)
+	return fp, err
 }
 
 // ObserveParagraph records the current text of a paragraph segment and

@@ -2,11 +2,15 @@ package expt
 
 // Corpus-scale index benchmark backing BENCH_7.json (§6.2: the paper loads
 // 180 e-books, ~10M distinct hashes, into the fingerprint database). The
-// run streams synthetic e-books into one tracker and pauses at each target
+// run streams synthetic e-books through the path that deploys —
+// policy.Engine.ObserveEdit into one registered service, so every paragraph
+// is fingerprinted, labelled, evaluated and indexed as a live edit would be
+// (BENCH_7.json was recorded through bare index updates, which is how it
+// read 42 B/hash while the engine cost 105) — and pauses at each target
 // hash count (1M/5M/10M by default) to measure:
 //
 //   - memory bytes per distinct hash (GC'd heap delta over the empty
-//     tracker, plus the index's own ApproxBytes model),
+//     engine, plus the index's own ApproxBytes model),
 //   - steady-state observe latency at that database size,
 //   - binary checkpoint capture / mmap recovery wall time, against the
 //     legacy JSON parse when enabled, and
@@ -33,7 +37,7 @@ import (
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/dataset"
 	"github.com/lsds/browserflow/internal/disclosure"
-	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/tdm"
@@ -120,6 +124,9 @@ type CorpusResult struct {
 	Steps       []CorpusStep `json:"steps"`
 }
 
+// corpusService is the one service the corpus is ingested into.
+const corpusService = "corpus"
+
 // errCorpusDone stops e-book generation once the last step is measured.
 var errCorpusDone = errors.New("corpus: all steps measured")
 
@@ -155,6 +162,13 @@ func RunCorpus(cfg CorpusConfig, params disclosure.Params) (CorpusResult, error)
 		return CorpusResult{}, err
 	}
 	registry := tdm.NewRegistry(audit.NewLog())
+	if err := registry.RegisterService(corpusService, tdm.NewTagSet("tc"), tdm.NewTagSet("tc")); err != nil {
+		return CorpusResult{}, err
+	}
+	engine, err := policy.NewEngine(tracker, registry, policy.ModeAdvisory)
+	if err != nil {
+		return CorpusResult{}, err
+	}
 	baseHeap := heapAlloc()
 
 	result := CorpusResult{GOMAXPROCS: runtime.GOMAXPROCS(0), RSSBudgetMB: cfg.RSSBudgetMB}
@@ -170,8 +184,6 @@ func RunCorpus(cfg CorpusConfig, params disclosure.Params) (CorpusResult, error)
 	}
 
 	var (
-		sc          fingerprint.Scratch
-		hashBuf     []uint32
 		probePages  []string
 		corpusBytes int
 		books       int
@@ -181,13 +193,9 @@ func RunCorpus(cfg CorpusConfig, params disclosure.Params) (CorpusResult, error)
 	pars := tracker.Paragraphs()
 	genErr := dataset.GenerateEbooksFunc(ebooks, func(book dataset.Ebook) error {
 		for i, p := range book.Paragraphs {
-			var err error
-			hashBuf, err = sc.AppendHashes(hashBuf[:0], p, params.Fingerprint)
-			if err != nil {
+			if _, err := engine.ObserveEdit(segment.ID(fmt.Sprintf("%s#p%d", book.Title, i)), corpusService, p); err != nil {
 				return err
 			}
-			fp := fingerprint.FromSortedHashes(append(make([]uint32, 0, len(hashBuf)), hashBuf...))
-			pars.Update(segment.ID(fmt.Sprintf("%s#p%d", book.Title, i)), fp)
 		}
 		corpusBytes += book.SizeBytes()
 		books++
@@ -198,7 +206,7 @@ func RunCorpus(cfg CorpusConfig, params disclosure.Params) (CorpusResult, error)
 			logf("corpus: %d books, %d distinct hashes", books, pars.Stats().DistinctHashes)
 		}
 		for step < len(cfg.StepHashes) && pars.Stats().DistinctHashes >= cfg.StepHashes[step] {
-			s, err := measureCorpusStep(cfg, params, tracker, registry, dir, cfg.StepHashes[step], corpusBytes, time.Since(loadStart), baseHeap, probePages)
+			s, err := measureCorpusStep(cfg, params, engine, dir, cfg.StepHashes[step], corpusBytes, time.Since(loadStart), baseHeap, probePages)
 			if err != nil {
 				return err
 			}
@@ -223,8 +231,9 @@ func RunCorpus(cfg CorpusConfig, params disclosure.Params) (CorpusResult, error)
 }
 
 // measureCorpusStep runs the per-step measurements against the live
-// tracker.
-func measureCorpusStep(cfg CorpusConfig, params disclosure.Params, tracker *disclosure.Tracker, registry *tdm.Registry, dir string, target, corpusBytes int, load time.Duration, baseHeap uint64, probePages []string) (CorpusStep, error) {
+// engine.
+func measureCorpusStep(cfg CorpusConfig, params disclosure.Params, engine *policy.Engine, dir string, target, corpusBytes int, load time.Duration, baseHeap uint64, probePages []string) (CorpusStep, error) {
+	tracker, registry := engine.Tracker(), engine.Registry()
 	stats := tracker.Paragraphs().Stats()
 	s := CorpusStep{
 		TargetHashes:   target,
@@ -250,7 +259,7 @@ func measureCorpusStep(cfg CorpusConfig, params disclosure.Params, tracker *disc
 		res := testing.Benchmark(func(b *testing.B) {
 			seg := segment.ID("corpus/probe#p0")
 			for _, p := range probePages {
-				if _, err := tracker.ObserveParagraph(seg, p); err != nil {
+				if _, err := engine.ObserveEdit(seg, corpusService, p); err != nil {
 					obsErr = err
 					b.FailNow()
 				}
@@ -258,7 +267,7 @@ func measureCorpusStep(cfg CorpusConfig, params disclosure.Params, tracker *disc
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tracker.ObserveParagraph(seg, probePages[i%len(probePages)]); err != nil {
+				if _, err := engine.ObserveEdit(seg, corpusService, probePages[i%len(probePages)]); err != nil {
 					obsErr = err
 					b.FailNow()
 				}

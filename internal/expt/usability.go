@@ -71,6 +71,10 @@ func runUsabilitySystem(system, secret, public string, params disclosure.Params)
 	defer srv.Close()
 
 	b := browser.New()
+	// settle waits for the protection system's asynchronous page
+	// observations, so the paste below is judged against a wiki page the
+	// plug-in has seen rather than racing its decision worker.
+	settle := func() {}
 
 	switch system {
 	case "none":
@@ -116,6 +120,7 @@ func runUsabilitySystem(system, secret, public string, params disclosure.Params)
 		}
 		defer plugin.Shutdown()
 		plugin.AttachToBrowser(b)
+		settle = plugin.Flush
 	}
 
 	// Workflow: read the wiki page, then edit the external doc.
@@ -138,6 +143,7 @@ func runUsabilitySystem(system, secret, public string, params disclosure.Params)
 	}
 	// 2. Paste the confidential wiki paragraph; a blocked upload counts as
 	// protection.
+	settle()
 	wikiTab.CopyText(wikiTab.Document().Root().ByID("par-0"))
 	_ = ed.PasteAppend() // error (blocked) is a valid protection outcome
 

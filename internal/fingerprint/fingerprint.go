@@ -17,6 +17,9 @@ package fingerprint
 import (
 	"fmt"
 	"slices"
+
+	"github.com/lsds/browserflow/internal/normalize"
+	"github.com/lsds/browserflow/internal/rollhash"
 )
 
 // Config holds the fingerprinting parameters. The paper's evaluation (§6)
@@ -65,8 +68,10 @@ type Position struct {
 	End   int
 }
 
-// Fingerprint is the set of winnowed hashes of one text segment, with the
-// source position of each selection retained for attribution.
+// Fingerprint is the set of winnowed hashes of one text segment — the hash
+// set only. Where in the text each hash was selected is not part of the
+// value (the index retains one Fingerprint per segment for its lifetime);
+// attribution recomputes it from the text with Positions.
 //
 // The hash set is stored as an immutable ascending []uint32 computed once
 // at construction. This makes the §4.3 hot path allocation-lean: Contains
@@ -76,16 +81,42 @@ type Position struct {
 type Fingerprint struct {
 	// sorted holds the distinct hashes in ascending order. It is never
 	// mutated after the constructor returns.
-	sorted    []uint32
-	positions []Position
+	sorted []uint32
 }
 
 // Compute fingerprints text under cfg. Texts shorter than one n-gram (after
 // normalisation) yield an empty fingerprint — the systematic false-negative
-// source for very short paragraphs that §6.1 reports.
+// source for very short paragraphs that §6.1 reports. Callers that
+// fingerprint repeatedly keep a Scratch and call its Compute instead.
 func Compute(text string, cfg Config) (*Fingerprint, error) {
 	var sc Scratch
 	return sc.Compute(text, cfg)
+}
+
+// Positions returns the hashes winnowing selects from text, in text order,
+// each with the byte range of the original text whose n-gram produced it —
+// §4.1's "location of the corresponding source text for each hash". The
+// distinct hashes are exactly Compute(text, cfg).Hashes(); a hash selected
+// at several places appears once per place. It is the only code that
+// normalises with an origin map, and serves attribution, not the observe
+// path.
+func Positions(text string, cfg Config) ([]Position, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	norm := normalize.Normalize(text)
+	var hasher rollhash.Hasher
+	if err := hasher.Init(cfg.NGram); err != nil {
+		return nil, err
+	}
+	hashes := hasher.AppendNGrams(nil, []byte(norm.Text))
+	selected := winnow(hashes, cfg.Window)
+	out := make([]Position, 0, len(selected))
+	for _, idx := range selected {
+		start, end := norm.OrigRange(idx, idx+cfg.NGram)
+		out = append(out, Position{Hash: hashes[idx], Start: start, End: end})
+	}
+	return out, nil
 }
 
 // sortedDistinct sorts raw ascending and removes duplicates in place,
@@ -203,26 +234,6 @@ func (f *Fingerprint) Contains(h uint32) bool {
 // append to their own buffer.
 func (f *Fingerprint) Hashes() []uint32 { return f.sorted }
 
-// Positions returns the selected hashes in text order with their source
-// ranges. The slice is a fresh copy.
-func (f *Fingerprint) Positions() []Position {
-	out := make([]Position, len(f.positions))
-	copy(out, f.positions)
-	return out
-}
-
-// PositionsOf returns the source ranges whose n-grams hashed to h, in text
-// order. It returns nil if h is not in the fingerprint.
-func (f *Fingerprint) PositionsOf(h uint32) []Position {
-	var out []Position
-	for _, p := range f.positions {
-		if p.Hash == h {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // IntersectCount returns |f ∩ g| over distinct hashes. Both hash sets are
 // sorted, so this is a single linear merge with no lookups or allocation.
 func (f *Fingerprint) IntersectCount(g *Fingerprint) int {
@@ -278,10 +289,10 @@ func (f *Fingerprint) Digest() uint64 {
 	return sum ^ (xor << 1) ^ uint64(len(f.sorted))
 }
 
-// FromHashes builds a Fingerprint from a raw hash set, without positions.
-// It is used when restoring persisted state and when deserialising wire
-// requests. The input is copied, deduplicated and sorted; the caller keeps
-// ownership of the argument slice.
+// FromHashes builds a Fingerprint from a raw hash set. It is used when
+// restoring persisted state and when deserialising wire requests. The input
+// is copied, deduplicated and sorted; the caller keeps ownership of the
+// argument slice.
 func FromHashes(hashes []uint32) *Fingerprint {
 	raw := make([]uint32, len(hashes))
 	copy(raw, hashes)
@@ -295,9 +306,6 @@ func (f *Fingerprint) Clone() *Fingerprint {
 	g := &Fingerprint{}
 	if len(f.sorted) > 0 {
 		g.sorted = append(make([]uint32, 0, len(f.sorted)), f.sorted...)
-	}
-	if len(f.positions) > 0 {
-		g.positions = append(make([]Position, 0, len(f.positions)), f.positions...)
 	}
 	return g
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/lsds/browserflow/internal/dataset"
 )
 
 // smallCfg keeps tests readable: 6-grams, windows of 3 hashes.
@@ -135,36 +137,63 @@ func TestShuffleRobustness(t *testing.T) {
 	}
 }
 
-func TestPositionsAttribupeSource(t *testing.T) {
+func TestPositionsAttributeSource(t *testing.T) {
 	cfg := smallCfg
 	text := "Alpha, Beta! Gamma Delta Epsilon."
 	fp := mustCompute(t, text, cfg)
-	for _, p := range fp.Positions() {
+	positions, err := Positions(text, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(positions) == 0 {
+		t.Fatal("no positions recorded")
+	}
+	for i, p := range positions {
 		if p.Start < 0 || p.End > len(text) || p.Start >= p.End {
 			t.Fatalf("position out of range: %+v (len %d)", p, len(text))
+		}
+		if i > 0 && p.Start < positions[i-1].Start {
+			t.Errorf("positions out of text order at %d: %+v after %+v", i, p, positions[i-1])
 		}
 		if !fp.Contains(p.Hash) {
 			t.Errorf("position hash %#x not in hash set", p.Hash)
 		}
 	}
-	if len(fp.Positions()) == 0 {
-		t.Fatal("no positions recorded")
+	if _, err := Positions(text, Config{}); err == nil {
+		t.Error("Positions accepted an invalid config")
 	}
 }
 
-func TestPositionsOf(t *testing.T) {
-	fp := mustCompute(t, "Alpha, Beta! Gamma Delta Epsilon.", smallCfg)
-	hs := fp.Hashes()
-	if len(hs) == 0 {
-		t.Fatal("empty fingerprint")
+// Positions and Compute are two entry points to one selection: over the
+// dataset generators' prose (e-book paragraphs, a manual's versions, a
+// revision history) and the degenerate inputs, the distinct hashes of
+// Positions are exactly Compute's hash set.
+func TestPositionsSelectsComputeHashes(t *testing.T) {
+	texts := []string{"", "short", strings.Repeat("x", 14), strings.Repeat("ab", 40), "Crème brûlée — naïve café, twice: crème brûlée."}
+	for _, book := range dataset.GenerateEbooks(dataset.EbookConfig{Seed: 7, Books: 2, MinBytes: 8 << 10, MaxBytes: 16 << 10, PopularPassages: 2, PopularEvery: 5}) {
+		texts = append(texts, book.Paragraphs...)
+		texts = append(texts, strings.Join(book.Paragraphs, "\n\n"))
 	}
-	for _, h := range hs {
-		if len(fp.PositionsOf(h)) == 0 {
-			t.Errorf("PositionsOf(%#x) empty for member hash", h)
+	for _, v := range dataset.GenerateManuals(3)[0].Versions {
+		texts = append(texts, v.Paragraphs...)
+	}
+	for _, a := range dataset.GenerateRevisionCorpus(dataset.RevisionCorpusConfig{Seed: 5, Revisions: 3, Paragraphs: 6, VolatileVolatility: 0.5})[:2] {
+		texts = append(texts, a.Latest()...)
+	}
+	for _, cfg := range []Config{DefaultConfig(), smallCfg} {
+		for _, text := range texts {
+			positions, err := Positions(text, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := make([]uint32, len(positions))
+			for i, p := range positions {
+				raw[i] = p.Hash
+			}
+			if got, want := FromHashes(raw), mustCompute(t, text, cfg); !got.Equal(want) {
+				t.Fatalf("cfg %+v, text %.40q: Positions selects %d distinct hashes, Compute %d", cfg, text, got.Len(), want.Len())
+			}
 		}
-	}
-	if fp.PositionsOf(0xdeadbeef) != nil {
-		t.Error("PositionsOf(non-member) should be nil")
 	}
 }
 

@@ -29,9 +29,9 @@ type Scratch struct {
 
 // AppendHashes appends the winnowed fingerprint hashes of text — distinct,
 // ascending — to dst and returns the extended slice. It is equivalent to
-// appending Compute(text, cfg).Hashes() but draws every intermediate buffer
-// from the scratch and computes no positions. dst must not alias any of
-// sc's internal buffers (pass a caller-owned slice or nil).
+// appending Compute(text, cfg).Hashes() but allocates no fingerprint value.
+// dst must not alias any of sc's internal buffers (pass a caller-owned slice
+// or nil).
 func (sc *Scratch) AppendHashes(dst []uint32, text string, cfg Config) ([]uint32, error) {
 	if err := cfg.Validate(); err != nil {
 		return dst, err
@@ -61,9 +61,7 @@ func (sc *Scratch) AppendHashes(dst []uint32, text string, cfg Config) ([]uint32
 // ComputeShared fingerprints text like Compute but returns a fingerprint
 // that ALIASES the scratch: it is valid only until the next call on sc and
 // MUST NOT be retained — callers that decide to keep it detach it first
-// with Clone. Positions are not computed (Positions and PositionsOf return
-// nothing), so the result serves hash-set consumers only: the observe hot
-// path, digests, set operations.
+// with Clone.
 //
 // At steady state the call performs zero heap allocations; that property
 // is pinned by TestComputeSharedZeroAlloc.
@@ -80,35 +78,13 @@ func (sc *Scratch) ComputeShared(text string, cfg Config) (*Fingerprint, error) 
 	return &sc.fp, nil
 }
 
-// Compute is the scratch-backed form of the package-level Compute,
-// including positions: the result is fully owned by the caller (safe to
-// retain), and only the owned output slices allocate — all intermediate
-// buffers come from the scratch.
+// Compute is ComputeShared with an owned result: the one allocation-bearing
+// step is the Clone that detaches the hash set from the scratch, so the
+// fingerprint is safe to retain.
 func (sc *Scratch) Compute(text string, cfg Config) (*Fingerprint, error) {
-	if err := cfg.Validate(); err != nil {
+	fp, err := sc.ComputeShared(text, cfg)
+	if err != nil {
 		return nil, err
 	}
-	norm := normalize.Normalize(text)
-	if err := sc.hasher.Init(cfg.NGram); err != nil {
-		return nil, err
-	}
-	sc.hashes = sc.hasher.AppendNGrams(sc.hashes[:0], []byte(norm.Text))
-	fp := &Fingerprint{}
-	if len(sc.hashes) == 0 {
-		return fp, nil
-	}
-	if cap(sc.ring) < cfg.Window+1 {
-		sc.ring = make([]int, cfg.Window+1)
-	}
-	sc.selected = winnowInto(sc.selected[:0], sc.hashes, cfg.Window, sc.ring[:cfg.Window+1])
-	fp.positions = make([]Position, 0, len(sc.selected))
-	raw := make([]uint32, 0, len(sc.selected))
-	for _, hashIdx := range sc.selected {
-		h := sc.hashes[hashIdx]
-		start, end := norm.OrigRange(hashIdx, hashIdx+cfg.NGram)
-		fp.positions = append(fp.positions, Position{Hash: h, Start: start, End: end})
-		raw = append(raw, h)
-	}
-	fp.sorted = sortedDistinct(raw)
-	return fp, nil
+	return fp.Clone(), nil
 }

@@ -125,14 +125,6 @@ func TestCloneDetachesFromScratch(t *testing.T) {
 	if owned.Digest() != wantDigest {
 		t.Error("Clone still aliases the scratch: digest changed after scratch reuse")
 	}
-	// Clone of a position-bearing fingerprint keeps positions.
-	full, err := Compute("a first text with enough content to fingerprint", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := full.Clone(); len(got.Positions()) != len(full.Positions()) {
-		t.Errorf("Clone dropped positions: %d != %d", len(got.Positions()), len(full.Positions()))
-	}
 }
 
 func BenchmarkCompute(b *testing.B) {

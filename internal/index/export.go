@@ -37,10 +37,7 @@ type ExportData struct {
 // by stripe; concurrent mutations land either before or after the shard
 // they touch is visited.
 func (db *DB) Export() ExportData {
-	data := ExportData{
-		DefaultThreshold: db.defaultThreshold,
-		Clock:            db.clock.Load(),
-	}
+	data := ExportData{DefaultThreshold: db.defaultThreshold}
 	for si := range db.segShards {
 		ss := &db.segShards[si]
 		ss.mu.RLock()
@@ -84,6 +81,10 @@ func (db *DB) Export() ExportData {
 		}
 		sh.mu.RUnlock()
 	}
+	// Read the clock after the scan: a mutation that lands mid-export has
+	// ticked it before inserting, so every exported seq is ≤ Clock and a
+	// concurrent export always re-imports.
+	data.Clock = db.clock.Load()
 	sort.Slice(data.Postings, func(i, j int) bool {
 		if data.Postings[i].Seq != data.Postings[j].Seq {
 			return data.Postings[i].Seq < data.Postings[j].Seq

@@ -219,6 +219,13 @@ type parEntry struct {
 	// oscillate within previously seen content. nil means unknown (fresh
 	// entry, restored snapshot, or reset by ExpireBefore), which makes
 	// the next Update take the full insert path and rebuild it.
+	//
+	// While the segment has posted nothing beyond its current fingerprint,
+	// posted aliases fp.Hashes() rather than holding a second copy. That
+	// adds no lifetime rule: Update already retains fp, fp's hash slice is
+	// immutable by contract, posted is only ever read or replaced (never
+	// written through), and insertNewPostings builds a fresh union the
+	// moment the two sets diverge.
 	posted []uint32
 
 	// code is this entry's current parCode contribution to the stripe
@@ -405,7 +412,7 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
 	switch {
 	case entry.posted == nil:
 		db.insertPostings(seg, hs, now)
-		entry.posted = append([]uint32(nil), hs...)
+		entry.posted = hs
 	case countMissing(hs, entry.posted) > 0:
 		entry.posted = db.insertNewPostings(seg, hs, entry.posted, now)
 	}
@@ -981,16 +988,19 @@ func (db *DB) Stats() Stats {
 		HeadPostings:   int(db.headN.Load()),
 		Tombstones:     int(db.deadN.Load()),
 	}
-	// Rough per-item costs. Head postings still pay the map-of-buckets
-	// price (map entry share + slice header + posting struct ≈ 88 B);
-	// compacted postings pay the columnar price (4 B interned ref + 8 B
-	// seq + hash/offset array share ≈ 14 B). DBpar fingerprints store each
-	// hash twice (sorted set + posted union ≈ 16 B), segments ≈ 200 B of
-	// entry, table and ID overhead.
+	// Per-item costs, from an inuse_space heap profile of a 1.3 M-hash
+	// engine ingest (DESIGN.md "Corpus scale") and pinned to measured heap
+	// growth by TestApproxBytesTracksHeap. A head posting pays the
+	// map-of-buckets price (map slot share + bucket + posting ≈ 84 B); a
+	// compacted posting the columnar one (4 B interned ref + 8 B seq + its
+	// share of the per-group hash and offset columns ≈ 20 B); DBpar holds
+	// each hash once, in the fingerprint (4 B — the posted union aliases
+	// it); a segment costs ≈ 180 B of parEntry, fingerprint header, DBpar
+	// map slot and ref-table entry.
 	compacted := s.Postings - s.HeadPostings
-	s.ApproxBytes = int64(s.HeadPostings)*88 +
-		int64(compacted+s.Tombstones)*14 +
-		int64(db.parHashes.Load())*16 +
-		int64(s.Segments)*200
+	s.ApproxBytes = int64(s.HeadPostings)*84 +
+		int64(compacted+s.Tombstones)*20 +
+		db.parHashes.Load()*4 +
+		int64(s.Segments)*180
 	return s
 }

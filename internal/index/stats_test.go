@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -127,4 +129,57 @@ func TestStatsLargeExact(t *testing.T) {
 	if s.Segments != segs || s.Postings != wantPostings || s.DistinctHashes != wantDistinct {
 		t.Fatalf("Stats = %+v, want Segments=%d Postings=%d DistinctHashes=%d", s, segs, wantPostings, wantDistinct)
 	}
+}
+
+// TestApproxBytesTracksHeap holds the Stats.ApproxBytes model to the
+// measured heap: a 200 k-hash database built through Update must be
+// estimated within ±25 % of what it actually retains, both as built (all
+// postings in the mutable head) and after Compact (all in runs). The
+// dashboard and
+// `bfbench -experiment corpus` print the estimate beside measured memory.
+func TestApproxBytesTracksHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const segments, perSeg = 7500, 27 // ≈ 600-byte paragraphs
+	rng := rand.New(rand.NewSource(5))
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	segs := make([]segment.ID, segments)
+	for i := range segs {
+		segs[i] = segment.ID(fmt.Sprintf("book%d#p%d", i/80, i%80))
+	}
+	raw := make([]uint32, perSeg)
+	before := heap()
+	db := New(0.5)
+	for _, seg := range segs {
+		for i := range raw {
+			raw[i] = rng.Uint32()
+		}
+		db.Update(seg, fingerprint.FromHashes(raw))
+	}
+	// 200 k hashes over 64 shards stay below the inline merge threshold; a
+	// corpus-scale ingest leaves a mix of the two layouts.
+	for _, layout := range []string{"head", "compacted"} {
+		if layout == "compacted" {
+			db.Compact()
+		}
+		grown := float64(heap() - before)
+		s := db.Stats()
+		t.Logf("%s: %d segments, %d hashes, %d postings (%d in the head): heap +%.2f MB, ApproxBytes %.2f MB (%.1f vs %.1f B/hash)",
+			layout, s.Segments, s.DistinctHashes, s.Postings, s.HeadPostings, grown/1e6, float64(s.ApproxBytes)/1e6,
+			grown/float64(s.DistinctHashes), float64(s.ApproxBytes)/float64(s.DistinctHashes))
+		if s.DistinctHashes < 200_000 {
+			t.Fatalf("fixture built %d distinct hashes, want ≥ 200 000", s.DistinctHashes)
+		}
+		if ratio := float64(s.ApproxBytes) / grown; ratio < 0.75 || ratio > 1.25 {
+			t.Errorf("%s: ApproxBytes is %.2f× the measured heap growth, want within ±25 %%", layout, ratio)
+		}
+	}
+	runtime.KeepAlive(db)
 }

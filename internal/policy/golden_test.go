@@ -2,11 +2,15 @@ package policy_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/dataset"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/expt"
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -266,6 +270,15 @@ func TestGoldenObserveCacheHitAllocs(t *testing.T) {
 	if fast > slow {
 		t.Errorf("bitset check added allocations to cache-hit ObserveEdit: %.1f -> %.1f", slow, fast)
 	}
+	// A cache-hit observe owes the heap exactly what it returns or hands to
+	// a journal: the owned fingerprint (its struct and its hash slice; this
+	// segment has no sources, and the verdict is returned by value). The
+	// fingerprinting buffers come from the tracker's scratch pool and the
+	// registry's keystroke path allocates nothing. Was 26 when every call
+	// built a fresh Scratch, a positioned fingerprint and a label clone.
+	if fast > 2 {
+		t.Errorf("cache-hit ObserveEdit allocates %.1f objects/op, want ≤ 2 (the owned fingerprint)", fast)
+	}
 }
 
 // TestGoldenCheckUploadAllocFree pins the pure release check — the
@@ -290,4 +303,57 @@ func TestGoldenCheckUploadAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("bitset CheckUpload allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// TestEngineHeapBudget is the memory gate on the path that deploys: 4 000
+// generated ~600-byte paragraphs through ObserveEdit on a policy-file engine
+// must retain at most 65 B of heap per distinct hash (≈ 50 at the time of
+// writing; the same ingest cost ≈ 105 before fingerprints were hash-only,
+// DBpar kept one copy of each hash and segment labels were shared). What a
+// retained byte is spent on is tabulated in DESIGN.md "Corpus scale".
+func TestEngineHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	gen := dataset.NewTextGen(11, 20000)
+	texts := make([]string, 4000)
+	for i := range texts {
+		var sb strings.Builder
+		for sb.Len() < 600 {
+			sb.WriteString(gen.Sentence(8, 16))
+			sb.WriteByte(' ')
+		}
+		texts[i] = sb.String()
+	}
+	segs := make([]segment.ID, len(texts))
+	for i := range segs {
+		segs[i] = segment.ID(fmt.Sprintf("wiki/book%d#p%d", i/50, i%50))
+	}
+	e := newCompiledEngine(t, loadSeedPolicy(t), true)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for i, text := range texts {
+		service := "wiki"
+		if (i/50)%2 == 1 {
+			service = "itool"
+		}
+		if _, err := e.ObserveEdit(segs[i], service, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	stats := e.Tracker().Paragraphs().Stats()
+	perHash := float64(after-before) / float64(stats.DistinctHashes)
+	t.Logf("%d segments, %d distinct hashes, heap +%.1f MB: %.1f B/hash (%d distinct labels)",
+		stats.Segments, stats.DistinctHashes, float64(after-before)/1e6, perHash, e.Registry().DistinctLabels())
+	if perHash > 65 {
+		t.Errorf("engine retains %.1f B per distinct hash, budget 65", perHash)
+	}
+	runtime.KeepAlive(texts)
 }

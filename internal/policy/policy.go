@@ -222,7 +222,7 @@ func (e *Engine) ObserveEditFPCtx(ctx context.Context, seg segment.ID, service s
 	if end := e.begin(); end != nil {
 		defer end()
 	}
-	if _, err := e.registry.ObserveSegment(seg, service); err != nil {
+	if err := e.registry.ObserveSegment(seg, service); err != nil {
 		return Verdict{}, err
 	}
 	report, err := e.tracker.ObserveParagraphFP(seg, fp)
@@ -254,7 +254,7 @@ func (e *Engine) ObserveDocumentEditFPCtx(ctx context.Context, doc segment.ID, s
 	if end := e.begin(); end != nil {
 		defer end()
 	}
-	if _, err := e.registry.ObserveSegment(doc, service); err != nil {
+	if err := e.registry.ObserveSegment(doc, service); err != nil {
 		return Verdict{}, err
 	}
 	report, err := e.tracker.ObserveDocumentFP(doc, fp)
@@ -309,7 +309,7 @@ func (e *Engine) ObserveBatchFPCtx(ctx context.Context, service string, items []
 		}
 	}
 	for _, item := range items {
-		if _, err := e.registry.ObserveSegment(item.Seg, service); err != nil {
+		if err := e.registry.ObserveSegment(item.Seg, service); err != nil {
 			return nil, err
 		}
 	}

@@ -318,6 +318,60 @@ func TestCheckpointTruncatesAndReplaysSuffix(t *testing.T) {
 	}
 }
 
+// Recovery must leave the registry sharing label values exactly as the node
+// that ingested the segments did: 200 segments of two services hold a
+// handful of distinct labels before the checkpoint, and the same handful —
+// not 200 — after checkpoint + WAL-suffix recovery. Otherwise the memory
+// saved by sharing disappears at the first restart.
+func TestRecoveryKeepsLabelSharing(t *testing.T) {
+	fs := faultinject.NewMemFS(11)
+	w := newWorld(t, fixedClock)
+	d := openDurableForTest(t, fs, wal.SyncAlways, w)
+	w.engine.SetJournal(d)
+
+	observe := func(i int) {
+		t.Helper()
+		svc := "alpha"
+		if i%2 == 1 {
+			svc = "bravo"
+		}
+		seg := segment.ID(fmt.Sprintf("%s/book%d#p%d", svc, i/20, i%20))
+		if _, err := w.engine.ObserveEdit(seg, svc, fmt.Sprintf("%s (copy %d)", opTexts[i%len(opTexts)], i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 150; i++ {
+		observe(i)
+	}
+	if err := w.engine.Suppress("auditor", "alpha/book0#p0", "ta", "cleared"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	for i := 150; i < 200; i++ { // replayed from the WAL, not loaded
+		observe(i)
+	}
+	want, distinct := export(t, w), w.registry.DistinctLabels()
+	if segs := w.tracker.Paragraphs().Stats().Segments; distinct < 3 || distinct > 8 || segs != 200 {
+		t.Fatalf("fixture: %d distinct labels over %d segments, want a handful over 200", distinct, segs)
+	}
+	fs.Crash()
+
+	w2 := newWorld(t, fixedClock)
+	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
+	defer d2.Close()
+	if got := export(t, w2); !bytes.Equal(got, want) {
+		t.Fatal("checkpoint + suffix recovery lost state")
+	}
+	if rec := d2.Stats().Recovery; rec.CheckpointLoaded == "" || rec.RecordsReplayed != 50 {
+		t.Fatalf("recovery loaded %q and replayed %d records, want a checkpoint and 50", rec.CheckpointLoaded, rec.RecordsReplayed)
+	}
+	if got := w2.registry.DistinctLabels(); got != distinct {
+		t.Errorf("recovered registry holds %d distinct labels, the original %d", got, distinct)
+	}
+}
+
 // A corrupt newest checkpoint falls back to the previous one.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	fs := faultinject.NewMemFS(4)

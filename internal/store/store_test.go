@@ -34,7 +34,7 @@ func buildState(t testing.TB) (*disclosure.Tracker, *tdm.Registry) {
 	if err := registry.RegisterService("docs", tdm.NewTagSet(), tdm.NewTagSet()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := registry.ObserveSegment("wiki/plan#p0", "wiki"); err != nil {
+	if err := registry.ObserveSegment("wiki/plan#p0", "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tracker.ObserveParagraph("wiki/plan#p0", secretText); err != nil {

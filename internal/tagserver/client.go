@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,6 +37,10 @@ type Client struct {
 	termSource func() uint64
 	keySeq     atomic.Int64
 	keyEpoch   int64
+
+	// scratch recycles fingerprinting buffers (*fingerprint.Scratch)
+	// across calls; see hashes.
+	scratch sync.Pool
 }
 
 // ClientOption customises a Client.
@@ -105,6 +110,7 @@ func NewClient(base, device string, cfg fingerprint.Config, opts ...ClientOption
 		cfg:      cfg,
 		http:     &http.Client{Timeout: DefaultClientTimeout},
 		keyEpoch: time.Now().UnixNano(),
+		scratch:  sync.Pool{New: func() any { return new(fingerprint.Scratch) }},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -117,6 +123,19 @@ func (c *Client) Device() string { return c.device }
 
 // FingerprintConfig returns the client's fingerprint configuration.
 func (c *Client) FingerprintConfig() fingerprint.Config { return c.cfg }
+
+// hashes fingerprints text on the device — only hashes ever leave it — and
+// returns the owned hash set, safe to queue or encode after the pooled
+// scratch has moved on to another call.
+func (c *Client) hashes(text string) ([]uint32, error) {
+	sc := c.scratch.Get().(*fingerprint.Scratch)
+	fp, err := sc.Compute(text, c.cfg)
+	c.scratch.Put(sc)
+	if err != nil {
+		return nil, err
+	}
+	return fp.Hashes(), nil
+}
 
 // UnavailableError marks a failure of the tag service itself — a transport
 // error, a 5xx response, or an unreadable/malformed response body — as
@@ -226,11 +245,11 @@ func (c *Client) Observe(service string, seg segment.ID, text string) (Verdict, 
 
 // ObserveCtx is Observe with a caller-controlled context.
 func (c *Client) ObserveCtx(ctx context.Context, service string, seg segment.ID, text string) (Verdict, error) {
-	fp, err := fingerprint.Compute(text, c.cfg)
+	hashes, err := c.hashes(text)
 	if err != nil {
 		return Verdict{}, err
 	}
-	return c.ObserveHashes(ctx, service, seg, fp.Hashes(), "")
+	return c.ObserveHashes(ctx, service, seg, hashes, "")
 }
 
 // ObserveHashes records a pre-computed fingerprint with the shared
@@ -268,13 +287,13 @@ func (c *Client) ObserveBatch(service string, items []BatchItem) ([]Verdict, err
 func (c *Client) ObserveBatchCtx(ctx context.Context, service string, items []BatchItem) ([]Verdict, error) {
 	wire := make([]BatchObserveItem, len(items))
 	for i, item := range items {
-		fp, err := fingerprint.Compute(item.Text, c.cfg)
+		hashes, err := c.hashes(item.Text)
 		if err != nil {
 			return nil, err
 		}
 		wire[i] = BatchObserveItem{
 			Seg:         item.Seg,
-			Hashes:      fp.Hashes(),
+			Hashes:      hashes,
 			Granularity: item.Granularity,
 		}
 	}
@@ -316,14 +335,14 @@ func (c *Client) Check(text, dest string) (Verdict, error) {
 
 // CheckCtx is Check with a caller-controlled context.
 func (c *Client) CheckCtx(ctx context.Context, text, dest string) (Verdict, error) {
-	fp, err := fingerprint.Compute(text, c.cfg)
+	hashes, err := c.hashes(text)
 	if err != nil {
 		return Verdict{}, err
 	}
 	return c.postVerdict(ctx, "/v1/check", CheckRequest{
 		Device: c.device,
 		Dest:   dest,
-		Hashes: fp.Hashes(),
+		Hashes: hashes,
 	})
 }
 

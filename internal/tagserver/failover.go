@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
-	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/resilience"
@@ -244,11 +243,10 @@ func (f *FailoverEngine) ObserveDocumentEdit(doc segment.ID, service, text strin
 }
 
 func (f *FailoverEngine) observe(seg segment.ID, service, text, granularity string) (policy.Verdict, error) {
-	fp, err := fingerprint.Compute(text, f.cfg.Client.cfg)
+	hashes, err := f.cfg.Client.hashes(text)
 	if err != nil {
 		return policy.Verdict{}, err
 	}
-	hashes := fp.Hashes()
 
 	done, allowErr := f.breaker.Allow()
 	if allowErr != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/lsds/browserflow/internal/disclosure"
-	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 )
@@ -31,11 +30,11 @@ func (r *RemoteEngine) Mode() policy.Mode { return r.mode }
 
 // ObserveEdit records a paragraph edit with the shared service.
 func (r *RemoteEngine) ObserveEdit(seg segment.ID, service, text string) (policy.Verdict, error) {
-	fp, err := fingerprint.Compute(text, r.client.cfg)
+	hashes, err := r.client.hashes(text)
 	if err != nil {
 		return policy.Verdict{}, err
 	}
-	v, err := r.client.ObserveHashes(context.Background(), service, seg, fp.Hashes(), "")
+	v, err := r.client.ObserveHashes(context.Background(), service, seg, hashes, "")
 	if err != nil {
 		return policy.Verdict{}, err
 	}
@@ -45,11 +44,11 @@ func (r *RemoteEngine) ObserveEdit(seg segment.ID, service, text string) (policy
 // ObserveDocumentEdit records a whole-page observation with the shared
 // service.
 func (r *RemoteEngine) ObserveDocumentEdit(doc segment.ID, service, text string) (policy.Verdict, error) {
-	fp, err := fingerprint.Compute(text, r.client.cfg)
+	hashes, err := r.client.hashes(text)
 	if err != nil {
 		return policy.Verdict{}, err
 	}
-	v, err := r.client.ObserveHashes(context.Background(), service, doc, fp.Hashes(), "document")
+	v, err := r.client.ObserveHashes(context.Background(), service, doc, hashes, "document")
 	if err != nil {
 		return policy.Verdict{}, err
 	}

@@ -131,9 +131,9 @@ func TestFastCheckMatchesSemilattice(t *testing.T) {
 
 	type regOp func(r *Registry) error
 	ops := []regOp{
-		func(r *Registry) error { _, err := r.ObserveSegment("s1", "wiki"); return err },
-		func(r *Registry) error { _, err := r.ObserveSegment("s2", "itool"); return err },
-		func(r *Registry) error { _, err := r.ObserveSegment("s3", "docs"); return err },
+		func(r *Registry) error { return r.ObserveSegment("s1", "wiki") },
+		func(r *Registry) error { return r.ObserveSegment("s2", "itool") },
+		func(r *Registry) error { return r.ObserveSegment("s3", "docs") },
 		func(r *Registry) error { r.RefreshImplicit("s3", []segment.ID{"s1", "s2"}); return nil },
 		func(r *Registry) error { return r.AllocateTag("alice", "custom.alice.x") },
 		func(r *Registry) error { return r.AddTagToSegment("alice", "s1", "custom.alice.x") },
@@ -176,13 +176,13 @@ func TestFastCheckMatchesSemilattice(t *testing.T) {
 // TestFastCheckSurvivesImport rebuilds the fast state on snapshot import.
 func TestFastCheckSurvivesImport(t *testing.T) {
 	r := newFastRegistry(t)
-	if _, err := r.ObserveSegment("s1", "wiki"); err != nil {
+	if err := r.ObserveSegment("s1", "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	snap := r.Export()
 
 	r2 := newFastRegistry(t)
-	if _, err := r2.ObserveSegment("junk", "itool"); err != nil {
+	if err := r2.ObserveSegment("junk", "itool"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r2.Import(snap); err != nil {
@@ -201,34 +201,37 @@ func TestFastCheckSurvivesImport(t *testing.T) {
 	}
 }
 
-// TestLabelMutationOutsideRegistryFallsBack: a label touched through its
-// own methods (not the registry's) must invalidate the cached bitset so
-// the next CheckRelease answers from the semilattice, never a stale row.
-func TestLabelMutationOutsideRegistryFallsBack(t *testing.T) {
+// TestLabelCopiesCannotReachTheRegistry: the registry's labels are shared
+// immutable values, so the cached bitset needs no invalidation — provided
+// nothing a caller can hold aliases them. Mutating every copy the API hands
+// out must leave the verdict, and the labels of the segments sharing the
+// value, untouched.
+func TestLabelCopiesCannotReachTheRegistry(t *testing.T) {
 	r := newFastRegistry(t)
-	if _, err := r.ObserveSegment("s1", "wiki"); err != nil {
-		t.Fatal(err)
+	for _, seg := range []segment.ID{"s1", "s2"} {
+		if err := r.ObserveSegment(seg, "wiki"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Reach past the registry API, as in-package callers holding the live
-	// label could. The cached bitset says "releasable to wiki"; the
-	// mutation must invalidate it so the verdict comes from the semilattice.
-	r.mu.Lock()
-	live := r.labels["s1"]
-	r.mu.Unlock()
-	live.AddExplicit("ti")
-	if live.effValid {
-		t.Fatal("direct mutation left the cached bitset valid")
+	if n := r.DistinctLabels(); n != 1 {
+		t.Fatalf("two segments of one service hold %d label values, want 1", n)
 	}
-	ok, violating, err := r.CheckRelease("s1", "wiki")
+	label := r.Label("s1")
+	label.AddExplicit("ti")
+	label.Explicit().Add("ti")
+	svc, err := r.Service("wiki")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok || len(violating) != 1 || violating[0] != "ti" {
-		t.Fatalf("stale verdict served: ok=%v violating=%v", ok, violating)
-	}
-	// Clones never carry a valid cache: they escape the registry lock.
-	if r.Label("s1").effValid {
-		t.Error("cloned label carries a valid cache")
+	svc.Confidentiality.Add("ti") // default labels alias the service's own Lc, not this copy
+	r.Export().Labels[0].Explicit[0] = "ti"
+	for _, seg := range []segment.ID{"s1", "s2"} {
+		if ok, violating, err := r.CheckRelease(seg, "wiki"); err != nil || !ok {
+			t.Fatalf("%s: a mutated copy changed the verdict: ok=%v violating=%v err=%v", seg, ok, violating, err)
+		}
+		if got := r.Label(seg).Explicit(); got.Len() != 1 || !got.Has("tw") {
+			t.Fatalf("%s: a mutated copy changed the label: %v", seg, got)
+		}
 	}
 }
 
@@ -240,7 +243,7 @@ func TestCheckReleaseAllocFree(t *testing.T) {
 		t.Skip("allocation behaviour differs under -race")
 	}
 	r := newFastRegistry(t)
-	if _, err := r.ObserveSegment("s1", "wiki"); err != nil {
+	if err := r.ObserveSegment("s1", "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

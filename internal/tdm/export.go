@@ -50,18 +50,15 @@ func (r *Registry) Export() ExportData {
 	}
 	sort.Slice(data.Services, func(i, j int) bool { return data.Services[i].Name < data.Services[j].Name })
 
-	for seg, label := range r.labels {
-		rec := LabelRecord{
+	for seg, st := range r.segs {
+		label := &st.label.label
+		data.Labels = append(data.Labels, LabelRecord{
 			Seg:        seg,
 			Explicit:   label.explicit.Sorted(),
 			Implicit:   label.implicit.Sorted(),
 			Suppressed: label.suppressed.Sorted(),
-		}
-		for svc := range r.stored[seg] {
-			rec.StoredBy = append(rec.StoredBy, svc)
-		}
-		sort.Strings(rec.StoredBy)
-		data.Labels = append(data.Labels, rec)
+			StoredBy:   append([]string(nil), st.stored...),
+		})
 	}
 	sort.Slice(data.Labels, func(i, j int) bool { return data.Labels[i].Seg < data.Labels[j].Seg })
 
@@ -73,7 +70,9 @@ func (r *Registry) Export() ExportData {
 }
 
 // Import replaces the registry's contents with a previously exported
-// snapshot. The audit log is untouched.
+// snapshot. The audit log is untouched. Labels are interned as they load, so
+// a recovered node or a bootstrapped replica shares label values exactly as
+// the node that ingested the segments does.
 func (r *Registry) Import(data ExportData) error {
 	services := make(map[string]*Service, len(data.Services))
 	for _, rec := range data.Services {
@@ -81,22 +80,6 @@ func (r *Registry) Import(data ExportData) error {
 			Name:            rec.Name,
 			Privilege:       NewTagSet(rec.Privilege...),
 			Confidentiality: NewTagSet(rec.Confidentiality...),
-		}
-	}
-	labels := make(map[segment.ID]*Label, len(data.Labels))
-	stored := make(map[segment.ID]map[string]bool, len(data.Labels))
-	for _, rec := range data.Labels {
-		label := NewLabel(rec.Explicit...)
-		label.SetImplicit(NewTagSet(rec.Implicit...))
-		for _, t := range rec.Suppressed {
-			label.suppressed.Add(t)
-		}
-		labels[rec.Seg] = label
-		if len(rec.StoredBy) > 0 {
-			stored[rec.Seg] = make(map[string]bool, len(rec.StoredBy))
-			for _, svc := range rec.StoredBy {
-				stored[rec.Seg][svc] = true
-			}
 		}
 	}
 	tagOwners := make(map[Tag]string, len(data.Tags))
@@ -107,21 +90,33 @@ func (r *Registry) Import(data ExportData) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.services = services
-	r.labels = labels
-	r.stored = stored
 	r.tagOwners = tagOwners
 	// The compiled fast path, if installed, is derived state: rebuild the
-	// privilege rows and effective bitsets for the imported world. The row
-	// map is replaced wholesale so services absent from the snapshot do
-	// not leave stale rows behind.
+	// privilege rows for the imported world before its labels are interned
+	// (interning computes their effective bitsets). The row map is replaced
+	// wholesale so services absent from the snapshot do not leave stale
+	// rows behind.
 	if f := r.fast; f != nil {
 		f.priv = make(map[string]Bits, len(r.services))
 		for _, svc := range r.services {
 			r.fastService(svc)
 		}
-		for _, label := range r.labels {
-			r.fastRefresh(label)
+	}
+	r.segs = make(map[segment.ID]segState, len(data.Labels))
+	r.interned = make(map[string]*labelValue)
+	for _, rec := range data.Labels {
+		var st segState
+		for _, name := range rec.StoredBy {
+			if svc, ok := services[name]; ok {
+				name = svc.Name // one copy of the name, not one per segment
+			}
+			st.store(name)
 		}
+		r.assign(rec.Seg, st, Label{
+			explicit:   NewTagSet(rec.Explicit...),
+			implicit:   NewTagSet(rec.Implicit...),
+			suppressed: NewTagSet(rec.Suppressed...),
+		})
 	}
 	return nil
 }

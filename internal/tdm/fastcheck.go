@@ -25,7 +25,10 @@ var ErrTableMismatch = fmt.Errorf("tdm: check table disagrees with registered se
 // every known label's effective bitset is computed eagerly. If the table
 // carries a row for a registered service that disagrees with its live
 // privilege label, installation fails with ErrTableMismatch: the caller is
-// holding a stale compile.
+// holding a stale compile. "Every known label" is every *distinct* label:
+// the bitset lives on the shared interned value, so it is computed once
+// per distinct content, and — the value being immutable and never leaving
+// the registry — it can never go stale.
 //
 // Tags first seen after installation (custom tag allocation, shadow
 // labels) are interned on demand under the registry write lock, so the
@@ -53,8 +56,8 @@ func (r *Registry) InstallCheckTable(table *CheckTable) error {
 	for _, svc := range r.services {
 		r.fastService(svc)
 	}
-	for _, label := range r.labels {
-		r.fastRefresh(label)
+	for _, v := range r.interned {
+		v.eff = r.fast.effective(&v.label)
 	}
 	return nil
 }
@@ -109,25 +112,16 @@ func (r *Registry) fastService(svc *Service) {
 	f.priv[svc.Name] = row
 }
 
-// fastRefresh recomputes one label's effective bitset in place, reusing
-// its backing array. Caller holds the registry write lock. It is a no-op
-// without an installed fast path — labels then stay effValid=false and
-// CheckRelease uses the semilattice.
-func (r *Registry) fastRefresh(label *Label) {
-	f := r.fast
-	if f == nil {
-		return
-	}
-	label.eff = label.eff.reset()
-	for t := range label.explicit {
-		if !label.suppressed.Has(t) {
-			label.eff = label.eff.set(f.interner.Intern(t))
+// effective returns label.Effective() as a fresh bitset, interning tags
+// seen for the first time. Caller holds the registry write lock.
+func (f *fastCheck) effective(label *Label) Bits {
+	var eff Bits
+	for _, set := range [...]TagSet{label.explicit, label.implicit} {
+		for t := range set {
+			if !label.suppressed.Has(t) {
+				eff = eff.set(f.interner.Intern(t))
+			}
 		}
 	}
-	for t := range label.implicit {
-		if !label.suppressed.Has(t) {
-			label.eff = label.eff.set(f.interner.Intern(t))
-		}
-	}
-	label.effValid = true
+	return eff
 }

@@ -119,10 +119,10 @@ func TestQuickRefreshImplicitIdempotent(t *testing.T) {
 		if err := r.RegisterService("s", NewTagSet(randomTags(rng, 3)...), NewTagSet(randomTags(rng, 3)...)); err != nil {
 			return false
 		}
-		if _, err := r.ObserveSegment("s/a#p0", "s"); err != nil {
+		if err := r.ObserveSegment("s/a#p0", "s"); err != nil {
 			return false
 		}
-		if _, err := r.ObserveSegment("s/b#p0", "s"); err != nil {
+		if err := r.ObserveSegment("s/b#p0", "s"); err != nil {
 			return false
 		}
 		sources := []segment.ID{"s/a#p0"}

@@ -10,19 +10,14 @@ package tdm
 //     as *not* the authoritative source and do not propagate further;
 //   - suppressed tags: tags a user has declassified for this segment. They
 //     are ignored in subset comparisons but remain attached for audit.
+//
+// A Label in a caller's hands is a private, mutable copy. The labels a
+// Registry holds are shared immutable values (see intern.go); Registry.Label
+// and Export return deep copies of them.
 type Label struct {
 	explicit   TagSet
 	implicit   TagSet
 	suppressed TagSet
-
-	// eff caches Effective() as a bitset over the owning registry's
-	// interner (the compiled check-table fast path). Registry mutators
-	// recompute it eagerly under the registry write lock; every Label
-	// mutator invalidates it so a label touched outside the registry can
-	// never serve a stale verdict — CheckRelease falls back to the
-	// semilattice when effValid is false.
-	eff      Bits
-	effValid bool
 }
 
 // NewLabel returns a Label with the given explicit tags.
@@ -45,15 +40,15 @@ func (l *Label) Suppressed() TagSet { return l.suppressed.Clone() }
 
 // AddExplicit adds a tag as explicit (default assignment or user custom
 // tag).
-func (l *Label) AddExplicit(t Tag) { l.explicit.Add(t); l.effValid = false }
+func (l *Label) AddExplicit(t Tag) { l.explicit.Add(t) }
 
 // RemoveExplicit removes an explicit tag.
-func (l *Label) RemoveExplicit(t Tag) { l.explicit.Remove(t); l.effValid = false }
+func (l *Label) RemoveExplicit(t Tag) { l.explicit.Remove(t) }
 
 // SetImplicit replaces the implicit tag set. BrowserFlow recomputes the
 // implicit tags of the segment being edited from its *current* disclosure
 // sources (§3.2), which is how outdated tags stop propagating (Figure 6).
-func (l *Label) SetImplicit(tags TagSet) { l.implicit = tags.Clone(); l.effValid = false }
+func (l *Label) SetImplicit(tags TagSet) { l.implicit = tags.Clone() }
 
 // Suppress marks t as suppressed. It reports whether t was present in the
 // label (explicit or implicit); suppressing an absent tag is a no-op
@@ -63,12 +58,11 @@ func (l *Label) Suppress(t Tag) bool {
 		return false
 	}
 	l.suppressed.Add(t)
-	l.effValid = false
 	return true
 }
 
 // Unsuppress clears a suppression, restoring the tag's effect.
-func (l *Label) Unsuppress(t Tag) { l.suppressed.Remove(t); l.effValid = false }
+func (l *Label) Unsuppress(t Tag) { l.suppressed.Remove(t) }
 
 // Effective returns the tags that participate in subset comparisons:
 // (explicit ∪ implicit) minus suppressed.

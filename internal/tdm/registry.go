@@ -3,6 +3,7 @@ package tdm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,7 +32,8 @@ type Service struct {
 	// Privilege is Lp.
 	Privilege TagSet
 
-	// Confidentiality is Lc.
+	// Confidentiality is Lc. The registry never changes it after
+	// registration: default segment labels alias it (see intern.go).
 	Confidentiality TagSet
 }
 
@@ -42,15 +44,48 @@ type Registry struct {
 	mu sync.RWMutex
 
 	services  map[string]*Service
-	labels    map[segment.ID]*Label
+	segs      map[segment.ID]segState
 	tagOwners map[Tag]string
-	stored    map[segment.ID]map[string]bool
+
+	// interned holds one labelValue per distinct label content currently
+	// referenced from segs, by canonical key (see intern.go).
+	interned map[string]*labelValue
+	keyBuf   []byte // intern's key scratch
+	implicit TagSet // RefreshImplicit's scratch, cleared per call
 
 	// fast, when installed, is the compiled bitset check state (see
 	// fastcheck.go). nil keeps the original semilattice-only behaviour.
 	fast *fastCheck
 
 	auditLog *audit.Log
+}
+
+// segState is everything the registry holds per segment: a reference to
+// the segment's shared label value (never nil for a known segment) and the
+// services storing it, ascending; the names alias Service.Name.
+type segState struct {
+	label  *labelValue
+	stored []string
+}
+
+// value returns the segment's label content, the empty label for the zero
+// state. The copy shares the interned value's tag sets: read it, or replace
+// a set wholesale and hand it to assign — never write through it.
+func (st segState) value() Label {
+	if st.label == nil {
+		return Label{}
+	}
+	return st.label.label
+}
+
+// store adds service to the stored-by list, keeping it ascending and
+// duplicate-free, and reports whether it was absent.
+func (st *segState) store(service string) bool {
+	i, found := slices.BinarySearch(st.stored, service)
+	if !found {
+		st.stored = slices.Insert(st.stored, i, service)
+	}
+	return !found
 }
 
 // NewRegistry returns an empty Registry writing to auditLog. A nil auditLog
@@ -61,9 +96,10 @@ func NewRegistry(auditLog *audit.Log) *Registry {
 	}
 	return &Registry{
 		services:  make(map[string]*Service),
-		labels:    make(map[segment.ID]*Label),
+		segs:      make(map[segment.ID]segState),
 		tagOwners: make(map[Tag]string),
-		stored:    make(map[segment.ID]map[string]bool),
+		interned:  make(map[string]*labelValue),
+		implicit:  make(TagSet),
 		auditLog:  auditLog,
 	}
 }
@@ -122,30 +158,24 @@ func (r *Registry) Services() []Service {
 
 // ObserveSegment records that seg is stored by service and, if the segment
 // has no label yet, assigns it the service's confidentiality label Lc as
-// explicit tags (default tag assignment, §3.1). It returns a copy of the
-// segment's label.
-func (r *Registry) ObserveSegment(seg segment.ID, service string) (*Label, error) {
+// explicit tags (default tag assignment, §3.1). Re-observing a segment its
+// service already stores — every keystroke — changes and allocates nothing.
+func (r *Registry) ObserveSegment(seg segment.ID, service string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	svc, ok := r.services[service]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
+		return fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
-	if r.stored[seg] == nil {
-		r.stored[seg] = make(map[string]bool)
+	st, known := r.segs[seg]
+	added := st.store(svc.Name)
+	switch {
+	case !known:
+		r.assign(seg, st, Label{explicit: svc.Confidentiality})
+	case added:
+		r.segs[seg] = st
 	}
-	r.stored[seg][service] = true
-
-	label, ok := r.labels[seg]
-	if !ok {
-		label = NewLabel()
-		for t := range svc.Confidentiality {
-			label.AddExplicit(t)
-		}
-		r.labels[seg] = label
-		r.fastRefresh(label)
-	}
-	return label.Clone(), nil
+	return nil
 }
 
 // UpsertExplicit replaces seg's explicit tag set, creating the label if
@@ -159,22 +189,18 @@ func (r *Registry) ObserveSegment(seg segment.ID, service string) (*Label, error
 func (r *Registry) UpsertExplicit(seg segment.ID, tags []Tag) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	label, ok := r.labels[seg]
-	if !ok {
-		label = NewLabel()
-		r.labels[seg] = label
-	}
+	st := r.segs[seg]
+	label := st.value()
 	label.explicit = NewTagSet(tags...)
-	label.effValid = false
-	r.fastRefresh(label)
+	r.assign(seg, st, label)
 }
 
 // Label returns a copy of seg's label, or nil if the segment is unknown.
 func (r *Registry) Label(seg segment.ID) *Label {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if label, ok := r.labels[seg]; ok {
-		return label.Clone()
+	if st, ok := r.segs[seg]; ok {
+		return st.label.label.Clone()
 	}
 	return nil
 }
@@ -183,24 +209,29 @@ func (r *Registry) Label(seg segment.ID) *Label {
 // *explicit* tags of its current disclosure sources (§3.2). Implicit tags of
 // the sources are deliberately not copied — a segment that merely disclosed
 // information in the past is not the authoritative origin, which is what
-// stops outdated tags from propagating (Figure 6).
+// stops outdated tags from propagating (Figure 6). A refresh that computes
+// the implicit set the segment already has — the usual keystroke — returns
+// without allocating.
 func (r *Registry) RefreshImplicit(seg segment.ID, sources []segment.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	label, ok := r.labels[seg]
-	if !ok {
-		label = NewLabel()
-		r.labels[seg] = label
-	}
-	implicit := NewTagSet()
+	st, known := r.segs[seg]
+	label := st.value()
+	clear(r.implicit)
 	for _, src := range sources {
-		if srcLabel, ok := r.labels[src]; ok {
-			implicit = implicit.Union(srcLabel.Explicit())
+		for t := range r.segs[src].value().explicit {
+			// The segment's own explicit tags need not be duplicated as
+			// implicit.
+			if !label.explicit.Has(t) {
+				r.implicit.Add(t)
+			}
 		}
 	}
-	// The segment's own explicit tags need not be duplicated as implicit.
-	label.SetImplicit(implicit.Minus(label.Explicit()))
-	r.fastRefresh(label)
+	if known && len(r.implicit) == len(label.implicit) && r.implicit.SubsetOf(label.implicit) {
+		return
+	}
+	label.implicit = r.implicit.Clone()
+	r.assign(seg, st, label)
 }
 
 // CheckRelease evaluates the §3.1 release condition for seg towards
@@ -213,7 +244,7 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 	if !found {
 		return false, nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
-	label, found := r.labels[seg]
+	st, found := r.segs[seg]
 	if !found {
 		return true, nil, nil
 	}
@@ -221,12 +252,12 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 	// bitsets, allocation-free on the allow outcome. A violation falls
 	// through to the semilattice, which names the violating tags in the
 	// exact bytes the slow path always produced.
-	if f := r.fast; f != nil && label.effValid {
-		if priv, rowOK := f.priv[service]; rowOK && label.eff.SubsetOf(priv) {
+	if f := r.fast; f != nil {
+		if priv, rowOK := f.priv[service]; rowOK && st.label.eff.SubsetOf(priv) {
 			return true, nil, nil
 		}
 	}
-	ok, violating = label.ReleasableTo(svc.Privilege)
+	ok, violating = st.label.label.ReleasableTo(svc.Privilege)
 	return ok, violating, nil
 }
 
@@ -237,16 +268,16 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 // destination requires a fresh suppression.
 func (r *Registry) SuppressTag(user string, seg segment.ID, tag Tag, justification string) error {
 	r.mu.Lock()
-	label, ok := r.labels[seg]
-	if !ok {
+	st := r.segs[seg]
+	label := st.value()
+	if !label.explicit.Has(tag) && !label.implicit.Has(tag) {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %s on %s", ErrTagNotOnSegment, tag, seg)
 	}
-	if !label.Suppress(tag) {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %s on %s", ErrTagNotOnSegment, tag, seg)
+	if !label.suppressed.Has(tag) {
+		label.suppressed = label.suppressed.Clone().Add(tag)
+		r.assign(seg, st, label)
 	}
-	r.fastRefresh(label)
 	r.mu.Unlock()
 
 	r.auditLog.Append(audit.Entry{
@@ -301,14 +332,13 @@ func (r *Registry) AddTagToSegment(user string, seg segment.ID, tag Tag) error {
 	if owner != user {
 		return fmt.Errorf("%w: %s owned by %s", ErrNotTagOwner, tag, owner)
 	}
-	label, ok := r.labels[seg]
-	if !ok {
-		label = NewLabel()
-		r.labels[seg] = label
+	st := r.segs[seg]
+	label := st.value()
+	if !label.explicit.Has(tag) {
+		label.explicit = label.explicit.Clone().Add(tag)
 	}
-	label.AddExplicit(tag)
-	r.fastRefresh(label)
-	for svcName := range r.stored[seg] {
+	r.assign(seg, st, label)
+	for _, svcName := range st.stored {
 		if svc, ok := r.services[svcName]; ok {
 			svc.Privilege.Add(tag)
 			r.fastService(svc)
@@ -373,10 +403,8 @@ func (r *Registry) mutatePrivilege(user, service string, tag Tag, add bool) erro
 func (r *Registry) StoredBy(seg segment.ID) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.stored[seg]))
-	for svc := range r.stored[seg] {
-		out = append(out, svc)
-	}
-	sort.Strings(out)
+	stored := r.segs[seg].stored
+	out := make([]string, len(stored))
+	copy(out, stored)
 	return out
 }
