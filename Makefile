@@ -2,28 +2,39 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check crash repl part fuzz obs overload scrub policy vuln cover bench repl-bench obs-bench load-bench scrub-bench part-bench corpus corpus-bench benchall experiments clean
+.PHONY: all build vet test race check crash repl part fuzz obs overload scrub policy policy-floor policy-fixtures bench-check vuln cover bench repl-bench obs-bench load-bench scrub-bench part-bench corpus corpus-bench benchall experiments clean
 
 all: build check
 
-# check is the gate: static analysis, the full suite under the race
-# detector (which includes the crash/corruption-injection recovery
-# property suite in internal/store), the replication partition/promotion
-# suite, the overload/admission chaos suite, a short fuzz smoke over the
-# two recovery parsers that read attacker-controlled bytes after a crash,
-# and a vulnerability scan when govulncheck is installed.
+# check is the gate, and runs each test once: static analysis; the full
+# suite under the race detector, split in two invocations only so the
+# policy package's run also yields its coverage profile (that suite
+# holds the crash/corruption-injection recovery properties, the
+# replication, partition, overload and self-healing chaos suites and the
+# observability goldens — the named gates below re-run subsets of it and
+# are stand-alone conveniences, not part of check); the policy gates
+# that are not tests (coverage floor, fixture lint); a short fuzz smoke
+# over the parsers that read attacker-controlled bytes; the corpus memory
+# budget; a vulnerability scan when govulncheck is installed; and the
+# benchmark module, which tier-1 does not build.
+POLICY_COVER ?= /tmp/policyfile.cover
 check: vet
-	$(GO) test -race ./...
-	$(MAKE) crash
-	$(MAKE) repl
-	$(MAKE) part
-	$(MAKE) obs
-	$(MAKE) overload
-	$(MAKE) scrub
-	$(MAKE) policy
+	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
+	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/policyfile$$')
+	$(MAKE) policy-floor
+	$(MAKE) policy-fixtures
 	$(MAKE) fuzz
 	$(MAKE) corpus
 	$(MAKE) vuln
+	$(MAKE) bench-check
+
+# bench-check vets, tests and builds the benchmark (its own module, so
+# `go build ./...` never sees it): an API change that breaks it fails
+# here instead of in the next benchmark run.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	$(GO) -C bench build -o /dev/null .
 
 # crash runs only the durability crash-injection suites, race-enabled.
 crash:
@@ -53,7 +64,7 @@ part:
 # trace ID), the /healthz replication/durability field coverage, and the
 # bfctl metrics/trace operator commands.
 obs:
-	$(GO) test -race ./internal/obs ./internal/metrics
+	$(GO) test -race ./internal/obs
 	$(GO) test -race -run 'Trace|Healthz|ObsGauges|Metrics|Instrument|Prometheus|Span' ./internal/tagserver ./internal/proxy ./cmd/bfctl
 
 # overload runs the admission/backpressure chaos suites race-enabled:
@@ -81,17 +92,24 @@ scrub:
 # analyzer/compiler/property suites with a coverage floor on the package
 # that decides what may leave the browser, the golden byte-equivalence
 # suite (compiled bitset verdicts identical to the semilattice across the
-# seed scenario scripts, plus the alloc pins), the bfctl linter against
-# every broken fixture (must flag each) and every shipping fixture (must
-# pass), and a short fuzz smoke over both policy fuzz targets.
+# seed scenario scripts, plus the alloc pins), and the bfctl linter
+# against every broken fixture (must flag each) and every shipping
+# fixture (must pass). The two policy fuzz targets run under `fuzz`.
 POLICY_COVER_FLOOR ?= 90
 policy:
-	$(GO) test -race -coverprofile=/tmp/policyfile.cover ./internal/policyfile
-	@total=$$($(GO) tool cover -func=/tmp/policyfile.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
+	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
+	$(MAKE) policy-floor
+	$(GO) test -race -run 'Golden' ./internal/policy
+	$(MAKE) policy-fixtures
+
+# policy-floor reads the coverage profile the policyfile test run left.
+policy-floor:
+	@total=$$($(GO) tool cover -func=$(POLICY_COVER) | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
 	echo "policy: internal/policyfile coverage $$total% (floor $(POLICY_COVER_FLOOR)%)"; \
 	awk "BEGIN { exit !($$total >= $(POLICY_COVER_FLOOR)) }" || \
 		{ echo "policy: coverage $$total% below floor $(POLICY_COVER_FLOOR)%"; exit 1; }
-	$(GO) test -race -run 'Golden' ./internal/policy
+
+policy-fixtures:
 	@for f in internal/policyfile/testdata/broken-*.json; do \
 		if $(GO) run ./cmd/bfctl policy lint $$f >/dev/null 2>&1; then \
 			echo "policy: lint passed broken fixture $$f"; exit 1; \
@@ -100,8 +118,6 @@ policy:
 	$(GO) run ./cmd/bfctl policy lint internal/policyfile/testdata/seed-webapps.json \
 		internal/policyfile/testdata/enterprise-classes.json \
 		internal/policyfile/testdata/encrypting-notes.json
-	$(GO) test -fuzz 'FuzzParsePolicy' -fuzztime 5s ./internal/policyfile
-	$(GO) test -fuzz 'FuzzCompilePolicy' -fuzztime 5s ./internal/policyfile
 
 # vuln scans the module with govulncheck when it is installed; absent the
 # tool (the default container has no network to fetch it), the gate is a

@@ -230,8 +230,8 @@ func TestKillNineRecovery(t *testing.T) {
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"browserflow_wal_records_total",
-		"browserflow_recovery_records_replayed",
+		"bf_wal_records_total",
+		"bf_recovery_records_replayed",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %s", want)

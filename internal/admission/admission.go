@@ -362,14 +362,13 @@ func (p *Pipeline) registerObs() {
 		"Keystroke observes folded into an already-queued observe of the same segment.")
 	p.dropCtr = reg.Counter("bf_admission_deadline_drops_total",
 		"Queued jobs dropped because every waiter's deadline expired before execution.")
-	if reg != nil {
-		reg.GaugeFunc("bf_admission_queue_depth{lane=\"interactive\"}",
-			"Current admission queue depth by lane.",
-			func() float64 { return float64(p.Stats().Interactive.Depth) })
-		reg.GaugeFunc("bf_admission_queue_depth{lane=\"bulk\"}",
-			"Current admission queue depth by lane.",
-			func() float64 { return float64(p.Stats().Bulk.Depth) })
-	}
+	reg.Collect(func(e *obs.Scrape) {
+		st := p.Stats()
+		for lane := Lane(0); lane < numLanes; lane++ {
+			e.Gauge(fmt.Sprintf("bf_admission_queue_depth{lane=%q}", lane.String()),
+				"Current admission queue depth by lane.", float64(st.Lane(lane).Depth))
+		}
+	})
 }
 
 // Observe submits one per-keystroke observe on the interactive lane and

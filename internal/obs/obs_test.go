@@ -46,7 +46,7 @@ func populate(reg *Registry, clk *fakeClock) {
 	reg.Counter(`bf_http_requests_total{endpoint="observe",code="200"}`, "HTTP requests.").Add(7)
 	reg.Counter(`bf_http_requests_total{endpoint="check",code="503"}`, "HTTP requests.").Add(2)
 	reg.Gauge("bf_wal_checkpoint_age_seconds", "Seconds since last checkpoint.").Set(12.5)
-	reg.GaugeFunc("bf_breaker_state", "Circuit breaker state.", func() float64 { return 1 })
+	reg.Collect(func(s *Scrape) { s.Gauge("bf_breaker_state", "Circuit breaker state.", 1) })
 	h := reg.Histogram(`bf_http_request_seconds{endpoint="observe"}`, "Request latency.", nil)
 	h.Observe(0)                     // zero lands in the first bucket
 	h.Observe(100 * time.Microsecond) // exact first boundary
@@ -109,12 +109,61 @@ func TestPrometheusDeterministic(t *testing.T) {
 	}
 }
 
+// TestCollectorContract pins what Registry.Collect promises a subsystem
+// that exports one stats struct: the collector runs exactly once per
+// scrape, reads the registry clock through Scrape.Now, and its typed
+// samples are sorted into the exposition beside the registered metrics.
+func TestCollectorContract(t *testing.T) {
+	clk := newFakeClock()
+	reg := NewRegistry(clk.Now)
+	reg.Counter("bf_b_total", "Registered.").Add(2)
+	started := clk.Now()
+	clk.Advance(90 * time.Second)
+	hist := NewHistogram([]float64{0.001, 1})
+	hist.Observe(time.Millisecond)
+	hist.Observe(3 * time.Second)
+	runs := 0
+	reg.Collect(func(s *Scrape) {
+		runs++
+		s.Gauge("bf_c_age_seconds", "Collected gauge.", s.Now().Sub(started).Seconds())
+		s.Counter(`bf_a_total{lane="x"}`, "Collected counter.", 7)
+		s.Histogram("bf_d_seconds", "Collected histogram.", hist.Snapshot())
+	})
+	const want = `# HELP bf_a_total Collected counter.
+# TYPE bf_a_total counter
+bf_a_total{lane="x"} 7
+# HELP bf_b_total Registered.
+# TYPE bf_b_total counter
+bf_b_total 2
+# HELP bf_c_age_seconds Collected gauge.
+# TYPE bf_c_age_seconds gauge
+bf_c_age_seconds 90
+# HELP bf_d_seconds Collected histogram.
+# TYPE bf_d_seconds histogram
+bf_d_seconds_bucket{le="0.001"} 1
+bf_d_seconds_bucket{le="1"} 1
+bf_d_seconds_bucket{le="+Inf"} 2
+bf_d_seconds_sum 3.001
+bf_d_seconds_count 2
+`
+	for scrape := 1; scrape <= 2; scrape++ {
+		var buf bytes.Buffer
+		reg.WritePrometheus(&buf)
+		if buf.String() != want {
+			t.Fatalf("scrape %d:\n--- got ---\n%s--- want ---\n%s", scrape, buf.String(), want)
+		}
+		if runs != scrape {
+			t.Fatalf("collector ran %d times over %d scrapes", runs, scrape)
+		}
+	}
+}
+
 // TestHistogramBoundaries pins the le semantics at bucket edges: a
 // value exactly on a boundary belongs to that boundary's bucket, zero
 // belongs to the first bucket, and values beyond the last bound go to
 // the overflow cell.
 func TestHistogramBoundaries(t *testing.T) {
-	h := newHistogram([]float64{0.001, 0.01, 0.1})
+	h := NewHistogram([]float64{0.001, 0.01, 0.1})
 	h.Observe(0)                      // -> bucket le=0.001
 	h.Observe(time.Millisecond)       // exactly 0.001 -> bucket le=0.001
 	h.Observe(time.Millisecond + 1)   // just over -> le=0.01
@@ -292,7 +341,7 @@ func TestNilObsSafe(t *testing.T) {
 	var nilReg *Registry
 	nilReg.Counter("x", "").Inc()
 	nilReg.Gauge("x", "").Set(1)
-	nilReg.GaugeFunc("x", "", func() float64 { return 0 })
+	nilReg.Collect(func(*Scrape) { t.Error("collector ran on a nil registry") })
 	nilReg.Histogram("x", "", nil).Observe(time.Millisecond)
 	nilReg.RateWindow("x", "", 5).Mark()
 	var buf bytes.Buffer

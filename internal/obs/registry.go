@@ -103,7 +103,15 @@ type Histogram struct {
 	sumNano atomic.Int64
 }
 
-func newHistogram(bounds []float64) *Histogram {
+// NewHistogram returns a histogram that is not attached to a registry,
+// for a package that keeps a latency distribution in its own stats
+// struct and has it exposed by whoever collects that struct (the WAL's
+// fsync latency). bounds are upper bounds in seconds; nil means
+// DefBuckets.
+func NewHistogram(bounds []float64) *Histogram {
+	if bounds == nil {
+		bounds = DefBuckets
+	}
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
 	return &Histogram{
@@ -223,21 +231,58 @@ func (w *RateWindow) Rate() float64 {
 const (
 	kindCounter = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 	kindRate
 )
 
 type metric struct {
-	name   string // full series name, possibly with {labels}
+	name  string // full series name, possibly with {labels}
+	help  string
+	kind  int
+	ctr   *Counter
+	gauge *Gauge
+	hist  *Histogram
+	rate  *RateWindow
+}
+
+// sample is one series value of one exposition.
+type sample struct {
+	name   string
 	family string // name up to '{'
 	help   string
-	kind   int
-	ctr    *Counter
-	gauge  *Gauge
-	fn     func() float64
-	hist   *Histogram
-	rate   *RateWindow
+	kind   int // kindCounter, kindGauge or kindHistogram
+	count  uint64
+	value  float64
+	hist   HistogramSnapshot
+}
+
+// Scrape gathers the samples of one exposition. A collector registered
+// with Registry.Collect receives it once per scrape, takes one snapshot
+// of the state it owns and emits every series derived from it, so the
+// series of one subsystem are mutually consistent and cost one snapshot.
+type Scrape struct {
+	now     time.Time
+	samples []sample
+}
+
+// Now is the registry clock read once at the start of the scrape; ages
+// computed from it are deterministic under a fake clock.
+func (s *Scrape) Now() time.Time { return s.now }
+
+// Counter emits a monotone count. name ends in _total and may carry a
+// label suffix, like the names Registry.Counter takes.
+func (s *Scrape) Counter(name, help string, v uint64) {
+	s.samples = append(s.samples, sample{name: name, family: family(name), help: help, kind: kindCounter, count: v})
+}
+
+// Gauge emits an instantaneous value.
+func (s *Scrape) Gauge(name, help string, v float64) {
+	s.samples = append(s.samples, sample{name: name, family: family(name), help: help, kind: kindGauge, value: v})
+}
+
+// Histogram emits a histogram snapshot taken by the state's owner.
+func (s *Scrape) Histogram(name, help string, h HistogramSnapshot) {
+	s.samples = append(s.samples, sample{name: name, family: family(name), help: help, kind: kindHistogram, hist: h})
 }
 
 // Registry is a process-wide metric registry. Metric creation
@@ -246,10 +291,11 @@ type metric struct {
 // so two registries fed identical events under identical clocks produce
 // byte-identical output.
 type Registry struct {
-	clock   Clock
-	real    bool // clock is the wall clock; Since may take the monotonic fast path
-	mu      sync.RWMutex
-	metrics map[string]*metric
+	clock      Clock
+	real       bool // clock is the wall clock; Since may take the monotonic fast path
+	mu         sync.RWMutex
+	metrics    map[string]*metric
+	collectors []func(*Scrape)
 }
 
 // NewRegistry builds a registry with the given clock (nil means time.Now).
@@ -310,7 +356,7 @@ func (r *Registry) register(name, help string, kind int, build func(*metric)) *m
 		}
 		return m
 	}
-	m := &metric{name: name, family: family(name), help: help, kind: kind}
+	m := &metric{name: name, help: help, kind: kind}
 	build(m)
 	r.metrics[name] = m
 	return m
@@ -340,22 +386,18 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, kindGauge, func(m *metric) { m.gauge = &Gauge{} }).gauge
 }
 
-// GaugeFunc registers a gauge whose value is computed by fn at scrape
-// time. Re-registering the same name replaces the function.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+// Collect registers a scrape-time collector: fn runs exactly once per
+// WritePrometheus, outside the registry lock, and emits typed samples
+// that are sorted into the exposition beside the registered metrics. It
+// is how a subsystem whose series all derive from one stats struct
+// exports them from one snapshot.
+func (r *Registry) Collect(fn func(*Scrape)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.kind != kindGaugeFunc {
-			panic(fmt.Sprintf("obs: metric %q re-registered with a different kind", name))
-		}
-		m.fn = fn
-		return
-	}
-	r.metrics[name] = &metric{name: name, family: family(name), help: help, kind: kindGaugeFunc, fn: fn}
+	r.collectors = append(r.collectors, fn)
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -363,7 +405,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // DefBuckets.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
-		return newHistogram(DefBuckets)
+		return NewHistogram(DefBuckets)
 	}
 	if bounds == nil {
 		bounds = DefBuckets
@@ -371,7 +413,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if m, ok := r.lookup(name, kindHistogram); ok {
 		return m.hist
 	}
-	return r.register(name, help, kindHistogram, func(m *metric) { m.hist = newHistogram(bounds) }).hist
+	return r.register(name, help, kindHistogram, func(m *metric) { m.hist = NewHistogram(bounds) }).hist
 }
 
 // RateWindow returns the rate window registered under name, creating it
@@ -409,56 +451,67 @@ func typeName(kind int) string {
 }
 
 // WritePrometheus writes the registry contents in Prometheus text
-// exposition format. Families and series are emitted in sorted order;
-// with a deterministic clock and identical event sequences the output
-// is byte-identical across runs.
+// exposition format: every registered metric plus one run of every
+// collector. Families and series are emitted in sorted order; with a
+// deterministic clock and identical event sequences the output is
+// byte-identical across runs.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
+	sc := &Scrape{now: r.clock()}
 	r.mu.RLock()
-	ms := make([]*metric, 0, len(r.metrics))
+	sc.samples = make([]sample, 0, 2*len(r.metrics))
 	for _, m := range r.metrics {
-		ms = append(ms, m)
-	}
-	r.mu.RUnlock()
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].family != ms[j].family {
-			return ms[i].family < ms[j].family
+		switch m.kind {
+		case kindCounter:
+			sc.Counter(m.name, m.help, m.ctr.Value())
+		case kindGauge:
+			sc.Gauge(m.name, m.help, m.gauge.Value())
+		case kindRate:
+			sc.Gauge(m.name, m.help, m.rate.Rate())
+		case kindHistogram:
+			sc.Histogram(m.name, m.help, m.hist.Snapshot())
 		}
-		return ms[i].name < ms[j].name
+	}
+	collectors := r.collectors
+	r.mu.RUnlock()
+	for _, collect := range collectors {
+		collect(sc)
+	}
+	ss := sc.samples
+	sort.Slice(ss, func(i, j int) bool {
+		if ss[i].family != ss[j].family {
+			return ss[i].family < ss[j].family
+		}
+		return ss[i].name < ss[j].name
 	})
 	var b strings.Builder
 	lastFamily := ""
-	for _, m := range ms {
-		if m.family != lastFamily {
-			if m.help != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", m.family, m.help)
+	for _, s := range ss {
+		if s.family != lastFamily {
+			if s.help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", s.family, s.help)
 			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", m.family, typeName(m.kind))
-			lastFamily = m.family
+			fmt.Fprintf(&b, "# TYPE %s %s\n", s.family, typeName(s.kind))
+			lastFamily = s.family
 		}
-		switch m.kind {
+		switch s.kind {
 		case kindCounter:
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.ctr.Value())
+			fmt.Fprintf(&b, "%s %d\n", s.name, s.count)
 		case kindGauge:
-			fmt.Fprintf(&b, "%s %s\n", m.name, fmtFloat(m.gauge.Value()))
-		case kindGaugeFunc:
-			fmt.Fprintf(&b, "%s %s\n", m.name, fmtFloat(m.fn()))
-		case kindRate:
-			fmt.Fprintf(&b, "%s %s\n", m.name, fmtFloat(m.rate.Rate()))
+			fmt.Fprintf(&b, "%s %s\n", s.name, fmtFloat(s.value))
 		case kindHistogram:
-			s := m.hist.Snapshot()
-			base, labels := splitLabels(m.name)
+			h := s.hist
+			base, labels := splitLabels(s.name)
 			var cum uint64
-			for i, bound := range s.Bounds {
-				cum += s.Counts[i]
+			for i, bound := range h.Bounds {
+				cum += h.Counts[i]
 				fmt.Fprintf(&b, "%s_bucket%s %d\n", base, withLabel(labels, "le", fmtFloat(bound)), cum)
 			}
-			cum += s.Counts[len(s.Counts)-1]
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", base, withLabel(labels, "le", "+Inf"), cum)
-			fmt.Fprintf(&b, "%s_sum%s %s\n", base, labels, fmtFloat(s.SumSecs))
-			fmt.Fprintf(&b, "%s_count%s %d\n", base, labels, s.Count)
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", base, withLabel(labels, "le", "+Inf"), h.Count)
+			fmt.Fprintf(&b, "%s_sum%s %s\n", base, labels, fmtFloat(h.SumSecs))
+			fmt.Fprintf(&b, "%s_count%s %d\n", base, labels, h.Count)
 		}
 	}
 	io.WriteString(w, b.String())

@@ -213,9 +213,14 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		p.writeNotPrimary(w)
 		return
 	}
+	// Replica.bootstrap, the only client, always asks for the binary
+	// checkpoint image; there is no second representation.
+	if !strings.Contains(r.Header.Get("Accept"), SnapshotContentType) {
+		writeError(w, p.node, http.StatusNotAcceptable, "snapshots are served as "+SnapshotContentType+" only")
+		return
+	}
 	// ?lo=&hi= asks for a snapshot restricted to a partition-key range
-	// (a split target bootstrapping a filtered replica). Only the binary
-	// format supports it.
+	// (a split target bootstrapping a filtered replica).
 	var filtered bool
 	var lo, hi uint32
 	if q := r.URL.Query(); q.Get("lo") != "" || q.Get("hi") != "" {
@@ -231,43 +236,24 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		filtered, lo, hi = true, uint32(loVal), uint32(hiVal)
 	}
-	if strings.Contains(r.Header.Get("Accept"), SnapshotContentType) {
-		blob, barrier, err := p.durable.CaptureCheckpointBytes()
-		if err != nil {
-			writeError(w, p.node, http.StatusInternalServerError, "capture checkpoint: "+err.Error())
-			return
-		}
-		if filtered {
-			blob, err = p.filter(blob, lo, hi)
-			if err != nil {
-				writeError(w, p.node, http.StatusInternalServerError, "filter checkpoint: "+err.Error())
-				return
-			}
-		}
-		setTermHeaders(w, p.node)
-		w.Header().Set("Content-Type", SnapshotContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-		w.WriteHeader(http.StatusOK)
-		if _, err := w.Write(blob); err != nil {
-			p.logf("replication: stream snapshot (barrier %d): %v", barrier, err)
-		}
-		return
-	}
-	if filtered {
-		writeError(w, p.node, http.StatusBadRequest, "filtered snapshots require Accept: "+SnapshotContentType)
-		return
-	}
-	// Legacy replica: JSON Snapshot struct.
-	snap, err := p.durable.CaptureCheckpoint()
+	blob, barrier, err := p.durable.CaptureCheckpointBytes()
 	if err != nil {
 		writeError(w, p.node, http.StatusInternalServerError, "capture checkpoint: "+err.Error())
 		return
 	}
+	if filtered {
+		blob, err = p.filter(blob, lo, hi)
+		if err != nil {
+			writeError(w, p.node, http.StatusInternalServerError, "filter checkpoint: "+err.Error())
+			return
+		}
+	}
 	setTermHeaders(w, p.node)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", SnapshotContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.WriteHeader(http.StatusOK)
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		p.logf("replication: stream snapshot: %v", err)
+	if _, err := w.Write(blob); err != nil {
+		p.logf("replication: stream snapshot (barrier %d): %v", barrier, err)
 	}
 }
 

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -76,10 +75,11 @@ type ReplicaOptions struct {
 	// Logf receives replication notes; nil discards.
 	Logf func(format string, args ...interface{})
 
-	// Obs, when set, receives replication metrics (lag records/bytes,
-	// applied records, bootstraps, connected flag, stream round + apply
-	// latency histograms) and "replica.apply" spans attributed to the
-	// trace IDs journalled inside streamed observe records.
+	// Obs, when set, receives the stream counters this replica owns
+	// (batches, records, bytes, confirmed divergences, apply latency) and
+	// "replica.apply" spans attributed to the trace IDs journalled inside
+	// streamed observe records. Lag, position and role are Status fields;
+	// whoever is handed Status exports them.
 	Obs *obs.Obs
 
 	// Split makes this a filtered replica for a partition split: the
@@ -169,6 +169,11 @@ type Replica struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 	stopped bool
+
+	// Resolved once in OpenReplica (detached no-ops without opts.Obs), so
+	// the stream loop never takes the registry lock.
+	batchCtr, recordCtr, byteCtr, divergeCtr *obs.Counter
+	applyHist                                *obs.Histogram
 }
 
 // OpenReplica recovers local replica state (newest checkpoint + mirrored
@@ -194,7 +199,12 @@ func OpenReplica(node *Node, engine *policy.Engine, opts ReplicaOptions) (*Repli
 	if err := r.recoverLocal(); err != nil {
 		return nil, err
 	}
-	r.exposeMetrics()
+	reg := opts.Obs.Registry()
+	r.batchCtr = reg.Counter("bf_repl_batches_total", "Stream batches applied.")
+	r.recordCtr = reg.Counter("bf_repl_records_total", "Streamed records applied.")
+	r.byteCtr = reg.Counter("bf_repl_bytes_total", "Streamed WAL bytes mirrored.")
+	r.divergeCtr = reg.Counter("bf_repl_divergences_total", "State divergences the primary confirmed against this replica.")
+	r.applyHist = reg.Histogram("bf_repl_apply_seconds", "Mirror+apply latency per stream batch.", nil)
 	return r, nil
 }
 
@@ -214,33 +224,6 @@ func (r *Replica) newApplier() (*store.Applier, error) {
 		})
 	}
 	return applier, nil
-}
-
-// exposeMetrics registers the replica's replication gauges on the
-// configured registry (no-op without one). Values are read from Status
-// at scrape time.
-func (r *Replica) exposeMetrics() {
-	reg := r.opts.Obs.Registry()
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("bf_repl_lag_records", "Records the primary holds that this replica has not applied.",
-		func() float64 { return float64(r.Status().LagRecords) })
-	reg.GaugeFunc("bf_repl_lag_bytes", "Framed WAL bytes the primary holds that this replica has not applied.",
-		func() float64 { return float64(r.Status().LagBytes) })
-	reg.GaugeFunc("bf_repl_applied_records", "Records applied since the last bootstrap.",
-		func() float64 { return float64(r.Status().AppliedRecords) })
-	reg.GaugeFunc("bf_repl_bootstraps", "Snapshot bootstraps performed.",
-		func() float64 { return float64(r.Status().Bootstraps) })
-	reg.GaugeFunc("bf_repl_divergences", "State divergences the primary confirmed against this replica.",
-		func() float64 { return float64(r.Status().Divergences) })
-	reg.GaugeFunc("bf_repl_connected", "1 when the replica's last primary round succeeded.",
-		func() float64 {
-			if r.Status().Connected {
-				return 1
-			}
-			return 0
-		})
 }
 
 // recoverLocal validates the mirror (truncating a torn tail), restores
@@ -450,7 +433,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Accept", SnapshotContentType+", application/json")
+	req.Header.Set("Accept", SnapshotContentType)
 	resp, err := r.opts.HTTPClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("replication: fetch snapshot: %w", err)
@@ -463,53 +446,29 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("replication: snapshot endpoint: status %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, SnapshotContentType) {
+		return fmt.Errorf("replication: snapshot endpoint answered %q, want %s", ct, SnapshotContentType)
+	}
 
-	var barrier uint64
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), SnapshotContentType) {
-		blob, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return fmt.Errorf("replication: read snapshot body: %w", err)
-		}
-		if err := r.mirror.wipe(); err != nil {
-			return err
-		}
-		meta, err := store.RestoreBytes("primary snapshot", blob, r.tracker, r.registry)
-		if err != nil {
-			return fmt.Errorf("replication: restore snapshot: %w", err)
-		}
-		if meta.WALSeg == 0 {
-			return fmt.Errorf("replication: snapshot carries no WAL barrier")
-		}
-		barrier = meta.WALSeg
-		// Persist the received image verbatim — same bytes, no re-encode.
-		ckpt := filepath.Join(r.opts.Dir, store.CheckpointName(barrier))
-		if err := store.SaveCheckpointBytes(r.opts.FS, ckpt, blob, r.opts.Key); err != nil {
-			return fmt.Errorf("replication: save local checkpoint: %w", err)
-		}
-	} else {
-		if r.opts.Split != nil {
-			// The filter runs in the primary's binary snapshot path; a
-			// legacy JSON body would silently carry the whole keyspace.
-			return fmt.Errorf("replication: filtered bootstrap requires a binary snapshot; primary answered JSON")
-		}
-		var snap store.Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			return fmt.Errorf("replication: decode snapshot: %w", err)
-		}
-		if snap.WALSeg == 0 {
-			return fmt.Errorf("replication: snapshot carries no WAL barrier")
-		}
-		if err := r.mirror.wipe(); err != nil {
-			return err
-		}
-		if err := snap.Restore(r.tracker, r.registry); err != nil {
-			return fmt.Errorf("replication: restore snapshot: %w", err)
-		}
-		barrier = snap.WALSeg
-		ckpt := filepath.Join(r.opts.Dir, store.CheckpointName(barrier))
-		if err := store.SaveFS(r.opts.FS, ckpt, snap, r.opts.Key); err != nil {
-			return fmt.Errorf("replication: save local checkpoint: %w", err)
-		}
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("replication: read snapshot body: %w", err)
+	}
+	if err := r.mirror.wipe(); err != nil {
+		return err
+	}
+	meta, err := store.RestoreBytes("primary snapshot", blob, r.tracker, r.registry)
+	if err != nil {
+		return fmt.Errorf("replication: restore snapshot: %w", err)
+	}
+	if meta.WALSeg == 0 {
+		return fmt.Errorf("replication: snapshot carries no WAL barrier")
+	}
+	barrier := meta.WALSeg
+	// Persist the received image verbatim — same bytes, no re-encode.
+	ckpt := filepath.Join(r.opts.Dir, store.CheckpointName(barrier))
+	if err := store.SaveCheckpointBytes(r.opts.FS, ckpt, blob, r.opts.Key); err != nil {
+		return fmt.Errorf("replication: save local checkpoint: %w", err)
 	}
 	applier, err := r.newApplier()
 	if err != nil {
@@ -585,6 +544,7 @@ func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 			r.mu.Lock()
 			r.divergences++
 			r.mu.Unlock()
+			r.divergeCtr.Inc()
 			r.opts.Logf("replication: primary confirmed state divergence at %s; re-bootstrapping", pos)
 		} else {
 			r.opts.Logf("replication: position %s gone on primary; re-bootstrapping", pos)
@@ -694,13 +654,10 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 	ckptDue := next.Segment > r.lastCkptSeg
 	r.mu.Unlock()
 
-	if reg != nil {
-		reg.Counter("bf_repl_batches_total", "Stream batches applied.").Inc()
-		reg.Counter("bf_repl_records_total", "Streamed records applied.").Add(uint64(len(recs)))
-		reg.Counter("bf_repl_bytes_total", "Streamed WAL bytes mirrored.").Add(uint64(used))
-		reg.Histogram("bf_repl_apply_seconds", "Mirror+apply latency per stream batch.", nil).
-			Observe(reg.Now().Sub(applyStart))
-	}
+	r.batchCtr.Inc()
+	r.recordCtr.Add(uint64(len(recs)))
+	r.byteCtr.Add(uint64(used))
+	r.applyHist.Observe(reg.Since(applyStart))
 
 	if ckptDue {
 		if err := r.checkpointLocal(next.Segment); err != nil {

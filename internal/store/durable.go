@@ -570,30 +570,13 @@ func (d *Durable) StateDigest() disclosure.TrackerDigest {
 	return d.tracker.Digest()
 }
 
-// CaptureCheckpoint captures a consistent snapshot behind a fresh WAL
-// epoch barrier without installing it on disk: the replication snapshot
-// endpoint serves it to bootstrapping replicas, which then stream from
-// segment snap.WALSeg onwards. The extra segment rotation it costs is
-// harmless — the next durable Checkpoint simply rotates again.
-func (d *Durable) CaptureCheckpoint() (*Snapshot, error) {
-	d.barrier.Lock()
-	barrier, err := d.log.Rotate()
-	if err != nil {
-		d.barrier.Unlock()
-		return nil, err
-	}
-	snap := Capture(d.tracker, d.registry)
-	d.barrier.Unlock()
-	snap.WALSeg = barrier
-	return &snap, nil
-}
-
-// CaptureCheckpointBytes is CaptureCheckpoint in wire form: it rotates to
-// a fresh WAL epoch barrier and encodes the state behind it straight into
-// a plaintext BFLOWSNB image, without materialising the intermediate
-// Snapshot struct. The checkpointer seals and installs the bytes; the
-// replication snapshot endpoint serves them to bootstrapping replicas
-// verbatim.
+// CaptureCheckpointBytes rotates to a fresh WAL epoch barrier and encodes
+// the state behind it straight into a plaintext BFLOWSNB image, without
+// installing it on disk. The checkpointer seals and installs the bytes;
+// the replication snapshot endpoint serves them verbatim to bootstrapping
+// replicas, which then stream from the barrier segment onwards. The extra
+// segment rotation a served snapshot costs is harmless — the next durable
+// Checkpoint simply rotates again.
 func (d *Durable) CaptureCheckpointBytes() (blob []byte, barrier uint64, err error) {
 	d.barrier.Lock()
 	barrier, err = d.log.Rotate()

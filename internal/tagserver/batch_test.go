@@ -180,16 +180,8 @@ func TestBatchObserveMetrics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "browserflow_observes_total 3") {
+	body := getBody(t, srv.URL, "/v1/metrics")
+	if !strings.Contains(body, "bf_observes_total 3") {
 		t.Errorf("metrics should count 3 batched observes:\n%s", body)
 	}
 }

@@ -189,30 +189,21 @@ func (f *FailoverEngine) Mode() policy.Mode { return f.cfg.Mode }
 // Breaker returns the guarding circuit breaker.
 func (f *FailoverEngine) Breaker() *resilience.Breaker { return f.breaker }
 
-// RegisterMetrics publishes the failover layer's health as gauges in an
-// obs registry: the circuit-breaker state (0 closed, 1 open, 2
-// half-open), the replay-queue depth, and the degraded/replayed/dropped
-// tallies. GaugeFuncs are sampled at scrape time, so no background
-// goroutine is needed.
+// RegisterMetrics exports the failover layer's health on an obs
+// registry, from one Stats snapshot per scrape: the circuit-breaker state
+// (0 closed, 1 open, 2 half-open), the replay-queue depth, and the
+// degraded/replayed/dropped tallies.
 func (f *FailoverEngine) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("bf_breaker_state",
-		"Circuit-breaker state guarding the remote tag service (0 closed, 1 open, 2 half-open).",
-		func() float64 { return float64(f.breaker.State()) })
-	reg.GaugeFunc("bf_failover_queue_len",
-		"Observations buffered for replay while degraded.",
-		func() float64 { return float64(f.Stats().QueueLen) })
-	reg.GaugeFunc("bf_failover_degraded",
-		"Fallback decisions taken without the remote service.",
-		func() float64 { return float64(f.degradedCount.Load()) })
-	reg.GaugeFunc("bf_failover_replayed",
-		"Buffered observations delivered after recovery.",
-		func() float64 { return float64(f.replayed.Load()) })
-	reg.GaugeFunc("bf_failover_dropped",
-		"Observations lost to a full replay queue.",
-		func() float64 { return float64(f.dropped.Load()) })
+	reg.Collect(func(e *obs.Scrape) {
+		st := f.Stats()
+		e.Gauge("bf_breaker_state",
+			"Circuit-breaker state guarding the remote tag service (0 closed, 1 open, 2 half-open).",
+			float64(st.BreakerState))
+		e.Gauge("bf_failover_queue_len", "Observations buffered for replay while degraded.", float64(st.QueueLen))
+		e.Counter("bf_failover_degraded_total", "Fallback decisions taken without the remote service.", uint64(st.Degraded))
+		e.Counter("bf_failover_replayed_total", "Buffered observations delivered after recovery.", uint64(st.Replayed))
+		e.Counter("bf_failover_dropped_total", "Observations lost to a full replay queue.", uint64(st.Dropped))
+	})
 }
 
 // Stats returns a snapshot of the failover counters.

@@ -33,6 +33,11 @@ func getHealth(t *testing.T, base string) HealthResponse {
 }
 
 // getBody fetches one path and returns the body as a string.
+// withDurable hands the server an always-present journal's statistics.
+func withDurable(d *store.Durable) ServerOption {
+	return WithDurabilitySource(func() (store.DurabilityStats, bool) { return d.Stats(), true })
+}
+
 func getBody(t *testing.T, base, path string) string {
 	t.Helper()
 	resp, err := http.Get(base + path)
@@ -83,12 +88,13 @@ func TestHealthzReplicationBlock(t *testing.T) {
 	// The same numbers surface as Prometheus gauges on /v1/metrics.
 	metrics := getBody(t, srv.URL, "/v1/metrics")
 	for _, want := range []string{
-		`browserflow_replication_role{role="replica"} 1`,
-		"browserflow_replication_term 7",
-		"browserflow_replication_lag_records 5",
-		"browserflow_replication_lag_bytes 4096",
-		"browserflow_replication_applied_records 41",
-		"browserflow_replication_connected 1",
+		`bf_repl_role{role="replica"} 1`,
+		"bf_repl_term 7",
+		"bf_repl_lag_records 5",
+		"bf_repl_lag_bytes 4096",
+		"bf_repl_applied_records 41",
+		"bf_repl_bootstraps_total 2",
+		"bf_repl_connected 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
@@ -127,7 +133,7 @@ func TestHealthzDurabilityBlock(t *testing.T) {
 	defer durable.Close()
 	w.engine.SetJournal(durable)
 
-	server, err := NewServer(w.engine, WithDurabilityStats(durable.Stats))
+	server, err := NewServer(w.engine, withDurable(durable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +173,9 @@ func TestHealthzDurabilityBlock(t *testing.T) {
 	}
 }
 
-// TestObsGaugesOnMetrics: with WithObs + durability + replication
-// sources installed, the engine-level gauges appear in the obs section
-// of /v1/metrics (lag bytes, checkpoint age, fsync quantiles, term).
+// TestObsGaugesOnMetrics: with durability + replication sources
+// installed, their series appear on /v1/metrics (lag bytes, term,
+// checkpoint age, the fsync histogram) beside the server's own.
 func TestObsGaugesOnMetrics(t *testing.T) {
 	w := newTraceWorld(t)
 	durable, err := store.OpenDurable(store.DurableOptions{Dir: t.TempDir(), Fsync: wal.SyncAlways}, w.tracker, w.registry)
@@ -182,7 +188,7 @@ func TestObsGaugesOnMetrics(t *testing.T) {
 	o := obs.New(nil, 0)
 	server, err := NewServer(w.engine,
 		WithObs(o),
-		WithDurabilityStats(durable.Stats),
+		withDurable(durable),
 		WithReplicationStatus(func() HealthReplication {
 			return HealthReplication{Role: "replica", Term: 9, LagBytes: 1234, Connected: true}
 		}),
@@ -202,11 +208,13 @@ func TestObsGaugesOnMetrics(t *testing.T) {
 
 	metrics := getBody(t, srv.URL, "/v1/metrics")
 	for _, want := range []string{
-		"bf_node_repl_lag_bytes 1234",
-		"bf_node_repl_term 9",
-		"bf_decision_cache_hit_ratio",
-		"bf_wal_fsync_p50_seconds",
-		"bf_wal_fsync_p99_seconds",
+		"bf_repl_lag_bytes 1234",
+		"bf_repl_term 9",
+		`bf_repl_role{role="replica"} 1`,
+		"bf_repl_connected 1",
+		"bf_decision_cache_misses_total 0",
+		`bf_wal_fsync_seconds_bucket{le="+Inf"}`,
+		"bf_checkpoints_total 1",
 		"bf_checkpoint_age_seconds",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -214,7 +222,7 @@ func TestObsGaugesOnMetrics(t *testing.T) {
 		}
 	}
 
-	// Traces surface on /v1/debug/traces when WithObs is installed.
+	// Traces surface on /v1/debug/traces.
 	traces := getBody(t, srv.URL, "/v1/debug/traces")
 	if !strings.Contains(traces, `"spans"`) {
 		t.Errorf("/v1/debug/traces not serving span JSON: %s", traces)

@@ -16,6 +16,7 @@ import (
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
@@ -51,17 +52,33 @@ func (e *wedgedEngine) ObserveBatchFPCtx(ctx context.Context, service string, it
 	return out, nil
 }
 
+// awaitAdmission polls the pipeline until its stats satisfy ok.
+func awaitAdmission(t *testing.T, p *admission.Pipeline, what string, ok func(admission.Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok(p.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %+v", what, p.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestControlPlaneLiveUnderSaturation wedges the admission workers, fills
 // the interactive queue to capacity, and asserts the server's control
 // plane stays live: /healthz and /v1/metrics answer promptly (reporting
 // the saturation), and further observes are shed with an immediate 429 +
 // Retry-After instead of queueing behind the backlog.
 func TestControlPlaneLiveUnderSaturation(t *testing.T) {
+	// One bundle for admission and the server, as bftagd wires them: each
+	// registers the series it owns on the node's one registry.
+	o := obs.New(nil, 0)
 	wedged := &wedgedEngine{gate: make(chan struct{})}
 	pipeline, err := admission.New(wedged, admission.Config{
 		InteractiveQueue: 4,
 		BulkQueue:        2,
 		Workers:          1,
+		Obs:              o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +104,13 @@ func TestControlPlaneLiveUnderSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := NewServer(engine, WithAdmission(pipeline))
+	server, err := NewServer(engine, WithObs(o), WithAdmission(pipeline))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(server)
 	defer srv.Close()
+	defer wedged.release() // before srv.Close, which waits for the wedged handlers
 
 	observe := func(seg string) *http.Response {
 		body, _ := json.Marshal(ObserveRequest{
@@ -107,19 +125,20 @@ func TestControlPlaneLiveUnderSaturation(t *testing.T) {
 		return resp
 	}
 
-	// One observe wedges the worker; four more fill the queue. Distinct
-	// segments prevent coalescing from folding them together.
+	// One observe wedges the worker; once it has left the queue (sent
+	// together, the fifth could find the first still queued and be shed),
+	// four more fill it. Distinct segments prevent coalescing from folding
+	// them together.
 	responses := make(chan *http.Response, 5)
-	for i := 0; i < 5; i++ {
-		go func(i int) { responses <- observe(fmt.Sprintf("doc/%d#p0", i)) }(i)
+	send := func(i int) { go func() { responses <- observe(fmt.Sprintf("doc/%d#p0", i)) }() }
+	send(0)
+	awaitAdmission(t, pipeline, "worker never wedged", func(s admission.Stats) bool {
+		return s.Interactive.Submitted == 1 && s.Interactive.Depth == 0
+	})
+	for i := 1; i < 5; i++ {
+		send(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for pipeline.Stats().Interactive.Depth < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never saturated: %+v", pipeline.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitAdmission(t, pipeline, "queue never saturated", func(s admission.Stats) bool { return s.Interactive.Depth == 4 })
 
 	// Overflow arrival: shed fast with 429 + Retry-After.
 	start := time.Now()
@@ -179,8 +198,8 @@ func TestControlPlaneLiveUnderSaturation(t *testing.T) {
 	metrics.ReadFrom(mr.Body)
 	mr.Body.Close()
 	for _, want := range []string{
-		`browserflow_admission_queue_depth{lane="interactive"} 4`,
-		`browserflow_admission_shed_total{lane="interactive"}`,
+		`bf_admission_queue_depth{lane="interactive"} 4`,
+		`bf_admission_shed_total{lane="interactive",reason="queue-full"} 1`,
 	} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("metrics missing %q", want)

@@ -368,7 +368,6 @@ func (s *Server) handlePartCheck(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.checks.Add(1)
 	s.countVerdict(verdict)
 	writeVerdict(w, verdict)
 }

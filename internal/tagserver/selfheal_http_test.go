@@ -28,7 +28,7 @@ func postObserve(t *testing.T, base string) *http.Response {
 
 // TestDegradedDiskAnswers503WithRetryAfter: a fail-closed node whose disk
 // stops accepting writes must answer observes with 503 + Retry-After (the
-// probe cadence) and expose the degradation on /healthz and /metrics —
+// probe cadence) and expose the degradation on /healthz and /v1/metrics —
 // and go back to 200 once the disk heals.
 func TestDegradedDiskAnswers503WithRetryAfter(t *testing.T) {
 	w := newTraceWorld(t)
@@ -45,7 +45,7 @@ func TestDegradedDiskAnswers503WithRetryAfter(t *testing.T) {
 	defer durable.Close()
 	w.engine.SetJournal(durable)
 
-	server, err := NewServer(w.engine, WithDurabilityStats(durable.Stats))
+	server, err := NewServer(w.engine, withDurable(durable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestDegradedDiskAnswers503WithRetryAfter(t *testing.T) {
 	if !health.Storage.DiskDegraded || health.Storage.DegradedCause != "eio" {
 		t.Fatalf("storage block = %+v, want DiskDegraded with cause eio", health.Storage)
 	}
-	// ...and on /metrics.
+	// ...and on /v1/metrics.
 	metrics := getBody(t, srv.URL, "/v1/metrics")
-	if !strings.Contains(metrics, "browserflow_disk_degraded 1") {
-		t.Error("metrics missing browserflow_disk_degraded 1")
+	if !strings.Contains(metrics, "bf_disk_degraded 1") {
+		t.Error("metrics missing bf_disk_degraded 1")
 	}
 
 	// Heal the disk; recovery re-admits writes.
@@ -95,16 +95,16 @@ func TestDegradedDiskAnswers503WithRetryAfter(t *testing.T) {
 		t.Fatalf("recovered observe: status %d", resp.StatusCode)
 	}
 	metrics = getBody(t, srv.URL, "/v1/metrics")
-	if !strings.Contains(metrics, "browserflow_disk_degraded 0") {
-		t.Error("metrics still report browserflow_disk_degraded 1 after recovery")
+	if !strings.Contains(metrics, "bf_disk_degraded 0") {
+		t.Error("metrics still report bf_disk_degraded 1 after recovery")
 	}
-	if !strings.Contains(metrics, "browserflow_disk_recoveries_total 1") {
-		t.Error("metrics missing browserflow_disk_recoveries_total 1")
+	if !strings.Contains(metrics, "bf_disk_recoveries_total 1") {
+		t.Error("metrics missing bf_disk_recoveries_total 1")
 	}
 }
 
 // TestHealthzStorageBlockAndScrubMetrics: the storage block reports scrub
-// freshness and quarantine counts, and the bf_scrub_* obs gauges appear on
+// freshness and quarantine counts, and the bf_scrub_* series appear on
 // /v1/metrics.
 func TestHealthzStorageBlockAndScrubMetrics(t *testing.T) {
 	w := newTraceWorld(t)
@@ -121,7 +121,7 @@ func TestHealthzStorageBlockAndScrubMetrics(t *testing.T) {
 	w.engine.SetJournal(durable)
 
 	o := obs.New(nil, 0)
-	server, err := NewServer(w.engine, WithObs(o), WithDurabilityStats(durable.Stats))
+	server, err := NewServer(w.engine, WithObs(o), withDurable(durable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestHealthzStorageBlockAndScrubMetrics(t *testing.T) {
 		"bf_scrub_last_pass_age_seconds",
 		"bf_quarantined_files 0",
 		"bf_disk_degraded 0",
-		"browserflow_scrub_passes_total 1",
+		"bf_scrub_passes_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)

@@ -24,7 +24,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"github.com/lsds/browserflow/internal/admission"
@@ -245,23 +244,17 @@ func WithMaxBodyBytes(n int64) ServerOption {
 	}
 }
 
-// WithDurabilityStats exposes the durability subsystem's statistics on
-// /metrics (Prometheus gauges/counters) and /healthz. Pass
-// (*store.Durable).Stats.
-func WithDurabilityStats(fn func() store.DurabilityStats) ServerOption {
-	return WithDurabilitySource(func() (store.DurabilityStats, bool) { return fn(), true })
-}
-
-// WithDurabilitySource is WithDurabilityStats for nodes whose durability
-// layer appears at runtime (a replica opens its journal only when
-// promoted): the source reports ok=false until stats exist.
+// WithDurabilitySource exposes the durability subsystem's statistics on
+// /v1/metrics and /healthz. The source reports ok=false while no journal
+// exists (a replica opens one only when promoted); for a node that always
+// has one, wrap (*store.Durable).Stats.
 func WithDurabilitySource(fn func() (store.DurabilityStats, bool)) ServerOption {
 	return func(s *Server) { s.durability = fn }
 }
 
 // WithReplicationStatus exposes the node's replication role, term and
-// lag on /healthz and /metrics. The callback is invoked per request, so
-// it may reflect a live promotion.
+// lag on /healthz and /v1/metrics. The callback is invoked per request,
+// so it may reflect a live promotion.
 func WithReplicationStatus(fn func() HealthReplication) ServerOption {
 	return func(s *Server) { s.replication = fn }
 }
@@ -287,11 +280,10 @@ func WithPolicyInfo(hash string, services int) ServerOption {
 	}
 }
 
-// WithObs installs an observability bundle: every endpoint is wrapped
-// with RED metrics and X-BF-Trace lifting, the bundle's Prometheus
-// families are appended to /v1/metrics, the span ring is served at
-// /v1/debug/traces, and engine-level gauges (decision-cache hit ratio,
-// WAL fsync latency, checkpoint age, replication lag) are registered.
+// WithObs makes the server record into a shared observability bundle —
+// the one the daemon also hands to admission, replication and its
+// -debug-listen handler — so the node has one registry and one span
+// ring. Without it the server records into a private bundle.
 func WithObs(o *obs.Obs) ServerOption {
 	return func(s *Server) { s.obs = o }
 }
@@ -309,15 +301,9 @@ type Server struct {
 	partition   PartitionState
 	policyInfo  *HealthPolicy
 
-	// Operational counters, exported in Prometheus text format at
-	// /metrics.
-	observes     atomic.Int64
-	checks       atomic.Int64
-	uploads      atomic.Int64
-	suppressions atomic.Int64
-	violations   atomic.Int64
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
+	// The counters the server owns, resolved once in NewServer.
+	observes, violations   *obs.Counter
+	cacheHits, cacheMisses *obs.Counter
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -336,9 +322,11 @@ func NewServer(engine *policy.Engine, opts ...ServerOption) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	// Instrument is nil-safe: without WithObs the raw handlers serve
-	// unchanged; with it every endpoint gains RED metrics and trace
-	// lifting under a stable endpoint label.
+	if s.obs == nil {
+		s.obs = obs.New(nil, 0)
+	}
+	// Every endpoint gains RED metrics and trace lifting under a stable
+	// endpoint label.
 	handle := func(path, endpoint string, h http.HandlerFunc) {
 		s.mux.Handle(path, s.obs.Instrument(endpoint, h))
 	}
@@ -349,113 +337,79 @@ func NewServer(engine *policy.Engine, opts ...ServerOption) (*Server, error) {
 	handle("/v1/suppress", "suppress", s.handleSuppress)
 	handle("/v1/label", "label", s.handleLabel)
 	handle("/v1/stats", "stats", s.handleStats)
-	handle("/v1/metrics", "metrics", s.handleMetrics)
+	handle("/v1/metrics", "metrics", s.obs.MetricsHandler().ServeHTTP)
 	handle("/healthz", "healthz", s.handleHealthz)
 	s.registerPartitionHandlers(handle)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	if s.obs != nil {
-		s.mux.Handle("/v1/debug/traces", s.obs.TracesHandler())
-		s.registerEngineGauges()
-	}
+	s.mux.Handle("/v1/debug/traces", s.obs.TracesHandler())
+
+	reg := s.obs.Registry()
+	s.observes = reg.Counter("bf_observes_total", "Observations served (batch items count individually).")
+	s.violations = reg.Counter("bf_violations_total", "Verdicts that reported a policy violation.")
+	s.cacheHits = reg.Counter("bf_decision_cache_hits_total", "Verdicts answered from the disclosure decision cache.")
+	s.cacheMisses = reg.Counter("bf_decision_cache_misses_total", "Verdicts computed because the decision cache missed.")
+	reg.Collect(s.collect)
 	return s, nil
 }
 
-// registerEngineGauges publishes engine-level health as gauges in the
-// obs registry: decision-cache hit ratio, WAL fsync latency quantiles,
-// checkpoint age, and replication lag. GaugeFuncs are sampled at scrape
-// time, so a live promotion (durability appearing on a replica) is
-// reflected without re-registration.
-func (s *Server) registerEngineGauges() {
-	reg := s.obs.Registry()
-	reg.GaugeFunc("bf_decision_cache_hit_ratio",
-		"Fraction of verdicts answered from the disclosure decision cache.",
-		func() float64 {
-			hits, misses := float64(s.cacheHits.Load()), float64(s.cacheMisses.Load())
-			if hits+misses == 0 {
-				return 0
-			}
-			return hits / (hits + misses)
-		})
-	reg.GaugeFunc("bf_segments", "Tracked segments.", func() float64 {
-		return float64(s.engine.Tracker().Paragraphs().Stats().Segments)
-	})
-	reg.GaugeFunc("bf_wal_fsync_p50_seconds",
-		"Median WAL fsync latency.", func() float64 {
-			if d, ok := s.durabilityStats(); ok {
-				return d.WAL.FsyncLatency.P50.Seconds()
-			}
+// collect exports, from one snapshot each per scrape, the state the server
+// holds (index sizes, audit length) and the sources it was handed
+// (durability, replication). Admission and the replica's stream loop
+// register their own series on the same registry.
+func (s *Server) collect(e *obs.Scrape) {
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	// age is seconds since t on the registry clock, 0 while t is unset.
+	age := func(t time.Time) float64 {
+		if t.IsZero() {
 			return 0
-		})
-	reg.GaugeFunc("bf_wal_fsync_p99_seconds",
-		"99th-percentile WAL fsync latency.", func() float64 {
-			if d, ok := s.durabilityStats(); ok {
-				return d.WAL.FsyncLatency.P99.Seconds()
-			}
-			return 0
-		})
-	reg.GaugeFunc("bf_checkpoint_age_seconds",
-		"Seconds since the last successful checkpoint.", func() float64 {
-			if d, ok := s.durabilityStats(); ok && !d.LastCheckpointAt.IsZero() {
-				return reg.Now().Sub(d.LastCheckpointAt).Seconds()
-			}
-			return 0
-		})
-	reg.GaugeFunc("bf_scrub_frames_verified_total",
-		"WAL frames re-verified clean by the at-rest scrubber.", func() float64 {
-			if d, ok := s.durabilityStats(); ok {
-				return float64(d.Scrub.FramesVerified)
-			}
-			return 0
-		})
-	reg.GaugeFunc("bf_scrub_corruptions_found_total",
-		"At-rest corruptions the scrubber found.", func() float64 {
-			if d, ok := s.durabilityStats(); ok {
-				return float64(d.Scrub.CorruptionsFound)
-			}
-			return 0
-		})
-	reg.GaugeFunc("bf_scrub_quarantines_total",
-		"Decayed files renamed aside by the scrubber.", func() float64 {
-			if d, ok := s.durabilityStats(); ok {
-				return float64(d.Scrub.Quarantines)
-			}
-			return 0
-		})
-	reg.GaugeFunc("bf_scrub_last_pass_age_seconds",
-		"Seconds since the last completed scrub pass (0 before the first).", func() float64 {
-			if d, ok := s.durabilityStats(); ok && !d.Scrub.LastPassAt.IsZero() {
-				return reg.Now().Sub(d.Scrub.LastPassAt).Seconds()
-			}
-			return 0
-		})
-	reg.GaugeFunc("bf_quarantined_files",
-		"Quarantined files currently present in the durable directory.", func() float64 {
-			if d, ok := s.durabilityStats(); ok {
-				return float64(d.Scrub.QuarantinedFiles)
-			}
-			return 0
-		})
-	reg.GaugeFunc("bf_disk_degraded",
-		"1 while the journal is disk-fault degraded.", func() float64 {
-			if d, ok := s.durabilityStats(); ok && d.Disk.Degraded {
-				return 1
-			}
-			return 0
-		})
+		}
+		return e.Now().Sub(t).Seconds()
+	}
+	idx := s.engine.Tracker().Paragraphs().Stats()
+	e.Gauge("bf_segments", "Tracked segments.", float64(idx.Segments))
+	e.Gauge("bf_distinct_hashes", "Distinct fingerprint hashes indexed.", float64(idx.DistinctHashes))
+	e.Gauge("bf_audit_entries", "Entries in the suppression audit trail.", float64(s.engine.Registry().Audit().Len()))
 	if s.replication != nil {
-		reg.GaugeFunc("bf_node_repl_lag_bytes",
-			"Framed WAL bytes this node trails its primary by (0 on a primary).",
-			func() float64 { return float64(s.replication().LagBytes) })
-		reg.GaugeFunc("bf_node_repl_term",
-			"The node's replication fencing term.",
-			func() float64 { return float64(s.replication().Term) })
+		rs := s.replication()
+		e.Gauge(fmt.Sprintf("bf_repl_role{role=%q}", rs.Role), "The node's replication role.", 1)
+		e.Gauge("bf_repl_term", "The node's replication fencing term.", float64(rs.Term))
+		e.Gauge("bf_repl_lag_records", "Records the primary holds that this node has not applied (0 on a primary).", float64(rs.LagRecords))
+		e.Gauge("bf_repl_lag_bytes", "Framed WAL bytes this node trails its primary by (0 on a primary).", float64(rs.LagBytes))
+		e.Gauge("bf_repl_applied_records", "Records applied since the last bootstrap.", float64(rs.AppliedRecords))
+		e.Counter("bf_repl_bootstraps_total", "Snapshot bootstraps performed.", uint64(rs.Bootstraps))
+		e.Gauge("bf_repl_connected", "1 when the node's last primary round succeeded.", flag(rs.Connected))
+	}
+	if d, ok := s.durabilityStats(); ok {
+		e.Counter("bf_wal_records_total", "Records appended to the WAL by this process.", uint64(d.WAL.RecordsAppended))
+		e.Counter("bf_wal_bytes_total", "Framed bytes appended to the WAL by this process.", uint64(d.WAL.BytesAppended))
+		e.Histogram("bf_wal_fsync_seconds", "WAL fsync latency.", d.WAL.FsyncLatency)
+		e.Gauge("bf_wal_segments", "Live WAL segment files.", float64(d.WAL.Segments))
+		e.Gauge("bf_wal_torn_bytes_truncated", "Trailing bytes the torn-tail scan discarded at the last recovery.", float64(d.WAL.TornBytesTruncated))
+		e.Counter("bf_checkpoints_total", "Checkpoints installed.", uint64(d.Checkpoints))
+		e.Counter("bf_checkpoint_errors_total", "Checkpoint attempts that failed.", uint64(d.CheckpointErrors))
+		e.Gauge("bf_checkpoint_age_seconds", "Seconds since the last successful checkpoint (0 before the first).", age(d.LastCheckpointAt))
+		e.Gauge("bf_recovery_records_replayed", "WAL records replayed at the last recovery.", float64(d.Recovery.RecordsReplayed))
+		e.Gauge("bf_recovery_corrupt_checkpoints", "Corrupt checkpoints skipped at the last recovery.", float64(d.Recovery.CorruptCheckpoints))
+		e.Counter("bf_scrub_passes_total", "At-rest scrub passes completed.", uint64(d.Scrub.Passes))
+		e.Counter("bf_scrub_frames_verified_total", "WAL frames re-verified clean by the at-rest scrubber.", uint64(d.Scrub.FramesVerified))
+		e.Counter("bf_scrub_corruptions_found_total", "At-rest corruptions the scrubber found.", uint64(d.Scrub.CorruptionsFound))
+		e.Counter("bf_scrub_quarantines_total", "Decayed files renamed aside by the scrubber.", uint64(d.Scrub.Quarantines))
+		e.Gauge("bf_scrub_last_pass_age_seconds", "Seconds since the last completed scrub pass (0 before the first).", age(d.Scrub.LastPassAt))
+		e.Gauge("bf_quarantined_files", "Quarantined files currently present in the durable directory.", float64(d.Scrub.QuarantinedFiles))
+		e.Gauge("bf_disk_degraded", "1 while the journal is disk-fault degraded.", flag(d.Disk.Degraded))
+		e.Counter("bf_disk_dropped_records_total", "Records a fail-open node served without journalling while degraded.", uint64(d.Disk.DroppedRecords))
+		e.Counter("bf_disk_recoveries_total", "Times the journal left the degraded state.", uint64(d.Disk.Recoveries))
 	}
 }
 
 // Observes returns the number of observations served (batch items count
 // individually). The bftagd save trigger uses it so batched flushes weigh
 // by their size instead of counting as one request.
-func (s *Server) Observes() int64 { return s.observes.Load() }
+func (s *Server) Observes() int64 { return int64(s.observes.Value()) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -511,7 +465,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.writeEngineError(w, err)
 		return
 	}
-	s.observes.Add(1)
+	s.observes.Inc()
 	s.countVerdict(verdict)
 	writeVerdict(w, verdict)
 }
@@ -584,7 +538,7 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeEngineError(w, err)
 		return
 	}
-	s.observes.Add(int64(len(verdicts)))
+	s.observes.Add(uint64(len(verdicts)))
 	resp := BatchObserveResponse{Verdicts: make([]VerdictResponse, len(verdicts))}
 	for i, v := range verdicts {
 		s.countVerdict(v)
@@ -607,7 +561,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.checks.Add(1)
 	s.countVerdict(verdict)
 	writeVerdict(w, verdict)
 }
@@ -626,7 +579,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.uploads.Add(1)
 	s.countVerdict(verdict)
 	writeVerdict(w, verdict)
 }
@@ -649,7 +601,6 @@ func (s *Server) handleSuppress(w http.ResponseWriter, r *http.Request) {
 		s.writeEngineError(w, err)
 		return
 	}
-	s.suppressions.Add(1)
 	writeJSON(w, map[string]bool{"ok": true})
 }
 
@@ -720,97 +671,16 @@ func (s *Server) durabilityStats() (store.DurabilityStats, bool) {
 	return s.durability()
 }
 
-// countVerdict folds one verdict into the operational counters: the
-// violation tally and the decision-cache hit/miss split that feeds the
-// bf_decision_cache_hit_ratio gauge.
+// countVerdict folds one verdict into the violation tally and the
+// decision-cache hit/miss split.
 func (s *Server) countVerdict(v policy.Verdict) {
 	if v.Violation() {
-		s.violations.Add(1)
+		s.violations.Inc()
 	}
 	if v.CacheHit {
-		s.cacheHits.Add(1)
+		s.cacheHits.Inc()
 	} else {
-		s.cacheMisses.Add(1)
-	}
-}
-
-// handleMetrics exposes operational counters and database sizes in
-// Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	stats := s.engine.Tracker().Paragraphs().Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# TYPE browserflow_observes_total counter\nbrowserflow_observes_total %d\n", s.observes.Load())
-	fmt.Fprintf(w, "# TYPE browserflow_checks_total counter\nbrowserflow_checks_total %d\n", s.checks.Load())
-	fmt.Fprintf(w, "# TYPE browserflow_uploads_total counter\nbrowserflow_uploads_total %d\n", s.uploads.Load())
-	fmt.Fprintf(w, "# TYPE browserflow_suppressions_total counter\nbrowserflow_suppressions_total %d\n", s.suppressions.Load())
-	fmt.Fprintf(w, "# TYPE browserflow_violations_total counter\nbrowserflow_violations_total %d\n", s.violations.Load())
-	fmt.Fprintf(w, "# TYPE browserflow_decision_cache_hits_total counter\nbrowserflow_decision_cache_hits_total %d\n", s.cacheHits.Load())
-	fmt.Fprintf(w, "# TYPE browserflow_decision_cache_misses_total counter\nbrowserflow_decision_cache_misses_total %d\n", s.cacheMisses.Load())
-	fmt.Fprintf(w, "# TYPE browserflow_segments gauge\nbrowserflow_segments %d\n", stats.Segments)
-	fmt.Fprintf(w, "# TYPE browserflow_distinct_hashes gauge\nbrowserflow_distinct_hashes %d\n", stats.DistinctHashes)
-	fmt.Fprintf(w, "# TYPE browserflow_audit_entries gauge\nbrowserflow_audit_entries %d\n", s.engine.Registry().Audit().Len())
-	if s.replication != nil {
-		rs := s.replication()
-		fmt.Fprintf(w, "# TYPE browserflow_replication_role gauge\nbrowserflow_replication_role{role=%q} 1\n", rs.Role)
-		fmt.Fprintf(w, "# TYPE browserflow_replication_term gauge\nbrowserflow_replication_term %d\n", rs.Term)
-		fmt.Fprintf(w, "# TYPE browserflow_replication_lag_records gauge\nbrowserflow_replication_lag_records %d\n", rs.LagRecords)
-		fmt.Fprintf(w, "# TYPE browserflow_replication_lag_bytes gauge\nbrowserflow_replication_lag_bytes %d\n", rs.LagBytes)
-		fmt.Fprintf(w, "# TYPE browserflow_replication_applied_records counter\nbrowserflow_replication_applied_records %d\n", rs.AppliedRecords)
-		fmt.Fprintf(w, "# TYPE browserflow_replication_bootstraps_total counter\nbrowserflow_replication_bootstraps_total %d\n", rs.Bootstraps)
-		connected := 0
-		if rs.Connected {
-			connected = 1
-		}
-		fmt.Fprintf(w, "# TYPE browserflow_replication_connected gauge\nbrowserflow_replication_connected %d\n", connected)
-	}
-	if d, ok := s.durabilityStats(); ok {
-		fmt.Fprintf(w, "# TYPE browserflow_wal_records_total counter\nbrowserflow_wal_records_total %d\n", d.WAL.RecordsAppended)
-		fmt.Fprintf(w, "# TYPE browserflow_wal_bytes_total counter\nbrowserflow_wal_bytes_total %d\n", d.WAL.BytesAppended)
-		fmt.Fprintf(w, "# TYPE browserflow_wal_fsyncs_total counter\nbrowserflow_wal_fsyncs_total %d\n", d.WAL.Fsyncs)
-		fmt.Fprintf(w, "# TYPE browserflow_wal_fsync_latency_seconds summary\n")
-		fmt.Fprintf(w, "browserflow_wal_fsync_latency_seconds{quantile=\"0.5\"} %g\n", d.WAL.FsyncLatency.P50.Seconds())
-		fmt.Fprintf(w, "browserflow_wal_fsync_latency_seconds{quantile=\"0.95\"} %g\n", d.WAL.FsyncLatency.P95.Seconds())
-		fmt.Fprintf(w, "browserflow_wal_fsync_latency_seconds{quantile=\"0.99\"} %g\n", d.WAL.FsyncLatency.P99.Seconds())
-		fmt.Fprintf(w, "# TYPE browserflow_wal_segments gauge\nbrowserflow_wal_segments %d\n", d.WAL.Segments)
-		fmt.Fprintf(w, "# TYPE browserflow_wal_torn_bytes_truncated gauge\nbrowserflow_wal_torn_bytes_truncated %d\n", d.WAL.TornBytesTruncated)
-		fmt.Fprintf(w, "# TYPE browserflow_checkpoints_total counter\nbrowserflow_checkpoints_total %d\n", d.Checkpoints)
-		fmt.Fprintf(w, "# TYPE browserflow_checkpoint_errors_total counter\nbrowserflow_checkpoint_errors_total %d\n", d.CheckpointErrors)
-		if !d.LastCheckpointAt.IsZero() {
-			fmt.Fprintf(w, "# TYPE browserflow_last_checkpoint_age_seconds gauge\nbrowserflow_last_checkpoint_age_seconds %g\n",
-				time.Since(d.LastCheckpointAt).Seconds())
-		}
-		fmt.Fprintf(w, "# TYPE browserflow_recovery_records_replayed gauge\nbrowserflow_recovery_records_replayed %d\n", d.Recovery.RecordsReplayed)
-		fmt.Fprintf(w, "# TYPE browserflow_recovery_corrupt_checkpoints gauge\nbrowserflow_recovery_corrupt_checkpoints %d\n", d.Recovery.CorruptCheckpoints)
-		fmt.Fprintf(w, "# TYPE browserflow_scrub_passes_total counter\nbrowserflow_scrub_passes_total %d\n", d.Scrub.Passes)
-		fmt.Fprintf(w, "# TYPE browserflow_scrub_frames_verified_total counter\nbrowserflow_scrub_frames_verified_total %d\n", d.Scrub.FramesVerified)
-		fmt.Fprintf(w, "# TYPE browserflow_scrub_corruptions_found_total counter\nbrowserflow_scrub_corruptions_found_total %d\n", d.Scrub.CorruptionsFound)
-		fmt.Fprintf(w, "# TYPE browserflow_scrub_quarantines_total counter\nbrowserflow_scrub_quarantines_total %d\n", d.Scrub.Quarantines)
-		fmt.Fprintf(w, "# TYPE browserflow_quarantined_files gauge\nbrowserflow_quarantined_files %d\n", d.Scrub.QuarantinedFiles)
-		degraded := 0
-		if d.Disk.Degraded {
-			degraded = 1
-		}
-		fmt.Fprintf(w, "# TYPE browserflow_disk_degraded gauge\nbrowserflow_disk_degraded %d\n", degraded)
-		fmt.Fprintf(w, "# TYPE browserflow_disk_dropped_records counter\nbrowserflow_disk_dropped_records %d\n", d.Disk.DroppedRecords)
-		fmt.Fprintf(w, "# TYPE browserflow_disk_recoveries_total counter\nbrowserflow_disk_recoveries_total %d\n", d.Disk.Recoveries)
-	}
-	if s.admission != nil {
-		st := s.admission.Stats()
-		fmt.Fprintf(w, "# TYPE browserflow_admission_queue_depth gauge\n")
-		fmt.Fprintf(w, "browserflow_admission_queue_depth{lane=\"interactive\"} %d\n", st.Interactive.Depth)
-		fmt.Fprintf(w, "browserflow_admission_queue_depth{lane=\"bulk\"} %d\n", st.Bulk.Depth)
-		fmt.Fprintf(w, "# TYPE browserflow_admission_shed_total counter\n")
-		fmt.Fprintf(w, "browserflow_admission_shed_total{lane=\"interactive\"} %d\n", st.Interactive.Shed)
-		fmt.Fprintf(w, "browserflow_admission_shed_total{lane=\"bulk\"} %d\n", st.Bulk.Shed)
-		fmt.Fprintf(w, "# TYPE browserflow_admission_folds_total counter\nbrowserflow_admission_folds_total %d\n", st.Folds)
-		fmt.Fprintf(w, "# TYPE browserflow_admission_deadline_drops_total counter\nbrowserflow_admission_deadline_drops_total %d\n",
-			st.Interactive.DeadlineDrops+st.Bulk.DeadlineDrops)
-	}
-	// The obs registry's families (bf_*) follow the legacy browserflow_*
-	// block; its output is deterministically sorted, so two scrapes under
-	// a fake clock are byte-identical.
-	if s.obs != nil {
-		s.obs.Registry().WritePrometheus(w)
+		s.cacheMisses.Inc()
 	}
 }
 

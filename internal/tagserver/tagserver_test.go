@@ -235,21 +235,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := dev.Check(orgSecret, "docs"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := getBody(t, srv.URL, "/v1/metrics")
 	for _, want := range []string{
-		"browserflow_observes_total 1",
-		"browserflow_checks_total 1",
-		"browserflow_violations_total 1",
-		"browserflow_segments 1",
+		"bf_observes_total 1",
+		`bf_http_requests_total{endpoint="check",code="200"} 1`,
+		"bf_violations_total 1",
+		"bf_segments 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

@@ -89,7 +89,7 @@ func TestTraceE2EChaos(t *testing.T) {
 	replSrv := httptest.NewServer(rsvc.Handler())
 	t.Cleanup(replSrv.Close)
 
-	tagServer, err := NewServer(pw.engine, WithObs(primaryObs), WithDurabilityStats(durable.Stats))
+	tagServer, err := NewServer(pw.engine, WithObs(primaryObs), withDurable(durable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +118,14 @@ func TestTraceE2EChaos(t *testing.T) {
 	}
 	t.Cleanup(replica.Stop)
 	replica.Start()
+	// The traced write must reach the replica through the stream: were it
+	// journalled before the bootstrap snapshot, no apply span would exist.
+	for deadline := time.Now().Add(10 * time.Second); replica.Status().Bootstraps == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never bootstrapped: %+v", replica.Status())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	// --- bfproxy in front of the tag API.
 	upstream, err := url.Parse(tagSrv.URL)

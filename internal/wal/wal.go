@@ -47,7 +47,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/lsds/browserflow/internal/metrics"
+	"github.com/lsds/browserflow/internal/obs"
 )
 
 // Segment header constants.
@@ -218,9 +218,11 @@ type Stats struct {
 	RecordsAppended int64
 	BytesAppended   int64
 
-	// Fsyncs counts file syncs; FsyncLatency summarises their duration.
+	// Fsyncs counts file syncs; FsyncLatency is the fixed-bucket
+	// distribution of their durations (bounded: its size does not grow
+	// with the number of fsyncs).
 	Fsyncs       int64
-	FsyncLatency metrics.Summary
+	FsyncLatency obs.HistogramSnapshot
 
 	// Segments is the number of live segment files; CurrentSegment is the
 	// index appends go to.
@@ -264,7 +266,7 @@ type Log struct {
 	tornBytes   int64
 	quarantined int64
 	gaps        int
-	fsyncLat    *metrics.Recorder
+	fsyncLat    *obs.Histogram
 
 	stopFlush chan struct{}
 	flushDone chan struct{}
@@ -304,7 +306,7 @@ func Open(o Options) (*Log, error) {
 	l := &Log{
 		opts:     opts,
 		fs:       opts.FS,
-		fsyncLat: metrics.NewRecorder(),
+		fsyncLat: obs.NewHistogram(nil),
 		sizes:    make(map[uint64]int64),
 		notify:   make(chan struct{}),
 	}
@@ -595,7 +597,7 @@ func (l *Log) syncLocked() error {
 	if err := l.cur.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.fsyncLat.Add(time.Since(start))
+	l.fsyncLat.Observe(time.Since(start))
 	l.fsyncs++
 	l.dirty = false
 	return nil
@@ -717,7 +719,7 @@ func (l *Log) Stats() Stats {
 		RecordsAppended:     l.records,
 		BytesAppended:       l.bytes,
 		Fsyncs:              l.fsyncs,
-		FsyncLatency:        l.fsyncLat.Summarize(),
+		FsyncLatency:        l.fsyncLat.Snapshot(),
 		Segments:            len(l.segs),
 		CurrentSegment:      l.curSeg,
 		RecoveredRecords:    l.recovered,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -392,5 +393,54 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 	}
 	if err := l.Sync(); !errors.Is(err, wal.ErrClosed) {
 		t.Errorf("Sync after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestFsyncLatencyStatsAreBounded: a long-lived log keeps a fixed-bucket
+// fsync histogram, so after 200k fsyncs Stats() allocates what it did
+// after the first few and the log's heap has not grown with the count
+// (a per-sample recorder kept 8 B per fsync and re-sorted them all on
+// every Stats call).
+func TestFsyncLatencyStatsAreBounded(t *testing.T) {
+	l, err := wal.Open(wal.Options{Dir: "/wal", FS: faultinject.NewMemFS(4), Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	syncN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	statsAllocs := func() float64 { return testing.AllocsPerRun(20, func() { _ = l.Stats() }) }
+
+	syncN(100)
+	allocsBefore, heapBefore := statsAllocs(), heap()
+	const syncs = 200_000
+	syncN(syncs)
+	allocsAfter, heapAfter := statsAllocs(), heap()
+
+	st := l.Stats()
+	if st.Fsyncs != 100+syncs || st.FsyncLatency.Count != uint64(st.Fsyncs) {
+		t.Fatalf("Fsyncs = %d, histogram count = %d, want both %d", st.Fsyncs, st.FsyncLatency.Count, 100+syncs)
+	}
+	if len(st.FsyncLatency.Counts) != len(st.FsyncLatency.Bounds)+1 {
+		t.Fatalf("snapshot has %d cells for %d bounds", len(st.FsyncLatency.Counts), len(st.FsyncLatency.Bounds))
+	}
+	if allocsAfter != allocsBefore {
+		t.Errorf("Stats() allocs grew with the fsync count: %v after 100 fsyncs, %v after %d more", allocsBefore, allocsAfter, syncs)
+	}
+	// 8 B per fsync would be 1.6 MB; allow the runtime some slack.
+	if grown := int64(heapAfter) - int64(heapBefore); grown > 256<<10 {
+		t.Errorf("heap grew %d B over %d fsyncs; want O(buckets)", grown, syncs)
 	}
 }
