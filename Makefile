@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check crash repl part fuzz obs overload scrub policy policy-floor policy-fixtures bench-check vuln cover bench repl-bench obs-bench load-bench scrub-bench part-bench corpus corpus-bench benchall experiments clean
+.PHONY: all build vet test race check crash repl part fuzz obs overload scrub policy policy-floor policy-fixtures bench-check vuln cover bench repl-bench obs-bench load-bench scrub-bench part-bench corpus corpus-bench benchall experiments loc clean
 
 all: build check
 
@@ -129,14 +129,15 @@ vuln:
 		echo "vuln: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# fuzz smoke: ten seconds per recovery parser (Go runs one fuzz target
-# per invocation, hence one command each): the WAL segment reader, the
-# legacy JSON snapshot loader, the BFLOWSNB binary checkpoint decoder,
-# and the index digest codec the anti-entropy comparator trusts.
+# fuzz smoke: ten seconds per parser of bytes the program did not write
+# itself (Go runs one fuzz target per invocation, hence one command
+# each): the WAL segment reader, the state-image restore (unseal +
+# BFLOWSNB decode, the one route every load takes), the index digest
+# codec the anti-entropy comparator trusts, the ring codec and the two
+# policy-language targets.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz 'FuzzOpenSegment' -fuzztime $(FUZZTIME) ./internal/wal
-	$(GO) test -fuzz 'FuzzLoadSnapshot' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzRestoreBinarySnapshot' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzDecodeDigest' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition
@@ -200,19 +201,18 @@ part-bench:
 # (the paper's corpus is ~10M across 180 e-books) through the path that
 # deploys — policy.Engine.ObserveEdit into a registered service — measure
 # bytes/hash and checkpoint recovery, and FAIL if process RSS exceeds the
-# budget. The legacy-JSON comparison is disabled here because materialising
-# the JSON image would dominate the budget. The heap-budget tests hold the
-# same path to ≤ 65 B per distinct hash and Stats.ApproxBytes to the
-# measured heap (both skip under -race, so `test -race` does not run them).
+# budget. The heap-budget tests hold the same path to ≤ 65 B per distinct
+# hash and Stats.ApproxBytes to the measured heap (both skip under -race,
+# so `test -race` does not run them).
 CORPUS_RSS_BUDGET_MB ?= 256
 corpus:
 	$(GO) test -count=1 -run 'TestEngineHeapBudget|TestApproxBytesTracksHeap' ./internal/policy ./internal/index
 	$(GO) run ./cmd/bfbench -experiment corpus -hashes 1000000 \
-		-compare-json=false -rss-budget-mb $(CORPUS_RSS_BUDGET_MB)
+		-rss-budget-mb $(CORPUS_RSS_BUDGET_MB)
 
-# corpus-bench runs the full 1M/5M/10M ladder with the legacy-JSON
-# recovery comparison and records it as BENCH_7.json, printing
-# benchstat-style deltas against the previous recording.
+# corpus-bench runs the full 1M/5M/10M ladder and records it as
+# BENCH_7.json, printing benchstat-style deltas against the previous
+# recording.
 corpus-bench:
 	$(GO) run ./cmd/bfbench -experiment corpus -benchjson BENCH_7.json
 
@@ -228,6 +228,12 @@ experiments:
 outputs:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# loc prints the ledger ROADMAP counts by: lines of non-test and of test
+# Go outside the benchmark module.
+loc:
+	@echo "non-test Go lines: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

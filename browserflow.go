@@ -39,6 +39,7 @@ import (
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/tdm"
+	"github.com/lsds/browserflow/internal/wal"
 )
 
 // Re-exported core types. The aliases keep one canonical definition in the
@@ -447,25 +448,32 @@ func (m *Middleware) Stats() Stats {
 	}
 }
 
-// Save persists the middleware state to path. A non-empty passphrase
-// encrypts the snapshot at rest with AES-256-GCM (§4.4).
+// Save persists the middleware state to path, atomically and durably, in
+// the same image format the tag service checkpoints in. A non-empty
+// passphrase encrypts the file at rest with AES-256-GCM (§4.4). Save may
+// run beside observes: each fingerprint database is captured as one
+// consistent cut.
 func (m *Middleware) Save(path, passphrase string) error {
-	var key []byte
-	if passphrase != "" {
-		key = store.DeriveKey(passphrase)
-	}
-	return store.Save(path, store.Capture(m.tracker, m.registry), key)
-}
-
-// Load restores middleware state saved by Save.
-func (m *Middleware) Load(path, passphrase string) error {
-	var key []byte
-	if passphrase != "" {
-		key = store.DeriveKey(passphrase)
-	}
-	snapshot, err := store.Load(path, key)
+	blob, err := store.CaptureBytes(m.tracker, m.registry, 0)
 	if err != nil {
 		return err
 	}
-	return snapshot.Restore(m.tracker, m.registry)
+	return store.SaveCheckpointBytes(wal.OSFS{}, path, blob, stateKey(passphrase))
+}
+
+// Load replaces the middleware state with one saved by Save. It must not
+// run beside other calls on the same Middleware. On error the state is
+// unchanged.
+func (m *Middleware) Load(path, passphrase string) error {
+	_, err := store.RestoreFile(wal.OSFS{}, path, stateKey(passphrase), m.tracker, m.registry)
+	return err
+}
+
+// stateKey derives the at-rest key of a state file; an empty passphrase
+// means plaintext.
+func stateKey(passphrase string) []byte {
+	if passphrase == "" {
+		return nil
+	}
+	return store.DeriveKey(passphrase)
 }

@@ -328,6 +328,43 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadDropsCachedDecisions is the fail-open regression for a restore
+// under a warm decision cache: the index the cached verdict was computed
+// against is gone, so re-observing the same text must index the segment
+// again — with the cache kept, the observe is answered from it, never
+// reaches the index, and the upload check below allows.
+func TestLoadDropsCachedDecisions(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.bf")
+	if err := newMW(t, ModeEnforcing).Save(empty, ""); err != nil {
+		t.Fatal(err)
+	}
+	mw := newMW(t, ModeEnforcing)
+	observe := func() {
+		t.Helper()
+		if _, err := mw.ObserveParagraph("wiki", "wiki/a#p0", guide); err != nil {
+			t.Fatal(err)
+		}
+	}
+	observe()
+	if err := mw.Load(empty, ""); err != nil {
+		t.Fatal(err)
+	}
+	if s := mw.Stats(); s.ParagraphSegments != 0 || s.DistinctHashes != 0 {
+		t.Fatalf("loaded an empty state, stats=%+v", s)
+	}
+	observe()
+	if s := mw.Stats(); s.ParagraphSegments != 1 || s.DistinctHashes == 0 {
+		t.Errorf("segment observed after Load is not indexed: stats=%+v", s)
+	}
+	v, err := mw.CheckText(guide, "docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Decision != DecisionBlock || len(v.Violating) != 1 || v.Violating[0] != "tw" {
+		t.Errorf("verdict=%+v, want block on tw", v)
+	}
+}
+
 func TestRegisterServiceAfterNew(t *testing.T) {
 	mw := newMW(t, ModeAdvisory)
 	if err := mw.RegisterService(Service{Name: "evernote"}); err != nil {

@@ -48,7 +48,6 @@ func run(args []string) error {
 		benchJSON  = fs.String("benchjson", "", "write the hotpath experiment's result as JSON to this file")
 		hashes     = fs.String("hashes", "", "comma-separated distinct-hash targets for -experiment corpus (default 1000000,5000000,10000000)")
 		rssBudget  = fs.Int("rss-budget-mb", 0, "fail -experiment corpus if process RSS exceeds this budget (MB)")
-		cmpJSON    = fs.Bool("compare-json", true, "also time the legacy JSON snapshot parse in -experiment corpus")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -191,7 +190,6 @@ func run(args []string) error {
 		"corpus": func() (string, error) {
 			cfg := expt.DefaultCorpusConfig()
 			cfg.Seed = *seed
-			cfg.CompareJSON = *cmpJSON
 			cfg.RSSBudgetMB = *rssBudget
 			cfg.Logf = func(format string, args ...interface{}) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -15,8 +15,9 @@ import (
 // runFsck verifies a durable directory offline: every WAL segment's CRC
 // framing and every checkpoint image's container CRCs, reporting the byte
 // offset of the first bad byte in anything corrupt. It never modifies the
-// directory (quarantine is the running node's job); a non-zero corruption
-// count is returned as an error so scripts can gate on the exit status.
+// directory (quarantine is the running node's job); a non-zero count of
+// corrupt files, or of intact checkpoints in a format this build refuses
+// to load, is returned as an error so scripts can gate on the exit status.
 func runFsck(dir string, key []byte, stdout io.Writer) error {
 	segs, err := wal.ListSegments(wal.OSFS{}, dir)
 	if err != nil {
@@ -47,7 +48,7 @@ func runFsck(dir string, key []byte, stdout io.Writer) error {
 		}
 	}
 
-	checkpoints := 0
+	checkpoints, retired := 0, 0
 	for _, name := range names {
 		if _, ok := store.ParseCheckpointName(name); !ok {
 			continue
@@ -56,6 +57,12 @@ func runFsck(dir string, key []byte, stdout io.Writer) error {
 		bytes, verr := store.VerifyCheckpointFile(nil, dir+"/"+name, key)
 		if verr == nil {
 			fmt.Fprintf(stdout, "ok       %s  %d bytes\n", name, bytes)
+			continue
+		}
+		var rfe *store.RetiredFormatError
+		if errors.As(verr, &rfe) {
+			retired++
+			fmt.Fprintf(stdout, "RETIRED  %s  %s format (README: upgrading from a pre-PR 7 state file)\n", name, rfe.Format)
 			continue
 		}
 		corrupt++
@@ -79,6 +86,9 @@ func runFsck(dir string, key []byte, stdout io.Writer) error {
 		len(segs), totalRecords, totalBytes, checkpoints, quarantined, corrupt)
 	if corrupt > 0 {
 		return fmt.Errorf("fsck: %d corrupt file(s) in %s", corrupt, dir)
+	}
+	if retired > 0 {
+		return fmt.Errorf("fsck: %d checkpoint(s) in a retired format in %s", retired, dir)
 	}
 	return nil
 }

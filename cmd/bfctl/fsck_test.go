@@ -90,6 +90,24 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 		t.Fatalf("clean fsck output missing summary:\n%s", out.String())
 	}
 
+	// An intact checkpoint in a format this build no longer loads is named
+	// as such — not as corruption — and still fails the run.
+	retired := filepath.Join(dir, store.CheckpointName(0))
+	if err := os.WriteFile(retired, []byte(`{"version":1}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-wal-dir", dir, "fsck"}, nil, &out); err == nil {
+		t.Fatalf("fsck passed a directory with a retired-format checkpoint:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "RETIRED  "+store.CheckpointName(0)) ||
+		strings.Contains(out.String(), "CORRUPT") || !strings.Contains(out.String(), "0 corrupt") {
+		t.Fatalf("fsck output does not report the retired format on its own:\n%s", out.String())
+	}
+	if err := os.Remove(retired); err != nil {
+		t.Fatal(err)
+	}
+
 	// Flip one payload byte in the first surviving sealed segment.
 	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(matches) == 0 {

@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/lsds/browserflow/internal/store"
 )
 
 // TestMain doubles as a re-exec shim: when BFTAGD_TEST_ARGS is set, the
@@ -236,5 +238,107 @@ func TestKillNineRecovery(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %s", want)
 		}
+	}
+}
+
+// The checkpoint barrier stops journalled mutations, not index
+// maintenance: the -compact-every ticker merges posting heads (interning
+// segment refs) beside the checkpointer's encode. Both tickers at 20 ms
+// under write load for a second: the process must still be alive — the
+// encoder used to index past its segment table and panic in the
+// checkpointer goroutine — and after a kill -9 the newest checkpoint must
+// recover to the verdicts the first instance gave.
+func TestCheckpointBesideCompaction(t *testing.T) {
+	dir := t.TempDir()
+	policyPath := writeTestPolicy(t, dir)
+	walDir := filepath.Join(dir, "wal")
+	addr := freeAddr(t)
+	base := "http://" + addr
+
+	args := []string{
+		"-policy", policyPath,
+		"-addr", addr,
+		"-wal-dir", walDir,
+		"-fsync", "none",
+		"-checkpoint-every", "20ms",
+		"-compact-every", "20ms",
+	}
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "BFTAGD_TEST_ARGS="+strings.Join(args, "\n"))
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer cmd.Process.Kill()
+	waitHealthy(t, base)
+
+	// New segments on every request, so every compaction interns and
+	// every checkpoint has something to cover.
+	deadline := time.Now().Add(time.Second)
+	for i := 0; time.Now().Before(deadline); i++ {
+		var items []string
+		for j := 0; j < 64; j++ {
+			n := i*64 + j
+			items = append(items, fmt.Sprintf(`{"seg":"wiki/load%d#p%d","hashes":[%d,%d,%d]}`, n/16, n%16, 3*n+100, 3*n+101, 3*n+102))
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("daemon died under checkpoint + compaction load: %v", err)
+		default:
+		}
+		status, body := postJSON(t, base+"/v1/observe/batch", `{"device":"d","service":"wiki","items":[`+strings.Join(items, ",")+`]}`)
+		if status != http.StatusOK {
+			t.Fatalf("batch %d: status=%d body=%s", i, status, body)
+		}
+	}
+	seedObservations(t, base)
+	_, wantVerdict := postJSON(t, base+"/v1/check", checkBody)
+	dur, _ := getHealth(t, base)["durability"].(map[string]any)
+	if n, _ := dur["checkpoints"].(float64); n < 2 {
+		t.Fatalf("only %v background checkpoints in a second at -checkpoint-every 20ms: %v", n, dur)
+	}
+	if n, _ := dur["checkpointErrors"].(float64); n != 0 {
+		t.Errorf("%v checkpoint errors: %v", n, dur)
+	}
+
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-exited
+	var newest uint64
+	entries, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if seg, ok := store.ParseCheckpointName(e.Name()); ok && seg > newest {
+			newest = seg
+		}
+	}
+
+	// Second instance, in-process, same WAL directory.
+	addr2 := freeAddr(t)
+	base2 := "http://" + addr2
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run(append(append([]string(nil), args...), "-addr", addr2))
+	}()
+	waitHealthy(t, base2)
+	defer func() {
+		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		select {
+		case <-errCh:
+		case <-time.After(10 * time.Second):
+			t.Fatal("recovered daemon did not shut down")
+		}
+	}()
+	if _, got := postJSON(t, base2+"/v1/check", checkBody); !bytes.Equal(got, wantVerdict) {
+		t.Errorf("verdict after recovery = %s, want %s", got, wantVerdict)
+	}
+	dur, _ = getHealth(t, base2)["durability"].(map[string]any)
+	if ckpt, _ := dur["checkpointLoaded"].(string); ckpt != store.CheckpointName(newest) {
+		t.Errorf("recovery loaded %q, want the newest checkpoint %s: %v", ckpt, store.CheckpointName(newest), dur)
 	}
 }

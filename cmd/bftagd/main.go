@@ -28,9 +28,9 @@
 //
 // With -wal-dir, every state mutation is journalled to a write-ahead log
 // and checkpointed in the background; after a crash the service recovers
-// the newest checkpoint plus the surviving WAL suffix. The legacy
-// -state/-save-every snapshot loop remains as a fallback when the WAL is
-// disabled.
+// the newest checkpoint plus the surviving WAL suffix. Without it,
+// -state/-save-every periodically save the whole state to one file, in
+// the same image format a checkpoint has.
 //
 // A durable bftagd is also a replication primary: it serves
 // /v1/repl/snapshot and /v1/repl/stream so replicas can bootstrap from a

@@ -213,6 +213,22 @@ func (t *Tracker) evictCached(segs []segment.ID) {
 	}
 }
 
+// ResetCache drops every cached decision and all incremental prev state.
+// It must follow any wholesale replacement of the databases' contents (a
+// snapshot restore): a cache hit answers an unchanged fingerprint without
+// reaching index.Update, so an entry that outlives the index it was
+// computed against leaves the segment unindexed and later checks fail
+// open.
+func (t *Tracker) ResetCache() {
+	for i := range t.stripes {
+		st := &t.stripes[i]
+		st.mu.Lock()
+		st.cache = make(map[segment.ID]cacheEntry)
+		st.prev = make(map[segment.ID]prevState)
+		st.mu.Unlock()
+	}
+}
+
 // cloneSources returns an owned copy of sources, preserving nil-ness so
 // serialised reports stay byte-identical. Cached reports and the reports
 // handed to callers must not share a Sources slice: a caller mutating its

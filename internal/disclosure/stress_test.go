@@ -4,9 +4,9 @@ package disclosure
 // goroutines observe overlapping and disjoint segments (singular and
 // batched) while expiry and Forget run concurrently. At quiescence:
 //
-//   - every hash still indexed has an oldest holder that is a live
-//     segment whose first observation is no younger than any other
-//     holder's (checked through the exported posting order);
+//   - every hash of a live segment has an oldest holder whose first
+//     observation is no younger than any other holder's (checked against
+//     the oldest-first holder list and a copy reloaded from the image);
 //   - the decision cache contains no entry for a segment the databases no
 //     longer track;
 //   - a final observation round produces reports whose sources are all
@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/segment"
 )
 
@@ -77,44 +78,43 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 	wg.Wait()
 
 	db := tracker.Paragraphs()
-	data := db.Export()
 
-	// Live segment set.
-	live := make(map[segment.ID]bool)
-	for _, rec := range data.Segments {
-		live[rec.Seg] = true
+	// The churn left the database self-consistent: its image loads, and
+	// the loaded copy — rebuilt from the encoded postings alone — has the
+	// counters and the digest the source maintained incrementally.
+	restored := index.New(0)
+	if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
+		t.Fatalf("image of the churned database does not load: %v", err)
+	}
+	s, rs := db.Stats(), restored.Stats()
+	if s.Postings != rs.Postings || s.Segments != rs.Segments || s.DistinctHashes != rs.DistinctHashes {
+		t.Fatalf("counters drifted: Stats %+v vs reloaded %+v", s, rs)
+	}
+	if got, want := restored.Digest(), db.Digest(); got != want {
+		t.Fatalf("incremental digest %+v, recomputed from the image %+v", want, got)
 	}
 
-	// Authoritative holder is always the oldest live poster: group the
-	// exported postings by hash and compare the DB's OldestHolder answer
-	// with the minimum-Seq posting.
-	oldestByHash := make(map[uint32]struct {
-		seg segment.ID
-		seq uint64
-	})
-	for _, p := range data.Postings {
-		cur, ok := oldestByHash[p.Hash]
-		if !ok || p.Seq < cur.seq {
-			oldestByHash[p.Hash] = struct {
-				seg segment.ID
-				seq uint64
-			}{p.Seg, p.Seq}
-		}
-	}
-	for h, want := range oldestByHash {
-		got, ok := db.OldestHolder(h)
+	// Authoritative holder is always the oldest poster: for every hash of
+	// every live segment, OldestHolder agrees with the head of the
+	// oldest-first holder list, here and in the reloaded copy.
+	for _, seg := range db.Segments() {
+		fp, ok := db.Fingerprint(seg)
 		if !ok {
-			t.Fatalf("hash %#x: exported postings but no oldest holder", h)
+			continue
 		}
-		if got != want.seg {
-			t.Fatalf("hash %#x: OldestHolder = %q, want oldest poster %q (seq %d)", h, got, want.seg, want.seq)
+		for _, h := range fp.Hashes() {
+			holders := db.Holders(h)
+			got, ok := db.OldestHolder(h)
+			if !ok || len(holders) == 0 {
+				t.Fatalf("hash %#x of live segment %q has no holder", h, seg)
+			}
+			if got != holders[0] {
+				t.Fatalf("hash %#x: OldestHolder = %q, want oldest poster %q", h, got, holders[0])
+			}
+			if again, _ := restored.OldestHolder(h); again != got {
+				t.Fatalf("hash %#x: OldestHolder = %q, reloaded copy says %q", h, got, again)
+			}
 		}
-	}
-
-	// Stats counters survived the churn.
-	s := db.Stats()
-	if s.Postings != len(data.Postings) || s.Segments != len(data.Segments) {
-		t.Fatalf("counters drifted: Stats %+v vs export postings=%d segments=%d", s, len(data.Postings), len(data.Segments))
 	}
 
 	// No cache entry for a dead segment: purge everything dead and verify

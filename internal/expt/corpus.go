@@ -12,8 +12,7 @@ package expt
 //   - memory bytes per distinct hash (GC'd heap delta over the empty
 //     engine, plus the index's own ApproxBytes model),
 //   - steady-state observe latency at that database size,
-//   - binary checkpoint capture / mmap recovery wall time, against the
-//     legacy JSON parse when enabled, and
+//   - checkpoint capture / mmap recovery wall time, and
 //   - replica bootstrap time (apply a received snapshot blob and persist
 //     it verbatim).
 //
@@ -22,7 +21,6 @@ package expt
 // budget.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -58,11 +56,6 @@ type CorpusConfig struct {
 	// benchmark at each step.
 	Probes int
 
-	// CompareJSON also times the legacy JSON snapshot parse at each step.
-	// Disable for budget-gated runs: materialising the JSON image inflates
-	// peak memory far beyond the index itself.
-	CompareJSON bool
-
 	// RSSBudgetMB, when positive, fails the run if the process RSS
 	// (after returning freed memory to the OS) exceeds the budget at the
 	// end of any step.
@@ -81,10 +74,9 @@ type CorpusConfig struct {
 // acceptance runs.
 func DefaultCorpusConfig() CorpusConfig {
 	return CorpusConfig{
-		Seed:        42,
-		StepHashes:  []int{1_000_000, 5_000_000, 10_000_000},
-		Probes:      8,
-		CompareJSON: true,
+		Seed:       42,
+		StepHashes: []int{1_000_000, 5_000_000, 10_000_000},
+		Probes:     8,
 	}
 }
 
@@ -109,10 +101,8 @@ type CorpusStep struct {
 	// RecoverSeconds is a cold recovery from disk through the mmap path;
 	// BootstrapSeconds applies an in-memory snapshot blob and persists it
 	// verbatim, the replica bootstrap sequence.
-	RecoverSeconds    float64 `json:"recoverSeconds"`
-	BootstrapSeconds  float64 `json:"bootstrapSeconds"`
-	LegacyJSONSeconds float64 `json:"legacyJsonSeconds,omitempty"`
-	RecoverySpeedup   float64 `json:"recoverySpeedup,omitempty"`
+	RecoverSeconds   float64 `json:"recoverSeconds"`
+	BootstrapSeconds float64 `json:"bootstrapSeconds"`
 
 	RSSMB float64 `json:"rssMb,omitempty"`
 }
@@ -329,34 +319,6 @@ func measureCorpusStep(cfg CorpusConfig, params disclosure.Params, engine *polic
 	s.BootstrapSeconds = time.Since(start).Seconds()
 	boot, bootReg = nil, nil
 
-	// Legacy JSON parse comparison (the pre-binary recovery path).
-	if cfg.CompareJSON {
-		snap := store.Capture(tracker, registry)
-		snap.WALSeg = 1
-		data, err := json.Marshal(snap)
-		if err != nil {
-			return CorpusStep{}, err
-		}
-		snap = store.Snapshot{}
-		legacy, err := disclosure.NewTracker(params)
-		if err != nil {
-			return CorpusStep{}, err
-		}
-		legacyReg := tdm.NewRegistry(audit.NewLog())
-		start = time.Now()
-		var decoded store.Snapshot
-		if err := json.Unmarshal(data, &decoded); err != nil {
-			return CorpusStep{}, err
-		}
-		if err := decoded.Restore(legacy, legacyReg); err != nil {
-			return CorpusStep{}, err
-		}
-		s.LegacyJSONSeconds = time.Since(start).Seconds()
-		if s.RecoverSeconds > 0 {
-			s.RecoverySpeedup = s.LegacyJSONSeconds / s.RecoverSeconds
-		}
-	}
-
 	// Drop the step's scratch state and return freed spans to the OS
 	// before the budget check, so RSS reflects the resident index, not
 	// transient measurement garbage.
@@ -413,28 +375,17 @@ func (r CorpusResult) Format() string {
 		fmt.Fprintf(&b, ", RSS budget %d MB", r.RSSBudgetMB)
 	}
 	b.WriteString(")\n\n")
-	fmt.Fprintf(&b, "  %10s %10s %9s %8s %9s %9s %9s %9s %9s %9s %8s\n",
-		"hashes", "postings", "B/hash", "approx", "obs ns", "load s", "capt s", "recov s", "boot s", "json s", "RSS MB")
+	fmt.Fprintf(&b, "  %10s %10s %9s %8s %9s %9s %9s %9s %9s %8s\n",
+		"hashes", "postings", "B/hash", "approx", "obs ns", "load s", "capt s", "recov s", "boot s", "RSS MB")
 	for _, s := range r.Steps {
-		json := "-"
-		if s.LegacyJSONSeconds > 0 {
-			json = fmt.Sprintf("%.2f", s.LegacyJSONSeconds)
-		}
 		rss := "-"
 		if s.RSSMB > 0 {
 			rss = fmt.Sprintf("%.0f", s.RSSMB)
 		}
-		fmt.Fprintf(&b, "  %10d %10d %9.1f %8.1f %9.0f %9.1f %9.2f %9.2f %9.2f %9s %8s\n",
+		fmt.Fprintf(&b, "  %10d %10d %9.1f %8.1f %9.0f %9.1f %9.2f %9.2f %9.2f %8s\n",
 			s.DistinctHashes, s.Postings, s.HeapBytesPerHash, s.ApproxBytesPerHash,
 			s.ObserveNsPerOp, s.LoadSeconds, s.CaptureSeconds, s.RecoverSeconds,
-			s.BootstrapSeconds, json, rss)
-	}
-	if n := len(r.Steps); n > 0 {
-		last := r.Steps[n-1]
-		if last.RecoverySpeedup > 0 {
-			fmt.Fprintf(&b, "\n  recovery at %d hashes: %.1fx faster than JSON parse\n",
-				last.DistinctHashes, last.RecoverySpeedup)
-		}
+			s.BootstrapSeconds, rss)
 	}
 	return b.String()
 }

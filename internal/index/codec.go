@@ -25,8 +25,8 @@ package index
 // history, and a replica can persist a primary's snapshot verbatim.
 //
 // Decoding rebuilds the compacted runs directly from the arrays (no
-// per-posting map inserts), which is what makes binary recovery a linear
-// varint scan instead of the JSON path's reflective parse + replay.
+// per-posting map inserts), so recovery is one linear varint scan and the
+// restored DB starts fully compacted, with nothing in the mutable heads.
 
 import (
 	"encoding/binary"
@@ -52,9 +52,29 @@ func (e *CodecError) Error() string {
 }
 
 // AppendSnapshot appends the DB's binary snapshot to buf and returns the
-// extended slice. The DB must be quiescent (no concurrent mutations):
-// checkpoint callers hold the store's epoch barrier, which guarantees it.
-func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
+// extended slice. The DB takes its own consistent cut: every segment
+// stripe and then every hash shard is read-locked for the whole encode, so
+// the image is the DB's exact state at one instant and the call is safe
+// beside any other operation — observes, Compact, ExpireBefore — which
+// simply wait. The order (ascending, all stripes before any shard) cannot
+// deadlock under the package's lock ordering: no writer waits for a stripe
+// while holding a shard, and none holds two locks of one kind.
+func (db *DB) AppendSnapshot(buf []byte) []byte {
+	for si := range db.segShards {
+		db.segShards[si].mu.RLock()
+	}
+	for si := range db.hashShards {
+		db.hashShards[si].mu.RLock()
+	}
+	defer func() {
+		for si := range db.hashShards {
+			db.hashShards[si].mu.RUnlock()
+		}
+		for si := range db.segShards {
+			db.segShards[si].mu.RUnlock()
+		}
+	}()
+
 	// Pass A: collect the referenced segment universe — DBpar entries,
 	// head postings (string IDs) and run postings (interned refs).
 	ids := db.segtab.snapshot()
@@ -69,9 +89,7 @@ func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
 	}
 	var pars []parRec
 	for si := range db.segShards {
-		ss := &db.segShards[si]
-		ss.mu.RLock()
-		for seg, entry := range ss.par {
+		for seg, entry := range db.segShards[si].par {
 			rec := parRec{seg: seg, threshold: entry.threshold, updated: entry.updated}
 			if entry.fp != nil {
 				rec.hashes = entry.fp.Hashes()
@@ -79,11 +97,9 @@ func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
 			pars = append(pars, rec)
 			universe[seg] = struct{}{}
 		}
-		ss.mu.RUnlock()
 	}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		sh.mu.RLock()
 		for _, b := range sh.head {
 			for _, p := range b.postings {
 				universe[p.Seg] = struct{}{}
@@ -94,7 +110,6 @@ func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
 				refUsed[r] = true
 			}
 		}
-		sh.mu.RUnlock()
 	}
 	for r, used := range refUsed {
 		if used {
@@ -143,21 +158,19 @@ func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
 
 	// Postings, globally ascending by hash: shard index is the hash's top
 	// bits, so visiting shards in order yields global hash order; within a
-	// shard, merge the sorted head keys with the run groups.
-	countAt := len(buf)
+	// shard, merge the sorted head keys with the run groups. Every mutation
+	// moves the counters under the shard lock it holds, so under the cut
+	// they equal what the walk below emits.
 	buf = binary.AppendUvarint(buf, uint64(db.distinct.Load()))
 	buf = binary.AppendUvarint(buf, uint64(db.postings.Load()))
 	var (
-		distinct, total int
-		prevHash        uint32
-		first           = true
-		scratch         []Posting
-		view            = idsView{tab: &db.segtab}
-		encodeErr       error
+		prevHash uint32
+		first    = true
+		scratch  []Posting
+		view     = idsView{tab: &db.segtab, ids: ids}
 	)
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		sh.mu.RLock()
 		headKeys := make([]uint32, 0, len(sh.head))
 		for h := range sh.head {
 			headKeys = append(headKeys, h)
@@ -192,12 +205,7 @@ func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
 			prevSeq := uint64(0)
 			for i, p := range scratch {
-				ref, ok := newRef[p.Seg]
-				if !ok {
-					encodeErr = fmt.Errorf("index: snapshot encode raced a mutation: unknown segment %q", p.Seg)
-					break
-				}
-				buf = binary.AppendUvarint(buf, uint64(ref))
+				buf = binary.AppendUvarint(buf, uint64(newRef[p.Seg]))
 				if i == 0 {
 					buf = binary.AppendUvarint(buf, p.Seq)
 				} else {
@@ -205,35 +213,9 @@ func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
 				}
 				prevSeq = p.Seq
 			}
-			distinct++
-			total += len(scratch)
-			if encodeErr != nil {
-				break
-			}
-		}
-		sh.mu.RUnlock()
-		if encodeErr != nil {
-			return nil, encodeErr
 		}
 	}
-	if distinct != int(db.distinct.Load()) || total != int(db.postings.Load()) {
-		// Re-encode the counts in place (counters can drift from the walk
-		// only if the caller violated quiescence; still, emit the truth).
-		var fixed []byte
-		fixed = binary.AppendUvarint(fixed, uint64(distinct))
-		fixed = binary.AppendUvarint(fixed, uint64(total))
-		var orig []byte
-		orig = binary.AppendUvarint(orig, uint64(db.distinct.Load()))
-		orig = binary.AppendUvarint(orig, uint64(db.postings.Load()))
-		if len(fixed) == len(orig) {
-			copy(buf[countAt:], fixed)
-		} else {
-			rest := append([]byte(nil), buf[countAt+len(orig):]...)
-			buf = append(buf[:countAt], fixed...)
-			buf = append(buf, rest...)
-		}
-	}
-	return buf, nil
+	return buf
 }
 
 // snapDecoder is a bounds-checked varint reader over the snapshot payload.
@@ -306,14 +288,15 @@ func (db *DB) LoadSnapshot(data []byte) error {
 // the prepared state aliases data, which may be a memory mapping.
 func (db *DB) PrepareSnapshot(data []byte) (*PreparedSnapshot, error) {
 	p := &PreparedSnapshot{db: db}
-	if err := db.decodeSnapshot(data, p); err != nil {
+	if err := p.decode(data); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// decodeSnapshot does PrepareSnapshot's decoding work, filling p.
-func (db *DB) decodeSnapshot(data []byte, p *PreparedSnapshot) error {
+// decode does PrepareSnapshot's work: it fills p from data, sharded for p.db.
+func (p *PreparedSnapshot) decode(data []byte) error {
+	db := p.db
 	d := &snapDecoder{data: data}
 	if len(data) < 1 {
 		return d.fail("empty payload")
@@ -579,24 +562,33 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 	db.RecomputeDigests()
 }
 
-// EncodeExportBinary encodes an ExportData snapshot into the binary codec,
-// producing the same bytes the live DB path (AppendSnapshot) would for the
-// same logical state. It is the compatibility path for struct-level
-// snapshot saves; speed-critical callers encode from the live DB instead.
-func EncodeExportBinary(data ExportData) ([]byte, error) {
-	db := New(data.DefaultThreshold)
-	if err := db.Import(data); err != nil {
-		return nil, err
+// reset empties every stripe, the ref table and all counters (the clock is
+// left for the caller to set). It must not run concurrently with other
+// operations on the same DB.
+func (db *DB) reset() {
+	for si := range db.hashShards {
+		sh := &db.hashShards[si]
+		sh.mu.Lock()
+		sh.head = make(map[uint32]*bucket)
+		sh.run = run{}
+		sh.big = nil
+		sh.headPostings = 0
+		sh.dead = 0
+		sh.digest = 0
+		sh.mu.Unlock()
 	}
-	return db.AppendSnapshot(nil)
-}
-
-// DecodeExportBinary decodes a binary index payload into ExportData — the
-// compatibility path for struct-level snapshot loads.
-func DecodeExportBinary(payload []byte) (ExportData, error) {
-	db := New(0)
-	if err := db.LoadSnapshot(payload); err != nil {
-		return ExportData{}, err
+	for si := range db.segShards {
+		ss := &db.segShards[si]
+		ss.mu.Lock()
+		ss.par = make(map[segment.ID]*parEntry)
+		ss.digest = 0
+		ss.mu.Unlock()
 	}
-	return db.Export(), nil
+	db.segtab.reset()
+	db.segments.Store(0)
+	db.distinct.Store(0)
+	db.postings.Store(0)
+	db.headN.Store(0)
+	db.deadN.Store(0)
+	db.parHashes.Store(0)
 }

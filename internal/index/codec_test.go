@@ -1,8 +1,11 @@
 package index
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -24,10 +27,7 @@ func buildWorkloadDB(seed int64, shards, threshold int) *DB {
 func TestSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db := buildWorkloadDB(seed, DefaultShards, 1)
-		blob, err := db.AppendSnapshot(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := db.AppendSnapshot(nil)
 		restored := NewWithShards(0, 16) // different shard count on purpose
 		if err := restored.LoadSnapshot(blob); err != nil {
 			t.Fatal(err)
@@ -49,14 +49,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	a := buildWorkloadDB(7, DefaultShards, 1)
 	b := buildWorkloadDB(7, 4, -1) // head-only layout, different stripes
-	ab, err := a.AppendSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := b.AppendSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ab := a.AppendSnapshot(nil)
+	bb := b.AppendSnapshot(nil)
 	if !reflect.DeepEqual(ab, bb) {
 		t.Fatalf("snapshot bytes depend on physical layout: %d vs %d bytes", len(ab), len(bb))
 	}
@@ -64,37 +58,84 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if err := c.LoadSnapshot(ab); err != nil {
 		t.Fatal(err)
 	}
-	cb, err := c.AppendSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cb := c.AppendSnapshot(nil)
 	if !reflect.DeepEqual(ab, cb) {
 		t.Fatalf("encode→load→encode not a fixed point: %d vs %d bytes", len(ab), len(cb))
 	}
 }
 
-// TestExportBinaryCompat pins that the ExportData compatibility codec and
-// the live-DB codec produce identical bytes for the same state, and that
-// decode inverts encode.
-func TestExportBinaryCompat(t *testing.T) {
-	db := buildWorkloadDB(11, DefaultShards, 1)
-	live, err := db.AppendSnapshot(nil)
-	if err != nil {
+// TestExportImportRoundTrip is the smallest case of the one export/import
+// route — AppendSnapshot out, LoadSnapshot in — checked field by field.
+func TestExportImportRoundTrip(t *testing.T) {
+	db := New(0.5)
+	db.Update("a", fingerprint.FromHashes([]uint32{1, 2, 3}))
+	db.Update("b", fingerprint.FromHashes([]uint32{2, 4}))
+	db.SetThreshold("b", 0.8)
+
+	db2 := New(0.9)
+	if err := db2.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
-	viaExport, err := EncodeExportBinary(db.Export())
-	if err != nil {
-		t.Fatal(err)
+	if db2.DefaultThreshold() != 0.5 {
+		t.Errorf("default threshold=%v, want 0.5", db2.DefaultThreshold())
 	}
-	if !reflect.DeepEqual(live, viaExport) {
-		t.Fatalf("live and ExportData encodings differ: %d vs %d bytes", len(live), len(viaExport))
+	if got := db2.Threshold("b"); got != 0.8 {
+		t.Errorf("threshold(b)=%v, want 0.8", got)
 	}
-	decoded, err := DecodeExportBinary(live)
-	if err != nil {
-		t.Fatal(err)
+	// First-seen order preserved: a is still authoritative for hash 2.
+	if holder, ok := db2.OldestHolder(2); !ok || holder != "a" {
+		t.Errorf("OldestHolder(2)=%q,%v, want a,true", holder, ok)
 	}
-	if !reflect.DeepEqual(decoded, db.Export()) {
-		t.Fatalf("DecodeExportBinary round trip diverged")
+	// Same logical contents, loaded fully compacted.
+	got, want := db2.Stats(), db.Stats()
+	if got.Segments != want.Segments || got.DistinctHashes != want.DistinctHashes ||
+		got.Postings != want.Postings || got.HeadPostings != 0 {
+		t.Errorf("stats=%+v, want the contents of %+v with an empty head", got, want)
+	}
+	if got, want := db2.Digest(), db.Digest(); got != want {
+		t.Errorf("digest=%+v, want %+v", got, want)
+	}
+	// Clock continues past the loaded value.
+	if seq := db2.Update("c", fingerprint.FromHashes([]uint32{9})); seq <= db.Now() {
+		t.Errorf("clock did not resume: %d <= %d", seq, db.Now())
+	}
+}
+
+func TestExportDeterministic(t *testing.T) {
+	db := New(0.5)
+	db.Update("z", fingerprint.FromHashes([]uint32{5, 6}))
+	db.Update("a", fingerprint.FromHashes([]uint32{5, 7}))
+	if x, y := db.AppendSnapshot(nil), db.AppendSnapshot(nil); !bytes.Equal(x, y) {
+		t.Fatal("two encodes of one state differ")
+	}
+}
+
+// TestImportRejectsInconsistentClock hand-encodes the smallest payload of
+// the documented layout — one segment, one DBpar entry, one posting — and
+// requires the decoder to refuse stamps from the future of its own clock.
+func TestImportRejectsInconsistentClock(t *testing.T) {
+	encode := func(clock, updated, seq uint64) []byte {
+		b := []byte{snapshotCodecVersion}
+		b = binary.LittleEndian.AppendUint64(b, clock)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+		b = append(b, 1, 1, 'a') // segment table: ["a"]
+		b = append(b, 1, 0)      // one DBpar entry, ref 0
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+		b = binary.AppendUvarint(b, updated)
+		b = append(b, 1, 7)    // one hash: 7
+		b = append(b, 1, 1)    // one distinct hash, one posting
+		b = append(b, 7, 1, 0) // hash 7, group of one, ref 0
+		return binary.AppendUvarint(b, seq)
+	}
+	if err := New(0.5).LoadSnapshot(encode(5, 5, 5)); err != nil {
+		t.Fatalf("consistent payload rejected: %v", err)
+	}
+	var ce *CodecError
+	if err := New(0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &ce) {
+		t.Errorf("posting seq beyond clock: err=%v, want CodecError", err)
+	}
+	if err := New(0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &ce) {
+		t.Errorf("segment updated beyond clock: err=%v, want CodecError", err)
 	}
 }
 
@@ -103,10 +144,7 @@ func TestExportBinaryCompat(t *testing.T) {
 // (fully reset, not partially loaded) DB.
 func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	db := buildWorkloadDB(13, DefaultShards, 1)
-	blob, err := db.AppendSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := db.AppendSnapshot(nil)
 	// Sanity: pristine blob loads.
 	if err := New(0).LoadSnapshot(blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
@@ -152,10 +190,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 		}
 		db.Update(segment.ID(fmt.Sprintf("doc%d#p%d", i/10, i%10)), fingerprint.FromHashes(hs))
 	}
-	blob, err := db.AppendSnapshot(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	blob := db.AppendSnapshot(nil)
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,10 +4,13 @@ package index
 // explicit Compact calls interleaved) must be observably identical to a DB
 // that never merges (negative threshold pins the head-only map layout),
 // when both replay the same operation sequence. "Observably identical"
-// means byte-identical Export output plus equal answers from every query
-// API — the property the tentpole must preserve for the golden suites.
+// means byte-identical AppendSnapshot output (a pure function of logical
+// contents), an equal Digest (the incrementally maintained fold, which does
+// not go through the codec) plus equal answers from every query API — the
+// property compaction must preserve for the golden suites.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -54,10 +57,11 @@ func opSeq(db *DB, rng *rand.Rand, ops int, tick func(*DB), k int) {
 // the hash/segment universe of the workload.
 func assertSameObservable(t *testing.T, a, b *DB) {
 	t.Helper()
-	ea, eb := a.Export(), b.Export()
-	if !reflect.DeepEqual(ea, eb) {
-		t.Fatalf("Export diverged:\ncompacted: %d segs %d postings\nbaseline:  %d segs %d postings",
-			len(ea.Segments), len(ea.Postings), len(eb.Segments), len(eb.Postings))
+	if ea, eb := a.AppendSnapshot(nil), b.AppendSnapshot(nil); !bytes.Equal(ea, eb) {
+		t.Fatalf("snapshot bytes diverged: compacted %d bytes, baseline %d bytes", len(ea), len(eb))
+	}
+	if da, db := a.Digest(), b.Digest(); da != db {
+		t.Fatalf("Digest diverged: compacted %+v baseline %+v", da, db)
 	}
 	for base := 0; base < 40; base++ {
 		for j := 0; j < 20; j++ {

@@ -141,8 +141,8 @@ func (db *DB) ShardDigests() (postings, pars []uint64) {
 }
 
 // RecomputeDigests rebuilds every shard digest from the shard's contents.
-// Bulk-load paths (Import, CommitSnapshot) call it instead of threading
-// codes through their insert loops; tests use it to pin the incremental
+// The bulk-load path (CommitSnapshot) calls it instead of threading codes
+// through its build loops; tests use it to pin the incremental
 // maintenance against the ground truth. It must not run concurrently
 // with mutations (reads are fine).
 func (db *DB) RecomputeDigests() {

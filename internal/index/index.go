@@ -44,7 +44,10 @@
 // under any shard lock. Per-segment mutations (Update, RemoveSegment) hold
 // the segment stripe for their whole critical section so that a segment's
 // DBpar entry and its DBhash postings cannot interleave with a concurrent
-// removal of the same segment.
+// removal of the same segment. The one holder of several locks of a kind is
+// AppendSnapshot, a reader that takes them all in one global order (every
+// stripe ascending, then every shard ascending) for a consistent cut; that
+// is safe precisely because writers obey the rules above.
 package index
 
 import (
@@ -927,10 +930,13 @@ func (db *DB) ExpireBefore(seq uint64) int {
 			// After a merge the live hashes are exactly the run's groups.
 			db.distinct.Add(int64(len(sh.run.hashes) - liveBefore))
 		}
+		// Under the shard lock, like every other counter move: a snapshot
+		// cut between two shards of this pass must find counters that
+		// match the postings it walks.
+		db.postings.Add(int64(-shardRemoved))
 		removed += shardRemoved
 		sh.mu.Unlock()
 	}
-	db.postings.Add(int64(-removed))
 
 	var evicted []segment.ID
 	for si := range db.segShards {

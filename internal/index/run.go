@@ -95,8 +95,8 @@ func (t *segTable) snapshot() []segment.ID {
 	return ids
 }
 
-// reset empties the table (Import / LoadSnapshot only; must not run
-// concurrently with DB operations).
+// reset empties the table (CommitSnapshot only; must not run concurrently
+// with DB operations).
 func (t *segTable) reset() {
 	t.mu.Lock()
 	t.ids = nil

@@ -174,10 +174,20 @@ func checkInvariants(t *testing.T, db *DB) {
 	}
 }
 
-// TestConcurrentExportImport races Export against writers and then
-// verifies the exported snapshot is internally consistent and importable.
+// TestConcurrentExportImport races AppendSnapshot against writers: every
+// image taken mid-flight, and the final one, must load into a fresh DB
+// with its invariants intact, and the final one must carry exactly the
+// source's contents.
 func TestConcurrentExportImport(t *testing.T) {
 	db := New(0.5)
+	load := func(blob []byte) *DB {
+		restored := New(0.5)
+		if err := restored.LoadSnapshot(blob); err != nil {
+			t.Error(err)
+		}
+		checkInvariants(t, restored)
+		return restored
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -192,19 +202,116 @@ func TestConcurrentExportImport(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			db.Export()
+			load(db.AppendSnapshot(nil))
 		}
 	}()
 	wg.Wait()
 
-	data := db.Export()
-	restored := New(0.5)
-	if err := restored.Import(data); err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, restored)
+	restored := load(db.AppendSnapshot(nil))
 	got, want := restored.Stats(), db.Stats()
 	if got.Postings != want.Postings || got.DistinctHashes != want.DistinctHashes || got.Segments != want.Segments {
 		t.Fatalf("import drifted: got %+v want %+v", got, want)
 	}
+	if got, want := restored.Digest(), db.Digest(); got != want {
+		t.Fatalf("import digest %+v, want %+v", got, want)
+	}
+}
+
+// logicalState is what a snapshot image must reproduce: the codec-
+// independent digest plus the logical counters.
+type logicalState struct {
+	digest                       Digest
+	segments, distinct, postings int
+}
+
+func stateOf(db *DB) logicalState {
+	s := db.Stats()
+	return logicalState{db.Digest(), s.Segments, s.DistinctHashes, s.Postings}
+}
+
+// TestSnapshotBesideMaintenance takes an image while index maintenance that
+// no journal barrier covers — the compaction ticker, the expiry janitor —
+// or a plain writer runs on the same DB. Every image must load, and must
+// be a state the source was in: for the per-segment operations (atomic
+// under their stripe lock) one of the states between two calls; for
+// Compact the one logical state it never changes; for ExpireBefore, whose
+// pass is atomic per shard only, a state from which finishing the same
+// pass lands exactly where the source did.
+func TestSnapshotBesideMaintenance(t *testing.T) {
+	const (
+		segs   = 5_000
+		rounds = 20
+		batch  = 200
+	)
+	id := func(i int) segment.ID { return segment.ID(fmt.Sprintf("doc%d#p%d", i/16, i%16)) }
+	// One private hash and one shared by eight neighbours per segment, so
+	// groups have several holders and removals promote younger ones.
+	fp := func(i int) *fingerprint.Fingerprint {
+		return fingerprint.FromHashes([]uint32{uint32(i)*0x9e3779b1 + 1, uint32(i/8) * 0x85ebca6b})
+	}
+	// beside starts mutate, takes one image while it runs, waits for it
+	// and returns the image loaded into a fresh DB.
+	beside := func(db *DB, mutate func()) *DB {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			mutate()
+		}()
+		img := db.AppendSnapshot(nil)
+		<-done
+		restored := New(0)
+		if err := restored.LoadSnapshot(img); err != nil {
+			t.Fatalf("image taken beside maintenance does not load: %v", err)
+		}
+		return restored
+	}
+
+	// Head-only: the first merge of a shard interns every segment in it,
+	// which is what an encoder without its own cut trips over.
+	db := New(0.5)
+	db.SetCompactThreshold(-1)
+	for i := 0; i < segs; i++ {
+		db.Update(id(i), fp(i))
+	}
+	next := segs
+	for round := 0; round < rounds; round++ {
+		// Compact: logical contents never move.
+		before := stateOf(db)
+		if got := stateOf(beside(db, db.Compact)); got != before {
+			t.Fatalf("round %d, Compact: image %+v, source %+v", round, got, before)
+		}
+
+		// Per-segment operations: the mutator records every state it
+		// leaves the DB in; the image must be one of them.
+		for _, op := range []struct {
+			name string
+			do   func(i int)
+		}{
+			{"Update", func(i int) { db.Update(id(next+i), fp(next+i)) }},
+			{"RemoveSegment", func(i int) { db.RemoveSegment(id(next - segs/2 + i)) }},
+		} {
+			seen := map[logicalState]bool{stateOf(db): true}
+			got := stateOf(beside(db, func() {
+				for i := 0; i < batch; i++ {
+					op.do(i)
+					seen[stateOf(db)] = true
+				}
+			}))
+			if !seen[got] {
+				t.Fatalf("round %d, %s: image %+v is no state the source was in", round, op.name, got)
+			}
+		}
+		next += batch
+
+		// ExpireBefore: drops the oldest postings and merges the round's
+		// new head, shard by shard.
+		cut := db.Now() - uint64(segs) + batch
+		restored := beside(db, func() { db.ExpireBefore(cut) })
+		restored.ExpireBefore(cut)
+		if got, after := stateOf(restored), stateOf(db); got != after {
+			t.Fatalf("round %d, ExpireBefore: finishing the pass on the image gives %+v, source reached %+v", round, got, after)
+		}
+	}
+	checkInvariants(t, db)
 }

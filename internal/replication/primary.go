@@ -65,9 +65,8 @@ const (
 // SnapshotContentType is the media type of a binary bootstrap snapshot:
 // the body is a plaintext BFLOWSNB image (see store/binsnap.go), served
 // verbatim so the replica can both bulk-restore it and persist it as a
-// local checkpoint without re-encoding. Replicas opt in via the Accept
-// header; the primary answers legacy JSON otherwise, so mixed-version
-// pairs keep working during a rolling upgrade.
+// local checkpoint without re-encoding. It is the only representation the
+// snapshot endpoint serves (406 without it in Accept).
 const SnapshotContentType = "application/x-bflow-snapshot"
 
 const (

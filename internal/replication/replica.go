@@ -419,9 +419,8 @@ func (r *Replica) observeResponseTerm(resp *http.Response) {
 // bootstrap wipes the local mirror and rebuilds it from the primary's
 // snapshot endpoint: restore state wholesale, persist the snapshot as a
 // local checkpoint, and position the cursor at the snapshot's WAL epoch
-// barrier. The replica asks for the binary snapshot format (bulk restore,
-// raw bytes persisted verbatim) and falls back to decoding the legacy
-// JSON body when talking to an older primary.
+// barrier. The body is a BFLOWSNB image: bulk-restored, then persisted
+// verbatim.
 func (r *Replica) bootstrap(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()

@@ -17,6 +17,7 @@ import (
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
@@ -59,18 +60,24 @@ func newWorld(t testing.TB) *world {
 	return &world{tracker: tracker, registry: registry, engine: engine}
 }
 
-// export captures comparable state bytes: the full snapshot minus the
-// wall-clock SavedAt stamp and the WAL epoch.
+// export captures comparable state bytes: each database's snapshot (a pure
+// function of its logical contents) and its digest (maintained
+// incrementally, independent of the codec), then the registry and the
+// audit log — an image's sections without its capture time and WAL epoch.
 func export(t testing.TB, tracker *disclosure.Tracker, registry *tdm.Registry) []byte {
 	t.Helper()
-	snap := store.Capture(tracker, registry)
-	snap.SavedAt = time.Time{}
-	snap.WALSeg = 0
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
+	var out []byte
+	for _, db := range []*index.DB{tracker.Paragraphs(), tracker.Documents()} {
+		out = db.Digest().AppendEncode(db.AppendSnapshot(out))
 	}
-	return data
+	for _, v := range []interface{}{registry.Export(), registry.Audit().Entries()} {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data...)
+	}
+	return out
 }
 
 var testTexts = []string{
@@ -394,6 +401,52 @@ func TestStreamPositionGoneTriggersRebootstrap(t *testing.T) {
 	assertStateMatch(t, p, r2)
 	if b := r2.replica.Status().Bootstraps; b != 1 {
 		t.Fatalf("bootstraps = %d, want exactly 1 re-bootstrap", b)
+	}
+}
+
+// TestRebootstrapDropsCachedDecisions is the replica side of the stale-
+// decision hole: a live replica whose applier cached "S holds text F" is
+// cut off, re-bootstraps in place onto a snapshot in which S holds G, and
+// then streams a record putting F back. With the cache kept across the
+// restore that record is answered from it and never reaches the index, so
+// the replica stands at the primary's WAL position with S still holding G
+// — and would serve that state once promoted.
+func TestRebootstrapDropsCachedDecisions(t *testing.T) {
+	p := newPrimaryFixture(t, wal.SyncNone)
+	inj := faultinject.New(nil, 1)
+	r := newReplicaFixture(t, p.server.URL, "", &http.Client{Transport: inj})
+	startBootstrapped(t, r)
+	observe := func(text string) {
+		t.Helper()
+		if _, err := p.w.engine.ObserveEdit("alpha/doc#p0", "alpha", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	observe(testTexts[0])
+	waitFor(t, 10*time.Second, "first catch-up", func() bool { return caughtUp(p, r) })
+
+	// Cut the replica off and move the primary past two checkpoints, so
+	// the replica's position is truncated out of the log.
+	inj.Partition()
+	waitFor(t, 10*time.Second, "disconnect noticed", func() bool { return !r.replica.Status().Connected })
+	observe(testTexts[1])
+	for round := 0; round < 2; round++ {
+		if err := p.durable.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.Heal()
+	waitFor(t, 10*time.Second, "re-bootstrap", func() bool { return r.replica.Status().Bootstraps >= 2 })
+
+	observe(testTexts[0])
+	waitFor(t, 10*time.Second, "post-bootstrap catch-up", func() bool { return caughtUp(p, r) })
+	if got, want := r.w.tracker.Digest(), p.w.tracker.Digest(); got != want {
+		t.Fatalf("replica digest %+v, primary %+v", got, want)
+	}
+	assertStateMatch(t, p, r)
+	if st := r.replica.Status(); st.Bootstraps != 2 || st.Divergences != 0 {
+		t.Fatalf("bootstraps = %d, divergences = %d, want 2 and 0", st.Bootstraps, st.Divergences)
 	}
 }
 

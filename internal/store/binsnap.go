@@ -1,6 +1,7 @@
-// binsnap.go implements the BFLOWSNB binary checkpoint format, the
-// corpus-scale replacement for JSON snapshot payloads. The image is a
-// versioned, immutable, sectioned container:
+// binsnap.go implements the BFLOWSNB binary state image — the one format
+// every save writes (checkpoints, Middleware.Save, replica bootstrap,
+// split filter) and every load reads. The image is a versioned, immutable,
+// sectioned container:
 //
 //	BFLOWSNB(8) | version(1) | sectionCount(1)
 //	sectionCount × { kind u32 | off u64 | len u64 | crc32c u32 }  (LE)
@@ -14,19 +15,19 @@
 // posting codec (delta-encoded, deterministic); the registry and audit
 // sections stay JSON — they are small and schema-flexible.
 //
-// The format exists for two fast paths that the JSON payload could not
-// support:
+// There is one way in and one way out. CaptureBytes encodes straight from
+// the live DBs (index.AppendSnapshot, which takes its own consistent cut);
+// RestoreBytes validates the whole image, then bulk-loads it with
+// index.PrepareSnapshot/CommitSnapshot, which build the compacted runs
+// directly. RestoreFile is RestoreBytes for a file: mapped when the
+// filesystem supports it (wal.MapFS), unsealed when keyed.
 //
-//   - capture: Durable.Checkpoint encodes straight from the live DBs
-//     (index.AppendSnapshot) without materialising []PostingRecord;
-//   - recovery: the newest checkpoint is opened via mmap when the
-//     filesystem supports it (wal.MapFS) and bulk-loaded with
-//     index.LoadSnapshot, which builds the compacted runs directly.
-//
-// Legacy BFLOWSNP (framed JSON) and bare-JSON snapshots still load.
+// The formats that preceded BFLOWSNB are recognised (retiredFormat) only
+// to be refused with a RetiredFormatError.
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -46,7 +47,7 @@ import (
 // binMagic prefixes sectioned binary snapshots.
 var binMagic = []byte("BFLOWSNB")
 
-// binVersion is the container format version. Version 1 was the BFLOWSNP
+// binVersion is the container format version. Version 1 was the retired
 // framed-JSON payload; the sectioned binary container is version 2.
 const binVersion = 2
 
@@ -69,6 +70,18 @@ const binMetaSize = 8 + 8 + 8
 // IsBinarySnapshot reports whether data begins with the BFLOWSNB magic.
 func IsBinarySnapshot(data []byte) bool {
 	return len(data) >= len(binMagic) && string(data[:len(binMagic)]) == string(binMagic)
+}
+
+// retiredFormat names the pre-BFLOWSNB format data is in, or "" when it is
+// in neither: the BFLOWSNP magic, or JSON's opening brace.
+func retiredFormat(data []byte) string {
+	if bytes.HasPrefix(data, []byte("BFLOWSNP")) {
+		return "BFLOWSNP framed-JSON"
+	}
+	if bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")) {
+		return "bare-JSON"
+	}
+	return ""
 }
 
 // binSection is one section to be framed.
@@ -103,14 +116,21 @@ func frameBinary(sections []binSection) []byte {
 }
 
 // parseBinary validates the container framing and returns the payload of
-// each section, keyed by kind. All errors are *CorruptSnapshotError with
-// the offset of the first offending byte.
+// each section, keyed by kind. Errors are *CorruptSnapshotError with the
+// offset of the first offending byte, or *RetiredFormatError for an image
+// in a format that is refused rather than damaged.
 func parseBinary(path string, data []byte) (map[uint32][]byte, error) {
 	fail := func(off int64, reason string) (map[uint32][]byte, error) {
 		return nil, &CorruptSnapshotError{Path: path, Offset: off, Reason: reason}
 	}
+	if format := retiredFormat(data); format != "" {
+		return nil, &RetiredFormatError{Path: path, Format: format}
+	}
 	if len(data) < len(binMagic)+2 {
 		return fail(int64(len(data)), "truncated binary snapshot header")
+	}
+	if !IsBinarySnapshot(data) {
+		return fail(0, "not a BFLOWSNB image")
 	}
 	if v := data[8]; v != binVersion {
 		return fail(8, fmt.Sprintf("unsupported binary snapshot version %d", v))
@@ -169,9 +189,8 @@ func binRequire(path string, sections map[uint32][]byte, kind uint32) ([]byte, e
 }
 
 // encodeBinaryMeta packs the meta section: logical schema version,
-// capture time and WAL epoch barrier. The version is recorded verbatim —
-// like the JSON encoder before it, encode is permissive and version
-// validation happens at restore time (Snapshot.Restore / RestoreBytes).
+// capture time and WAL epoch barrier. The version is recorded verbatim;
+// RestoreBytes validates it.
 func encodeBinaryMeta(version int, savedAt time.Time, walSeg uint64) []byte {
 	meta := make([]byte, 0, binMetaSize)
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(version))
@@ -233,97 +252,17 @@ func sliceOffset(data, sub []byte) int64 {
 	return int64(off)
 }
 
-// encodeBinarySnapshot turns a Snapshot struct into a BFLOWSNB image.
-// This is the compatibility path used by Save; the checkpointer's hot
-// path (CaptureBytes) encodes from the live DBs instead.
-func encodeBinarySnapshot(s Snapshot) ([]byte, error) {
-	pars, err := index.EncodeExportBinary(s.Paragraphs)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode paragraphs: %w", err)
-	}
-	docs, err := index.EncodeExportBinary(s.Documents)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode documents: %w", err)
-	}
-	reg, err := json.Marshal(s.Registry)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode registry: %w", err)
-	}
-	aud, err := json.Marshal(s.Audit)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode audit: %w", err)
-	}
-	return frameBinary([]binSection{
-		{secMeta, encodeBinaryMeta(s.Version, s.SavedAt, s.WALSeg)},
-		{secParagraphs, pars},
-		{secDocuments, docs},
-		{secRegistry, reg},
-		{secAudit, aud},
-	}), nil
-}
-
-// decodeBinarySnapshot inverts encodeBinarySnapshot into a Snapshot
-// struct (materialising ExportData — use RestoreBytes on the recovery
-// path, which skips that).
-func decodeBinarySnapshot(path string, data []byte) (Snapshot, error) {
-	sections, err := parseBinary(path, data)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	meta, err := binRequire(path, sections, secMeta)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	version, savedAt, walSeg, err := decodeBinaryMeta(path, meta)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s := Snapshot{Version: int(version), SavedAt: savedAt, WALSeg: walSeg}
-	pars, err := binRequire(path, sections, secParagraphs)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if s.Paragraphs, err = index.DecodeExportBinary(pars); err != nil {
-		return Snapshot{}, wrapIndexErr(path, data, pars, err)
-	}
-	docs, err := binRequire(path, sections, secDocuments)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if s.Documents, err = index.DecodeExportBinary(docs); err != nil {
-		return Snapshot{}, wrapIndexErr(path, data, docs, err)
-	}
-	reg, err := binRequire(path, sections, secRegistry)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if err := json.Unmarshal(reg, &s.Registry); err != nil {
-		return Snapshot{}, fmt.Errorf("store: decode registry: %w", err)
-	}
-	aud, err := binRequire(path, sections, secAudit)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if err := json.Unmarshal(aud, &s.Audit); err != nil {
-		return Snapshot{}, fmt.Errorf("store: decode audit: %w", err)
-	}
-	return s, nil
-}
-
 // CaptureBytes encodes the live tracker and registry straight into a
-// BFLOWSNB image — the checkpointer's fast path. Unlike Capture+encode it
-// never materialises []PostingRecord: the index DBs append their binary
-// snapshots directly, so the cost is one walk over the postings plus the
-// (small) registry/audit JSON.
+// BFLOWSNB image: the index DBs append their binary snapshots directly, so
+// the cost is one walk over the postings plus the (small) registry/audit
+// JSON. It is safe beside observes and index maintenance: each DB's section
+// is a consistent cut of that DB (see index.AppendSnapshot); the paragraph
+// DB, document DB, registry and audit log are captured one after another.
+// A caller that needs the four aligned with each other and with a WAL
+// position holds Durable's barrier around the call.
 func CaptureBytes(tracker *disclosure.Tracker, registry *tdm.Registry, walSeg uint64) ([]byte, error) {
-	pars, err := tracker.Paragraphs().AppendSnapshot(nil)
-	if err != nil {
-		return nil, fmt.Errorf("store: capture paragraphs: %w", err)
-	}
-	docs, err := tracker.Documents().AppendSnapshot(nil)
-	if err != nil {
-		return nil, fmt.Errorf("store: capture documents: %w", err)
-	}
+	pars := tracker.Paragraphs().AppendSnapshot(nil)
+	docs := tracker.Documents().AppendSnapshot(nil)
 	reg, err := json.Marshal(registry.Export())
 	if err != nil {
 		return nil, fmt.Errorf("store: capture registry: %w", err)
@@ -347,10 +286,11 @@ type BinaryMeta struct {
 	WALSeg  uint64
 }
 
-// RestoreBytes bulk-loads a BFLOWSNB image into tracker and registry —
-// the recovery fast path. The fingerprint databases are rebuilt with
-// index.LoadSnapshot (compacted runs built in place, no ExportData); data
-// may be a memory mapping, nothing in the restored state aliases it.
+// RestoreBytes bulk-loads a BFLOWSNB image into tracker and registry,
+// replacing their state. The fingerprint databases are rebuilt with
+// index.PrepareSnapshot/CommitSnapshot (compacted runs built in place);
+// data may be a memory mapping, nothing in the restored state aliases it.
+// On error nothing has been replaced.
 func RestoreBytes(path string, data []byte, tracker *disclosure.Tracker, registry *tdm.Registry) (BinaryMeta, error) {
 	sections, err := parseBinary(path, data)
 	if err != nil {
@@ -408,16 +348,36 @@ func RestoreBytes(path string, data []byte, tracker *disclosure.Tracker, registr
 	if err := registry.Import(regData); err != nil {
 		return BinaryMeta{}, fmt.Errorf("store: restore registry: %w", err)
 	}
+	// Commit. Every restore — recovery, Middleware.Load, replica bootstrap,
+	// split filter — passes here, so this is where the decisions cached
+	// against the replaced index are dropped, not in each caller.
 	tracker.Paragraphs().CommitSnapshot(parsPrep)
 	tracker.Documents().CommitSnapshot(docsPrep)
+	tracker.ResetCache()
 	registry.Audit().Replace(entries)
 	return BinaryMeta{SavedAt: savedAt, WALSeg: walSeg}, nil
 }
 
-// SaveCheckpointBytes seals (when keyed) a pre-encoded checkpoint image
-// and installs it at path atomically and durably. It is how checkpoint
-// bytes produced by CaptureBytes — or received verbatim from a
-// replication primary — reach disk without a Snapshot struct in between.
+// RestoreFile is RestoreBytes for an image stored at path: the file is
+// memory-mapped when fs supports wal.MapFS (read whole otherwise) and
+// unsealed first when it carries the BFLOWENC envelope, which requires
+// the key it was saved with (ErrBadKey otherwise).
+func RestoreFile(fs wal.FS, path string, key []byte, tracker *disclosure.Tracker, registry *tdm.Registry) (BinaryMeta, error) {
+	data, release, _, err := wal.MapFile(fs, path)
+	if err != nil {
+		return BinaryMeta{}, fmt.Errorf("store: read snapshot: %w", err)
+	}
+	defer release() //nolint:errcheck
+	plain, err := unsealSnapshot(data, key)
+	if err != nil {
+		return BinaryMeta{}, err
+	}
+	return RestoreBytes(path, plain, tracker, registry)
+}
+
+// SaveCheckpointBytes seals (when keyed) an image produced by CaptureBytes
+// — or received verbatim from a replication primary — and installs it at
+// path atomically and durably.
 func SaveCheckpointBytes(fs wal.FS, path string, blob, key []byte) error {
 	if key != nil {
 		var err error
@@ -429,13 +389,12 @@ func SaveCheckpointBytes(fs wal.FS, path string, blob, key []byte) error {
 }
 
 // RecoverNewestCheckpoint scans dir newest-first and restores the first
-// checkpoint that loads cleanly directly into tracker and registry,
-// skipping (and counting) corrupt files in favour of older spares. Binary
-// images take the bulk-load path — through a memory mapping when fs
-// supports wal.MapFS — while legacy BFLOWSNP/bare-JSON checkpoints fall
-// back to the Snapshot struct route. It returns the restored checkpoint's
-// WAL epoch barrier and file name; name is empty when the directory holds
-// no loadable checkpoint. logf may be nil.
+// checkpoint that loads cleanly into tracker and registry, skipping (and
+// counting) corrupt files in favour of older spares. A checkpoint in a
+// retired format is not skipped: falling back past it would silently drop
+// the state it holds, so recovery fails with its *RetiredFormatError. It
+// returns the restored checkpoint's WAL epoch barrier and file name; name
+// is empty when the directory holds no loadable checkpoint. logf may be nil.
 func RecoverNewestCheckpoint(fs wal.FS, dir string, key []byte, tracker *disclosure.Tracker, registry *tdm.Registry, logf func(string, ...interface{})) (barrier uint64, name string, corrupt int, err error) {
 	if fs == nil {
 		fs = wal.OSFS{}
@@ -456,50 +415,20 @@ func RecoverNewestCheckpoint(fs wal.FS, dir string, key []byte, tracker *disclos
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] }) // newest first
 	for _, seg := range ckpts {
 		n := CheckpointName(seg)
-		path := filepath.Join(dir, n)
-		walSeg, mapped, rerr := restoreCheckpointFile(fs, path, key, tracker, registry)
+		meta, rerr := RestoreFile(fs, filepath.Join(dir, n), key, tracker, registry)
+		var retired *RetiredFormatError
+		if errors.As(rerr, &retired) {
+			return 0, "", corrupt, rerr
+		}
 		if rerr != nil {
 			corrupt++
 			logf("store: skipping checkpoint %s: %v", n, rerr)
 			continue
 		}
-		if walSeg == 0 {
-			walSeg = seg
+		if meta.WALSeg == 0 {
+			meta.WALSeg = seg
 		}
-		if mapped {
-			logf("store: restored checkpoint %s via mmap", n)
-		}
-		return walSeg, n, corrupt, nil
+		return meta.WALSeg, n, corrupt, nil
 	}
 	return 0, "", corrupt, nil
-}
-
-// restoreCheckpointFile loads one checkpoint file of any supported
-// format into tracker and registry, reporting its WAL barrier and
-// whether the bytes came from a memory mapping.
-func restoreCheckpointFile(fs wal.FS, path string, key []byte, tracker *disclosure.Tracker, registry *tdm.Registry) (walSeg uint64, mapped bool, err error) {
-	data, release, mapped, err := wal.MapFile(fs, path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer release()
-	plain, err := unsealSnapshot(data, key)
-	if err != nil {
-		return 0, mapped, err
-	}
-	if IsBinarySnapshot(plain) {
-		meta, err := RestoreBytes(path, plain, tracker, registry)
-		if err != nil {
-			return 0, mapped, err
-		}
-		return meta.WALSeg, mapped, nil
-	}
-	s, err := decodeSnapshot(path, data, key)
-	if err != nil {
-		return 0, mapped, err
-	}
-	if err := s.Restore(tracker, registry); err != nil {
-		return 0, mapped, err
-	}
-	return s.WALSeg, mapped, nil
 }

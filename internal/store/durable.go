@@ -2,8 +2,8 @@
 // and crash recovery into one durability subsystem for the shared tag
 // service. The policy engine journals every state mutation through the
 // policy.Journal interface implemented here; a background checkpointer
-// periodically captures a Snapshot off the request path and truncates the
-// WAL behind it; recovery loads the newest valid checkpoint and replays
+// periodically captures a state image off the request path and truncates
+// the WAL behind it; recovery loads the newest valid checkpoint and replays
 // the remaining records.
 //
 // # Checkpoint protocol
@@ -268,9 +268,10 @@ func (d *Durable) recover() error {
 		return fmt.Errorf("store: mkdir %s: %w", d.opts.Dir, err)
 	}
 
-	// 1. Newest checkpoint that loads and restores cleanly wins. Binary
-	// checkpoints bulk-load straight into the index DBs (via mmap when
-	// the filesystem supports it); legacy JSON checkpoints still work.
+	// 1. Newest checkpoint that loads and restores cleanly wins, bulk-
+	// loaded straight into the index DBs (via mmap when the filesystem
+	// supports it). A checkpoint in a retired format fails recovery
+	// instead of being skipped.
 	barrier, name, corrupt, err := RecoverNewestCheckpoint(d.fs, d.opts.Dir, d.opts.Key, d.tracker, d.registry, d.opts.Logf)
 	if err != nil {
 		return err

@@ -15,6 +15,7 @@ import (
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
@@ -56,18 +57,24 @@ func newWorld(t testing.TB, clock func() time.Time) *world {
 	return &world{tracker: tracker, registry: registry, engine: engine}
 }
 
-// export captures comparable state bytes: the full snapshot minus the
-// wall-clock SavedAt stamp and the WAL epoch.
+// export captures comparable state bytes: each database's snapshot (a pure
+// function of its logical contents) and its digest (maintained
+// incrementally, independent of the codec), then the registry and the
+// audit log — an image's sections without its capture time and WAL epoch.
 func export(t testing.TB, w *world) []byte {
 	t.Helper()
-	snap := Capture(w.tracker, w.registry)
-	snap.SavedAt = time.Time{}
-	snap.WALSeg = 0
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
+	var out []byte
+	for _, db := range []*index.DB{w.tracker.Paragraphs(), w.tracker.Documents()} {
+		out = db.Digest().AppendEncode(db.AppendSnapshot(out))
 	}
-	return data
+	for _, v := range []interface{}{w.registry.Export(), w.registry.Audit().Entries()} {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data...)
+	}
+	return out
 }
 
 // testOp is one deterministic mutation applicable to any engine.

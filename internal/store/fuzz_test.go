@@ -3,74 +3,18 @@ package store
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
-// FuzzLoadSnapshot throws arbitrary bytes at the snapshot decoder — the
-// code path a recovering process runs over whatever it finds on disk
-// after a crash. Whatever the input, decodeSnapshot must never panic, and
-// a successful decode followed by a re-encode/decode round trip must be
-// stable (no silently half-parsed state).
-func FuzzLoadSnapshot(f *testing.F) {
-	key := DeriveKey("fuzz-passphrase")
-
-	// Seed corpus: every accepted format plus near-miss corruptions.
-	valid, err := encodeSnapshot(Snapshot{Version: SnapshotVersion, SavedAt: time.Unix(42, 0).UTC()}, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid) // sectioned binary (current format)
-	legacyJSON := framePlain([]byte(`{"version":1,"savedAt":"2024-01-02T03:04:05Z"}`))
-	f.Add(legacyJSON)                           // framed JSON (legacy)
-	f.Add([]byte(`{"savedAt":1}`))              // bare JSON (oldest legacy)
-	f.Add([]byte(`{`))                          // truncated JSON
-	f.Add([]byte{})                             // empty file
-	f.Add(valid[:len(valid)-2])                 // truncated payload
-	short := append([]byte(nil), valid[:12]...) // truncated section table
-	f.Add(short)
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)-1] ^= 0x01 // section checksum mismatch
-	f.Add(flipped)
-	badVer := append([]byte(nil), valid...)
-	badVer[8] = 0xFF // unsupported container version
-	f.Add(badVer)
-	sealed, err := encodeSnapshot(Snapshot{Version: SnapshotVersion, SavedAt: time.Unix(42, 0).UTC()}, key)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(sealed)                 // encrypted
-	f.Add(sealed[:len(sealed)-1]) // damaged GCM tag
-	f.Add([]byte("BFLOWENC"))     // encrypted magic, no body
-	f.Add([]byte("BFLOWSNP"))     // legacy plain magic, no header
-	f.Add([]byte("BFLOWSNB"))     // binary magic, no header
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, k := range [][]byte{nil, key} {
-			s, err := decodeSnapshot("fuzz.bf", data, k)
-			if err != nil {
-				continue // rejecting corrupt input is the expected outcome
-			}
-			// Accepted snapshots must survive a round trip at the semantic
-			// level. Legacy JSON can carry index states the stricter binary
-			// encoder rejects (e.g. postings beyond the clock) — refusing
-			// to re-encode those is fine, silently corrupting them is not.
-			enc, err := encodeSnapshot(s, k)
-			if err != nil {
-				continue
-			}
-			if _, err := decodeSnapshot("fuzz.bf", enc, k); err != nil {
-				t.Fatalf("re-decode of accepted snapshot failed: %v", err)
-			}
-		}
-	})
-}
-
-// FuzzRestoreBinarySnapshot drives the recovery fast path (RestoreBytes)
-// with corrupted BFLOWSNB images. The contract under test: never panic,
-// reject with a typed *CorruptSnapshotError (or a decode error) carrying
-// a file offset, and never commit a partial load — after a rejected
-// restore the tracker still answers exactly like the pre-restore state.
+// FuzzRestoreBinarySnapshot throws arbitrary bytes at the one file-level
+// restore route — unseal (without a key and with one), then RestoreBytes —
+// which is what a recovering process runs over whatever it finds on disk
+// after a crash. The contract under test: never panic; reject corruption
+// with a *CorruptSnapshotError carrying a non-negative file offset; refuse
+// a retired format with a *RetiredFormatError, never as corruption; and
+// never commit a partial load — after a rejected restore the index and the
+// decision cache are exactly what they were.
 func FuzzRestoreBinarySnapshot(f *testing.F) {
+	key := DeriveKey("fuzz-passphrase")
 	tracker, registry := buildState(f)
 	valid, err := CaptureBytes(tracker, registry, 7)
 	if err != nil {
@@ -84,25 +28,57 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	f.Add(flip)
 	tail := append(append([]byte(nil), valid...), 0xAA) // garbage tail
 	f.Add(tail)
+	sealed, err := seal(valid, key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)                 // encrypted
+	f.Add(sealed[:len(sealed)-1]) // damaged GCM tag
+	f.Add([]byte("BFLOWENC"))     // encrypted magic, no body
+	f.Add([]byte("BFLOWSNP"))     // retired framed-JSON magic, no header
+	f.Add([]byte(`{`))            // retired bare JSON
+	f.Add([]byte{})               // empty file
 
+	// One state for all executions (building one per input costs the
+	// fuzzer its throughput): a rejected restore must leave it as it was,
+	// an accepted one replaces it.
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tracker, registry := freshState(t)
-		before := tracker.Paragraphs().Stats()
-		meta, err := RestoreBytes("fuzz.bf", data, tracker, registry)
-		if err != nil {
+		for _, k := range [][]byte{nil, key} {
+			plain, err := unsealSnapshot(data, k)
+			if err != nil {
+				if !errors.Is(err, ErrBadKey) {
+					t.Fatalf("unseal failed with an untyped error: %v", err)
+				}
+				continue
+			}
+			before, cached := tracker.Digest(), tracker.CacheLen()
+			meta, err := RestoreBytes("fuzz.bf", plain, tracker, registry)
+			if err == nil {
+				// An accepted restore starts with no cached decision and
+				// must be re-capturable.
+				if n := tracker.CacheLen(); n != 0 {
+					t.Fatalf("%d cached decisions survived a restore", n)
+				}
+				if _, err := CaptureBytes(tracker, registry, meta.WALSeg); err != nil {
+					t.Fatalf("re-capture of accepted restore failed: %v", err)
+				}
+				// Warm the cache again for the next rejection to leave alone.
+				if _, err := tracker.ObserveParagraph("fuzz/warm#p0", secretText); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
 			var ce *CorruptSnapshotError
 			if errors.As(err, &ce) && ce.Offset < 0 {
 				t.Fatalf("negative corruption offset: %+v", ce)
 			}
-			// A rejected restore must leave the index untouched.
-			if after := tracker.Paragraphs().Stats(); after != before {
-				t.Fatalf("rejected restore mutated index: %+v -> %+v", before, after)
+			var rfe *RetiredFormatError
+			if retired := retiredFormat(plain) != ""; retired != errors.As(err, &rfe) {
+				t.Fatalf("retired format = %v, but err = %v", retired, err)
 			}
-			return
-		}
-		// An accepted restore must be re-capturable.
-		if _, err := CaptureBytes(tracker, registry, meta.WALSeg); err != nil {
-			t.Fatalf("re-capture of accepted restore failed: %v", err)
+			if tracker.Digest() != before || tracker.CacheLen() != cached {
+				t.Fatalf("rejected restore touched the index or the decision cache")
+			}
 		}
 	})
 }

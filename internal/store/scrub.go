@@ -14,6 +14,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -50,9 +51,9 @@ type ScrubStats struct {
 
 // VerifyCheckpointFile re-validates a checkpoint image at rest: unseal
 // (when keyed), then full container framing — section table CRC and
-// every per-section CRC for BFLOWSNB images, a complete decode for
-// legacy formats. Errors carry the byte offset of the first bad byte
-// where the format records one. bytes is the file size read.
+// every per-section CRC. Damage is a *CorruptSnapshotError carrying the
+// byte offset of the first bad byte; an intact file in a retired format
+// is a *RetiredFormatError. bytes is the file size read.
 func VerifyCheckpointFile(fs wal.FS, path string, key []byte) (bytes int64, err error) {
 	if fs == nil {
 		fs = wal.OSFS{}
@@ -67,11 +68,7 @@ func VerifyCheckpointFile(fs wal.FS, path string, key []byte) (bytes int64, err 
 	if err != nil {
 		return bytes, &CorruptSnapshotError{Path: path, Offset: 0, Reason: err.Error()}
 	}
-	if IsBinarySnapshot(plain) {
-		_, err := parseBinary(path, plain)
-		return bytes, err
-	}
-	_, err = decodeSnapshot(path, data, key)
+	_, err = parseBinary(path, plain)
 	return bytes, err
 }
 
@@ -175,6 +172,13 @@ func (d *Durable) ScrubPass() (corruptions int, err error) {
 			d.mu.Lock()
 			d.scrub.CheckpointsVerified++
 			d.mu.Unlock()
+			continue
+		}
+		var retired *RetiredFormatError
+		if errors.As(verr, &retired) {
+			// Not decay: the file holds state only an older build can
+			// read. Leave it where the operator can find it.
+			d.opts.Logf("store: scrub: %v", verr)
 			continue
 		}
 		corruptions++

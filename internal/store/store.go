@@ -9,41 +9,21 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 
-	"github.com/lsds/browserflow/internal/audit"
-	"github.com/lsds/browserflow/internal/disclosure"
-	"github.com/lsds/browserflow/internal/index"
-	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
 // SnapshotVersion is the current on-disk format version.
 const SnapshotVersion = 1
 
-// magic prefixes encrypted snapshot files so Load can detect mismatched
-// keys vs plaintext files.
+// magic prefixes encrypted snapshot files so a restore can tell a keyed
+// file opened without its key from a plaintext one.
 var magic = []byte("BFLOWENC")
-
-// plainMagic prefixes the *legacy* integrity-framed plaintext JSON
-// snapshots (format version 1):
-//
-//	BFLOWSNP(8) | version(1) | payloadLen(8 BE) | crc32c(4) | JSON payload
-//
-// New snapshots are written in the sectioned BFLOWSNB binary format (see
-// binsnap.go); BFLOWSNP files are still read. Files with no known magic
-// are treated as oldest-legacy bare-JSON snapshots.
-var plainMagic = []byte("BFLOWSNP")
-
-// plainHeaderSize is the fixed-size prefix before the JSON payload.
-const plainHeaderSize = 8 + 1 + 8 + 4
 
 // crcTable is the Castagnoli table shared with the WAL framing.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -63,51 +43,19 @@ func (e *CorruptSnapshotError) Error() string {
 	return fmt.Sprintf("store: snapshot %s corrupt/truncated at byte %d: %s", e.Path, e.Offset, e.Reason)
 }
 
-// Snapshot is the complete serialisable state of a BrowserFlow deployment.
-type Snapshot struct {
-	Version    int              `json:"version"`
-	SavedAt    time.Time        `json:"savedAt"`
-	Paragraphs index.ExportData `json:"paragraphs"`
-	Documents  index.ExportData `json:"documents"`
-	Registry   tdm.ExportData   `json:"registry"`
-	Audit      []audit.Entry    `json:"audit"`
-
-	// WALSeg is the write-ahead-log epoch barrier this snapshot covers:
-	// every mutation journalled in WAL segments < WALSeg is included,
-	// everything >= WALSeg must be replayed on top. Zero for snapshots
-	// written outside the durability subsystem.
-	WALSeg uint64 `json:"walSeg,omitempty"`
+// RetiredFormatError reports an intact state file in a format this build
+// no longer reads (framed or bare JSON, last written before the BFLOWSNB
+// container). It is deliberately not a CorruptSnapshotError: recovery
+// skips corrupt checkpoints in favour of older spares and the scrubber
+// quarantines them, and either would silently lose the state an old file
+// still holds. See README, "Upgrading from a pre-PR 7 state file".
+type RetiredFormatError struct {
+	Path   string
+	Format string
 }
 
-// Capture snapshots a tracker and registry.
-func Capture(tracker *disclosure.Tracker, registry *tdm.Registry) Snapshot {
-	return Snapshot{
-		Version:    SnapshotVersion,
-		SavedAt:    time.Now().UTC(),
-		Paragraphs: tracker.Paragraphs().Export(),
-		Documents:  tracker.Documents().Export(),
-		Registry:   registry.Export(),
-		Audit:      registry.Audit().Entries(),
-	}
-}
-
-// Restore loads the snapshot into the given tracker and registry, replacing
-// their state.
-func (s Snapshot) Restore(tracker *disclosure.Tracker, registry *tdm.Registry) error {
-	if s.Version != SnapshotVersion {
-		return fmt.Errorf("store: unsupported snapshot version %d", s.Version)
-	}
-	if err := tracker.Paragraphs().Import(s.Paragraphs); err != nil {
-		return fmt.Errorf("restore paragraphs: %w", err)
-	}
-	if err := tracker.Documents().Import(s.Documents); err != nil {
-		return fmt.Errorf("restore documents: %w", err)
-	}
-	if err := registry.Import(s.Registry); err != nil {
-		return fmt.Errorf("restore registry: %w", err)
-	}
-	registry.Audit().Replace(s.Audit)
-	return nil
+func (e *RetiredFormatError) Error() string {
+	return fmt.Sprintf("store: snapshot %s is in the retired %s format; load and re-save it once with a build that still reads it", e.Path, e.Format)
 }
 
 // DeriveKey turns a passphrase into a 32-byte AES-256 key.
@@ -116,27 +64,10 @@ func DeriveKey(passphrase string) []byte {
 	return sum[:]
 }
 
-// Save writes the snapshot to path atomically and durably: the temp file
-// is fsynced before the rename, and the parent directory afterwards, so a
-// crash leaves either the old snapshot or the complete new one — never a
-// renamed-but-unwritten file. A nil key writes plaintext JSON behind a
-// BFLOWSNP integrity header; otherwise the payload is sealed with
-// AES-256-GCM.
-func Save(path string, s Snapshot, key []byte) error {
-	return SaveFS(wal.OSFS{}, path, s, key)
-}
-
-// SaveFS is Save over an explicit filesystem (for crash-injection tests).
-func SaveFS(fs wal.FS, path string, s Snapshot, key []byte) error {
-	data, err := encodeSnapshot(s, key)
-	if err != nil {
-		return err
-	}
-	return saveBlobFS(fs, path, data)
-}
-
 // saveBlobFS atomically and durably installs pre-encoded snapshot bytes
-// at path: temp file fsynced before the rename, parent directory after.
+// at path: the temp file is fsynced before the rename and the parent
+// directory after, so a crash leaves either the old file or the complete
+// new one — never a renamed-but-unwritten file.
 func saveBlobFS(fs wal.FS, path string, data []byte) error {
 	tmpName, err := writeTemp(fs, path, data)
 	if err != nil {
@@ -150,59 +81,6 @@ func saveBlobFS(fs wal.FS, path string, data []byte) error {
 		return fmt.Errorf("sync snapshot dir: %w", err)
 	}
 	return nil
-}
-
-// encodeSnapshot encodes (and seals, when keyed) a snapshot in the
-// sectioned BFLOWSNB binary format. The image carries its own per-section
-// CRC framing, so plaintext output needs no extra envelope; an encrypted
-// file is the sealed binary image and gets integrity from the GCM tag.
-func encodeSnapshot(s Snapshot, key []byte) ([]byte, error) {
-	plain, err := encodeBinarySnapshot(s)
-	if err != nil {
-		return nil, err
-	}
-	if key != nil {
-		return seal(plain, key)
-	}
-	return plain, nil
-}
-
-// framePlain wraps a JSON payload in the BFLOWSNP integrity header.
-func framePlain(payload []byte) []byte {
-	out := make([]byte, 0, plainHeaderSize+len(payload))
-	out = append(out, plainMagic...)
-	out = append(out, SnapshotVersion)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
-}
-
-// unframePlain validates a BFLOWSNP header and returns the JSON payload.
-func unframePlain(path string, data []byte) ([]byte, error) {
-	if len(data) < plainHeaderSize {
-		return nil, &CorruptSnapshotError{Path: path, Offset: int64(len(data)), Reason: "truncated header"}
-	}
-	if v := data[8]; v != SnapshotVersion {
-		return nil, &CorruptSnapshotError{Path: path, Offset: 8, Reason: fmt.Sprintf("unsupported snapshot format version %d", v)}
-	}
-	plen := binary.BigEndian.Uint64(data[9:17])
-	want := binary.BigEndian.Uint32(data[17:21])
-	body := data[plainHeaderSize:]
-	if plen != uint64(len(body)) {
-		off := int64(plainHeaderSize) + int64(len(body))
-		reason := fmt.Sprintf("payload length %d, header claims %d", len(body), plen)
-		if plen > uint64(len(body)) {
-			reason = fmt.Sprintf("truncated payload: %d of %d bytes", len(body), plen)
-		}
-		return nil, &CorruptSnapshotError{Path: path, Offset: off, Reason: reason}
-	}
-	if got := crc32.Checksum(body, crcTable); got != want {
-		// Point at the first differing region we can name: the checksum
-		// covers the whole payload, so report its start.
-		return nil, &CorruptSnapshotError{Path: path, Offset: plainHeaderSize,
-			Reason: fmt.Sprintf("payload checksum mismatch (got %08x, want %08x)", got, want)}
-	}
-	return body, nil
 }
 
 // writeTemp writes data to a unique temp file next to path, fsyncing it
@@ -240,24 +118,8 @@ func writeTemp(fs wal.FS, path string, data []byte) (string, error) {
 	}
 }
 
-// Load reads a snapshot from path. The key must match the one used by Save
-// (nil for plaintext files). Plaintext files without the BFLOWSNP header
-// are accepted as legacy bare-JSON snapshots.
-func Load(path string, key []byte) (Snapshot, error) {
-	return LoadFS(wal.OSFS{}, path, key)
-}
-
-// LoadFS is Load over an explicit filesystem.
-func LoadFS(fs wal.FS, path string, key []byte) (Snapshot, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("read snapshot: %w", err)
-	}
-	return decodeSnapshot(path, data, key)
-}
-
 // unsealSnapshot strips the BFLOWENC envelope when present, returning
-// the inner (binary or JSON) snapshot bytes unchanged otherwise.
+// data unchanged otherwise.
 func unsealSnapshot(data, key []byte) ([]byte, error) {
 	if len(data) >= len(magic) && string(data[:len(magic)]) == string(magic) {
 		if key == nil {
@@ -266,31 +128,6 @@ func unsealSnapshot(data, key []byte) ([]byte, error) {
 		return open(data, key)
 	}
 	return data, nil
-}
-
-// decodeSnapshot reverses encodeSnapshot. The inner payload format is
-// sniffed by magic after unsealing: BFLOWSNB sectioned binary (current),
-// BFLOWSNP framed JSON (legacy) or bare JSON (oldest legacy).
-func decodeSnapshot(path string, data []byte, key []byte) (Snapshot, error) {
-	data, err := unsealSnapshot(data, key)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	switch {
-	case IsBinarySnapshot(data):
-		return decodeBinarySnapshot(path, data)
-	case len(data) >= len(plainMagic) && string(data[:len(plainMagic)]) == string(plainMagic):
-		if data, err = unframePlain(path, data); err != nil {
-			return Snapshot{}, err
-		}
-	default:
-		// Legacy plaintext snapshot: bare JSON, no integrity header.
-	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("unmarshal snapshot: %w", err)
-	}
-	return s, nil
 }
 
 // seal encrypts plain with AES-256-GCM under key: magic || nonce || ciphertext.

@@ -13,6 +13,7 @@ import (
 	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
+	"github.com/lsds/browserflow/internal/wal"
 )
 
 const secretText = "The confidential migration plan moves every internal workload to the new data centre by March."
@@ -82,18 +83,24 @@ func verifyRestored(t *testing.T, tracker *disclosure.Tracker, registry *tdm.Reg
 	}
 }
 
-func TestSnapshotRoundTripPlaintext(t *testing.T) {
-	tracker, registry := buildState(t)
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := Save(path, Capture(tracker, registry), nil); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Load(path, nil)
+// saveState writes the state to path the way Middleware.Save does.
+func saveState(t testing.TB, path string, tracker *disclosure.Tracker, registry *tdm.Registry, key []byte) error {
+	t.Helper()
+	blob, err := CaptureBytes(tracker, registry, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return SaveCheckpointBytes(wal.OSFS{}, path, blob, key)
+}
+
+func TestSnapshotRoundTripPlaintext(t *testing.T) {
+	tracker, registry := buildState(t)
+	path := filepath.Join(t.TempDir(), "state.bf")
+	if err := saveState(t, path, tracker, registry, nil); err != nil {
+		t.Fatal(err)
+	}
 	tracker2, registry2 := freshState(t)
-	if err := s.Restore(tracker2, registry2); err != nil {
+	if _, err := RestoreFile(wal.OSFS{}, path, nil, tracker2, registry2); err != nil {
 		t.Fatal(err)
 	}
 	verifyRestored(t, tracker2, registry2)
@@ -103,7 +110,7 @@ func TestSnapshotRoundTripEncrypted(t *testing.T) {
 	tracker, registry := buildState(t)
 	key := DeriveKey("hunter2")
 	path := filepath.Join(t.TempDir(), "state.enc")
-	if err := Save(path, Capture(tracker, registry), key); err != nil {
+	if err := saveState(t, path, tracker, registry, key); err != nil {
 		t.Fatal(err)
 	}
 	// Fingerprint data must not be readable on disk.
@@ -117,12 +124,8 @@ func TestSnapshotRoundTripEncrypted(t *testing.T) {
 	if containsSub(raw, []byte("wiki/plan")) {
 		t.Error("plaintext segment ID visible in encrypted file")
 	}
-	s, err := Load(path, key)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tracker2, registry2 := freshState(t)
-	if err := s.Restore(tracker2, registry2); err != nil {
+	if _, err := RestoreFile(wal.OSFS{}, path, key, tracker2, registry2); err != nil {
 		t.Fatal(err)
 	}
 	verifyRestored(t, tracker2, registry2)
@@ -131,37 +134,56 @@ func TestSnapshotRoundTripEncrypted(t *testing.T) {
 func TestLoadWrongKey(t *testing.T) {
 	tracker, registry := buildState(t)
 	path := filepath.Join(t.TempDir(), "state.enc")
-	if err := Save(path, Capture(tracker, registry), DeriveKey("right")); err != nil {
+	if err := saveState(t, path, tracker, registry, DeriveKey("right")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, DeriveKey("wrong")); !errors.Is(err, ErrBadKey) {
+	tracker2, registry2 := freshState(t)
+	if _, err := RestoreFile(wal.OSFS{}, path, DeriveKey("wrong"), tracker2, registry2); !errors.Is(err, ErrBadKey) {
 		t.Errorf("wrong key: err=%v, want ErrBadKey", err)
 	}
-	if _, err := Load(path, nil); !errors.Is(err, ErrBadKey) {
+	if _, err := RestoreFile(wal.OSFS{}, path, nil, tracker2, registry2); !errors.Is(err, ErrBadKey) {
 		t.Errorf("nil key on encrypted file: err=%v, want ErrBadKey", err)
 	}
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope"), nil); err == nil {
+	tracker, registry := freshState(t)
+	if _, err := RestoreFile(wal.OSFS{}, filepath.Join(t.TempDir(), "nope"), nil, tracker, registry); err == nil {
 		t.Error("missing file should error")
 	}
 }
 
 func TestLoadCorruptFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corrupt")
-	if err := os.WriteFile(path, []byte("{truncated"), 0o600); err != nil {
+	if err := os.WriteFile(path, []byte("BFLOWSNB\x02truncated"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, nil); err == nil {
-		t.Error("corrupt file should error")
+	tracker, registry := freshState(t)
+	var ce *CorruptSnapshotError
+	if _, err := RestoreFile(wal.OSFS{}, path, nil, tracker, registry); !errors.As(err, &ce) {
+		t.Errorf("corrupt file: err=%v, want CorruptSnapshotError", err)
 	}
 }
 
 func TestRestoreVersionCheck(t *testing.T) {
-	tracker, registry := freshState(t)
-	s := Snapshot{Version: 99}
-	if err := s.Restore(tracker, registry); err == nil {
+	tracker, registry := buildState(t)
+	blob, err := CaptureBytes(tracker, registry, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := parseBinary("mem.bf", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := frameBinary([]binSection{
+		{secMeta, encodeBinaryMeta(99, time.Now(), 0)},
+		{secParagraphs, sections[secParagraphs]},
+		{secDocuments, sections[secDocuments]},
+		{secRegistry, sections[secRegistry]},
+		{secAudit, sections[secAudit]},
+	})
+	tracker2, registry2 := freshState(t)
+	if _, err := RestoreBytes("mem.bf", future, tracker2, registry2); err == nil {
 		t.Error("unsupported version accepted")
 	}
 }
@@ -181,13 +203,12 @@ func TestDeriveKeyDeterministic(t *testing.T) {
 
 func TestSaveErrors(t *testing.T) {
 	tracker, registry := freshState(t)
-	snapshot := Capture(tracker, registry)
 	// Unwritable directory.
-	if err := Save("/nonexistent-dir/state.bf", snapshot, nil); err == nil {
+	if err := saveState(t, "/nonexistent-dir/state.bf", tracker, registry, nil); err == nil {
 		t.Error("unwritable path accepted")
 	}
 	// Bad key length fails at seal time.
-	if err := Save(filepath.Join(t.TempDir(), "s.bf"), snapshot, []byte("short")); err == nil {
+	if err := saveState(t, filepath.Join(t.TempDir(), "s.bf"), tracker, registry, []byte("short")); err == nil {
 		t.Error("bad key length accepted")
 	}
 }
@@ -197,7 +218,8 @@ func TestLoadTruncatedEncrypted(t *testing.T) {
 	if err := os.WriteFile(path, []byte("BFLOWENC"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, DeriveKey("k")); !errors.Is(err, ErrBadKey) {
+	tracker, registry := freshState(t)
+	if _, err := RestoreFile(wal.OSFS{}, path, DeriveKey("k"), tracker, registry); !errors.Is(err, ErrBadKey) {
 		t.Errorf("truncated ciphertext: err=%v, want ErrBadKey", err)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
+	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/resilience"
-	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/tdm"
 )
 
@@ -40,15 +40,22 @@ func newIdemWorld(t *testing.T) (*policy.Engine, *disclosure.Tracker, *tdm.Regis
 	return engine, tracker, registry
 }
 
+// idemExport captures comparable state bytes: each database's snapshot and
+// its codec-independent digest, then the registry and the audit log.
 func idemExport(t *testing.T, tracker *disclosure.Tracker, registry *tdm.Registry) []byte {
 	t.Helper()
-	snap := store.Capture(tracker, registry)
-	snap.SavedAt = time.Time{}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
+	var out []byte
+	for _, db := range []*index.DB{tracker.Paragraphs(), tracker.Documents()} {
+		out = db.Digest().AppendEncode(db.AppendSnapshot(out))
 	}
-	return data
+	for _, v := range []interface{}{registry.Export(), registry.Audit().Entries()} {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data...)
+	}
+	return out
 }
 
 // TestObserveBatchRetryIsIdempotent is the cardinal write-retry safety

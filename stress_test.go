@@ -7,9 +7,14 @@ package browserflow
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"github.com/lsds/browserflow/internal/dataset"
 )
 
 func TestStressConcurrentUsers(t *testing.T) {
@@ -100,7 +105,15 @@ func TestStressConcurrentSaveLoad(t *testing.T) {
 	}
 	mw := newMW(t, ModeAdvisory)
 	dir := t.TempDir()
-	var wg sync.WaitGroup
+	type savedState struct {
+		path    string
+		user, i int // the saver had just observed wiki/s<user>#p<i>
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		saved []savedState
+	)
 	for u := 0; u < 4; u++ {
 		wg.Add(1)
 		go func(user int) {
@@ -112,14 +125,113 @@ func TestStressConcurrentSaveLoad(t *testing.T) {
 					return
 				}
 				if i%5 == 0 {
-					path := fmt.Sprintf("%s/state-%d.bf", dir, user)
+					path := fmt.Sprintf("%s/state-%d-%d.bf", dir, user, i)
 					if err := mw.Save(path, ""); err != nil {
 						t.Error(err)
 						return
 					}
+					mu.Lock()
+					saved = append(saved, savedState{path, user, i})
+					mu.Unlock()
 				}
 			}
 		}(u)
 	}
 	wg.Wait()
+
+	// Every file saved beside the observes is a loadable state holding at
+	// least what its saver had observed by then, fully compacted.
+	for _, s := range saved {
+		loaded := newMW(t, ModeAdvisory)
+		if err := loaded.Load(s.path, ""); err != nil {
+			t.Errorf("%s: saved beside observes, does not load: %v", s.path, err)
+			continue
+		}
+		if got := loaded.Stats().ParagraphSegments; got < s.i+1 || got > 80 {
+			t.Errorf("%s: %d segments, want between the saver's own %d and 80", s.path, got, s.i+1)
+		}
+		if _, ok := loaded.Tracker().Paragraphs().Fingerprint(SegmentID(fmt.Sprintf("wiki/s%d#p%d", s.user, s.i))); !ok {
+			t.Errorf("%s: the segment its saver had just observed is missing", s.path)
+		}
+		if head := loaded.Tracker().Paragraphs().Stats().HeadPostings; head != 0 {
+			t.Errorf("%s: %d postings in the mutable head after Load, want 0", s.path, head)
+		}
+	}
+}
+
+// TestSaveHeapAndLoadLayout pins, without timing, what the single state-
+// image route buys over the struct route it replaced (DESIGN.md §9): Save
+// encodes straight from the live databases, so its peak heap stays a small
+// multiple of the steady state (it materialised every posting twice
+// before: 7–8× at 1.1 M hashes); Load builds compacted runs, so nothing is
+// left in the mutable heads (every posting was, at 2.5× the bytes).
+func TestSaveHeapAndLoadLayout(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("heap sizes need a full-size state and are not meaningful under -race")
+	}
+	mw := newMW(t, ModeAdvisory)
+	gen := dataset.NewTextGen(17, 20000)
+	for i := 0; mw.Stats().DistinctHashes < 200_000; i++ {
+		var sb strings.Builder
+		for sb.Len() < 600 {
+			sb.WriteString(gen.Sentence(8, 16))
+			sb.WriteByte(' ')
+		}
+		if _, err := mw.ObserveParagraph("wiki", SegmentID(fmt.Sprintf("wiki/book%d#p%d", i/50, i%50)), sb.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heapAlloc := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	runtime.GC()
+	runtime.GC()
+	steady := heapAlloc()
+
+	path := filepath.Join(t.TempDir(), "state.bf")
+	var peak atomic.Uint64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if h := heapAlloc(); h > peak.Load() {
+				peak.Store(h)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	err := mw.Save(path, "")
+	close(stop)
+	<-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(peak.Load()) / float64(steady)
+	t.Logf("%d hashes: steady heap %.1f MB, peak during Save %.1f MB (%.2fx)",
+		mw.Stats().DistinctHashes, float64(steady)/1e6, float64(peak.Load())/1e6, ratio)
+	if ratio > 3.5 {
+		t.Errorf("peak heap during Save is %.2fx the steady state, want ≤ 3.5x", ratio)
+	}
+
+	loaded := newMW(t, ModeAdvisory)
+	if err := loaded.Load(path, ""); err != nil {
+		t.Fatal(err)
+	}
+	got, want := loaded.Tracker().Paragraphs().Stats(), mw.Tracker().Paragraphs().Stats()
+	if got.HeadPostings != 0 {
+		t.Errorf("%d of %d postings in the mutable head after Load, want 0", got.HeadPostings, got.Postings)
+	}
+	if got.Postings != want.Postings || got.DistinctHashes != want.DistinctHashes || got.Segments != want.Segments {
+		t.Errorf("loaded stats %+v, saved %+v", got, want)
+	}
+	if got, want := loaded.Tracker().Digest(), mw.Tracker().Digest(); got != want {
+		t.Errorf("loaded digest %+v, saved %+v", got, want)
+	}
 }
