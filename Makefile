@@ -2,21 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check crash repl part fuzz obs overload scrub policy policy-floor policy-fixtures bench-check vuln cover bench repl-bench obs-bench load-bench scrub-bench part-bench corpus corpus-bench benchall experiments loc clean
+.PHONY: all build vet test race check crash repl part fuzz obs overload scrub policy policy-floor policy-fixtures bench-check vuln cover load-bench corpus corpus-bench benchall experiments loc clean
 
 all: build check
 
-# check is the gate, and runs each test once: static analysis; the full
-# suite under the race detector, split in two invocations only so the
-# policy package's run also yields its coverage profile (that suite
-# holds the crash/corruption-injection recovery properties, the
-# replication, partition, overload and self-healing chaos suites and the
-# observability goldens — the named gates below re-run subsets of it and
-# are stand-alone conveniences, not part of check); the policy gates
-# that are not tests (coverage floor, fixture lint); a short fuzz smoke
-# over the parsers that read attacker-controlled bytes; the corpus memory
-# budget; a vulnerability scan when govulncheck is installed; and the
-# benchmark module, which tier-1 does not build.
+# check is the gate, and runs each test once: static analysis and the
+# gofmt gate (vet); the full suite under the race detector, split in two
+# invocations only so the policy package's run also yields its coverage
+# profile (that suite holds the crash/corruption-injection recovery
+# properties, the replication, partition, overload and self-healing chaos
+# suites and the observability goldens — the named gates below re-run
+# subsets of it and are stand-alone conveniences, not part of check); the
+# policy gates that are not tests (coverage floor, fixture lint); a short
+# fuzz smoke over the parsers that read attacker-controlled bytes; the
+# corpus memory budget; a vulnerability scan when govulncheck is
+# installed; and the benchmark module, which tier-1 does not build.
 POLICY_COVER ?= /tmp/policyfile.cover
 check: vet
 	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
@@ -147,8 +147,14 @@ fuzz:
 build:
 	$(GO) build ./...
 
+# vet is static analysis plus the formatting gate: any file gofmt would
+# rewrite fails it (bench/ is its own module; bench-check vets it).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l cmd internal examples *.go); \
+	if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -159,43 +165,10 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# bench runs the Algorithm 1 hot-path benchmarks (single-threaded allocs,
-# goroutine-scaling series vs the single-lock ablation and the seed
-# reference, batched flush) and records the comparison as BENCH_2.json.
-bench:
-	$(GO) test -run 'XXX' -bench 'Observe' -benchmem ./internal/disclosure
-	$(GO) run ./cmd/bfbench -experiment hotpath -benchjson BENCH_2.json
-
-# repl-bench runs the replication read-scaling benchmark (1 primary +
-# 2 streaming replicas, write burst + check-QPS vs read-pool size) and
-# records it as BENCH_4.json.
-repl-bench:
-	$(GO) run ./cmd/bfbench -experiment replication -benchjson BENCH_4.json
-
-# obs-bench measures what the observability layer costs the Algorithm 1
-# hot path (RED per call, full tracing, concurrent Prometheus scrape,
-# and the batched server path the < 5% bar applies to) and records it
-# as BENCH_5.json.
-obs-bench:
-	$(GO) run ./cmd/bfbench -experiment obs-overhead -benchjson BENCH_5.json
-
 # load-bench ramps open-loop editors against an in-process tag service
 # until the p99 SLO breaks and records the capacity as BENCH_6.json.
 load-bench:
 	$(GO) run ./cmd/bfload -editors 100 -step 25 -max-editors 600 -think 50ms -duration 3s -slo 250ms -out BENCH_6.json
-
-# scrub-bench measures what the at-rest scrubber costs the journalled
-# observe hot path (scrubber off vs an aggressive 1s cadence, the < 3%
-# bar) and records it as BENCH_8.json.
-scrub-bench:
-	$(GO) run ./cmd/bfbench -experiment scrub-overhead -benchjson BENCH_8.json
-
-# part-bench measures aggregate observe throughput as the keyspace
-# spreads over 1/2/3 partitions of fixed per-node capacity behind the
-# routing tier (the ≥1.6x-at-2-partitions bar) and records it as
-# BENCH_9.json.
-part-bench:
-	$(GO) run ./cmd/bfbench -experiment partition -benchjson BENCH_9.json
 
 # corpus is the memory-regression gate in check: load 1M distinct hashes
 # (the paper's corpus is ~10M across 180 e-books) through the path that
@@ -220,7 +193,8 @@ corpus-bench:
 benchall:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate every table and figure of the paper's evaluation.
+# Regenerate every table and figure of the paper's evaluation (§6) and
+# nothing else; performance is measured by bench/ (`bash bench/run.sh`).
 experiments:
 	$(GO) run ./cmd/bfbench -experiment all
 

@@ -7,8 +7,10 @@
 //	bfbench -experiment fig9a
 //	bfbench -experiment fig13 -scale paper
 //
-// Experiments: table1, fig8, fig9a, fig9b, fig10, fig11, fig12, fig13,
-// ablation-cache, ablation-auth, ablation-winnow, all.
+// Experiments: table1, fig8, fig9a, fig9b, fig9adoc, fig9bdoc, fig10,
+// fig11, fig12, fig13, ablation-cache, ablation-auth, ablation-winnow,
+// baseline, orgsim, usability, all (every one of those, in that order),
+// and corpus (the memory-budget ladder; run on demand, not part of all).
 package main
 
 import (
@@ -32,10 +34,18 @@ func main() {
 	}
 }
 
+// order is what -experiment all runs. corpus is deliberately excluded:
+// the 10M-hash ladder takes minutes and is run on demand (`make corpus`,
+// `make corpus-bench`).
+var order = []string{"table1", "fig8", "fig9a", "fig9b", "fig9adoc",
+	"fig9bdoc", "fig10", "fig11", "fig12", "fig13", "ablation-cache",
+	"ablation-auth", "ablation-winnow", "baseline", "orgsim", "usability"}
+
 func run(args []string) error {
+	experiments := strings.Join(order, ", ") + ", corpus, all"
 	fs := flag.NewFlagSet("bfbench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "experiment to run (table1, fig8, fig9a, fig9b, fig10, fig11, fig12, fig13, ablation-cache, ablation-auth, ablation-winnow, all)")
+		experiment = fs.String("experiment", "all", "experiment to run ("+experiments+")")
 		scaleName  = fs.String("scale", "default", "corpus scale: default or paper")
 		seed       = fs.Int64("seed", 1, "generator seed")
 		revisions  = fs.Int("revisions", 0, "override revisions per article")
@@ -45,7 +55,7 @@ func run(args []string) error {
 		steps      = fs.Int("steps", 5, "database size steps (fig13)")
 		probes     = fs.Int("probes", 20, "paste probes per step (fig13)")
 		outDir     = fs.String("out", "", "also write each experiment's output to <out>/<name>.txt")
-		benchJSON  = fs.String("benchjson", "", "write the hotpath experiment's result as JSON to this file")
+		benchJSON  = fs.String("benchjson", "", "with -experiment corpus: print deltas against the recording in this file, then overwrite it with the new result (BENCH_7.json)")
 		hashes     = fs.String("hashes", "", "comma-separated distinct-hash targets for -experiment corpus (default 1000000,5000000,10000000)")
 		rssBudget  = fs.Int("rss-budget-mb", 0, "fail -experiment corpus if process RSS exceeds this budget (MB)")
 	)
@@ -143,50 +153,6 @@ func run(args []string) error {
 			r, err := expt.RunUsabilityComparison(scale, params)
 			return r.Format(), err
 		},
-		"replication": func() (string, error) {
-			dir, err := os.MkdirTemp("", "bfrepl")
-			if err != nil {
-				return "", err
-			}
-			defer os.RemoveAll(dir)
-			r, err := expt.RunReplication(params, expt.DefaultReplBenchConfig(dir))
-			if err != nil {
-				return "", err
-			}
-			// -benchjson records the read-scaling series (BENCH_4.json);
-			// only when replication is the selected experiment, so an
-			// `-experiment all -benchjson` run keeps the hotpath result.
-			if *benchJSON != "" && *experiment == "replication" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-					return "", fmt.Errorf("write %s: %w", *benchJSON, err)
-				}
-			}
-			return r.Format(), nil
-		},
-		"obs-overhead": func() (string, error) {
-			r, err := expt.RunObsOverhead(scale, params)
-			if err != nil {
-				return "", err
-			}
-			// -benchjson records the instrumentation-tier series
-			// (BENCH_5.json); only when obs-overhead is the selected
-			// experiment, so an `-experiment all -benchjson` run keeps the
-			// hotpath result.
-			if *benchJSON != "" && *experiment == "obs-overhead" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-					return "", fmt.Errorf("write %s: %w", *benchJSON, err)
-				}
-			}
-			return r.Format(), nil
-		},
 		"corpus": func() (string, error) {
 			cfg := expt.DefaultCorpusConfig()
 			cfg.Seed = *seed
@@ -236,71 +202,11 @@ func run(args []string) error {
 			}
 			return out, nil
 		},
-		"hotpath": func() (string, error) {
-			r, err := expt.RunHotPath(scale, params)
-			if err != nil {
-				return "", err
-			}
-			if *benchJSON != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-					return "", fmt.Errorf("write %s: %w", *benchJSON, err)
-				}
-			}
-			return r.Format(), nil
-		},
-		"partition": func() (string, error) {
-			r, err := expt.RunPartition(expt.DefaultPartBenchConfig())
-			if err != nil {
-				return "", err
-			}
-			// -benchjson records the partition scaling series (BENCH_9.json);
-			// only when partition is the selected experiment, same convention
-			// as replication above.
-			if *benchJSON != "" && *experiment == "partition" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-					return "", fmt.Errorf("write %s: %w", *benchJSON, err)
-				}
-			}
-			return r.Format(), nil
-		},
-		"scrub-overhead": func() (string, error) {
-			r, err := expt.RunScrubOverhead(scale, params)
-			if err != nil {
-				return "", err
-			}
-			// -benchjson records BENCH_8.json; only when scrub-overhead is
-			// the selected experiment, same convention as replication above.
-			if *benchJSON != "" && *experiment == "scrub-overhead" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-					return "", fmt.Errorf("write %s: %w", *benchJSON, err)
-				}
-			}
-			return r.Format(), nil
-		},
 	}
-	// corpus is deliberately excluded: the 10M-hash ladder takes minutes
-	// and is run on demand (`make corpus`, `make corpus-bench`).
-	order := []string{"table1", "fig8", "fig9a", "fig9b", "fig9adoc",
-		"fig9bdoc", "fig10", "fig11", "fig12", "fig13", "ablation-cache",
-		"ablation-auth", "ablation-winnow", "baseline", "orgsim", "usability",
-		"hotpath", "replication", "obs-overhead", "scrub-overhead", "partition"}
-
 	selected := order
 	if *experiment != "all" {
 		if _, ok := runners[*experiment]; !ok {
-			return fmt.Errorf("unknown experiment %q (try: %s, corpus, all)", *experiment, strings.Join(order, ", "))
+			return fmt.Errorf("unknown experiment %q (try: %s)", *experiment, experiments)
 		}
 		selected = []string{*experiment}
 	}

@@ -42,15 +42,19 @@ func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string
 	}{
-		{name: "unknown experiment", args: []string{"-experiment", "fig99"}},
-		{name: "unknown scale", args: []string{"-scale", "galactic"}},
-		{name: "bad flag", args: []string{"-nope"}},
+		{name: "unknown experiment", args: []string{"-experiment", "fig99"}, want: `unknown experiment "fig99"`},
+		// The per-PR perf harnesses are gone; bench/ is the one harness.
+		{name: "retired harness", args: []string{"-experiment", "hotpath"}, want: `unknown experiment "hotpath"`},
+		{name: "unknown scale", args: []string{"-scale", "galactic"}, want: "unknown scale"},
+		{name: "bad flag", args: []string{"-nope"}, want: "flag provided but not defined"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := run(tt.args); err == nil {
-				t.Errorf("args %v: want error", tt.args)
+			err := run(tt.args)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("args %v: err = %v, want one containing %q", tt.args, err, tt.want)
 			}
 		})
 	}

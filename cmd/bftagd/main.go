@@ -34,7 +34,7 @@
 //
 // A durable bftagd is also a replication primary: it serves
 // /v1/repl/snapshot and /v1/repl/stream so replicas can bootstrap from a
-// checkpoint and tail the WAL. Start a read replica with
+// checkpoint and tail the WAL. Start a standby replica with
 //
 //	bftagd -policy policy.json -wal-dir /var/lib/bftagd-replica \
 //	       -replica-of http://primary:7000 -addr :7001
@@ -104,7 +104,7 @@ func run(args []string) error {
 		writeTimeout = fs.Duration("write-timeout", 30*time.Second, "per-request write timeout")
 		grace        = fs.Duration("shutdown-grace", 10*time.Second, "time allowed for in-flight requests to drain on SIGINT/SIGTERM")
 		maxBody      = fs.Int64("max-body", tagserver.DefaultMaxBodyBytes, "maximum request body size in bytes (413 past this)")
-		replicaOf    = fs.String("replica-of", "", "run as a read replica of this primary URL (requires -wal-dir for the mirrored log)")
+		replicaOf    = fs.String("replica-of", "", "run as a standby replica of this primary URL (requires -wal-dir for the mirrored log)")
 		replListen   = fs.String("repl-listen", "", "serve the /v1/repl/* API on this separate address (default: the main -addr)")
 		termFile     = fs.String("term-file", "", "file persisting the replication fencing term (default: <wal-dir>/TERM)")
 		advertise    = fs.String("advertise", "", "base URL peers are told to dial for this node (default: http://<listen addr>)")

@@ -24,6 +24,11 @@ type fakeEngine struct {
 	mu    sync.Mutex
 	calls []fakeCall
 	n     atomic.Int64
+
+	// slowest is the longest the delay sleep actually took: a loaded box
+	// stretches a nominal 2ms sleep several-fold, so latency bounds are
+	// computed from this, never from delay.
+	slowest time.Duration
 }
 
 type fakeCall struct {
@@ -45,7 +50,14 @@ func (f *fakeEngine) wait() {
 		<-f.gate
 	}
 	if f.delay > 0 {
+		begin := time.Now()
 		time.Sleep(f.delay)
+		took := time.Since(begin)
+		f.mu.Lock()
+		if took > f.slowest {
+			f.slowest = took
+		}
+		f.mu.Unlock()
 	}
 }
 
@@ -419,7 +431,7 @@ func TestCoalesceWindowDebounces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := p.Observe(context.Background(), "docs", "docs/d#p0", segment.GranularityParagraph, fp(uint32(i + 1)))
+			v, err := p.Observe(context.Background(), "docs", "docs/d#p0", segment.GranularityParagraph, fp(uint32(i+1)))
 			if err != nil {
 				t.Errorf("observe: %v", err)
 			}

@@ -309,11 +309,16 @@ func TestSustainedOverloadShedsAndRecovers(t *testing.T) {
 	}
 	p99 := latencies[idx]
 	mu.Unlock()
-	// Accepted work is bounded by queue depth x service time / workers
-	// plus scheduling slack — the SLO the bounded queue buys.
-	slo := queueCap*serviceTime/workers + 250*time.Millisecond
+	// Accepted work waits for at most a full queue shared by the workers,
+	// then its own service, plus scheduling slack — the SLO the bounded
+	// queue buys. The service time is the slowest one the engine measured
+	// in this run, not the nominal sleep: a loaded box stretches it.
+	eng.mu.Lock()
+	slowest := eng.slowest
+	eng.mu.Unlock()
+	slo := (queueCap/workers+1)*slowest + 250*time.Millisecond
 	if p99 > slo {
-		t.Fatalf("accepted interactive p99 = %s breaches the %s SLO", p99, slo)
+		t.Fatalf("accepted interactive p99 = %s breaches the %s SLO (slowest service %s)", p99, slo, slowest)
 	}
 
 	// Load subsides: the queue drains and fresh requests are served

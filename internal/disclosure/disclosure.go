@@ -37,16 +37,6 @@ type Params struct {
 	// used by the ablation experiments.
 	DisableCache bool
 
-	// DisableSharding replaces the lock-striped fingerprint index and
-	// decision cache with single-lock equivalents (one index shard, one
-	// cache stripe). Only used by the ablation benchmarks as the
-	// single-lock baseline; leave false in production.
-	DisableSharding bool
-
-	// IndexShards overrides the index lock-stripe count (0 uses
-	// index.DefaultShards). Ignored when DisableSharding is set.
-	IndexShards int
-
 	// Incremental enables the §4.3 incremental evaluation of Algorithm 1:
 	// re-observations only inspect hashes added since the previous
 	// observation plus the previous sources. Per-edit cost becomes
@@ -157,17 +147,10 @@ func NewTracker(params Params) (*Tracker, error) {
 	if params.Tdoc < 0 || params.Tdoc > 1 {
 		return nil, fmt.Errorf("disclosure: Tdoc %v out of [0,1]", params.Tdoc)
 	}
-	shards := params.IndexShards
-	if shards <= 0 {
-		shards = index.DefaultShards
-	}
-	if params.DisableSharding {
-		shards = 1
-	}
 	t := &Tracker{
 		params: params,
-		pars:   index.NewWithShards(params.Tpar, shards),
-		docs:   index.NewWithShards(params.Tdoc, shards),
+		pars:   index.New(params.Tpar),
+		docs:   index.New(params.Tdoc),
 	}
 	t.scratchPool.New = func() any { return newObserveScratch() }
 	// Stripe count mirrors the index shard count (power of two).

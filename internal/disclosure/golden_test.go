@@ -149,14 +149,6 @@ func TestGoldenEquivalenceNoAuthoritative(t *testing.T) {
 	runGolden(t, params)
 }
 
-// TestGoldenEquivalenceSingleShard pins the DisableSharding baseline used
-// by the benchmarks to the same behaviour as the sharded layout.
-func TestGoldenEquivalenceSingleShard(t *testing.T) {
-	params := disclosure.DefaultParams()
-	params.DisableSharding = true
-	runGolden(t, params)
-}
-
 // TestGoldenEquivalencePeriodicCompact replays the corpus while merging
 // the index heads into their compacted runs every few observations — the
 // cadence a long-lived bftagd runs with -compact-every. Reports must stay

@@ -1,10 +1,9 @@
 package expt
 
 // Seed reference engine: a faithful re-implementation of the repository's
-// original Algorithm 1 hot path, kept as the perf and correctness baseline.
-// The disclosure package's golden-equivalence tests replay corpora through
-// this engine and require byte-identical Reports from the sharded engine;
-// RunHotPath benchmarks it as the "seed" series in BENCH_2.json.
+// original Algorithm 1 hot path, kept as the correctness baseline. The
+// disclosure package's golden-equivalence tests replay corpora through
+// this engine and require byte-identical Reports from the sharded engine.
 //
 // The structure mirrors the seed exactly, including its cost model:
 //

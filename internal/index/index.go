@@ -285,8 +285,7 @@ func New(defaultThreshold float64) *DB {
 
 // NewWithShards is New with an explicit stripe count. n is clamped to
 // [1, 256] and rounded up to a power of two; n = 1 yields the single-lock
-// layout of the original implementation (the DisableSharding ablation
-// baseline).
+// layout of the original implementation.
 func NewWithShards(defaultThreshold float64, n int) *DB {
 	n = normalizeShards(n)
 	db := &DB{

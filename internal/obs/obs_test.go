@@ -48,7 +48,7 @@ func populate(reg *Registry, clk *fakeClock) {
 	reg.Gauge("bf_wal_checkpoint_age_seconds", "Seconds since last checkpoint.").Set(12.5)
 	reg.Collect(func(s *Scrape) { s.Gauge("bf_breaker_state", "Circuit breaker state.", 1) })
 	h := reg.Histogram(`bf_http_request_seconds{endpoint="observe"}`, "Request latency.", nil)
-	h.Observe(0)                     // zero lands in the first bucket
+	h.Observe(0)                      // zero lands in the first bucket
 	h.Observe(100 * time.Microsecond) // exact first boundary
 	h.Observe(3 * time.Millisecond)
 	h.Observe(70 * time.Millisecond)

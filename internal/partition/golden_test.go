@@ -107,8 +107,8 @@ func newEngine(t *testing.T) *policy.Engine {
 	}
 	registry := tdm.NewRegistry(audit.NewLog())
 	for _, svc := range []struct {
-		name     string
-		lp, lc   tdm.TagSet
+		name   string
+		lp, lc tdm.TagSet
 	}{
 		{"wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")},
 		{"itool", tdm.NewTagSet("ti"), tdm.NewTagSet("ti")},

@@ -1,6 +1,11 @@
 package partition
 
 import (
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -45,5 +50,60 @@ func TestInstallDiscardsStaleRing(t *testing.T) {
 	}
 	if nodes := rt.Ring().Partitions[0].Nodes[0]; nodes != "http://a" {
 		t.Fatalf("equal-version install replaced the installed ring's nodes: %s", nodes)
+	}
+}
+
+// TestRouterIgnoresStaleReplica is the routing-tier twin of tagserver's
+// stale-replica regression test: a partition group's second node is a
+// standby that may lag, so Upload and Label must be answered by the
+// group's primary and the standby must never be asked.
+func TestRouterIgnoresStaleReplica(t *testing.T) {
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/upload":
+			io.WriteString(w, `{"decision":"warn","violating":["tw"]}`) //nolint:errcheck
+		case "/v1/label":
+			io.WriteString(w, `{"explicit":["tw"],"implicit":[],"suppressed":[]}`) //nolint:errcheck
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer primary.Close()
+	var staleRequests atomic.Int64
+	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		staleRequests.Add(1)
+		switch r.URL.Path {
+		case "/v1/upload":
+			io.WriteString(w, `{"decision":"allow"}`) //nolint:errcheck
+		default: // the segment never reached this node
+			http.Error(w, "unknown segment", http.StatusNotFound)
+		}
+	}))
+	defer stale.Close()
+
+	rt, err := NewRouter(SingleRing("p0", primary.URL, stale.URL), RouterOptions{FP: fingerprint.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Twice: a rotation over the group would reach the standby by then.
+	for i := 0; i < 2; i++ {
+		v, err := rt.Upload(ctx, "wiki/a#p0", "pad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Decision != "warn" || len(v.Violating) != 1 || v.Violating[0] != "tw" {
+			t.Errorf("Upload = %+v, want the primary's warn on tw", v)
+		}
+		l, err := rt.Label(ctx, "wiki/a#p0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Explicit) != 1 || l.Explicit[0] != "tw" {
+			t.Errorf("Label = %+v, want the primary's explicit tw", l)
+		}
+	}
+	if n := staleRequests.Load(); n != 0 {
+		t.Errorf("standby node served %d requests, want 0", n)
 	}
 }

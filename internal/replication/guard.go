@@ -8,7 +8,12 @@ import (
 // mutatingPaths are the tag-service endpoints only the primary may
 // serve. Reads (/v1/check, /v1/upload, /v1/label, /v1/stats, metrics,
 // health) are served by every role; mutations linearise through the
-// primary. /v1/part/query is read-only but still primary-only: a
+// primary. Serving a read is not a promise that it is current: a
+// replica or fenced ex-primary answers from whatever it has applied, so
+// a release check asked there can miss an acked observe. Clients
+// therefore send reads to the primary too (tagserver.ClusterClient);
+// what a replica's answers are good for is comparing its state with the
+// primary's. /v1/part/query is read-only but still primary-only: a
 // scatter contribution must reflect every acked observe, and a replica
 // or fenced ex-primary can lag — a stale contribution missing a
 // just-observed source would flip a block into an allow, so queries

@@ -402,8 +402,8 @@ func release(cancel context.CancelFunc) {
 
 type cancelOnClose struct {
 	io.ReadCloser
-	cancel  context.CancelFunc
-	closed  sync.Once
+	cancel context.CancelFunc
+	closed sync.Once
 }
 
 func (c *cancelOnClose) Close() error {

@@ -209,7 +209,7 @@ var _ policy.Journal = (*Durable)(nil)
 // checkpointName and parseCheckpointName are internal aliases of the
 // exported helpers in applier.go (the hex field is the WAL epoch barrier
 // segment).
-func checkpointName(seg uint64) string            { return CheckpointName(seg) }
+func checkpointName(seg uint64) string               { return CheckpointName(seg) }
 func parseCheckpointName(name string) (uint64, bool) { return ParseCheckpointName(name) }
 
 // OpenDurable recovers the state in opts.Dir into tracker and registry

@@ -12,13 +12,18 @@ import (
 	"github.com/lsds/browserflow/internal/tdm"
 )
 
-// ClusterClient splits traffic across a replicated tag service: reads
-// (check/upload/label/stats) round-robin over replicas and fail over to
-// the primary; writes (observe/suppress) go to the primary and follow
-// 421 redirects when the cluster has failed over to a new one. The
+// ClusterClient talks to a replicated tag service under one routing
+// rule: every request — observe, suppress, check, upload, label, stats,
+// ring — goes to the current primary, follows 421 redirects when the
+// cluster has failed over, and rediscovers the primary over /healthz
+// when it is unreachable (onPrimary). Replicas are standbys: they are
+// never asked a question, only probed as promotion candidates, because
+// a release check answered by a lagging replica can miss an observation
+// the primary already acked and turn a block into an allow (§4.3's
+// Algorithm 1 is sound only over every observation acked so far). The
 // client tracks the highest replication term it has seen and stamps it
-// on every write, so a deposed primary that answers is fenced on contact
-// rather than accepting a stale write.
+// on every POST, so a deposed primary that answers a write is fenced on
+// contact rather than accepting it.
 type ClusterClient struct {
 	device string
 	cfg    fingerprint.Config
@@ -29,15 +34,15 @@ type ClusterClient struct {
 	replicas  []string
 	bootstrap []string
 	clients   map[string]*Client
-	rr        int
 	term      uint64
 
-	// maxRedirects bounds how many 421 redirects one write follows.
+	// maxRedirects bounds how many 421 redirects one request follows.
 	maxRedirects int
 }
 
 // NewClusterClient builds a client over a primary and any number of
-// read replicas. opts apply to every per-node Client it constructs.
+// standby replicas (failover candidates only). opts apply to every
+// per-node Client it constructs.
 func NewClusterClient(primary string, replicas []string, device string, cfg fingerprint.Config, opts ...ClientOption) (*ClusterClient, error) {
 	if primary == "" {
 		return nil, fmt.Errorf("tagserver: cluster primary URL is required")
@@ -79,7 +84,7 @@ func (cc *ClusterClient) Term() uint64 {
 	return cc.term
 }
 
-// Primary returns the address writes are currently sent to.
+// Primary returns the address requests are currently sent to.
 func (cc *ClusterClient) Primary() string {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -122,7 +127,7 @@ func (cc *ClusterClient) clientFor(base string) (*Client, error) {
 }
 
 // discoverPrimary probes every known node's /healthz for one that
-// reports the primary role, adopting it for future writes.
+// reports the primary role, adopting it for future requests.
 func (cc *ClusterClient) discoverPrimary(ctx context.Context) bool {
 	cc.mu.Lock()
 	candidates := append([]string{cc.primary}, cc.replicas...)
@@ -157,19 +162,19 @@ func (cc *ClusterClient) discoverPrimary(ctx context.Context) bool {
 	return false
 }
 
-// write runs fn against the current primary, following up to
-// maxRedirects 421 redirects (learning the new primary from the error
-// or, when it is not advertised, from the replicas' health endpoints).
-// The hop cap bounds the redirect chase even when a mid-promotion
-// cluster ping-pongs (a fenced ex-primary advertising the candidate,
-// the candidate still advertising the ex-primary): a redirect back to a
-// node already tried this write stops following addresses and falls
-// back to health discovery. A 421 carrying a Retry-After hint (a
-// promotion in flight) is honoured like a 429's backoff before the next
-// hop; a 421 carrying a ring version is a partition-ownership redirect
-// and is returned to the caller — only the routing tier can fix a stale
-// ring.
-func (cc *ClusterClient) write(ctx context.Context, fn func(*Client) error) error {
+// onPrimary is the one place a node is picked: it runs fn against the
+// current primary, following up to maxRedirects 421 redirects (learning
+// the new primary from the error or, when it is not advertised, from the
+// replicas' health endpoints). The hop cap bounds the redirect chase
+// even when a mid-promotion cluster ping-pongs (a fenced ex-primary
+// advertising the candidate, the candidate still advertising the
+// ex-primary): a redirect back to a node already tried this request
+// stops following addresses and falls back to health discovery. A 421
+// carrying a Retry-After hint (a promotion in flight) is honoured like a
+// 429's backoff before the next hop; a 421 carrying a ring version is a
+// partition-ownership redirect and is returned to the caller — only the
+// routing tier can fix a stale ring.
+func (cc *ClusterClient) onPrimary(ctx context.Context, fn func(*Client) error) error {
 	var lastErr error
 	visited := make(map[string]bool, cc.maxRedirects+1)
 	for attempt := 0; attempt <= cc.maxRedirects; attempt++ {
@@ -211,51 +216,11 @@ func (cc *ClusterClient) write(ctx context.Context, fn func(*Client) error) erro
 	return lastErr
 }
 
-// nextReadOrder returns the bases to try for one read: replicas in
-// round-robin order, then the primary as the fallback.
-func (cc *ClusterClient) nextReadOrder() []string {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	order := make([]string, 0, len(cc.replicas)+1)
-	n := len(cc.replicas)
-	if n > 0 {
-		start := cc.rr % n
-		cc.rr++
-		for i := 0; i < n; i++ {
-			order = append(order, cc.replicas[(start+i)%n])
-		}
-	}
-	return append(order, cc.primary)
-}
-
-// read runs fn against replicas (round-robin) and falls back to the
-// primary when every replica is unavailable.
-func (cc *ClusterClient) read(fn func(*Client) error) error {
-	var lastErr error
-	for _, base := range cc.nextReadOrder() {
-		c, err := cc.clientFor(base)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = fn(c)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !IsUnavailable(err) {
-			// Application-level rejection: failing over will not help.
-			return err
-		}
-	}
-	return lastErr
-}
-
 // ObserveBatch flushes coalesced edits to the primary (following
 // failovers), returning one verdict per item.
 func (cc *ClusterClient) ObserveBatch(ctx context.Context, service string, items []BatchItem) ([]Verdict, error) {
 	var out []Verdict
-	err := cc.write(ctx, func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		v, err := c.ObserveBatchCtx(ctx, service, items)
 		if err == nil {
 			out = v
@@ -268,7 +233,7 @@ func (cc *ClusterClient) ObserveBatch(ctx context.Context, service string, items
 // Observe records one paragraph edit on the primary.
 func (cc *ClusterClient) Observe(ctx context.Context, service string, seg segment.ID, text string) (Verdict, error) {
 	var out Verdict
-	err := cc.write(ctx, func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		v, err := c.ObserveCtx(ctx, service, seg, text)
 		if err == nil {
 			out = v
@@ -283,7 +248,7 @@ func (cc *ClusterClient) Observe(ctx context.Context, service string, seg segmen
 // they pre-compute fingerprints once and replay them.
 func (cc *ClusterClient) ObserveHashes(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string) (Verdict, error) {
 	var out Verdict
-	err := cc.write(ctx, func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		v, err := c.ObserveHashes(ctx, service, seg, hashes, granularity)
 		if err == nil {
 			out = v
@@ -298,7 +263,7 @@ func (cc *ClusterClient) ObserveHashes(ctx context.Context, service string, seg 
 // version set) is returned to the caller for a ring refresh.
 func (cc *ClusterClient) PartObserve(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string, clock uint64, resolved *PartResolved) (PartObserveResponse, error) {
 	var out PartObserveResponse
-	err := cc.write(ctx, func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		r, err := c.PartObserve(ctx, service, seg, hashes, granularity, clock, resolved)
 		if err == nil {
 			out = r
@@ -309,12 +274,10 @@ func (cc *ClusterClient) PartObserve(ctx context.Context, service string, seg se
 }
 
 // PartQuery fetches the partition's scatter contribution from its
-// primary. Queries deliberately do not round-robin over replicas: a
-// lagging replica's contribution could miss a just-observed source and
-// change a verdict a single node would have produced.
+// primary.
 func (cc *ClusterClient) PartQuery(ctx context.Context, hashes []uint32, granularity string) (PartResolveWire, error) {
 	var out PartResolveWire
-	err := cc.write(ctx, func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		r, err := c.PartQuery(ctx, hashes, granularity)
 		if err == nil {
 			out = r
@@ -328,7 +291,7 @@ func (cc *ClusterClient) PartQuery(ctx context.Context, hashes []uint32, granula
 // primary.
 func (cc *ClusterClient) PartCheck(ctx context.Context, dest string, sources []PartSource, implicit []string) (Verdict, error) {
 	var out Verdict
-	err := cc.write(ctx, func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		v, err := c.PartCheck(ctx, dest, sources, implicit)
 		if err == nil {
 			out = v
@@ -338,10 +301,9 @@ func (cc *ClusterClient) PartCheck(ctx context.Context, dest string, sources []P
 	return out, err
 }
 
-// PartRing fetches the encoded ring from any reachable node (replicas
-// first, primary fallback — the ring is installed cluster-wide).
+// PartRing fetches the encoded ring from the partition's primary.
 func (cc *ClusterClient) PartRing(ctx context.Context) (encoded []byte, version uint64, err error) {
-	rerr := cc.read(func(c *Client) error {
+	rerr := cc.onPrimary(ctx, func(c *Client) error {
 		b, v, err := c.PartRing(ctx)
 		if err == nil {
 			encoded, version = b, v
@@ -354,23 +316,23 @@ func (cc *ClusterClient) PartRing(ctx context.Context) (encoded []byte, version 
 // PartSuppress declassifies a tag via the partition's primary,
 // surfacing ownership 421s to the caller like PartObserve.
 func (cc *ClusterClient) PartSuppress(ctx context.Context, user string, seg segment.ID, tag tdm.Tag, justification string) error {
-	return cc.write(ctx, func(c *Client) error {
+	return cc.onPrimary(ctx, func(c *Client) error {
 		return c.SuppressCtx(ctx, user, seg, tag, justification)
 	})
 }
 
 // Suppress declassifies a tag via the primary.
 func (cc *ClusterClient) Suppress(ctx context.Context, user string, seg segment.ID, tag tdm.Tag, justification string) error {
-	return cc.write(ctx, func(c *Client) error {
+	return cc.onPrimary(ctx, func(c *Client) error {
 		return c.SuppressCtx(ctx, user, seg, tag, justification)
 	})
 }
 
-// Upload evaluates a tracked segment's release on any replica (primary
-// fallback) — the check is against the segment's stored label.
+// Upload evaluates a tracked segment's release against its stored label
+// on the primary.
 func (cc *ClusterClient) Upload(ctx context.Context, seg segment.ID, dest string) (Verdict, error) {
 	var out Verdict
-	err := cc.read(func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		v, err := c.CheckUploadCtx(ctx, seg, dest)
 		if err == nil {
 			out = v
@@ -380,11 +342,10 @@ func (cc *ClusterClient) Upload(ctx context.Context, seg segment.ID, dest string
 	return out, err
 }
 
-// Check evaluates ad-hoc text against a destination on any replica
-// (primary fallback).
+// Check evaluates ad-hoc text against a destination on the primary.
 func (cc *ClusterClient) Check(ctx context.Context, text, dest string) (Verdict, error) {
 	var out Verdict
-	err := cc.read(func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		v, err := c.CheckCtx(ctx, text, dest)
 		if err == nil {
 			out = v
@@ -394,10 +355,10 @@ func (cc *ClusterClient) Check(ctx context.Context, text, dest string) (Verdict,
 	return out, err
 }
 
-// Label fetches a segment's label from any replica (primary fallback).
+// Label fetches a segment's label from the primary.
 func (cc *ClusterClient) Label(ctx context.Context, seg segment.ID) (LabelResponse, error) {
 	var out LabelResponse
-	err := cc.read(func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		l, err := c.LabelCtx(ctx, seg)
 		if err == nil {
 			out = l
@@ -407,10 +368,10 @@ func (cc *ClusterClient) Label(ctx context.Context, seg segment.ID) (LabelRespon
 	return out, err
 }
 
-// Stats fetches database sizes from any replica (primary fallback).
+// Stats fetches database sizes from the primary.
 func (cc *ClusterClient) Stats(ctx context.Context) (StatsResponse, error) {
 	var out StatsResponse
-	err := cc.read(func(c *Client) error {
+	err := cc.onPrimary(ctx, func(c *Client) error {
 		s, err := c.StatsCtx(ctx)
 		if err == nil {
 			out = s

@@ -1,0 +1,344 @@
+package tagserver
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/lsds/browserflow/internal/replication"
+	"github.com/lsds/browserflow/internal/store"
+	"github.com/lsds/browserflow/internal/tdm"
+	"github.com/lsds/browserflow/internal/wal"
+)
+
+// TestClusterClientIgnoresStaleReplica is the regression test for the
+// replica-read fail-open: a replica that bootstrapped and then stopped
+// streaming (a lagging link) has not seen an observe the primary acked,
+// so a release check answered there says allow where the primary warns.
+// Every answer a ClusterClient configured with that replica gives must
+// be the primary's, byte for byte.
+func TestClusterClientIgnoresStaleReplica(t *testing.T) {
+	newWorld := func() *traceWorld {
+		w := newTraceWorld(t)
+		if err := w.registry.RegisterService("pad", tdm.NewTagSet(), tdm.NewTagSet()); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// serve mounts a node's tag API behind the role guard, as bftagd does.
+	serve := func(w *traceWorld, node *replication.Node, opts ...ServerOption) string {
+		server, err := NewServer(w.engine, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(replication.Guard(node, server, t.Logf))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+
+	pw := newWorld()
+	pdir := t.TempDir()
+	durable, err := store.OpenDurable(store.DurableOptions{Dir: pdir, Fsync: wal.SyncAlways}, pw.tracker, pw.registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { durable.Close() })
+	pw.engine.SetJournal(durable)
+	pnode, err := replication.NewNode(replication.NodeOptions{
+		Role: replication.RolePrimary, TermFile: filepath.Join(pdir, "TERM"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsvc := replication.NewService(pnode, replication.PrimaryOptions{MaxWait: time.Second}, t.Logf)
+	rsvc.SetPrimary(replication.NewPrimary(pnode, durable, replication.PrimaryOptions{MaxWait: time.Second, Logf: t.Logf}))
+	replSrv := httptest.NewServer(rsvc.Handler())
+	t.Cleanup(replSrv.Close)
+	primaryURL := serve(pw, pnode, withDurable(durable))
+
+	rw := newWorld()
+	rdir := t.TempDir()
+	rnode, err := replication.NewNode(replication.NodeOptions{
+		Role: replication.RoleReplica, Primary: replSrv.URL, TermFile: filepath.Join(rdir, "TERM"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := replication.OpenReplica(rnode, rw.engine, replication.ReplicaOptions{
+		Dir: rdir, PollWait: 50 * time.Millisecond, RetryBackoff: 10 * time.Millisecond, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(replica.Stop)
+	replica.Start()
+	for deadline := time.Now().Add(10 * time.Second); replica.Status().Bootstraps == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never bootstrapped: %+v", replica.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	replica.Stop() // the link lags from here on
+	replicaURL := serve(rw, rnode)
+
+	const (
+		seg  = "wiki/launch#p0"
+		text = "the secret launch plan for the atlas project"
+	)
+	primary, err := NewClient(primaryURL, "dev", fpConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Observe("wiki", seg, text); err != nil {
+		t.Fatal(err)
+	}
+	cc, err := NewClusterClient(primaryURL, []string{replicaURL}, "dev", fpConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// answer renders a call's outcome for comparison: the JSON of the
+	// value, or the error text.
+	answer := func(v interface{}, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	const warnTW = `{"Decision":"warn","Violating":["tw"]` // what the primary must say, or the test has no teeth
+	for _, q := range []struct{ name, got, want, wantPrefix string }{
+		{"check", answer(cc.Check(ctx, text, "pad")), answer(primary.Check(text, "pad")), warnTW},
+		{"upload", answer(cc.Upload(ctx, seg, "pad")), answer(primary.CheckUpload(seg, "pad")), warnTW},
+		{"label", answer(cc.Label(ctx, seg)), answer(primary.Label(seg)), `{"explicit":["tw"]`},
+	} {
+		if q.got != q.want {
+			t.Errorf("%s through ClusterClient = %s, primary says %s", q.name, q.got, q.want)
+		}
+		if !strings.HasPrefix(q.want, q.wantPrefix) {
+			t.Errorf("%s on the primary = %s, want %s…", q.name, q.want, q.wantPrefix)
+		}
+	}
+}
+
+// routeNode is one fake tag-service node for the routing table test. Its
+// API answer is the same for /v1/observe and /v1/check, so a write and a
+// former read meet exactly the same cluster.
+type routeNode struct {
+	name string
+	down bool // closed before the test runs: connection refused
+
+	// API answer: status 200 serves a verdict; 421 carries the redirect
+	// fields below; anything else is served bare.
+	status     int
+	redirectTo string // node name advertised in X-BF-Primary
+	term       uint64 // X-BF-Term on a 421
+	ring       uint64 // X-BF-Ring-Version on a 421
+
+	// health is the /healthz replication section; nil serves a
+	// standalone node's health (no section).
+	health *HealthReplication
+}
+
+// TestClusterClientRouting pins the one routing rule: current primary →
+// follow 421 redirects up to the hop cap → /healthz discovery when the
+// primary is unreachable or the redirect chain loops. Every case runs
+// once as a write (Observe) and once as a former read (Check); the two
+// must put the same requests on the wire in the same order and leave the
+// client in the same state.
+func TestClusterClientRouting(t *testing.T) {
+	ok := routeNode{status: http.StatusOK, health: &HealthReplication{Role: "primary", Term: 1}}
+	standby := &HealthReplication{Role: "replica"}
+	node := func(name string, n routeNode) routeNode { n.name = name; return n }
+
+	for _, tc := range []struct {
+		name        string
+		nodes       []routeNode // nodes[0] is the configured primary, the rest its replicas
+		wantWire    []string
+		wantPrimary string
+		wantTerm    uint64
+		wantErr     func(error) bool
+	}{
+		{
+			name: "421 with X-BF-Primary is followed and adopted",
+			nodes: []routeNode{
+				node("A", routeNode{status: 421, redirectTo: "B"}),
+				node("B", ok),
+			},
+			wantWire:    []string{"A api", "B api"},
+			wantPrimary: "B",
+		},
+		{
+			name: "ping-pong stops at the hop cap and falls back to discovery",
+			nodes: []routeNode{
+				node("A", routeNode{status: 421, redirectTo: "B", health: standby}),
+				node("B", routeNode{status: 421, redirectTo: "A", health: standby}),
+				node("C", ok),
+			},
+			wantWire:    []string{"A api", "B api", "A healthz", "B healthz", "C healthz", "C api term=1"},
+			wantPrimary: "C",
+			wantTerm:    1,
+		},
+		{
+			name: "ping-pong with no primary to discover gives up",
+			nodes: []routeNode{
+				node("A", routeNode{status: 421, redirectTo: "B", health: standby}),
+				node("B", routeNode{status: 421, redirectTo: "A", health: standby}),
+			},
+			wantWire:    []string{"A api", "B api", "A healthz", "B healthz"},
+			wantPrimary: "A",
+			wantErr:     func(err error) bool { _, is := AsNotPrimary(err); return is },
+		},
+		{
+			name: "421 carrying a ring version is returned untouched",
+			nodes: []routeNode{
+				node("A", routeNode{status: 421, redirectTo: "B", term: 9, ring: 7}),
+				node("B", ok),
+			},
+			wantWire:    []string{"A api"},
+			wantPrimary: "A",
+			wantErr: func(err error) bool {
+				np, is := AsNotPrimary(err)
+				return is && np.RingVersion == 7
+			},
+		},
+		{
+			name: "unreachable primary is replaced by the node reporting role primary",
+			nodes: []routeNode{
+				node("A", routeNode{down: true}),
+				node("B", routeNode{status: http.StatusOK, health: standby}),
+				node("C", routeNode{status: http.StatusOK, health: &HealthReplication{Role: "primary", Term: 4}}),
+			},
+			wantWire:    []string{"B healthz", "C healthz", "C api term=4"},
+			wantPrimary: "C",
+			wantTerm:    4,
+		},
+		{
+			name: "term learned from a 421 is stamped on the next request",
+			nodes: []routeNode{
+				node("A", routeNode{status: 421, redirectTo: "B", term: 5}),
+				node("B", ok),
+			},
+			wantWire:    []string{"A api", "B api term=5"},
+			wantPrimary: "B",
+			wantTerm:    5,
+		},
+		{
+			name: "application-level 4xx is returned without a second attempt",
+			nodes: []routeNode{
+				node("A", routeNode{status: http.StatusBadRequest}),
+				node("B", ok),
+			},
+			wantWire:    []string{"A api"},
+			wantPrimary: "A",
+			wantErr: func(err error) bool {
+				var se *StatusError
+				return errors.As(err, &se) && se.Code == http.StatusBadRequest
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				Wire    []string
+				Primary string
+				Term    uint64
+				Err     bool
+			}
+			run := func(op string) outcome {
+				var (
+					mu   sync.Mutex
+					wire []string
+					urls = map[string]string{}
+				)
+				nameOf := map[string]string{}
+				for _, n := range tc.nodes {
+					srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						event := n.name + " api"
+						if r.URL.Path == "/healthz" {
+							event = n.name + " healthz"
+						} else if r.URL.Path != "/v1/"+op {
+							t.Errorf("node %s: unexpected path %s", n.name, r.URL.Path)
+						}
+						if term := r.Header.Get("X-BF-Term"); term != "" {
+							event += " term=" + term
+						}
+						mu.Lock()
+						wire = append(wire, event)
+						mu.Unlock()
+						switch {
+						case r.URL.Path == "/healthz":
+							json.NewEncoder(w).Encode(HealthResponse{Status: "ok", Replication: n.health}) //nolint:errcheck
+						case n.status == http.StatusOK:
+							json.NewEncoder(w).Encode(VerdictResponse{Decision: "warn", Violating: []tdm.Tag{"tw"}}) //nolint:errcheck
+						case n.status == http.StatusMisdirectedRequest:
+							w.Header().Set("X-BF-Primary", urls[n.redirectTo])
+							if n.term > 0 {
+								w.Header().Set("X-BF-Term", strconv.FormatUint(n.term, 10))
+							}
+							if n.ring > 0 {
+								w.Header().Set(HeaderRingVersion, strconv.FormatUint(n.ring, 10))
+							}
+							http.Error(w, "not primary", n.status)
+						default:
+							http.Error(w, "rejected", n.status)
+						}
+					}))
+					if n.down {
+						srv.Close()
+					} else {
+						t.Cleanup(srv.Close)
+					}
+					urls[n.name] = srv.URL
+					nameOf[srv.URL] = n.name
+				}
+				var replicas []string
+				for _, n := range tc.nodes[1:] {
+					replicas = append(replicas, urls[n.name])
+				}
+				cc, err := NewClusterClient(urls[tc.nodes[0].name], replicas, "dev", fpConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				const text = "the secret launch plan for the atlas project"
+				var v Verdict
+				switch op {
+				case "observe":
+					v, err = cc.Observe(context.Background(), "wiki", "wiki/launch#p0", text)
+				case "check":
+					v, err = cc.Check(context.Background(), text, "pad")
+				}
+				switch {
+				case tc.wantErr == nil && err != nil:
+					t.Errorf("%s: %v", op, err)
+				case tc.wantErr == nil && v.Decision != "warn":
+					t.Errorf("%s: verdict %+v, want the fake's warn", op, v)
+				case tc.wantErr != nil && (err == nil || !tc.wantErr(err)):
+					t.Errorf("%s: err = %v, not the error this case expects", op, err)
+				}
+				return outcome{Wire: wire, Primary: nameOf[cc.Primary()], Term: cc.Term(), Err: err != nil}
+			}
+
+			want := outcome{Wire: tc.wantWire, Primary: tc.wantPrimary, Term: tc.wantTerm, Err: tc.wantErr != nil}
+			write, read := run("observe"), run("check")
+			if !reflect.DeepEqual(write, want) {
+				t.Errorf("observe: got %+v, want %+v", write, want)
+			}
+			if !reflect.DeepEqual(read, write) {
+				t.Errorf("check routed differently from observe:\n check   %+v\n observe %+v", read, write)
+			}
+		})
+	}
+}
