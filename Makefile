@@ -131,13 +131,16 @@ vuln:
 
 # fuzz smoke: ten seconds per parser of bytes the program did not write
 # itself (Go runs one fuzz target per invocation, hence one command
-# each): the WAL segment reader, the state-image restore (unseal +
+# each): the WAL segment reader (one frame decoder behind recovery, scrub
+# and the replication stream, held to one answer), the record applier a
+# replica runs over streamed records, the state-image restore (unseal +
 # BFLOWSNB decode, the one route every load takes), the index digest
 # codec the anti-entropy comparator trusts, the ring codec and the two
 # policy-language targets.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz 'FuzzOpenSegment' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -fuzz 'FuzzApplyRecord' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzRestoreBinarySnapshot' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzDecodeDigest' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition

@@ -342,3 +342,58 @@ func TestCheckpointBesideCompaction(t *testing.T) {
 		t.Errorf("recovery loaded %q, want the newest checkpoint %s: %v", ckpt, store.CheckpointName(newest), dur)
 	}
 }
+
+// The upgrade path from the removed -state mode: a state file the parent
+// commit's `bftagd -state` wrote (after seedObservations, plain and with
+// -passphrase) is a checkpoint image, so renamed to the barrier-0
+// checkpoint inside a -wal-dir it is recovered with the verdicts it was
+// saved with.
+func TestStateFileUpgradesToWALDir(t *testing.T) {
+	const savedVerdict = `{"decision":"warn","violating":["tw"],"sources":[{"seg":"wiki/s#p0","disclosure":1}]}` + "\n"
+	for _, tc := range []struct{ fixture, passphrase string }{
+		{"pr19-state.bf", ""},
+		{"pr19-state-enc.bf", "fixture-passphrase"},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			dir := t.TempDir()
+			policyPath := writeTestPolicy(t, dir)
+			walDir := filepath.Join(dir, "wal")
+			image, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(walDir, 0o700); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(walDir, store.CheckpointName(0)), image, 0o600); err != nil {
+				t.Fatal(err)
+			}
+
+			addr := freeAddr(t)
+			base := "http://" + addr
+			args := []string{"-policy", policyPath, "-addr", addr, "-wal-dir", walDir}
+			if tc.passphrase != "" {
+				args = append(args, "-passphrase", tc.passphrase)
+			}
+			errCh := make(chan error, 1)
+			go func() { errCh <- run(args) }()
+			waitHealthy(t, base)
+			defer func() {
+				syscall.Kill(os.Getpid(), syscall.SIGTERM)
+				select {
+				case <-errCh:
+				case <-time.After(10 * time.Second):
+					t.Fatal("daemon did not shut down")
+				}
+			}()
+
+			if _, got := postJSON(t, base+"/v1/check", checkBody); string(got) != savedVerdict {
+				t.Errorf("verdict over the upgraded state file = %s, want %s", got, savedVerdict)
+			}
+			dur, _ := getHealth(t, base)["durability"].(map[string]any)
+			if ckpt, _ := dur["checkpointLoaded"].(string); ckpt != store.CheckpointName(0) {
+				t.Errorf("recovery loaded %q, want %s: %v", ckpt, store.CheckpointName(0), dur)
+			}
+		})
+	}
+}

@@ -7,7 +7,6 @@
 //	bftagd -policy policy.json -addr :7000
 //	bftagd -policy policy.json -wal-dir /var/lib/bftagd \
 //	       -fsync interval -fsync-interval 50ms -checkpoint-every 1m
-//	bftagd -policy policy.json -state tags.bf -save-every 100
 //	bftagd -policy policy.json -read-timeout 10s -write-timeout 30s \
 //	       -shutdown-grace 10s -max-body 1048576
 //
@@ -28,9 +27,8 @@
 //
 // With -wal-dir, every state mutation is journalled to a write-ahead log
 // and checkpointed in the background; after a crash the service recovers
-// the newest checkpoint plus the surviving WAL suffix. Without it,
-// -state/-save-every periodically save the whole state to one file, in
-// the same image format a checkpoint has.
+// the newest checkpoint plus the surviving WAL suffix. Without it the
+// daemon is memory-only: nothing is loaded at start or saved at exit.
 //
 // A durable bftagd is also a replication primary: it serves
 // /v1/repl/snapshot and /v1/repl/stream so replicas can bootstrap from a
@@ -86,9 +84,7 @@ func run(args []string) error {
 	var (
 		policyPath   = fs.String("policy", "", "policy JSON file (required)")
 		policyLint   = fs.Bool("policy-lint", true, "lint the policy file at startup and refuse to serve on any diagnostic (including warnings)")
-		statePath    = fs.String("state", "", "optional state file to load and periodically save (fallback when -wal-dir is unset)")
-		passphrase   = fs.String("passphrase", "", "state passphrase (encrypts snapshots and checkpoints at rest)")
-		saveEvery    = fs.Int("save-every", 500, "save state every N observations (batch items count individually; 0 disables)")
+		passphrase   = fs.String("passphrase", "", "passphrase encrypting checkpoints at rest")
 		walDir       = fs.String("wal-dir", "", "directory for the write-ahead log and checkpoints (enables crash-safe durability)")
 		fsyncMode    = fs.String("fsync", "always", "WAL fsync policy: always | interval | none")
 		fsyncEvery   = fs.Duration("fsync-interval", wal.DefaultSyncInterval, "group-commit cadence for -fsync interval")
@@ -213,10 +209,36 @@ func run(args []string) error {
 	primaryOpts := replication.PrimaryOptions{Logf: logf, FilterSnapshot: filterSnapshot}
 
 	// Replication state: every durable node gets a fencing term and the
-	// /v1/repl/* API; plain snapshot-mode nodes are standalone.
+	// /v1/repl/* API; memory-only nodes are standalone. dopts describes
+	// the node's durable directory once, whichever role it starts in: a
+	// primary opens it now, a replica mirrors into it and opens it — this
+	// very value — when promoted.
 	var node *replication.Node
 	var replService *replication.Service
+	var dopts store.DurableOptions
 	if *walDir != "" {
+		fsync, err := wal.ParseSyncPolicy(*fsyncMode)
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		dopts = store.DurableOptions{
+			Dir:             *walDir,
+			Key:             key,
+			Fsync:           fsync,
+			FsyncInterval:   *fsyncEvery,
+			CheckpointEvery: *ckptEvery,
+			ScrubEvery:      *scrubEvery,
+			ScrubRateMB:     *scrubRateMB,
+			OnDiskFull:      *onDiskFull,
+			SegmentFilter:   durableSegmentFilter(split),
+			// Disk-fault policy follows the engine mode: an advisory
+			// deployment keeps serving verdicts from memory on a dead disk
+			// (fail-open); enforcing/encrypting deployments stop acking
+			// (fail-closed) — nothing is confirmed the journal cannot hold.
+			FailOpen: mw.Engine().Mode() == policyPkg.ModeAdvisory,
+			Logf:     logf,
+		}
 		if *termFile == "" {
 			*termFile = filepath.Join(*walDir, "TERM")
 		}
@@ -276,21 +298,10 @@ func run(args []string) error {
 	if *replicaOf != "" {
 		// Replica mode: no local durable store; the engine is fed by the
 		// mirrored stream and promotion opens the durable store in place.
-		policy, err := wal.ParseSyncPolicy(*fsyncMode)
-		if err != nil {
-			ln.Close()
-			return err
-		}
 		replica, err := replication.OpenReplica(node, mw.Engine(), replication.ReplicaOptions{
-			Dir:                    *walDir,
-			Key:                    key,
-			NoSync:                 policy == wal.SyncNone,
-			PromoteFsync:           policy,
-			PromoteFsyncInterval:   *fsyncEvery,
-			PromoteCheckpointEvery: *ckptEvery,
-			Split:                  split,
-			Logf:                   logf,
-			Obs:                    o,
+			Durable: dopts,
+			Split:   split,
+			Obs:     o,
 		})
 		if err != nil {
 			ln.Close()
@@ -302,34 +313,12 @@ func run(args []string) error {
 		st := replica.Status()
 		fmt.Printf("bftagd: replica of %s (term %d, resuming at %s)\n", *replicaOf, st.Term, st.Position)
 	} else if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsyncMode)
-		if err != nil {
-			return err
-		}
 		// The policy file is the source of truth for service definitions;
 		// remember them so services added to the file since the last
 		// checkpoint survive the restore below.
 		policyServices := mw.Registry().Services()
 
-		durable, err = store.OpenDurable(store.DurableOptions{
-			Dir:             *walDir,
-			Key:             key,
-			Fsync:           policy,
-			FsyncInterval:   *fsyncEvery,
-			CheckpointEvery: *ckptEvery,
-			ScrubEvery:      *scrubEvery,
-			ScrubRateMB:     *scrubRateMB,
-			OnDiskFull:      *onDiskFull,
-			SegmentFilter:   durableSegmentFilter(split),
-			// Disk-fault policy follows the engine mode: an advisory
-			// deployment keeps serving verdicts from memory on a dead disk
-			// (fail-open); enforcing/encrypting deployments stop acking
-			// (fail-closed) — nothing is confirmed the journal cannot hold.
-			FailOpen: mw.Engine().Mode() == policyPkg.ModeAdvisory,
-			Logf: func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, "bftagd: "+format+"\n", args...)
-			},
-		}, mw.Tracker(), mw.Registry())
+		durable, err = store.OpenDurable(dopts, mw.Tracker(), mw.Registry())
 		if err != nil {
 			return fmt.Errorf("open wal dir: %w", err)
 		}
@@ -347,7 +336,7 @@ func run(args []string) error {
 		replService.SetPrimary(replication.NewPrimary(node, durable, primaryOpts))
 
 		rec := durable.Stats().Recovery
-		fmt.Printf("bftagd: durability on (%s, fsync=%s): recovered %d WAL records", *walDir, policy, rec.RecordsReplayed)
+		fmt.Printf("bftagd: durability on (%s, fsync=%s): recovered %d WAL records", *walDir, dopts.Fsync, rec.RecordsReplayed)
 		if rec.CheckpointLoaded != "" {
 			fmt.Printf(" on top of %s", rec.CheckpointLoaded)
 		}
@@ -355,12 +344,6 @@ func run(args []string) error {
 			fmt.Printf(", truncated %d torn bytes", rec.TornBytesTruncated)
 		}
 		fmt.Printf(" in %v\n", rec.Duration.Round(time.Millisecond))
-	} else if *statePath != "" {
-		if _, err := os.Stat(*statePath); err == nil {
-			if err := mw.Load(*statePath, *passphrase); err != nil {
-				return fmt.Errorf("load state: %w", err)
-			}
-		}
 	}
 
 	// Admission control in front of the engine: per-segment coalescing of
@@ -427,27 +410,7 @@ func run(args []string) error {
 		defer close(compactStop)
 	}
 
-	// Legacy periodic persistence keyed on observation traffic; superseded
-	// by the WAL when -wal-dir is set. Saves are triggered on bucket
-	// transitions of the server's observation counter, which weighs
-	// batched flushes by their item count instead of counting a whole
-	// /v1/observe/batch request as one observation.
 	handler := http.Handler(server)
-	if durable == nil && *statePath != "" && *saveEvery > 0 {
-		var savedBucket atomic.Int64
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			server.ServeHTTP(w, r)
-			switch r.URL.Path {
-			case "/v1/observe", "/v1/observe/batch":
-				bucket := server.Observes() / int64(*saveEvery)
-				if prev := savedBucket.Load(); bucket > prev && savedBucket.CompareAndSwap(prev, bucket) {
-					if err := mw.Save(*statePath, *passphrase); err != nil {
-						fmt.Fprintln(os.Stderr, "bftagd: save state:", err)
-					}
-				}
-			}
-		})
-	}
 
 	// Replication wiring: the write guard fences mutations on non-primary
 	// nodes, and the /v1/repl/* API is mounted either on the main address
@@ -554,10 +517,6 @@ func run(args []string) error {
 			// checkpoint and an empty replay set.
 			if err := d.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "bftagd: flush durability:", err)
-			}
-		} else if *statePath != "" {
-			if err := mw.Save(*statePath, *passphrase); err != nil {
-				fmt.Fprintln(os.Stderr, "bftagd: save state:", err)
 			}
 		}
 		return shutdownErr

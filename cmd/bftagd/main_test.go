@@ -17,6 +17,15 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-policy", "/nonexistent.json"}); err == nil {
 		t.Error("missing policy file accepted")
 	}
+	// The pre-WAL single-file mode is gone: -wal-dir is the one way to be
+	// durable, and an old command line must fail loudly, not run
+	// memory-only.
+	for _, gone := range []string{"-state", "-save-every"} {
+		err := run([]string{"-policy", "/nonexistent.json", gone, "x"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want a flag error", gone, err)
+		}
+	}
 }
 
 func TestRunListenFailure(t *testing.T) {
@@ -29,14 +38,6 @@ func TestRunListenFailure(t *testing.T) {
 	// Setup succeeds; the unusable address fails fast.
 	if err := run([]string{"-policy", policyPath, "-addr", "256.256.256.256:0"}); err == nil {
 		t.Error("expected listen error")
-	}
-	// Bad saved state is reported.
-	statePath := filepath.Join(dir, "state.bf")
-	if err := os.WriteFile(statePath, []byte("{corrupt"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-policy", policyPath, "-state", statePath}); err == nil {
-		t.Error("corrupt state accepted")
 	}
 }
 

@@ -130,7 +130,9 @@ func sentence(i int) string {
 //  5. a replica killed with SIGKILL resumes from its local mirror without
 //     re-bootstrapping;
 //  6. the primary is killed, a caught-up replica is promoted (term 1) and
-//     serves every acked write — zero acked-write loss;
+//     serves every acked write — zero acked-write loss — under the storage
+//     policy the killed primary ran (same flags, so same disk-fault
+//     policy, and the scrubber keeps running);
 //  7. the deposed primary restarts, is fenced, and refuses writes while a
 //     ClusterClient pointed at the dead address fails over on its own.
 func TestReplicationEndToEnd(t *testing.T) {
@@ -153,11 +155,13 @@ func TestReplicationEndToEnd(t *testing.T) {
 	primaryArgs := []string{
 		"-policy", policyPath, "-addr", primaryAddr, "-advertise", primaryBase,
 		"-wal-dir", primaryWAL, "-fsync", "always", "-checkpoint-every", "0",
+		"-scrub-every", "200ms",
 	}
 	replicaArgs := func(addr, base, walDir string) []string {
 		return []string{
 			"-policy", policyPath, "-addr", addr, "-advertise", base,
 			"-wal-dir", walDir, "-fsync", "always",
+			"-scrub-every", "200ms",
 			"-replica-of", primaryBase,
 		}
 	}
@@ -317,6 +321,10 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 
 	// (6) Kill the primary outright and promote the caught-up replica 1.
+	primaryStorage, ok := getHealth(t, primaryBase)["storage"].(map[string]any)
+	if !ok {
+		t.Fatal("primary healthz has no storage block")
+	}
 	if err := primaryProc.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -350,6 +358,27 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 	if _, err := newClient.Observe("pad", "pad/after-failover#p0", sentence(3001)); err != nil {
 		t.Fatalf("write on promoted primary: %v", err)
+	}
+
+	// The promoted node was started with the flags the primary had, so it
+	// must run the storage policy the primary ran: same fail-open/closed
+	// answer to a dead disk, and a scrubber that keeps completing passes.
+	promotedStorage, ok := getHealth(t, r1Base)["storage"].(map[string]any)
+	if !ok {
+		t.Fatal("promoted node's healthz has no storage block")
+	}
+	if promotedStorage["failOpen"] != primaryStorage["failOpen"] {
+		t.Errorf("promoted node failOpen = %v, the primary it replaces ran %v", promotedStorage["failOpen"], primaryStorage["failOpen"])
+	}
+	passes, _ := promotedStorage["scrubPasses"].(float64)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		st, _ := getHealth(t, r1Base)["storage"].(map[string]any)
+		if now, _ := st["scrubPasses"].(float64); now > passes {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("promoted node never scrubs: storage = %v", st)
+		}
 	}
 
 	// (7) The deposed primary restarts believing it is still primary;

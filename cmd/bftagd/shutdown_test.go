@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/lsds/browserflow/internal/store"
 )
 
 // freeAddr reserves an ephemeral port and releases it for the daemon.
@@ -42,7 +44,8 @@ func waitHealthy(t *testing.T, base string) {
 }
 
 // The daemon serves with body bounds and drains gracefully on SIGINT,
-// saving state on the way out.
+// leaving a checkpoint on the way out that a restart recovers with
+// nothing to replay.
 func TestGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	policyPath := filepath.Join(dir, "policy.json")
@@ -50,7 +53,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := os.WriteFile(policyPath, []byte(policyJSON), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	statePath := filepath.Join(dir, "state.bf")
+	walDir := filepath.Join(dir, "wal")
 	addr := freeAddr(t)
 	base := "http://" + addr
 
@@ -59,8 +62,8 @@ func TestGracefulShutdown(t *testing.T) {
 		errCh <- run([]string{
 			"-policy", policyPath,
 			"-addr", addr,
-			"-state", statePath,
-			"-save-every", "0",
+			"-wal-dir", walDir,
+			"-checkpoint-every", "0",
 			"-max-body", "512",
 			"-shutdown-grace", "5s",
 		})
@@ -103,8 +106,37 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("daemon did not shut down within the grace period")
 	}
 
-	// State was persisted on the way out.
-	if _, err := os.Stat(statePath); err != nil {
-		t.Errorf("state not saved at shutdown: %v", err)
+	// State was persisted on the way out: a checkpoint that covers the
+	// whole log.
+	entries, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := 0
+	for _, e := range entries {
+		if _, ok := store.ParseCheckpointName(e.Name()); ok {
+			checkpoints++
+		}
+	}
+	if checkpoints == 0 {
+		t.Errorf("no checkpoint left at shutdown: %v", entries)
+	}
+	addr2 := freeAddr(t)
+	go func() { errCh <- run([]string{"-policy", policyPath, "-addr", addr2, "-wal-dir", walDir}) }()
+	waitHealthy(t, "http://"+addr2)
+	dur, _ := getHealth(t, "http://"+addr2)["durability"].(map[string]any)
+	if ckpt, _ := dur["checkpointLoaded"].(string); ckpt == "" {
+		t.Errorf("restart loaded no checkpoint: %v", dur)
+	}
+	if replayed, _ := dur["recordsReplayed"].(float64); replayed != 0 {
+		t.Errorf("restart after a clean SIGINT replayed %v records, want 0", replayed)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-errCh:
+	case <-time.After(10 * time.Second):
+		t.Fatal("restarted daemon did not shut down")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ import (
 
 // op is one scripted wire request.
 type op struct {
-	kind    string // observe, batch, check, suppress, upload, label
+	kind    string // observe, batch, check, oversized, suppress, upload, label
 	service string
 	seg     string
 	text    string
@@ -41,6 +42,7 @@ type op struct {
 	tag     string
 	why     string
 	gran    string
+	size    int // oversized: approximate body bytes
 }
 
 // The scripts use enough distinct segments that an even 2- or 3-way
@@ -68,6 +70,12 @@ func scripts() map[string][]op {
 			{kind: "label", seg: "docs/blog-draft#p1"},
 			{kind: "upload", seg: "docs/blog-draft#p1", dest: "docs"},
 			{kind: "observe", service: "docs", seg: "docs/blog-draft#p1", text: wikiPlan}, // re-observe: decision cache
+			// Past the node's body bound: refused with the node's 413 by
+			// the tier's front door too, whether or not the legs it would
+			// have been split into each fit (1.5 MB used to be answered
+			// 200 allow) and above the tier's old private 8 MiB bound (400).
+			{kind: "oversized", dest: "docs", size: 3 << 19},
+			{kind: "oversized", dest: "docs", size: 9 << 20},
 		},
 		// An itool performance review is copied into notes; after a
 		// manager suppresses the tag with justification, the release
@@ -278,6 +286,7 @@ func play(t *testing.T, base string, o op) string {
 	var (
 		path    string
 		payload interface{}
+		data    []byte
 	)
 	switch o.kind {
 	case "observe":
@@ -297,6 +306,9 @@ func play(t *testing.T, base string, o op) string {
 	case "check":
 		path = "/v1/check"
 		payload = tagserver.CheckRequest{Device: "golden", Dest: o.dest, Hashes: hashesOf(t, o.text)}
+	case "oversized":
+		path = "/v1/check"
+		data = []byte(`{"device":"golden","dest":"` + o.dest + `","hashes":[` + strings.Repeat("4294967295,", o.size/11) + `1]}`)
 	case "suppress":
 		path = "/v1/suppress"
 		payload = tagserver.SuppressRequest{User: o.user, Seg: segment.ID(o.seg), Tag: tdm.Tag(o.tag), Justification: o.why}
@@ -314,9 +326,11 @@ func play(t *testing.T, base string, o op) string {
 	default:
 		t.Fatalf("unknown op kind %q", o.kind)
 	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
+	if data == nil {
+		var err error
+		if data, err = json.Marshal(payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := http.Post(base+path, "application/json", bytes.NewReader(data))
 	if err != nil {

@@ -3,6 +3,7 @@ package partition
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -84,12 +85,21 @@ func writeRouterError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
+// decodePost bounds the body as a node does (a request a single node
+// answers 413 must not succeed because the tier split it into legs that
+// each fit) and refuses an oversized one in the node's words, before any
+// leg is sent.
 func decodePost(w http.ResponseWriter, r *http.Request, into interface{}) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(into); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, tagserver.DefaultMaxBodyBytes)).Decode(into); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return false
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false
 	}

@@ -22,18 +22,14 @@ import (
 
 // ReplicaOptions configures OpenReplica.
 type ReplicaOptions struct {
-	// Dir holds the mirrored WAL segments and local checkpoints.
-	Dir string
-
-	// FS is the filesystem; nil means the real one.
-	FS wal.FS
-
-	// Key encrypts local checkpoints at rest (mirrors the primary's -key).
-	Key []byte
-
-	// MaxRecordBytes bounds one WAL record (default
-	// wal.DefaultMaxRecordBytes).
-	MaxRecordBytes int
+	// Durable describes the node's durable directory exactly as
+	// store.OpenDurable would be given it. While a replica, the node uses
+	// Dir, FS, Key, KeepCheckpoints and Logf for the mirrored WAL segments
+	// and its local checkpoints, and fsyncs the mirror after every applied
+	// batch unless Fsync is wal.SyncNone. Promote opens this very value, so
+	// the promoted primary runs under the storage policy (fsync, checkpoint
+	// and scrub cadence, disk-fault policy) the node was started with.
+	Durable store.DurableOptions
 
 	// HTTPClient dials the primary; nil uses a default client. Its
 	// transport may be wrapped (resilience middleware, fault injection).
@@ -48,33 +44,6 @@ type ReplicaOptions struct {
 	// (default 200ms).
 	RetryBackoff time.Duration
 
-	// SyncEach fsyncs the mirror after every applied batch; it is the
-	// replica-side equivalent of fsync=always (default true; set
-	// NoSync to disable for benchmarks).
-	NoSync bool
-
-	// PromoteFsync is the WAL fsync policy the node adopts when promoted
-	// (zero = wal.SyncAlways).
-	PromoteFsync wal.SyncPolicy
-
-	// PromoteFsyncInterval is the group-commit cadence for
-	// wal.SyncInterval after promotion.
-	PromoteFsyncInterval time.Duration
-
-	// PromoteSegmentBytes is the WAL rotation threshold after promotion.
-	PromoteSegmentBytes int64
-
-	// PromoteCheckpointEvery is the background checkpoint cadence after
-	// promotion (0 disables).
-	PromoteCheckpointEvery time.Duration
-
-	// KeepCheckpoints bounds local checkpoint files (default
-	// store.DefaultKeepCheckpoints).
-	KeepCheckpoints int
-
-	// Logf receives replication notes; nil discards.
-	Logf func(format string, args ...interface{})
-
 	// Obs, when set, receives the stream counters this replica owns
 	// (batches, records, bytes, confirmed divergences, apply latency) and
 	// "replica.apply" spans attributed to the trace IDs journalled inside
@@ -86,9 +55,10 @@ type ReplicaOptions struct {
 	// bootstrap snapshot is restricted to the inclusive key range, the
 	// mirror still copies the primary's WAL bytes verbatim but streamed
 	// records materialise tracker state only for in-range segments
-	// (registry effects stay global), and digest-based anti-entropy is
-	// disabled — a filtered replica's state digest is intentionally not
-	// the primary's. Nil replicates everything.
+	// (registry effects stay global; Durable.SegmentFilter is set to the
+	// range, so promotion and later restarts keep filtering), and
+	// digest-based anti-entropy is disabled — a filtered replica's state
+	// digest is intentionally not the primary's. Nil replicates everything.
 	Split *SplitRange
 }
 
@@ -102,11 +72,20 @@ type SplitRange struct {
 func (sr SplitRange) Contains(k uint32) bool { return k >= sr.Lo && k <= sr.Hi }
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
-	if o.FS == nil {
-		o.FS = wal.OSFS{}
+	if o.Durable.FS == nil {
+		o.Durable.FS = wal.OSFS{}
 	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = wal.DefaultMaxRecordBytes
+	if o.Durable.KeepCheckpoints <= 0 {
+		o.Durable.KeepCheckpoints = store.DefaultKeepCheckpoints
+	}
+	if o.Durable.Logf == nil {
+		o.Durable.Logf = func(string, ...interface{}) {}
+	}
+	if sr := o.Split; sr != nil {
+		split := *sr
+		o.Durable.SegmentFilter = func(seg segment.ID) bool {
+			return split.Contains(segment.Key(seg))
+		}
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = &http.Client{}
@@ -116,12 +95,6 @@ func (o ReplicaOptions) withDefaults() ReplicaOptions {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 200 * time.Millisecond
-	}
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = store.DefaultKeepCheckpoints
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...interface{}) {}
 	}
 	return o
 }
@@ -151,6 +124,7 @@ type Replica struct {
 	tracker  *disclosure.Tracker
 	registry *tdm.Registry
 	opts     ReplicaOptions
+	logf     func(format string, args ...interface{}) // opts.Durable.Logf
 	mirror   *mirror
 
 	mu          sync.Mutex
@@ -182,10 +156,11 @@ type Replica struct {
 // its local mirror. Call Start to begin streaming.
 func OpenReplica(node *Node, engine *policy.Engine, opts ReplicaOptions) (*Replica, error) {
 	opts = opts.withDefaults()
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("replication: replica Dir is required")
+	dopts := opts.Durable
+	if dopts.Dir == "" {
+		return nil, fmt.Errorf("replication: replica Durable.Dir is required")
 	}
-	if err := opts.FS.MkdirAll(opts.Dir, 0o700); err != nil {
+	if err := dopts.FS.MkdirAll(dopts.Dir, 0o700); err != nil {
 		return nil, fmt.Errorf("replication: mkdir replica dir: %w", err)
 	}
 	r := &Replica{
@@ -194,7 +169,8 @@ func OpenReplica(node *Node, engine *policy.Engine, opts ReplicaOptions) (*Repli
 		tracker:  engine.Tracker(),
 		registry: engine.Registry(),
 		opts:     opts,
-		mirror:   newMirror(opts.FS, opts.Dir, !opts.NoSync),
+		logf:     dopts.Logf,
+		mirror:   newMirror(dopts.FS, dopts.Dir, dopts.Fsync != wal.SyncNone),
 	}
 	if err := r.recoverLocal(); err != nil {
 		return nil, err
@@ -217,43 +193,34 @@ func (r *Replica) newApplier() (*store.Applier, error) {
 		return nil, err
 	}
 	applier.SetTraceLog(r.opts.Obs.Traces())
-	if sr := r.opts.Split; sr != nil {
-		split := *sr
-		applier.SetSegmentFilter(func(seg segment.ID) bool {
-			return split.Contains(segment.Key(seg))
-		})
-	}
+	applier.SetSegmentFilter(r.opts.Durable.SegmentFilter)
 	return applier, nil
 }
 
 // recoverLocal validates the mirror (truncating a torn tail), restores
 // the newest local checkpoint and replays the mirrored records on top.
-// On any inconsistency it resets to the bootstrap state (zero position).
+// An unreadable or corrupt mirror resets to the bootstrap state (zero
+// position); a record that decodes but fails to apply is an error.
 func (r *Replica) recoverLocal() error {
-	info, err := wal.OpenTail(r.opts.FS, r.opts.Dir, r.opts.MaxRecordBytes, r.opts.Logf)
+	info, err := wal.OpenTail(r.opts.Durable.FS, r.opts.Durable.Dir, 0, r.logf)
 	if err != nil {
-		r.opts.Logf("replication: local mirror invalid (%v); will re-bootstrap", err)
-		if werr := r.mirror.wipe(); werr != nil {
-			return werr
-		}
-		return nil
+		r.logf("replication: local mirror invalid (%v); will re-bootstrap", err)
+		return r.mirror.wipe()
 	}
 
-	barrier, name, corrupt, err := store.RecoverNewestCheckpoint(r.opts.FS, r.opts.Dir, r.opts.Key, r.tracker, r.registry, r.opts.Logf)
+	barrier, name, corrupt, err := store.RecoverNewestCheckpoint(r.opts.Durable.FS, r.opts.Durable.Dir, r.opts.Durable.Key, r.tracker, r.registry, r.logf)
 	if err != nil {
 		return fmt.Errorf("replication: load local checkpoint: %w", err)
 	}
 	if corrupt > 0 {
-		r.opts.Logf("replication: skipped %d corrupt local checkpoints", corrupt)
+		r.logf("replication: skipped %d corrupt local checkpoints", corrupt)
 	}
 	if name == "" {
 		// Without a checkpoint the mirrored segments are not provably a
 		// full history; start over from a fresh snapshot.
 		if len(info.Segments) > 0 {
-			r.opts.Logf("replication: mirror has segments but no checkpoint; re-bootstrapping")
-			if err := r.mirror.wipe(); err != nil {
-				return err
-			}
+			r.logf("replication: mirror has segments but no checkpoint; re-bootstrapping")
+			return r.mirror.wipe()
 		}
 		return nil
 	}
@@ -262,27 +229,17 @@ func (r *Replica) recoverLocal() error {
 	if err != nil {
 		return fmt.Errorf("replication: build applier: %w", err)
 	}
-	reader, err := wal.NewReader(r.opts.FS, r.opts.Dir, wal.Pos{Segment: barrier, Offset: wal.HeaderSize}, r.opts.MaxRecordBytes)
-	if err != nil {
-		return fmt.Errorf("replication: open mirror reader: %w", err)
+	var applyErr error
+	err = wal.Replay(r.opts.Durable.FS, r.opts.Durable.Dir, barrier, 0, func(_ uint64, rec wal.Record) error {
+		applyErr = applier.Apply(rec)
+		return applyErr
+	})
+	if applyErr != nil {
+		return fmt.Errorf("replication: replay mirrored record: %w", applyErr)
 	}
-	replayed := int64(0)
-	for {
-		rec, err := reader.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			r.opts.Logf("replication: mirror replay failed (%v); re-bootstrapping", err)
-			if werr := r.mirror.wipe(); werr != nil {
-				return werr
-			}
-			return nil
-		}
-		if aerr := applier.Apply(rec); aerr != nil {
-			return fmt.Errorf("replication: replay mirrored record: %w", aerr)
-		}
-		replayed++
+	if err != nil {
+		r.logf("replication: mirror replay failed (%v); re-bootstrapping", err)
+		return r.mirror.wipe()
 	}
 	applier.RestoreAuditTimestamps()
 
@@ -295,10 +252,10 @@ func (r *Replica) recoverLocal() error {
 
 	r.applier = applier
 	r.pos = pos
-	r.applied = replayed
+	r.applied = applier.Applied()
 	r.lastCkptSeg = barrier
-	r.opts.Logf("replication: recovered from %s + %d mirrored records; resuming at %s",
-		name, replayed, pos)
+	r.logf("replication: recovered from %s + %d mirrored records; resuming at %s",
+		name, r.applied, pos)
 	return nil
 }
 
@@ -352,11 +309,11 @@ func (r *Replica) run(ctx context.Context) {
 		r.lastErr = err.Error()
 		r.mu.Unlock()
 		if _, ok := err.(*errDiverged); ok {
-			r.opts.Logf("replication: %v; re-bootstrapping", err)
+			r.logf("replication: %v; re-bootstrapping", err)
 			r.resetForBootstrap()
 			continue
 		}
-		r.opts.Logf("replication: %v (retrying in %s)", err, r.opts.RetryBackoff)
+		r.logf("replication: %v (retrying in %s)", err, r.opts.RetryBackoff)
 		select {
 		case <-ctx.Done():
 		case <-time.After(r.opts.RetryBackoff):
@@ -368,7 +325,7 @@ func (r *Replica) run(ctx context.Context) {
 // next loop iteration bootstraps from a fresh snapshot.
 func (r *Replica) resetForBootstrap() {
 	if err := r.mirror.wipe(); err != nil {
-		r.opts.Logf("replication: wiping mirror: %v", err)
+		r.logf("replication: wiping mirror: %v", err)
 	}
 	r.mu.Lock()
 	r.pos = wal.Pos{}
@@ -409,7 +366,7 @@ func (r *Replica) observeResponseTerm(resp *http.Response) {
 	}
 	primary := resp.Header.Get(HeaderPrimary)
 	if _, err := r.node.ObserveTerm(term, primary); err != nil {
-		r.opts.Logf("replication: persisting observed term: %v", err)
+		r.logf("replication: persisting observed term: %v", err)
 	}
 	if primary != "" {
 		r.node.SetPrimary(primary)
@@ -465,8 +422,8 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	}
 	barrier := meta.WALSeg
 	// Persist the received image verbatim — same bytes, no re-encode.
-	ckpt := filepath.Join(r.opts.Dir, store.CheckpointName(barrier))
-	if err := store.SaveCheckpointBytes(r.opts.FS, ckpt, blob, r.opts.Key); err != nil {
+	ckpt := filepath.Join(r.opts.Durable.Dir, store.CheckpointName(barrier))
+	if err := store.SaveCheckpointBytes(r.opts.Durable.FS, ckpt, blob, r.opts.Durable.Key); err != nil {
 		return fmt.Errorf("replication: save local checkpoint: %w", err)
 	}
 	applier, err := r.newApplier()
@@ -483,7 +440,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	r.connected = true
 	r.lastErr = ""
 	r.mu.Unlock()
-	r.opts.Logf("replication: bootstrapped from snapshot at barrier %d", barrier)
+	r.logf("replication: bootstrapped from snapshot at barrier %d", barrier)
 	return nil
 }
 
@@ -544,9 +501,9 @@ func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 			r.divergences++
 			r.mu.Unlock()
 			r.divergeCtr.Inc()
-			r.opts.Logf("replication: primary confirmed state divergence at %s; re-bootstrapping", pos)
+			r.logf("replication: primary confirmed state divergence at %s; re-bootstrapping", pos)
 		} else {
-			r.opts.Logf("replication: position %s gone on primary; re-bootstrapping", pos)
+			r.logf("replication: position %s gone on primary; re-bootstrapping", pos)
 		}
 		r.resetForBootstrap()
 		return nil
@@ -583,11 +540,11 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 		}
 		want = n
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(r.opts.MaxRecordBytes)+int64(DefaultMaxBatchBytes)))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, wal.DefaultMaxRecordBytes+DefaultMaxBatchBytes))
 	if err != nil {
 		// Partial read: fall through with what we have; DecodeFrames
 		// keeps only the valid prefix.
-		r.opts.Logf("replication: stream body: %v (keeping valid prefix)", err)
+		r.logf("replication: stream body: %v (keeping valid prefix)", err)
 	}
 	if want >= 0 && len(body) > want {
 		body = body[:want]
@@ -595,7 +552,7 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 
 	// Decode the valid frame prefix. A truncated or garbled tail (chaos
 	// transport) is simply not applied; the next round re-fetches it.
-	recs, used := wal.DecodeFrames(body, r.opts.MaxRecordBytes)
+	recs, used := wal.DecodeFrames(body, 0)
 	if used == 0 {
 		if want > 0 {
 			return fmt.Errorf("replication: stream batch carried no valid frames (%d/%d bytes)", len(body), want)
@@ -660,7 +617,7 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 
 	if ckptDue {
 		if err := r.checkpointLocal(next.Segment); err != nil {
-			r.opts.Logf("replication: local checkpoint: %v", err)
+			r.logf("replication: local checkpoint: %v", err)
 		}
 	}
 	return nil
@@ -675,44 +632,17 @@ func (r *Replica) checkpointLocal(seg uint64) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(r.opts.Dir, store.CheckpointName(seg))
-	if err := store.SaveCheckpointBytes(r.opts.FS, path, blob, r.opts.Key); err != nil {
+	path := filepath.Join(r.opts.Durable.Dir, store.CheckpointName(seg))
+	if err := store.SaveCheckpointBytes(r.opts.Durable.FS, path, blob, r.opts.Durable.Key); err != nil {
 		return err
 	}
 	r.mu.Lock()
 	r.lastCkptSeg = seg
 	r.mu.Unlock()
-	r.pruneCheckpoints(seg)
+	if err := store.PruneCheckpoints(r.opts.Durable.FS, r.opts.Durable.Dir, seg, r.opts.Durable.KeepCheckpoints); err != nil {
+		r.logf("replication: prune local checkpoints: %v", err)
+	}
 	return nil
-}
-
-// pruneCheckpoints removes local checkpoints older than the keep budget.
-func (r *Replica) pruneCheckpoints(newest uint64) {
-	names, err := r.opts.FS.ReadDirNames(r.opts.Dir)
-	if err != nil {
-		return
-	}
-	var segs []uint64
-	for _, name := range names {
-		if seg, ok := store.ParseCheckpointName(name); ok {
-			segs = append(segs, seg)
-		}
-	}
-	if len(segs) <= r.opts.KeepCheckpoints {
-		return
-	}
-	// Sort ascending (small n; insertion sort avoids an import).
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j] < segs[j-1]; j-- {
-			segs[j], segs[j-1] = segs[j-1], segs[j]
-		}
-	}
-	for _, seg := range segs[:len(segs)-r.opts.KeepCheckpoints] {
-		if seg >= newest {
-			continue
-		}
-		r.opts.FS.Remove(filepath.Join(r.opts.Dir, store.CheckpointName(seg))) //nolint:errcheck
-	}
 }
 
 // Status snapshots the replica's replication state.
@@ -736,7 +666,11 @@ func (r *Replica) Status() ReplicaStatus {
 }
 
 // Promote stops streaming, bumps the node's term to take the primary
-// role, and opens the durability subsystem over the local mirror. The
+// role, and opens the durability subsystem over the local mirror with
+// the DurableOptions the node was started with (a split target's segment
+// filter included: the mirror holds the source's WAL bytes verbatim, so
+// recovery — and any later restart over this directory — must keep
+// filtering index updates to the moved range). The
 // recovery pass rebuilds state from the newest local checkpoint plus the
 // mirrored WAL — exactly what this replica had applied — and new writes
 // land in a fresh segment above the mirrored prefix, so the old
@@ -751,30 +685,11 @@ func (r *Replica) Promote() (*store.Durable, uint64, error) {
 	if err := r.mirror.closeFile(); err != nil {
 		return nil, 0, fmt.Errorf("replication: close mirror: %w", err)
 	}
-	opts := store.DurableOptions{
-		Dir:             r.opts.Dir,
-		FS:              r.opts.FS,
-		Key:             r.opts.Key,
-		Fsync:           r.opts.PromoteFsync,
-		FsyncInterval:   r.opts.PromoteFsyncInterval,
-		SegmentBytes:    r.opts.PromoteSegmentBytes,
-		CheckpointEvery: r.opts.PromoteCheckpointEvery,
-		KeepCheckpoints: r.opts.KeepCheckpoints,
-		Logf:            r.opts.Logf,
-	}
-	if sr := r.opts.Split; sr != nil {
-		// The mirror holds the source's WAL bytes verbatim; recovery (and
-		// any later restart over this directory) must keep filtering index
-		// updates to the moved range.
-		opts.SegmentFilter = func(seg segment.ID) bool {
-			return sr.Contains(segment.Key(seg))
-		}
-	}
-	durable, err := store.OpenDurable(opts, r.tracker, r.registry)
+	durable, err := store.OpenDurable(r.opts.Durable, r.tracker, r.registry)
 	if err != nil {
 		return nil, 0, fmt.Errorf("replication: open durable store after promotion: %w", err)
 	}
 	r.engine.SetJournal(durable)
-	r.opts.Logf("replication: promoted at term %d; durable store open over mirror", term)
+	r.logf("replication: promoted at term %d; durable store open over mirror", term)
 	return durable, term, nil
 }

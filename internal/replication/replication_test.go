@@ -170,9 +170,18 @@ type replicaFixture struct {
 
 func newReplicaFixture(t *testing.T, primaryURL, dir string, client *http.Client) *replicaFixture {
 	t.Helper()
-	if dir == "" {
-		dir = t.TempDir()
+	return newReplicaFixtureOpts(t, primaryURL, client, store.DurableOptions{Dir: dir})
+}
+
+// newReplicaFixtureOpts opens the replica over the given durable
+// directory description (an empty Dir means a fresh temp dir).
+func newReplicaFixtureOpts(t *testing.T, primaryURL string, client *http.Client, dopts store.DurableOptions) *replicaFixture {
+	t.Helper()
+	if dopts.Dir == "" {
+		dopts.Dir = t.TempDir()
 	}
+	dir := dopts.Dir
+	dopts.Logf = t.Logf
 	w := newWorld(t)
 	node, err := NewNode(NodeOptions{
 		Role:     RoleReplica,
@@ -183,11 +192,10 @@ func newReplicaFixture(t *testing.T, primaryURL, dir string, client *http.Client
 		t.Fatal(err)
 	}
 	rep, err := OpenReplica(node, w.engine, ReplicaOptions{
-		Dir:          dir,
+		Durable:      dopts,
 		HTTPClient:   client,
 		PollWait:     250 * time.Millisecond,
 		RetryBackoff: 20 * time.Millisecond,
-		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -550,6 +558,52 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("new primary state does not survive recovery from its mirror+journal")
 	}
+}
+
+// A promoted node opens the DurableOptions it was started with: the
+// disk-fault policy, the scrubber and the fsync policy all survive the
+// role change (they used to be dropped, because the replica carried its
+// own subset of the options under Promote* names).
+func TestPromotionKeepsStoragePolicy(t *testing.T) {
+	p := newPrimaryFixture(t, wal.SyncNone)
+	r := newReplicaFixtureOpts(t, p.server.URL, nil, store.DurableOptions{
+		FailOpen:      true,
+		ScrubEvery:    20 * time.Millisecond,
+		OnDiskFull:    store.OnDiskFullFail,
+		Fsync:         wal.SyncInterval,
+		FsyncInterval: 50 * time.Millisecond,
+	})
+	startBootstrapped(t, r)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 30; i++ {
+		mutate(t, p.w.engine, rng)
+	}
+	waitFor(t, 10*time.Second, "catch-up before promotion", func() bool { return caughtUp(p, r) })
+
+	durable, _, err := r.replica.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+
+	if !durable.Stats().Disk.FailOpen {
+		t.Error("promoted node lost FailOpen: it would fail closed on a disk fault")
+	}
+	// SyncInterval, not the SyncAlways default (one fsync per append) and
+	// not SyncNone (never): a burst of appends shares group commits, and
+	// the first one lands within a few intervals.
+	for i := 0; i < 20; i++ {
+		if err := r.w.engine.AllocateTag("user", tdm.Tag(fmt.Sprintf("user:postpromo%d", i))); err != nil {
+			t.Fatalf("write on promoted node: %v", err)
+		}
+	}
+	if st := durable.Stats().WAL; st.RecordsAppended < 20 || st.Fsyncs >= st.RecordsAppended {
+		t.Errorf("%d fsyncs for %d appends: promoted node is not group-committing", st.Fsyncs, st.RecordsAppended)
+	}
+	waitFor(t, time.Second, "group commit and first scrub pass on the promoted node", func() bool {
+		st := durable.Stats()
+		return st.WAL.Fsyncs >= 1 && st.Scrub.Passes >= 1
+	})
 }
 
 func TestInPlacePromotionViaServiceEndpoint(t *testing.T) {

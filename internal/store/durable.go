@@ -489,7 +489,7 @@ func (d *Durable) Checkpoint() error {
 	if err := d.log.TruncateBefore(barrier); err != nil {
 		d.opts.Logf("store: wal truncate after checkpoint: %v", err)
 	}
-	if err := d.pruneCheckpoints(barrier, d.opts.KeepCheckpoints); err != nil {
+	if err := PruneCheckpoints(d.fs, d.opts.Dir, barrier, d.opts.KeepCheckpoints); err != nil {
 		d.opts.Logf("store: prune checkpoints: %v", err)
 	}
 
@@ -502,11 +502,12 @@ func (d *Durable) Checkpoint() error {
 	return nil
 }
 
-// pruneCheckpoints removes old checkpoint files, keeping the newest keep
-// of them (the one at barrier included). The emergency ENOSPC path calls
-// it with keep=1 to free every spare.
-func (d *Durable) pruneCheckpoints(barrier uint64, keep int) error {
-	names, err := d.fs.ReadDirNames(d.opts.Dir)
+// PruneCheckpoints removes old checkpoint files from dir, keeping the
+// newest keep of those at or below barrier (the one at barrier included).
+// The emergency ENOSPC path calls it with keep=1 to free every spare; a
+// replica calls it after each local checkpoint.
+func PruneCheckpoints(fs wal.FS, dir string, barrier uint64, keep int) error {
+	names, err := fs.ReadDirNames(dir)
 	if err != nil {
 		return err
 	}
@@ -518,7 +519,7 @@ func (d *Durable) pruneCheckpoints(barrier uint64, keep int) error {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] > segs[j] })
 	for _, seg := range segs[minInt(len(segs), keep):] {
-		if err := d.fs.Remove(filepath.Join(d.opts.Dir, checkpointName(seg))); err != nil {
+		if err := fs.Remove(filepath.Join(dir, checkpointName(seg))); err != nil {
 			return err
 		}
 	}

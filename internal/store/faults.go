@@ -164,7 +164,7 @@ func (d *Durable) emergencyPrune() {
 	if err := d.log.TruncateBefore(barrier); err != nil {
 		d.opts.Logf("store: emergency prune segments: %v", err)
 	}
-	if err := d.pruneCheckpoints(barrier, 1); err != nil {
+	if err := PruneCheckpoints(d.fs, d.opts.Dir, barrier, 1); err != nil {
 		d.opts.Logf("store: emergency prune checkpoints: %v", err)
 	}
 }

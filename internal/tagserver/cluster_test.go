@@ -74,7 +74,8 @@ func TestClusterClientIgnoresStaleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	replica, err := replication.OpenReplica(rnode, rw.engine, replication.ReplicaOptions{
-		Dir: rdir, PollWait: 50 * time.Millisecond, RetryBackoff: 10 * time.Millisecond, Logf: t.Logf,
+		Durable:  store.DurableOptions{Dir: rdir, Logf: t.Logf},
+		PollWait: 50 * time.Millisecond, RetryBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -406,11 +406,6 @@ func (s *Server) collect(e *obs.Scrape) {
 	}
 }
 
-// Observes returns the number of observations served (batch items count
-// individually). The bftagd save trigger uses it so batched flushes weigh
-// by their size instead of counting as one request.
-func (s *Server) Observes() int64 { return int64(s.observes.Value()) }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)

@@ -107,10 +107,9 @@ func TestTraceE2EChaos(t *testing.T) {
 	}
 	replicaObs := obs.New(nil, 0)
 	replica, err := replication.OpenReplica(rnode, rw.engine, replication.ReplicaOptions{
-		Dir:          rdir,
+		Durable:      store.DurableOptions{Dir: rdir, Logf: t.Logf},
 		PollWait:     200 * time.Millisecond,
 		RetryBackoff: 20 * time.Millisecond,
-		Logf:         t.Logf,
 		Obs:          replicaObs,
 	})
 	if err != nil {

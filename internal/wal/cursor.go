@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 )
 
@@ -82,10 +81,10 @@ func SegmentHeader(idx uint64) []byte {
 
 // DecodeFrames parses a buffer of concatenated frames (the byte form
 // produced by Log.ReadFrom and shipped over the replication stream). It
-// returns the decoded records and the number of bytes consumed. A
-// trailing partial or corrupt frame stops the scan without error:
-// consumers on unreliable transports apply the valid prefix and re-fetch
-// the rest. maxRecord <= 0 means DefaultMaxRecordBytes.
+// returns the decoded records — their Data aliases data — and the number
+// of bytes consumed. A trailing partial or corrupt frame stops the scan
+// without error: consumers on unreliable transports apply the valid prefix
+// and re-fetch the rest. maxRecord <= 0 means DefaultMaxRecordBytes.
 func DecodeFrames(data []byte, maxRecord int) ([]Record, int) {
 	if maxRecord <= 0 {
 		maxRecord = DefaultMaxRecordBytes
@@ -93,26 +92,11 @@ func DecodeFrames(data []byte, maxRecord int) ([]Record, int) {
 	var recs []Record
 	off := 0
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameOverhead {
+		rec, total, err := nextFrame(data, off, maxRecord)
+		if err != nil {
 			break
 		}
-		wantCRC := binary.BigEndian.Uint32(rest[0:4])
-		length := binary.BigEndian.Uint32(rest[4:8])
-		if int64(length) > int64(maxRecord) {
-			break
-		}
-		total := frameOverhead + int(length)
-		if len(rest) < total {
-			break
-		}
-		if crc32.Checksum(rest[4:total], castagnoli) != wantCRC {
-			break
-		}
-		recs = append(recs, Record{
-			Type: rest[8],
-			Data: append([]byte(nil), rest[frameOverhead:total]...),
-		})
+		recs = append(recs, rec)
 		off += total
 	}
 	return recs, off
@@ -237,44 +221,21 @@ func (l *Log) ReadFrom(from Pos, maxBytes int) (frames []byte, n int, start, nex
 	if int64(len(data)) < limit {
 		return nil, 0, p, p, fmt.Errorf("wal: read %s: %d bytes on disk, expected %d", path, len(data), limit)
 	}
-	span, count, scanErr := scanFrameRange(data, int(p.Offset), maxRecord, maxBytes)
-	if scanErr != nil {
-		return nil, 0, p, p, &CorruptError{Path: path, Offset: p.Offset + int64(span), Reason: scanErr.Error()}
-	}
-	out := append([]byte(nil), data[p.Offset:int(p.Offset)+span]...)
-	return out, count, p, Pos{Segment: p.Segment, Offset: p.Offset + int64(span)}, nil
-}
-
-// scanFrameRange walks whole frames in data[off:], stopping once span
-// would exceed maxBytes (but always admitting the first frame). It
-// returns the byte span and record count of the valid run; err is
-// non-nil when a frame inside the range is malformed.
-func scanFrameRange(data []byte, off, maxRecord, maxBytes int) (span, count int, err error) {
-	start := off
+	// Walk whole frames up to maxBytes, always admitting the first.
+	off := int(p.Offset)
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameOverhead {
-			return off - start, count, fmt.Errorf("truncated frame header (%d bytes)", len(rest))
+		_, total, ferr := nextFrame(data, off, maxRecord)
+		if ferr != nil {
+			return nil, 0, p, p, &CorruptError{Path: path, Offset: int64(off), Reason: ferr.Error()}
 		}
-		wantCRC := binary.BigEndian.Uint32(rest[0:4])
-		length := binary.BigEndian.Uint32(rest[4:8])
-		if int64(length) > int64(maxRecord) {
-			return off - start, count, fmt.Errorf("frame length %d exceeds limit %d", length, maxRecord)
-		}
-		total := frameOverhead + int(length)
-		if len(rest) < total {
-			return off - start, count, fmt.Errorf("truncated frame: have %d of %d bytes", len(rest), total)
-		}
-		if count > 0 && off-start+total > maxBytes {
+		if n > 0 && off-int(p.Offset)+total > maxBytes {
 			break
 		}
-		if crc32.Checksum(rest[4:total], castagnoli) != wantCRC {
-			return off - start, count, fmt.Errorf("frame CRC mismatch")
-		}
 		off += total
-		count++
+		n++
 	}
-	return off - start, count, nil
+	out := append([]byte(nil), data[p.Offset:off]...)
+	return out, n, p, Pos{Segment: p.Segment, Offset: int64(off)}, nil
 }
 
 // WaitFrom blocks until the log holds records at or after position from,

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -254,55 +253,116 @@ func TestWaitFromWakesOnClose(t *testing.T) {
 	}
 }
 
-// Reader must visit exactly the records Replay visits, track positions
-// that ReadFrom accepts, and support resuming mid-segment.
-func TestReaderMatchesReplayAndResumes(t *testing.T) {
+// The package-level Replay is the one directory walk: it must visit
+// exactly the records the cursor streams, in order, with their segment
+// indexes; start at the first live segment at or above fromSeg (also when
+// fromSeg itself is gone); end quietly at a torn tail in the newest
+// segment; and refuse a corrupt older segment before handing out any of
+// its records.
+func TestReplayWalksDirectory(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, Options{SegmentBytes: 256})
 	appendN(t, l, 0, 40)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	segs, err := ListSegments(OSFS{}, dir)
+	if err != nil || len(segs) < 4 || segs[2] == l.End().Segment {
+		t.Fatalf("want >= 4 segments, have %v (err %v)", segs, err)
+	}
 
-	r, err := NewReader(OSFS{}, dir, Pos{}, 0)
+	type visit struct {
+		seg  uint64
+		data string
+	}
+	walk := func(fromSeg uint64) ([]visit, error) {
+		var out []visit
+		err := Replay(nil, dir, fromSeg, 0, func(seg uint64, rec Record) error {
+			out = append(out, visit{seg, string(rec.Data)})
+			return nil
+		})
+		return out, err
+	}
+	all, err := walk(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		all  []Record
-		mids []Pos
-	)
-	for {
-		mids = append(mids, r.Pos())
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
+	if len(all) != 40 {
+		t.Fatalf("Replay found %d records, want 40", len(all))
+	}
+	for i, v := range all {
+		if want := fmt.Sprintf("record-%04d", i); v.data != want {
+			t.Fatalf("record %d = %q, want %q", i, v.data, want)
 		}
+		if i > 0 && v.seg < all[i-1].seg {
+			t.Fatalf("record %d went back from segment %d to %d", i, all[i-1].seg, v.seg)
+		}
+	}
+
+	// Resume from a segment boundary; a vanished fromSeg starts above it.
+	firstIn := func(seg uint64) int {
+		for i, v := range all {
+			if v.seg >= seg {
+				return i
+			}
+		}
+		return len(all)
+	}
+	if err := os.Remove(filepath.Join(dir, SegmentName(segs[1]))); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []uint64{segs[1], segs[2]} {
+		got, err := walk(from)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, rec)
-	}
-	if len(all) != 40 {
-		t.Fatalf("reader found %d records, want 40", len(all))
+		want := all[firstIn(segs[2]):]
+		if len(got) != len(want) || got[0] != want[0] {
+			t.Fatalf("Replay from %d: %d records starting %v, want %d starting %v", from, len(got), got[0], len(want), want[0])
+		}
 	}
 
-	// Resume from the position before record 25.
-	r2, err := NewReader(OSFS{}, dir, mids[25], 0)
+	// A callback error stops the walk and comes back unchanged.
+	stop := errors.New("stop")
+	n := 0
+	if err := Replay(nil, dir, 0, 0, func(uint64, Record) error { n++; return stop }); err != stop || n != 1 {
+		t.Fatalf("callback error: Replay = %v after %d records, want the callback's error after 1", err, n)
+	}
+
+	// Torn tail in the newest segment: the walk ends at the last valid
+	// record without error.
+	l.Close()
+	newest := filepath.Join(dir, SegmentName(l.End().Segment))
+	f, err := os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 25; i < 40; i++ {
-		rec, err := r2.Next()
-		if err != nil {
-			t.Fatalf("resumed reader at %d: %v", i, err)
-		}
-		if !bytes.Equal(rec.Data, all[i].Data) {
-			t.Fatalf("resumed record %d = %q, want %q", i, rec.Data, all[i].Data)
-		}
+	f.Write(EncodeFrame(Record{Type: 1, Data: []byte("torn")})[:7]) //nolint:errcheck
+	f.Close()
+	got, err := walk(segs[2])
+	if err != nil || len(got) != len(all)-firstIn(segs[2]) {
+		t.Fatalf("Replay over a torn tail = %d records, %v", len(got), err)
 	}
-	if _, err := r2.Next(); err != io.EOF {
-		t.Fatalf("resumed reader end = %v, want io.EOF", err)
+
+	// Corruption in an older segment: *CorruptError at the bad frame, and
+	// none of that segment's records were handed out.
+	older := filepath.Join(dir, SegmentName(segs[2]))
+	data, err := os.ReadFile(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, _ := nextFrame(data, HeaderSize, DefaultMaxRecordBytes)
+	data[HeaderSize+first+FrameOverhead] ^= 0xff // second frame's payload
+	if err := os.WriteFile(older, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	got, err = walk(segs[2])
+	var corrupt *CorruptError
+	if !errors.As(err, &corrupt) || corrupt.Path != older || corrupt.Offset != int64(HeaderSize+first) {
+		t.Fatalf("Replay over mid-log corruption = %v, want *CorruptError at %s byte %d", err, older, HeaderSize+first)
+	}
+	if len(got) != 0 {
+		t.Fatalf("Replay handed out %d records of a corrupt sealed segment", len(got))
 	}
 }
 
@@ -401,5 +461,25 @@ func TestOpenTailMidLogCorruption(t *testing.T) {
 	var corrupt *CorruptError
 	if _, err := OpenTail(OSFS{}, dir, 0, nil); !errors.As(err, &corrupt) {
 		t.Fatalf("OpenTail over mid-log corruption = %v, want *CorruptError", err)
+	}
+}
+
+// Directory validation (the pass Open and OpenTail share) counts records
+// without materialising them: its allocations must not grow with the
+// number of records in a segment.
+func TestValidationDoesNotAllocatePerRecord(t *testing.T) {
+	allocs := func(records int) float64 {
+		dir := t.TempDir()
+		l := openTestLog(t, dir, Options{})
+		appendN(t, l, 0, records)
+		l.Close()
+		return testing.AllocsPerRun(5, func() {
+			if info, err := OpenTail(nil, dir, 0, nil); err != nil || info.Records != int64(records) {
+				t.Fatalf("OpenTail = %+v, %v; want %d records", info, err, records)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(5000); many > few+2 {
+		t.Errorf("validating 5000 records allocates %v times, 10 records %v: validation allocates per record", many, few)
 	}
 }

@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -27,7 +28,10 @@ func segmentImage(idx uint64, recs ...wal.Record) []byte {
 // segment on disk. Whatever the bytes, Open must not panic; when it
 // succeeds, Replay must yield only CRC-valid records and a second
 // open-after-truncation must succeed (no silent partial state left
-// behind).
+// behind). Every route into the one frame decoder must draw the line at
+// the same byte: the records Open + Replay yield, the valid length the
+// scrubber's VerifySegmentFile reports, and the prefix the replica's
+// stream decoder DecodeFrames accepts.
 func FuzzOpenSegment(f *testing.F) {
 	f.Add(segmentImage(1))
 	f.Add(segmentImage(1, wal.Record{Type: 1, Data: []byte("hello")}))
@@ -62,16 +66,36 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 		h.Close()
 
+		// Before Open repairs the file: what the other two routes accept.
+		verified, validLen, _ := wal.VerifySegmentFile(fs, dir, 1, 0)
+		var streamed []wal.Record
+		if validLen >= wal.HeaderSize { // the header is sound
+			var used int
+			streamed, used = wal.DecodeFrames(data[wal.HeaderSize:], 0)
+			if int64(wal.HeaderSize+used) != validLen {
+				t.Errorf("DecodeFrames accepts %d bytes past the header, VerifySegmentFile %d", used, validLen-wal.HeaderSize)
+			}
+		}
+		if verified != len(streamed) {
+			t.Errorf("VerifySegmentFile counts %d records, DecodeFrames %d", verified, len(streamed))
+		}
+
 		l, err := wal.Open(wal.Options{Dir: dir, FS: fs, Policy: wal.SyncNone})
 		if err != nil {
 			return // corrupt enough to reject outright is fine
 		}
 		count := 0
 		if err := l.Replay(0, func(_ uint64, rec wal.Record) error {
+			if count < len(streamed) && (rec.Type != streamed[count].Type || !bytes.Equal(rec.Data, streamed[count].Data)) {
+				t.Errorf("record %d: Replay and DecodeFrames disagree", count)
+			}
 			count++
 			return nil
 		}); err != nil {
 			t.Errorf("Open accepted the directory but Replay failed: %v", err)
+		}
+		if count != verified {
+			t.Errorf("Open + Replay yield %d records, VerifySegmentFile %d", count, verified)
 		}
 		l.Close()
 

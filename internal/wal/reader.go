@@ -1,12 +1,78 @@
+// The read side of a log directory: the one validation pass and the one
+// record walk. Open and OpenTail validate through validateDir; Log.Replay
+// (crash recovery, promotion) and the replica's restart recovery walk
+// records through Replay. Both parse frames only through scanSegment.
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"path/filepath"
 )
+
+// dirScan is what validateDir found in a log directory, after its repairs.
+type dirScan struct {
+	segs        []uint64         // live segment indexes, ascending
+	sizes       map[uint64]int64 // valid byte length of each live segment
+	records     int64            // valid records across all live segments
+	tornBytes   int64            // bytes the torn-tail repair discarded
+	quarantined int64            // corrupt sealed segments renamed aside
+}
+
+// validateDir scans every segment in dir. A bad frame or header in the
+// newest segment is a torn tail: the segment is truncated at the first bad
+// byte, or removed when not even its header survived. Anywhere else it is
+// mid-log corruption, which fails with *CorruptError — unless quarantine
+// is set, in which case the whole segment is renamed aside (a partial
+// replay of an interior segment would resurrect a state the log never
+// contained) and the index gap is left for the caller to account for.
+func validateDir(fs FS, dir string, maxRecord int, quarantine bool, logf func(string, ...interface{})) (dirScan, error) {
+	sc := dirScan{sizes: make(map[uint64]int64)}
+	segs, err := ListSegments(fs, dir)
+	if err != nil {
+		return sc, err
+	}
+	for i, idx := range segs {
+		path := filepath.Join(dir, SegmentName(idx))
+		data, err := fs.ReadFile(path)
+		if err != nil {
+			return sc, fmt.Errorf("wal: read %s: %w", path, err)
+		}
+		records, validLen, scanErr := scanSegment(data, idx, maxRecord, nil)
+		sealed := i < len(segs)-1
+		switch {
+		case scanErr == nil:
+		case sealed && !quarantine:
+			return sc, &CorruptError{Path: path, Offset: int64(validLen), Reason: scanErr.Error()}
+		case sealed:
+			// Records above the newest checkpoint that lived here are lost
+			// locally; anti-entropy digests detect and repair any replica
+			// this diverges.
+			logf("wal: quarantining corrupt sealed segment %s (byte %d: %s)", path, validLen, scanErr)
+			if err := quarantineFile(fs, dir, path); err != nil {
+				return sc, err
+			}
+			sc.quarantined++
+			continue
+		case validLen < headerSize:
+			logf("wal: removing torn segment %s (%s)", path, scanErr)
+			sc.tornBytes += int64(len(data))
+			if err := fs.Remove(path); err != nil {
+				return sc, fmt.Errorf("wal: remove torn segment: %w", err)
+			}
+			continue
+		default:
+			logf("wal: truncating torn tail of %s at byte %d (%s)", path, validLen, scanErr)
+			sc.tornBytes += int64(len(data) - validLen)
+			if err := fs.Truncate(path, int64(validLen)); err != nil {
+				return sc, fmt.Errorf("wal: truncate torn tail: %w", err)
+			}
+		}
+		sc.segs = append(sc.segs, idx)
+		sc.sizes[idx] = int64(validLen)
+		sc.records += int64(records)
+	}
+	return sc, nil
+}
 
 // TailInfo describes a validated log directory that was opened for
 // reading only — no fresh append segment is created, so the directory's
@@ -46,67 +112,25 @@ func OpenTail(fs FS, dir string, maxRecord int, logf func(string, ...interface{}
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-	var info TailInfo
-	segs, err := ListSegments(fs, dir)
+	sc, err := validateDir(fs, dir, maxRecord, false, logf)
 	if err != nil {
-		return info, err
+		return TailInfo{}, err
 	}
-	for i, idx := range segs {
-		path := filepath.Join(dir, SegmentName(idx))
-		data, err := fs.ReadFile(path)
-		if err != nil {
-			return info, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		recs, validLen, scanErr := scanSegment(data, idx, maxRecord)
-		last := i == len(segs)-1
-		if scanErr != nil && !last {
-			return info, &CorruptError{Path: path, Offset: int64(validLen), Reason: scanErr.Error()}
-		}
-		end := int64(len(data))
-		if scanErr != nil {
-			if validLen < headerSize {
-				logf("wal: removing torn segment %s (%s)", path, scanErr)
-				info.TornBytesTruncated += int64(len(data))
-				if err := fs.Remove(path); err != nil {
-					return info, fmt.Errorf("wal: remove torn segment: %w", err)
-				}
-				continue
-			}
-			logf("wal: truncating torn tail of %s at byte %d (%s)", path, validLen, scanErr)
-			info.TornBytesTruncated += int64(len(data) - validLen)
-			if err := fs.Truncate(path, int64(validLen)); err != nil {
-				return info, fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-			end = int64(validLen)
-		}
-		info.Segments = append(info.Segments, idx)
-		info.Records += int64(len(recs))
-		info.End = Pos{Segment: idx, Offset: end}
+	info := TailInfo{Segments: sc.segs, Records: sc.records, TornBytesTruncated: sc.tornBytes}
+	if n := len(sc.segs); n > 0 {
+		info.End = Pos{Segment: sc.segs[n-1], Offset: sc.sizes[sc.segs[n-1]]}
 	}
 	return info, nil
 }
 
-// Reader iterates the records of a log directory from a starting
-// position, loading one segment image at a time. It is a read-only,
-// FS-level view: it takes no locks and sees whatever bytes are on disk
-// when each segment is loaded. Replication and recovery use it so that
-// segment-walk logic lives in one place.
-type Reader struct {
-	fs        FS
-	dir       string
-	maxRecord int
-	segs      []uint64 // remaining segments to visit (current not included)
-	data      []byte   // loaded segment image (nil before first load)
-	seg       uint64   // index of the loaded segment
-	off       int      // next frame offset within data
-	loaded    bool
-}
-
-// NewReader positions a Reader at from within dir. A zero from starts at
-// the oldest segment. If from.Segment no longer exists (truncated below a
-// checkpoint), iteration starts at the first live segment above it.
-// maxRecord <= 0 means DefaultMaxRecordBytes.
-func NewReader(fs FS, dir string, from Pos, maxRecord int) (*Reader, error) {
+// Replay streams every record in dir's segments with index >= fromSeg,
+// oldest first, to fn. It reads from disk, so it reflects exactly what a
+// restart would see. A malformed frame in the newest segment ends the walk
+// (a torn tail, or an append racing the read); in any older segment it is
+// a *CorruptError, returned before any record of that segment reaches fn.
+// A record's Data aliases the segment image it was read from. fs nil means
+// OSFS; maxRecord <= 0 means DefaultMaxRecordBytes.
+func Replay(fs FS, dir string, fromSeg uint64, maxRecord int, fn func(seg uint64, rec Record) error) error {
 	if fs == nil {
 		fs = OSFS{}
 	}
@@ -115,119 +139,27 @@ func NewReader(fs FS, dir string, from Pos, maxRecord int) (*Reader, error) {
 	}
 	segs, err := ListSegments(fs, dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &Reader{fs: fs, dir: dir, maxRecord: maxRecord}
 	for i, idx := range segs {
-		if idx >= from.Segment {
-			r.segs = segs[i:]
-			break
-		}
-	}
-	if len(r.segs) > 0 && r.segs[0] == from.Segment && from.Offset > headerSize {
-		// Resume mid-segment.
-		if err := r.load(r.segs[0], int(from.Offset)); err != nil {
-			return nil, err
-		}
-		r.segs = r.segs[1:]
-	}
-	return r, nil
-}
-
-// load reads segment idx and validates its header, positioning the scan
-// at off.
-func (r *Reader) load(idx uint64, off int) error {
-	path := filepath.Join(r.dir, SegmentName(idx))
-	data, err := r.fs.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	if len(data) < headerSize {
-		return &CorruptError{Path: path, Offset: 0, Reason: fmt.Sprintf("short header: %d bytes", len(data))}
-	}
-	if _, _, scanErr := scanSegment(data[:headerSize], idx, r.maxRecord); scanErr != nil {
-		return &CorruptError{Path: path, Offset: 0, Reason: scanErr.Error()}
-	}
-	if off < headerSize {
-		off = headerSize
-	}
-	if off > len(data) {
-		return &CorruptError{Path: path, Offset: int64(len(data)), Reason: fmt.Sprintf("start offset %d beyond segment end", off)}
-	}
-	r.data, r.seg, r.off, r.loaded = data, idx, off, true
-	return nil
-}
-
-// Next returns the next record, or io.EOF at the end of the log. A
-// malformed frame in the newest segment is treated as the end (torn
-// tail); in any older segment it is a *CorruptError.
-func (r *Reader) Next() (Record, error) {
-	for {
-		if !r.loaded {
-			if len(r.segs) == 0 {
-				return Record{}, io.EOF
-			}
-			idx := r.segs[0]
-			r.segs = r.segs[1:]
-			if err := r.load(idx, headerSize); err != nil {
-				if len(r.segs) == 0 {
-					if _, corrupt := err.(*CorruptError); corrupt {
-						return Record{}, io.EOF // torn newest segment
-					}
-				}
-				return Record{}, err
-			}
-		}
-		if r.off >= len(r.data) {
-			r.loaded = false
+		if idx < fromSeg {
 			continue
 		}
-		recs, span, scanErr := scanFrameAt(r.data, r.off, r.maxRecord)
-		if scanErr != nil {
-			if len(r.segs) == 0 {
-				return Record{}, io.EOF // torn tail of the newest segment
+		path := filepath.Join(dir, SegmentName(idx))
+		data, err := fs.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("wal: replay read %s: %w", path, err)
+		}
+		var recs []Record
+		_, validLen, scanErr := scanSegment(data, idx, maxRecord, func(rec Record) { recs = append(recs, rec) })
+		if scanErr != nil && i < len(segs)-1 {
+			return &CorruptError{Path: path, Offset: int64(validLen), Reason: scanErr.Error()}
+		}
+		for _, rec := range recs {
+			if err := fn(idx, rec); err != nil {
+				return err
 			}
-			path := filepath.Join(r.dir, SegmentName(r.seg))
-			return Record{}, &CorruptError{Path: path, Offset: int64(r.off), Reason: scanErr.Error()}
 		}
-		r.off += span
-		return recs, nil
 	}
-}
-
-// Pos returns the position of the next record Next would return (or the
-// end of the last visited segment at EOF).
-func (r *Reader) Pos() Pos {
-	if !r.loaded {
-		if len(r.segs) > 0 {
-			return Pos{Segment: r.segs[0], Offset: headerSize}
-		}
-		return Pos{Segment: r.seg, Offset: int64(r.off)}
-	}
-	return Pos{Segment: r.seg, Offset: int64(r.off)}
-}
-
-// scanFrameAt decodes the single frame at data[off:].
-func scanFrameAt(data []byte, off, maxRecord int) (Record, int, error) {
-	rest := data[off:]
-	if len(rest) < frameOverhead {
-		return Record{}, 0, fmt.Errorf("truncated frame header (%d bytes)", len(rest))
-	}
-	wantCRC := binary.BigEndian.Uint32(rest[0:4])
-	length := binary.BigEndian.Uint32(rest[4:8])
-	if int64(length) > int64(maxRecord) {
-		return Record{}, 0, fmt.Errorf("frame length %d exceeds limit %d", length, maxRecord)
-	}
-	total := frameOverhead + int(length)
-	if len(rest) < total {
-		return Record{}, 0, fmt.Errorf("truncated frame: have %d of %d bytes", len(rest), total)
-	}
-	if crc32.Checksum(rest[4:total], castagnoli) != wantCRC {
-		return Record{}, 0, fmt.Errorf("frame CRC mismatch")
-	}
-	rec := Record{
-		Type: rest[8],
-		Data: append([]byte(nil), rest[frameOverhead:total]...),
-	}
-	return rec, total, nil
+	return nil
 }

@@ -37,11 +37,11 @@ func VerifySegmentFile(fsys FS, dir string, idx uint64, maxRecord int) (records 
 		return 0, 0, fmt.Errorf("wal: verify read %s: %w", path, err)
 	}
 	defer release() //nolint:errcheck
-	recs, validLen, scanErr := scanSegment(data, idx, maxRecord)
+	records, validLen, scanErr := scanSegment(data, idx, maxRecord, nil)
 	if scanErr != nil {
-		return len(recs), int64(validLen), &CorruptError{Path: path, Offset: int64(validLen), Reason: scanErr.Error()}
+		return records, int64(validLen), &CorruptError{Path: path, Offset: int64(validLen), Reason: scanErr.Error()}
 	}
-	return len(recs), int64(validLen), nil
+	return records, int64(validLen), nil
 }
 
 // CountQuarantined counts quarantined files in dir (WAL segments and

@@ -307,73 +307,17 @@ func Open(o Options) (*Log, error) {
 		opts:     opts,
 		fs:       opts.FS,
 		fsyncLat: obs.NewHistogram(nil),
-		sizes:    make(map[uint64]int64),
 		notify:   make(chan struct{}),
 	}
 
-	segs, err := ListSegments(opts.FS, opts.Dir)
+	// Validate every segment up front: strict for all but the newest,
+	// torn-tail truncation for the newest.
+	sc, err := validateDir(opts.FS, opts.Dir, opts.MaxRecordBytes, opts.QuarantineCorrupt, opts.Logf)
 	if err != nil {
 		return nil, err
 	}
-	// Validate every segment up front: strict for all but the newest,
-	// torn-tail truncation for the newest.
-	for i, idx := range segs {
-		path := filepath.Join(opts.Dir, SegmentName(idx))
-		data, err := opts.FS.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		recs, validLen, scanErr := scanSegment(data, idx, opts.MaxRecordBytes)
-		last := i == len(segs)-1
-		if scanErr != nil && !last {
-			if !opts.QuarantineCorrupt {
-				return nil, &CorruptError{Path: path, Offset: int64(validLen), Reason: scanErr.Error()}
-			}
-			// Mid-log corruption with quarantine enabled: pull the whole
-			// segment aside (a partial replay of an interior segment would
-			// resurrect a state the log never contained) and leave a gap
-			// for recovery to report. Records above the newest checkpoint
-			// that lived here are lost locally; anti-entropy digests
-			// detect and repair any replica this diverges.
-			opts.Logf("wal: quarantining corrupt sealed segment %s (byte %d: %s)", path, validLen, scanErr)
-			if err := quarantineFile(opts.FS, opts.Dir, path); err != nil {
-				return nil, err
-			}
-			l.quarantined++
-			segs[i] = 0 // mark removed
-			continue
-		}
-		if scanErr != nil {
-			// Torn tail on the newest segment: truncate at the first bad
-			// byte. A segment whose header never made it to disk intact
-			// carries no records at all and is removed outright.
-			if validLen < headerSize {
-				opts.Logf("wal: removing torn segment %s (%s)", path, scanErr)
-				l.tornBytes += int64(len(data))
-				if err := opts.FS.Remove(path); err != nil {
-					return nil, fmt.Errorf("wal: remove torn segment: %w", err)
-				}
-				segs[i] = 0 // mark removed
-				continue
-			}
-			opts.Logf("wal: truncating torn tail of %s at byte %d (%s)", path, validLen, scanErr)
-			l.tornBytes += int64(len(data) - validLen)
-			if err := opts.FS.Truncate(path, int64(validLen)); err != nil {
-				return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-			l.sizes[idx] = int64(validLen)
-		} else {
-			l.sizes[idx] = int64(len(data))
-		}
-		l.recovered += int64(len(recs))
-	}
-	live := segs[:0]
-	for _, idx := range segs {
-		if idx != 0 {
-			live = append(live, idx)
-		}
-	}
-	l.segs = append([]uint64(nil), live...)
+	l.segs, l.sizes = sc.segs, sc.sizes
+	l.recovered, l.tornBytes, l.quarantined = sc.records, sc.tornBytes, sc.quarantined
 	for i := 1; i < len(l.segs); i++ {
 		if missing := int(l.segs[i] - l.segs[i-1] - 1); missing > 0 {
 			l.gaps += missing
@@ -471,48 +415,62 @@ func RemoveSegmentsBelow(fs FS, dir string, seg uint64) (removed int, err error)
 	return removed, nil
 }
 
-// scanSegment parses one segment image. It returns the records up to the
-// first invalid byte, the number of valid bytes, and a non-nil error
-// describing the first problem (nil when the whole image is valid).
-func scanSegment(data []byte, wantIdx uint64, maxRecord int) ([]Record, int, error) {
+// scanSegment validates one segment image: the header, then every frame
+// through nextFrame. Each valid record is handed to each when it is
+// non-nil (its Data aliases data). It returns the number of valid records,
+// the number of valid bytes, and a non-nil error describing the first
+// problem (nil when the whole image is valid).
+func scanSegment(data []byte, wantIdx uint64, maxRecord int, each func(Record)) (records, validLen int, err error) {
 	if len(data) < headerSize {
-		return nil, 0, fmt.Errorf("short header: %d bytes", len(data))
+		return 0, 0, fmt.Errorf("short header: %d bytes", len(data))
 	}
 	if string(data[:8]) != segMagic {
-		return nil, 0, fmt.Errorf("bad magic %q", data[:8])
+		return 0, 0, fmt.Errorf("bad magic %q", data[:8])
 	}
 	if data[8] != formatVersion {
-		return nil, 0, fmt.Errorf("unsupported format version %d", data[8])
+		return 0, 0, fmt.Errorf("unsupported format version %d", data[8])
 	}
 	if idx := binary.BigEndian.Uint64(data[9:17]); idx != wantIdx {
-		return nil, 0, fmt.Errorf("segment index %d does not match file name (%d)", idx, wantIdx)
+		return 0, 0, fmt.Errorf("segment index %d does not match file name (%d)", idx, wantIdx)
 	}
-	var recs []Record
 	off := headerSize
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameOverhead {
-			return recs, off, fmt.Errorf("truncated frame header (%d bytes)", len(rest))
+		rec, total, ferr := nextFrame(data, off, maxRecord)
+		if ferr != nil {
+			return records, off, ferr
 		}
-		wantCRC := binary.BigEndian.Uint32(rest[0:4])
-		length := binary.BigEndian.Uint32(rest[4:8])
-		if int64(length) > int64(maxRecord) {
-			return recs, off, fmt.Errorf("frame length %d exceeds limit %d", length, maxRecord)
+		if each != nil {
+			each(rec)
 		}
-		total := frameOverhead + int(length)
-		if len(rest) < total {
-			return recs, off, fmt.Errorf("truncated frame: have %d of %d bytes", len(rest), total)
-		}
-		if crc := crc32.Checksum(rest[4:total], castagnoli); crc != wantCRC {
-			return recs, off, fmt.Errorf("frame CRC mismatch (want %08x, have %08x)", wantCRC, crc)
-		}
-		recs = append(recs, Record{
-			Type: rest[8],
-			Data: append([]byte(nil), rest[frameOverhead:total]...),
-		})
+		records++
 		off += total
 	}
-	return recs, off, nil
+	return records, off, nil
+}
+
+// nextFrame decodes the frame at data[off:] and returns it with its total
+// length on disk. It is the only reader of the frame header: every path
+// that parses log bytes — recovery, replay, scrub, the replication cursor
+// and the replica's stream decoder — goes through these four checks. The
+// record's Data aliases data; nothing is copied.
+func nextFrame(data []byte, off, maxRecord int) (Record, int, error) {
+	rest := data[off:]
+	if len(rest) < frameOverhead {
+		return Record{}, 0, fmt.Errorf("truncated frame header (%d bytes)", len(rest))
+	}
+	wantCRC := binary.BigEndian.Uint32(rest[0:4])
+	length := binary.BigEndian.Uint32(rest[4:8])
+	if int64(length) > int64(maxRecord) {
+		return Record{}, 0, fmt.Errorf("frame length %d exceeds limit %d", length, maxRecord)
+	}
+	total := frameOverhead + int(length)
+	if len(rest) < total {
+		return Record{}, 0, fmt.Errorf("truncated frame: have %d of %d bytes", len(rest), total)
+	}
+	if crc := crc32.Checksum(rest[4:total], castagnoli); crc != wantCRC {
+		return Record{}, 0, fmt.Errorf("frame CRC mismatch (want %08x, have %08x)", wantCRC, crc)
+	}
+	return Record{Type: rest[8], Data: rest[frameOverhead:total:total]}, total, nil
 }
 
 // EncodeFrame frames one record (exported for tests and tools).
@@ -674,34 +632,11 @@ func (l *Log) TruncateBefore(seg uint64) error {
 	return firstErr
 }
 
-// Replay streams every record in segments with index >= fromSeg, oldest
-// first, to fn. It reads from disk, so it reflects exactly what a restart
-// would see; records appended after Replay begins may or may not be
-// included.
+// Replay streams every record on disk in segments with index >= fromSeg,
+// oldest first, to fn (see the package-level Replay). Records appended
+// after Replay begins may or may not be included.
 func (l *Log) Replay(fromSeg uint64, fn func(seg uint64, rec Record) error) error {
-	l.mu.Lock()
-	segs := append([]uint64(nil), l.segs...)
-	l.mu.Unlock()
-	for _, idx := range segs {
-		if idx < fromSeg {
-			continue
-		}
-		path := filepath.Join(l.opts.Dir, SegmentName(idx))
-		data, err := l.fs.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("wal: replay read %s: %w", path, err)
-		}
-		recs, validLen, scanErr := scanSegment(data, idx, l.opts.MaxRecordBytes)
-		if scanErr != nil && idx != l.curSeg {
-			return &CorruptError{Path: path, Offset: int64(validLen), Reason: scanErr.Error()}
-		}
-		for _, rec := range recs {
-			if err := fn(idx, rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return Replay(l.fs, l.opts.Dir, fromSeg, l.opts.MaxRecordBytes, fn)
 }
 
 // CurrentSegment returns the index appends currently go to.

@@ -444,3 +444,132 @@ func TestFsyncLatencyStatsAreBounded(t *testing.T) {
 		t.Errorf("heap grew %d B over %d fsyncs; want O(buckets)", grown, syncs)
 	}
 }
+
+// The frame format has one decoder and a log directory one validation and
+// one walk; every public route into them must read a segment the parent
+// commit (PR 19) wrote — intact, and with a 6-byte torn tail — the same
+// way, and a segment written today must be byte-identical to it.
+func TestCrossVersionSegmentFixture(t *testing.T) {
+	want := []wal.Record{rec(1, "alpha"), rec(2, ""), rec(9, "charlie-charlie")}
+	const validLen = 64
+	sameRecords := func(t *testing.T, route string, got []wal.Record) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", route, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Type != want[i].Type || !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Errorf("%s: record %d = {%d %q}, want {%d %q}", route, i, got[i].Type, got[i].Data, want[i].Type, want[i].Data)
+			}
+		}
+	}
+
+	for _, fx := range []struct {
+		file string
+		torn int64
+	}{
+		{"pr19-segment.log", 0},
+		{"pr19-segment-torn.log", 6},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			image, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each route gets its own copy: Open and OpenTail repair it.
+			stage := func() (dir, path string) {
+				dir = t.TempDir()
+				path = filepath.Join(dir, wal.SegmentName(1))
+				if err := os.WriteFile(path, image, 0o600); err != nil {
+					t.Fatal(err)
+				}
+				return dir, path
+			}
+			sizeOf := func(path string) int64 {
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+
+			dir, path := stage()
+			l, err := wal.Open(wal.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := l.Stats(); s.RecoveredRecords != 3 || s.TornBytesTruncated != fx.torn {
+				t.Errorf("Open: recovered %d records, truncated %d bytes; want 3 and %d", s.RecoveredRecords, s.TornBytesTruncated, fx.torn)
+			}
+			sameRecords(t, "Open+Log.Replay", collect(t, l, 0))
+			l.Close()
+			if n := sizeOf(path); n != validLen {
+				t.Errorf("Open left %d bytes, want %d", n, validLen)
+			}
+
+			dir, path = stage()
+			info, err := wal.OpenTail(nil, dir, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Records != 3 || info.TornBytesTruncated != fx.torn || info.End != (wal.Pos{Segment: 1, Offset: validLen}) {
+				t.Errorf("OpenTail = %+v, want 3 records ending at 1,%d with %d bytes truncated", info, validLen, fx.torn)
+			}
+			if n := sizeOf(path); n != validLen {
+				t.Errorf("OpenTail left %d bytes, want %d", n, validLen)
+			}
+
+			dir, _ = stage()
+			var walked []wal.Record
+			if err := wal.Replay(nil, dir, 0, 0, func(seg uint64, r wal.Record) error {
+				if seg != 1 {
+					t.Errorf("Replay reported segment %d", seg)
+				}
+				walked = append(walked, r)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			sameRecords(t, "Replay", walked)
+
+			n, valid, err := wal.VerifySegmentFile(nil, dir, 1, 0)
+			var corrupt *wal.CorruptError
+			if n != 3 || valid != validLen || (fx.torn == 0) != (err == nil) ||
+				(err != nil && (!errors.As(err, &corrupt) || corrupt.Offset != validLen)) {
+				t.Errorf("VerifySegmentFile = %d records, %d bytes, %v", n, valid, err)
+			}
+
+			decoded, used := wal.DecodeFrames(image[wal.HeaderSize:], 0)
+			if used != validLen-wal.HeaderSize {
+				t.Errorf("DecodeFrames accepted %d bytes, want %d", used, validLen-wal.HeaderSize)
+			}
+			sameRecords(t, "DecodeFrames", decoded)
+		})
+	}
+
+	// Written today: byte-identical to what the parent wrote.
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range want {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, wal.SegmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "pr19-segment.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fixture) {
+		t.Errorf("segment written today differs from the PR 19 fixture:\n got %x\nwant %x", got, fixture)
+	}
+}
