@@ -131,9 +131,31 @@ type cacheStripe struct {
 	prev  map[segment.ID]prevState
 }
 
+// cacheEntry is one cached decision, holding what a hit needs and nothing
+// else — one per tracked segment, so its size is a per-segment cost of the
+// whole database. The segment is the map key; a paragraph that discloses
+// nothing (almost all of a corpus) has no sources allocation at all.
 type cacheEntry struct {
-	digest uint64
-	report Report
+	digest  uint64    // of the fingerprint the decision was computed for
+	sources *[]Source // private to the cache; nil when there are none
+	fpLen   uint32
+	gran    uint8
+}
+
+// report is the Report a hit on seg's entry returns. The cached Sources
+// stay private to the cache; the caller gets an owned copy (see
+// cloneSources).
+func (e cacheEntry) report(seg segment.ID) Report {
+	r := Report{
+		Seg:            seg,
+		Granularity:    segment.Granularity(e.gran),
+		FingerprintLen: int(e.fpLen),
+		CacheHit:       true,
+	}
+	if e.sources != nil {
+		r.Sources = cloneSources(*e.sources)
+	}
+	return r
 }
 
 // NewTracker returns a Tracker with the given parameters.
@@ -311,11 +333,7 @@ func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, 
 	if !t.params.DisableCache {
 		st.mu.Lock()
 		if entry, ok := st.cache[seg]; ok && entry.digest == digest {
-			report := entry.report
-			// The cached Sources slice stays private to the cache; hand
-			// the caller an owned copy (see cloneSources).
-			report.Sources = cloneSources(entry.report.Sources)
-			report.CacheHit = true
+			report := entry.report(seg)
 			st.mu.Unlock()
 			return report, nil
 		}
@@ -345,43 +363,42 @@ func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, 
 	}
 	db.Update(seg, fp)
 
+	return t.remember(seg, fp, g, digest, raw), nil
+}
+
+// remember finishes an evaluated observation of seg: it builds the report
+// from the resolved sources (which it copies, so raw may be scratch-backed)
+// and installs the decision-cache entry and the incremental prev state.
+func (t *Tracker) remember(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, digest uint64, raw []Source) Report {
 	// The caller's report and the cache entry need independent Sources
 	// slices (a caller mutating its result must not corrupt future cache
 	// hits); both copies come out of one allocation, with full-slice-
 	// expression caps so neither can append into the other. nil-ness is
 	// preserved so serialised reports stay byte-identical.
-	var sources, cached []Source
+	report := Report{Seg: seg, Granularity: g, FingerprintLen: fp.Len()}
+	entry := cacheEntry{digest: digest, fpLen: uint32(fp.Len()), gran: uint8(g)}
 	if n := len(raw); n > 0 {
 		if t.params.DisableCache {
-			sources = cloneSources(raw)
+			report.Sources = cloneSources(raw)
 		} else {
 			buf := make([]Source, 2*n)
 			copy(buf, raw)
 			copy(buf[n:], raw)
-			sources = buf[:n:n]
-			cached = buf[n:]
+			report.Sources = buf[:n:n]
+			cached := buf[n:]
+			entry.sources = &cached
 		}
 	}
-	report := Report{
-		Seg:            seg,
-		Granularity:    g,
-		FingerprintLen: fp.Len(),
-		Sources:        sources,
-	}
+	st := t.stripeFor(seg)
 	st.mu.Lock()
 	if !t.params.DisableCache {
-		st.cache[seg] = cacheEntry{digest: digest, report: Report{
-			Seg:            report.Seg,
-			Granularity:    report.Granularity,
-			FingerprintLen: report.FingerprintLen,
-			Sources:        cached,
-		}}
+		st.cache[seg] = entry
 	}
 	if t.params.Incremental {
 		st.prev[seg] = prevState{fp: fp, sources: cloneSources(raw)}
 	}
 	st.mu.Unlock()
-	return report, nil
+	return report
 }
 
 // QueryParagraph runs Algorithm 1 for text against the paragraph database

@@ -106,10 +106,7 @@ func (t *Tracker) ProbeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment
 	if !ok || entry.digest != digest {
 		return Report{}, false
 	}
-	report := entry.report
-	report.Sources = cloneSources(entry.report.Sources)
-	report.CacheHit = true
-	return report, true
+	return entry.report(seg), true
 }
 
 // ObserveResolvedFP applies an observation whose disclosure sources were
@@ -119,45 +116,8 @@ func (t *Tracker) ProbeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment
 // state transitions of observeFPScratch with the evaluation replaced by
 // the provided result. The caller owns fp and sources.
 func (t *Tracker) ObserveResolvedFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, sources []Source) Report {
-	db := t.dbFor(g)
-	digest := fp.Digest()
-	db.Update(seg, fp)
-
-	// Caller report and cache entry need independent Sources slices, same
-	// dual-copy scheme (and nil preservation) as observeFPScratch.
-	var own, cached []Source
-	if n := len(sources); n > 0 {
-		if t.params.DisableCache {
-			own = cloneSources(sources)
-		} else {
-			buf := make([]Source, 2*n)
-			copy(buf, sources)
-			copy(buf[n:], sources)
-			own = buf[:n:n]
-			cached = buf[n:]
-		}
-	}
-	report := Report{
-		Seg:            seg,
-		Granularity:    g,
-		FingerprintLen: fp.Len(),
-		Sources:        own,
-	}
-	st := t.stripeFor(seg)
-	st.mu.Lock()
-	if !t.params.DisableCache {
-		st.cache[seg] = cacheEntry{digest: digest, report: Report{
-			Seg:            report.Seg,
-			Granularity:    report.Granularity,
-			FingerprintLen: report.FingerprintLen,
-			Sources:        cached,
-		}}
-	}
-	if t.params.Incremental {
-		st.prev[seg] = prevState{fp: fp, sources: cloneSources(sources)}
-	}
-	st.mu.Unlock()
-	return report
+	t.dbFor(g).Update(seg, fp)
+	return t.remember(seg, fp, g, fp.Digest(), sources)
 }
 
 // SetClockFloor raises the logical clock of the given granularity's

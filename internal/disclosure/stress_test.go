@@ -14,8 +14,10 @@ package disclosure
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/index"
@@ -37,12 +39,26 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 		workers = 8
 		rounds  = 80
 	)
+	// Expiry drops a posting by its age whether or not its segment is still
+	// live, and only the segment's next changed observation re-posts it. So
+	// the expirer stops once every worker is two cycles over its four
+	// segments from the end: the closing rounds, whose texts all differ
+	// from the round before, then leave every live segment fully posted —
+	// the state the checks below describe.
+	var (
+		arrived     atomic.Int32
+		expiryEnded = make(chan struct{})
+	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
+				if r == rounds-8 {
+					arrived.Add(1)
+					<-expiryEnded
+				}
 				seg := segment.ID(fmt.Sprintf("w%d/doc#p%d", w, r%4))
 				if r%3 == 0 {
 					items := []BatchObservation{
@@ -68,11 +84,13 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 30; i++ {
+		defer close(expiryEnded)
+		for arrived.Load() < workers {
 			db := tracker.Paragraphs()
 			if now := db.Now(); now > 120 {
 				db.ExpireBefore(now - 120)
 			}
+			runtime.Gosched()
 		}
 	}()
 	wg.Wait()

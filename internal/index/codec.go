@@ -75,8 +75,9 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 		}
 	}()
 
-	// Pass A: collect the referenced segment universe — DBpar entries,
-	// head postings (string IDs) and run postings (interned refs).
+	// Pass A: collect the referenced segment universe — DBpar entries (by
+	// ID: a segment that only ever had its threshold set is not interned)
+	// and the refs of every live posting in either tier.
 	ids := db.segtab.snapshot()
 	refUsed := make([]bool, len(ids))
 	universe := make(map[segment.ID]struct{})
@@ -100,12 +101,20 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		for _, b := range sh.head {
+		for _, slot := range sh.head {
+			refUsed[slot.ref&^moreBit] = true
+		}
+		for _, b := range sh.over {
 			for _, p := range b.postings {
-				universe[p.Seg] = struct{}{}
+				refUsed[p.ref] = true
 			}
 		}
 		for _, r := range sh.run.segs {
+			if r != tombstoneRef {
+				refUsed[r&^moreBit] = true
+			}
+		}
+		for _, r := range sh.run.moreSegs {
 			if r != tombstoneRef {
 				refUsed[r] = true
 			}
@@ -158,42 +167,28 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 
 	// Postings, globally ascending by hash: shard index is the hash's top
 	// bits, so visiting shards in order yields global hash order; within a
-	// shard, merge the sorted head keys with the run groups. Every mutation
+	// shard, the sorted head keys merge with the run groups. Every mutation
 	// moves the counters under the shard lock it holds, so under the cut
 	// they equal what the walk below emits.
 	buf = binary.AppendUvarint(buf, uint64(db.distinct.Load()))
 	buf = binary.AppendUvarint(buf, uint64(db.postings.Load()))
+	remap := make([]uint32, len(ids)) // live ref → table position
+	for r, used := range refUsed {
+		if used {
+			remap[r] = newRef[ids[r]]
+		}
+	}
 	var (
 		prevHash uint32
 		first    = true
-		scratch  []Posting
-		view     = idsView{tab: &db.segtab, ids: ids}
+		scratch  []posting
 	)
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		headKeys := make([]uint32, 0, len(sh.head))
-		for h := range sh.head {
-			headKeys = append(headKeys, h)
-		}
-		sort.Slice(headKeys, func(i, j int) bool { return headKeys[i] < headKeys[j] })
-		gi, hi := 0, 0
-		for gi < len(sh.run.hashes) || hi < len(headKeys) {
-			var h uint32
-			switch {
-			case hi >= len(headKeys) || (gi < len(sh.run.hashes) && sh.run.hashes[gi] < headKeys[hi]):
-				h = sh.run.hashes[gi]
-				gi++
-			case gi >= len(sh.run.hashes) || headKeys[hi] < sh.run.hashes[gi]:
-				h = headKeys[hi]
-				hi++
-			default:
-				h = sh.run.hashes[gi]
-				gi++
-				hi++
-			}
-			scratch = db.appendMergedLocked(sh, h, &view, scratch[:0])
+		sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
+			scratch = sh.appendPostingsLocked(h, g, slot, inHead, scratch[:0])
 			if len(scratch) == 0 {
-				continue // fully tombstoned group
+				return // fully tombstoned group
 			}
 			if first {
 				buf = binary.AppendUvarint(buf, uint64(h))
@@ -204,16 +199,12 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 			prevHash = h
 			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
 			prevSeq := uint64(0)
-			for i, p := range scratch {
-				buf = binary.AppendUvarint(buf, uint64(newRef[p.Seg]))
-				if i == 0 {
-					buf = binary.AppendUvarint(buf, p.Seq)
-				} else {
-					buf = binary.AppendUvarint(buf, p.Seq-prevSeq)
-				}
-				prevSeq = p.Seq
+			for _, p := range scratch {
+				buf = binary.AppendUvarint(buf, uint64(remap[p.ref]))
+				buf = binary.AppendUvarint(buf, p.seq-prevSeq)
+				prevSeq = p.seq
 			}
-		}
+		})
 	}
 	return buf
 }
@@ -411,34 +402,34 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		return d.fail("posting counts exceed payload")
 	}
 
-	// Decode postings straight into per-shard run arrays. A fresh DB is
-	// built shard by shard and only swapped in at the end, so a decode
-	// error can never leave a partial load behind.
-	shards := len(db.hashShards)
-	runs := make([]run, shards)
-	perShard := int(total)/shards + 1
+	// Decode postings straight into run columns. Hashes ascend and the
+	// shard is their top bits, so the shards fill one after the other; each
+	// run grows by append and is trimmed when its shard is complete, so it
+	// ends at its shard's real share — winnowing keeps the minimum hash of
+	// each window, hashes crowd towards zero, and that share is anywhere
+	// between nothing and a quarter of the database. The runs are swapped
+	// in only at commit, so a decode error leaves no partial load.
+	if nSegs >= uint64(moreBit-1) {
+		return d.fail("segment table too large for 31-bit refs")
+	}
+	runs := make([]run, len(db.hashShards))
+	cur := &runs[0]
+	cur.base = clock
 	prevHash := uint64(0)
-	seenHashes := uint64(0)
 	seenPostings := uint64(0)
-	for seenHashes < distinct {
+	for seenHashes := uint64(0); seenHashes < distinct; seenHashes++ {
 		dv, err := d.uvarint("posting hash delta")
 		if err != nil {
 			return err
 		}
-		var h uint64
-		if seenHashes == 0 {
-			h = dv
-		} else {
-			if dv == 0 {
-				return d.fail("posting hashes not strictly ascending")
-			}
-			h = prevHash + dv
+		if seenHashes > 0 && dv == 0 {
+			return d.fail("posting hashes not strictly ascending")
 		}
+		h := prevHash + dv
 		if h > math.MaxUint32 {
 			return d.fail("posting hash overflows 32 bits")
 		}
 		prevHash = h
-		seenHashes++
 		groupLen, err := d.uvarint("posting group length")
 		if err != nil {
 			return err
@@ -446,18 +437,15 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		if groupLen == 0 {
 			return d.fail("empty posting group")
 		}
-		if seenPostings+groupLen > total {
+		if groupLen > total-seenPostings {
 			return d.fail("posting groups exceed declared total")
 		}
-		r := &runs[db.hashShardIdx(uint32(h))]
-		if r.starts == nil {
-			r.hashes = make([]uint32, 0, int(distinct)/shards+1)
-			r.starts = append(make([]uint32, 0, int(distinct)/shards+2), 0)
-			r.segs = make([]uint32, 0, perShard)
-			r.seqs = make([]uint64, 0, perShard)
+		if r := &runs[db.hashShardIdx(uint32(h))]; r != cur {
+			cur.clip()
+			cur = r
+			cur.base = clock
 		}
-		r.hashes = append(r.hashes, uint32(h))
-		prevSeq := uint64(0)
+		seq := uint64(0)
 		for j := uint64(0); j < groupLen; j++ {
 			ref, err := d.uvarint("posting segment ref")
 			if err != nil {
@@ -470,22 +458,14 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 			if err != nil {
 				return err
 			}
-			var seq uint64
-			if j == 0 {
-				seq = sd
-			} else {
-				seq = prevSeq + sd
-			}
-			if seq > clock {
+			if seq += sd; seq > clock || seq < sd {
 				return d.fail("posting seq exceeds clock")
 			}
-			prevSeq = seq
-			r.segs = append(r.segs, uint32(ref))
-			r.seqs = append(r.seqs, seq)
+			cur.add(uint32(h), uint32(ref), seq)
 		}
-		r.starts = append(r.starts, uint32(len(r.segs)))
 		seenPostings += groupLen
 	}
+	cur.clip()
 	if seenPostings != total {
 		return d.fail("posting total mismatch")
 	}
@@ -526,20 +506,8 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 		sh.mu.Lock()
 		sh.run = p.runs[si]
 		sh.run.buildSkip(db.shardBitsOf())
+		sh.big = sh.run.bigSets(db.shardBitsOf())
 		distinct += int64(len(sh.run.hashes))
-		for g := range sh.run.hashes {
-			s, e := sh.run.bounds(g)
-			if e-s >= bigGroupMin {
-				set := make(map[uint32]struct{}, e-s)
-				for i := s; i < e; i++ {
-					set[sh.run.segs[i]] = struct{}{}
-				}
-				if sh.big == nil {
-					sh.big = make(map[uint32]map[uint32]struct{})
-				}
-				sh.big[sh.run.hashes[g]] = set
-			}
-		}
 		sh.mu.Unlock()
 	}
 	var parHashes int64
@@ -569,7 +537,7 @@ func (db *DB) reset() {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
-		sh.head = make(map[uint32]*bucket)
+		sh.head, sh.over = nil, nil
 		sh.run = run{}
 		sh.big = nil
 		sh.headPostings = 0

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -53,9 +54,101 @@ func opSeq(db *DB, rng *rand.Rand, ops int, tick func(*DB), k int) {
 	}
 }
 
+// edgeSeq replays, after the random workload and inside its hash/segment
+// universe, the cases a layout that keeps the first holder inline can get
+// wrong. tick runs where the compacted DB merges and the baseline does not.
+func edgeSeq(db *DB, tick func(*DB)) {
+	seg := func(i int) segment.ID { return segment.ID(fmt.Sprintf("doc%d#p%d", i/12, i%12)) }
+	fp := func(base int) *fingerprint.Fingerprint {
+		hs := make([]uint32, 0, 20)
+		for j := 0; j < 20; j++ {
+			hs = append(hs, uint32(base*10+j)*0x9e3779b1)
+		}
+		return fingerprint.FromHashes(hs)
+	}
+	for i := 0; i < 96; i++ {
+		db.RemoveSegment(seg(i))
+	}
+
+	// A multi-holder group loses its first holder: the spill promotes.
+	// Then the promoted one goes too, with a third holder still spilled
+	// and a fourth in the head.
+	for i := 0; i < 3; i++ {
+		db.Update(seg(i), fp(0))
+	}
+	tick(db)
+	db.RemoveSegment(seg(0))
+	db.Update(seg(3), fp(0))
+	db.RemoveSegment(seg(1))
+	tick(db)
+
+	// A group crosses bigGroupMin, shrinks under it by removals and is
+	// joined from the head by a new holder and by a removed one returning.
+	for i := 4; i < 4+bigGroupMin+6; i++ {
+		db.Update(seg(i), fp(2))
+	}
+	tick(db)
+	for i := 4; i < 14; i++ {
+		db.RemoveSegment(seg(i))
+	}
+	db.Update(seg(80), fp(2))
+	db.Update(seg(4), fp(2))
+
+	// A head bucket crosses memberMapThreshold, loses its inline holder
+	// and a member, and gets a repeat of a present holder.
+	for i := 84; i < 84+memberMapThreshold+4; i++ {
+		db.Update(seg(i), fp(4))
+	}
+	db.RemoveSegment(seg(84))
+	db.RemoveSegment(seg(90))
+	db.Update(seg(85), fp(5))
+	db.Update(seg(85), fp(4))
+	tick(db)
+
+	// Expiry cuts through the multi-holder groups.
+	db.ExpireBefore(db.Now() - 30)
+
+	// Stamps are drawn before shard locks are taken, so an older stamp can
+	// reach a hash after a newer one: within the head (the late one takes
+	// the inline slot), in the head under a newer run holder, and in the
+	// head under a run whose every holder is newer (the head is
+	// authoritative).
+	late1, late2 := db.clock.Add(1), db.clock.Add(1)
+	db.Update(seg(20), fp(6))
+	db.insertPostings(seg(22), fp(6).Hashes(), late2)
+	db.insertPostings(seg(21), fp(6).Hashes(), late1)
+	late3 := db.clock.Add(1)
+	db.Update(seg(23), fp(6))
+	tick(db)
+	db.insertPostings(seg(24), fp(6).Hashes(), late3)
+	late4 := db.clock.Add(1)
+	db.Update(seg(25), fp(8))
+	tick(db)
+	db.insertPostings(seg(26), fp(8).Hashes(), late4)
+}
+
 // assertSameObservable checks every query API agrees between a and b over
 // the hash/segment universe of the workload.
 func assertSameObservable(t *testing.T, a, b *DB) {
+	t.Helper()
+	var hashes []uint32
+	for base := 0; base < 40; base++ {
+		for j := 0; j < 20; j++ {
+			hashes = append(hashes, uint32(base*10+j)*0x9e3779b1)
+		}
+	}
+	var segs []segment.ID
+	for d := 0; d < 8; d++ {
+		for p := 0; p < 12; p++ {
+			segs = append(segs, segment.ID(fmt.Sprintf("doc%d#p%d", d, p)))
+		}
+	}
+	assertSameObservableOver(t, a, b, hashes, segs)
+}
+
+// assertSameObservableOver is assertSameObservable over the given hashes
+// and segments.
+func assertSameObservableOver(t *testing.T, a, b *DB, hashes []uint32, segs []segment.ID) {
 	t.Helper()
 	if ea, eb := a.AppendSnapshot(nil), b.AppendSnapshot(nil); !bytes.Equal(ea, eb) {
 		t.Fatalf("snapshot bytes diverged: compacted %d bytes, baseline %d bytes", len(ea), len(eb))
@@ -63,35 +156,34 @@ func assertSameObservable(t *testing.T, a, b *DB) {
 	if da, db := a.Digest(), b.Digest(); da != db {
 		t.Fatalf("Digest diverged: compacted %+v baseline %+v", da, db)
 	}
-	for base := 0; base < 40; base++ {
-		for j := 0; j < 20; j++ {
-			h := uint32(base*10+j) * 0x9e3779b1
-			sa, oka := a.OldestHolder(h)
-			sb, okb := b.OldestHolder(h)
-			if sa != sb || oka != okb {
-				t.Fatalf("OldestHolder(%#x): compacted (%q,%v) baseline (%q,%v)", h, sa, oka, sb, okb)
-			}
-			if ha, hb := a.Holders(h), b.Holders(h); !reflect.DeepEqual(ha, hb) {
-				t.Fatalf("Holders(%#x): compacted %v baseline %v", h, ha, hb)
-			}
+	sorted := append([]uint32(nil), hashes...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	if ra, rb := a.AppendOldestRefs(sorted, nil), b.AppendOldestRefs(sorted, nil); !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("AppendOldestRefs: compacted %v baseline %v", ra, rb)
+	}
+	for _, h := range hashes {
+		sa, oka := a.OldestHolder(h)
+		sb, okb := b.OldestHolder(h)
+		if sa != sb || oka != okb {
+			t.Fatalf("OldestHolder(%#x): compacted (%q,%v) baseline (%q,%v)", h, sa, oka, sb, okb)
+		}
+		if ha, hb := a.Holders(h), b.Holders(h); !reflect.DeepEqual(ha, hb) {
+			t.Fatalf("Holders(%#x): compacted %v baseline %v", h, ha, hb)
 		}
 	}
-	for d := 0; d < 8; d++ {
-		for p := 0; p < 12; p++ {
-			seg := segment.ID(fmt.Sprintf("doc%d#p%d", d, p))
-			if ca, cb := a.AuthoritativeCount(seg), b.AuthoritativeCount(seg); ca != cb {
-				t.Fatalf("AuthoritativeCount(%s): compacted %d baseline %d", seg, ca, cb)
+	for _, seg := range segs {
+		if ca, cb := a.AuthoritativeCount(seg), b.AuthoritativeCount(seg); ca != cb {
+			t.Fatalf("AuthoritativeCount(%s): compacted %d baseline %d", seg, ca, cb)
+		}
+		if fp, _, ok := b.Origin(seg); ok {
+			oa, la := a.AuthoritativeOverlap(seg, fp)
+			ob, lb := b.AuthoritativeOverlap(seg, fp)
+			if oa != ob || la != lb {
+				t.Fatalf("AuthoritativeOverlap(%s): compacted (%d,%d) baseline (%d,%d)", seg, oa, la, ob, lb)
 			}
-			if fp, _, ok := b.Origin(seg); ok {
-				oa, la := a.AuthoritativeOverlap(seg, fp)
-				ob, lb := b.AuthoritativeOverlap(seg, fp)
-				if oa != ob || la != lb {
-					t.Fatalf("AuthoritativeOverlap(%s): compacted (%d,%d) baseline (%d,%d)", seg, oa, la, ob, lb)
-				}
-			}
-			if ta, tb := a.Threshold(seg), b.Threshold(seg); ta != tb {
-				t.Fatalf("Threshold(%s): compacted %v baseline %v", seg, ta, tb)
-			}
+		}
+		if ta, tb := a.Threshold(seg), b.Threshold(seg); ta != tb {
+			t.Fatalf("Threshold(%s): compacted %v baseline %v", seg, ta, tb)
 		}
 	}
 	sa, sb := a.Stats(), b.Stats()
@@ -117,6 +209,20 @@ func TestCompactionObservableEquivalence(t *testing.T) {
 				checkInvariants(t, baseline)
 
 				// One more merge of everything must change nothing.
+				compacted.Compact()
+				assertSameObservable(t, compacted, baseline)
+
+				edgeSeq(compacted, (*DB).Compact)
+				edgeSeq(baseline, func(*DB) {})
+				assertSameObservable(t, compacted, baseline)
+				checkInvariants(t, compacted)
+				checkInvariants(t, baseline)
+				// The late stamps of edgeSeq ended up in first-seen order.
+				want := []segment.ID{"doc1#p9", "doc1#p10", "doc1#p8", "doc2#p0", "doc1#p11"}
+				lateHash := uint32(75) // posted by the late-stamp step only
+				if got := compacted.Holders(lateHash * 0x9e3779b1); !reflect.DeepEqual(got, want) {
+					t.Fatalf("holders after late stamps = %v, want %v", got, want)
+				}
 				compacted.Compact()
 				assertSameObservable(t, compacted, baseline)
 			})

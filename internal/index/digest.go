@@ -150,19 +150,29 @@ func (db *DB) RecomputeDigests() {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
+		// XOR is order-free, so each tier's inline column and side
+		// structure fold on their own, with no per-hash merge.
 		var d uint64
-		for h, b := range sh.head {
-			for _, p := range b.postings {
-				d ^= postingCode(h, segDigestKey(string(p.Seg)), p.Seq)
+		fold := func(h, ref uint32, seq uint64) {
+			d ^= postingCode(h, segDigestKey(string(view.id(ref))), seq)
+		}
+		r := &sh.run
+		for g, first := range r.segs {
+			if first != tombstoneRef {
+				fold(r.hashes[g], first&^moreBit, r.firstSeq(g))
 			}
 		}
-		for g := range sh.run.hashes {
-			s, e := sh.run.bounds(g)
-			for i := s; i < e; i++ {
-				if sh.run.segs[i] == tombstoneRef {
-					continue
-				}
-				d ^= postingCode(sh.run.hashes[g], segDigestKey(string(view.id(sh.run.segs[i]))), sh.run.seqs[i])
+		for k, ref := range r.moreSegs {
+			if ref != tombstoneRef {
+				fold(r.moreHashes[k], ref, r.moreSeq(k))
+			}
+		}
+		for h, slot := range sh.head {
+			fold(h, slot.ref&^moreBit, slot.seq())
+		}
+		for h, b := range sh.over {
+			for _, p := range b.postings {
+				fold(h, p.ref, p.seq)
 			}
 		}
 		sh.digest = d

@@ -65,21 +65,43 @@ func recomputedDigest(db *DB) Digest {
 }
 
 // TestDigestMaintainedMatchesRecomputed pins the O(1) incremental
-// maintenance against a full recompute after every style of mutation.
+// maintenance against a full recompute after every style of mutation, in
+// each physical layout: postings only ever in the heads, merged into the
+// runs at every opportunity (so removals tombstone and promote, and expiry
+// filters a merge), and on a DB restored from its own snapshot mid-stream.
 func TestDigestMaintainedMatchesRecomputed(t *testing.T) {
-	db := New(0.5)
-	for i, m := range genMutations(1, 400) {
-		applyMutation(db, m)
-		if i%97 == 0 {
+	for _, layout := range []string{"head", "compacted", "restored"} {
+		t.Run(layout, func(t *testing.T) {
+			db := New(0.5)
+			switch layout {
+			case "head":
+				db.SetCompactThreshold(-1)
+			case "compacted":
+				db.SetCompactThreshold(1)
+			}
+			twin := New(0.5) // never merges
+			twin.SetCompactThreshold(-1)
+			for i, m := range genMutations(1, 400) {
+				applyMutation(db, m)
+				applyMutation(twin, m)
+				if i%97 == 0 {
+					maintained := db.Digest()
+					if recomputed := recomputedDigest(db); maintained != recomputed {
+						t.Fatalf("after mutation %d (%+v): maintained %+v != recomputed %+v", i, m, maintained, recomputed)
+					}
+					if layout == "restored" {
+						db = restoredCopy(t, db)
+					}
+				}
+			}
 			maintained := db.Digest()
 			if recomputed := recomputedDigest(db); maintained != recomputed {
-				t.Fatalf("after mutation %d (%+v): maintained %+v != recomputed %+v", i, m, maintained, recomputed)
+				t.Fatalf("final: maintained %+v != recomputed %+v", maintained, recomputed)
 			}
-		}
-	}
-	maintained := db.Digest()
-	if recomputed := recomputedDigest(db); maintained != recomputed {
-		t.Fatalf("final: maintained %+v != recomputed %+v", maintained, recomputed)
+			if want := twin.Digest(); maintained != want {
+				t.Fatalf("final: digest %+v, head-only twin has %+v", maintained, want)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,11 @@
 package index
 
-// Eviction-hook contract across the compacted-run layout: RemoveSegment
-// and ExpireBefore must notify the hook exactly once per dropped segment —
-// no duplicates when a segment's postings span the mutable head and the
-// compacted run, and no phantom notifications for survivors or for
-// already-gone segments. The WAL relies on this to journal each eviction
-// exactly once.
+// Eviction-hook contract across the physical layouts: RemoveSegment and
+// ExpireBefore must notify the hook exactly once per dropped segment — no
+// duplicates when a segment's postings span the mutable head and the
+// compacted run (inline slots and spill alike), none after a snapshot
+// restore, and no phantom notifications for survivors or for already-gone
+// segments. The WAL relies on this to journal each eviction exactly once.
 
 import (
 	"fmt"
@@ -36,8 +36,19 @@ func evictFP(i int) *fingerprint.Fingerprint {
 	return fingerprint.FromHashes(hs)
 }
 
+// restoredCopy round-trips db through its snapshot: the layout a restarted
+// node, a bootstrapped standby and a promoted replica run on.
+func restoredCopy(t *testing.T, db *DB) *DB {
+	t.Helper()
+	restored := New(0)
+	if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
 func TestExpireBeforeEvictsExactlyOnceAcrossLayouts(t *testing.T) {
-	for _, layout := range []string{"head", "compacted", "split"} {
+	for _, layout := range []string{"head", "compacted", "split", "restored"} {
 		t.Run(layout, func(t *testing.T) {
 			db := New(0.5)
 			const old, young = 8, 8
@@ -51,8 +62,11 @@ func TestExpireBeforeEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 			for i := old; i < old+young; i++ {
 				db.Update(evictSeg(i), evictFP(i))
 			}
-			if layout == "compacted" {
+			switch layout {
+			case "compacted":
 				db.Compact() // everything merged; "split" keeps young in heads
+			case "restored":
+				db = restoredCopy(t, db)
 			}
 
 			rec := evictRecorder{}
@@ -83,18 +97,18 @@ func TestExpireBeforeEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 }
 
 func TestRemoveSegmentEvictsExactlyOnceAcrossLayouts(t *testing.T) {
-	for _, compacted := range []bool{false, true} {
-		name := "head"
-		if compacted {
-			name = "compacted"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, layout := range []string{"head", "compacted", "restored"} {
+		compacted := layout == "compacted"
+		t.Run(layout, func(t *testing.T) {
 			db := New(0.5)
 			for i := 0; i < 6; i++ {
 				db.Update(evictSeg(i), evictFP(i))
 			}
 			if compacted {
 				db.Compact()
+			}
+			if layout == "restored" {
+				db = restoredCopy(t, db)
 			}
 			rec := evictRecorder{}
 			db.SetEvictHook(rec.hook)

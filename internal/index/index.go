@@ -30,13 +30,17 @@
 // # Storage layout
 //
 // Each hash shard is a small LSM tree: recent postings live in a mutable
-// head (map of hash → bucket, exactly the pre-compaction layout), and the
-// bulk lives in one immutable compacted run of columnar arrays with
-// interned segment refs (see run.go). Inline merges migrate the head into
-// the run once it outgrows the merge policy, keeping steady-state memory
-// near the compacted figure while the hot insert path still writes to a
-// plain map. Verdict and oldest-holder semantics are identical in every
-// merge state; only the physical layout changes.
+// head and the bulk in one compacted run of columnar arrays (see run.go).
+// Both tiers store segments as interned refs and both follow one rule: a
+// hash's oldest holder sits inline beside the hash — in the head as the
+// value of a builtin map, with no heap object per hash — and only a hash
+// with further holders has an entry in a side structure (the head's
+// overflow buckets, the run's spill columns). Inline merges migrate the
+// head into the run once it outgrows the merge policy and drop the head map
+// whole, so steady-state memory stays near the compacted figure while the
+// hot insert path still writes to a plain map. Verdict and oldest-holder
+// semantics are identical in every merge state; only the physical layout
+// changes.
 //
 // Lock ordering: a segment-stripe lock may be held while hash-shard locks
 // are acquired (one at a time), never the reverse, and never two locks of
@@ -59,13 +63,6 @@ import (
 	"github.com/lsds/browserflow/internal/segment"
 )
 
-// Posting records that a segment was observed containing a hash, at logical
-// time Seq.
-type Posting struct {
-	Seg segment.ID
-	Seq uint64
-}
-
 // Stats summarises the size of a DB, used by the scalability experiments
 // (Figure 13). All fields are maintained incrementally, so reading them
 // never scans the index.
@@ -86,105 +83,110 @@ type Stats struct {
 	Tombstones   int
 
 	// ApproxBytes is a rough in-memory footprint estimate derived from the
-	// counts (map buckets, posting structs, run arrays, fingerprint sets).
+	// counts (head map slots, run columns, fingerprint sets, segments).
 	// It tracks growth trends, not exact heap use.
 	ApproxBytes int64
 }
 
 // DefaultShards is the lock-stripe count used by New. 64 stripes keep
 // shard collision probability low for typical device concurrency while the
-// fixed overhead (a mutex, a map header and run headers per stripe) stays
-// negligible.
+// fixed overhead (a mutex and the slice headers of an empty run per stripe;
+// a head map is made at a stripe's first insert) stays negligible.
 const DefaultShards = 64
 
 // maxShards bounds the configurable stripe count.
 const maxShards = 256
 
-// memberMapThreshold is the posting count past which a head bucket switches
-// from a linear membership scan to a map. Most hashes have a handful of
-// holders, where a scan over a small slice beats a map allocation; hot
-// hashes shared by many segments get the O(1) set the moment the scan
-// would start to hurt.
+// memberMapThreshold is the posting count past which a head overflow
+// bucket switches from a linear membership scan to a map. Most hashes have
+// a handful of holders, where a scan over a small slice beats a map
+// allocation; hot hashes shared by many segments get the O(1) set the
+// moment the scan would start to hurt.
 const memberMapThreshold = 8
 
-// bucket is the mutable-head state of one hash: its postings ordered by
-// ascending Seq (so postings[0] is always the oldest, i.e. authoritative,
-// holder — an O(1) read maintained on insert and remove instead of
-// scanned), plus an optional membership set for large buckets.
-type bucket struct {
-	postings []Posting
-	members  map[segment.ID]struct{} // nil until memberMapThreshold exceeded
+// posting is one (segment, first-seen time) association of a hash, the
+// segment as its interned ref.
+type posting struct {
+	ref uint32
+	seq uint64
 }
 
-// has reports whether seg already holds this hash.
-func (b *bucket) has(seg segment.ID) bool {
+// headSlot is the mutable-head state of one hash, stored by value in the
+// head map: the hash's oldest head holder. moreBit on ref says later head
+// holders wait in the shard's overflow bucket for the hash. The stamp is
+// split in halves so the slot aligns to 4 bytes and packs to 12.
+type headSlot struct {
+	ref          uint32
+	seqLo, seqHi uint32
+}
+
+func newHeadSlot(ref uint32, seq uint64) headSlot {
+	return headSlot{ref: ref, seqLo: uint32(seq), seqHi: uint32(seq >> 32)}
+}
+
+func (s headSlot) seq() uint64 { return uint64(s.seqHi)<<32 | uint64(s.seqLo) }
+
+// bucket holds the head holders of a hash beyond its inline one, ordered by
+// ascending seq, plus an optional membership set for large buckets.
+type bucket struct {
+	postings []posting
+	members  map[uint32]struct{} // nil until memberMapThreshold exceeded
+}
+
+// has reports whether ref already holds this hash.
+func (b *bucket) has(ref uint32) bool {
 	if b.members != nil {
-		_, ok := b.members[seg]
+		_, ok := b.members[ref]
 		return ok
 	}
 	for _, p := range b.postings {
-		if p.Seg == seg {
+		if p.ref == ref {
 			return true
 		}
 	}
 	return false
 }
 
-// insert records (seg, seq) unless seg is already present. It keeps
-// postings sorted by Seq: seqs are assigned before stripe locks are
+// insert records (ref, seq), which the bucket must not hold yet. It keeps
+// postings sorted by seq: seqs are assigned before stripe locks are
 // acquired, so a slightly older observation can arrive after a newer one;
 // insertion from the back restores first-seen order (almost always a pure
-// append). It reports whether a posting was added.
-func (b *bucket) insert(seg segment.ID, seq uint64) bool {
-	if b.has(seg) {
-		return false
-	}
+// append).
+func (b *bucket) insert(ref uint32, seq uint64) {
 	i := len(b.postings)
-	b.postings = append(b.postings, Posting{})
-	for i > 0 && b.postings[i-1].Seq > seq {
+	b.postings = append(b.postings, posting{})
+	for i > 0 && b.postings[i-1].seq > seq {
 		b.postings[i] = b.postings[i-1]
 		i--
 	}
-	b.postings[i] = Posting{Seg: seg, Seq: seq}
+	b.postings[i] = posting{ref: ref, seq: seq}
 	if b.members != nil {
-		b.members[seg] = struct{}{}
+		b.members[ref] = struct{}{}
 	} else if len(b.postings) > memberMapThreshold {
-		b.members = make(map[segment.ID]struct{}, len(b.postings))
+		b.members = make(map[uint32]struct{}, len(b.postings))
 		for _, p := range b.postings {
-			b.members[p.Seg] = struct{}{}
+			b.members[p.ref] = struct{}{}
 		}
 	}
-	return true
 }
 
-// remove deletes seg's posting, preserving Seq order. It returns the
-// removed posting's Seq (the digest maintenance needs it) and whether one
-// was removed.
-func (b *bucket) remove(seg segment.ID) (uint64, bool) {
-	for i, p := range b.postings {
-		if p.Seg == seg {
-			b.postings = append(b.postings[:i], b.postings[i+1:]...)
-			if b.members != nil {
-				delete(b.members, seg)
-			}
-			return p.Seq, true
-		}
+// removeAt deletes the i-th posting, preserving seq order.
+func (b *bucket) removeAt(i int) {
+	if b.members != nil {
+		delete(b.members, b.postings[i].ref)
 	}
-	return 0, false
-}
-
-// oldest returns the bucket's oldest holder in O(1).
-func (b *bucket) oldest() (segment.ID, bool) {
-	if len(b.postings) == 0 {
-		return "", false
-	}
-	return b.postings[0].Seg, true
+	b.postings = append(b.postings[:i], b.postings[i+1:]...)
 }
 
 // hashShard is one DBhash stripe: a mutable head plus one compacted run.
 type hashShard struct {
-	mu   sync.RWMutex
-	head map[uint32]*bucket
+	mu sync.RWMutex
+
+	// head maps a hash to its oldest head holder; over holds the later
+	// head holders of the hashes whose slot is tagged moreBit. Both are nil
+	// until the first insert after a merge.
+	head map[uint32]headSlot
+	over map[uint32]*bucket
 	run  run
 
 	// big holds shard-level membership sets for run groups with many live
@@ -197,6 +199,80 @@ type hashShard struct {
 	// digest is the XOR-fold of postingCode over the shard's live
 	// postings, maintained incrementally (see digest.go).
 	digest uint64
+}
+
+// headHas reports whether ref is among h's head holders, slot being h's
+// head entry.
+func (sh *hashShard) headHas(h uint32, slot headSlot, ref uint32) bool {
+	return slot.ref&^moreBit == ref || (slot.ref&moreBit != 0 && sh.over[h].has(ref))
+}
+
+// headInsert adds (ref, seq) to h's head holders, which must not include
+// ref yet; slot/inHead is h's current head entry. The inline slot keeps
+// the oldest: a stamp older than the slot's takes its place and the
+// displaced holder moves to the overflow bucket.
+func (sh *hashShard) headInsert(h uint32, slot headSlot, inHead bool, ref uint32, seq uint64) {
+	if sh.head == nil {
+		sh.head = make(map[uint32]headSlot)
+	}
+	if !inHead {
+		sh.head[h] = newHeadSlot(ref, seq)
+		return
+	}
+	b := sh.over[h]
+	if b == nil {
+		if sh.over == nil {
+			sh.over = make(map[uint32]*bucket)
+		}
+		b = &bucket{}
+		sh.over[h] = b
+	}
+	if old := slot.seq(); seq < old {
+		ref, seq, slot = slot.ref&^moreBit, old, newHeadSlot(ref, seq)
+	}
+	b.insert(ref, seq)
+	slot.ref |= moreBit
+	sh.head[h] = slot
+}
+
+// headRemove deletes ref from h's head holders, returning the removed
+// posting's seq (the digest maintenance needs it) and whether there was
+// one. When the inline holder goes, the oldest overflow posting takes the
+// slot.
+func (sh *hashShard) headRemove(h, ref uint32) (seq uint64, removed bool) {
+	slot, inHead := sh.head[h]
+	if !inHead {
+		return 0, false
+	}
+	b := sh.over[h] // nil unless the slot is tagged moreBit
+	switch {
+	case slot.ref&^moreBit == ref:
+		seq = slot.seq()
+		if b == nil {
+			delete(sh.head, h)
+			return seq, true
+		}
+		slot = newHeadSlot(b.postings[0].ref|moreBit, b.postings[0].seq)
+		b.removeAt(0)
+	case b != nil:
+		i := 0
+		for i < len(b.postings) && b.postings[i].ref != ref {
+			i++
+		}
+		if i == len(b.postings) {
+			return 0, false
+		}
+		seq = b.postings[i].seq
+		b.removeAt(i)
+	default:
+		return 0, false
+	}
+	if len(b.postings) == 0 {
+		delete(sh.over, h)
+		slot.ref &^= moreBit
+	}
+	sh.head[h] = slot
+	return seq, true
 }
 
 // segShard is one DBpar stripe.
@@ -299,9 +375,6 @@ func NewWithShards(defaultThreshold float64, n int) *DB {
 		bits++
 	}
 	db.hashShift = 32 - bits
-	for i := range db.hashShards {
-		db.hashShards[i].head = make(map[uint32]*bucket)
-	}
 	for i := range db.segShards {
 		db.segShards[i].par = make(map[segment.ID]*parEntry)
 	}
@@ -441,49 +514,54 @@ func countMissing(hs, posted []uint32) int {
 	return k
 }
 
-// shardInsertLocked records the (h, seg, seq) posting unless it already
-// exists in the shard's head or run. ref/hasRef is seg's interned ref
-// resolved after the shard lock was acquired (run entries can only mention
-// refs interned before that point). Caller holds sh.mu for writing.
-func (db *DB) shardInsertLocked(sh *hashShard, h uint32, seg segment.ID, ref uint32, hasRef bool, seq uint64) {
-	b := sh.head[h]
-	if b != nil && b.has(seg) {
+// postingWriter carries what every posting of one Update shares: the
+// segment's interned ref (interned here, at insert — the ref table is a
+// leaf lock, and both tiers store refs), its digest key and the stamp.
+type postingWriter struct {
+	ref    uint32
+	segKey uint64
+	seq    uint64
+}
+
+func (db *DB) postingWriterFor(seg segment.ID, seq uint64) postingWriter {
+	return postingWriter{ref: db.segtab.ref(seg), segKey: segDigestKey(string(seg)), seq: seq}
+}
+
+// shardInsertLocked records w's posting for h unless it already exists in
+// the shard's head or run. Caller holds sh.mu for writing.
+func (db *DB) shardInsertLocked(sh *hashShard, h uint32, w postingWriter) {
+	slot, inHead := sh.head[h]
+	if inHead && sh.headHas(h, slot, w.ref) {
 		return
 	}
 	runLive := false
 	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
 		var inRun bool
-		inRun, runLive = sh.runHasSeg(h, g, ref, hasRef)
-		if inRun {
+		if inRun, runLive = sh.runHasSeg(h, g, w.ref); inRun {
 			return
 		}
 	}
-	if b == nil {
-		b = &bucket{}
-		sh.head[h] = b
-		if !runLive {
-			db.distinct.Add(1)
-		}
+	if !inHead && !runLive {
+		db.distinct.Add(1)
 	}
-	if b.insert(seg, seq) {
-		db.postings.Add(1)
-		db.headN.Add(1)
-		sh.headPostings++
-		sh.digest ^= postingCode(h, segDigestKey(string(seg)), seq)
-	}
+	sh.headInsert(h, slot, inHead, w.ref, w.seq)
+	db.postings.Add(1)
+	db.headN.Add(1)
+	sh.headPostings++
+	sh.digest ^= postingCode(h, w.segKey, w.seq)
 }
 
 // insertPostings records first-seen postings for hs (ascending) at time
 // now, locking each hash shard exactly once per contiguous run.
 func (db *DB) insertPostings(seg segment.ID, hs []uint32, now uint64) {
+	w := db.postingWriterFor(seg, now)
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
 		sh := &db.hashShards[si]
 		j := i
 		sh.mu.Lock()
-		ref, hasRef := db.segtab.refOf(seg)
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			db.shardInsertLocked(sh, hs[j], seg, ref, hasRef, now)
+			db.shardInsertLocked(sh, hs[j], w)
 		}
 		db.maybeCompactLocked(sh)
 		sh.mu.Unlock()
@@ -500,11 +578,10 @@ func (db *DB) insertPostings(seg segment.ID, hs []uint32, now uint64) {
 func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64) []uint32 {
 	union := make([]uint32, 0, len(posted)+len(hs))
 	var (
-		sh     *hashShard
-		cur    = -1
-		j      = 0
-		ref    uint32
-		hasRef bool
+		sh  *hashShard
+		cur = -1
+		j   = 0
+		w   = db.postingWriterFor(seg, now)
 	)
 	for _, h := range hs {
 		for j < len(posted) && posted[j] < h {
@@ -524,10 +601,9 @@ func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64)
 			}
 			sh = &db.hashShards[si]
 			sh.mu.Lock()
-			ref, hasRef = db.segtab.refOf(seg)
 			cur = si
 		}
-		db.shardInsertLocked(sh, h, seg, ref, hasRef, now)
+		db.shardInsertLocked(sh, h, w)
 	}
 	if sh != nil {
 		db.maybeCompactLocked(sh)
@@ -539,48 +615,35 @@ func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64)
 // removePostings drops seg's postings for hs (ascending): head postings are
 // deleted in place, run postings are tombstoned for the next merge.
 func (db *DB) removePostings(seg segment.ID, hs []uint32) {
+	ref, interned := db.segtab.refOf(seg)
+	if !interned {
+		return // never posted anything
+	}
+	segKey := segDigestKey(string(seg))
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
 		sh := &db.hashShards[si]
 		j := i
 		sh.mu.Lock()
-		ref, hasRef := db.segtab.refOf(seg)
-		segKey := segDigestKey(string(seg))
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
 			h := hs[j]
 			g := sh.run.find(h, db.shardBitsOf())
-			if b := sh.head[h]; b != nil {
-				if seq, ok := b.remove(seg); ok {
-					db.postings.Add(-1)
-					db.headN.Add(-1)
-					sh.headPostings--
-					sh.digest ^= postingCode(h, segKey, seq)
-					if len(b.postings) == 0 {
-						delete(sh.head, h)
-						runLive := false
-						if g >= 0 {
-							_, _, runLive = sh.run.firstLive(g)
-						}
-						if !runLive {
-							db.distinct.Add(-1)
-						}
-					}
-					continue
+			seq, removed := sh.headRemove(h, ref)
+			if removed {
+				db.headN.Add(-1)
+				sh.headPostings--
+			} else if g >= 0 {
+				if seq, removed = sh.tombstone(h, g, ref); removed {
+					db.deadN.Add(1)
 				}
 			}
-			if g < 0 || !hasRef {
+			if !removed {
 				continue
 			}
-			seq, killed, anyLive := sh.tombstone(h, g, ref)
-			if killed {
-				db.postings.Add(-1)
-				db.deadN.Add(1)
-				sh.digest ^= postingCode(h, segKey, seq)
-				if !anyLive {
-					if _, ok := sh.head[h]; !ok {
-						db.distinct.Add(-1)
-					}
-				}
+			db.postings.Add(-1)
+			sh.digest ^= postingCode(h, segKey, seq)
+			if _, inHead := sh.head[h]; !inHead && (g < 0 || sh.run.segs[g] == tombstoneRef) {
+				db.distinct.Add(-1)
 			}
 		}
 		db.maybeCompactLocked(sh)
@@ -649,10 +712,14 @@ func (db *DB) Origin(seg segment.ID) (fp *fingerprint.Fingerprint, threshold flo
 // authoritative source for h.
 func (db *DB) OldestHolder(h uint32) (segment.ID, bool) {
 	sh := &db.hashShards[db.hashShardIdx(h)]
-	view := idsView{tab: &db.segtab}
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return db.oldestLocked(sh, h, &view)
+	ref, _, ok := db.oldestLocked(sh, h)
+	sh.mu.RUnlock()
+	if !ok {
+		return "", false
+	}
+	view := idsView{tab: &db.segtab}
+	return view.id(ref), true
 }
 
 // SetClockFloor raises the logical clock to at least floor (it never moves
@@ -697,8 +764,8 @@ func (db *DB) AppendOldestRefs(hs []uint32, out []OldestRef) []OldestRef {
 		j := i
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if seg, seq, ok := db.oldestRefLocked(sh, hs[j], &view); ok {
-				out = append(out, OldestRef{Idx: j, Seg: seg, Seq: seq})
+			if ref, seq, ok := db.oldestLocked(sh, hs[j]); ok {
+				out = append(out, OldestRef{Idx: j, Seg: view.id(ref), Seq: seq})
 			}
 		}
 		sh.mu.RUnlock()
@@ -721,8 +788,8 @@ func (db *DB) AppendOldestHolders(hs []uint32, out []segment.ID) []segment.ID {
 		j := i
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if seg, ok := db.oldestLocked(sh, hs[j], &view); ok {
-				out = append(out, seg)
+			if ref, _, ok := db.oldestLocked(sh, hs[j]); ok {
+				out = append(out, view.id(ref))
 			}
 		}
 		sh.mu.RUnlock()
@@ -739,29 +806,10 @@ func (db *DB) AppendHolders(h uint32, out []segment.ID) []segment.ID {
 	view := idsView{tab: &db.segtab}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	b := sh.head[h]
-	g := sh.run.find(h, db.shardBitsOf())
-	var s, e int
-	if g >= 0 {
-		s, e = sh.run.bounds(g)
-	}
-	bi := 0
-	for i := s; i < e || (b != nil && bi < len(b.postings)); {
-		takeRun := false
-		if i < e {
-			if sh.run.segs[i] == tombstoneRef {
-				i++
-				continue
-			}
-			takeRun = b == nil || bi >= len(b.postings) || sh.run.seqs[i] <= b.postings[bi].Seq
-		}
-		if takeRun {
-			out = append(out, view.id(sh.run.segs[i]))
-			i++
-		} else {
-			out = append(out, b.postings[bi].Seg)
-			bi++
-		}
+	slot, inHead := sh.head[h]
+	it := sh.postingsOf(h, sh.run.find(h, db.shardBitsOf()), slot, inHead)
+	for ref, _, ok := it.next(); ok; ref, _, ok = it.next() {
+		out = append(out, view.id(ref))
 	}
 	return out
 }
@@ -778,6 +826,10 @@ func (db *DB) AuthoritativeCount(seg segment.ID) int {
 	if !ok || fp.Empty() {
 		return 0
 	}
+	ref, interned := db.segtab.refOf(seg)
+	if !interned {
+		return 0 // never posted anything
+	}
 	hs := fp.Hashes()
 	n := 0
 	for i := 0; i < len(hs); {
@@ -785,9 +837,8 @@ func (db *DB) AuthoritativeCount(seg segment.ID) int {
 		sh := &db.hashShards[si]
 		j := i
 		sh.mu.RLock()
-		ref, hasRef := db.segtab.refOf(seg)
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if db.oldestIsLocked(sh, hs[j], seg, ref, hasRef) {
+			if oldest, _, ok := db.oldestLocked(sh, hs[j]); ok && oldest == ref {
 				n++
 			}
 		}
@@ -810,12 +861,14 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 		return 0, 0
 	}
 	srcLen = fp.Len()
+	ref, interned := db.segtab.refOf(src)
+	if !interned {
+		return 0, srcLen // never posted anything
+	}
 	a, b := fp.Hashes(), target.Hashes()
 	var (
 		sh       *hashShard
 		curShard = -1
-		ref      uint32
-		hasRef   bool
 	)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -832,10 +885,9 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 				}
 				sh = &db.hashShards[si]
 				sh.mu.RLock()
-				ref, hasRef = db.segtab.refOf(src)
 				curShard = si
 			}
-			if db.oldestIsLocked(sh, h, src, ref, hasRef) {
+			if oldest, _, ok := db.oldestLocked(sh, h); ok && oldest == ref {
 				overlap++
 			}
 			i++
@@ -874,66 +926,23 @@ func (db *DB) RemoveSegment(seg segment.ID) {
 // implements the periodic removal of old fingerprints recommended in §4.4.
 // It returns the number of postings removed.
 //
-// Shards that lose postings are compacted on the way out, so expiry both
-// frees the postings and reclaims the tombstone space in one pass.
+// The pass over a shard is a merge that leaves the expired postings out, so
+// expiry both frees the postings and reclaims the tombstone space at once;
+// a shard with nothing that old (and no tombstones) is left as it is.
 func (db *DB) ExpireBefore(seq uint64) int {
 	removed := 0
-	view := idsView{tab: &db.segtab}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
-		liveBefore := sh.liveHashCountLocked()
-		shardRemoved := 0
-		// Run pass: tombstone expired entries group by group.
-		for g := range sh.run.hashes {
-			s, e := sh.run.bounds(g)
-			for i := s; i < e; i++ {
-				if sh.run.segs[i] == tombstoneRef || sh.run.seqs[i] >= seq {
-					continue
-				}
-				if set, ok := sh.big[sh.run.hashes[g]]; ok {
-					delete(set, sh.run.segs[i])
-				}
-				sh.digest ^= postingCode(sh.run.hashes[g],
-					segDigestKey(string(view.id(sh.run.segs[i]))), sh.run.seqs[i])
-				sh.run.segs[i] = tombstoneRef
-				sh.dead++
-				db.deadN.Add(1)
-				shardRemoved++
-			}
+		if sh.dead > 0 || sh.expiresLocked(seq) {
+			expired, emptied := db.compactShardLocked(sh, seq)
+			// Under the shard lock, like every other counter move: a snapshot
+			// cut between two shards of this pass must find counters that
+			// match the postings it walks.
+			db.postings.Add(int64(-expired))
+			db.distinct.Add(int64(-emptied))
+			removed += expired
 		}
-		// Head pass: filter each bucket in place.
-		for h, b := range sh.head {
-			kept := b.postings[:0]
-			for _, p := range b.postings {
-				if p.Seq >= seq {
-					kept = append(kept, p)
-				} else {
-					shardRemoved++
-					sh.headPostings--
-					db.headN.Add(-1)
-					sh.digest ^= postingCode(h, segDigestKey(string(p.Seg)), p.Seq)
-					if b.members != nil {
-						delete(b.members, p.Seg)
-					}
-				}
-			}
-			if len(kept) == 0 {
-				delete(sh.head, h)
-			} else {
-				b.postings = kept
-			}
-		}
-		if shardRemoved > 0 || sh.dead > 0 {
-			db.compactShardLocked(sh)
-			// After a merge the live hashes are exactly the run's groups.
-			db.distinct.Add(int64(len(sh.run.hashes) - liveBefore))
-		}
-		// Under the shard lock, like every other counter move: a snapshot
-		// cut between two shards of this pass must find counters that
-		// match the postings it walks.
-		db.postings.Add(int64(-shardRemoved))
-		removed += shardRemoved
 		sh.mu.Unlock()
 	}
 
@@ -995,16 +1004,18 @@ func (db *DB) Stats() Stats {
 	}
 	// Per-item costs, from an inuse_space heap profile of a 1.3 M-hash
 	// engine ingest (DESIGN.md "Corpus scale") and pinned to measured heap
-	// growth by TestApproxBytesTracksHeap. A head posting pays the
-	// map-of-buckets price (map slot share + bucket + posting ≈ 84 B); a
-	// compacted posting the columnar one (4 B interned ref + 8 B seq + its
-	// share of the per-group hash and offset columns ≈ 20 B); DBpar holds
-	// each hash once, in the fingerprint (4 B — the posted union aliases
-	// it); a segment costs ≈ 180 B of parEntry, fingerprint header, DBpar
-	// map slot and ref-table entry.
+	// growth by TestApproxBytesTracksHeap. A head posting is a 16-byte slot
+	// of a builtin map (4 B hash + 12 B inline holder) at the map's load
+	// factor: 26–37 B depending on where the map is in its growth cycle,
+	// ≈ 30 B typical (the few hashes with several head holders add an
+	// overflow bucket, not modelled); a compacted posting is three 4-byte
+	// column entries (hash, interned ref, seq offset) ≈ 12 B, spilled or
+	// not; DBpar holds each hash once, in the fingerprint (4 B — the
+	// posted union aliases it); a segment costs ≈ 180 B of parEntry,
+	// fingerprint header, DBpar map slot and ref-table entry.
 	compacted := s.Postings - s.HeadPostings
-	s.ApproxBytes = int64(s.HeadPostings)*84 +
-		int64(compacted+s.Tombstones)*20 +
+	s.ApproxBytes = int64(s.HeadPostings)*30 +
+		int64(compacted+s.Tombstones)*12 +
 		db.parHashes.Load()*4 +
 		int64(s.Segments)*180
 	return s

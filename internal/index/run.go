@@ -1,19 +1,28 @@
 package index
 
-// Compacted posting runs. Each hash shard pairs a small mutable head (the
-// map-of-buckets layout that served the index up to 1M-hash corpora) with
-// one immutable compacted run: four parallel columnar arrays holding every
-// merged posting of the shard, ordered by (hash, seq).
+// Compacted posting runs. Each hash shard pairs a small mutable head with
+// one compacted run, and both tiers follow one rule: the first (oldest
+// live) holder of a hash is stored inline beside the hash, and only a hash
+// with further holders spills. Winnowed fingerprints rarely collide across
+// paragraphs — 96 % of the hashes of a text corpus have exactly one holder
+// — so the authoritative look-up of Algorithm 1 reads three adjacent
+// columns at one index and the spill stays a few per cent of the run.
 //
-//	hashes[i]            i-th distinct hash, strictly ascending
-//	starts[i]..starts[i+1]  the posting group of hashes[i]
-//	segs[k]              interned segment ref of posting k (tombstoneRef if dead)
-//	seqs[k]              first-seen logical time of posting k, ascending per group
+//	hashes[g]      g-th distinct hash, strictly ascending
+//	segs[g]        interned ref of its oldest live holder, moreBit set when
+//	               later holders spilled; tombstoneRef when none is alive
+//	seqs[g]        that holder's first-seen time, as its distance below base
 //
-// Segment IDs are interned once per DB into a ref table at merge time, so a
-// posting costs 4+8 bytes instead of a string header + map overhead — this
-// is the roaring-style compaction of ROADMAP item 2: dense per-hash holder
-// sets become flat sorted ref arrays that share one string table.
+//	moreHashes[k]  hash of the k-th spilled posting, ordered by (hash, seq)
+//	moreSegs[k]    its interned ref (tombstoneRef if dead)
+//	moreSeqs[k]    its first-seen distance below base
+//
+// Stamps are uint64 (a router's Lamport stamp can raise the clock by any
+// amount, see SetClockFloor) but one run spans a narrow window of them, so
+// a column holds 32-bit distances below base, the logical clock when the
+// run was built; a distance that does not fit is the sentinel wideSeq and
+// the full stamp sits in the wide side table. Segment IDs are interned once per DB into a ref table,
+// so a single-holder hash costs 12 bytes.
 //
 // Lookup cost is one small-map probe (head) plus a radix-skip bounded
 // binary search (run): a 256-entry table per run keyed by the first byte
@@ -21,10 +30,12 @@ package index
 // the binary search starts, so at 10M+ hashes a probe touches a handful
 // of contiguous cache lines instead of a giant hash map.
 //
-// Deletions tombstone run entries in place (segs[k] = tombstoneRef); merge
-// drops tombstones. Merging happens inline under the shard write lock when
-// the head outgrows the merge policy (see maybeCompactLocked), from
-// DB.Compact, and after every ExpireBefore pass.
+// Deletions tombstone run postings in place; deleting the inline holder
+// moves the next live spilled one into its slot, so the slot never goes
+// stale. Merging rebuilds the run without the dead postings. It happens
+// inline under the shard write lock when the head outgrows the merge policy
+// (see maybeCompactLocked), from DB.Compact, and in every shard an
+// ExpireBefore pass finds something to drop in.
 
 import (
 	"sort"
@@ -33,8 +44,18 @@ import (
 	"github.com/lsds/browserflow/internal/segment"
 )
 
-// tombstoneRef marks a dead posting inside a compacted run.
-const tombstoneRef = ^uint32(0)
+const (
+	// tombstoneRef marks a dead posting inside a compacted run; in the
+	// inline column it means the whole group is dead.
+	tombstoneRef = ^uint32(0)
+
+	// moreBit tags an inline ref, in either tier, whose hash has later
+	// holders beyond it. Refs proper stay below it.
+	moreBit = uint32(1) << 31
+
+	// wideSeq in a seq column sends the reader to run.wide.
+	wideSeq = ^uint32(0)
+)
 
 // bigGroupMin is the live-posting count past which a run group gets a
 // shard-level membership set (big), so inserting yet another holder of a
@@ -73,6 +94,11 @@ func (t *segTable) ref(seg segment.ID) uint32 {
 		t.refs = make(map[segment.ID]uint32)
 	}
 	r = uint32(len(t.ids))
+	if r >= moreBit-1 {
+		// Unreachable before memory runs out (every ref retains its ID),
+		// but a ref that aliased the tag bit would corrupt silently.
+		panic("index: segment ref space exhausted")
+	}
 	t.ids = append(t.ids, seg)
 	t.refs[seg] = r
 	return r
@@ -119,13 +145,15 @@ func (v *idsView) id(ref uint32) segment.ID {
 	return v.ids[ref]
 }
 
-// run is one shard's compacted posting arrays. Zero value = empty run.
+// run is one shard's compacted postings (layout in the file comment). Zero
+// value = empty run.
 type run struct {
-	hashes []uint32
-	starts []uint32 // len(hashes)+1 prefix offsets into segs/seqs; nil when empty
-	segs   []uint32
-	seqs   []uint64
-	skip   []uint32 // 257-entry radix index over hashes, keyed by radixByte
+	hashes, segs, seqs             []uint32
+	moreHashes, moreSegs, moreSeqs []uint32
+
+	base uint64            // the clock when the run was built: no stamp in it is newer
+	wide map[uint32]uint64 // stamps further than wideSeq below base, by column index (spill indexes tagged moreBit)
+	skip []uint32          // 257-entry radix index over hashes, keyed by radixByte
 }
 
 // radixByte extracts the first 8 hash bits below the shard-selecting bits,
@@ -155,20 +183,71 @@ func (r *run) find(h uint32, shardBits uint) int {
 	return -1
 }
 
-// bounds returns the posting range of group g.
-func (r *run) bounds(g int) (int, int) {
-	return int(r.starts[g]), int(r.starts[g+1])
+// more returns the spill range of h; callers ask only for groups tagged
+// moreBit.
+func (r *run) more(h uint32) (lo, hi int) {
+	lo = sort.Search(len(r.moreHashes), func(k int) bool { return r.moreHashes[k] >= h })
+	for hi = lo; hi < len(r.moreHashes) && r.moreHashes[hi] == h; hi++ {
+	}
+	return lo, hi
 }
 
-// firstLive returns the oldest live posting of group g.
-func (r *run) firstLive(g int) (ref uint32, seq uint64, ok bool) {
-	s, e := r.bounds(g)
-	for i := s; i < e; i++ {
-		if r.segs[i] != tombstoneRef {
-			return r.segs[i], r.seqs[i], true
+// postings is the number of posting slots in the run, dead ones included.
+func (r *run) postings() int { return len(r.segs) + len(r.moreSegs) }
+
+// firstSeq is the first-seen time of group g's inline holder.
+func (r *run) firstSeq(g int) uint64 {
+	if off := r.seqs[g]; off != wideSeq {
+		return r.base - uint64(off)
+	}
+	return r.wide[uint32(g)]
+}
+
+// moreSeq is the first-seen time of spilled posting k.
+func (r *run) moreSeq(k int) uint64 {
+	if off := r.moreSeqs[k]; off != wideSeq {
+		return r.base - uint64(off)
+	}
+	return r.wide[moreBit|uint32(k)]
+}
+
+// offset encodes seq (≤ base) for the column slot named by key.
+func (r *run) offset(seq uint64, key uint32) uint32 {
+	if d := r.base - seq; d < uint64(wideSeq) {
+		return uint32(d)
+	}
+	if r.wide == nil {
+		r.wide = make(map[uint32]uint64)
+	}
+	r.wide[key] = seq
+	return wideSeq
+}
+
+// add appends a live posting; calls arrive in (hash, seq) order with
+// seq ≤ base. The first posting of a hash opens its group, later ones spill.
+func (r *run) add(h, ref uint32, seq uint64) {
+	if g := len(r.hashes) - 1; g >= 0 && r.hashes[g] == h {
+		r.segs[g] |= moreBit
+		k := uint32(len(r.moreSegs))
+		r.moreHashes = append(r.moreHashes, h)
+		r.moreSegs = append(r.moreSegs, ref)
+		r.moreSeqs = append(r.moreSeqs, r.offset(seq, moreBit|k))
+		return
+	}
+	g := uint32(len(r.hashes))
+	r.hashes = append(r.hashes, h)
+	r.segs = append(r.segs, ref)
+	r.seqs = append(r.seqs, r.offset(seq, g))
+}
+
+// clip re-allocates any column carrying more than 1/64 spare capacity: a
+// run lives until its shard's next merge, which on a quiet shard is never.
+func (r *run) clip() {
+	for _, col := range []*[]uint32{&r.hashes, &r.segs, &r.seqs, &r.moreHashes, &r.moreSegs, &r.moreSeqs} {
+		if n := len(*col); cap(*col)-n > n/64 {
+			*col = append(make([]uint32, 0, n), *col...)
 		}
 	}
-	return 0, 0, false
 }
 
 // buildSkip recomputes the radix skip table from hashes.
@@ -190,81 +269,120 @@ func (r *run) buildSkip(shardBits uint) {
 	r.skip[256] = uint32(len(r.hashes))
 }
 
+// bigSets builds the membership sets of a freshly built run (no tombstones
+// yet): one per group of at least bigGroupMin postings.
+func (r *run) bigSets(shardBits uint) map[uint32]map[uint32]struct{} {
+	var big map[uint32]map[uint32]struct{}
+	for lo := 0; lo < len(r.moreHashes); {
+		h := r.moreHashes[lo]
+		hi := lo + 1
+		for hi < len(r.moreHashes) && r.moreHashes[hi] == h {
+			hi++
+		}
+		if n := 1 + hi - lo; n >= bigGroupMin {
+			set := make(map[uint32]struct{}, n)
+			set[r.segs[r.find(h, shardBits)]&^moreBit] = struct{}{}
+			for _, ref := range r.moreSegs[lo:hi] {
+				set[ref] = struct{}{}
+			}
+			if big == nil {
+				big = make(map[uint32]map[uint32]struct{})
+			}
+			big[h] = set
+		}
+		lo = hi
+	}
+	return big
+}
+
 // shardBitsOf converts the DB's hash shift back into the shard-selecting
 // bit count used by the radix tables.
 func (db *DB) shardBitsOf() uint { return 32 - db.hashShift }
 
-// runHasSeg reports whether the run group g holds a live posting for ref
-// (hasRef=false short-circuits: an un-interned segment cannot be in a run),
-// and whether the group has any live posting at all. The shard's big set
-// for h, when present, answers both in O(1).
-func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32, hasRef bool) (inRun, anyLive bool) {
+// runHasSeg reports whether the run group g of h holds a live posting for
+// ref, and whether the group has any live posting at all. The shard's big
+// set for h, when present, answers the first in O(1).
+func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32) (inRun, anyLive bool) {
+	first := sh.run.segs[g]
+	if first == tombstoneRef {
+		return false, false
+	}
+	if first&^moreBit == ref {
+		return true, true
+	}
 	if set, ok := sh.big[h]; ok {
-		if len(set) == 0 {
-			return false, false
-		}
-		if !hasRef {
-			return false, true
-		}
-		_, in := set[ref]
-		return in, true
+		_, inRun = set[ref]
+		return inRun, true
 	}
-	s, e := sh.run.bounds(g)
-	for i := s; i < e; i++ {
-		r := sh.run.segs[i]
-		if r == tombstoneRef {
-			continue
-		}
-		anyLive = true
-		if hasRef && r == ref {
-			return true, true
+	if first&moreBit != 0 {
+		for k, hi := sh.run.more(h); k < hi; k++ {
+			if sh.run.moreSegs[k] == ref {
+				return true, true
+			}
 		}
 	}
-	return false, anyLive
+	return false, true
 }
 
-// tombstone marks (h, ref) dead in group g, returning the killed
-// posting's seq (for digest maintenance), whether a live posting was
-// killed and whether any live posting remains in the group.
-func (sh *hashShard) tombstone(h uint32, g int, ref uint32) (seq uint64, killed, anyLive bool) {
-	s, e := sh.run.bounds(g)
-	for i := s; i < e; i++ {
-		if sh.run.segs[i] == ref {
-			seq = sh.run.seqs[i]
-			sh.run.segs[i] = tombstoneRef
-			killed = true
-			break
-		}
+// tombstone marks ref's posting in group g of h dead, returning its seq
+// (for digest maintenance) and whether there was one. When the inline
+// holder dies the next live spilled posting takes its slot, so the slot
+// keeps naming the group's oldest live holder; segs[g] == tombstoneRef
+// afterwards means the group is empty.
+func (sh *hashShard) tombstone(h uint32, g int, ref uint32) (seq uint64, killed bool) {
+	r := &sh.run
+	first := r.segs[g]
+	if first == tombstoneRef {
+		return 0, false
 	}
-	if killed {
-		sh.dead++
-		if set, ok := sh.big[h]; ok {
-			delete(set, ref)
-		}
+	k, hi := 0, 0
+	if first&moreBit != 0 {
+		k, hi = r.more(h)
 	}
-	for i := s; i < e; i++ {
-		if sh.run.segs[i] != tombstoneRef {
-			return seq, killed, true
+	if first&^moreBit == ref {
+		seq = r.firstSeq(g)
+		for k < hi && r.moreSegs[k] == tombstoneRef {
+			k++
 		}
+		if k < hi {
+			r.segs[g] = r.moreSegs[k] | moreBit
+			r.seqs[g] = r.offset(r.moreSeq(k), uint32(g))
+			r.moreSegs[k] = tombstoneRef
+		} else {
+			r.segs[g] = tombstoneRef
+		}
+	} else {
+		for k < hi && r.moreSegs[k] != ref {
+			k++
+		}
+		if k == hi {
+			return 0, false
+		}
+		seq = r.moreSeq(k)
+		r.moreSegs[k] = tombstoneRef
 	}
-	return seq, killed, false
+	sh.dead++
+	if set, ok := sh.big[h]; ok {
+		delete(set, ref)
+	}
+	return seq, true
 }
 
-// liveHashCountLocked counts hashes with at least one live posting (head
-// buckets are never empty, so every head key is live; run groups count only
-// when live and not shadowed by a head bucket for the same hash).
-func (sh *hashShard) liveHashCountLocked() int {
-	n := len(sh.head)
-	for g := range sh.run.hashes {
-		h := sh.run.hashes[g]
-		if _, ok := sh.head[h]; ok {
-			continue
-		}
-		if _, _, ok := sh.run.firstLive(g); ok {
-			n++
+// expiresLocked reports whether the shard holds a live posting first seen
+// before cutoff. Both tiers keep a hash's oldest holder inline, so the
+// inline stamps decide.
+func (sh *hashShard) expiresLocked(cutoff uint64) bool {
+	for g, first := range sh.run.segs {
+		if first != tombstoneRef && sh.run.firstSeq(g) < cutoff {
+			return true
 		}
 	}
-	return n
+	for _, s := range sh.head {
+		if s.seq() < cutoff {
+			return true
+		}
+	}
+	return false
 }
 
 // shouldCompactLocked is the inline merge policy: merge when the head holds
@@ -279,16 +397,16 @@ func (db *DB) shouldCompactLocked(sh *hashShard) bool {
 	if min == 0 {
 		min = defaultCompactMin
 	}
-	runLive := len(sh.run.segs) - sh.dead
+	runLive := sh.run.postings() - sh.dead
 	if sh.headPostings >= int(min) && sh.headPostings*4 >= runLive {
 		return true
 	}
-	return sh.dead >= int(min) && sh.dead*2 >= len(sh.run.segs)
+	return sh.dead >= int(min) && sh.dead*2 >= sh.run.postings()
 }
 
 func (db *DB) maybeCompactLocked(sh *hashShard) {
 	if db.shouldCompactLocked(sh) {
-		db.compactShardLocked(sh)
+		db.compactShardLocked(sh, 0)
 	}
 }
 
@@ -302,7 +420,7 @@ func (db *DB) Compact() {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
 		if sh.headPostings > 0 || sh.dead > 0 {
-			db.compactShardLocked(sh)
+			db.compactShardLocked(sh, 0)
 		}
 		sh.mu.Unlock()
 	}
@@ -318,198 +436,174 @@ func (db *DB) SetCompactThreshold(n int) {
 	db.compactMin.Store(int64(n))
 }
 
+// walkHashesLocked calls visit for every hash present in the shard's run
+// or head, ascending, with its run group (or -1) and head slot.
+func (sh *hashShard) walkHashesLocked(visit func(h uint32, g int, slot headSlot, inHead bool)) {
+	run, keys := sh.run.hashes, make([]uint32, 0, len(sh.head))
+	for h := range sh.head {
+		keys = append(keys, h)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	g, i := 0, 0
+	for g < len(run) || i < len(keys) {
+		switch {
+		case i >= len(keys) || (g < len(run) && run[g] < keys[i]):
+			visit(run[g], g, headSlot{}, false)
+			g++
+		case g >= len(run) || keys[i] < run[g]:
+			visit(keys[i], -1, sh.head[keys[i]], true)
+			i++
+		default:
+			visit(run[g], g, sh.head[keys[i]], true)
+			g++
+			i++
+		}
+	}
+}
+
 // compactShardLocked rebuilds sh.run as the merge of the current run
-// (minus tombstones) and every head bucket, interning head segment IDs
-// into the DB's ref table. Caller holds sh.mu for writing.
+// (minus tombstones) and the head, and drops the head. Postings first seen
+// before cutoff are dropped on the way (ExpireBefore's pass; 0 keeps
+// everything): it returns how many were, and how many hashes lost their
+// last holder to that. Caller holds sh.mu for writing.
 //
-// The merge preserves every live (hash, seg, seq) triple exactly and keeps
-// groups seq-ascending, so verdict and oldest-holder semantics are
+// The merge preserves every surviving (hash, seg, seq) triple exactly and
+// keeps groups seq-ascending, so verdict and oldest-holder semantics are
 // byte-identical before and after — the golden-equivalence property the
 // compaction tests pin.
-func (db *DB) compactShardLocked(sh *hashShard) {
-	old := &sh.run
-	headKeys := make([]uint32, 0, len(sh.head))
-	for h := range sh.head {
-		headKeys = append(headKeys, h)
-	}
-	sort.Slice(headKeys, func(i, j int) bool { return headKeys[i] < headKeys[j] })
-
-	livePostings := len(old.segs) - sh.dead + sh.headPostings
+func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied int) {
+	// Every stamp in the shard was drawn from the clock before its posting
+	// was inserted under this lock, so the clock bounds them all. The
+	// column sizes are upper bounds (a hash can be in both tiers, a group
+	// can be dead or expire); clip trims what they overshoot by.
+	groups := len(sh.run.hashes) + len(sh.head)
 	nw := run{
-		hashes: make([]uint32, 0, len(old.hashes)+len(headKeys)),
-		starts: make([]uint32, 1, len(old.hashes)+len(headKeys)+1),
-		segs:   make([]uint32, 0, livePostings),
-		seqs:   make([]uint64, 0, livePostings),
-	}
-	var big map[uint32]map[uint32]struct{}
-
-	emitGroup := func(h uint32, g int, b *bucket) {
-		before := len(nw.segs)
-		var s, e int
-		if g >= 0 {
-			s, e = old.bounds(g)
-		}
-		bi := 0
-		for i := s; i < e || (b != nil && bi < len(b.postings)); {
-			takeRun := false
-			if i < e {
-				if old.segs[i] == tombstoneRef {
-					i++
-					continue
-				}
-				// Stable on equal seqs: run entries precede head entries,
-				// matching the order an uncompacted bucket would hold.
-				takeRun = b == nil || bi >= len(b.postings) || old.seqs[i] <= b.postings[bi].Seq
-			}
-			if takeRun {
-				nw.segs = append(nw.segs, old.segs[i])
-				nw.seqs = append(nw.seqs, old.seqs[i])
-				i++
-			} else {
-				p := b.postings[bi]
-				nw.segs = append(nw.segs, db.segtab.ref(p.Seg))
-				nw.seqs = append(nw.seqs, p.Seq)
-				bi++
-			}
-		}
-		n := len(nw.segs) - before
-		if n == 0 {
-			return // fully tombstoned group: drop the hash
-		}
-		nw.hashes = append(nw.hashes, h)
-		nw.starts = append(nw.starts, uint32(len(nw.segs)))
-		if n >= bigGroupMin {
-			set := make(map[uint32]struct{}, n)
-			for i := before; i < len(nw.segs); i++ {
-				set[nw.segs[i]] = struct{}{}
-			}
-			if big == nil {
-				big = make(map[uint32]map[uint32]struct{})
-			}
-			big[h] = set
-		}
+		base:   db.clock.Load(),
+		hashes: make([]uint32, 0, groups),
+		segs:   make([]uint32, 0, groups),
+		seqs:   make([]uint32, 0, groups),
 	}
 
-	gi, hi := 0, 0
-	for gi < len(old.hashes) || hi < len(headKeys) {
-		switch {
-		case hi >= len(headKeys) || (gi < len(old.hashes) && old.hashes[gi] < headKeys[hi]):
-			emitGroup(old.hashes[gi], gi, nil)
-			gi++
-		case gi >= len(old.hashes) || headKeys[hi] < old.hashes[gi]:
-			emitGroup(headKeys[hi], -1, sh.head[headKeys[hi]])
-			hi++
-		default:
-			emitGroup(old.hashes[gi], gi, sh.head[headKeys[hi]])
-			gi++
-			hi++
+	view := idsView{tab: &db.segtab}
+	sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
+		kept, dropped := nw.postings(), 0
+		it := sh.postingsOf(h, g, slot, inHead)
+		for ref, seq, ok := it.next(); ok; ref, seq, ok = it.next() {
+			if seq < cutoff {
+				sh.digest ^= postingCode(h, segDigestKey(string(view.id(ref))), seq)
+				dropped++
+				continue
+			}
+			nw.add(h, ref, seq)
 		}
-	}
+		expired += dropped
+		if dropped > 0 && nw.postings() == kept {
+			emptied++
+		}
+	})
 
+	nw.clip()
 	nw.buildSkip(db.shardBitsOf())
 	sh.run = nw
-	sh.big = big
-	sh.head = make(map[uint32]*bucket)
+	sh.big = nw.bigSets(db.shardBitsOf())
+	// Dropped, not cleared: a map keeps its grown capacity, and the next
+	// cycle's head is usually smaller than the one that triggered a merge.
+	sh.head, sh.over = nil, nil
 	db.headN.Add(int64(-sh.headPostings))
 	db.deadN.Add(int64(-sh.dead))
 	sh.headPostings = 0
 	sh.dead = 0
+	return expired, emptied
 }
 
-// appendMergedLocked appends h's live postings in seq order (run group and
-// head bucket merged) to out. Caller holds sh.mu at least for reading.
-func (db *DB) appendMergedLocked(sh *hashShard, h uint32, view *idsView, out []Posting) []Posting {
-	b := sh.head[h]
-	g := sh.run.find(h, db.shardBitsOf())
-	var s, e int
-	if g >= 0 {
-		s, e = sh.run.bounds(g)
+// postingIter walks one hash's live postings oldest first: its run group
+// (inline holder, then the spill) merged with its head entry (inline slot,
+// then the overflow bucket). On equal stamps the run goes first, the order
+// an uncompacted head would hold.
+type postingIter struct {
+	r      *run
+	g      int // run group whose inline holder is still to come, or -1
+	k, hi  int // spill range still to come
+	slot   headSlot
+	inHead bool      // slot is still to come
+	over   []posting // overflow still to come
+}
+
+// postingsOf starts an iteration over h, given its run group (or -1) and
+// head slot. Caller holds sh.mu at least for reading.
+func (sh *hashShard) postingsOf(h uint32, g int, slot headSlot, inHead bool) postingIter {
+	it := postingIter{r: &sh.run, g: -1, slot: slot, inHead: inHead}
+	if g >= 0 && sh.run.segs[g] != tombstoneRef {
+		it.g = g
+		if sh.run.segs[g]&moreBit != 0 {
+			it.k, it.hi = sh.run.more(h)
+		}
 	}
-	bi := 0
-	for i := s; i < e || (b != nil && bi < len(b.postings)); {
-		takeRun := false
-		if i < e {
-			if sh.run.segs[i] == tombstoneRef {
-				i++
-				continue
-			}
-			takeRun = b == nil || bi >= len(b.postings) || sh.run.seqs[i] <= b.postings[bi].Seq
+	if inHead && slot.ref&moreBit != 0 {
+		it.over = sh.over[h].postings
+	}
+	return it
+}
+
+func (it *postingIter) next() (ref uint32, seq uint64, ok bool) {
+	var (
+		rref, href uint32
+		rseq, hseq uint64
+		rok, hok   bool
+	)
+	if it.g >= 0 {
+		rref, rseq, rok = it.r.segs[it.g]&^moreBit, it.r.firstSeq(it.g), true
+	} else {
+		for it.k < it.hi && it.r.moreSegs[it.k] == tombstoneRef {
+			it.k++
 		}
-		if takeRun {
-			out = append(out, Posting{Seg: view.id(sh.run.segs[i]), Seq: sh.run.seqs[i]})
-			i++
+		if it.k < it.hi {
+			rref, rseq, rok = it.r.moreSegs[it.k], it.r.moreSeq(it.k), true
+		}
+	}
+	if it.inHead {
+		href, hseq, hok = it.slot.ref&^moreBit, it.slot.seq(), true
+	} else if len(it.over) > 0 {
+		href, hseq, hok = it.over[0].ref, it.over[0].seq, true
+	}
+	switch {
+	case rok && (!hok || rseq <= hseq):
+		if it.g >= 0 {
+			it.g = -1
 		} else {
-			out = append(out, b.postings[bi])
-			bi++
+			it.k++
 		}
+		return rref, rseq, true
+	case hok:
+		if it.inHead {
+			it.inHead = false
+		} else {
+			it.over = it.over[1:]
+		}
+		return href, hseq, true
+	}
+	return 0, 0, false
+}
+
+// appendPostingsLocked appends h's live postings, oldest first, to out.
+// Caller holds sh.mu at least for reading.
+func (sh *hashShard) appendPostingsLocked(h uint32, g int, slot headSlot, inHead bool, out []posting) []posting {
+	it := sh.postingsOf(h, g, slot, inHead)
+	for ref, seq, ok := it.next(); ok; ref, seq, ok = it.next() {
+		out = append(out, posting{ref: ref, seq: seq})
 	}
 	return out
 }
 
-// oldestLocked resolves the authoritative (oldest live) holder of h,
-// comparing the head bucket's front posting with the run group's first
-// live entry. Caller holds sh.mu at least for reading.
-func (db *DB) oldestLocked(sh *hashShard, h uint32, view *idsView) (segment.ID, bool) {
-	var (
-		headSeg segment.ID
-		headSeq uint64
-		haveH   bool
-	)
-	if b := sh.head[h]; b != nil && len(b.postings) > 0 {
-		headSeg, headSeq, haveH = b.postings[0].Seg, b.postings[0].Seq, true
+// oldestLocked resolves the authoritative (oldest live) holder of h: each
+// tier names its oldest inline, and the run wins a tie. Caller holds sh.mu
+// at least for reading.
+func (db *DB) oldestLocked(sh *hashShard, h uint32) (ref uint32, seq uint64, ok bool) {
+	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 && sh.run.segs[g] != tombstoneRef {
+		ref, seq, ok = sh.run.segs[g]&^moreBit, sh.run.firstSeq(g), true
 	}
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
-		if ref, seq, ok := sh.run.firstLive(g); ok {
-			if !haveH || seq <= headSeq {
-				return view.id(ref), true
-			}
-		}
+	if s, inHead := sh.head[h]; inHead && (!ok || s.seq() < seq) {
+		return s.ref &^ moreBit, s.seq(), true
 	}
-	return headSeg, haveH
-}
-
-// oldestRefLocked is oldestLocked extended with the winning posting's
-// sequence number, for callers that compare authority across databases
-// (the cross-partition merge of the routing tier).
-func (db *DB) oldestRefLocked(sh *hashShard, h uint32, view *idsView) (segment.ID, uint64, bool) {
-	var (
-		headSeg segment.ID
-		headSeq uint64
-		haveH   bool
-	)
-	if b := sh.head[h]; b != nil && len(b.postings) > 0 {
-		headSeg, headSeq, haveH = b.postings[0].Seg, b.postings[0].Seq, true
-	}
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
-		if ref, seq, ok := sh.run.firstLive(g); ok {
-			if !haveH || seq <= headSeq {
-				return view.id(ref), seq, true
-			}
-		}
-	}
-	return headSeg, headSeq, haveH
-}
-
-// oldestIsLocked reports whether seg (with interned ref, if any) is the
-// authoritative holder of h — the allocation-free comparison used by
-// AuthoritativeCount/Overlap, which never needs the ID string of the
-// actual oldest holder.
-func (db *DB) oldestIsLocked(sh *hashShard, h uint32, seg segment.ID, ref uint32, hasRef bool) bool {
-	var (
-		headIs  bool
-		headSeq uint64
-		haveH   bool
-	)
-	if b := sh.head[h]; b != nil && len(b.postings) > 0 {
-		headSeq, haveH = b.postings[0].Seq, true
-		headIs = b.postings[0].Seg == seg
-	}
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
-		if rref, seq, ok := sh.run.firstLive(g); ok {
-			if !haveH || seq <= headSeq {
-				return hasRef && rref == ref
-			}
-		}
-	}
-	return haveH && headIs
+	return ref, seq, ok
 }

@@ -19,39 +19,18 @@ func recount(db *DB) (segments, distinct, postings int) {
 		segments += len(ss.par)
 		ss.mu.RUnlock()
 	}
-	view := idsView{tab: &db.segtab}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
-		for _, h := range shardHashesLocked(sh) {
-			if n := len(db.appendMergedLocked(sh, h, &view, nil)); n > 0 {
+		sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
+			if n := len(sh.appendPostingsLocked(h, g, slot, inHead, nil)); n > 0 {
 				distinct++
 				postings += n
 			}
-		}
+		})
 		sh.mu.RUnlock()
 	}
 	return
-}
-
-// shardHashesLocked returns every hash present in the shard's head or run
-// (live or tombstoned); caller holds the shard lock.
-func shardHashesLocked(sh *hashShard) []uint32 {
-	seen := make(map[uint32]bool, len(sh.head)+len(sh.run.hashes))
-	out := make([]uint32, 0, len(seen))
-	for h := range sh.head {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
-	}
-	for _, h := range sh.run.hashes {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 func checkCounters(t *testing.T, db *DB, when string) {

@@ -5,9 +5,9 @@ package index
 // overlapping and disjoint segments while expiry and removal run; at
 // quiescence the structural invariants must hold:
 //
-//   - per bucket, postings are in strictly ascending Seq order with at
-//     most one posting per segment — so the authoritative holder
-//     (postings[0]) is always the oldest live poster;
+//   - per hash, postings are in ascending Seq order with at most one
+//     posting per segment, and each tier's inline holder is its oldest
+//     live one — so the authoritative holder is read without a scan;
 //   - the O(1) Stats counters equal a full recount;
 //   - every surviving DBpar entry's latest fingerprint has a posting (or
 //     an older holder) for each of its hashes.
@@ -99,64 +99,104 @@ func checkInvariants(t *testing.T, db *DB) {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
-		shardHead := 0
-		for h, b := range sh.head {
-			if len(b.postings) == 0 {
-				t.Errorf("hash %#x: empty head bucket not deleted", h)
+		shardHead, tagged := 0, 0
+		for h, slot := range sh.head {
+			shardHead++
+			b := sh.over[h]
+			if slot.ref&moreBit == 0 {
+				if b != nil {
+					t.Errorf("hash %#x: overflow bucket behind an untagged head slot", h)
+				}
+				continue
+			}
+			tagged++
+			if b == nil || len(b.postings) == 0 {
+				t.Errorf("hash %#x: tagged head slot without overflow postings", h)
+				continue
 			}
 			shardHead += len(b.postings)
+			if b.postings[0].seq < slot.seq() {
+				t.Errorf("hash %#x: head slot is not the oldest head holder", h)
+			}
 			if b.members != nil {
 				if len(b.members) != len(b.postings) {
 					t.Errorf("hash %#x: member set size %d != postings %d", h, len(b.members), len(b.postings))
 				}
 				for _, p := range b.postings {
-					if _, ok := b.members[p.Seg]; !ok {
-						t.Errorf("hash %#x: posting %s missing from member set", h, p.Seg)
+					if _, ok := b.members[p.ref]; !ok {
+						t.Errorf("hash %#x: posting %d missing from member set", h, p.ref)
 					}
 				}
 			}
+		}
+		if tagged != len(sh.over) {
+			t.Errorf("shard %d: %d overflow buckets for %d tagged head slots", si, len(sh.over), tagged)
 		}
 		if shardHead != sh.headPostings {
 			t.Errorf("shard %d: headPostings counter %d != recount %d", si, sh.headPostings, shardHead)
 		}
 		headN += shardHead
 		shardDead := 0
-		for _, r := range sh.run.segs {
-			if r == tombstoneRef {
-				shardDead++
+		for _, col := range [][]uint32{sh.run.segs, sh.run.moreSegs} {
+			for _, r := range col {
+				if r == tombstoneRef {
+					shardDead++
+				}
 			}
 		}
 		if shardDead != sh.dead {
 			t.Errorf("shard %d: dead counter %d != recount %d", si, sh.dead, shardDead)
 		}
 		dead += shardDead
-		for g := 1; g < len(sh.run.hashes); g++ {
-			if sh.run.hashes[g-1] >= sh.run.hashes[g] {
-				t.Errorf("shard %d: run hashes out of order at group %d", si, g)
+		for k := 1; k < len(sh.run.moreHashes); k++ {
+			if sh.run.moreHashes[k-1] > sh.run.moreHashes[k] {
+				t.Errorf("shard %d: spill hashes out of order at %d", si, k)
 			}
 		}
-		for _, h := range shardHashesLocked(sh) {
-			ps := db.appendMergedLocked(sh, h, &view, nil)
+		spilled := 0
+		for g, h := range sh.run.hashes {
+			if g > 0 && sh.run.hashes[g-1] >= h {
+				t.Errorf("shard %d: run hashes out of order at group %d", si, g)
+			}
+			lo, hi := sh.run.more(h)
+			spilled += hi - lo
+			first := sh.run.segs[g]
+			if first != tombstoneRef && (first&moreBit != 0) != (hi > lo) {
+				t.Errorf("hash %#x: more tag %v with %d spilled postings", h, first&moreBit != 0, hi-lo)
+			}
+			for k := lo; k < hi; k++ {
+				if sh.run.moreSegs[k] == tombstoneRef {
+					continue
+				}
+				if first == tombstoneRef || sh.run.moreSeq(k) < sh.run.firstSeq(g) {
+					t.Errorf("hash %#x: inline holder is not the oldest live one of its group", h)
+				}
+			}
+		}
+		if spilled != len(sh.run.moreHashes) {
+			t.Errorf("shard %d: %d spilled postings belong to no group", si, len(sh.run.moreHashes)-spilled)
+		}
+		sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
+			ps := sh.appendPostingsLocked(h, g, slot, inHead, nil)
 			if len(ps) == 0 {
-				continue // fully tombstoned group awaiting merge
+				return // fully tombstoned group awaiting merge
 			}
 			distinct++
 			postings += len(ps)
-			seen := make(map[segment.ID]bool, len(ps))
+			seen := make(map[uint32]bool, len(ps))
 			for i, p := range ps {
-				if seen[p.Seg] {
-					t.Errorf("hash %#x: duplicate posting for %s", h, p.Seg)
+				if seen[p.ref] {
+					t.Errorf("hash %#x: duplicate posting for %s", h, view.id(p.ref))
 				}
-				seen[p.Seg] = true
-				if i > 0 && ps[i-1].Seq > p.Seq {
+				seen[p.ref] = true
+				if i > 0 && ps[i-1].seq > p.seq {
 					t.Errorf("hash %#x: postings out of Seq order at %d", h, i)
 				}
 			}
-			oldest, ok := db.oldestLocked(sh, h, &view)
-			if !ok || oldest != ps[0].Seg {
-				t.Errorf("hash %#x: oldest = %q, want %q", h, oldest, ps[0].Seg)
+			if oldest, seq, ok := db.oldestLocked(sh, h); !ok || oldest != ps[0].ref || seq != ps[0].seq {
+				t.Errorf("hash %#x: oldest = (%d, %d, %v), want %+v", h, oldest, seq, ok, ps[0])
 			}
-		}
+		})
 		sh.mu.RUnlock()
 	}
 	var segs int

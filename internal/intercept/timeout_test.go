@@ -8,14 +8,29 @@ import (
 	"github.com/lsds/browserflow/internal/policy"
 )
 
+// stalledChecks is an engine whose synchronous text checks do not answer
+// until release is closed; everything else goes straight through.
+type stalledChecks struct {
+	Engine
+	release chan struct{}
+}
+
+func (s stalledChecks) CheckText(text, destService string) (policy.Verdict, error) {
+	<-s.release
+	return s.Engine.CheckText(text, destService)
+}
+
 // newTimeoutWorld rebuilds the standard world with an (absurdly small)
-// check timeout so every synchronous check fails open.
+// check timeout and an engine that answers no check before the test ends,
+// so every synchronous check fails open — however fast a check is.
 func newTimeoutWorld(t *testing.T) *world {
 	t.Helper()
 	w := newWorld(t, policy.ModeEnforcing)
 	w.plugin.Shutdown()
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
 	plugin, err := New(Config{
-		Engine:       w.engine,
+		Engine:       stalledChecks{Engine: w.engine, release: release},
 		User:         "alice",
 		CheckTimeout: time.Nanosecond,
 		OnEvent: func(e Event) {

@@ -543,11 +543,7 @@ func (d *Durable) checkpointLoop() {
 		case <-d.stop:
 			return
 		case <-ticker.C:
-			d.mu.Lock()
-			hasCheckpoint := d.checkpoints > 0 || d.recovery.CheckpointLoaded != ""
-			idle := hasCheckpoint && d.log.Stats().RecordsAppended == d.recordsAtLastCkpt
-			d.mu.Unlock()
-			if idle {
+			if d.covered() {
 				continue // nothing new to cover
 			}
 			if err := d.Checkpoint(); err != nil {
@@ -555,6 +551,23 @@ func (d *Durable) checkpointLoop() {
 			}
 		}
 	}
+}
+
+// covered reports whether the newest checkpoint on disk already holds the
+// whole state: one exists, nothing was appended since it, and, when it is
+// the one recovery loaded rather than one written since, recovery replayed
+// no records on top of it. A degraded store is never covered: failing open,
+// it acks mutations it does not journal.
+func (d *Durable) covered() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.degraded {
+		return false
+	}
+	if d.checkpoints == 0 && (d.recovery.CheckpointLoaded == "" || d.recovery.RecordsReplayed > 0) {
+		return false
+	}
+	return d.log.Stats().RecordsAppended == d.recordsAtLastCkpt
 }
 
 // Sync forces the WAL to stable storage regardless of fsync policy.
@@ -624,10 +637,11 @@ func (d *Durable) Stats() DurabilityStats {
 	}
 }
 
-// Close stops the background checkpointer, takes a final checkpoint and
-// closes the WAL. Even when the final checkpoint fails, the synced WAL
-// still carries every journalled mutation for the next recovery. Close is
-// idempotent; calls after the first are no-ops.
+// Close stops the background checkpointer, takes a final checkpoint unless
+// the newest one already covers the state (an idle store writes nothing),
+// then syncs and closes the WAL. Even when the final checkpoint fails, the
+// synced WAL still carries every journalled mutation for the next recovery.
+// Close is idempotent; calls after the first are no-ops.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -643,7 +657,10 @@ func (d *Durable) Close() error {
 		<-d.done
 		d.stop = nil
 	}
-	ckptErr := d.Checkpoint()
+	var ckptErr error
+	if !d.covered() {
+		ckptErr = d.Checkpoint()
+	}
 	if err := d.log.Sync(); err != nil && ckptErr == nil {
 		ckptErr = err
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -244,6 +245,105 @@ func TestDurableCleanShutdownRoundTrip(t *testing.T) {
 	}
 	if rec.RecordsReplayed != 0 {
 		t.Errorf("replayed %d records after clean shutdown, want 0", rec.RecordsReplayed)
+	}
+}
+
+// Close checkpoints only what no checkpoint covers yet: an idle store — one
+// just checkpointed, or one reopened after a clean shutdown and never
+// written to — closes without writing an image; anything appended, or
+// replayed by recovery, since the newest checkpoint still gets one.
+func TestCloseCheckpointsOnlyUncoveredState(t *testing.T) {
+	fs := faultinject.NewMemFS(5)
+	checkpointFiles := func() []string {
+		t.Helper()
+		names, err := fs.ReadDirNames("/data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, name := range names {
+			if _, ok := ParseCheckpointName(name); ok {
+				out = append(out, name)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	// closeWrote closes d and returns how many checkpoints that wrote.
+	closeWrote := func(d *Durable) int64 {
+		t.Helper()
+		before, files := d.Stats().Checkpoints, checkpointFiles()
+		if err := d.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		wrote := d.Stats().Checkpoints - before
+		if after := checkpointFiles(); wrote == 0 && !reflect.DeepEqual(after, files) {
+			t.Fatalf("close counted no checkpoint but the files went from %v to %v", files, after)
+		}
+		return wrote
+	}
+	observe := func(w *world, i int) {
+		t.Helper()
+		if _, err := w.engine.ObserveEdit(opSegs[i%len(opSegs)], "alpha", opTexts[i%len(opTexts)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func() (*world, *Durable) {
+		w := newWorld(t, fixedClock)
+		d := openDurableForTest(t, fs, wal.SyncAlways, w)
+		w.engine.SetJournal(d)
+		return w, d
+	}
+
+	// Checkpointed, then closed: the image is already on disk.
+	w, d := open()
+	observe(w, 0)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := export(t, w)
+	if n := closeWrote(d); n != 0 {
+		t.Errorf("close right after a checkpoint wrote %d more", n)
+	}
+
+	// Reopened from that checkpoint and left alone: still nothing to write,
+	// and the state is all there.
+	w, d = open()
+	if rec := d.Stats().Recovery; rec.CheckpointLoaded == "" || rec.RecordsReplayed != 0 {
+		t.Fatalf("recovery after an idle close = %+v, want the checkpoint and no replay", rec)
+	}
+	if !bytes.Equal(export(t, w), want) {
+		t.Error("state after an idle close differs")
+	}
+	if n := closeWrote(d); n != 0 {
+		t.Errorf("close of a store recovered from a checkpoint and never written wrote %d checkpoints", n)
+	}
+
+	// Appended since the checkpoint: close covers it.
+	w, d = open()
+	observe(w, 1)
+	if n := closeWrote(d); n != 1 {
+		t.Errorf("close after an append wrote %d checkpoints, want 1", n)
+	}
+
+	// Crashed with records behind the checkpoint: recovery replays them,
+	// and close covers what it replayed though nothing was appended since.
+	w, d = open()
+	observe(w, 2)
+	want = export(t, w)
+	fs.Crash()
+	w, d = open()
+	if rec := d.Stats().Recovery; rec.RecordsReplayed == 0 {
+		t.Fatalf("recovery after a crash = %+v, want replayed records", rec)
+	}
+	if n := closeWrote(d); n != 1 {
+		t.Errorf("close after a replaying recovery wrote %d checkpoints, want 1", n)
+	}
+	w, d = open()
+	defer d.Close()
+	if rec := d.Stats().Recovery; rec.RecordsReplayed != 0 || !bytes.Equal(export(t, w), want) {
+		t.Errorf("recovery after that close = %+v (state equal: %v), want no replay and the same state",
+			rec, bytes.Equal(export(t, w), want))
 	}
 }
 

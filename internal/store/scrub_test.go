@@ -309,6 +309,48 @@ func TestDiskFaultFailOpen(t *testing.T) {
 	}
 }
 
+// A degraded fail-open store acks mutations it does not journal, so the
+// record count says nothing about whether the last checkpoint covers the
+// state: Close must still try one, and when the disk has healed by then the
+// fail-open window survives the shutdown.
+func TestCloseWhileDegradedStillCheckpoints(t *testing.T) {
+	fs := faultinject.NewMemFS(27)
+	w := newWorld(t, fixedClock)
+	d, err := OpenDurable(DurableOptions{
+		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
+		FailOpen:   true,
+		ProbeEvery: time.Hour,
+	}, w.tracker, w.registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.engine.SetJournal(d)
+	if _, err := w.engine.ObserveEdit("alpha/doc#p0", "alpha", opTexts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailWritesAfter(0)
+	if _, err := w.engine.ObserveEdit("alpha/doc#p1", "alpha", opTexts[1]); err != nil {
+		t.Fatalf("fail-open observe errored: %v", err)
+	}
+	if st := d.Stats(); !st.Disk.Degraded || st.Disk.DroppedRecords == 0 {
+		t.Fatalf("Disk = %+v, want degraded with dropped records", st.Disk)
+	}
+	want := export(t, w)
+	fs.ClearWriteError()
+	if err := d.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	w2 := newWorld(t, fixedClock)
+	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
+	defer d2.Close()
+	if got := export(t, w2); !bytes.Equal(got, want) {
+		t.Error("mutations acked while degraded were lost by a clean shutdown on a healed disk")
+	}
+}
+
 // ENOSPC with the default prune policy: spare checkpoints and obsolete
 // segments are freed and the append retried before the node degrades.
 func TestENOSPCPruneSelfRecovery(t *testing.T) {

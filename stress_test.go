@@ -164,7 +164,9 @@ func TestStressConcurrentSaveLoad(t *testing.T) {
 // encodes straight from the live databases, so its peak heap stays a small
 // multiple of the steady state (it materialised every posting twice
 // before: 7–8× at 1.1 M hashes); Load builds compacted runs, so nothing is
-// left in the mutable heads (every posting was, at 2.5× the bytes).
+// left in the mutable heads (every posting was, at 2.5× the bytes), and
+// sizes them exactly, so what a restarted node retains is the compacted
+// figure (it was 44 B/hash with a third of the run columns' capacity dead).
 func TestSaveHeapAndLoadLayout(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("heap sizes need a full-size state and are not meaningful under -race")
@@ -220,11 +222,21 @@ func TestSaveHeapAndLoadLayout(t *testing.T) {
 		t.Errorf("peak heap during Save is %.2fx the steady state, want ≤ 3.5x", ratio)
 	}
 
+	runtime.GC()
+	runtime.GC()
+	before := heapAlloc()
 	loaded := newMW(t, ModeAdvisory)
 	if err := loaded.Load(path, ""); err != nil {
 		t.Fatal(err)
 	}
+	runtime.GC()
+	runtime.GC()
 	got, want := loaded.Tracker().Paragraphs().Stats(), mw.Tracker().Paragraphs().Stats()
+	resident := float64(heapAlloc()-before) / float64(got.DistinctHashes)
+	t.Logf("resident after Load: %.1f B/hash", resident)
+	if resident > 30 {
+		t.Errorf("a loaded state retains %.1f B per distinct hash, want ≤ 30", resident)
+	}
 	if got.HeadPostings != 0 {
 		t.Errorf("%d of %d postings in the mutable head after Load, want 0", got.HeadPostings, got.Postings)
 	}
