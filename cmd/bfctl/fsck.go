@@ -14,7 +14,9 @@ import (
 
 // runFsck verifies a durable directory offline: every WAL segment's CRC
 // framing and every checkpoint image's container CRCs, reporting the byte
-// offset of the first bad byte in anything corrupt. It never modifies the
+// offset of the first bad byte in anything corrupt and, for a clean
+// checkpoint, its container version and the bytes of each section (where
+// the checkpoint bytes go). It never modifies the
 // directory (quarantine is the running node's job); a non-zero count of
 // corrupt files, or of intact checkpoints in a format this build refuses
 // to load, is returned as an error so scripts can gate on the exit status.
@@ -48,21 +50,31 @@ func runFsck(dir string, key []byte, stdout io.Writer) error {
 		}
 	}
 
-	checkpoints, retired := 0, 0
+	checkpoints, refused := 0, 0
 	for _, name := range names {
 		if _, ok := store.ParseCheckpointName(name); !ok {
 			continue
 		}
 		checkpoints++
-		bytes, verr := store.VerifyCheckpointFile(nil, dir+"/"+name, key)
+		info, verr := store.VerifyCheckpointFile(nil, dir+"/"+name, key)
 		if verr == nil {
-			fmt.Fprintf(stdout, "ok       %s  %d bytes\n", name, bytes)
+			fmt.Fprintf(stdout, "ok       %s  %d bytes, version %d:", name, info.Bytes, info.Version)
+			for _, s := range info.Sections {
+				fmt.Fprintf(stdout, " %s %d", s.Name, s.Bytes)
+			}
+			fmt.Fprintln(stdout)
 			continue
 		}
 		var rfe *store.RetiredFormatError
 		if errors.As(verr, &rfe) {
-			retired++
+			refused++
 			fmt.Fprintf(stdout, "RETIRED  %s  %s format (README: upgrading from a pre-PR 7 state file)\n", name, rfe.Format)
+			continue
+		}
+		var nfe *store.NewerFormatError
+		if errors.As(verr, &nfe) {
+			refused++
+			fmt.Fprintf(stdout, "NEWER    %s  version %d image, written by a newer build (README: upgrading)\n", name, nfe.Version)
 			continue
 		}
 		corrupt++
@@ -87,8 +99,8 @@ func runFsck(dir string, key []byte, stdout io.Writer) error {
 	if corrupt > 0 {
 		return fmt.Errorf("fsck: %d corrupt file(s) in %s", corrupt, dir)
 	}
-	if retired > 0 {
-		return fmt.Errorf("fsck: %d checkpoint(s) in a retired format in %s", retired, dir)
+	if refused > 0 {
+		return fmt.Errorf("fsck: %d checkpoint(s) in a format this build does not read in %s", refused, dir)
 	}
 	return nil
 }

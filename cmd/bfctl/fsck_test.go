@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -89,6 +91,12 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 	if !strings.Contains(out.String(), "0 corrupt") {
 		t.Fatalf("clean fsck output missing summary:\n%s", out.String())
 	}
+	// Where the checkpoint bytes go: container version and every section.
+	for _, want := range []string{" bytes, version 3: meta 24 pars ", " docs ", " registry ", " audit "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("clean fsck output does not break the checkpoint down (%q missing):\n%s", want, out.String())
+		}
+	}
 
 	// An intact checkpoint in a format this build no longer loads is named
 	// as such — not as corruption — and still fails the run.
@@ -108,8 +116,37 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// So is an intact checkpoint from a newer build: the real checkpoint
+	// with its version byte raised and the header checksum made to match.
+	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("checkpoints: %v (%v)", matches, err)
+	}
+	image, err := os.ReadFile(matches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	headerLen := 8 + 2 + int(image[9])*24
+	image[8]++
+	binary.LittleEndian.PutUint32(image[headerLen:], crc32.Checksum(image[:headerLen], crc32.MakeTable(crc32.Castagnoli)))
+	newer := filepath.Join(dir, store.CheckpointName(0))
+	if err := os.WriteFile(newer, image, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-wal-dir", dir, "fsck"}, nil, &out); err == nil {
+		t.Fatalf("fsck passed a directory with a checkpoint from a newer build:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "NEWER    "+store.CheckpointName(0)+"  version 4") ||
+		strings.Contains(out.String(), "CORRUPT") || !strings.Contains(out.String(), "0 corrupt") {
+		t.Fatalf("fsck output does not report the newer version on its own:\n%s", out.String())
+	}
+	if err := os.Remove(newer); err != nil {
+		t.Fatal(err)
+	}
+
 	// Flip one payload byte in the first surviving sealed segment.
-	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	matches, err = filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no segments to corrupt: %v (matches %v)", err, matches)
 	}

@@ -1,44 +1,76 @@
 package index
 
 // Binary snapshot codec for one DB: the payload of the docs/pars sections
-// of the BFLOWSNB checkpoint format (see internal/store). The encoding is
-// columnar and delta-varint compressed:
+// of the BFLOWSNB state image (see internal/store; DESIGN.md §9 has the
+// byte accounting). Every fact has one home: a fingerprint is the transpose
+// of the posting stream, one flag per posting; a stamp is its distance
+// below the holder's DBpar updated, zero unless the segment was edited
+// after it first posted the hash; a threshold is stored where it differs
+// from the default; sorted segment IDs are front-coded.
 //
-//	u8      codec version (1)
-//	u64     clock (little endian)
-//	u64     defaultThreshold (IEEE 754 bits, little endian)
+//	u8      codec version (2)
+//	u64     clock, u64 defaultThreshold (IEEE 754 bits), little endian
 //	uvarint segment-table length
-//	  per entry: uvarint byte length + ID bytes, sorted ascending by ID
+//	  per entry, ascending by ID: segment.AppendFrontCoded
 //	uvarint DBpar entry count
-//	  per entry (ascending by segment ref):
-//	    uvarint ref, u64 threshold bits, uvarint updated,
-//	    uvarint hash count, delta-uvarint ascending hashes
-//	uvarint distinct hash count
-//	uvarint total posting count
-//	  per hash (ascending): uvarint delta from previous hash,
-//	    uvarint group length,
-//	    per posting (ascending seq): uvarint ref, uvarint seq delta
+//	  per entry, ascending by table ref:
+//	    uvarint refs skipped since the previous entry << 1 | own threshold
+//	    u64 threshold bits, only with the own-threshold bit
+//	    uvarint updated, uvarint fingerprint length
+//	uvarint distinct hash count, uvarint total posting count
+//	  per hash, ascending: uvarint delta from the previous hash, then its
+//	  postings, oldest first:
+//	    uvarint ref << 3 | postStamped | postStale | postMore
+//	    varint holder's base − stamp, only with postStamped
+//	uvarint unposted count
+//	  per fingerprint hash without a live posting, ascending by (ref, hash):
+//	    uvarint ref, uvarint hash
 //
-// The encoding is a pure function of the DB's logical contents — segment
-// table sorted by ID, hashes ascending, postings seq-ascending — so the
+// A holder's base is its DBpar updated, or the clock for a segment without
+// an entry (what RemoveSegment leaves of a segment's earlier versions); the
+// distance is signed, so any (ref, stamp) pair round-trips. A posting
+// without postStale adds its hash to the holder's fingerprint; hashes
+// ascend, so each fingerprint fills in order. The unposted list is what
+// ExpireBefore can leave — a posting expired, its segment did not — and
+// the decoder checks every fingerprint reaches its declared length.
+//
+// The encoding is a pure function of the DB's logical contents, so the
 // same state encodes to the same bytes regardless of shard count or merge
-// history, and a replica can persist a primary's snapshot verbatim.
+// history and a replica can persist a primary's snapshot verbatim. Decoding
+// builds the compacted runs directly, one linear varint scan, and the
+// restored DB starts with nothing in the mutable heads.
 //
-// Decoding rebuilds the compacted runs directly from the arrays (no
-// per-posting map inserts), so recovery is one linear varint scan and the
-// restored DB starts fully compacted, with nothing in the mutable heads.
+// Codec version 1 — what container version 2 images hold — is still read,
+// by branches of the same decoder: plain length-prefixed IDs; per DBpar
+// entry uvarint ref, u64 threshold, uvarint updated, uvarint hash count and
+// the delta-uvarint fingerprint itself; per hash a uvarint group length,
+// per posting uvarint ref and uvarint stamp delta; no unposted list.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/segment"
 )
 
-const snapshotCodecVersion = 1
+const (
+	snapshotCodecVersion = 2
+	legacyCodecVersion   = 1 // read, never written
+)
+
+// Flags in the low bits of a posting's ref varint. All clear is the common
+// posting: the hash's only holder, still in its fingerprint, not edited
+// since.
+const (
+	postMore     = 1 << iota // later holders of the same hash follow
+	postStale                // the hash has left the holder's fingerprint, or the holder has no DBpar entry
+	postStamped              // the stamp is not the holder's base: the distance follows
+	postFlagBits = 3
+)
 
 // CodecError reports a malformed binary index snapshot, with the byte
 // offset (relative to the index payload) where decoding failed.
@@ -136,40 +168,57 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 		newRef[seg] = uint32(i)
 	}
 
-	// Header.
+	// Header and segment table.
+	clock := db.clock.Load()
+	thrBits := math.Float64bits(db.defaultThreshold)
 	buf = append(buf, snapshotCodecVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, db.clock.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(db.defaultThreshold))
+	buf = binary.LittleEndian.AppendUint64(buf, clock)
+	buf = binary.LittleEndian.AppendUint64(buf, thrBits)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	var prevSeg segment.ID
 	for _, seg := range table {
-		buf = binary.AppendUvarint(buf, uint64(len(seg)))
-		buf = append(buf, seg...)
+		buf = segment.AppendFrontCoded(buf, prevSeg, seg)
+		prevSeg = seg
 	}
 
-	// DBpar entries, ascending by (new) ref.
+	// DBpar entries, ascending by (new) ref. holders is the other side of
+	// the merge join below: per table ref, what its postings' stamps are
+	// stored against and the fingerprint hashes the posting stream has yet
+	// to reach.
+	type holder struct {
+		base uint64
+		fp   []uint32
+	}
+	holders := make([]holder, len(table))
+	for i := range holders {
+		holders[i].base = clock
+	}
 	sort.Slice(pars, func(i, j int) bool { return pars[i].seg < pars[j].seg })
 	buf = binary.AppendUvarint(buf, uint64(len(pars)))
+	next := uint32(0)
 	for _, rec := range pars {
-		buf = binary.AppendUvarint(buf, uint64(newRef[rec.seg]))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.threshold))
+		ref := newRef[rec.seg]
+		tb := math.Float64bits(rec.threshold)
+		if tb == thrBits {
+			buf = binary.AppendUvarint(buf, uint64(ref-next)<<1)
+		} else {
+			buf = binary.AppendUvarint(buf, uint64(ref-next)<<1|1)
+			buf = binary.LittleEndian.AppendUint64(buf, tb)
+		}
 		buf = binary.AppendUvarint(buf, rec.updated)
 		buf = binary.AppendUvarint(buf, uint64(len(rec.hashes)))
-		prev := uint32(0)
-		for i, h := range rec.hashes {
-			if i == 0 {
-				buf = binary.AppendUvarint(buf, uint64(h))
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(h-prev))
-			}
-			prev = h
-		}
+		holders[ref] = holder{base: rec.updated, fp: rec.hashes}
+		next = ref + 1
 	}
 
 	// Postings, globally ascending by hash: shard index is the hash's top
 	// bits, so visiting shards in order yields global hash order; within a
 	// shard, the sorted head keys merge with the run groups. Every mutation
 	// moves the counters under the shard lock it holds, so under the cut
-	// they equal what the walk below emits.
+	// they equal what the walk below emits. Hashes ascend inside every
+	// fingerprint too, so whether a posting's hash is in its holder's
+	// fingerprint falls out of one cursor per holder, advanced as the stream
+	// passes; the fingerprint hashes it steps over have no live posting.
 	buf = binary.AppendUvarint(buf, uint64(db.distinct.Load()))
 	buf = binary.AppendUvarint(buf, uint64(db.postings.Load()))
 	remap := make([]uint32, len(ids)) // live ref → table position
@@ -180,8 +229,8 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	}
 	var (
 		prevHash uint32
-		first    = true
 		scratch  []posting
+		unposted []uint64 // ref << 32 | hash
 	)
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
@@ -190,51 +239,82 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 			if len(scratch) == 0 {
 				return // fully tombstoned group
 			}
-			if first {
-				buf = binary.AppendUvarint(buf, uint64(h))
-				first = false
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(h-prevHash))
-			}
+			buf = binary.AppendUvarint(buf, uint64(h-prevHash))
 			prevHash = h
-			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-			prevSeq := uint64(0)
-			for _, p := range scratch {
-				buf = binary.AppendUvarint(buf, uint64(remap[p.ref]))
-				buf = binary.AppendUvarint(buf, p.seq-prevSeq)
-				prevSeq = p.seq
+			for i, p := range scratch {
+				ref := remap[p.ref]
+				hd := &holders[ref]
+				v := uint64(ref) << postFlagBits
+				if i < len(scratch)-1 {
+					v |= postMore
+				}
+				for len(hd.fp) > 0 && hd.fp[0] < h {
+					unposted = append(unposted, uint64(ref)<<32|uint64(hd.fp[0]))
+					hd.fp = hd.fp[1:]
+				}
+				if len(hd.fp) > 0 && hd.fp[0] == h {
+					hd.fp = hd.fp[1:]
+				} else {
+					v |= postStale
+				}
+				if p.seq == hd.base {
+					buf = binary.AppendUvarint(buf, v)
+				} else {
+					buf = binary.AppendUvarint(buf, v|postStamped)
+					buf = binary.AppendVarint(buf, int64(hd.base-p.seq))
+				}
 			}
 		})
+	}
+	for ref := range holders {
+		for _, h := range holders[ref].fp {
+			unposted = append(unposted, uint64(ref)<<32|uint64(h))
+		}
+	}
+	slices.Sort(unposted)
+	buf = binary.AppendUvarint(buf, uint64(len(unposted)))
+	for _, u := range unposted {
+		buf = binary.AppendUvarint(buf, u>>32)
+		buf = binary.AppendUvarint(buf, u&math.MaxUint32)
 	}
 	return buf
 }
 
 // snapDecoder is a bounds-checked varint reader over the snapshot payload.
+// The first failure sticks and every read after it returns zero, so decode
+// tests err where it validates what it read, not after each read.
 type snapDecoder struct {
 	data []byte
 	off  int
+	err  error
 }
 
+// fail records the failure, unless one is recorded already, and returns the
+// first.
 func (d *snapDecoder) fail(reason string) error {
-	return &CodecError{Offset: d.off, Reason: reason}
+	if d.err == nil {
+		d.err = &CodecError{Offset: d.off, Reason: reason}
+	}
+	return d.err
 }
 
-func (d *snapDecoder) uvarint(what string) (uint64, error) {
+func (d *snapDecoder) uvarint(what string) uint64 {
 	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.fail("truncated or overlong varint: " + what)
+	if d.err != nil || n <= 0 {
+		d.fail("truncated or overlong varint: " + what)
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
-func (d *snapDecoder) u64(what string) (uint64, error) {
-	if d.off+8 > len(d.data) {
-		return 0, d.fail("truncated u64: " + what)
+func (d *snapDecoder) u64(what string) uint64 {
+	if d.err != nil || d.off+8 > len(d.data) {
+		d.fail("truncated u64: " + what)
+		return 0
 	}
-	v := binary.LittleEndian.Uint64(d.data[d.off:])
 	d.off += 8
-	return v, nil
+	return binary.LittleEndian.Uint64(d.data[d.off-8:])
 }
 
 // snapParRec is one decoded DBpar entry awaiting commit.
@@ -242,7 +322,7 @@ type snapParRec struct {
 	ref       uint32
 	threshold float64
 	updated   uint64
-	hashes    []uint32
+	hashes    []uint32 // decode fills it up to its capacity, the declared length
 }
 
 // PreparedSnapshot is a fully decoded and validated snapshot, sharded for
@@ -285,119 +365,99 @@ func (db *DB) PrepareSnapshot(data []byte) (*PreparedSnapshot, error) {
 	return p, nil
 }
 
-// decode does PrepareSnapshot's work: it fills p from data, sharded for p.db.
+// decode does PrepareSnapshot's work: it fills p from data, sharded for
+// p.db. v1 marks the places where the legacy codec's layout differs.
 func (p *PreparedSnapshot) decode(data []byte) error {
 	db := p.db
 	d := &snapDecoder{data: data}
-	if len(data) < 1 {
-		return d.fail("empty payload")
+	if len(data) < 1 || data[0] != snapshotCodecVersion && data[0] != legacyCodecVersion {
+		return d.fail("empty payload or unsupported codec version")
 	}
-	if data[0] != snapshotCodecVersion {
-		return &CodecError{Offset: 0, Reason: fmt.Sprintf("unsupported codec version %d", data[0])}
-	}
+	v1 := data[0] == legacyCodecVersion
 	d.off = 1
-	clock, err := d.u64("clock")
-	if err != nil {
-		return err
-	}
-	thrBits, err := d.u64("default threshold")
-	if err != nil {
-		return err
-	}
+	clock, thrBits := d.u64("clock"), d.u64("default threshold")
 
-	nSegs, err := d.uvarint("segment table length")
-	if err != nil {
-		return err
-	}
+	nSegs := d.uvarint("segment table length")
 	if nSegs > uint64(len(data)) { // each entry needs ≥1 byte
 		return d.fail("segment table length exceeds payload")
 	}
+	if nSegs >= uint64(moreBit-1) {
+		return d.fail("segment table too large for 31-bit refs")
+	}
 	table := make([]segment.ID, nSegs)
+	var id []byte
 	for i := range table {
-		n, err := d.uvarint("segment ID length")
-		if err != nil {
-			return err
+		if v1 {
+			n := d.uvarint("segment ID length")
+			if n > uint64(len(data)-d.off) {
+				return d.fail("segment ID exceeds payload")
+			}
+			id = append(id[:0], data[d.off:d.off+int(n)]...)
+			d.off += int(n)
+		} else {
+			var n int
+			if id, n = segment.ReadFrontCoded(data[d.off:], id); n == 0 {
+				return d.fail("malformed front-coded segment ID")
+			}
+			d.off += n
 		}
-		if n > uint64(len(data)-d.off) {
-			return d.fail("segment ID exceeds payload")
-		}
-		table[i] = segment.ID(data[d.off : d.off+int(n)])
-		d.off += int(n)
-		if i > 0 && table[i] <= table[i-1] {
+		table[i] = segment.ID(id)
+		if d.err != nil || i > 0 && table[i] <= table[i-1] {
 			return d.fail("segment table not strictly ascending")
 		}
 	}
 
-	nPar, err := d.uvarint("DBpar entry count")
-	if err != nil {
-		return err
-	}
+	nPar := d.uvarint("DBpar entry count")
 	if nPar > nSegs {
 		return d.fail("more DBpar entries than table segments")
 	}
 	pars := make([]snapParRec, nPar)
+	parOf := make([]int32, nSegs) // table ref → its entry in pars, -1 without one
+	for i := range parOf {
+		parOf[i] = -1
+	}
+	next, fpTotal := uint64(0), uint64(0)
 	for i := range pars {
-		ref, err := d.uvarint("DBpar segment ref")
-		if err != nil {
-			return err
+		ref, ownThreshold := d.uvarint("DBpar segment ref"), true
+		if !v1 {
+			ref, ownThreshold = next+ref>>1, ref&1 != 0
 		}
-		if ref >= nSegs {
-			return d.fail("DBpar segment ref out of range")
+		if ref >= nSegs || ref < next {
+			return d.fail("DBpar segment ref out of range or not ascending")
 		}
-		if i > 0 && uint32(ref) <= pars[i-1].ref {
-			return d.fail("DBpar entries not ascending by ref")
+		tb := thrBits
+		if ownThreshold {
+			tb = d.u64("DBpar threshold")
 		}
-		tb, err := d.u64("DBpar threshold")
-		if err != nil {
-			return err
-		}
-		updated, err := d.uvarint("DBpar updated")
-		if err != nil {
-			return err
-		}
+		updated := d.uvarint("DBpar updated")
 		if updated > clock {
 			return d.fail("DBpar updated exceeds clock")
 		}
-		nh, err := d.uvarint("DBpar hash count")
-		if err != nil {
-			return err
-		}
-		if nh > uint64(len(data)-d.off) {
+		// Every fingerprint hash takes at least a byte further on, as a
+		// delta here (v1) or as a posting or unposted entry, so the payload
+		// bounds what the declared lengths may add up to.
+		nh := d.uvarint("DBpar hash count")
+		if fpTotal += nh; d.err != nil || nh > uint64(len(data)) || fpTotal > uint64(len(data)) {
 			return d.fail("DBpar hash count exceeds payload")
 		}
-		hashes := make([]uint32, nh)
-		prev := uint64(0)
-		for j := range hashes {
-			dv, err := d.uvarint("DBpar hash delta")
-			if err != nil {
-				return err
+		hashes := make([]uint32, 0, nh)
+		for prev := uint64(0); v1 && uint64(len(hashes)) < nh; {
+			dv := d.uvarint("DBpar hash delta")
+			if d.err != nil || len(hashes) > 0 && dv == 0 {
+				return d.fail("DBpar hashes not strictly ascending")
 			}
-			var h uint64
-			if j == 0 {
-				h = dv
-			} else {
-				if dv == 0 {
-					return d.fail("DBpar hashes not strictly ascending")
-				}
-				h = prev + dv
-			}
-			if h > math.MaxUint32 {
+			if dv > math.MaxUint32-prev {
 				return d.fail("DBpar hash overflows 32 bits")
 			}
-			hashes[j] = uint32(h)
-			prev = h
+			prev += dv
+			hashes = append(hashes, uint32(prev))
 		}
 		pars[i] = snapParRec{ref: uint32(ref), threshold: math.Float64frombits(tb), updated: updated, hashes: hashes}
+		parOf[ref] = int32(i)
+		next = ref + 1
 	}
 
-	distinct, err := d.uvarint("distinct hash count")
-	if err != nil {
-		return err
-	}
-	total, err := d.uvarint("total posting count")
-	if err != nil {
-		return err
-	}
+	distinct, total := d.uvarint("distinct hash count"), d.uvarint("total posting count")
 	if distinct > uint64(len(data)) || total > uint64(len(data)) {
 		return d.fail("posting counts exceed payload")
 	}
@@ -409,76 +469,121 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	// each window, hashes crowd towards zero, and that share is anywhere
 	// between nothing and a quarter of the database. The runs are swapped
 	// in only at commit, so a decode error leaves no partial load.
-	if nSegs >= uint64(moreBit-1) {
-		return d.fail("segment table too large for 31-bit refs")
-	}
 	runs := make([]run, len(db.hashShards))
 	cur := &runs[0]
 	cur.base = clock
-	prevHash := uint64(0)
-	seenPostings := uint64(0)
+	prevHash, seenPostings := uint64(0), uint64(0)
 	for seenHashes := uint64(0); seenHashes < distinct; seenHashes++ {
-		dv, err := d.uvarint("posting hash delta")
-		if err != nil {
-			return err
-		}
-		if seenHashes > 0 && dv == 0 {
+		dv := d.uvarint("posting hash delta")
+		if d.err != nil || seenHashes > 0 && dv == 0 {
 			return d.fail("posting hashes not strictly ascending")
 		}
-		h := prevHash + dv
-		if h > math.MaxUint32 {
+		if dv > math.MaxUint32-prevHash {
 			return d.fail("posting hash overflows 32 bits")
 		}
-		prevHash = h
-		groupLen, err := d.uvarint("posting group length")
-		if err != nil {
-			return err
-		}
-		if groupLen == 0 {
-			return d.fail("empty posting group")
-		}
-		if groupLen > total-seenPostings {
-			return d.fail("posting groups exceed declared total")
-		}
-		if r := &runs[db.hashShardIdx(uint32(h))]; r != cur {
+		prevHash += dv
+		h := uint32(prevHash)
+		if r := &runs[db.hashShardIdx(h)]; r != cur {
 			cur.clip()
 			cur = r
 			cur.base = clock
 		}
-		seq := uint64(0)
-		for j := uint64(0); j < groupLen; j++ {
-			ref, err := d.uvarint("posting segment ref")
-			if err != nil {
-				return err
+		groupLen := uint64(1)
+		if v1 {
+			if groupLen = d.uvarint("posting group length"); groupLen == 0 {
+				return d.fail("empty posting group")
+			}
+		}
+		prevSeq := uint64(0)
+		for more := true; more; seenPostings++ {
+			if seenPostings == total {
+				return d.fail("posting groups exceed declared total")
+			}
+			v := d.uvarint("posting segment ref")
+			ref, stale := v, true // v1 keeps the fingerprints in the DBpar entries
+			if !v1 {
+				ref, stale = v>>postFlagBits, v&postStale != 0
 			}
 			if ref >= nSegs {
 				return d.fail("posting segment ref out of range")
 			}
-			sd, err := d.uvarint("posting seq delta")
-			if err != nil {
-				return err
+			pi, seq := parOf[ref], clock
+			if v1 {
+				seq = prevSeq + d.uvarint("posting seq delta")
+				groupLen--
+				more = groupLen > 0
+			} else {
+				if pi >= 0 {
+					seq = pars[pi].updated
+				}
+				if v&postStamped != 0 { // zigzag, as binary.AppendVarint wrote it
+					u := d.uvarint("posting stamp distance")
+					seq -= u>>1 ^ -(u & 1)
+				}
+				more = v&postMore != 0
 			}
-			if seq += sd; seq > clock || seq < sd {
+			if d.err != nil || seq > clock {
 				return d.fail("posting seq exceeds clock")
 			}
-			cur.add(uint32(h), uint32(ref), seq)
+			if seq < prevSeq {
+				return d.fail("posting seqs not ascending")
+			}
+			prevSeq = seq
+			if !stale {
+				if pi < 0 {
+					return d.fail("fingerprint hash of a segment without a DBpar entry")
+				}
+				hs := pars[pi].hashes
+				if n := len(hs); n == cap(hs) || n > 0 && hs[n-1] >= h {
+					return d.fail("fingerprint hashes repeat or exceed the declared length")
+				}
+				pars[pi].hashes = append(hs, h)
+			}
+			cur.add(h, uint32(ref), seq)
 		}
-		seenPostings += groupLen
 	}
 	cur.clip()
 	if seenPostings != total {
 		return d.fail("posting total mismatch")
 	}
-	if d.off != len(data) {
+
+	if !v1 {
+		// Fingerprint hashes without a live posting, sorted in behind the
+		// posted ones; then every fingerprint must have its declared length.
+		var prevRef, prevHash uint64
+		for i, n := uint64(0), d.uvarint("unposted count"); i < n; i++ {
+			ref, h := d.uvarint("unposted segment ref"), d.uvarint("unposted hash")
+			if d.err != nil || ref >= nSegs || parOf[ref] < 0 {
+				return d.fail("unposted hash of a segment without a DBpar entry")
+			}
+			if h > math.MaxUint32 || i > 0 && (ref < prevRef || ref == prevRef && h <= prevHash) {
+				return d.fail("unposted hashes not strictly ascending 32-bit values")
+			}
+			prevRef, prevHash = ref, h
+			rec := &pars[parOf[ref]]
+			if len(rec.hashes) == cap(rec.hashes) {
+				return d.fail("fingerprint hashes exceed the declared length")
+			}
+			rec.hashes = append(rec.hashes, uint32(h))
+			if len(rec.hashes) < cap(rec.hashes) {
+				continue
+			}
+			// Complete, and only now: the posting stream is over.
+			if slices.Sort(rec.hashes); len(slices.Compact(rec.hashes)) < len(rec.hashes) {
+				return d.fail("unposted hash repeats a posted one")
+			}
+		}
+		for i := range pars {
+			if len(pars[i].hashes) != cap(pars[i].hashes) {
+				return d.fail("fingerprint shorter than its declared length")
+			}
+		}
+	}
+	if d.err != nil || d.off != len(data) {
 		return d.fail("trailing bytes after snapshot payload")
 	}
 
-	p.clock = clock
-	p.thrBits = thrBits
-	p.table = table
-	p.pars = pars
-	p.runs = runs
-	p.total = total
+	*p = PreparedSnapshot{db: db, clock: clock, thrBits: thrBits, table: table, pars: pars, runs: runs, total: total}
 	return nil
 }
 

@@ -24,22 +24,134 @@ func buildWorkloadDB(seed int64, shards, threshold int) *DB {
 	return db
 }
 
+// snapshotCases are the states the codec has to get right: the random
+// workload, the inline-holder edges of edgeSeq, and one small state per
+// place where the image stores a fact indirectly — a fingerprint as flags
+// on postings, a stamp as a distance below its holder's updated, a
+// threshold only when it is not the default. check, when set, proves the
+// state really is the case its name says.
+var snapshotCases = []struct {
+	name  string
+	build func(db *DB, tick func(*DB))
+	check func(t *testing.T, db *DB)
+}{
+	{name: "workload", build: func(db *DB, tick func(*DB)) {
+		opSeq(db, rand.New(rand.NewSource(1)), 500, tick, 11)
+	}},
+	{name: "workload and edges", build: func(db *DB, tick func(*DB)) {
+		opSeq(db, rand.New(rand.NewSource(2)), 500, tick, 11)
+		edgeSeq(db, tick)
+	}},
+	{name: "fingerprint hashes whose postings expired", build: func(db *DB, tick func(*DB)) {
+		db.Update(edgeSeg(0), edgeFP(0))
+		db.Update(edgeSeg(2), edgeFP(4))
+		tick(db)
+		cut := db.Now() + 1
+		db.Update(edgeSeg(0), edgeFP(1)) // keeps half of the first version's hashes
+		db.Update(edgeSeg(1), edgeFP(1))
+		// Shrunk to hashes it had posted already, the segment posts nothing
+		// new and the expiry leaves it a fingerprint without one posting.
+		db.Update(edgeSeg(2), fingerprint.FromHashes(edgeFP(4).Hashes()[:7]))
+		db.ExpireBefore(cut)
+	}, check: func(t *testing.T, db *DB) {
+		h := edgeFP(1).Hashes()[0] // find one that is in both versions
+		for _, h = range edgeFP(1).Hashes() {
+			if edgeFP(0).Contains(h) {
+				break
+			}
+		}
+		fp, ok := db.Fingerprint(edgeSeg(0))
+		if holders := db.Holders(h); !ok || !fp.Contains(h) || !reflect.DeepEqual(holders, []segment.ID{edgeSeg(1)}) {
+			t.Fatalf("hash %#x: holders %v; want it in the first segment's fingerprint and held by the second only", h, holders)
+		}
+	}},
+	{name: "postings without a DBpar entry", build: func(db *DB, tick func(*DB)) {
+		db.Update(edgeSeg(0), edgeFP(0))
+		tick(db)
+		db.Update(edgeSeg(0), edgeFP(2))
+		db.Update(edgeSeg(1), edgeFP(0))
+		db.RemoveSegment(edgeSeg(0)) // drops the current fingerprint's postings only
+	}, check: func(t *testing.T, db *DB) {
+		holders := db.Holders(edgeFP(0).Hashes()[0])
+		if _, ok := db.Fingerprint(edgeSeg(0)); ok || len(holders) != 2 || holders[0] != edgeSeg(0) {
+			t.Fatalf("holders %v, DBpar entry %v; want the removed segment's first version still posted", holders, ok)
+		}
+	}},
+	{name: "thresholds", build: func(db *DB, tick func(*DB)) {
+		db.SetThreshold(edgeSeg(0), 0.9) // an entry that is only a threshold
+		db.Update(edgeSeg(1), edgeFP(0))
+		db.SetThreshold(edgeSeg(1), 0.25)
+		db.Update(edgeSeg(2), edgeFP(0))
+		db.SetThreshold(edgeSeg(2), db.DefaultThreshold())
+	}},
+	{name: "posted union larger than the fingerprint", build: func(db *DB, tick func(*DB)) {
+		db.Update(edgeSeg(0), edgeFP(0))
+		db.Update(edgeSeg(1), edgeFP(1))
+		tick(db)
+		db.Update(edgeSeg(0), edgeFP(1))
+		db.Update(edgeSeg(0), edgeFP(4))
+	}},
+	{name: "wide stamps on both sides of a clock-floor jump", build: func(db *DB, tick func(*DB)) {
+		db.Update(edgeSeg(0), edgeFP(0))
+		db.Update(edgeSeg(1), edgeFP(0))
+		tick(db)
+		db.SetClockFloor(1 << 40)
+		db.Update(edgeSeg(2), edgeFP(0))
+		db.Update(edgeSeg(0), edgeFP(1)) // updated 2^40 above its first postings
+		// An old stamp arriving late for a segment without an entry, and a
+		// posting stamped after its holder's last update.
+		db.insertPostings(edgeSeg(3), edgeFP(1).Hashes(), 3)
+		db.insertPostings(edgeSeg(1), edgeFP(2).Hashes(), db.clock.Add(1))
+	}},
+	{name: "multi-holder groups with the inline holder tombstoned", build: func(db *DB, tick func(*DB)) {
+		for i := 0; i < 4; i++ {
+			db.Update(edgeSeg(i), edgeFP(0))
+		}
+		tick(db)
+		db.SetCompactThreshold(-1) // keep the tombstones
+		db.RemoveSegment(edgeSeg(0))
+		db.RemoveSegment(edgeSeg(2))
+		db.Update(edgeSeg(4), edgeFP(0))
+	}},
+}
+
+// TestSnapshotRoundTrip: every case, built compacted at every opportunity
+// and built head-only, encodes to the same bytes; the image restores — into
+// a DB with another shard count — to a state with the same digest, the
+// same answers from every query API, the same clock and default threshold,
+// sound invariants, and the same image again.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		db := buildWorkloadDB(seed, DefaultShards, 1)
-		blob := db.AppendSnapshot(nil)
-		restored := NewWithShards(0, 16) // different shard count on purpose
-		if err := restored.LoadSnapshot(blob); err != nil {
-			t.Fatal(err)
-		}
-		assertSameObservable(t, restored, db)
-		checkInvariants(t, restored)
-		if restored.Now() != db.Now() {
-			t.Fatalf("clock drifted: %d != %d", restored.Now(), db.Now())
-		}
-		if restored.DefaultThreshold() != db.DefaultThreshold() {
-			t.Fatalf("default threshold drifted")
-		}
+	for _, tc := range snapshotCases {
+		t.Run(tc.name, func(t *testing.T) {
+			compacted := NewWithShards(0.5, DefaultShards)
+			compacted.SetCompactThreshold(1)
+			tc.build(compacted, (*DB).Compact)
+			headOnly := NewWithShards(0.5, 4)
+			headOnly.SetCompactThreshold(-1)
+			tc.build(headOnly, func(*DB) {})
+			if tc.check != nil {
+				tc.check(t, compacted)
+			}
+			blob := compacted.AppendSnapshot(nil)
+			if other := headOnly.AppendSnapshot(nil); !bytes.Equal(blob, other) {
+				t.Fatalf("snapshot bytes depend on physical layout: %d vs %d bytes", len(blob), len(other))
+			}
+			restored := NewWithShards(0, 16)
+			if err := restored.LoadSnapshot(blob); err != nil {
+				t.Fatal(err)
+			}
+			assertSameObservable(t, restored, compacted)
+			checkInvariants(t, restored)
+			if tc.check != nil {
+				tc.check(t, restored)
+			}
+			if restored.Now() != compacted.Now() {
+				t.Fatalf("clock drifted: %d != %d", restored.Now(), compacted.Now())
+			}
+			if restored.DefaultThreshold() != compacted.DefaultThreshold() {
+				t.Fatalf("default threshold drifted")
+			}
+		})
 	}
 }
 
@@ -111,31 +223,54 @@ func TestExportDeterministic(t *testing.T) {
 }
 
 // TestImportRejectsInconsistentClock hand-encodes the smallest payload of
-// the documented layout — one segment, one DBpar entry, one posting — and
+// each documented layout — one segment, one DBpar entry, one posting — and
 // requires the decoder to refuse stamps from the future of its own clock.
 func TestImportRejectsInconsistentClock(t *testing.T) {
-	encode := func(clock, updated, seq uint64) []byte {
-		b := []byte{snapshotCodecVersion}
-		b = binary.LittleEndian.AppendUint64(b, clock)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
-		b = append(b, 1, 1, 'a') // segment table: ["a"]
-		b = append(b, 1, 0)      // one DBpar entry, ref 0
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
-		b = binary.AppendUvarint(b, updated)
-		b = append(b, 1, 7)    // one hash: 7
-		b = append(b, 1, 1)    // one distinct hash, one posting
-		b = append(b, 7, 1, 0) // hash 7, group of one, ref 0
-		return binary.AppendUvarint(b, seq)
+	header := func(version byte, clock uint64) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte{version}, clock)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
 	}
-	if err := New(0.5).LoadSnapshot(encode(5, 5, 5)); err != nil {
-		t.Fatalf("consistent payload rejected: %v", err)
-	}
-	var ce *CodecError
-	if err := New(0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &ce) {
-		t.Errorf("posting seq beyond clock: err=%v, want CodecError", err)
-	}
-	if err := New(0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &ce) {
-		t.Errorf("segment updated beyond clock: err=%v, want CodecError", err)
+	for name, encode := range map[string]func(clock, updated, seq uint64) []byte{
+		"codec 2": func(clock, updated, seq uint64) []byte {
+			b := header(snapshotCodecVersion, clock)
+			b = append(b, 1, 0, 1, 'a') // segment table: ["a"], sharing nothing
+			b = append(b, 1, 0)         // one DBpar entry, ref 0, default threshold
+			b = binary.AppendUvarint(b, updated)
+			b = append(b, 1)                // a fingerprint of one hash
+			b = append(b, 1, 1)             // one distinct hash, one posting
+			b = append(b, 7, 0|postStamped) // hash 7: ref 0, last, in the fingerprint
+			b = binary.AppendVarint(b, int64(updated-seq))
+			return append(b, 0) // nothing unposted
+		},
+		"codec 1": func(clock, updated, seq uint64) []byte {
+			b := header(legacyCodecVersion, clock)
+			b = append(b, 1, 1, 'a') // segment table: ["a"]
+			b = append(b, 1, 0)      // one DBpar entry, ref 0
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+			b = binary.AppendUvarint(b, updated)
+			b = append(b, 1, 7)    // one hash: 7
+			b = append(b, 1, 1)    // one distinct hash, one posting
+			b = append(b, 7, 1, 0) // hash 7, group of one, ref 0
+			return binary.AppendUvarint(b, seq)
+		},
+	} {
+		db := New(0.5)
+		if err := db.LoadSnapshot(encode(5, 5, 4)); err != nil {
+			t.Fatalf("%s: consistent payload rejected: %v", name, err)
+		}
+		if refs := db.AppendOldestRefs([]uint32{7}, nil); len(refs) != 1 || refs[0].Seg != "a" || refs[0].Seq != 4 {
+			t.Errorf("%s: oldest holder of the one hash = %+v, want a at 4", name, refs)
+		}
+		if fp, ok := db.Fingerprint("a"); !ok || !reflect.DeepEqual(fp.Hashes(), []uint32{7}) {
+			t.Errorf("%s: fingerprint = %v, want [7]", name, fp)
+		}
+		var ce *CodecError
+		if err := New(0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &ce) {
+			t.Errorf("%s: posting seq beyond clock: err=%v, want CodecError", name, err)
+		}
+		if err := New(0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &ce) {
+			t.Errorf("%s: segment updated beyond clock: err=%v, want CodecError", name, err)
+		}
 	}
 }
 

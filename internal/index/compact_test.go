@@ -54,18 +54,24 @@ func opSeq(db *DB, rng *rand.Rand, ops int, tick func(*DB), k int) {
 	}
 }
 
+// edgeSeg is the i-th segment, and edgeFP the fingerprint of 20 hashes at
+// base (bases 10 apart share none, adjacent ones share half), of the
+// universe opSeq draws from and assertSameObservable looks at.
+func edgeSeg(i int) segment.ID { return segment.ID(fmt.Sprintf("doc%d#p%d", i/12, i%12)) }
+
+func edgeFP(base int) *fingerprint.Fingerprint {
+	hs := make([]uint32, 0, 20)
+	for j := 0; j < 20; j++ {
+		hs = append(hs, uint32(base*10+j)*0x9e3779b1)
+	}
+	return fingerprint.FromHashes(hs)
+}
+
 // edgeSeq replays, after the random workload and inside its hash/segment
 // universe, the cases a layout that keeps the first holder inline can get
 // wrong. tick runs where the compacted DB merges and the baseline does not.
 func edgeSeq(db *DB, tick func(*DB)) {
-	seg := func(i int) segment.ID { return segment.ID(fmt.Sprintf("doc%d#p%d", i/12, i%12)) }
-	fp := func(base int) *fingerprint.Fingerprint {
-		hs := make([]uint32, 0, 20)
-		for j := 0; j < 20; j++ {
-			hs = append(hs, uint32(base*10+j)*0x9e3779b1)
-		}
-		return fingerprint.FromHashes(hs)
-	}
+	seg, fp := edgeSeg, edgeFP
 	for i := 0; i < 96; i++ {
 		db.RemoveSegment(seg(i))
 	}
@@ -181,6 +187,11 @@ func assertSameObservableOver(t *testing.T, a, b *DB, hashes []uint32, segs []se
 			if oa != ob || la != lb {
 				t.Fatalf("AuthoritativeOverlap(%s): compacted (%d,%d) baseline (%d,%d)", seg, oa, la, ob, lb)
 			}
+		}
+		fa, oka := a.Fingerprint(seg)
+		fb, okb := b.Fingerprint(seg)
+		if oka != okb || oka && !fa.Equal(fb) {
+			t.Fatalf("Fingerprint(%s): compacted (%v,%v) baseline (%v,%v)", seg, fa, oka, fb, okb)
 		}
 		if ta, tb := a.Threshold(seg), b.Threshold(seg); ta != tb {
 			t.Fatalf("Threshold(%s): compacted %v baseline %v", seg, ta, tb)

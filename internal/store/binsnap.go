@@ -11,15 +11,18 @@
 // Every section carries its own CRC32C (Castagnoli, shared with the WAL
 // framing) and the section table itself is CRC-framed, so truncation, bit
 // flips and garbage tails are all detected before any payload is parsed.
-// The two fingerprint databases are stored in the index package's binary
-// posting codec (delta-encoded, deterministic); the registry and audit
-// sections stay JSON — they are small and schema-flexible.
+// Version 3, the one written, stores each fact once: the two fingerprint
+// databases in the index package's posting codec, the registry in the tdm
+// package's string-table codec; the audit section stays JSON — it is small
+// and schema-flexible. Version 2 (index codec 1, JSON registry) is still
+// read, so an upgraded node recovers the checkpoint its predecessor wrote;
+// a version above 3 is refused (NewerFormatError), not skipped as damage.
 //
 // There is one way in and one way out. CaptureBytes encodes straight from
-// the live DBs (index.AppendSnapshot, which takes its own consistent cut);
-// RestoreBytes validates the whole image, then bulk-loads it with
-// index.PrepareSnapshot/CommitSnapshot, which build the compacted runs
-// directly. RestoreFile is RestoreBytes for a file: mapped when the
+// the live DBs (index.AppendSnapshot, which takes its own consistent cut)
+// into one buffer; RestoreBytes validates the whole image, then bulk-loads
+// it with index.PrepareSnapshot/CommitSnapshot, which build the compacted
+// runs directly. RestoreFile is RestoreBytes for a file: mapped when the
 // filesystem supports it (wal.MapFS), unsealed when keyed.
 //
 // The formats that preceded BFLOWSNB are recognised (retiredFormat) only
@@ -34,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,9 +51,13 @@ import (
 // binMagic prefixes sectioned binary snapshots.
 var binMagic = []byte("BFLOWSNB")
 
-// binVersion is the container format version. Version 1 was the retired
-// framed-JSON payload; the sectioned binary container is version 2.
-const binVersion = 2
+// binVersion is the container format version this build writes. Version 1
+// was the retired framed-JSON payload; binVersionJSONRegistry, the first
+// sectioned container, is read but no longer written.
+const (
+	binVersion             = 3
+	binVersionJSONRegistry = 2
+)
 
 // Section kinds. Unknown kinds are rejected: the format is immutable per
 // version, not extensible in place.
@@ -57,9 +65,12 @@ const (
 	secMeta       = 1 // fixed 24 bytes: schema version, savedAt, walSeg
 	secParagraphs = 2 // index binary snapshot of the paragraph DB
 	secDocuments  = 3 // index binary snapshot of the document DB
-	secRegistry   = 4 // tdm.ExportData, JSON
+	secRegistry   = 4 // tdm.ExportData: binary, JSON in version 2
 	secAudit      = 5 // []audit.Entry, JSON
 )
+
+// sectionNames names the section kinds for operators (bfctl fsck).
+var sectionNames = map[uint32]string{secMeta: "meta", secParagraphs: "pars", secDocuments: "docs", secRegistry: "registry", secAudit: "audit"}
 
 // binSectionEntry is one row of the section table.
 const binSectionEntrySize = 4 + 8 + 8 + 4
@@ -84,43 +95,40 @@ func retiredFormat(data []byte) string {
 	return ""
 }
 
-// binSection is one section to be framed.
+// binSection is one section of a parsed image: its kind, where its payload
+// starts in the file, and the payload.
 type binSection struct {
 	kind    uint32
+	off     int64
 	payload []byte
 }
 
-// frameBinary assembles the sectioned container around payloads.
-func frameBinary(sections []binSection) []byte {
-	headerLen := len(binMagic) + 2 + len(sections)*binSectionEntrySize
-	total := headerLen + 4
-	for _, s := range sections {
-		total += len(s.payload)
+// binImage is a container whose framing parseBinary has validated.
+type binImage struct {
+	path     string
+	version  byte
+	sections []binSection // in table order
+}
+
+// require fetches mandatory sections, in the order of kinds.
+func (im *binImage) require(kinds ...uint32) ([]binSection, error) {
+	out := make([]binSection, 0, len(kinds))
+	for _, kind := range kinds {
+		i := slices.IndexFunc(im.sections, func(s binSection) bool { return s.kind == kind })
+		if i < 0 {
+			return nil, &CorruptSnapshotError{Path: im.path, Offset: 9, Reason: fmt.Sprintf("missing section kind %d", kind)}
+		}
+		out = append(out, im.sections[i])
 	}
-	out := make([]byte, 0, total)
-	out = append(out, binMagic...)
-	out = append(out, binVersion, byte(len(sections)))
-	off := uint64(headerLen + 4)
-	for _, s := range sections {
-		out = binary.LittleEndian.AppendUint32(out, s.kind)
-		out = binary.LittleEndian.AppendUint64(out, off)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(s.payload, crcTable))
-		off += uint64(len(s.payload))
-	}
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
-	for _, s := range sections {
-		out = append(out, s.payload...)
-	}
-	return out
+	return out, nil
 }
 
 // parseBinary validates the container framing and returns the payload of
-// each section, keyed by kind. Errors are *CorruptSnapshotError with the
-// offset of the first offending byte, or *RetiredFormatError for an image
-// in a format that is refused rather than damaged.
-func parseBinary(path string, data []byte) (map[uint32][]byte, error) {
-	fail := func(off int64, reason string) (map[uint32][]byte, error) {
+// each section. Errors are *CorruptSnapshotError with the offset of the
+// first offending byte, or — for an image that is refused rather than
+// damaged — *RetiredFormatError or *NewerFormatError.
+func parseBinary(path string, data []byte) (*binImage, error) {
+	fail := func(off int64, reason string) (*binImage, error) {
 		return nil, &CorruptSnapshotError{Path: path, Offset: off, Reason: reason}
 	}
 	if format := retiredFormat(data); format != "" {
@@ -132,8 +140,9 @@ func parseBinary(path string, data []byte) (map[uint32][]byte, error) {
 	if !IsBinarySnapshot(data) {
 		return fail(0, "not a BFLOWSNB image")
 	}
-	if v := data[8]; v != binVersion {
-		return fail(8, fmt.Sprintf("unsupported binary snapshot version %d", v))
+	version := data[8]
+	if version < binVersionJSONRegistry {
+		return fail(8, fmt.Sprintf("unsupported binary snapshot version %d", version))
 	}
 	count := int(data[9])
 	headerLen := len(binMagic) + 2 + count*binSectionEntrySize
@@ -145,7 +154,12 @@ func parseBinary(path string, data []byte) (map[uint32][]byte, error) {
 		return fail(int64(headerLen),
 			fmt.Sprintf("section table checksum mismatch (got %08x, want %08x)", got, wantCRC))
 	}
-	sections := make(map[uint32][]byte, count)
+	// The checksum covers the version byte: a version this build does not
+	// know, under an intact header, was written by a newer build.
+	if version > binVersion {
+		return nil, &NewerFormatError{Path: path, Version: int(version)}
+	}
+	im := &binImage{path: path, version: version, sections: make([]binSection, 0, count)}
 	end := uint64(headerLen + 4)
 	for i := 0; i < count; i++ {
 		rowOff := len(binMagic) + 2 + i*binSectionEntrySize
@@ -153,7 +167,7 @@ func parseBinary(path string, data []byte) (map[uint32][]byte, error) {
 		off := binary.LittleEndian.Uint64(data[rowOff+4:])
 		length := binary.LittleEndian.Uint64(data[rowOff+12:])
 		crc := binary.LittleEndian.Uint32(data[rowOff+20:])
-		if _, dup := sections[kind]; dup {
+		if slices.ContainsFunc(im.sections, func(s binSection) bool { return s.kind == kind }) {
 			return fail(int64(rowOff), fmt.Sprintf("duplicate section kind %d", kind))
 		}
 		// Payloads must be contiguous and in table order: the image is
@@ -170,39 +184,29 @@ func parseBinary(path string, data []byte) (map[uint32][]byte, error) {
 			return fail(int64(off),
 				fmt.Sprintf("section %d checksum mismatch (got %08x, want %08x)", kind, got, crc))
 		}
-		sections[kind] = payload
+		im.sections = append(im.sections, binSection{kind, int64(off), payload})
 		end = off + length
 	}
 	if end != uint64(len(data)) {
 		return fail(int64(end), fmt.Sprintf("%d trailing bytes after last section", uint64(len(data))-end))
 	}
-	return sections, nil
+	return im, nil
 }
 
-// binRequire fetches a mandatory section.
-func binRequire(path string, sections map[uint32][]byte, kind uint32) ([]byte, error) {
-	payload, ok := sections[kind]
-	if !ok {
-		return nil, &CorruptSnapshotError{Path: path, Offset: 9, Reason: fmt.Sprintf("missing section kind %d", kind)}
-	}
-	return payload, nil
-}
-
-// encodeBinaryMeta packs the meta section: logical schema version,
+// appendBinaryMeta appends the meta section: logical schema version,
 // capture time and WAL epoch barrier. The version is recorded verbatim;
 // RestoreBytes validates it.
-func encodeBinaryMeta(version int, savedAt time.Time, walSeg uint64) []byte {
-	meta := make([]byte, 0, binMetaSize)
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(version))
+func appendBinaryMeta(buf []byte, version int, savedAt time.Time, walSeg uint64) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(version))
 	var nano int64
 	if !savedAt.IsZero() {
 		nano = savedAt.UnixNano()
 	}
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(nano))
-	return binary.LittleEndian.AppendUint64(meta, walSeg)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(nano))
+	return binary.LittleEndian.AppendUint64(buf, walSeg)
 }
 
-// decodeBinaryMeta inverts encodeBinaryMeta.
+// decodeBinaryMeta inverts appendBinaryMeta.
 func decodeBinaryMeta(path string, payload []byte) (version uint64, savedAt time.Time, walSeg uint64, err error) {
 	if len(payload) != binMetaSize {
 		return 0, time.Time{}, 0, &CorruptSnapshotError{Path: path, Offset: 0,
@@ -216,68 +220,69 @@ func decodeBinaryMeta(path string, payload []byte) (version uint64, savedAt time
 	return version, savedAt, walSeg, nil
 }
 
-// wrapIndexErr converts an index codec error into a CorruptSnapshotError
-// whose offset points into the snapshot file (section start + payload
-// offset), so operators can locate the damage with one number.
-func wrapIndexErr(path string, data, payload []byte, err error) error {
-	if err == nil {
-		return nil
-	}
-	var ce *index.CodecError
-	if errors.As(err, &ce) {
-		off := int64(ce.Offset)
-		// payload is a sub-slice of data; recover its file offset.
-		if len(payload) > 0 && len(data) > 0 {
-			if base := sliceOffset(data, payload); base >= 0 {
-				off += base
-			}
-		}
-		return &CorruptSnapshotError{Path: path, Offset: off, Reason: ce.Reason}
+// wrapCodecErr converts a payload codec error (index or registry) into a
+// CorruptSnapshotError whose offset points into the snapshot file (section
+// start + payload offset), so operators can locate the damage with one
+// number.
+func wrapCodecErr(path string, sec binSection, err error) error {
+	var (
+		ie *index.CodecError
+		te *tdm.CodecError
+	)
+	switch {
+	case errors.As(err, &ie):
+		return &CorruptSnapshotError{Path: path, Offset: sec.off + int64(ie.Offset), Reason: ie.Reason}
+	case errors.As(err, &te):
+		return &CorruptSnapshotError{Path: path, Offset: sec.off + int64(te.Offset), Reason: te.Reason}
 	}
 	return err
 }
 
-// sliceOffset returns sub's byte offset within data, or -1 when sub is
-// not a sub-slice of data. Both slices share a backing array, so the
-// offset falls out of the capacity difference; the pointer comparison
-// verifies the candidate rather than trusting it.
-func sliceOffset(data, sub []byte) int64 {
-	if len(sub) == 0 || cap(sub) > cap(data) {
-		return -1
-	}
-	off := cap(data) - cap(sub)
-	if off < 0 || off+len(sub) > len(data) || &data[off] != &sub[0] {
-		return -1
-	}
-	return int64(off)
-}
-
 // CaptureBytes encodes the live tracker and registry straight into a
-// BFLOWSNB image: the index DBs append their binary snapshots directly, so
-// the cost is one walk over the postings plus the (small) registry/audit
-// JSON. It is safe beside observes and index maintenance: each DB's section
-// is a consistent cut of that DB (see index.AppendSnapshot); the paragraph
-// DB, document DB, registry and audit log are captured one after another.
-// A caller that needs the four aligned with each other and with a WAL
+// BFLOWSNB image: every section is appended to the one output buffer and
+// the section table in front is filled in afterwards, so the cost is one
+// walk over the postings and the labels and the image exists once. It is
+// safe beside observes and index maintenance: each DB's section is a
+// consistent cut of that DB (see index.AppendSnapshot); the paragraph DB,
+// document DB, registry and audit log are captured one after another. A
+// caller that needs the four aligned with each other and with a WAL
 // position holds Durable's barrier around the call.
 func CaptureBytes(tracker *disclosure.Tracker, registry *tdm.Registry, walSeg uint64) ([]byte, error) {
-	pars := tracker.Paragraphs().AppendSnapshot(nil)
-	docs := tracker.Documents().AppendSnapshot(nil)
-	reg, err := json.Marshal(registry.Export())
-	if err != nil {
-		return nil, fmt.Errorf("store: capture registry: %w", err)
+	const sections = 5
+	headerLen := len(binMagic) + 2 + sections*binSectionEntrySize
+	// Sized from the counters for what the codecs typically spend — a
+	// posting 3–4 bytes, a hash delta 2–3, a segment its table entry, DBpar
+	// entry and label — so the buffer seldom grows and is never far too big.
+	size := headerLen + 4 + 1024
+	for _, db := range []*index.DB{tracker.Paragraphs(), tracker.Documents()} {
+		st := db.Stats()
+		size += 4*st.Postings + 3*st.DistinctHashes + 24*st.Segments
 	}
+	out := make([]byte, headerLen+4, size)
+	copy(out, binMagic)
+	out[8], out[9] = binVersion, sections
+	written := 0
+	section := func(kind uint32, payload func([]byte) []byte) {
+		off := len(out)
+		out = payload(out)
+		row := out[len(binMagic)+2+written*binSectionEntrySize:]
+		binary.LittleEndian.PutUint32(row, kind)
+		binary.LittleEndian.PutUint64(row[4:], uint64(off))
+		binary.LittleEndian.PutUint64(row[12:], uint64(len(out)-off))
+		binary.LittleEndian.PutUint32(row[20:], crc32.Checksum(out[off:], crcTable))
+		written++
+	}
+	section(secMeta, func(buf []byte) []byte { return appendBinaryMeta(buf, SnapshotVersion, time.Now().UTC(), walSeg) })
+	section(secParagraphs, tracker.Paragraphs().AppendSnapshot)
+	section(secDocuments, tracker.Documents().AppendSnapshot)
+	section(secRegistry, func(buf []byte) []byte { return registry.Export().AppendBinary(buf) })
 	aud, err := json.Marshal(registry.Audit().Entries())
 	if err != nil {
 		return nil, fmt.Errorf("store: capture audit: %w", err)
 	}
-	return frameBinary([]binSection{
-		{secMeta, encodeBinaryMeta(SnapshotVersion, time.Now().UTC(), walSeg)},
-		{secParagraphs, pars},
-		{secDocuments, docs},
-		{secRegistry, reg},
-		{secAudit, aud},
-	}), nil
+	section(secAudit, func(buf []byte) []byte { return append(buf, aud...) })
+	binary.LittleEndian.PutUint32(out[headerLen:], crc32.Checksum(out[:headerLen], crcTable))
+	return out, nil
 }
 
 // BinaryMeta is what RestoreBytes reports about a restored image.
@@ -292,58 +297,44 @@ type BinaryMeta struct {
 // data may be a memory mapping, nothing in the restored state aliases it.
 // On error nothing has been replaced.
 func RestoreBytes(path string, data []byte, tracker *disclosure.Tracker, registry *tdm.Registry) (BinaryMeta, error) {
-	sections, err := parseBinary(path, data)
+	im, err := parseBinary(path, data)
 	if err != nil {
 		return BinaryMeta{}, err
 	}
-	meta, err := binRequire(path, sections, secMeta)
+	secs, err := im.require(secMeta, secRegistry, secAudit, secParagraphs, secDocuments)
 	if err != nil {
 		return BinaryMeta{}, err
 	}
-	version, savedAt, walSeg, err := decodeBinaryMeta(path, meta)
+	meta, reg, aud, pars, docs := secs[0], secs[1], secs[2], secs[3], secs[4]
+	version, savedAt, walSeg, err := decodeBinaryMeta(path, meta.payload)
 	if err != nil {
 		return BinaryMeta{}, err
 	}
 	if version != SnapshotVersion {
 		return BinaryMeta{}, fmt.Errorf("store: unsupported snapshot version %d", version)
 	}
-	// Parse the small JSON sections before touching tracker state, so the
-	// most common corruption (which the CRCs already screen) cannot leave
-	// a half-restored registry.
-	reg, err := binRequire(path, sections, secRegistry)
-	if err != nil {
-		return BinaryMeta{}, err
-	}
+	// Decode every section before touching tracker or registry state, so no
+	// corruption — which the CRCs screen on disk, but not in an image sent to
+	// a bootstrapping standby — can leave a partial load.
 	var regData tdm.ExportData
-	if err := json.Unmarshal(reg, &regData); err != nil {
-		return BinaryMeta{}, fmt.Errorf("store: decode registry: %w", err)
-	}
-	aud, err := binRequire(path, sections, secAudit)
-	if err != nil {
-		return BinaryMeta{}, err
+	if im.version == binVersionJSONRegistry {
+		if err := json.Unmarshal(reg.payload, &regData); err != nil {
+			return BinaryMeta{}, fmt.Errorf("store: decode registry: %w", err)
+		}
+	} else if regData, err = tdm.DecodeExportData(reg.payload); err != nil {
+		return BinaryMeta{}, wrapCodecErr(path, reg, err)
 	}
 	var entries []audit.Entry
-	if err := json.Unmarshal(aud, &entries); err != nil {
+	if err := json.Unmarshal(aud.payload, &entries); err != nil {
 		return BinaryMeta{}, fmt.Errorf("store: decode audit: %w", err)
 	}
-	pars, err := binRequire(path, sections, secParagraphs)
+	parsPrep, err := tracker.Paragraphs().PrepareSnapshot(pars.payload)
 	if err != nil {
-		return BinaryMeta{}, err
+		return BinaryMeta{}, wrapCodecErr(path, pars, err)
 	}
-	docs, err := binRequire(path, sections, secDocuments)
+	docsPrep, err := tracker.Documents().PrepareSnapshot(docs.payload)
 	if err != nil {
-		return BinaryMeta{}, err
-	}
-	// Two-phase restore: both index payloads are decoded and validated
-	// before either DB is replaced, so a corrupt documents section cannot
-	// leave the paragraph DB already swapped (no partial load).
-	parsPrep, err := tracker.Paragraphs().PrepareSnapshot(pars)
-	if err != nil {
-		return BinaryMeta{}, wrapIndexErr(path, data, pars, err)
-	}
-	docsPrep, err := tracker.Documents().PrepareSnapshot(docs)
-	if err != nil {
-		return BinaryMeta{}, wrapIndexErr(path, data, docs, err)
+		return BinaryMeta{}, wrapCodecErr(path, docs, err)
 	}
 	if err := registry.Import(regData); err != nil {
 		return BinaryMeta{}, fmt.Errorf("store: restore registry: %w", err)
@@ -390,9 +381,11 @@ func SaveCheckpointBytes(fs wal.FS, path string, blob, key []byte) error {
 
 // RecoverNewestCheckpoint scans dir newest-first and restores the first
 // checkpoint that loads cleanly into tracker and registry, skipping (and
-// counting) corrupt files in favour of older spares. A checkpoint in a
-// retired format is not skipped: falling back past it would silently drop
-// the state it holds, so recovery fails with its *RetiredFormatError. It
+// counting) corrupt files in favour of older spares. An intact checkpoint
+// in a format this build does not read — retired, or written by a newer
+// build — is not skipped: falling back past it would silently drop the
+// state it holds, so recovery fails with its *RetiredFormatError or
+// *NewerFormatError. It
 // returns the restored checkpoint's WAL epoch barrier and file name; name
 // is empty when the directory holds no loadable checkpoint. logf may be nil.
 func RecoverNewestCheckpoint(fs wal.FS, dir string, key []byte, tracker *disclosure.Tracker, registry *tdm.Registry, logf func(string, ...interface{})) (barrier uint64, name string, corrupt int, err error) {
@@ -416,8 +409,7 @@ func RecoverNewestCheckpoint(fs wal.FS, dir string, key []byte, tracker *disclos
 	for _, seg := range ckpts {
 		n := CheckpointName(seg)
 		meta, rerr := RestoreFile(fs, filepath.Join(dir, n), key, tracker, registry)
-		var retired *RetiredFormatError
-		if errors.As(rerr, &retired) {
+		if refusedFormat(rerr) {
 			return 0, "", corrupt, rerr
 		}
 		if rerr != nil {

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +15,64 @@ import (
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/wal"
 )
+
+// frameImage assembles a container of the given version around sections,
+// checksums valid — the framing CaptureBytes writes, for tests that need an
+// image no build writes.
+func frameImage(version byte, sections []binSection) []byte {
+	headerLen := len(binMagic) + 2 + len(sections)*binSectionEntrySize
+	out := append(append([]byte(nil), binMagic...), version, byte(len(sections)))
+	off := uint64(headerLen + 4)
+	for _, s := range sections {
+		out = binary.LittleEndian.AppendUint32(out, s.kind)
+		out = binary.LittleEndian.AppendUint64(out, off)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
+		out = binary.LittleEndian.AppendUint32(out, 0)
+		off += uint64(len(s.payload))
+	}
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	for _, s := range sections {
+		out = append(out, s.payload...)
+	}
+	return refreshCRCs(out)
+}
+
+// refreshCRCs returns a copy of data with the section table's checksum and
+// that of every section the table places inside the file recomputed, so a
+// changed payload reaches its decoder instead of dying at the CRC — what a
+// sender who chooses the checksums can do to a bootstrapping standby.
+func refreshCRCs(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if !IsBinarySnapshot(out) || len(out) < len(binMagic)+2 {
+		return out
+	}
+	headerLen := len(binMagic) + 2 + int(out[9])*binSectionEntrySize
+	if len(out) < headerLen+4 {
+		return out
+	}
+	for row := out[len(binMagic)+2 : headerLen]; len(row) > 0; row = row[binSectionEntrySize:] {
+		off, length := binary.LittleEndian.Uint64(row[4:]), binary.LittleEndian.Uint64(row[12:])
+		if off <= uint64(len(out)) && length <= uint64(len(out))-off {
+			binary.LittleEndian.PutUint32(row[20:], crc32.Checksum(out[off:off+length], crcTable))
+		}
+	}
+	binary.LittleEndian.PutUint32(out[headerLen:], crc32.Checksum(out[:headerLen], crcTable))
+	return out
+}
+
+// indexSections returns the paragraph and document sections of an image.
+func indexSections(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	im, err := parseBinary("mem.bf", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := im.require(secParagraphs, secDocuments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append([]byte(nil), secs[0].payload...), secs[1].payload...)
+}
 
 // TestCaptureRestoreBytes pins the one state-image route: live state →
 // binary image → bulk restore.
@@ -57,19 +118,26 @@ func TestSaveWritesBinaryFormat(t *testing.T) {
 
 // TestCrossVersionFixtures loads state files written by the last build
 // that still had the struct route (PR 15's Middleware.Save over
-// buildState, plaintext and sealed with the passphrase "pr15-fixture"):
-// the one route left must read them to the same state, and must write the
-// same bytes for that state.
+// buildState, plaintext and sealed with the passphrase "pr15-fixture"),
+// which are container version 2: the one route left must read them to the
+// same state, and must write the same version 3 bytes for that state as
+// for the one this build ingests itself.
 func TestCrossVersionFixtures(t *testing.T) {
 	want, wantRegistry := buildState(t)
-	plain := filepath.Join("testdata", "pr15-state.snap")
+	wantBlob, err := CaptureBytes(want, wantRegistry, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, fx := range []struct {
 		path string
 		key  []byte
 	}{
-		{plain, nil},
+		{filepath.Join("testdata", "pr15-state.snap"), nil},
 		{filepath.Join("testdata", "pr15-state.enc.snap"), DeriveKey("pr15-fixture")},
 	} {
+		if info, err := VerifyCheckpointFile(wal.OSFS{}, fx.path, fx.key); err != nil || info.Version != binVersionJSONRegistry {
+			t.Fatalf("%s: verify = (%+v, %v), want a clean version %d image", fx.path, info, err, binVersionJSONRegistry)
+		}
 		tracker, registry := freshState(t)
 		if _, err := RestoreFile(wal.OSFS{}, fx.path, fx.key, tracker, registry); err != nil {
 			t.Fatalf("%s: %v", fx.path, err)
@@ -87,36 +155,22 @@ func TestCrossVersionFixtures(t *testing.T) {
 		if !reflect.DeepEqual(got, wantLog) {
 			t.Errorf("%s: audit log %+v, want %+v", fx.path, got, wantLog)
 		}
+		if !reflect.DeepEqual(registry.Export(), wantRegistry.Export()) {
+			t.Errorf("%s: registry %+v, want %+v", fx.path, registry.Export(), wantRegistry.Export())
+		}
+		// Same bytes: this build's image of the loaded fixture carries the
+		// index sections of its image of the freshly built state.
+		blob, err := CaptureBytes(tracker, registry, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob[8] != binVersion {
+			t.Errorf("%s: re-captured as container version %d, want %d", fx.path, blob[8], binVersion)
+		}
+		if !bytes.Equal(indexSections(t, blob), indexSections(t, wantBlob)) {
+			t.Errorf("%s: index sections of the loaded fixture's image differ from a freshly built state's", fx.path)
+		}
 		verifyRestored(t, tracker, registry)
-	}
-
-	// Same bytes: everything after the meta section (capture time, WAL
-	// epoch) of this build's image of the loaded state is the parent's
-	// file, and the index sections of a state this build ingested itself
-	// are the parent's sections.
-	raw, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker, registry := freshState(t)
-	if _, err := RestoreBytes(plain, raw, tracker, registry); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := CaptureBytes(tracker, registry, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	afterMeta := len(binMagic) + 2 + 5*binSectionEntrySize + 4 + binMetaSize
-	if !bytes.Equal(blob[afterMeta:], raw[afterMeta:]) {
-		t.Errorf("image of the loaded fixture differs from the fixture after the meta section")
-	}
-	sections, err := parseBinary(plain, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Paragraphs().AppendSnapshot(nil), sections[secParagraphs]) ||
-		!bytes.Equal(want.Documents().AppendSnapshot(nil), sections[secDocuments]) {
-		t.Errorf("index sections of a freshly built state differ from the fixture's")
 	}
 }
 
@@ -141,76 +195,132 @@ func TestRecoverRefusesRetiredFormat(t *testing.T) {
 		"BFLOWSNP framed-JSON": []byte("BFLOWSNP\x01\x00\x00\x00\x00\x00\x00\x00\x02\xb3\x9b\x0d\xd5{}"),
 		"bare-JSON":            []byte(`{"version":1,"savedAt":"2024-01-02T03:04:05Z","walSeg":3}`),
 	} {
-		fs := faultinject.NewMemFS(1)
-		dir := "/data"
-		if err := fs.MkdirAll(dir, 0o700); err != nil {
-			t.Fatal(err)
-		}
-		old := filepath.Join(dir, CheckpointName(3))
-		if err := saveBlobFS(fs, old, payload); err != nil {
-			t.Fatal(err)
-		}
-		refused := func(what string, err error) {
-			t.Helper()
+		testRefusedCheckpoint(t, format, payload, func(path string, err error) bool {
 			var rfe *RetiredFormatError
-			if !errors.As(err, &rfe) || rfe.Path != old || rfe.Format != format {
-				t.Fatalf("%s: %s: err=%v, want RetiredFormatError{%s, %s}", format, what, err, old, format)
+			return errors.As(err, &rfe) && rfe.Path == path && rfe.Format == format
+		})
+	}
+}
+
+// TestRecoverRefusesNewerVersion: an image whose container version is above
+// the one this build writes, header otherwise intact, was written by a
+// newer build and gets the same treatment — with an older valid spare
+// beside it, recovery errors instead of loading the spare. The same bytes
+// with a damaged header are plain corruption.
+func TestRecoverRefusesNewerVersion(t *testing.T) {
+	tracker, registry := buildState(t)
+	blob, err := CaptureBytes(tracker, registry, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := parseBinary("mem.bf", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := frameImage(binVersion+1, im.sections)
+	testRefusedCheckpoint(t, "version 4", newer, func(path string, err error) bool {
+		var nfe *NewerFormatError
+		return errors.As(err, &nfe) && nfe.Path == path && nfe.Version == binVersion+1
+	})
+
+	newer[len(binMagic)+3] ^= 0x01 // a section-table byte: the header CRC no longer holds
+	var ce *CorruptSnapshotError
+	if _, err := RestoreBytes("mem.bf", newer, tracker, registry); !errors.As(err, &ce) {
+		t.Errorf("version 4 under a damaged header: err=%v, want CorruptSnapshotError", err)
+	}
+}
+
+// testRefusedCheckpoint saves payload as checkpoint 3 and requires every
+// consumer to surface it with an error refused accepts: recovery (alone in
+// the directory and with an older valid spare beside it), OpenDurable and
+// VerifyCheckpointFile fail; behind a newer loadable checkpoint it is never
+// opened, and the scrubber reports it but leaves it in place.
+func testRefusedCheckpoint(t *testing.T, what string, payload []byte, refused func(path string, err error) bool) {
+	t.Helper()
+	fs := faultinject.NewMemFS(1)
+	dir := "/data"
+	if err := fs.MkdirAll(dir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, CheckpointName(3))
+	if err := saveBlobFS(fs, old, payload); err != nil {
+		t.Fatal(err)
+	}
+	check := func(where string, err error) {
+		t.Helper()
+		if !refused(old, err) {
+			t.Fatalf("%s: %s: err=%v, want the file refused by name", what, where, err)
+		}
+	}
+
+	// Recovery fails, typed, without counting the file corrupt or touching
+	// the state it was handed — alone in the directory, and with an older
+	// loadable spare to fall back to.
+	tracker, registry := buildState(t)
+	spare, err := CaptureBytes(tracker, registry, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withSpare := range []bool{false, true} {
+		if withSpare {
+			if err := saveBlobFS(fs, filepath.Join(dir, CheckpointName(1)), spare); err != nil {
+				t.Fatal(err)
 			}
 		}
-
-		// Alone in the directory: recovery fails, typed, without counting
-		// the file corrupt or touching the state it was handed.
-		tracker, registry := buildState(t)
 		before, cached := tracker.Digest(), tracker.CacheLen()
 		_, name, corrupt, err := RecoverNewestCheckpoint(fs, dir, nil, tracker, registry, t.Logf)
-		refused("RecoverNewestCheckpoint", err)
+		check("RecoverNewestCheckpoint", err)
 		if name != "" || corrupt != 0 {
-			t.Fatalf("%s: recovered (%q, corrupt=%d), want nothing loaded and nothing counted corrupt", format, name, corrupt)
+			t.Fatalf("%s: recovered (%q, corrupt=%d), want nothing loaded and nothing counted corrupt", what, name, corrupt)
 		}
 		if tracker.Digest() != before || tracker.CacheLen() != cached || registry.Audit().Len() != 1 {
-			t.Fatalf("%s: refused recovery touched the tracker or registry", format)
+			t.Fatalf("%s: refused recovery touched the tracker or registry", what)
 		}
 		tracker2, registry2 := freshState(t)
 		_, err = OpenDurable(DurableOptions{Dir: dir, FS: fs}, tracker2, registry2)
-		refused("OpenDurable", err)
-		_, err = VerifyCheckpointFile(fs, old, nil)
-		refused("VerifyCheckpointFile", err)
+		check("OpenDurable", err)
+		if s := tracker2.Paragraphs().Stats(); s.Segments != 0 {
+			t.Fatalf("%s: refused OpenDurable loaded the spare: %+v", what, s)
+		}
+	}
+	_, err = VerifyCheckpointFile(fs, old, nil)
+	check("VerifyCheckpointFile", err)
 
-		// Beside a newer loadable checkpoint: recovery never opens the old
-		// file, and the scrubber reports it but leaves it in place.
-		blob, err := CaptureBytes(tracker, registry, 5)
-		if err != nil {
-			t.Fatal(err)
+	// Beside a newer loadable checkpoint: recovery never opens the old
+	// file, and the scrubber reports it but leaves it in place.
+	blob, err := CaptureBytes(tracker, registry, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saveBlobFS(fs, filepath.Join(dir, CheckpointName(5)), blob); err != nil {
+		t.Fatal(err)
+	}
+	tracker2, registry2 := freshState(t)
+	reads := &readLog{FS: fs}
+	d, err := OpenDurable(DurableOptions{Dir: dir, FS: reads, Logf: t.Logf}, tracker2, registry2)
+	if err != nil {
+		t.Fatalf("%s: OpenDurable beside a newer checkpoint: %v", what, err)
+	}
+	if rec := d.Stats().Recovery; rec.CheckpointLoaded != CheckpointName(5) || rec.CorruptCheckpoints != 0 {
+		t.Errorf("%s: recovery = %+v, want %s and no corrupt checkpoints", what, rec, CheckpointName(5))
+	}
+	for _, n := range reads.read {
+		if n == old {
+			t.Errorf("%s: recovery opened the refused file although a newer checkpoint loaded", what)
 		}
-		if err := saveBlobFS(fs, filepath.Join(dir, CheckpointName(5)), blob); err != nil {
-			t.Fatal(err)
-		}
-		reads := &readLog{FS: fs}
-		d, err := OpenDurable(DurableOptions{Dir: dir, FS: reads, Logf: t.Logf}, tracker2, registry2)
-		if err != nil {
-			t.Fatalf("%s: OpenDurable beside a newer checkpoint: %v", format, err)
-		}
-		if rec := d.Stats().Recovery; rec.CheckpointLoaded != CheckpointName(5) || rec.CorruptCheckpoints != 0 {
-			t.Errorf("%s: recovery = %+v, want %s and no corrupt checkpoints", format, rec, CheckpointName(5))
-		}
-		for _, n := range reads.read {
-			if n == old {
-				t.Errorf("%s: recovery opened the retired file although a newer checkpoint loaded", format)
-			}
-		}
-		verifyRestored(t, tracker2, registry2)
-		if found, err := d.ScrubPass(); err != nil || found != 0 {
-			t.Errorf("%s: scrub pass = (%d, %v), want nothing found", format, found, err)
-		}
-		if st := d.Stats().Scrub; st.Quarantines != 0 || st.QuarantinedFiles != 0 {
-			t.Errorf("%s: scrubber quarantined the retired file: %+v", format, st)
-		}
-		if _, err := fs.Size(old); err != nil {
-			t.Errorf("%s: retired file no longer in place after a scrub pass: %v", format, err)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	verifyRestored(t, tracker2, registry2)
+	if found, err := d.ScrubPass(); err != nil || found != 0 {
+		t.Errorf("%s: scrub pass = (%d, %v), want nothing found", what, found, err)
+	}
+	if st := d.Stats().Scrub; st.Quarantines != 0 || st.QuarantinedFiles != 0 {
+		t.Errorf("%s: scrubber quarantined the refused file: %+v", what, st)
+	}
+	if _, err := fs.Size(old); err != nil {
+		t.Errorf("%s: refused file no longer in place after a scrub pass: %v", what, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -293,6 +403,51 @@ func TestBinarySnapshotCorruptionSweep(t *testing.T) {
 	}
 	// Garbage tail.
 	check(append(append([]byte(nil), blob...), 0x00), "tail")
+}
+
+// TestRestoreBelowTheCRC flips a bit in every twelfth payload byte or so of
+// an image of the PR 22 script's state — every case the codecs encode
+// indirectly — and makes the checksums valid again, so each mutation
+// reaches the payload decoders, as it would from a sender who chooses the
+// CRCs. Each must load cleanly into a state that captures again, or be
+// rejected — corruption with an offset inside the file — leaving the state
+// as it was.
+func TestRestoreBelowTheCRC(t *testing.T) {
+	src := newWorld(t, fixedClock)
+	pr22Script(t, src)
+	blob, err := CaptureBytes(src.tracker, src.registry, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorld(t, fixedClock)
+	rng := rand.New(rand.NewSource(23))
+	loaded, rejected := 0, 0
+	for off := afterMeta - binMetaSize; off < len(blob); off += 1 + rng.Intn(23) {
+		mut := append([]byte(nil), blob...)
+		mut[off] ^= 1 << uint(rng.Intn(8))
+		mut = refreshCRCs(mut)
+		before := w.tracker.Digest()
+		_, err := RestoreBytes("mut.bf", mut, w.tracker, w.registry)
+		if err == nil {
+			loaded++
+			if _, err := CaptureBytes(w.tracker, w.registry, 5); err != nil {
+				t.Fatalf("offset %d: accepted image does not capture again: %v", off, err)
+			}
+			continue
+		}
+		rejected++
+		var ce *CorruptSnapshotError
+		if errors.As(err, &ce) && (ce.Offset < 0 || ce.Offset > int64(len(mut))) {
+			t.Fatalf("offset %d: corruption reported outside the file: %v", off, err)
+		}
+		if w.tracker.Digest() != before {
+			t.Fatalf("offset %d: rejected restore touched the index: %v", off, err)
+		}
+	}
+	if loaded == 0 || rejected < len(blob)/48 {
+		t.Fatalf("%d mutations loaded, %d were rejected: the sweep is not reaching the decoders", loaded, rejected)
+	}
+	t.Logf("%d bytes: %d mutations loaded, %d rejected", len(blob), loaded, rejected)
 }
 
 // TestMapFileFallbacks pins the FS capability check: MemFS has no mmap,

@@ -73,13 +73,14 @@ func pr20Script(t testing.TB, w *world, checkpoint func()) {
 	prune(copySeg(1))
 }
 
-// pr20ProbeAnswers renders what the world answers about the script's
-// texts: release verdicts, and for every hash of the hot text its holders
-// in first-seen order and its authoritative holder with the exact stamp.
-func pr20ProbeAnswers(t testing.TB, w *world) []byte {
+// probeAnswers renders what the world answers about a script's texts:
+// release verdicts for extra, hot and the genOps texts, and for every hash
+// of the hot text its holders in first-seen order and its authoritative
+// holder with the exact stamp.
+func probeAnswers(t testing.TB, w *world, hot string, extra ...string) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	texts := append([]string{pr20HotText + " annex number 3", pr20HotText}, opTexts...)
+	texts := append(append(extra, hot), opTexts...)
 	for i, text := range texts {
 		v, err := w.engine.CheckText(text, "bravo")
 		if err != nil {
@@ -91,7 +92,7 @@ func pr20ProbeAnswers(t testing.TB, w *world) []byte {
 		}
 		fmt.Fprintf(&out, "check %d: %s %v %v\n", i, v.Decision, v.Violating, srcs)
 	}
-	fp, err := w.tracker.Fingerprint(pr20HotText)
+	fp, err := w.tracker.Fingerprint(hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +107,29 @@ func pr20ProbeAnswers(t testing.TB, w *world) []byte {
 	return out.Bytes()
 }
 
-// TestCrossVersionPR20Fixture: the parent's checkpoint and WAL suffix
-// recover here to the state the script builds here, answer the probes as
-// the parent did, and re-encode to the parent's bytes.
-func TestCrossVersionPR20Fixture(t *testing.T) {
-	read := func(name string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+func pr20ProbeAnswers(t testing.TB, w *world) []byte {
+	return probeAnswers(t, w, pr20HotText, pr20HotText+" annex number 3")
+}
+
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fixture := read(pr20Checkpoint)
-	afterMeta := len(binMagic) + 2 + 5*binSectionEntrySize + 4 + binMetaSize
+	return data
+}
+
+// afterMeta is where an image's sections past meta (capture time, WAL
+// epoch) start.
+const afterMeta = len("BFLOWSNB") + 2 + 5*binSectionEntrySize + 4 + binMetaSize
+
+// TestCrossVersionPR20Fixture: the PR 20 build's checkpoint (container
+// version 2) and WAL suffix recover here to the state the script builds
+// here and answer the probes as that build did; the version 3 image of the
+// loaded checkpoint is the version 3 image of the script run from empty.
+func TestCrossVersionPR20Fixture(t *testing.T) {
+	fixture := readFixture(t, pr20Checkpoint)
 
 	// The script run from empty on this build: the image at the
 	// checkpoint call, and the complete state.
@@ -131,9 +141,6 @@ func TestCrossVersionPR20Fixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if !bytes.Equal(image[afterMeta:], fixture[afterMeta:]) {
-		t.Errorf("this build's image of the scripted state differs from the parent's after the meta section")
-	}
 
 	// The checkpoint alone: load, re-encode, same bytes.
 	loaded := newWorld(t, fixedClock)
@@ -144,15 +151,15 @@ func TestCrossVersionPR20Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again[afterMeta:], fixture[afterMeta:]) {
-		t.Errorf("image of the loaded fixture differs from the fixture after the meta section")
+	if !bytes.Equal(again[afterMeta:], image[afterMeta:]) {
+		t.Errorf("image of the loaded fixture differs from the image of the script run from empty after the meta section")
 	}
 
 	// Checkpoint + WAL suffix through recovery.
 	dir := t.TempDir()
 	for name, data := range map[string][]byte{
 		CheckpointName(pr20Barrier):  fixture,
-		wal.SegmentName(pr20Barrier): read(pr20Suffix),
+		wal.SegmentName(pr20Barrier): readFixture(t, pr20Suffix),
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
 			t.Fatal(err)
@@ -170,11 +177,158 @@ func TestCrossVersionPR20Fixture(t *testing.T) {
 	if !bytes.Equal(export(t, recovered), export(t, fresh)) {
 		t.Errorf("recovered fixture state differs from the script run from empty")
 	}
-	want := read(pr20Probes)
+	want := readFixture(t, pr20Probes)
 	if got := pr20ProbeAnswers(t, recovered); !bytes.Equal(got, want) {
 		t.Errorf("recovered fixture answers\n%s\nparent answered\n%s", got, want)
 	}
 	if got := pr20ProbeAnswers(t, fresh); !bytes.Equal(got, want) {
 		t.Errorf("script run from empty answers\n%s\nparent answered\n%s", got, want)
+	}
+}
+
+// The PR 22 fixture: testdata/pr22-state.snap is the image the last build
+// that wrote container version 2 (index codec 1, JSON registry) captured
+// after pr22Script, and testdata/pr22-probes.txt what that build answered
+// to pr22ProbeAnswers.
+const (
+	pr22Image  = "pr22-state.snap"
+	pr22Probes = "pr22-probes.txt"
+)
+
+// pr22MemoText is first held by alpha/memo#p0; the script extends it,
+// pastes it and expires its first postings.
+const pr22MemoText = "terms of the partner agreement and the staged payment schedule"
+
+// pr22Script builds the state behind the fixture: the op mix of genOps,
+// then every case where container version 3 stores a fact differently from
+// version 2. In the index: fingerprint hashes whose postings expired, a
+// posted union larger than the fingerprint, postings whose segment lost
+// its DBpar entry, a threshold-only entry, a non-default threshold, and
+// holders of the same hashes on both sides of a clock-floor jump. In the
+// registry: explicit custom tags with their owner, implicit tags and a
+// suppression, on top of labels of segments the index has dropped.
+func pr22Script(t testing.TB, w *world) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(22))
+	run := func(n int) {
+		for _, op := range genOps(rng, n) {
+			_ = op.run(w.engine) // validation errors are part of the stream
+		}
+	}
+	observe := func(seg segment.ID, service, text string) {
+		t.Helper()
+		if _, err := w.engine.ObserveEdit(seg, service, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pars := w.tracker.Paragraphs()
+
+	run(30)
+	observe("alpha/memo#p0", "alpha", pr22MemoText)
+	cut := pars.Now() + 1
+	// Re-observed past the cut, the memo survives the expiry below while
+	// the postings of its first version do not.
+	observe("alpha/memo#p0", "alpha", pr22MemoText+" as amended in the second round of talks")
+	run(30)
+	pars.ExpireBefore(cut)
+
+	must(w.engine.AllocateTag("carol", "carol:deal"))
+	must(w.engine.AddTagToSegment("carol", "alpha/memo#p0", "carol:deal"))
+	must(w.engine.Suppress("auditor", "alpha/memo#p0", "ta", "cleared for the partner briefing"))
+	observe("bravo/paste#p0", "bravo", pr22MemoText+" as amended in the second round of talks")
+	observe("bravo/paste#p0", "bravo", opTexts[3]+" rewritten without the pasted terms")
+
+	pars.SetThreshold("alpha/memo#p0", 0.8)
+	pars.SetThreshold("alpha/unobserved#p0", 0.6)
+
+	// Two versions, then pruned: the first version's postings stay behind
+	// without a DBpar entry.
+	observe("bravo/moved#p0", "bravo", opTexts[4]+" in its first wording")
+	observe("bravo/moved#p0", "bravo", opTexts[5]+" in its second wording")
+	k := segment.Key("bravo/moved#p0")
+	_, err := w.engine.PruneRange(context.Background(), k, k)
+	must(err)
+
+	for i := 0; i < 3; i++ {
+		observe(segment.ID(fmt.Sprintf("bravo/copy%d#p0", i)), "bravo", fmt.Sprintf("%s copy number %d", pr22MemoText, i))
+	}
+	w.tracker.SetClockFloor(segment.GranularityParagraph, 1<<40)
+	for i := 3; i < 5; i++ {
+		observe(segment.ID(fmt.Sprintf("bravo/copy%d#p0", i)), "bravo", fmt.Sprintf("%s copy number %d", pr22MemoText, i))
+	}
+	run(10)
+}
+
+// pr22ProbeAnswers renders what the world answers about the script's
+// state: the index probes of probeAnswers around the memo text, every
+// paragraph threshold that was set, and the labels, stored-by lists and
+// tag owners the registry section carries.
+func pr22ProbeAnswers(t testing.TB, w *world) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	out.Write(probeAnswers(t, w, pr22MemoText, pr22MemoText+" copy number 4"))
+	pars := w.tracker.Paragraphs()
+	for _, seg := range pars.Segments() {
+		fp, _ := pars.Fingerprint(seg)
+		fmt.Fprintf(&out, "segment %s: threshold %v, %d hashes\n", seg, pars.Threshold(seg), fp.Len())
+	}
+	data := w.registry.Export()
+	for _, l := range data.Labels {
+		fmt.Fprintf(&out, "label %s: %v %v %v %v\n", l.Seg, l.Explicit, l.Implicit, l.Suppressed, l.StoredBy)
+	}
+	for _, s := range data.Services {
+		fmt.Fprintf(&out, "service %s: %v %v\n", s.Name, s.Privilege, s.Confidentiality)
+	}
+	for _, tr := range data.Tags {
+		fmt.Fprintf(&out, "tag %s: %s\n", tr.Tag, tr.Owner)
+	}
+	return out.Bytes()
+}
+
+// TestCrossVersionPR22Fixture: the last version 2 image — JSON registry with
+// explicit, implicit, suppressed and custom-owner tags, index codec 1 over
+// every case codec 2 encodes differently — loads to the state the script
+// builds here, answers the probes as its writer did, and re-encodes to the
+// version 3 bytes of the script run from empty, which restore to the same
+// state again.
+func TestCrossVersionPR22Fixture(t *testing.T) {
+	fixture := readFixture(t, pr22Image)
+	if fixture[8] != binVersionJSONRegistry {
+		t.Fatalf("fixture is container version %d, want %d", fixture[8], binVersionJSONRegistry)
+	}
+	fresh := newWorld(t, fixedClock)
+	pr22Script(t, fresh)
+	image, err := CaptureBytes(fresh.tracker, fresh.registry, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readFixture(t, pr22Probes)
+	if got := pr22ProbeAnswers(t, fresh); !bytes.Equal(got, want) {
+		t.Errorf("script run from empty answers\n%s\nparent answered\n%s", got, want)
+	}
+	for name, blob := range map[string][]byte{"version 2 fixture": fixture, "version 3 image": image} {
+		loaded := newWorld(t, fixedClock)
+		if _, err := RestoreBytes(name, blob, loaded.tracker, loaded.registry); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(export(t, loaded), export(t, fresh)) {
+			t.Errorf("%s: loaded state differs from the script run from empty", name)
+		}
+		if got := pr22ProbeAnswers(t, loaded); !bytes.Equal(got, want) {
+			t.Errorf("%s: loaded state answers\n%s\nparent answered\n%s", name, got, want)
+		}
+		again, err := CaptureBytes(loaded.tracker, loaded.registry, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again[afterMeta:], image[afterMeta:]) {
+			t.Errorf("%s: image of the loaded state differs from the image of the script run from empty after the meta section", name)
+		}
 	}
 }

@@ -14,11 +14,16 @@ import (
 // FuzzRestoreBinarySnapshot throws arbitrary bytes at the one file-level
 // restore route — unseal (without a key and with one), then RestoreBytes —
 // which is what a recovering process runs over whatever it finds on disk
-// after a crash. The contract under test: never panic; reject corruption
-// with a *CorruptSnapshotError carrying a non-negative file offset; refuse
-// a retired format with a *RetiredFormatError, never as corruption; and
-// never commit a partial load — after a rejected restore the index and the
-// decision cache are exactly what they were.
+// after a crash, and each input a second time with its checksums made
+// valid (refreshCRCs), which is what a bootstrapping standby runs over
+// bytes from the network: the sender chooses the CRCs, so only the payload
+// decoders stand between a mutation and the state. The contract under
+// test: never panic; reject corruption with a *CorruptSnapshotError
+// carrying a non-negative file offset; refuse a retired format with a
+// *RetiredFormatError and a newer container version with a
+// *NewerFormatError, never as corruption; and never commit a partial load —
+// after a rejected restore the index and the decision cache are exactly
+// what they were.
 func FuzzRestoreBinarySnapshot(f *testing.F) {
 	key := DeriveKey("fuzz-passphrase")
 	tracker, registry := buildState(f)
@@ -26,9 +31,10 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1]) // truncated last section
-	f.Add(valid[:9])            // truncated section table
+	f.Add(valid)                     // container version 3
+	f.Add(readFixture(f, pr22Image)) // container version 2
+	f.Add(valid[:len(valid)-1])      // truncated last section
+	f.Add(valid[:9])                 // truncated section table
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/2] ^= 0x80 // payload bit flip
 	f.Add(flip)
@@ -48,6 +54,40 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	// One state for all executions (building one per input costs the
 	// fuzzer its throughput): a rejected restore must leave it as it was,
 	// an accepted one replaces it.
+	restore := func(t *testing.T, plain []byte) {
+		before, cached := tracker.Digest(), tracker.CacheLen()
+		meta, err := RestoreBytes("fuzz.bf", plain, tracker, registry)
+		if err == nil {
+			// An accepted restore starts with no cached decision and
+			// must be re-capturable.
+			if n := tracker.CacheLen(); n != 0 {
+				t.Fatalf("%d cached decisions survived a restore", n)
+			}
+			if _, err := CaptureBytes(tracker, registry, meta.WALSeg); err != nil {
+				t.Fatalf("re-capture of accepted restore failed: %v", err)
+			}
+			// Warm the cache again for the next rejection to leave alone.
+			if _, err := tracker.ObserveParagraph("fuzz/warm#p0", secretText); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		var ce *CorruptSnapshotError
+		if errors.As(err, &ce) && ce.Offset < 0 {
+			t.Fatalf("negative corruption offset: %+v", ce)
+		}
+		var rfe *RetiredFormatError
+		if retired := retiredFormat(plain) != ""; retired != errors.As(err, &rfe) {
+			t.Fatalf("retired format = %v, but err = %v", retired, err)
+		}
+		var nfe *NewerFormatError
+		if errors.As(err, &nfe) && (!IsBinarySnapshot(plain) || int(plain[8]) != nfe.Version || nfe.Version <= binVersion) {
+			t.Fatalf("err = %v for an image that does not say so", err)
+		}
+		if tracker.Digest() != before || tracker.CacheLen() != cached {
+			t.Fatalf("rejected restore touched the index or the decision cache")
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, k := range [][]byte{nil, key} {
 			plain, err := unsealSnapshot(data, k)
@@ -57,34 +97,8 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 				}
 				continue
 			}
-			before, cached := tracker.Digest(), tracker.CacheLen()
-			meta, err := RestoreBytes("fuzz.bf", plain, tracker, registry)
-			if err == nil {
-				// An accepted restore starts with no cached decision and
-				// must be re-capturable.
-				if n := tracker.CacheLen(); n != 0 {
-					t.Fatalf("%d cached decisions survived a restore", n)
-				}
-				if _, err := CaptureBytes(tracker, registry, meta.WALSeg); err != nil {
-					t.Fatalf("re-capture of accepted restore failed: %v", err)
-				}
-				// Warm the cache again for the next rejection to leave alone.
-				if _, err := tracker.ObserveParagraph("fuzz/warm#p0", secretText); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			var ce *CorruptSnapshotError
-			if errors.As(err, &ce) && ce.Offset < 0 {
-				t.Fatalf("negative corruption offset: %+v", ce)
-			}
-			var rfe *RetiredFormatError
-			if retired := retiredFormat(plain) != ""; retired != errors.As(err, &rfe) {
-				t.Fatalf("retired format = %v, but err = %v", retired, err)
-			}
-			if tracker.Digest() != before || tracker.CacheLen() != cached {
-				t.Fatalf("rejected restore touched the index or the decision cache")
-			}
+			restore(t, plain)
+			restore(t, refreshCRCs(plain))
 		}
 	})
 }

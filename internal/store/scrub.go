@@ -14,7 +14,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -49,27 +48,49 @@ type ScrubStats struct {
 	QuarantinedFiles int `json:"quarantined_files"`
 }
 
+// ImageInfo is what VerifyCheckpointFile reports about a checkpoint: the
+// file's size at rest and, when its framing verified clean, the container
+// version and each section's name and payload size, in file order.
+type ImageInfo struct {
+	Bytes    int64
+	Version  int
+	Sections []SectionInfo
+}
+
+// SectionInfo is one section's name and payload size.
+type SectionInfo struct {
+	Name  string
+	Bytes int
+}
+
 // VerifyCheckpointFile re-validates a checkpoint image at rest: unseal
 // (when keyed), then full container framing — section table CRC and
 // every per-section CRC. Damage is a *CorruptSnapshotError carrying the
-// byte offset of the first bad byte; an intact file in a retired format
-// is a *RetiredFormatError. bytes is the file size read.
-func VerifyCheckpointFile(fs wal.FS, path string, key []byte) (bytes int64, err error) {
+// byte offset of the first bad byte; an intact file in a format this build
+// does not read is a *RetiredFormatError or *NewerFormatError.
+func VerifyCheckpointFile(fs wal.FS, path string, key []byte) (ImageInfo, error) {
 	if fs == nil {
 		fs = wal.OSFS{}
 	}
 	data, release, _, err := wal.MapFile(fs, path)
 	if err != nil {
-		return 0, fmt.Errorf("store: verify read %s: %w", path, err)
+		return ImageInfo{}, fmt.Errorf("store: verify read %s: %w", path, err)
 	}
 	defer release() //nolint:errcheck
-	bytes = int64(len(data))
+	info := ImageInfo{Bytes: int64(len(data))}
 	plain, err := unsealSnapshot(data, key)
 	if err != nil {
-		return bytes, &CorruptSnapshotError{Path: path, Offset: 0, Reason: err.Error()}
+		return info, &CorruptSnapshotError{Path: path, Offset: 0, Reason: err.Error()}
 	}
-	_, err = parseBinary(path, plain)
-	return bytes, err
+	im, err := parseBinary(path, plain)
+	if err != nil {
+		return info, err
+	}
+	info.Version = int(im.version)
+	for _, s := range im.sections {
+		info.Sections = append(info.Sections, SectionInfo{Name: sectionNames[s.kind], Bytes: len(s.payload)})
+	}
+	return info, nil
 }
 
 // scrubLimiter paces scrub reads to a byte budget per second. Debt is
@@ -166,17 +187,16 @@ func (d *Durable) ScrubPass() (corruptions int, err error) {
 			continue
 		}
 		path := filepath.Join(d.opts.Dir, name)
-		sz, verr := VerifyCheckpointFile(d.fs, path, d.opts.Key)
-		limiter.pay(sz)
+		info, verr := VerifyCheckpointFile(d.fs, path, d.opts.Key)
+		limiter.pay(info.Bytes)
 		if verr == nil {
 			d.mu.Lock()
 			d.scrub.CheckpointsVerified++
 			d.mu.Unlock()
 			continue
 		}
-		var retired *RetiredFormatError
-		if errors.As(verr, &retired) {
-			// Not decay: the file holds state only an older build can
+		if refusedFormat(verr) {
+			// Not decay: the file holds state only another build can
 			// read. Leave it where the operator can find it.
 			d.opts.Logf("store: scrub: %v", verr)
 			continue

@@ -58,6 +58,28 @@ func (e *RetiredFormatError) Error() string {
 	return fmt.Sprintf("store: snapshot %s is in the retired %s format; load and re-save it once with a build that still reads it", e.Path, e.Format)
 }
 
+// NewerFormatError reports an intact state image whose container version
+// is above the one this build writes: a newer build wrote it (a roll-back
+// across a format bump). Like RetiredFormatError it is deliberately not a
+// CorruptSnapshotError — the file holds state, and skipping or quarantining
+// it would lose that state silently. See README, "Upgrading".
+type NewerFormatError struct {
+	Path    string
+	Version int
+}
+
+func (e *NewerFormatError) Error() string {
+	return fmt.Sprintf("store: snapshot %s is a version %d image and this build reads up to version %d; open it with the build that wrote it", e.Path, e.Version, binVersion)
+}
+
+// refusedFormat reports whether err says a state file is intact but in a
+// format this build does not read: to be surfaced, never routed around.
+func refusedFormat(err error) bool {
+	var retired *RetiredFormatError
+	var newer *NewerFormatError
+	return errors.As(err, &retired) || errors.As(err, &newer)
+}
+
 // DeriveKey turns a passphrase into a 32-byte AES-256 key.
 func DeriveKey(passphrase string) []byte {
 	sum := sha256.Sum256([]byte("browserflow-store-v1:" + passphrase))

@@ -171,17 +171,12 @@ func TestRestoreVersionCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections, err := parseBinary("mem.bf", blob)
+	im, err := parseBinary("mem.bf", blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	future := frameBinary([]binSection{
-		{secMeta, encodeBinaryMeta(99, time.Now(), 0)},
-		{secParagraphs, sections[secParagraphs]},
-		{secDocuments, sections[secDocuments]},
-		{secRegistry, sections[secRegistry]},
-		{secAudit, sections[secAudit]},
-	})
+	im.sections[0] = binSection{kind: secMeta, payload: appendBinaryMeta(nil, 99, time.Now(), 0)}
+	future := frameImage(binVersion, im.sections)
 	tracker2, registry2 := freshState(t)
 	if _, err := RestoreBytes("mem.bf", future, tracker2, registry2); err == nil {
 		t.Error("unsupported version accepted")

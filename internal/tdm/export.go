@@ -50,6 +50,7 @@ func (r *Registry) Export() ExportData {
 	}
 	sort.Slice(data.Services, func(i, j int) bool { return data.Services[i].Name < data.Services[j].Name })
 
+	data.Labels = make([]LabelRecord, 0, len(r.segs))
 	for seg, st := range r.segs {
 		label := &st.label.label
 		data.Labels = append(data.Labels, LabelRecord{

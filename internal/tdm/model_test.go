@@ -284,7 +284,17 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 					})
 				default:
 					desc = "Export→Import"
-					apply(true, func(r *Registry) error { return r.Import(r.Export()) })
+					binary := rng.Intn(2) == 0 // through the state image's codec
+					apply(true, func(r *Registry) error {
+						data := r.Export()
+						if binary {
+							var err error
+							if data, err = DecodeExportData(data.AppendBinary(nil)); err != nil {
+								return err
+							}
+						}
+						return r.Import(data)
+					})
 				}
 
 				want := m.distinctLabels()
