@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check crash repl part fuzz obs overload scrub policy policy-floor policy-fixtures bench-check vuln cover load-bench corpus corpus-bench benchall experiments loc clean
+.PHONY: all build vet test race check fuzz policy policy-floor policy-fixtures bench-check vuln cover load-bench corpus corpus-bench benchall experiments loc clean
 
 all: build check
 
@@ -11,12 +11,11 @@ all: build check
 # invocations only so the policy package's run also yields its coverage
 # profile (that suite holds the crash/corruption-injection recovery
 # properties, the replication, partition, overload and self-healing chaos
-# suites and the observability goldens — the named gates below re-run
-# subsets of it and are stand-alone conveniences, not part of check); the
-# policy gates that are not tests (coverage floor, fixture lint); a short
-# fuzz smoke over the parsers that read attacker-controlled bytes; the
-# corpus memory budget; a vulnerability scan when govulncheck is
-# installed; and the benchmark module, which tier-1 does not build.
+# suites and the observability goldens); the policy gates that are not
+# tests (coverage floor, fixture lint); a short fuzz smoke over the parsers
+# that read attacker-controlled bytes; the corpus memory budget; a
+# vulnerability scan when govulncheck is installed; and the benchmark
+# module, which tier-1 does not build.
 POLICY_COVER ?= /tmp/policyfile.cover
 check: vet
 	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
@@ -35,58 +34,6 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench build -o /dev/null .
-
-# crash runs only the durability crash-injection suites, race-enabled.
-crash:
-	$(GO) test -race -run 'Crash|Recovery|Torn|Corrupt' ./internal/store ./internal/wal ./cmd/bftagd
-
-# repl runs the replication suites race-enabled: partitions, chaos
-# streams, re-bootstrap, fenced promotion, the end-to-end
-# primary + 2 replica subprocess run, and the operator CLI flow.
-repl:
-	$(GO) test -race -run 'Replica|Partition|Chaos|Promot|Stream|Replication|Idempotent|Cluster|NotPrimary' ./internal/replication ./internal/tagserver ./cmd/bftagd ./cmd/bfctl
-
-# part runs the partitioned-cluster suites race-enabled: the ring codec
-# and split arithmetic, the golden byte-equivalence suite (2- and
-# 3-partition verdicts identical to a single node), the router/merge
-# unit suites, and the 3-partition × 2-replica subprocess chaos run
-# (primary kill -9 + fenced promotion, mid-split kill -9 of the
-# filtered bootstrap, live reshard with ring flip + prune, zero
-# acked-write loss at fsync=always).
-part:
-	$(GO) test -race ./internal/partition
-	$(GO) test -race -run 'PartitionChaos' ./cmd/bftagd
-
-# obs runs the observability suites race-enabled: the deterministic-clock
-# registry/exposition golden tests, the trace ring + propagation suites,
-# the concurrent scrape stress, the end-to-end chaos trace stitch
-# (client retry → proxy → primary engine/WAL → replica apply under one
-# trace ID), the /healthz replication/durability field coverage, and the
-# bfctl metrics/trace operator commands.
-obs:
-	$(GO) test -race ./internal/obs
-	$(GO) test -race -run 'Trace|Healthz|ObsGauges|Metrics|Instrument|Prometheus|Span' ./internal/tagserver ./internal/proxy ./cmd/bfctl
-
-# overload runs the admission/backpressure chaos suites race-enabled:
-# coalescing equivalence vs the unbatched engine, sustained 2x-saturation
-# shed-and-recover, priority-lane degradation, control-plane liveness
-# under queue saturation, inflight-gate shedding at the proxy, Retry-After
-# handling in the resilient client, and the SIGTERM drain-before-WAL-close
-# ordering in the daemon.
-overload:
-	$(GO) test -race ./internal/admission
-	$(GO) test -race -run 'Overload|Saturation|Shed|RetryAfter|Stall|Inflight|Drain|Bfload' ./internal/tagserver ./internal/proxy ./internal/resilience ./internal/faultinject ./cmd/bftagd ./cmd/bfload
-
-# scrub runs the self-healing storage chaos suites race-enabled: at-rest
-# decay detection and quarantine (scrubber + recovery paths), disk-fault
-# degradation under injected EIO/ENOSPC/EROFS with fail-open/fail-closed
-# policies and ENOSPC prune self-recovery, the 503 + Retry-After HTTP
-# surface of a degraded node, replica anti-entropy digest exchange with
-# divergence-triggered re-bootstrap, the digest set-algebra/codec suites,
-# and the bfctl fsck / scrub-status operator commands.
-scrub:
-	$(GO) test -race -run 'Scrub|Quarantine|Degrad|DiskFault|ENOSPC|ReadOnly|Diverg|Digest|Fsck|VerifySegment' \
-		./internal/store ./internal/wal ./internal/index ./internal/replication ./internal/tagserver ./cmd/bfctl
 
 # policy runs the policy-language verification harness race-enabled: the
 # analyzer/compiler/property suites with a coverage floor on the package

@@ -187,44 +187,82 @@ func TestFsckRequiresDir(t *testing.T) {
 	}
 }
 
-// TestScrubStatusCommand renders a node's /healthz storage block.
+// TestScrubStatusCommand renders a node's /healthz storage block — a
+// primary's or, since a standby runs the same durable store from the start,
+// a standby's.
 func TestScrubStatusCommand(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
-			"status": "ok",
-			"storage": map[string]any{
-				"scrubPasses":      4,
-				"lastScrubAge":     "32s",
-				"framesVerified":   1234,
-				"corruptionsFound": 1,
-				"quarantines":      1,
-				"quarantinedFiles": 1,
-				"lastCorruption":   "wal-0000000000000002.log: frame CRC mismatch",
-				"diskDegraded":     true,
-				"degradedCause":    "enospc",
-				"failOpen":         false,
-				"droppedRecords":   0,
-				"diskRecoveries":   2,
+	for _, tc := range []struct {
+		name   string
+		health map[string]any
+		want   []string
+	}{
+		{
+			name: "degraded primary",
+			health: map[string]any{
+				"status": "ok",
+				"storage": map[string]any{
+					"scrubPasses":      4,
+					"lastScrubAge":     "32s",
+					"framesVerified":   1234,
+					"corruptionsFound": 1,
+					"quarantines":      1,
+					"quarantinedFiles": 1,
+					"lastCorruption":   "wal-0000000000000002.log: frame CRC mismatch",
+					"diskDegraded":     true,
+					"degradedCause":    "enospc",
+					"failOpen":         false,
+					"droppedRecords":   0,
+					"diskRecoveries":   2,
+				},
 			},
-		})
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	var out bytes.Buffer
-	if err := run([]string{"-server", srv.URL, "scrub-status"}, nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"scrub passes:      4",
-		"last pass age:     32s",
-		"frames verified:   1234",
-		"quarantines:       1 (on disk now: 1)",
-		"DEGRADED (enospc, fail-closed)",
+			want: []string{
+				"scrub passes:      4",
+				"last pass age:     32s",
+				"frames verified:   1234",
+				"quarantines:       1 (on disk now: 1)",
+				"DEGRADED (enospc, fail-closed)",
+			},
+		},
+		{
+			name: "standby before promotion",
+			health: map[string]any{
+				"status":      "ok",
+				"replication": map[string]any{"role": "replica", "term": 3, "position": "7,4505", "bootstraps": 1},
+				"durability":  map[string]any{"walSegments": 2, "checkpoints": 6},
+				"storage": map[string]any{
+					"scrubPasses":    9,
+					"lastScrubAge":   "2s",
+					"framesVerified": 310,
+					"failOpen":       true,
+					"diskRecoveries": 1,
+				},
+			},
+			want: []string{
+				"scrub passes:      9",
+				"last pass age:     2s",
+				"frames verified:   310",
+				"quarantines:       0 (on disk now: 0)",
+				"disk:              healthy (1 recoveries)",
+			},
+		},
 	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("scrub-status output missing %q:\n%s", want, out.String())
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			mux := http.NewServeMux()
+			mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+				json.NewEncoder(w).Encode(tc.health) //nolint:errcheck
+			})
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+
+			var out bytes.Buffer
+			if err := run([]string{"-server", srv.URL, "scrub-status"}, nil, &out); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("scrub-status output missing %q:\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }

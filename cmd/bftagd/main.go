@@ -37,10 +37,11 @@
 //	bftagd -policy policy.json -wal-dir /var/lib/bftagd-replica \
 //	       -replica-of http://primary:7000 -addr :7001
 //
-// The replica byte-mirrors the primary's log into its own -wal-dir,
-// serves read-only traffic, and answers writes with 421 + the primary's
-// address. `bfctl promote` turns a caught-up replica into the new
-// primary under a higher fencing term; the deposed primary refuses
+// The replica follows the primary's log byte for byte into its own
+// -wal-dir — run by the same durable store, under the same storage flags,
+// as a primary's — serves read-only traffic, and answers writes with 421 +
+// the primary's address. `bfctl promote` flips a caught-up replica into
+// the new primary under a higher fencing term; the deposed primary refuses
 // writes once it observes that term. -term-file overrides where the term
 // is persisted, -repl-listen moves the replication API onto its own
 // listener, and -advertise sets the URL peers are redirected to.
@@ -179,8 +180,10 @@ func run(args []string) error {
 	// service handlers, the replication API, and the replica applier.
 	o := obs.New(nil, 0)
 
-	// durableBox is the journal behind /healthz durability stats; on a
-	// replica it is nil until promotion installs one.
+	// durableBox is the node's durable store, whichever role it runs in —
+	// a primary's journal or a standby's follower, the same one before and
+	// after a promotion — behind /healthz durability stats; nil on a
+	// memory-only node.
 	var durableBox atomic.Pointer[store.Durable]
 	defer func() {
 		if d := durableBox.Swap(nil); d != nil {
@@ -211,8 +214,8 @@ func run(args []string) error {
 	// Replication state: every durable node gets a fencing term and the
 	// /v1/repl/* API; memory-only nodes are standalone. dopts describes
 	// the node's durable directory once, whichever role it starts in: a
-	// primary opens it now, a replica mirrors into it and opens it — this
-	// very value — when promoted.
+	// primary opens it as its journal, a replica as a follower of the
+	// primary's, and promotion flips the role of that same store.
 	var node *replication.Node
 	var replService *replication.Service
 	var dopts store.DurableOptions
@@ -259,9 +262,6 @@ func run(args []string) error {
 		}
 		replService = replication.NewService(node, primaryOpts, logf)
 		replService.SetObs(o)
-		replService.OnPromote(func(d *store.Durable) {
-			durableBox.Store(d)
-		})
 	}
 
 	// Durable primary mode: recover checkpoint + WAL, then journal every
@@ -295,10 +295,11 @@ func run(args []string) error {
 			}
 		}))
 	}
+	var replica *replication.Replica
 	if *replicaOf != "" {
-		// Replica mode: no local durable store; the engine is fed by the
-		// mirrored stream and promotion opens the durable store in place.
-		replica, err := replication.OpenReplica(node, mw.Engine(), replication.ReplicaOptions{
+		// Replica mode: the durable store follows the primary's log and the
+		// engine is fed by it; promotion flips its role in place.
+		replica, err = replication.OpenReplica(node, mw.Engine(), replication.ReplicaOptions{
 			Durable: dopts,
 			Split:   split,
 			Obs:     o,
@@ -307,6 +308,7 @@ func run(args []string) error {
 			ln.Close()
 			return fmt.Errorf("open replica dir: %w", err)
 		}
+		durableBox.Store(replica.Durable())
 		replService.SetReplica(replica)
 		replica.Start()
 		defer replica.Stop()
@@ -511,6 +513,9 @@ func run(args []string) error {
 			if err := dbgSrv.Shutdown(shCtx); err != nil && shutdownErr == nil {
 				shutdownErr = err
 			}
+		}
+		if replica != nil {
+			replica.Stop() // nothing streams into a store that is closing
 		}
 		if d := durableBox.Swap(nil); d != nil {
 			// Final checkpoint + WAL sync so a clean SIGTERM leaves a fresh

@@ -15,7 +15,7 @@ import (
 // TestRegistryStress hammers one registry from 32 goroutines — counters,
 // gauges, histograms, rate windows, and lazy per-label registration —
 // while a scraper goroutine concurrently renders /v1/metrics. Run under
-// -race (make obs / make check). Asserts:
+// -race (make check). Asserts:
 //
 //   - counters observed by the scraper are monotone non-decreasing,
 //   - every scraped histogram snapshot is untorn (count == Σ buckets,

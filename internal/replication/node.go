@@ -8,12 +8,13 @@
 // endpoints: /v1/repl/snapshot hands a bootstrapping replica a
 // consistent checkpoint behind a WAL epoch barrier, and
 // /v1/repl/stream?from=<seg,off> long-polls raw CRC-framed record bytes
-// from any position in the log. Replicas *byte-mirror* the stream —
-// identical segment file names, identical headers, identical frame bytes
-// at identical offsets — so "replica state is a prefix of the primary's
-// log" is a literal file comparison, restarts resume from the local
-// mirror's end position, and every applied record goes through the same
-// idempotent store.Applier machinery crash recovery uses.
+// from any position in the log. A replica's durable directory is a
+// store.Durable in the follower role, fed that stream verbatim — identical
+// segment file names, identical headers, identical frame bytes at
+// identical offsets — so "replica state is a prefix of the primary's log"
+// is a literal file comparison, restarts resume from the log's end, every
+// applied record goes through the store.Applier crash recovery uses, and
+// promotion flips the role of that same store.
 //
 // # Fencing
 //
@@ -54,7 +55,7 @@ const (
 	// RolePrimary accepts writes and serves the replication stream.
 	RolePrimary Role = iota + 1
 
-	// RoleReplica mirrors the primary's WAL and serves read-only traffic.
+	// RoleReplica follows the primary's WAL and serves read-only traffic.
 	RoleReplica
 
 	// RoleFenced is a deposed primary: it refuses writes (421) until an

@@ -1,34 +1,39 @@
+// replica.go is the consuming side of WAL shipping: the stream loop, the
+// snapshot fetch, the term / lag / digest headers and the status a standby
+// reports. Everything the standby keeps — segments, checkpoints, position,
+// recovery, scrubbing, disk-fault handling — is a store.Durable in the
+// follower role; this file only feeds it (Bootstrap, Follow) and, at
+// promotion, flips its role.
+
 package replication
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
-	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
 // ReplicaOptions configures OpenReplica.
 type ReplicaOptions struct {
 	// Durable describes the node's durable directory exactly as
-	// store.OpenDurable would be given it. While a replica, the node uses
-	// Dir, FS, Key, KeepCheckpoints and Logf for the mirrored WAL segments
-	// and its local checkpoints, and fsyncs the mirror after every applied
-	// batch unless Fsync is wal.SyncNone. Promote opens this very value, so
-	// the promoted primary runs under the storage policy (fsync, checkpoint
-	// and scrub cadence, disk-fault policy) the node was started with.
+	// store.OpenDurable would be given it, and every field of it applies
+	// from the start: OpenReplica opens this value as a follower, so the
+	// standby checkpoints, prunes, scrubs and degrades on disk faults as a
+	// primary under the same flags would, and fsyncs every streamed batch
+	// before applying it unless Fsync is wal.SyncNone. Promotion flips the
+	// role of that same store; nothing is reopened.
 	Durable store.DurableOptions
 
 	// HTTPClient dials the primary; nil uses a default client. Its
@@ -53,7 +58,7 @@ type ReplicaOptions struct {
 
 	// Split makes this a filtered replica for a partition split: the
 	// bootstrap snapshot is restricted to the inclusive key range, the
-	// mirror still copies the primary's WAL bytes verbatim but streamed
+	// store still writes the primary's WAL bytes verbatim but streamed
 	// records materialise tracker state only for in-range segments
 	// (registry effects stay global; Durable.SegmentFilter is set to the
 	// range, so promotion and later restarts keep filtering), and
@@ -72,12 +77,6 @@ type SplitRange struct {
 func (sr SplitRange) Contains(k uint32) bool { return k >= sr.Lo && k <= sr.Hi }
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
-	if o.Durable.FS == nil {
-		o.Durable.FS = wal.OSFS{}
-	}
-	if o.Durable.KeepCheckpoints <= 0 {
-		o.Durable.KeepCheckpoints = store.DefaultKeepCheckpoints
-	}
 	if o.Durable.Logf == nil {
 		o.Durable.Logf = func(string, ...interface{}) {}
 	}
@@ -115,21 +114,19 @@ type ReplicaStatus struct {
 	LastError      string `json:"lastError,omitempty"`
 }
 
-// Replica byte-mirrors a primary's WAL and applies every streamed record
-// through the same idempotent machinery crash recovery uses. Reads are
-// served from the live engine; writes are fenced off by the Guard.
+// Replica follows a primary: it feeds the primary's WAL stream, verbatim,
+// to a store.Durable in the follower role, which writes and applies it.
+// Reads are served from the live engine; writes are fenced off by the
+// Guard.
 type Replica struct {
-	node     *Node
-	engine   *policy.Engine
-	tracker  *disclosure.Tracker
-	registry *tdm.Registry
-	opts     ReplicaOptions
-	logf     func(format string, args ...interface{}) // opts.Durable.Logf
-	mirror   *mirror
+	node    *Node
+	engine  *policy.Engine
+	opts    ReplicaOptions
+	logf    func(format string, args ...interface{}) // opts.Durable.Logf
+	durable *store.Durable
 
 	mu          sync.Mutex
-	applier     *store.Applier
-	pos         wal.Pos
+	rebootstrap bool // the primary (or the store) ordered a fresh snapshot
 	lag         int64
 	lagBytes    int64
 	applied     int64
@@ -137,12 +134,13 @@ type Replica struct {
 	divergences int64
 	connected   bool
 	lastErr     string
-	lastCkptSeg uint64
 
 	runMu   sync.Mutex
 	cancel  context.CancelFunc
 	done    chan struct{}
 	stopped bool
+
+	promoteMu sync.Mutex // one Promote at a time: a failing one uninstalls the journal
 
 	// Resolved once in OpenReplica (detached no-ops without opts.Obs), so
 	// the stream loop never takes the registry lock.
@@ -150,30 +148,27 @@ type Replica struct {
 	applyHist                                *obs.Histogram
 }
 
-// OpenReplica recovers local replica state (newest checkpoint + mirrored
-// WAL replay, the store.Durable recovery discipline) into the engine's
-// tracker and registry, and returns a Replica positioned at the end of
-// its local mirror. Call Start to begin streaming.
+// OpenReplica opens opts.Durable as a follower over the engine's tracker
+// and registry (store.OpenFollower: newest checkpoint + replay of the
+// segments streamed so far) and returns a Replica positioned at the end of
+// that log. Call Start to begin streaming; the caller closes Durable() at
+// shutdown, as it would a primary's store.
 func OpenReplica(node *Node, engine *policy.Engine, opts ReplicaOptions) (*Replica, error) {
 	opts = opts.withDefaults()
-	dopts := opts.Durable
-	if dopts.Dir == "" {
-		return nil, fmt.Errorf("replication: replica Durable.Dir is required")
-	}
-	if err := dopts.FS.MkdirAll(dopts.Dir, 0o700); err != nil {
-		return nil, fmt.Errorf("replication: mkdir replica dir: %w", err)
+	durable, err := store.OpenFollower(opts.Durable, engine.Tracker(), engine.Registry(), opts.Obs.Traces())
+	if err != nil {
+		return nil, fmt.Errorf("replication: open replica dir: %w", err)
 	}
 	r := &Replica{
-		node:     node,
-		engine:   engine,
-		tracker:  engine.Tracker(),
-		registry: engine.Registry(),
-		opts:     opts,
-		logf:     dopts.Logf,
-		mirror:   newMirror(dopts.FS, dopts.Dir, dopts.Fsync != wal.SyncNone),
+		node:    node,
+		engine:  engine,
+		opts:    opts,
+		logf:    opts.Durable.Logf,
+		durable: durable,
+		applied: durable.Stats().Recovery.RecordsReplayed,
 	}
-	if err := r.recoverLocal(); err != nil {
-		return nil, err
+	if pos := durable.Position(); !pos.IsZero() {
+		r.logf("replication: recovered %d streamed records; resuming at %s", r.applied, pos)
 	}
 	reg := opts.Obs.Registry()
 	r.batchCtr = reg.Counter("bf_repl_batches_total", "Stream batches applied.")
@@ -184,80 +179,9 @@ func OpenReplica(node *Node, engine *policy.Engine, opts ReplicaOptions) (*Repli
 	return r, nil
 }
 
-// newApplier builds a record applier wired to the observability span
-// ring (when configured), so streamed observe records that carry a
-// journalled trace ID emit "replica.apply" spans.
-func (r *Replica) newApplier() (*store.Applier, error) {
-	applier, err := store.NewApplier(r.tracker, r.registry)
-	if err != nil {
-		return nil, err
-	}
-	applier.SetTraceLog(r.opts.Obs.Traces())
-	applier.SetSegmentFilter(r.opts.Durable.SegmentFilter)
-	return applier, nil
-}
-
-// recoverLocal validates the mirror (truncating a torn tail), restores
-// the newest local checkpoint and replays the mirrored records on top.
-// An unreadable or corrupt mirror resets to the bootstrap state (zero
-// position); a record that decodes but fails to apply is an error.
-func (r *Replica) recoverLocal() error {
-	info, err := wal.OpenTail(r.opts.Durable.FS, r.opts.Durable.Dir, 0, r.logf)
-	if err != nil {
-		r.logf("replication: local mirror invalid (%v); will re-bootstrap", err)
-		return r.mirror.wipe()
-	}
-
-	barrier, name, corrupt, err := store.RecoverNewestCheckpoint(r.opts.Durable.FS, r.opts.Durable.Dir, r.opts.Durable.Key, r.tracker, r.registry, r.logf)
-	if err != nil {
-		return fmt.Errorf("replication: load local checkpoint: %w", err)
-	}
-	if corrupt > 0 {
-		r.logf("replication: skipped %d corrupt local checkpoints", corrupt)
-	}
-	if name == "" {
-		// Without a checkpoint the mirrored segments are not provably a
-		// full history; start over from a fresh snapshot.
-		if len(info.Segments) > 0 {
-			r.logf("replication: mirror has segments but no checkpoint; re-bootstrapping")
-			return r.mirror.wipe()
-		}
-		return nil
-	}
-
-	applier, err := r.newApplier()
-	if err != nil {
-		return fmt.Errorf("replication: build applier: %w", err)
-	}
-	var applyErr error
-	err = wal.Replay(r.opts.Durable.FS, r.opts.Durable.Dir, barrier, 0, func(_ uint64, rec wal.Record) error {
-		applyErr = applier.Apply(rec)
-		return applyErr
-	})
-	if applyErr != nil {
-		return fmt.Errorf("replication: replay mirrored record: %w", applyErr)
-	}
-	if err != nil {
-		r.logf("replication: mirror replay failed (%v); re-bootstrapping", err)
-		return r.mirror.wipe()
-	}
-	applier.RestoreAuditTimestamps()
-
-	// Resume at the mirror's end, floored at the checkpoint barrier (a
-	// checkpoint with no mirrored segments yet resumes at the barrier).
-	pos := info.End
-	if floor := (wal.Pos{Segment: barrier, Offset: wal.HeaderSize}); pos.Less(floor) {
-		pos = floor
-	}
-
-	r.applier = applier
-	r.pos = pos
-	r.applied = applier.Applied()
-	r.lastCkptSeg = barrier
-	r.logf("replication: recovered from %s + %d mirrored records; resuming at %s",
-		name, r.applied, pos)
-	return nil
-}
+// Durable returns the node's durable store: a follower while the node is a
+// standby, the primary's journal once Promote has returned.
+func (r *Replica) Durable() *store.Durable { return r.durable }
 
 // Start launches the streaming loop. It is a no-op when already running.
 func (r *Replica) Start() {
@@ -272,30 +196,36 @@ func (r *Replica) Start() {
 	go r.run(ctx)
 }
 
-// Stop halts the streaming loop (idempotent).
-func (r *Replica) Stop() {
+// Stop halts the streaming loop for good (idempotent).
+func (r *Replica) Stop() { r.halt(true) }
+
+// halt stops the streaming loop and reports whether it was running; a
+// final halt also refuses later Starts.
+func (r *Replica) halt(final bool) (wasRunning bool) {
 	r.runMu.Lock()
 	cancel, done := r.cancel, r.done
 	r.cancel = nil
-	r.stopped = true
+	r.stopped = r.stopped || final
 	r.runMu.Unlock()
 	if cancel != nil {
 		cancel()
 		<-done
 	}
+	return cancel != nil
 }
 
-// run is the replication loop: bootstrap when the position is zero,
-// otherwise stream, mirror and apply until cancelled.
+// run is the replication loop: bootstrap when the store holds nothing (or
+// a fresh snapshot was ordered), otherwise stream until cancelled.
 func (r *Replica) run(ctx context.Context) {
 	defer close(r.done)
 	for ctx.Err() == nil {
+		pos := r.durable.Position()
 		r.mu.Lock()
-		pos := r.pos
+		rebootstrap := r.rebootstrap
 		r.mu.Unlock()
 
 		var err error
-		if pos.IsZero() {
+		if pos.IsZero() || rebootstrap {
 			err = r.bootstrap(ctx)
 		} else {
 			err = r.streamOnce(ctx, pos)
@@ -304,13 +234,14 @@ func (r *Replica) run(ctx context.Context) {
 			continue
 		}
 
+		stale := errors.Is(err, wal.ErrDiverged)
 		r.mu.Lock()
 		r.connected = false
 		r.lastErr = err.Error()
+		r.rebootstrap = r.rebootstrap || stale
 		r.mu.Unlock()
-		if _, ok := err.(*errDiverged); ok {
+		if stale {
 			r.logf("replication: %v; re-bootstrapping", err)
-			r.resetForBootstrap()
 			continue
 		}
 		r.logf("replication: %v (retrying in %s)", err, r.opts.RetryBackoff)
@@ -319,19 +250,6 @@ func (r *Replica) run(ctx context.Context) {
 		case <-time.After(r.opts.RetryBackoff):
 		}
 	}
-}
-
-// resetForBootstrap wipes the local mirror and zeroes the position so the
-// next loop iteration bootstraps from a fresh snapshot.
-func (r *Replica) resetForBootstrap() {
-	if err := r.mirror.wipe(); err != nil {
-		r.logf("replication: wiping mirror: %v", err)
-	}
-	r.mu.Lock()
-	r.pos = wal.Pos{}
-	r.applier = nil
-	r.lastCkptSeg = 0
-	r.mu.Unlock()
 }
 
 // newRequest builds a replication request against the current primary,
@@ -373,11 +291,9 @@ func (r *Replica) observeResponseTerm(resp *http.Response) {
 	}
 }
 
-// bootstrap wipes the local mirror and rebuilds it from the primary's
-// snapshot endpoint: restore state wholesale, persist the snapshot as a
-// local checkpoint, and position the cursor at the snapshot's WAL epoch
-// barrier. The body is a BFLOWSNB image: bulk-restored, then persisted
-// verbatim.
+// bootstrap fetches the primary's snapshot — a BFLOWSNB image — and hands
+// it to the store, which replaces everything it holds with it and stands
+// at the image's WAL epoch barrier.
 func (r *Replica) bootstrap(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
@@ -410,33 +326,15 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replication: read snapshot body: %w", err)
 	}
-	if err := r.mirror.wipe(); err != nil {
-		return err
-	}
-	meta, err := store.RestoreBytes("primary snapshot", blob, r.tracker, r.registry)
+	barrier, err := r.durable.Bootstrap(blob)
 	if err != nil {
-		return fmt.Errorf("replication: restore snapshot: %w", err)
-	}
-	if meta.WALSeg == 0 {
-		return fmt.Errorf("replication: snapshot carries no WAL barrier")
-	}
-	barrier := meta.WALSeg
-	// Persist the received image verbatim — same bytes, no re-encode.
-	ckpt := filepath.Join(r.opts.Durable.Dir, store.CheckpointName(barrier))
-	if err := store.SaveCheckpointBytes(r.opts.Durable.FS, ckpt, blob, r.opts.Durable.Key); err != nil {
-		return fmt.Errorf("replication: save local checkpoint: %w", err)
-	}
-	applier, err := r.newApplier()
-	if err != nil {
-		return err
+		return fmt.Errorf("replication: bootstrap from snapshot: %w", err)
 	}
 
 	r.mu.Lock()
-	r.applier = applier
-	r.pos = wal.Pos{Segment: barrier, Offset: wal.HeaderSize}
+	r.rebootstrap = false
 	r.applied = 0
 	r.bootstraps++
-	r.lastCkptSeg = barrier
 	r.connected = true
 	r.lastErr = ""
 	r.mu.Unlock()
@@ -444,8 +342,8 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// streamOnce performs one stream round: long-poll the primary from pos,
-// verify and mirror the returned frame bytes, then apply them.
+// streamOnce performs one stream round: long-poll the primary from pos
+// and hand the returned frame bytes to the store.
 func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 	waitMS := strconv.FormatInt(r.opts.PollWait.Milliseconds(), 10)
 	rctx, cancel := context.WithTimeout(ctx, r.opts.PollWait+30*time.Second)
@@ -460,7 +358,7 @@ func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 	// never claims a digest — holding a slice of the keyspace is not
 	// divergence.
 	if r.opts.Split == nil {
-		req.Header.Set(HeaderDigest, fmt.Sprintf("%016x", r.tracker.Digest().Combined))
+		req.Header.Set(HeaderDigest, fmt.Sprintf("%016x", r.durable.StateDigest().Combined))
 	}
 	resp, err := r.opts.HTTPClient.Do(req)
 	if err != nil {
@@ -477,18 +375,18 @@ func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 		return r.applyBatch(pos, resp)
 
 	case http.StatusNoContent:
-		// Caught up. The server may have normalised our position (e.g.
-		// rolled it over a sealed segment boundary).
+		// Caught up. The server may have normalised our position (rolled
+		// it over a sealed segment boundary): follow it there.
+		if p, perr := wal.ParsePos(resp.Header.Get(HeaderNextPos)); perr == nil && !p.IsZero() && p != pos {
+			if _, _, err := r.durable.Follow(p, nil); err != nil {
+				return err
+			}
+		}
 		r.mu.Lock()
 		r.connected = true
 		r.lastErr = ""
 		r.lag = 0
 		r.lagBytes = 0
-		if next := resp.Header.Get(HeaderNextPos); next != "" {
-			if p, perr := wal.ParsePos(next); perr == nil && !p.IsZero() {
-				r.pos = p
-			}
-		}
 		r.mu.Unlock()
 		return nil
 
@@ -505,7 +403,9 @@ func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 		} else {
 			r.logf("replication: position %s gone on primary; re-bootstrapping", pos)
 		}
-		r.resetForBootstrap()
+		r.mu.Lock()
+		r.rebootstrap = true
+		r.mu.Unlock()
 		return nil
 
 	case http.StatusMisdirectedRequest:
@@ -517,9 +417,9 @@ func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 	}
 }
 
-// applyBatch mirrors and applies one 200 stream response. The byte-count
-// header guards against truncated bodies: only the valid frame prefix is
-// mirrored and applied, and the cursor advances exactly past it.
+// applyBatch follows one 200 stream response. The byte-count header
+// guards against truncated bodies: the store writes and applies only the
+// valid frame prefix, and its position advances exactly past it.
 func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 	reg := r.opts.Obs.Registry()
 	applyStart := reg.Now()
@@ -542,17 +442,23 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, wal.DefaultMaxRecordBytes+DefaultMaxBatchBytes))
 	if err != nil {
-		// Partial read: fall through with what we have; DecodeFrames
-		// keeps only the valid prefix.
+		// Partial read: fall through with what we have; the store keeps
+		// only the valid prefix.
 		r.logf("replication: stream body: %v (keeping valid prefix)", err)
 	}
 	if want >= 0 && len(body) > want {
 		body = body[:want]
 	}
 
-	// Decode the valid frame prefix. A truncated or garbled tail (chaos
-	// transport) is simply not applied; the next round re-fetches it.
-	recs, used := wal.DecodeFrames(body, 0)
+	// A truncated or garbled tail (chaos transport) is simply not written
+	// or applied; the next round re-fetches it. Bytes are on disk BEFORE
+	// their records are applied: on a crash between the two, recovery
+	// replays them through the same idempotent path.
+	applied, next, err := r.durable.Follow(start, body)
+	if err != nil {
+		return err
+	}
+	used := int(next.Offset - start.Offset)
 	if used == 0 {
 		if want > 0 {
 			return fmt.Errorf("replication: stream batch carried no valid frames (%d/%d bytes)", len(body), want)
@@ -560,38 +466,8 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 		return nil
 	}
 
-	// Mirror bytes BEFORE applying: on a crash between the two, recovery
-	// replays the mirrored record through the same idempotent path.
-	next, err := r.mirror.appendAt(start, body[:used])
-	if err != nil {
-		return err
-	}
-
-	r.mu.Lock()
-	applier := r.applier
-	r.mu.Unlock()
-	if applier == nil {
-		return fmt.Errorf("replication: no applier (not bootstrapped)")
-	}
-	for _, rec := range recs {
-		if err := applier.Apply(rec); err != nil {
-			return fmt.Errorf("replication: apply streamed record: %w", err)
-		}
-	}
-	applier.RestoreAuditTimestamps()
-
-	lag := int64(0)
-	if v := resp.Header.Get(HeaderLag); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			lag = n
-		}
-	}
-	lagBytes := int64(0)
-	if v := resp.Header.Get(HeaderLagBytes); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			lagBytes = n
-		}
-	}
+	lag, _ := strconv.ParseInt(resp.Header.Get(HeaderLag), 10, 64)
+	lagBytes, _ := strconv.ParseInt(resp.Header.Get(HeaderLagBytes), 10, 64)
 	if used < len(body) || (want >= 0 && used < want) {
 		// We dropped a torn tail; the primary still has those records.
 		lag++
@@ -601,60 +477,31 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 	}
 
 	r.mu.Lock()
-	r.pos = next
-	r.applied += int64(len(recs))
+	r.applied += int64(applied)
 	r.lag = lag
 	r.lagBytes = lagBytes
 	r.connected = true
 	r.lastErr = ""
-	ckptDue := next.Segment > r.lastCkptSeg
 	r.mu.Unlock()
 
 	r.batchCtr.Inc()
-	r.recordCtr.Add(uint64(len(recs)))
+	r.recordCtr.Add(uint64(applied))
 	r.byteCtr.Add(uint64(used))
 	r.applyHist.Observe(reg.Since(applyStart))
-
-	if ckptDue {
-		if err := r.checkpointLocal(next.Segment); err != nil {
-			r.logf("replication: local checkpoint: %v", err)
-		}
-	}
-	return nil
-}
-
-// checkpointLocal captures the replica's state as a local checkpoint at
-// barrier seg (every mirrored segment below seg is fully applied), then
-// prunes old checkpoints. Mirrored segments are never pruned: the mirror
-// stays a literal byte prefix of the primary's log.
-func (r *Replica) checkpointLocal(seg uint64) error {
-	blob, err := store.CaptureBytes(r.tracker, r.registry, seg)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(r.opts.Durable.Dir, store.CheckpointName(seg))
-	if err := store.SaveCheckpointBytes(r.opts.Durable.FS, path, blob, r.opts.Durable.Key); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.lastCkptSeg = seg
-	r.mu.Unlock()
-	if err := store.PruneCheckpoints(r.opts.Durable.FS, r.opts.Durable.Dir, seg, r.opts.Durable.KeepCheckpoints); err != nil {
-		r.logf("replication: prune local checkpoints: %v", err)
-	}
 	return nil
 }
 
 // Status snapshots the replica's replication state.
 func (r *Replica) Status() ReplicaStatus {
 	role, term, primary := r.node.Snapshot()
+	pos := r.durable.Position()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return ReplicaStatus{
 		Role:           role.String(),
 		Term:           term,
 		Primary:        primary,
-		Position:       r.pos.String(),
+		Position:       pos.String(),
 		LagRecords:     r.lag,
 		LagBytes:       r.lagBytes,
 		AppliedRecords: r.applied,
@@ -665,31 +512,33 @@ func (r *Replica) Status() ReplicaStatus {
 	}
 }
 
-// Promote stops streaming, bumps the node's term to take the primary
-// role, and opens the durability subsystem over the local mirror with
-// the DurableOptions the node was started with (a split target's segment
-// filter included: the mirror holds the source's WAL bytes verbatim, so
-// recovery — and any later restart over this directory — must keep
-// filtering index updates to the moved range). The
-// recovery pass rebuilds state from the newest local checkpoint plus the
-// mirrored WAL — exactly what this replica had applied — and new writes
-// land in a fresh segment above the mirrored prefix, so the old
-// primary's log remains a byte prefix of the new primary's. The returned
-// Durable is installed as the engine's journal before Promote returns.
+// Promote makes the node the primary in place: streaming stops, the
+// store readies a fresh append segment above the streamed prefix (so the
+// old primary's log stays a byte prefix of the new one's), the node's term
+// is bumped and persisted and its role flipped, and the same store —
+// nothing replayed or re-read — takes the engine's appends. No node is
+// ever a primary without a journal: the journal is on the engine before
+// the role flips (the Guard admits no write until it does), and a write
+// admitted the instant it flips waits on the store's barrier for the
+// switch. Any failure leaves a streaming standby.
 func (r *Replica) Promote() (*store.Durable, uint64, error) {
-	r.Stop()
-	term, err := r.node.Promote()
+	r.promoteMu.Lock()
+	defer r.promoteMu.Unlock()
+	wasRunning := r.halt(false)
+	var term uint64
+	r.engine.SetJournal(r.durable)
+	err := r.durable.Promote(func() (err error) {
+		term, err = r.node.Promote()
+		return err
+	})
 	if err != nil {
-		return nil, 0, err
+		r.engine.SetJournal(nil)
+		if wasRunning {
+			r.Start()
+		}
+		return nil, 0, fmt.Errorf("replication: promote: %w", err)
 	}
-	if err := r.mirror.closeFile(); err != nil {
-		return nil, 0, fmt.Errorf("replication: close mirror: %w", err)
-	}
-	durable, err := store.OpenDurable(r.opts.Durable, r.tracker, r.registry)
-	if err != nil {
-		return nil, 0, fmt.Errorf("replication: open durable store after promotion: %w", err)
-	}
-	r.engine.SetJournal(durable)
-	r.logf("replication: promoted at term %d; durable store open over mirror", term)
-	return durable, term, nil
+	r.halt(true)
+	r.logf("replication: promoted at term %d; journal open above the streamed prefix", term)
+	return r.durable, term, nil
 }

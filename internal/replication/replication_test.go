@@ -177,6 +177,14 @@ func newReplicaFixture(t *testing.T, primaryURL, dir string, client *http.Client
 // directory description (an empty Dir means a fresh temp dir).
 func newReplicaFixtureOpts(t *testing.T, primaryURL string, client *http.Client, dopts store.DurableOptions) *replicaFixture {
 	t.Helper()
+	return newReplicaFixturePoll(t, primaryURL, client, dopts, 250*time.Millisecond)
+}
+
+// newReplicaFixturePoll is newReplicaFixtureOpts with the long-poll budget
+// stated (a caught-up standby follows a primary's rotation when its poll
+// expires, so tests that wait on rollovers keep it short).
+func newReplicaFixturePoll(t *testing.T, primaryURL string, client *http.Client, dopts store.DurableOptions, pollWait time.Duration) *replicaFixture {
+	t.Helper()
 	if dopts.Dir == "" {
 		dopts.Dir = t.TempDir()
 	}
@@ -187,6 +195,7 @@ func newReplicaFixtureOpts(t *testing.T, primaryURL string, client *http.Client,
 		Role:     RoleReplica,
 		Primary:  primaryURL,
 		TermFile: filepath.Join(dir, "TERM"),
+		FS:       dopts.FS,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,14 +203,22 @@ func newReplicaFixtureOpts(t *testing.T, primaryURL string, client *http.Client,
 	rep, err := OpenReplica(node, w.engine, ReplicaOptions{
 		Durable:      dopts,
 		HTTPClient:   client,
-		PollWait:     250 * time.Millisecond,
+		PollWait:     pollWait,
 		RetryBackoff: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rep.Stop)
-	return &replicaFixture{w: w, node: node, replica: rep, dir: dir, client: client}
+	r := &replicaFixture{w: w, node: node, replica: rep, dir: dir, client: client}
+	t.Cleanup(r.shutdown)
+	return r
+}
+
+// shutdown stops streaming and closes the node's durable store, as a
+// daemon's exit does (both are idempotent).
+func (r *replicaFixture) shutdown() {
+	r.replica.Stop()
+	r.replica.Durable().Close() //nolint:errcheck
 }
 
 // startBootstrapped starts the replica and waits for its initial
@@ -311,7 +328,7 @@ func TestReplicaRestartResumesFromLocalMirror(t *testing.T) {
 		mutate(t, p.w.engine, rng)
 	}
 	waitFor(t, 10*time.Second, "first catch-up", func() bool { return caughtUp(p, r) })
-	r.replica.Stop()
+	r.shutdown()
 
 	// More traffic while the replica is down.
 	for i := 0; i < 100; i++ {
@@ -390,7 +407,7 @@ func TestStreamPositionGoneTriggersRebootstrap(t *testing.T) {
 		mutate(t, p.w.engine, rng)
 	}
 	waitFor(t, 10*time.Second, "catch-up", func() bool { return caughtUp(p, r) })
-	r.replica.Stop()
+	r.shutdown()
 
 	// Advance the primary past two checkpoints so the replica's position
 	// is truncated out of the log.
@@ -618,10 +635,8 @@ func TestInPlacePromotionViaServiceEndpoint(t *testing.T) {
 	waitFor(t, 10*time.Second, "catch-up", func() bool { return caughtUp(p, r) })
 
 	// Mount the replica's replication service and promote via HTTP.
-	var promoted *store.Durable
 	rsvc := NewService(r.node, PrimaryOptions{MaxWait: time.Second, Logf: t.Logf}, t.Logf)
 	rsvc.SetReplica(r.replica)
-	rsvc.OnPromote(func(d *store.Durable) { promoted = d })
 	rserver := httptest.NewServer(rsvc.Handler())
 	defer rserver.Close()
 
@@ -640,10 +655,7 @@ func TestInPlacePromotionViaServiceEndpoint(t *testing.T) {
 	if body["role"] != "primary" || body["promoted"] != true {
 		t.Fatalf("promote response: %v", body)
 	}
-	if promoted == nil {
-		t.Fatal("OnPromote callback not invoked")
-	}
-	defer promoted.Close()
+	promoted := r.replica.Durable() // the node's one store, now the primary's journal
 
 	// The promoted node now serves the replication stream itself: a new
 	// replica can chain off it.

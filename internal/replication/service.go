@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/lsds/browserflow/internal/obs"
-	"github.com/lsds/browserflow/internal/store"
 )
 
 // Service multiplexes the /v1/repl/* endpoints over swappable role
@@ -21,10 +20,6 @@ type Service struct {
 	primary *Primary
 	replica *Replica
 	obs     *obs.Obs
-
-	// onPromote observes a successful in-place promotion; bftagd uses it
-	// to repoint health/metrics at the freshly opened durable store.
-	onPromote func(*store.Durable)
 }
 
 // NewService builds the replication service for node. primaryOpts is
@@ -64,14 +59,6 @@ func (s *Service) Replica() *Replica {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.replica
-}
-
-// OnPromote registers a callback invoked with the new durable store
-// after a successful in-place promotion.
-func (s *Service) OnPromote(fn func(*store.Durable)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onPromote = fn
 }
 
 // Status reports the node's replication state regardless of role.
@@ -151,10 +138,11 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.Status()) //nolint:errcheck
 }
 
-// handlePromote promotes this node to primary in place: the replica
-// stops streaming, the term is bumped and persisted, the durable store
-// opens over the local mirror, and the serving side of the replication
-// API is installed so further replicas can chain off the new primary.
+// handlePromote promotes this node to primary in place (Replica.Promote:
+// streaming stops, the store's journal is made ready, the term is bumped
+// and persisted, the role flips), then installs the serving side of the
+// replication API so further replicas can chain off the new primary. A
+// failed promotion answers 5xx and leaves a streaming standby.
 func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, s.node, http.StatusMethodNotAllowed, "POST only")
@@ -181,11 +169,7 @@ func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.primary = NewPrimary(s.node, durable, s.primaryOpts)
-	onPromote := s.onPromote
 	s.mu.Unlock()
-	if onPromote != nil {
-		onPromote(durable)
-	}
 	s.logf("replication: promoted to primary at term %d", term)
 	s.writePromoteResult(w, true)
 }

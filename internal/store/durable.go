@@ -22,6 +22,11 @@
 // mutations the newest durable checkpoint is missing; observe replay is
 // additionally idempotent (first-seen postings are never refreshed), so
 // even a re-replayed record cannot corrupt disclosure state.
+//
+// # Follower role
+//
+// A standby is this same subsystem opened with OpenFollower; follower.go
+// states the three places where following changes it.
 package store
 
 import (
@@ -179,12 +184,21 @@ type Durable struct {
 
 	recovery RecoveryStats
 
+	// Follower role (follower.go). following is written under barrier and
+	// mu both, so either lock reads it; applier is the stream's one record
+	// applier, replaced by Bootstrap under the barrier's write side.
+	following bool
+	applier   *Applier
+	traces    *obs.TraceLog
+	position  wal.Pos // through which streamed records are applied (mu)
+
 	mu                sync.Mutex
 	checkpoints       int64
 	checkpointErrs    int64
 	lastCheckpointSeg uint64
 	lastCheckpointAt  time.Time
 	recordsAtLastCkpt int64
+	checkpointDue     bool // a follower was asked for one mid-segment
 
 	// Disk-fault degradation state (see faults.go).
 	degraded       bool
@@ -218,6 +232,10 @@ func parseCheckpointName(name string) (uint64, bool) { return ParseCheckpointNam
 // Durable should be installed with engine.SetJournal and Closed at
 // shutdown.
 func OpenDurable(opts DurableOptions, tracker *disclosure.Tracker, registry *tdm.Registry) (*Durable, error) {
+	return openDurable(opts, tracker, registry, false, nil)
+}
+
+func openDurable(opts DurableOptions, tracker *disclosure.Tracker, registry *tdm.Registry, following bool, traces *obs.TraceLog) (*Durable, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: durable Dir is required")
 	}
@@ -240,11 +258,13 @@ func OpenDurable(opts DurableOptions, tracker *disclosure.Tracker, registry *tdm
 		opts.ProbeEvery = time.Second
 	}
 	d := &Durable{
-		opts:     opts,
-		fs:       opts.FS,
-		tracker:  tracker,
-		registry: registry,
-		quiesce:  make(chan struct{}),
+		opts:      opts,
+		fs:        opts.FS,
+		tracker:   tracker,
+		registry:  registry,
+		following: following,
+		traces:    traces,
+		quiesce:   make(chan struct{}),
 	}
 	if err := d.recover(); err != nil {
 		return nil, err
@@ -297,7 +317,11 @@ func (d *Durable) recover() error {
 	// rather than refusing to start — the gap is counted and logged. The
 	// MinSegment floor keeps new appends above the checkpoint's epoch even
 	// when every segment file was lost with the crash.
-	log, err := wal.Open(wal.Options{
+	open := wal.Open
+	if d.following {
+		open = wal.OpenFollowing
+	}
+	log, err := open(wal.Options{
 		Dir:               d.opts.Dir,
 		FS:                d.fs,
 		Policy:            d.opts.Fsync,
@@ -315,10 +339,27 @@ func (d *Durable) recover() error {
 
 	// 4. Replay the surviving suffix through a journal-less engine so
 	// every side effect (labels, implicit tags, stored-by marks, audit)
-	// is regenerated by the same code that produced it.
-	if err := d.replay(barrier); err != nil {
+	// is regenerated by the same code that produced it. A follower whose
+	// directory is not a full history starts over instead, and one whose
+	// checkpoint outlived every segment stands at the checkpoint's barrier.
+	if d.following && !d.fullHistory(barrier, name) {
+		d.opts.Logf("store: follower directory is not a full history (checkpoint %s); resetting for a fresh snapshot", orEmpty(name, "missing"))
+		barrier = 0
+		if err = d.wipe(); err == nil {
+			d.applier, err = d.newApplier()
+		}
+	} else {
+		err = d.replay(barrier)
+	}
+	if err == nil && d.following && barrier > 0 && log.End().IsZero() {
+		_, _, err = log.AppendFrames(wal.Pos{Segment: barrier, Offset: wal.HeaderSize}, nil)
+	}
+	if err != nil {
 		log.Close()
 		return err
+	}
+	if d.following {
+		d.position = log.End()
 	}
 	d.recovery.Duration = time.Since(start)
 	d.lastCheckpointSeg = barrier
@@ -346,12 +387,12 @@ func orEmpty(s, alt string) string {
 // the state it depended on died with the quarantined segment, and
 // refusing to start would turn one decayed file into a dead node.
 func (d *Durable) replay(barrier uint64) error {
-	applier, err := NewApplier(d.tracker, d.registry)
+	applier, err := d.newApplier()
 	if err != nil {
 		return err
 	}
-	if d.opts.SegmentFilter != nil {
-		applier.SetSegmentFilter(d.opts.SegmentFilter)
+	if d.following {
+		d.applier = applier // the stream's one applier from here on
 	}
 	walStats := d.log.Stats()
 	tolerate := walStats.RecoveryGaps > 0 || walStats.QuarantinedSegments > 0
@@ -375,6 +416,17 @@ func (d *Durable) replay(barrier uint64) error {
 	// Restore original timestamps on regenerated audit entries.
 	d.recovery.AuditRestored = applier.RestoreAuditTimestamps()
 	return nil
+}
+
+// newApplier builds a record applier under the store's segment filter.
+func (d *Durable) newApplier() (*Applier, error) {
+	applier, err := NewApplier(d.tracker, d.registry)
+	if err != nil {
+		return nil, err
+	}
+	applier.SetSegmentFilter(d.opts.SegmentFilter)
+	applier.SetTraceLog(d.traces)
+	return applier, nil
 }
 
 // --- policy.Journal --------------------------------------------------------
@@ -474,6 +526,12 @@ func (d *Durable) PruneRange(ctx context.Context, lo, hi uint32) error {
 // rotate + in-memory capture, never for the file write.
 func (d *Durable) Checkpoint() error {
 	blob, barrier, err := d.CaptureCheckpointBytes()
+	if err == errMidSegment {
+		d.mu.Lock()
+		d.checkpointDue = true
+		d.mu.Unlock()
+		return nil
+	}
 	if err != nil {
 		return err
 	}
@@ -493,19 +551,26 @@ func (d *Durable) Checkpoint() error {
 		d.opts.Logf("store: prune checkpoints: %v", err)
 	}
 
+	d.noteCheckpoint(barrier)
+	return nil
+}
+
+// noteCheckpoint records that a checkpoint at barrier is durably on disk.
+func (d *Durable) noteCheckpoint(barrier uint64) {
+	appended := d.log.Stats().RecordsAppended
 	d.mu.Lock()
 	d.checkpoints++
 	d.lastCheckpointSeg = barrier
 	d.lastCheckpointAt = time.Now()
-	d.recordsAtLastCkpt = d.log.Stats().RecordsAppended
+	d.recordsAtLastCkpt = appended
+	d.checkpointDue = false
 	d.mu.Unlock()
-	return nil
 }
 
 // PruneCheckpoints removes old checkpoint files from dir, keeping the
 // newest keep of those at or below barrier (the one at barrier included).
 // The emergency ENOSPC path calls it with keep=1 to free every spare; a
-// replica calls it after each local checkpoint.
+// follower's wipe with keep=0.
 func PruneCheckpoints(fs wal.FS, dir string, barrier uint64, keep int) error {
 	names, err := fs.ReadDirNames(dir)
 	if err != nil {
@@ -575,7 +640,8 @@ func (d *Durable) Sync() error { return d.log.Sync() }
 
 // WAL exposes the underlying log for read-side consumers (the
 // replication stream endpoint reads raw frames and waits for appends
-// through it). Appends must still go through the Journal interface.
+// through it). Appends must still go through the Journal interface, or
+// Follow.
 func (d *Durable) WAL() *wal.Log { return d.log }
 
 // StateDigest returns the tracker's anti-entropy digest. The primary
@@ -592,9 +658,18 @@ func (d *Durable) StateDigest() disclosure.TrackerDigest {
 // replicas, which then stream from the barrier segment onwards. The extra
 // segment rotation a served snapshot costs is harmless — the next durable
 // Checkpoint simply rotates again.
+//
+// A follower's log cannot rotate; it has a barrier only while the stream
+// stands at a segment's header boundary (follower.go).
 func (d *Durable) CaptureCheckpointBytes() (blob []byte, barrier uint64, err error) {
 	d.barrier.Lock()
-	barrier, err = d.log.Rotate()
+	if !d.following {
+		barrier, err = d.log.Rotate()
+	} else if end := d.log.End(); end.Offset == wal.HeaderSize {
+		barrier = end.Segment
+	} else {
+		err = errMidSegment
+	}
 	if err != nil {
 		d.barrier.Unlock()
 		return nil, 0, err

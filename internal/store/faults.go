@@ -93,6 +93,12 @@ func classifyDiskError(err error) (cause string, ok bool) {
 // through: healthy → plain WAL append; disk fault → classify, maybe
 // self-recover (ENOSPC prune), else degrade per policy.
 func (d *Durable) journalAppend(rec wal.Record) error {
+	return d.journalWrite(func() error { return d.log.Append(rec) })
+}
+
+// journalWrite runs one write to the log — a record append, or a
+// follower's batch of streamed frames — under the disk-fault policy.
+func (d *Durable) journalWrite(write func() error) error {
 	d.mu.Lock()
 	if d.degraded {
 		err := d.degradedAppendLocked()
@@ -101,7 +107,7 @@ func (d *Durable) journalAppend(rec wal.Record) error {
 	}
 	d.mu.Unlock()
 
-	err := d.log.Append(rec)
+	err := write()
 	if err == nil {
 		return nil
 	}
@@ -111,7 +117,7 @@ func (d *Durable) journalAppend(rec wal.Record) error {
 	}
 	if cause == "enospc" && d.opts.OnDiskFull == OnDiskFullPrune {
 		d.emergencyPrune()
-		if retryErr := d.log.Append(rec); retryErr == nil {
+		if retryErr := write(); retryErr == nil {
 			d.opts.Logf("store: ENOSPC healed by pruning; append retried")
 			return nil
 		}
@@ -121,9 +127,11 @@ func (d *Durable) journalAppend(rec wal.Record) error {
 
 // degradedAppendLocked resolves an append while degraded: fail-open
 // counts the dropped record and acks, fail-closed returns a typed
-// DegradedError. Callers hold d.mu.
+// DegradedError. A follower always gets the error: a frame it did not
+// write must not be applied, and the primary still has it. Callers hold
+// d.mu.
 func (d *Durable) degradedAppendLocked() error {
-	if d.opts.FailOpen {
+	if d.opts.FailOpen && !d.following {
 		d.droppedRecords++
 		return nil
 	}

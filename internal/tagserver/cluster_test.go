@@ -80,7 +80,10 @@ func TestClusterClientIgnoresStaleReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(replica.Stop)
+	t.Cleanup(func() {
+		replica.Stop()
+		replica.Durable().Close()
+	})
 	replica.Start()
 	for deadline := time.Now().Add(10 * time.Second); replica.Status().Bootstraps == 0; {
 		if time.Now().After(deadline) {

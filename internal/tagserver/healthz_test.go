@@ -2,6 +2,7 @@ package tagserver
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/obs"
+	"github.com/lsds/browserflow/internal/replication"
 	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/wal"
 )
@@ -170,6 +173,93 @@ func TestHealthzDurabilityBlock(t *testing.T) {
 	}
 	if _, err := time.ParseDuration(d.LastCheckpointAge); err != nil {
 		t.Errorf("LastCheckpointAge %q is not a duration: %v", d.LastCheckpointAge, err)
+	}
+}
+
+// TestHealthzStandbyStorageBlocks: a standby's durable store is the one a
+// primary runs, so — before any promotion — its /healthz carries the
+// storage and durability blocks, scrub passes and checkpoints advance, and
+// the segments it streams are pruned behind its own checkpoints.
+func TestHealthzStandbyStorageBlocks(t *testing.T) {
+	pw := newTraceWorld(t)
+	durable, err := store.OpenDurable(store.DurableOptions{Dir: "/primary", FS: faultinject.NewMemFS(1), Fsync: wal.SyncNone}, pw.tracker, pw.registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	pw.engine.SetJournal(durable)
+	pnode, err := replication.NewNode(replication.NodeOptions{Role: replication.RolePrimary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsvc := replication.NewService(pnode, replication.PrimaryOptions{}, t.Logf)
+	rsvc.SetPrimary(replication.NewPrimary(pnode, durable, replication.PrimaryOptions{Logf: t.Logf}))
+	replSrv := httptest.NewServer(rsvc.Handler())
+	defer replSrv.Close()
+
+	rw := newTraceWorld(t)
+	rnode, err := replication.NewNode(replication.NodeOptions{Role: replication.RoleReplica, Primary: replSrv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := replication.OpenReplica(rnode, rw.engine, replication.ReplicaOptions{
+		Durable: store.DurableOptions{
+			Dir: "/standby", FS: faultinject.NewMemFS(2), Fsync: wal.SyncNone, Logf: t.Logf,
+			CheckpointEvery: 5 * time.Millisecond, ScrubEvery: 5 * time.Millisecond,
+		},
+		PollWait: 20 * time.Millisecond, RetryBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Durable().Close()
+	defer replica.Stop()
+	replica.Start()
+	server, err := NewServer(rw.engine, withDurable(replica.Durable()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(replication.Guard(rnode, server, t.Logf))
+	defer srv.Close()
+	await := func(what string, cond func(HealthResponse) bool) HealthResponse {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			h := getHealth(t, srv.URL)
+			if h.Storage == nil || h.Durability == nil {
+				t.Fatalf("standby healthz lacks a storage or durability block: %+v", h)
+			}
+			if cond(h) {
+				return h
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; healthz: storage %+v durability %+v", what, *h.Storage, *h.Durability)
+			}
+		}
+	}
+
+	// Six segments' worth of traffic: each round the primary seals one.
+	h := await("bootstrap", func(h HealthResponse) bool { return h.Durability.WALSegments >= 1 })
+	for round := 0; round < 6; round++ {
+		prev := h
+		for i := 0; i < 5; i++ {
+			seg := fmt.Sprintf("wiki/r%d#p%d", round, i)
+			if _, err := pw.engine.ObserveEdit("wiki/a#p0", "wiki", "quarterly revenue forecast revised downwards "+seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := durable.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		h = await(fmt.Sprintf("round %d: scrub and checkpoint past %d/%d", round, prev.Storage.ScrubPasses, prev.Durability.Checkpoints),
+			func(h HealthResponse) bool {
+				return h.Storage.ScrubPasses > prev.Storage.ScrubPasses && h.Durability.Checkpoints > prev.Durability.Checkpoints
+			})
+		if h.Durability.WALSegments > 2 {
+			t.Errorf("round %d: standby holds %d WAL segments; its checkpoints should prune behind the stream", round, h.Durability.WALSegments)
+		}
+	}
+	if rnode.Role() != replication.RoleReplica || h.Storage.DiskDegraded || h.Durability.CheckpointErrors != 0 {
+		t.Errorf("standby after six rollovers: role %s, storage %+v, durability %+v", rnode.Role(), *h.Storage, *h.Durability)
 	}
 }
 

@@ -115,7 +115,10 @@ func TestTraceE2EChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(replica.Stop)
+	t.Cleanup(func() {
+		replica.Stop()
+		replica.Durable().Close()
+	})
 	replica.Start()
 	// The traced write must reach the replica through the stream: were it
 	// journalled before the bootstrap snapshot, no apply span would exist.

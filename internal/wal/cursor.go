@@ -1,9 +1,11 @@
 // Cursor support: exported positions into the log, frame-granular tail
-// reads, and change notification. This is the substrate of WAL-shipping
-// replication (internal/replication): a primary serves raw frame bytes
-// from ReadFrom, replicas mirror them verbatim so their directories stay
-// byte-identical prefixes of the primary's, and WaitFrom gives the stream
-// endpoint its long-poll wakeup without busy-reading segment files.
+// reads, change notification, and the following role. This is the
+// substrate of WAL-shipping replication (internal/replication): a primary
+// serves raw frame bytes from ReadFrom and WaitFrom gives its stream
+// endpoint a long-poll wakeup without busy-reading segment files; a
+// standby's log is opened with OpenFollowing and fed those bytes verbatim
+// through AppendFrames, so its directory stays a byte-identical prefix of
+// the primary's, until EndFollowing makes it an ordinary log.
 package wal
 
 import (
@@ -11,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 )
 
@@ -31,6 +34,12 @@ const (
 // position lies beyond the log's end (the reader has diverged — e.g. it
 // mirrored bytes a crashed primary lost to torn-tail truncation).
 var ErrPositionGone = errors.New("wal: position gone")
+
+// ErrDiverged reports frames offered to a following log at a position that
+// is neither its end nor the header boundary of a later segment: the local
+// bytes are no longer a prefix of the log being followed, and the follower
+// must discard them and start again from a snapshot.
+var ErrDiverged = errors.New("wal: following log diverged")
 
 // Pos addresses a byte offset within a segment of the log. The zero Pos
 // means "from the very beginning". Offsets always point at a frame
@@ -69,8 +78,6 @@ func (p Pos) Less(q Pos) bool {
 }
 
 // SegmentHeader returns the canonical 17-byte header of segment idx.
-// Mirroring consumers write it so their segment files are byte-identical
-// to the primary's.
 func SegmentHeader(idx uint64) []byte {
 	hdr := make([]byte, headerSize)
 	copy(hdr, segMagic)
@@ -112,8 +119,9 @@ func (l *Log) End() Pos {
 
 // normalizeLocked canonicalises p against the live segment set: the zero
 // position becomes the start of the oldest segment, sub-header offsets
-// snap to HeaderSize, and positions at the end of a sealed segment roll
-// over to the start of the next. It reports ok=false when the position
+// snap to HeaderSize, and positions at the end of a sealed segment — or of
+// the highest segment TruncateBefore removed — roll over to the start of
+// the next. It reports ok=false when the position
 // cannot be served, with ahead=true when it lies beyond the log end
 // (divergence) as opposed to below its truncation floor.
 func (l *Log) normalizeLocked(p Pos) (_ Pos, ok, ahead bool) {
@@ -135,6 +143,12 @@ func (l *Log) normalizeLocked(p Pos) (_ Pos, ok, ahead bool) {
 		}
 		sz, live := l.sizes[p.Segment]
 		if !live {
+			// Exactly the end of the segment the last checkpoint truncated:
+			// the reader holds everything below the live log.
+			if next, found := l.nextLiveLocked(p.Segment); found && p == l.truncated {
+				p = Pos{Segment: next, Offset: headerSize}
+				continue
+			}
 			return p, false, p.Segment > l.curSeg
 		}
 		if p.Offset > sz {
@@ -328,4 +342,145 @@ func (l *Log) BytesFrom(from Pos) (int64, error) {
 func (l *Log) notifyLocked() {
 	close(l.notify)
 	l.notify = make(chan struct{})
+}
+
+// AppendFrames writes the valid prefix of frames — concatenated frame
+// bytes as ReadFrom serves them — verbatim at position at of a following
+// log, and returns the records it holds (their Data aliases frames) with
+// the position just past them. at must be the log's End, or the header
+// boundary of a later segment: the current segment is then sealed and the
+// later one created with its canonical header. Anything else is
+// ErrDiverged. The bytes are fsynced before AppendFrames returns unless
+// the policy is SyncNone, so a caller that applies the records afterwards
+// never holds an effect the log could lose. A failed write leaves End
+// where it was; the torn bytes are cut off before the next append.
+func (l *Log) AppendFrames(at Pos, frames []byte) ([]Record, Pos, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, Pos{}, ErrClosed
+	}
+	if !l.following {
+		return nil, Pos{}, fmt.Errorf("wal: AppendFrames on a log that is not following")
+	}
+	end := Pos{Segment: l.curSeg, Offset: l.curSize}
+	roll := at.Segment > l.curSeg && at.Offset == headerSize
+	if at != end && !roll {
+		return nil, Pos{}, fmt.Errorf("%w: frames offered at %s, local end %s", ErrDiverged, at, end)
+	}
+	if err := l.reopenTailLocked(); err != nil {
+		return nil, Pos{}, err
+	}
+	if roll {
+		if err := l.sealLocked(); err != nil {
+			return nil, Pos{}, err
+		}
+		if err := l.createSegmentLocked(at.Segment); err != nil {
+			return nil, Pos{}, err
+		}
+	}
+	recs, used := DecodeFrames(frames, l.opts.MaxRecordBytes)
+	if used == 0 {
+		return nil, at, nil
+	}
+	l.dirty = true
+	_, err := l.cur.Write(frames[:used])
+	if err == nil && l.opts.Policy != SyncNone {
+		err = l.syncLocked()
+	}
+	if err != nil {
+		l.cur.Close()
+		l.cur = nil
+		return nil, Pos{}, fmt.Errorf("wal: append frames: %w", err)
+	}
+	l.curSize += int64(used)
+	l.sizes[l.curSeg] = l.curSize
+	l.records += int64(len(recs))
+	l.bytes += int64(used)
+	l.notifyLocked()
+	return recs, Pos{Segment: l.curSeg, Offset: l.curSize}, nil
+}
+
+// reopenTailLocked opens the newest segment of a following log for append
+// at curSize, cutting off whatever a failed write left beyond it. It is a
+// no-op while the tail is open or no segment exists yet.
+func (l *Log) reopenTailLocked() error {
+	if l.cur != nil || l.curSeg == 0 {
+		return nil
+	}
+	path := l.segmentPath(l.curSeg)
+	if err := l.fs.Truncate(path, l.curSize); err != nil {
+		return fmt.Errorf("wal: reopen tail: %w", err)
+	}
+	// O_APPEND matters for the real filesystem; in-memory ones append from
+	// the end regardless.
+	f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
+	if err != nil {
+		return fmt.Errorf("wal: reopen tail: %w", err)
+	}
+	l.cur = f
+	return nil
+}
+
+// Reset empties a following log — every segment file removed, End back at
+// the zero position — ahead of a fresh snapshot.
+func (l *Log) Reset() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	if !l.following {
+		return fmt.Errorf("wal: Reset on a log that is not following")
+	}
+	if l.cur != nil {
+		l.cur.Close()
+		l.cur = nil
+	}
+	for len(l.segs) > 0 {
+		if err := l.fs.Remove(l.segmentPath(l.segs[0])); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("wal: reset: %w", err)
+		}
+		delete(l.sizes, l.segs[0])
+		l.segs = l.segs[1:]
+	}
+	l.curSeg, l.curSize, l.dirty = 0, 0, false
+	return l.fs.SyncDir(l.opts.Dir)
+}
+
+// EndFollowing turns a following log into an ordinary one by doing what
+// Open does last: the tail is sealed and a fresh segment above it created.
+// commit runs once that segment exists and before the log switches to it;
+// if creating the segment or commit fails the log is still following with
+// its tail untouched. On a log that is not following only commit runs.
+func (l *Log) EndFollowing(commit func() error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	if !l.following {
+		return commit()
+	}
+	if err := l.reopenTailLocked(); err != nil {
+		return err
+	}
+	if err := l.sealLocked(); err != nil {
+		return err
+	}
+	next := l.nextSegmentLocked()
+	f, err := l.createSegmentFile(next)
+	if err != nil {
+		return err
+	}
+	if err := commit(); err != nil {
+		f.Close()
+		if rerr := l.fs.Remove(l.segmentPath(next)); rerr != nil {
+			l.opts.Logf("wal: removing unused segment %d: %v", next, rerr)
+		}
+		return err
+	}
+	l.installSegmentLocked(next, f)
+	l.following = false
+	return nil
 }

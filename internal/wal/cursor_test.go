@@ -366,10 +366,10 @@ func TestReplayWalksDirectory(t *testing.T) {
 	}
 }
 
-// OpenTail performs Open's validation without creating an append
+// OpenFollowing performs Open's validation without creating an append
 // segment: a torn tail is truncated and End lands exactly at the last
-// valid byte, so a restarting replica resumes streaming from there.
-func TestOpenTailTruncatesTornTail(t *testing.T) {
+// valid byte, so a restarting standby resumes streaming from there.
+func TestOpenFollowingTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, Options{})
 	appendN(t, l, 0, 5)
@@ -391,50 +391,53 @@ func TestOpenTailTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	info, err := OpenTail(OSFS{}, dir, 0, nil)
+	fl, err := OpenFollowing(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.End != end {
-		t.Errorf("OpenTail End = %v, want %v", info.End, end)
+	defer fl.Close()
+	if fl.End() != end {
+		t.Errorf("OpenFollowing End = %v, want %v", fl.End(), end)
 	}
-	if info.Records != 5 {
-		t.Errorf("OpenTail Records = %d, want 5", info.Records)
+	st := fl.Stats()
+	if st.RecoveredRecords != 5 {
+		t.Errorf("OpenFollowing RecoveredRecords = %d, want 5", st.RecoveredRecords)
 	}
-	if info.TornBytesTruncated != 6 {
-		t.Errorf("OpenTail TornBytesTruncated = %d, want 6", info.TornBytesTruncated)
+	if st.TornBytesTruncated != 6 {
+		t.Errorf("OpenFollowing TornBytesTruncated = %d, want 6", st.TornBytesTruncated)
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi.Size() != end.Offset {
-		t.Errorf("segment size after OpenTail = %d, want %d", fi.Size(), end.Offset)
+		t.Errorf("segment size after OpenFollowing = %d, want %d", fi.Size(), end.Offset)
 	}
 	// And unlike Open, no fresh append segment appears.
 	segs, err := ListSegments(OSFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != len(info.Segments) {
-		t.Errorf("OpenTail created segments: %v vs %v", segs, info.Segments)
+	if len(segs) != st.Segments {
+		t.Errorf("OpenFollowing created segments: %v on disk, %d live", segs, st.Segments)
 	}
 }
 
-// OpenTail on an empty or missing directory reports a zero End, telling
-// the replica it must bootstrap from a snapshot.
-func TestOpenTailEmpty(t *testing.T) {
-	info, err := OpenTail(OSFS{}, filepath.Join(t.TempDir(), "nope"), 0, nil)
+// OpenFollowing on an empty or missing directory reports a zero End,
+// telling the standby it must bootstrap from a snapshot.
+func TestOpenFollowingEmpty(t *testing.T) {
+	l, err := OpenFollowing(Options{Dir: filepath.Join(t.TempDir(), "nope")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.End.IsZero() || info.Records != 0 || len(info.Segments) != 0 {
-		t.Errorf("OpenTail on missing dir = %+v, want zero", info)
+	defer l.Close()
+	if st := l.Stats(); !l.End().IsZero() || st.RecoveredRecords != 0 || st.Segments != 0 {
+		t.Errorf("OpenFollowing on missing dir: End %v, stats %+v, want zero", l.End(), st)
 	}
 }
 
-// Mid-log corruption stays fatal for OpenTail, same as Open.
-func TestOpenTailMidLogCorruption(t *testing.T) {
+// Mid-log corruption stays fatal for OpenFollowing, same as Open.
+func TestOpenFollowingMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, Options{})
 	appendN(t, l, 0, 3)
@@ -459,12 +462,12 @@ func TestOpenTailMidLogCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var corrupt *CorruptError
-	if _, err := OpenTail(OSFS{}, dir, 0, nil); !errors.As(err, &corrupt) {
-		t.Fatalf("OpenTail over mid-log corruption = %v, want *CorruptError", err)
+	if _, err := OpenFollowing(Options{Dir: dir}); !errors.As(err, &corrupt) {
+		t.Fatalf("OpenFollowing over mid-log corruption = %v, want *CorruptError", err)
 	}
 }
 
-// Directory validation (the pass Open and OpenTail share) counts records
+// Directory validation (the pass Open and OpenFollowing share) counts records
 // without materialising them: its allocations must not grow with the
 // number of records in a segment.
 func TestValidationDoesNotAllocatePerRecord(t *testing.T) {
@@ -474,9 +477,11 @@ func TestValidationDoesNotAllocatePerRecord(t *testing.T) {
 		appendN(t, l, 0, records)
 		l.Close()
 		return testing.AllocsPerRun(5, func() {
-			if info, err := OpenTail(nil, dir, 0, nil); err != nil || info.Records != int64(records) {
-				t.Fatalf("OpenTail = %+v, %v; want %d records", info, err, records)
+			l, err := OpenFollowing(Options{Dir: dir})
+			if err != nil || l.Stats().RecoveredRecords != int64(records) {
+				t.Fatalf("OpenFollowing = %v; want %d records", err, records)
 			}
+			l.Close()
 		})
 	}
 	if few, many := allocs(10), allocs(5000); many > few+2 {

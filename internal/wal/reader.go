@@ -1,7 +1,7 @@
 // The read side of a log directory: the one validation pass and the one
-// record walk. Open and OpenTail validate through validateDir; Log.Replay
-// (crash recovery, promotion) and the replica's restart recovery walk
-// records through Replay. Both parse frames only through scanSegment.
+// record walk. Open and OpenFollowing validate through validateDir;
+// Log.Replay (crash recovery in either role) walks records through Replay.
+// Both parse frames only through scanSegment.
 package wal
 
 import (
@@ -72,55 +72,6 @@ func validateDir(fs FS, dir string, maxRecord int, quarantine bool, logf func(st
 		sc.records += int64(records)
 	}
 	return sc, nil
-}
-
-// TailInfo describes a validated log directory that was opened for
-// reading only — no fresh append segment is created, so the directory's
-// bytes are exactly what a byte-mirroring consumer (a replica) has
-// accumulated.
-type TailInfo struct {
-	// Segments are the live segment indexes, ascending.
-	Segments []uint64
-
-	// End is the position one past the last valid record — where the
-	// next mirrored byte belongs. Zero when the directory holds no
-	// segments.
-	End Pos
-
-	// Records is the number of valid records across all segments.
-	Records int64
-
-	// TornBytesTruncated is how many trailing bytes the torn-tail scan
-	// discarded from the newest segment.
-	TornBytesTruncated int64
-}
-
-// OpenTail validates dir with Open's exact recovery semantics — strict
-// mid-log corruption checks, torn-tail truncation (or removal) of the
-// newest segment — but does not open the log for appending. Replicas use
-// it after a restart to find the position their mirrored copy of the
-// primary's log ends at, so they can resume the replication stream
-// without re-bootstrapping. maxRecord <= 0 means DefaultMaxRecordBytes;
-// logf may be nil.
-func OpenTail(fs FS, dir string, maxRecord int, logf func(string, ...interface{})) (TailInfo, error) {
-	if fs == nil {
-		fs = OSFS{}
-	}
-	if maxRecord <= 0 {
-		maxRecord = DefaultMaxRecordBytes
-	}
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
-	sc, err := validateDir(fs, dir, maxRecord, false, logf)
-	if err != nil {
-		return TailInfo{}, err
-	}
-	info := TailInfo{Segments: sc.segs, Records: sc.records, TornBytesTruncated: sc.tornBytes}
-	if n := len(sc.segs); n > 0 {
-		info.End = Pos{Segment: sc.segs[n-1], Offset: sc.sizes[sc.segs[n-1]]}
-	}
-	return info, nil
 }
 
 // Replay streams every record in dir's segments with index >= fromSeg,

@@ -96,8 +96,8 @@ func (l *Log) SealedSegments() []uint64 {
 	return out
 }
 
-// SegmentPath returns the path of segment idx inside the log directory.
-func (l *Log) SegmentPath(idx uint64) string {
+// segmentPath returns the path of segment idx inside the log directory.
+func (l *Log) segmentPath(idx uint64) string {
 	return filepath.Join(l.opts.Dir, SegmentName(idx))
 }
 
@@ -127,7 +127,7 @@ func (l *Log) Quarantine(idx uint64) error {
 	if !found {
 		return fmt.Errorf("wal: segment %d is not live", idx)
 	}
-	if err := quarantineFile(l.fs, l.opts.Dir, filepath.Join(l.opts.Dir, SegmentName(idx))); err != nil {
+	if err := quarantineFile(l.fs, l.opts.Dir, l.segmentPath(idx)); err != nil {
 		return err
 	}
 	kept := l.segs[:0]

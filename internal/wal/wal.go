@@ -77,6 +77,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 
+// ErrFollowing reports a record Append or Rotate on a log opened with
+// OpenFollowing: its bytes are dictated by the log it follows.
+var ErrFollowing = errors.New("wal: log is following")
+
 // SyncPolicy selects when appended records are fsynced.
 type SyncPolicy int
 
@@ -259,6 +263,13 @@ type Log struct {
 	dirty   bool             // bytes written since the last sync
 	closed  bool
 
+	// following is set by OpenFollowing and cleared by EndFollowing (see
+	// cursor.go). While it is set cur is nil whenever the tail is not open
+	// for append: before the first segment exists, and after a failed write
+	// until reopenTailLocked has cut the torn bytes off.
+	following bool
+	truncated Pos // end of the highest segment TruncateBefore removed
+
 	records     int64
 	bytes       int64
 	fsyncs      int64
@@ -296,6 +307,43 @@ func parseSegmentName(name string) (uint64, bool) { return ParseSegmentName(name
 // Open validates the log directory (truncating a torn tail, failing on
 // mid-log corruption), then creates a fresh segment for appends.
 func Open(o Options) (*Log, error) {
+	l, err := open(o)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.createSegmentLocked(l.nextSegmentLocked()); err != nil {
+		l.Close() //nolint:errcheck
+		return nil, err
+	}
+	return l, nil
+}
+
+// OpenFollowing validates the log directory exactly as Open does, but
+// creates no fresh segment: the validated tail is reopened for append and
+// the log takes AppendFrames — verbatim frame bytes at stated positions —
+// instead of records, so the directory stays a byte prefix of the log it
+// follows. An empty directory opens at the zero position. EndFollowing
+// does what Open would have done last and turns it into an ordinary log.
+func OpenFollowing(o Options) (*Log, error) {
+	l, err := open(o)
+	if err != nil {
+		return nil, err
+	}
+	l.following = true
+	if n := len(l.segs); n > 0 {
+		l.curSeg = l.segs[n-1]
+		l.curSize = l.sizes[l.curSeg]
+	}
+	if err := l.reopenTailLocked(); err != nil {
+		l.Close() //nolint:errcheck
+		return nil, err
+	}
+	return l, nil
+}
+
+// open is the part of opening both roles share: defaults, the one
+// validation pass, gap accounting and the group-commit loop.
+func open(o Options) (*Log, error) {
 	opts := o.withDefaults()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: Dir is required")
@@ -349,23 +397,25 @@ func Open(o Options) (*Log, error) {
 			}
 		}
 	}
-
-	next := uint64(1)
-	if n := len(l.segs); n > 0 {
-		next = l.segs[n-1] + 1
-	}
-	if next < opts.MinSegment {
-		next = opts.MinSegment
-	}
-	if err := l.createSegmentLocked(next); err != nil {
-		return nil, err
-	}
 	if opts.Policy == SyncInterval {
 		l.stopFlush = make(chan struct{})
 		l.flushDone = make(chan struct{})
 		go l.flushLoop()
 	}
 	return l, nil
+}
+
+// nextSegmentLocked is the index a fresh append segment takes: one past
+// the newest on disk, floored at MinSegment.
+func (l *Log) nextSegmentLocked() uint64 {
+	next := uint64(1)
+	if n := len(l.segs); n > 0 {
+		next = l.segs[n-1] + 1
+	}
+	if next < l.opts.MinSegment {
+		next = l.opts.MinSegment
+	}
+	return next
 }
 
 // ListSegments returns the segment indexes present in dir, ascending.
@@ -486,25 +536,40 @@ func EncodeFrame(rec Record) []byte {
 // createSegmentLocked opens segment idx for appending: header written,
 // file synced, directory entry synced. Callers hold l.mu (or are Open).
 func (l *Log) createSegmentLocked(idx uint64) error {
-	path := filepath.Join(l.opts.Dir, SegmentName(idx))
+	f, err := l.createSegmentFile(idx)
+	if err != nil {
+		return err
+	}
+	l.installSegmentLocked(idx, f)
+	return nil
+}
+
+// createSegmentFile creates segment idx on disk and returns it open at
+// its header boundary; the log's tables are untouched. A file whose header
+// did not make it is removed, or the next attempt would trip over O_EXCL.
+func (l *Log) createSegmentFile(idx uint64) (File, error) {
+	path := l.segmentPath(idx)
 	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
 	if err != nil {
-		return fmt.Errorf("wal: create segment: %w", err)
+		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	if _, err := f.Write(SegmentHeader(idx)); err != nil {
+	_, err = f.Write(SegmentHeader(idx))
+	if err == nil && l.opts.Policy != SyncNone {
+		if err = f.Sync(); err == nil {
+			err = l.fs.SyncDir(l.opts.Dir)
+		}
+	}
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("wal: write segment header: %w", err)
+		l.fs.Remove(path) //nolint:errcheck
+		return nil, fmt.Errorf("wal: write segment header: %w", err)
 	}
-	if l.opts.Policy != SyncNone {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: sync segment header: %w", err)
-		}
-		if err := l.fs.SyncDir(l.opts.Dir); err != nil {
-			f.Close()
-			return err
-		}
-	}
+	return f, nil
+}
+
+// installSegmentLocked makes the freshly created segment idx the one
+// appends go to, closing the previous one.
+func (l *Log) installSegmentLocked(idx uint64, f File) {
 	if l.cur != nil {
 		l.cur.Close()
 	}
@@ -513,7 +578,6 @@ func (l *Log) createSegmentLocked(idx uint64) error {
 	l.curSize = headerSize
 	l.segs = append(l.segs, idx)
 	l.sizes[idx] = headerSize
-	return nil
 }
 
 // Append journals one record. Under SyncAlways the record is durable when
@@ -528,6 +592,9 @@ func (l *Log) Append(rec Record) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if l.following {
+		return ErrFollowing
 	}
 	if l.curSize > headerSize && l.curSize+int64(len(frame)) > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -549,8 +616,12 @@ func (l *Log) Append(rec Record) error {
 	return nil
 }
 
-// syncLocked fsyncs the current segment. Callers hold l.mu.
+// syncLocked fsyncs the current segment (a following log whose tail is not
+// open holds nothing unsynced). Callers hold l.mu.
 func (l *Log) syncLocked() error {
+	if l.cur == nil {
+		return nil
+	}
 	start := time.Now()
 	if err := l.cur.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
@@ -573,12 +644,18 @@ func (l *Log) Sync() error {
 
 // rotateLocked syncs and closes the current segment and opens the next.
 func (l *Log) rotateLocked() error {
-	if l.opts.Policy != SyncNone || l.dirty {
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
+	if err := l.sealLocked(); err != nil {
+		return err
 	}
 	return l.createSegmentLocked(l.curSeg + 1)
+}
+
+// sealLocked makes the current segment durable ahead of leaving it.
+func (l *Log) sealLocked() error {
+	if l.opts.Policy != SyncNone || l.dirty {
+		return l.syncLocked()
+	}
+	return nil
 }
 
 // Rotate forces a rotation to a fresh segment and returns its index: every
@@ -590,6 +667,9 @@ func (l *Log) Rotate() (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
+	if l.following {
+		return 0, ErrFollowing
+	}
 	if err := l.rotateLocked(); err != nil {
 		return 0, err
 	}
@@ -598,7 +678,10 @@ func (l *Log) Rotate() (uint64, error) {
 
 // TruncateBefore removes every segment with an index strictly below seg
 // (the current segment is never removed). The checkpointer calls it after
-// a checkpoint covering those segments is durably installed.
+// a checkpoint covering those segments is durably installed. The end of
+// the highest segment removed is remembered: a reader standing exactly
+// there has missed nothing and rolls over to the first live segment (see
+// normalizeLocked).
 func (l *Log) TruncateBefore(seg uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -612,11 +695,12 @@ func (l *Log) TruncateBefore(seg uint64) error {
 	)
 	for _, idx := range l.segs {
 		if idx < seg && idx != l.curSeg && firstErr == nil {
-			if err := l.fs.Remove(filepath.Join(l.opts.Dir, SegmentName(idx))); err != nil {
+			if err := l.fs.Remove(l.segmentPath(idx)); err != nil {
 				firstErr = fmt.Errorf("wal: truncate: %w", err)
 				kept = append(kept, idx)
 				continue
 			}
+			l.truncated = Pos{Segment: idx, Offset: l.sizes[idx]}
 			delete(l.sizes, idx)
 			removed++
 			continue
@@ -699,8 +783,10 @@ func (l *Log) Close() error {
 	if l.dirty {
 		err = l.syncLocked()
 	}
-	if cerr := l.cur.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("wal: close: %w", cerr)
+	if l.cur != nil {
+		if cerr := l.cur.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("wal: close: %w", cerr)
+		}
 	}
 	l.closed = true
 	l.notifyLocked() // wake any WaitFrom so it observes the close

@@ -476,7 +476,7 @@ func TestCrossVersionSegmentFixture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Each route gets its own copy: Open and OpenTail repair it.
+			// Each route gets its own copy: Open and OpenFollowing repair it.
 			stage := func() (dir, path string) {
 				dir = t.TempDir()
 				path = filepath.Join(dir, wal.SegmentName(1))
@@ -508,15 +508,17 @@ func TestCrossVersionSegmentFixture(t *testing.T) {
 			}
 
 			dir, path = stage()
-			info, err := wal.OpenTail(nil, dir, 0, nil)
+			fl, err := wal.OpenFollowing(wal.Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Records != 3 || info.TornBytesTruncated != fx.torn || info.End != (wal.Pos{Segment: 1, Offset: validLen}) {
-				t.Errorf("OpenTail = %+v, want 3 records ending at 1,%d with %d bytes truncated", info, validLen, fx.torn)
+			if s := fl.Stats(); s.RecoveredRecords != 3 || s.TornBytesTruncated != fx.torn || fl.End() != (wal.Pos{Segment: 1, Offset: validLen}) {
+				t.Errorf("OpenFollowing = %+v ending at %v, want 3 records ending at 1,%d with %d bytes truncated", s, fl.End(), validLen, fx.torn)
 			}
+			sameRecords(t, "OpenFollowing+Log.Replay", collect(t, fl, 0))
+			fl.Close()
 			if n := sizeOf(path); n != validLen {
-				t.Errorf("OpenTail left %d bytes, want %d", n, validLen)
+				t.Errorf("OpenFollowing left %d bytes, want %d", n, validLen)
 			}
 
 			dir, _ = stage()
