@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check fuzz policy policy-floor policy-fixtures bench-check vuln cover load-bench corpus corpus-bench benchall experiments loc clean
+.PHONY: all build vet test race check fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean
 
 all: build check
 
@@ -13,9 +13,10 @@ all: build check
 # properties, the replication, partition, overload and self-healing chaos
 # suites and the observability goldens); the policy gates that are not
 # tests (coverage floor, fixture lint); a short fuzz smoke over the parsers
-# that read attacker-controlled bytes; the corpus memory budget; a
-# vulnerability scan when govulncheck is installed; and the benchmark
-# module, which tier-1 does not build.
+# that read attacker-controlled bytes; the memory-budget tests, which skip
+# under -race and so run here without it; a vulnerability scan when
+# govulncheck is installed; and the benchmark module, which tier-1 does not
+# build.
 POLICY_COVER ?= /tmp/policyfile.cover
 check: vet
 	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
@@ -23,7 +24,8 @@ check: vet
 	$(MAKE) policy-floor
 	$(MAKE) policy-fixtures
 	$(MAKE) fuzz
-	$(MAKE) corpus
+	$(GO) test -run 'TestEngineHeapBudget|TestApproxBytesTracksHeap|TestSaveHeapAndLoadLayout' \
+		./internal/policy ./internal/index .
 	$(MAKE) vuln
 	$(MAKE) bench-check
 
@@ -114,30 +116,6 @@ race:
 
 cover:
 	$(GO) test -cover ./...
-
-# load-bench ramps open-loop editors against an in-process tag service
-# until the p99 SLO breaks and records the capacity as BENCH_6.json.
-load-bench:
-	$(GO) run ./cmd/bfload -editors 100 -step 25 -max-editors 600 -think 50ms -duration 3s -slo 250ms -out BENCH_6.json
-
-# corpus is the memory-regression gate in check: load 1M distinct hashes
-# (the paper's corpus is ~10M across 180 e-books) through the path that
-# deploys — policy.Engine.ObserveEdit into a registered service — measure
-# bytes/hash and checkpoint recovery, and FAIL if process RSS exceeds the
-# budget (45 MB measured, +15 %). The heap-budget tests hold the same path
-# to ≤ 37 B per distinct hash and Stats.ApproxBytes to the measured heap
-# (both skip under -race, so `test -race` does not run them).
-CORPUS_RSS_BUDGET_MB ?= 52
-corpus:
-	$(GO) test -count=1 -run 'TestEngineHeapBudget|TestApproxBytesTracksHeap' ./internal/policy ./internal/index
-	$(GO) run ./cmd/bfbench -experiment corpus -hashes 1000000 \
-		-rss-budget-mb $(CORPUS_RSS_BUDGET_MB)
-
-# corpus-bench runs the full 1M/5M/10M ladder and records it as
-# BENCH_7.json, printing benchstat-style deltas against the previous
-# recording.
-corpus-bench:
-	$(GO) run ./cmd/bfbench -experiment corpus -benchjson BENCH_7.json
 
 # benchall runs every benchmark in the repository.
 benchall:

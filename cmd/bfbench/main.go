@@ -9,17 +9,14 @@
 //
 // Experiments: table1, fig8, fig9a, fig9b, fig9adoc, fig9bdoc, fig10,
 // fig11, fig12, fig13, ablation-cache, ablation-auth, ablation-winnow,
-// baseline, orgsim, usability, all (every one of those, in that order),
-// and corpus (the memory-budget ladder; run on demand, not part of all).
+// baseline, orgsim, usability, and all (every one of those, in that order).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"github.com/lsds/browserflow/internal/disclosure"
@@ -34,15 +31,13 @@ func main() {
 	}
 }
 
-// order is what -experiment all runs. corpus is deliberately excluded:
-// the 10M-hash ladder takes minutes and is run on demand (`make corpus`,
-// `make corpus-bench`).
+// order is what -experiment all runs.
 var order = []string{"table1", "fig8", "fig9a", "fig9b", "fig9adoc",
 	"fig9bdoc", "fig10", "fig11", "fig12", "fig13", "ablation-cache",
 	"ablation-auth", "ablation-winnow", "baseline", "orgsim", "usability"}
 
 func run(args []string) error {
-	experiments := strings.Join(order, ", ") + ", corpus, all"
+	experiments := strings.Join(order, ", ") + ", all"
 	fs := flag.NewFlagSet("bfbench", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "all", "experiment to run ("+experiments+")")
@@ -55,9 +50,6 @@ func run(args []string) error {
 		steps      = fs.Int("steps", 5, "database size steps (fig13)")
 		probes     = fs.Int("probes", 20, "paste probes per step (fig13)")
 		outDir     = fs.String("out", "", "also write each experiment's output to <out>/<name>.txt")
-		benchJSON  = fs.String("benchjson", "", "with -experiment corpus: print deltas against the recording in this file, then overwrite it with the new result (BENCH_7.json)")
-		hashes     = fs.String("hashes", "", "comma-separated distinct-hash targets for -experiment corpus (default 1000000,5000000,10000000)")
-		rssBudget  = fs.Int("rss-budget-mb", 0, "fail -experiment corpus if process RSS exceeds this budget (MB)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -152,55 +144,6 @@ func run(args []string) error {
 		"usability": func() (string, error) {
 			r, err := expt.RunUsabilityComparison(scale, params)
 			return r.Format(), err
-		},
-		"corpus": func() (string, error) {
-			cfg := expt.DefaultCorpusConfig()
-			cfg.Seed = *seed
-			cfg.RSSBudgetMB = *rssBudget
-			cfg.Logf = func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}
-			if *hashes != "" {
-				cfg.StepHashes = cfg.StepHashes[:0]
-				for _, f := range strings.Split(*hashes, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(f))
-					if err != nil || n <= 0 {
-						return "", fmt.Errorf("bad -hashes value %q", f)
-					}
-					cfg.StepHashes = append(cfg.StepHashes, n)
-				}
-			}
-			// Load the previous run before -benchjson overwrites it, so the
-			// output ends with benchstat-style deltas against it.
-			var prev *expt.CorpusResult
-			if *benchJSON != "" {
-				if data, err := os.ReadFile(*benchJSON); err == nil {
-					var p expt.CorpusResult
-					if json.Unmarshal(data, &p) == nil && len(p.Steps) > 0 {
-						prev = &p
-					}
-				}
-			}
-			r, err := expt.RunCorpus(cfg, params)
-			if err != nil {
-				return "", err
-			}
-			out := r.Format()
-			if prev != nil {
-				out += "\n" + expt.FormatCorpusDelta(*prev, r)
-			}
-			// -benchjson records BENCH_7.json; only when corpus is the
-			// selected experiment, same convention as replication above.
-			if *benchJSON != "" && *experiment == "corpus" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-					return "", fmt.Errorf("write %s: %w", *benchJSON, err)
-				}
-			}
-			return out, nil
 		},
 	}
 	selected := order

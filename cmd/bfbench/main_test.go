@@ -47,6 +47,8 @@ func TestRunErrors(t *testing.T) {
 		{name: "unknown experiment", args: []string{"-experiment", "fig99"}, want: `unknown experiment "fig99"`},
 		// The per-PR perf harnesses are gone; bench/ is the one harness.
 		{name: "retired harness", args: []string{"-experiment", "hotpath"}, want: `unknown experiment "hotpath"`},
+		{name: "retired corpus ladder", args: []string{"-experiment", "corpus"}, want: `unknown experiment "corpus"`},
+		{name: "retired corpus flag", args: []string{"-rss-budget-mb", "1"}, want: "flag provided but not defined"},
 		{name: "unknown scale", args: []string{"-scale", "galactic"}, want: "unknown scale"},
 		{name: "bad flag", args: []string{"-nope"}, want: "flag provided but not defined"},
 	}

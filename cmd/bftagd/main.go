@@ -111,7 +111,6 @@ func run(args []string) error {
 		partitionID = fs.String("partition-id", "", "this node's partition ID in the ring (required with -ring-file)")
 		splitRange  = fs.String("split-range", "", "inclusive key range lo:hi this node owns during a split (filtered replica bootstrap, or restart of a promoted split target)")
 
-		admitOn        = fs.Bool("admission", true, "route observes through the admission pipeline (coalescing, bounded queues, 429 load shedding)")
 		coalesceWindow = fs.Duration("coalesce-window", 0, "debounce window folding a segment's keystroke observes into one engine call (0 folds only under backlog)")
 		admitQueue     = fs.Int("admit-queue", 4096, "interactive admission queue depth (arrivals past it are shed with 429)")
 		admitBulkQueue = fs.Int("admit-bulk-queue", 256, "bulk (batch flush) admission queue depth")
@@ -354,25 +353,22 @@ func run(args []string) error {
 	// job reaches the journal, and closed (deferred below, explicitly on
 	// SIGTERM) BEFORE the durable store: drain-then-close is what keeps
 	// accepted-but-queued observes from being lost on shutdown.
-	var pipeline *admission.Pipeline
-	if *admitOn {
-		pipeline, err = admission.New(mw.Engine(), admission.Config{
-			CoalesceWindow:   *coalesceWindow,
-			InteractiveQueue: *admitQueue,
-			BulkQueue:        *admitBulkQueue,
-			Workers:          *admitWorkers,
-			MaxDwell:         *admitDwell,
-			Obs:              o,
-		})
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		serverOpts = append(serverOpts, tagserver.WithAdmission(pipeline))
-		// Registered after the durableBox defer, so it runs before it:
-		// queues drain through the engine while the WAL is still open.
-		defer pipeline.Close(context.Background()) //nolint:errcheck
+	pipeline, err := admission.New(mw.Engine(), admission.Config{
+		CoalesceWindow:   *coalesceWindow,
+		InteractiveQueue: *admitQueue,
+		BulkQueue:        *admitBulkQueue,
+		Workers:          *admitWorkers,
+		MaxDwell:         *admitDwell,
+		Obs:              o,
+	})
+	if err != nil {
+		ln.Close()
+		return err
 	}
+	serverOpts = append(serverOpts, tagserver.WithAdmission(pipeline))
+	// Registered after the durableBox defer, so it runs before it:
+	// queues drain through the engine while the WAL is still open.
+	defer pipeline.Close(context.Background()) //nolint:errcheck
 
 	if pstate != nil {
 		serverOpts = append(serverOpts, tagserver.WithPartition(pstate))
@@ -492,11 +488,7 @@ func run(args []string) error {
 		// close: every accepted-but-queued observe reaches the WAL, or a
 		// clean SIGTERM silently drops acknowledged work.
 		drainCh := make(chan error, 1)
-		if pipeline != nil {
-			go func() { drainCh <- pipeline.Close(shCtx) }()
-		} else {
-			drainCh <- nil
-		}
+		go func() { drainCh <- pipeline.Close(shCtx) }()
 		shutdownErr := srv.Shutdown(shCtx)
 		if err := <-drainCh; err != nil {
 			fmt.Fprintln(os.Stderr, "bftagd: drain admission:", err)

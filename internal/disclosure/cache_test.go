@@ -4,7 +4,7 @@ package disclosure
 // sharded hot path:
 //
 //  1. stale cache: ExpireBefore/RemoveSegment dropped segments from the
-//     index but the Tracker kept their cache/prev entries forever, so a
+//     index but the Tracker kept their cache entries forever, so a
 //     re-observation with an unchanged fingerprint served a Report naming
 //     sources that no longer exist;
 //  2. cache aliasing: the cached Report shared its Sources slice with the
@@ -90,23 +90,6 @@ func TestForgetEvictsDecisionCache(t *testing.T) {
 	again := mustObserve(t, tr, "doc#copy", cacheTestText)
 	if again.CacheHit || len(again.Sources) != 0 {
 		t.Errorf("removed source leaked: hit=%v sources=%+v", again.CacheHit, again.Sources)
-	}
-}
-
-// TestExpireEvictsIncrementalPrevState asserts that the incremental
-// previous-state map is evicted too: after expiry the re-observation must
-// run the full (not delta) evaluation against the emptied database.
-func TestExpireEvictsIncrementalPrevState(t *testing.T) {
-	tr := newCacheTestTracker(t, func(p *Params) { p.Incremental = true })
-	mustObserve(t, tr, "doc#src", cacheTestText)
-	got := mustObserve(t, tr, "doc#copy", cacheTestText)
-	if len(got.Sources) != 1 {
-		t.Fatalf("setup: want 1 source, got %+v", got.Sources)
-	}
-	tr.Paragraphs().ExpireBefore(tr.Paragraphs().Now() + 1)
-	again := mustObserve(t, tr, "doc#copy", cacheTestText)
-	if again.CacheHit || len(again.Sources) != 0 {
-		t.Errorf("stale incremental state survived expiry: hit=%v sources=%+v", again.CacheHit, again.Sources)
 	}
 }
 

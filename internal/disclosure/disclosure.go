@@ -36,13 +36,6 @@ type Params struct {
 	// DisableCache turns off the fingerprint-keyed decision cache. Only
 	// used by the ablation experiments.
 	DisableCache bool
-
-	// Incremental enables the §4.3 incremental evaluation of Algorithm 1:
-	// re-observations only inspect hashes added since the previous
-	// observation plus the previous sources. Per-edit cost becomes
-	// proportional to the edit, at the cost of refreshing a *source's*
-	// changed disclosure value lazily (the paper's behaviour).
-	Incremental bool
 }
 
 // DefaultParams returns the configuration used in the paper's evaluation.
@@ -105,7 +98,7 @@ func (r Report) SourceSegs() []segment.ID {
 // Tracker maintains the paragraph- and document-granularity fingerprint
 // databases and serves disclosure queries. It is safe for concurrent use.
 //
-// The decision/prev caches are lock-striped by segment ID so concurrent
+// The decision cache is lock-striped by segment ID so concurrent
 // observers of different segments never contend on a cache mutex; the
 // fingerprint databases are lock-striped internally (see package index).
 type Tracker struct {
@@ -123,12 +116,10 @@ type Tracker struct {
 	scratchPool sync.Pool
 }
 
-// cacheStripe is one lock stripe of the decision cache and the
-// incremental-evaluation previous-state map.
+// cacheStripe is one lock stripe of the decision cache.
 type cacheStripe struct {
 	mu    sync.Mutex
 	cache map[segment.ID]cacheEntry
-	prev  map[segment.ID]prevState
 }
 
 // cacheEntry is one cached decision, holding what a hit needs and nothing
@@ -181,7 +172,6 @@ func NewTracker(params Params) (*Tracker, error) {
 	t.stripeMask = uint32(n - 1)
 	for i := range t.stripes {
 		t.stripes[i].cache = make(map[segment.ID]cacheEntry)
-		t.stripes[i].prev = make(map[segment.ID]prevState)
 	}
 	// Keep the decision cache coherent with the databases: segments
 	// dropped by ExpireBefore/RemoveSegment (including direct calls on
@@ -206,30 +196,27 @@ func (t *Tracker) stripeFor(seg segment.ID) *cacheStripe {
 	return &t.stripes[h&t.stripeMask]
 }
 
-// evictCached is the index eviction hook: it drops decision-cache and
-// incremental-state entries for segments removed from a database.
+// evictCached is the index eviction hook: it drops decision-cache
+// entries for segments removed from a database.
 func (t *Tracker) evictCached(segs []segment.ID) {
 	for _, seg := range segs {
 		st := t.stripeFor(seg)
 		st.mu.Lock()
 		delete(st.cache, seg)
-		delete(st.prev, seg)
 		st.mu.Unlock()
 	}
 }
 
-// ResetCache drops every cached decision and all incremental prev state.
-// It must follow any wholesale replacement of the databases' contents (a
-// snapshot restore): a cache hit answers an unchanged fingerprint without
-// reaching index.Update, so an entry that outlives the index it was
-// computed against leaves the segment unindexed and later checks fail
-// open.
+// ResetCache drops every cached decision. It must follow any wholesale
+// replacement of the databases' contents (a snapshot restore): a cache hit
+// answers an unchanged fingerprint without reaching index.Update, so an
+// entry that outlives the index it was computed against leaves the segment
+// unindexed and later checks fail open.
 func (t *Tracker) ResetCache() {
 	for i := range t.stripes {
 		st := &t.stripes[i]
 		st.mu.Lock()
 		st.cache = make(map[segment.ID]cacheEntry)
-		st.prev = make(map[segment.ID]prevState)
 		st.mu.Unlock()
 	}
 }
@@ -326,7 +313,7 @@ func (t *Tracker) observeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segme
 // borrowed marks fp as scratch-shared (it aliases sc.fps and is valid only
 // for this call): the decision-cache fast path never retains it, so a
 // cache hit stays allocation-free, and a miss detaches it with one Clone
-// just before the retention points (index update, incremental prev state).
+// just before the index update retains it.
 func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, borrowed bool, g segment.Granularity, db *index.DB, sc *observeScratch) (Report, error) {
 	digest := fp.Digest()
 	st := t.stripeFor(seg)
@@ -341,26 +328,14 @@ func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, 
 	}
 	if borrowed {
 		// Past the cache check the fingerprint is retained (db.Update
-		// stores it as the segment's latest fingerprint; the incremental
-		// path keeps it as prev state) — detach it from the scratch first.
+		// stores it as the segment's latest fingerprint) — detach it from
+		// the scratch first.
 		fp = fp.Clone()
 	}
 
 	// raw is backed by the (possibly pooled) scratch buffer — it must be
 	// copied out before this call returns.
-	var raw []Source
-	if t.params.Incremental {
-		st.mu.Lock()
-		prev, hasPrev := st.prev[seg]
-		st.mu.Unlock()
-		if hasPrev {
-			raw = t.incrementalSources(fp, seg, db, prev)
-		} else {
-			raw = t.sourcesScratch(fp, seg, db, sc)
-		}
-	} else {
-		raw = t.sourcesScratch(fp, seg, db, sc)
-	}
+	raw := t.sourcesScratch(fp, seg, db, sc)
 	db.Update(seg, fp)
 
 	return t.remember(seg, fp, g, digest, raw), nil
@@ -368,7 +343,7 @@ func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, 
 
 // remember finishes an evaluated observation of seg: it builds the report
 // from the resolved sources (which it copies, so raw may be scratch-backed)
-// and installs the decision-cache entry and the incremental prev state.
+// and installs the decision-cache entry.
 func (t *Tracker) remember(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, digest uint64, raw []Source) Report {
 	// The caller's report and the cache entry need independent Sources
 	// slices (a caller mutating its result must not corrupt future cache
@@ -389,15 +364,12 @@ func (t *Tracker) remember(seg segment.ID, fp *fingerprint.Fingerprint, g segmen
 			entry.sources = &cached
 		}
 	}
-	st := t.stripeFor(seg)
-	st.mu.Lock()
 	if !t.params.DisableCache {
+		st := t.stripeFor(seg)
+		st.mu.Lock()
 		st.cache[seg] = entry
+		st.mu.Unlock()
 	}
-	if t.params.Incremental {
-		st.prev[seg] = prevState{fp: fp, sources: cloneSources(raw)}
-	}
-	st.mu.Unlock()
 	return report
 }
 
@@ -527,6 +499,61 @@ func (t *Tracker) sourcesScratch(fp *fingerprint.Fingerprint, self segment.ID, d
 		return nil
 	}
 	return sc.out
+}
+
+// evaluateCandidate runs the per-candidate body of Algorithm 1: threshold
+// lookup, early discard, authoritative overlap, decision. Origin fetches
+// the candidate's fingerprint and threshold in one stripe acquisition
+// (the seed paid two locked calls here).
+func (t *Tracker) evaluateCandidate(fp *fingerprint.Fingerprint, p segment.ID, db *index.DB) (Source, bool) {
+	origin, threshold, ok := db.Origin(p)
+	if !ok || origin.Empty() {
+		return Source{}, false
+	}
+	if float64(origin.Len())*threshold > float64(fp.Len()) {
+		return Source{}, false
+	}
+	var overlap, originLen int
+	if t.params.DisableAuthoritative {
+		overlap = origin.IntersectCount(fp)
+		originLen = origin.Len()
+	} else {
+		overlap, originLen = db.AuthoritativeOverlap(p, fp)
+	}
+	if originLen == 0 || overlap == 0 {
+		return Source{}, false
+	}
+	d := float64(overlap) / float64(originLen)
+	if d < threshold {
+		return Source{}, false
+	}
+	return Source{Seg: p, Disclosure: d, Threshold: threshold}, true
+}
+
+// sortSources orders sources by descending disclosure, breaking ties by
+// ascending segment ID. Hand-rolled insertion sort: candidate sets are
+// small, and sort.Slice's reflection-based swapper allocates on every call
+// — this keeps the observe hot path allocation-free. The (Disclosure, Seg)
+// key is a strict total order over distinct segments, so the result is
+// identical to any comparison sort.
+func sortSources(out []Source) {
+	for i := 1; i < len(out); i++ {
+		s := out[i]
+		j := i - 1
+		for j >= 0 && sourceLess(s, out[j]) {
+			out[j+1] = out[j]
+			j--
+		}
+		out[j+1] = s
+	}
+}
+
+// sourceLess is the sortSources ordering predicate.
+func sourceLess(a, b Source) bool {
+	if a.Disclosure != b.Disclosure {
+		return a.Disclosure > b.Disclosure
+	}
+	return a.Seg < b.Seg
 }
 
 // Pairwise returns the unadjusted pairwise disclosure D(a, b) = |F(a) ∩

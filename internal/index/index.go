@@ -450,7 +450,7 @@ func (db *DB) DefaultThreshold() float64 { return db.defaultThreshold }
 // has *never* posted pay a bucket probe and a shard lock. Per-edit index
 // cost is therefore proportional to the novel content of the edit — an
 // edit that oscillates within previously seen text touches no hash shard
-// at all — mirroring the incremental evaluation of Algorithm 1.
+// at all — the §4.3 "incremental fashion" on the index side.
 //
 // An Update whose hash set is identical to the segment's current
 // fingerprint is a no-op: it neither ticks the logical clock nor

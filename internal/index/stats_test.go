@@ -114,8 +114,7 @@ func TestStatsLargeExact(t *testing.T) {
 // measured heap: a 200 k-hash database built through Update must be
 // estimated within ±25 % of what it actually retains, both as built (all
 // postings in the mutable head) and after Compact (all in runs). The
-// dashboard and
-// `bfbench -experiment corpus` print the estimate beside measured memory.
+// dashboard prints the estimate.
 func TestApproxBytesTracksHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")

@@ -216,40 +216,11 @@ func (cc *ClusterClient) onPrimary(ctx context.Context, fn func(*Client) error) 
 	return lastErr
 }
 
-// ObserveBatch flushes coalesced edits to the primary (following
-// failovers), returning one verdict per item.
-func (cc *ClusterClient) ObserveBatch(ctx context.Context, service string, items []BatchItem) ([]Verdict, error) {
-	var out []Verdict
-	err := cc.onPrimary(ctx, func(c *Client) error {
-		v, err := c.ObserveBatchCtx(ctx, service, items)
-		if err == nil {
-			out = v
-		}
-		return err
-	})
-	return out, err
-}
-
 // Observe records one paragraph edit on the primary.
 func (cc *ClusterClient) Observe(ctx context.Context, service string, seg segment.ID, text string) (Verdict, error) {
 	var out Verdict
 	err := cc.onPrimary(ctx, func(c *Client) error {
 		v, err := c.ObserveCtx(ctx, service, seg, text)
-		if err == nil {
-			out = v
-		}
-		return err
-	})
-	return out, err
-}
-
-// ObserveHashes records one pre-fingerprinted observation on the
-// primary (following failovers) — the primitive load drivers use when
-// they pre-compute fingerprints once and replay them.
-func (cc *ClusterClient) ObserveHashes(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string) (Verdict, error) {
-	var out Verdict
-	err := cc.onPrimary(ctx, func(c *Client) error {
-		v, err := c.ObserveHashes(ctx, service, seg, hashes, granularity)
 		if err == nil {
 			out = v
 		}
@@ -316,13 +287,6 @@ func (cc *ClusterClient) PartRing(ctx context.Context) (encoded []byte, version 
 // PartSuppress declassifies a tag via the partition's primary,
 // surfacing ownership 421s to the caller like PartObserve.
 func (cc *ClusterClient) PartSuppress(ctx context.Context, user string, seg segment.ID, tag tdm.Tag, justification string) error {
-	return cc.onPrimary(ctx, func(c *Client) error {
-		return c.SuppressCtx(ctx, user, seg, tag, justification)
-	})
-}
-
-// Suppress declassifies a tag via the primary.
-func (cc *ClusterClient) Suppress(ctx context.Context, user string, seg segment.ID, tag tdm.Tag, justification string) error {
 	return cc.onPrimary(ctx, func(c *Client) error {
 		return c.SuppressCtx(ctx, user, seg, tag, justification)
 	})

@@ -253,9 +253,11 @@ func (l *Log) ReadFrom(from Pos, maxBytes int) (frames []byte, n int, start, nex
 }
 
 // WaitFrom blocks until the log holds records at or after position from,
-// the context is done, or the log is closed. It returns nil when data is
-// available, the context error on cancellation, ErrClosed after Close,
-// and ErrPositionGone when the position can no longer be served.
+// from rolls over onto a later segment (a Rotate sealed the one it ends),
+// the context is done, or the log is closed. It returns nil when data or a
+// new position is available, the context error on cancellation, ErrClosed
+// after Close, and ErrPositionGone when the position can no longer be
+// served.
 func (l *Log) WaitFrom(ctx context.Context, from Pos) error {
 	for {
 		l.mu.Lock()
@@ -268,7 +270,7 @@ func (l *Log) WaitFrom(ctx context.Context, from Pos) error {
 			l.mu.Unlock()
 			return positionErr(p, ahead)
 		}
-		if p.Segment != l.curSeg || p.Offset < l.curSize {
+		if p.Segment != l.curSeg || p.Offset < l.curSize || p.Segment != from.Segment {
 			l.mu.Unlock()
 			return nil
 		}

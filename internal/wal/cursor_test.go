@@ -236,6 +236,35 @@ func TestWaitFromWakesOnAppend(t *testing.T) {
 	}
 }
 
+// A reader parked at the end of the segment Rotate seals has a new
+// position — the next segment's header boundary — and must be told at
+// once, not when its long-poll expires.
+func TestWaitFromWakesOnRotate(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestLog(t, dir, Options{})
+	appendN(t, l, 0, 3)
+	end := l.End()
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		done <- l.WaitFrom(ctx, end)
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter block
+	rotated := time.Now()
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	err := <-done
+	if waited := time.Since(rotated); err != nil || waited > 100*time.Millisecond {
+		t.Fatalf("WaitFrom(%v) across Rotate = %v after %v, want nil within 100ms", end, err, waited)
+	}
+	if _, n, start, _, err := l.ReadFrom(end, 0); err != nil || n != 0 || start != l.End() {
+		t.Fatalf("ReadFrom(%v) after Rotate = %d recs from %v, %v; want 0 from %v", end, n, start, err, l.End())
+	}
+}
+
 func TestWaitFromWakesOnClose(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, Options{})

@@ -673,6 +673,7 @@ func (l *Log) Rotate() (uint64, error) {
 	if err := l.rotateLocked(); err != nil {
 		return 0, err
 	}
+	l.notifyLocked() // a reader parked at the sealed end rolls over now
 	return l.curSeg, nil
 }
 
