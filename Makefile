@@ -24,7 +24,7 @@ check: vet
 	$(MAKE) policy-floor
 	$(MAKE) policy-fixtures
 	$(MAKE) fuzz
-	$(GO) test -run 'TestEngineHeapBudget|TestApproxBytesTracksHeap|TestSaveHeapAndLoadLayout' \
+	$(GO) test -run 'TestEngineHeapBudget|TestMixedGranularityHeap|TestApproxBytesTracksHeap|TestSaveHeapAndLoadLayout' \
 		./internal/policy ./internal/index .
 	$(MAKE) vuln
 	$(MAKE) bench-check

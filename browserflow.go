@@ -162,7 +162,7 @@ func New(cfg Config, services ...Service) (*Middleware, error) {
 	if err != nil {
 		return nil, fmt.Errorf("browserflow: %w", err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range services {
 		if err := registry.RegisterService(svc.Name, tdm.NewTagSet(svc.Privilege...), tdm.NewTagSet(svc.Confidentiality...)); err != nil {
 			return nil, fmt.Errorf("browserflow: %w", err)

@@ -34,7 +34,7 @@ func seedDurableDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	if err := registry.RegisterService("wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")); err != nil {
 		t.Fatal(err)
 	}

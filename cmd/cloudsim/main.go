@@ -74,7 +74,7 @@ func runDemo(server *webapp.Server, htmlOut string) error {
 	if err != nil {
 		return err
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range []struct {
 		name   string
 		lp, lc tdm.TagSet

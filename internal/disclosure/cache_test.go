@@ -185,3 +185,33 @@ func TestBatchMatchesSingularSequence(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheHitNeedsSameGranularity: one segment ID observed as a paragraph
+// and then as a document names an entry in each database, so the first
+// decision must not answer the second observation — a hit there left the
+// document unindexed live while a cold-cache WAL replay indexed it. The
+// routed probe answers the same way.
+func TestCacheHitNeedsSameGranularity(t *testing.T) {
+	tr := newCacheTestTracker(t, nil)
+	mustObserve(t, tr, "x", cacheTestText)
+	fp, err := tr.Fingerprint(cacheTestText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tr.ProbeFP("x", fp, segment.GranularityDocument); ok {
+		t.Error("ProbeFP answered a document probe with the paragraph's decision")
+	}
+	got, err := tr.ObserveDocument("x", cacheTestText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Granularity != segment.GranularityDocument || got.CacheHit {
+		t.Errorf("ObserveDocument after ObserveParagraph = %v, cache hit %v; want a document report, no hit", got.Granularity, got.CacheHit)
+	}
+	if segs := tr.Documents().Segments(); len(segs) != 1 || segs[0] != "x" {
+		t.Errorf("document DB segments = %v, want [x]", segs)
+	}
+	if got, _ := tr.ObserveDocument("x", cacheTestText); !got.CacheHit {
+		t.Error("an unchanged document re-observation missed the cache")
+	}
+}

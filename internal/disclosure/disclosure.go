@@ -98,16 +98,22 @@ func (r Report) SourceSegs() []segment.ID {
 // Tracker maintains the paragraph- and document-granularity fingerprint
 // databases and serves disclosure queries. It is safe for concurrent use.
 //
-// The decision cache is lock-striped by segment ID so concurrent
-// observers of different segments never contend on a cache mutex; the
-// fingerprint databases are lock-striped internally (see package index).
+// Both databases and the decision cache keep their per-segment state as
+// rows of one segment.Table (Table), which a tdm.Registry paired with the
+// tracker shares. The decision cache is lock-striped by segment.Key so
+// concurrent observers of different segments never contend on a cache
+// mutex; the fingerprint databases are lock-striped internally (see package
+// index).
 type Tracker struct {
 	params Params
 
+	segs *segment.Table
 	pars *index.DB
 	docs *index.DB
 
-	stripes    []cacheStripe
+	// cache is the decision cache, a row per ref, guarded by its stripe.
+	cache      segment.Column[cacheEntry]
+	stripes    []sync.Mutex
 	stripeMask uint32
 
 	// scratchPool recycles the per-observation working set (candidate
@@ -116,16 +122,11 @@ type Tracker struct {
 	scratchPool sync.Pool
 }
 
-// cacheStripe is one lock stripe of the decision cache.
-type cacheStripe struct {
-	mu    sync.Mutex
-	cache map[segment.ID]cacheEntry
-}
-
 // cacheEntry is one cached decision, holding what a hit needs and nothing
 // else — one per tracked segment, so its size is a per-segment cost of the
-// whole database. The segment is the map key; a paragraph that discloses
-// nothing (almost all of a corpus) has no sources allocation at all.
+// whole database. The segment is the row's ref; a paragraph that discloses
+// nothing (almost all of a corpus) has no sources allocation at all. The
+// zero entry (gran 0) is no decision.
 type cacheEntry struct {
 	digest  uint64    // of the fingerprint the decision was computed for
 	sources *[]Source // private to the cache; nil when there are none
@@ -160,19 +161,18 @@ func NewTracker(params Params) (*Tracker, error) {
 	if params.Tdoc < 0 || params.Tdoc > 1 {
 		return nil, fmt.Errorf("disclosure: Tdoc %v out of [0,1]", params.Tdoc)
 	}
+	segs := &segment.Table{}
 	t := &Tracker{
 		params: params,
-		pars:   index.New(params.Tpar),
-		docs:   index.New(params.Tdoc),
+		segs:   segs,
+		pars:   index.New(segs, params.Tpar),
+		docs:   index.New(segs, params.Tdoc),
 	}
 	t.scratchPool.New = func() any { return newObserveScratch() }
 	// Stripe count mirrors the index shard count (power of two).
 	n := t.pars.NumShards()
-	t.stripes = make([]cacheStripe, n)
+	t.stripes = make([]sync.Mutex, n)
 	t.stripeMask = uint32(n - 1)
-	for i := range t.stripes {
-		t.stripes[i].cache = make(map[segment.ID]cacheEntry)
-	}
 	// Keep the decision cache coherent with the databases: segments
 	// dropped by ExpireBefore/RemoveSegment (including direct calls on
 	// Paragraphs()/Documents()) must not keep serving stale cached
@@ -182,28 +182,46 @@ func NewTracker(params Params) (*Tracker, error) {
 	return t, nil
 }
 
-// stripeFor returns the cache stripe of seg (FNV-1a over the ID bytes).
-func (t *Tracker) stripeFor(seg segment.ID) *cacheStripe {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(seg); i++ {
-		h ^= uint32(seg[i])
-		h *= prime32
+// Table returns the segment table whose refs index the tracker's
+// per-segment state.
+func (t *Tracker) Table() *segment.Table { return t.segs }
+
+// stripeFor returns the cache stripe of seg.
+func (t *Tracker) stripeFor(seg segment.ID) *sync.Mutex {
+	return &t.stripes[segment.Key(seg)&t.stripeMask]
+}
+
+// cached returns seg's decision for granularity g if it was computed for a
+// fingerprint of digest digest. One ID names a paragraph and a document in
+// separate databases, so a decision of the other granularity is a miss.
+func (t *Tracker) cached(seg segment.ID, g segment.Granularity, digest uint64) (Report, bool) {
+	ref, ok := t.segs.Lookup(seg)
+	if !ok {
+		return Report{}, false
 	}
-	return &t.stripes[h&t.stripeMask]
+	st := t.stripeFor(seg)
+	st.Lock()
+	defer st.Unlock()
+	if e := t.cache.At(ref); e != nil && e.gran == uint8(g) && e.digest == digest {
+		return e.report(seg), true
+	}
+	return Report{}, false
 }
 
 // evictCached is the index eviction hook: it drops decision-cache
 // entries for segments removed from a database.
 func (t *Tracker) evictCached(segs []segment.ID) {
 	for _, seg := range segs {
+		ref, ok := t.segs.Lookup(seg)
+		if !ok {
+			continue
+		}
 		st := t.stripeFor(seg)
-		st.mu.Lock()
-		delete(st.cache, seg)
-		st.mu.Unlock()
+		st.Lock()
+		if e := t.cache.At(ref); e != nil {
+			*e = cacheEntry{}
+		}
+		st.Unlock()
 	}
 }
 
@@ -212,14 +230,7 @@ func (t *Tracker) evictCached(segs []segment.ID) {
 // answers an unchanged fingerprint without reaching index.Update, so an
 // entry that outlives the index it was computed against leaves the segment
 // unindexed and later checks fail open.
-func (t *Tracker) ResetCache() {
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		st.cache = make(map[segment.ID]cacheEntry)
-		st.mu.Unlock()
-	}
-}
+func (t *Tracker) ResetCache() { t.cache.Reset() }
 
 // cloneSources returns an owned copy of sources, preserving nil-ness so
 // serialised reports stay byte-identical. Cached reports and the reports
@@ -316,15 +327,10 @@ func (t *Tracker) observeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segme
 // just before the index update retains it.
 func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, borrowed bool, g segment.Granularity, db *index.DB, sc *observeScratch) (Report, error) {
 	digest := fp.Digest()
-	st := t.stripeFor(seg)
 	if !t.params.DisableCache {
-		st.mu.Lock()
-		if entry, ok := st.cache[seg]; ok && entry.digest == digest {
-			report := entry.report(seg)
-			st.mu.Unlock()
+		if report, ok := t.cached(seg, g, digest); ok {
 			return report, nil
 		}
-		st.mu.Unlock()
 	}
 	if borrowed {
 		// Past the cache check the fingerprint is retained (db.Update
@@ -365,10 +371,11 @@ func (t *Tracker) remember(seg segment.ID, fp *fingerprint.Fingerprint, g segmen
 		}
 	}
 	if !t.params.DisableCache {
+		ref := t.segs.Intern(seg)
 		st := t.stripeFor(seg)
-		st.mu.Lock()
-		st.cache[seg] = entry
-		st.mu.Unlock()
+		st.Lock()
+		*t.cache.Make(ref) = entry
+		st.Unlock()
 	}
 	return report
 }
@@ -507,16 +514,16 @@ func (t *Tracker) sourcesScratch(fp *fingerprint.Fingerprint, self segment.ID, d
 // (the seed paid two locked calls here).
 func (t *Tracker) evaluateCandidate(fp *fingerprint.Fingerprint, p segment.ID, db *index.DB) (Source, bool) {
 	origin, threshold, ok := db.Origin(p)
-	if !ok || origin.Empty() {
+	if !ok || len(origin) == 0 {
 		return Source{}, false
 	}
-	if float64(origin.Len())*threshold > float64(fp.Len()) {
+	if float64(len(origin))*threshold > float64(fp.Len()) {
 		return Source{}, false
 	}
 	var overlap, originLen int
 	if t.params.DisableAuthoritative {
-		overlap = origin.IntersectCount(fp)
-		originLen = origin.Len()
+		overlap = fingerprint.FromSortedHashes(origin).IntersectCount(fp)
+		originLen = len(origin)
 	} else {
 		overlap, originLen = db.AuthoritativeOverlap(p, fp)
 	}
@@ -588,11 +595,13 @@ func (t *Tracker) Forget(seg segment.ID, g segment.Granularity) {
 // CacheLen returns the number of cached decisions (for tests and metrics).
 func (t *Tracker) CacheLen() int {
 	n := 0
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		n += len(st.cache)
-		st.mu.Unlock()
+	for ref, refs := uint32(0), uint32(t.segs.Len()); ref < refs; ref++ {
+		st := t.stripeFor(t.segs.ID(ref))
+		st.Lock()
+		if e := t.cache.At(ref); e != nil && e.gran != 0 {
+			n++
+		}
+		st.Unlock()
 	}
 	return n
 }

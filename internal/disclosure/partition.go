@@ -55,12 +55,12 @@ func (t *Tracker) ResolveQuery(hashes []uint32, g segment.Granularity) ([]index.
 		}
 		seen[ref.Seg] = true
 		origin, threshold, ok := db.Origin(ref.Seg)
-		if !ok || origin.Empty() {
+		if !ok || len(origin) == 0 {
 			continue
 		}
 		cands = append(cands, RemoteCand{
 			Seg:       ref.Seg,
-			Len:       origin.Len(),
+			Len:       len(origin),
 			Threshold: threshold,
 			Overlap:   overlapIndices(origin, hashes),
 		})
@@ -68,10 +68,9 @@ func (t *Tracker) ResolveQuery(hashes []uint32, g segment.Granularity) ([]index.
 	return refs, cands
 }
 
-// overlapIndices returns the indices of hashes covered by origin. Both
-// sides are sorted ascending, so this is one linear merge.
-func overlapIndices(origin *fingerprint.Fingerprint, hashes []uint32) []int {
-	a := origin.Hashes()
+// overlapIndices returns the indices of hashes covered by a, the origin's
+// hashes. Both sides are sorted ascending, so this is one linear merge.
+func overlapIndices(a, hashes []uint32) []int {
 	var out []int
 	i, j := 0, 0
 	for i < len(a) && j < len(hashes) {
@@ -98,15 +97,7 @@ func (t *Tracker) ProbeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment
 	if t.params.DisableCache {
 		return Report{}, false
 	}
-	digest := fp.Digest()
-	st := t.stripeFor(seg)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	entry, ok := st.cache[seg]
-	if !ok || entry.digest != digest {
-		return Report{}, false
-	}
-	return entry.report(seg), true
+	return t.cached(seg, g, fp.Digest())
 }
 
 // ObserveResolvedFP applies an observation whose disclosure sources were

@@ -100,7 +100,7 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 	// The churn left the database self-consistent: its image loads, and
 	// the loaded copy — rebuilt from the encoded postings alone — has the
 	// counters and the digest the source maintained incrementally.
-	restored := index.New(0)
+	restored := index.New(nil, 0)
 	if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
 		t.Fatalf("image of the churned database does not load: %v", err)
 	}

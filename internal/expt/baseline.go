@@ -56,7 +56,7 @@ func RunBaselineComparison(scale Scale, params disclosure.Params) (BaselineResul
 	if err != nil {
 		return BaselineResult{}, err
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range []struct {
 		name   string
 		lp, lc tdm.TagSet

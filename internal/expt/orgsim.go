@@ -125,7 +125,7 @@ func RunOrgSim(cfg OrgSimConfig, params disclosure.Params) (OrgSimResult, error)
 	if err != nil {
 		return OrgSimResult{}, err
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	services := []struct {
 		name   string
 		tag    tdm.Tag

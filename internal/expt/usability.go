@@ -96,7 +96,7 @@ func runUsabilitySystem(system, secret, public string, params disclosure.Params)
 		if err != nil {
 			return row, err
 		}
-		registry := tdm.NewRegistry(audit.NewLog())
+		registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 		for _, svc := range []struct {
 			name   string
 			lp, lc tdm.TagSet

@@ -75,7 +75,7 @@ type Position struct {
 //
 // The hash set is stored as an immutable ascending []uint32 computed once
 // at construction. This makes the §4.3 hot path allocation-lean: Contains
-// is a binary search, set operations (IntersectCount, Containment, Equal)
+// is a binary search, set operations (IntersectCount, Containment)
 // are linear merges over the two sorted slices, and Hashes returns the
 // internal slice without sorting or copying.
 type Fingerprint struct {
@@ -252,19 +252,6 @@ func (f *Fingerprint) IntersectCount(g *Fingerprint) int {
 		}
 	}
 	return n
-}
-
-// Equal reports whether two fingerprints select exactly the same hash set.
-func (f *Fingerprint) Equal(g *Fingerprint) bool {
-	if len(f.sorted) != len(g.sorted) {
-		return false
-	}
-	for i, h := range f.sorted {
-		if g.sorted[i] != h {
-			return false
-		}
-	}
-	return true
 }
 
 // Containment returns |f ∩ g| / |f|, the fraction of f's hashes found in g

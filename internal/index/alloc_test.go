@@ -13,7 +13,7 @@ import (
 // DB plus one resident fingerprint's hash set.
 func holderFixture(tb testing.TB, nSegs, nHashes int) (*DB, []uint32) {
 	tb.Helper()
-	db := New(0.5)
+	db := New(nil, 0.5)
 	var probe []uint32
 	for s := 0; s < nSegs; s++ {
 		hs := make([]uint32, 0, nHashes)

@@ -47,13 +47,12 @@ package index
 // per posting uvarint ref and uvarint stamp delta; no unposted list.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
-	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/segment"
 )
 
@@ -92,9 +91,7 @@ func (e *CodecError) Error() string {
 // deadlock under the package's lock ordering: no writer waits for a stripe
 // while holding a shard, and none holds two locks of one kind.
 func (db *DB) AppendSnapshot(buf []byte) []byte {
-	for si := range db.segShards {
-		db.segShards[si].mu.RLock()
-	}
+	defer db.lockStripes(false)()
 	for si := range db.hashShards {
 		db.hashShards[si].mu.RLock()
 	}
@@ -102,70 +99,51 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 		for si := range db.hashShards {
 			db.hashShards[si].mu.RUnlock()
 		}
-		for si := range db.segShards {
-			db.segShards[si].mu.RUnlock()
-		}
 	}()
 
-	// Pass A: collect the referenced segment universe — DBpar entries (by
-	// ID: a segment that only ever had its threshold set is not interned)
-	// and the refs of every live posting in either tier.
-	ids := db.segtab.snapshot()
-	refUsed := make([]bool, len(ids))
-	universe := make(map[segment.ID]struct{})
-
-	type parRec struct {
-		seg       segment.ID
-		threshold float64
-		updated   uint64
-		hashes    []uint32 // immutable fingerprint storage
-	}
-	var pars []parRec
-	for si := range db.segShards {
-		for seg, entry := range db.segShards[si].par {
-			rec := parRec{seg: seg, threshold: entry.threshold, updated: entry.updated}
-			if entry.fp != nil {
-				rec.hashes = entry.fp.Hashes()
-			}
-			pars = append(pars, rec)
-			universe[seg] = struct{}{}
-		}
-	}
+	// Pass A: collect the referenced segments — DBpar entries and live
+	// postings, all interned before these locks were taken, so below n.
+	n := db.tab.Len()
+	used := make([]bool, n)
+	var rows []*parRow
+	db.eachRow(func(row *parRow) {
+		rows = append(rows, row)
+		used[row.ref] = true
+	})
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		for _, slot := range sh.head {
-			refUsed[slot.ref&^moreBit] = true
+			used[slot.ref&^moreBit] = true
 		}
 		for _, b := range sh.over {
 			for _, p := range b.postings {
-				refUsed[p.ref] = true
+				used[p.ref] = true
 			}
 		}
 		for _, r := range sh.run.segs {
 			if r != tombstoneRef {
-				refUsed[r&^moreBit] = true
+				used[r&^moreBit] = true
 			}
 		}
 		for _, r := range sh.run.moreSegs {
 			if r != tombstoneRef {
-				refUsed[r] = true
+				used[r] = true
 			}
 		}
 	}
-	for r, used := range refUsed {
-		if used {
-			universe[ids[r]] = struct{}{}
+
+	// The image's table is the universe sorted by ID; pos maps a ref to its
+	// place in it.
+	var table []uint32
+	for r, u := range used {
+		if u {
+			table = append(table, uint32(r))
 		}
 	}
-
-	table := make([]segment.ID, 0, len(universe))
-	for seg := range universe {
-		table = append(table, seg)
-	}
-	sort.Slice(table, func(i, j int) bool { return table[i] < table[j] })
-	newRef := make(map[segment.ID]uint32, len(table))
-	for i, seg := range table {
-		newRef[seg] = uint32(i)
+	slices.SortFunc(table, func(a, b uint32) int { return cmp.Compare(db.tab.ID(a), db.tab.ID(b)) })
+	pos := make([]uint32, n)
+	for i, r := range table {
+		pos[r] = uint32(i)
 	}
 
 	// Header and segment table.
@@ -176,7 +154,8 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, thrBits)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	var prevSeg segment.ID
-	for _, seg := range table {
+	for _, r := range table {
+		seg := db.tab.ID(r)
 		buf = segment.AppendFrontCoded(buf, prevSeg, seg)
 		prevSeg = seg
 	}
@@ -193,21 +172,21 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	for i := range holders {
 		holders[i].base = clock
 	}
-	sort.Slice(pars, func(i, j int) bool { return pars[i].seg < pars[j].seg })
-	buf = binary.AppendUvarint(buf, uint64(len(pars)))
+	slices.SortFunc(rows, func(a, b *parRow) int { return cmp.Compare(pos[a.ref], pos[b.ref]) })
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	next := uint32(0)
-	for _, rec := range pars {
-		ref := newRef[rec.seg]
-		tb := math.Float64bits(rec.threshold)
-		if tb == thrBits {
+	for _, row := range rows {
+		ref := pos[row.ref]
+		if row.flags&rowOwnThreshold == 0 {
 			buf = binary.AppendUvarint(buf, uint64(ref-next)<<1)
 		} else {
 			buf = binary.AppendUvarint(buf, uint64(ref-next)<<1|1)
-			buf = binary.LittleEndian.AppendUint64(buf, tb)
+			ss := db.segShardFor(db.tab.ID(row.ref))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ss.own[row.ref]))
 		}
-		buf = binary.AppendUvarint(buf, rec.updated)
-		buf = binary.AppendUvarint(buf, uint64(len(rec.hashes)))
-		holders[ref] = holder{base: rec.updated, fp: rec.hashes}
+		buf = binary.AppendUvarint(buf, row.updated)
+		buf = binary.AppendUvarint(buf, uint64(len(row.hashes)))
+		holders[ref] = holder{base: row.updated, fp: row.hashes}
 		next = ref + 1
 	}
 
@@ -221,12 +200,6 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	// passes; the fingerprint hashes it steps over have no live posting.
 	buf = binary.AppendUvarint(buf, uint64(db.distinct.Load()))
 	buf = binary.AppendUvarint(buf, uint64(db.postings.Load()))
-	remap := make([]uint32, len(ids)) // live ref → table position
-	for r, used := range refUsed {
-		if used {
-			remap[r] = newRef[ids[r]]
-		}
-	}
 	var (
 		prevHash uint32
 		scratch  []posting
@@ -242,7 +215,7 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 			buf = binary.AppendUvarint(buf, uint64(h-prevHash))
 			prevHash = h
 			for i, p := range scratch {
-				ref := remap[p.ref]
+				ref := pos[p.ref]
 				hd := &holders[ref]
 				v := uint64(ref) << postFlagBits
 				if i < len(scratch)-1 {
@@ -591,6 +564,10 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 // prepared it, replacing all previous contents. It must not run
 // concurrently with other operations on the same DB, and p must not be
 // reused afterwards (the DB takes ownership of its arrays).
+//
+// The image's segments are interned in image order; into an empty table
+// (a restore resets it first) the image's refs are the table's and nothing
+// is remapped.
 func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 	if p.db != db {
 		panic("index: CommitSnapshot on a DB other than the one that prepared it")
@@ -598,18 +575,25 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 	db.reset()
 	db.defaultThreshold = math.Float64frombits(p.thrBits)
 	db.clock.Store(p.clock)
-	db.segtab.mu.Lock()
-	db.segtab.ids = p.table
-	db.segtab.refs = make(map[segment.ID]uint32, len(p.table))
+	refs := make([]uint32, len(p.table))
+	remap := false
 	for i, seg := range p.table {
-		db.segtab.refs[seg] = uint32(i)
+		refs[i] = db.tab.Intern(seg)
+		remap = remap || refs[i] != uint32(i)
 	}
-	db.segtab.mu.Unlock()
 	var distinct int64
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
 		sh.run = p.runs[si]
+		if remap {
+			for g, r := range sh.run.segs {
+				sh.run.segs[g] = refs[r&^moreBit] | r&moreBit
+			}
+			for k, r := range sh.run.moreSegs {
+				sh.run.moreSegs[k] = refs[r]
+			}
+		}
 		sh.run.buildSkip(db.shardBitsOf())
 		sh.big = sh.run.bigSets(db.shardBitsOf())
 		distinct += int64(len(sh.run.hashes))
@@ -620,23 +604,21 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 		seg := p.table[rec.ref]
 		ss := db.segShardFor(seg)
 		ss.mu.Lock()
-		ss.par[seg] = &parEntry{
-			fp:        fingerprint.FromSortedHashes(rec.hashes),
-			threshold: rec.threshold,
-			updated:   rec.updated,
-		}
+		row := db.addRow(refs[rec.ref])
+		row.hashes, row.updated = rec.hashes, rec.updated
+		db.setThreshold(ss, row, rec.threshold)
 		ss.mu.Unlock()
 		parHashes += int64(len(rec.hashes))
 	}
-	db.segments.Store(int64(len(p.pars)))
 	db.distinct.Store(distinct)
 	db.postings.Store(int64(p.total))
 	db.parHashes.Store(parHashes)
 	db.RecomputeDigests()
 }
 
-// reset empties every stripe, the ref table and all counters (the clock is
-// left for the caller to set). It must not run concurrently with other
+// reset empties every stripe, the DBpar rows and all counters (the clock
+// is left for the caller to set; the segment table, which other owners may
+// share, is left alone). It must not run concurrently with other
 // operations on the same DB.
 func (db *DB) reset() {
 	for si := range db.hashShards {
@@ -653,11 +635,15 @@ func (db *DB) reset() {
 	for si := range db.segShards {
 		ss := &db.segShards[si]
 		ss.mu.Lock()
-		ss.par = make(map[segment.ID]*parEntry)
+		ss.own, ss.apart = nil, nil
 		ss.digest = 0
 		ss.mu.Unlock()
 	}
-	db.segtab.reset()
+	db.slots.Reset()
+	db.rows.Reset()
+	db.rowMu.Lock()
+	db.free, db.nrows = nil, 0
+	db.rowMu.Unlock()
 	db.segments.Store(0)
 	db.distinct.Store(0)
 	db.postings.Store(0)

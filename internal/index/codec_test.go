@@ -18,7 +18,7 @@ import (
 // compaction policy so the same state can be built in different physical
 // layouts.
 func buildWorkloadDB(seed int64, shards, threshold int) *DB {
-	db := NewWithShards(0.5, shards)
+	db := NewWithShards(nil, 0.5, shards)
 	db.SetCompactThreshold(threshold)
 	opSeq(db, rand.New(rand.NewSource(seed)), 500, (*DB).Compact, 11)
 	return db
@@ -100,8 +100,8 @@ var snapshotCases = []struct {
 		db.Update(edgeSeg(0), edgeFP(1)) // updated 2^40 above its first postings
 		// An old stamp arriving late for a segment without an entry, and a
 		// posting stamped after its holder's last update.
-		db.insertPostings(edgeSeg(3), edgeFP(1).Hashes(), 3)
-		db.insertPostings(edgeSeg(1), edgeFP(2).Hashes(), db.clock.Add(1))
+		postAt(db, edgeSeg(3), edgeFP(1).Hashes(), 3)
+		postAt(db, edgeSeg(1), edgeFP(2).Hashes(), db.clock.Add(1))
 	}},
 	{name: "multi-holder groups with the inline holder tombstoned", build: func(db *DB, tick func(*DB)) {
 		for i := 0; i < 4; i++ {
@@ -123,10 +123,10 @@ var snapshotCases = []struct {
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range snapshotCases {
 		t.Run(tc.name, func(t *testing.T) {
-			compacted := NewWithShards(0.5, DefaultShards)
+			compacted := NewWithShards(nil, 0.5, DefaultShards)
 			compacted.SetCompactThreshold(1)
 			tc.build(compacted, (*DB).Compact)
-			headOnly := NewWithShards(0.5, 4)
+			headOnly := NewWithShards(nil, 0.5, 4)
 			headOnly.SetCompactThreshold(-1)
 			tc.build(headOnly, func(*DB) {})
 			if tc.check != nil {
@@ -136,7 +136,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if other := headOnly.AppendSnapshot(nil); !bytes.Equal(blob, other) {
 				t.Fatalf("snapshot bytes depend on physical layout: %d vs %d bytes", len(blob), len(other))
 			}
-			restored := NewWithShards(0, 16)
+			restored := NewWithShards(nil, 0, 16)
 			if err := restored.LoadSnapshot(blob); err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(ab, bb) {
 		t.Fatalf("snapshot bytes depend on physical layout: %d vs %d bytes", len(ab), len(bb))
 	}
-	c := New(0)
+	c := New(nil, 0)
 	if err := c.LoadSnapshot(ab); err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,12 @@ func TestSnapshotDeterministic(t *testing.T) {
 // TestExportImportRoundTrip is the smallest case of the one export/import
 // route — AppendSnapshot out, LoadSnapshot in — checked field by field.
 func TestExportImportRoundTrip(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("a", fingerprint.FromHashes([]uint32{1, 2, 3}))
 	db.Update("b", fingerprint.FromHashes([]uint32{2, 4}))
 	db.SetThreshold("b", 0.8)
 
-	db2 := New(0.9)
+	db2 := New(nil, 0.9)
 	if err := db2.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 }
 
 func TestExportDeterministic(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("z", fingerprint.FromHashes([]uint32{5, 6}))
 	db.Update("a", fingerprint.FromHashes([]uint32{5, 7}))
 	if x, y := db.AppendSnapshot(nil), db.AppendSnapshot(nil); !bytes.Equal(x, y) {
@@ -254,7 +254,7 @@ func TestImportRejectsInconsistentClock(t *testing.T) {
 			return binary.AppendUvarint(b, seq)
 		},
 	} {
-		db := New(0.5)
+		db := New(nil, 0.5)
 		if err := db.LoadSnapshot(encode(5, 5, 4)); err != nil {
 			t.Fatalf("%s: consistent payload rejected: %v", name, err)
 		}
@@ -265,10 +265,10 @@ func TestImportRejectsInconsistentClock(t *testing.T) {
 			t.Errorf("%s: fingerprint = %v, want [7]", name, fp)
 		}
 		var ce *CodecError
-		if err := New(0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &ce) {
+		if err := New(nil, 0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &ce) {
 			t.Errorf("%s: posting seq beyond clock: err=%v, want CodecError", name, err)
 		}
-		if err := New(0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &ce) {
+		if err := New(nil, 0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &ce) {
 			t.Errorf("%s: segment updated beyond clock: err=%v, want CodecError", name, err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	db := buildWorkloadDB(13, DefaultShards, 1)
 	blob := db.AppendSnapshot(nil)
 	// Sanity: pristine blob loads.
-	if err := New(0).LoadSnapshot(blob); err != nil {
+	if err := New(nil, 0).LoadSnapshot(blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -296,7 +296,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 		case 2: // garbage tail
 			mut = append(mut, byte(rng.Intn(256)))
 		}
-		restored := New(0)
+		restored := New(nil, 0)
 		err := restored.LoadSnapshot(mut)
 		if err == nil {
 			// A flip can produce a different but well-formed snapshot
@@ -317,7 +317,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 }
 
 func BenchmarkLoadSnapshot(b *testing.B) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	for i := 0; i < 2000; i++ {
 		hs := make([]uint32, 40)
 		for j := range hs {
@@ -330,7 +330,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restored := New(0)
+		restored := New(nil, 0)
 		if err := restored.LoadSnapshot(blob); err != nil {
 			b.Fatal(err)
 		}

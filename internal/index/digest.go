@@ -61,14 +61,12 @@ func postingCode(h uint32, segKey, seq uint64) uint64 {
 // parCode is the digest contribution of one DBpar entry: segment,
 // threshold, recency stamp and the canonical sorted hash set of its
 // fingerprint. The posted-hash union is a cache and is excluded.
-func parCode(segKey uint64, entry *parEntry) uint64 {
+func parCode(segKey uint64, threshold float64, updated uint64, hashes []uint32) uint64 {
 	x := mix64(segKey ^ 0xd1b54a32d192ed03)
-	x = mix64(x ^ math.Float64bits(entry.threshold))
-	x = mix64(x ^ entry.updated)
-	if entry.fp != nil {
-		for _, h := range entry.fp.Hashes() {
-			x = mix64(x ^ uint64(h))
-		}
+	x = mix64(x ^ math.Float64bits(threshold))
+	x = mix64(x ^ updated)
+	for _, h := range hashes {
+		x = mix64(x ^ uint64(h))
 	}
 	return x
 }
@@ -146,7 +144,6 @@ func (db *DB) ShardDigests() (postings, pars []uint64) {
 // maintenance against the ground truth. It must not run concurrently
 // with mutations (reads are fine).
 func (db *DB) RecomputeDigests() {
-	view := idsView{tab: &db.segtab}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
@@ -154,7 +151,7 @@ func (db *DB) RecomputeDigests() {
 		// structure fold on their own, with no per-hash merge.
 		var d uint64
 		fold := func(h, ref uint32, seq uint64) {
-			d ^= postingCode(h, segDigestKey(string(view.id(ref))), seq)
+			d ^= postingCode(h, segDigestKey(string(db.tab.ID(ref))), seq)
 		}
 		r := &sh.run
 		for g, first := range r.segs {
@@ -178,17 +175,17 @@ func (db *DB) RecomputeDigests() {
 		sh.digest = d
 		sh.mu.Unlock()
 	}
+	unlock := db.lockStripes(true)
+	defer unlock()
 	for si := range db.segShards {
-		ss := &db.segShards[si]
-		ss.mu.Lock()
-		var d uint64
-		for seg, entry := range ss.par {
-			entry.code = parCode(segDigestKey(string(seg)), entry)
-			d ^= entry.code
-		}
-		ss.digest = d
-		ss.mu.Unlock()
+		db.segShards[si].digest = 0
 	}
+	db.eachRow(func(row *parRow) {
+		seg := db.tab.ID(row.ref)
+		ss := db.segShardFor(seg)
+		row.code = parCode(segDigestKey(string(seg)), db.thresholdOf(ss, row), row.updated, row.hashes)
+		ss.digest ^= row.code
+	})
 }
 
 // Digest wire codec: the compact form replicas attach to stream rounds

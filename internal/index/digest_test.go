@@ -72,14 +72,14 @@ func recomputedDigest(db *DB) Digest {
 func TestDigestMaintainedMatchesRecomputed(t *testing.T) {
 	for _, layout := range []string{"head", "compacted", "restored"} {
 		t.Run(layout, func(t *testing.T) {
-			db := New(0.5)
+			db := New(nil, 0.5)
 			switch layout {
 			case "head":
 				db.SetCompactThreshold(-1)
 			case "compacted":
 				db.SetCompactThreshold(1)
 			}
-			twin := New(0.5) // never merges
+			twin := New(nil, 0.5) // never merges
 			twin.SetCompactThreshold(-1)
 			for i, m := range genMutations(1, 400) {
 				applyMutation(db, m)
@@ -114,7 +114,7 @@ func TestDigestReplayOrderInvariant(t *testing.T) {
 	muts := genMutations(2, 600)
 
 	run := func(chunk int, compactEvery int, shards int) Digest {
-		db := NewWithShards(0.5, shards)
+		db := NewWithShards(nil, 0.5, shards)
 		for i := 0; i < len(muts); i += chunk {
 			end := i + chunk
 			if end > len(muts) {
@@ -151,7 +151,7 @@ func TestDigestReplayOrderInvariant(t *testing.T) {
 // identical DB and checks the combined digest moves.
 func TestDigestDetectsDivergence(t *testing.T) {
 	build := func() *DB {
-		db := New(0.5)
+		db := New(nil, 0.5)
 		for _, m := range genMutations(3, 200) {
 			applyMutation(db, m)
 		}
@@ -185,13 +185,13 @@ func TestDigestDetectsDivergence(t *testing.T) {
 // TestDigestSnapshotRoundTrip checks the binary snapshot round-trip
 // preserves the digest (restore rebuilds it from contents).
 func TestDigestSnapshotRoundTrip(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	for _, m := range genMutations(4, 300) {
 		applyMutation(db, m)
 	}
 	want := db.Digest()
 
-	restored := New(0.5)
+	restored := New(nil, 0.5)
 	if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)
 	}

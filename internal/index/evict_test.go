@@ -40,7 +40,7 @@ func evictFP(i int) *fingerprint.Fingerprint {
 // node, a bootstrapped standby and a promoted replica run on.
 func restoredCopy(t *testing.T, db *DB) *DB {
 	t.Helper()
-	restored := New(0)
+	restored := New(nil, 0)
 	if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func restoredCopy(t *testing.T, db *DB) *DB {
 func TestExpireBeforeEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 	for _, layout := range []string{"head", "compacted", "split", "restored"} {
 		t.Run(layout, func(t *testing.T) {
-			db := New(0.5)
+			db := New(nil, 0.5)
 			const old, young = 8, 8
 			for i := 0; i < old; i++ {
 				db.Update(evictSeg(i), evictFP(i))
@@ -100,7 +100,7 @@ func TestRemoveSegmentEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 	for _, layout := range []string{"head", "compacted", "restored"} {
 		compacted := layout == "compacted"
 		t.Run(layout, func(t *testing.T) {
-			db := New(0.5)
+			db := New(nil, 0.5)
 			for i := 0; i < 6; i++ {
 				db.Update(evictSeg(i), evictFP(i))
 			}

@@ -21,11 +21,15 @@
 //     hash. Fingerprint hash slices are sorted, so a whole fingerprint's
 //     hashes fall into consecutive runs per shard and each update/query
 //     acquires every shard lock at most once.
-//   - DBpar is split into N segment stripes keyed by an FNV-1a hash of the
+//   - DBpar is guarded by N segment stripes keyed by segment.Key of the
 //     segment ID, so observations of different segments never contend.
 //   - The logical clock and the Stats counters (segments, distinct hashes,
 //     postings) are atomics maintained incrementally by every mutation, so
 //     Stats() never scans DBhash.
+//
+// Segments are refs of a segment.Table the DB may share with other owners
+// of per-segment state. DBpar is a dense column of rows in the DB's own
+// insert order, reached through a 4-byte slot per ref.
 //
 // # Storage layout
 //
@@ -44,18 +48,22 @@
 //
 // Lock ordering: a segment-stripe lock may be held while hash-shard locks
 // are acquired (one at a time), never the reverse, and never two locks of
-// the same kind at once. The segment-ref table is a leaf lock acquirable
-// under any shard lock. Per-segment mutations (Update, RemoveSegment) hold
-// the segment stripe for their whole critical section so that a segment's
-// DBpar entry and its DBhash postings cannot interleave with a concurrent
-// removal of the same segment. The one holder of several locks of a kind is
-// AppendSnapshot, a reader that takes them all in one global order (every
-// stripe ascending, then every shard ascending) for a consistent cut; that
-// is safe precisely because writers obey the rules above.
+// the same kind at once. The segment table, the row allocator and a
+// column's page creation are leaf locks acquirable under any other. A
+// segment's stripe guards its slot, its DBpar row and its entries in the
+// stripe's side maps; per-segment mutations (Update, RemoveSegment) hold it
+// for their whole critical section so that a segment's DBpar entry and its
+// DBhash postings cannot interleave with a concurrent removal of the same
+// segment. Walks over every DBpar row (AppendSnapshot, ExpireBefore,
+// Segments, RecomputeDigests) hold every stripe, taken in ascending order
+// while no shard is held; AppendSnapshot then takes every shard ascending
+// for a consistent cut. Both are safe precisely because writers obey the
+// rules above.
 package index
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -275,43 +283,42 @@ func (sh *hashShard) headRemove(h, ref uint32) (seq uint64, removed bool) {
 	return seq, true
 }
 
-// segShard is one DBpar stripe.
+// segShard is one segment stripe: the lock over its segments' slots and
+// DBpar rows, and, by ref, the two rare facts kept beside the rows —
+// thresholds other than the default (rowOwnThreshold) and posted unions
+// that diverged from the fingerprint (rowApart); nil until first needed.
 type segShard struct {
-	mu  sync.RWMutex
-	par map[segment.ID]*parEntry
+	mu    sync.RWMutex
+	own   map[uint32]float64
+	apart map[uint32][]uint32
 
 	// digest is the XOR-fold of parCode over the stripe's entries,
 	// maintained incrementally (see digest.go).
 	digest uint64
 }
 
-type parEntry struct {
-	fp        *fingerprint.Fingerprint
-	threshold float64
-	updated   uint64
-
-	// posted is the ascending union of every hash this segment has posted
-	// to DBhash, maintained under the segment stripe lock. Invariant:
-	// h ∈ posted ⟹ the (h, seg) posting exists. Update diffs the new
-	// fingerprint against it, so re-observations pay bucket probes only
-	// for hashes the segment has never posted — zero for edits that
-	// oscillate within previously seen content. nil means unknown (fresh
-	// entry, restored snapshot, or reset by ExpireBefore), which makes
-	// the next Update take the full insert path and rebuild it.
-	//
-	// While the segment has posted nothing beyond its current fingerprint,
-	// posted aliases fp.Hashes() rather than holding a second copy. That
-	// adds no lifetime rule: Update already retains fp, fp's hash slice is
-	// immutable by contract, posted is only ever read or replaced (never
-	// written through), and insertNewPostings builds a fresh union the
-	// moment the two sets diverge.
-	posted []uint32
-
-	// code is this entry's current parCode contribution to the stripe
-	// digest, cached so replacing the entry can XOR the old value out
-	// without refolding the previous fingerprint.
-	code uint64
+// parRow is one DBpar entry (a freed row is zero); code is its parCode
+// share of the stripe digest, kept so a change can XOR it out.
+//
+// Update diffs a new fingerprint against the posted union, every hash the
+// segment has posted (h ∈ posted ⟹ the posting exists), so an edit pays
+// shard probes only for hashes never posted. The union is hashes until the
+// segment posts beyond them, then it lives in the stripe's apart map;
+// without rowPosted it is unknown (fresh, restored or expired-over) and
+// the next Update takes the full insert path.
+type parRow struct {
+	hashes        []uint32 // the current fingerprint's, ascending, immutable
+	updated, code uint64
+	ref, flags    uint32
 }
+
+// parRow flags.
+const (
+	rowLive         = 1 << iota // the row holds an entry
+	rowOwnThreshold             // the threshold is in the stripe's own map
+	rowPosted                   // the posted union is known
+	rowApart                    // ... and is in the stripe's apart map, not hashes
+)
 
 // EvictFunc observes segments dropped by RemoveSegment or ExpireBefore. It
 // is invoked synchronously after all DB locks are released, so the callback
@@ -331,8 +338,17 @@ type DB struct {
 	hashShards []hashShard
 	segShards  []segShard
 
-	// segtab interns segment IDs for the compacted runs.
-	segtab segTable
+	// tab interns the segment IDs that postings and DBpar rows refer to.
+	tab *segment.Table
+
+	// slots maps a ref to 1 + its row in rows, which are dense in this DB's
+	// insert order; freed row numbers wait in free, nrows is the high-water
+	// mark. rowMu (a leaf) guards free and nrows, a stripe its slots and rows.
+	slots segment.Column[uint32]
+	rows  segment.Column[parRow]
+	rowMu sync.Mutex
+	free  []uint32
+	nrows uint32
 
 	// clock is the logical time source; increments on every observation.
 	clock atomic.Uint64
@@ -352,32 +368,33 @@ type DB struct {
 	onEvict EvictFunc
 }
 
-// New returns an empty DB whose segments default to the given disclosure
-// threshold (the paper's default is Tpar = 0.5, §6.1), striped across
-// DefaultShards locks.
-func New(defaultThreshold float64) *DB {
-	return NewWithShards(defaultThreshold, DefaultShards)
+// New returns an empty DB on the segment table tab (nil: a table of its
+// own) whose segments default to the given disclosure threshold (the
+// paper's default is Tpar = 0.5, §6.1), striped across DefaultShards locks.
+func New(tab *segment.Table, defaultThreshold float64) *DB {
+	return NewWithShards(tab, defaultThreshold, DefaultShards)
 }
 
 // NewWithShards is New with an explicit stripe count. n is clamped to
 // [1, 256] and rounded up to a power of two; n = 1 yields the single-lock
 // layout of the original implementation.
-func NewWithShards(defaultThreshold float64, n int) *DB {
+func NewWithShards(tab *segment.Table, defaultThreshold float64, n int) *DB {
+	if tab == nil {
+		tab = &segment.Table{}
+	}
 	n = normalizeShards(n)
 	db := &DB{
 		defaultThreshold: defaultThreshold,
 		hashShards:       make([]hashShard, n),
 		segShards:        make([]segShard, n),
 		segMask:          uint32(n - 1),
+		tab:              tab,
 	}
 	bits := uint(0)
 	for 1<<bits < n {
 		bits++
 	}
 	db.hashShift = 32 - bits
-	for i := range db.segShards {
-		db.segShards[i].par = make(map[segment.ID]*parEntry)
-	}
 	return db
 }
 
@@ -423,17 +440,143 @@ func (db *DB) hashShardIdx(h uint32) int {
 }
 
 func (db *DB) segShardFor(seg segment.ID) *segShard {
-	// FNV-1a over the segment ID bytes.
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(seg); i++ {
-		h ^= uint32(seg[i])
-		h *= prime32
+	return &db.segShards[segment.Key(seg)&db.segMask]
+}
+
+// rowOf returns ref's DBpar row, nil without an entry. Caller holds the
+// segment's stripe, as for every helper below that takes a row.
+func (db *DB) rowOf(ref uint32) *parRow {
+	if slot := db.slots.At(ref); slot != nil && *slot != 0 {
+		return db.rows.At(*slot - 1)
 	}
-	return &db.segShards[h&db.segMask]
+	return nil
+}
+
+// lookupRow is rowOf for an ID, interning nothing; ref is valid with a row.
+func (db *DB) lookupRow(seg segment.ID) (ref uint32, row *parRow) {
+	if ref, ok := db.tab.Lookup(seg); ok {
+		return ref, db.rowOf(ref)
+	}
+	return 0, nil
+}
+
+// addRow gives ref, which has no entry, a fresh one: default threshold, no
+// fingerprint, posted union unknown.
+func (db *DB) addRow(ref uint32) *parRow {
+	db.rowMu.Lock()
+	i := db.nrows
+	if n := len(db.free); n > 0 {
+		i, db.free = db.free[n-1], db.free[:n-1]
+	} else {
+		db.nrows++
+	}
+	db.rowMu.Unlock()
+	*db.slots.Make(ref) = i + 1
+	row := db.rows.Make(i)
+	*row = parRow{ref: ref, flags: rowLive}
+	db.segments.Add(1)
+	return row
+}
+
+// dropRow deletes the entry in row, which ss guards.
+func (db *DB) dropRow(ss *segShard, row *parRow) {
+	slot := db.slots.At(row.ref)
+	i := *slot - 1
+	*slot = 0
+	delete(ss.own, row.ref)
+	delete(ss.apart, row.ref)
+	ss.digest ^= row.code
+	db.parHashes.Add(int64(-len(row.hashes)))
+	*row = parRow{}
+	db.segments.Add(-1)
+	db.rowMu.Lock()
+	db.free = append(db.free, i)
+	db.rowMu.Unlock()
+}
+
+func (db *DB) thresholdOf(ss *segShard, row *parRow) float64 {
+	if row.flags&rowOwnThreshold != 0 {
+		return ss.own[row.ref]
+	}
+	return db.defaultThreshold
+}
+
+// setThreshold keeps t beside row only when it differs from the default.
+func (db *DB) setThreshold(ss *segShard, row *parRow, t float64) {
+	delete(ss.own, row.ref)
+	row.flags &^= rowOwnThreshold
+	if math.Float64bits(t) != math.Float64bits(db.defaultThreshold) {
+		if ss.own == nil {
+			ss.own = make(map[uint32]float64)
+		}
+		ss.own[row.ref] = t
+		row.flags |= rowOwnThreshold
+	}
+}
+
+// postedOf returns row's posted union, nil when unknown.
+func (ss *segShard) postedOf(row *parRow) []uint32 {
+	switch {
+	case row.flags&rowPosted == 0:
+		return nil
+	case row.flags&rowApart != 0:
+		return ss.apart[row.ref]
+	}
+	return row.hashes
+}
+
+// setPosted records posted, a superset of row.hashes, as row's posted
+// union; nil marks it unknown. A union equal to hashes is hashes.
+func (ss *segShard) setPosted(row *parRow, posted []uint32) {
+	delete(ss.apart, row.ref)
+	row.flags &^= rowPosted | rowApart
+	switch {
+	case posted == nil:
+	case len(posted) == len(row.hashes):
+		row.flags |= rowPosted
+	default:
+		if ss.apart == nil {
+			ss.apart = make(map[uint32][]uint32)
+		}
+		ss.apart[row.ref] = posted
+		row.flags |= rowPosted | rowApart
+	}
+}
+
+// refreshCode re-derives row's digest contribution after a change.
+func (db *DB) refreshCode(ss *segShard, seg segment.ID, row *parRow) {
+	ss.digest ^= row.code
+	row.code = parCode(segDigestKey(string(seg)), db.thresholdOf(ss, row), row.updated, row.hashes)
+	ss.digest ^= row.code
+}
+
+// lockStripes takes every segment stripe in ascending order, for writing
+// or for reading, and returns their release. Caller holds no DB lock.
+func (db *DB) lockStripes(write bool) (unlock func()) {
+	locks := make([]sync.Locker, len(db.segShards))
+	for si := range db.segShards {
+		if locks[si] = db.segShards[si].mu.RLocker(); write {
+			locks[si] = &db.segShards[si].mu
+		}
+		locks[si].Lock()
+	}
+	return func() {
+		for _, l := range locks {
+			l.Unlock()
+		}
+	}
+}
+
+// eachRow calls fn for every DBpar entry. Caller holds every stripe.
+func (db *DB) eachRow(fn func(row *parRow)) {
+	db.rowMu.Lock()
+	n := db.nrows
+	db.rowMu.Unlock()
+	for i := uint32(0); i < n; i++ {
+		if row := db.rows.At(i); row.flags&rowLive != 0 {
+			fn(row)
+		}
+	}
 }
 
 // DefaultThreshold returns the threshold assigned to segments that have not
@@ -445,7 +588,7 @@ func (db *DB) DefaultThreshold() float64 { return db.defaultThreshold }
 // logical time of the update.
 //
 // Re-observations are diffed against the segment's posted-hash union
-// (parEntry.posted): a hash the segment has posted before already has a
+// (see parRow): a hash the segment has posted before already has a
 // first-seen posting that is never refreshed, so only hashes the segment
 // has *never* posted pay a bucket probe and a shard lock. Per-edit index
 // cost is therefore proportional to the novel content of the edit — an
@@ -460,41 +603,35 @@ func (db *DB) DefaultThreshold() float64 { return db.defaultThreshold }
 // a crash reconstructs it byte-for-byte even though the in-memory cache
 // restarts cold.
 func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
+	hs := fp.Hashes()
 	ss := db.segShardFor(seg)
 	ss.mu.Lock()
-	entry, ok := ss.par[seg]
-	if ok && entry.fp != nil && entry.fp.Equal(fp) {
-		now := entry.updated
-		ss.mu.Unlock()
-		return now
+	defer ss.mu.Unlock()
+	ref := db.tab.Intern(seg)
+	row := db.rowOf(ref)
+	if row != nil && slices.Equal(row.hashes, hs) {
+		return row.updated
 	}
 	now := db.clock.Add(1)
-	if !ok {
-		entry = &parEntry{threshold: db.defaultThreshold}
-		ss.par[seg] = entry
-		db.segments.Add(1)
+	if row == nil {
+		row = db.addRow(ref)
 	}
-	if entry.fp != nil {
-		db.parHashes.Add(int64(-entry.fp.Len()))
-	}
-	db.parHashes.Add(int64(fp.Len()))
-	entry.fp = fp
-	entry.updated = now
-	hs := fp.Hashes()
+	db.parHashes.Add(int64(len(hs) - len(row.hashes)))
 	// Insert postings while still holding the segment stripe so that a
 	// concurrent RemoveSegment(seg) cannot interleave between the DBpar
 	// write and the DBhash writes (which would leak postings).
+	w := postingWriter{ref: ref, segKey: segDigestKey(string(seg)), seq: now}
+	posted := ss.postedOf(row)
 	switch {
-	case entry.posted == nil:
-		db.insertPostings(seg, hs, now)
-		entry.posted = hs
-	case countMissing(hs, entry.posted) > 0:
-		entry.posted = db.insertNewPostings(seg, hs, entry.posted, now)
+	case posted == nil:
+		db.insertPostings(w, hs)
+		posted = hs
+	case countMissing(hs, posted) > 0:
+		posted = db.insertNewPostings(w, hs, posted)
 	}
-	ss.digest ^= entry.code
-	entry.code = parCode(segDigestKey(string(seg)), entry)
-	ss.digest ^= entry.code
-	ss.mu.Unlock()
+	row.hashes, row.updated = hs, now
+	ss.setPosted(row, posted)
+	db.refreshCode(ss, seg, row)
 	return now
 }
 
@@ -515,16 +652,11 @@ func countMissing(hs, posted []uint32) int {
 }
 
 // postingWriter carries what every posting of one Update shares: the
-// segment's interned ref (interned here, at insert — the ref table is a
-// leaf lock, and both tiers store refs), its digest key and the stamp.
+// segment's ref, its digest key and the stamp.
 type postingWriter struct {
 	ref    uint32
 	segKey uint64
 	seq    uint64
-}
-
-func (db *DB) postingWriterFor(seg segment.ID, seq uint64) postingWriter {
-	return postingWriter{ref: db.segtab.ref(seg), segKey: segDigestKey(string(seg)), seq: seq}
 }
 
 // shardInsertLocked records w's posting for h unless it already exists in
@@ -551,10 +683,9 @@ func (db *DB) shardInsertLocked(sh *hashShard, h uint32, w postingWriter) {
 	sh.digest ^= postingCode(h, w.segKey, w.seq)
 }
 
-// insertPostings records first-seen postings for hs (ascending) at time
-// now, locking each hash shard exactly once per contiguous run.
-func (db *DB) insertPostings(seg segment.ID, hs []uint32, now uint64) {
-	w := db.postingWriterFor(seg, now)
+// insertPostings records w's first-seen postings for hs (ascending),
+// locking each hash shard exactly once per contiguous run.
+func (db *DB) insertPostings(w postingWriter, hs []uint32) {
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
 		sh := &db.hashShards[si]
@@ -569,19 +700,19 @@ func (db *DB) insertPostings(seg segment.ID, hs []uint32, now uint64) {
 	}
 }
 
-// insertNewPostings records postings for the hashes of hs (ascending) that
-// are absent from posted (ascending) and returns the merged union. Hashes
-// present in posted already have first-seen postings, which are never
-// refreshed, so skipping them is behaviour-identical while avoiding their
-// bucket probes and shard locks. New hashes arrive in ascending order, so
-// each hash shard is still locked at most once per contiguous run.
-func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64) []uint32 {
+// insertNewPostings records w's postings for the hashes of hs (ascending)
+// that are absent from posted (ascending) and returns the merged union.
+// Hashes present in posted already have first-seen postings, which are
+// never refreshed, so skipping them is behaviour-identical while avoiding
+// their bucket probes and shard locks. New hashes arrive in ascending
+// order, so each hash shard is still locked at most once per contiguous
+// run.
+func (db *DB) insertNewPostings(w postingWriter, hs, posted []uint32) []uint32 {
 	union := make([]uint32, 0, len(posted)+len(hs))
 	var (
 		sh  *hashShard
 		cur = -1
 		j   = 0
-		w   = db.postingWriterFor(seg, now)
 	)
 	for _, h := range hs {
 		for j < len(posted) && posted[j] < h {
@@ -612,13 +743,10 @@ func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64)
 	return append(union, posted[j:]...)
 }
 
-// removePostings drops seg's postings for hs (ascending): head postings are
-// deleted in place, run postings are tombstoned for the next merge.
-func (db *DB) removePostings(seg segment.ID, hs []uint32) {
-	ref, interned := db.segtab.refOf(seg)
-	if !interned {
-		return // never posted anything
-	}
+// removePostings drops the postings of seg, whose ref is ref, for hs
+// (ascending): head postings are deleted in place, run postings are
+// tombstoned for the next merge.
+func (db *DB) removePostings(ref uint32, seg segment.ID, hs []uint32) {
 	segKey := segDigestKey(string(seg))
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
@@ -658,54 +786,51 @@ func (db *DB) removePostings(seg segment.ID, hs []uint32) {
 func (db *DB) SetThreshold(seg segment.ID, t float64) {
 	ss := db.segShardFor(seg)
 	ss.mu.Lock()
-	entry, ok := ss.par[seg]
-	if !ok {
-		entry = &parEntry{fp: fingerprint.FromHashes(nil)}
-		ss.par[seg] = entry
-		db.segments.Add(1)
+	defer ss.mu.Unlock()
+	ref := db.tab.Intern(seg)
+	row := db.rowOf(ref)
+	if row == nil {
+		row = db.addRow(ref)
 	}
-	entry.threshold = t
-	ss.digest ^= entry.code
-	entry.code = parCode(segDigestKey(string(seg)), entry)
-	ss.digest ^= entry.code
-	ss.mu.Unlock()
+	db.setThreshold(ss, row, t)
+	db.refreshCode(ss, seg, row)
 }
 
 // Threshold returns seg's disclosure threshold, or the default if seg is
 // unknown.
 func (db *DB) Threshold(seg segment.ID) float64 {
-	ss := db.segShardFor(seg)
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if entry, ok := ss.par[seg]; ok {
-		return entry.threshold
-	}
-	return db.defaultThreshold
+	_, threshold, _ := db.Origin(seg)
+	return threshold
 }
 
 // Fingerprint returns the latest fingerprint stored for seg.
 func (db *DB) Fingerprint(seg segment.ID) (*fingerprint.Fingerprint, bool) {
-	ss := db.segShardFor(seg)
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	entry, ok := ss.par[seg]
-	if !ok || entry.fp == nil {
+	hashes, _, ok := db.Origin(seg)
+	if !ok {
 		return nil, false
 	}
-	return entry.fp, true
+	return fingerprint.FromSortedHashes(hashes), true
 }
 
-// Origin returns seg's latest fingerprint and threshold in one stripe
-// acquisition — the candidate-evaluation read path of Algorithm 1.
-func (db *DB) Origin(seg segment.ID) (fp *fingerprint.Fingerprint, threshold float64, ok bool) {
+// Origin returns the hashes of seg's latest fingerprint (ascending, not to
+// be modified) and its threshold in one stripe acquisition — the
+// candidate-evaluation read path of Algorithm 1. An unknown seg reports the
+// default threshold.
+func (db *DB) Origin(seg segment.ID) (hashes []uint32, threshold float64, ok bool) {
+	_, hashes, threshold, ok = db.origin(seg)
+	return hashes, threshold, ok
+}
+
+// origin is Origin plus seg's ref, valid when ok.
+func (db *DB) origin(seg segment.ID) (ref uint32, hashes []uint32, threshold float64, ok bool) {
 	ss := db.segShardFor(seg)
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
-	entry, ok := ss.par[seg]
-	if !ok {
-		return nil, db.defaultThreshold, false
+	ref, row := db.lookupRow(seg)
+	if row == nil {
+		return 0, nil, db.defaultThreshold, false
 	}
-	return entry.fp, entry.threshold, entry.fp != nil
+	return ref, row.hashes, db.thresholdOf(ss, row), true
 }
 
 // OldestHolder returns the segment first observed with hash h — the
@@ -718,8 +843,7 @@ func (db *DB) OldestHolder(h uint32) (segment.ID, bool) {
 	if !ok {
 		return "", false
 	}
-	view := idsView{tab: &db.segtab}
-	return view.id(ref), true
+	return db.tab.ID(ref), true
 }
 
 // SetClockFloor raises the logical clock to at least floor (it never moves
@@ -757,7 +881,6 @@ type OldestRef struct {
 // carries the hash's index and the holder's first-observation sequence so
 // cross-partition authority can be merged without a second round trip.
 func (db *DB) AppendOldestRefs(hs []uint32, out []OldestRef) []OldestRef {
-	view := idsView{tab: &db.segtab}
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
 		sh := &db.hashShards[si]
@@ -765,7 +888,7 @@ func (db *DB) AppendOldestRefs(hs []uint32, out []OldestRef) []OldestRef {
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
 			if ref, seq, ok := db.oldestLocked(sh, hs[j]); ok {
-				out = append(out, OldestRef{Idx: j, Seg: view.id(ref), Seq: seq})
+				out = append(out, OldestRef{Idx: j, Seg: db.tab.ID(ref), Seq: seq})
 			}
 		}
 		sh.mu.RUnlock()
@@ -781,7 +904,6 @@ func (db *DB) AppendOldestRefs(hs []uint32, out []OldestRef) []OldestRef {
 // the candidate-discovery loop of Algorithm 1 cheap under sharding, and
 // caller-provided capacity in out is reused without reallocation.
 func (db *DB) AppendOldestHolders(hs []uint32, out []segment.ID) []segment.ID {
-	view := idsView{tab: &db.segtab}
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
 		sh := &db.hashShards[si]
@@ -789,7 +911,7 @@ func (db *DB) AppendOldestHolders(hs []uint32, out []segment.ID) []segment.ID {
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
 			if ref, _, ok := db.oldestLocked(sh, hs[j]); ok {
-				out = append(out, view.id(ref))
+				out = append(out, db.tab.ID(ref))
 			}
 		}
 		sh.mu.RUnlock()
@@ -803,13 +925,12 @@ func (db *DB) AppendOldestHolders(hs []uint32, out []segment.ID) []segment.ID {
 // Holders for batch callers.
 func (db *DB) AppendHolders(h uint32, out []segment.ID) []segment.ID {
 	sh := &db.hashShards[db.hashShardIdx(h)]
-	view := idsView{tab: &db.segtab}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	slot, inHead := sh.head[h]
 	it := sh.postingsOf(h, sh.run.find(h, db.shardBitsOf()), slot, inHead)
 	for ref, _, ok := it.next(); ok; ref, _, ok = it.next() {
-		out = append(out, view.id(ref))
+		out = append(out, db.tab.ID(ref))
 	}
 	return out
 }
@@ -822,15 +943,10 @@ func (db *DB) Holders(h uint32) []segment.ID {
 // AuthoritativeCount returns |Fauthoritative(seg)|: how many of seg's
 // fingerprint hashes have seg as their oldest holder.
 func (db *DB) AuthoritativeCount(seg segment.ID) int {
-	fp, _, ok := db.Origin(seg)
-	if !ok || fp.Empty() {
+	ref, hs, _, ok := db.origin(seg)
+	if !ok {
 		return 0
 	}
-	ref, interned := db.segtab.refOf(seg)
-	if !interned {
-		return 0 // never posted anything
-	}
-	hs := fp.Hashes()
 	n := 0
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
@@ -856,16 +972,12 @@ func (db *DB) AuthoritativeCount(seg segment.ID) int {
 // oldest-holder checks for the common hashes acquire each hash shard at
 // most once and the whole call allocates nothing.
 func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerprint) (overlap, srcLen int) {
-	fp, _, ok := db.Origin(src)
+	ref, a, _, ok := db.origin(src)
 	if !ok {
 		return 0, 0
 	}
-	srcLen = fp.Len()
-	ref, interned := db.segtab.refOf(src)
-	if !interned {
-		return 0, srcLen // never posted anything
-	}
-	a, b := fp.Hashes(), target.Hashes()
+	srcLen = len(a)
+	b := target.Hashes()
 	var (
 		sh       *hashShard
 		curShard = -1
@@ -905,18 +1017,13 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 func (db *DB) RemoveSegment(seg segment.ID) {
 	ss := db.segShardFor(seg)
 	ss.mu.Lock()
-	entry, ok := ss.par[seg]
-	if !ok {
+	ref, row := db.lookupRow(seg)
+	if row == nil {
 		ss.mu.Unlock()
 		return
 	}
-	delete(ss.par, seg)
-	db.segments.Add(-1)
-	ss.digest ^= entry.code
-	if entry.fp != nil {
-		db.parHashes.Add(int64(-entry.fp.Len()))
-		db.removePostings(seg, entry.fp.Hashes())
-	}
+	db.removePostings(ref, seg, row.hashes)
+	db.dropRow(ss, row)
 	ss.mu.Unlock()
 	db.notifyEvict([]segment.ID{seg})
 }
@@ -947,29 +1054,23 @@ func (db *DB) ExpireBefore(seq uint64) int {
 	}
 
 	var evicted []segment.ID
-	for si := range db.segShards {
-		ss := &db.segShards[si]
-		ss.mu.Lock()
-		for seg, entry := range ss.par {
-			if entry.updated < seq {
-				delete(ss.par, seg)
-				ss.digest ^= entry.code
-				if entry.fp != nil {
-					db.parHashes.Add(int64(-entry.fp.Len()))
-				}
-				evicted = append(evicted, seg)
-			} else if removed > 0 {
-				// Expired postings may belong to surviving segments, so
-				// their posted-hash unions can no longer be trusted; reset
-				// them and let the next Update rebuild via the full insert
-				// path (which re-creates any purged posting, exactly as
-				// the probe-per-hash path would).
-				entry.posted = nil
-			}
+	unlock := db.lockStripes(true)
+	db.eachRow(func(row *parRow) {
+		seg := db.tab.ID(row.ref)
+		ss := db.segShardFor(seg)
+		if row.updated < seq {
+			db.dropRow(ss, row)
+			evicted = append(evicted, seg)
+		} else if removed > 0 {
+			// Expired postings may belong to surviving segments, so their
+			// posted-hash unions can no longer be trusted; reset them and
+			// let the next Update rebuild via the full insert path (which
+			// re-creates any purged posting, exactly as the probe-per-hash
+			// path would).
+			ss.setPosted(row, nil)
 		}
-		ss.mu.Unlock()
-	}
-	db.segments.Add(int64(-len(evicted)))
+	})
+	unlock()
 	db.notifyEvict(evicted)
 	return removed
 }
@@ -979,16 +1080,11 @@ func (db *DB) Now() uint64 { return db.clock.Load() }
 
 // Segments returns the IDs of all tracked segments, sorted.
 func (db *DB) Segments() []segment.ID {
+	unlock := db.lockStripes(false)
 	out := make([]segment.ID, 0, db.segments.Load())
-	for si := range db.segShards {
-		ss := &db.segShards[si]
-		ss.mu.RLock()
-		for seg := range ss.par {
-			out = append(out, seg)
-		}
-		ss.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	db.eachRow(func(row *parRow) { out = append(out, db.tab.ID(row.ref)) })
+	unlock()
+	slices.Sort(out)
 	return out
 }
 
@@ -1011,12 +1107,14 @@ func (db *DB) Stats() Stats {
 	// overflow bucket, not modelled); a compacted posting is three 4-byte
 	// column entries (hash, interned ref, seq offset) ≈ 12 B, spilled or
 	// not; DBpar holds each hash once, in the fingerprint (4 B — the
-	// posted union aliases it); a segment costs ≈ 180 B of parEntry,
-	// fingerprint header, DBpar map slot and ref-table entry.
+	// posted union aliases it); a segment costs ≈ 104 B: its 48-byte DBpar
+	// row and 4-byte slot, and its segment table entry — a 16-byte ID
+	// header and an index slot of ≈ 36 B, shared with the table's other
+	// owners.
 	compacted := s.Postings - s.HeadPostings
 	s.ApproxBytes = int64(s.HeadPostings)*30 +
 		int64(compacted+s.Tombstones)*12 +
 		db.parHashes.Load()*4 +
-		int64(s.Segments)*180
+		int64(s.Segments)*104
 	return s
 }

@@ -14,7 +14,7 @@ func fp(hashes ...uint32) *fingerprint.Fingerprint {
 }
 
 func TestUpdateAndLookup(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	seqA := db.Update("doc#p0", fp(1, 2, 3))
 	seqB := db.Update("doc#p1", fp(3, 4))
 	if seqA >= seqB {
@@ -30,7 +30,7 @@ func TestUpdateAndLookup(t *testing.T) {
 }
 
 func TestOldestHolder(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("a", fp(10, 11))
 	db.Update("b", fp(10, 12))
 	holder, ok := db.OldestHolder(10)
@@ -47,7 +47,7 @@ func TestOldestHolder(t *testing.T) {
 }
 
 func TestFirstSeenSurvivesReupdate(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("a", fp(10))
 	db.Update("b", fp(10))
 	// Re-updating a does not lose or refresh its first-seen ordering.
@@ -61,7 +61,7 @@ func TestFirstSeenSurvivesReupdate(t *testing.T) {
 }
 
 func TestHoldersOrder(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("x", fp(7))
 	db.Update("y", fp(7))
 	db.Update("z", fp(7))
@@ -78,7 +78,7 @@ func TestHoldersOrder(t *testing.T) {
 }
 
 func TestThresholds(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	if got := db.Threshold("unknown"); got != 0.5 {
 		t.Errorf("default threshold=%v, want 0.5", got)
 	}
@@ -95,7 +95,7 @@ func TestThresholds(t *testing.T) {
 }
 
 func TestAuthoritativeCount(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("a", fp(1, 2, 3))
 	db.Update("b", fp(2, 3, 4)) // b is authoritative only for 4
 	if got := db.AuthoritativeCount("a"); got != 3 {
@@ -114,7 +114,7 @@ func TestAuthoritativeOverlap(t *testing.T) {
 	// A's authoritative hashes {1,2}; B's authoritative {3} (1,2 first seen
 	// in A). C = {1,2} overlaps A fully but B only via non-authoritative
 	// hashes.
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("A", fp(1, 2))
 	db.Update("B", fp(1, 2, 3))
 	c := fp(1, 2)
@@ -129,7 +129,7 @@ func TestAuthoritativeOverlap(t *testing.T) {
 }
 
 func TestRemoveSegmentPromotesYounger(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("old", fp(5))
 	db.Update("young", fp(5))
 	db.RemoveSegment("old")
@@ -144,7 +144,7 @@ func TestRemoveSegmentPromotesYounger(t *testing.T) {
 }
 
 func TestRemoveSegmentDropsEmptyHashEntries(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("only", fp(42))
 	db.RemoveSegment("only")
 	if _, ok := db.OldestHolder(42); ok {
@@ -156,7 +156,7 @@ func TestRemoveSegmentDropsEmptyHashEntries(t *testing.T) {
 }
 
 func TestExpireBefore(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("a", fp(1))            // seq 1
 	seqB := db.Update("b", fp(1, 2)) // seq 2
 	removed := db.ExpireBefore(seqB)
@@ -175,7 +175,7 @@ func TestExpireBefore(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("a", fp(1, 2))
 	db.Update("b", fp(2, 3))
 	s := db.Stats()
@@ -191,7 +191,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestSegmentsSorted(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.Update("zz", fp(1))
 	db.Update("aa", fp(2))
 	db.Update("mm", fp(3))
@@ -205,7 +205,7 @@ func TestSegmentsSorted(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -227,7 +227,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func BenchmarkUpdate(b *testing.B) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	hashes := make([]uint32, 50)
 	for i := range hashes {
 		hashes[i] = uint32(i * 2654435761)
@@ -240,7 +240,7 @@ func BenchmarkUpdate(b *testing.B) {
 }
 
 func BenchmarkAuthoritativeOverlap(b *testing.B) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	for s := 0; s < 100; s++ {
 		hashes := make([]uint32, 100)
 		for i := range hashes {

@@ -24,7 +24,7 @@ import (
 func winnowedDB(tb testing.TB, n int) *DB {
 	tb.Helper()
 	gen := dataset.NewTextGen(11, 20000)
-	db := New(0.5)
+	db := New(nil, 0.5)
 	for i := 0; i < n; i++ {
 		var sb strings.Builder
 		for sb.Len() < 600 {
@@ -101,7 +101,7 @@ func TestSeqRangeAcrossClockFloor(t *testing.T) {
 	hashes := []uint32{0x10, 0x11, 0x12, 0x13, 0x14} // one shard
 	segs := []segment.ID{"old", "new", "newer"}
 	build := func(merge bool) *DB {
-		db := New(0.5)
+		db := New(nil, 0.5)
 		db.SetCompactThreshold(-1)
 		tick := func() {
 			if merge {
@@ -181,10 +181,10 @@ func TestHeadInsertAllocatesNoObjectPerHash(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const novel = 1000
-	db := NewWithShards(0.5, 1)
+	db := NewWithShards(nil, 0.5, 1)
 	db.SetCompactThreshold(-1)
 	sh := &db.hashShards[0]
-	w := db.postingWriterFor("wiki/alloc#p0", db.clock.Add(1))
+	w := postingWriter{ref: db.tab.Intern("wiki/alloc#p0"), segKey: segDigestKey("wiki/alloc#p0"), seq: db.clock.Add(1)}
 	next := uint32(0)
 	insert := func() {
 		for i := 0; i < novel; i++ {

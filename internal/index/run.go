@@ -21,8 +21,8 @@ package index
 // amount, see SetClockFloor) but one run spans a narrow window of them, so
 // a column holds 32-bit distances below base, the logical clock when the
 // run was built; a distance that does not fit is the sentinel wideSeq and
-// the full stamp sits in the wide side table. Segment IDs are interned once per DB into a ref table,
-// so a single-holder hash costs 12 bytes.
+// the full stamp sits in the wide side table. Segments are refs of the DB's
+// segment table, so a single-holder hash costs 12 bytes.
 //
 // Lookup cost is one small-map probe (head) plus a radix-skip bounded
 // binary search (run): a 256-entry table per run keyed by the first byte
@@ -39,9 +39,6 @@ package index
 
 import (
 	"sort"
-	"sync"
-
-	"github.com/lsds/browserflow/internal/segment"
 )
 
 const (
@@ -66,84 +63,6 @@ const bigGroupMin = 64
 // defaultCompactMin is the default minimum head size (postings) before an
 // inline merge is considered; see SetCompactThreshold.
 const defaultCompactMin = 4096
-
-// segTable interns segment IDs to dense uint32 refs. It is append-only:
-// refs are never reassigned, so a slice snapshot taken after a ref was
-// published resolves that ref forever. It is a leaf lock: no other DB lock
-// is ever acquired while holding it.
-type segTable struct {
-	mu   sync.RWMutex
-	ids  []segment.ID
-	refs map[segment.ID]uint32
-}
-
-// ref interns seg, returning its stable ref.
-func (t *segTable) ref(seg segment.ID) uint32 {
-	t.mu.RLock()
-	r, ok := t.refs[seg]
-	t.mu.RUnlock()
-	if ok {
-		return r
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r, ok := t.refs[seg]; ok {
-		return r
-	}
-	if t.refs == nil {
-		t.refs = make(map[segment.ID]uint32)
-	}
-	r = uint32(len(t.ids))
-	if r >= moreBit-1 {
-		// Unreachable before memory runs out (every ref retains its ID),
-		// but a ref that aliased the tag bit would corrupt silently.
-		panic("index: segment ref space exhausted")
-	}
-	t.ids = append(t.ids, seg)
-	t.refs[seg] = r
-	return r
-}
-
-// refOf looks seg up without interning it.
-func (t *segTable) refOf(seg segment.ID) (uint32, bool) {
-	t.mu.RLock()
-	r, ok := t.refs[seg]
-	t.mu.RUnlock()
-	return r, ok
-}
-
-// snapshot returns the current id slice. Entries are immutable once
-// appended, so the snapshot resolves every ref published before the call.
-func (t *segTable) snapshot() []segment.ID {
-	t.mu.RLock()
-	ids := t.ids[:len(t.ids):len(t.ids)]
-	t.mu.RUnlock()
-	return ids
-}
-
-// reset empties the table (CommitSnapshot only; must not run concurrently
-// with DB operations).
-func (t *segTable) reset() {
-	t.mu.Lock()
-	t.ids = nil
-	t.refs = nil
-	t.mu.Unlock()
-}
-
-// idsView lazily resolves refs to segment IDs. The snapshot is refreshed
-// only when a ref beyond it appears, which can only be a ref published
-// after the view was created (snapshots cover all earlier refs).
-type idsView struct {
-	tab *segTable
-	ids []segment.ID
-}
-
-func (v *idsView) id(ref uint32) segment.ID {
-	if int(ref) >= len(v.ids) {
-		v.ids = v.tab.snapshot()
-	}
-	return v.ids[ref]
-}
 
 // run is one shard's compacted postings (layout in the file comment). Zero
 // value = empty run.
@@ -484,13 +403,12 @@ func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied
 		seqs:   make([]uint32, 0, groups),
 	}
 
-	view := idsView{tab: &db.segtab}
 	sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
 		kept, dropped := nw.postings(), 0
 		it := sh.postingsOf(h, g, slot, inHead)
 		for ref, seq, ok := it.next(); ok; ref, seq, ok = it.next() {
 			if seq < cutoff {
-				sh.digest ^= postingCode(h, segDigestKey(string(view.id(ref))), seq)
+				sh.digest ^= postingCode(h, segDigestKey(string(db.tab.ID(ref))), seq)
 				dropped++
 				continue
 			}

@@ -13,12 +13,7 @@ import (
 // recount recomputes the Stats counters the slow way, straight from the
 // shard contents, to pin the incrementally maintained values.
 func recount(db *DB) (segments, distinct, postings int) {
-	for si := range db.segShards {
-		ss := &db.segShards[si]
-		ss.mu.RLock()
-		segments += len(ss.par)
-		ss.mu.RUnlock()
-	}
+	segments = liveRows(db)
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
@@ -49,7 +44,7 @@ func checkCounters(t *testing.T, db *DB, when string) {
 func TestStatsCountersMaintained(t *testing.T) {
 	for _, shards := range []int{1, 4, DefaultShards} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db := NewWithShards(0.5, shards)
+			db := NewWithShards(nil, 0.5, shards)
 			var mids []uint64
 			for i := 0; i < 20; i++ {
 				// Overlapping hash sets: consecutive segments share half
@@ -92,7 +87,7 @@ func TestStatsCountersMaintained(t *testing.T) {
 // its predecessor, so postings record every (hash, segment) pair once
 // while distinct hashes grow by only half a fingerprint per segment.
 func TestStatsLargeExact(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	perSeg := 64
 	segs := 200
 	for i := 0; i < segs; i++ {
@@ -134,7 +129,7 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 	}
 	raw := make([]uint32, perSeg)
 	before := heap()
-	db := New(0.5)
+	db := New(nil, 0.5)
 	for _, seg := range segs {
 		for i := range raw {
 			raw[i] = rng.Uint32()

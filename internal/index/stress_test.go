@@ -42,7 +42,7 @@ func TestConcurrentUpdateExpireInvariants(t *testing.T) {
 		workers     = 8
 		generations = 150
 	)
-	db := New(0.5)
+	db := New(nil, 0.5)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -95,7 +95,6 @@ func TestConcurrentUpdateExpireInvariants(t *testing.T) {
 func checkInvariants(t *testing.T, db *DB) {
 	t.Helper()
 	var distinct, postings, headN, dead int
-	view := idsView{tab: &db.segtab}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
@@ -186,7 +185,7 @@ func checkInvariants(t *testing.T, db *DB) {
 			seen := make(map[uint32]bool, len(ps))
 			for i, p := range ps {
 				if seen[p.ref] {
-					t.Errorf("hash %#x: duplicate posting for %s", h, view.id(p.ref))
+					t.Errorf("hash %#x: duplicate posting for %s", h, db.tab.ID(p.ref))
 				}
 				seen[p.ref] = true
 				if i > 0 && ps[i-1].seq > p.seq {
@@ -199,13 +198,7 @@ func checkInvariants(t *testing.T, db *DB) {
 		})
 		sh.mu.RUnlock()
 	}
-	var segs int
-	for si := range db.segShards {
-		ss := &db.segShards[si]
-		ss.mu.RLock()
-		segs += len(ss.par)
-		ss.mu.RUnlock()
-	}
+	segs := liveRows(db)
 	s := db.Stats()
 	if s.DistinctHashes != distinct || s.Postings != postings || s.Segments != segs ||
 		s.HeadPostings != headN || s.Tombstones != dead {
@@ -219,9 +212,9 @@ func checkInvariants(t *testing.T, db *DB) {
 // with its invariants intact, and the final one must carry exactly the
 // source's contents.
 func TestConcurrentExportImport(t *testing.T) {
-	db := New(0.5)
+	db := New(nil, 0.5)
 	load := func(blob []byte) *DB {
-		restored := New(0.5)
+		restored := New(nil, 0.5)
 		if err := restored.LoadSnapshot(blob); err != nil {
 			t.Error(err)
 		}
@@ -300,7 +293,7 @@ func TestSnapshotBesideMaintenance(t *testing.T) {
 		}()
 		img := db.AppendSnapshot(nil)
 		<-done
-		restored := New(0)
+		restored := New(nil, 0)
 		if err := restored.LoadSnapshot(img); err != nil {
 			t.Fatalf("image taken beside maintenance does not load: %v", err)
 		}
@@ -309,7 +302,7 @@ func TestSnapshotBesideMaintenance(t *testing.T) {
 
 	// Head-only: the first merge of a shard interns every segment in it,
 	// which is what an encoder without its own cut trips over.
-	db := New(0.5)
+	db := New(nil, 0.5)
 	db.SetCompactThreshold(-1)
 	for i := 0; i < segs; i++ {
 		db.Update(id(i), fp(i))

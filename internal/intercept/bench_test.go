@@ -21,7 +21,7 @@ func BenchmarkPluginKeystrokeThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range []struct {
 		name   string
 		lp, lc tdm.TagSet

@@ -51,7 +51,7 @@ func newWorld(t *testing.T, mode policy.Mode) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range []struct {
 		name   string
 		lp, lc tdm.TagSet

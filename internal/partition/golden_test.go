@@ -113,7 +113,7 @@ func newEngine(t *testing.T) *policy.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range []struct {
 		name   string
 		lp, lc tdm.TagSet

@@ -158,10 +158,15 @@ type Engine struct {
 // inside atomic.Pointer.
 type journalBox struct{ j Journal }
 
-// NewEngine returns an Engine in the given mode.
+// NewEngine returns an Engine in the given mode. The registry must keep its
+// per-segment state on the tracker's segment table
+// (tdm.NewRegistry(tracker.Table(), …)).
 func NewEngine(tracker *disclosure.Tracker, registry *tdm.Registry, mode Mode) (*Engine, error) {
 	if tracker == nil || registry == nil {
 		return nil, fmt.Errorf("policy: tracker and registry are required")
+	}
+	if tracker.Table() != registry.Table() {
+		return nil, fmt.Errorf("policy: tracker and registry are on different segment tables")
 	}
 	switch mode {
 	case ModeAdvisory, ModeEnforcing, ModeEncrypting:

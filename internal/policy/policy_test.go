@@ -25,7 +25,7 @@ func newEngine(t *testing.T, mode Mode) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range []struct {
 		name   string
 		lp, lc tdm.TagSet
@@ -55,6 +55,9 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(e.Tracker(), e.Registry(), Mode(0)); err == nil {
 		t.Error("invalid mode accepted")
+	}
+	if _, err := NewEngine(e.Tracker(), tdm.NewRegistry(nil, nil), ModeAdvisory); err == nil {
+		t.Error("registry on another segment table accepted")
 	}
 }
 

@@ -107,7 +107,7 @@ func TestCompileHashDeterministicAcrossOrder(t *testing.T) {
 
 func TestCompiledTableInstalls(t *testing.T) {
 	c := compileFixture(t, "seed-webapps.json")
-	reg := tdm.NewRegistry(nil)
+	reg := tdm.NewRegistry(nil, nil)
 	for _, rs := range c.Services {
 		if err := reg.RegisterService(rs.Name, tdm.NewTagSet(rs.Privilege...), tdm.NewTagSet(rs.Confidentiality...)); err != nil {
 			t.Fatal(err)
@@ -121,7 +121,7 @@ func TestCompiledTableInstalls(t *testing.T) {
 	}
 
 	// A drifted registry refuses the stale table.
-	drifted := tdm.NewRegistry(nil)
+	drifted := tdm.NewRegistry(nil, nil)
 	for _, rs := range c.Services {
 		if err := drifted.RegisterService(rs.Name, tdm.NewTagSet("tother"), tdm.NewTagSet(rs.Confidentiality...)); err != nil {
 			t.Fatal(err)

@@ -47,7 +47,7 @@ func randomPolicy(rng *rand.Rand) Policy {
 // empty, where a retype (which drops implicit tags) would launder it.
 func simulateFlows(t *testing.T, c *Compiled, rng *rand.Rand, steps int) bool {
 	t.Helper()
-	reg := tdm.NewRegistry(nil)
+	reg := tdm.NewRegistry(nil, nil)
 	confEmpty := make(map[string]bool, len(c.Services))
 	names := make([]string, 0, len(c.Services))
 	for _, rs := range c.Services {

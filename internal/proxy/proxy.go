@@ -85,6 +85,11 @@ type Proxy struct {
 	forwarded atomic.Int64
 	blocked   atomic.Int64
 	shed      atomic.Int64
+
+	// requests counts requests by outcome and latency times them, both
+	// resolved in New from Config.Obs (nil without it).
+	requests map[string]*obs.Counter
+	latency  *obs.Histogram
 }
 
 var _ http.Handler = (*Proxy)(nil)
@@ -110,6 +115,15 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.MaxInflight > 0 {
 		p.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
+	if o := cfg.Obs; o != nil {
+		reg := o.Registry()
+		p.requests = make(map[string]*obs.Counter)
+		for _, outcome := range []string{"forwarded", "blocked", "shed", "error"} {
+			p.requests[outcome] = reg.Counter("bf_proxy_requests_total{outcome=\""+outcome+"\"}",
+				"Proxy requests by outcome (forwarded, blocked, shed, error).")
+		}
+		p.latency = reg.Histogram("bf_proxy_request_seconds", "Proxy end-to-end request latency.", nil)
+	}
 	return p, nil
 }
 
@@ -132,9 +146,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			defer func() { <-p.inflight }()
 		default:
 			p.shed.Add(1)
-			if o := p.cfg.Obs; o != nil {
-				o.Registry().Counter("bf_proxy_requests_total{outcome=\"shed\"}",
-					"Proxy requests by outcome (forwarded, blocked, shed, error).").Add(1)
+			if p.requests != nil {
+				p.requests["shed"].Add(1)
 			}
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, fmt.Sprintf("proxy: overloaded, %d requests in flight", p.cfg.MaxInflight), http.StatusTooManyRequests)
@@ -151,16 +164,13 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(obs.WithTrace(r.Context(), trace, o.Traces()))
 		w.Header().Set(obs.TraceHeader, trace)
 		sp := obs.StartSpan(r.Context(), "proxy.request")
-		start := o.Registry().Now()
+		reg := o.Registry()
+		start := reg.Now()
 		defer func() {
 			sp.SetAttr("outcome", outcome)
 			sp.End(nil)
-			reg := o.Registry()
-			reg.Counter("bf_proxy_requests_total{outcome=\""+outcome+"\"}",
-				"Proxy requests by outcome (forwarded, blocked, shed, error).").Add(1)
-			reg.Histogram("bf_proxy_request_seconds",
-				"Proxy end-to-end request latency.", nil).
-				Observe(reg.Now().Sub(start))
+			p.requests[outcome].Add(1)
+			p.latency.Observe(reg.Now().Sub(start))
 		}()
 	}
 

@@ -46,7 +46,7 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLogWithClock(fixedClock))
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(fixedClock))
 	if err := registry.RegisterService("alpha", tdm.NewTagSet("ta"), tdm.NewTagSet("ta")); err != nil {
 		t.Fatal(err)
 	}

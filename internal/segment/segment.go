@@ -3,8 +3,11 @@
 // BrowserFlow tracks text propagation at two granularities independently:
 // individual paragraphs and entire documents. This package defines the
 // segment identity scheme shared by the fingerprint index, the disclosure
-// tracker and the TDM policy layer, and splits raw document text into
-// paragraphs the way the browser plug-in derives them from DOM elements.
+// tracker and the TDM policy layer, splits raw document text into
+// paragraphs the way the browser plug-in derives them from DOM elements,
+// and holds the one in-memory home of per-segment state: a Table interns
+// each segment ID once into a dense ref, and every owner of per-segment
+// state keeps it as a Column of rows indexed by that ref.
 package segment
 
 import (

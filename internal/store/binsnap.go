@@ -336,15 +336,15 @@ func RestoreBytes(path string, data []byte, tracker *disclosure.Tracker, registr
 	if err != nil {
 		return BinaryMeta{}, wrapCodecErr(path, docs, err)
 	}
-	if err := registry.Import(regData); err != nil {
-		return BinaryMeta{}, fmt.Errorf("store: restore registry: %w", err)
-	}
-	// Commit. Every restore — recovery, Middleware.Load, replica bootstrap,
-	// split filter — passes here, so this is where the decisions cached
-	// against the replaced index are dropped, not in each caller.
+	// Commit: every owner of rows on the segment table is replaced, so the
+	// table starts over, the paragraph DB's image refs first. Every restore
+	// passes here, so this is also where the decisions cached against the
+	// replaced index are dropped, not in each caller.
+	tracker.ResetCache()
+	tracker.Table().Reset()
 	tracker.Paragraphs().CommitSnapshot(parsPrep)
 	tracker.Documents().CommitSnapshot(docsPrep)
-	tracker.ResetCache()
+	registry.Import(regData)
 	registry.Audit().Replace(entries)
 	return BinaryMeta{SavedAt: savedAt, WALSeg: walSeg}, nil
 }

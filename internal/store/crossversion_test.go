@@ -3,12 +3,16 @@ package store
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/wal"
 )
@@ -330,5 +334,50 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 		if !bytes.Equal(again[afterMeta:], image[afterMeta:]) {
 			t.Errorf("%s: image of the loaded state differs from the image of the script run from empty after the meta section", name)
 		}
+	}
+}
+
+// What the parent build of the shared segment table reported for
+// pr22Script run from empty: the tracker digest, a SHA-256 over the
+// per-stripe ShardDigests of both databases (paragraphs' postings then
+// pars, then documents', each stripe a little-endian uint64) and a SHA-256
+// of the state image after its meta section. Standbys upgrade before
+// primaries and compare /v1/repl/digest across builds, and a checkpoint
+// written by one build is read by the next, so none of them may move with
+// an in-memory layout.
+const (
+	pr22Digest      uint64 = 0xb2e68ecda0e80f4a
+	pr22ParsDigest  uint64 = 0xf655e51a884c869f
+	pr22DocsDigest  uint64 = 0x662d5566b2318fbb
+	pr22StripesSHA         = "fb087a889a013d7160dd55a00dc4aead4398034be73fdd175f04f6e2b32185c1"
+	pr22ImageSHA           = "d78503c090a5e8982ff30ec8924eb89fe8e109a8491e73d0ec13e53eb88ecb59"
+	pr22ImageLength        = 6172
+)
+
+// TestPR22ScriptPins holds this build's digests and image of pr22Script to
+// the values recorded above.
+func TestPR22ScriptPins(t *testing.T) {
+	w := newWorld(t, fixedClock)
+	pr22Script(t, w)
+	if d := w.tracker.Digest(); d.Combined != pr22Digest || d.Paragraphs.Combined != pr22ParsDigest || d.Documents.Combined != pr22DocsDigest {
+		t.Errorf("tracker digest %#x (paragraphs %#x, documents %#x), want %#x (%#x, %#x)",
+			d.Combined, d.Paragraphs.Combined, d.Documents.Combined, pr22Digest, pr22ParsDigest, pr22DocsDigest)
+	}
+	stripes := sha256.New()
+	for _, db := range []*index.DB{w.tracker.Paragraphs(), w.tracker.Documents()} {
+		postings, pars := db.ShardDigests()
+		for _, v := range append(postings, pars...) {
+			stripes.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+	}
+	if got := hex.EncodeToString(stripes.Sum(nil)); got != pr22StripesSHA {
+		t.Errorf("per-stripe digests hash to %s, want %s", got, pr22StripesSHA)
+	}
+	image, err := CaptureBytes(w.tracker, w.registry, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256.Sum256(image[afterMeta:]); hex.EncodeToString(got[:]) != pr22ImageSHA || len(image) != pr22ImageLength {
+		t.Errorf("image: %d bytes, SHA-256 after meta %x; want %d bytes, %s", len(image), got, pr22ImageLength, pr22ImageSHA)
 	}
 }

@@ -44,7 +44,7 @@ func newWorld(t testing.TB, clock func() time.Time) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLogWithClock(clock))
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(clock))
 	if err := registry.RegisterService("alpha", tdm.NewTagSet("ta"), tdm.NewTagSet("ta")); err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	// fuzzer its throughput): a rejected restore must leave it as it was,
 	// an accepted one replaces it.
 	restore := func(t *testing.T, plain []byte) {
-		before, cached := tracker.Digest(), tracker.CacheLen()
+		before, cached, refs := tracker.Digest(), tracker.CacheLen(), tracker.Table().Len()
 		meta, err := RestoreBytes("fuzz.bf", plain, tracker, registry)
 		if err == nil {
 			// An accepted restore starts with no cached decision and
@@ -84,8 +84,8 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 		if errors.As(err, &nfe) && (!IsBinarySnapshot(plain) || int(plain[8]) != nfe.Version || nfe.Version <= binVersion) {
 			t.Fatalf("err = %v for an image that does not say so", err)
 		}
-		if tracker.Digest() != before || tracker.CacheLen() != cached {
-			t.Fatalf("rejected restore touched the index or the decision cache")
+		if tracker.Digest() != before || tracker.CacheLen() != cached || tracker.Table().Len() != refs {
+			t.Fatalf("rejected restore touched the index, the decision cache or the segment table")
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -29,7 +29,7 @@ func FilterSnapshotRange(blob []byte, params disclosure.Params, lo, hi uint32) (
 	if err != nil {
 		return nil, fmt.Errorf("store: filter snapshot: %w", err)
 	}
-	registry := tdm.NewRegistry(nil)
+	registry := tdm.NewRegistry(tracker.Table(), nil)
 	meta, err := RestoreBytes("filter-snapshot", blob, tracker, registry)
 	if err != nil {
 		return nil, err

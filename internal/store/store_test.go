@@ -28,7 +28,7 @@ func buildState(t testing.TB) (*disclosure.Tracker, *tdm.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	if err := registry.RegisterService("wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func freshState(t *testing.T) (*disclosure.Tracker, *tdm.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tracker, tdm.NewRegistry(audit.NewLog())
+	return tracker, tdm.NewRegistry(tracker.Table(), audit.NewLog())
 }
 
 // verifyRestored checks the restored state behaves like the original:

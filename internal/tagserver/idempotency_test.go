@@ -29,7 +29,7 @@ func newIdemWorld(t *testing.T) (*policy.Engine, *disclosure.Tracker, *tdm.Regis
 		t.Fatal(err)
 	}
 	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
-	registry := tdm.NewRegistry(audit.NewLogWithClock(clock))
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(clock))
 	if err := registry.RegisterService("docs", tdm.NewTagSet("confidential"), tdm.NewTagSet("confidential")); err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func newWiredNode(t *testing.T) *wiredNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLogWithClock(n.clk.Now))
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(n.clk.Now))
 	if err := registry.RegisterService("wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")); err != nil {
 		t.Fatal(err)
 	}

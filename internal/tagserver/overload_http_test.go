@@ -96,7 +96,7 @@ func TestControlPlaneLiveUnderSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	if err := registry.RegisterService("docs", tdm.NewTagSet(), tdm.NewTagSet()); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func newService(t *testing.T) (*httptest.Server, *policy.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, svc := range []struct {
 		name   string
 		lp, lc tdm.TagSet
@@ -255,7 +255,7 @@ func BenchmarkTagServiceObserve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	registry := tdm.NewRegistry(audit.NewLog())
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	if err := registry.RegisterService("wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")); err != nil {
 		b.Fatal(err)
 	}

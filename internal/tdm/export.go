@@ -50,15 +50,18 @@ func (r *Registry) Export() ExportData {
 	}
 	sort.Slice(data.Services, func(i, j int) bool { return data.Services[i].Name < data.Services[j].Name })
 
-	data.Labels = make([]LabelRecord, 0, len(r.segs))
-	for seg, st := range r.segs {
-		label := &st.label.label
+	for ref, n := uint32(0), uint32(r.tab.Len()); ref < n; ref++ {
+		row := r.rows.At(ref)
+		if row == nil || row.label == nil {
+			continue
+		}
+		label := &row.label.label
 		data.Labels = append(data.Labels, LabelRecord{
-			Seg:        seg,
+			Seg:        r.tab.ID(ref),
 			Explicit:   label.explicit.Sorted(),
 			Implicit:   label.implicit.Sorted(),
 			Suppressed: label.suppressed.Sorted(),
-			StoredBy:   append([]string(nil), st.stored...),
+			StoredBy:   append([]string(nil), row.storedNames()...),
 		})
 	}
 	sort.Slice(data.Labels, func(i, j int) bool { return data.Labels[i].Seg < data.Labels[j].Seg })
@@ -71,10 +74,12 @@ func (r *Registry) Export() ExportData {
 }
 
 // Import replaces the registry's contents with a previously exported
-// snapshot. The audit log is untouched. Labels are interned as they load, so
-// a recovered node or a bootstrapped replica shares label values exactly as
-// the node that ingested the segments does.
-func (r *Registry) Import(data ExportData) error {
+// snapshot. The audit log is untouched. Labels and stored-by sets are
+// interned as they load, so a recovered node or a bootstrapped replica
+// shares them exactly as the node that ingested the segments does; the
+// labels' segments are interned into the registry's segment table, which a
+// state restore resets, together with every other owner's rows, first.
+func (r *Registry) Import(data ExportData) {
 	services := make(map[string]*Service, len(data.Services))
 	for _, rec := range data.Services {
 		services[rec.Name] = &Service{
@@ -103,21 +108,21 @@ func (r *Registry) Import(data ExportData) error {
 			r.fastService(svc)
 		}
 	}
-	r.segs = make(map[segment.ID]segState, len(data.Labels))
+	r.rows.Reset()
 	r.interned = make(map[string]*labelValue)
+	r.storedSets = nil
 	for _, rec := range data.Labels {
-		var st segState
+		row := r.rows.Make(r.tab.Intern(rec.Seg))
 		for _, name := range rec.StoredBy {
 			if svc, ok := services[name]; ok {
 				name = svc.Name // one copy of the name, not one per segment
 			}
-			st.store(name)
+			r.store(row, name)
 		}
-		r.assign(rec.Seg, st, Label{
+		r.assign(row, Label{
 			explicit:   NewTagSet(rec.Explicit...),
 			implicit:   NewTagSet(rec.Implicit...),
 			suppressed: NewTagSet(rec.Suppressed...),
 		})
 	}
-	return nil
 }

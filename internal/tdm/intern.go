@@ -3,8 +3,6 @@ package tdm
 import (
 	"encoding/binary"
 	"slices"
-
-	"github.com/lsds/browserflow/internal/segment"
 )
 
 // labelValue is one distinct label content, shared by every segment that
@@ -66,20 +64,47 @@ func (r *Registry) intern(l Label) *labelValue {
 	return v
 }
 
-// assign stores st as seg's state with l as its label: l is interned, the
-// segment's previous value loses a reference, and a value nobody references
-// any more leaves the table — custom-tag churn cannot grow it without
-// bound. Caller holds the registry write lock.
-func (r *Registry) assign(seg segment.ID, st segState, l Label) {
+// assign gives row the label l: l is interned, the row's previous value
+// loses a reference, and a value nobody references any more leaves the
+// table — custom-tag churn cannot grow it without bound. Caller holds the
+// registry write lock.
+func (r *Registry) assign(row *segRow, l Label) {
 	v := r.intern(l)
 	v.refs++
-	if old := st.label; old != nil {
+	if old := row.label; old != nil {
 		if old.refs--; old.refs == 0 {
 			delete(r.interned, old.key)
 		}
 	}
-	st.label = v
-	r.segs[seg] = st
+	row.label = v
+}
+
+// store adds service to row's stored-by set. Sets are interned like labels
+// but never dropped: they name registered services, and a segment only
+// moves to larger ones.
+func (r *Registry) store(row *segRow, service string) {
+	names := row.storedNames()
+	i, found := slices.BinarySearch(names, service)
+	if found {
+		return
+	}
+	// Clipped, so the insert copies rather than writing the shared set.
+	names = slices.Insert(slices.Clip(names), i, service)
+	r.keyBuf = r.keyBuf[:0]
+	for _, name := range names {
+		r.keyBuf = binary.AppendUvarint(r.keyBuf, uint64(len(name)))
+		r.keyBuf = append(r.keyBuf, name...)
+	}
+	set, ok := r.storedSets[string(r.keyBuf)]
+	if !ok {
+		if r.storedSets == nil {
+			r.storedSets = make(map[string]*[]string)
+		}
+		set = new([]string) // not &names: names would then escape on every call
+		*set = names
+		r.storedSets[string(r.keyBuf)] = set
+	}
+	row.stored = set
 }
 
 // DistinctLabels returns the number of distinct label contents the

@@ -115,7 +115,7 @@ func TestQuickEffectiveSubsetOfAll(t *testing.T) {
 func TestQuickRefreshImplicitIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRegistry(nil)
+		r := NewRegistry(nil, nil)
 		if err := r.RegisterService("s", NewTagSet(randomTags(rng, 3)...), NewTagSet(randomTags(rng, 3)...)); err != nil {
 			return false
 		}

@@ -179,7 +179,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				stored: make(map[segment.ID]map[string]bool),
 				owners: make(map[Tag]string),
 			}
-			regs := []*Registry{NewRegistry(nil), NewRegistry(nil)}
+			regs := []*Registry{NewRegistry(nil, nil), NewRegistry(nil, nil)}
 			for _, r := range regs {
 				for _, name := range services {
 					svc := m.services[name]
@@ -293,7 +293,8 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 								return err
 							}
 						}
-						return r.Import(data)
+						r.Import(data)
+						return nil
 					})
 				}
 

@@ -3,7 +3,6 @@ package tdm
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -44,14 +43,20 @@ type Registry struct {
 	mu sync.RWMutex
 
 	services  map[string]*Service
-	segs      map[segment.ID]segState
 	tagOwners map[Tag]string
 
+	// rows holds a row per ref of tab — the segment table of the tracker
+	// the registry's engine pairs it with — guarded by mu.
+	tab  *segment.Table
+	rows segment.Column[segRow]
+
 	// interned holds one labelValue per distinct label content currently
-	// referenced from segs, by canonical key (see intern.go).
-	interned map[string]*labelValue
-	keyBuf   []byte // intern's key scratch
-	implicit TagSet // RefreshImplicit's scratch, cleared per call
+	// referenced from rows and storedSets one stored-by set per distinct
+	// set, each by canonical key (see intern.go).
+	interned   map[string]*labelValue
+	storedSets map[string]*[]string
+	keyBuf     []byte // intern's and store's key scratch
+	implicit   TagSet // RefreshImplicit's scratch, cleared per call
 
 	// fast, when installed, is the compiled bitset check state (see
 	// fastcheck.go). nil keeps the original semilattice-only behaviour.
@@ -60,48 +65,64 @@ type Registry struct {
 	auditLog *audit.Log
 }
 
-// segState is everything the registry holds per segment: a reference to
-// the segment's shared label value (never nil for a known segment) and the
-// services storing it, ascending; the names alias Service.Name.
-type segState struct {
+// segRow is everything the registry holds per segment: its shared label
+// value (nil: an unknown segment) and the shared, ascending names of the
+// services storing it, which alias Service.Name (nil: none).
+type segRow struct {
 	label  *labelValue
-	stored []string
+	stored *[]string
 }
 
-// value returns the segment's label content, the empty label for the zero
-// state. The copy shares the interned value's tag sets: read it, or replace
-// a set wholesale and hand it to assign — never write through it.
-func (st segState) value() Label {
-	if st.label == nil {
+// value returns the segment's label content, the empty label for an unknown
+// segment. The copy shares the interned value's tag sets: read it, or
+// replace a set wholesale and hand it to assign — never write through it.
+func (row *segRow) value() Label {
+	if row == nil || row.label == nil {
 		return Label{}
 	}
-	return st.label.label
+	return row.label.label
 }
 
-// store adds service to the stored-by list, keeping it ascending and
-// duplicate-free, and reports whether it was absent.
-func (st *segState) store(service string) bool {
-	i, found := slices.BinarySearch(st.stored, service)
-	if !found {
-		st.stored = slices.Insert(st.stored, i, service)
+// storedNames returns the interned stored-by set; never write it.
+func (row *segRow) storedNames() []string {
+	if row == nil || row.stored == nil {
+		return nil
 	}
-	return !found
+	return *row.stored
 }
 
-// NewRegistry returns an empty Registry writing to auditLog. A nil auditLog
-// creates a private one.
-func NewRegistry(auditLog *audit.Log) *Registry {
+// NewRegistry returns an empty Registry keeping its per-segment state on
+// segs — the tracker's table (disclosure.Tracker.Table) for a registry an
+// engine pairs with one; nil gives it a table of its own — and writing to
+// auditLog (nil: a private log).
+func NewRegistry(segs *segment.Table, auditLog *audit.Log) *Registry {
+	if segs == nil {
+		segs = &segment.Table{}
+	}
 	if auditLog == nil {
 		auditLog = audit.NewLog()
 	}
 	return &Registry{
 		services:  make(map[string]*Service),
-		segs:      make(map[segment.ID]segState),
 		tagOwners: make(map[Tag]string),
+		tab:       segs,
 		interned:  make(map[string]*labelValue),
 		implicit:  make(TagSet),
 		auditLog:  auditLog,
 	}
+}
+
+// Table returns the segment table the registry's rows are indexed by.
+func (r *Registry) Table() *segment.Table { return r.tab }
+
+// known returns seg's row, nil for an unknown seg. Caller holds r.mu.
+func (r *Registry) known(seg segment.ID) *segRow {
+	if ref, ok := r.tab.Lookup(seg); ok {
+		if row := r.rows.At(ref); row != nil && row.label != nil {
+			return row
+		}
+	}
+	return nil
 }
 
 // Audit returns the registry's audit log.
@@ -167,13 +188,10 @@ func (r *Registry) ObserveSegment(seg segment.ID, service string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
-	st, known := r.segs[seg]
-	added := st.store(svc.Name)
-	switch {
-	case !known:
-		r.assign(seg, st, Label{explicit: svc.Confidentiality})
-	case added:
-		r.segs[seg] = st
+	row := r.rows.Make(r.tab.Intern(seg))
+	r.store(row, svc.Name)
+	if row.label == nil {
+		r.assign(row, Label{explicit: svc.Confidentiality})
 	}
 	return nil
 }
@@ -189,18 +207,18 @@ func (r *Registry) ObserveSegment(seg segment.ID, service string) error {
 func (r *Registry) UpsertExplicit(seg segment.ID, tags []Tag) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.segs[seg]
-	label := st.value()
+	row := r.rows.Make(r.tab.Intern(seg))
+	label := row.value()
 	label.explicit = NewTagSet(tags...)
-	r.assign(seg, st, label)
+	r.assign(row, label)
 }
 
 // Label returns a copy of seg's label, or nil if the segment is unknown.
 func (r *Registry) Label(seg segment.ID) *Label {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if st, ok := r.segs[seg]; ok {
-		return st.label.label.Clone()
+	if row := r.known(seg); row != nil {
+		return row.label.label.Clone()
 	}
 	return nil
 }
@@ -215,11 +233,11 @@ func (r *Registry) Label(seg segment.ID) *Label {
 func (r *Registry) RefreshImplicit(seg segment.ID, sources []segment.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, known := r.segs[seg]
-	label := st.value()
+	row := r.known(seg)
+	label := row.value()
 	clear(r.implicit)
 	for _, src := range sources {
-		for t := range r.segs[src].value().explicit {
+		for t := range r.known(src).value().explicit {
 			// The segment's own explicit tags need not be duplicated as
 			// implicit.
 			if !label.explicit.Has(t) {
@@ -227,11 +245,14 @@ func (r *Registry) RefreshImplicit(seg segment.ID, sources []segment.ID) {
 			}
 		}
 	}
-	if known && len(r.implicit) == len(label.implicit) && r.implicit.SubsetOf(label.implicit) {
+	if row != nil && len(r.implicit) == len(label.implicit) && r.implicit.SubsetOf(label.implicit) {
 		return
 	}
 	label.implicit = r.implicit.Clone()
-	r.assign(seg, st, label)
+	if row == nil {
+		row = r.rows.Make(r.tab.Intern(seg))
+	}
+	r.assign(row, label)
 }
 
 // CheckRelease evaluates the §3.1 release condition for seg towards
@@ -244,8 +265,8 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 	if !found {
 		return false, nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
-	st, found := r.segs[seg]
-	if !found {
+	row := r.known(seg)
+	if row == nil {
 		return true, nil, nil
 	}
 	// Compiled fast path: a word-wise subset test over the interned-tag
@@ -253,11 +274,11 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 	// through to the semilattice, which names the violating tags in the
 	// exact bytes the slow path always produced.
 	if f := r.fast; f != nil {
-		if priv, rowOK := f.priv[service]; rowOK && st.label.eff.SubsetOf(priv) {
+		if priv, rowOK := f.priv[service]; rowOK && row.label.eff.SubsetOf(priv) {
 			return true, nil, nil
 		}
 	}
-	ok, violating = st.label.label.ReleasableTo(svc.Privilege)
+	ok, violating = row.label.label.ReleasableTo(svc.Privilege)
 	return ok, violating, nil
 }
 
@@ -268,15 +289,15 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 // destination requires a fresh suppression.
 func (r *Registry) SuppressTag(user string, seg segment.ID, tag Tag, justification string) error {
 	r.mu.Lock()
-	st := r.segs[seg]
-	label := st.value()
+	row := r.known(seg)
+	label := row.value()
 	if !label.explicit.Has(tag) && !label.implicit.Has(tag) {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %s on %s", ErrTagNotOnSegment, tag, seg)
 	}
 	if !label.suppressed.Has(tag) {
 		label.suppressed = label.suppressed.Clone().Add(tag)
-		r.assign(seg, st, label)
+		r.assign(row, label)
 	}
 	r.mu.Unlock()
 
@@ -332,13 +353,13 @@ func (r *Registry) AddTagToSegment(user string, seg segment.ID, tag Tag) error {
 	if owner != user {
 		return fmt.Errorf("%w: %s owned by %s", ErrNotTagOwner, tag, owner)
 	}
-	st := r.segs[seg]
-	label := st.value()
+	row := r.rows.Make(r.tab.Intern(seg))
+	label := row.value()
 	if !label.explicit.Has(tag) {
 		label.explicit = label.explicit.Clone().Add(tag)
 	}
-	r.assign(seg, st, label)
-	for _, svcName := range st.stored {
+	r.assign(row, label)
+	for _, svcName := range row.storedNames() {
 		if svc, ok := r.services[svcName]; ok {
 			svc.Privilege.Add(tag)
 			r.fastService(svc)
@@ -403,7 +424,7 @@ func (r *Registry) mutatePrivilege(user, service string, tag Tag, add bool) erro
 func (r *Registry) StoredBy(seg segment.ID) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	stored := r.segs[seg].stored
+	stored := r.known(seg).storedNames()
 	out := make([]string, len(stored))
 	copy(out, stored)
 	return out

@@ -12,7 +12,7 @@ import (
 // Tool with {ti}/{ti}, Wiki with {tw}/{tw}, Google Docs with {}/{}.
 func paperRegistry(t *testing.T) *Registry {
 	t.Helper()
-	r := NewRegistry(nil)
+	r := NewRegistry(nil, nil)
 	mustRegister(t, r, "itool", NewTagSet("ti"), NewTagSet("ti"))
 	mustRegister(t, r, "wiki", NewTagSet("tw"), NewTagSet("tw"))
 	mustRegister(t, r, "docs", NewTagSet(), NewTagSet())
@@ -110,7 +110,7 @@ func TestFigure3PublicDataFlows(t *testing.T) {
 // Figure 4: suppressing ti permits the upload and leaves an audit trail.
 func TestFigure4Suppression(t *testing.T) {
 	log := audit.NewLog()
-	r := NewRegistry(log)
+	r := NewRegistry(nil, log)
 	mustRegister(t, r, "itool", NewTagSet("ti"), NewTagSet("ti"))
 	mustRegister(t, r, "wiki", NewTagSet("tw"), NewTagSet("tw"))
 
@@ -155,7 +155,7 @@ func TestSuppressErrors(t *testing.T) {
 // Figure 5: custom tag tn restricts propagation even when the service
 // privilege labels would otherwise allow it.
 func TestFigure5CustomTags(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(nil, nil)
 	// Administrator permits wiki data in the Interview Tool.
 	mustRegister(t, r, "itool", NewTagSet("ti", "tw"), NewTagSet("ti"))
 	mustRegister(t, r, "wiki", NewTagSet("tw"), NewTagSet("tw"))
@@ -239,7 +239,7 @@ func TestCustomTagOwnership(t *testing.T) {
 // from A and carries ti implicitly; text copied from B to C only inherits
 // B's *explicit* tw.
 func TestFigure6ImplicitTagsDoNotPropagate(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(nil, nil)
 	mustRegister(t, r, "itool", NewTagSet("ti", "tw"), NewTagSet("ti"))
 	mustRegister(t, r, "wiki", NewTagSet("tw", "ti"), NewTagSet("tw"))
 	mustRegister(t, r, "docs", NewTagSet("tw"), NewTagSet())
@@ -361,7 +361,7 @@ func TestObserveSegmentUnknownService(t *testing.T) {
 
 func TestAuditTrailForTagLifecycle(t *testing.T) {
 	log := audit.NewLog()
-	r := NewRegistry(log)
+	r := NewRegistry(nil, log)
 	mustRegister(t, r, "wiki", NewTagSet("tw"), NewTagSet("tw"))
 	if err := r.AllocateTag("alice", "tn"); err != nil {
 		t.Fatal(err)

@@ -171,7 +171,8 @@ func TestStressConcurrentSaveLoad(t *testing.T) {
 // the labels as JSON); Load builds compacted runs, so nothing is
 // left in the mutable heads (every posting was, at 2.5× the bytes), and
 // sizes them exactly, so what a restarted node retains is the compacted
-// figure (it was 44 B/hash with a third of the run columns' capacity dead).
+// figure (it was 44 B/hash with a third of the run columns' capacity dead,
+// and 26.3 while each owner of per-segment state kept a map of its own).
 func TestSaveHeapAndLoadLayout(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("heap sizes need a full-size state and are not meaningful under -race")
@@ -248,8 +249,8 @@ func TestSaveHeapAndLoadLayout(t *testing.T) {
 	got, want := loaded.Tracker().Paragraphs().Stats(), mw.Tracker().Paragraphs().Stats()
 	resident := float64(heapAlloc()-before) / float64(got.DistinctHashes)
 	t.Logf("resident after Load: %.1f B/hash", resident)
-	if resident > 30 {
-		t.Errorf("a loaded state retains %.1f B per distinct hash, want ≤ 30", resident)
+	if resident > 25 { // 21.8 measured, + 15 %
+		t.Errorf("a loaded state retains %.1f B per distinct hash, want ≤ 25", resident)
 	}
 	if got.HeadPostings != 0 {
 		t.Errorf("%d of %d postings in the mutable head after Load, want 0", got.HeadPostings, got.Postings)
