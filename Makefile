@@ -84,8 +84,9 @@ vuln:
 # and the replication stream, held to one answer), the record applier a
 # replica runs over streamed records, the state-image restore (unseal +
 # BFLOWSNB decode, the one route every load takes), the index digest
-# codec the anti-entropy comparator trusts, the ring codec and the two
-# policy-language targets.
+# codec the anti-entropy comparator trusts, the ring codec, the two
+# policy-language targets, and the JSON bodies and X-BF-Trace header a
+# node's HTTP endpoints read.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz 'FuzzOpenSegment' -fuzztime $(FUZZTIME) ./internal/wal
@@ -95,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -fuzz 'FuzzParsePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
 	$(GO) test -fuzz 'FuzzCompilePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
+	$(GO) test -fuzz 'FuzzServerRequests' -fuzztime $(FUZZTIME) ./internal/tagserver
 
 build:
 	$(GO) build ./...

@@ -11,7 +11,7 @@ package index
 //	u8      codec version (2)
 //	u64     clock, u64 defaultThreshold (IEEE 754 bits), little endian
 //	uvarint segment-table length
-//	  per entry, ascending by ID: segment.AppendFrontCoded
+//	  per entry, ascending by ID: wire.AppendFrontCoded
 //	uvarint DBpar entry count
 //	  per entry, ascending by table ref:
 //	    uvarint refs skipped since the previous entry << 1 | own threshold
@@ -38,7 +38,9 @@ package index
 // same state encodes to the same bytes regardless of shard count or merge
 // history and a replica can persist a primary's snapshot verbatim. Decoding
 // builds the compacted runs directly, one linear varint scan, and the
-// restored DB starts with nothing in the mutable heads.
+// restored DB starts with nothing in the mutable heads. The decoder reads
+// through a wire.Reader, so a malformed payload is a *wire.Error with the
+// payload offset where decoding failed.
 //
 // Codec version 1 — what container version 2 images hold — is still read,
 // by branches of the same decoder: plain length-prefixed IDs; per DBpar
@@ -49,11 +51,11 @@ package index
 import (
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"slices"
 
 	"github.com/lsds/browserflow/internal/segment"
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 const (
@@ -70,17 +72,6 @@ const (
 	postStamped              // the stamp is not the holder's base: the distance follows
 	postFlagBits = 3
 )
-
-// CodecError reports a malformed binary index snapshot, with the byte
-// offset (relative to the index payload) where decoding failed.
-type CodecError struct {
-	Offset int
-	Reason string
-}
-
-func (e *CodecError) Error() string {
-	return fmt.Sprintf("index: corrupt snapshot payload at offset %d: %s", e.Offset, e.Reason)
-}
 
 // AppendSnapshot appends the DB's binary snapshot to buf and returns the
 // extended slice. The DB takes its own consistent cut: every segment
@@ -153,10 +144,10 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, clock)
 	buf = binary.LittleEndian.AppendUint64(buf, thrBits)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
-	var prevSeg segment.ID
+	prevSeg := ""
 	for _, r := range table {
-		seg := db.tab.ID(r)
-		buf = segment.AppendFrontCoded(buf, prevSeg, seg)
+		seg := string(db.tab.ID(r))
+		buf = wire.AppendFrontCoded(buf, prevSeg, seg)
 		prevSeg = seg
 	}
 
@@ -253,43 +244,6 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	return buf
 }
 
-// snapDecoder is a bounds-checked varint reader over the snapshot payload.
-// The first failure sticks and every read after it returns zero, so decode
-// tests err where it validates what it read, not after each read.
-type snapDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-// fail records the failure, unless one is recorded already, and returns the
-// first.
-func (d *snapDecoder) fail(reason string) error {
-	if d.err == nil {
-		d.err = &CodecError{Offset: d.off, Reason: reason}
-	}
-	return d.err
-}
-
-func (d *snapDecoder) uvarint(what string) uint64 {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if d.err != nil || n <= 0 {
-		d.fail("truncated or overlong varint: " + what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *snapDecoder) u64(what string) uint64 {
-	if d.err != nil || d.off+8 > len(d.data) {
-		d.fail("truncated u64: " + what)
-		return 0
-	}
-	d.off += 8
-	return binary.LittleEndian.Uint64(d.data[d.off-8:])
-}
-
 // snapParRec is one decoded DBpar entry awaiting commit.
 type snapParRec struct {
 	ref       uint32
@@ -342,47 +296,35 @@ func (db *DB) PrepareSnapshot(data []byte) (*PreparedSnapshot, error) {
 // p.db. v1 marks the places where the legacy codec's layout differs.
 func (p *PreparedSnapshot) decode(data []byte) error {
 	db := p.db
-	d := &snapDecoder{data: data}
-	if len(data) < 1 || data[0] != snapshotCodecVersion && data[0] != legacyCodecVersion {
-		return d.fail("empty payload or unsupported codec version")
+	d := wire.NewReader(data)
+	version := d.Byte("codec version")
+	if version != snapshotCodecVersion && version != legacyCodecVersion {
+		return &wire.Error{Reason: "empty payload or unsupported codec version"}
 	}
-	v1 := data[0] == legacyCodecVersion
-	d.off = 1
-	clock, thrBits := d.u64("clock"), d.u64("default threshold")
+	v1 := version == legacyCodecVersion
+	clock, thrBits := d.U64("clock"), d.U64("default threshold")
 
-	nSegs := d.uvarint("segment table length")
-	if nSegs > uint64(len(data)) { // each entry needs ≥1 byte
-		return d.fail("segment table length exceeds payload")
-	}
+	nSegs := uint64(d.Count("segment table length", 1))
 	if nSegs >= uint64(moreBit-1) {
-		return d.fail("segment table too large for 31-bit refs")
+		return d.Fail("segment table too large for 31-bit refs")
 	}
 	table := make([]segment.ID, nSegs)
 	var id []byte
 	for i := range table {
 		if v1 {
-			n := d.uvarint("segment ID length")
-			if n > uint64(len(data)-d.off) {
-				return d.fail("segment ID exceeds payload")
-			}
-			id = append(id[:0], data[d.off:d.off+int(n)]...)
-			d.off += int(n)
+			id = append(id[:0], d.String("segment ID")...)
 		} else {
-			var n int
-			if id, n = segment.ReadFrontCoded(data[d.off:], id); n == 0 {
-				return d.fail("malformed front-coded segment ID")
-			}
-			d.off += n
+			id = d.FrontCoded(id)
 		}
 		table[i] = segment.ID(id)
-		if d.err != nil || i > 0 && table[i] <= table[i-1] {
-			return d.fail("segment table not strictly ascending")
+		if d.Err() != nil || i > 0 && table[i] <= table[i-1] {
+			return d.Fail("segment table not strictly ascending")
 		}
 	}
 
-	nPar := d.uvarint("DBpar entry count")
+	nPar := d.Uvarint("DBpar entry count")
 	if nPar > nSegs {
-		return d.fail("more DBpar entries than table segments")
+		return d.Fail("more DBpar entries than table segments")
 	}
 	pars := make([]snapParRec, nPar)
 	parOf := make([]int32, nSegs) // table ref → its entry in pars, -1 without one
@@ -391,36 +333,36 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	}
 	next, fpTotal := uint64(0), uint64(0)
 	for i := range pars {
-		ref, ownThreshold := d.uvarint("DBpar segment ref"), true
+		ref, ownThreshold := d.Uvarint("DBpar segment ref"), true
 		if !v1 {
 			ref, ownThreshold = next+ref>>1, ref&1 != 0
 		}
 		if ref >= nSegs || ref < next {
-			return d.fail("DBpar segment ref out of range or not ascending")
+			return d.Fail("DBpar segment ref out of range or not ascending")
 		}
 		tb := thrBits
 		if ownThreshold {
-			tb = d.u64("DBpar threshold")
+			tb = d.U64("DBpar threshold")
 		}
-		updated := d.uvarint("DBpar updated")
+		updated := d.Uvarint("DBpar updated")
 		if updated > clock {
-			return d.fail("DBpar updated exceeds clock")
+			return d.Fail("DBpar updated exceeds clock")
 		}
 		// Every fingerprint hash takes at least a byte further on, as a
 		// delta here (v1) or as a posting or unposted entry, so the payload
 		// bounds what the declared lengths may add up to.
-		nh := d.uvarint("DBpar hash count")
-		if fpTotal += nh; d.err != nil || nh > uint64(len(data)) || fpTotal > uint64(len(data)) {
-			return d.fail("DBpar hash count exceeds payload")
+		nh := d.Uvarint("DBpar hash count")
+		if fpTotal += nh; d.Err() != nil || nh > uint64(len(data)) || fpTotal > uint64(len(data)) {
+			return d.Fail("DBpar hash count exceeds payload")
 		}
 		hashes := make([]uint32, 0, nh)
 		for prev := uint64(0); v1 && uint64(len(hashes)) < nh; {
-			dv := d.uvarint("DBpar hash delta")
-			if d.err != nil || len(hashes) > 0 && dv == 0 {
-				return d.fail("DBpar hashes not strictly ascending")
+			dv := d.Uvarint("DBpar hash delta")
+			if d.Err() != nil || len(hashes) > 0 && dv == 0 {
+				return d.Fail("DBpar hashes not strictly ascending")
 			}
 			if dv > math.MaxUint32-prev {
-				return d.fail("DBpar hash overflows 32 bits")
+				return d.Fail("DBpar hash overflows 32 bits")
 			}
 			prev += dv
 			hashes = append(hashes, uint32(prev))
@@ -430,10 +372,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		next = ref + 1
 	}
 
-	distinct, total := d.uvarint("distinct hash count"), d.uvarint("total posting count")
-	if distinct > uint64(len(data)) || total > uint64(len(data)) {
-		return d.fail("posting counts exceed payload")
-	}
+	distinct, total := uint64(d.Count("distinct hash count", 1)), uint64(d.Count("total posting count", 1))
 
 	// Decode postings straight into run columns. Hashes ascend and the
 	// shard is their top bits, so the shards fill one after the other; each
@@ -447,12 +386,12 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	cur.base = clock
 	prevHash, seenPostings := uint64(0), uint64(0)
 	for seenHashes := uint64(0); seenHashes < distinct; seenHashes++ {
-		dv := d.uvarint("posting hash delta")
-		if d.err != nil || seenHashes > 0 && dv == 0 {
-			return d.fail("posting hashes not strictly ascending")
+		dv := d.Uvarint("posting hash delta")
+		if d.Err() != nil || seenHashes > 0 && dv == 0 {
+			return d.Fail("posting hashes not strictly ascending")
 		}
 		if dv > math.MaxUint32-prevHash {
-			return d.fail("posting hash overflows 32 bits")
+			return d.Fail("posting hash overflows 32 bits")
 		}
 		prevHash += dv
 		h := uint32(prevHash)
@@ -463,26 +402,26 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		}
 		groupLen := uint64(1)
 		if v1 {
-			if groupLen = d.uvarint("posting group length"); groupLen == 0 {
-				return d.fail("empty posting group")
+			if groupLen = d.Uvarint("posting group length"); groupLen == 0 {
+				return d.Fail("empty posting group")
 			}
 		}
 		prevSeq := uint64(0)
 		for more := true; more; seenPostings++ {
 			if seenPostings == total {
-				return d.fail("posting groups exceed declared total")
+				return d.Fail("posting groups exceed declared total")
 			}
-			v := d.uvarint("posting segment ref")
+			v := d.Uvarint("posting segment ref")
 			ref, stale := v, true // v1 keeps the fingerprints in the DBpar entries
 			if !v1 {
 				ref, stale = v>>postFlagBits, v&postStale != 0
 			}
 			if ref >= nSegs {
-				return d.fail("posting segment ref out of range")
+				return d.Fail("posting segment ref out of range")
 			}
 			pi, seq := parOf[ref], clock
 			if v1 {
-				seq = prevSeq + d.uvarint("posting seq delta")
+				seq = prevSeq + d.Uvarint("posting seq delta")
 				groupLen--
 				more = groupLen > 0
 			} else {
@@ -490,25 +429,25 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 					seq = pars[pi].updated
 				}
 				if v&postStamped != 0 { // zigzag, as binary.AppendVarint wrote it
-					u := d.uvarint("posting stamp distance")
+					u := d.Uvarint("posting stamp distance")
 					seq -= u>>1 ^ -(u & 1)
 				}
 				more = v&postMore != 0
 			}
-			if d.err != nil || seq > clock {
-				return d.fail("posting seq exceeds clock")
+			if d.Err() != nil || seq > clock {
+				return d.Fail("posting seq exceeds clock")
 			}
 			if seq < prevSeq {
-				return d.fail("posting seqs not ascending")
+				return d.Fail("posting seqs not ascending")
 			}
 			prevSeq = seq
 			if !stale {
 				if pi < 0 {
-					return d.fail("fingerprint hash of a segment without a DBpar entry")
+					return d.Fail("fingerprint hash of a segment without a DBpar entry")
 				}
 				hs := pars[pi].hashes
 				if n := len(hs); n == cap(hs) || n > 0 && hs[n-1] >= h {
-					return d.fail("fingerprint hashes repeat or exceed the declared length")
+					return d.Fail("fingerprint hashes repeat or exceed the declared length")
 				}
 				pars[pi].hashes = append(hs, h)
 			}
@@ -517,25 +456,25 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	}
 	cur.clip()
 	if seenPostings != total {
-		return d.fail("posting total mismatch")
+		return d.Fail("posting total mismatch")
 	}
 
 	if !v1 {
 		// Fingerprint hashes without a live posting, sorted in behind the
 		// posted ones; then every fingerprint must have its declared length.
 		var prevRef, prevHash uint64
-		for i, n := uint64(0), d.uvarint("unposted count"); i < n; i++ {
-			ref, h := d.uvarint("unposted segment ref"), d.uvarint("unposted hash")
-			if d.err != nil || ref >= nSegs || parOf[ref] < 0 {
-				return d.fail("unposted hash of a segment without a DBpar entry")
+		for i, n := uint64(0), d.Uvarint("unposted count"); i < n; i++ {
+			ref, h := d.Uvarint("unposted segment ref"), d.Uvarint("unposted hash")
+			if d.Err() != nil || ref >= nSegs || parOf[ref] < 0 {
+				return d.Fail("unposted hash of a segment without a DBpar entry")
 			}
 			if h > math.MaxUint32 || i > 0 && (ref < prevRef || ref == prevRef && h <= prevHash) {
-				return d.fail("unposted hashes not strictly ascending 32-bit values")
+				return d.Fail("unposted hashes not strictly ascending 32-bit values")
 			}
 			prevRef, prevHash = ref, h
 			rec := &pars[parOf[ref]]
 			if len(rec.hashes) == cap(rec.hashes) {
-				return d.fail("fingerprint hashes exceed the declared length")
+				return d.Fail("fingerprint hashes exceed the declared length")
 			}
 			rec.hashes = append(rec.hashes, uint32(h))
 			if len(rec.hashes) < cap(rec.hashes) {
@@ -543,17 +482,17 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 			}
 			// Complete, and only now: the posting stream is over.
 			if slices.Sort(rec.hashes); len(slices.Compact(rec.hashes)) < len(rec.hashes) {
-				return d.fail("unposted hash repeats a posted one")
+				return d.Fail("unposted hash repeats a posted one")
 			}
 		}
 		for i := range pars {
 			if len(pars[i].hashes) != cap(pars[i].hashes) {
-				return d.fail("fingerprint shorter than its declared length")
+				return d.Fail("fingerprint shorter than its declared length")
 			}
 		}
 	}
-	if d.err != nil || d.off != len(data) {
-		return d.fail("trailing bytes after snapshot payload")
+	if err := d.Done("snapshot payload"); err != nil {
+		return err
 	}
 
 	*p = PreparedSnapshot{db: db, clock: clock, thrBits: thrBits, table: table, pars: pars, runs: runs, total: total}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/segment"
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 // buildWorkloadDB replays a deterministic workload; threshold controls the
@@ -264,18 +265,18 @@ func TestImportRejectsInconsistentClock(t *testing.T) {
 		if fp, ok := db.Fingerprint("a"); !ok || !reflect.DeepEqual(fp.Hashes(), []uint32{7}) {
 			t.Errorf("%s: fingerprint = %v, want [7]", name, fp)
 		}
-		var ce *CodecError
-		if err := New(nil, 0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &ce) {
-			t.Errorf("%s: posting seq beyond clock: err=%v, want CodecError", name, err)
+		var we *wire.Error
+		if err := New(nil, 0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &we) {
+			t.Errorf("%s: posting seq beyond clock: err=%v, want *wire.Error", name, err)
 		}
-		if err := New(nil, 0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &ce) {
-			t.Errorf("%s: segment updated beyond clock: err=%v, want CodecError", name, err)
+		if err := New(nil, 0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &we) {
+			t.Errorf("%s: segment updated beyond clock: err=%v, want *wire.Error", name, err)
 		}
 	}
 }
 
 // TestLoadSnapshotRejectsCorruption flips or truncates bytes across the
-// payload and requires a typed CodecError (never a panic) and an untouched
+// payload and requires a typed *wire.Error (never a panic) and an untouched
 // (fully reset, not partially loaded) DB.
 func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	db := buildWorkloadDB(13, DefaultShards, 1)
@@ -306,9 +307,9 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 			checkInvariants(t, restored)
 			continue
 		}
-		var ce *CodecError
-		if !errors.As(err, &ce) {
-			t.Fatalf("trial %d: error is not a CodecError: %v", trial, err)
+		var we *wire.Error
+		if !errors.As(err, &we) {
+			t.Fatalf("trial %d: error is not a *wire.Error: %v", trial, err)
 		}
 		if s := restored.Stats(); s.Postings != 0 || s.Segments != 0 || s.DistinctHashes != 0 {
 			t.Fatalf("trial %d: rejected load left partial state: %+v", trial, s)

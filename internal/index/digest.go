@@ -20,6 +20,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 // mix64 is the splitmix64 finalizer: a cheap bijective mixer with full
@@ -217,22 +219,22 @@ func (d Digest) AppendEncode(buf []byte) []byte {
 const EncodedDigestLen = len(digestMagic) + 1 + 4*8 + 4
 
 // DecodeDigest parses one digest frame, rejecting bad magic, unknown
-// versions, length mismatches and CRC failures.
+// versions, length mismatches and CRC failures with a *wire.Error.
 func DecodeDigest(data []byte) (Digest, error) {
 	var d Digest
 	if len(data) != EncodedDigestLen {
-		return d, &CodecError{Offset: len(data), Reason: "digest frame length mismatch"}
+		return d, &wire.Error{Offset: len(data), Reason: "digest frame length mismatch"}
 	}
 	if string(data[:len(digestMagic)]) != digestMagic {
-		return d, &CodecError{Offset: 0, Reason: "bad digest magic"}
+		return d, &wire.Error{Offset: 0, Reason: "bad digest magic"}
 	}
 	if data[len(digestMagic)] != digestCodecVersion {
-		return d, &CodecError{Offset: len(digestMagic), Reason: "unsupported digest codec version"}
+		return d, &wire.Error{Offset: len(digestMagic), Reason: "unsupported digest codec version"}
 	}
 	body := data[: len(data)-4 : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.Checksum(body, digestCRCTable); got != want {
-		return d, &CodecError{Offset: len(data) - 4, Reason: "digest CRC mismatch"}
+		return d, &wire.Error{Offset: len(data) - 4, Reason: "digest CRC mismatch"}
 	}
 	off := len(digestMagic) + 1
 	d.Clock = binary.LittleEndian.Uint64(data[off:])

@@ -2,11 +2,14 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 // FuzzDecodeDigest feeds arbitrary bytes to the digest frame decoder: it
-// must either return a CodecError or a digest that re-encodes to exactly
+// must either return a *wire.Error or a digest that re-encodes to exactly
 // the input bytes — never panic, never accept a mangled frame.
 func FuzzDecodeDigest(f *testing.F) {
 	f.Add([]byte(nil))
@@ -22,6 +25,10 @@ func FuzzDecodeDigest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeDigest(data)
 		if err != nil {
+			var we *wire.Error
+			if !errors.As(err, &we) {
+				t.Fatalf("error is not a *wire.Error: %v", err)
+			}
 			return
 		}
 		if got := d.AppendEncode(nil); !bytes.Equal(got, data) {

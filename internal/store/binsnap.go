@@ -46,6 +46,7 @@ import (
 	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 // binMagic prefixes sectioned binary snapshots.
@@ -220,20 +221,14 @@ func decodeBinaryMeta(path string, payload []byte) (version uint64, savedAt time
 	return version, savedAt, walSeg, nil
 }
 
-// wrapCodecErr converts a payload codec error (index or registry) into a
-// CorruptSnapshotError whose offset points into the snapshot file (section
-// start + payload offset), so operators can locate the damage with one
-// number.
+// wrapCodecErr converts a section payload's *wire.Error (index or
+// registry) into a CorruptSnapshotError whose offset points into the
+// snapshot file (section start + payload offset), so operators can locate
+// the damage with one number.
 func wrapCodecErr(path string, sec binSection, err error) error {
-	var (
-		ie *index.CodecError
-		te *tdm.CodecError
-	)
-	switch {
-	case errors.As(err, &ie):
-		return &CorruptSnapshotError{Path: path, Offset: sec.off + int64(ie.Offset), Reason: ie.Reason}
-	case errors.As(err, &te):
-		return &CorruptSnapshotError{Path: path, Offset: sec.off + int64(te.Offset), Reason: te.Reason}
+	var we *wire.Error
+	if errors.As(err, &we) {
+		return &CorruptSnapshotError{Path: path, Offset: sec.off + int64(we.Offset), Reason: we.Reason}
 	}
 	return err
 }

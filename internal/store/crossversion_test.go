@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/wal"
@@ -379,5 +380,53 @@ func TestPR22ScriptPins(t *testing.T) {
 	}
 	if got := sha256.Sum256(image[afterMeta:]); hex.EncodeToString(got[:]) != pr22ImageSHA || len(image) != pr22ImageLength {
 		t.Errorf("image: %d bytes, SHA-256 after meta %x; want %d bytes, %s", len(image), got, pr22ImageLength, pr22ImageSHA)
+	}
+}
+
+// What the build before the shared wire reader journalled for pr22Script on
+// an empty directory: the SHA-256 and length of its one WAL segment, and the
+// SHA-256 of the export of the state that segment replays to (the script's
+// expiry and thresholds are not journalled, so not the script's own state).
+// Frames ship to standbys verbatim and a newer build replays an older
+// build's log, so neither a record encoder nor a decoder may move.
+const (
+	walPinSHA       = "9f636e8c1284332f3db4779d9760be78dbaba0131c71be86b09006c7d94bdc7d"
+	walPinLength    = 14509
+	walPinReplaySHA = "ef2cc983b079b2a3a5c82e4d149fe1f6ffba02615df9fb3c046f7d27467abe1f"
+)
+
+// TestScriptWALPin holds the WAL segment pr22Script writes, and the
+// state it replays to, to the values recorded above.
+func TestScriptWALPin(t *testing.T) {
+	fs := faultinject.NewMemFS(22)
+	w := newWorld(t, fixedClock)
+	d := openDurableForTest(t, fs, wal.SyncAlways, w)
+	defer d.Close()
+	w.engine.SetJournal(d)
+	pr22Script(t, w)
+	segs, err := wal.ListSegments(fs, "/data")
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	data, err := fs.ReadFile(filepath.Join("/data", wal.SegmentName(segs[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256.Sum256(data); hex.EncodeToString(got[:]) != walPinSHA || len(data) != walPinLength {
+		t.Errorf("WAL segment: %d bytes, SHA-256 %x; want %d bytes, %s", len(data), got, walPinLength, walPinSHA)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wal.SegmentName(segs[0])), data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	replayed := newWorld(t, fixedClock)
+	rd, err := OpenDurable(DurableOptions{Dir: dir, Fsync: wal.SyncNone}, replayed.tracker, replayed.registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if got := sha256.Sum256(export(t, replayed)); hex.EncodeToString(got[:]) != walPinReplaySHA {
+		t.Errorf("replayed state exports to SHA-256 %x, want %s", got, walPinReplaySHA)
 	}
 }

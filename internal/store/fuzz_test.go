@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -103,12 +105,43 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	})
 }
 
+// hugeHashCountRecords are, for each observe record type, a payload that
+// declares 2^62 hashes after its well-formed head: four bytes a hash times
+// that count is 2^64, which wraps to 0, so a bound that multiplies before
+// it compares lets the count through to the allocation.
+func hugeHashCountRecords() []wal.Record {
+	seg, svc := []byte{1, 's'}, []byte{1, 'w'}
+	huge := binary.AppendUvarint(nil, 1<<62)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return []wal.Record{
+		{Type: recObserve, Data: cat([]byte{granParagraph}, seg, svc, huge)},
+		{Type: recObserveBatch, Data: cat(svc, []byte{1, granParagraph}, seg, huge)},
+		{Type: recObserveResolved, Data: cat([]byte{granParagraph}, seg, svc, []byte{9}, huge)},
+	}
+}
+
+// A declared hash count too large for the record is an error, not a panic,
+// in every observe record decoder.
+func TestDecodeObserveRejectsHugeHashCount(t *testing.T) {
+	recs := hugeHashCountRecords()
+	if _, err := decodeObserve(recs[0].Data); err == nil {
+		t.Error("decodeObserve accepted 2^62 hashes")
+	}
+	if _, _, _, err := decodeObserveBatch(recs[1].Data); err == nil {
+		t.Error("decodeObserveBatch accepted 2^62 hashes")
+	}
+	if _, err := decodeObserveResolved(recs[2].Data); err == nil {
+		t.Error("decodeObserveResolved accepted 2^62 hashes")
+	}
+}
+
 // FuzzApplyRecord throws arbitrary (type, payload) pairs at the record
 // applier — the decoder a replica runs over bytes it received from the
 // network and every node runs over its own log at recovery. The contract
 // under test: never panic, whatever the payload; and Applied() advances
 // exactly when Apply returns nil, so a rejected record is never counted as
-// replayed. Seeds are one well-formed record of each of the ten types.
+// replayed. Seeds are one well-formed record of each of the ten types, and
+// each observe type declaring more hashes than a record can hold.
 func FuzzApplyRecord(f *testing.F) {
 	fp := fingerprint.FromHashes([]uint32{1, 2, 3, 4, 5})
 	seed := func(rec wal.Record, err error) {
@@ -135,6 +168,9 @@ func FuzzApplyRecord(f *testing.F) {
 		Tags:    map[segment.ID][]string{"wiki/plan#p0": {"tw"}},
 	}))
 	seed(encodePruneRange(0, 1<<20))
+	for _, rec := range hugeHashCountRecords() {
+		seed(rec, nil)
+	}
 
 	// One state for all executions, as a long-lived replica has.
 	tracker, registry := buildState(f)

@@ -13,11 +13,14 @@ import (
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 // WAL record types. Observe records are the hot path and use a compact
-// binary encoding; control-plane records (suppressions, tag operations,
-// audit entries) are rare and use JSON for inspectability.
+// binary encoding, read back through a wire.Reader: a malformed one is a
+// *wire.Error with the record offset where decoding failed. Control-plane
+// records (suppressions, tag operations, audit entries) are rare and use
+// JSON for inspectability.
 const (
 	recObserve      byte = 1
 	recObserveBatch byte = 2
@@ -58,21 +61,16 @@ func granCode(g segment.Granularity) (byte, error) {
 	}
 }
 
-func granFromCode(c byte) (segment.Granularity, error) {
-	switch c {
+// readGran reads a granularity code.
+func readGran(r *wire.Reader) segment.Granularity {
+	switch r.Byte("granularity") {
 	case granParagraph:
-		return segment.GranularityParagraph, nil
+		return segment.GranularityParagraph
 	case granDocument:
-		return segment.GranularityDocument, nil
-	default:
-		return 0, fmt.Errorf("store: unknown granularity code %d", c)
+		return segment.GranularityDocument
 	}
-}
-
-// appendString appends uvarint(len) | bytes.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
+	r.Fail("unknown granularity code")
+	return 0
 }
 
 // appendHashes appends uvarint(n) | n big-endian uint32s.
@@ -84,68 +82,13 @@ func appendHashes(buf []byte, hs []uint32) []byte {
 	return buf
 }
 
-// reader consumes the binary observe encodings with bounds checking.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) err(what string) error {
-	return fmt.Errorf("store: truncated WAL record (%s at byte %d)", what, r.off)
-}
-
-func (r *reader) byte(what string) (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, r.err(what)
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, r.err(what)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) string(what string) (string, error) {
-	n, err := r.uvarint(what)
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(r.data)-r.off) {
-		return "", r.err(what)
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *reader) hashes(what string) ([]uint32, error) {
-	n, err := r.uvarint(what)
-	if err != nil {
-		return nil, err
-	}
-	if n*4 > uint64(len(r.data)-r.off) {
-		return nil, r.err(what)
-	}
-	hs := make([]uint32, n)
+// readHashes reads what appendHashes wrote.
+func readHashes(r *wire.Reader) []uint32 {
+	hs := make([]uint32, r.Count("hashes", 4))
 	for i := range hs {
-		hs[i] = binary.BigEndian.Uint32(r.data[r.off:])
-		r.off += 4
+		hs[i] = r.U32("hash")
 	}
-	return hs, nil
-}
-
-func (r *reader) done() error {
-	if r.off != len(r.data) {
-		return fmt.Errorf("store: %d trailing bytes in WAL record", len(r.data)-r.off)
-	}
-	return nil
+	return hs
 }
 
 // observeOp is one decoded singular observation.
@@ -178,48 +121,28 @@ func encodeObserve(seg segment.ID, service string, g segment.Granularity, hashes
 	}
 	buf := make([]byte, 0, 1+10+len(seg)+len(service)+4*len(hashes)+10+len(trace))
 	buf = append(buf, gc)
-	buf = appendString(buf, string(seg))
-	buf = appendString(buf, service)
+	buf = wire.AppendString(buf, string(seg))
+	buf = wire.AppendString(buf, service)
 	buf = appendHashes(buf, hashes)
 	if trace != "" {
-		buf = appendString(buf, trace)
+		buf = wire.AppendString(buf, trace)
 	}
 	return wal.Record{Type: recObserve, Data: buf}, nil
 }
 
+// decodeObserve inverts encodeObserve. Here and in the decoders below, a
+// literal lists its fields in record order: Go evaluates the reads left to
+// right.
 func decodeObserve(data []byte) (observeOp, error) {
-	r := &reader{data: data}
-	gc, err := r.byte("granularity")
-	if err != nil {
+	r := wire.NewReader(data)
+	op := observeOp{G: readGran(r), Seg: segment.ID(r.String("segment")), Service: r.String("service"), Hashes: readHashes(r)}
+	if r.Len() > 0 { // optional trailing trace ID
+		op.Trace = r.String("trace")
+	}
+	if err := r.Done("WAL record"); err != nil {
 		return observeOp{}, err
 	}
-	g, err := granFromCode(gc)
-	if err != nil {
-		return observeOp{}, err
-	}
-	seg, err := r.string("segment")
-	if err != nil {
-		return observeOp{}, err
-	}
-	svc, err := r.string("service")
-	if err != nil {
-		return observeOp{}, err
-	}
-	hs, err := r.hashes("hashes")
-	if err != nil {
-		return observeOp{}, err
-	}
-	var trace string
-	if r.off < len(r.data) { // optional trailing trace ID
-		trace, err = r.string("trace")
-		if err != nil {
-			return observeOp{}, err
-		}
-	}
-	if err := r.done(); err != nil {
-		return observeOp{}, err
-	}
-	return observeOp{Seg: segment.ID(seg), Service: svc, G: g, Hashes: hs, Trace: trace}, nil
+	return op, nil
 }
 
 // encodeObserveBatch frames a batched flush:
@@ -229,7 +152,7 @@ func decodeObserve(data []byte) (observeOp, error) {
 // The trailing trace ID is optional, exactly as in encodeObserve.
 func encodeObserveBatch(service string, items []disclosure.BatchObservation, trace string) (wal.Record, error) {
 	buf := make([]byte, 0, 16+len(service)+len(items)*64+len(trace))
-	buf = appendString(buf, service)
+	buf = wire.AppendString(buf, service)
 	buf = binary.AppendUvarint(buf, uint64(len(items)))
 	for i, item := range items {
 		if item.FP == nil {
@@ -244,60 +167,29 @@ func encodeObserveBatch(service string, items []disclosure.BatchObservation, tra
 			return wal.Record{}, err
 		}
 		buf = append(buf, gc)
-		buf = appendString(buf, string(item.Seg))
+		buf = wire.AppendString(buf, string(item.Seg))
 		buf = appendHashes(buf, item.FP.Hashes())
 	}
 	if trace != "" {
-		buf = appendString(buf, trace)
+		buf = wire.AppendString(buf, trace)
 	}
 	return wal.Record{Type: recObserveBatch, Data: buf}, nil
 }
 
 func decodeObserveBatch(data []byte) (string, []disclosure.BatchObservation, string, error) {
-	r := &reader{data: data}
-	svc, err := r.string("service")
-	if err != nil {
-		return "", nil, "", err
-	}
-	n, err := r.uvarint("item count")
-	if err != nil {
-		return "", nil, "", err
-	}
-	if n > uint64(len(data)) { // each item takes at least one byte
-		return "", nil, "", fmt.Errorf("store: WAL batch record claims %d items in %d bytes", n, len(data))
-	}
-	items := make([]disclosure.BatchObservation, 0, n)
-	for i := uint64(0); i < n; i++ {
-		gc, err := r.byte("granularity")
-		if err != nil {
-			return "", nil, "", err
+	r := wire.NewReader(data)
+	svc := r.String("service")
+	items := make([]disclosure.BatchObservation, r.Count("item count", 3)) // gran, seg length, hash count
+	for i := range items {
+		items[i] = disclosure.BatchObservation{
+			Granularity: readGran(r), Seg: segment.ID(r.String("segment")), FP: fingerprint.FromHashes(readHashes(r)),
 		}
-		g, err := granFromCode(gc)
-		if err != nil {
-			return "", nil, "", err
-		}
-		seg, err := r.string("segment")
-		if err != nil {
-			return "", nil, "", err
-		}
-		hs, err := r.hashes("hashes")
-		if err != nil {
-			return "", nil, "", err
-		}
-		items = append(items, disclosure.BatchObservation{
-			Seg:         segment.ID(seg),
-			FP:          fingerprint.FromHashes(hs),
-			Granularity: g,
-		})
 	}
 	var trace string
-	if r.off < len(r.data) { // optional trailing trace ID
-		trace, err = r.string("trace")
-		if err != nil {
-			return "", nil, "", err
-		}
+	if r.Len() > 0 { // optional trailing trace ID
+		trace = r.String("trace")
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done("WAL record"); err != nil {
 		return "", nil, "", err
 	}
 	return svc, items, trace, nil
@@ -306,15 +198,6 @@ func decodeObserveBatch(data []byte) (string, []disclosure.BatchObservation, str
 // appendFloat64 appends the IEEE 754 bits big-endian.
 func appendFloat64(buf []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-func (r *reader) float64(what string) (float64, error) {
-	if len(r.data)-r.off < 8 {
-		return 0, r.err(what)
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v, nil
 }
 
 // observeResolvedOp is one decoded partition-mode resolved observation.
@@ -345,13 +228,13 @@ func encodeObserveResolved(op observeResolvedOp) (wal.Record, error) {
 	}
 	buf := make([]byte, 0, 1+10+len(op.Seg)+len(op.Service)+4*len(op.Hashes)+32*len(op.Sources)+10+len(op.Trace))
 	buf = append(buf, gc)
-	buf = appendString(buf, string(op.Seg))
-	buf = appendString(buf, op.Service)
+	buf = wire.AppendString(buf, string(op.Seg))
+	buf = wire.AppendString(buf, op.Service)
 	buf = binary.AppendUvarint(buf, op.Clock)
 	buf = appendHashes(buf, op.Hashes)
 	buf = binary.AppendUvarint(buf, uint64(len(op.Sources)))
 	for _, src := range op.Sources {
-		buf = appendString(buf, string(src.Seg))
+		buf = wire.AppendString(buf, string(src.Seg))
 		buf = appendFloat64(buf, src.Disclosure)
 		buf = appendFloat64(buf, src.Threshold)
 	}
@@ -364,104 +247,46 @@ func encodeObserveResolved(op observeResolvedOp) (wal.Record, error) {
 	sort.Strings(segs)
 	buf = binary.AppendUvarint(buf, uint64(len(segs)))
 	for _, seg := range segs {
-		buf = appendString(buf, seg)
+		buf = wire.AppendString(buf, seg)
 		names := op.Tags[segment.ID(seg)]
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
 		for _, n := range names {
-			buf = appendString(buf, n)
+			buf = wire.AppendString(buf, n)
 		}
 	}
 	if op.Trace != "" {
-		buf = appendString(buf, op.Trace)
+		buf = wire.AppendString(buf, op.Trace)
 	}
 	return wal.Record{Type: recObserveResolved, Data: buf}, nil
 }
 
 func decodeObserveResolved(data []byte) (observeResolvedOp, error) {
-	r := &reader{data: data}
-	var op observeResolvedOp
-	gc, err := r.byte("granularity")
-	if err != nil {
-		return op, err
+	r := wire.NewReader(data)
+	op := observeResolvedOp{
+		G: readGran(r), Seg: segment.ID(r.String("segment")), Service: r.String("service"),
+		Clock: r.Uvarint("clock"), Hashes: readHashes(r),
 	}
-	if op.G, err = granFromCode(gc); err != nil {
-		return op, err
+	for range r.Count("source count", 1+8+8) {
+		op.Sources = append(op.Sources, disclosure.Source{
+			Seg: segment.ID(r.String("source segment")), Disclosure: r.F64("source disclosure"), Threshold: r.F64("source threshold"),
+		})
 	}
-	seg, err := r.string("segment")
-	if err != nil {
-		return op, err
-	}
-	op.Seg = segment.ID(seg)
-	if op.Service, err = r.string("service"); err != nil {
-		return op, err
-	}
-	if op.Clock, err = r.uvarint("clock"); err != nil {
-		return op, err
-	}
-	if op.Hashes, err = r.hashes("hashes"); err != nil {
-		return op, err
-	}
-	nSrc, err := r.uvarint("source count")
-	if err != nil {
-		return op, err
-	}
-	if nSrc > uint64(len(data)) { // each source takes at least one byte
-		return op, fmt.Errorf("store: WAL resolved record claims %d sources in %d bytes", nSrc, len(data))
-	}
-	for i := uint64(0); i < nSrc; i++ {
-		s, err := r.string("source segment")
-		if err != nil {
-			return op, err
-		}
-		d, err := r.float64("source disclosure")
-		if err != nil {
-			return op, err
-		}
-		thr, err := r.float64("source threshold")
-		if err != nil {
-			return op, err
-		}
-		op.Sources = append(op.Sources, disclosure.Source{Seg: segment.ID(s), Disclosure: d, Threshold: thr})
-	}
-	nTags, err := r.uvarint("tag set count")
-	if err != nil {
-		return op, err
-	}
-	if nTags > uint64(len(data)) {
-		return op, fmt.Errorf("store: WAL resolved record claims %d tag sets in %d bytes", nTags, len(data))
-	}
-	for i := uint64(0); i < nTags; i++ {
-		s, err := r.string("tagged segment")
-		if err != nil {
-			return op, err
-		}
-		n, err := r.uvarint("tag count")
-		if err != nil {
-			return op, err
-		}
-		if n > uint64(len(data)) {
-			return op, fmt.Errorf("store: WAL resolved record claims %d tags in %d bytes", n, len(data))
-		}
-		names := make([]string, 0, n)
-		for j := uint64(0); j < n; j++ {
-			name, err := r.string("tag")
-			if err != nil {
-				return op, err
-			}
-			names = append(names, name)
+	for range r.Count("tag set count", 2) {
+		seg := segment.ID(r.String("tagged segment"))
+		names := make([]string, r.Count("tag count", 1))
+		for j := range names {
+			names[j] = r.String("tag")
 		}
 		if op.Tags == nil {
 			op.Tags = make(map[segment.ID][]string)
 		}
-		op.Tags[segment.ID(s)] = names
+		op.Tags[seg] = names
 	}
-	if r.off < len(r.data) { // optional trailing trace ID
-		if op.Trace, err = r.string("trace"); err != nil {
-			return op, err
-		}
+	if r.Len() > 0 { // optional trailing trace ID
+		op.Trace = r.String("trace")
 	}
-	if err := r.done(); err != nil {
-		return op, err
+	if err := r.Done("WAL record"); err != nil {
+		return observeResolvedOp{}, err
 	}
 	return op, nil
 }

@@ -347,6 +347,15 @@ func (s *Server) handlePartQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown granularity", http.StatusBadRequest)
 		return
 	}
+	// The reply indexes the caller's list, and the overlap merge needs it
+	// ascending: the router sends normalised fingerprints, so refuse, not
+	// re-sort, anything else.
+	for i := 1; i < len(req.Hashes); i++ {
+		if req.Hashes[i] <= req.Hashes[i-1] {
+			http.Error(w, "hashes must strictly ascend", http.StatusBadRequest)
+			return
+		}
+	}
 	writeJSON(w, toWireResolve(s.engine.PartQuery(req.Hashes, gran)))
 }
 

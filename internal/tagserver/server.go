@@ -420,13 +420,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "seg and service required", http.StatusBadRequest)
 		return
 	}
-	var gran segment.Granularity
-	switch req.Granularity {
-	case "", "paragraph":
-		gran = segment.GranularityParagraph
-	case "document":
-		gran = segment.GranularityDocument
-	default:
+	gran, ok := parseGranularity(req.Granularity)
+	if !ok {
 		http.Error(w, "unknown granularity", http.StatusBadRequest)
 		return
 	}
@@ -486,12 +481,8 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("item %d: seg required", i), http.StatusBadRequest)
 			return
 		}
-		g := segment.GranularityParagraph
-		switch item.Granularity {
-		case "", "paragraph":
-		case "document":
-			g = segment.GranularityDocument
-		default:
+		g, ok := parseGranularity(item.Granularity)
+		if !ok {
 			http.Error(w, fmt.Sprintf("item %d: unknown granularity", i), http.StatusBadRequest)
 			return
 		}

@@ -13,34 +13,25 @@ package tdm
 //	  per tag, ascending: tag, owner
 //	uvarint label count
 //	  per label, ascending by segment ID: front-coded segment ID
-//	  (segment.AppendFrontCoded), explicit set, implicit set, suppressed
+//	  (wire.AppendFrontCoded), explicit set, implicit set, suppressed
 //	  set, stored-by set
 //
 // where a set is a uvarint count followed by that many strings, and a
 // string — name, tag or owner — is a uvarint table index; an index equal to
 // the table's length adds the string to the table: uvarint byte length and
-// the bytes follow. The encoding is a pure function of the ExportData,
-// which Export orders deterministically.
+// the bytes follow (wire.AppendString). The encoding is a pure function of
+// the ExportData, which Export orders deterministically. The decoder keeps
+// only its string table on top of a wire.Reader, so a malformed payload is
+// a *wire.Error with the payload offset where decoding failed.
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"github.com/lsds/browserflow/internal/segment"
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 const exportCodecVersion = 1
-
-// CodecError reports a malformed binary registry payload, with the byte
-// offset (relative to the payload) where decoding failed.
-type CodecError struct {
-	Offset int
-	Reason string
-}
-
-func (e *CodecError) Error() string {
-	return fmt.Sprintf("tdm: corrupt registry payload at offset %d: %s", e.Offset, e.Reason)
-}
 
 // AppendBinary appends the binary encoding of d, which must be ordered as
 // Export orders it, to buf and returns the extended slice.
@@ -54,8 +45,7 @@ func (d ExportData) AppendBinary(buf []byte) []byte {
 		}
 		buf = binary.AppendUvarint(buf, i)
 		if !known {
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
+			buf = wire.AppendString(buf, s)
 		}
 	}
 	tags := func(set []Tag) {
@@ -78,10 +68,10 @@ func (d ExportData) AppendBinary(buf []byte) []byte {
 		str(rec.Owner)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
-	var prev segment.ID
+	prev := ""
 	for _, l := range d.Labels {
-		buf = segment.AppendFrontCoded(buf, prev, l.Seg)
-		prev = l.Seg
+		buf = wire.AppendFrontCoded(buf, prev, string(l.Seg))
+		prev = string(l.Seg)
 		tags(l.Explicit)
 		tags(l.Implicit)
 		tags(l.Suppressed)
@@ -93,61 +83,28 @@ func (d ExportData) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// exportDecoder is a bounds-checked reader over a registry payload. The
-// first failure sticks: every read after it returns zero, so decode checks
-// err once, at the end.
-type exportDecoder struct {
-	data  []byte
-	off   int
+// stringTable reads a registry payload: the one wire reader, and the
+// strings it has met so far.
+type stringTable struct {
+	*wire.Reader
 	table []string
-	err   error
 }
 
-func (d *exportDecoder) fail(reason string) {
-	if d.err == nil {
-		d.err = &CodecError{Offset: d.off, Reason: reason}
-	}
-}
-
-func (d *exportDecoder) uvarint(what string) uint64 {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if d.err != nil || n <= 0 {
-		d.fail("truncated or overlong varint: " + what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads the length of a list whose entries take at least min bytes
-// each, so that a corrupt length cannot ask for more memory than a payload
-// of this size could fill.
-func (d *exportDecoder) count(what string, min int) int {
-	n := d.uvarint(what)
-	if n > uint64((len(d.data)-d.off)/min) {
-		d.fail(what + " exceeds payload")
-		return 0
-	}
-	return int(n)
-}
-
-func (d *exportDecoder) str(what string) string {
-	i := d.uvarint(what)
+func (d *stringTable) str(what string) string {
+	i := d.Uvarint(what)
 	if i == uint64(len(d.table)) { // first use: the string itself follows
-		n := d.count(what+" length", 1)
-		d.table = append(d.table, string(d.data[d.off:d.off+n]))
-		d.off += n
+		d.table = append(d.table, d.String(what))
 	}
-	if d.err != nil || i >= uint64(len(d.table)) {
-		d.fail(what + " not in the string table")
+	if d.Err() != nil || i >= uint64(len(d.table)) {
+		d.Fail(what + " not in the string table")
 		return ""
 	}
 	return d.table[i]
 }
 
 // readSet reads a set of names or tags; the empty set decodes to nil.
-func readSet[T ~string](d *exportDecoder, what string) []T {
-	n := d.count(what+" count", 1)
+func readSet[T ~string](d *stringTable, what string) []T {
+	n := d.Count(what+" count", 1)
 	if n == 0 {
 		return nil
 	}
@@ -158,16 +115,15 @@ func readSet[T ~string](d *exportDecoder, what string) []T {
 	return out
 }
 
-// DecodeExportData inverts ExportData.AppendBinary. Errors are *CodecError.
+// DecodeExportData inverts ExportData.AppendBinary. Errors are *wire.Error.
 // Nothing in the result aliases data.
 func DecodeExportData(data []byte) (ExportData, error) {
 	var out ExportData
-	d := &exportDecoder{data: data}
-	if len(data) < 1 || data[0] != exportCodecVersion {
-		return out, &CodecError{Reason: "empty payload or unsupported codec version"}
+	d := &stringTable{Reader: wire.NewReader(data)}
+	if d.Byte("codec version") != exportCodecVersion {
+		return out, &wire.Error{Reason: "empty payload or unsupported codec version"}
 	}
-	d.off = 1
-	out.Services = make([]ServiceRecord, d.count("service count", 3))
+	out.Services = make([]ServiceRecord, d.Count("service count", 3))
 	for i := range out.Services {
 		out.Services[i] = ServiceRecord{
 			Name:            d.str("service name"),
@@ -175,21 +131,17 @@ func DecodeExportData(data []byte) (ExportData, error) {
 			Confidentiality: readSet[Tag](d, "confidentiality tag"),
 		}
 	}
-	out.Tags = make([]TagRecord, d.count("custom tag count", 2))
+	out.Tags = make([]TagRecord, d.Count("custom tag count", 2))
 	for i := range out.Tags {
 		out.Tags[i] = TagRecord{Tag: Tag(d.str("custom tag")), Owner: d.str("custom tag owner")}
 	}
-	out.Labels = make([]LabelRecord, d.count("label count", 6))
+	out.Labels = make([]LabelRecord, d.Count("label count", 6))
 	var id []byte
 	for i := range out.Labels {
-		var n int
-		if id, n = segment.ReadFrontCoded(data[d.off:], id); n == 0 {
-			d.fail("malformed front-coded segment ID")
-		}
-		d.off += n
+		id = d.FrontCoded(id)
 		// Import assigns labels one by one and must see each segment once.
 		if i > 0 && string(id) <= string(out.Labels[i-1].Seg) {
-			d.fail("labels not strictly ascending by segment")
+			d.Fail("labels not strictly ascending by segment")
 		}
 		out.Labels[i] = LabelRecord{
 			Seg:        segment.ID(id),
@@ -198,15 +150,12 @@ func DecodeExportData(data []byte) (ExportData, error) {
 			Suppressed: readSet[Tag](d, "suppressed tag"),
 			StoredBy:   readSet[string](d, "storing service"),
 		}
-		if d.err != nil {
+		if d.Err() != nil {
 			break // the rest of a long list is not worth walking
 		}
 	}
-	if d.off != len(data) {
-		d.fail("trailing bytes after registry payload") // unless it failed before
-	}
-	if d.err != nil {
-		return ExportData{}, d.err
+	if err := d.Done("registry payload"); err != nil {
+		return ExportData{}, err
 	}
 	return out, nil
 }

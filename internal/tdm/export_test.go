@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/lsds/browserflow/internal/segment"
+	"github.com/lsds/browserflow/internal/wire"
 )
 
 func TestRegistryExportImportRoundTrip(t *testing.T) {
@@ -140,7 +141,7 @@ func TestExportBinaryRoundTrip(t *testing.T) {
 }
 
 // TestDecodeExportDataRejectsCorruption truncates, flips and extends a
-// payload: every outcome is a *CodecError inside the payload or a payload
+// payload: every outcome is a *wire.Error inside the payload or a payload
 // that decodes and imports — never a panic.
 func TestDecodeExportDataRejectsCorruption(t *testing.T) {
 	blob := randomRegistry(t, 7, 200).Export().AppendBinary(nil)
@@ -160,9 +161,9 @@ func TestDecodeExportDataRejectsCorruption(t *testing.T) {
 			NewRegistry(nil, nil).Import(data) // a decoded payload imports without panicking
 			continue
 		}
-		var ce *CodecError
-		if !errors.As(err, &ce) || ce.Offset < 0 || ce.Offset > len(mut) {
-			t.Fatalf("trial %d: err=%v, want a CodecError inside the payload", trial, err)
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Offset < 0 || we.Offset > len(mut) {
+			t.Fatalf("trial %d: err=%v, want a *wire.Error inside the payload", trial, err)
 		}
 		if !reflect.DeepEqual(data, ExportData{}) {
 			t.Fatalf("trial %d: a rejected payload returned data", trial)
