@@ -376,8 +376,9 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 
 	// Decode postings straight into run columns. Hashes ascend and the
 	// shard is their top bits, so the shards fill one after the other; each
-	// run grows by append and is trimmed when its shard is complete, so it
-	// ends at its shard's real share — winnowing keeps the minimum hash of
+	// run grows by append, and its directory is closed and its columns
+	// trimmed when its shard is complete, so it ends at its shard's real
+	// share — winnowing keeps the minimum hash of
 	// each window, hashes crowd towards zero, and that share is anywhere
 	// between nothing and a quarter of the database. The runs are swapped
 	// in only at commit, so a decode error leaves no partial load.
@@ -396,7 +397,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		prevHash += dv
 		h := uint32(prevHash)
 		if r := &runs[db.hashShardIdx(h)]; r != cur {
-			cur.clip()
+			cur.buildDir()
 			cur = r
 			cur.base = clock
 		}
@@ -454,7 +455,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 			cur.add(h, uint32(ref), seq)
 		}
 	}
-	cur.clip()
+	cur.buildDir()
 	if seenPostings != total {
 		return d.Fail("posting total mismatch")
 	}
@@ -533,9 +534,8 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 				sh.run.moreSegs[k] = refs[r]
 			}
 		}
-		sh.run.buildSkip(db.shardBitsOf())
-		sh.big = sh.run.bigSets(db.shardBitsOf())
-		distinct += int64(len(sh.run.hashes))
+		sh.big = sh.run.bigSets()
+		distinct += int64(len(sh.run.lo))
 		sh.mu.Unlock()
 	}
 	var parHashes int64
@@ -550,6 +550,7 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 		parHashes += int64(len(rec.hashes))
 	}
 	db.distinct.Store(distinct)
+	db.groups.Store(distinct)
 	db.postings.Store(int64(p.total))
 	db.parHashes.Store(parHashes)
 	db.RecomputeDigests()
@@ -585,6 +586,7 @@ func (db *DB) reset() {
 	db.rowMu.Unlock()
 	db.segments.Store(0)
 	db.distinct.Store(0)
+	db.groups.Store(0)
 	db.postings.Store(0)
 	db.headN.Store(0)
 	db.deadN.Store(0)

@@ -156,9 +156,9 @@ func (db *DB) RecomputeDigests() {
 			d ^= postingCode(h, segDigestKey(string(db.tab.ID(ref))), seq)
 		}
 		r := &sh.run
-		for g, first := range r.segs {
-			if first != tombstoneRef {
-				fold(r.hashes[g], first&^moreBit, r.firstSeq(g))
+		for c := (runCursor{r: r}); c.ok(); c.next() {
+			if first := r.segs[c.g]; first != tombstoneRef {
+				fold(c.hash(), first&^moreBit, r.firstSeq(c.g))
 			}
 		}
 		for k, ref := range r.moreSegs {

@@ -357,6 +357,7 @@ type DB struct {
 	segments  atomic.Int64
 	distinct  atomic.Int64
 	postings  atomic.Int64
+	groups    atomic.Int64 // run groups, dead ones included
 	headN     atomic.Int64 // live postings still in mutable heads
 	deadN     atomic.Int64 // tombstones awaiting merge
 	parHashes atomic.Int64 // total fingerprint hashes across DBpar
@@ -667,7 +668,7 @@ func (db *DB) shardInsertLocked(sh *hashShard, h uint32, w postingWriter) {
 		return
 	}
 	runLive := false
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
+	if g := sh.run.find(h); g >= 0 {
 		var inRun bool
 		if inRun, runLive = sh.runHasSeg(h, g, w.ref); inRun {
 			return
@@ -755,7 +756,7 @@ func (db *DB) removePostings(ref uint32, seg segment.ID, hs []uint32) {
 		sh.mu.Lock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
 			h := hs[j]
-			g := sh.run.find(h, db.shardBitsOf())
+			g := sh.run.find(h)
 			seq, removed := sh.headRemove(h, ref)
 			if removed {
 				db.headN.Add(-1)
@@ -928,7 +929,7 @@ func (db *DB) AppendHolders(h uint32, out []segment.ID) []segment.ID {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	slot, inHead := sh.head[h]
-	it := sh.postingsOf(h, sh.run.find(h, db.shardBitsOf()), slot, inHead)
+	it := sh.postingsOf(h, sh.run.find(h), slot, inHead)
 	for ref, _, ok := it.next(); ok; ref, _, ok = it.next() {
 		out = append(out, db.tab.ID(ref))
 	}
@@ -1104,16 +1105,18 @@ func (db *DB) Stats() Stats {
 	// of a builtin map (4 B hash + 12 B inline holder) at the map's load
 	// factor: 26–37 B depending on where the map is in its growth cycle,
 	// ≈ 30 B typical (the few hashes with several head holders add an
-	// overflow bucket, not modelled); a compacted posting is three 4-byte
-	// column entries (hash, interned ref, seq offset) ≈ 12 B, spilled or
-	// not; DBpar holds each hash once, in the fingerprint (4 B — the
-	// posted union aliases it); a segment costs ≈ 104 B: its 48-byte DBpar
-	// row and 4-byte slot, and its segment table entry — a 16-byte ID
-	// header and an index slot of ≈ 36 B, shared with the table's other
-	// owners.
-	compacted := s.Postings - s.HeadPostings
+	// overflow bucket, not modelled); a compacted group is a 2-byte low
+	// half and two 4-byte column entries (interned ref, seq offset), 10 B,
+	// and a spilled posting three 4-byte entries (hash, ref, offset), 12 B
+	// (a run's ≤ 4 KiB directory is not modelled); DBpar holds each hash
+	// once, in the fingerprint (4 B — the posted union aliases it); a
+	// segment costs ≈ 104 B: its 48-byte DBpar row and 4-byte slot, and its
+	// segment table entry — a 16-byte ID header and an index slot of
+	// ≈ 36 B, shared with the table's other owners.
+	groups := db.groups.Load()
+	spilled := int64(s.Postings-s.HeadPostings+s.Tombstones) - groups
 	s.ApproxBytes = int64(s.HeadPostings)*30 +
-		int64(compacted+s.Tombstones)*12 +
+		groups*10 + spilled*12 +
 		db.parHashes.Load()*4 +
 		int64(s.Segments)*104
 	return s

@@ -44,7 +44,9 @@ func winnowedDB(tb testing.TB, n int) *DB {
 func columns(db *DB) (length, capacity int) {
 	for si := range db.hashShards {
 		r := &db.hashShards[si].run
-		for _, col := range [][]uint32{r.hashes, r.segs, r.seqs, r.moreHashes, r.moreSegs, r.moreSeqs} {
+		length += len(r.lo)
+		capacity += cap(r.lo)
+		for _, col := range [][]uint32{r.segs, r.seqs, r.moreHashes, r.moreSegs, r.moreSeqs, r.dir} {
 			length += len(col)
 			capacity += cap(col)
 		}
@@ -80,7 +82,7 @@ func TestShardOccupancy(t *testing.T) {
 	var row []string
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		n := len(sh.head) + len(sh.run.hashes)
+		n := len(sh.head) + len(sh.run.lo)
 		total += n
 		if n > 0 {
 			nonEmpty++

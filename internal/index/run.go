@@ -8,7 +8,9 @@ package index
 // — so the authoritative look-up of Algorithm 1 reads three adjacent
 // columns at one index and the spill stays a few per cent of the run.
 //
-//	hashes[g]      g-th distinct hash, strictly ascending
+//	dir[b]         first group whose hash's high half is key0+b; the last
+//	               entry is the group count, so bucket b is dir[b]..dir[b+1]
+//	lo[g]          low 16 bits of the g-th distinct hash, ascending per bucket
 //	segs[g]        interned ref of its oldest live holder, moreBit set when
 //	               later holders spilled; tombstoneRef when none is alive
 //	seqs[g]        that holder's first-seen time, as its distance below base
@@ -17,18 +19,26 @@ package index
 //	moreSegs[k]    its interned ref (tombstoneRef if dead)
 //	moreSeqs[k]    its first-seen distance below base
 //
+// The hash column is quotiented: group g's full hash is
+// (key0+b)<<16 | lo[g] for the bucket b that holds g, where key0 is the
+// high half of the run's lowest hash. A run holds one shard, whose bits
+// are the top of that high half, so dir spans at most the 16 − shardBits
+// bits below them (1 025 entries at 64 shards) and is trimmed to the
+// buckets between the run's lowest and highest hash.
+//
 // Stamps are uint64 (a router's Lamport stamp can raise the clock by any
 // amount, see SetClockFloor) but one run spans a narrow window of them, so
 // a column holds 32-bit distances below base, the logical clock when the
 // run was built; a distance that does not fit is the sentinel wideSeq and
 // the full stamp sits in the wide side table. Segments are refs of the DB's
-// segment table, so a single-holder hash costs 12 bytes.
+// segment table, so a single-holder hash costs 10 bytes and a spilled
+// posting 12.
 //
-// Lookup cost is one small-map probe (head) plus a radix-skip bounded
-// binary search (run): a 256-entry table per run keyed by the first byte
-// below the shard bits narrows the search to ~1/256th of the run before
-// the binary search starts, so at 10M+ hashes a probe touches a handful
-// of contiguous cache lines instead of a giant hash map.
+// Lookup cost is one small-map probe (head) plus a directory-bounded
+// binary search (run): the directory entry of the hash's high half narrows
+// the search to the groups sharing it — 1/1024th of a 64-shard DB's hash
+// space — and the search compares 2-byte keys, so at 10M+ hashes a probe
+// touches a cache line or two of lo instead of a giant hash map.
 //
 // Deletions tombstone run postings in place; deleting the inline holder
 // moves the next live spilled one into its slot, so the slot never goes
@@ -38,6 +48,7 @@ package index
 // ExpireBefore pass finds something to drop in.
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -67,39 +78,47 @@ const defaultCompactMin = 4096
 // run is one shard's compacted postings (layout in the file comment). Zero
 // value = empty run.
 type run struct {
-	hashes, segs, seqs             []uint32
+	lo                             []uint16
+	segs, seqs                     []uint32
 	moreHashes, moreSegs, moreSeqs []uint32
+	dir                            []uint32
 
+	key0 uint32            // high half of the run's lowest hash, dir's first bucket
+	last uint32            // the last group's full hash, for add
 	base uint64            // the clock when the run was built: no stamp in it is newer
 	wide map[uint32]uint64 // stamps further than wideSeq below base, by column index (spill indexes tagged moreBit)
-	skip []uint32          // 257-entry radix index over hashes, keyed by radixByte
 }
 
-// radixByte extracts the first 8 hash bits below the shard-selecting bits,
-// the key of the per-run skip table.
-func radixByte(h uint32, shardBits uint) uint32 {
-	return (h << shardBits) >> 24
-}
-
-// find returns the group index of h, or -1.
-func (r *run) find(h uint32, shardBits uint) int {
-	if len(r.hashes) == 0 {
+// find returns the group index of h, or -1. A hash whose high half lies
+// outside the directory is absent without a search.
+func (r *run) find(h uint32) int {
+	b := h>>16 - r.key0 // wraps past the directory for a high half below key0
+	if len(r.dir) == 0 || b >= uint32(len(r.dir)-1) {
 		return -1
 	}
-	b := radixByte(h, shardBits)
-	lo, hi := int(r.skip[b]), int(r.skip[b+1])
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.hashes[mid] < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(r.hashes) && r.hashes[lo] == h {
-		return lo
+	start, end := r.dir[b], r.dir[b+1]
+	if i, ok := slices.BinarySearch(r.lo[start:end], uint16(h)); ok {
+		return int(start) + i
 	}
 	return -1
+}
+
+// runCursor walks a run's groups in order, rebuilding each group's full
+// hash from its bucket and low half.
+type runCursor struct {
+	r    *run
+	g, b int // group, and the bucket holding it
+}
+
+func (c *runCursor) ok() bool { return c.g < len(c.r.lo) }
+
+func (c *runCursor) hash() uint32 { return (c.r.key0+uint32(c.b))<<16 | uint32(c.r.lo[c.g]) }
+
+func (c *runCursor) next() {
+	c.g++
+	for c.g < len(c.r.lo) && int(c.r.dir[c.b+1]) <= c.g {
+		c.b++
+	}
 }
 
 // more returns the spill range of h; callers ask only for groups tagged
@@ -143,9 +162,10 @@ func (r *run) offset(seq uint64, key uint32) uint32 {
 }
 
 // add appends a live posting; calls arrive in (hash, seq) order with
-// seq ≤ base. The first posting of a hash opens its group, later ones spill.
+// seq ≤ base. The first posting of a hash opens its group, and the
+// directory's buckets up to the group's; later ones spill.
 func (r *run) add(h, ref uint32, seq uint64) {
-	if g := len(r.hashes) - 1; g >= 0 && r.hashes[g] == h {
+	if g := len(r.lo) - 1; g >= 0 && r.last == h {
 		r.segs[g] |= moreBit
 		k := uint32(len(r.moreSegs))
 		r.moreHashes = append(r.moreHashes, h)
@@ -153,44 +173,44 @@ func (r *run) add(h, ref uint32, seq uint64) {
 		r.moreSeqs = append(r.moreSeqs, r.offset(seq, moreBit|k))
 		return
 	}
-	g := uint32(len(r.hashes))
-	r.hashes = append(r.hashes, h)
+	g := uint32(len(r.lo))
+	if g == 0 {
+		r.key0 = h >> 16
+	}
+	for b := h>>16 - r.key0; uint32(len(r.dir)) <= b; {
+		r.dir = append(r.dir, g)
+	}
+	r.last = h
+	r.lo = append(r.lo, uint16(h))
 	r.segs = append(r.segs, ref)
 	r.seqs = append(r.seqs, r.offset(seq, g))
 }
 
-// clip re-allocates any column carrying more than 1/64 spare capacity: a
-// run lives until its shard's next merge, which on a quiet shard is never.
-func (r *run) clip() {
-	for _, col := range []*[]uint32{&r.hashes, &r.segs, &r.seqs, &r.moreHashes, &r.moreSegs, &r.moreSeqs} {
-		if n := len(*col); cap(*col)-n > n/64 {
-			*col = append(make([]uint32, 0, n), *col...)
-		}
+// buildDir closes the directory of a run add has finished filling, and
+// re-allocates any column carrying more than 1/64 spare capacity: a run
+// lives until its shard's next merge, which on a quiet shard is never.
+func (r *run) buildDir() {
+	if len(r.lo) > 0 {
+		r.dir = append(r.dir, uint32(len(r.lo)))
+	}
+	r.lo = clip(r.lo)
+	for _, col := range []*[]uint32{&r.segs, &r.seqs, &r.moreHashes, &r.moreSegs, &r.moreSeqs, &r.dir} {
+		*col = clip(*col)
 	}
 }
 
-// buildSkip recomputes the radix skip table from hashes.
-func (r *run) buildSkip(shardBits uint) {
-	if len(r.hashes) == 0 {
-		r.skip = nil
-		return
+// clip returns s in an exact-size copy if it carries more than 1/64 spare
+// capacity, else s itself.
+func clip[T uint16 | uint32](s []T) []T {
+	if n := len(s); cap(s)-n > n/64 {
+		return append(make([]T, 0, n), s...)
 	}
-	if r.skip == nil {
-		r.skip = make([]uint32, 257)
-	}
-	next := 0
-	for b := 0; b < 256; b++ {
-		r.skip[b] = uint32(next)
-		for next < len(r.hashes) && radixByte(r.hashes[next], shardBits) == uint32(b) {
-			next++
-		}
-	}
-	r.skip[256] = uint32(len(r.hashes))
+	return s
 }
 
 // bigSets builds the membership sets of a freshly built run (no tombstones
 // yet): one per group of at least bigGroupMin postings.
-func (r *run) bigSets(shardBits uint) map[uint32]map[uint32]struct{} {
+func (r *run) bigSets() map[uint32]map[uint32]struct{} {
 	var big map[uint32]map[uint32]struct{}
 	for lo := 0; lo < len(r.moreHashes); {
 		h := r.moreHashes[lo]
@@ -200,7 +220,7 @@ func (r *run) bigSets(shardBits uint) map[uint32]map[uint32]struct{} {
 		}
 		if n := 1 + hi - lo; n >= bigGroupMin {
 			set := make(map[uint32]struct{}, n)
-			set[r.segs[r.find(h, shardBits)]&^moreBit] = struct{}{}
+			set[r.segs[r.find(h)]&^moreBit] = struct{}{}
 			for _, ref := range r.moreSegs[lo:hi] {
 				set[ref] = struct{}{}
 			}
@@ -213,10 +233,6 @@ func (r *run) bigSets(shardBits uint) map[uint32]map[uint32]struct{} {
 	}
 	return big
 }
-
-// shardBitsOf converts the DB's hash shift back into the shard-selecting
-// bit count used by the radix tables.
-func (db *DB) shardBitsOf() uint { return 32 - db.hashShift }
 
 // runHasSeg reports whether the run group g of h holds a live posting for
 // ref, and whether the group has any live posting at all. The shard's big
@@ -358,23 +374,27 @@ func (db *DB) SetCompactThreshold(n int) {
 // walkHashesLocked calls visit for every hash present in the shard's run
 // or head, ascending, with its run group (or -1) and head slot.
 func (sh *hashShard) walkHashesLocked(visit func(h uint32, g int, slot headSlot, inHead bool)) {
-	run, keys := sh.run.hashes, make([]uint32, 0, len(sh.head))
+	keys := make([]uint32, 0, len(sh.head))
 	for h := range sh.head {
 		keys = append(keys, h)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	g, i := 0, 0
-	for g < len(run) || i < len(keys) {
+	c, i := runCursor{r: &sh.run}, 0
+	for c.ok() || i < len(keys) {
+		var h uint32
+		if c.ok() {
+			h = c.hash()
+		}
 		switch {
-		case i >= len(keys) || (g < len(run) && run[g] < keys[i]):
-			visit(run[g], g, headSlot{}, false)
-			g++
-		case g >= len(run) || keys[i] < run[g]:
+		case i >= len(keys) || (c.ok() && h < keys[i]):
+			visit(h, c.g, headSlot{}, false)
+			c.next()
+		case !c.ok() || keys[i] < h:
 			visit(keys[i], -1, sh.head[keys[i]], true)
 			i++
 		default:
-			visit(run[g], g, sh.head[keys[i]], true)
-			g++
+			visit(h, c.g, sh.head[keys[i]], true)
+			c.next()
 			i++
 		}
 	}
@@ -394,13 +414,13 @@ func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied
 	// Every stamp in the shard was drawn from the clock before its posting
 	// was inserted under this lock, so the clock bounds them all. The
 	// column sizes are upper bounds (a hash can be in both tiers, a group
-	// can be dead or expire); clip trims what they overshoot by.
-	groups := len(sh.run.hashes) + len(sh.head)
+	// can be dead or expire); buildDir trims what they overshoot by.
+	groups := len(sh.run.lo) + len(sh.head)
 	nw := run{
-		base:   db.clock.Load(),
-		hashes: make([]uint32, 0, groups),
-		segs:   make([]uint32, 0, groups),
-		seqs:   make([]uint32, 0, groups),
+		base: db.clock.Load(),
+		lo:   make([]uint16, 0, groups),
+		segs: make([]uint32, 0, groups),
+		seqs: make([]uint32, 0, groups),
 	}
 
 	sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
@@ -420,10 +440,10 @@ func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied
 		}
 	})
 
-	nw.clip()
-	nw.buildSkip(db.shardBitsOf())
+	nw.buildDir()
+	db.groups.Add(int64(len(nw.lo) - len(sh.run.lo)))
 	sh.run = nw
-	sh.big = nw.bigSets(db.shardBitsOf())
+	sh.big = nw.bigSets()
 	// Dropped, not cleared: a map keeps its grown capacity, and the next
 	// cycle's head is usually smaller than the one that triggered a merge.
 	sh.head, sh.over = nil, nil
@@ -517,7 +537,7 @@ func (sh *hashShard) appendPostingsLocked(h uint32, g int, slot headSlot, inHead
 // tier names its oldest inline, and the run wins a tie. Caller holds sh.mu
 // at least for reading.
 func (db *DB) oldestLocked(sh *hashShard, h uint32) (ref uint32, seq uint64, ok bool) {
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 && sh.run.segs[g] != tombstoneRef {
+	if g := sh.run.find(h); g >= 0 && sh.run.segs[g] != tombstoneRef {
 		ref, seq, ok = sh.run.segs[g]&^moreBit, sh.run.firstSeq(g), true
 	}
 	if s, inHead := sh.head[h]; inHead && (!ok || s.seq() < seq) {

@@ -14,6 +14,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,10 +95,11 @@ func TestConcurrentUpdateExpireInvariants(t *testing.T) {
 // compacted run.
 func checkInvariants(t *testing.T, db *DB) {
 	t.Helper()
-	var distinct, postings, headN, dead int
+	var distinct, postings, headN, dead, groups int
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
+		groups += len(sh.run.lo)
 		shardHead, tagged := 0, 0
 		for h, slot := range sh.head {
 			shardHead++
@@ -152,10 +154,19 @@ func checkInvariants(t *testing.T, db *DB) {
 				t.Errorf("shard %d: spill hashes out of order at %d", si, k)
 			}
 		}
+		if d := sh.run.dir; len(sh.run.lo) > 0 && (len(d) < 2 || d[0] != 0 || int(d[len(d)-1]) != len(sh.run.lo) || !slices.IsSorted(d)) {
+			t.Errorf("shard %d: directory %v does not partition %d groups", si, d, len(sh.run.lo))
+		}
 		spilled := 0
-		for g, h := range sh.run.hashes {
-			if g > 0 && sh.run.hashes[g-1] >= h {
+		var prev uint32
+		for c := (runCursor{r: &sh.run}); c.ok(); c.next() {
+			g, h := c.g, c.hash()
+			if g > 0 && prev >= h {
 				t.Errorf("shard %d: run hashes out of order at group %d", si, g)
+			}
+			prev = h
+			if db.hashShardIdx(h) != si || sh.run.find(h) != g {
+				t.Errorf("shard %d: group %d's hash %#x is found at %d in shard %d", si, g, h, sh.run.find(h), db.hashShardIdx(h))
 			}
 			lo, hi := sh.run.more(h)
 			spilled += hi - lo
@@ -197,6 +208,9 @@ func checkInvariants(t *testing.T, db *DB) {
 			}
 		})
 		sh.mu.RUnlock()
+	}
+	if n := db.groups.Load(); n != int64(groups) {
+		t.Errorf("groups counter %d != recount %d", n, groups)
 	}
 	segs := liveRows(db)
 	s := db.Stats()

@@ -500,6 +500,9 @@ func TestOpenFollowingMidLogCorruption(t *testing.T) {
 // without materialising them: its allocations must not grow with the
 // number of records in a segment.
 func TestValidationDoesNotAllocatePerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	allocs := func(records int) float64 {
 		dir := t.TempDir()
 		l := openTestLog(t, dir, Options{})
