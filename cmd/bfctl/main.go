@@ -13,6 +13,13 @@
 //	bfctl -state s.bf audit
 //	bfctl policy lint policy.json shadow-policy.json
 //
+// With -server, observe, check, suppress, label and stats run against a
+// shared tag service instead. -server takes one URL or a replication
+// group's comma-separated node list, primary first; requests follow the
+// group's primary across a failover without re-pointing:
+//
+//	bfctl -server http://primary:7000,http://replica:7001 -dest docs -text "..." check
+//
 // Against a replicated tag service, bfctl is also the failover operator:
 //
 //	bfctl -server http://replica:7001 repl-status
@@ -54,7 +61,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		passphrase = fs.String("passphrase", "", "encrypt/decrypt state at rest")
 		mode       = fs.String("mode", "advisory", "enforcement mode: advisory, enforcing, encrypting")
 		policyPath = fs.String("policy", "", "policy JSON file (init): registers its services")
-		serverURL  = fs.String("server", "", "shared tag service URL; observe/check/suppress/label/stats run remotely")
+		serverURL  = fs.String("server", "", "shared tag service URL, or a replication group's comma-separated node list (primary first); observe/check/suppress/label/stats run remotely")
 		device     = fs.String("device", "bfctl", "device name reported to the tag service")
 		oldPrimary = fs.String("old-primary", "", "deposed primary to fence after promote")
 		force      = fs.Bool("force", false, "promote even when the replica lags its primary")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -56,6 +57,21 @@ func TestRemoteMode(t *testing.T) {
 	}
 	if !strings.Contains(out, "decision: block") || !strings.Contains(out, "wiki/plan#p0") {
 		t.Errorf("check: %q", out)
+	}
+
+	// A group whose first node has stepped down: its 421 leads the check
+	// to the primary.
+	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-BF-Primary", srv.URL)
+		http.Error(w, "node is replica", http.StatusMisdirectedRequest)
+	}))
+	t.Cleanup(standby.Close)
+	out, err = remoteCtl(t, standby.URL+","+srv.URL, "-dest", "docs", "-text", ctlSecret, "check")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "decision: block") || !strings.Contains(out, "wiki/plan#p0") {
+		t.Errorf("check through a group: %q", out)
 	}
 
 	out, err = remoteCtl(t, srv.URL, "-seg", "wiki/plan#p0", "label")

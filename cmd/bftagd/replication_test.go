@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -125,16 +126,16 @@ func sentence(i int) string {
 //     once;
 //  3. both replicas converge to the primary's exact WAL position and
 //     their mirrored segments are literal byte prefixes of the primary's;
-//  4. replicas serve reads (identical verdicts) and fence writes (421 +
-//     primary address);
+//  4. replicas serve reads (identical verdicts) and fence writes: a
+//     client addressed to a replica follows its 421 to the primary;
 //  5. a replica killed with SIGKILL resumes from its local mirror without
 //     re-bootstrapping;
 //  6. the primary is killed, a caught-up replica is promoted (term 1) and
 //     serves every acked write — zero acked-write loss — under the storage
 //     policy the killed primary ran (same flags, so same disk-fault
 //     policy, and the scrubber keeps running);
-//  7. the deposed primary restarts, is fenced, and refuses writes while a
-//     ClusterClient pointed at the dead address fails over on its own.
+//  7. the deposed primary restarts, is fenced, and redirects writes; a
+//     client over the dead topology's node list fails over on its own.
 func TestReplicationEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess end-to-end test")
@@ -266,22 +267,35 @@ func TestReplicationEndToEnd(t *testing.T) {
 	assertWALPrefix(t, primaryWAL, r1WAL)
 	assertWALPrefix(t, primaryWAL, r2WAL)
 
-	// (4) Replicas answer reads identically and fence writes.
+	// (4) Replicas answer reads identically and fence writes: a write
+	// sent to one lands on the primary through the 421.
+	tracks := func(base string, seg segment.ID) bool {
+		resp, err := http.Get(base + "/v1/label?seg=" + url.QueryEscape(string(seg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	}
 	for _, base := range []string{r1Base, r2Base} {
 		if _, got := postJSON(t, base+"/v1/check", probe); !bytes.Equal(got, wantVerdict) {
 			t.Errorf("replica %s verdict = %s, want %s", base, got, wantVerdict)
 		}
+	}
+	for i, base := range []string{r1Base, r2Base} {
 		rclient, err := tagserver.NewClient(base, "laptop", fingerprint.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = rclient.Observe("pad", "pad/reject#p0", sentence(9999))
-		np, ok := tagserver.AsNotPrimary(err)
-		if !ok {
-			t.Fatalf("write on replica %s: err = %v, want NotPrimaryError", base, err)
+		seg := segment.ID(fmt.Sprintf("pad/redirected%d#p0", i))
+		if _, err := rclient.Observe("pad", seg, sentence(9990+i)); err != nil {
+			t.Fatalf("write sent to replica %s: %v", base, err)
 		}
-		if np.Primary != primaryBase {
-			t.Errorf("replica %s redirected write to %q, want %q", base, np.Primary, primaryBase)
+		if got := rclient.Primary(); got != primaryBase {
+			t.Errorf("write sent to replica %s went to %q, want the primary %q", base, got, primaryBase)
+		}
+		if !tracks(primaryBase, seg) {
+			t.Errorf("write sent to replica %s is not on the primary", base)
 		}
 	}
 
@@ -402,27 +416,29 @@ func TestReplicationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = oldClient.Observe("pad", "pad/stale#p0", sentence(3002))
-	if np, ok := tagserver.AsNotPrimary(err); !ok {
-		t.Fatalf("write on fenced primary: err = %v, want NotPrimaryError", err)
-	} else if np.Primary != r1Base {
-		t.Errorf("fenced primary redirected to %q, want %q", np.Primary, r1Base)
+	if _, err := oldClient.Observe("pad", "pad/stale#p0", sentence(3002)); err != nil {
+		t.Fatalf("write sent to the fenced primary: %v", err)
+	}
+	if got := oldClient.Primary(); got != r1Base {
+		t.Errorf("fenced primary redirected the write to %q, want %q", got, r1Base)
+	}
+	if !tracks(r1Base, "pad/stale#p0") {
+		t.Error("write sent to the fenced primary is not on the new primary")
 	}
 
-	// A cluster client still configured for the dead topology follows the
-	// 421 to the new primary on its own.
-	cc, err := tagserver.NewClusterClient(primaryBase, []string{r2Base}, "laptop", fingerprint.DefaultConfig())
+	// A client still configured for the dead topology follows the 421 to
+	// the new primary on its own.
+	group, err := tagserver.NewClient(primaryBase+","+r2Base, "laptop", fingerprint.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := t.Context()
-	if _, err := cc.Observe(ctx, "pad", "pad/failover#p0", sentence(3003)); err != nil {
-		t.Fatalf("cluster client write after failover: %v", err)
+	if _, err := group.Observe("pad", "pad/failover#p0", sentence(3003)); err != nil {
+		t.Fatalf("group client write after failover: %v", err)
 	}
-	if got := cc.Primary(); got != r1Base {
-		t.Errorf("cluster client primary = %q, want %q", got, r1Base)
+	if got := group.Primary(); got != r1Base {
+		t.Errorf("group client primary = %q, want %q", got, r1Base)
 	}
-	if _, err := cc.Check(ctx, sentence(3003), "pad"); err != nil {
-		t.Fatalf("cluster client read after failover: %v", err)
+	if _, err := group.Check(sentence(3003), "pad"); err != nil {
+		t.Fatalf("group client read after failover: %v", err)
 	}
 }

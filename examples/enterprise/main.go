@@ -68,10 +68,11 @@ func run() error {
 		if err != nil {
 			return nil, nil, err
 		}
-		plugin, err := intercept.New(intercept.Config{
-			Engine: tagserver.NewRemoteEngine(client, policy.ModeEnforcing),
-			User:   name,
-		})
+		engine, err := tagserver.NewFailoverEngine(tagserver.FailoverConfig{Client: client, Mode: policy.ModeEnforcing})
+		if err != nil {
+			return nil, nil, err
+		}
+		plugin, err := intercept.New(intercept.Config{Engine: engine, User: name})
 		if err != nil {
 			return nil, nil, err
 		}

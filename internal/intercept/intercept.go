@@ -75,7 +75,7 @@ type Event struct {
 }
 
 // Engine is what the plug-in needs from a policy engine. *policy.Engine
-// implements it locally; tagserver.RemoteEngine implements it against the
+// implements it locally; tagserver.FailoverEngine implements it against the
 // shared enterprise tag service.
 type Engine interface {
 	// ObserveEdit records a paragraph edit and returns the verdict of the
@@ -97,7 +97,8 @@ var _ Engine = (*policy.Engine)(nil)
 // Config configures a Plugin.
 type Config struct {
 	// Engine is the policy engine (required): local (*policy.Engine) or
-	// remote (tagserver.RemoteEngine).
+	// remote (tagserver.FailoverEngine over a tagserver.Client for one
+	// node or a replication group).
 	Engine Engine
 
 	// ServiceOf maps a page or request URL to a TDM service name. URLs it

@@ -12,9 +12,9 @@ import (
 	"github.com/lsds/browserflow/internal/tagserver"
 )
 
-// NewHandler exposes the router over the node wire protocol: a client
-// built for a single tag service (or a ClusterClient built for one
-// replica group) talks to the routing tier without changes. Endpoints
+// NewHandler exposes the router over the node wire protocol: a
+// tagserver.Client built for one node or one replica group talks to the
+// routing tier without changes. Endpoints
 // that make no sense on a stateless tier (/v1/metrics) are not served.
 func NewHandler(rt *Router) http.Handler {
 	mux := http.NewServeMux()

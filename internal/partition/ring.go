@@ -42,7 +42,7 @@ type Partition struct {
 
 	// Nodes lists the group's member base URLs. By convention the first
 	// entry is the bootstrap primary; routers confirm the actual primary
-	// through the usual 421/healthz discovery of ClusterClient, so the
+	// through the usual 421/healthz discovery of tagserver.Client, so the
 	// order only seeds discovery and does not need updating on failover.
 	Nodes []string `json:"nodes"`
 }
@@ -284,7 +284,7 @@ func SaveRingFile(path string, r *Ring) error {
 
 // SingleRing returns a one-partition ring covering the whole keyspace —
 // the degenerate topology under which the router behaves exactly like a
-// plain ClusterClient.
+// plain tagserver.Client over the same node list.
 func SingleRing(id string, nodes ...string) *Ring {
 	r := &Ring{
 		Version: 1,

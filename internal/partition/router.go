@@ -44,7 +44,7 @@ type RouterOptions struct {
 }
 
 // Router is the partition-aware routing tier. It holds a versioned ring,
-// one failover-aware ClusterClient per partition group, and a Lamport
+// one failover-aware group client per partition, and a Lamport
 // clock whose stamps impose the cross-partition first-observation order.
 // Routers are stateless apart from the ring and the clock: any number can
 // front the same cluster, and a restarted router re-learns both (the ring
@@ -55,7 +55,15 @@ type Router struct {
 
 	mu      sync.Mutex
 	ring    *Ring
-	clients map[string]*tagserver.ClusterClient // partition ID -> group client
+	clients map[string]*groupClient // partition ID -> group client
+}
+
+// groupClient is one partition group's client and the comma-joined node
+// list it was built from — the identity install compares to decide
+// whether a ring change touched the group.
+type groupClient struct {
+	*tagserver.Client
+	nodes string
 }
 
 // NewRouter builds a router over a validated ring.
@@ -90,21 +98,24 @@ func (rt *Router) logf(format string, args ...interface{}) {
 // node set, so long-lived routers keep their discovered-primary state
 // through splits that do not touch the group.
 func (rt *Router) install(ring *Ring) error {
-	next := make(map[string]*tagserver.ClusterClient, len(ring.Partitions))
+	next := make(map[string]*groupClient, len(ring.Partitions))
 	rt.mu.Lock()
 	old := rt.clients
 	rt.mu.Unlock()
 	for i := range ring.Partitions {
 		p := &ring.Partitions[i]
-		if cc := old[p.ID]; cc != nil && sameNodes(cc, p.Nodes) {
+		// The client moves its primary on failover; the node list it was
+		// built from is enough to decide reuse (discovery re-converges).
+		nodes := strings.Join(p.Nodes, ",")
+		if cc := old[p.ID]; cc != nil && cc.nodes == nodes {
 			next[p.ID] = cc
 			continue
 		}
-		cc, err := tagserver.NewClusterClient(p.Nodes[0], p.Nodes[1:], rt.opts.Device, rt.opts.FP, rt.opts.ClientOptions...)
+		c, err := tagserver.NewClient(nodes, rt.opts.Device, rt.opts.FP, rt.opts.ClientOptions...)
 		if err != nil {
 			return fmt.Errorf("partition %q: %w", p.ID, err)
 		}
-		next[p.ID] = cc
+		next[p.ID] = &groupClient{Client: c, nodes: nodes}
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -117,12 +128,6 @@ func (rt *Router) install(ring *Ring) error {
 	rt.ring = ring
 	rt.clients = next
 	return nil
-}
-
-func sameNodes(cc *tagserver.ClusterClient, nodes []string) bool {
-	// The cluster client mutates its primary on failover; comparing the
-	// bootstrap list is enough to decide reuse (discovery re-converges).
-	return cc != nil && cc.Bootstrap() == strings.Join(nodes, ",")
 }
 
 // Ring returns the currently installed ring.
@@ -150,7 +155,7 @@ func (rt *Router) SetRing(ring *Ring) error {
 
 // snapshot returns the ring and the group client for each of its
 // partitions under one lock acquisition.
-func (rt *Router) snapshot() (*Ring, map[string]*tagserver.ClusterClient) {
+func (rt *Router) snapshot() (*Ring, map[string]*groupClient) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.ring, rt.clients
@@ -226,7 +231,7 @@ func isRingRedirect(err error) bool {
 }
 
 // homeFor resolves seg's home partition and its group client.
-func homeFor(ring *Ring, clients map[string]*tagserver.ClusterClient, seg segment.ID) (*Partition, *tagserver.ClusterClient, error) {
+func homeFor(ring *Ring, clients map[string]*groupClient, seg segment.ID) (*Partition, *groupClient, error) {
 	home, ok := ring.Home(seg)
 	if !ok {
 		return nil, nil, fmt.Errorf("partition: ring v%d does not cover key %d", ring.Version, segment.Key(seg))
@@ -241,11 +246,11 @@ func homeFor(ring *Ring, clients map[string]*tagserver.ClusterClient, seg segmen
 // scatter queries every partition except skip for its contribution to a
 // disclosure resolve, each leg under its own deadline. A leg that fails
 // yields a nil entry; callers that need completeness must check.
-func (rt *Router) scatter(ctx context.Context, ring *Ring, clients map[string]*tagserver.ClusterClient, errs []error, hashes []uint32, granularity string) []*tagserver.PartResolveWire {
+func (rt *Router) scatter(ctx context.Context, ring *Ring, clients map[string]*groupClient, errs []error, hashes []uint32, granularity string) []*tagserver.PartResolveWire {
 	return rt.scatterExcept(ctx, ring, clients, errs, hashes, granularity, "")
 }
 
-func (rt *Router) scatterExcept(ctx context.Context, ring *Ring, clients map[string]*tagserver.ClusterClient, errs []error, hashes []uint32, granularity, skip string) []*tagserver.PartResolveWire {
+func (rt *Router) scatterExcept(ctx context.Context, ring *Ring, clients map[string]*groupClient, errs []error, hashes []uint32, granularity, skip string) []*tagserver.PartResolveWire {
 	replies := make([]*tagserver.PartResolveWire, len(ring.Partitions))
 	var wg sync.WaitGroup
 	for i := range ring.Partitions {
@@ -261,7 +266,7 @@ func (rt *Router) scatterExcept(ctx context.Context, ring *Ring, clients map[str
 			continue
 		}
 		wg.Add(1)
-		go func(i int, id string, cc *tagserver.ClusterClient) {
+		go func(i int, id string, cc *groupClient) {
 			defer wg.Done()
 			legCtx, cancel := context.WithTimeout(ctx, rt.opts.ScatterTimeout)
 			defer cancel()
@@ -415,7 +420,7 @@ func (rt *Router) Suppress(ctx context.Context, user string, seg segment.ID, tag
 		if err != nil {
 			return err
 		}
-		err = cc.PartSuppress(ctx, user, seg, tag, justification)
+		err = cc.SuppressCtx(ctx, user, seg, tag, justification)
 		if err == nil || !isRingRedirect(err) {
 			return err
 		}
@@ -435,7 +440,7 @@ func (rt *Router) Upload(ctx context.Context, seg segment.ID, dest string) (tags
 	if err != nil {
 		return tagserver.VerdictResponse{}, err
 	}
-	v, err := cc.Upload(ctx, seg, dest)
+	v, err := cc.CheckUploadCtx(ctx, seg, dest)
 	if err != nil {
 		return tagserver.VerdictResponse{}, err
 	}
@@ -449,7 +454,7 @@ func (rt *Router) Label(ctx context.Context, seg segment.ID) (tagserver.LabelRes
 	if err != nil {
 		return tagserver.LabelResponse{}, err
 	}
-	return cc.Label(ctx, seg)
+	return cc.LabelCtx(ctx, seg)
 }
 
 // Stats sums database sizes across partitions. DistinctHashes is an upper
@@ -471,11 +476,11 @@ func (rt *Router) Stats(ctx context.Context) (tagserver.StatsResponse, error) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, cc *tagserver.ClusterClient) {
+		go func(i int, cc *groupClient) {
 			defer wg.Done()
 			legCtx, cancel := context.WithTimeout(ctx, rt.opts.ScatterTimeout)
 			defer cancel()
-			s, err := cc.Stats(legCtx)
+			s, err := cc.StatsCtx(legCtx)
 			if err != nil {
 				errs[i] = err
 				return

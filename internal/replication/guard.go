@@ -11,7 +11,8 @@ import (
 // primary. Serving a read is not a promise that it is current: a
 // replica or fenced ex-primary answers from whatever it has applied, so
 // a release check asked there can miss an acked observe. Clients
-// therefore send reads to the primary too (tagserver.ClusterClient);
+// therefore send reads to the primary too (tagserver.Client routes every
+// request to its group's primary);
 // what a replica's answers are good for is comparing its state with the
 // primary's. /v1/part/query is read-only but still primary-only: a
 // scatter contribution must reflect every acked observe, and a replica

@@ -6,9 +6,9 @@ package store
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/lsds/browserflow/internal/disclosure"
-	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
 )
 
@@ -34,15 +34,11 @@ func FilterSnapshotRange(blob []byte, params disclosure.Params, lo, hi uint32) (
 	if err != nil {
 		return nil, err
 	}
-	for _, db := range []interface {
-		Segments() []segment.ID
-		RemoveSegment(segment.ID)
-	}{tracker.Paragraphs(), tracker.Documents()} {
-		for _, seg := range db.Segments() {
-			if k := segment.Key(seg); k < lo || k > hi {
-				db.RemoveSegment(seg)
-			}
-		}
+	if lo > 0 {
+		tracker.ForgetRange(0, lo-1)
+	}
+	if hi < math.MaxUint32 {
+		tracker.ForgetRange(hi+1, math.MaxUint32)
 	}
 	return CaptureBytes(tracker, registry, meta.WALSeg)
 }

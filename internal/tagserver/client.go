@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,22 +28,39 @@ import (
 // the decision path must never hang a device indefinitely.
 const DefaultClientTimeout = 5 * time.Second
 
-// Client is one device's connection to the shared tag service. It
-// fingerprints text locally (the text never leaves the device) and ships
-// only the winnowed hashes.
+// Client is one device's connection to the shared tag service, which may
+// be one node or a replication group. It fingerprints text locally (the
+// text never leaves the device) and ships only the winnowed hashes.
+// Every request, whatever its method, is routed by one rule (send): it
+// goes to the current primary, follows 421 redirects when the group has
+// failed over, and rediscovers the primary over /healthz when the primary
+// is unreachable or failing. The other nodes are failover candidates and
+// are never asked a question: a release check answered by a lagging
+// replica can miss an observation the primary already acked and turn a
+// block into an allow (§4.3's Algorithm 1 is sound only over every
+// observation acked so far).
 type Client struct {
-	base       string
-	device     string
-	cfg        fingerprint.Config
-	http       *http.Client
-	termSource func() uint64
-	keySeq     atomic.Int64
-	keyEpoch   int64
+	nodes    []string
+	device   string
+	cfg      fingerprint.Config
+	http     *http.Client
+	keySeq   atomic.Int64
+	keyEpoch int64
+
+	// mu guards the routing state: the node requests go to, and the
+	// highest replication term seen, which every request carries.
+	mu      sync.Mutex
+	primary string
+	term    uint64
 
 	// scratch recycles fingerprinting buffers (*fingerprint.Scratch)
 	// across calls; see hashes.
 	scratch sync.Pool
 }
+
+// maxRedirects bounds how many 421 redirects (and rediscoveries) one
+// request follows.
+const maxRedirects = 3
 
 // ClientOption customises a Client.
 type ClientOption func(*Client)
@@ -84,32 +103,27 @@ func WithBreaker(b *resilience.Breaker) ClientOption {
 	}
 }
 
-// WithTermSource stamps every request with the highest replication term
-// the caller has observed (X-BF-Term). A stale primary receiving such a
-// request fences itself instead of accepting the write — the client-side
-// half of the fencing protocol. The failover layer (ClusterClient)
-// installs this automatically.
-func WithTermSource(fn func() uint64) ClientOption {
-	return func(c *Client) { c.termSource = fn }
-}
-
-// NewClient returns a Client for the service at base (e.g.
-// "http://tags.corp:7000"), identifying itself as device. By default calls
-// time out after DefaultClientTimeout; resilience middleware is opt-in via
+// NewClient returns a Client for the service at base, identifying itself
+// as device. base is one node (e.g. "http://tags.corp:7000") or a
+// replication group's comma-separated node list, primary first
+// ("http://p:7000,http://r:7000"). By default calls time out after
+// DefaultClientTimeout; resilience middleware is opt-in via
 // WithRetry/WithBreaker/WithTransport.
 func NewClient(base, device string, cfg fingerprint.Config, opts ...ClientOption) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if base == "" || device == "" {
+	nodes := strings.Split(base, ",")
+	if slices.Contains(nodes, "") || device == "" {
 		return nil, fmt.Errorf("tagserver: base URL and device are required")
 	}
 	c := &Client{
-		base:     base,
+		nodes:    nodes,
 		device:   device,
 		cfg:      cfg,
 		http:     &http.Client{Timeout: DefaultClientTimeout},
 		keyEpoch: time.Now().UnixNano(),
+		primary:  nodes[0],
 		scratch:  sync.Pool{New: func() any { return new(fingerprint.Scratch) }},
 	}
 	for _, opt := range opts {
@@ -118,8 +132,12 @@ func NewClient(base, device string, cfg fingerprint.Config, opts ...ClientOption
 	return c, nil
 }
 
-// Device returns the device identity the client reports to the service.
-func (c *Client) Device() string { return c.device }
+// Primary returns the node requests are currently sent to.
+func (c *Client) Primary() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.primary
+}
 
 // FingerprintConfig returns the client's fingerprint configuration.
 func (c *Client) FingerprintConfig() fingerprint.Config { return c.cfg }
@@ -191,8 +209,8 @@ func AsOverloaded(err error) (*OverloadedError, bool) {
 
 // NotPrimaryError is a 421 Misdirected Request from a replica or fenced
 // ex-primary: the write must be re-sent to Primary (when known). Term is
-// the responding node's fencing term; callers fold it into their term
-// source so stale primaries get fenced on contact.
+// the responding node's fencing term; the client folds it into the term
+// it stamps, so stale primaries get fenced on contact.
 type NotPrimaryError struct {
 	Op      string
 	Primary string
@@ -304,22 +322,13 @@ func (c *Client) ObserveBatchCtx(ctx context.Context, service string, items []Ba
 // service's /v1/observe/batch endpoint, amortising transport and decode
 // cost across the whole flush.
 func (c *Client) ObserveHashesBatch(ctx context.Context, service string, items []BatchObserveItem) ([]Verdict, error) {
-	const path = "/v1/observe/batch"
-	resp, err := c.post(ctx, path, BatchObserveRequest{
+	var wire BatchObserveResponse
+	if err := c.post(ctx, "/v1/observe/batch", BatchObserveRequest{
 		Device:  c.device,
 		Service: service,
 		Items:   items,
-	})
-	if err != nil {
+	}, &wire); err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(path, resp)
-	}
-	var wire BatchObserveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-		return nil, &UnavailableError{Op: path, Err: fmt.Errorf("decode response: %w", err)}
 	}
 	out := make([]Verdict, len(wire.Verdicts))
 	for i, v := range wire.Verdicts {
@@ -367,17 +376,9 @@ func (c *Client) Suppress(user string, seg segment.ID, tag tdm.Tag, justificatio
 
 // SuppressCtx is Suppress with a caller-controlled context.
 func (c *Client) SuppressCtx(ctx context.Context, user string, seg segment.ID, tag tdm.Tag, justification string) error {
-	resp, err := c.post(ctx, "/v1/suppress", SuppressRequest{
+	return c.post(ctx, "/v1/suppress", SuppressRequest{
 		User: user, Seg: seg, Tag: tag, Justification: justification,
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError("/v1/suppress", resp)
-	}
-	return nil
+	}, nil)
 }
 
 // Label fetches a segment's label.
@@ -418,96 +419,212 @@ func (c *Client) Health(ctx context.Context) error {
 	return nil
 }
 
-// HealthStatus fetches the full /healthz document, including the node's
-// replication role, term and lag. Failover layers use it to discover
-// which node is the primary and to bound replica read staleness.
-func (c *Client) HealthStatus(ctx context.Context) (HealthResponse, error) {
-	var out HealthResponse
-	err := c.getJSON(ctx, "/healthz", &out)
-	return out, err
-}
-
-// getJSON performs a GET and decodes the JSON response, classifying
-// transport errors, 5xx statuses, and malformed bodies as unavailability.
+// getJSON performs a routed GET and decodes the JSON response.
 func (c *Client) getJSON(ctx context.Context, pathAndQuery string, into interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+pathAndQuery, nil)
+	resp, err := c.send(ctx, http.MethodGet, pathAndQuery, nil)
 	if err != nil {
 		return err
 	}
-	obs.StampRequest(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return &UnavailableError{Op: pathAndQuery, Err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(pathAndQuery, resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		return &UnavailableError{Op: pathAndQuery, Err: fmt.Errorf("decode response: %w", err)}
-	}
-	return nil
+	return decode(pathAndQuery, resp, into)
 }
 
 func (c *Client) postVerdict(ctx context.Context, path string, req interface{}) (Verdict, error) {
-	resp, err := c.post(ctx, path, req)
-	if err != nil {
-		return Verdict{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Verdict{}, statusError(path, resp)
-	}
 	var wire VerdictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-		return Verdict{}, &UnavailableError{Op: path, Err: fmt.Errorf("decode response: %w", err)}
+	if err := c.post(ctx, path, req, &wire); err != nil {
+		return Verdict{}, err
 	}
 	return Verdict{Decision: wire.Decision, Violating: wire.Violating, Sources: wire.Sources}, nil
 }
 
-func (c *Client) post(ctx context.Context, path string, req interface{}) (*http.Response, error) {
+// post performs a routed POST of req's JSON and decodes the response
+// into into (nil discards it).
+func (c *Client) post(ctx context.Context, path string, req, into interface{}) error {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// http.NewRequest over a *bytes.Reader sets GetBody, so resilience
-	// middleware can replay the body when a retry is safe.
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	resp, err := c.send(ctx, http.MethodPost, path, body)
+	if err != nil {
+		return err
+	}
+	return decode(path, resp, into)
+}
+
+// decode reads a 200 response's JSON body into into (nil discards it)
+// and closes it. A malformed body is unavailability, not an answer.
+func decode(path string, resp *http.Response, into interface{}) error {
+	defer resp.Body.Close()
+	if into == nil {
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		return &UnavailableError{Op: path, Err: fmt.Errorf("decode response: %w", err)}
+	}
+	return nil
+}
+
+// send is the one place a node is picked. It sends the request to the
+// current primary and returns the 200 response (the caller closes its
+// body) or the classified error, after:
+//
+//   - following up to maxRedirects 421 redirects, adopting the primary
+//     and the term each one names. A redirect that names nobody, or
+//     points back to a node already tried this request (a mid-promotion
+//     group can ping-pong), falls back to discovery; one carrying
+//     Retry-After (a promotion in flight) waits that long first; one
+//     carrying a ring version is a partition-ownership redirect and is
+//     returned, since only the routing tier can fix a stale ring;
+//   - rediscovering the primary on a transport failure or a 5xx, and
+//     re-sending only when discovery adopted a different node;
+//   - returning anything else at once: a 429 with its Retry-After hint,
+//     or an application-level 4xx.
+//
+// Every request carries the highest term seen (X-BF-Term), so a deposed
+// primary that receives a write is fenced on contact.
+func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var key string
+	if body != nil {
+		// One key per logical request: a re-send to another node, and the
+		// retry layer's replays, reuse it.
+		key = c.idempotencyKey()
+	}
+	var visited [maxRedirects + 1]string
+	for hop := 0; ; hop++ {
+		base := c.Primary()
+		visited[hop] = base
+		resp, err := c.do(ctx, base, method, path, body, key)
+		if err == nil {
+			if resp.StatusCode == http.StatusOK {
+				return resp, nil
+			}
+			err = statusError(path, resp)
+			resp.Body.Close()
+		}
+		_, shed := AsOverloaded(err)
+		np, redirect := AsNotPrimary(err)
+		switch {
+		case redirect && np.RingVersion == 0:
+			c.learn(np.Primary, np.Term)
+			if np.RetryAfter > 0 {
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-time.After(np.RetryAfter):
+				}
+			}
+			if (np.Primary == "" || slices.Contains(visited[:hop+1], c.Primary())) && !c.discover(ctx, base) {
+				return nil, err
+			}
+		case !IsUnavailable(err) || shed || !c.discover(ctx, base):
+			return nil, err
+		}
+		if hop == maxRedirects {
+			return nil, err
+		}
+	}
+}
+
+// do sends one request to one node; a request with a body carries key as
+// its Idempotency-Key.
+func (c *Client) do(ctx context.Context, base, method, path string, body []byte, key string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		// A *bytes.Reader sets GetBody, so resilience middleware can
+		// replay the body when a retry is safe.
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	// Every tag-service mutation becomes an idempotent WAL record on the
-	// server (re-applying it converges to the same state), so mark the
-	// request replay-safe: the retry layer may then re-send a POST even
-	// when the first attempt's delivery status is unknown.
-	hreq.Header.Set(resilience.IdempotencyKeyHeader, c.idempotencyKey())
-	c.stampTerm(hreq)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+		// Every tag-service mutation becomes an idempotent WAL record on
+		// the server (re-applying it converges to the same state), so mark
+		// the request replay-safe: the retry layer may then re-send a POST
+		// even when the first attempt's delivery status is unknown.
+		req.Header.Set(resilience.IdempotencyKeyHeader, key)
+	}
+	c.mu.Lock()
+	term := c.term
+	c.mu.Unlock()
+	if term > 0 {
+		req.Header.Set("X-BF-Term", strconv.FormatUint(term, 10))
+	}
 	// Carry the caller's trace (if any) to the server so its spans —
 	// handler, engine observe, WAL append — join the same trace ID.
-	obs.StampRequest(hreq)
-	resp, err := c.http.Do(hreq)
+	obs.StampRequest(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, &UnavailableError{Op: path, Err: err}
 	}
 	return resp, nil
 }
 
-// idempotencyKey mints a unique per-logical-request key: retries of the
-// same request reuse it (the header is set once before the retry layer),
-// distinct requests never collide.
-func (c *Client) idempotencyKey() string {
-	return fmt.Sprintf("%s-%d-%d", c.device, c.keyEpoch, c.keySeq.Add(1))
+// learn folds a node's report of the primary and the term into the
+// routing state.
+func (c *Client) learn(primary string, term uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.term = max(c.term, term)
+	if primary != "" {
+		c.primary = primary
+	}
 }
 
-// stampTerm adds the highest observed replication term, when a source is
-// installed.
-func (c *Client) stampTerm(req *http.Request) {
-	if c.termSource != nil {
-		if term := c.termSource(); term > 0 {
-			req.Header.Set("X-BF-Term", strconv.FormatUint(term, 10))
+// discover probes the group's /healthz endpoints, current primary first,
+// for the node that reports the primary role (or names the primary), and
+// adopts it. It reports whether it adopted a node other than tried, the
+// one that just failed. A group of one has nobody else to ask and probes
+// nothing.
+func (c *Client) discover(ctx context.Context, tried string) bool {
+	c.mu.Lock()
+	candidates := []string{c.primary}
+	for _, n := range c.nodes {
+		if n != c.primary {
+			candidates = append(candidates, n)
 		}
 	}
+	c.mu.Unlock()
+	if len(candidates) == 1 {
+		return false
+	}
+	for _, base := range candidates {
+		repl := c.probe(ctx, base)
+		if repl == nil {
+			continue
+		}
+		adopt := repl.Primary
+		if repl.Role == "primary" {
+			adopt = base
+		}
+		c.learn(adopt, repl.Term)
+		if adopt != "" {
+			return adopt != tried
+		}
+	}
+	return false
+}
+
+// probe fetches one node's /healthz replication section: nil when the
+// node cannot answer or runs unreplicated.
+func (c *Client) probe(ctx context.Context, base string) *HealthReplication {
+	resp, err := c.do(ctx, base, http.MethodGet, "/healthz", nil, "")
+	if err != nil {
+		return nil
+	}
+	defer resp.Body.Close()
+	var h HealthResponse
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&h) != nil {
+		return nil
+	}
+	return h.Replication
+}
+
+// idempotencyKey mints a unique per-logical-request key: retries of the
+// same request reuse it, distinct requests never collide.
+func (c *Client) idempotencyKey() string {
+	return fmt.Sprintf("%s-%d-%d", c.device, c.keyEpoch, c.keySeq.Add(1))
 }
 
 // StatusError is a non-200, non-redirect HTTP status the node produced

@@ -1,7 +1,6 @@
 package tagserver
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -14,19 +13,25 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/replication"
 	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
-// TestClusterClientIgnoresStaleReplica is the regression test for the
-// replica-read fail-open: a replica that bootstrapped and then stopped
-// streaming (a lagging link) has not seen an observe the primary acked,
-// so a release check answered there says allow where the primary warns.
-// Every answer a ClusterClient configured with that replica gives must
-// be the primary's, byte for byte.
-func TestClusterClientIgnoresStaleReplica(t *testing.T) {
+// groupMember is one node of an in-process replication group.
+type groupMember struct {
+	url     string
+	durable *store.Durable
+	replica *replication.Replica // nil on the primary
+}
+
+// newGroup starts a primary and a standby the way bftagd mounts them: per
+// node an engine on a durable store, the replication service and the tag
+// API behind the role guard, on one URL. The standby has bootstrapped
+// from the primary and keeps streaming.
+func newGroup(t *testing.T) (primary, standby groupMember) {
 	newWorld := func() *traceWorld {
 		w := newTraceWorld(t)
 		if err := w.registry.RegisterService("pad", tdm.NewTagSet(), tdm.NewTagSet()); err != nil {
@@ -34,16 +39,19 @@ func TestClusterClientIgnoresStaleReplica(t *testing.T) {
 		}
 		return w
 	}
-	// serve mounts a node's tag API behind the role guard, as bftagd does.
-	serve := func(w *traceWorld, node *replication.Node, opts ...ServerOption) string {
-		server, err := NewServer(w.engine, opts...)
+	serve := func(w *traceWorld, node *replication.Node, rsvc *replication.Service) string {
+		server, err := NewServer(w.engine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(replication.Guard(node, server, t.Logf))
+		mux := http.NewServeMux()
+		mux.Handle("/v1/repl/", rsvc.Handler())
+		mux.Handle("/", replication.Guard(node, server, t.Logf))
+		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
 		return srv.URL
 	}
+	popts := replication.PrimaryOptions{MaxWait: time.Second, Logf: t.Logf}
 
 	pw := newWorld()
 	pdir := t.TempDir()
@@ -59,16 +67,14 @@ func TestClusterClientIgnoresStaleReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsvc := replication.NewService(pnode, replication.PrimaryOptions{MaxWait: time.Second}, t.Logf)
-	rsvc.SetPrimary(replication.NewPrimary(pnode, durable, replication.PrimaryOptions{MaxWait: time.Second, Logf: t.Logf}))
-	replSrv := httptest.NewServer(rsvc.Handler())
-	t.Cleanup(replSrv.Close)
-	primaryURL := serve(pw, pnode, withDurable(durable))
+	psvc := replication.NewService(pnode, popts, t.Logf)
+	psvc.SetPrimary(replication.NewPrimary(pnode, durable, popts))
+	primary = groupMember{url: serve(pw, pnode, psvc), durable: durable}
 
 	rw := newWorld()
 	rdir := t.TempDir()
 	rnode, err := replication.NewNode(replication.NodeOptions{
-		Role: replication.RoleReplica, Primary: replSrv.URL, TermFile: filepath.Join(rdir, "TERM"),
+		Role: replication.RoleReplica, Primary: primary.url, TermFile: filepath.Join(rdir, "TERM"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,25 +97,37 @@ func TestClusterClientIgnoresStaleReplica(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	replica.Stop() // the link lags from here on
-	replicaURL := serve(rw, rnode)
+	rsvc := replication.NewService(rnode, popts, t.Logf)
+	rsvc.SetReplica(replica)
+	standby = groupMember{url: serve(rw, rnode, rsvc), durable: replica.Durable(), replica: replica}
+	return primary, standby
+}
+
+// TestClusterClientIgnoresStaleReplica is the regression test for the
+// replica-read fail-open: a replica that bootstrapped and then stopped
+// streaming (a lagging link) has not seen an observe the primary acked,
+// so a release check answered there says allow where the primary warns.
+// Every answer a Client built over the group gives must be the
+// primary's, byte for byte.
+func TestClusterClientIgnoresStaleReplica(t *testing.T) {
+	primaryNode, standby := newGroup(t)
+	standby.replica.Stop() // the link lags from here on
 
 	const (
 		seg  = "wiki/launch#p0"
 		text = "the secret launch plan for the atlas project"
 	)
-	primary, err := NewClient(primaryURL, "dev", fpConfig())
+	primary, err := NewClient(primaryNode.url, "dev", fpConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := primary.Observe("wiki", seg, text); err != nil {
 		t.Fatal(err)
 	}
-	cc, err := NewClusterClient(primaryURL, []string{replicaURL}, "dev", fpConfig())
+	group, err := NewClient(primaryNode.url+","+standby.url, "dev", fpConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 
 	// answer renders a call's outcome for comparison: the JSON of the
 	// value, or the error text.
@@ -125,16 +143,77 @@ func TestClusterClientIgnoresStaleReplica(t *testing.T) {
 	}
 	const warnTW = `{"Decision":"warn","Violating":["tw"]` // what the primary must say, or the test has no teeth
 	for _, q := range []struct{ name, got, want, wantPrefix string }{
-		{"check", answer(cc.Check(ctx, text, "pad")), answer(primary.Check(text, "pad")), warnTW},
-		{"upload", answer(cc.Upload(ctx, seg, "pad")), answer(primary.CheckUpload(seg, "pad")), warnTW},
-		{"label", answer(cc.Label(ctx, seg)), answer(primary.Label(seg)), `{"explicit":["tw"]`},
+		{"check", answer(group.Check(text, "pad")), answer(primary.Check(text, "pad")), warnTW},
+		{"upload", answer(group.CheckUpload(seg, "pad")), answer(primary.CheckUpload(seg, "pad")), warnTW},
+		{"label", answer(group.Label(seg)), answer(primary.Label(seg)), `{"explicit":["tw"]`},
 	} {
 		if q.got != q.want {
-			t.Errorf("%s through ClusterClient = %s, primary says %s", q.name, q.got, q.want)
+			t.Errorf("%s through the group client = %s, primary says %s", q.name, q.got, q.want)
 		}
 		if !strings.HasPrefix(q.want, q.wantPrefix) {
 			t.Errorf("%s on the primary = %s, want %s…", q.name, q.want, q.wantPrefix)
 		}
+	}
+}
+
+// TestFailoverEngineFollowsPromotion: a device engine over a group's
+// node list rides out a failover without one degraded verdict. Once the
+// standby is promoted and the old primary fenced, the old primary's 421
+// leads the client to the new one, which answers with the observation
+// acked before the promotion.
+func TestFailoverEngineFollowsPromotion(t *testing.T) {
+	primary, standby := newGroup(t)
+	client, err := NewClient(primary.url+","+standby.url, "dev", fpConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFailoverEngine(FailoverConfig{Client: client, Mode: policy.ModeEnforcing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const text = "the secret launch plan for the atlas project"
+	expect := func(when string, v policy.Verdict, err error, want policy.Decision) {
+		t.Helper()
+		if err != nil || v.Degraded || v.Decision != want {
+			t.Fatalf("%s: verdict %+v, err %v; want a non-degraded %v", when, v, err, want)
+		}
+	}
+
+	v, err := f.ObserveEdit("wiki/launch#p0", "wiki", text)
+	expect("observe before the failover", v, err, policy.DecisionAllow)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st := standby.replica.Status(); st.LagRecords == 0 && st.Position == primary.durable.WAL().End().String() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never caught up: %+v", standby.replica.Status())
+		}
+	}
+
+	for _, step := range []struct{ url, body string }{
+		{standby.url + "/v1/repl/promote", ""},
+		{primary.url + "/v1/repl/fence", `{"term":1,"primary":"` + standby.url + `"}`},
+	} {
+		resp, err := http.Post(step.url, "application/json", strings.NewReader(step.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", step.url, resp.StatusCode)
+		}
+	}
+
+	v, err = f.CheckText(text, "pad")
+	expect("check after the failover", v, err, policy.DecisionWarn)
+	v, err = f.ObserveEdit("wiki/after#p0", "wiki", "a paragraph written after the failover")
+	expect("observe after the failover", v, err, policy.DecisionAllow)
+	if got := client.Primary(); got != standby.url {
+		t.Errorf("client primary = %s, want the promoted standby %s", got, standby.url)
+	}
+	if st := f.Stats(); st.Degraded != 0 {
+		t.Errorf("failover stats %+v, want no degraded decision", st)
 	}
 }
 
@@ -151,6 +230,7 @@ type routeNode struct {
 	redirectTo string // node name advertised in X-BF-Primary
 	term       uint64 // X-BF-Term on a 421
 	ring       uint64 // X-BF-Ring-Version on a 421
+	retryAfter string // Retry-After on a 429 or 5xx
 
 	// health is the /healthz replication section; nil serves a
 	// standalone node's health (no section).
@@ -159,13 +239,15 @@ type routeNode struct {
 
 // TestClusterClientRouting pins the one routing rule: current primary →
 // follow 421 redirects up to the hop cap → /healthz discovery when the
-// primary is unreachable or the redirect chain loops. Every case runs
-// once as a write (Observe) and once as a former read (Check); the two
-// must put the same requests on the wire in the same order and leave the
-// client in the same state.
+// primary is unreachable or failing, or the redirect chain loops, with a
+// re-send only to a node discovery newly adopted. Every case runs once as
+// a write (Observe) and once as a former read (Check); the two must put
+// the same requests on the wire in the same order and leave the client
+// in the same state.
 func TestClusterClientRouting(t *testing.T) {
 	ok := routeNode{status: http.StatusOK, health: &HealthReplication{Role: "primary", Term: 1}}
 	standby := &HealthReplication{Role: "replica"}
+	unavailable := func(err error) bool { _, shed := AsOverloaded(err); return IsUnavailable(err) && !shed }
 	node := func(name string, n routeNode) routeNode { n.name = name; return n }
 
 	for _, tc := range []struct {
@@ -253,6 +335,47 @@ func TestClusterClientRouting(t *testing.T) {
 				return errors.As(err, &se) && se.Code == http.StatusBadRequest
 			},
 		},
+		{
+			name: "a lone node answering 503 is asked once and never probed",
+			nodes: []routeNode{
+				node("A", routeNode{status: http.StatusServiceUnavailable, retryAfter: "5", health: ok.health}),
+			},
+			wantWire:    []string{"A api"},
+			wantPrimary: "A",
+			wantErr:     unavailable,
+		},
+		{
+			name: "a sick primary still reporting role primary is probed once, not re-sent",
+			nodes: []routeNode{
+				node("A", routeNode{status: http.StatusServiceUnavailable, retryAfter: "5", health: ok.health}),
+				node("B", routeNode{status: http.StatusOK, health: standby}),
+			},
+			wantWire:    []string{"A api", "A healthz"},
+			wantPrimary: "A",
+			wantTerm:    1,
+			wantErr:     unavailable,
+		},
+		{
+			name: "a 429 is returned at once with its Retry-After",
+			nodes: []routeNode{
+				node("A", routeNode{status: http.StatusTooManyRequests, retryAfter: "2", health: ok.health}),
+				node("B", ok),
+			},
+			wantWire:    []string{"A api"},
+			wantPrimary: "A",
+			wantErr: func(err error) bool {
+				oe, shed := AsOverloaded(err)
+				return shed && oe.RetryAfter == 2*time.Second
+			},
+		},
+		{
+			name: "a lone node that is down puts nothing on the wire",
+			nodes: []routeNode{
+				node("A", routeNode{down: true}),
+			},
+			wantPrimary: "A",
+			wantErr:     unavailable,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			type outcome struct {
@@ -297,6 +420,9 @@ func TestClusterClientRouting(t *testing.T) {
 							}
 							http.Error(w, "not primary", n.status)
 						default:
+							if n.retryAfter != "" {
+								w.Header().Set("Retry-After", n.retryAfter)
+							}
 							http.Error(w, "rejected", n.status)
 						}
 					}))
@@ -308,11 +434,11 @@ func TestClusterClientRouting(t *testing.T) {
 					urls[n.name] = srv.URL
 					nameOf[srv.URL] = n.name
 				}
-				var replicas []string
-				for _, n := range tc.nodes[1:] {
-					replicas = append(replicas, urls[n.name])
+				var group []string
+				for _, n := range tc.nodes {
+					group = append(group, urls[n.name])
 				}
-				cc, err := NewClusterClient(urls[tc.nodes[0].name], replicas, "dev", fpConfig())
+				c, err := NewClient(strings.Join(group, ","), "dev", fpConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -320,9 +446,9 @@ func TestClusterClientRouting(t *testing.T) {
 				var v Verdict
 				switch op {
 				case "observe":
-					v, err = cc.Observe(context.Background(), "wiki", "wiki/launch#p0", text)
+					v, err = c.Observe("wiki", "wiki/launch#p0", text)
 				case "check":
-					v, err = cc.Check(context.Background(), text, "pad")
+					v, err = c.Check(text, "pad")
 				}
 				switch {
 				case tc.wantErr == nil && err != nil:
@@ -332,7 +458,9 @@ func TestClusterClientRouting(t *testing.T) {
 				case tc.wantErr != nil && (err == nil || !tc.wantErr(err)):
 					t.Errorf("%s: err = %v, not the error this case expects", op, err)
 				}
-				return outcome{Wire: wire, Primary: nameOf[cc.Primary()], Term: cc.Term(), Err: err != nil}
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				return outcome{Wire: wire, Primary: nameOf[c.primary], Term: c.term, Err: err != nil}
 			}
 
 			want := outcome{Wire: tc.wantWire, Primary: tc.wantPrimary, Term: tc.wantTerm, Err: tc.wantErr != nil}

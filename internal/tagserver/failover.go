@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/resilience"
@@ -111,9 +112,12 @@ type replayItem struct {
 	granularity string
 }
 
-// FailoverEngine wraps the remote tag-service client with mode-aware
-// graceful degradation. While the circuit breaker is open (or the service
-// is failing):
+// FailoverEngine is the device's plug-in engine against the shared tag
+// service: it implements intercept.Engine over a Client (one node or a
+// replication group), so decisions are made by the enterprise service
+// instead of a device-local database, with mode-aware graceful
+// degradation. While the circuit breaker is open (or the service is
+// failing):
 //
 //   - local edits are always allowed; their observations are buffered in
 //     a replay queue that drains to the server, in order, on recovery;
@@ -121,7 +125,9 @@ type replayItem struct {
 //     (allow + audit a degraded event) and fail CLOSED in enforcing and
 //     encrypting modes (block, tagged DegradedTag).
 //
-// It implements intercept.Engine and is safe for concurrent use.
+// Verdicts the service answers are translated faithfully; an
+// application-level rejection (4xx) is returned as an error. It is safe
+// for concurrent use.
 type FailoverEngine struct {
 	cfg     FailoverConfig
 	breaker *resilience.Breaker
@@ -496,14 +502,19 @@ func (f *FailoverEngine) drain() {
 	}
 }
 
-// Ensure FailoverEngine satisfies the same surface RemoteEngine does; the
-// intercept.Engine interface check lives in the intercept tests to avoid
-// an import cycle.
-var (
-	_ interface {
-		ObserveEdit(segment.ID, string, string) (policy.Verdict, error)
-		ObserveDocumentEdit(segment.ID, string, string) (policy.Verdict, error)
-		CheckText(string, string) (policy.Verdict, error)
-		Mode() policy.Mode
-	} = (*FailoverEngine)(nil)
-)
+func toPolicyVerdict(v Verdict, seg segment.ID, service string) (policy.Verdict, error) {
+	decision, err := policy.ParseDecision(v.Decision)
+	if err != nil {
+		return policy.Verdict{}, err
+	}
+	out := policy.Verdict{
+		Decision:  decision,
+		Seg:       seg,
+		Service:   service,
+		Violating: v.Violating,
+	}
+	for _, src := range v.Sources {
+		out.Sources = append(out.Sources, disclosure.Source{Seg: src.Seg, Disclosure: src.Disclosure})
+	}
+	return out, nil
+}

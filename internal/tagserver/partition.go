@@ -25,7 +25,6 @@
 package tagserver
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -36,7 +35,6 @@ import (
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/index"
-	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 )
@@ -438,7 +436,8 @@ func (s *Server) handlePartPrune(w http.ResponseWriter, r *http.Request) {
 // set on success.
 func (c *Client) PartObserve(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string, clock uint64, resolved *PartResolved) (PartObserveResponse, error) {
 	const path = "/v1/part/observe"
-	resp, err := c.post(ctx, path, PartObserveRequest{
+	var out PartObserveResponse
+	if err := c.post(ctx, path, PartObserveRequest{
 		Device:      c.device,
 		Service:     service,
 		Seg:         seg,
@@ -446,17 +445,8 @@ func (c *Client) PartObserve(ctx context.Context, service string, seg segment.ID
 		Granularity: granularity,
 		Clock:       clock,
 		Resolved:    resolved,
-	})
-	if err != nil {
+	}, &out); err != nil {
 		return PartObserveResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return PartObserveResponse{}, statusError(path, resp)
-	}
-	var out PartObserveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return PartObserveResponse{}, &UnavailableError{Op: path, Err: fmt.Errorf("decode response: %w", err)}
 	}
 	if out.Verdict == nil && out.Resolve == nil {
 		return PartObserveResponse{}, &UnavailableError{Op: path, Err: fmt.Errorf("response carries neither verdict nor resolve")}
@@ -466,18 +456,9 @@ func (c *Client) PartObserve(ctx context.Context, service string, seg segment.ID
 
 // PartQuery fetches a partition's scatter contribution for hashes.
 func (c *Client) PartQuery(ctx context.Context, hashes []uint32, granularity string) (PartResolveWire, error) {
-	const path = "/v1/part/query"
-	resp, err := c.post(ctx, path, PartQueryRequest{Hashes: hashes, Granularity: granularity})
-	if err != nil {
-		return PartResolveWire{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return PartResolveWire{}, statusError(path, resp)
-	}
 	var out PartResolveWire
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return PartResolveWire{}, &UnavailableError{Op: path, Err: fmt.Errorf("decode response: %w", err)}
+	if err := c.post(ctx, "/v1/part/query", PartQueryRequest{Hashes: hashes, Granularity: granularity}, &out); err != nil {
+		return PartResolveWire{}, err
 	}
 	return out, nil
 }
@@ -496,66 +477,15 @@ func (c *Client) PartCheck(ctx context.Context, dest string, sources []PartSourc
 // PartRing fetches the node's encoded ring and its version.
 func (c *Client) PartRing(ctx context.Context) ([]byte, uint64, error) {
 	const path = "/v1/part/ring"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	obs.StampRequest(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, 0, &UnavailableError{Op: path, Err: err}
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, statusError(path, resp)
-	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
 		return nil, 0, &UnavailableError{Op: path, Err: err}
 	}
 	version, _ := strconv.ParseUint(resp.Header.Get(HeaderRingVersion), 10, 64)
 	return body, version, nil
-}
-
-// PartSetRing installs an encoded ring on the node, returning the
-// installed version.
-func (c *Client) PartSetRing(ctx context.Context, encoded []byte) (uint64, error) {
-	const path = "/v1/part/ring"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(encoded))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	obs.StampRequest(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return 0, &UnavailableError{Op: path, Err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, statusError(path, resp)
-	}
-	var out PartRingResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, &UnavailableError{Op: path, Err: fmt.Errorf("decode response: %w", err)}
-	}
-	return out.Version, nil
-}
-
-// PartPrune drops the inclusive key range [lo, hi] on the node.
-func (c *Client) PartPrune(ctx context.Context, lo, hi uint32) (int, error) {
-	const path = "/v1/part/prune"
-	resp, err := c.post(ctx, path, PartPruneRequest{Lo: lo, Hi: hi})
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, statusError(path, resp)
-	}
-	var out PartPruneResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, &UnavailableError{Op: path, Err: fmt.Errorf("decode response: %w", err)}
-	}
-	return out.Removed, nil
 }

@@ -11,7 +11,19 @@ import (
 	"github.com/lsds/browserflow/internal/webapp"
 )
 
-var _ intercept.Engine = (*RemoteEngine)(nil)
+var _ intercept.Engine = (*FailoverEngine)(nil)
+
+// deviceEngine is a device's plug-in engine against the tag service: a
+// FailoverEngine with no background prober.
+func deviceEngine(t *testing.T, client *Client) *FailoverEngine {
+	t.Helper()
+	f, err := NewFailoverEngine(FailoverConfig{Client: client, Mode: policy.ModeEnforcing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
+}
 
 // Two devices, each running the full browser plug-in against the shared
 // tag service: Alice's device observes the wiki; Bob's device — which
@@ -33,7 +45,7 @@ func TestPluginAgainstRemoteEngineCrossDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 		plugin, err := intercept.New(intercept.Config{
-			Engine: NewRemoteEngine(client, policy.ModeEnforcing),
+			Engine: deviceEngine(t, client),
 			User:   name,
 		})
 		if err != nil {
@@ -81,7 +93,7 @@ func TestRemoteEngineVerdictMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := NewRemoteEngine(client, policy.ModeEnforcing)
+	re := deviceEngine(t, client)
 	if re.Mode() != policy.ModeEnforcing {
 		t.Error("mode lost")
 	}
@@ -107,9 +119,12 @@ func TestRemoteEngineVerdictMapping(t *testing.T) {
 	if v.Decision != policy.DecisionAllow {
 		t.Errorf("doc verdict=%+v", v)
 	}
-	// Errors propagate.
+	// Errors propagate; an application-level rejection is not an outage.
 	if _, err := re.CheckText(orgSecret, "ghost"); err == nil {
 		t.Error("unknown dest accepted")
+	}
+	if st := re.Stats(); st.Degraded != 0 {
+		t.Errorf("a live service degraded the engine: %+v", st)
 	}
 }
 

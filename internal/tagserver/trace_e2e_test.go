@@ -59,7 +59,7 @@ func spanNames(o *obs.Obs, trace string) map[string]int {
 	return names
 }
 
-// TestTraceE2EChaos drives one ClusterClient write through bfproxy's
+// TestTraceE2EChaos drives one Client write through bfproxy's
 // forwarding path into a durable primary and out to a streaming replica,
 // with a chaos transport injecting a connection error on the first
 // attempt. One trace ID must stitch every hop: the client-side retry
@@ -151,7 +151,7 @@ func TestTraceE2EChaos(t *testing.T) {
 		Kind: faultinject.KindConnError, Times: 1,
 	})
 	clientObs := obs.New(nil, 0)
-	cc, err := NewClusterClient(proxySrv.URL, nil, "dev-e2e", fpConfig(),
+	dev, err := NewClient(proxySrv.URL, "dev-e2e", fpConfig(),
 		WithTransport(inj),
 		WithRetry(resilience.RetryPolicy{
 			MaxAttempts: 3,
@@ -165,7 +165,7 @@ func TestTraceE2EChaos(t *testing.T) {
 
 	traceID := clientObs.NewTraceID()
 	ctx := obs.WithTrace(context.Background(), traceID, clientObs.Traces())
-	if _, err := cc.Observe(ctx, "wiki", "wiki/launch#p0", "the secret launch plan for the atlas project"); err != nil {
+	if _, err := dev.ObserveCtx(ctx, "wiki", "wiki/launch#p0", "the secret launch plan for the atlas project"); err != nil {
 		t.Fatalf("observe through proxy: %v", err)
 	}
 	if got := inj.Attempts("/v1/observe"); got < 2 {
