@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/partition"
+	"github.com/lsds/browserflow/internal/segment"
+	"github.com/lsds/browserflow/internal/tagserver"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
@@ -48,7 +50,7 @@ func partSetRing(base string, encoded []byte) error {
 
 // partPrune drops the inclusive key range [lo, hi] on a node.
 func partPrune(base string, lo, hi uint32) (int, error) {
-	payload, err := json.Marshal(map[string]uint32{"lo": lo, "hi": hi})
+	payload, err := json.Marshal(segment.KeyRange{Lo: lo, Hi: hi})
 	if err != nil {
 		return 0, err
 	}
@@ -62,31 +64,15 @@ func partPrune(base string, lo, hi uint32) (int, error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	var out struct {
-		Removed int `json:"removed"`
-	}
+	var out tagserver.PartPruneResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		return 0, fmt.Errorf("decode prune response: %w", err)
 	}
 	return out.Removed, nil
 }
 
-// nodeHealth is the slice of /healthz the topology view needs.
-type nodeHealth struct {
-	Status      string `json:"status"`
-	Replication *struct {
-		Role string `json:"role"`
-		Term uint64 `json:"term"`
-	} `json:"replication"`
-	Partition *struct {
-		ID          string `json:"id"`
-		RingVersion uint64 `json:"ringVersion"`
-		Resharding  bool   `json:"resharding"`
-	} `json:"partition"`
-}
-
-func getNodeHealth(base string) (nodeHealth, error) {
-	var h nodeHealth
+func getNodeHealth(base string) (tagserver.HealthResponse, error) {
+	var h tagserver.HealthResponse
 	resp, err := replHTTP.Get(strings.TrimRight(base, "/") + "/healthz")
 	if err != nil {
 		return h, err

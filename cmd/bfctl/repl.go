@@ -89,7 +89,7 @@ func runPromote(server, oldPrimary string, force bool, stdout io.Writer) error {
 // already established a stronger catch-up guarantee than the raw record
 // lag (bfctl split verifies the target's mirror covers the source's
 // frozen high-water mark, after which any remaining lag is traffic its
-// segment filter discards anyway).
+// key range discards anyway).
 func promote(server, oldPrimary string, force, skipLagCheck bool, stdout io.Writer) error {
 	st, err := replGetStatus(server)
 	if err != nil {

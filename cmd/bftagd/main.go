@@ -67,6 +67,7 @@ import (
 	policyPkg "github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/policyfile"
 	"github.com/lsds/browserflow/internal/replication"
+	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/tagserver"
 	"github.com/lsds/browserflow/internal/tdm"
@@ -132,7 +133,7 @@ func run(args []string) error {
 	if *splitRange != "" && *ringFile == "" {
 		return fmt.Errorf("-split-range requires -ring-file")
 	}
-	var split *replication.SplitRange
+	var split *segment.KeyRange
 	if *splitRange != "" {
 		var serr error
 		split, serr = parseSplitRange(*splitRange)
@@ -202,13 +203,7 @@ func run(args []string) error {
 		}
 	}
 
-	// Filtered snapshots let a split target bootstrap only the moving key
-	// range; the filter rebuilds the checkpoint with out-of-range index
-	// state removed (labels stay — they are global shadow state).
-	filterSnapshot := func(blob []byte, lo, hi uint32) ([]byte, error) {
-		return store.FilterSnapshotRange(blob, mw.Tracker().Params(), lo, hi)
-	}
-	primaryOpts := replication.PrimaryOptions{Logf: logf, FilterSnapshot: filterSnapshot}
+	primaryOpts := replication.PrimaryOptions{Logf: logf}
 
 	// Replication state: every durable node gets a fencing term and the
 	// /v1/repl/* API; memory-only nodes are standalone. dopts describes
@@ -233,7 +228,7 @@ func run(args []string) error {
 			ScrubEvery:      *scrubEvery,
 			ScrubRateMB:     *scrubRateMB,
 			OnDiskFull:      *onDiskFull,
-			SegmentFilter:   durableSegmentFilter(split),
+			KeyRange:        split,
 			// Disk-fault policy follows the engine mode: an advisory
 			// deployment keeps serving verdicts from memory on a dead disk
 			// (fail-open); enforcing/encrypting deployments stop acking
@@ -300,7 +295,6 @@ func run(args []string) error {
 		// engine is fed by it; promotion flips its role in place.
 		replica, err = replication.OpenReplica(node, mw.Engine(), replication.ReplicaOptions{
 			Durable: dopts,
-			Split:   split,
 			Obs:     o,
 		})
 		if err != nil {

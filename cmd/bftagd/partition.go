@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/lsds/browserflow/internal/partition"
-	"github.com/lsds/browserflow/internal/replication"
 	"github.com/lsds/browserflow/internal/segment"
 )
 
@@ -25,10 +24,10 @@ type partState struct {
 	mu       sync.Mutex
 	ring     *partition.Ring
 	encoded  []byte
-	override *replication.SplitRange
+	override *segment.KeyRange
 }
 
-func newPartState(id, path string, override *replication.SplitRange, logf func(string, ...interface{})) (*partState, error) {
+func newPartState(id, path string, override *segment.KeyRange, logf func(string, ...interface{})) (*partState, error) {
 	ring, err := partition.LoadRingFile(path)
 	if err != nil {
 		return nil, err
@@ -129,19 +128,8 @@ func (ps *partState) SetRing(encoded []byte) (uint64, error) {
 	return ring.Version, nil
 }
 
-// durableSegmentFilter converts a split range into the durable store's
-// recovery filter (nil when the node owns the whole keyspace).
-func durableSegmentFilter(sr *replication.SplitRange) func(segment.ID) bool {
-	if sr == nil {
-		return nil
-	}
-	return func(seg segment.ID) bool {
-		return sr.Contains(segment.Key(seg))
-	}
-}
-
 // parseSplitRange parses "lo:hi" (inclusive 32-bit bounds).
-func parseSplitRange(v string) (*replication.SplitRange, error) {
+func parseSplitRange(v string) (*segment.KeyRange, error) {
 	lo, hi, ok := strings.Cut(v, ":")
 	if !ok {
 		return nil, fmt.Errorf("-split-range wants lo:hi, got %q", v)
@@ -157,5 +145,5 @@ func parseSplitRange(v string) (*replication.SplitRange, error) {
 	if l > h || h > math.MaxUint32 {
 		return nil, fmt.Errorf("-split-range %q: inverted or out of range", v)
 	}
-	return &replication.SplitRange{Lo: uint32(l), Hi: uint32(h)}, nil
+	return &segment.KeyRange{Lo: uint32(l), Hi: uint32(h)}, nil
 }

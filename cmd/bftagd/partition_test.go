@@ -357,7 +357,7 @@ func TestPartitionChaos(t *testing.T) {
 		"-replica-of", groups[2].primary.base,
 		"-split-range", fmt.Sprintf("%d:%d", at+1, src.Hi))
 	// Mid-split SIGKILL: once the filtered mirror has applied something,
-	// destroy it. The restart must recover through the same segment filter
+	// destroy it. The restart must recover through the same key range
 	// (out-of-range WAL records skipped) and resume, not diverge.
 	waitRepl(t, target.base, "filtered bootstrap", func(m map[string]any) bool {
 		connected, _ := m["connected"].(bool)

@@ -48,17 +48,18 @@ func DefaultParams() Params {
 }
 
 // Source is one origin segment from which significant information is being
-// disclosed.
+// disclosed. The JSON tags are the node↔router wire form (a resolved
+// observe's and a routed check's source list).
 type Source struct {
 	// Seg is the origin segment (paragraph or document).
-	Seg segment.ID
+	Seg segment.ID `json:"seg"`
 
 	// Disclosure is D(src, target) in [0, 1] using the authoritative
 	// fingerprint of the source.
-	Disclosure float64
+	Disclosure float64 `json:"disclosure"`
 
 	// Threshold is the origin's disclosure threshold that was met.
-	Threshold float64
+	Threshold float64 `json:"threshold"`
 }
 
 // Report is the outcome of observing one text segment.

@@ -21,17 +21,24 @@ import (
 // run the candidate body of Algorithm 1 without this partition's database:
 // |F(p)| and the threshold for the early-discard and ratio steps, and the
 // query-hash positions covered by F(p) so authoritative overlap can be
-// counted against a merged oldest-holder assignment.
+// counted against a merged oldest-holder assignment. The JSON tags are the
+// node↔router wire form (a /v1/part/query reply's "cands" list).
 type RemoteCand struct {
-	Seg       segment.ID
-	Len       int
-	Threshold float64
+	Seg       segment.ID `json:"seg"`
+	Len       int        `json:"len"`
+	Threshold float64    `json:"thr"`
 
 	// Overlap lists the indices i of the query hash slice with
 	// hashes[i] ∈ F(Seg). Query hashes are sorted and distinct (they come
 	// from a fingerprint), so each index contributes at most one overlap
 	// unit, exactly like AuthoritativeOverlap's linear merge.
-	Overlap []int
+	Overlap []int `json:"ov,omitempty"`
+
+	// Tags is the candidate's explicit tags, filled in by the policy
+	// engine (the tracker knows no labels), so the winner's labels can be
+	// mirrored wherever the verdict is evaluated without a second round
+	// trip.
+	Tags []string `json:"tags,omitempty"`
 }
 
 // ResolveQuery computes this partition's contribution to a scatter-gather

@@ -868,11 +868,12 @@ func (db *DB) SetClockFloor(floor uint64) {
 // hash together with the logical time of its first observation. The Seq
 // is what lets a router compare authority claims across partitions: each
 // partition resolves its local oldest holder, and the partition-spanning
-// oldest is simply the reply with the smallest Seq.
+// oldest is simply the reply with the smallest Seq. The JSON tags are the
+// node↔router wire form (a /v1/part/query reply's "oldest" list).
 type OldestRef struct {
-	Idx int
-	Seg segment.ID
-	Seq uint64
+	Idx int        `json:"i"`
+	Seg segment.ID `json:"seg"`
+	Seq uint64     `json:"seq"`
 }
 
 // AppendOldestRefs appends an OldestRef for every hash in hs (ascending,

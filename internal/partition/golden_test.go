@@ -103,7 +103,7 @@ func scripts() map[string][]op {
 
 // newEngine builds the fixture engine: wiki and itool are confidential
 // origins, docs and notes are public destinations.
-func newEngine(t *testing.T) *policy.Engine {
+func newEngine(t testing.TB) *policy.Engine {
 	t.Helper()
 	tracker, err := disclosure.NewTracker(disclosure.Params{
 		Fingerprint: fingerprint.DefaultConfig(),
@@ -142,7 +142,7 @@ type testPartState struct {
 	encoded []byte
 }
 
-func (ps *testPartState) set(t *testing.T, r *partition.Ring) {
+func (ps *testPartState) set(t testing.TB, r *partition.Ring) {
 	t.Helper()
 	encoded, err := partition.EncodeRing(r)
 	if err != nil {
@@ -204,7 +204,7 @@ func (ps *testPartState) SetRing(encoded []byte) (uint64, error) {
 }
 
 // evenRing splits the keyspace into p equal inclusive ranges.
-func evenRing(t *testing.T, urls []string) *partition.Ring {
+func evenRing(t testing.TB, urls []string) *partition.Ring {
 	t.Helper()
 	p := len(urls)
 	width := uint64(math.MaxUint32+1) / uint64(p)
@@ -229,6 +229,15 @@ func evenRing(t *testing.T, urls []string) *partition.Ring {
 // them, returning the router front's base URL.
 func startCluster(t *testing.T, p int) string {
 	t.Helper()
+	front := httptest.NewServer(newClusterHandler(t, p))
+	t.Cleanup(front.Close)
+	return front.URL
+}
+
+// newClusterHandler brings up p partition nodes and returns the routing
+// tier's handler over them.
+func newClusterHandler(t testing.TB, p int) http.Handler {
+	t.Helper()
 	states := make([]*testPartState, p)
 	urls := make([]string, p)
 	for i := 0; i < p; i++ {
@@ -250,9 +259,7 @@ func startCluster(t *testing.T, p int) string {
 		t.Fatal(err)
 	}
 	rt.Prime(t.Context())
-	front := httptest.NewServer(partition.NewHandler(rt))
-	t.Cleanup(front.Close)
-	return front.URL
+	return partition.NewHandler(rt)
 }
 
 // startSingle brings up the single-node reference.
@@ -395,7 +402,7 @@ func TestPrimeFoldsBothGranularityClocks(t *testing.T) {
 		if req.Granularity == "document" {
 			clock = 9
 		}
-		json.NewEncoder(w).Encode(tagserver.PartResolveWire{Clock: clock}) //nolint:errcheck
+		json.NewEncoder(w).Encode(policy.PartResolve{Clock: clock}) //nolint:errcheck
 	}))
 	t.Cleanup(srv.Close)
 

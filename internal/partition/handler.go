@@ -32,18 +32,11 @@ func NewHandler(rt *Router) http.Handler {
 
 // routerHealth is the routing tier's /healthz document.
 type routerHealth struct {
-	Status      string            `json:"status"`
-	Role        string            `json:"role"`
-	RingVersion uint64            `json:"ringVersion"`
-	Clock       uint64            `json:"clock"`
-	Partitions  []routerPartition `json:"partitions"`
-}
-
-type routerPartition struct {
-	ID    string   `json:"id"`
-	Lo    uint32   `json:"lo"`
-	Hi    uint32   `json:"hi"`
-	Nodes []string `json:"nodes"`
+	Status      string      `json:"status"`
+	Role        string      `json:"role"`
+	RingVersion uint64      `json:"ringVersion"`
+	Clock       uint64      `json:"clock"`
+	Partitions  []Partition `json:"partitions"`
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -134,7 +127,7 @@ func (rt *Router) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Items route independently: a batch may span partitions, so there is
 	// no single home to hand the whole flush to.
-	resp := tagserver.BatchObserveResponse{Verdicts: make([]tagserver.VerdictResponse, 0, len(req.Items))}
+	resp := tagserver.BatchObserveResponse{Verdicts: make([]tagserver.Verdict, 0, len(req.Items))}
 	for _, item := range req.Items {
 		if item.Seg == "" {
 			http.Error(w, "seg required", http.StatusBadRequest)
@@ -239,15 +232,11 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	ring := rt.Ring()
-	h := routerHealth{
+	writeJSON(w, routerHealth{
 		Status:      "ok",
 		Role:        "router",
 		RingVersion: ring.Version,
 		Clock:       rt.Clock(),
-		Partitions:  make([]routerPartition, 0, len(ring.Partitions)),
-	}
-	for _, p := range ring.Partitions {
-		h.Partitions = append(h.Partitions, routerPartition{ID: p.ID, Lo: p.Lo, Hi: p.Hi, Nodes: p.Nodes})
-	}
-	writeJSON(w, h)
+		Partitions:  ring.Partitions,
+	})
 }

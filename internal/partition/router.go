@@ -188,11 +188,9 @@ func (rt *Router) Prime(ctx context.Context) {
 	// folding only one could still stamp behind the cluster, so prime
 	// from both.
 	for _, gran := range []string{"paragraph", "document"} {
-		replies := rt.scatter(ctx, ring, clients, nil, nil, gran)
+		replies, _ := rt.scatter(ctx, ring, clients, nil, gran, "")
 		for _, r := range replies {
-			if r != nil {
-				rt.fold(r.Clock)
-			}
+			rt.fold(r.Clock)
 		}
 	}
 }
@@ -230,6 +228,24 @@ func isRingRedirect(err error) bool {
 	return ok && np.RingVersion > 0
 }
 
+// routed runs op against the installed ring and re-runs it, from the
+// start, under a refreshed ring each time a node answers with a stale-ring
+// redirect — at most MaxRingRefreshes times.
+func (rt *Router) routed(ctx context.Context, op func(ring *Ring, clients map[string]*groupClient) error) error {
+	var lastErr error
+	for refresh := 0; refresh <= rt.opts.MaxRingRefreshes; refresh++ {
+		err := op(rt.snapshot())
+		if err == nil || !isRingRedirect(err) {
+			return err
+		}
+		lastErr = err
+		if rerr := rt.refreshRing(ctx); rerr != nil {
+			return fmt.Errorf("stale ring: %w (refresh failed: %v)", err, rerr)
+		}
+	}
+	return fmt.Errorf("partition: ring refresh loop exhausted: %w", lastErr)
+}
+
 // homeFor resolves seg's home partition and its group client.
 func homeFor(ring *Ring, clients map[string]*groupClient, seg segment.ID) (*Partition, *groupClient, error) {
 	home, ok := ring.Home(seg)
@@ -244,14 +260,15 @@ func homeFor(ring *Ring, clients map[string]*groupClient, seg segment.ID) (*Part
 }
 
 // scatter queries every partition except skip for its contribution to a
-// disclosure resolve, each leg under its own deadline. A leg that fails
-// yields a nil entry; callers that need completeness must check.
-func (rt *Router) scatter(ctx context.Context, ring *Ring, clients map[string]*groupClient, errs []error, hashes []uint32, granularity string) []*tagserver.PartResolveWire {
-	return rt.scatterExcept(ctx, ring, clients, errs, hashes, granularity, "")
-}
-
-func (rt *Router) scatterExcept(ctx context.Context, ring *Ring, clients map[string]*groupClient, errs []error, hashes []uint32, granularity, skip string) []*tagserver.PartResolveWire {
-	replies := make([]*tagserver.PartResolveWire, len(ring.Partitions))
+// disclosure resolve, each leg under its own deadline. The replies are
+// indexed like ring.Partitions; a skipped or failed leg leaves its entry
+// zero, which contributes nothing to a merge. The error names the first
+// failed leg: callers that need completeness fail closed on it, since a
+// missing contribution could hide the authoritative holder and flip a
+// block to an allow.
+func (rt *Router) scatter(ctx context.Context, ring *Ring, clients map[string]*groupClient, hashes []uint32, granularity, skip string) ([]policy.PartResolve, error) {
+	replies := make([]policy.PartResolve, len(ring.Partitions))
+	errs := make([]error, len(ring.Partitions))
 	var wg sync.WaitGroup
 	for i := range ring.Partitions {
 		p := &ring.Partitions[i]
@@ -260,9 +277,7 @@ func (rt *Router) scatterExcept(ctx context.Context, ring *Ring, clients map[str
 		}
 		cc := clients[p.ID]
 		if cc == nil {
-			if errs != nil {
-				errs[i] = fmt.Errorf("partition %q: no client", p.ID)
-			}
+			errs[i] = fmt.Errorf("partition %q: no client", p.ID)
 			continue
 		}
 		wg.Add(1)
@@ -270,107 +285,81 @@ func (rt *Router) scatterExcept(ctx context.Context, ring *Ring, clients map[str
 			defer wg.Done()
 			legCtx, cancel := context.WithTimeout(ctx, rt.opts.ScatterTimeout)
 			defer cancel()
-			r, err := cc.PartQuery(legCtx, hashes, granularity)
-			if err != nil {
-				if errs != nil {
-					errs[i] = fmt.Errorf("partition %q: %w", id, err)
-				}
-				return
+			var err error
+			if replies[i], err = cc.PartQuery(legCtx, hashes, granularity); err != nil {
+				errs[i] = fmt.Errorf("partition %q: %w", id, err)
 			}
-			replies[i] = &r
 		}(i, p.ID, cc)
 	}
 	wg.Wait()
-	return replies
+	for _, err := range errs {
+		if err != nil {
+			return replies, fmt.Errorf("partition scatter: %w", err)
+		}
+	}
+	return replies, nil
 }
 
 // ObserveHashes routes one observation: phase 1 at the segment's home
 // partition (decision-cache probe), on a miss a scatter-gather resolve
 // across the other partitions, phase 2 applying the merged result at the
 // home. A sole-partition ring short-circuits inside the node (one round
-// trip); a stale ring is refreshed on 421 and the observation re-routed.
-func (rt *Router) ObserveHashes(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string) (tagserver.VerdictResponse, error) {
+// trip). A stale ring is refreshed on 421 and the whole observation
+// re-routed: when ownership moved between the phases, the merged resolve
+// may predate the move.
+func (rt *Router) ObserveHashes(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string) (tagserver.Verdict, error) {
 	hs := fingerprint.FromHashes(hashes).Hashes()
-	var lastErr error
-	for refresh := 0; refresh <= rt.opts.MaxRingRefreshes; refresh++ {
-		ring, clients := rt.snapshot()
+	var v tagserver.Verdict
+	err := rt.routed(ctx, func(ring *Ring, clients map[string]*groupClient) error {
 		home, cc, err := homeFor(ring, clients, seg)
 		if err != nil {
-			return tagserver.VerdictResponse{}, err
+			return err
 		}
 		stamp := rt.tick()
 		resp, err := cc.PartObserve(ctx, service, seg, hs, granularity, stamp, nil)
 		if err != nil {
-			if isRingRedirect(err) {
-				lastErr = err
-				if rerr := rt.refreshRing(ctx); rerr != nil {
-					return tagserver.VerdictResponse{}, fmt.Errorf("stale ring: %w (refresh failed: %v)", err, rerr)
-				}
-				continue
-			}
-			return tagserver.VerdictResponse{}, err
+			return err
 		}
 		if resp.Verdict != nil {
-			return *resp.Verdict, nil
+			v = *resp.Verdict
+			return nil
 		}
 
 		// Cache miss: gather the other partitions' contributions and merge.
-		replies := make([]policy.PartResolve, 0, len(ring.Partitions))
-		replies = append(replies, tagserver.FromWireResolve(resp.Resolve))
-		errs := make([]error, len(ring.Partitions))
-		wires := rt.scatterExcept(ctx, ring, clients, errs, hs, granularity, home.ID)
-		for i := range wires {
-			if errs[i] != nil {
-				// Fail closed: a missing contribution could hide the
-				// authoritative holder and flip a block to an allow.
-				return tagserver.VerdictResponse{}, fmt.Errorf("partition scatter: %w", errs[i])
-			}
-			if wires[i] != nil {
-				replies = append(replies, tagserver.FromWireResolve(wires[i]))
-			}
+		others, err := rt.scatter(ctx, ring, clients, hs, granularity, home.ID)
+		if err != nil {
+			return err
 		}
+		replies := append([]policy.PartResolve{*resp.Resolve}, others...)
 		sources, tags, maxClock := policy.MergeResolves(len(hs), seg, replies)
 		rt.fold(maxClock)
 
-		resolved := &tagserver.PartResolved{Sources: tagserver.ToWireSources(sources), Tags: tags}
-		resp, err = cc.PartObserve(ctx, service, seg, hs, granularity, stamp, resolved)
-		if err != nil {
-			if isRingRedirect(err) {
-				// Ownership moved between the phases; the merged resolve may
-				// predate the move, so re-route the whole observation.
-				lastErr = err
-				if rerr := rt.refreshRing(ctx); rerr != nil {
-					return tagserver.VerdictResponse{}, fmt.Errorf("stale ring: %w (refresh failed: %v)", err, rerr)
-				}
-				continue
-			}
-			return tagserver.VerdictResponse{}, err
+		resolved := &tagserver.PartResolved{Sources: sources, Tags: tags}
+		if resp, err = cc.PartObserve(ctx, service, seg, hs, granularity, stamp, resolved); err != nil {
+			return err
 		}
 		if resp.Verdict == nil {
-			return tagserver.VerdictResponse{}, fmt.Errorf("partition %q: resolved observe returned no verdict", home.ID)
+			return fmt.Errorf("partition %q: resolved observe returned no verdict", home.ID)
 		}
-		return *resp.Verdict, nil
+		v = *resp.Verdict
+		return nil
+	})
+	if err != nil {
+		return tagserver.Verdict{}, err
 	}
-	return tagserver.VerdictResponse{}, fmt.Errorf("partition: ring refresh loop exhausted: %w", lastErr)
+	return v, nil
 }
 
 // CheckHashes routes a release check: scatter the disclosure query to
 // every partition, merge, and evaluate the resolved check on one node
 // (the first partition — enforcement state for ad-hoc checks is the
 // service table, which every node carries).
-func (rt *Router) CheckHashes(ctx context.Context, dest string, hashes []uint32) (tagserver.VerdictResponse, error) {
+func (rt *Router) CheckHashes(ctx context.Context, dest string, hashes []uint32) (tagserver.Verdict, error) {
 	hs := fingerprint.FromHashes(hashes).Hashes()
 	ring, clients := rt.snapshot()
-	errs := make([]error, len(ring.Partitions))
-	wires := rt.scatter(ctx, ring, clients, errs, hs, "")
-	replies := make([]policy.PartResolve, 0, len(wires))
-	for i := range wires {
-		if errs[i] != nil {
-			return tagserver.VerdictResponse{}, fmt.Errorf("partition scatter: %w", errs[i])
-		}
-		if wires[i] != nil {
-			replies = append(replies, tagserver.FromWireResolve(wires[i]))
-		}
+	replies, err := rt.scatter(ctx, ring, clients, hs, "", "")
+	if err != nil {
+		return tagserver.Verdict{}, err
 	}
 	// No observer to exclude: ad-hoc content is not a tracked segment.
 	sources, tags, maxClock := policy.MergeResolves(len(hs), "", replies)
@@ -382,13 +371,9 @@ func (rt *Router) CheckHashes(ctx context.Context, dest string, hashes []uint32)
 	implicit := unionTags(tags)
 	cc := clients[ring.Partitions[0].ID]
 	if cc == nil {
-		return tagserver.VerdictResponse{}, fmt.Errorf("partition: no client for %q", ring.Partitions[0].ID)
+		return tagserver.Verdict{}, fmt.Errorf("partition: no client for %q", ring.Partitions[0].ID)
 	}
-	v, err := cc.PartCheck(ctx, dest, tagserver.ToWireSources(sources), implicit)
-	if err != nil {
-		return tagserver.VerdictResponse{}, err
-	}
-	return tagserver.VerdictResponse{Decision: v.Decision, Violating: v.Violating, Sources: v.Sources}, nil
+	return cc.PartCheck(ctx, dest, sources, implicit)
 }
 
 // unionTags flattens a per-source tag map into a sorted distinct list.
@@ -413,38 +398,24 @@ func unionTags(tags map[segment.ID][]string) []string {
 // Suppress routes a declassification to the segment's home partition
 // (labels and their audit trail live there), refreshing the ring on 421.
 func (rt *Router) Suppress(ctx context.Context, user string, seg segment.ID, tag tdm.Tag, justification string) error {
-	var lastErr error
-	for refresh := 0; refresh <= rt.opts.MaxRingRefreshes; refresh++ {
-		ring, clients := rt.snapshot()
+	return rt.routed(ctx, func(ring *Ring, clients map[string]*groupClient) error {
 		_, cc, err := homeFor(ring, clients, seg)
 		if err != nil {
 			return err
 		}
-		err = cc.SuppressCtx(ctx, user, seg, tag, justification)
-		if err == nil || !isRingRedirect(err) {
-			return err
-		}
-		lastErr = err
-		if rerr := rt.refreshRing(ctx); rerr != nil {
-			return fmt.Errorf("stale ring: %w (refresh failed: %v)", err, rerr)
-		}
-	}
-	return fmt.Errorf("partition: ring refresh loop exhausted: %w", lastErr)
+		return cc.SuppressCtx(ctx, user, seg, tag, justification)
+	})
 }
 
 // Upload routes a tracked-segment release check to the segment's home
 // partition, where its label lives.
-func (rt *Router) Upload(ctx context.Context, seg segment.ID, dest string) (tagserver.VerdictResponse, error) {
+func (rt *Router) Upload(ctx context.Context, seg segment.ID, dest string) (tagserver.Verdict, error) {
 	ring, clients := rt.snapshot()
 	_, cc, err := homeFor(ring, clients, seg)
 	if err != nil {
-		return tagserver.VerdictResponse{}, err
+		return tagserver.Verdict{}, err
 	}
-	v, err := cc.CheckUploadCtx(ctx, seg, dest)
-	if err != nil {
-		return tagserver.VerdictResponse{}, err
-	}
-	return tagserver.VerdictResponse{Decision: v.Decision, Violating: v.Violating, Sources: v.Sources}, nil
+	return cc.CheckUploadCtx(ctx, seg, dest)
 }
 
 // Label fetches a segment's label from its home partition.

@@ -26,49 +26,31 @@ import (
 // evaluated at the segment's home against shadow labels mirroring every
 // source's explicit tags.
 
-// PartCand is one candidate's contribution to a scatter-gather reply:
-// the disclosure.RemoteCand facts plus the candidate's explicit tags, so
-// the winner's labels can be mirrored (shadowed) wherever the verdict is
-// evaluated without a second round trip.
-type PartCand struct {
-	Seg       segment.ID
-	Len       int
-	Threshold float64
-	Overlap   []int
-	Tags      []string
-}
-
 // PartResolve is one partition's full contribution to a scatter-gather
-// disclosure query.
+// disclosure query. It is also the wire form: a /v1/part/query reply, and
+// the "resolve" of a phase-1 /v1/part/observe miss.
 type PartResolve struct {
 	// Clock is the partition's logical time for the queried granularity;
 	// routers fold it into their Lamport stamp so a restarted router
 	// catches up with the cluster instead of stamping in the past.
-	Clock uint64
+	Clock uint64 `json:"clock"`
 
 	// Oldest names the partition-local oldest holder of each query hash
 	// (by hash index) with its first-observation sequence number.
-	Oldest []index.OldestRef
+	Oldest []index.OldestRef `json:"oldest,omitempty"`
 
-	// Cands carries the evaluation facts for each distinct local oldest
-	// holder.
-	Cands []PartCand
+	// Cands carries the evaluation facts and explicit tags of each
+	// distinct local oldest holder.
+	Cands []disclosure.RemoteCand `json:"cands,omitempty"`
 }
 
 // PartQuery computes this engine's contribution to a scatter-gather
 // disclosure query: local oldest holders, candidate facts, and each
 // candidate's explicit tags.
 func (e *Engine) PartQuery(hashes []uint32, g segment.Granularity) PartResolve {
-	refs, rcands := e.tracker.ResolveQuery(hashes, g)
-	cands := make([]PartCand, len(rcands))
-	for i, c := range rcands {
-		cands[i] = PartCand{
-			Seg:       c.Seg,
-			Len:       c.Len,
-			Threshold: c.Threshold,
-			Overlap:   c.Overlap,
-			Tags:      e.explicitTags(c.Seg),
-		}
+	refs, cands := e.tracker.ResolveQuery(hashes, g)
+	for i := range cands {
+		cands[i].Tags = e.explicitTags(cands[i].Seg)
 	}
 	return PartResolve{Clock: e.tracker.Clock(g), Oldest: refs, Cands: cands}
 }
@@ -176,7 +158,7 @@ func MergeResolves(fpLen int, exclude segment.ID, replies []PartResolve) (source
 		seq uint64
 	}
 	oldest := make(map[int]ref)
-	cands := make(map[segment.ID]PartCand)
+	cands := make(map[segment.ID]disclosure.RemoteCand)
 	for _, r := range replies {
 		if r.Clock > maxClock {
 			maxClock = r.Clock

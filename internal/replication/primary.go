@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/disclosure"
+	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/wal"
 )
@@ -93,7 +94,6 @@ type Primary struct {
 	durable  *store.Durable
 	maxBatch int
 	maxWait  time.Duration
-	filter   func(blob []byte, lo, hi uint32) ([]byte, error)
 	logf     func(string, ...interface{})
 
 	// Anti-entropy adjudication: a replica claiming digest D while caught
@@ -132,13 +132,6 @@ type PrimaryOptions struct {
 	// MaxWait caps a stream long-poll (default DefaultMaxWait).
 	MaxWait time.Duration
 
-	// FilterSnapshot, when set, re-encodes a checkpoint image restricted
-	// to the inclusive partition-key range [lo, hi] (see
-	// store.FilterSnapshotRange); it serves /v1/repl/snapshot?lo=&hi=
-	// requests from a split target's filtered replica. Nil rejects
-	// filtered snapshot requests.
-	FilterSnapshot func(blob []byte, lo, hi uint32) ([]byte, error)
-
 	// Logf receives serving notes; nil discards.
 	Logf func(format string, args ...interface{})
 }
@@ -160,7 +153,6 @@ func NewPrimary(node *Node, durable *store.Durable, opts PrimaryOptions) *Primar
 		durable:  durable,
 		maxBatch: opts.MaxBatchBytes,
 		maxWait:  opts.MaxWait,
-		filter:   opts.FilterSnapshot,
 		logf:     opts.Logf,
 		strikes:  make(map[strikeKey]int),
 	}
@@ -220,8 +212,7 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	// ?lo=&hi= asks for a snapshot restricted to a partition-key range
 	// (a split target bootstrapping a filtered replica).
-	var filtered bool
-	var lo, hi uint32
+	var kr *segment.KeyRange
 	if q := r.URL.Query(); q.Get("lo") != "" || q.Get("hi") != "" {
 		loVal, loErr := strconv.ParseUint(q.Get("lo"), 10, 32)
 		hiVal, hiErr := strconv.ParseUint(q.Get("hi"), 10, 32)
@@ -229,23 +220,12 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			writeError(w, p.node, http.StatusBadRequest, "bad lo/hi key range")
 			return
 		}
-		if p.filter == nil {
-			writeError(w, p.node, http.StatusNotImplemented, "filtered snapshots not supported by this primary")
-			return
-		}
-		filtered, lo, hi = true, uint32(loVal), uint32(hiVal)
+		kr = &segment.KeyRange{Lo: uint32(loVal), Hi: uint32(hiVal)}
 	}
-	blob, barrier, err := p.durable.CaptureCheckpointBytes()
+	blob, barrier, err := p.durable.CaptureImage(kr)
 	if err != nil {
 		writeError(w, p.node, http.StatusInternalServerError, "capture checkpoint: "+err.Error())
 		return
-	}
-	if filtered {
-		blob, err = p.filter(blob, lo, hi)
-		if err != nil {
-			writeError(w, p.node, http.StatusInternalServerError, "filter checkpoint: "+err.Error())
-			return
-		}
 	}
 	setTermHeaders(w, p.node)
 	w.Header().Set("Content-Type", SnapshotContentType)

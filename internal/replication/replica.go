@@ -20,7 +20,6 @@ import (
 
 	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
-	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/wal"
 )
@@ -34,6 +33,12 @@ type ReplicaOptions struct {
 	// primary under the same flags would, and fsyncs every streamed batch
 	// before applying it unless Fsync is wal.SyncNone. Promotion flips the
 	// role of that same store; nothing is reopened.
+	//
+	// Durable.KeyRange makes this a partition split's filtered standby: it
+	// bootstraps from a snapshot restricted to the range, materialises
+	// tracker state only for in-range segments of the verbatim stream, and
+	// claims no anti-entropy digest — holding a slice of the keyspace is
+	// not divergence.
 	Durable store.DurableOptions
 
 	// HTTPClient dials the primary; nil uses a default client. Its
@@ -55,36 +60,11 @@ type ReplicaOptions struct {
 	// streamed observe records. Lag, position and role are Status fields;
 	// whoever is handed Status exports them.
 	Obs *obs.Obs
-
-	// Split makes this a filtered replica for a partition split: the
-	// bootstrap snapshot is restricted to the inclusive key range, the
-	// store still writes the primary's WAL bytes verbatim but streamed
-	// records materialise tracker state only for in-range segments
-	// (registry effects stay global; Durable.SegmentFilter is set to the
-	// range, so promotion and later restarts keep filtering), and
-	// digest-based anti-entropy is disabled — a filtered replica's state
-	// digest is intentionally not the primary's. Nil replicates everything.
-	Split *SplitRange
 }
-
-// SplitRange is the inclusive partition-key range a filtered replica
-// materialises (see segment.Key).
-type SplitRange struct {
-	Lo, Hi uint32
-}
-
-// Contains reports whether partition key k falls in the range.
-func (sr SplitRange) Contains(k uint32) bool { return k >= sr.Lo && k <= sr.Hi }
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
 	if o.Durable.Logf == nil {
 		o.Durable.Logf = func(string, ...interface{}) {}
-	}
-	if sr := o.Split; sr != nil {
-		split := *sr
-		o.Durable.SegmentFilter = func(seg segment.ID) bool {
-			return split.Contains(segment.Key(seg))
-		}
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = &http.Client{}
@@ -298,8 +278,8 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	query := ""
-	if sr := r.opts.Split; sr != nil {
-		query = fmt.Sprintf("lo=%d&hi=%d", sr.Lo, sr.Hi)
+	if kr := r.opts.Durable.KeyRange; kr != nil {
+		query = fmt.Sprintf("lo=%d&hi=%d", kr.Lo, kr.Hi)
 	}
 	req, err := r.newRequest(rctx, http.MethodGet, "/v1/repl/snapshot", query)
 	if err != nil {
@@ -355,9 +335,8 @@ func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 	// Attach the local state digest: when this round finds us caught up,
 	// the primary compares it against its own and orders a re-bootstrap
 	// if our in-memory state has silently diverged. A filtered replica
-	// never claims a digest — holding a slice of the keyspace is not
-	// divergence.
-	if r.opts.Split == nil {
+	// never claims a digest.
+	if r.opts.Durable.KeyRange == nil {
 		req.Header.Set(HeaderDigest, fmt.Sprintf("%016x", r.durable.StateDigest().Combined))
 	}
 	resp, err := r.opts.HTTPClient.Do(req)

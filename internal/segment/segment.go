@@ -91,6 +91,16 @@ func Key(id ID) uint32 {
 	return h
 }
 
+// KeyRange is an inclusive range [Lo, Hi] of partition keys: the slice of
+// the keyspace a split target owns, and the /v1/part/prune body.
+type KeyRange struct {
+	Lo uint32 `json:"lo"`
+	Hi uint32 `json:"hi"`
+}
+
+// Contains reports whether partition key k falls in the range.
+func (kr KeyRange) Contains(k uint32) bool { return k >= kr.Lo && k <= kr.Hi }
+
 // Paragraph is one paragraph of a document.
 type Paragraph struct {
 	// ID is the paragraph's segment ID.

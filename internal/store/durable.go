@@ -109,12 +109,13 @@ type DurableOptions struct {
 	// Logf receives recovery and checkpoint notes; nil discards them.
 	Logf func(format string, args ...interface{})
 
-	// SegmentFilter, when set, restricts tracker-state replay to segments
-	// it accepts — how a promoted split target recovers from a WAL whose
-	// bytes were mirrored from the source partition verbatim: registry
-	// effects (labels are global shadow state) apply unconditionally,
-	// index updates for out-of-range segments are skipped.
-	SegmentFilter func(segment.ID) bool
+	// KeyRange, when set, is the partition-key range a split target owns:
+	// tracker state is materialised only for segments whose segment.Key
+	// falls in it, in replay and in a follower's stream alike — how the
+	// target keeps, across promotion and restarts, a WAL whose bytes were
+	// mirrored from the source partition verbatim. Registry effects
+	// (labels are global shadow state) apply unconditionally.
+	KeyRange *segment.KeyRange
 }
 
 // RecoveryStats describes what recovery found and did.
@@ -418,13 +419,13 @@ func (d *Durable) replay(barrier uint64) error {
 	return nil
 }
 
-// newApplier builds a record applier under the store's segment filter.
+// newApplier builds a record applier under the store's key range.
 func (d *Durable) newApplier() (*Applier, error) {
 	applier, err := NewApplier(d.tracker, d.registry)
 	if err != nil {
 		return nil, err
 	}
-	applier.SetSegmentFilter(d.opts.SegmentFilter)
+	applier.keys = d.opts.KeyRange
 	applier.SetTraceLog(d.traces)
 	return applier, nil
 }
@@ -525,7 +526,7 @@ func (d *Durable) PruneRange(ctx context.Context, lo, hi uint32) error {
 // safe to call concurrently with traffic; mutations block only for the
 // rotate + in-memory capture, never for the file write.
 func (d *Durable) Checkpoint() error {
-	blob, barrier, err := d.CaptureCheckpointBytes()
+	blob, barrier, err := d.CaptureImage(nil)
 	if err == errMidSegment {
 		d.mu.Lock()
 		d.checkpointDue = true
@@ -651,17 +652,19 @@ func (d *Durable) StateDigest() disclosure.TrackerDigest {
 	return d.tracker.Digest()
 }
 
-// CaptureCheckpointBytes rotates to a fresh WAL epoch barrier and encodes
-// the state behind it straight into a plaintext BFLOWSNB image, without
-// installing it on disk. The checkpointer seals and installs the bytes;
-// the replication snapshot endpoint serves them verbatim to bootstrapping
+// CaptureImage rotates to a fresh WAL epoch barrier and encodes the state
+// behind it straight into a plaintext BFLOWSNB image, without installing
+// it on disk. The checkpointer seals and installs the bytes; the
+// replication snapshot endpoint serves them verbatim to bootstrapping
 // replicas, which then stream from the barrier segment onwards. The extra
 // segment rotation a served snapshot costs is harmless — the next durable
-// Checkpoint simply rotates again.
+// Checkpoint simply rotates again. A non-nil kr restricts the image's
+// index state to that key range (a split target's bootstrap; see
+// filterImage).
 //
 // A follower's log cannot rotate; it has a barrier only while the stream
 // stands at a segment's header boundary (follower.go).
-func (d *Durable) CaptureCheckpointBytes() (blob []byte, barrier uint64, err error) {
+func (d *Durable) CaptureImage(kr *segment.KeyRange) (blob []byte, barrier uint64, err error) {
 	d.barrier.Lock()
 	if !d.following {
 		barrier, err = d.log.Rotate()
@@ -681,6 +684,11 @@ func (d *Durable) CaptureCheckpointBytes() (blob []byte, barrier uint64, err err
 		d.checkpointErrs++
 		d.mu.Unlock()
 		return nil, 0, fmt.Errorf("store: capture checkpoint: %w", err)
+	}
+	if kr != nil {
+		if blob, err = filterImage(blob, d.tracker.Params(), *kr); err != nil {
+			return nil, 0, err
+		}
 	}
 	return blob, barrier, nil
 }

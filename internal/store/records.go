@@ -291,24 +291,20 @@ func decodeObserveResolved(data []byte) (observeResolvedOp, error) {
 	return op, nil
 }
 
-// pruneOp is the JSON form of a key-range prune (rare, inspectable).
-type pruneOp struct {
-	Lo uint32 `json:"lo"`
-	Hi uint32 `json:"hi"`
-}
-
+// A key-range prune is journalled as its segment.KeyRange JSON (rare,
+// inspectable).
 func encodePruneRange(lo, hi uint32) (wal.Record, error) {
-	data, err := json.Marshal(pruneOp{Lo: lo, Hi: hi})
+	data, err := json.Marshal(segment.KeyRange{Lo: lo, Hi: hi})
 	if err != nil {
 		return wal.Record{}, fmt.Errorf("store: encode prune record: %w", err)
 	}
 	return wal.Record{Type: recPruneRange, Data: data}, nil
 }
 
-func decodePruneRange(data []byte) (pruneOp, error) {
-	var op pruneOp
+func decodePruneRange(data []byte) (segment.KeyRange, error) {
+	var op segment.KeyRange
 	if err := json.Unmarshal(data, &op); err != nil {
-		return pruneOp{}, fmt.Errorf("store: decode prune record: %w", err)
+		return segment.KeyRange{}, fmt.Errorf("store: decode prune record: %w", err)
 	}
 	return op, nil
 }

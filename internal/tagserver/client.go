@@ -246,16 +246,6 @@ func AsNotPrimary(err error) (*NotPrimaryError, bool) {
 	return nil, false
 }
 
-// Verdict is the client-side decision result.
-type Verdict struct {
-	Decision  string
-	Violating []tdm.Tag
-	Sources   []SourceDT
-}
-
-// Violation reports whether the verdict carries violating tags.
-func (v Verdict) Violation() bool { return len(v.Violating) > 0 }
-
 // Observe records the current text of a paragraph with the shared service.
 func (c *Client) Observe(service string, seg segment.ID, text string) (Verdict, error) {
 	return c.ObserveCtx(context.Background(), service, seg, text)
@@ -322,19 +312,15 @@ func (c *Client) ObserveBatchCtx(ctx context.Context, service string, items []Ba
 // service's /v1/observe/batch endpoint, amortising transport and decode
 // cost across the whole flush.
 func (c *Client) ObserveHashesBatch(ctx context.Context, service string, items []BatchObserveItem) ([]Verdict, error) {
-	var wire BatchObserveResponse
+	var out BatchObserveResponse
 	if err := c.post(ctx, "/v1/observe/batch", BatchObserveRequest{
 		Device:  c.device,
 		Service: service,
 		Items:   items,
-	}, &wire); err != nil {
+	}, &out); err != nil {
 		return nil, err
 	}
-	out := make([]Verdict, len(wire.Verdicts))
-	for i, v := range wire.Verdicts {
-		out[i] = Verdict{Decision: v.Decision, Violating: v.Violating, Sources: v.Sources}
-	}
-	return out, nil
+	return out.Verdicts, nil
 }
 
 // Check evaluates ad-hoc text against a destination service.
@@ -429,11 +415,11 @@ func (c *Client) getJSON(ctx context.Context, pathAndQuery string, into interfac
 }
 
 func (c *Client) postVerdict(ctx context.Context, path string, req interface{}) (Verdict, error) {
-	var wire VerdictResponse
-	if err := c.post(ctx, path, req, &wire); err != nil {
+	var v Verdict
+	if err := c.post(ctx, path, req, &v); err != nil {
 		return Verdict{}, err
 	}
-	return Verdict{Decision: wire.Decision, Violating: wire.Violating, Sources: wire.Sources}, nil
+	return v, nil
 }
 
 // post performs a routed POST of req's JSON and decodes the response

@@ -141,7 +141,7 @@ func TestClusterClientIgnoresStaleReplica(t *testing.T) {
 		}
 		return string(b)
 	}
-	const warnTW = `{"Decision":"warn","Violating":["tw"]` // what the primary must say, or the test has no teeth
+	const warnTW = `{"decision":"warn","violating":["tw"]` // what the primary must say, or the test has no teeth
 	for _, q := range []struct{ name, got, want, wantPrefix string }{
 		{"check", answer(group.Check(text, "pad")), answer(primary.Check(text, "pad")), warnTW},
 		{"upload", answer(group.CheckUpload(seg, "pad")), answer(primary.CheckUpload(seg, "pad")), warnTW},
@@ -409,7 +409,7 @@ func TestClusterClientRouting(t *testing.T) {
 						case r.URL.Path == "/healthz":
 							json.NewEncoder(w).Encode(HealthResponse{Status: "ok", Replication: n.health}) //nolint:errcheck
 						case n.status == http.StatusOK:
-							json.NewEncoder(w).Encode(VerdictResponse{Decision: "warn", Violating: []tdm.Tag{"tw"}}) //nolint:errcheck
+							json.NewEncoder(w).Encode(Verdict{Decision: "warn", Violating: []tdm.Tag{"tw"}}) //nolint:errcheck
 						case n.status == http.StatusMisdirectedRequest:
 							w.Header().Set("X-BF-Primary", urls[n.redirectTo])
 							if n.term > 0 {

@@ -113,7 +113,7 @@ func FuzzServerRequests(f *testing.F) {
 			return
 		}
 		var req PartQueryRequest
-		var got PartResolveWire
+		var got policy.PartResolve
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			t.Fatalf("200 for a body the handler cannot have decoded: %v", err)
 		}
@@ -122,12 +122,12 @@ func FuzzServerRequests(f *testing.F) {
 		}
 		in := func(i int) bool { return i >= 0 && i < len(req.Hashes) }
 		for _, o := range got.Oldest {
-			if !in(o.I) {
-				t.Fatalf("%q: oldest index %d of %d hashes", body, o.I, len(req.Hashes))
+			if !in(o.Idx) {
+				t.Fatalf("%q: oldest index %d of %d hashes", body, o.Idx, len(req.Hashes))
 			}
 		}
 		for _, c := range got.Cands {
-			for _, i := range c.Ov {
+			for _, i := range c.Overlap {
 				if !in(i) {
 					t.Fatalf("%q: overlap index %d of %d hashes", body, i, len(req.Hashes))
 				}
@@ -158,16 +158,16 @@ func TestPartQueryRequiresAscendingHashes(t *testing.T) {
 	}
 
 	code, body := query(hashes)
-	var got PartResolveWire
+	var got policy.PartResolve
 	if code != http.StatusOK || json.Unmarshal(body, &got) != nil {
 		t.Fatalf("sorted query: status %d: %s", code, body)
 	}
 	if c := got.Cands; got.Clock != 2 || len(got.Oldest) != 34 || len(c) != 1 ||
-		c[0].Len != 34 || c[0].Thr != 0.3 || len(c[0].Ov) != 34 || !slices.Equal(c[0].Tags, []string{"tw"}) {
+		c[0].Len != 34 || c[0].Threshold != 0.3 || len(c[0].Overlap) != 34 || !slices.Equal(c[0].Tags, []string{"tw"}) {
 		t.Fatalf("sorted query answered %s; want 34 oldest holders and one tw candidate covering all 34 at clock 2", body)
 	}
 	for i, o := range got.Oldest {
-		if o.I != i || o.Seg != "wiki/plan#p0" || o.Seq != 2 || got.Cands[0].Ov[i] != i {
+		if o.Idx != i || o.Seg != "wiki/plan#p0" || o.Seq != 2 || got.Cands[0].Overlap[i] != i {
 			t.Fatalf("sorted query answered %s; want index %d held by wiki/plan#p0 since 2", body, i)
 		}
 	}

@@ -34,7 +34,6 @@ import (
 
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
-	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 )
@@ -96,45 +95,16 @@ type HealthPartition struct {
 }
 
 // --- wire types -------------------------------------------------------------
-
-// PartOldestRef names the partition-local oldest holder of one query
-// hash (I indexes the request's hash list).
-type PartOldestRef struct {
-	I   int        `json:"i"`
-	Seg segment.ID `json:"seg"`
-	Seq uint64     `json:"seq"`
-}
-
-// PartCandWire carries one candidate's evaluation facts: fingerprint
-// length, disclosure threshold, the hash indices it holds, and its
-// explicit tags.
-type PartCandWire struct {
-	Seg  segment.ID `json:"seg"`
-	Len  int        `json:"len"`
-	Thr  float64    `json:"thr"`
-	Ov   []int      `json:"ov,omitempty"`
-	Tags []string   `json:"tags,omitempty"`
-}
-
-// PartResolveWire is one partition's scatter-gather contribution.
-type PartResolveWire struct {
-	Clock  uint64          `json:"clock"`
-	Oldest []PartOldestRef `json:"oldest,omitempty"`
-	Cands  []PartCandWire  `json:"cands,omitempty"`
-}
-
-// PartSource is one resolved disclosure source on the wire (threshold
-// included so the home partition can seed its decision cache).
-type PartSource struct {
-	Seg        segment.ID `json:"seg"`
-	Disclosure float64    `json:"disclosure"`
-	Threshold  float64    `json:"threshold"`
-}
+//
+// A node↔router body that carries an engine fact carries the engine's own
+// type (policy.PartResolve, disclosure.Source, segment.KeyRange): their
+// JSON tags are this wire, pinned by TestPartWirePinned.
 
 // PartResolved is the router-merged disclosure result a phase-2 observe
-// applies.
+// applies. Sources carry their thresholds so the home partition can seed
+// its decision cache.
 type PartResolved struct {
-	Sources []PartSource            `json:"sources"`
+	Sources []disclosure.Source     `json:"sources"`
 	Tags    map[segment.ID][]string `json:"tags,omitempty"`
 }
 
@@ -155,8 +125,8 @@ type PartObserveRequest struct {
 // mode, or phase 2) or the home partition's scatter contribution for
 // the router to merge.
 type PartObserveResponse struct {
-	Verdict *VerdictResponse `json:"verdict,omitempty"`
-	Resolve *PartResolveWire `json:"resolve,omitempty"`
+	Verdict *Verdict            `json:"verdict,omitempty"`
+	Resolve *policy.PartResolve `json:"resolve,omitempty"`
 }
 
 // PartQueryRequest asks a partition for its scatter contribution.
@@ -168,19 +138,14 @@ type PartQueryRequest struct {
 // PartCheckRequest evaluates a release check from router-resolved
 // sources and the scatter-computed implicit tag union.
 type PartCheckRequest struct {
-	Device   string       `json:"device,omitempty"`
-	Dest     string       `json:"dest"`
-	Sources  []PartSource `json:"sources,omitempty"`
-	Implicit []string     `json:"implicit,omitempty"`
+	Device   string              `json:"device,omitempty"`
+	Dest     string              `json:"dest"`
+	Sources  []disclosure.Source `json:"sources,omitempty"`
+	Implicit []string            `json:"implicit,omitempty"`
 }
 
-// PartPruneRequest drops the inclusive key range after a split.
-type PartPruneRequest struct {
-	Lo uint32 `json:"lo"`
-	Hi uint32 `json:"hi"`
-}
-
-// PartPruneResponse reports how many segments the prune removed.
+// PartPruneResponse reports how many segments a /v1/part/prune (body: the
+// segment.KeyRange a split moved away) removed.
 type PartPruneResponse struct {
 	Removed int `json:"removed"`
 }
@@ -188,51 +153,6 @@ type PartPruneResponse struct {
 // PartRingResponse acknowledges a ring install.
 type PartRingResponse struct {
 	Version uint64 `json:"version"`
-}
-
-// --- wire conversions -------------------------------------------------------
-
-// toWireResolve converts an engine scatter contribution to its wire form.
-func toWireResolve(r policy.PartResolve) *PartResolveWire {
-	out := &PartResolveWire{Clock: r.Clock}
-	for _, o := range r.Oldest {
-		out.Oldest = append(out.Oldest, PartOldestRef{I: o.Idx, Seg: o.Seg, Seq: o.Seq})
-	}
-	for _, c := range r.Cands {
-		out.Cands = append(out.Cands, PartCandWire{Seg: c.Seg, Len: c.Len, Thr: c.Threshold, Ov: c.Overlap, Tags: c.Tags})
-	}
-	return out
-}
-
-// FromWireResolve converts a wire scatter contribution back to engine
-// form — the router's side of the conversion.
-func FromWireResolve(r *PartResolveWire) policy.PartResolve {
-	out := policy.PartResolve{Clock: r.Clock}
-	for _, o := range r.Oldest {
-		out.Oldest = append(out.Oldest, index.OldestRef{Idx: o.I, Seg: o.Seg, Seq: o.Seq})
-	}
-	for _, c := range r.Cands {
-		out.Cands = append(out.Cands, policy.PartCand{Seg: c.Seg, Len: c.Len, Threshold: c.Thr, Overlap: c.Ov, Tags: c.Tags})
-	}
-	return out
-}
-
-// FromWireResolved converts a router-merged result to engine form.
-func FromWireResolved(r *PartResolved) ([]disclosure.Source, map[segment.ID][]string) {
-	var sources []disclosure.Source
-	for _, s := range r.Sources {
-		sources = append(sources, disclosure.Source{Seg: s.Seg, Disclosure: s.Disclosure, Threshold: s.Threshold})
-	}
-	return sources, r.Tags
-}
-
-// ToWireSources converts resolved sources to wire form.
-func ToWireSources(sources []disclosure.Source) []PartSource {
-	out := make([]PartSource, 0, len(sources))
-	for _, s := range sources {
-		out = append(out, PartSource{Seg: s.Seg, Disclosure: s.Disclosure, Threshold: s.Threshold})
-	}
-	return out
 }
 
 // --- server handlers --------------------------------------------------------
@@ -295,44 +215,32 @@ func (s *Server) handlePartObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := fingerprint.FromHashes(req.Hashes)
-	if req.Resolved != nil {
-		sources, tags := FromWireResolved(req.Resolved)
-		verdict, err := s.engine.ObserveResolvedFPCtx(r.Context(), req.Seg, req.Service, fp, gran, req.Clock, sources, tags)
-		if err != nil {
-			s.writeEngineError(w, err)
-			return
-		}
-		s.observes.Add(1)
-		s.countVerdict(verdict)
-		vr := verdictResponse(verdict)
-		writeJSON(w, PartObserveResponse{Verdict: &vr})
-		return
+	var (
+		verdict policy.Verdict
+		resolve policy.PartResolve
+		done    = true
+		err     error
+	)
+	switch {
+	case req.Resolved != nil:
+		verdict, err = s.engine.ObserveResolvedFPCtx(r.Context(), req.Seg, req.Service, fp, gran, req.Clock, req.Resolved.Sources, req.Resolved.Tags)
+	case s.partition.Sole():
+		verdict, err = s.engine.ObserveSoleFPCtx(r.Context(), req.Seg, req.Service, fp, gran, req.Clock)
+	default:
+		verdict, resolve, done, err = s.engine.ObservePart(r.Context(), req.Seg, req.Service, fp, gran, req.Clock)
 	}
-	if s.partition.Sole() {
-		verdict, err := s.engine.ObserveSoleFPCtx(r.Context(), req.Seg, req.Service, fp, gran, req.Clock)
-		if err != nil {
-			s.writeEngineError(w, err)
-			return
-		}
-		s.observes.Add(1)
-		s.countVerdict(verdict)
-		vr := verdictResponse(verdict)
-		writeJSON(w, PartObserveResponse{Verdict: &vr})
-		return
-	}
-	verdict, resolve, done, err := s.engine.ObservePart(r.Context(), req.Seg, req.Service, fp, gran, req.Clock)
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
 	}
-	if done {
-		s.observes.Add(1)
-		s.countVerdict(verdict)
-		vr := verdictResponse(verdict)
-		writeJSON(w, PartObserveResponse{Verdict: &vr})
+	if !done {
+		writeJSON(w, PartObserveResponse{Resolve: &resolve})
 		return
 	}
-	writeJSON(w, PartObserveResponse{Resolve: toWireResolve(resolve)})
+	s.observes.Add(1)
+	s.countVerdict(verdict)
+	vr := wireVerdict(verdict)
+	writeJSON(w, PartObserveResponse{Verdict: &vr})
 }
 
 func (s *Server) handlePartQuery(w http.ResponseWriter, r *http.Request) {
@@ -354,7 +262,7 @@ func (s *Server) handlePartQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, toWireResolve(s.engine.PartQuery(req.Hashes, gran)))
+	writeJSON(w, s.engine.PartQuery(req.Hashes, gran))
 }
 
 func (s *Server) handlePartCheck(w http.ResponseWriter, r *http.Request) {
@@ -366,11 +274,7 @@ func (s *Server) handlePartCheck(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "dest required", http.StatusBadRequest)
 		return
 	}
-	sources := make([]disclosure.Source, 0, len(req.Sources))
-	for _, src := range req.Sources {
-		sources = append(sources, disclosure.Source{Seg: src.Seg, Disclosure: src.Disclosure, Threshold: src.Threshold})
-	}
-	verdict, err := s.engine.CheckResolved(req.Dest, sources, req.Implicit)
+	verdict, err := s.engine.CheckResolved(req.Dest, req.Sources, req.Implicit)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -413,7 +317,7 @@ func (s *Server) handlePartRing(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePartPrune(w http.ResponseWriter, r *http.Request) {
-	var req PartPruneRequest
+	var req segment.KeyRange
 	if !s.decodePost(w, r, &req) {
 		return
 	}
@@ -436,6 +340,10 @@ func (s *Server) handlePartPrune(w http.ResponseWriter, r *http.Request) {
 // set on success.
 func (c *Client) PartObserve(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string, clock uint64, resolved *PartResolved) (PartObserveResponse, error) {
 	const path = "/v1/part/observe"
+	if resolved != nil && resolved.Sources == nil {
+		// The wire carries a list here, never null.
+		resolved = &PartResolved{Sources: []disclosure.Source{}, Tags: resolved.Tags}
+	}
 	var out PartObserveResponse
 	if err := c.post(ctx, path, PartObserveRequest{
 		Device:      c.device,
@@ -455,17 +363,17 @@ func (c *Client) PartObserve(ctx context.Context, service string, seg segment.ID
 }
 
 // PartQuery fetches a partition's scatter contribution for hashes.
-func (c *Client) PartQuery(ctx context.Context, hashes []uint32, granularity string) (PartResolveWire, error) {
-	var out PartResolveWire
+func (c *Client) PartQuery(ctx context.Context, hashes []uint32, granularity string) (policy.PartResolve, error) {
+	var out policy.PartResolve
 	if err := c.post(ctx, "/v1/part/query", PartQueryRequest{Hashes: hashes, Granularity: granularity}, &out); err != nil {
-		return PartResolveWire{}, err
+		return policy.PartResolve{}, err
 	}
 	return out, nil
 }
 
 // PartCheck evaluates a release check from resolved sources and implicit
 // tags.
-func (c *Client) PartCheck(ctx context.Context, dest string, sources []PartSource, implicit []string) (Verdict, error) {
+func (c *Client) PartCheck(ctx context.Context, dest string, sources []disclosure.Source, implicit []string) (Verdict, error) {
 	return c.postVerdict(ctx, "/v1/part/check", PartCheckRequest{
 		Device:   c.device,
 		Dest:     dest,

@@ -67,7 +67,7 @@ type BatchObserveRequest struct {
 
 // BatchObserveResponse carries one verdict per request item, in order.
 type BatchObserveResponse struct {
-	Verdicts []VerdictResponse `json:"verdicts"`
+	Verdicts []Verdict `json:"verdicts"`
 }
 
 // CheckRequest asks whether content may be released to a destination.
@@ -92,14 +92,19 @@ type SuppressRequest struct {
 	Justification string     `json:"justification"`
 }
 
-// VerdictResponse is the wire form of a policy verdict.
-type VerdictResponse struct {
+// Verdict is a policy verdict as the wire carries it, and as clients
+// return it.
+type Verdict struct {
 	Decision  string     `json:"decision"`
 	Violating []tdm.Tag  `json:"violating,omitempty"`
 	Sources   []SourceDT `json:"sources,omitempty"`
 }
 
-// SourceDT is one disclosure source on the wire.
+// Violation reports whether the verdict carries violating tags.
+func (v Verdict) Violation() bool { return len(v.Violating) > 0 }
+
+// SourceDT is one disclosure source in a verdict (no threshold: a verdict
+// reports what was disclosed, not the bar it met).
 type SourceDT struct {
 	Seg        segment.ID `json:"seg"`
 	Disclosure float64    `json:"disclosure"`
@@ -525,10 +530,10 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observes.Add(uint64(len(verdicts)))
-	resp := BatchObserveResponse{Verdicts: make([]VerdictResponse, len(verdicts))}
+	resp := BatchObserveResponse{Verdicts: make([]Verdict, len(verdicts))}
 	for i, v := range verdicts {
 		s.countVerdict(v)
-		resp.Verdicts[i] = verdictResponse(v)
+		resp.Verdicts[i] = wireVerdict(v)
 	}
 	writeJSON(w, resp)
 }
@@ -801,12 +806,12 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, into interfa
 }
 
 func writeVerdict(w http.ResponseWriter, v policy.Verdict) {
-	writeJSON(w, verdictResponse(v))
+	writeJSON(w, wireVerdict(v))
 }
 
-// verdictResponse converts a policy verdict to its wire form.
-func verdictResponse(v policy.Verdict) VerdictResponse {
-	resp := VerdictResponse{Decision: v.Decision.String(), Violating: v.Violating}
+// wireVerdict converts a policy verdict to its wire form.
+func wireVerdict(v policy.Verdict) Verdict {
+	resp := Verdict{Decision: v.Decision.String(), Violating: v.Violating}
 	for _, src := range v.Sources {
 		resp.Sources = append(resp.Sources, SourceDT{Seg: src.Seg, Disclosure: src.Disclosure})
 	}
