@@ -84,7 +84,9 @@ vuln:
 # and the replication stream, held to one answer), the record applier a
 # replica runs over streamed records, the state-image restore (unseal +
 # BFLOWSNB decode, the one route every load takes), the index digest
-# codec the anti-entropy comparator trusts, the ring codec, the two
+# codec the anti-entropy comparator trusts, the index itself against its
+# reference model (generated operation streams over the packed runs and
+# the head tables), the ring codec, the two
 # policy-language targets, and the JSON bodies and X-BF-Trace header a
 # node's HTTP endpoints read.
 FUZZTIME ?= 10s
@@ -93,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzApplyRecord' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzRestoreBinarySnapshot' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzDecodeDigest' -fuzztime $(FUZZTIME) ./internal/index
+	$(GO) test -fuzz 'FuzzIndexModel' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -fuzz 'FuzzParsePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
 	$(GO) test -fuzz 'FuzzCompilePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile

@@ -103,21 +103,23 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	})
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		for _, slot := range sh.head {
-			used[slot.ref&^moreBit] = true
+		for _, r := range sh.head.rows {
+			if r.ref != emptyRow {
+				used[r.ref&^moreBit] = true
+			}
 		}
 		for _, b := range sh.over {
 			for _, p := range b.postings {
 				used[p.ref] = true
 			}
 		}
-		for _, r := range sh.run.segs {
-			if r != tombstoneRef {
+		for g := range sh.run.lo {
+			if r := sh.run.first(g); r != tombstoneRef {
 				used[r&^moreBit] = true
 			}
 		}
-		for _, r := range sh.run.moreSegs {
-			if r != tombstoneRef {
+		for k := range sh.run.moreHashes {
+			if r := sh.run.moreRef(k); r != tombstoneRef {
 				used[r] = true
 			}
 		}
@@ -198,8 +200,8 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 	)
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
-			scratch = sh.appendPostingsLocked(h, g, slot, inHead, scratch[:0])
+		sh.walkHashesLocked(func(h uint32, g, i int) {
+			scratch = sh.appendPostingsLocked(h, g, i, scratch[:0])
 			if len(scratch) == 0 {
 				return // fully tombstoned group
 			}
@@ -521,21 +523,17 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 		refs[i] = db.tab.Intern(seg)
 		remap = remap || refs[i] != uint32(i)
 	}
-	var distinct int64
+	var distinct, runBytes int64
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
 		sh.run = p.runs[si]
 		if remap {
-			for g, r := range sh.run.segs {
-				sh.run.segs[g] = refs[r&^moreBit] | r&moreBit
-			}
-			for k, r := range sh.run.moreSegs {
-				sh.run.moreSegs[k] = refs[r]
-			}
+			sh.run.remap(refs)
 		}
 		sh.big = sh.run.bigSets()
 		distinct += int64(len(sh.run.lo))
+		runBytes += sh.run.bytes()
 		sh.mu.Unlock()
 	}
 	var parHashes int64
@@ -550,7 +548,7 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 		parHashes += int64(len(rec.hashes))
 	}
 	db.distinct.Store(distinct)
-	db.groups.Store(distinct)
+	db.runBytes.Store(runBytes)
 	db.postings.Store(int64(p.total))
 	db.parHashes.Store(parHashes)
 	db.RecomputeDigests()
@@ -564,7 +562,7 @@ func (db *DB) reset() {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
-		sh.head, sh.over = nil, nil
+		sh.head, sh.over = headTable{}, nil
 		sh.run = run{}
 		sh.big = nil
 		sh.headPostings = 0
@@ -586,7 +584,8 @@ func (db *DB) reset() {
 	db.rowMu.Unlock()
 	db.segments.Store(0)
 	db.distinct.Store(0)
-	db.groups.Store(0)
+	db.runBytes.Store(0)
+	db.headRows.Store(0)
 	db.postings.Store(0)
 	db.headN.Store(0)
 	db.deadN.Store(0)

@@ -157,17 +157,19 @@ func (db *DB) RecomputeDigests() {
 		}
 		r := &sh.run
 		for c := (runCursor{r: r}); c.ok(); c.next() {
-			if first := r.segs[c.g]; first != tombstoneRef {
+			if first := r.first(c.g); first != tombstoneRef {
 				fold(c.hash(), first&^moreBit, r.firstSeq(c.g))
 			}
 		}
-		for k, ref := range r.moreSegs {
-			if ref != tombstoneRef {
-				fold(r.moreHashes[k], ref, r.moreSeq(k))
+		for k, h := range r.moreHashes {
+			if ref := r.moreRef(k); ref != tombstoneRef {
+				fold(h, ref, r.moreSeq(k))
 			}
 		}
-		for h, slot := range sh.head {
-			fold(h, slot.ref&^moreBit, slot.seq())
+		for i, row := range sh.head.rows {
+			if row.ref != emptyRow {
+				fold(row.hash, row.ref&^moreBit, sh.head.seq(i))
+			}
 		}
 		for h, b := range sh.over {
 			for _, p := range b.postings {

@@ -36,15 +36,15 @@
 // Each hash shard is a small LSM tree: recent postings live in a mutable
 // head and the bulk in one compacted run of columnar arrays (see run.go).
 // Both tiers store segments as interned refs and both follow one rule: a
-// hash's oldest holder sits inline beside the hash — in the head as the
-// value of a builtin map, with no heap object per hash — and only a hash
-// with further holders has an entry in a side structure (the head's
-// overflow buckets, the run's spill columns). Inline merges migrate the
-// head into the run once it outgrows the merge policy and drop the head map
-// whole, so steady-state memory stays near the compacted figure while the
-// hot insert path still writes to a plain map. Verdict and oldest-holder
-// semantics are identical in every merge state; only the physical layout
-// changes.
+// hash's oldest holder sits inline beside the hash — in the head as a
+// 12-byte row of an open-addressed table (see head.go), in the run as
+// bit-packed columns — and only a hash with further holders has an entry
+// in a side structure (the head's overflow buckets, the run's spill
+// columns). Inline merges migrate the head into the run once it outgrows
+// the merge policy and drop the head table whole, so steady-state memory
+// stays near the compacted figure while the hot insert path writes one
+// row. Verdict and oldest-holder semantics are identical in every merge
+// state; only the physical layout changes.
 //
 // Lock ordering: a segment-stripe lock may be held while hash-shard locks
 // are acquired (one at a time), never the reverse, and never two locks of
@@ -90,27 +90,21 @@ type Stats struct {
 	HeadPostings int
 	Tombstones   int
 
-	// ApproxBytes is a rough in-memory footprint estimate derived from the
-	// counts (head map slots, run columns, fingerprint sets, segments).
-	// It tracks growth trends, not exact heap use.
+	// ApproxBytes is an in-memory footprint estimate: the bytes of the run
+	// columns and head tables, counted as they change, plus per-item costs
+	// of fingerprint sets and segments. It tracks growth trends, not exact
+	// heap use.
 	ApproxBytes int64
 }
 
 // DefaultShards is the lock-stripe count used by New. 64 stripes keep
 // shard collision probability low for typical device concurrency while the
 // fixed overhead (a mutex and the slice headers of an empty run per stripe;
-// a head map is made at a stripe's first insert) stays negligible.
+// a head table is made at a stripe's first insert) stays negligible.
 const DefaultShards = 64
 
 // maxShards bounds the configurable stripe count.
 const maxShards = 256
-
-// memberMapThreshold is the posting count past which a head overflow
-// bucket switches from a linear membership scan to a map. Most hashes have
-// a handful of holders, where a scan over a small slice beats a map
-// allocation; hot hashes shared by many segments get the O(1) set the
-// moment the scan would start to hurt.
-const memberMapThreshold = 8
 
 // posting is one (segment, first-seen time) association of a hash, the
 // segment as its interned ref.
@@ -119,81 +113,14 @@ type posting struct {
 	seq uint64
 }
 
-// headSlot is the mutable-head state of one hash, stored by value in the
-// head map: the hash's oldest head holder. moreBit on ref says later head
-// holders wait in the shard's overflow bucket for the hash. The stamp is
-// split in halves so the slot aligns to 4 bytes and packs to 12.
-type headSlot struct {
-	ref          uint32
-	seqLo, seqHi uint32
-}
-
-func newHeadSlot(ref uint32, seq uint64) headSlot {
-	return headSlot{ref: ref, seqLo: uint32(seq), seqHi: uint32(seq >> 32)}
-}
-
-func (s headSlot) seq() uint64 { return uint64(s.seqHi)<<32 | uint64(s.seqLo) }
-
-// bucket holds the head holders of a hash beyond its inline one, ordered by
-// ascending seq, plus an optional membership set for large buckets.
-type bucket struct {
-	postings []posting
-	members  map[uint32]struct{} // nil until memberMapThreshold exceeded
-}
-
-// has reports whether ref already holds this hash.
-func (b *bucket) has(ref uint32) bool {
-	if b.members != nil {
-		_, ok := b.members[ref]
-		return ok
-	}
-	for _, p := range b.postings {
-		if p.ref == ref {
-			return true
-		}
-	}
-	return false
-}
-
-// insert records (ref, seq), which the bucket must not hold yet. It keeps
-// postings sorted by seq: seqs are assigned before stripe locks are
-// acquired, so a slightly older observation can arrive after a newer one;
-// insertion from the back restores first-seen order (almost always a pure
-// append).
-func (b *bucket) insert(ref uint32, seq uint64) {
-	i := len(b.postings)
-	b.postings = append(b.postings, posting{})
-	for i > 0 && b.postings[i-1].seq > seq {
-		b.postings[i] = b.postings[i-1]
-		i--
-	}
-	b.postings[i] = posting{ref: ref, seq: seq}
-	if b.members != nil {
-		b.members[ref] = struct{}{}
-	} else if len(b.postings) > memberMapThreshold {
-		b.members = make(map[uint32]struct{}, len(b.postings))
-		for _, p := range b.postings {
-			b.members[p.ref] = struct{}{}
-		}
-	}
-}
-
-// removeAt deletes the i-th posting, preserving seq order.
-func (b *bucket) removeAt(i int) {
-	if b.members != nil {
-		delete(b.members, b.postings[i].ref)
-	}
-	b.postings = append(b.postings[:i], b.postings[i+1:]...)
-}
-
 // hashShard is one DBhash stripe: a mutable head plus one compacted run.
 type hashShard struct {
 	mu sync.RWMutex
 
-	// head maps a hash to its oldest head holder; over holds the later
-	// head holders of the hashes whose slot is tagged moreBit. Both are nil
-	// until the first insert after a merge.
-	head map[uint32]headSlot
+	// head holds each head hash's oldest head holder (see head.go); over
+	// the later head holders of the hashes whose row is tagged moreBit.
+	// Both are empty until the first insert after a merge.
+	head headTable
 	over map[uint32]*bucket
 	run  run
 
@@ -207,80 +134,6 @@ type hashShard struct {
 	// digest is the XOR-fold of postingCode over the shard's live
 	// postings, maintained incrementally (see digest.go).
 	digest uint64
-}
-
-// headHas reports whether ref is among h's head holders, slot being h's
-// head entry.
-func (sh *hashShard) headHas(h uint32, slot headSlot, ref uint32) bool {
-	return slot.ref&^moreBit == ref || (slot.ref&moreBit != 0 && sh.over[h].has(ref))
-}
-
-// headInsert adds (ref, seq) to h's head holders, which must not include
-// ref yet; slot/inHead is h's current head entry. The inline slot keeps
-// the oldest: a stamp older than the slot's takes its place and the
-// displaced holder moves to the overflow bucket.
-func (sh *hashShard) headInsert(h uint32, slot headSlot, inHead bool, ref uint32, seq uint64) {
-	if sh.head == nil {
-		sh.head = make(map[uint32]headSlot)
-	}
-	if !inHead {
-		sh.head[h] = newHeadSlot(ref, seq)
-		return
-	}
-	b := sh.over[h]
-	if b == nil {
-		if sh.over == nil {
-			sh.over = make(map[uint32]*bucket)
-		}
-		b = &bucket{}
-		sh.over[h] = b
-	}
-	if old := slot.seq(); seq < old {
-		ref, seq, slot = slot.ref&^moreBit, old, newHeadSlot(ref, seq)
-	}
-	b.insert(ref, seq)
-	slot.ref |= moreBit
-	sh.head[h] = slot
-}
-
-// headRemove deletes ref from h's head holders, returning the removed
-// posting's seq (the digest maintenance needs it) and whether there was
-// one. When the inline holder goes, the oldest overflow posting takes the
-// slot.
-func (sh *hashShard) headRemove(h, ref uint32) (seq uint64, removed bool) {
-	slot, inHead := sh.head[h]
-	if !inHead {
-		return 0, false
-	}
-	b := sh.over[h] // nil unless the slot is tagged moreBit
-	switch {
-	case slot.ref&^moreBit == ref:
-		seq = slot.seq()
-		if b == nil {
-			delete(sh.head, h)
-			return seq, true
-		}
-		slot = newHeadSlot(b.postings[0].ref|moreBit, b.postings[0].seq)
-		b.removeAt(0)
-	case b != nil:
-		i := 0
-		for i < len(b.postings) && b.postings[i].ref != ref {
-			i++
-		}
-		if i == len(b.postings) {
-			return 0, false
-		}
-		seq = b.postings[i].seq
-		b.removeAt(i)
-	default:
-		return 0, false
-	}
-	if len(b.postings) == 0 {
-		delete(sh.over, h)
-		slot.ref &^= moreBit
-	}
-	sh.head[h] = slot
-	return seq, true
 }
 
 // segShard is one segment stripe: the lock over its segments' slots and
@@ -357,10 +210,11 @@ type DB struct {
 	segments  atomic.Int64
 	distinct  atomic.Int64
 	postings  atomic.Int64
-	groups    atomic.Int64 // run groups, dead ones included
 	headN     atomic.Int64 // live postings still in mutable heads
 	deadN     atomic.Int64 // tombstones awaiting merge
 	parHashes atomic.Int64 // total fingerprint hashes across DBpar
+	runBytes  atomic.Int64 // bytes of every run's columns, moved by merges and restores
+	headRows  atomic.Int64 // rows of every head table, moved as one grows or is dropped
 
 	// compactMin tunes the inline merge policy; see SetCompactThreshold.
 	compactMin atomic.Int64
@@ -663,8 +517,8 @@ type postingWriter struct {
 // shardInsertLocked records w's posting for h unless it already exists in
 // the shard's head or run. Caller holds sh.mu for writing.
 func (db *DB) shardInsertLocked(sh *hashShard, h uint32, w postingWriter) {
-	slot, inHead := sh.head[h]
-	if inHead && sh.headHas(h, slot, w.ref) {
+	i := sh.head.find(h)
+	if i >= 0 && sh.headHas(h, i, w.ref) {
 		return
 	}
 	runLive := false
@@ -674,10 +528,12 @@ func (db *DB) shardInsertLocked(sh *hashShard, h uint32, w postingWriter) {
 			return
 		}
 	}
-	if !inHead && !runLive {
+	if i < 0 && !runLive {
 		db.distinct.Add(1)
 	}
-	sh.headInsert(h, slot, inHead, w.ref, w.seq)
+	rows := len(sh.head.rows)
+	sh.headInsert(h, i, w.ref, w.seq)
+	db.headRows.Add(int64(len(sh.head.rows) - rows))
 	db.postings.Add(1)
 	db.headN.Add(1)
 	sh.headPostings++
@@ -771,7 +627,7 @@ func (db *DB) removePostings(ref uint32, seg segment.ID, hs []uint32) {
 			}
 			db.postings.Add(-1)
 			sh.digest ^= postingCode(h, segKey, seq)
-			if _, inHead := sh.head[h]; !inHead && (g < 0 || sh.run.segs[g] == tombstoneRef) {
+			if sh.head.find(h) < 0 && (g < 0 || sh.run.first(g) == tombstoneRef) {
 				db.distinct.Add(-1)
 			}
 		}
@@ -929,8 +785,7 @@ func (db *DB) AppendHolders(h uint32, out []segment.ID) []segment.ID {
 	sh := &db.hashShards[db.hashShardIdx(h)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	slot, inHead := sh.head[h]
-	it := sh.postingsOf(h, sh.run.find(h), slot, inHead)
+	it := sh.postingsOf(h, sh.run.find(h), sh.head.find(h))
 	for ref, _, ok := it.next(); ok; ref, _, ok = it.next() {
 		out = append(out, db.tab.ID(ref))
 	}
@@ -1100,24 +955,17 @@ func (db *DB) Stats() Stats {
 		HeadPostings:   int(db.headN.Load()),
 		Tombstones:     int(db.deadN.Load()),
 	}
-	// Per-item costs, from an inuse_space heap profile of a 1.3 M-hash
-	// engine ingest (DESIGN.md "Corpus scale") and pinned to measured heap
-	// growth by TestApproxBytesTracksHeap. A head posting is a 16-byte slot
-	// of a builtin map (4 B hash + 12 B inline holder) at the map's load
-	// factor: 26–37 B depending on where the map is in its growth cycle,
-	// ≈ 30 B typical (the few hashes with several head holders add an
-	// overflow bucket, not modelled); a compacted group is a 2-byte low
-	// half and two 4-byte column entries (interned ref, seq offset), 10 B,
-	// and a spilled posting three 4-byte entries (hash, ref, offset), 12 B
-	// (a run's ≤ 4 KiB directory is not modelled); DBpar holds each hash
-	// once, in the fingerprint (4 B — the posted union aliases it); a
-	// segment costs ≈ 104 B: its 48-byte DBpar row and 4-byte slot, and its
-	// segment table entry — a 16-byte ID header and an index slot of
-	// ≈ 36 B, shared with the table's other owners.
-	groups := db.groups.Load()
-	spilled := int64(s.Postings-s.HeadPostings+s.Tombstones) - groups
-	s.ApproxBytes = int64(s.HeadPostings)*30 +
-		groups*10 + spilled*12 +
+	// Runs and head tables are counted as allocated: a run's columns are
+	// exact-size from birth to its shard's next merge, and a head row is
+	// 12 bytes (hash, tagged ref, stamp offset) at whatever fill the table
+	// is at (60–75 %; the few hashes with several head holders add an
+	// overflow bucket, not modelled). DBpar holds each hash once, in the
+	// fingerprint (4 B — the posted union aliases it); a segment costs
+	// ≈ 104 B: its 48-byte DBpar row and 4-byte slot, and its segment
+	// table entry — a 16-byte ID header and an index slot of ≈ 36 B,
+	// shared with the table's other owners. TestApproxBytesTracksHeap pins
+	// the sum to measured heap growth.
+	s.ApproxBytes = db.runBytes.Load() + db.headRows.Load()*12 +
 		db.parHashes.Load()*4 +
 		int64(s.Segments)*104
 	return s

@@ -1,7 +1,8 @@
 package index
 
 // Tests of the inline-first-holder layout's edges: the full uint64 stamp
-// range behind 32-bit offset columns, allocation-free head inserts, and
+// range behind packed distance columns and 32-bit head offsets,
+// allocation-free head inserts, and
 // exact-size columns after a restore of a skewed hash distribution.
 
 import (
@@ -40,15 +41,20 @@ func winnowedDB(tb testing.TB, n int) *DB {
 	return db
 }
 
-// columns returns the total length and capacity of the shard runs' columns.
+// columns returns the total length and capacity of the shard runs' columns,
+// a packed column counting its words.
 func columns(db *DB) (length, capacity int) {
 	for si := range db.hashShards {
 		r := &db.hashShards[si].run
 		length += len(r.lo)
 		capacity += cap(r.lo)
-		for _, col := range [][]uint32{r.segs, r.seqs, r.moreHashes, r.moreSegs, r.moreSeqs, r.dir} {
+		for _, col := range [][]uint32{r.moreHashes, r.dir} {
 			length += len(col)
 			capacity += cap(col)
+		}
+		for _, col := range []packed{r.refs, r.stamps, r.moreRefs, r.moreStamps} {
+			length += len(col.words)
+			capacity += cap(col.words)
 		}
 	}
 	return length, capacity
@@ -82,7 +88,7 @@ func TestShardOccupancy(t *testing.T) {
 	var row []string
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
-		n := len(sh.head) + len(sh.run.lo)
+		n := sh.head.n + len(sh.run.lo)
 		total += n
 		if n > 0 {
 			nonEmpty++
@@ -177,7 +183,7 @@ func TestSeqRangeAcrossClockFloor(t *testing.T) {
 }
 
 // TestHeadInsertAllocatesNoObjectPerHash: a novel single-holder hash costs
-// a map slot, not a heap object — what is left is the builtin map growing.
+// a head-table row, not a heap object — what is left is the table growing.
 func TestHeadInsertAllocatesNoObjectPerHash(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -194,10 +200,10 @@ func TestHeadInsertAllocatesNoObjectPerHash(t *testing.T) {
 			db.shardInsertLocked(sh, next*0x9e3779b1, w)
 		}
 	}
-	insert() // warm the shard: the head map exists
+	insert() // warm the shard: the head table exists
 	allocs := testing.AllocsPerRun(20, insert)
 	t.Logf("%.1f allocations per %d novel hashes", allocs, novel)
 	if allocs > novel/20 {
-		t.Errorf("inserting %d novel hashes allocates %.1f objects, want map growth only", novel, allocs)
+		t.Errorf("inserting %d novel hashes allocates %.1f objects, want table growth only", novel, allocs)
 	}
 }

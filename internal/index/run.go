@@ -11,13 +11,13 @@ package index
 //	dir[b]         first group whose hash's high half is key0+b; the last
 //	               entry is the group count, so bucket b is dir[b]..dir[b+1]
 //	lo[g]          low 16 bits of the g-th distinct hash, ascending per bucket
-//	segs[g]        interned ref of its oldest live holder, moreBit set when
-//	               later holders spilled; tombstoneRef when none is alive
-//	seqs[g]        that holder's first-seen time, as its distance below base
+//	refs[g]        ref code of its oldest live holder: ref<<1, | 1 when later
+//	               holders spilled; the sentinel when none is alive
+//	stamps[g]      that holder's first-seen time, as its distance below base
 //
 //	moreHashes[k]  hash of the k-th spilled posting, ordered by (hash, seq)
-//	moreSegs[k]    its interned ref (tombstoneRef if dead)
-//	moreSeqs[k]    its first-seen distance below base
+//	moreRefs[k]    its ref code, ref<<1 (the sentinel if dead)
+//	moreStamps[k]  its first-seen distance below base
 //
 // The hash column is quotiented: group g's full hash is
 // (key0+b)<<16 | lo[g] for the bucket b that holds g, where key0 is the
@@ -26,19 +26,23 @@ package index
 // bits below them (1 025 entries at 64 shards) and is trimmed to the
 // buckets between the run's lowest and highest hash.
 //
-// Stamps are uint64 (a router's Lamport stamp can raise the clock by any
-// amount, see SetClockFloor) but one run spans a narrow window of them, so
-// a column holds 32-bit distances below base, the logical clock when the
-// run was built; a distance that does not fit is the sentinel wideSeq and
-// the full stamp sits in the wide side table. Segments are refs of the DB's
-// segment table, so a single-holder hash costs 10 bytes and a spilled
-// posting 12.
+// The ref and stamp columns are bit-packed, each at the narrowest width
+// its run needs (see packed): at 50 k segments a ref code takes 17 bits.
+// Widths are chosen when the run is built, over the inline and the spill
+// column together, because removing an inline holder moves the next
+// spilled one into its slot. The all-ones code at a width is its column's
+// sentinel. Stamps are uint64 (a router's Lamport stamp can raise the clock
+// by any amount, see SetClockFloor) but one run spans a narrow window of
+// them, so a column holds distances below base, the logical clock when the
+// run was built; a distance of 2^32 − 1 or more is the sentinel and the
+// full stamp sits in the wide side table. Segments are refs of the DB's
+// segment table.
 //
-// Lookup cost is one small-map probe (head) plus a directory-bounded
-// binary search (run): the directory entry of the hash's high half narrows
-// the search to the groups sharing it — 1/1024th of a 64-shard DB's hash
-// space — and the search compares 2-byte keys, so at 10M+ hashes a probe
-// touches a cache line or two of lo instead of a giant hash map.
+// Lookup cost is one head-table probe plus a directory-bounded binary
+// search (run): the directory entry of the hash's high half narrows the
+// search to the groups sharing it — 1/1024th of a 64-shard DB's hash space
+// — and the search compares 2-byte keys, so at 10M+ hashes a probe touches
+// a cache line or two of lo instead of a giant hash map.
 //
 // Deletions tombstone run postings in place; deleting the inline holder
 // moves the next live spilled one into its slot, so the slot never goes
@@ -48,6 +52,7 @@ package index
 // ExpireBefore pass finds something to drop in.
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -61,7 +66,7 @@ const (
 	// holders beyond it. Refs proper stay below it.
 	moreBit = uint32(1) << 31
 
-	// wideSeq in a seq column sends the reader to run.wide.
+	// wideSeq as a stamp distance sends the reader to run.wide.
 	wideSeq = ^uint32(0)
 )
 
@@ -75,18 +80,87 @@ const bigGroupMin = 64
 // inline merge is considered; see SetCompactThreshold.
 const defaultCompactMin = 4096
 
+// packed is a column of fixed-width codes packed into words: code i is
+// bits i·width … (i+1)·width−1 of the words read as one little-endian bit
+// string. The all-ones code at the width is the sentinel, which reads and
+// writes as ^uint32(0); every other code must stay below it.
+type packed struct {
+	words []uint64
+	width uint
+}
+
+// codeWidth is the narrowest width at which every code up to max is below
+// the sentinel.
+func codeWidth(max uint32) uint { return uint(bits.Len32(max + 1)) }
+
+// packCodes packs codes at width.
+func packCodes(codes []uint32, width uint) packed {
+	p := packed{words: make([]uint64, (uint(len(codes))*width+63)/64), width: width}
+	for i, c := range codes {
+		p.set(i, c)
+	}
+	return p
+}
+
+func (p *packed) at(i int) uint32 {
+	mask := uint64(1)<<p.width - 1
+	bit := uint(i) * p.width
+	w, off := bit/64, bit%64
+	v := p.words[w] >> off
+	if off+p.width > 64 {
+		v |= p.words[w+1] << (64 - off)
+	}
+	if v &= mask; v == mask {
+		return ^uint32(0)
+	}
+	return uint32(v)
+}
+
+// set stores code at i. A code that does not fit the width panics: a
+// truncated ref or stamp would answer with another segment or time.
+func (p *packed) set(i int, code uint32) {
+	mask := uint64(1)<<p.width - 1
+	v := uint64(code)
+	if code == ^uint32(0) {
+		v = mask
+	} else if v >= mask {
+		panic("index: code does not fit its packed run column")
+	}
+	bit := uint(i) * p.width
+	w, off := bit/64, bit%64
+	p.words[w] = p.words[w]&^(mask<<off) | v<<off
+	if off+p.width > 64 {
+		p.words[w+1] = p.words[w+1]&^(mask>>(64-off)) | v>>(64-off)
+	}
+}
+
+// refCode is the column code of a ref tagged moreBit (or tombstoneRef):
+// ref<<1 | more, tombstoneRef staying all ones; refOf is its inverse.
+func refCode(tagged uint32) uint32 { return bits.RotateLeft32(tagged, 1) }
+
+func refOf(code uint32) uint32 { return bits.RotateLeft32(code, -1) }
+
+// runBuild holds the codes run.add appends until buildDir packs them.
+type runBuild struct {
+	refs, stamps, moreRefs, moreStamps []uint32
+	maxRef, maxStamp                   uint32 // over inline and spill, wideSeq excluded
+}
+
 // run is one shard's compacted postings (layout in the file comment). Zero
 // value = empty run.
 type run struct {
-	lo                             []uint16
-	segs, seqs                     []uint32
-	moreHashes, moreSegs, moreSeqs []uint32
-	dir                            []uint32
+	lo                   []uint16
+	refs, stamps         packed
+	moreHashes           []uint32
+	moreRefs, moreStamps packed
+	dir                  []uint32
 
 	key0 uint32            // high half of the run's lowest hash, dir's first bucket
 	last uint32            // the last group's full hash, for add
 	base uint64            // the clock when the run was built: no stamp in it is newer
 	wide map[uint32]uint64 // stamps further than wideSeq below base, by column index (spill indexes tagged moreBit)
+
+	build runBuild // add's columns, until buildDir
 }
 
 // find returns the group index of h, or -1. A hash whose high half lies
@@ -131,11 +205,28 @@ func (r *run) more(h uint32) (lo, hi int) {
 }
 
 // postings is the number of posting slots in the run, dead ones included.
-func (r *run) postings() int { return len(r.segs) + len(r.moreSegs) }
+func (r *run) postings() int { return len(r.lo) + len(r.moreHashes) }
+
+// bytes is what the run's columns occupy.
+func (r *run) bytes() int64 {
+	words := cap(r.refs.words) + cap(r.stamps.words) + cap(r.moreRefs.words) + cap(r.moreStamps.words)
+	return int64(2*cap(r.lo) + 4*(cap(r.moreHashes)+cap(r.dir)) + 8*words)
+}
+
+// first is group g's inline holder: its ref tagged moreBit when later
+// holders spilled, or tombstoneRef when the group is dead.
+func (r *run) first(g int) uint32 { return refOf(r.refs.at(g)) }
+
+func (r *run) setFirst(g int, tagged uint32) { r.refs.set(g, refCode(tagged)) }
+
+// moreRef is spilled posting k's ref, or tombstoneRef if it is dead.
+func (r *run) moreRef(k int) uint32 { return refOf(r.moreRefs.at(k)) }
+
+func (r *run) killMore(k int) { r.moreRefs.set(k, refCode(tombstoneRef)) }
 
 // firstSeq is the first-seen time of group g's inline holder.
 func (r *run) firstSeq(g int) uint64 {
-	if off := r.seqs[g]; off != wideSeq {
+	if off := r.stamps.at(g); off != wideSeq {
 		return r.base - uint64(off)
 	}
 	return r.wide[uint32(g)]
@@ -143,13 +234,14 @@ func (r *run) firstSeq(g int) uint64 {
 
 // moreSeq is the first-seen time of spilled posting k.
 func (r *run) moreSeq(k int) uint64 {
-	if off := r.moreSeqs[k]; off != wideSeq {
+	if off := r.moreStamps.at(k); off != wideSeq {
 		return r.base - uint64(off)
 	}
 	return r.wide[moreBit|uint32(k)]
 }
 
-// offset encodes seq (≤ base) for the column slot named by key.
+// offset encodes seq (≤ base) as the stamp distance of the column slot
+// named by key.
 func (r *run) offset(seq uint64, key uint32) uint32 {
 	if d := r.base - seq; d < uint64(wideSeq) {
 		return uint32(d)
@@ -161,16 +253,28 @@ func (r *run) offset(seq uint64, key uint32) uint32 {
 	return wideSeq
 }
 
+// addStamp appends seq's distance, for the column slot named by key, to
+// col.
+func (r *run) addStamp(col *[]uint32, seq uint64, key uint32) {
+	off := r.offset(seq, key)
+	if off != wideSeq {
+		r.build.maxStamp = max(r.build.maxStamp, off)
+	}
+	*col = append(*col, off)
+}
+
 // add appends a live posting; calls arrive in (hash, seq) order with
 // seq ≤ base. The first posting of a hash opens its group, and the
 // directory's buckets up to the group's; later ones spill.
 func (r *run) add(h, ref uint32, seq uint64) {
+	nb := &r.build
+	nb.maxRef = max(nb.maxRef, ref)
 	if g := len(r.lo) - 1; g >= 0 && r.last == h {
-		r.segs[g] |= moreBit
-		k := uint32(len(r.moreSegs))
+		nb.refs[g] |= 1
+		k := uint32(len(r.moreHashes))
 		r.moreHashes = append(r.moreHashes, h)
-		r.moreSegs = append(r.moreSegs, ref)
-		r.moreSeqs = append(r.moreSeqs, r.offset(seq, moreBit|k))
+		nb.moreRefs = append(nb.moreRefs, refCode(ref))
+		r.addStamp(&nb.moreStamps, seq, moreBit|k)
 		return
 	}
 	g := uint32(len(r.lo))
@@ -182,21 +286,52 @@ func (r *run) add(h, ref uint32, seq uint64) {
 	}
 	r.last = h
 	r.lo = append(r.lo, uint16(h))
-	r.segs = append(r.segs, ref)
-	r.seqs = append(r.seqs, r.offset(seq, g))
+	nb.refs = append(nb.refs, refCode(ref))
+	r.addStamp(&nb.stamps, seq, g)
 }
 
-// buildDir closes the directory of a run add has finished filling, and
-// re-allocates any column carrying more than 1/64 spare capacity: a run
-// lives until its shard's next merge, which on a quiet shard is never.
+// buildDir closes the directory of a run add has finished filling, packs
+// add's columns and drops them, and re-allocates any other column carrying
+// more than 1/64 spare capacity: a run lives until its shard's next merge,
+// which on a quiet shard is never.
 func (r *run) buildDir() {
 	if len(r.lo) > 0 {
 		r.dir = append(r.dir, uint32(len(r.lo)))
 	}
 	r.lo = clip(r.lo)
-	for _, col := range []*[]uint32{&r.segs, &r.seqs, &r.moreHashes, &r.moreSegs, &r.moreSeqs, &r.dir} {
-		*col = clip(*col)
+	r.moreHashes = clip(r.moreHashes)
+	r.dir = clip(r.dir)
+	b := &r.build
+	r.packRefs(b.refs, b.moreRefs, b.maxRef)
+	w := codeWidth(b.maxStamp)
+	r.stamps, r.moreStamps = packCodes(b.stamps, w), packCodes(b.moreStamps, w)
+	r.build = runBuild{}
+}
+
+// packRefs packs both ref columns at the width whose inline code for
+// maxRef, the largest ref either holds, is below the sentinel.
+func (r *run) packRefs(inline, spill []uint32, maxRef uint32) {
+	w := codeWidth(refCode(maxRef | moreBit))
+	r.refs, r.moreRefs = packCodes(inline, w), packCodes(spill, w)
+}
+
+// remap re-packs the ref columns of a freshly built run with every ref
+// replaced by refs[ref].
+func (r *run) remap(refs []uint32) {
+	inline, spill := make([]uint32, len(r.lo)), make([]uint32, len(r.moreHashes))
+	maxRef := uint32(0)
+	for g := range inline {
+		v := r.first(g)
+		ref := refs[v&^moreBit]
+		maxRef = max(maxRef, ref)
+		inline[g] = refCode(ref | v&moreBit)
 	}
+	for k := range spill {
+		ref := refs[r.moreRef(k)]
+		maxRef = max(maxRef, ref)
+		spill[k] = refCode(ref)
+	}
+	r.packRefs(inline, spill, maxRef)
 }
 
 // clip returns s in an exact-size copy if it carries more than 1/64 spare
@@ -220,9 +355,9 @@ func (r *run) bigSets() map[uint32]map[uint32]struct{} {
 		}
 		if n := 1 + hi - lo; n >= bigGroupMin {
 			set := make(map[uint32]struct{}, n)
-			set[r.segs[r.find(h)]&^moreBit] = struct{}{}
-			for _, ref := range r.moreSegs[lo:hi] {
-				set[ref] = struct{}{}
+			set[r.first(r.find(h))&^moreBit] = struct{}{}
+			for k := lo; k < hi; k++ {
+				set[r.moreRef(k)] = struct{}{}
 			}
 			if big == nil {
 				big = make(map[uint32]map[uint32]struct{})
@@ -238,7 +373,7 @@ func (r *run) bigSets() map[uint32]map[uint32]struct{} {
 // ref, and whether the group has any live posting at all. The shard's big
 // set for h, when present, answers the first in O(1).
 func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32) (inRun, anyLive bool) {
-	first := sh.run.segs[g]
+	first := sh.run.first(g)
 	if first == tombstoneRef {
 		return false, false
 	}
@@ -251,7 +386,7 @@ func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32) (inRun, anyLive bool
 	}
 	if first&moreBit != 0 {
 		for k, hi := sh.run.more(h); k < hi; k++ {
-			if sh.run.moreSegs[k] == ref {
+			if sh.run.moreRef(k) == ref {
 				return true, true
 			}
 		}
@@ -262,11 +397,11 @@ func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32) (inRun, anyLive bool
 // tombstone marks ref's posting in group g of h dead, returning its seq
 // (for digest maintenance) and whether there was one. When the inline
 // holder dies the next live spilled posting takes its slot, so the slot
-// keeps naming the group's oldest live holder; segs[g] == tombstoneRef
+// keeps naming the group's oldest live holder; first(g) == tombstoneRef
 // afterwards means the group is empty.
 func (sh *hashShard) tombstone(h uint32, g int, ref uint32) (seq uint64, killed bool) {
 	r := &sh.run
-	first := r.segs[g]
+	first := r.first(g)
 	if first == tombstoneRef {
 		return 0, false
 	}
@@ -276,25 +411,25 @@ func (sh *hashShard) tombstone(h uint32, g int, ref uint32) (seq uint64, killed 
 	}
 	if first&^moreBit == ref {
 		seq = r.firstSeq(g)
-		for k < hi && r.moreSegs[k] == tombstoneRef {
+		for k < hi && r.moreRef(k) == tombstoneRef {
 			k++
 		}
 		if k < hi {
-			r.segs[g] = r.moreSegs[k] | moreBit
-			r.seqs[g] = r.offset(r.moreSeq(k), uint32(g))
-			r.moreSegs[k] = tombstoneRef
+			r.setFirst(g, r.moreRef(k)|moreBit)
+			r.stamps.set(g, r.offset(r.moreSeq(k), uint32(g)))
+			r.killMore(k)
 		} else {
-			r.segs[g] = tombstoneRef
+			r.setFirst(g, tombstoneRef)
 		}
 	} else {
-		for k < hi && r.moreSegs[k] != ref {
+		for k < hi && r.moreRef(k) != ref {
 			k++
 		}
 		if k == hi {
 			return 0, false
 		}
 		seq = r.moreSeq(k)
-		r.moreSegs[k] = tombstoneRef
+		r.killMore(k)
 	}
 	sh.dead++
 	if set, ok := sh.big[h]; ok {
@@ -307,13 +442,13 @@ func (sh *hashShard) tombstone(h uint32, g int, ref uint32) (seq uint64, killed 
 // before cutoff. Both tiers keep a hash's oldest holder inline, so the
 // inline stamps decide.
 func (sh *hashShard) expiresLocked(cutoff uint64) bool {
-	for g, first := range sh.run.segs {
-		if first != tombstoneRef && sh.run.firstSeq(g) < cutoff {
+	for g := range sh.run.lo {
+		if sh.run.first(g) != tombstoneRef && sh.run.firstSeq(g) < cutoff {
 			return true
 		}
 	}
-	for _, s := range sh.head {
-		if s.seq() < cutoff {
+	for i, r := range sh.head.rows {
+		if r.ref != emptyRow && sh.head.seq(i) < cutoff {
 			return true
 		}
 	}
@@ -363,39 +498,44 @@ func (db *DB) Compact() {
 
 // SetCompactThreshold tunes the inline merge policy: the head must reach n
 // postings (and a quarter of the run's live size) before a merge. n == 0
-// restores the default; n < 0 disables automatic merging entirely, pinning
-// the DB to the head-only map layout — the pre-compaction baseline used by
-// the corpus benchmark and ablation tests. Explicit Compact calls still
-// merge.
+// restores the default; n < 0 disables automatic merging entirely, so
+// every posting stays in the head table until an explicit Compact — tests
+// use it to hold a DB in one layout. Explicit Compact calls still merge.
 func (db *DB) SetCompactThreshold(n int) {
 	db.compactMin.Store(int64(n))
 }
 
 // walkHashesLocked calls visit for every hash present in the shard's run
-// or head, ascending, with its run group (or -1) and head slot.
-func (sh *hashShard) walkHashesLocked(visit func(h uint32, g int, slot headSlot, inHead bool)) {
-	keys := make([]uint32, 0, len(sh.head))
-	for h := range sh.head {
-		keys = append(keys, h)
+// or head, ascending, with its run group (or -1) and head row (or -1).
+func (sh *hashShard) walkHashesLocked(visit func(h uint32, g, i int)) {
+	keys := make([]uint64, 0, sh.head.n) // hash<<32 | row
+	for i, r := range sh.head.rows {
+		if r.ref != emptyRow {
+			keys = append(keys, uint64(r.hash)<<32|uint64(i))
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	c, i := runCursor{r: &sh.run}, 0
-	for c.ok() || i < len(keys) {
-		var h uint32
+	slices.Sort(keys)
+	c, j := runCursor{r: &sh.run}, 0
+	for c.ok() || j < len(keys) {
+		var h, hk uint32
+		i := -1
 		if c.ok() {
 			h = c.hash()
 		}
+		if j < len(keys) {
+			hk, i = uint32(keys[j]>>32), int(uint32(keys[j]))
+		}
 		switch {
-		case i >= len(keys) || (c.ok() && h < keys[i]):
-			visit(h, c.g, headSlot{}, false)
+		case j >= len(keys) || (c.ok() && h < hk):
+			visit(h, c.g, -1)
 			c.next()
-		case !c.ok() || keys[i] < h:
-			visit(keys[i], -1, sh.head[keys[i]], true)
-			i++
+		case !c.ok() || hk < h:
+			visit(hk, -1, i)
+			j++
 		default:
-			visit(h, c.g, sh.head[keys[i]], true)
+			visit(h, c.g, i)
 			c.next()
-			i++
+			j++
 		}
 	}
 }
@@ -415,17 +555,19 @@ func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied
 	// was inserted under this lock, so the clock bounds them all. The
 	// column sizes are upper bounds (a hash can be in both tiers, a group
 	// can be dead or expire); buildDir trims what they overshoot by.
-	groups := len(sh.run.lo) + len(sh.head)
+	groups := len(sh.run.lo) + sh.head.n
 	nw := run{
 		base: db.clock.Load(),
 		lo:   make([]uint16, 0, groups),
-		segs: make([]uint32, 0, groups),
-		seqs: make([]uint32, 0, groups),
+		build: runBuild{
+			refs:   make([]uint32, 0, groups),
+			stamps: make([]uint32, 0, groups),
+		},
 	}
 
-	sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
+	sh.walkHashesLocked(func(h uint32, g, i int) {
 		kept, dropped := nw.postings(), 0
-		it := sh.postingsOf(h, g, slot, inHead)
+		it := sh.postingsOf(h, g, i)
 		for ref, seq, ok := it.next(); ok; ref, seq, ok = it.next() {
 			if seq < cutoff {
 				sh.digest ^= postingCode(h, segDigestKey(string(db.tab.ID(ref))), seq)
@@ -441,12 +583,13 @@ func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied
 	})
 
 	nw.buildDir()
-	db.groups.Add(int64(len(nw.lo) - len(sh.run.lo)))
+	db.runBytes.Add(nw.bytes() - sh.run.bytes())
 	sh.run = nw
 	sh.big = nw.bigSets()
-	// Dropped, not cleared: a map keeps its grown capacity, and the next
-	// cycle's head is usually smaller than the one that triggered a merge.
-	sh.head, sh.over = nil, nil
+	// Dropped, not cleared: the next cycle's head is usually smaller than
+	// the one that triggered a merge.
+	db.headRows.Add(int64(-len(sh.head.rows)))
+	sh.head, sh.over = headTable{}, nil
 	db.headN.Add(int64(-sh.headPostings))
 	db.deadN.Add(int64(-sh.dead))
 	sh.headPostings = 0
@@ -455,30 +598,36 @@ func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied
 }
 
 // postingIter walks one hash's live postings oldest first: its run group
-// (inline holder, then the spill) merged with its head entry (inline slot,
+// (inline holder, then the spill) merged with its head entry (inline row,
 // then the overflow bucket). On equal stamps the run goes first, the order
 // an uncompacted head would hold.
 type postingIter struct {
 	r      *run
 	g      int // run group whose inline holder is still to come, or -1
 	k, hi  int // spill range still to come
-	slot   headSlot
+	slot   posting
 	inHead bool      // slot is still to come
 	over   []posting // overflow still to come
 }
 
 // postingsOf starts an iteration over h, given its run group (or -1) and
-// head slot. Caller holds sh.mu at least for reading.
-func (sh *hashShard) postingsOf(h uint32, g int, slot headSlot, inHead bool) postingIter {
-	it := postingIter{r: &sh.run, g: -1, slot: slot, inHead: inHead}
-	if g >= 0 && sh.run.segs[g] != tombstoneRef {
-		it.g = g
-		if sh.run.segs[g]&moreBit != 0 {
-			it.k, it.hi = sh.run.more(h)
+// head row (or -1). Caller holds sh.mu at least for reading.
+func (sh *hashShard) postingsOf(h uint32, g, i int) postingIter {
+	it := postingIter{r: &sh.run, g: -1}
+	if g >= 0 {
+		if first := sh.run.first(g); first != tombstoneRef {
+			it.g = g
+			if first&moreBit != 0 {
+				it.k, it.hi = sh.run.more(h)
+			}
 		}
 	}
-	if inHead && slot.ref&moreBit != 0 {
-		it.over = sh.over[h].postings
+	if i >= 0 {
+		ref := sh.head.rows[i].ref
+		it.slot, it.inHead = posting{ref: ref &^ moreBit, seq: sh.head.seq(i)}, true
+		if ref&moreBit != 0 {
+			it.over = sh.over[h].postings
+		}
 	}
 	return it
 }
@@ -490,17 +639,17 @@ func (it *postingIter) next() (ref uint32, seq uint64, ok bool) {
 		rok, hok   bool
 	)
 	if it.g >= 0 {
-		rref, rseq, rok = it.r.segs[it.g]&^moreBit, it.r.firstSeq(it.g), true
+		rref, rseq, rok = it.r.first(it.g)&^moreBit, it.r.firstSeq(it.g), true
 	} else {
-		for it.k < it.hi && it.r.moreSegs[it.k] == tombstoneRef {
+		for it.k < it.hi && it.r.moreRef(it.k) == tombstoneRef {
 			it.k++
 		}
 		if it.k < it.hi {
-			rref, rseq, rok = it.r.moreSegs[it.k], it.r.moreSeq(it.k), true
+			rref, rseq, rok = it.r.moreRef(it.k), it.r.moreSeq(it.k), true
 		}
 	}
 	if it.inHead {
-		href, hseq, hok = it.slot.ref&^moreBit, it.slot.seq(), true
+		href, hseq, hok = it.slot.ref, it.slot.seq, true
 	} else if len(it.over) > 0 {
 		href, hseq, hok = it.over[0].ref, it.over[0].seq, true
 	}
@@ -525,8 +674,8 @@ func (it *postingIter) next() (ref uint32, seq uint64, ok bool) {
 
 // appendPostingsLocked appends h's live postings, oldest first, to out.
 // Caller holds sh.mu at least for reading.
-func (sh *hashShard) appendPostingsLocked(h uint32, g int, slot headSlot, inHead bool, out []posting) []posting {
-	it := sh.postingsOf(h, g, slot, inHead)
+func (sh *hashShard) appendPostingsLocked(h uint32, g, i int, out []posting) []posting {
+	it := sh.postingsOf(h, g, i)
 	for ref, seq, ok := it.next(); ok; ref, seq, ok = it.next() {
 		out = append(out, posting{ref: ref, seq: seq})
 	}
@@ -537,11 +686,15 @@ func (sh *hashShard) appendPostingsLocked(h uint32, g int, slot headSlot, inHead
 // tier names its oldest inline, and the run wins a tie. Caller holds sh.mu
 // at least for reading.
 func (db *DB) oldestLocked(sh *hashShard, h uint32) (ref uint32, seq uint64, ok bool) {
-	if g := sh.run.find(h); g >= 0 && sh.run.segs[g] != tombstoneRef {
-		ref, seq, ok = sh.run.segs[g]&^moreBit, sh.run.firstSeq(g), true
+	if g := sh.run.find(h); g >= 0 {
+		if first := sh.run.first(g); first != tombstoneRef {
+			ref, seq, ok = first&^moreBit, sh.run.firstSeq(g), true
+		}
 	}
-	if s, inHead := sh.head[h]; inHead && (!ok || s.seq() < seq) {
-		return s.ref &^ moreBit, s.seq(), true
+	if i := sh.head.find(h); i >= 0 {
+		if s := sh.head.seq(i); !ok || s < seq {
+			return sh.head.rows[i].ref &^ moreBit, s, true
+		}
 	}
 	return ref, seq, ok
 }

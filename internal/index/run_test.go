@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -25,34 +26,193 @@ type refPosting struct {
 	seq uint64
 }
 
-// refModel is the reference: every live posting by hash, oldest first, and
-// every live segment's stamp. Each segment is observed once, so all its
-// postings carry its stamp.
+// refSeg is a segment's DBpar entry in the reference model.
+type refSeg struct {
+	hashes  []uint32
+	updated uint64
+}
+
+// refModel is the reference: every live posting by hash, oldest first
+// (arrival order on equal stamps), every DBpar entry, and the clock.
 type refModel struct {
 	postings map[uint32][]refPosting
-	segs     map[segment.ID]refPosting
+	segs     map[segment.ID]refSeg
+	clock    uint64
 }
 
-func (m *refModel) update(db *DB, seg segment.ID, hs []uint32) {
-	seq := db.Update(seg, fingerprint.FromHashes(hs))
-	m.segs[seg] = refPosting{seg, seq}
+func newRefModel() *refModel {
+	return &refModel{postings: map[uint32][]refPosting{}, segs: map[segment.ID]refSeg{}}
+}
+
+// update is DB.Update: an unchanged fingerprint is a no-op, a new one
+// ticks the clock and posts every hash seg does not hold yet. It returns
+// the stamp Update must return.
+func (m *refModel) update(seg segment.ID, hs []uint32) uint64 {
+	if s, ok := m.segs[seg]; ok && slices.Equal(s.hashes, hs) {
+		return s.updated
+	}
+	m.clock++
+	m.post(seg, hs, m.clock)
+	m.segs[seg] = refSeg{hashes: hs, updated: m.clock}
+	return m.clock
+}
+
+// post records (h, seg, seq) for every h of hs that seg does not hold,
+// with no DBpar change: what postAt does.
+func (m *refModel) post(seg segment.ID, hs []uint32, seq uint64) {
 	for _, h := range hs {
-		m.postings[h] = append(m.postings[h], refPosting{seg, seq})
+		ps := m.postings[h]
+		if slices.ContainsFunc(ps, func(p refPosting) bool { return p.seg == seg }) {
+			continue
+		}
+		i := len(ps)
+		for i > 0 && ps[i-1].seq > seq {
+			i--
+		}
+		m.postings[h] = slices.Insert(ps, i, refPosting{seg, seq})
 	}
 }
 
-// drop removes every posting of the segments keep rejects.
-func (m *refModel) drop(keep func(refPosting) bool) {
-	for h, ps := range m.postings {
-		if ps = slices.DeleteFunc(ps, func(p refPosting) bool { return !keep(m.segs[p.seg]) }); len(ps) == 0 {
-			delete(m.postings, h)
-		} else {
-			m.postings[h] = ps
+// remove is DB.RemoveSegment: the entry goes, and the postings of the
+// hashes of its current fingerprint.
+func (m *refModel) remove(seg segment.ID) {
+	s, ok := m.segs[seg]
+	if !ok {
+		return
+	}
+	for _, h := range s.hashes {
+		m.dropPostings(h, func(p refPosting) bool { return p.seg == seg })
+	}
+	delete(m.segs, seg)
+}
+
+// expire is DB.ExpireBefore.
+func (m *refModel) expire(cut uint64) {
+	for h := range m.postings {
+		m.dropPostings(h, func(p refPosting) bool { return p.seq < cut })
+	}
+	for seg, s := range m.segs {
+		if s.updated < cut {
+			delete(m.segs, seg)
 		}
 	}
-	for seg, p := range m.segs {
-		if !keep(p) {
-			delete(m.segs, seg)
+}
+
+func (m *refModel) dropPostings(h uint32, del func(refPosting) bool) {
+	if ps := slices.DeleteFunc(m.postings[h], del); len(ps) == 0 {
+		delete(m.postings, h)
+	} else {
+		m.postings[h] = ps
+	}
+}
+
+// stamps returns the distinct live stamps, ascending.
+func (m *refModel) stamps() []uint64 {
+	var out []uint64
+	for _, ps := range m.postings {
+		for _, p := range ps {
+			out = append(out, p.seq)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// modelRig drives DBs and the reference through the same operations,
+// checking each DB against the model after every one.
+type modelRig struct {
+	t          *testing.T
+	tab        *segment.Table // shared by every DB, so refs are the same in all
+	dbs        []*DB
+	shards     []int // each DB's shard count
+	compactMin []int // each DB's compact threshold
+	m          *refModel
+	probe      []uint32
+}
+
+func newModelRig(t *testing.T, tab *segment.Table, shards, thresholds []int, probes []uint32) *modelRig {
+	rig := &modelRig{t: t, tab: tab, shards: shards, compactMin: thresholds, m: newRefModel(), probe: probes}
+	for i := range shards {
+		rig.dbs = append(rig.dbs, rig.newDB(i))
+	}
+	return rig
+}
+
+func (rig *modelRig) newDB(i int) *DB {
+	db := NewWithShards(rig.tab, 0.5, rig.shards[i])
+	db.SetCompactThreshold(rig.compactMin[i])
+	return db
+}
+
+func (rig *modelRig) update(seg segment.ID, hs []uint32) {
+	rig.t.Helper()
+	want := rig.m.update(seg, hs)
+	for i, db := range rig.dbs {
+		if got := db.Update(seg, fingerprint.FromHashes(hs)); got != want {
+			rig.t.Fatalf("update %s on db %d: stamp %d, want %d", seg, i, got, want)
+		}
+	}
+}
+
+func (rig *modelRig) post(seg segment.ID, hs []uint32, seq uint64) {
+	rig.m.post(seg, hs, seq)
+	for _, db := range rig.dbs {
+		postAt(db, seg, hs, seq)
+	}
+}
+
+func (rig *modelRig) remove(seg segment.ID) {
+	rig.m.remove(seg)
+	for _, db := range rig.dbs {
+		db.RemoveSegment(seg)
+	}
+}
+
+func (rig *modelRig) expire(cut uint64) {
+	rig.m.expire(cut)
+	for _, db := range rig.dbs {
+		db.ExpireBefore(cut)
+	}
+}
+
+func (rig *modelRig) floor(f uint64) {
+	rig.m.clock = max(rig.m.clock, f)
+	for _, db := range rig.dbs {
+		db.SetClockFloor(f)
+	}
+}
+
+func (rig *modelRig) compact() {
+	for _, db := range rig.dbs {
+		db.Compact()
+	}
+}
+
+// restore replaces every DB with one restored from its image, on the same
+// segment table: the image's refs are renumbered to the table's, so the
+// restore re-packs the run's ref columns.
+func (rig *modelRig) restore() {
+	rig.t.Helper()
+	for i, db := range rig.dbs {
+		restored := rig.newDB(i)
+		if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
+			rig.t.Fatal(err)
+		}
+		rig.dbs[i] = restored
+	}
+}
+
+// check compares every DB with the model, and their images with each
+// other's.
+func (rig *modelRig) check(step string) {
+	rig.t.Helper()
+	for i, db := range rig.dbs {
+		checkAgainstModel(rig.t, fmt.Sprintf("%s/shards=%d,min=%d", step, rig.shards[i], rig.compactMin[i]), db, rig.m, rig.probe)
+	}
+	img := rig.dbs[0].AppendSnapshot(nil)
+	for i, db := range rig.dbs[1:] {
+		if !bytes.Equal(db.AppendSnapshot(nil), img) {
+			rig.t.Fatalf("%s: db %d encodes another image than db 0", step, i+1)
 		}
 	}
 }
@@ -83,7 +243,7 @@ func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []
 		sh := &db.hashShards[db.hashShardIdx(h)]
 		sh.mu.RLock()
 		g := sh.run.find(h)
-		_, inHead := sh.head[h]
+		inHead := sh.head.find(h) >= 0
 		ref, seq, ok := db.oldestLocked(sh, h)
 		sh.mu.RUnlock()
 		if g >= 0 && sh.run.lo[g] != uint16(h) {
@@ -92,7 +252,7 @@ func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []
 		if len(want) > 0 && g < 0 && !inHead {
 			t.Fatalf("%s: hash %#x with %d holders is in neither tier", step, h, len(want))
 		}
-		if len(want) == 0 && g >= 0 && sh.run.segs[g] != tombstoneRef {
+		if len(want) == 0 && g >= 0 && sh.run.first(g) != tombstoneRef {
 			t.Fatalf("%s: absent hash %#x found live at group %d", step, h, g)
 		}
 		if ok != (len(want) > 0) || ok && (db.tab.ID(ref) != want[0].seg || seq != want[0].seq) {
@@ -122,12 +282,51 @@ func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []
 	checkInvariants(t, db)
 }
 
+// fillTable interns filler segments until tab issues ref n next.
+func fillTable(tab *segment.Table, n int) {
+	for tab.Len() < n {
+		tab.Intern(segment.ID(fmt.Sprintf("filler#%d", tab.Len())))
+	}
+}
+
+// runMaxima returns the largest live ref and the largest stamp distance
+// below base that is not wide, over a run's inline and spill columns: what
+// the run's column widths must hold.
+func runMaxima(r *run) (maxRef, maxDist uint32) {
+	for g := range r.lo {
+		if first := r.first(g); first != tombstoneRef {
+			maxRef = max(maxRef, first&^moreBit)
+		}
+		if d := r.stamps.at(g); d != wideSeq {
+			maxDist = max(maxDist, d)
+		}
+	}
+	for k := range r.moreHashes {
+		if ref := r.moreRef(k); ref != tombstoneRef {
+			maxRef = max(maxRef, ref)
+		}
+		if d := r.moreStamps.at(k); d != wideSeq {
+			maxDist = max(maxDist, d)
+		}
+	}
+	return maxRef, maxDist
+}
+
 // TestQuotientedRunMatchesReference drives a DB of 1, 64 and 256 shards and
 // the reference model through one random sequence of inserts, removals,
-// expiries, merges and restores, over hashes at every bucket and shard
-// edge plus a hot hash with enough holders for a membership set. After
-// every step each DB answers as the model does for every edge hash and its
-// low-half twins, present or absent, and all three encode the same image.
+// expiries, clock jumps, merges and restores, over hashes at every bucket
+// and shard edge plus a hot hash with enough holders for a membership set.
+// After every step each DB answers as the model does for every edge hash
+// and its low-half twins, present or absent, and all three encode the same
+// image.
+//
+// The packed columns' widths are crossed on purpose: the DBs share a
+// segment table whose fillers push the refs of new segments across 2^15
+// and 2^16, clock jumps of 2^40 leave stamps only the wide table can hold
+// and smaller ones take stamp distances across bit boundaries, and a
+// final phase removes an inline holder whose spilled successor holds the
+// run's widest ref and stamp, so the successor's codes must fit the
+// inline column too.
 func TestQuotientedRunMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -155,29 +354,18 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			slices.Sort(probes)
 			probes = slices.Compact(probes)
 
-			dbs := make([]*DB, len(shardCounts))
-			for i, n := range shardCounts {
-				dbs[i] = NewWithShards(nil, 0.5, n)
-				dbs[i].SetCompactThreshold(16)
-			}
-			model := &refModel{postings: map[uint32][]refPosting{}, segs: map[segment.ID]refPosting{}}
-			check := func(step string) {
-				t.Helper()
-				for i, db := range dbs {
-					checkAgainstModel(t, fmt.Sprintf("%s/shards=%d", step, shardCounts[i]), db, model, probes)
-				}
-				img := dbs[0].AppendSnapshot(nil)
-				for i, db := range dbs[1:] {
-					if !bytes.Equal(db.AppendSnapshot(nil), img) {
-						t.Fatalf("%s: %d shards encode another image than 1 shard", step, shardCounts[i+1])
-					}
-				}
-			}
+			tab := &segment.Table{}
+			fillTable(tab, 1<<15-4)
+			rig := newModelRig(t, tab, shardCounts, []int{16, 16, 16}, probes)
 
-			next, sawBig := 0, false
+			next, sawBig, sawWide := 0, false, false
+			refWidths := map[uint]bool{}
 			for step := 0; step < 160; step++ {
+				if step == 60 {
+					fillTable(tab, 1<<16-4)
+				}
 				var name string
-				switch op := rng.Intn(20); {
+				switch op := rng.Intn(22); {
 				case op < 14:
 					seg := segment.ID(fmt.Sprintf("doc%d#p%d", next/8, next%8))
 					next++
@@ -188,72 +376,212 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					hs = append(hs, hot)
 					slices.Sort(hs)
 					hs = slices.Compact(hs)
-					for _, db := range dbs[1:] {
-						db.Update(seg, fingerprint.FromHashes(hs))
-					}
-					model.update(dbs[0], seg, hs)
+					rig.update(seg, hs)
 					name = "update " + string(seg)
 				case op < 15:
-					if len(model.segs) == 0 {
+					if len(rig.m.segs) == 0 {
 						continue
 					}
-					segs := make([]segment.ID, 0, len(model.segs))
-					for seg := range model.segs {
+					segs := make([]segment.ID, 0, len(rig.m.segs))
+					for seg := range rig.m.segs {
 						segs = append(segs, seg)
 					}
 					slices.Sort(segs)
 					gone := segs[rng.Intn(len(segs))]
-					for _, db := range dbs {
-						db.RemoveSegment(gone)
-					}
-					model.drop(func(p refPosting) bool { return p.seg != gone })
+					rig.remove(gone)
 					name = "remove " + string(gone)
 				case op < 16:
-					now := dbs[0].Now()
-					cut := now - min(now, uint64(rng.Intn(200)))
-					for _, db := range dbs {
-						db.ExpireBefore(cut)
-					}
-					model.drop(func(p refPosting) bool { return p.seq >= cut })
+					// Among the oldest quarter of the live stamps, so a clock
+					// jump does not make every expiry a wipe.
+					stamps := append(rig.m.stamps(), rig.m.clock)
+					cut := stamps[rng.Intn(len(stamps)/4+1)]
+					rig.expire(cut)
 					name = fmt.Sprintf("expire before %d", cut)
 				case op < 18:
-					for _, db := range dbs {
-						db.Compact()
-					}
+					rig.compact()
 					name = "compact"
-				default:
-					for i, db := range dbs {
-						restored := NewWithShards(nil, 0, shardCounts[i])
-						restored.SetCompactThreshold(16)
-						if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
-							t.Fatal(err)
-						}
-						dbs[i] = restored
-					}
+				case op < 20:
+					rig.restore()
 					name = "restore"
+				case op < 21:
+					jump := []uint64{1<<15 - 2, 1 << 16, 1<<31 + 7}[rng.Intn(3)]
+					rig.floor(rig.m.clock + jump)
+					name = fmt.Sprintf("clock +%d", jump)
+				default:
+					rig.floor(rig.m.clock + 1<<40)
+					name = "clock +2^40"
 				}
-				check(fmt.Sprintf("step %d (%s)", step, name))
+				rig.check(fmt.Sprintf("step %d (%s)", step, name))
 				if name == "compact" || name == "restore" {
 					// A fresh run gives a group of bigGroupMin holders its
 					// membership set.
-					big := len(model.postings[hot]) >= bigGroupMin
-					for i, db := range dbs {
+					big := len(rig.m.postings[hot]) >= bigGroupMin
+					for i, db := range rig.dbs {
 						if got := db.hashShards[db.hashShardIdx(hot)].big[hot] != nil; got != big {
-							t.Fatalf("step %d (%s)/shards=%d: hot hash with %d holders has a membership set: %v", step, name, shardCounts[i], len(model.postings[hot]), got)
+							t.Fatalf("step %d (%s)/shards=%d: hot hash with %d holders has a membership set: %v", step, name, shardCounts[i], len(rig.m.postings[hot]), got)
 						}
 					}
 					sawBig = sawBig || big
+					for _, db := range rig.dbs {
+						for si := range db.hashShards {
+							r := &db.hashShards[si].run
+							refWidths[r.refs.width] = true
+							sawWide = sawWide || len(r.wide) > 0
+						}
+					}
 				}
 			}
 			if !sawBig {
 				t.Error("the hot hash never reached a membership set")
 			}
-			for _, db := range dbs {
-				db.Compact()
+			if !sawWide || !refWidths[16] || !refWidths[17] || !refWidths[18] {
+				t.Errorf("runs held wide stamps: %v; ref widths %v, want 16, 17 and 18 among them", sawWide, refWidths)
 			}
-			check("final compact")
+			rig.compact()
+			rig.check("final compact")
+			for _, ref := range []uint32{1<<15 - 1, 1 << 15, 1<<16 - 1, 1 << 16, 1<<16 + 1} {
+				if int(ref) >= tab.Len() || !strings.HasPrefix(string(tab.ID(ref)), "doc") {
+					t.Fatalf("ref %d is not a segment of the sequence", ref)
+				}
+			}
+
+			// The widest successor. x's first holder is wide (2^40 below the
+			// run's base); its second holder, interned last at a ref whose
+			// inline code is exactly one below the sentinel of the width
+			// the spill code alone would need, is followed in its shard by
+			// a clock jump of 2^20 and one more posting, so it holds the
+			// run's widest ref and stamp distance, both in the spill. Its
+			// removal-driven move inline must fit.
+			x := uint32(0x00ABC000)
+			for rig.m.postings[x] != nil || rig.m.postings[x+1] != nil {
+				x += 2
+			}
+			late := segment.ID("widest/late#p0")
+			tab.Intern(late) // below the successor's ref
+			rig.update("widest/old#p0", []uint32{x})
+			rig.floor(rig.m.clock + 1<<40)
+			fillTable(tab, 1<<17-1)
+			rig.update("widest/succ#p0", []uint32{x})
+			rig.floor(rig.m.clock + 1<<20)
+			rig.update(late, []uint32{x + 1})
+			rig.compact()
+			rig.check("widest successor built")
+			const succ = 1<<17 - 1
+			for i, db := range rig.dbs {
+				r := &db.hashShards[db.hashShardIdx(x)].run
+				g := r.find(x)
+				k, hi := r.more(x)
+				if r.stamps.at(g) != wideSeq || hi != k+1 || r.moreRef(k) != succ {
+					t.Fatalf("shards=%d: fixture is not a wide inline holder and one spilled successor at ref %d", shardCounts[i], succ)
+				}
+				if maxRef, maxDist := runMaxima(r); maxRef != succ || r.moreStamps.at(k) != maxDist {
+					t.Fatalf("shards=%d: the run's widest ref and stamp are %d and %d, the successor's %d and %d",
+						shardCounts[i], maxRef, maxDist, succ, r.moreStamps.at(k))
+				}
+			}
+			rig.remove("widest/old#p0")
+			rig.check("widest successor moved inline")
 		})
 	}
+}
+
+// chainHashes returns n hashes of the lowest 256-shard shard whose homes
+// in a head table coincide at every capacity below 2^16: their products
+// with the table's multiplier share the top 16 bits.
+func chainHashes(n int) []uint32 {
+	var hs []uint32
+	for h := uint32(1); len(hs) < n; h++ {
+		if (h*0x9e3779b1)>>16 == (uint32(1)*0x9e3779b1)>>16 {
+			hs = append(hs, h)
+		}
+	}
+	return hs
+}
+
+// TestHeadTableMatchesReference is the head-only pass of the reference
+// test: DBs that never merge on their own, so every operation lands in the
+// head tables. Its hashes share a probe chain, its removals take holders
+// out of the middle of the chain, its shard fills past two resizes, and
+// late postings carry stamps older than the table's base, some by more
+// than 32 bits.
+func TestHeadTableMatchesReference(t *testing.T) {
+	shardCounts := []int{1, DefaultShards, 256}
+	chain := chainHashes(12)
+	var fill []uint32 // more hashes of the same shard
+	for h := uint32(1); len(fill) < 120; h += 0x1F3 {
+		if !slices.Contains(chain, h) {
+			fill = append(fill, h)
+		}
+	}
+	probes := append(slices.Clone(chain), fill...)
+	slices.Sort(probes)
+	rig := newModelRig(t, &segment.Table{}, shardCounts, []int{-1, -1, -1}, probes)
+	seg := func(i int) segment.ID { return segment.ID(fmt.Sprintf("chain#p%d", i)) }
+
+	// The table's base is a stamp 2^40 up the clock.
+	rig.floor(1 << 40)
+	for i, h := range chain {
+		rig.update(seg(i), []uint32{h})
+		rig.check(fmt.Sprintf("chain hash %d", i))
+	}
+	for _, db := range rig.dbs {
+		t0 := &db.hashShards[0].head
+		for _, h := range chain[1:] {
+			if t0.home(h) != t0.home(chain[0]) {
+				t.Fatalf("shards=%d: chain hashes %#x and %#x have different homes", db.NumShards(), h, chain[0])
+			}
+		}
+	}
+	// Out of the middle of the chain, then its head and its tail.
+	for _, i := range []int{5, 6, 0, 11} {
+		rig.remove(seg(i))
+		rig.check(fmt.Sprintf("removed chain hash %d", i))
+	}
+	// Late postings older than the base: by a few stamps, and by more
+	// than 32 bits. The second displaces the row's holder to the overflow
+	// bucket.
+	base := rig.dbs[0].hashShards[0].head.base
+	rig.post("late#p0", chain[1:3], base-3)
+	rig.post("late#p1", chain[2:4], 5)
+	rig.check("late stamps")
+	for _, db := range rig.dbs {
+		t0 := &db.hashShards[0].head
+		if i := t0.find(chain[1]); i < 0 || t0.rows[i].off != -3 || len(t0.wide) == 0 {
+			t.Fatalf("shards=%d: late stamps are not a negative offset and a wide one", db.NumShards())
+		}
+	}
+	// Grow the shard's table, a few hashes at a time.
+	grows := make([]int, len(rig.dbs))
+	for i := 0; i < len(fill); i += 6 {
+		rows := make([]int, len(rig.dbs))
+		for j, db := range rig.dbs {
+			rows[j] = len(db.hashShards[0].head.rows)
+		}
+		rig.update(segment.ID(fmt.Sprintf("fill#p%d", i)), fill[i:i+6])
+		if i%24 == 0 {
+			rig.floor(rig.m.clock + 1<<32) // stamps above the base by more than 32 bits
+		}
+		for j, db := range rig.dbs {
+			if len(db.hashShards[0].head.rows) != rows[j] {
+				grows[j]++
+			}
+		}
+		rig.check(fmt.Sprintf("fill %d", i))
+		if i%18 == 12 {
+			rig.remove(segment.ID(fmt.Sprintf("fill#p%d", i-6)))
+			rig.remove(seg(i/18 + 7))
+			rig.check(fmt.Sprintf("removal after fill %d", i))
+		}
+	}
+	for j, n := range grows {
+		if n < 2 {
+			t.Errorf("shards=%d: the head table grew %d times, want at least 2", shardCounts[j], n)
+		}
+	}
+	rig.expire(base + 2)
+	rig.check("expiry between the late stamps")
+	rig.compact()
+	rig.check("compact")
 }
 
 // TestRunDirectoryBounds pins find's two ways of answering absent without

@@ -95,16 +95,32 @@ func TestConcurrentUpdateExpireInvariants(t *testing.T) {
 // compacted run.
 func checkInvariants(t *testing.T, db *DB) {
 	t.Helper()
-	var distinct, postings, headN, dead, groups int
+	var distinct, postings, headN, dead int
+	var runBytes, headRows int64
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
-		groups += len(sh.run.lo)
-		shardHead, tagged := 0, 0
-		for h, slot := range sh.head {
+		runBytes += sh.run.bytes()
+		headRows += int64(len(sh.head.rows))
+		shardHead, tagged, rows, wide := 0, 0, 0, 0
+		for i, row := range sh.head.rows {
+			if row.ref == emptyRow {
+				continue
+			}
+			h := row.hash
+			rows++
+			if got := sh.head.find(h); got != i {
+				t.Errorf("shard %d: head row %d of hash %#x is found at %d", si, i, h, got)
+			}
+			if row.off == wideOff {
+				wide++
+				if _, ok := sh.head.wide[h]; !ok {
+					t.Errorf("hash %#x: head row sends to a wide stamp it lacks", h)
+				}
+			}
 			shardHead++
 			b := sh.over[h]
-			if slot.ref&moreBit == 0 {
+			if row.ref&moreBit == 0 {
 				if b != nil {
 					t.Errorf("hash %#x: overflow bucket behind an untagged head slot", h)
 				}
@@ -116,7 +132,7 @@ func checkInvariants(t *testing.T, db *DB) {
 				continue
 			}
 			shardHead += len(b.postings)
-			if b.postings[0].seq < slot.seq() {
+			if b.postings[0].seq < sh.head.seq(i) {
 				t.Errorf("hash %#x: head slot is not the oldest head holder", h)
 			}
 			if b.members != nil {
@@ -130,6 +146,9 @@ func checkInvariants(t *testing.T, db *DB) {
 				}
 			}
 		}
+		if rows != sh.head.n || wide != len(sh.head.wide) {
+			t.Errorf("shard %d: head table counts %d rows (%d wide stamps), holds %d (%d)", si, sh.head.n, len(sh.head.wide), rows, wide)
+		}
 		if tagged != len(sh.over) {
 			t.Errorf("shard %d: %d overflow buckets for %d tagged head slots", si, len(sh.over), tagged)
 		}
@@ -138,11 +157,14 @@ func checkInvariants(t *testing.T, db *DB) {
 		}
 		headN += shardHead
 		shardDead := 0
-		for _, col := range [][]uint32{sh.run.segs, sh.run.moreSegs} {
-			for _, r := range col {
-				if r == tombstoneRef {
-					shardDead++
-				}
+		for g := range sh.run.lo {
+			if sh.run.first(g) == tombstoneRef {
+				shardDead++
+			}
+		}
+		for k := range sh.run.moreHashes {
+			if sh.run.moreRef(k) == tombstoneRef {
+				shardDead++
 			}
 		}
 		if shardDead != sh.dead {
@@ -170,12 +192,12 @@ func checkInvariants(t *testing.T, db *DB) {
 			}
 			lo, hi := sh.run.more(h)
 			spilled += hi - lo
-			first := sh.run.segs[g]
+			first := sh.run.first(g)
 			if first != tombstoneRef && (first&moreBit != 0) != (hi > lo) {
 				t.Errorf("hash %#x: more tag %v with %d spilled postings", h, first&moreBit != 0, hi-lo)
 			}
 			for k := lo; k < hi; k++ {
-				if sh.run.moreSegs[k] == tombstoneRef {
+				if sh.run.moreRef(k) == tombstoneRef {
 					continue
 				}
 				if first == tombstoneRef || sh.run.moreSeq(k) < sh.run.firstSeq(g) {
@@ -186,8 +208,8 @@ func checkInvariants(t *testing.T, db *DB) {
 		if spilled != len(sh.run.moreHashes) {
 			t.Errorf("shard %d: %d spilled postings belong to no group", si, len(sh.run.moreHashes)-spilled)
 		}
-		sh.walkHashesLocked(func(h uint32, g int, slot headSlot, inHead bool) {
-			ps := sh.appendPostingsLocked(h, g, slot, inHead, nil)
+		sh.walkHashesLocked(func(h uint32, g, i int) {
+			ps := sh.appendPostingsLocked(h, g, i, nil)
 			if len(ps) == 0 {
 				return // fully tombstoned group awaiting merge
 			}
@@ -209,8 +231,11 @@ func checkInvariants(t *testing.T, db *DB) {
 		})
 		sh.mu.RUnlock()
 	}
-	if n := db.groups.Load(); n != int64(groups) {
-		t.Errorf("groups counter %d != recount %d", n, groups)
+	if n := db.runBytes.Load(); n != runBytes {
+		t.Errorf("run bytes counter %d != recount %d", n, runBytes)
+	}
+	if n := db.headRows.Load(); n != headRows {
+		t.Errorf("head rows counter %d != recount %d", n, headRows)
 	}
 	segs := liveRows(db)
 	s := db.Stats()
