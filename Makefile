@@ -86,7 +86,8 @@ vuln:
 # BFLOWSNB decode, the one route every load takes), the index digest
 # codec the anti-entropy comparator trusts, the index itself against its
 # reference model (generated operation streams over the packed runs and
-# the head tables), the ring codec, the two
+# the head tables), the segment table's flat index against a map, the
+# ring codec, the two
 # policy-language targets, and the JSON bodies and X-BF-Trace header a
 # node's HTTP endpoints read.
 FUZZTIME ?= 10s
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzRestoreBinarySnapshot' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzDecodeDigest' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzIndexModel' -fuzztime $(FUZZTIME) ./internal/index
+	$(GO) test -fuzz 'FuzzTableModel' -fuzztime $(FUZZTIME) ./internal/segment
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -fuzz 'FuzzParsePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
 	$(GO) test -fuzz 'FuzzCompilePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile

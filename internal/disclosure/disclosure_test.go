@@ -504,3 +504,48 @@ func BenchmarkObserveParagraph(b *testing.B) {
 		}
 	}
 }
+
+// TestForgetAfterEditReleasesAuthority: forgetting a segment takes the
+// postings of every version it was observed as, not only its last. A
+// later holder of an earlier version's text is then that text's source,
+// as it is when the forgotten segment was never edited; ForgetRange, the
+// source-side cleanup after a partition split, takes the same path.
+func TestForgetAfterEditReleasesAuthority(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		edited bool
+		forget func(tr *Tracker)
+	}{
+		{"unedited", false, func(tr *Tracker) { tr.Forget("doc#a", segment.GranularityParagraph) }},
+		{"edited", true, func(tr *Tracker) { tr.Forget("doc#a", segment.GranularityParagraph) }},
+		{"edited, range", true, func(tr *Tracker) {
+			k := segment.Key("doc#a")
+			if n := tr.ForgetRange(k, k); n != 1 {
+				t.Fatalf("ForgetRange removed %d segments, want 1", n)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newTracker(t, testParams())
+			if _, err := tr.ObserveParagraph("doc#a", wikiText); err != nil {
+				t.Fatal(err)
+			}
+			if tc.edited {
+				if _, err := tr.ObserveParagraph("doc#a", otherText); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.forget(tr)
+			if _, err := tr.ObserveParagraph("doc#b", wikiText); err != nil {
+				t.Fatal(err)
+			}
+			sources, err := tr.QueryParagraph(wikiText, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sources) != 1 || sources[0].Seg != "doc#b" || sources[0].Disclosure != 1.0 {
+				t.Fatalf("sources = %+v, want doc#b at 1.0", sources)
+			}
+		})
+	}
+}

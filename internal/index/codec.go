@@ -27,10 +27,10 @@ package index
 //	    uvarint ref, uvarint hash
 //
 // A holder's base is its DBpar updated, or the clock for a segment without
-// an entry (what RemoveSegment leaves of a segment's earlier versions); the
-// distance is signed, so any (ref, stamp) pair round-trips. A posting
-// without postStale adds its hash to the holder's fingerprint; hashes
-// ascend, so each fingerprint fills in order. The unposted list is what
+// an entry (images written while RemoveSegment took only a segment's last
+// version hold such postings); the distance is signed, so any (ref, stamp)
+// pair round-trips. A posting without postStale adds its hash to the
+// holder's fingerprint; hashes ascend, so each fingerprint fills in order. The unposted list is what
 // ExpireBefore can leave — a posting expired, its segment did not — and
 // the decoder checks every fingerprint reaches its declared length.
 //
@@ -252,6 +252,7 @@ type snapParRec struct {
 	threshold float64
 	updated   uint64
 	hashes    []uint32 // decode fills it up to its capacity, the declared length
+	posted    []uint32 // the posted union, when it is not hashes
 }
 
 // PreparedSnapshot is a fully decoded and validated snapshot, sharded for
@@ -266,6 +267,11 @@ type PreparedSnapshot struct {
 	pars    []snapParRec
 	runs    []run
 	total   uint64
+
+	// born is, by image ref, what the runs' stamp codes are against: the
+	// holder's updated, or the clock without an entry — the image's own
+	// zero distance (and never 0, DB.born's "none yet").
+	born segment.Column[uint64]
 }
 
 // LoadSnapshot replaces the DB's contents with the decoded snapshot,
@@ -375,6 +381,13 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	}
 
 	distinct, total := uint64(d.Count("distinct hash count", 1)), uint64(d.Count("total posting count", 1))
+	for ref := range table {
+		base := clock
+		if pi := parOf[ref]; pi >= 0 {
+			base = pars[pi].updated
+		}
+		*p.born.Make(uint32(ref)) = max(base, 1)
+	}
 
 	// Decode postings straight into run columns. Hashes ascend and the
 	// shard is their top bits, so the shards fill one after the other; each
@@ -384,9 +397,18 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	// each window, hashes crowd towards zero, and that share is anywhere
 	// between nothing and a quarter of the database. The runs are swapped
 	// in only at commit, so a decode error leaves no partial load.
+	if v1 {
+		// The fingerprints are complete already: every posting is stale,
+		// and the union is built from the postings alone.
+		for i := range pars {
+			pars[i].posted = []uint32{}
+		}
+	}
 	runs := make([]run, len(db.hashShards))
+	for i := range runs {
+		runs[i].born = &p.born
+	}
 	cur := &runs[0]
-	cur.base = clock
 	prevHash, seenPostings := uint64(0), uint64(0)
 	for seenHashes := uint64(0); seenHashes < distinct; seenHashes++ {
 		dv := d.Uvarint("posting hash delta")
@@ -401,7 +423,6 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		if r := &runs[db.hashShardIdx(h)]; r != cur {
 			cur.buildDir()
 			cur = r
-			cur.base = clock
 		}
 		groupLen := uint64(1)
 		if v1 {
@@ -444,15 +465,25 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 				return d.Fail("posting seqs not ascending")
 			}
 			prevSeq = seq
-			if !stale {
-				if pi < 0 {
-					return d.Fail("fingerprint hash of a segment without a DBpar entry")
+			if pi >= 0 {
+				rec := &pars[pi]
+				if !stale {
+					hs := rec.hashes
+					if n := len(hs); n == cap(hs) || n > 0 && hs[n-1] >= h {
+						return d.Fail("fingerprint hashes repeat or exceed the declared length")
+					}
+					rec.hashes = append(hs, h)
 				}
-				hs := pars[pi].hashes
-				if n := len(hs); n == cap(hs) || n > 0 && hs[n-1] >= h {
-					return d.Fail("fingerprint hashes repeat or exceed the declared length")
+				if stale && rec.posted == nil {
+					// The first posting off the fingerprint: the union
+					// parts from hashes, which holds every posting so far.
+					rec.posted = append([]uint32{}, rec.hashes...)
 				}
-				pars[pi].hashes = append(hs, h)
+				if rec.posted != nil {
+					rec.posted = append(rec.posted, h)
+				}
+			} else if !stale {
+				return d.Fail("fingerprint hash of a segment without a DBpar entry")
 			}
 			cur.add(h, uint32(ref), seq)
 		}
@@ -476,6 +507,10 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 			}
 			prevRef, prevHash = ref, h
 			rec := &pars[parOf[ref]]
+			if rec.posted == nil {
+				// The posting stream is over, so hashes holds the union.
+				rec.posted = append([]uint32{}, rec.hashes...)
+			}
 			if len(rec.hashes) == cap(rec.hashes) {
 				return d.Fail("fingerprint hashes exceed the declared length")
 			}
@@ -498,7 +533,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		return err
 	}
 
-	*p = PreparedSnapshot{db: db, clock: clock, thrBits: thrBits, table: table, pars: pars, runs: runs, total: total}
+	p.clock, p.thrBits, p.table, p.pars, p.runs, p.total = clock, thrBits, table, pars, runs, total
 	return nil
 }
 
@@ -509,7 +544,8 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 //
 // The image's segments are interned in image order; into an empty table
 // (a restore resets it first) the image's refs are the table's and nothing
-// is remapped.
+// is remapped. Each ref's born stamp moves with it, so the runs' stamp
+// codes stay as decoded.
 func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 	if p.db != db {
 		panic("index: CommitSnapshot on a DB other than the one that prepared it")
@@ -522,12 +558,14 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 	for i, seg := range p.table {
 		refs[i] = db.tab.Intern(seg)
 		remap = remap || refs[i] != uint32(i)
+		*db.born.Make(refs[i]) = *p.born.At(uint32(i))
 	}
 	var distinct, runBytes int64
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
 		sh.run = p.runs[si]
+		sh.run.born = &db.born
 		if remap {
 			sh.run.remap(refs)
 		}
@@ -543,6 +581,9 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 		ss.mu.Lock()
 		row := db.addRow(refs[rec.ref])
 		row.hashes, row.updated = rec.hashes, rec.updated
+		if rec.posted != nil {
+			ss.setPosted(row, rec.posted)
+		}
 		db.setThreshold(ss, row, rec.threshold)
 		ss.mu.Unlock()
 		parHashes += int64(len(rec.hashes))
@@ -579,6 +620,7 @@ func (db *DB) reset() {
 	}
 	db.slots.Reset()
 	db.rows.Reset()
+	db.born.Reset()
 	db.rowMu.Lock()
 	db.free, db.nrows = nil, 0
 	db.rowMu.Unlock()

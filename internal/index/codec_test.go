@@ -67,15 +67,17 @@ var snapshotCases = []struct {
 		}
 	}},
 	{name: "postings without a DBpar entry", build: func(db *DB, tick func(*DB)) {
-		db.Update(edgeSeg(0), edgeFP(0))
+		// What an image written before RemoveSegment took every version's
+		// postings can hold; nothing the DB does makes it any more.
+		if err := db.LoadSnapshot(noEntryImage()); err != nil {
+			panic(err)
+		}
+		db.Update(edgeSeg(2), edgeFP(0))
 		tick(db)
-		db.Update(edgeSeg(0), edgeFP(2))
-		db.Update(edgeSeg(1), edgeFP(0))
-		db.RemoveSegment(edgeSeg(0)) // drops the current fingerprint's postings only
 	}, check: func(t *testing.T, db *DB) {
 		holders := db.Holders(edgeFP(0).Hashes()[0])
-		if _, ok := db.Fingerprint(edgeSeg(0)); ok || len(holders) != 2 || holders[0] != edgeSeg(0) {
-			t.Fatalf("holders %v, DBpar entry %v; want the removed segment's first version still posted", holders, ok)
+		if _, ok := db.Fingerprint(edgeSeg(0)); ok || len(holders) != 3 || holders[0] != edgeSeg(0) {
+			t.Fatalf("holders %v, DBpar entry %v; want the segment without an entry oldest of three", holders, ok)
 		}
 	}},
 	{name: "thresholds", build: func(db *DB, tick func(*DB)) {
@@ -114,6 +116,33 @@ var snapshotCases = []struct {
 		db.RemoveSegment(edgeSeg(2))
 		db.Update(edgeSeg(4), edgeFP(0))
 	}},
+}
+
+// noEntryImage hand-encodes a codec-2 payload in which edgeSeg(0), with
+// no DBpar entry, holds every hash of edgeFP(0) stamped 2, and
+// edgeSeg(1), updated at 5, holds them all after it.
+func noEntryImage() []byte {
+	const clock, updated = 9, 5
+	b := binary.LittleEndian.AppendUint64([]byte{snapshotCodecVersion}, clock)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+	b = append(b, 2)
+	b = wire.AppendFrontCoded(b, "", string(edgeSeg(0)))
+	b = wire.AppendFrontCoded(b, string(edgeSeg(0)), string(edgeSeg(1)))
+	hs := edgeFP(0).Hashes()
+	b = append(b, 1, 1<<1) // one DBpar entry: ref 1, default threshold
+	b = binary.AppendUvarint(b, updated)
+	b = binary.AppendUvarint(b, uint64(len(hs)))
+	b = binary.AppendUvarint(b, uint64(len(hs)))
+	b = binary.AppendUvarint(b, uint64(2*len(hs)))
+	prev := uint32(0)
+	for _, h := range hs {
+		b = binary.AppendUvarint(b, uint64(h-prev))
+		prev = h
+		b = append(b, 0<<postFlagBits|postMore|postStale|postStamped)
+		b = binary.AppendVarint(b, clock-2) // its base is the clock
+		b = append(b, 1<<postFlagBits)
+	}
+	return append(b, 0) // nothing unposted
 }
 
 // TestSnapshotRoundTrip: every case, built compacted at every opportunity

@@ -23,9 +23,14 @@ import (
 )
 
 // postAt records seg's postings for hs (ascending) stamped seq, with no
-// DBpar change: the late or stray postings a racing writer can leave.
+// DBpar change: late stamps, and the holders without an entry an image
+// can hold. A ref without a born stamp is born at seq.
 func postAt(db *DB, seg segment.ID, hs []uint32, seq uint64) {
-	db.insertPostings(postingWriter{ref: db.tab.Intern(seg), segKey: segDigestKey(string(seg)), seq: seq}, hs)
+	ref := db.tab.Intern(seg)
+	if born := db.born.Make(ref); *born == 0 {
+		*born = max(seq, 1)
+	}
+	db.insertPostings(postingWriter{ref: ref, segKey: segDigestKey(string(seg)), seq: seq}, hs)
 }
 
 // liveRows counts the DB's DBpar entries by walking its rows.

@@ -153,12 +153,11 @@ type segShard struct {
 // parRow is one DBpar entry (a freed row is zero); code is its parCode
 // share of the stripe digest, kept so a change can XOR it out.
 //
-// Update diffs a new fingerprint against the posted union, every hash the
-// segment has posted (h ∈ posted ⟹ the posting exists), so an edit pays
-// shard probes only for hashes never posted. The union is hashes until the
-// segment posts beyond them, then it lives in the stripe's apart map;
-// without rowPosted it is unknown (fresh, restored or expired-over) and
-// the next Update takes the full insert path.
+// The posted union is every hash the entry's segment holds a posting of
+// since the entry was made (h ∈ posted ⟺ the posting exists), so Update
+// pays shard probes only for hashes never posted and RemoveSegment takes
+// every posting an earlier version left. It is hashes while the two are
+// equal, and otherwise lives in the stripe's apart map.
 type parRow struct {
 	hashes        []uint32 // the current fingerprint's, ascending, immutable
 	updated, code uint64
@@ -169,8 +168,7 @@ type parRow struct {
 const (
 	rowLive         = 1 << iota // the row holds an entry
 	rowOwnThreshold             // the threshold is in the stripe's own map
-	rowPosted                   // the posted union is known
-	rowApart                    // ... and is in the stripe's apart map, not hashes
+	rowApart                    // the posted union is in the stripe's apart map, not hashes
 )
 
 // EvictFunc observes segments dropped by RemoveSegment or ExpireBefore. It
@@ -193,6 +191,13 @@ type DB struct {
 
 	// tab interns the segment IDs that postings and DBpar rows refer to.
 	tab *segment.Table
+
+	// born is, by ref, the stamp of the ref's first posting, which run
+	// stamp codes are against (see run.go); 0 until then. Update writes it
+	// under the segment's stripe before inserting any posting, and it then
+	// stays until reset, so a shard-lock holder reads it without a lock, as
+	// it reads tab.ID: it was written before any posting that names the ref.
+	born segment.Column[uint64]
 
 	// slots maps a ref to 1 + its row in rows, which are dense in this DB's
 	// insert order; freed row numbers wait in free, nrows is the high-water
@@ -316,7 +321,7 @@ func (db *DB) lookupRow(seg segment.ID) (ref uint32, row *parRow) {
 }
 
 // addRow gives ref, which has no entry, a fresh one: default threshold, no
-// fingerprint, posted union unknown.
+// fingerprint, nothing posted.
 func (db *DB) addRow(ref uint32) *parRow {
 	db.rowMu.Lock()
 	i := db.nrows
@@ -369,32 +374,25 @@ func (db *DB) setThreshold(ss *segShard, row *parRow, t float64) {
 	}
 }
 
-// postedOf returns row's posted union, nil when unknown.
+// postedOf returns row's posted union (ascending, not to be modified).
 func (ss *segShard) postedOf(row *parRow) []uint32 {
-	switch {
-	case row.flags&rowPosted == 0:
-		return nil
-	case row.flags&rowApart != 0:
+	if row.flags&rowApart != 0 {
 		return ss.apart[row.ref]
 	}
 	return row.hashes
 }
 
-// setPosted records posted, a superset of row.hashes, as row's posted
-// union; nil marks it unknown. A union equal to hashes is hashes.
+// setPosted records posted (ascending) as row's posted union. A union
+// equal to hashes is hashes.
 func (ss *segShard) setPosted(row *parRow, posted []uint32) {
 	delete(ss.apart, row.ref)
-	row.flags &^= rowPosted | rowApart
-	switch {
-	case posted == nil:
-	case len(posted) == len(row.hashes):
-		row.flags |= rowPosted
-	default:
+	row.flags &^= rowApart
+	if !slices.Equal(posted, row.hashes) {
 		if ss.apart == nil {
 			ss.apart = make(map[uint32][]uint32)
 		}
 		ss.apart[row.ref] = posted
-		row.flags |= rowPosted | rowApart
+		row.flags |= rowApart
 	}
 }
 
@@ -471,6 +469,9 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
 	if row == nil {
 		row = db.addRow(ref)
 	}
+	if born := db.born.Make(ref); *born == 0 {
+		*born = now
+	}
 	db.parHashes.Add(int64(len(hs) - len(row.hashes)))
 	// Insert postings while still holding the segment stripe so that a
 	// concurrent RemoveSegment(seg) cannot interleave between the DBpar
@@ -478,7 +479,7 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
 	w := postingWriter{ref: ref, segKey: segDigestKey(string(seg)), seq: now}
 	posted := ss.postedOf(row)
 	switch {
-	case posted == nil:
+	case len(posted) == 0:
 		db.insertPostings(w, hs)
 		posted = hs
 	case countMissing(hs, posted) > 0:
@@ -512,6 +513,19 @@ type postingWriter struct {
 	ref    uint32
 	segKey uint64
 	seq    uint64
+}
+
+// holdsLocked reports whether ref holds a live posting of h in either
+// tier. Caller holds sh.mu at least for reading.
+func (sh *hashShard) holdsLocked(h, ref uint32) bool {
+	if i := sh.head.find(h); i >= 0 && sh.headHas(h, i, ref) {
+		return true
+	}
+	if g := sh.run.find(h); g >= 0 {
+		inRun, _ := sh.runHasSeg(h, g, ref)
+		return inRun
+	}
+	return false
 }
 
 // shardInsertLocked records w's posting for h unless it already exists in
@@ -695,7 +709,7 @@ func (db *DB) origin(seg segment.ID) (ref uint32, hashes []uint32, threshold flo
 func (db *DB) OldestHolder(h uint32) (segment.ID, bool) {
 	sh := &db.hashShards[db.hashShardIdx(h)]
 	sh.mu.RLock()
-	ref, _, ok := db.oldestLocked(sh, h)
+	ref, _, ok := db.oldestLocked(sh, h, false)
 	sh.mu.RUnlock()
 	if !ok {
 		return "", false
@@ -745,7 +759,7 @@ func (db *DB) AppendOldestRefs(hs []uint32, out []OldestRef) []OldestRef {
 		j := i
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if ref, seq, ok := db.oldestLocked(sh, hs[j]); ok {
+			if ref, seq, ok := db.oldestLocked(sh, hs[j], true); ok {
 				out = append(out, OldestRef{Idx: j, Seg: db.tab.ID(ref), Seq: seq})
 			}
 		}
@@ -768,7 +782,7 @@ func (db *DB) AppendOldestHolders(hs []uint32, out []segment.ID) []segment.ID {
 		j := i
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if ref, _, ok := db.oldestLocked(sh, hs[j]); ok {
+			if ref, _, ok := db.oldestLocked(sh, hs[j], false); ok {
 				out = append(out, db.tab.ID(ref))
 			}
 		}
@@ -811,7 +825,7 @@ func (db *DB) AuthoritativeCount(seg segment.ID) int {
 		j := i
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if oldest, _, ok := db.oldestLocked(sh, hs[j]); ok && oldest == ref {
+			if oldest, _, ok := db.oldestLocked(sh, hs[j], false); ok && oldest == ref {
 				n++
 			}
 		}
@@ -856,7 +870,7 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 				sh.mu.RLock()
 				curShard = si
 			}
-			if oldest, _, ok := db.oldestLocked(sh, h); ok && oldest == ref {
+			if oldest, _, ok := db.oldestLocked(sh, h, false); ok && oldest == ref {
 				overlap++
 			}
 			i++
@@ -869,8 +883,9 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 	return overlap, srcLen
 }
 
-// RemoveSegment deletes seg's fingerprint and all its postings. Subsequent
-// oldest-holder queries may promote younger segments to authoritative.
+// RemoveSegment deletes seg's fingerprint and all its postings, those of
+// its earlier versions too. Subsequent oldest-holder queries may promote
+// younger segments to authoritative.
 func (db *DB) RemoveSegment(seg segment.ID) {
 	ss := db.segShardFor(seg)
 	ss.mu.Lock()
@@ -879,7 +894,7 @@ func (db *DB) RemoveSegment(seg segment.ID) {
 		ss.mu.Unlock()
 		return
 	}
-	db.removePostings(ref, seg, row.hashes)
+	db.removePostings(ref, seg, ss.postedOf(row))
 	db.dropRow(ss, row)
 	ss.mu.Unlock()
 	db.notifyEvict([]segment.ID{seg})
@@ -919,17 +934,38 @@ func (db *DB) ExpireBefore(seq uint64) int {
 			db.dropRow(ss, row)
 			evicted = append(evicted, seg)
 		} else if removed > 0 {
-			// Expired postings may belong to surviving segments, so their
-			// posted-hash unions can no longer be trusted; reset them and
-			// let the next Update rebuild via the full insert path (which
-			// re-creates any purged posting, exactly as the probe-per-hash
-			// path would).
-			ss.setPosted(row, nil)
+			// Expired postings may belong to surviving segments: keep the
+			// part of the union whose postings survived.
+			ss.setPosted(row, db.survivingPosted(row.ref, ss.postedOf(row)))
 		}
 	})
 	unlock()
 	db.notifyEvict(evicted)
 	return removed
+}
+
+// survivingPosted returns the hashes of posted (ascending) that ref still
+// holds a posting of, probing each once and taking each hash shard once
+// per contiguous run of them. Caller holds ref's stripe and no shard.
+func (db *DB) survivingPosted(ref uint32, posted []uint32) []uint32 {
+	var kept []uint32
+	for i := 0; i < len(posted); {
+		si := db.hashShardIdx(posted[i])
+		sh := &db.hashShards[si]
+		j := i
+		sh.mu.RLock()
+		for ; j < len(posted) && db.hashShardIdx(posted[j]) == si; j++ {
+			if sh.holdsLocked(posted[j], ref) {
+				kept = append(kept, posted[j])
+			}
+		}
+		sh.mu.RUnlock()
+		i = j
+	}
+	if len(kept) == len(posted) {
+		return posted
+	}
+	return kept
 }
 
 // Now returns the current logical time.
@@ -961,12 +997,12 @@ func (db *DB) Stats() Stats {
 	// is at (60–75 %; the few hashes with several head holders add an
 	// overflow bucket, not modelled). DBpar holds each hash once, in the
 	// fingerprint (4 B — the posted union aliases it); a segment costs
-	// ≈ 104 B: its 48-byte DBpar row and 4-byte slot, and its segment
-	// table entry — a 16-byte ID header and an index slot of ≈ 36 B,
-	// shared with the table's other owners. TestApproxBytesTracksHeap pins
-	// the sum to measured heap growth.
+	// ≈ 82 B: its 48-byte DBpar row, 4-byte slot and 8-byte born stamp,
+	// and its segment table entry — a 16-byte ID header and a 4-byte index
+	// slot at 60–75 % fill, ≈ 6 B — shared with the table's other owners.
+	// TestApproxBytesTracksHeap pins the sum to measured heap growth.
 	s.ApproxBytes = db.runBytes.Load() + db.headRows.Load()*12 +
 		db.parHashes.Load()*4 +
-		int64(s.Segments)*104
+		int64(s.Segments)*82
 	return s
 }

@@ -15,12 +15,18 @@ import (
 // to. After every operation each DB must answer as the model does for
 // every hash of the pool — hashes on bucket and shard edges, and hashes
 // that share a head-table probe chain — and both must encode the same
-// image.
+// image. The last seeds remove a segment after an edit — straight away,
+// after an expiry took its first version's postings, and after a restore
+// rebuilt its posted union, late postings included — and then post its
+// first version's hashes again, which must find no holder left.
 func FuzzIndexModel(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 1, 2, 3, 0, 1, 2, 4, 5, 6, 5, 3, 0, 6})
 	f.Add([]byte{0, 1, 7, 10, 11, 12, 13, 14, 15, 16, 7, 0, 0, 2, 3, 10, 11, 12, 1, 2, 5, 0, 3, 4})
 	f.Add([]byte{0, 0, 2, 20, 21, 7, 1, 0, 1, 2, 21, 22, 5, 8, 1, 6, 7, 2, 3, 2, 5, 4, 0, 6, 3, 1})
 	f.Add([]byte{0, 2, 6, 30, 31, 32, 33, 34, 35, 0, 3, 6, 30, 31, 32, 33, 34, 35, 3, 2, 3, 3, 5, 4, 1})
+	f.Add([]byte{0, 0, 2, 1, 2, 7, 0, 0, 2, 3, 4, 3, 0, 0, 1, 2, 1, 2, 7, 3, 1})
+	f.Add([]byte{0, 0, 2, 1, 2, 0, 0, 2, 3, 4, 0, 2, 1, 5, 6, 1, 0, 0, 2, 1, 2, 3, 0, 0, 1, 3, 1, 2, 3})
+	f.Add([]byte{0, 0, 2, 1, 2, 4, 0, 2, 6, 7, 3, 0, 0, 2, 3, 4, 8, 3, 0, 0, 1, 4, 1, 2, 6, 7, 8, 3, 1})
 	pool := append(runEdgeHashes(DefaultShards), chainHashes(16)...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {

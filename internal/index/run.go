@@ -13,11 +13,11 @@ package index
 //	lo[g]          low 16 bits of the g-th distinct hash, ascending per bucket
 //	refs[g]        ref code of its oldest live holder: ref<<1, | 1 when later
 //	               holders spilled; the sentinel when none is alive
-//	stamps[g]      that holder's first-seen time, as its distance below base
+//	stamps[g]      that holder's first-seen time, coded against the holder
 //
 //	moreHashes[k]  hash of the k-th spilled posting, ordered by (hash, seq)
 //	moreRefs[k]    its ref code, ref<<1 (the sentinel if dead)
-//	moreStamps[k]  its first-seen distance below base
+//	moreStamps[k]  its first-seen time, coded against its holder
 //
 // The hash column is quotiented: group g's full hash is
 // (key0+b)<<16 | lo[g] for the bucket b that holds g, where key0 is the
@@ -32,11 +32,13 @@ package index
 // column together, because removing an inline holder moves the next
 // spilled one into its slot. The all-ones code at a width is its column's
 // sentinel. Stamps are uint64 (a router's Lamport stamp can raise the clock
-// by any amount, see SetClockFloor) but one run spans a narrow window of
-// them, so a column holds distances below base, the logical clock when the
-// run was built; a distance of 2^32 − 1 or more is the sentinel and the
-// full stamp sits in the wide side table. Segments are refs of the DB's
-// segment table.
+// by any amount, see SetClockFloor), but a segment posts most of its
+// hashes at its first observation, so a stamp is coded against its
+// holder's born stamp (DB.born, the stamp of the ref's first posting):
+// zigzag(seq − born), 0 for every posting of a segment never edited, which
+// on ingest packs the stamp columns at one bit. A code that does not fit
+// 32 bits is the sentinel and the full stamp sits in the wide side table.
+// Segments are refs of the DB's segment table.
 //
 // Lookup cost is one head-table probe plus a directory-bounded binary
 // search (run): the directory entry of the hash's high half narrows the
@@ -45,16 +47,19 @@ package index
 // a cache line or two of lo instead of a giant hash map.
 //
 // Deletions tombstone run postings in place; deleting the inline holder
-// moves the next live spilled one into its slot, so the slot never goes
-// stale. Merging rebuilds the run without the dead postings. It happens
-// inline under the shard write lock when the head outgrows the merge policy
-// (see maybeCompactLocked), from DB.Compact, and in every shard an
-// ExpireBefore pass finds something to drop in.
+// moves the next live spilled one into its slot, its stamp coded against
+// its own holder, so the slot never goes stale. Merging rebuilds the run
+// without the dead postings. It happens inline under the shard write lock
+// when the head outgrows the merge policy (see maybeCompactLocked), from
+// DB.Compact, and in every shard an ExpireBefore pass finds something to
+// drop in.
 
 import (
 	"math/bits"
 	"slices"
 	"sort"
+
+	"github.com/lsds/browserflow/internal/segment"
 )
 
 const (
@@ -66,7 +71,7 @@ const (
 	// holders beyond it. Refs proper stay below it.
 	moreBit = uint32(1) << 31
 
-	// wideSeq as a stamp distance sends the reader to run.wide.
+	// wideSeq as a stamp code sends the reader to run.wide.
 	wideSeq = ^uint32(0)
 )
 
@@ -147,7 +152,7 @@ type runBuild struct {
 }
 
 // run is one shard's compacted postings (layout in the file comment). Zero
-// value = empty run.
+// value = empty run; add needs born set.
 type run struct {
 	lo                   []uint16
 	refs, stamps         packed
@@ -155,10 +160,10 @@ type run struct {
 	moreRefs, moreStamps packed
 	dir                  []uint32
 
-	key0 uint32            // high half of the run's lowest hash, dir's first bucket
-	last uint32            // the last group's full hash, for add
-	base uint64            // the clock when the run was built: no stamp in it is newer
-	wide map[uint32]uint64 // stamps further than wideSeq below base, by column index (spill indexes tagged moreBit)
+	key0 uint32                  // high half of the run's lowest hash, dir's first bucket
+	last uint32                  // the last group's full hash, for add
+	born *segment.Column[uint64] // the stamps its refs' codes are against
+	wide map[uint32]uint64       // stamps whose code is wideSeq, by column index (spill indexes tagged moreBit)
 
 	build runBuild // add's columns, until buildDir
 }
@@ -222,29 +227,38 @@ func (r *run) setFirst(g int, tagged uint32) { r.refs.set(g, refCode(tagged)) }
 // moreRef is spilled posting k's ref, or tombstoneRef if it is dead.
 func (r *run) moreRef(k int) uint32 { return refOf(r.moreRefs.at(k)) }
 
-func (r *run) killMore(k int) { r.moreRefs.set(k, refCode(tombstoneRef)) }
+func (r *run) killMore(k int) {
+	r.moreRefs.set(k, refCode(tombstoneRef))
+	delete(r.wide, moreBit|uint32(k))
+}
 
-// firstSeq is the first-seen time of group g's inline holder.
+// firstSeq is the first-seen time of group g's inline holder, which is
+// live.
 func (r *run) firstSeq(g int) uint64 {
-	if off := r.stamps.at(g); off != wideSeq {
-		return r.base - uint64(off)
-	}
-	return r.wide[uint32(g)]
+	return r.seq(r.stamps.at(g), r.first(g)&^moreBit, uint32(g))
 }
 
-// moreSeq is the first-seen time of spilled posting k.
+// moreSeq is the first-seen time of spilled posting k, which is live.
 func (r *run) moreSeq(k int) uint64 {
-	if off := r.moreStamps.at(k); off != wideSeq {
-		return r.base - uint64(off)
-	}
-	return r.wide[moreBit|uint32(k)]
+	return r.seq(r.moreStamps.at(k), r.moreRef(k), moreBit|uint32(k))
 }
 
-// offset encodes seq (≤ base) as the stamp distance of the column slot
-// named by key.
-func (r *run) offset(seq uint64, key uint32) uint32 {
-	if d := r.base - seq; d < uint64(wideSeq) {
-		return uint32(d)
+// seq decodes the stamp code of ref's posting in the column slot named by
+// key.
+func (r *run) seq(code, ref, key uint32) uint64 {
+	if code == wideSeq {
+		return r.wide[key]
+	}
+	c := uint64(code)
+	return *r.born.At(ref) + (c>>1 ^ -(c & 1))
+}
+
+// code encodes seq as the stamp code of ref's posting in the column slot
+// named by key: zigzag(seq − born), or wideSeq with seq in the wide table.
+func (r *run) code(seq uint64, ref, key uint32) uint32 {
+	d := int64(seq - *r.born.At(ref))
+	if c := uint64(d<<1) ^ uint64(d>>63); c < uint64(wideSeq) {
+		return uint32(c)
 	}
 	if r.wide == nil {
 		r.wide = make(map[uint32]uint64)
@@ -253,19 +267,19 @@ func (r *run) offset(seq uint64, key uint32) uint32 {
 	return wideSeq
 }
 
-// addStamp appends seq's distance, for the column slot named by key, to
-// col.
-func (r *run) addStamp(col *[]uint32, seq uint64, key uint32) {
-	off := r.offset(seq, key)
-	if off != wideSeq {
-		r.build.maxStamp = max(r.build.maxStamp, off)
+// addStamp appends the code of ref's posting stamped seq, for the column
+// slot named by key, to col.
+func (r *run) addStamp(col *[]uint32, seq uint64, ref, key uint32) {
+	c := r.code(seq, ref, key)
+	if c != wideSeq {
+		r.build.maxStamp = max(r.build.maxStamp, c)
 	}
-	*col = append(*col, off)
+	*col = append(*col, c)
 }
 
-// add appends a live posting; calls arrive in (hash, seq) order with
-// seq ≤ base. The first posting of a hash opens its group, and the
-// directory's buckets up to the group's; later ones spill.
+// add appends a live posting, whose ref's born stamp is set; calls arrive
+// in (hash, seq) order. The first posting of a hash opens its group, and
+// the directory's buckets up to the group's; later ones spill.
 func (r *run) add(h, ref uint32, seq uint64) {
 	nb := &r.build
 	nb.maxRef = max(nb.maxRef, ref)
@@ -274,7 +288,7 @@ func (r *run) add(h, ref uint32, seq uint64) {
 		k := uint32(len(r.moreHashes))
 		r.moreHashes = append(r.moreHashes, h)
 		nb.moreRefs = append(nb.moreRefs, refCode(ref))
-		r.addStamp(&nb.moreStamps, seq, moreBit|k)
+		r.addStamp(&nb.moreStamps, seq, ref, moreBit|k)
 		return
 	}
 	g := uint32(len(r.lo))
@@ -287,7 +301,7 @@ func (r *run) add(h, ref uint32, seq uint64) {
 	r.last = h
 	r.lo = append(r.lo, uint16(h))
 	nb.refs = append(nb.refs, refCode(ref))
-	r.addStamp(&nb.stamps, seq, g)
+	r.addStamp(&nb.stamps, seq, ref, g)
 }
 
 // buildDir closes the directory of a run add has finished filling, packs
@@ -411,12 +425,16 @@ func (sh *hashShard) tombstone(h uint32, g int, ref uint32) (seq uint64, killed 
 	}
 	if first&^moreBit == ref {
 		seq = r.firstSeq(g)
+		delete(r.wide, uint32(g))
 		for k < hi && r.moreRef(k) == tombstoneRef {
 			k++
 		}
 		if k < hi {
-			r.setFirst(g, r.moreRef(k)|moreBit)
-			r.stamps.set(g, r.offset(r.moreSeq(k), uint32(g)))
+			// The successor's code is against its own born stamp, and
+			// the inline and spill columns share a width.
+			next := r.moreRef(k)
+			r.stamps.set(g, r.code(r.moreSeq(k), next, uint32(g)))
+			r.setFirst(g, next|moreBit)
 			r.killMore(k)
 		} else {
 			r.setFirst(g, tombstoneRef)
@@ -551,13 +569,11 @@ func (sh *hashShard) walkHashesLocked(visit func(h uint32, g, i int)) {
 // byte-identical before and after — the golden-equivalence property the
 // compaction tests pin.
 func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied int) {
-	// Every stamp in the shard was drawn from the clock before its posting
-	// was inserted under this lock, so the clock bounds them all. The
-	// column sizes are upper bounds (a hash can be in both tiers, a group
-	// can be dead or expire); buildDir trims what they overshoot by.
+	// The column sizes are upper bounds (a hash can be in both tiers, a
+	// group can be dead or expire); buildDir trims what they overshoot by.
 	groups := len(sh.run.lo) + sh.head.n
 	nw := run{
-		base: db.clock.Load(),
+		born: &db.born,
 		lo:   make([]uint16, 0, groups),
 		build: runBuild{
 			refs:   make([]uint32, 0, groups),
@@ -683,15 +699,22 @@ func (sh *hashShard) appendPostingsLocked(h uint32, g, i int, out []posting) []p
 }
 
 // oldestLocked resolves the authoritative (oldest live) holder of h: each
-// tier names its oldest inline, and the run wins a tie. Caller holds sh.mu
-// at least for reading.
-func (db *DB) oldestLocked(sh *hashShard, h uint32) (ref uint32, seq uint64, ok bool) {
-	if g := sh.run.find(h); g >= 0 {
+// tier names its oldest inline, and the run wins a tie. The run holder's
+// stamp costs a born-stamp read, so it is decoded only when the head holds
+// h too or withSeq asks for it; otherwise seq is 0. Caller holds sh.mu at
+// least for reading.
+func (db *DB) oldestLocked(sh *hashShard, h uint32, withSeq bool) (ref uint32, seq uint64, ok bool) {
+	g := sh.run.find(h)
+	if g >= 0 {
 		if first := sh.run.first(g); first != tombstoneRef {
-			ref, seq, ok = first&^moreBit, sh.run.firstSeq(g), true
+			ref, ok = first&^moreBit, true
 		}
 	}
-	if i := sh.head.find(h); i >= 0 {
+	i := sh.head.find(h)
+	if ok && (withSeq || i >= 0) {
+		seq = sh.run.firstSeq(g)
+	}
+	if i >= 0 {
 		if s := sh.head.seq(i); !ok || s < seq {
 			return sh.head.rows[i].ref &^ moreBit, s, true
 		}

@@ -26,10 +26,12 @@ type refPosting struct {
 	seq uint64
 }
 
-// refSeg is a segment's DBpar entry in the reference model.
+// refSeg is a segment's DBpar entry in the reference model; posted is its
+// posted union, every hash it holds a posting of since the entry was made
+// (postings made by post aside), ascending.
 type refSeg struct {
-	hashes  []uint32
-	updated uint64
+	hashes, posted []uint32
+	updated        uint64
 }
 
 // refModel is the reference: every live posting by hash, oldest first
@@ -53,7 +55,13 @@ func (m *refModel) update(seg segment.ID, hs []uint32) uint64 {
 	}
 	m.clock++
 	m.post(seg, hs, m.clock)
-	m.segs[seg] = refSeg{hashes: hs, updated: m.clock}
+	posted := slices.Clone(hs)
+	if s, ok := m.segs[seg]; ok {
+		posted = append(posted, s.posted...)
+		slices.Sort(posted)
+		posted = slices.Compact(posted)
+	}
+	m.segs[seg] = refSeg{hashes: hs, posted: posted, updated: m.clock}
 	return m.clock
 }
 
@@ -73,20 +81,21 @@ func (m *refModel) post(seg segment.ID, hs []uint32, seq uint64) {
 	}
 }
 
-// remove is DB.RemoveSegment: the entry goes, and the postings of the
-// hashes of its current fingerprint.
+// remove is DB.RemoveSegment: the entry goes, and the postings of its
+// posted union, earlier versions' included.
 func (m *refModel) remove(seg segment.ID) {
 	s, ok := m.segs[seg]
 	if !ok {
 		return
 	}
-	for _, h := range s.hashes {
+	for _, h := range s.posted {
 		m.dropPostings(h, func(p refPosting) bool { return p.seg == seg })
 	}
 	delete(m.segs, seg)
 }
 
-// expire is DB.ExpireBefore.
+// expire is DB.ExpireBefore: each surviving entry's union keeps the
+// hashes whose posting survived.
 func (m *refModel) expire(cut uint64) {
 	for h := range m.postings {
 		m.dropPostings(h, func(p refPosting) bool { return p.seq < cut })
@@ -94,8 +103,31 @@ func (m *refModel) expire(cut uint64) {
 	for seg, s := range m.segs {
 		if s.updated < cut {
 			delete(m.segs, seg)
+			continue
 		}
+		s.posted = slices.DeleteFunc(slices.Clone(s.posted), func(h uint32) bool { return !m.holds(seg, h) })
+		m.segs[seg] = s
 	}
+}
+
+// restore is what a snapshot restore makes of the unions: each entry's is
+// every hash its segment holds a posting of, post's included.
+func (m *refModel) restore() {
+	for seg, s := range m.segs {
+		s.posted = nil
+		for h := range m.postings {
+			if m.holds(seg, h) {
+				s.posted = append(s.posted, h)
+			}
+		}
+		slices.Sort(s.posted)
+		m.segs[seg] = s
+	}
+}
+
+// holds reports whether seg holds a posting of h.
+func (m *refModel) holds(seg segment.ID, h uint32) bool {
+	return slices.ContainsFunc(m.postings[h], func(p refPosting) bool { return p.seg == seg })
 }
 
 func (m *refModel) dropPostings(h uint32, del func(refPosting) bool) {
@@ -193,6 +225,7 @@ func (rig *modelRig) compact() {
 // restore re-packs the run's ref columns.
 func (rig *modelRig) restore() {
 	rig.t.Helper()
+	rig.m.restore()
 	for i, db := range rig.dbs {
 		restored := rig.newDB(i)
 		if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
@@ -244,7 +277,7 @@ func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []
 		sh.mu.RLock()
 		g := sh.run.find(h)
 		inHead := sh.head.find(h) >= 0
-		ref, seq, ok := db.oldestLocked(sh, h)
+		ref, seq, ok := db.oldestLocked(sh, h, true)
 		sh.mu.RUnlock()
 		if g >= 0 && sh.run.lo[g] != uint16(h) {
 			t.Fatalf("%s: find(%#x) = group %d holding low half %#x", step, h, g, sh.run.lo[g])
@@ -279,6 +312,16 @@ func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []
 	if st := db.Stats(); st.DistinctHashes != len(m.postings) || st.Segments != len(m.segs) {
 		t.Fatalf("%s: %d hashes in %d segments, want %d in %d", step, st.DistinctHashes, st.Segments, len(m.postings), len(m.segs))
 	}
+	for seg, s := range m.segs {
+		ss := db.segShardFor(seg)
+		ss.mu.RLock()
+		_, row := db.lookupRow(seg)
+		posted := ss.postedOf(row)
+		ss.mu.RUnlock()
+		if !slices.Equal(posted, s.posted) && len(posted)+len(s.posted) > 0 {
+			t.Fatalf("%s: posted union of %s = %#x, want %#x", step, seg, posted, s.posted)
+		}
+	}
 	checkInvariants(t, db)
 }
 
@@ -289,27 +332,36 @@ func fillTable(tab *segment.Table, n int) {
 	}
 }
 
-// runMaxima returns the largest live ref and the largest stamp distance
-// below base that is not wide, over a run's inline and spill columns: what
-// the run's column widths must hold.
-func runMaxima(r *run) (maxRef, maxDist uint32) {
-	for g := range r.lo {
-		if first := r.first(g); first != tombstoneRef {
-			maxRef = max(maxRef, first&^moreBit)
-		}
-		if d := r.stamps.at(g); d != wideSeq {
-			maxDist = max(maxDist, d)
+// liveSeg returns one of the model's segments with an entry, chosen by rng.
+func (m *refModel) liveSeg(rng *rand.Rand) (segment.ID, bool) {
+	segs := make([]segment.ID, 0, len(m.segs))
+	for seg := range m.segs {
+		segs = append(segs, seg)
+	}
+	if len(segs) == 0 {
+		return "", false
+	}
+	slices.Sort(segs)
+	return segs[rng.Intn(len(segs))], true
+}
+
+// stampCodeOf returns the stamp code of ref's posting of h in db's run,
+// and whether the run holds one.
+func stampCodeOf(db *DB, h, ref uint32) (code uint32, ok bool) {
+	r := &db.hashShards[db.hashShardIdx(h)].run
+	g := r.find(h)
+	if g < 0 {
+		return 0, false
+	}
+	if r.first(g)&^moreBit == ref {
+		return r.stamps.at(g), true
+	}
+	for k, hi := r.more(h); k < hi; k++ {
+		if r.moreRef(k) == ref {
+			return r.moreStamps.at(k), true
 		}
 	}
-	for k := range r.moreHashes {
-		if ref := r.moreRef(k); ref != tombstoneRef {
-			maxRef = max(maxRef, ref)
-		}
-		if d := r.moreStamps.at(k); d != wideSeq {
-			maxDist = max(maxDist, d)
-		}
-	}
-	return maxRef, maxDist
+	return 0, false
 }
 
 // TestQuotientedRunMatchesReference drives a DB of 1, 64 and 256 shards and
@@ -322,11 +374,13 @@ func runMaxima(r *run) (maxRef, maxDist uint32) {
 //
 // The packed columns' widths are crossed on purpose: the DBs share a
 // segment table whose fillers push the refs of new segments across 2^15
-// and 2^16, clock jumps of 2^40 leave stamps only the wide table can hold
-// and smaller ones take stamp distances across bit boundaries, and a
-// final phase removes an inline holder whose spilled successor holds the
-// run's widest ref and stamp, so the successor's codes must fit the
-// inline column too.
+// and 2^16, and edits after clock jumps code stamps at distances from
+// their holders' born stamps across bit boundaries. A final phase builds
+// the stamp codes holder-relative coding can get wrong: a holder born
+// before a 2^40 jump that posts after it (a wide code), a restored holder
+// whose postings are older than its updated (a negative code), and a
+// removal that moves a spilled successor with another born stamp, the
+// run's widest ref and the run's widest code into the inline slot.
 func TestQuotientedRunMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -359,13 +413,28 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			rig := newModelRig(t, tab, shardCounts, []int{16, 16, 16}, probes)
 
 			next, sawBig, sawWide := 0, false, false
-			refWidths := map[uint]bool{}
+			refWidths, stampWidths := map[uint]bool{}, map[uint]bool{}
 			for step := 0; step < 160; step++ {
 				if step == 60 {
 					fillTable(tab, 1<<16-4)
 				}
 				var name string
-				switch op := rng.Intn(22); {
+				switch op := rng.Intn(25); {
+				case op >= 22:
+					// An edit: the segment keeps some of its hashes and
+					// posts new ones, at a distance from its born stamp.
+					seg, ok := rig.m.liveSeg(rng)
+					if !ok {
+						continue
+					}
+					hs := slices.Clone(rig.m.segs[seg].hashes[:len(rig.m.segs[seg].hashes)/2])
+					for j := 0; j < 1+rng.Intn(6); j++ {
+						hs = append(hs, pool[rng.Intn(len(pool))])
+					}
+					slices.Sort(hs)
+					hs = slices.Compact(hs)
+					rig.update(seg, hs)
+					name = "edit " + string(seg)
 				case op < 14:
 					seg := segment.ID(fmt.Sprintf("doc%d#p%d", next/8, next%8))
 					next++
@@ -379,15 +448,10 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					rig.update(seg, hs)
 					name = "update " + string(seg)
 				case op < 15:
-					if len(rig.m.segs) == 0 {
+					gone, ok := rig.m.liveSeg(rng)
+					if !ok {
 						continue
 					}
-					segs := make([]segment.ID, 0, len(rig.m.segs))
-					for seg := range rig.m.segs {
-						segs = append(segs, seg)
-					}
-					slices.Sort(segs)
-					gone := segs[rng.Intn(len(segs))]
 					rig.remove(gone)
 					name = "remove " + string(gone)
 				case op < 16:
@@ -407,7 +471,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					jump := []uint64{1<<15 - 2, 1 << 16, 1<<31 + 7}[rng.Intn(3)]
 					rig.floor(rig.m.clock + jump)
 					name = fmt.Sprintf("clock +%d", jump)
-				default:
+				case op < 22:
 					rig.floor(rig.m.clock + 1<<40)
 					name = "clock +2^40"
 				}
@@ -426,6 +490,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 						for si := range db.hashShards {
 							r := &db.hashShards[si].run
 							refWidths[r.refs.width] = true
+							stampWidths[r.stamps.width] = true
 							sawWide = sawWide || len(r.wide) > 0
 						}
 					}
@@ -434,8 +499,9 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			if !sawBig {
 				t.Error("the hot hash never reached a membership set")
 			}
-			if !sawWide || !refWidths[16] || !refWidths[17] || !refWidths[18] {
-				t.Errorf("runs held wide stamps: %v; ref widths %v, want 16, 17 and 18 among them", sawWide, refWidths)
+			if !sawWide || !refWidths[16] || !refWidths[17] || !refWidths[18] || len(stampWidths) < 3 {
+				t.Errorf("runs held wide stamps: %v; ref widths %v, want 16, 17 and 18 among them; stamp widths %v, want three or more",
+					sawWide, refWidths, stampWidths)
 			}
 			rig.compact()
 			rig.check("final compact")
@@ -445,42 +511,72 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 				}
 			}
 
-			// The widest successor. x's first holder is wide (2^40 below the
-			// run's base); its second holder, interned last at a ref whose
-			// inline code is exactly one below the sentinel of the width
-			// the spill code alone would need, is followed in its shard by
-			// a clock jump of 2^20 and one more posting, so it holds the
-			// run's widest ref and stamp distance, both in the spill. Its
-			// removal-driven move inline must fit.
+			// A holder born before a 2^40 jump posts after it: old is born
+			// at x, jumps, then edits to post x+1 at a code only the wide
+			// table holds.
 			x := uint32(0x00ABC000)
 			for rig.m.postings[x] != nil || rig.m.postings[x+1] != nil {
 				x += 2
 			}
-			late := segment.ID("widest/late#p0")
-			tab.Intern(late) // below the successor's ref
 			rig.update("widest/old#p0", []uint32{x})
 			rig.floor(rig.m.clock + 1<<40)
+			rig.update("widest/old#p0", []uint32{x, x + 1})
+			// The successor is interned last, at the run's widest ref, and
+			// born 2^40 after old; a 2^20 jump later it posts x, so its
+			// spilled posting holds the run's widest code.
 			fillTable(tab, 1<<17-1)
-			rig.update("widest/succ#p0", []uint32{x})
+			rig.update("widest/succ#p0", []uint32{x + 2})
 			rig.floor(rig.m.clock + 1<<20)
-			rig.update(late, []uint32{x + 1})
+			rig.update("widest/succ#p0", []uint32{x, x + 2})
 			rig.compact()
-			rig.check("widest successor built")
-			const succ = 1<<17 - 1
+			rig.check("holder-relative fixtures built")
+			old, _ := tab.Lookup("widest/old#p0")
+			// succ's posting of x is 2^20 + 1 after its born stamp.
+			const succ, succCode = 1<<17 - 1, 2 * (1<<20 + 1)
 			for i, db := range rig.dbs {
-				r := &db.hashShards[db.hashShardIdx(x)].run
-				g := r.find(x)
-				k, hi := r.more(x)
-				if r.stamps.at(g) != wideSeq || hi != k+1 || r.moreRef(k) != succ {
-					t.Fatalf("shards=%d: fixture is not a wide inline holder and one spilled successor at ref %d", shardCounts[i], succ)
+				if c, ok := stampCodeOf(db, x+1, old); !ok || c != wideSeq {
+					t.Fatalf("shards=%d: old's posting after the jump has code %d (%v), want the wide sentinel", shardCounts[i], c, ok)
 				}
-				if maxRef, maxDist := runMaxima(r); maxRef != succ || r.moreStamps.at(k) != maxDist {
-					t.Fatalf("shards=%d: the run's widest ref and stamp are %d and %d, the successor's %d and %d",
-						shardCounts[i], maxRef, maxDist, succ, r.moreStamps.at(k))
+				r := &db.hashShards[db.hashShardIdx(x)].run
+				k, hi := r.more(x)
+				c, _ := stampCodeOf(db, x, succ)
+				if r.first(r.find(x))&^moreBit != old || hi != k+1 || r.moreRef(k) != succ || c != succCode {
+					t.Fatalf("shards=%d: fixture is not old inline and one spilled successor at ref %d with code %d", shardCounts[i], succ, succCode)
+				}
+				if *db.born.At(old) == *db.born.At(succ) {
+					t.Fatalf("shards=%d: old and its successor share a born stamp", shardCounts[i])
+				}
+				for g := range r.lo {
+					if first := r.first(g); first != tombstoneRef && first&^moreBit > succ || r.stamps.at(g) != wideSeq && r.stamps.at(g) > c {
+						t.Fatalf("shards=%d: group %d holds a ref or code wider than the successor's", shardCounts[i], g)
+					}
 				}
 			}
+			// Removing old moves the successor inline, coded against its
+			// own born stamp, and takes old's postings of both versions.
 			rig.remove("widest/old#p0")
-			rig.check("widest successor moved inline")
+			rig.check("successor moved inline")
+			for i, db := range rig.dbs {
+				if c, ok := stampCodeOf(db, x, succ); !ok || c != succCode {
+					t.Fatalf("shards=%d: the moved successor has code %d (%v), want %d", shardCounts[i], c, ok, succCode)
+				}
+			}
+
+			// A holder edited after its first postings: restored, its born
+			// stamp is its updated, so the older postings code negative.
+			rig.update("neg/held#p0", []uint32{x + 4})
+			rig.update("neg/other#p0", []uint32{x + 8})
+			rig.update("neg/held#p0", []uint32{x + 4, x + 6})
+			rig.restore()
+			rig.check("edited holder restored")
+			held, _ := tab.Lookup("neg/held#p0")
+			for i, db := range rig.dbs {
+				if c, ok := stampCodeOf(db, x+4, held); !ok || c != 3 {
+					t.Fatalf("shards=%d: the restored holder's older posting has code %d (%v), want zigzag(-2) = 3", shardCounts[i], c, ok)
+				}
+			}
+			rig.remove("neg/held#p0")
+			rig.check("edited holder removed after the restore")
 		})
 	}
 }
@@ -588,9 +684,11 @@ func TestHeadTableMatchesReference(t *testing.T) {
 // a search — a hash below the run's lowest bucket and one past its
 // highest — and that a directory only spans the buckets it holds.
 func TestRunDirectoryBounds(t *testing.T) {
-	var r run
-	for _, h := range []uint32{0x00050001, 0x00050002, 0x00070000, 0x0007FFFF} {
-		r.add(h, 1, 0)
+	var born segment.Column[uint64]
+	*born.Make(1) = 7
+	r := run{born: &born}
+	for i, h := range []uint32{0x00050001, 0x00050002, 0x00070000, 0x0007FFFF} {
+		r.add(h, 1, uint64(7+i))
 	}
 	r.buildDir()
 	if want := []uint32{0, 2, 2, 4}; !slices.Equal(r.dir, want) || r.key0 != 5 {
@@ -610,6 +708,11 @@ func TestRunDirectoryBounds(t *testing.T) {
 	}
 	if want := []uint32{0x00050001, 0x00050002, 0x00070000, 0x0007FFFF}; !slices.Equal(hs, want) {
 		t.Errorf("cursor walks %#x, want %#x", hs, want)
+	}
+	for g := range r.lo {
+		if seq := r.firstSeq(g); seq != uint64(7+g) {
+			t.Errorf("group %d stamped %d, want %d", g, seq, 7+g)
+		}
 	}
 	var empty run
 	empty.buildDir()

@@ -225,7 +225,7 @@ func checkInvariants(t *testing.T, db *DB) {
 					t.Errorf("hash %#x: postings out of Seq order at %d", h, i)
 				}
 			}
-			if oldest, seq, ok := db.oldestLocked(sh, h); !ok || oldest != ps[0].ref || seq != ps[0].seq {
+			if oldest, seq, ok := db.oldestLocked(sh, h, true); !ok || oldest != ps[0].ref || seq != ps[0].seq {
 				t.Errorf("hash %#x: oldest = (%d, %d, %v), want %+v", h, oldest, seq, ok, ps[0])
 			}
 		})

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -9,16 +10,27 @@ import (
 // with the top bit and keep ^uint32(0) as a sentinel (the index's runs do).
 const maxRefs = 1<<31 - 1
 
+// indexMinSlots is a Table index's capacity at the first Intern. It grows
+// by a quarter before an Intern would take it past three quarters full, so
+// an index that has grown is about 60–75 % full: 5–7 B per segment.
+const indexMinSlots = 16
+
 // Table interns segment IDs into dense uint32 refs in first-seen order,
-// append-only until Reset, storing each ID once; its index is the one
-// string-keyed map of per-segment state. Everything else known about a
-// segment is a row of some owner's Column at its ref: one Table per
-// disclosure.Tracker serves both fingerprint databases, the decision cache
-// and the TDM registry. Refs stay in the process (stripes hash the ID,
-// images name it). Its lock is a leaf; the zero value is empty.
+// append-only until Reset, storing each ID once. Its index is an
+// open-addressed table of 4-byte slots, each ref+1 (0 is free): a probe
+// starts at the ID's partition key (Key) after one multiply, reduced to
+// the capacity by a multiply-shift, so the capacity need not be a power
+// of two, steps linearly, and stops at the slot whose ref names the ID.
+// The multiply matters: a partition node holds the IDs of one contiguous
+// range of keys, which the reduction alone would crowd into that share of
+// the slots. Everything else known about a segment is a row of some
+// owner's Column at its ref: one Table per disclosure.Tracker serves both
+// fingerprint databases, the decision cache and the TDM registry. Refs
+// stay in the process (stripes hash the ID, images name it). Its lock is
+// a leaf; the zero value is empty.
 type Table struct {
 	mu    sync.RWMutex
-	index map[ID]uint32
+	index []uint32 // made at the first Intern
 	ids   Column[ID]
 	n     atomic.Uint32 // written under mu, after the ID
 }
@@ -30,18 +42,20 @@ func (t *Table) Intern(id ID) uint32 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if r, ok := t.index[id]; ok {
-		return r
+	i, found := t.probe(id)
+	if found {
+		return t.index[i] - 1
 	}
 	r := t.n.Load()
 	if r >= maxRefs {
 		panic("segment: ref space exhausted") // every ref retains its ID: memory runs out first
 	}
-	if t.index == nil {
-		t.index = make(map[ID]uint32)
-	}
 	*t.ids.Make(r) = id
-	t.index[id] = r
+	if int(r) >= len(t.index)*3/4 {
+		t.grow()
+		i, _ = t.probe(id)
+	}
+	t.index[i] = r + 1
 	t.n.Store(r + 1)
 	return r
 }
@@ -49,9 +63,57 @@ func (t *Table) Intern(id ID) uint32 {
 // Lookup returns id's ref without interning it.
 func (t *Table) Lookup(id ID) (uint32, bool) {
 	t.mu.RLock()
-	r, ok := t.index[id]
+	i, found := t.probe(id)
+	r := uint32(0)
+	if found {
+		r = t.index[i] - 1
+	}
 	t.mu.RUnlock()
-	return r, ok
+	return r, found
+}
+
+// probe returns id's slot and true, or the free slot that ends its probe
+// sequence and false (-1 while the index is unmade). Caller holds mu.
+func (t *Table) probe(id ID) (int, bool) {
+	if len(t.index) == 0 {
+		return -1, false
+	}
+	for i := t.home(Key(id)); ; {
+		s := t.index[i]
+		if s == 0 {
+			return i, false
+		}
+		if t.ID(s-1) == id {
+			return i, true
+		}
+		if i++; i == len(t.index) {
+			i = 0
+		}
+	}
+}
+
+// home is the first probe position of an ID whose key is k.
+func (t *Table) home(k uint32) int { return int(uint64(k*0x9e3779b1) * uint64(len(t.index)) >> 32) }
+
+// grow re-homes every ref into an index a quarter larger, or as much
+// larger as the allocator's size class for that many slots leaves room
+// for: the rounding is retained either way. Caller holds mu for writing.
+func (t *Table) grow() {
+	old := t.index
+	t.index = slices.Grow([]uint32(nil), max(indexMinSlots, len(old)+len(old)/4))
+	t.index = t.index[:cap(t.index)]
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		i := t.home(Key(t.ID(s - 1)))
+		for t.index[i] != 0 {
+			if i++; i == len(t.index) {
+				i = 0
+			}
+		}
+		t.index[i] = s
+	}
 }
 
 // ID returns the ID of ref, which must have been issued. It takes no lock:

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/faultinject"
@@ -207,11 +208,13 @@ const pr22MemoText = "terms of the partner agreement and the staged payment sche
 // pr22Script builds the state behind the fixture: the op mix of genOps,
 // then every case where container version 3 stores a fact differently from
 // version 2. In the index: fingerprint hashes whose postings expired, a
-// posted union larger than the fingerprint, postings whose segment lost
-// its DBpar entry, a threshold-only entry, a non-default threshold, and
-// holders of the same hashes on both sides of a clock-floor jump. In the
-// registry: explicit custom tags with their owner, implicit tags and a
-// suppression, on top of labels of segments the index has dropped.
+// posted union larger than the fingerprint, a segment edited and then
+// pruned (its writer left the first version's postings behind without a
+// DBpar entry; see pr22Resettle), a threshold-only entry, a non-default
+// threshold, and holders of the same hashes on both sides of a clock-floor
+// jump. In the registry: explicit custom tags with their owner, implicit
+// tags and a suppression, on top of labels of segments the index has
+// dropped.
 func pr22Script(t testing.TB, w *world) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(22))
@@ -252,9 +255,8 @@ func pr22Script(t testing.TB, w *world) {
 	pars.SetThreshold("alpha/memo#p0", 0.8)
 	pars.SetThreshold("alpha/unobserved#p0", 0.6)
 
-	// Two versions, then pruned: the first version's postings stay behind
-	// without a DBpar entry.
-	observe("bravo/moved#p0", "bravo", opTexts[4]+" in its first wording")
+	// Two versions, then pruned: the postings of both go.
+	observe("bravo/moved#p0", "bravo", pr22MovedText)
 	observe("bravo/moved#p0", "bravo", opTexts[5]+" in its second wording")
 	k := segment.Key("bravo/moved#p0")
 	_, err := w.engine.PruneRange(context.Background(), k, k)
@@ -268,6 +270,42 @@ func pr22Script(t testing.TB, w *world) {
 		observe(segment.ID(fmt.Sprintf("bravo/copy%d#p0", i)), "bravo", fmt.Sprintf("%s copy number %d", pr22MemoText, i))
 	}
 	run(10)
+}
+
+// pr22MovedText is bravo/moved#p0's first version in pr22Script.
+var pr22MovedText = opTexts[4] + " in its first wording"
+
+// pr22Resettle observes bravo/moved#p0's first version once more and
+// prunes it again. The fixture's writer pruned only a segment's last
+// version, so the fixture still holds the first version's postings, with
+// no DBpar entry; observed again, the segment adopts them into its posted
+// union, and pruned, it takes them along. Run on the fixture and on the
+// script run from empty alike, it leaves the two in one state.
+func pr22Resettle(t testing.TB, w *world) {
+	t.Helper()
+	if _, err := w.engine.ObserveEdit("bravo/moved#p0", "bravo", pr22MovedText); err != nil {
+		t.Fatal(err)
+	}
+	k := segment.Key("bravo/moved#p0")
+	if _, err := w.engine.PruneRange(context.Background(), k, k); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// movedHeld reports whether bravo/moved#p0 holds a posting of any hash of
+// its first version.
+func movedHeld(t testing.TB, w *world) bool {
+	t.Helper()
+	fp, err := w.tracker.Fingerprint(pr22MovedText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range fp.Hashes() {
+		if slices.Contains(w.tracker.Paragraphs().Holders(h), "bravo/moved#p0") {
+			return true
+		}
+	}
+	return false
 }
 
 // pr22ProbeAnswers renders what the world answers about the script's
@@ -298,42 +336,65 @@ func pr22ProbeAnswers(t testing.TB, w *world) []byte {
 
 // TestCrossVersionPR22Fixture: the last version 2 image — JSON registry with
 // explicit, implicit, suppressed and custom-owner tags, index codec 1 over
-// every case codec 2 encodes differently — loads to the state the script
-// builds here, answers the probes as its writer did, and re-encodes to the
-// version 3 bytes of the script run from empty, which restore to the same
-// state again.
+// every case codec 2 encodes differently — loads and answers the probes as
+// its writer did. The version 3 image of the script run from empty loads
+// to that run's state and re-encodes to the same bytes; the fixture holds
+// the first-version postings its writer's prune left behind, and once
+// pr22Resettle has taken them on both sides, it loads to the state of the
+// script run from empty and re-encodes to that state's bytes.
 func TestCrossVersionPR22Fixture(t *testing.T) {
 	fixture := readFixture(t, pr22Image)
 	if fixture[8] != binVersionJSONRegistry {
 		t.Fatalf("fixture is container version %d, want %d", fixture[8], binVersionJSONRegistry)
 	}
-	fresh := newWorld(t, fixedClock)
-	pr22Script(t, fresh)
-	image, err := CaptureBytes(fresh.tracker, fresh.registry, 0)
-	if err != nil {
-		t.Fatal(err)
+	capture := func(w *world) []byte {
+		t.Helper()
+		image, err := CaptureBytes(w.tracker, w.registry, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return image
 	}
+	fresh, settled := newWorld(t, fixedClock), newWorld(t, fixedClock)
+	pr22Script(t, fresh)
+	pr22Script(t, settled)
+	pr22Resettle(t, settled)
+	image := capture(fresh)
 	want := readFixture(t, pr22Probes)
 	if got := pr22ProbeAnswers(t, fresh); !bytes.Equal(got, want) {
 		t.Errorf("script run from empty answers\n%s\nparent answered\n%s", got, want)
 	}
-	for name, blob := range map[string][]byte{"version 2 fixture": fixture, "version 3 image": image} {
+	if movedHeld(t, fresh) {
+		t.Error("the script run from empty left postings of the pruned segment")
+	}
+	for _, tc := range []struct {
+		name     string
+		blob     []byte
+		resettle bool
+	}{
+		{"version 2 fixture", fixture, true},
+		{"version 3 image", image, false},
+	} {
 		loaded := newWorld(t, fixedClock)
-		if _, err := RestoreBytes(name, blob, loaded.tracker, loaded.registry); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(export(t, loaded), export(t, fresh)) {
-			t.Errorf("%s: loaded state differs from the script run from empty", name)
+		if _, err := RestoreBytes(tc.name, tc.blob, loaded.tracker, loaded.registry); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := pr22ProbeAnswers(t, loaded); !bytes.Equal(got, want) {
-			t.Errorf("%s: loaded state answers\n%s\nparent answered\n%s", name, got, want)
+			t.Errorf("%s: loaded state answers\n%s\nparent answered\n%s", tc.name, got, want)
 		}
-		again, err := CaptureBytes(loaded.tracker, loaded.registry, 0)
-		if err != nil {
-			t.Fatal(err)
+		if held := movedHeld(t, loaded); held != tc.resettle {
+			t.Errorf("%s: the pruned segment's first-version postings are present: %v, want %v", tc.name, held, tc.resettle)
 		}
-		if !bytes.Equal(again[afterMeta:], image[afterMeta:]) {
-			t.Errorf("%s: image of the loaded state differs from the image of the script run from empty after the meta section", name)
+		ref, refImage := fresh, image
+		if tc.resettle {
+			pr22Resettle(t, loaded)
+			ref, refImage = settled, capture(settled)
+		}
+		if !bytes.Equal(export(t, loaded), export(t, ref)) {
+			t.Errorf("%s: loaded state differs from the script run from empty", tc.name)
+		}
+		if again := capture(loaded); !bytes.Equal(again[afterMeta:], refImage[afterMeta:]) {
+			t.Errorf("%s: image of the loaded state differs from the image of the script run from empty after the meta section", tc.name)
 		}
 	}
 }
@@ -345,14 +406,15 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 // of the state image after its meta section. Standbys upgrade before
 // primaries and compare /v1/repl/digest across builds, and a checkpoint
 // written by one build is read by the next, so none of them may move with
-// an in-memory layout.
+// an in-memory layout; they move with the state the script builds, as
+// when pruning its edited segment came to take both versions' postings.
 const (
-	pr22Digest      uint64 = 0xb2e68ecda0e80f4a
-	pr22ParsDigest  uint64 = 0xf655e51a884c869f
+	pr22Digest      uint64 = 0xa6a68643fe1c17f7
+	pr22ParsDigest  uint64 = 0x1811e97322d3e062
 	pr22DocsDigest  uint64 = 0x662d5566b2318fbb
-	pr22StripesSHA         = "fb087a889a013d7160dd55a00dc4aead4398034be73fdd175f04f6e2b32185c1"
-	pr22ImageSHA           = "d78503c090a5e8982ff30ec8924eb89fe8e109a8491e73d0ec13e53eb88ecb59"
-	pr22ImageLength        = 6172
+	pr22StripesSHA         = "570eb0e6a6987f257a93c6edf8086dddbf998b1d84680af5b5e2ee1f192264da"
+	pr22ImageSHA           = "b3e094da68ea86d37f3f946a5b75d0feeec3753c6486cd58874f6602e7f3538b"
+	pr22ImageLength        = 5895
 )
 
 // TestPR22ScriptPins holds this build's digests and image of pr22Script to
@@ -388,11 +450,13 @@ func TestPR22ScriptPins(t *testing.T) {
 // SHA-256 of the export of the state that segment replays to (the script's
 // expiry and thresholds are not journalled, so not the script's own state).
 // Frames ship to standbys verbatim and a newer build replays an older
-// build's log, so neither a record encoder nor a decoder may move.
+// build's log, so neither a record encoder nor a decoder may move; the
+// replayed state moves with the state the script builds, as the pins
+// above do.
 const (
 	walPinSHA       = "9f636e8c1284332f3db4779d9760be78dbaba0131c71be86b09006c7d94bdc7d"
 	walPinLength    = 14509
-	walPinReplaySHA = "ef2cc983b079b2a3a5c82e4d149fe1f6ffba02615df9fb3c046f7d27467abe1f"
+	walPinReplaySHA = "4ad6a7c25350d4d59e07fd302fab3810741be91fad77151563142df55cfd586f"
 )
 
 // TestScriptWALPin holds the WAL segment pr22Script writes, and the
