@@ -391,12 +391,13 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 
 	// Decode postings straight into run columns. Hashes ascend and the
 	// shard is their top bits, so the shards fill one after the other; each
-	// run grows by append, and its directory is closed and its columns
-	// trimmed when its shard is complete, so it ends at its shard's real
-	// share — winnowing keeps the minimum hash of
-	// each window, hashes crowd towards zero, and that share is anywhere
-	// between nothing and a quarter of the database. The runs are swapped
-	// in only at commit, so a decode error leaves no partial load.
+	// run grows by append, its columns as wide as its codes need, and its
+	// directory is closed and its columns trimmed when its shard is
+	// complete, so it ends at its shard's real share — winnowing keeps the
+	// minimum hash of each window, hashes crowd towards zero, and that
+	// share is anywhere between nothing and a quarter of the database. The
+	// runs are swapped in only at commit, so a decode error leaves no
+	// partial load.
 	if v1 {
 		// The fingerprints are complete already: every posting is stale,
 		// and the union is built from the postings alone.
@@ -406,7 +407,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	}
 	runs := make([]run, len(db.hashShards))
 	for i := range runs {
-		runs[i].born = &p.born
+		runs[i] = newRun(&p.born, 0, 0, 0, 0)
 	}
 	cur := &runs[0]
 	prevHash, seenPostings := uint64(0), uint64(0)
@@ -421,7 +422,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		prevHash += dv
 		h := uint32(prevHash)
 		if r := &runs[db.hashShardIdx(h)]; r != cur {
-			cur.buildDir()
+			cur.finish()
 			cur = r
 		}
 		groupLen := uint64(1)
@@ -488,7 +489,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 			cur.add(h, uint32(ref), seq)
 		}
 	}
-	cur.buildDir()
+	cur.finish()
 	if seenPostings != total {
 		return d.Fail("posting total mismatch")
 	}

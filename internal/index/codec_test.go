@@ -145,11 +145,11 @@ func noEntryImage() []byte {
 	return append(b, 0) // nothing unposted
 }
 
-// TestSnapshotRoundTrip: every case, built compacted at every opportunity
-// and built head-only, encodes to the same bytes; the image restores — into
-// a DB with another shard count — to a state with the same digest, the
-// same answers from every query API, the same clock and default threshold,
-// sound invariants, and the same image again.
+// TestSnapshotRoundTrip: every case, built merging once a head holds a
+// sixteenth of its run and built head-only, encodes to the same bytes; the
+// image restores — into a DB with another shard count — to a state with
+// the same digest, the same answers from every query API, the same clock
+// and default threshold, sound invariants, and the same image again.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range snapshotCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -227,7 +227,7 @@ func TestCompactionObservableEquivalence(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				compacted := NewWithShards(nil, 0.5, shards)
-				compacted.SetCompactThreshold(1) // merge at every opportunity
+				compacted.SetCompactThreshold(1) // merge once a head holds a sixteenth of its run
 				baseline := NewWithShards(nil, 0.5, shards)
 				baseline.SetCompactThreshold(-1) // never merge: head-only layout
 

@@ -67,8 +67,9 @@ func recomputedDigest(db *DB) Digest {
 // TestDigestMaintainedMatchesRecomputed pins the O(1) incremental
 // maintenance against a full recompute after every style of mutation, in
 // each physical layout: postings only ever in the heads, merged into the
-// runs at every opportunity (so removals tombstone and promote, and expiry
-// filters a merge), and on a DB restored from its own snapshot mid-stream.
+// runs once a head holds a sixteenth of its run (so removals tombstone and
+// promote, and expiry filters a merge), and on a DB restored from its own
+// snapshot mid-stream.
 func TestDigestMaintainedMatchesRecomputed(t *testing.T) {
 	for _, layout := range []string{"head", "compacted", "restored"} {
 		t.Run(layout, func(t *testing.T) {

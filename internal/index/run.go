@@ -28,17 +28,19 @@ package index
 //
 // The ref and stamp columns are bit-packed, each at the narrowest width
 // its run needs (see packed): at 50 k segments a ref code takes 17 bits.
-// Widths are chosen when the run is built, over the inline and the spill
-// column together, because removing an inline holder moves the next
-// spilled one into its slot. The all-ones code at a width is its column's
-// sentinel. Stamps are uint64 (a router's Lamport stamp can raise the clock
-// by any amount, see SetClockFloor), but a segment posts most of its
-// hashes at its first observation, so a stamp is coded against its
-// holder's born stamp (DB.born, the stamp of the ref's first posting):
-// zigzag(seq − born), 0 for every posting of a segment never edited, which
-// on ingest packs the stamp columns at one bit. A code that does not fit
-// 32 bits is the sentinel and the full stamp sits in the wide side table.
-// Segments are refs of the DB's segment table.
+// Widths are the narrowest over the inline and the spill column together,
+// because removing an inline holder moves the next spilled one into its
+// slot; a merge that drops nothing keeps the old run's widths, widened to
+// fit the head's codes, and one that drops postings recomputes them. The
+// all-ones code at a width is its column's sentinel. Stamps are uint64 (a
+// router's Lamport stamp can raise the clock by any amount, see
+// SetClockFloor), but a segment posts most of its hashes at its first
+// observation, so a stamp is coded against its holder's born stamp
+// (DB.born, the stamp of the ref's first posting): zigzag(seq − born), 0
+// for every posting of a segment never edited, which on ingest packs the
+// stamp columns at one bit. A code that does not fit 32 bits is the
+// sentinel and the full stamp sits in the wide side table. Segments are
+// refs of the DB's segment table.
 //
 // Lookup cost is one head-table probe plus a directory-bounded binary
 // search (run): the directory entry of the hash's high half narrows the
@@ -48,9 +50,13 @@ package index
 //
 // Deletions tombstone run postings in place; deleting the inline holder
 // moves the next live spilled one into its slot, its stamp coded against
-// its own holder, so the slot never goes stale. Merging rebuilds the run
-// without the dead postings. It happens inline under the shard write lock
-// when the head outgrows the merge policy (see maybeCompactLocked), from
+// its own holder, so the slot never goes stale. A merge writes a new run
+// from the old one and the head (see compactShardLocked): the stretches of
+// groups between two head hashes are spliced over unchanged, codes and
+// all, and only the groups the head also holds are decoded and re-coded,
+// unless the merge drops postings — the run's tombstones, or an expiry —
+// when every group is. It happens inline under the shard write lock when
+// the head outgrows the merge policy (see shouldCompactLocked), from
 // DB.Compact, and in every shard an ExpireBefore pass finds something to
 // drop in.
 
@@ -83,7 +89,7 @@ const bigGroupMin = 64
 
 // defaultCompactMin is the default minimum head size (postings) before an
 // inline merge is considered; see SetCompactThreshold.
-const defaultCompactMin = 4096
+const defaultCompactMin = 1024
 
 // packed is a column of fixed-width codes packed into words: code i is
 // bits i·width … (i+1)·width−1 of the words read as one little-endian bit
@@ -106,6 +112,88 @@ func packCodes(codes []uint32, width uint) packed {
 	}
 	return p
 }
+
+// newPacked returns an empty column at width with room for n codes.
+func newPacked(width uint, n int) packed {
+	return packed{words: make([]uint64, 0, (uint(n)*width+63)/64), width: width}
+}
+
+// grow extends the column with zero words until it holds n codes, and
+// then to its capacity, so the next calls find room without asking.
+func (p *packed) grow(n int) {
+	need, have := int((uint(n)*p.width+63)/64), len(p.words)
+	if need <= have {
+		return
+	}
+	p.words = slices.Grow(p.words, need-have)
+	p.words = p.words[:cap(p.words)]
+	clear(p.words[have:])
+}
+
+// copyFrom grows the column over codes i … i+n−1 and sets them to src's
+// codes j … j+n−1, a sentinel staying the sentinel; the codes from i on
+// must be unset. At equal widths the codes move as one bit string, a word
+// at a time; at another width each code moves on its own, the bit offsets
+// of both columns advancing by their widths.
+func (p *packed) copyFrom(i int, src *packed, j, n int) {
+	if n == 0 {
+		return
+	}
+	p.grow(i + n)
+	dst, from := uint(i)*p.width, uint(j)*src.width
+	if src.width != p.width {
+		smask, mask := uint64(1)<<src.width-1, uint64(1)<<p.width-1
+		for ; n > 0; n-- {
+			v := src.bits(from) & smask
+			if v == smask {
+				v = mask
+			}
+			w, off := dst/64, dst%64
+			p.words[w] |= v << off
+			if off+p.width > 64 {
+				p.words[w+1] |= v >> (64 - off)
+			}
+			dst, from = dst+p.width, from+src.width
+		}
+		return
+	}
+	left := uint(n) * p.width
+	if off := dst % 64; off != 0 { // up to the next word of the column
+		take := min(64-off, left)
+		p.words[dst/64] |= (src.bits(from) & (uint64(1)<<take - 1)) << off
+		dst, from, left = dst+take, from+take, left-take
+	}
+	w := dst / 64
+	for ; left >= 64; left, w, from = left-64, w+1, from+64 {
+		p.words[w] = src.bits(from)
+	}
+	if left > 0 {
+		p.words[w] |= src.bits(from) & (uint64(1)<<left - 1)
+	}
+}
+
+// bits returns the 64 bits of the column's bit string from bit on, zeros
+// past its last word.
+func (p *packed) bits(bit uint) uint64 {
+	w, off := bit/64, bit%64
+	v := p.words[w] >> off
+	if off > 0 && w+1 < uint(len(p.words)) {
+		v |= p.words[w+1] << (64 - off)
+	}
+	return v
+}
+
+// widened returns the column's first n codes at width, which must be
+// above its own, with room for as many codes as the column had.
+func (p *packed) widened(n int, width uint) packed {
+	q := newPacked(width, int(uint(cap(p.words))*64/p.width))
+	q.copyFrom(0, p, 0, n)
+	return q
+}
+
+// trim cuts the column to its first n codes and re-allocates it if its
+// words carry more than 1/64 spare capacity.
+func (p *packed) trim(n int) { p.words = clip(p.words[:(uint(n)*p.width+63)/64]) }
 
 func (p *packed) at(i int) uint32 {
 	mask := uint64(1)<<p.width - 1
@@ -145,14 +233,8 @@ func refCode(tagged uint32) uint32 { return bits.RotateLeft32(tagged, 1) }
 
 func refOf(code uint32) uint32 { return bits.RotateLeft32(code, -1) }
 
-// runBuild holds the codes run.add appends until buildDir packs them.
-type runBuild struct {
-	refs, stamps, moreRefs, moreStamps []uint32
-	maxRef, maxStamp                   uint32 // over inline and spill, wideSeq excluded
-}
-
 // run is one shard's compacted postings (layout in the file comment). Zero
-// value = empty run; add needs born set.
+// value = empty run; one being filled comes from newRun.
 type run struct {
 	lo                   []uint16
 	refs, stamps         packed
@@ -164,20 +246,12 @@ type run struct {
 	last uint32                  // the last group's full hash, for add
 	born *segment.Column[uint64] // the stamps its refs' codes are against
 	wide map[uint32]uint64       // stamps whose code is wideSeq, by column index (spill indexes tagged moreBit)
-
-	build runBuild // add's columns, until buildDir
 }
 
-// find returns the group index of h, or -1. A hash whose high half lies
-// outside the directory is absent without a search.
+// find returns the group index of h, or -1.
 func (r *run) find(h uint32) int {
-	b := h>>16 - r.key0 // wraps past the directory for a high half below key0
-	if len(r.dir) == 0 || b >= uint32(len(r.dir)-1) {
-		return -1
-	}
-	start, end := r.dir[b], r.dir[b+1]
-	if i, ok := slices.BinarySearch(r.lo[start:end], uint16(h)); ok {
-		return int(start) + i
+	if g, ok := r.search(h); ok {
+		return g
 	}
 	return -1
 }
@@ -193,11 +267,29 @@ func (c *runCursor) ok() bool { return c.g < len(c.r.lo) }
 
 func (c *runCursor) hash() uint32 { return (c.r.key0+uint32(c.b))<<16 | uint32(c.r.lo[c.g]) }
 
-func (c *runCursor) next() {
-	c.g++
-	for c.g < len(c.r.lo) && int(c.r.dir[c.b+1]) <= c.g {
+func (c *runCursor) next() { c.seek(c.g + 1) }
+
+// seek moves the cursor forward to group g.
+func (c *runCursor) seek(g int) {
+	for c.g = g; c.g < len(c.r.lo) && int(c.r.dir[c.b+1]) <= c.g; {
 		c.b++
 	}
+}
+
+// search returns the group of h and true, or the group h would be inserted
+// before and false. A hash whose high half lies outside the directory is
+// placed without a search.
+func (r *run) search(h uint32) (int, bool) {
+	switch {
+	case len(r.dir) == 0 || h>>16 < r.key0:
+		return 0, false
+	case h>>16-r.key0 >= uint32(len(r.dir)-1):
+		return len(r.lo), false
+	}
+	b := h>>16 - r.key0
+	start, end := r.dir[b], r.dir[b+1]
+	i, ok := slices.BinarySearch(r.lo[start:end], uint16(h))
+	return int(start) + i, ok
 }
 
 // more returns the spill range of h; callers ask only for groups tagged
@@ -256,77 +348,159 @@ func (r *run) seq(code, ref, key uint32) uint64 {
 // code encodes seq as the stamp code of ref's posting in the column slot
 // named by key: zigzag(seq − born), or wideSeq with seq in the wide table.
 func (r *run) code(seq uint64, ref, key uint32) uint32 {
-	d := int64(seq - *r.born.At(ref))
+	c := stampCode(seq, *r.born.At(ref))
+	if c == wideSeq {
+		r.setWide(key, seq)
+	}
+	return c
+}
+
+// stampCode is zigzag(seq − born), or wideSeq when that does not fit
+// below it.
+func stampCode(seq, born uint64) uint32 {
+	d := int64(seq - born)
 	if c := uint64(d<<1) ^ uint64(d>>63); c < uint64(wideSeq) {
 		return uint32(c)
 	}
+	return wideSeq
+}
+
+func (r *run) setWide(key uint32, seq uint64) {
 	if r.wide == nil {
 		r.wide = make(map[uint32]uint64)
 	}
 	r.wide[key] = seq
-	return wideSeq
 }
 
-// addStamp appends the code of ref's posting stamped seq, for the column
-// slot named by key, to col.
-func (r *run) addStamp(col *[]uint32, seq uint64, ref, key uint32) {
-	c := r.code(seq, ref, key)
-	if c != wideSeq {
-		r.build.maxStamp = max(r.build.maxStamp, c)
+// newRun returns an empty run for add and splice to fill, in hash order,
+// with room for the given numbers of groups and spilled postings and its
+// columns at the given widths, or the narrowest; add widens them as its
+// codes need.
+func newRun(born *segment.Column[uint64], groups, spill int, refWidth, stampWidth uint) run {
+	refWidth, stampWidth = max(refWidth, codeWidth(refCode(moreBit))), max(stampWidth, codeWidth(0))
+	return run{
+		born:       born,
+		lo:         make([]uint16, 0, groups),
+		refs:       newPacked(refWidth, groups),
+		stamps:     newPacked(stampWidth, groups),
+		moreHashes: make([]uint32, 0, spill),
+		moreRefs:   newPacked(refWidth, spill),
+		moreStamps: newPacked(stampWidth, spill),
 	}
-	*col = append(*col, c)
 }
 
-// add appends a live posting, whose ref's born stamp is set; calls arrive
-// in (hash, seq) order. The first posting of a hash opens its group, and
-// the directory's buckets up to the group's; later ones spill.
-func (r *run) add(h, ref uint32, seq uint64) {
-	nb := &r.build
-	nb.maxRef = max(nb.maxRef, ref)
-	if g := len(r.lo) - 1; g >= 0 && r.last == h {
-		nb.refs[g] |= 1
-		k := uint32(len(r.moreHashes))
-		r.moreHashes = append(r.moreHashes, h)
-		nb.moreRefs = append(nb.moreRefs, refCode(ref))
-		r.addStamp(&nb.moreStamps, seq, ref, moreBit|k)
-		return
-	}
-	g := uint32(len(r.lo))
+// open appends a group for h, opening the directory's buckets up to its
+// own, and returns its index.
+func (r *run) open(h uint32) int {
+	g := len(r.lo)
 	if g == 0 {
 		r.key0 = h >> 16
 	}
 	for b := h>>16 - r.key0; uint32(len(r.dir)) <= b; {
-		r.dir = append(r.dir, g)
+		r.dir = append(r.dir, uint32(g))
 	}
 	r.last = h
 	r.lo = append(r.lo, uint16(h))
-	nb.refs = append(nb.refs, refCode(ref))
-	r.addStamp(&nb.stamps, seq, ref, g)
+	return g
 }
 
-// buildDir closes the directory of a run add has finished filling, packs
-// add's columns and drops them, and re-allocates any other column carrying
-// more than 1/64 spare capacity: a run lives until its shard's next merge,
-// which on a quiet shard is never.
-func (r *run) buildDir() {
+// add appends a live posting, whose ref's born stamp is set; calls arrive
+// in (hash, seq) order. The first posting of a hash opens its group; later
+// ones spill. A code its column's width does not hold widens the column,
+// and its inline or spill twin with it.
+func (r *run) add(h, ref uint32, seq uint64) {
+	spill := len(r.lo) > 0 && r.last == h
+	key := uint32(len(r.lo))
+	if spill {
+		key = moreBit | uint32(len(r.moreHashes))
+	}
+	stamp := r.code(seq, ref, key)
+	if w := codeWidth(refCode(ref | moreBit)); w > r.refs.width {
+		r.refs, r.moreRefs = r.refs.widened(len(r.lo), w), r.moreRefs.widened(len(r.moreHashes), w)
+	}
+	if w := codeWidth(stamp); stamp != wideSeq && w > r.stamps.width {
+		r.stamps, r.moreStamps = r.stamps.widened(len(r.lo), w), r.moreStamps.widened(len(r.moreHashes), w)
+	}
+	if spill {
+		g, k := len(r.lo)-1, len(r.moreHashes)
+		r.refs.set(g, r.refs.at(g)|1)
+		r.moreHashes = append(r.moreHashes, h)
+		r.moreRefs.grow(k + 1)
+		r.moreRefs.set(k, refCode(ref))
+		r.moreStamps.grow(k + 1)
+		r.moreStamps.set(k, stamp)
+		return
+	}
+	g := r.open(h)
+	r.refs.grow(g + 1)
+	r.refs.set(g, refCode(ref))
+	r.stamps.grow(g + 1)
+	r.stamps.set(g, stamp)
+}
+
+// splice appends src's groups c.g … end−1 unchanged, with their spilled
+// postings k … kEnd−1, and leaves c at end; r's next group comes after
+// them in hash order, and r's columns are at least as wide as src's. The
+// directory entries of the buckets the groups span move once each, by the
+// groups' shift; wide holds src's wide-stamp keys not moved yet, inline
+// ones and spilled ones, ascending, and splice moves those of the copied
+// slots, re-keyed by the same shift.
+func (r *run) splice(c *runCursor, end, k, kEnd int, wide *[2][]uint32) {
+	src, g0, g, n := c.r, c.g, len(r.lo), len(r.moreHashes)
+	high := src.key0 + uint32(c.b)
+	if g == 0 {
+		r.key0 = high
+	}
+	for uint32(len(r.dir)) <= high-r.key0 {
+		r.dir = append(r.dir, uint32(g))
+	}
+	first := c.b + 1
+	c.seek(end - 1)
+	shift := uint32(g - g0)
+	for _, d := range src.dir[first : c.b+1] {
+		r.dir = append(r.dir, d+shift)
+	}
+	r.last = c.hash()
+	c.seek(end)
+
+	r.lo = append(r.lo, src.lo[g0:end]...)
+	r.refs.copyFrom(g, &src.refs, g0, end-g0)
+	r.stamps.copyFrom(g, &src.stamps, g0, end-g0)
+	r.moreHashes = append(r.moreHashes, src.moreHashes[k:kEnd]...)
+	r.moreRefs.copyFrom(n, &src.moreRefs, k, kEnd-k)
+	r.moreStamps.copyFrom(n, &src.moreStamps, k, kEnd-k)
+
+	wide[0] = r.rekey(src, wide[0], uint32(g0), uint32(end), shift)
+	wide[1] = r.rekey(src, wide[1], moreBit|uint32(k), moreBit|uint32(kEnd), uint32(n-k))
+}
+
+// rekey moves src's wide stamps whose keys, among the ascending keys, lie
+// in [lo, hi) to r under key+shift, and returns the keys from hi on; keys
+// below lo belong to decoded slots.
+func (r *run) rekey(src *run, keys []uint32, lo, hi, shift uint32) []uint32 {
+	for ; len(keys) > 0 && keys[0] < hi; keys = keys[1:] {
+		if keys[0] >= lo {
+			r.setWide(keys[0]+shift, src.wide[keys[0]])
+		}
+	}
+	return keys
+}
+
+// finish closes the directory of a run add and splice have finished
+// filling and re-allocates any column carrying more than 1/64 spare
+// capacity: a run lives until its shard's next merge, which on a quiet
+// shard is never.
+func (r *run) finish() {
 	if len(r.lo) > 0 {
 		r.dir = append(r.dir, uint32(len(r.lo)))
 	}
 	r.lo = clip(r.lo)
 	r.moreHashes = clip(r.moreHashes)
 	r.dir = clip(r.dir)
-	b := &r.build
-	r.packRefs(b.refs, b.moreRefs, b.maxRef)
-	w := codeWidth(b.maxStamp)
-	r.stamps, r.moreStamps = packCodes(b.stamps, w), packCodes(b.moreStamps, w)
-	r.build = runBuild{}
-}
-
-// packRefs packs both ref columns at the width whose inline code for
-// maxRef, the largest ref either holds, is below the sentinel.
-func (r *run) packRefs(inline, spill []uint32, maxRef uint32) {
-	w := codeWidth(refCode(maxRef | moreBit))
-	r.refs, r.moreRefs = packCodes(inline, w), packCodes(spill, w)
+	r.refs.trim(len(r.lo))
+	r.stamps.trim(len(r.lo))
+	r.moreRefs.trim(len(r.moreHashes))
+	r.moreStamps.trim(len(r.moreHashes))
 }
 
 // remap re-packs the ref columns of a freshly built run with every ref
@@ -345,12 +519,13 @@ func (r *run) remap(refs []uint32) {
 		maxRef = max(maxRef, ref)
 		spill[k] = refCode(ref)
 	}
-	r.packRefs(inline, spill, maxRef)
+	w := codeWidth(refCode(maxRef | moreBit))
+	r.refs, r.moreRefs = packCodes(inline, w), packCodes(spill, w)
 }
 
 // clip returns s in an exact-size copy if it carries more than 1/64 spare
 // capacity, else s itself.
-func clip[T uint16 | uint32](s []T) []T {
+func clip[T uint16 | uint32 | uint64](s []T) []T {
 	if n := len(s); cap(s)-n > n/64 {
 		return append(make([]T, 0, n), s...)
 	}
@@ -474,9 +649,11 @@ func (sh *hashShard) expiresLocked(cutoff uint64) bool {
 }
 
 // shouldCompactLocked is the inline merge policy: merge when the head holds
-// at least min postings AND at least a quarter of the run's live size (so
-// each posting is rewritten O(1) amortised times), or when tombstones
-// dominate the run.
+// at least min postings AND at least a sixteenth of the run's live size,
+// or when tombstones dominate the run. A merge splices the run's
+// untouched stretches over as bits and decodes only the groups the head
+// also holds, so at 17/16 growth per merge a posting is copied ≈ 11 times
+// per doubling of its run but decoded about once.
 func (db *DB) shouldCompactLocked(sh *hashShard) bool {
 	min := db.compactMin.Load()
 	if min < 0 {
@@ -486,7 +663,7 @@ func (db *DB) shouldCompactLocked(sh *hashShard) bool {
 		min = defaultCompactMin
 	}
 	runLive := sh.run.postings() - sh.dead
-	if sh.headPostings >= int(min) && sh.headPostings*4 >= runLive {
+	if sh.headPostings >= int(min) && sh.headPostings*16 >= runLive {
 		return true
 	}
 	return sh.dead >= int(min) && sh.dead*2 >= sh.run.postings()
@@ -501,8 +678,7 @@ func (db *DB) maybeCompactLocked(sh *hashShard) {
 // Compact merges every shard's mutable head into its compacted run and
 // drops tombstones. It is safe to call concurrently with reads and writes
 // (each shard is merged under its write lock) and is idempotent. bftagd
-// runs this periodically; benchmarks call it before measuring steady-state
-// footprint.
+// runs it periodically (-compact-every).
 func (db *DB) Compact() {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
@@ -515,7 +691,7 @@ func (db *DB) Compact() {
 }
 
 // SetCompactThreshold tunes the inline merge policy: the head must reach n
-// postings (and a quarter of the run's live size) before a merge. n == 0
+// postings (and a sixteenth of the run's live size) before a merge. n == 0
 // restores the default; n < 0 disables automatic merging entirely, so
 // every posting stays in the head table until an explicit Compact — tests
 // use it to hold a DB in one layout. Explicit Compact calls still merge.
@@ -523,16 +699,23 @@ func (db *DB) SetCompactThreshold(n int) {
 	db.compactMin.Store(int64(n))
 }
 
-// walkHashesLocked calls visit for every hash present in the shard's run
-// or head, ascending, with its run group (or -1) and head row (or -1).
-func (sh *hashShard) walkHashesLocked(visit func(h uint32, g, i int)) {
-	keys := make([]uint64, 0, sh.head.n) // hash<<32 | row
+// headKeys returns hash<<32 | row for every row of the shard's head,
+// ascending.
+func (sh *hashShard) headKeys() []uint64 {
+	keys := make([]uint64, 0, sh.head.n)
 	for i, r := range sh.head.rows {
 		if r.ref != emptyRow {
 			keys = append(keys, uint64(r.hash)<<32|uint64(i))
 		}
 	}
 	slices.Sort(keys)
+	return keys
+}
+
+// walkHashesLocked calls visit for every hash present in the shard's run
+// or head, ascending, with its run group (or -1) and head row (or -1).
+func (sh *hashShard) walkHashesLocked(visit func(h uint32, g, i int)) {
+	keys := sh.headKeys()
 	c, j := runCursor{r: &sh.run}, 0
 	for c.ok() || j < len(keys) {
 		var h, hk uint32
@@ -558,32 +741,87 @@ func (sh *hashShard) walkHashesLocked(visit func(h uint32, g, i int)) {
 	}
 }
 
-// compactShardLocked rebuilds sh.run as the merge of the current run
+// compactShardLocked writes sh.run anew as the merge of the current run
 // (minus tombstones) and the head, and drops the head. Postings first seen
 // before cutoff are dropped on the way (ExpireBefore's pass; 0 keeps
 // everything): it returns how many were, and how many hashes lost their
 // last holder to that. Caller holds sh.mu for writing.
+//
+// One walk takes the head's hashes in order. The run's groups between two
+// of them are spliced over unchanged (run.splice), at the run's column
+// widths, widened where the head's codes need it; a group the head also
+// holds, and a hash only the head holds, is decoded through postingIter
+// and coded anew. A merge that can drop postings — the run holds
+// tombstones, or cutoff is set — decodes every group into columns that
+// start at the narrowest widths, so they end at those of what is left.
 //
 // The merge preserves every surviving (hash, seg, seq) triple exactly and
 // keeps groups seq-ascending, so verdict and oldest-holder semantics are
 // byte-identical before and after — the golden-equivalence property the
 // compaction tests pin.
 func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied int) {
-	// The column sizes are upper bounds (a hash can be in both tiers, a
-	// group can be dead or expire); buildDir trims what they overshoot by.
-	groups := len(sh.run.lo) + sh.head.n
-	nw := run{
-		born: &db.born,
-		lo:   make([]uint16, 0, groups),
-		build: runBuild{
-			refs:   make([]uint32, 0, groups),
-			stamps: make([]uint32, 0, groups),
-		},
+	old := &sh.run
+	decodeAll := sh.dead > 0 || cutoff > 0
+
+	// at[j] places keys[j]'s hash in the old run: its group<<1 | 1, or the
+	// group it goes before<<1.
+	keys := sh.headKeys()
+	at := make([]uint32, len(keys))
+	shared := 0
+	for j, key := range keys {
+		g, ok := old.search(uint32(key >> 32))
+		at[j] = uint32(g) << 1
+		if ok {
+			at[j] |= 1
+			shared++
+		}
 	}
 
-	sh.walkHashesLocked(func(h uint32, g, i int) {
+	// The sizes are exact unless the merge drops postings; finish trims
+	// what they overshoot by. A splice starts from the old run's widths,
+	// a merge that decodes everything from the narrowest, and add widens
+	// either as the codes it writes need.
+	groups := len(old.lo) + len(keys) - shared
+	var refWidth, stampWidth uint
+	if !decodeAll {
+		refWidth, stampWidth = old.refs.width, old.stamps.width
+	}
+	nw := newRun(&db.born, groups, old.postings()+sh.headPostings-groups, refWidth, stampWidth)
+	lowest, highest := ^uint32(0), uint32(0) // high halves
+	if len(old.lo) > 0 {
+		lowest, highest = old.key0, old.key0+uint32(len(old.dir))-2
+	}
+	if len(keys) > 0 {
+		lowest, highest = min(lowest, uint32(keys[0]>>48)), max(highest, uint32(keys[len(keys)-1]>>48))
+	}
+	if lowest <= highest {
+		nw.dir = make([]uint32, 0, highest-lowest+2)
+	}
+
+	var wide [2][]uint32 // splice's keys of the old run's wide stamps: inline, spilled
+	if !decodeAll && len(old.wide) > 0 {
+		all := make([]uint32, 0, len(old.wide))
+		for key := range old.wide {
+			all = append(all, key)
+		}
+		slices.Sort(all)
+		split, _ := slices.BinarySearch(all, moreBit)
+		wide = [2][]uint32{all[:split], all[split:]}
+	}
+
+	c, k := runCursor{r: old}, 0 // the old run's next group and spilled posting
+	spillEnd := func(h uint32) int {
+		hi := k
+		for hi < len(old.moreHashes) && old.moreHashes[hi] == h {
+			hi++
+		}
+		return hi
+	}
+	// decode writes h's postings — old group g's (or none: -1), whose
+	// spill is k … hi−1, merged with head row i's (or none) — to nw.
+	decode := func(h uint32, g, hi, i int) {
 		kept, dropped := nw.postings(), 0
-		it := sh.postingsOf(h, g, i)
+		it := sh.postingsIn(h, g, k, hi, i)
 		for ref, seq, ok := it.next(); ok; ref, seq, ok = it.next() {
 			if seq < cutoff {
 				sh.digest ^= postingCode(h, segDigestKey(string(db.tab.ID(ref))), seq)
@@ -592,14 +830,46 @@ func (db *DB) compactShardLocked(sh *hashShard, cutoff uint64) (expired, emptied
 			}
 			nw.add(h, ref, seq)
 		}
+		k = hi
 		expired += dropped
 		if dropped > 0 && nw.postings() == kept {
 			emptied++
 		}
-	})
+	}
+	for j := 0; ; j++ {
+		// The old run's groups before keys[j]'s hash, or all that are left.
+		end, h := len(old.lo), uint32(0)
+		if j < len(keys) {
+			end, h = int(at[j]>>1), uint32(keys[j]>>32)
+		}
+		switch {
+		case decodeAll:
+			for ; c.g < end; c.next() {
+				hg := c.hash()
+				decode(hg, c.g, spillEnd(hg), -1)
+			}
+		case c.g < end:
+			kEnd := len(old.moreHashes) // the spill of groups below h
+			if j < len(keys) {
+				kEnd, _ = slices.BinarySearch(old.moreHashes[k:], h)
+				kEnd += k
+			}
+			nw.splice(&c, end, k, kEnd, &wide)
+			k = kEnd
+		}
+		if j == len(keys) {
+			break
+		}
+		if at[j]&1 == 0 {
+			decode(h, -1, k, int(uint32(keys[j])))
+			continue
+		}
+		decode(h, c.g, spillEnd(h), int(uint32(keys[j])))
+		c.next()
+	}
 
-	nw.buildDir()
-	db.runBytes.Add(nw.bytes() - sh.run.bytes())
+	nw.finish()
+	db.runBytes.Add(nw.bytes() - old.bytes())
 	sh.run = nw
 	sh.big = nw.bigSets()
 	// Dropped, not cleared: the next cycle's head is usually smaller than
@@ -629,14 +899,20 @@ type postingIter struct {
 // postingsOf starts an iteration over h, given its run group (or -1) and
 // head row (or -1). Caller holds sh.mu at least for reading.
 func (sh *hashShard) postingsOf(h uint32, g, i int) postingIter {
-	it := postingIter{r: &sh.run, g: -1}
+	k, hi := 0, 0
 	if g >= 0 {
-		if first := sh.run.first(g); first != tombstoneRef {
-			it.g = g
-			if first&moreBit != 0 {
-				it.k, it.hi = sh.run.more(h)
-			}
+		if first := sh.run.first(g); first != tombstoneRef && first&moreBit != 0 {
+			k, hi = sh.run.more(h)
 		}
+	}
+	return sh.postingsIn(h, g, k, hi, i)
+}
+
+// postingsIn is postingsOf given group g's spill range, k … hi−1.
+func (sh *hashShard) postingsIn(h uint32, g, k, hi, i int) postingIter {
+	it := postingIter{r: &sh.run, g: -1, k: k, hi: hi}
+	if g >= 0 && sh.run.first(g) != tombstoneRef {
+		it.g = g
 	}
 	if i >= 0 {
 		ref := sh.head.rows[i].ref

@@ -160,10 +160,11 @@ type modelRig struct {
 	compactMin []int // each DB's compact threshold
 	m          *refModel
 	probe      []uint32
+	cases      map[string]bool // the spliceCases compact has met
 }
 
 func newModelRig(t *testing.T, tab *segment.Table, shards, thresholds []int, probes []uint32) *modelRig {
-	rig := &modelRig{t: t, tab: tab, shards: shards, compactMin: thresholds, m: newRefModel(), probe: probes}
+	rig := &modelRig{t: t, tab: tab, shards: shards, compactMin: thresholds, m: newRefModel(), probe: probes, cases: map[string]bool{}}
 	for i := range shards {
 		rig.dbs = append(rig.dbs, rig.newDB(i))
 	}
@@ -214,10 +215,123 @@ func (rig *modelRig) floor(f uint64) {
 	}
 }
 
+// compact merges every DB, recording the splice cases each merge meets.
 func (rig *modelRig) compact() {
 	for _, db := range rig.dbs {
+		for si := range db.hashShards {
+			for c := range spliceCasesOf(&db.hashShards[si]) {
+				rig.cases[c] = true
+			}
+		}
 		db.Compact()
 	}
+}
+
+// spliceCases are the shapes of a merge where splicing a run's untouched
+// groups over can slip (see run.splice).
+var spliceCases = []string{
+	"stretch copied across a bit offset", "ref column widened", "stamp column widened",
+	"run with tombstones", "wide stamp in a copied stretch", "head hash below the run's first bucket",
+	"head hash past the run's last bucket", "head hash at a bucket's first group",
+	"head hash at a bucket's last group", "spill split by a head hash",
+}
+
+// spliceCasesOf returns the spliceCases the next merge of sh meets, read
+// off the shard before it merges.
+func spliceCasesOf(sh *hashShard) map[string]bool {
+	r, cases := &sh.run, map[string]bool{}
+	if sh.dead > 0 {
+		cases["run with tombstones"] = true
+		return cases // every group is decoded
+	}
+	if len(r.lo) == 0 || sh.headPostings == 0 {
+		return cases
+	}
+	var maxRef, maxStamp uint32
+	code := func(ref uint32, seq uint64) {
+		maxRef = max(maxRef, ref)
+		if c := stampCode(seq, *r.born.At(ref)); c != wideSeq {
+			maxStamp = max(maxStamp, c)
+		}
+	}
+	keys := sh.headKeys()
+	for _, key := range keys {
+		i := int(uint32(key))
+		code(sh.head.rows[i].ref&^moreBit, sh.head.seq(i))
+	}
+	for _, b := range sh.over {
+		for _, p := range b.postings {
+			code(p.ref, p.seq)
+		}
+	}
+	refWidth := max(r.refs.width, codeWidth(refCode(maxRef|moreBit)))
+	held := map[int]bool{} // run groups the head holds too
+	next, inserted, copied := 0, 0, false
+	for j := 0; j <= len(keys); j++ {
+		end, found := len(r.lo), false
+		var h uint32
+		if j < len(keys) {
+			h = uint32(keys[j] >> 32)
+			end, found = r.search(h)
+		}
+		if end > next {
+			copied = true
+			if uint(next)*refWidth%64 != uint(next+inserted)*refWidth%64 {
+				cases["stretch copied across a bit offset"] = true
+			}
+		}
+		if j == len(keys) {
+			break
+		}
+		next = end
+		b := h>>16 - r.key0
+		switch {
+		case h>>16 < r.key0:
+			cases["head hash below the run's first bucket"] = true
+		case b >= uint32(len(r.dir)-1):
+			cases["head hash past the run's last bucket"] = true
+		case found && r.dir[b+1]-r.dir[b] >= 2 && end == int(r.dir[b]):
+			cases["head hash at a bucket's first group"] = true
+		case found && r.dir[b+1]-r.dir[b] >= 2 && end == int(r.dir[b+1])-1:
+			cases["head hash at a bucket's last group"] = true
+		}
+		if k, _ := slices.BinarySearch(r.moreHashes, h); k > 0 && k < len(r.moreHashes) && r.moreHashes[k] > h {
+			cases["spill split by a head hash"] = true
+		}
+		if found {
+			held[end] = true
+			next++
+		} else {
+			inserted++
+		}
+	}
+	if copied && refWidth > r.refs.width {
+		cases["ref column widened"] = true
+	}
+	if copied && codeWidth(maxStamp) > r.stamps.width {
+		cases["stamp column widened"] = true
+	}
+	for key := range r.wide {
+		g := int(key)
+		if key&moreBit != 0 {
+			g = r.find(r.moreHashes[key&^moreBit])
+		}
+		if !held[g] {
+			cases["wide stamp in a copied stretch"] = true
+		}
+	}
+	return cases
+}
+
+// missingCases returns the spliceCases the rig's merges have not met.
+func (rig *modelRig) missingCases() []string {
+	var missing []string
+	for _, c := range spliceCases {
+		if !rig.cases[c] {
+			missing = append(missing, c)
+		}
+	}
+	return missing
 }
 
 // restore replaces every DB with one restored from its image, on the same
@@ -381,6 +495,12 @@ func stampCodeOf(db *DB, h, ref uint32) (code uint32, ok bool) {
 // whose postings are older than its updated (a negative code), and a
 // removal that moves a spilled successor with another born stamp, the
 // run's widest ref and the run's widest code into the inline slot.
+//
+// Each seed's explicit merges must between them meet every one of
+// spliceCases — stretches copied across bit offsets, columns widened by a
+// head code, tombstones, wide stamps in a copied stretch, head hashes
+// outside the run's directory and at a bucket's ends, a spill column cut
+// by a head hash — so the model checks each of splice's edges.
 func TestQuotientedRunMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -505,6 +625,9 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			}
 			rig.compact()
 			rig.check("final compact")
+			if missing := rig.missingCases(); len(missing) > 0 {
+				t.Errorf("no merge met %q", missing)
+			}
 			for _, ref := range []uint32{1<<15 - 1, 1 << 15, 1<<16 - 1, 1 << 16, 1<<16 + 1} {
 				if int(ref) >= tab.Len() || !strings.HasPrefix(string(tab.ID(ref)), "doc") {
 					t.Fatalf("ref %d is not a segment of the sequence", ref)
@@ -686,11 +809,11 @@ func TestHeadTableMatchesReference(t *testing.T) {
 func TestRunDirectoryBounds(t *testing.T) {
 	var born segment.Column[uint64]
 	*born.Make(1) = 7
-	r := run{born: &born}
+	r := newRun(&born, 0, 0, 0, 0)
 	for i, h := range []uint32{0x00050001, 0x00050002, 0x00070000, 0x0007FFFF} {
 		r.add(h, 1, uint64(7+i))
 	}
-	r.buildDir()
+	r.finish()
 	if want := []uint32{0, 2, 2, 4}; !slices.Equal(r.dir, want) || r.key0 != 5 {
 		t.Fatalf("dir %v from key %d, want %v from 5", r.dir, r.key0, want)
 	}
@@ -715,7 +838,7 @@ func TestRunDirectoryBounds(t *testing.T) {
 		}
 	}
 	var empty run
-	empty.buildDir()
+	empty.finish()
 	if empty.dir != nil || empty.find(0) != -1 {
 		t.Errorf("empty run: dir %v, find(0) = %d", empty.dir, empty.find(0))
 	}

@@ -108,8 +108,8 @@ func TestStatsLargeExact(t *testing.T) {
 // TestApproxBytesTracksHeap holds the Stats.ApproxBytes model to the
 // measured heap: a 200 k-hash database built through Update must be
 // estimated within ±15 % of what it actually retains, both as built (all
-// postings in the mutable head) and after Compact (all in runs). The
-// dashboard prints the estimate.
+// postings in the mutable head, which no inline merge may empty) and
+// after Compact (all in runs). The dashboard prints the estimate.
 func TestApproxBytesTracksHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -130,14 +130,14 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 	raw := make([]uint32, perSeg)
 	before := heap()
 	db := New(nil, 0.5)
+	db.SetCompactThreshold(-1)
 	for _, seg := range segs {
 		for i := range raw {
 			raw[i] = rng.Uint32()
 		}
 		db.Update(seg, fingerprint.FromHashes(raw))
 	}
-	// 200 k hashes over 64 shards stay below the inline merge threshold; a
-	// corpus-scale ingest leaves a mix of the two layouts.
+	// A corpus-scale ingest leaves a mix of the two layouts.
 	for _, layout := range []string{"head", "compacted"} {
 		if layout == "compacted" {
 			db.Compact()
@@ -149,6 +149,9 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 			grown/float64(s.DistinctHashes), float64(s.ApproxBytes)/float64(s.DistinctHashes))
 		if s.DistinctHashes < 200_000 {
 			t.Fatalf("fixture built %d distinct hashes, want ≥ 200 000", s.DistinctHashes)
+		}
+		if want := map[string]int{"head": s.Postings, "compacted": 0}[layout]; s.HeadPostings != want {
+			t.Fatalf("%s: %d of %d postings in the head, want %d", layout, s.HeadPostings, s.Postings, want)
 		}
 		if ratio := float64(s.ApproxBytes) / grown; ratio < 0.85 || ratio > 1.15 {
 			t.Errorf("%s: ApproxBytes is %.2f× the measured heap growth, want within ±15 %%", layout, ratio)

@@ -171,6 +171,27 @@ func checkInvariants(t *testing.T, db *DB) {
 			t.Errorf("shard %d: dead counter %d != recount %d", si, sh.dead, shardDead)
 		}
 		dead += shardDead
+		if r := &sh.run; sh.dead == 0 && len(r.lo) > 0 {
+			// A merge widens the columns only as far as the head's codes
+			// need, and one that drops postings narrows them.
+			var maxRef, maxStamp uint32
+			for g := range r.lo {
+				maxRef = max(maxRef, refCode(r.first(g)|moreBit))
+				if c := r.stamps.at(g); c != wideSeq {
+					maxStamp = max(maxStamp, c)
+				}
+			}
+			for k := range r.moreHashes {
+				maxRef = max(maxRef, refCode(r.moreRef(k)|moreBit))
+				if c := r.moreStamps.at(k); c != wideSeq {
+					maxStamp = max(maxStamp, c)
+				}
+			}
+			if rw, sw := codeWidth(maxRef), codeWidth(maxStamp); r.refs.width != rw || r.moreRefs.width != rw || r.stamps.width != sw || r.moreStamps.width != sw {
+				t.Errorf("shard %d: ref columns %d and %d bits wide, stamp columns %d and %d, want %d and %d", si,
+					r.refs.width, r.moreRefs.width, r.stamps.width, r.moreStamps.width, rw, sw)
+			}
+		}
 		for k := 1; k < len(sh.run.moreHashes); k++ {
 			if sh.run.moreHashes[k-1] > sh.run.moreHashes[k] {
 				t.Errorf("shard %d: spill hashes out of order at %d", si, k)

@@ -307,15 +307,16 @@ func TestGoldenCheckUploadAllocFree(t *testing.T) {
 
 // TestEngineHeapBudget is the memory gate on the path that deploys: 4 000
 // generated ~600-byte paragraphs through ObserveEdit on a policy-file engine
-// must retain at most 16.6 B of heap per distinct hash (14.4–14.5 at the
-// time of writing; the same ingest cost ≈ 105 before fingerprints were
+// must retain at most 14.7 B of heap per distinct hash (12.8 at the time
+// of writing; the same ingest cost ≈ 105 before fingerprints were
 // hash-only, DBpar kept one copy of each hash and segment labels were
 // shared, 51.6 before both index tiers stored a hash's first holder inline,
 // 31.7 while each owner of per-segment state kept a map of its own, 24.5
 // while a compacted group stored its full 32-bit hash, and 23.1 while a
 // group's ref and stamp were two uint32 columns and the head a builtin
-// map, and 16.7 while run stamps were distances below the clock and the
-// segment table's index a builtin map).
+// map, 16.7 while run stamps were distances below the clock and the
+// segment table's index a builtin map, and 14.5 while a shard merged its
+// head only once it reached a quarter of its run).
 // What a retained byte is spent on is tabulated in DESIGN.md "Corpus
 // scale".
 func TestEngineHeapBudget(t *testing.T) {
@@ -359,8 +360,8 @@ func TestEngineHeapBudget(t *testing.T) {
 	perHash := float64(after-before) / float64(stats.DistinctHashes)
 	t.Logf("%d segments, %d distinct hashes, heap +%.1f MB: %.1f B/hash (%d distinct labels)",
 		stats.Segments, stats.DistinctHashes, float64(after-before)/1e6, perHash, e.Registry().DistinctLabels())
-	if perHash > 16.6 {
-		t.Errorf("engine retains %.1f B per distinct hash, budget 16.6", perHash)
+	if perHash > 14.7 {
+		t.Errorf("engine retains %.1f B per distinct hash, budget 14.7", perHash)
 	}
 	runtime.KeepAlive(texts)
 }
@@ -371,8 +372,9 @@ func TestEngineHeapBudget(t *testing.T) {
 // table's refs) and N/10 shadow labels set through UpsertExplicit
 // (registry-only segments, as a partition node mirrors remote sources). The
 // texts are one sentence, so per-segment state, not postings, dominates:
-// ≤ 297 B per segment (258 measured; 286 while the segment table's index
-// was a builtin map, 344 while a run group's ref and stamp were two
+// ≤ 277 B per segment (240.9 measured; 258 while a shard merged its head
+// only once it reached a quarter of its run, 286 while the segment table's
+// index was a builtin map, 344 while a run group's ref and stamp were two
 // uint32 columns and the head a builtin map, 521 while every owner kept a
 // map of its own). A document database whose rows
 // were dense over every ref, not reached through 4-byte slots, would add
@@ -418,8 +420,8 @@ func TestMixedGranularityHeap(t *testing.T) {
 	perSeg := float64(after-before) / float64(segs)
 	t.Logf("%d paragraphs, %d documents, %d shadow labels; %d + %d distinct hashes; heap +%.2f MB: %.1f B/segment",
 		p.Segments, d.Segments, n/10, p.DistinctHashes, d.DistinctHashes, float64(after-before)/1e6, perSeg)
-	if perSeg > 297 {
-		t.Errorf("engine retains %.1f B per segment, budget 297", perSeg)
+	if perSeg > 277 {
+		t.Errorf("engine retains %.1f B per segment, budget 277", perSeg)
 	}
 	runtime.KeepAlive(texts)
 }

@@ -227,7 +227,7 @@ func TestSaveHeapAndLoadLayout(t *testing.T) {
 	ratio := float64(peak.Load()) / float64(steady)
 	t.Logf("%d hashes: steady heap %.1f MB, peak during Save %.1f MB (%.2fx)",
 		mw.Stats().DistinctHashes, float64(steady)/1e6, float64(peak.Load())/1e6, ratio)
-	if ratio > 2.6 { // 1.96–2.08 measured
+	if ratio > 2.6 { // 2.36–2.50 measured; 2.19–2.39 while heads merged at a quarter of their run, a larger steady heap under the same peak
 		t.Errorf("peak heap during Save is %.2fx the steady state, want ≤ 2.6x", ratio)
 	}
 	info, err := os.Stat(path)
