@@ -13,10 +13,12 @@ all: build check
 # properties, the replication, partition, overload and self-healing chaos
 # suites and the observability goldens); the policy gates that are not
 # tests (coverage floor, fixture lint); a short fuzz smoke over the parsers
-# that read attacker-controlled bytes; the memory-budget tests and the WAL
-# validation allocation test, which skip under -race and so run here
-# without it; a vulnerability scan when govulncheck is installed; and the
-# benchmark module, which tier-1 does not build.
+# that read attacker-controlled bytes; the memory-budget tests and the
+# allocation pins (the WAL validation, the zero-alloc decided observe in the
+# tracker and the engine, the index's candidate-discovery and head-insert
+# paths), which skip under -race and so run here without it; a
+# vulnerability scan when govulncheck is installed; and the benchmark
+# module, which tier-1 does not build.
 POLICY_COVER ?= /tmp/policyfile.cover
 check: vet
 	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
@@ -24,8 +26,8 @@ check: vet
 	$(MAKE) policy-floor
 	$(MAKE) policy-fixtures
 	$(MAKE) fuzz
-	$(GO) test -run 'TestEngineHeapBudget|TestMixedGranularityHeap|TestApproxBytesTracksHeap|TestSaveHeapAndLoadLayout|TestValidationDoesNotAllocatePerRecord' \
-		./internal/policy ./internal/index ./internal/wal .
+	$(GO) test -run 'TestEngineHeapBudget|TestMixedGranularityHeap|TestApproxBytesTracksHeap|TestSaveHeapAndLoadLayout|TestValidationDoesNotAllocatePerRecord|TestObserveSteadyStateAllocs|TestGoldenObserveCacheHitAllocs|TestAppendOldestHoldersReusesCapacity|TestAppendHoldersReusesCapacity|TestHeadInsertAllocatesNoObjectPerHash' \
+		./internal/policy ./internal/index ./internal/disclosure ./internal/wal .
 	$(MAKE) vuln
 	$(MAKE) bench-check
 

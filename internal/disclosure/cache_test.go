@@ -1,12 +1,12 @@
 package disclosure
 
 // Regression tests for the two decision-cache bugs fixed alongside the
-// sharded hot path:
+// sharded hot path, kept now that a decision lives on its DBpar row:
 //
 //  1. stale cache: ExpireBefore/RemoveSegment dropped segments from the
 //     index but the Tracker kept their cache entries forever, so a
 //     re-observation with an unchanged fingerprint served a Report naming
-//     sources that no longer exist;
+//     sources that no longer exist (a dropped row now takes its decision);
 //  2. cache aliasing: the cached Report shared its Sources slice with the
 //     Report handed to the caller, so a caller mutating its result
 //     corrupted every future cache hit.
@@ -57,7 +57,7 @@ func TestExpireEvictsDecisionCache(t *testing.T) {
 	}
 
 	// Expire everything directly on the database, bypassing the Tracker —
-	// the eviction hook must still purge the decision cache.
+	// the decisions must still go with their rows.
 	tr.Paragraphs().ExpireBefore(tr.Paragraphs().Now() + 1)
 	if tr.CacheLen() != 0 {
 		t.Fatalf("CacheLen after expiry = %d, want 0 (stale entries kept)", tr.CacheLen())
@@ -90,6 +90,36 @@ func TestForgetEvictsDecisionCache(t *testing.T) {
 	again := mustObserve(t, tr, "doc#copy", cacheTestText)
 	if again.CacheHit || len(again.Sources) != 0 {
 		t.Errorf("removed source leaked: hit=%v sources=%+v", again.CacheHit, again.Sources)
+	}
+}
+
+// TestForgetRangeDropsDecisions: the source-side cleanup after a partition
+// split takes the decisions of exactly the segments it forgets, at both
+// granularities, and the rest still answer.
+func TestForgetRangeDropsDecisions(t *testing.T) {
+	tr := newCacheTestTracker(t, nil)
+	segs := []segment.ID{"doc#a", "doc#b", "doc#c", "doc#d"}
+	for _, seg := range segs {
+		mustObserve(t, tr, seg, cacheTestText+" "+string(seg))
+		if _, err := tr.ObserveDocument(seg, cacheTestText+" "+string(seg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tr.CacheLen(); n != 2*len(segs) {
+		t.Fatalf("CacheLen = %d, want %d", n, 2*len(segs))
+	}
+	k := segment.Key("doc#b")
+	if n := tr.ForgetRange(k, k); n != 2 {
+		t.Fatalf("ForgetRange removed %d segments, want doc#b's paragraph and document", n)
+	}
+	if n := tr.CacheLen(); n != 2*len(segs)-2 {
+		t.Fatalf("CacheLen after ForgetRange = %d, want %d", n, 2*len(segs)-2)
+	}
+	for _, seg := range segs {
+		r := mustObserve(t, tr, seg, cacheTestText+" "+string(seg))
+		if r.CacheHit != (seg != "doc#b") {
+			t.Errorf("%s: cache hit %v after forgetting doc#b", seg, r.CacheHit)
+		}
 	}
 }
 

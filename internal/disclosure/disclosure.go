@@ -33,8 +33,9 @@ type Params struct {
 	// the ablation experiments; leave false in production.
 	DisableAuthoritative bool
 
-	// DisableCache turns off the fingerprint-keyed decision cache. Only
-	// used by the ablation experiments.
+	// DisableCache turns off the decision cache: no decision is kept on a
+	// DBpar row, so none answers a re-observation. Only used by the
+	// ablation experiments.
 	DisableCache bool
 }
 
@@ -48,19 +49,9 @@ func DefaultParams() Params {
 }
 
 // Source is one origin segment from which significant information is being
-// disclosed. The JSON tags are the node↔router wire form (a resolved
-// observe's and a routed check's source list).
-type Source struct {
-	// Seg is the origin segment (paragraph or document).
-	Seg segment.ID `json:"seg"`
-
-	// Disclosure is D(src, target) in [0, 1] using the authoritative
-	// fingerprint of the source.
-	Disclosure float64 `json:"disclosure"`
-
-	// Threshold is the origin's disclosure threshold that was met.
-	Threshold float64 `json:"threshold"`
-}
+// disclosed. The index owns the type: a DBpar row keeps the sources of the
+// decision made for its fingerprint.
+type Source = index.Source
 
 // Report is the outcome of observing one text segment.
 type Report struct {
@@ -79,7 +70,7 @@ type Report struct {
 	Sources []Source
 
 	// CacheHit reports whether the result was served from the decision
-	// cache (the fingerprint had not changed since the last observation).
+	// cache: the segment's DBpar row held this fingerprint, decided.
 	CacheHit bool
 }
 
@@ -99,12 +90,11 @@ func (r Report) SourceSegs() []segment.ID {
 // Tracker maintains the paragraph- and document-granularity fingerprint
 // databases and serves disclosure queries. It is safe for concurrent use.
 //
-// Both databases and the decision cache keep their per-segment state as
-// rows of one segment.Table (Table), which a tdm.Registry paired with the
-// tracker shares. The decision cache is lock-striped by segment.Key so
-// concurrent observers of different segments never contend on a cache
-// mutex; the fingerprint databases are lock-striped internally (see package
-// index).
+// Both databases keep their per-segment state as rows of one
+// segment.Table (Table), which a tdm.Registry paired with the tracker
+// shares. The decision cache is no structure of the tracker's: each DBpar
+// row holds the decision made for its fingerprint (see index.Decision),
+// under the same stripe lock, so a decision goes with its row.
 type Tracker struct {
 	params Params
 
@@ -112,43 +102,10 @@ type Tracker struct {
 	pars *index.DB
 	docs *index.DB
 
-	// cache is the decision cache, a row per ref, guarded by its stripe.
-	cache      segment.Column[cacheEntry]
-	stripes    []sync.Mutex
-	stripeMask uint32
-
 	// scratchPool recycles the per-observation working set (candidate
 	// buffer, dedup map, sources buffer) across singular observes, so the
 	// steady-state hot path performs no per-call scratch allocations.
 	scratchPool sync.Pool
-}
-
-// cacheEntry is one cached decision, holding what a hit needs and nothing
-// else — one per tracked segment, so its size is a per-segment cost of the
-// whole database. The segment is the row's ref; a paragraph that discloses
-// nothing (almost all of a corpus) has no sources allocation at all. The
-// zero entry (gran 0) is no decision.
-type cacheEntry struct {
-	digest  uint64    // of the fingerprint the decision was computed for
-	sources *[]Source // private to the cache; nil when there are none
-	fpLen   uint32
-	gran    uint8
-}
-
-// report is the Report a hit on seg's entry returns. The cached Sources
-// stay private to the cache; the caller gets an owned copy (see
-// cloneSources).
-func (e cacheEntry) report(seg segment.ID) Report {
-	r := Report{
-		Seg:            seg,
-		Granularity:    segment.Granularity(e.gran),
-		FingerprintLen: int(e.fpLen),
-		CacheHit:       true,
-	}
-	if e.sources != nil {
-		r.Sources = cloneSources(*e.sources)
-	}
-	return r
 }
 
 // NewTracker returns a Tracker with the given parameters.
@@ -170,16 +127,6 @@ func NewTracker(params Params) (*Tracker, error) {
 		docs:   index.New(segs, params.Tdoc),
 	}
 	t.scratchPool.New = func() any { return newObserveScratch() }
-	// Stripe count mirrors the index shard count (power of two).
-	n := t.pars.NumShards()
-	t.stripes = make([]sync.Mutex, n)
-	t.stripeMask = uint32(n - 1)
-	// Keep the decision cache coherent with the databases: segments
-	// dropped by ExpireBefore/RemoveSegment (including direct calls on
-	// Paragraphs()/Documents()) must not keep serving stale cached
-	// reports.
-	t.pars.SetEvictHook(t.evictCached)
-	t.docs.SetEvictHook(t.evictCached)
 	return t, nil
 }
 
@@ -187,54 +134,22 @@ func NewTracker(params Params) (*Tracker, error) {
 // per-segment state.
 func (t *Tracker) Table() *segment.Table { return t.segs }
 
-// stripeFor returns the cache stripe of seg.
-func (t *Tracker) stripeFor(seg segment.ID) *sync.Mutex {
-	return &t.stripes[segment.Key(seg)&t.stripeMask]
-}
-
-// cached returns seg's decision for granularity g if it was computed for a
-// fingerprint of digest digest. One ID names a paragraph and a document in
-// separate databases, so a decision of the other granularity is a miss.
-func (t *Tracker) cached(seg segment.ID, g segment.Granularity, digest uint64) (Report, bool) {
-	ref, ok := t.segs.Lookup(seg)
+// decided returns the report of the decision seg's row in db holds for fp,
+// if it holds one. Each granularity has its own database, so a decision of
+// the other granularity is a miss.
+func (t *Tracker) decided(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, db *index.DB) (Report, bool) {
+	if t.params.DisableCache {
+		return Report{}, false
+	}
+	sources, ok := db.Decision(seg, fp.Hashes())
 	if !ok {
 		return Report{}, false
 	}
-	st := t.stripeFor(seg)
-	st.Lock()
-	defer st.Unlock()
-	if e := t.cache.At(ref); e != nil && e.gran == uint8(g) && e.digest == digest {
-		return e.report(seg), true
-	}
-	return Report{}, false
+	return Report{Seg: seg, Granularity: g, FingerprintLen: fp.Len(), Sources: sources, CacheHit: true}, true
 }
-
-// evictCached is the index eviction hook: it drops decision-cache
-// entries for segments removed from a database.
-func (t *Tracker) evictCached(segs []segment.ID) {
-	for _, seg := range segs {
-		ref, ok := t.segs.Lookup(seg)
-		if !ok {
-			continue
-		}
-		st := t.stripeFor(seg)
-		st.Lock()
-		if e := t.cache.At(ref); e != nil {
-			*e = cacheEntry{}
-		}
-		st.Unlock()
-	}
-}
-
-// ResetCache drops every cached decision. It must follow any wholesale
-// replacement of the databases' contents (a snapshot restore): a cache hit
-// answers an unchanged fingerprint without reaching index.Update, so an
-// entry that outlives the index it was computed against leaves the segment
-// unindexed and later checks fail open.
-func (t *Tracker) ResetCache() { t.cache.Reset() }
 
 // cloneSources returns an owned copy of sources, preserving nil-ness so
-// serialised reports stay byte-identical. Cached reports and the reports
+// serialised reports stay byte-identical. Decided rows and the reports
 // handed to callers must not share a Sources slice: a caller mutating its
 // result would otherwise corrupt every future cache hit.
 func cloneSources(sources []Source) []Source {
@@ -323,15 +238,12 @@ func (t *Tracker) observeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segme
 // candidate-buffer allocations across all its items.
 //
 // borrowed marks fp as scratch-shared (it aliases sc.fps and is valid only
-// for this call): the decision-cache fast path never retains it, so a
-// cache hit stays allocation-free, and a miss detaches it with one Clone
-// just before the index update retains it.
+// for this call): the decided fast path never retains it, so a cache hit
+// stays allocation-free, and a miss detaches it with one Clone just before
+// the index update retains it.
 func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, borrowed bool, g segment.Granularity, db *index.DB, sc *observeScratch) (Report, error) {
-	digest := fp.Digest()
-	if !t.params.DisableCache {
-		if report, ok := t.cached(seg, g, digest); ok {
-			return report, nil
-		}
+	if report, ok := t.decided(seg, fp, g, db); ok {
+		return report, nil
 	}
 	if borrowed {
 		// Past the cache check the fingerprint is retained (db.Update
@@ -343,41 +255,32 @@ func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, 
 	// raw is backed by the (possibly pooled) scratch buffer — it must be
 	// copied out before this call returns.
 	raw := t.sourcesScratch(fp, seg, db, sc)
-	db.Update(seg, fp)
-
-	return t.remember(seg, fp, g, digest, raw), nil
+	return t.update(seg, fp, g, db, raw), nil
 }
 
-// remember finishes an evaluated observation of seg: it builds the report
-// from the resolved sources (which it copies, so raw may be scratch-backed)
-// and installs the decision-cache entry.
-func (t *Tracker) remember(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, digest uint64, raw []Source) Report {
-	// The caller's report and the cache entry need independent Sources
+// update finishes an evaluated observation of seg: it stores fp in db with
+// the decision made for it and builds the report from the resolved
+// sources (which it copies, so raw may be scratch-backed).
+func (t *Tracker) update(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, db *index.DB, raw []Source) Report {
+	// The caller's report and the decided row need independent Sources
 	// slices (a caller mutating its result must not corrupt future cache
 	// hits); both copies come out of one allocation, with full-slice-
 	// expression caps so neither can append into the other. nil-ness is
 	// preserved so serialised reports stay byte-identical.
 	report := Report{Seg: seg, Granularity: g, FingerprintLen: fp.Len()}
-	entry := cacheEntry{digest: digest, fpLen: uint32(fp.Len()), gran: uint8(g)}
+	if t.params.DisableCache {
+		report.Sources = cloneSources(raw)
+		db.Update(seg, fp, nil)
+		return report
+	}
+	d := index.Decision{}
 	if n := len(raw); n > 0 {
-		if t.params.DisableCache {
-			report.Sources = cloneSources(raw)
-		} else {
-			buf := make([]Source, 2*n)
-			copy(buf, raw)
-			copy(buf[n:], raw)
-			report.Sources = buf[:n:n]
-			cached := buf[n:]
-			entry.sources = &cached
-		}
+		buf := make([]Source, 2*n)
+		copy(buf, raw)
+		copy(buf[n:], raw)
+		report.Sources, d.Sources = buf[:n:n], buf[n:]
 	}
-	if !t.params.DisableCache {
-		ref := t.segs.Intern(seg)
-		st := t.stripeFor(seg)
-		st.Lock()
-		*t.cache.Make(ref) = entry
-		st.Unlock()
-	}
+	db.Update(seg, fp, &d)
 	return report
 }
 
@@ -579,30 +482,16 @@ func (t *Tracker) Pairwise(a, b string) (float64, error) {
 	return fa.Containment(fb), nil
 }
 
-// Forget removes a segment from the given granularity's database and from
-// the decision cache.
+// Forget removes a segment, and so its decision, from the given
+// granularity's database.
 func (t *Tracker) Forget(seg segment.ID, g segment.Granularity) {
-	db := t.pars
-	if g == segment.GranularityDocument {
-		db = t.docs
-	}
-	// RemoveSegment fires the eviction hook, which purges the decision
-	// cache and incremental state; the explicit purge below also covers
-	// segments the database never saw.
-	db.RemoveSegment(seg)
-	t.evictCached([]segment.ID{seg})
+	t.dbFor(g).RemoveSegment(seg)
 }
 
-// CacheLen returns the number of cached decisions (for tests and metrics).
+// CacheLen returns the number of decided rows in both databases (for
+// tests and metrics).
 func (t *Tracker) CacheLen() int {
-	n := 0
-	for ref, refs := uint32(0), uint32(t.segs.Len()); ref < refs; ref++ {
-		st := t.stripeFor(t.segs.ID(ref))
-		st.Lock()
-		if e := t.cache.At(ref); e != nil && e.gran != 0 {
-			n++
-		}
-		st.Unlock()
-	}
-	return n
+	p, _ := t.pars.Decisions()
+	d, _ := t.docs.Decisions()
+	return p + d
 }

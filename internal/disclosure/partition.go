@@ -95,27 +95,23 @@ func overlapIndices(a, hashes []uint32) []int {
 	return out
 }
 
-// ProbeFP consults the decision cache without touching the index — the
-// phase-1 fast path of a routed observe. On a digest match it returns the
-// same report a single-node cache hit produces; on a miss it returns
-// ok=false and changes nothing, leaving the caller to scatter-gather and
-// come back through ObserveResolvedFP.
+// ProbeFP consults the decided row without changing the index — the
+// phase-1 fast path of a routed observe. When the row holds fp decided it
+// returns the same report a single-node cache hit produces; on a miss it
+// returns ok=false and changes nothing, leaving the caller to
+// scatter-gather and come back through ObserveResolvedFP.
 func (t *Tracker) ProbeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity) (Report, bool) {
-	if t.params.DisableCache {
-		return Report{}, false
-	}
-	return t.cached(seg, g, fp.Digest())
+	return t.decided(seg, fp, g, t.dbFor(g))
 }
 
 // ObserveResolvedFP applies an observation whose disclosure sources were
 // already resolved elsewhere (by the routing tier's merge, or by WAL
-// replay of such an observation): it installs the fingerprint in the
-// index and the resolved sources in the decision cache, mirroring the
-// state transitions of observeFPScratch with the evaluation replaced by
-// the provided result. The caller owns fp and sources.
+// replay of such an observation): it stores the fingerprint in the index
+// with the resolved sources as its decision, mirroring the state
+// transitions of observeFPScratch with the evaluation replaced by the
+// provided result. The caller owns fp and sources.
 func (t *Tracker) ObserveResolvedFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, sources []Source) Report {
-	t.dbFor(g).Update(seg, fp)
-	return t.remember(seg, fp, g, fp.Digest(), sources)
+	return t.update(seg, fp, g, t.dbFor(g), sources)
 }
 
 // SetClockFloor raises the logical clock of the given granularity's
@@ -132,8 +128,8 @@ func (t *Tracker) Clock(g segment.Granularity) uint64 {
 }
 
 // ForgetRange removes every segment whose partition key falls in the
-// inclusive range [lo, hi] from both databases (and, via the eviction
-// hook, from the decision cache). It returns the number of segments
+// inclusive range [lo, hi], and so its decision, from both databases. It
+// returns the number of segments
 // removed. This is the source-side cleanup after a partition split hands
 // a key range to a new partition; labels are deliberately untouched — the
 // registry is global shadow state in a partitioned cluster.

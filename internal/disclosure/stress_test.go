@@ -7,19 +7,21 @@ package disclosure
 //   - every hash of a live segment has an oldest holder whose first
 //     observation is no younger than any other holder's (checked against
 //     the oldest-first holder list and a copy reloaded from the image);
-//   - the decision cache contains no entry for a segment the databases no
-//     longer track;
 //   - a final observation round produces reports whose sources are all
-//     live segments.
+//     live segments (a decision lives on its segment's DBpar row, so none
+//     outlives a dropped segment).
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/segment"
 )
@@ -135,8 +137,8 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 		}
 	}
 
-	// No cache entry for a dead segment: purge everything dead and verify
-	// via a fresh observation round that reported sources are live.
+	// No decision outlives its segment: a fresh observation round reports
+	// live sources only.
 	for w := 0; w < workers; w++ {
 		for r := 0; r < 4; r++ {
 			report, err := tracker.ObserveParagraph(segment.ID(fmt.Sprintf("probe/w%d#p%d", w, r)), stressText(w, r))
@@ -147,6 +149,93 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 				if _, ok := db.Fingerprint(src.Seg); !ok {
 					t.Fatalf("report names dead source %q", src.Seg)
 				}
+			}
+		}
+	}
+}
+
+// TestSameSegmentChurnKeepsDecisionWithItsFingerprint: goroutines churn
+// two texts on one segment through the singular, batched and routed
+// entry points. A decision lands on the DBpar row in the stripe write
+// that stores its fingerprint, so once the churn quiesces a hit implies
+// the row holds the hit's fingerprint, and every quiesced observe leaves
+// the row holding its own — the state a replay of the same observes
+// reaches. With the decision kept apart from the row, two concurrent
+// observes could leave the row holding B beside A's decision; an observe
+// of A then hit, skipped the index update and left the row at B.
+func TestSameSegmentChurnKeepsDecisionWithItsFingerprint(t *testing.T) {
+	tracker, err := NewTracker(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		seg     = segment.ID("doc#churn")
+		workers = 6
+	)
+	// The split this guards against showed within 3 630–18 669 rounds on a
+	// 2-CPU machine, and at round 1 841 of a -race run, whose rounds are
+	// ten times slower.
+	rounds := 20000
+	if raceEnabled {
+		rounds = 4000
+	}
+	texts := [2]string{stressText(0, 0), stressText(0, 0) + "An appended sentence gives the paragraph another fingerprint."}
+	var fps [2]*fingerprint.Fingerprint
+	for i, text := range texts {
+		if fps[i], err = tracker.Fingerprint(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if slices.Equal(fps[0].Hashes(), fps[1].Hashes()) {
+		t.Fatal("the two texts share a fingerprint")
+	}
+	observe := func(w, i int) (Report, error) {
+		switch w % 3 {
+		case 0:
+			reports, err := tracker.ObserveBatch([]BatchObservation{{Seg: seg, Text: texts[i]}})
+			if err != nil {
+				return Report{}, err
+			}
+			return reports[0], nil
+		case 1:
+			if report, ok := tracker.ProbeFP(seg, fps[i], segment.GranularityParagraph); ok {
+				return report, nil
+			}
+			return tracker.ObserveResolvedFP(seg, fps[i].Clone(), segment.GranularityParagraph, nil), nil
+		}
+		return tracker.ObserveParagraph(seg, texts[i])
+	}
+	holds := func(i int) bool {
+		fp, ok := tracker.Paragraphs().Fingerprint(seg)
+		return ok && slices.Equal(fp.Hashes(), fps[i].Hashes())
+	}
+	rng := rand.New(rand.NewSource(1))
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				if _, err := observe(w, (w+r)%2); err != nil {
+					t.Error(err)
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for _, i := range rng.Perm(2) {
+			held := holds(i)
+			report, err := observe(rng.Intn(3), i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.CacheHit && !held {
+				t.Fatalf("round %d: text %d hit a decision while the row held another fingerprint", r, i)
+			}
+			if !holds(i) {
+				t.Fatalf("round %d: after a quiesced observe of text %d (hit %v) the row holds another fingerprint", r, i, report.CacheHit)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ func holderFixture(tb testing.TB, nSegs, nHashes int) (*DB, []uint32) {
 			hs = append(hs, uint32((s*7+i*131)%(nHashes*2))*0x01000193)
 		}
 		fp := fingerprint.FromHashes(hs)
-		db.Update(segment.ID(fmt.Sprintf("wiki/fixture#p%d", s)), fp)
+		db.Update(segment.ID(fmt.Sprintf("wiki/fixture#p%d", s)), fp, nil)
 		if s == 0 {
 			probe = append(probe, fp.Hashes()...)
 		}

@@ -615,7 +615,7 @@ func (db *DB) reset() {
 	for si := range db.segShards {
 		ss := &db.segShards[si]
 		ss.mu.Lock()
-		ss.own, ss.apart = nil, nil
+		ss.own, ss.apart, ss.srcs = nil, nil, nil
 		ss.digest = 0
 		ss.mu.Unlock()
 	}

@@ -44,15 +44,15 @@ var snapshotCases = []struct {
 		edgeSeq(db, tick)
 	}},
 	{name: "fingerprint hashes whose postings expired", build: func(db *DB, tick func(*DB)) {
-		db.Update(edgeSeg(0), edgeFP(0))
-		db.Update(edgeSeg(2), edgeFP(4))
+		db.Update(edgeSeg(0), edgeFP(0), nil)
+		db.Update(edgeSeg(2), edgeFP(4), nil)
 		tick(db)
 		cut := db.Now() + 1
-		db.Update(edgeSeg(0), edgeFP(1)) // keeps half of the first version's hashes
-		db.Update(edgeSeg(1), edgeFP(1))
+		db.Update(edgeSeg(0), edgeFP(1), nil) // keeps half of the first version's hashes
+		db.Update(edgeSeg(1), edgeFP(1), nil)
 		// Shrunk to hashes it had posted already, the segment posts nothing
 		// new and the expiry leaves it a fingerprint without one posting.
-		db.Update(edgeSeg(2), fingerprint.FromHashes(edgeFP(4).Hashes()[:7]))
+		db.Update(edgeSeg(2), fingerprint.FromHashes(edgeFP(4).Hashes()[:7]), nil)
 		db.ExpireBefore(cut)
 	}, check: func(t *testing.T, db *DB) {
 		h := edgeFP(1).Hashes()[0] // find one that is in both versions
@@ -72,7 +72,7 @@ var snapshotCases = []struct {
 		if err := db.LoadSnapshot(noEntryImage()); err != nil {
 			panic(err)
 		}
-		db.Update(edgeSeg(2), edgeFP(0))
+		db.Update(edgeSeg(2), edgeFP(0), nil)
 		tick(db)
 	}, check: func(t *testing.T, db *DB) {
 		holders := db.Holders(edgeFP(0).Hashes()[0])
@@ -82,25 +82,25 @@ var snapshotCases = []struct {
 	}},
 	{name: "thresholds", build: func(db *DB, tick func(*DB)) {
 		db.SetThreshold(edgeSeg(0), 0.9) // an entry that is only a threshold
-		db.Update(edgeSeg(1), edgeFP(0))
+		db.Update(edgeSeg(1), edgeFP(0), nil)
 		db.SetThreshold(edgeSeg(1), 0.25)
-		db.Update(edgeSeg(2), edgeFP(0))
+		db.Update(edgeSeg(2), edgeFP(0), nil)
 		db.SetThreshold(edgeSeg(2), db.DefaultThreshold())
 	}},
 	{name: "posted union larger than the fingerprint", build: func(db *DB, tick func(*DB)) {
-		db.Update(edgeSeg(0), edgeFP(0))
-		db.Update(edgeSeg(1), edgeFP(1))
+		db.Update(edgeSeg(0), edgeFP(0), nil)
+		db.Update(edgeSeg(1), edgeFP(1), nil)
 		tick(db)
-		db.Update(edgeSeg(0), edgeFP(1))
-		db.Update(edgeSeg(0), edgeFP(4))
+		db.Update(edgeSeg(0), edgeFP(1), nil)
+		db.Update(edgeSeg(0), edgeFP(4), nil)
 	}},
 	{name: "wide stamps on both sides of a clock-floor jump", build: func(db *DB, tick func(*DB)) {
-		db.Update(edgeSeg(0), edgeFP(0))
-		db.Update(edgeSeg(1), edgeFP(0))
+		db.Update(edgeSeg(0), edgeFP(0), nil)
+		db.Update(edgeSeg(1), edgeFP(0), nil)
 		tick(db)
 		db.SetClockFloor(1 << 40)
-		db.Update(edgeSeg(2), edgeFP(0))
-		db.Update(edgeSeg(0), edgeFP(1)) // updated 2^40 above its first postings
+		db.Update(edgeSeg(2), edgeFP(0), nil)
+		db.Update(edgeSeg(0), edgeFP(1), nil) // updated 2^40 above its first postings
 		// An old stamp arriving late for a segment without an entry, and a
 		// posting stamped after its holder's last update.
 		postAt(db, edgeSeg(3), edgeFP(1).Hashes(), 3)
@@ -108,13 +108,13 @@ var snapshotCases = []struct {
 	}},
 	{name: "multi-holder groups with the inline holder tombstoned", build: func(db *DB, tick func(*DB)) {
 		for i := 0; i < 4; i++ {
-			db.Update(edgeSeg(i), edgeFP(0))
+			db.Update(edgeSeg(i), edgeFP(0), nil)
 		}
 		tick(db)
 		db.SetCompactThreshold(-1) // keep the tombstones
 		db.RemoveSegment(edgeSeg(0))
 		db.RemoveSegment(edgeSeg(2))
-		db.Update(edgeSeg(4), edgeFP(0))
+		db.Update(edgeSeg(4), edgeFP(0), nil)
 	}},
 }
 
@@ -210,8 +210,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 // route — AppendSnapshot out, LoadSnapshot in — checked field by field.
 func TestExportImportRoundTrip(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("a", fingerprint.FromHashes([]uint32{1, 2, 3}))
-	db.Update("b", fingerprint.FromHashes([]uint32{2, 4}))
+	db.Update("a", fingerprint.FromHashes([]uint32{1, 2, 3}), nil)
+	db.Update("b", fingerprint.FromHashes([]uint32{2, 4}), nil)
 	db.SetThreshold("b", 0.8)
 
 	db2 := New(nil, 0.9)
@@ -238,15 +238,15 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Errorf("digest=%+v, want %+v", got, want)
 	}
 	// Clock continues past the loaded value.
-	if seq := db2.Update("c", fingerprint.FromHashes([]uint32{9})); seq <= db.Now() {
+	if seq := db2.Update("c", fingerprint.FromHashes([]uint32{9}), nil); seq <= db.Now() {
 		t.Errorf("clock did not resume: %d <= %d", seq, db.Now())
 	}
 }
 
 func TestExportDeterministic(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("z", fingerprint.FromHashes([]uint32{5, 6}))
-	db.Update("a", fingerprint.FromHashes([]uint32{5, 7}))
+	db.Update("z", fingerprint.FromHashes([]uint32{5, 6}), nil)
+	db.Update("a", fingerprint.FromHashes([]uint32{5, 7}), nil)
 	if x, y := db.AppendSnapshot(nil), db.AppendSnapshot(nil); !bytes.Equal(x, y) {
 		t.Fatal("two encodes of one state differ")
 	}
@@ -353,7 +353,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 		for j := range hs {
 			hs[j] = uint32(i*20+j) * 0x9e3779b1
 		}
-		db.Update(segment.ID(fmt.Sprintf("doc%d#p%d", i/10, i%10)), fingerprint.FromHashes(hs))
+		db.Update(segment.ID(fmt.Sprintf("doc%d#p%d", i/10, i%10)), fingerprint.FromHashes(hs), nil)
 	}
 	blob := db.AppendSnapshot(nil)
 	b.SetBytes(int64(len(blob)))

@@ -63,7 +63,7 @@ func BenchmarkCompact(b *testing.B) {
 		db := New(tab, 0.5)
 		db.SetCompactThreshold(-1)
 		for i, hs := range base {
-			db.Update(segment.ID(fmt.Sprintf("base#p%d", i)), fingerprint.FromHashes(hs))
+			db.Update(segment.ID(fmt.Sprintf("base#p%d", i)), fingerprint.FromHashes(hs), nil)
 		}
 		db.Compact()
 		return db
@@ -79,7 +79,7 @@ func BenchmarkCompact(b *testing.B) {
 			db = build()
 		}
 		for s, hs := range heads[c] {
-			db.Update(segment.ID(fmt.Sprintf("head%d#p%d", c, s)), fingerprint.FromHashes(hs))
+			db.Update(segment.ID(fmt.Sprintf("head%d#p%d", c, s)), fingerprint.FromHashes(hs), nil)
 		}
 		b.StartTimer()
 		db.Compact()

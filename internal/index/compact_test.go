@@ -54,7 +54,7 @@ func opSeq(db *DB, rng *rand.Rand, ops int, tick func(*DB), k int) {
 			for j := 0; j < 20; j++ {
 				hs = append(hs, uint32(base*10+j)*0x9e3779b1)
 			}
-			db.Update(seg, fingerprint.FromHashes(hs))
+			db.Update(seg, fingerprint.FromHashes(hs), nil)
 		case 6:
 			db.RemoveSegment(segment.ID(fmt.Sprintf("doc%d#p%d", rng.Intn(8), rng.Intn(12))))
 		case 7:
@@ -99,35 +99,35 @@ func edgeSeq(db *DB, tick func(*DB)) {
 	// Then the promoted one goes too, with a third holder still spilled
 	// and a fourth in the head.
 	for i := 0; i < 3; i++ {
-		db.Update(seg(i), fp(0))
+		db.Update(seg(i), fp(0), nil)
 	}
 	tick(db)
 	db.RemoveSegment(seg(0))
-	db.Update(seg(3), fp(0))
+	db.Update(seg(3), fp(0), nil)
 	db.RemoveSegment(seg(1))
 	tick(db)
 
 	// A group crosses bigGroupMin, shrinks under it by removals and is
 	// joined from the head by a new holder and by a removed one returning.
 	for i := 4; i < 4+bigGroupMin+6; i++ {
-		db.Update(seg(i), fp(2))
+		db.Update(seg(i), fp(2), nil)
 	}
 	tick(db)
 	for i := 4; i < 14; i++ {
 		db.RemoveSegment(seg(i))
 	}
-	db.Update(seg(80), fp(2))
-	db.Update(seg(4), fp(2))
+	db.Update(seg(80), fp(2), nil)
+	db.Update(seg(4), fp(2), nil)
 
 	// A head bucket crosses memberMapThreshold, loses its inline holder
 	// and a member, and gets a repeat of a present holder.
 	for i := 84; i < 84+memberMapThreshold+4; i++ {
-		db.Update(seg(i), fp(4))
+		db.Update(seg(i), fp(4), nil)
 	}
 	db.RemoveSegment(seg(84))
 	db.RemoveSegment(seg(90))
-	db.Update(seg(85), fp(5))
-	db.Update(seg(85), fp(4))
+	db.Update(seg(85), fp(5), nil)
+	db.Update(seg(85), fp(4), nil)
 	tick(db)
 
 	// Expiry cuts through the multi-holder groups.
@@ -139,15 +139,15 @@ func edgeSeq(db *DB, tick func(*DB)) {
 	// head under a run whose every holder is newer (the head is
 	// authoritative).
 	late1, late2 := db.clock.Add(1), db.clock.Add(1)
-	db.Update(seg(20), fp(6))
+	db.Update(seg(20), fp(6), nil)
 	postAt(db, seg(22), fp(6).Hashes(), late2)
 	postAt(db, seg(21), fp(6).Hashes(), late1)
 	late3 := db.clock.Add(1)
-	db.Update(seg(23), fp(6))
+	db.Update(seg(23), fp(6), nil)
 	tick(db)
 	postAt(db, seg(24), fp(6).Hashes(), late3)
 	late4 := db.clock.Add(1)
-	db.Update(seg(25), fp(8))
+	db.Update(seg(25), fp(8), nil)
 	tick(db)
 	postAt(db, seg(26), fp(8).Hashes(), late4)
 }
@@ -274,7 +274,7 @@ func TestCompactionStatsBaseline(t *testing.T) {
 			for j := range hs {
 				hs[j] = uint32(i*16+j) * 0x9e3779b1
 			}
-			db.Update(segment.ID(fmt.Sprintf("s#%d", i)), fingerprint.FromHashes(hs))
+			db.Update(segment.ID(fmt.Sprintf("s#%d", i)), fingerprint.FromHashes(hs), nil)
 		}
 		return db
 	}

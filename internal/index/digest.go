@@ -187,8 +187,7 @@ func (db *DB) RecomputeDigests() {
 	db.eachRow(func(row *parRow) {
 		seg := db.tab.ID(row.ref)
 		ss := db.segShardFor(seg)
-		row.code = parCode(segDigestKey(string(seg)), db.thresholdOf(ss, row), row.updated, row.hashes)
-		ss.digest ^= row.code
+		ss.digest ^= db.rowCode(ss, segDigestKey(string(seg)), row)
 	})
 }
 

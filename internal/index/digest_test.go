@@ -47,7 +47,7 @@ func genMutations(seed int64, n int) []digestMutation {
 func applyMutation(db *DB, m digestMutation) {
 	switch m.kind {
 	case 0:
-		db.Update(m.seg, fingerprint.FromHashes(m.hashes))
+		db.Update(m.seg, fingerprint.FromHashes(m.hashes), nil)
 	case 1:
 		db.SetThreshold(m.seg, m.threshold)
 	case 2:
@@ -177,7 +177,7 @@ func TestDigestDetectsDivergence(t *testing.T) {
 	}
 
 	diverged = build()
-	diverged.Update("doc-9/par-9", fingerprint.FromHashes([]uint32{1, 2, 3}))
+	diverged.Update("doc-9/par-9", fingerprint.FromHashes([]uint32{1, 2, 3}), nil)
 	if diverged.Digest() == base {
 		t.Fatal("extra update did not move the digest")
 	}

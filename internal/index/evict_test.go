@@ -1,28 +1,21 @@
 package index
 
-// Eviction-hook contract across the physical layouts: RemoveSegment and
-// ExpireBefore must notify the hook exactly once per dropped segment — no
-// duplicates when a segment's postings span the mutable head and the
-// compacted run (inline slots and spill alike), none after a snapshot
-// restore, and no phantom notifications for survivors or for already-gone
-// segments. The WAL relies on this to journal each eviction exactly once.
+// Dropping a row drops its decision, across the physical layouts:
+// RemoveSegment and ExpireBefore must take exactly the rows of the
+// segments they drop — whether a segment's postings span the mutable head
+// and the compacted run (inline slots and spill alike) or a snapshot
+// restore rebuilt them — and every decision with them, while the
+// survivors keep their rows and decisions. A decision that outlived its
+// row would answer an observe that must reach Update.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/segment"
 )
-
-// evictRecorder counts hook notifications per segment.
-type evictRecorder map[segment.ID]int
-
-func (r evictRecorder) hook(segs []segment.ID) {
-	for _, s := range segs {
-		r[s]++
-	}
-}
 
 func evictSeg(i int) segment.ID { return segment.ID(fmt.Sprintf("wiki/evict#p%d", i)) }
 
@@ -36,6 +29,18 @@ func evictFP(i int) *fingerprint.Fingerprint {
 	return fingerprint.FromHashes(hs)
 }
 
+// evictDecision is segment i's decision: every third one discloses a
+// source, so both the flag-only and the side-map forms are dropped.
+func evictDecision(i int) *Decision {
+	if i%3 != 0 {
+		return &Decision{}
+	}
+	return &Decision{Sources: []Source{{Seg: evictSeg(i + 100), Disclosure: 0.75, Threshold: 0.5}}}
+}
+
+// decide stores segment i's fingerprint in db with its decision.
+func decide(db *DB, i int) { db.Update(evictSeg(i), evictFP(i), evictDecision(i)) }
+
 // restoredCopy round-trips db through its snapshot: the layout a restarted
 // node, a bootstrapped standby and a promoted replica run on.
 func restoredCopy(t *testing.T, db *DB) *DB {
@@ -47,50 +52,70 @@ func restoredCopy(t *testing.T, db *DB) *DB {
 	return restored
 }
 
+// checkRows asserts that segments [0, n) have a row exactly when gone
+// does not name them, and a decided one exactly when they are decided too.
+func checkRows(t *testing.T, db *DB, n int, gone, decided func(i int) bool) {
+	t.Helper()
+	wantDecided, wantSourced := 0, 0
+	for i := 0; i < n; i++ {
+		_, has := db.Fingerprint(evictSeg(i))
+		if has == gone(i) {
+			t.Errorf("segment %d: row present = %v, want %v", i, has, !gone(i))
+		}
+		sources, ok := db.Decision(evictSeg(i), evictFP(i).Hashes())
+		if want := !gone(i) && decided(i); ok != want {
+			t.Errorf("segment %d: decided = %v, want %v", i, ok, want)
+		} else if ok && !slices.Equal(sources, evictDecision(i).Sources) {
+			t.Errorf("segment %d: decision sources %v, want %v", i, sources, evictDecision(i).Sources)
+		}
+		if !gone(i) && decided(i) {
+			wantDecided++
+			if len(evictDecision(i).Sources) > 0 {
+				wantSourced++
+			}
+		}
+	}
+	if d, s := db.Decisions(); d != wantDecided || s != wantSourced {
+		t.Errorf("Decisions() = %d, %d with sources; want %d, %d", d, s, wantDecided, wantSourced)
+	}
+}
+
 func TestExpireBeforeEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 	for _, layout := range []string{"head", "compacted", "split", "restored"} {
 		t.Run(layout, func(t *testing.T) {
 			db := New(nil, 0.5)
 			const old, young = 8, 8
 			for i := 0; i < old; i++ {
-				db.Update(evictSeg(i), evictFP(i))
+				decide(db, i)
 			}
 			if layout != "head" {
 				db.Compact() // old segments' postings now live in the runs
 			}
 			cutoff := db.Now() + 1
 			for i := old; i < old+young; i++ {
-				db.Update(evictSeg(i), evictFP(i))
+				decide(db, i)
 			}
 			switch layout {
 			case "compacted":
 				db.Compact() // everything merged; "split" keeps young in heads
 			case "restored":
 				db = restoredCopy(t, db)
-			}
-
-			rec := evictRecorder{}
-			db.SetEvictHook(rec.hook)
-			db.ExpireBefore(cutoff)
-
-			for i := 0; i < old; i++ {
-				if n := rec[evictSeg(i)]; n != 1 {
-					t.Errorf("expired segment %d notified %d times, want exactly 1", i, n)
-				}
-			}
-			for i := old; i < old+young; i++ {
-				if n := rec[evictSeg(i)]; n != 0 {
-					t.Errorf("surviving segment %d notified %d times, want 0", i, n)
+				// No decision survives a restore; make the young ones again.
+				none := func(int) bool { return false }
+				checkRows(t, db, old+young, none, none)
+				for i := old; i < old+young; i++ {
+					decide(db, i)
 				}
 			}
 
-			// A second expiry at the same cutoff has nothing left to evict:
-			// the hook must stay silent.
-			before := len(rec)
 			db.ExpireBefore(cutoff)
-			if len(rec) != before {
-				t.Errorf("idempotent re-expiry fired the hook: %v", rec)
-			}
+			expired := func(i int) bool { return i < old }
+			all := func(int) bool { return true }
+			checkRows(t, db, old+young, expired, all)
+
+			// A second expiry at the same cutoff has nothing left to drop.
+			db.ExpireBefore(cutoff)
+			checkRows(t, db, old+young, expired, all)
 			checkInvariants(t, db)
 		})
 	}
@@ -100,43 +125,41 @@ func TestRemoveSegmentEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 	for _, layout := range []string{"head", "compacted", "restored"} {
 		compacted := layout == "compacted"
 		t.Run(layout, func(t *testing.T) {
+			const n = 6
 			db := New(nil, 0.5)
-			for i := 0; i < 6; i++ {
-				db.Update(evictSeg(i), evictFP(i))
+			for i := 0; i < n; i++ {
+				decide(db, i)
 			}
 			if compacted {
 				db.Compact()
 			}
 			if layout == "restored" {
 				db = restoredCopy(t, db)
+				for i := 0; i < n; i++ {
+					decide(db, i)
+				}
 			}
-			rec := evictRecorder{}
-			db.SetEvictHook(rec.hook)
+			all := func(int) bool { return true }
 
-			db.RemoveSegment(evictSeg(2))
-			if n := rec[evictSeg(2)]; n != 1 {
-				t.Fatalf("removed segment notified %d times, want exactly 1", n)
-			}
+			db.RemoveSegment(evictSeg(3))
+			removed := func(i int) bool { return i == 3 }
+			checkRows(t, db, n, removed, all)
 			// Removing a segment that is already gone, or never existed,
-			// must not notify.
-			db.RemoveSegment(evictSeg(2))
+			// drops nothing.
+			db.RemoveSegment(evictSeg(3))
 			db.RemoveSegment(segment.ID("wiki/never#p0"))
-			if n := rec[evictSeg(2)]; n != 1 {
-				t.Fatalf("re-removal re-notified: %d times", n)
-			}
-			if len(rec) != 1 {
-				t.Fatalf("unexpected notifications: %v", rec)
-			}
+			checkRows(t, db, n, removed, all)
 
-			// Re-adding and removing again is a fresh eviction event.
-			db.Update(evictSeg(2), evictFP(2))
+			// Re-added undecided, the row is back without a decision; decided
+			// again and removed again, both go once more.
+			db.Update(evictSeg(3), evictFP(3), nil)
+			checkRows(t, db, n, func(int) bool { return false }, func(i int) bool { return i != 3 })
+			decide(db, 3)
 			if compacted {
 				db.Compact()
 			}
-			db.RemoveSegment(evictSeg(2))
-			if n := rec[evictSeg(2)]; n != 2 {
-				t.Fatalf("re-added segment's removal notified %d times total, want 2", n)
-			}
+			db.RemoveSegment(evictSeg(3))
+			checkRows(t, db, n, removed, all)
 			checkInvariants(t, db)
 		})
 	}

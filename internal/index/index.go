@@ -4,7 +4,7 @@
 //   - DBhash: associations of fingerprint hashes to the segments that were
 //     observed to contain them, with first-seen timestamps, and
 //   - DBpar: the last fingerprint calculated for each segment, plus its
-//     disclosure threshold.
+//     disclosure threshold and the decision Algorithm 1 made for it.
 //
 // First-seen timestamps are logical sequence numbers from an internal
 // monotonic clock so that behaviour is deterministic; ordering semantics are
@@ -55,10 +55,10 @@
 // for their whole critical section so that a segment's DBpar entry and its
 // DBhash postings cannot interleave with a concurrent removal of the same
 // segment. Walks over every DBpar row (AppendSnapshot, ExpireBefore,
-// Segments, RecomputeDigests) hold every stripe, taken in ascending order
-// while no shard is held; AppendSnapshot then takes every shard ascending
-// for a consistent cut. Both are safe precisely because writers obey the
-// rules above.
+// Segments, Decisions, RecomputeDigests) hold every stripe, taken in
+// ascending order while no shard is held; AppendSnapshot then takes every
+// shard ascending for a consistent cut. Both are safe precisely because
+// writers obey the rules above.
 package index
 
 import (
@@ -137,31 +137,37 @@ type hashShard struct {
 }
 
 // segShard is one segment stripe: the lock over its segments' slots and
-// DBpar rows, and, by ref, the two rare facts kept beside the rows —
-// thresholds other than the default (rowOwnThreshold) and posted unions
-// that diverged from the fingerprint (rowApart); nil until first needed.
+// DBpar rows, and, by ref, the three rare facts kept beside the rows —
+// thresholds other than the default (rowOwnThreshold), posted unions
+// that diverged from the fingerprint (rowApart) and the sources of a
+// disclosing decision (rowSources); nil until first needed.
 type segShard struct {
 	mu    sync.RWMutex
 	own   map[uint32]float64
 	apart map[uint32][]uint32
+	srcs  map[uint32][]Source
 
 	// digest is the XOR-fold of parCode over the stripe's entries,
 	// maintained incrementally (see digest.go).
 	digest uint64
 }
 
-// parRow is one DBpar entry (a freed row is zero); code is its parCode
-// share of the stripe digest, kept so a change can XOR it out.
+// parRow is one DBpar entry (a freed row is zero).
 //
 // The posted union is every hash the entry's segment holds a posting of
 // since the entry was made (h ∈ posted ⟺ the posting exists), so Update
 // pays shard probes only for hashes never posted and RemoveSegment takes
 // every posting an earlier version left. It is hashes while the two are
 // equal, and otherwise lives in the stripe's apart map.
+//
+// rowDecided marks that the row holds the decision made for hashes (see
+// Decision); a decision that discloses nothing is that flag alone. The
+// row's parCode share of the stripe digest is not kept: a change
+// recomputes it to XOR it out.
 type parRow struct {
-	hashes        []uint32 // the current fingerprint's, ascending, immutable
-	updated, code uint64
-	ref, flags    uint32
+	hashes     []uint32 // the current fingerprint's, ascending, immutable
+	updated    uint64
+	ref, flags uint32
 }
 
 // parRow flags.
@@ -169,12 +175,32 @@ const (
 	rowLive         = 1 << iota // the row holds an entry
 	rowOwnThreshold             // the threshold is in the stripe's own map
 	rowApart                    // the posted union is in the stripe's apart map, not hashes
+	rowDecided                  // the decision made for hashes is held
+	rowSources                  // that decision's sources are in the stripe's srcs map
 )
 
-// EvictFunc observes segments dropped by RemoveSegment or ExpireBefore. It
-// is invoked synchronously after all DB locks are released, so the callback
-// may call back into the DB (e.g. to purge dependent caches).
-type EvictFunc func(segs []segment.ID)
+// Source is one origin segment from which significant information is being
+// disclosed. The JSON tags are the node↔router wire form (a resolved
+// observe's and a routed check's source list).
+type Source struct {
+	// Seg is the origin segment (paragraph or document).
+	Seg segment.ID `json:"seg"`
+
+	// Disclosure is D(src, target) in [0, 1] using the authoritative
+	// fingerprint of the source.
+	Disclosure float64 `json:"disclosure"`
+
+	// Threshold is the origin's disclosure threshold that was met.
+	Threshold float64 `json:"threshold"`
+}
+
+// Decision is what Algorithm 1 decided for one fingerprint of a segment:
+// the origins it discloses, nil when none. Update keeps it on the
+// segment's DBpar row beside that fingerprint, so it goes whenever the
+// row does or the fingerprint changes.
+type Decision struct {
+	Sources []Source
+}
 
 // DB is one fingerprint database (the paper instantiates one per tracking
 // granularity). It is safe for concurrent use.
@@ -223,9 +249,6 @@ type DB struct {
 
 	// compactMin tunes the inline merge policy; see SetCompactThreshold.
 	compactMin atomic.Int64
-
-	hookMu  sync.RWMutex
-	onEvict EvictFunc
 }
 
 // New returns an empty DB on the segment table tab (nil: a table of its
@@ -275,26 +298,6 @@ func normalizeShards(n int) int {
 // NumShards returns the lock-stripe count.
 func (db *DB) NumShards() int { return len(db.hashShards) }
 
-// SetEvictHook installs fn to be notified of segments dropped by
-// RemoveSegment and ExpireBefore. Passing nil clears the hook.
-func (db *DB) SetEvictHook(fn EvictFunc) {
-	db.hookMu.Lock()
-	db.onEvict = fn
-	db.hookMu.Unlock()
-}
-
-func (db *DB) notifyEvict(segs []segment.ID) {
-	if len(segs) == 0 {
-		return
-	}
-	db.hookMu.RLock()
-	fn := db.onEvict
-	db.hookMu.RUnlock()
-	if fn != nil {
-		fn(segs)
-	}
-}
-
 func (db *DB) hashShardIdx(h uint32) int {
 	return int(h >> db.hashShift) // shift of 32 (one shard) yields 0
 }
@@ -343,9 +346,10 @@ func (db *DB) dropRow(ss *segShard, row *parRow) {
 	slot := db.slots.At(row.ref)
 	i := *slot - 1
 	*slot = 0
+	ss.digest ^= db.rowCode(ss, segDigestKey(string(db.tab.ID(row.ref))), row)
 	delete(ss.own, row.ref)
 	delete(ss.apart, row.ref)
-	ss.digest ^= row.code
+	delete(ss.srcs, row.ref)
 	db.parHashes.Add(int64(-len(row.hashes)))
 	*row = parRow{}
 	db.segments.Add(-1)
@@ -396,11 +400,27 @@ func (ss *segShard) setPosted(row *parRow, posted []uint32) {
 	}
 }
 
-// refreshCode re-derives row's digest contribution after a change.
-func (db *DB) refreshCode(ss *segShard, seg segment.ID, row *parRow) {
-	ss.digest ^= row.code
-	row.code = parCode(segDigestKey(string(seg)), db.thresholdOf(ss, row), row.updated, row.hashes)
-	ss.digest ^= row.code
+// setDecision keeps d on row, made for its hashes; nil leaves it undecided.
+func (ss *segShard) setDecision(row *parRow, d *Decision) {
+	delete(ss.srcs, row.ref)
+	row.flags &^= rowDecided | rowSources
+	switch {
+	case d == nil:
+		return
+	case len(d.Sources) > 0:
+		if ss.srcs == nil {
+			ss.srcs = make(map[uint32][]Source)
+		}
+		ss.srcs[row.ref] = d.Sources
+		row.flags |= rowSources
+	}
+	row.flags |= rowDecided
+}
+
+// rowCode is row's parCode share of its stripe's digest, segKey its
+// segment's digest key. A change XORs it out before and in after.
+func (db *DB) rowCode(ss *segShard, segKey uint64, row *parRow) uint64 {
+	return parCode(segKey, db.thresholdOf(ss, row), row.updated, row.hashes)
 }
 
 // lockStripes takes every segment stripe in ascending order, for writing
@@ -448,14 +468,20 @@ func (db *DB) DefaultThreshold() float64 { return db.defaultThreshold }
 // edit that oscillates within previously seen text touches no hash shard
 // at all — the §4.3 "incremental fashion" on the index side.
 //
+// d is the decision made for fp, which the row keeps until the next Update
+// or its removal (nil: none, and a decision held is dropped); Update
+// retains d.Sources, which the caller must not modify afterwards. The
+// fingerprint and its decision land under one stripe write, so Decision
+// never answers for a fingerprint the row does not hold.
+//
 // An Update whose hash set is identical to the segment's current
-// fingerprint is a no-op: it neither ticks the logical clock nor
-// refreshes the recency stamp. This matches the decision-cache fast path
-// (a cache hit never reaches Update at all), so the index's evolution is
-// a deterministic function of the observation stream — WAL replay after
-// a crash reconstructs it byte-for-byte even though the in-memory cache
-// restarts cold.
-func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
+// fingerprint changes nothing else: it neither ticks the logical clock
+// nor refreshes the recency stamp. This matches the decided fast path (a
+// hit never reaches Update at all), so the index's evolution is a
+// deterministic function of the observation stream — WAL replay after a
+// crash reconstructs it byte-for-byte even though no decision survives
+// the restart.
+func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint, d *Decision) uint64 {
 	hs := fp.Hashes()
 	ss := db.segShardFor(seg)
 	ss.mu.Lock()
@@ -463,11 +489,15 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
 	ref := db.tab.Intern(seg)
 	row := db.rowOf(ref)
 	if row != nil && slices.Equal(row.hashes, hs) {
+		ss.setDecision(row, d)
 		return row.updated
 	}
 	now := db.clock.Add(1)
+	segKey := segDigestKey(string(seg))
 	if row == nil {
 		row = db.addRow(ref)
+	} else {
+		ss.digest ^= db.rowCode(ss, segKey, row)
 	}
 	if born := db.born.Make(ref); *born == 0 {
 		*born = now
@@ -476,7 +506,7 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
 	// Insert postings while still holding the segment stripe so that a
 	// concurrent RemoveSegment(seg) cannot interleave between the DBpar
 	// write and the DBhash writes (which would leak postings).
-	w := postingWriter{ref: ref, segKey: segDigestKey(string(seg)), seq: now}
+	w := postingWriter{ref: ref, segKey: segKey, seq: now}
 	posted := ss.postedOf(row)
 	switch {
 	case len(posted) == 0:
@@ -487,8 +517,42 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
 	}
 	row.hashes, row.updated = hs, now
 	ss.setPosted(row, posted)
-	db.refreshCode(ss, seg, row)
+	ss.setDecision(row, d)
+	ss.digest ^= db.rowCode(ss, segKey, row)
 	return now
+}
+
+// Decision returns the sources of the decision seg's row holds, an owned
+// copy (nil when it discloses nothing), if the row is decided and its
+// fingerprint is exactly hs (ascending). Anything else is a miss: no row,
+// no decision, or a decision made for another fingerprint.
+func (db *DB) Decision(seg segment.ID, hs []uint32) (sources []Source, ok bool) {
+	ss := db.segShardFor(seg)
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	_, row := db.lookupRow(seg)
+	if row == nil || row.flags&rowDecided == 0 || !slices.Equal(row.hashes, hs) {
+		return nil, false
+	}
+	if row.flags&rowSources != 0 {
+		sources = slices.Clone(ss.srcs[row.ref])
+	}
+	return sources, true
+}
+
+// Decisions counts the rows holding a decision, and those whose decision
+// has sources (the stripes' srcs entries).
+func (db *DB) Decisions() (decided, sourced int) {
+	defer db.lockStripes(false)()
+	db.eachRow(func(row *parRow) {
+		if row.flags&rowDecided != 0 {
+			decided++
+		}
+		if row.flags&rowSources != 0 {
+			sourced++
+		}
+	})
+	return decided, sourced
 }
 
 // countMissing returns |hs \ posted| for two ascending slices — a pure
@@ -659,12 +723,15 @@ func (db *DB) SetThreshold(seg segment.ID, t float64) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ref := db.tab.Intern(seg)
+	segKey := segDigestKey(string(seg))
 	row := db.rowOf(ref)
 	if row == nil {
 		row = db.addRow(ref)
+	} else {
+		ss.digest ^= db.rowCode(ss, segKey, row)
 	}
 	db.setThreshold(ss, row, t)
-	db.refreshCode(ss, seg, row)
+	ss.digest ^= db.rowCode(ss, segKey, row)
 }
 
 // Threshold returns seg's disclosure threshold, or the default if seg is
@@ -883,9 +950,9 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 	return overlap, srcLen
 }
 
-// RemoveSegment deletes seg's fingerprint and all its postings, those of
-// its earlier versions too. Subsequent oldest-holder queries may promote
-// younger segments to authoritative.
+// RemoveSegment deletes seg's fingerprint, its decision and all its
+// postings, those of its earlier versions too. Subsequent oldest-holder
+// queries may promote younger segments to authoritative.
 func (db *DB) RemoveSegment(seg segment.ID) {
 	ss := db.segShardFor(seg)
 	ss.mu.Lock()
@@ -897,13 +964,13 @@ func (db *DB) RemoveSegment(seg segment.ID) {
 	db.removePostings(ref, seg, ss.postedOf(row))
 	db.dropRow(ss, row)
 	ss.mu.Unlock()
-	db.notifyEvict([]segment.ID{seg})
 }
 
 // ExpireBefore removes postings whose first observation is older than the
-// given logical time, and drops segments whose last update is older. This
-// implements the periodic removal of old fingerprints recommended in §4.4.
-// It returns the number of postings removed.
+// given logical time, and drops segments whose last update is older (their
+// decisions with them). This implements the periodic removal of old
+// fingerprints recommended in §4.4. It returns the number of postings
+// removed.
 //
 // The pass over a shard is a merge that leaves the expired postings out, so
 // expiry both frees the postings and reclaims the tombstone space at once;
@@ -925,14 +992,11 @@ func (db *DB) ExpireBefore(seq uint64) int {
 		sh.mu.Unlock()
 	}
 
-	var evicted []segment.ID
 	unlock := db.lockStripes(true)
 	db.eachRow(func(row *parRow) {
-		seg := db.tab.ID(row.ref)
-		ss := db.segShardFor(seg)
+		ss := db.segShardFor(db.tab.ID(row.ref))
 		if row.updated < seq {
 			db.dropRow(ss, row)
-			evicted = append(evicted, seg)
 		} else if removed > 0 {
 			// Expired postings may belong to surviving segments: keep the
 			// part of the union whose postings survived.
@@ -940,7 +1004,6 @@ func (db *DB) ExpireBefore(seq uint64) int {
 		}
 	})
 	unlock()
-	db.notifyEvict(evicted)
 	return removed
 }
 
@@ -997,12 +1060,14 @@ func (db *DB) Stats() Stats {
 	// is at (60–75 %; the few hashes with several head holders add an
 	// overflow bucket, not modelled). DBpar holds each hash once, in the
 	// fingerprint (4 B — the posted union aliases it); a segment costs
-	// ≈ 82 B: its 48-byte DBpar row, 4-byte slot and 8-byte born stamp,
-	// and its segment table entry — a 16-byte ID header and a 4-byte index
-	// slot at 60–75 % fill, ≈ 6 B — shared with the table's other owners.
+	// ≈ 74 B: its 40-byte DBpar row (its decision included: a flag, and a
+	// side-map entry only for the rare decision with sources), 4-byte slot
+	// and 8-byte born stamp, and its segment table entry — a 16-byte ID
+	// header and a 4-byte index slot at 60–75 % fill, ≈ 6 B — shared with
+	// the table's other owners.
 	// TestApproxBytesTracksHeap pins the sum to measured heap growth.
 	s.ApproxBytes = db.runBytes.Load() + db.headRows.Load()*12 +
 		db.parHashes.Load()*4 +
-		int64(s.Segments)*82
+		int64(s.Segments)*74
 	return s
 }

@@ -15,8 +15,8 @@ func fp(hashes ...uint32) *fingerprint.Fingerprint {
 
 func TestUpdateAndLookup(t *testing.T) {
 	db := New(nil, 0.5)
-	seqA := db.Update("doc#p0", fp(1, 2, 3))
-	seqB := db.Update("doc#p1", fp(3, 4))
+	seqA := db.Update("doc#p0", fp(1, 2, 3), nil)
+	seqB := db.Update("doc#p1", fp(3, 4), nil)
 	if seqA >= seqB {
 		t.Errorf("clock not monotone: %d >= %d", seqA, seqB)
 	}
@@ -31,8 +31,8 @@ func TestUpdateAndLookup(t *testing.T) {
 
 func TestOldestHolder(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("a", fp(10, 11))
-	db.Update("b", fp(10, 12))
+	db.Update("a", fp(10, 11), nil)
+	db.Update("b", fp(10, 12), nil)
 	holder, ok := db.OldestHolder(10)
 	if !ok || holder != "a" {
 		t.Errorf("OldestHolder(10)=%q,%v, want a,true", holder, ok)
@@ -48,10 +48,10 @@ func TestOldestHolder(t *testing.T) {
 
 func TestFirstSeenSurvivesReupdate(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("a", fp(10))
-	db.Update("b", fp(10))
+	db.Update("a", fp(10), nil)
+	db.Update("b", fp(10), nil)
 	// Re-updating a does not lose or refresh its first-seen ordering.
-	db.Update("a", fp(10, 20))
+	db.Update("a", fp(10, 20), nil)
 	if holder, _ := db.OldestHolder(10); holder != "a" {
 		t.Errorf("OldestHolder(10)=%q after re-update, want a", holder)
 	}
@@ -62,9 +62,9 @@ func TestFirstSeenSurvivesReupdate(t *testing.T) {
 
 func TestHoldersOrder(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("x", fp(7))
-	db.Update("y", fp(7))
-	db.Update("z", fp(7))
+	db.Update("x", fp(7), nil)
+	db.Update("y", fp(7), nil)
+	db.Update("z", fp(7), nil)
 	got := db.Holders(7)
 	want := []segment.ID{"x", "y", "z"}
 	if len(got) != len(want) {
@@ -82,7 +82,7 @@ func TestThresholds(t *testing.T) {
 	if got := db.Threshold("unknown"); got != 0.5 {
 		t.Errorf("default threshold=%v, want 0.5", got)
 	}
-	db.Update("a", fp(1))
+	db.Update("a", fp(1), nil)
 	db.SetThreshold("a", 0.8)
 	if got := db.Threshold("a"); got != 0.8 {
 		t.Errorf("threshold(a)=%v, want 0.8", got)
@@ -96,8 +96,8 @@ func TestThresholds(t *testing.T) {
 
 func TestAuthoritativeCount(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("a", fp(1, 2, 3))
-	db.Update("b", fp(2, 3, 4)) // b is authoritative only for 4
+	db.Update("a", fp(1, 2, 3), nil)
+	db.Update("b", fp(2, 3, 4), nil) // b is authoritative only for 4
 	if got := db.AuthoritativeCount("a"); got != 3 {
 		t.Errorf("AuthoritativeCount(a)=%d, want 3", got)
 	}
@@ -115,8 +115,8 @@ func TestAuthoritativeOverlap(t *testing.T) {
 	// in A). C = {1,2} overlaps A fully but B only via non-authoritative
 	// hashes.
 	db := New(nil, 0.5)
-	db.Update("A", fp(1, 2))
-	db.Update("B", fp(1, 2, 3))
+	db.Update("A", fp(1, 2), nil)
+	db.Update("B", fp(1, 2, 3), nil)
 	c := fp(1, 2)
 	overlapA, lenA := db.AuthoritativeOverlap("A", c)
 	if overlapA != 2 || lenA != 2 {
@@ -130,8 +130,8 @@ func TestAuthoritativeOverlap(t *testing.T) {
 
 func TestRemoveSegmentPromotesYounger(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("old", fp(5))
-	db.Update("young", fp(5))
+	db.Update("old", fp(5), nil)
+	db.Update("young", fp(5), nil)
 	db.RemoveSegment("old")
 	if holder, ok := db.OldestHolder(5); !ok || holder != "young" {
 		t.Errorf("after removal OldestHolder(5)=%q,%v, want young,true", holder, ok)
@@ -145,7 +145,7 @@ func TestRemoveSegmentPromotesYounger(t *testing.T) {
 
 func TestRemoveSegmentDropsEmptyHashEntries(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("only", fp(42))
+	db.Update("only", fp(42), nil)
 	db.RemoveSegment("only")
 	if _, ok := db.OldestHolder(42); ok {
 		t.Error("hash entry should be gone after last holder removed")
@@ -157,8 +157,8 @@ func TestRemoveSegmentDropsEmptyHashEntries(t *testing.T) {
 
 func TestExpireBefore(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("a", fp(1))            // seq 1
-	seqB := db.Update("b", fp(1, 2)) // seq 2
+	db.Update("a", fp(1), nil)            // seq 1
+	seqB := db.Update("b", fp(1, 2), nil) // seq 2
 	removed := db.ExpireBefore(seqB)
 	if removed != 1 {
 		t.Errorf("removed=%d, want 1 (a's posting for hash 1)", removed)
@@ -176,8 +176,8 @@ func TestExpireBefore(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("a", fp(1, 2))
-	db.Update("b", fp(2, 3))
+	db.Update("a", fp(1, 2), nil)
+	db.Update("b", fp(2, 3), nil)
 	s := db.Stats()
 	if s.Segments != 2 {
 		t.Errorf("Segments=%d, want 2", s.Segments)
@@ -192,9 +192,9 @@ func TestStats(t *testing.T) {
 
 func TestSegmentsSorted(t *testing.T) {
 	db := New(nil, 0.5)
-	db.Update("zz", fp(1))
-	db.Update("aa", fp(2))
-	db.Update("mm", fp(3))
+	db.Update("zz", fp(1), nil)
+	db.Update("aa", fp(2), nil)
+	db.Update("mm", fp(3), nil)
 	got := db.Segments()
 	want := []segment.ID{"aa", "mm", "zz"}
 	for i := range want {
@@ -213,7 +213,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				seg := segment.ID(fmt.Sprintf("w%d/p%d", worker, j%10))
-				db.Update(seg, fp(uint32(j), uint32(j+1), uint32(worker*1000+j)))
+				db.Update(seg, fp(uint32(j), uint32(j+1), uint32(worker*1000+j)), nil)
 				db.OldestHolder(uint32(j))
 				db.AuthoritativeOverlap(seg, fp(uint32(j)))
 				db.Stats()
@@ -235,7 +235,7 @@ func BenchmarkUpdate(b *testing.B) {
 	f := fingerprint.FromHashes(hashes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.Update(segment.ID(fmt.Sprintf("s%d", i%1000)), f)
+		db.Update(segment.ID(fmt.Sprintf("s%d", i%1000)), f, nil)
 	}
 }
 
@@ -246,7 +246,7 @@ func BenchmarkAuthoritativeOverlap(b *testing.B) {
 		for i := range hashes {
 			hashes[i] = uint32((s*37 + i) * 2654435761)
 		}
-		db.Update(segment.ID(fmt.Sprintf("s%d", s)), fingerprint.FromHashes(hashes))
+		db.Update(segment.ID(fmt.Sprintf("s%d", s)), fingerprint.FromHashes(hashes), nil)
 	}
 	target := fingerprint.FromHashes([]uint32{2654435761, 1013904223})
 	b.ResetTimer()

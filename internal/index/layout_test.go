@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/lsds/browserflow/internal/dataset"
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -36,7 +37,7 @@ func winnowedDB(tb testing.TB, n int) *DB {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		db.Update(segment.ID(fmt.Sprintf("wiki/book%d#p%d", i/50, i%50)), fp)
+		db.Update(segment.ID(fmt.Sprintf("wiki/book%d#p%d", i/50, i%50)), fp, nil)
 	}
 	return db
 }
@@ -116,12 +117,12 @@ func TestSeqRangeAcrossClockFloor(t *testing.T) {
 				db.Compact()
 			}
 		}
-		db.Update("old", fingerprint.FromHashes([]uint32{0x10, 0x11, 0x12}))
+		db.Update("old", fingerprint.FromHashes([]uint32{0x10, 0x11, 0x12}), nil)
 		tick()
 		db.SetClockFloor(jump)
-		db.Update("new", fingerprint.FromHashes([]uint32{0x11, 0x12, 0x13}))
+		db.Update("new", fingerprint.FromHashes([]uint32{0x11, 0x12, 0x13}), nil)
 		tick()
-		db.Update("newer", fingerprint.FromHashes([]uint32{0x12, 0x14}))
+		db.Update("newer", fingerprint.FromHashes([]uint32{0x12, 0x14}), nil)
 		return db
 	}
 	twin := build(false)
@@ -205,5 +206,15 @@ func TestHeadInsertAllocatesNoObjectPerHash(t *testing.T) {
 	t.Logf("%.1f allocations per %d novel hashes", allocs, novel)
 	if allocs > novel/20 {
 		t.Errorf("inserting %d novel hashes allocates %.1f objects, want table growth only", novel, allocs)
+	}
+}
+
+// TestDBparRowSize pins a DBpar row at 40 bytes: the fingerprint's slice
+// header, the stamp, the ref and the flags. A decision is a flag on it and
+// its digest share is recomputed, so neither costs a field — at a row per
+// segment, every field is ≈ 0.3 B per hash of a corpus.
+func TestDBparRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(parRow{}); got != 40 {
+		t.Errorf("a DBpar row is %d bytes, want 40", got)
 	}
 }

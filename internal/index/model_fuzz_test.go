@@ -15,11 +15,16 @@ import (
 // and 64 shards merging only when told to. After every operation each DB
 // must answer as the model does for every hash of the pool — hashes on
 // bucket and shard edges, and hashes that share a head-table probe chain
-// — and both must encode the same image. Seeds 5–7 remove a segment after
-// an edit — straight away, after an expiry took its first version's
-// postings, and after a restore rebuilt its posted union, late postings
-// included — and then post its first version's hashes again, which must
-// find no holder left. Seed 8 builds every one of spliceCases in turn.
+// — and both must encode the same image. An update carries a decision by
+// its operation byte (0: one that discloses nothing, 1: one with sources,
+// 2: none), and after every operation each entry must hold exactly the
+// model's decision. Seeds 5–7 remove a segment after an edit — straight
+// away, after an expiry took its first version's postings, and after a
+// restore rebuilt its posted union, late postings included — and then post
+// its first version's hashes again, which must find no holder left. Seed 8
+// builds every one of spliceCases in turn. Seeds 9–13 each clear a
+// decision one way: an undecided update with a new fingerprint, one with
+// the same fingerprint, a removal, an expiry and a restore.
 func FuzzIndexModel(f *testing.F) {
 	for _, seed := range modelSeeds {
 		f.Add(seed)
@@ -38,6 +43,18 @@ var modelSeeds = [][]byte{
 	{0, 0, 2, 1, 2, 4, 0, 2, 6, 7, 3, 0, 0, 2, 3, 4, 8, 3, 0, 0, 1, 4, 1, 2, 6, 7, 8, 3, 1},
 	{0, 0, 4, 1, 2, 12, 4, 0, 1, 2, 1, 4, 7, 0, 2, 4, 1, 2, 3, 5, 7, 4, 0, 2, 15, 17, 0, 7, 0, 3, 1, 14, 5, 1, 4, 0, 1, 16, 0, 7,
 		5, 3, 4, 0, 1, 13, 0, 7, 0, 4, 1, 0, 7, 3, 1, 7},
+	{1, 0, 2, 1, 2, 2, 0, 2, 3, 4},
+	{1, 0, 2, 1, 2, 2, 0, 2, 1, 2},
+	{1, 0, 2, 1, 2, 3, 0},
+	{1, 0, 2, 1, 2, 0, 1, 2, 3, 4, 6, 1},
+	{1, 0, 2, 1, 2, 0, 1, 1, 3, 8},
+}
+
+// modelDecisions are the decisions an update's operation byte carries.
+var modelDecisions = [3]*Decision{
+	{},
+	{Sources: []Source{{Seg: "origin#p0", Disclosure: 0.75, Threshold: 0.5}}},
+	nil,
 }
 
 // replayModel decodes data into an operation stream, applies it to the
@@ -72,8 +89,8 @@ func replayModel(t *testing.T, data []byte) *modelRig {
 		switch op := next() % 9; op {
 		case 0, 1, 2:
 			s, hs := seg(), hashes()
-			rig.update(s, hs)
-			name = "update " + string(s)
+			rig.update(s, hs, modelDecisions[op])
+			name = fmt.Sprintf("update %s (decision %d)", s, op)
 		case 3:
 			s := seg()
 			rig.remove(s)

@@ -28,10 +28,13 @@ type refPosting struct {
 
 // refSeg is a segment's DBpar entry in the reference model; posted is its
 // posted union, every hash it holds a posting of since the entry was made
-// (postings made by post aside), ascending.
+// (postings made by post aside), ascending; decided marks that it holds
+// the decision made for hashes, whose sources are sources.
 type refSeg struct {
 	hashes, posted []uint32
 	updated        uint64
+	decided        bool
+	sources        []Source
 }
 
 // refModel is the reference: every live posting by hash, oldest first
@@ -46,11 +49,18 @@ func newRefModel() *refModel {
 	return &refModel{postings: map[uint32][]refPosting{}, segs: map[segment.ID]refSeg{}}
 }
 
-// update is DB.Update: an unchanged fingerprint is a no-op, a new one
-// ticks the clock and posts every hash seg does not hold yet. It returns
-// the stamp Update must return.
-func (m *refModel) update(seg segment.ID, hs []uint32) uint64 {
+// update is DB.Update: the entry's decision becomes d (nil: none), an
+// unchanged fingerprint changes nothing else, a new one ticks the clock
+// and posts every hash seg does not hold yet. It returns the stamp Update
+// must return.
+func (m *refModel) update(seg segment.ID, hs []uint32, d *Decision) uint64 {
+	decided, sources := d != nil, []Source(nil)
+	if decided {
+		sources = d.Sources
+	}
 	if s, ok := m.segs[seg]; ok && slices.Equal(s.hashes, hs) {
+		s.decided, s.sources = decided, sources
+		m.segs[seg] = s
 		return s.updated
 	}
 	m.clock++
@@ -61,7 +71,7 @@ func (m *refModel) update(seg segment.ID, hs []uint32) uint64 {
 		slices.Sort(posted)
 		posted = slices.Compact(posted)
 	}
-	m.segs[seg] = refSeg{hashes: hs, posted: posted, updated: m.clock}
+	m.segs[seg] = refSeg{hashes: hs, posted: posted, updated: m.clock, decided: decided, sources: sources}
 	return m.clock
 }
 
@@ -110,10 +120,12 @@ func (m *refModel) expire(cut uint64) {
 	}
 }
 
-// restore is what a snapshot restore makes of the unions: each entry's is
-// every hash its segment holds a posting of, post's included.
+// restore is what a snapshot restore makes of the entries: each one's
+// union is every hash its segment holds a posting of, post's included, and
+// no decision survives (an image holds none).
 func (m *refModel) restore() {
 	for seg, s := range m.segs {
+		s.decided, s.sources = false, nil
 		s.posted = nil
 		for h := range m.postings {
 			if m.holds(seg, h) {
@@ -177,11 +189,11 @@ func (rig *modelRig) newDB(i int) *DB {
 	return db
 }
 
-func (rig *modelRig) update(seg segment.ID, hs []uint32) {
+func (rig *modelRig) update(seg segment.ID, hs []uint32, d *Decision) {
 	rig.t.Helper()
-	want := rig.m.update(seg, hs)
+	want := rig.m.update(seg, hs, d)
 	for i, db := range rig.dbs {
-		if got := db.Update(seg, fingerprint.FromHashes(hs)); got != want {
+		if got := db.Update(seg, fingerprint.FromHashes(hs), d); got != want {
 			rig.t.Fatalf("update %s on db %d: stamp %d, want %d", seg, i, got, want)
 		}
 	}
@@ -426,6 +438,7 @@ func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []
 	if st := db.Stats(); st.DistinctHashes != len(m.postings) || st.Segments != len(m.segs) {
 		t.Fatalf("%s: %d hashes in %d segments, want %d in %d", step, st.DistinctHashes, st.Segments, len(m.postings), len(m.segs))
 	}
+	decided, sourced := 0, 0
 	for seg, s := range m.segs {
 		ss := db.segShardFor(seg)
 		ss.mu.RLock()
@@ -435,6 +448,26 @@ func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []
 		if !slices.Equal(posted, s.posted) && len(posted)+len(s.posted) > 0 {
 			t.Fatalf("%s: posted union of %s = %#x, want %#x", step, seg, posted, s.posted)
 		}
+		// The decision answers the fingerprint the entry holds, and no
+		// other: not one that differs from it in a single hash.
+		sources, ok := db.Decision(seg, s.hashes)
+		if ok != s.decided || !slices.Equal(sources, s.sources) {
+			t.Fatalf("%s: decision of %s = %v (%v), want %v (%v)", step, seg, sources, ok, s.sources, s.decided)
+		}
+		if len(s.hashes) > 0 {
+			if _, ok := db.Decision(seg, s.hashes[1:]); ok {
+				t.Fatalf("%s: %s answers a decision for a fingerprint it does not hold", step, seg)
+			}
+		}
+		if s.decided {
+			decided++
+		}
+		if len(s.sources) > 0 {
+			sourced++
+		}
+	}
+	if d, s := db.Decisions(); d != decided || s != sourced {
+		t.Fatalf("%s: %d decided entries, %d with sources; want %d, %d", step, d, s, decided, sourced)
 	}
 	checkInvariants(t, db)
 }
@@ -553,7 +586,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					}
 					slices.Sort(hs)
 					hs = slices.Compact(hs)
-					rig.update(seg, hs)
+					rig.update(seg, hs, nil)
 					name = "edit " + string(seg)
 				case op < 14:
 					seg := segment.ID(fmt.Sprintf("doc%d#p%d", next/8, next%8))
@@ -565,7 +598,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					hs = append(hs, hot)
 					slices.Sort(hs)
 					hs = slices.Compact(hs)
-					rig.update(seg, hs)
+					rig.update(seg, hs, nil)
 					name = "update " + string(seg)
 				case op < 15:
 					gone, ok := rig.m.liveSeg(rng)
@@ -641,16 +674,16 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			for rig.m.postings[x] != nil || rig.m.postings[x+1] != nil {
 				x += 2
 			}
-			rig.update("widest/old#p0", []uint32{x})
+			rig.update("widest/old#p0", []uint32{x}, nil)
 			rig.floor(rig.m.clock + 1<<40)
-			rig.update("widest/old#p0", []uint32{x, x + 1})
+			rig.update("widest/old#p0", []uint32{x, x + 1}, nil)
 			// The successor is interned last, at the run's widest ref, and
 			// born 2^40 after old; a 2^20 jump later it posts x, so its
 			// spilled posting holds the run's widest code.
 			fillTable(tab, 1<<17-1)
-			rig.update("widest/succ#p0", []uint32{x + 2})
+			rig.update("widest/succ#p0", []uint32{x + 2}, nil)
 			rig.floor(rig.m.clock + 1<<20)
-			rig.update("widest/succ#p0", []uint32{x, x + 2})
+			rig.update("widest/succ#p0", []uint32{x, x + 2}, nil)
 			rig.compact()
 			rig.check("holder-relative fixtures built")
 			old, _ := tab.Lookup("widest/old#p0")
@@ -687,9 +720,9 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 
 			// A holder edited after its first postings: restored, its born
 			// stamp is its updated, so the older postings code negative.
-			rig.update("neg/held#p0", []uint32{x + 4})
-			rig.update("neg/other#p0", []uint32{x + 8})
-			rig.update("neg/held#p0", []uint32{x + 4, x + 6})
+			rig.update("neg/held#p0", []uint32{x + 4}, nil)
+			rig.update("neg/other#p0", []uint32{x + 8}, nil)
+			rig.update("neg/held#p0", []uint32{x + 4, x + 6}, nil)
 			rig.restore()
 			rig.check("edited holder restored")
 			held, _ := tab.Lookup("neg/held#p0")
@@ -740,7 +773,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	// The table's base is a stamp 2^40 up the clock.
 	rig.floor(1 << 40)
 	for i, h := range chain {
-		rig.update(seg(i), []uint32{h})
+		rig.update(seg(i), []uint32{h}, nil)
 		rig.check(fmt.Sprintf("chain hash %d", i))
 	}
 	for _, db := range rig.dbs {
@@ -776,7 +809,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 		for j, db := range rig.dbs {
 			rows[j] = len(db.hashShards[0].head.rows)
 		}
-		rig.update(segment.ID(fmt.Sprintf("fill#p%d", i)), fill[i:i+6])
+		rig.update(segment.ID(fmt.Sprintf("fill#p%d", i)), fill[i:i+6], nil)
 		if i%24 == 0 {
 			rig.floor(rig.m.clock + 1<<32) // stamps above the base by more than 32 bits
 		}

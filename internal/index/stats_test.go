@@ -53,13 +53,13 @@ func TestStatsCountersMaintained(t *testing.T) {
 				for j := 0; j < 16; j++ {
 					hs = append(hs, uint32(i*8+j)*0x9e3779b1)
 				}
-				seq := db.Update(segment.ID(fmt.Sprintf("doc#p%d", i)), fingerprint.FromHashes(hs))
+				seq := db.Update(segment.ID(fmt.Sprintf("doc#p%d", i)), fingerprint.FromHashes(hs), nil)
 				mids = append(mids, seq)
 				checkCounters(t, db, fmt.Sprintf("after update %d", i))
 			}
 			// Re-update an existing segment with a changed fingerprint: only
 			// the new hashes add postings.
-			db.Update("doc#p3", fingerprint.FromHashes([]uint32{1, 2, 3}))
+			db.Update("doc#p3", fingerprint.FromHashes([]uint32{1, 2, 3}), nil)
 			checkCounters(t, db, "after re-update")
 
 			db.SetThreshold("thresholds-only", 0.9)
@@ -95,7 +95,7 @@ func TestStatsLargeExact(t *testing.T) {
 		for j := range hs {
 			hs[j] = uint32(i*perSeg/2 + j) // 50% overlap with the previous segment
 		}
-		db.Update(segment.ID(fmt.Sprintf("s#%d", i)), fingerprint.FromHashes(hs))
+		db.Update(segment.ID(fmt.Sprintf("s#%d", i)), fingerprint.FromHashes(hs), nil)
 	}
 	s := db.Stats()
 	wantPostings := segs * perSeg
@@ -135,7 +135,7 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 		for i := range raw {
 			raw[i] = rng.Uint32()
 		}
-		db.Update(seg, fingerprint.FromHashes(raw))
+		db.Update(seg, fingerprint.FromHashes(raw), nil)
 	}
 	// A corpus-scale ingest leaves a mix of the two layouts.
 	for _, layout := range []string{"head", "compacted"} {

@@ -55,8 +55,8 @@ func TestConcurrentUpdateExpireInvariants(t *testing.T) {
 				// hash pool) and one churning (removed every few rounds).
 				stable := segment.ID(fmt.Sprintf("w%d/stable#p0", w))
 				churn := segment.ID(fmt.Sprintf("w%d/churn#p%d", w, g%3))
-				db.Update(stable, stressFP(w, g))
-				db.Update(churn, stressFP(w+workers, g))
+				db.Update(stable, stressFP(w, g), nil)
+				db.Update(churn, stressFP(w+workers, g), nil)
 				if g%7 == 3 {
 					db.RemoveSegment(churn)
 				}
@@ -287,7 +287,7 @@ func TestConcurrentExportImport(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for g := 0; g < 60; g++ {
-				db.Update(segment.ID(fmt.Sprintf("w%d#p%d", w, g%4)), stressFP(w, g))
+				db.Update(segment.ID(fmt.Sprintf("w%d#p%d", w, g%4)), stressFP(w, g), nil)
 			}
 		}(w)
 	}
@@ -365,7 +365,7 @@ func TestSnapshotBesideMaintenance(t *testing.T) {
 	db := New(nil, 0.5)
 	db.SetCompactThreshold(-1)
 	for i := 0; i < segs; i++ {
-		db.Update(id(i), fp(i))
+		db.Update(id(i), fp(i), nil)
 	}
 	next := segs
 	for round := 0; round < rounds; round++ {
@@ -381,7 +381,7 @@ func TestSnapshotBesideMaintenance(t *testing.T) {
 			name string
 			do   func(i int)
 		}{
-			{"Update", func(i int) { db.Update(id(next+i), fp(next+i)) }},
+			{"Update", func(i int) { db.Update(id(next+i), fp(next+i), nil) }},
 			{"RemoveSegment", func(i int) { db.RemoveSegment(id(next - segs/2 + i)) }},
 		} {
 			seen := map[logicalState]bool{stateOf(db): true}

@@ -25,9 +25,9 @@ const indexMinSlots = 16
 // range of keys, which the reduction alone would crowd into that share of
 // the slots. Everything else known about a segment is a row of some
 // owner's Column at its ref: one Table per disclosure.Tracker serves both
-// fingerprint databases, the decision cache and the TDM registry. Refs
-// stay in the process (stripes hash the ID, images name it). Its lock is
-// a leaf; the zero value is empty.
+// fingerprint databases (whose rows hold the cached decisions) and the TDM
+// registry. Refs stay in the process (stripes hash the ID, images name
+// it). Its lock is a leaf; the zero value is empty.
 type Table struct {
 	mu    sync.RWMutex
 	index []uint32 // made at the first Intern

@@ -332,10 +332,8 @@ func RestoreBytes(path string, data []byte, tracker *disclosure.Tracker, registr
 		return BinaryMeta{}, wrapCodecErr(path, docs, err)
 	}
 	// Commit: every owner of rows on the segment table is replaced, so the
-	// table starts over, the paragraph DB's image refs first. Every restore
-	// passes here, so this is also where the decisions cached against the
-	// replaced index are dropped, not in each caller.
-	tracker.ResetCache()
+	// table starts over, the paragraph DB's image refs first. The decisions
+	// made against the replaced index go with its rows.
 	tracker.Table().Reset()
 	tracker.Paragraphs().CommitSnapshot(parsPrep)
 	tracker.Documents().CommitSnapshot(docsPrep)

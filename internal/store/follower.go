@@ -108,8 +108,8 @@ func (d *Durable) Bootstrap(image []byte) (barrier uint64, err error) {
 	if err := SaveCheckpointBytes(d.fs, path, image, d.opts.Key); err != nil {
 		return 0, fmt.Errorf("store: save bootstrap checkpoint: %w", err)
 	}
-	// A fresh applier: the old one's decision cache describes the state
-	// the image just replaced.
+	// A fresh applier: the old one's pending audit amendments describe
+	// the state the image just replaced.
 	if d.applier, err = d.newApplier(); err != nil {
 		return 0, err
 	}

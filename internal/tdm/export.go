@@ -50,7 +50,18 @@ func (r *Registry) Export() ExportData {
 	}
 	sort.Slice(data.Services, func(i, j int) bool { return data.Services[i].Name < data.Services[j].Name })
 
-	for ref, n := uint32(0), uint32(r.tab.Len()); ref < n; ref++ {
+	// Sized by a first pass: a label record is 112 bytes, and growing the
+	// slice by doubling would allocate twice what it ends at.
+	n, labels := uint32(r.tab.Len()), 0
+	for ref := uint32(0); ref < n; ref++ {
+		if row := r.rows.At(ref); row != nil && row.label != nil {
+			labels++
+		}
+	}
+	if labels > 0 {
+		data.Labels = make([]LabelRecord, 0, labels)
+	}
+	for ref := uint32(0); ref < n; ref++ {
 		row := r.rows.At(ref)
 		if row == nil || row.label == nil {
 			continue

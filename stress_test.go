@@ -227,7 +227,7 @@ func TestSaveHeapAndLoadLayout(t *testing.T) {
 	ratio := float64(peak.Load()) / float64(steady)
 	t.Logf("%d hashes: steady heap %.1f MB, peak during Save %.1f MB (%.2fx)",
 		mw.Stats().DistinctHashes, float64(steady)/1e6, float64(peak.Load())/1e6, ratio)
-	if ratio > 2.6 { // 2.36–2.50 measured; 2.19–2.39 while heads merged at a quarter of their run, a larger steady heap under the same peak
+	if ratio > 2.6 { // 2.00–2.03 measured; 2.54–2.75 while the registry export grew its label slice by doubling, 2.36–2.50 before the DBpar row took the decision cache in (a larger steady heap under the same peak), 2.19–2.39 while heads merged at a quarter of their run
 		t.Errorf("peak heap during Save is %.2fx the steady state, want ≤ 2.6x", ratio)
 	}
 	info, err := os.Stat(path)
@@ -252,8 +252,8 @@ func TestSaveHeapAndLoadLayout(t *testing.T) {
 	got, want := loaded.Tracker().Paragraphs().Stats(), mw.Tracker().Paragraphs().Stats()
 	resident := float64(heapAlloc()-before) / float64(got.DistinctHashes)
 	t.Logf("resident after Load: %.1f B/hash", resident)
-	if resident > 15.0 { // 13.0 measured
-		t.Errorf("a loaded state retains %.1f B per distinct hash, want ≤ 15.0", resident)
+	if resident > 14.7 { // 12.7 measured, 12.9 while each DBpar row kept its digest share
+		t.Errorf("a loaded state retains %.1f B per distinct hash, want ≤ 14.7", resident)
 	}
 	if got.HeadPostings != 0 {
 		t.Errorf("%d of %d postings in the mutable head after Load, want 0", got.HeadPostings, got.Postings)
