@@ -2,12 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean
+.PHONY: all build vet test race check node-copies fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean
 
 all: build check
 
 # check is the gate, and runs each test once: static analysis and the
-# gofmt gate (vet); the full suite under the race detector, split in two
+# gofmt gate (vet); the guard against tests that assemble a node of their
+# own (node-copies); the full suite under the race detector, split in two
 # invocations only so the policy package's run also yields its coverage
 # profile (that suite holds the crash/corruption-injection recovery
 # properties, the replication, partition, overload and self-healing chaos
@@ -20,7 +21,7 @@ all: build check
 # vulnerability scan when govulncheck is installed; and the benchmark
 # module, which tier-1 does not build.
 POLICY_COVER ?= /tmp/policyfile.cover
-check: vet
+check: vet node-copies
 	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/policyfile$$')
 	$(MAKE) policy-floor
@@ -30,6 +31,21 @@ check: vet
 		./internal/policy ./internal/index ./internal/disclosure ./internal/wal .
 	$(MAKE) vuln
 	$(MAKE) bench-check
+
+# node-copies fails when a test outside internal/node, internal/store and
+# internal/replication assembles a node of its own: a _test.go file that
+# calls both OpenDurable( and NewServer(. Such a test exercises a wiring
+# that does not ship; it should open an internal/node Node instead. The
+# one exception is internal/tagserver/metrics_test.go, whose wiredNode
+# drives a wedged engine under a fake clock behind the node.prom golden,
+# which a Node cannot do before it has a clock seam.
+node-copies:
+	@copies=$$(grep -rl --include='*_test.go' 'OpenDurable(' . | xargs -r grep -l 'NewServer(' | \
+		grep -v -e '^./internal/node/' -e '^./internal/store/' -e '^./internal/replication/' \
+			-e '^./internal/tagserver/metrics_test.go$$'); \
+	if [ -n "$$copies" ]; then \
+		echo "node-copies: tests assembling their own node (open an internal/node Node):"; echo "$$copies"; exit 1; \
+	fi
 
 # bench-check vets, tests and builds the benchmark (its own module, so
 # `go build ./...` never sees it): an API change that breaks it fails
@@ -103,7 +119,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -fuzz 'FuzzParsePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
 	$(GO) test -fuzz 'FuzzCompilePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
-	$(GO) test -fuzz 'FuzzServerRequests' -fuzztime $(FUZZTIME) ./internal/tagserver
+	$(GO) test -fuzz 'FuzzServerRequests' -fuzztime $(FUZZTIME) ./internal/node
 
 build:
 	$(GO) build ./...

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -12,13 +13,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/lsds/browserflow/internal/audit"
-	"github.com/lsds/browserflow/internal/disclosure"
-	"github.com/lsds/browserflow/internal/fingerprint"
-	"github.com/lsds/browserflow/internal/policy"
-	"github.com/lsds/browserflow/internal/segment"
+	"github.com/lsds/browserflow/internal/node"
 	"github.com/lsds/browserflow/internal/store"
-	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
@@ -27,35 +23,25 @@ import (
 func seedDurableDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	tracker, err := disclosure.NewTracker(disclosure.Params{
-		Fingerprint: fingerprint.Config{NGram: 6, Window: 3},
-		Tpar:        0.3, Tdoc: 0.3,
-	})
+	policyPath := filepath.Join(t.TempDir(), "policy.json")
+	if err := os.WriteFile(policyPath, []byte(`{"services":[{"name":"wiki","privilege":["tw"],"confidentiality":["tw"]}]}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	n, err := node.Open(node.Config{PolicyPath: policyPath, WALDir: dir, Fsync: "always"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
-	if err := registry.RegisterService("wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")); err != nil {
-		t.Fatal(err)
-	}
-	engine, err := policy.NewEngine(tracker, registry, policy.ModeAdvisory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	durable, err := store.OpenDurable(store.DurableOptions{Dir: dir, Fsync: wal.SyncAlways}, tracker, registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.SetJournal(durable)
-	observe := func(seg segment.ID, text string) {
-		t.Helper()
-		if _, err := engine.ObserveEdit(seg, "wiki", text); err != nil {
-			t.Fatal(err)
+	for _, body := range []string{
+		`{"service":"wiki","seg":"wiki/doc#p0","hashes":[1,2,3,4,5]}`,
+		`{"service":"wiki","seg":"wiki/doc#p1","hashes":[6,7,8,9,10]}`,
+	} {
+		rec := httptest.NewRecorder()
+		n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observe", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("observe: status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	observe("wiki/doc#p0", "the quarterly revenue forecast was revised downwards")
-	observe("wiki/doc#p1", "launch codes and rollout schedule for the atlas project")
-	if err := durable.Close(); err != nil { // Close checkpoints + truncates
+	if err := n.Close(context.Background()); err != nil { // Close checkpoints + truncates
 		t.Fatal(err)
 	}
 	// Close's checkpoint pruned every covered segment, so re-open the raw

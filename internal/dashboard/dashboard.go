@@ -130,7 +130,7 @@ table { border-collapse: collapse; }
 td, th { border: 1px solid #ccc; padding: 4px 10px; text-align: left; }
 nav a { margin-right: 1em; }
 </style></head><body>`)
-	sb.WriteString(`<nav><a href="/">overview</a><a href="/services">services</a><a href="/segments">segments</a><a href="/audit">audit</a></nav>`)
+	sb.WriteString(`<nav><a href="./">overview</a><a href="services">services</a><a href="segments">segments</a><a href="audit">audit</a></nav>`)
 	sb.WriteString("<h1>" + html.EscapeString(title) + "</h1>")
 }
 

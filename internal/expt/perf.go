@@ -219,7 +219,7 @@ func RunFigure13(scale Scale, params disclosure.Params, steps, probes int) (Fig1
 			// Probe pages always come from the first book so every step
 			// measures the same workload against a larger database.
 			book := books[0]
-			offset := (probe * 13) % maxInt(1, len(book.Paragraphs)-2)
+			offset := (probe * 13) % max(1, len(book.Paragraphs)-2)
 			text := book.Page(offset)
 			if len(text) > 500 {
 				text = text[:500]
@@ -251,11 +251,4 @@ func (r Fig13Result) Format() string {
 		fmt.Fprintf(&sb, "%9d  %9.1f  %9v\n", p.Hashes, p.ApproxMB, p.P95)
 	}
 	return sb.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

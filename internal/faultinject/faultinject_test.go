@@ -276,3 +276,27 @@ func TestStallDelaysBodyNotDelivery(t *testing.T) {
 		t.Errorf("body=%v, want intact payload after the stall", out)
 	}
 }
+
+// TestHostsServesByHost: a host's handler answers its requests as a server
+// would see them, through an Injector; an unknown host is refused like a
+// closed port.
+func TestHostsServesByHost(t *testing.T) {
+	hosts := NewHosts()
+	hosts.Handle("a:7000", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		io.WriteString(w, r.Host+" "+r.Method+" "+r.RequestURI+" "+string(body)) //nolint:errcheck
+	}))
+	client := &http.Client{Transport: New(hosts, 1)}
+	resp, err := client.Post("http://a:7000/v1/check?x=1", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "a:7000 POST /v1/check?x=1 {}"; string(got) != want || resp.StatusCode != http.StatusOK {
+		t.Errorf("served %d %q, want 200 %q", resp.StatusCode, got, want)
+	}
+	if _, err := client.Get("http://b/healthz"); !resilience.NotDelivered(err) {
+		t.Errorf("unknown host: %v, want a not-sent error", err)
+	}
+}

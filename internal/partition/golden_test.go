@@ -2,6 +2,7 @@ package partition_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,13 +10,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"github.com/lsds/browserflow/internal/audit"
-	"github.com/lsds/browserflow/internal/disclosure"
+	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/node"
 	"github.com/lsds/browserflow/internal/partition"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
@@ -101,106 +104,36 @@ func scripts() map[string][]op {
 	}
 }
 
-// newEngine builds the fixture engine: wiki and itool are confidential
+// writePolicy writes the fixture policy: wiki and itool are confidential
 // origins, docs and notes are public destinations.
-func newEngine(t testing.TB) *policy.Engine {
+func writePolicy(t testing.TB) string {
 	t.Helper()
-	tracker, err := disclosure.NewTracker(disclosure.Params{
-		Fingerprint: fingerprint.DefaultConfig(),
-		Tpar:        0.5,
-		Tdoc:        0.5,
-	})
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "policy.json")
+	policy := `{"mode":"enforcing","services":[{"name":"wiki","privilege":["tw"],"confidentiality":["tw"]},` +
+		`{"name":"itool","privilege":["ti"],"confidentiality":["ti"]},{"name":"docs"},{"name":"notes"}]}`
+	if err := os.WriteFile(path, []byte(policy), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
-	for _, svc := range []struct {
-		name   string
-		lp, lc tdm.TagSet
-	}{
-		{"wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")},
-		{"itool", tdm.NewTagSet("ti"), tdm.NewTagSet("ti")},
-		{"docs", tdm.NewTagSet(), tdm.NewTagSet()},
-		{"notes", tdm.NewTagSet(), tdm.NewTagSet()},
-	} {
-		if err := registry.RegisterService(svc.name, svc.lp, svc.lc); err != nil {
+	return path
+}
+
+// openNode opens a memory-only node on policy, as partition id of ring
+// when ring is set.
+func openNode(t testing.TB, policy string, ring *partition.Ring, id string) http.Handler {
+	t.Helper()
+	cfg := node.Config{PolicyPath: policy}
+	if ring != nil {
+		cfg.RingFile, cfg.PartitionID = filepath.Join(t.TempDir(), "ring"), id
+		if err := partition.SaveRingFile(cfg.RingFile, ring); err != nil {
 			t.Fatal(err)
 		}
 	}
-	engine, err := policy.NewEngine(tracker, registry, policy.ModeEnforcing)
+	n, err := node.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine
-}
-
-// testPartState is a minimal tagserver.PartitionState over a shared ring.
-type testPartState struct {
-	id      string
-	mu      sync.Mutex
-	ring    *partition.Ring
-	encoded []byte
-}
-
-func (ps *testPartState) set(t testing.TB, r *partition.Ring) {
-	t.Helper()
-	encoded, err := partition.EncodeRing(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps.mu.Lock()
-	ps.ring, ps.encoded = r, encoded
-	ps.mu.Unlock()
-}
-
-func (ps *testPartState) ID() string { return ps.id }
-
-func (ps *testPartState) RingVersion() uint64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.ring.Version
-}
-
-func (ps *testPartState) Owns(seg segment.ID) bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	p, ok := ps.ring.ByID(ps.id)
-	return ok && p.Contains(segment.Key(seg))
-}
-
-func (ps *testPartState) KeyRange() (uint32, uint32) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	p, _ := ps.ring.ByID(ps.id)
-	return p.Lo, p.Hi
-}
-
-func (ps *testPartState) Sole() bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.ring.Partitions) == 1
-}
-
-func (ps *testPartState) Resharding() bool { return false }
-
-func (ps *testPartState) RingBytes() []byte {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.encoded
-}
-
-func (ps *testPartState) SetRing(encoded []byte) (uint64, error) {
-	ring, err := partition.DecodeRing(encoded)
-	if err != nil {
-		return 0, err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ring.Version <= ps.ring.Version {
-		return 0, fmt.Errorf("ring v%d not newer than v%d", ring.Version, ps.ring.Version)
-	}
-	ps.ring, ps.encoded = ring, append([]byte(nil), encoded...)
-	return ring.Version, nil
+	t.Cleanup(func() { n.Close(context.Background()) }) //nolint:errcheck
+	return n.Handler()
 }
 
 // evenRing splits the keyspace into p equal inclusive ranges.
@@ -234,27 +167,22 @@ func startCluster(t *testing.T, p int) string {
 	return front.URL
 }
 
-// newClusterHandler brings up p partition nodes and returns the routing
-// tier's handler over them.
+// newClusterHandler brings up p partition nodes, reached over an
+// in-memory transport, and returns the routing tier's handler over them.
 func newClusterHandler(t testing.TB, p int) http.Handler {
 	t.Helper()
-	states := make([]*testPartState, p)
 	urls := make([]string, p)
-	for i := 0; i < p; i++ {
-		states[i] = &testPartState{id: fmt.Sprintf("p%d", i)}
-		server, err := tagserver.NewServer(newEngine(t), tagserver.WithPartition(states[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(server)
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://p%d", i)
 	}
-	ring := evenRing(t, urls)
-	for _, ps := range states {
-		ps.set(t, ring)
+	ring, policy, hosts := evenRing(t, urls), writePolicy(t), faultinject.NewHosts()
+	for _, part := range ring.Partitions {
+		hosts.Handle(part.ID, openNode(t, policy, ring, part.ID))
 	}
-	rt, err := partition.NewRouter(ring, partition.RouterOptions{FP: fingerprint.DefaultConfig()})
+	rt, err := partition.NewRouter(ring, partition.RouterOptions{
+		FP:            fingerprint.DefaultConfig(),
+		ClientOptions: []tagserver.ClientOption{tagserver.WithTransport(hosts)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +193,7 @@ func newClusterHandler(t testing.TB, p int) http.Handler {
 // startSingle brings up the single-node reference.
 func startSingle(t *testing.T) string {
 	t.Helper()
-	server, err := tagserver.NewServer(newEngine(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(server)
+	srv := httptest.NewServer(openNode(t, writePolicy(t), nil, ""))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }

@@ -584,19 +584,12 @@ func PruneCheckpoints(fs wal.FS, dir string, barrier uint64, keep int) error {
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] > segs[j] })
-	for _, seg := range segs[minInt(len(segs), keep):] {
+	for _, seg := range segs[min(len(segs), keep):] {
 		if err := fs.Remove(filepath.Join(dir, checkpointName(seg))); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // checkpointLoop is the background checkpointer.

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
-	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 )
@@ -217,59 +215,6 @@ func TestLoadTruncatedEncrypted(t *testing.T) {
 	if _, err := RestoreFile(wal.OSFS{}, path, DeriveKey("k"), tracker, registry); !errors.Is(err, ErrBadKey) {
 		t.Errorf("truncated ciphertext: err=%v, want ErrBadKey", err)
 	}
-}
-
-func TestJanitorSweep(t *testing.T) {
-	tracker, _ := buildState(t)
-	// Add more observations so the earliest fall out of retention.
-	for i := 0; i < 10; i++ {
-		text := secretText + string(rune('a'+i))
-		if _, err := tracker.ObserveParagraph(segment.ID(fmt.Sprintf("wiki/gen#p%d", i)), text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j := NewJanitor(tracker, time.Hour, 2)
-	defer j.Shutdown()
-	removed := j.Sweep()
-	if removed == 0 {
-		t.Error("sweep removed nothing despite retention window of 2")
-	}
-	if got, runs := j.Stats(); got != removed || runs != 1 {
-		t.Errorf("Stats=(%d,%d), want (%d,1)", got, runs, removed)
-	}
-	// Segments updated within retention survive.
-	if _, ok := tracker.Paragraphs().Fingerprint("wiki/gen#p9"); !ok {
-		t.Error("recent segment expired")
-	}
-}
-
-func TestJanitorBackgroundRuns(t *testing.T) {
-	tracker, _ := buildState(t)
-	for i := 0; i < 5; i++ {
-		if _, err := tracker.ObserveParagraph(segment.ID(fmt.Sprintf("wiki/bg#p%d", i)), secretText+string(rune('a'+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j := NewJanitor(tracker, 5*time.Millisecond, 1)
-	defer j.Shutdown()
-	deadline := time.After(2 * time.Second)
-	for {
-		if _, runs := j.Stats(); runs > 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("janitor never ran")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-func TestJanitorShutdownIdempotent(t *testing.T) {
-	tracker, _ := freshState(t)
-	j := NewJanitor(tracker, time.Hour, 1)
-	j.Shutdown()
-	j.Shutdown()
 }
 
 func containsSub(haystack, needle []byte) bool {

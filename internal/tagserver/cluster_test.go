@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -13,209 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/lsds/browserflow/internal/policy"
-	"github.com/lsds/browserflow/internal/replication"
-	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/tdm"
-	"github.com/lsds/browserflow/internal/wal"
 )
-
-// groupMember is one node of an in-process replication group.
-type groupMember struct {
-	url     string
-	durable *store.Durable
-	replica *replication.Replica // nil on the primary
-}
-
-// newGroup starts a primary and a standby the way bftagd mounts them: per
-// node an engine on a durable store, the replication service and the tag
-// API behind the role guard, on one URL. The standby has bootstrapped
-// from the primary and keeps streaming.
-func newGroup(t *testing.T) (primary, standby groupMember) {
-	newWorld := func() *traceWorld {
-		w := newTraceWorld(t)
-		if err := w.registry.RegisterService("pad", tdm.NewTagSet(), tdm.NewTagSet()); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	serve := func(w *traceWorld, node *replication.Node, rsvc *replication.Service) string {
-		server, err := NewServer(w.engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/v1/repl/", rsvc.Handler())
-		mux.Handle("/", replication.Guard(node, server, t.Logf))
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		return srv.URL
-	}
-	popts := replication.PrimaryOptions{MaxWait: time.Second, Logf: t.Logf}
-
-	pw := newWorld()
-	pdir := t.TempDir()
-	durable, err := store.OpenDurable(store.DurableOptions{Dir: pdir, Fsync: wal.SyncAlways}, pw.tracker, pw.registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { durable.Close() })
-	pw.engine.SetJournal(durable)
-	pnode, err := replication.NewNode(replication.NodeOptions{
-		Role: replication.RolePrimary, TermFile: filepath.Join(pdir, "TERM"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psvc := replication.NewService(pnode, popts, t.Logf)
-	psvc.SetPrimary(replication.NewPrimary(pnode, durable, popts))
-	primary = groupMember{url: serve(pw, pnode, psvc), durable: durable}
-
-	rw := newWorld()
-	rdir := t.TempDir()
-	rnode, err := replication.NewNode(replication.NodeOptions{
-		Role: replication.RoleReplica, Primary: primary.url, TermFile: filepath.Join(rdir, "TERM"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica, err := replication.OpenReplica(rnode, rw.engine, replication.ReplicaOptions{
-		Durable:  store.DurableOptions{Dir: rdir, Logf: t.Logf},
-		PollWait: 50 * time.Millisecond, RetryBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		replica.Stop()
-		replica.Durable().Close()
-	})
-	replica.Start()
-	for deadline := time.Now().Add(10 * time.Second); replica.Status().Bootstraps == 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never bootstrapped: %+v", replica.Status())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	rsvc := replication.NewService(rnode, popts, t.Logf)
-	rsvc.SetReplica(replica)
-	standby = groupMember{url: serve(rw, rnode, rsvc), durable: replica.Durable(), replica: replica}
-	return primary, standby
-}
-
-// TestClusterClientIgnoresStaleReplica is the regression test for the
-// replica-read fail-open: a replica that bootstrapped and then stopped
-// streaming (a lagging link) has not seen an observe the primary acked,
-// so a release check answered there says allow where the primary warns.
-// Every answer a Client built over the group gives must be the
-// primary's, byte for byte.
-func TestClusterClientIgnoresStaleReplica(t *testing.T) {
-	primaryNode, standby := newGroup(t)
-	standby.replica.Stop() // the link lags from here on
-
-	const (
-		seg  = "wiki/launch#p0"
-		text = "the secret launch plan for the atlas project"
-	)
-	primary, err := NewClient(primaryNode.url, "dev", fpConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := primary.Observe("wiki", seg, text); err != nil {
-		t.Fatal(err)
-	}
-	group, err := NewClient(primaryNode.url+","+standby.url, "dev", fpConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// answer renders a call's outcome for comparison: the JSON of the
-	// value, or the error text.
-	answer := func(v interface{}, err error) string {
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	const warnTW = `{"decision":"warn","violating":["tw"]` // what the primary must say, or the test has no teeth
-	for _, q := range []struct{ name, got, want, wantPrefix string }{
-		{"check", answer(group.Check(text, "pad")), answer(primary.Check(text, "pad")), warnTW},
-		{"upload", answer(group.CheckUpload(seg, "pad")), answer(primary.CheckUpload(seg, "pad")), warnTW},
-		{"label", answer(group.Label(seg)), answer(primary.Label(seg)), `{"explicit":["tw"]`},
-	} {
-		if q.got != q.want {
-			t.Errorf("%s through the group client = %s, primary says %s", q.name, q.got, q.want)
-		}
-		if !strings.HasPrefix(q.want, q.wantPrefix) {
-			t.Errorf("%s on the primary = %s, want %s…", q.name, q.want, q.wantPrefix)
-		}
-	}
-}
-
-// TestFailoverEngineFollowsPromotion: a device engine over a group's
-// node list rides out a failover without one degraded verdict. Once the
-// standby is promoted and the old primary fenced, the old primary's 421
-// leads the client to the new one, which answers with the observation
-// acked before the promotion.
-func TestFailoverEngineFollowsPromotion(t *testing.T) {
-	primary, standby := newGroup(t)
-	client, err := NewClient(primary.url+","+standby.url, "dev", fpConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFailoverEngine(FailoverConfig{Client: client, Mode: policy.ModeEnforcing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const text = "the secret launch plan for the atlas project"
-	expect := func(when string, v policy.Verdict, err error, want policy.Decision) {
-		t.Helper()
-		if err != nil || v.Degraded || v.Decision != want {
-			t.Fatalf("%s: verdict %+v, err %v; want a non-degraded %v", when, v, err, want)
-		}
-	}
-
-	v, err := f.ObserveEdit("wiki/launch#p0", "wiki", text)
-	expect("observe before the failover", v, err, policy.DecisionAllow)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if st := standby.replica.Status(); st.LagRecords == 0 && st.Position == primary.durable.WAL().End().String() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never caught up: %+v", standby.replica.Status())
-		}
-	}
-
-	for _, step := range []struct{ url, body string }{
-		{standby.url + "/v1/repl/promote", ""},
-		{primary.url + "/v1/repl/fence", `{"term":1,"primary":"` + standby.url + `"}`},
-	} {
-		resp, err := http.Post(step.url, "application/json", strings.NewReader(step.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d", step.url, resp.StatusCode)
-		}
-	}
-
-	v, err = f.CheckText(text, "pad")
-	expect("check after the failover", v, err, policy.DecisionWarn)
-	v, err = f.ObserveEdit("wiki/after#p0", "wiki", "a paragraph written after the failover")
-	expect("observe after the failover", v, err, policy.DecisionAllow)
-	if got := client.Primary(); got != standby.url {
-		t.Errorf("client primary = %s, want the promoted standby %s", got, standby.url)
-	}
-	if st := f.Stats(); st.Degraded != 0 {
-		t.Errorf("failover stats %+v, want no degraded decision", st)
-	}
-}
 
 // routeNode is one fake tag-service node for the routing table test. Its
 // API answer is the same for /v1/observe and /v1/check, so a write and a

@@ -1,8 +1,9 @@
 package tagserver
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,11 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/obs"
-	"github.com/lsds/browserflow/internal/replication"
+	"github.com/lsds/browserflow/internal/policy"
+	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
-	"github.com/lsds/browserflow/internal/wal"
 )
 
 // getHealth fetches and decodes /healthz.
@@ -36,11 +36,6 @@ func getHealth(t *testing.T, base string) HealthResponse {
 }
 
 // getBody fetches one path and returns the body as a string.
-// withDurable hands the server an always-present journal's statistics.
-func withDurable(d *store.Durable) ServerOption {
-	return WithDurabilitySource(func() (store.DurabilityStats, bool) { return d.Stats(), true })
-}
-
 func getBody(t *testing.T, base, path string) string {
 	t.Helper()
 	resp, err := http.Get(base + path)
@@ -59,7 +54,7 @@ func getBody(t *testing.T, base, path string) string {
 // node's role, fencing term, and byte/record lag must round-trip so
 // callers can bound read staleness.
 func TestHealthzReplicationBlock(t *testing.T) {
-	w := newTraceWorld(t)
+	_, engine := newService(t)
 	status := HealthReplication{
 		Role:           "replica",
 		Term:           7,
@@ -72,7 +67,7 @@ func TestHealthzReplicationBlock(t *testing.T) {
 		Connected:      true,
 		LastError:      "transient: conn reset",
 	}
-	server, err := NewServer(w.engine, WithReplicationStatus(func() HealthReplication { return status }))
+	server, err := NewServer(engine, WithReplicationStatus(func() HealthReplication { return status }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +103,8 @@ func TestHealthzReplicationBlock(t *testing.T) {
 // TestHealthzNoReplication: a standalone server reports no replication
 // block at all (nil, not zero-valued).
 func TestHealthzNoReplication(t *testing.T) {
-	w := newTraceWorld(t)
-	server, err := NewServer(w.engine)
+	_, engine := newService(t)
+	server, err := NewServer(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,161 +119,22 @@ func TestHealthzNoReplication(t *testing.T) {
 	}
 }
 
-// TestHealthzDurabilityBlock covers the durability fields: WAL record
-// counts, checkpoint tallies and the checkpoint age that monitoring
-// alerts on.
-func TestHealthzDurabilityBlock(t *testing.T) {
-	w := newTraceWorld(t)
-	durable, err := store.OpenDurable(store.DurableOptions{Dir: t.TempDir(), Fsync: wal.SyncAlways}, w.tracker, w.registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer durable.Close()
-	w.engine.SetJournal(durable)
-
-	server, err := NewServer(w.engine, withDurable(durable))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(server)
-	defer srv.Close()
-
-	// Journal a mutation, then checkpoint so LastCheckpointAge appears.
-	if _, err := w.engine.ObserveEdit("wiki/a#p0", "wiki", "quarterly revenue forecast revised downwards"); err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	health := getHealth(t, srv.URL)
-	if health.Durability == nil {
-		t.Fatal("healthz missing durability block")
-	}
-	d := health.Durability
-	if d.WALRecords == 0 {
-		t.Error("WALRecords = 0 after a journalled observe")
-	}
-	if d.Fsyncs == 0 {
-		t.Error("Fsyncs = 0 under SyncAlways")
-	}
-	if d.Checkpoints != 1 {
-		t.Errorf("Checkpoints = %d, want 1", d.Checkpoints)
-	}
-	if d.CheckpointErrors != 0 {
-		t.Errorf("CheckpointErrors = %d, want 0", d.CheckpointErrors)
-	}
-	if d.LastCheckpointAge == "" {
-		t.Error("LastCheckpointAge empty after a checkpoint")
-	}
-	if _, err := time.ParseDuration(d.LastCheckpointAge); err != nil {
-		t.Errorf("LastCheckpointAge %q is not a duration: %v", d.LastCheckpointAge, err)
-	}
-}
-
-// TestHealthzStandbyStorageBlocks: a standby's durable store is the one a
-// primary runs, so — before any promotion — its /healthz carries the
-// storage and durability blocks, scrub passes and checkpoints advance, and
-// the segments it streams are pruned behind its own checkpoints.
-func TestHealthzStandbyStorageBlocks(t *testing.T) {
-	pw := newTraceWorld(t)
-	durable, err := store.OpenDurable(store.DurableOptions{Dir: "/primary", FS: faultinject.NewMemFS(1), Fsync: wal.SyncNone}, pw.tracker, pw.registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer durable.Close()
-	pw.engine.SetJournal(durable)
-	pnode, err := replication.NewNode(replication.NodeOptions{Role: replication.RolePrimary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsvc := replication.NewService(pnode, replication.PrimaryOptions{}, t.Logf)
-	rsvc.SetPrimary(replication.NewPrimary(pnode, durable, replication.PrimaryOptions{Logf: t.Logf}))
-	replSrv := httptest.NewServer(rsvc.Handler())
-	defer replSrv.Close()
-
-	rw := newTraceWorld(t)
-	rnode, err := replication.NewNode(replication.NodeOptions{Role: replication.RoleReplica, Primary: replSrv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica, err := replication.OpenReplica(rnode, rw.engine, replication.ReplicaOptions{
-		Durable: store.DurableOptions{
-			Dir: "/standby", FS: faultinject.NewMemFS(2), Fsync: wal.SyncNone, Logf: t.Logf,
-			CheckpointEvery: 5 * time.Millisecond, ScrubEvery: 5 * time.Millisecond,
-		},
-		PollWait: 20 * time.Millisecond, RetryBackoff: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Durable().Close()
-	defer replica.Stop()
-	replica.Start()
-	server, err := NewServer(rw.engine, withDurable(replica.Durable()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(replication.Guard(rnode, server, t.Logf))
-	defer srv.Close()
-	await := func(what string, cond func(HealthResponse) bool) HealthResponse {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			h := getHealth(t, srv.URL)
-			if h.Storage == nil || h.Durability == nil {
-				t.Fatalf("standby healthz lacks a storage or durability block: %+v", h)
-			}
-			if cond(h) {
-				return h
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s; healthz: storage %+v durability %+v", what, *h.Storage, *h.Durability)
-			}
-		}
-	}
-
-	// Six segments' worth of traffic: each round the primary seals one.
-	h := await("bootstrap", func(h HealthResponse) bool { return h.Durability.WALSegments >= 1 })
-	for round := 0; round < 6; round++ {
-		prev := h
-		for i := 0; i < 5; i++ {
-			seg := fmt.Sprintf("wiki/r%d#p%d", round, i)
-			if _, err := pw.engine.ObserveEdit("wiki/a#p0", "wiki", "quarterly revenue forecast revised downwards "+seg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := durable.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		h = await(fmt.Sprintf("round %d: scrub and checkpoint past %d/%d", round, prev.Storage.ScrubPasses, prev.Durability.Checkpoints),
-			func(h HealthResponse) bool {
-				return h.Storage.ScrubPasses > prev.Storage.ScrubPasses && h.Durability.Checkpoints > prev.Durability.Checkpoints
-			})
-		if h.Durability.WALSegments > 2 {
-			t.Errorf("round %d: standby holds %d WAL segments; its checkpoints should prune behind the stream", round, h.Durability.WALSegments)
-		}
-	}
-	if rnode.Role() != replication.RoleReplica || h.Storage.DiskDegraded || h.Durability.CheckpointErrors != 0 {
-		t.Errorf("standby after six rollovers: role %s, storage %+v, durability %+v", rnode.Role(), *h.Storage, *h.Durability)
-	}
-}
-
 // TestObsGaugesOnMetrics: with durability + replication sources
 // installed, their series appear on /v1/metrics (lag bytes, term,
 // checkpoint age, the fsync histogram) beside the server's own.
 func TestObsGaugesOnMetrics(t *testing.T) {
-	w := newTraceWorld(t)
-	durable, err := store.OpenDurable(store.DurableOptions{Dir: t.TempDir(), Fsync: wal.SyncAlways}, w.tracker, w.registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer durable.Close()
-	w.engine.SetJournal(durable)
+	_, engine := newService(t)
+	// One journal's statistics after a checkpoint and an fsync.
+	fsyncs := obs.NewHistogram(nil)
+	fsyncs.Observe(200 * time.Microsecond)
+	durability := store.DurabilityStats{Checkpoints: 1, LastCheckpointAt: time.Now()}
+	durability.WAL.Fsyncs = 1
+	durability.WAL.FsyncLatency = fsyncs.Snapshot()
 
 	o := obs.New(nil, 0)
-	server, err := NewServer(w.engine,
+	server, err := NewServer(engine,
 		WithObs(o),
-		withDurable(durable),
+		WithDurabilitySource(func() (store.DurabilityStats, bool) { return durability, true }),
 		WithReplicationStatus(func() HealthReplication {
 			return HealthReplication{Role: "replica", Term: 9, LagBytes: 1234, Connected: true}
 		}),
@@ -289,10 +145,7 @@ func TestObsGaugesOnMetrics(t *testing.T) {
 	srv := httptest.NewServer(server)
 	defer srv.Close()
 
-	if _, err := w.engine.ObserveEdit("wiki/a#p0", "wiki", "customer escalation about data residency"); err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.Checkpoint(); err != nil {
+	if _, err := engine.ObserveEdit("wiki/a#p0", "wiki", "customer escalation about data residency"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -319,12 +172,47 @@ func TestObsGaugesOnMetrics(t *testing.T) {
 	}
 }
 
+// diskJournal is a journal on a dead disk: every observe fails. The test
+// using it makes no other mutation.
+type diskJournal struct{ policy.Journal }
+
+func (diskJournal) Begin() func() { return func() {} }
+
+func (diskJournal) Observe(context.Context, segment.ID, string, segment.Granularity, []uint32) error {
+	return errors.New("wal append: input/output error")
+}
+
+// TestDegradedRetryAfterIsProbeCadence: a write refused while the disk is
+// degraded answers 503 with a Retry-After of the store's probe cadence,
+// rounded up to whole seconds and at least one.
+func TestDegradedRetryAfterIsProbeCadence(t *testing.T) {
+	_, engine := newService(t)
+	engine.SetJournal(diskJournal{})
+	for _, tc := range []struct {
+		probe time.Duration
+		want  string
+	}{{7 * time.Second, "7"}, {2500 * time.Millisecond, "3"}, {0, "1"}} {
+		disk := store.DiskState{Degraded: true, Cause: "eio", ProbeEvery: tc.probe}
+		server, err := NewServer(engine, WithDurabilitySource(func() (store.DurabilityStats, bool) {
+			return store.DurabilityStats{Disk: disk}, true
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		server.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observe", strings.NewReader(`{"seg":"wiki/a#p0","service":"wiki","hashes":[1,2,3]}`)))
+		if got := rec.Header().Get("Retry-After"); rec.Code != http.StatusServiceUnavailable || got != tc.want {
+			t.Errorf("probe every %v: status %d, Retry-After %q; want 503, %q", tc.probe, rec.Code, got, tc.want)
+		}
+	}
+}
+
 // TestHealthzPolicyBlock covers the /healthz policy block: nodes started
 // from a compiled policy advertise its fingerprint so operators can
 // confirm fleet-wide policy agreement; nodes without one omit the block.
 func TestHealthzPolicyBlock(t *testing.T) {
-	w := newTraceWorld(t)
-	server, err := NewServer(w.engine, WithPolicyInfo("deadbeef01", 4))
+	_, engine := newService(t)
+	server, err := NewServer(engine, WithPolicyInfo("deadbeef01", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +229,7 @@ func TestHealthzPolicyBlock(t *testing.T) {
 
 	// No policy: block omitted entirely, and an empty hash is treated as
 	// "no policy" rather than advertised.
-	bare, err := NewServer(newTraceWorld(t).engine, WithPolicyInfo("", 9))
+	bare, err := NewServer(engine, WithPolicyInfo("", 9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,12 +160,50 @@ func TestPartWirePinned(t *testing.T) {
 	}
 
 	// A node's own /v1/part/query reply, end to end through its handler.
-	node := newSoleNode(t)
-	if code, body := post(node, "/v1/part/observe", []byte(`{"service":"wiki","seg":"wiki/plan#p0","hashes":[1,2,3,4]}`), ""); code != http.StatusOK {
+	node := newWiredNode(t).server
+	if code, body := serve(t, node, http.MethodPost, "/v1/part/observe", json.RawMessage(`{"service":"wiki","seg":"wiki/plan#p0","hashes":[1,2,3,4]}`)); code != http.StatusOK {
 		t.Fatalf("observe: %d %s", code, body)
 	}
 	const served = `{"clock":2,"oldest":[{"i":1,"seg":"wiki/plan#p0","seq":2},{"i":2,"seg":"wiki/plan#p0","seq":2}],"cands":[{"seg":"wiki/plan#p0","len":4,"thr":0.3,"ov":[1,2],"tags":["tw"]}]}`
-	if code, body := post(node, "/v1/part/query", []byte(`{"hashes":[0,2,3,9]}`), ""); code != http.StatusOK || strings.TrimSpace(string(body)) != served {
+	if code, body := serve(t, node, http.MethodPost, "/v1/part/query", json.RawMessage(`{"hashes":[0,2,3,9]}`)); code != http.StatusOK || strings.TrimSpace(body) != served {
 		t.Errorf("served query reply: %d\ngot  %s\nwant %s", code, body, served)
+	}
+}
+
+// /v1/part/query answers with indices into the caller's hash list, and a
+// routing tier sends it normalised lists: one that does not strictly ascend
+// is refused rather than answered with overlaps it cannot count.
+func TestPartQueryRequiresAscendingHashes(t *testing.T) {
+	node := newWiredNode(t).server
+	hashes := hashRange(1000, 34)
+	if code, body := serve(t, node, http.MethodPost, "/v1/part/observe", PartObserveRequest{Service: "wiki", Seg: "wiki/plan#p0", Hashes: hashes}); code != http.StatusOK {
+		t.Fatalf("observe: status %d: %s", code, body)
+	}
+	query := func(hs []uint32) (int, string) {
+		return serve(t, node, http.MethodPost, "/v1/part/query", PartQueryRequest{Hashes: hs})
+	}
+
+	code, body := query(hashes)
+	var got policy.PartResolve
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &got) != nil {
+		t.Fatalf("sorted query: status %d: %s", code, body)
+	}
+	if c := got.Cands; got.Clock != 2 || len(got.Oldest) != 34 || len(c) != 1 ||
+		c[0].Len != 34 || c[0].Threshold != 0.3 || len(c[0].Overlap) != 34 || !slices.Equal(c[0].Tags, []string{"tw"}) {
+		t.Fatalf("sorted query answered %s; want 34 oldest holders and one tw candidate covering all 34 at clock 2", body)
+	}
+	for i, o := range got.Oldest {
+		if o.Idx != i || o.Seg != "wiki/plan#p0" || o.Seq != 2 || got.Cands[0].Overlap[i] != i {
+			t.Fatalf("sorted query answered %s; want index %d held by wiki/plan#p0 since 2", body, i)
+		}
+	}
+
+	reversed := slices.Clone(hashes)
+	slices.Reverse(reversed)
+	duplicate := append([]uint32{hashes[0]}, hashes...)
+	for name, hs := range map[string][]uint32{"reversed": reversed, "duplicate": duplicate} {
+		if code, body := query(hs); code != http.StatusBadRequest {
+			t.Errorf("%s query: status %d (%s), want 400", name, code, body)
+		}
 	}
 }
