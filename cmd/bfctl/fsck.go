@@ -68,7 +68,7 @@ func runFsck(dir string, key []byte, stdout io.Writer) error {
 		var rfe *store.RetiredFormatError
 		if errors.As(verr, &rfe) {
 			refused++
-			fmt.Fprintf(stdout, "RETIRED  %s  %s format (README: upgrading from a pre-PR 7 state file)\n", name, rfe.Format)
+			fmt.Fprintf(stdout, "RETIRED  %s  %s format (README: upgrading)\n", name, rfe.Format)
 			continue
 		}
 		var nfe *store.NewerFormatError

@@ -78,7 +78,7 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 		t.Fatalf("clean fsck output missing summary:\n%s", out.String())
 	}
 	// Where the checkpoint bytes go: container version and every section.
-	for _, want := range []string{" bytes, version 3: meta 24 pars ", " docs ", " registry ", " audit "} {
+	for _, want := range []string{" bytes, version 4: meta 24 pars ", " docs ", " registry ", " audit "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("clean fsck output does not break the checkpoint down (%q missing):\n%s", want, out.String())
 		}
@@ -102,8 +102,9 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// So is an intact checkpoint from a newer build: the real checkpoint
-	// with its version byte raised and the header checksum made to match.
+	// So are intact checkpoints from a retired and from a newer build: the
+	// real checkpoint with its version byte set to 2, then raised to 5, and
+	// the header checksum made to match.
 	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("checkpoints: %v (%v)", matches, err)
@@ -113,17 +114,30 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	headerLen := 8 + 2 + int(image[9])*24
-	image[8]++
-	binary.LittleEndian.PutUint32(image[headerLen:], crc32.Checksum(image[:headerLen], crc32.MakeTable(crc32.Castagnoli)))
-	newer := filepath.Join(dir, store.CheckpointName(0))
-	if err := os.WriteFile(newer, image, 0o600); err != nil {
-		t.Fatal(err)
+	writeVersion := func(v byte) string {
+		image[8] = v
+		binary.LittleEndian.PutUint32(image[headerLen:], crc32.Checksum(image[:headerLen], crc32.MakeTable(crc32.Castagnoli)))
+		path := filepath.Join(dir, store.CheckpointName(0))
+		if err := os.WriteFile(path, image, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
+	writeVersion(2)
+	out.Reset()
+	if err := run([]string{"-wal-dir", dir, "fsck"}, nil, &out); err == nil {
+		t.Fatalf("fsck passed a directory with a version 2 checkpoint:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "RETIRED  "+store.CheckpointName(0)+"  BFLOWSNB version 2 format") ||
+		strings.Contains(out.String(), "CORRUPT") || !strings.Contains(out.String(), "0 corrupt") {
+		t.Fatalf("fsck output does not report the retired version on its own:\n%s", out.String())
+	}
+	newer := writeVersion(5)
 	out.Reset()
 	if err := run([]string{"-wal-dir", dir, "fsck"}, nil, &out); err == nil {
 		t.Fatalf("fsck passed a directory with a checkpoint from a newer build:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "NEWER    "+store.CheckpointName(0)+"  version 4") ||
+	if !strings.Contains(out.String(), "NEWER    "+store.CheckpointName(0)+"  version 5") ||
 		strings.Contains(out.String(), "CORRUPT") || !strings.Contains(out.String(), "0 corrupt") {
 		t.Fatalf("fsck output does not report the newer version on its own:\n%s", out.String())
 	}

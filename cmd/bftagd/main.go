@@ -98,7 +98,7 @@ func run(args []string) error {
 	fs.StringVar(&cfg.ReplListen, "repl-listen", "", "serve the /v1/repl/* API on this separate address (default: the main -addr)")
 	fs.StringVar(&cfg.TermFile, "term-file", "", "file persisting the replication fencing term (default: <wal-dir>/TERM)")
 	fs.StringVar(&cfg.Advertise, "advertise", "", "base URL peers are told to dial for this node (default: http://<listen addr>)")
-	fs.StringVar(&cfg.DebugListen, "debug-listen", "", "serve pprof + /v1/metrics + /v1/debug/traces on this address (loopback only; empty disables)")
+	fs.StringVar(&cfg.DebugListen, "debug-listen", "", "serve pprof + /v1/metrics + /v1/debug/traces + /dashboard/ on this address (loopback only; empty disables)")
 	fs.StringVar(&cfg.RingFile, "ring-file", "", "partition ring file (enables partition mode; flips are persisted here)")
 	fs.StringVar(&cfg.PartitionID, "partition-id", "", "this node's partition ID in the ring (required with -ring-file)")
 	fs.StringVar(&cfg.SplitRange, "split-range", "", "inclusive key range lo:hi this node owns during a split (filtered replica bootstrap, or restart of a promoted split target)")

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -116,14 +117,158 @@ var snapshotCases = []struct {
 		db.RemoveSegment(edgeSeg(2))
 		db.Update(edgeSeg(4), edgeFP(0), nil)
 	}},
+	{name: "repeated tails after single-holder groups", build: func(db *DB, tick func(*DB)) {
+		// The first segment leads every group; edgeFP(4)'s hashes, its
+		// alone, fall between those of edgeFP(0), which two later segments
+		// also hold: each later group repeats the tail its first spelled.
+		db.Update(edgeSeg(0), unionFP(edgeFP(0), edgeFP(4)), nil)
+		tick(db)
+		db.Update(edgeSeg(1), edgeFP(0), nil)
+		db.Update(edgeSeg(2), edgeFP(0), nil)
+	}, check: func(t *testing.T, db *DB) {
+		assertHolders(t, db, edgeFP(0).Hashes(), edgeSeg(0), edgeSeg(1), edgeSeg(2))
+		assertHolders(t, db, edgeFP(4).Hashes(), edgeSeg(0))
+		if !interleaved(edgeFP(0).Hashes(), edgeFP(4).Hashes()) {
+			t.Fatal("the single-holder hashes do not fall between the repeated ones")
+		}
+	}},
+	{name: "tails that differ in one ref", build: func(db *DB, tick func(*DB)) {
+		// Behind the first two holders of edgeFP(0), alternate hashes have
+		// a third holder and a fourth: no tail is the one before it.
+		db.Update(edgeSeg(0), edgeFP(0), nil)
+		db.Update(edgeSeg(1), edgeFP(0), nil)
+		tick(db)
+		even, odd := alternate(edgeFP(0).Hashes())
+		db.Update(edgeSeg(2), fingerprint.FromHashes(even), nil)
+		db.Update(edgeSeg(3), fingerprint.FromHashes(odd), nil)
+	}, check: func(t *testing.T, db *DB) {
+		even, odd := alternate(edgeFP(0).Hashes())
+		assertHolders(t, db, even, edgeSeg(0), edgeSeg(1), edgeSeg(2))
+		assertHolders(t, db, odd, edgeSeg(0), edgeSeg(1), edgeSeg(3))
+	}},
+	{name: "stale and stamped later holders", build: func(db *DB, tick func(*DB)) {
+		// Four holders of edgeFP(0), then the third is edited to a superset
+		// (its postings of edgeFP(0) are now below its updated) and the
+		// fourth to other hashes (its postings left its fingerprint): the
+		// tail cannot repeat and is spelled out with flags.
+		for i := 0; i < 4; i++ {
+			db.Update(edgeSeg(i), edgeFP(0), nil)
+		}
+		tick(db)
+		db.Update(edgeSeg(2), unionFP(edgeFP(0), edgeFP(4)), nil)
+		db.Update(edgeSeg(3), edgeFP(8), nil)
+	}, check: func(t *testing.T, db *DB) {
+		h := edgeFP(0).Hashes()[0]
+		assertHolders(t, db, []uint32{h}, edgeSeg(0), edgeSeg(1), edgeSeg(2), edgeSeg(3))
+		if fp, _ := db.Fingerprint(edgeSeg(3)); fp.Contains(h) {
+			t.Fatal("the fourth holder's fingerprint still holds the hash")
+		}
+		ref, _ := db.tab.Lookup(edgeSeg(2))
+		sh := &db.hashShards[db.hashShardIdx(h)]
+		sh.mu.RLock()
+		postings := sh.appendPostingsLocked(h, sh.run.find(h), sh.head.find(h), nil)
+		sh.mu.RUnlock()
+		if p := postings[2]; p.ref != ref || p.seq >= db.rowOf(ref).updated {
+			t.Fatalf("the third posting %+v is not the third segment's below its updated", p)
+		}
+	}},
+	{name: "empty parts of the hash space and the top hash", build: func(db *DB, tick func(*DB)) {
+		// Hashes at both edges of the first, second, fourth and last 1/64;
+		// the third and the 59 after the fourth are empty.
+		db.Update(edgeSeg(0), fingerprint.FromHashes([]uint32{0, 1, 1<<26 - 1, 1 << 26, 3 << 26, 4<<26 - 1, 63 << 26, math.MaxUint32 - 1, math.MaxUint32}), nil)
+		tick(db)
+		db.Update(edgeSeg(1), fingerprint.FromHashes([]uint32{0, math.MaxUint32}), nil)
+	}, check: func(t *testing.T, db *DB) {
+		assertHolders(t, db, []uint32{0, math.MaxUint32}, edgeSeg(0), edgeSeg(1))
+		assertHolders(t, db, []uint32{1 << 26, 63 << 26}, edgeSeg(0))
+	}},
+	{name: "a table of 2^6 segments", build: func(db *DB, tick func(*DB)) { tableOf(db, tick, 64) },
+		check: func(t *testing.T, db *DB) { assertTable(t, db, 64) }},
+	{name: "a table of 2^6+1 segments", build: func(db *DB, tick func(*DB)) { tableOf(db, tick, 65) },
+		check: func(t *testing.T, db *DB) { assertTable(t, db, 65) }},
+	{name: "more repeated postings than the image has bits", build: func(db *DB, tick func(*DB)) {
+		// 64 segments share 400 hashes: as repeats, 25 600 postings in
+		// about 2 KB. The encoder spells tails out to keep within a posting
+		// a bit, which is what the decoder holds an image to.
+		hs := make([]uint32, 400)
+		for j := range hs {
+			hs[j] = uint32(j) * 0x9e3779b1
+		}
+		for i := 0; i < 64; i++ {
+			db.Update(edgeSeg(i), fingerprint.FromHashes(hs), nil)
+			if i == 32 {
+				tick(db)
+			}
+		}
+	}, check: func(t *testing.T, db *DB) {
+		if n, bits := db.Stats().Postings, 8*len(db.AppendSnapshot(nil)); n != 64*400 || n > bits {
+			t.Fatalf("%d postings in an image of %d bits; want 25600, within the bits", n, bits)
+		}
+	}},
 }
 
-// noEntryImage hand-encodes a codec-2 payload in which edgeSeg(0), with
+// unionFP is the fingerprint of a's and b's hashes.
+func unionFP(a, b *fingerprint.Fingerprint) *fingerprint.Fingerprint {
+	return fingerprint.FromHashes(append(append([]uint32(nil), a.Hashes()...), b.Hashes()...))
+}
+
+// alternate splits ascending hashes into those at even and at odd places.
+func alternate(hs []uint32) (even, odd []uint32) {
+	for i, h := range hs {
+		if i%2 == 0 {
+			even = append(even, h)
+		} else {
+			odd = append(odd, h)
+		}
+	}
+	return even, odd
+}
+
+// interleaved reports whether some hash of b lies between two of a.
+func interleaved(a, b []uint32) bool {
+	for _, h := range b {
+		if h > a[0] && h < a[len(a)-1] {
+			return true
+		}
+	}
+	return false
+}
+
+// assertHolders fails unless every hash is held by exactly segs, oldest
+// first.
+func assertHolders(t *testing.T, db *DB, hs []uint32, segs ...segment.ID) {
+	t.Helper()
+	for _, h := range hs {
+		if got := db.Holders(h); !reflect.DeepEqual(got, segs) {
+			t.Fatalf("hash %#x: holders %v, want %v", h, got, segs)
+		}
+	}
+}
+
+// tableOf has n segments each hold a hash of its own and one they share,
+// so one group spells out a tail of n−1 refs at the table's width.
+func tableOf(db *DB, tick func(*DB), n int) {
+	for i := 0; i < n; i++ {
+		db.Update(edgeSeg(i), fingerprint.FromHashes([]uint32{uint32(i+1) * 0x9e3779b1, 0xdeadbeef}), nil)
+		if i == n/2 {
+			tick(db)
+		}
+	}
+}
+
+func assertTable(t *testing.T, db *DB, n int) {
+	t.Helper()
+	if got := len(db.Holders(0xdeadbeef)); got != n || db.Stats().Segments != n {
+		t.Fatalf("%d holders of the shared hash, %d segments; want %d", got, db.Stats().Segments, n)
+	}
+}
+
+// noEntryImage hand-encodes a codec 2 payload in which edgeSeg(0), with
 // no DBpar entry, holds every hash of edgeFP(0) stamped 2, and
 // edgeSeg(1), updated at 5, holds them all after it.
 func noEntryImage() []byte {
 	const clock, updated = 9, 5
-	b := binary.LittleEndian.AppendUint64([]byte{snapshotCodecVersion}, clock)
+	b := binary.LittleEndian.AppendUint64([]byte{bytewiseCodecVersion}, clock)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
 	b = append(b, 2)
 	b = wire.AppendFrontCoded(b, "", string(edgeSeg(0)))
@@ -186,8 +331,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotDeterministic pins that encoding is a pure function of the
-// logical state: different shard counts, merge histories and a full
-// encode→load→encode cycle must produce identical bytes.
+// logical state: the random workload and every snapshot case, built at 1,
+// 64 and 256 shards, merging and head-only, encode to identical bytes, and
+// a full encode→load→encode cycle is a fixed point.
 func TestSnapshotDeterministic(t *testing.T) {
 	a := buildWorkloadDB(7, DefaultShards, 1)
 	b := buildWorkloadDB(7, 4, -1) // head-only layout, different stripes
@@ -203,6 +349,132 @@ func TestSnapshotDeterministic(t *testing.T) {
 	cb := c.AppendSnapshot(nil)
 	if !reflect.DeepEqual(ab, cb) {
 		t.Fatalf("encode→load→encode not a fixed point: %d vs %d bytes", len(ab), len(cb))
+	}
+
+	for _, tc := range snapshotCases {
+		var want []byte
+		for _, shards := range []int{1, 64, 256} {
+			for _, threshold := range []int{1, -1} {
+				db := NewWithShards(nil, 0.5, shards)
+				db.SetCompactThreshold(threshold)
+				tick := func(*DB) {}
+				if threshold > 0 {
+					tick = (*DB).Compact
+				}
+				tc.build(db, tick)
+				blob := db.AppendSnapshot(nil)
+				if want == nil {
+					want = blob
+				} else if !bytes.Equal(blob, want) {
+					t.Fatalf("%s: %d shards, compact threshold %d: %d bytes, want the %d of the first build", tc.name, shards, threshold, len(blob), len(want))
+				}
+				again := NewWithShards(nil, 0, shards)
+				if err := again.LoadSnapshot(blob); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if got := again.AppendSnapshot(nil); !bytes.Equal(got, blob) {
+					t.Fatalf("%s: %d shards: encode→load→encode not a fixed point", tc.name, shards)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotRepeatCostsNothing: a group whose later holders repeat those
+// of the last group its first holder led costs what a single-holder group
+// does, so two images that differ only in how many groups share one tail
+// have the same length.
+func TestSnapshotRepeatCostsNothing(t *testing.T) {
+	hs := edgeFP(0).Hashes()
+	shared, once := New(nil, 0.5), New(nil, 0.5)
+	for _, db := range []*DB{shared, once} {
+		db.Update(edgeSeg(0), edgeFP(0), nil)
+	}
+	for i := 1; i <= 2; i++ {
+		shared.Update(edgeSeg(i), edgeFP(0), nil)                    // every hash: one tail, spelled, then repeated
+		once.Update(edgeSeg(i), fingerprint.FromHashes(hs[:1]), nil) // the first hash only
+	}
+	a, b := shared.AppendSnapshot(nil), once.AppendSnapshot(nil)
+	if shared.Stats().Postings != 3*len(hs) || once.Stats().Postings != len(hs)+2 || len(a) != len(b) {
+		t.Fatalf("%d postings in %d bytes against %d in %d; want %d against %d in the same bytes",
+			shared.Stats().Postings, len(a), once.Stats().Postings, len(b), 3*len(hs), len(hs)+2)
+	}
+}
+
+// expansionImage hand-encodes a codec 3 payload of n segments, each with a
+// DBpar entry declaring declared hashes, and a declared posting total:
+// one group spells out all n holders, and repeats more groups repeat it.
+func expansionImage(n int, declared, total uint64, repeats int) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte{snapshotCodecVersion}, 1)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+	b = binary.AppendUvarint(b, uint64(n))
+	for i, prev := 0, ""; i < n; i++ {
+		seg := fmt.Sprintf("s%05d", i)
+		b, prev = wire.AppendFrontCoded(b, prev, seg), seg
+	}
+	b = binary.AppendUvarint(b, uint64(n))
+	for i := 0; i < n; i++ {
+		b = append(b, 0, 1) // the next ref, default threshold; updated at the clock
+		b = binary.AppendUvarint(b, declared)
+	}
+	b = binary.AppendUvarint(b, uint64(repeats+1))
+	b = binary.AppendUvarint(b, total)
+	width := refWidth(n)
+	b = wire.AppendBits(b, func(gs *wire.BitWriter) {
+		gs.Write(0, width)
+		gs.Write(0b11, 2) // spelled out
+		gs.Write(0, 1)    // plain
+		gs.Gamma(uint64(n - 1))
+		for ref := 1; ref < n; ref++ {
+			gs.Write(uint64(ref), width)
+		}
+		for i := 0; i < repeats; i++ {
+			gs.Write(0, width)
+			gs.Write(0b01, 2) // repeat
+		}
+	})
+	b = wire.AppendBits(b, func(hs *wire.BitWriter) {
+		hs.Gamma(uint64(repeats + 2)) // hashes 0, 1, 2, … in the first 1/64
+		hs.Write(0, riceParamBits)
+		for i := 0; i <= repeats; i++ {
+			hs.Rice(0, 0)
+		}
+		for i := 1; i < 1<<hashPartBits; i++ {
+			hs.Gamma(1)
+		}
+	})
+	return append(b, 0) // nothing unposted
+}
+
+// TestSnapshotRefusesExpansion: a repeat costs a few bits however many
+// postings it stands for, so a crafted image could declare and decode far
+// more postings than it has bytes. The decoder refuses declared lengths
+// and totals past the payload's bits, and what it allocates before it
+// fails grows with the payload, not with what the image declares: the
+// first case would otherwise decode 5 million postings.
+func TestSnapshotRefusesExpansion(t *testing.T) {
+	const n, repeats = 256, 20000 // 255 × 20 000 postings in ~30 KB
+	for _, tc := range []struct {
+		name            string
+		declared, total uint64
+	}{
+		{"huge declared lengths", math.MaxUint32, n * (repeats + 1)},
+		{"a huge total", 1, math.MaxUint64},
+		{"lengths and total within the payload's bits", 512, 200000},
+	} {
+		data := expansionImage(n, tc.declared, tc.total, repeats)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := New(nil, 0.5).LoadSnapshot(data)
+		runtime.ReadMemStats(&after)
+		var we *wire.Error
+		if !errors.As(err, &we) {
+			t.Fatalf("%s: err=%v, want *wire.Error", tc.name, err)
+		}
+		// At most a posting a bit, at some 40 bytes allocated a posting.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*48*uint64(len(data)) {
+			t.Fatalf("%s: %d bytes allocated decoding %d (%v)", tc.name, alloc, len(data), err)
+		}
 	}
 }
 
@@ -262,7 +534,7 @@ func TestImportRejectsInconsistentClock(t *testing.T) {
 	}
 	for name, encode := range map[string]func(clock, updated, seq uint64) []byte{
 		"codec 2": func(clock, updated, seq uint64) []byte {
-			b := header(snapshotCodecVersion, clock)
+			b := header(bytewiseCodecVersion, clock)
 			b = append(b, 1, 0, 1, 'a') // segment table: ["a"], sharing nothing
 			b = append(b, 1, 0)         // one DBpar entry, ref 0, default threshold
 			b = binary.AppendUvarint(b, updated)
@@ -272,16 +544,32 @@ func TestImportRejectsInconsistentClock(t *testing.T) {
 			b = binary.AppendVarint(b, int64(updated-seq))
 			return append(b, 0) // nothing unposted
 		},
-		"codec 1": func(clock, updated, seq uint64) []byte {
-			b := header(legacyCodecVersion, clock)
-			b = append(b, 1, 1, 'a') // segment table: ["a"]
-			b = append(b, 1, 0)      // one DBpar entry, ref 0
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+		"codec 3": func(clock, updated, seq uint64) []byte {
+			b := header(snapshotCodecVersion, clock)
+			b = append(b, 1, 0, 1, 'a') // segment table: ["a"], sharing nothing
+			b = append(b, 1, 0)         // one DBpar entry, ref 0, default threshold
 			b = binary.AppendUvarint(b, updated)
-			b = append(b, 1, 7)    // one hash: 7
-			b = append(b, 1, 1)    // one distinct hash, one posting
-			b = append(b, 7, 1, 0) // hash 7, group of one, ref 0
-			return binary.AppendUvarint(b, seq)
+			b = append(b, 1, 1, 1)                            // a fingerprint of one hash; one distinct hash, one posting
+			b = wire.AppendBits(b, func(gs *wire.BitWriter) { // ref 0 is zero bits wide
+				gs.Write(0, 1) // a single holder
+				d := int64(updated - seq)
+				if distance := uint64(d<<1) ^ uint64(d>>63); distance == 0 {
+					gs.Write(0, 1) // plain
+				} else {
+					gs.Write(1, 1)           // flagged:
+					gs.Write(flagStamped, 2) // in the fingerprint, stamped
+					gs.Gamma(distance)
+				}
+			})
+			b = wire.AppendBits(b, func(hs *wire.BitWriter) {
+				hs.Gamma(2)    // the first 1/64 holds one hash,
+				hs.Write(2, 5) // Rice parameter 2,
+				hs.Rice(7, 2)  // at offset 7
+				for i := 1; i < 64; i++ {
+					hs.Gamma(1) // the rest hold none
+				}
+			})
+			return append(b, 0) // nothing unposted
 		},
 	} {
 		db := New(nil, 0.5)

@@ -146,6 +146,11 @@ func (db *DB) ShardDigests() (postings, pars []uint64) {
 // maintenance against the ground truth. It must not run concurrently
 // with mutations (reads are fine).
 func (db *DB) RecomputeDigests() {
+	// Each segment's key is hashed once, not once per posting.
+	keys := make([]uint64, db.tab.Len())
+	for ref := range keys {
+		keys[ref] = segDigestKey(string(db.tab.ID(uint32(ref))))
+	}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
@@ -153,7 +158,7 @@ func (db *DB) RecomputeDigests() {
 		// structure fold on their own, with no per-hash merge.
 		var d uint64
 		fold := func(h, ref uint32, seq uint64) {
-			d ^= postingCode(h, segDigestKey(string(db.tab.ID(ref))), seq)
+			d ^= postingCode(h, keys[ref], seq)
 		}
 		r := &sh.run
 		for c := (runCursor{r: r}); c.ok(); c.next() {
@@ -185,9 +190,8 @@ func (db *DB) RecomputeDigests() {
 		db.segShards[si].digest = 0
 	}
 	db.eachRow(func(row *parRow) {
-		seg := db.tab.ID(row.ref)
-		ss := db.segShardFor(seg)
-		ss.digest ^= db.rowCode(ss, segDigestKey(string(seg)), row)
+		ss := db.segShardFor(db.tab.ID(row.ref))
+		ss.digest ^= db.rowCode(ss, keys[row.ref], row)
 	})
 }
 

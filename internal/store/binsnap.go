@@ -11,12 +11,14 @@
 // Every section carries its own CRC32C (Castagnoli, shared with the WAL
 // framing) and the section table itself is CRC-framed, so truncation, bit
 // flips and garbage tails are all detected before any payload is parsed.
-// Version 3, the one written, stores each fact once: the two fingerprint
-// databases in the index package's posting codec, the registry in the tdm
-// package's string-table codec; the audit section stays JSON — it is small
-// and schema-flexible. Version 2 (index codec 1, JSON registry) is still
-// read, so an upgraded node recovers the checkpoint its predecessor wrote;
-// a version above 3 is refused (NewerFormatError), not skipped as damage.
+// Version 4, the one written, holds the two fingerprint databases in the
+// index package's codec 3 (a bit-coded posting stream), the registry in
+// the tdm package's string-table codec; the audit section stays JSON — it
+// is small and schema-flexible. Version 3 (index codec 2, its posting
+// stream in varints) is still read, so an upgraded node recovers the
+// checkpoint its predecessor wrote. Version 2 (index codec 1, JSON
+// registry) is retired: refused by name (RetiredFormatError), as a
+// version above 4 is (NewerFormatError), never skipped as damage.
 //
 // There is one way in and one way out. CaptureBytes encodes straight from
 // the live DBs (index.AppendSnapshot, which takes its own consistent cut)
@@ -25,8 +27,8 @@
 // runs directly. RestoreFile is RestoreBytes for a file: mapped when the
 // filesystem supports it (wal.MapFS), unsealed when keyed.
 //
-// The formats that preceded BFLOWSNB are recognised (retiredFormat) only
-// to be refused with a RetiredFormatError.
+// The formats that preceded BFLOWSNB, and its version 2, are recognised
+// only to be refused with a RetiredFormatError.
 package store
 
 import (
@@ -52,12 +54,14 @@ import (
 // binMagic prefixes sectioned binary snapshots.
 var binMagic = []byte("BFLOWSNB")
 
-// binVersion is the container format version this build writes. Version 1
-// was the retired framed-JSON payload; binVersionJSONRegistry, the first
-// sectioned container, is read but no longer written.
+// binVersion is the container format version this build writes, and
+// binVersionRead the oldest it reads. Version 1 was the retired
+// framed-JSON payload; binVersionRetired, the first sectioned container
+// (index codec 1, JSON registry), is refused by name.
 const (
-	binVersion             = 3
-	binVersionJSONRegistry = 2
+	binVersion        = 4
+	binVersionRead    = 3
+	binVersionRetired = 2
 )
 
 // Section kinds. Unknown kinds are rejected: the format is immutable per
@@ -66,7 +70,7 @@ const (
 	secMeta       = 1 // fixed 24 bytes: schema version, savedAt, walSeg
 	secParagraphs = 2 // index binary snapshot of the paragraph DB
 	secDocuments  = 3 // index binary snapshot of the document DB
-	secRegistry   = 4 // tdm.ExportData: binary, JSON in version 2
+	secRegistry   = 4 // tdm.ExportData, binary
 	secAudit      = 5 // []audit.Entry, JSON
 )
 
@@ -142,7 +146,7 @@ func parseBinary(path string, data []byte) (*binImage, error) {
 		return fail(0, "not a BFLOWSNB image")
 	}
 	version := data[8]
-	if version < binVersionJSONRegistry {
+	if version < binVersionRetired {
 		return fail(8, fmt.Sprintf("unsupported binary snapshot version %d", version))
 	}
 	count := int(data[9])
@@ -156,9 +160,13 @@ func parseBinary(path string, data []byte) (*binImage, error) {
 			fmt.Sprintf("section table checksum mismatch (got %08x, want %08x)", got, wantCRC))
 	}
 	// The checksum covers the version byte: a version this build does not
-	// know, under an intact header, was written by a newer build.
+	// know, under an intact header, was written by a newer build, and a
+	// version below binVersionRead by one this build no longer follows.
 	if version > binVersion {
 		return nil, &NewerFormatError{Path: path, Version: int(version)}
+	}
+	if version < binVersionRead {
+		return nil, &RetiredFormatError{Path: path, Format: fmt.Sprintf("BFLOWSNB version %d", version)}
 	}
 	im := &binImage{path: path, version: version, sections: make([]binSection, 0, count)}
 	end := uint64(headerLen + 4)
@@ -245,13 +253,14 @@ func wrapCodecErr(path string, sec binSection, err error) error {
 func CaptureBytes(tracker *disclosure.Tracker, registry *tdm.Registry, walSeg uint64) ([]byte, error) {
 	const sections = 5
 	headerLen := len(binMagic) + 2 + sections*binSectionEntrySize
-	// Sized from the counters for what the codecs typically spend — a
-	// posting 3–4 bytes, a hash delta 2–3, a segment its table entry, DBpar
-	// entry and label — so the buffer seldom grows and is never far too big.
+	// Sized from the counters for what the codecs typically spend — a hash
+	// 3–4 bytes with its gap, first holder and shape, its later holders
+	// little or nothing (a repeat), a segment its table entry, DBpar entry
+	// and label — so the buffer seldom grows and is never far too big.
 	size := headerLen + 4 + 1024
 	for _, db := range []*index.DB{tracker.Paragraphs(), tracker.Documents()} {
 		st := db.Stats()
-		size += 4*st.Postings + 3*st.DistinctHashes + 24*st.Segments
+		size += 4*st.DistinctHashes + 24*st.Segments
 	}
 	out := make([]byte, headerLen+4, size)
 	copy(out, binMagic)
@@ -311,12 +320,8 @@ func RestoreBytes(path string, data []byte, tracker *disclosure.Tracker, registr
 	// Decode every section before touching tracker or registry state, so no
 	// corruption — which the CRCs screen on disk, but not in an image sent to
 	// a bootstrapping standby — can leave a partial load.
-	var regData tdm.ExportData
-	if im.version == binVersionJSONRegistry {
-		if err := json.Unmarshal(reg.payload, &regData); err != nil {
-			return BinaryMeta{}, fmt.Errorf("store: decode registry: %w", err)
-		}
-	} else if regData, err = tdm.DecodeExportData(reg.payload); err != nil {
+	regData, err := tdm.DecodeExportData(reg.payload)
+	if err != nil {
 		return BinaryMeta{}, wrapCodecErr(path, reg, err)
 	}
 	var entries []audit.Entry

@@ -116,12 +116,11 @@ func TestSaveWritesBinaryFormat(t *testing.T) {
 	}
 }
 
-// TestCrossVersionFixtures loads state files written by the last build
-// that still had the struct route (PR 15's Middleware.Save over
-// buildState, plaintext and sealed with the passphrase "pr15-fixture"),
-// which are container version 2: the one route left must read them to the
-// same state, and must write the same version 3 bytes for that state as
-// for the one this build ingests itself.
+// TestCrossVersionFixtures loads state files that Middleware.Save wrote
+// over buildState in the last build to write container version 3,
+// plaintext and sealed with the passphrase "pr15-fixture": the one route
+// must read them to the same state, and must write the same version 4
+// bytes for that state as for the one this build ingests itself.
 func TestCrossVersionFixtures(t *testing.T) {
 	want, wantRegistry := buildState(t)
 	wantBlob, err := CaptureBytes(want, wantRegistry, 0)
@@ -135,8 +134,8 @@ func TestCrossVersionFixtures(t *testing.T) {
 		{filepath.Join("testdata", "pr15-state.snap"), nil},
 		{filepath.Join("testdata", "pr15-state.enc.snap"), DeriveKey("pr15-fixture")},
 	} {
-		if info, err := VerifyCheckpointFile(wal.OSFS{}, fx.path, fx.key); err != nil || info.Version != binVersionJSONRegistry {
-			t.Fatalf("%s: verify = (%+v, %v), want a clean version %d image", fx.path, info, err, binVersionJSONRegistry)
+		if info, err := VerifyCheckpointFile(wal.OSFS{}, fx.path, fx.key); err != nil || info.Version != binVersionRead {
+			t.Fatalf("%s: verify = (%+v, %v), want a clean version %d image", fx.path, info, err, binVersionRead)
 		}
 		tracker, registry := freshState(t)
 		if _, err := RestoreFile(wal.OSFS{}, fx.path, fx.key, tracker, registry); err != nil {
@@ -189,11 +188,22 @@ func (r *readLog) ReadFile(name string) ([]byte, error) {
 // build no longer reads is refused by name — never skipped as corrupt
 // (recovery would fall back past the state it holds) and never
 // quarantined as rot — and is not even opened when a newer loadable
-// checkpoint covers it.
+// checkpoint covers it. That includes the first sectioned container,
+// version 2 (index codec 1, JSON registry).
 func TestRecoverRefusesRetiredFormat(t *testing.T) {
+	tracker, registry := buildState(t)
+	blob, err := CaptureBytes(tracker, registry, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := parseBinary("mem.bf", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for format, payload := range map[string][]byte{
 		"BFLOWSNP framed-JSON": []byte("BFLOWSNP\x01\x00\x00\x00\x00\x00\x00\x00\x02\xb3\x9b\x0d\xd5{}"),
 		"bare-JSON":            []byte(`{"version":1,"savedAt":"2024-01-02T03:04:05Z","walSeg":3}`),
+		"BFLOWSNB version 2":   frameImage(binVersionRetired, im.sections),
 	} {
 		testRefusedCheckpoint(t, format, payload, func(path string, err error) bool {
 			var rfe *RetiredFormatError
@@ -218,7 +228,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer := frameImage(binVersion+1, im.sections)
-	testRefusedCheckpoint(t, "version 4", newer, func(path string, err error) bool {
+	testRefusedCheckpoint(t, "version 5", newer, func(path string, err error) bool {
 		var nfe *NewerFormatError
 		return errors.As(err, &nfe) && nfe.Path == path && nfe.Version == binVersion+1
 	})
@@ -226,7 +236,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 	newer[len(binMagic)+3] ^= 0x01 // a section-table byte: the header CRC no longer holds
 	var ce *CorruptSnapshotError
 	if _, err := RestoreBytes("mem.bf", newer, tracker, registry); !errors.As(err, &ce) {
-		t.Errorf("version 4 under a damaged header: err=%v, want CorruptSnapshotError", err)
+		t.Errorf("version 5 under a damaged header: err=%v, want CorruptSnapshotError", err)
 	}
 }
 

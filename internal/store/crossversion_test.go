@@ -21,10 +21,11 @@ import (
 
 // The PR 20 fixture: testdata/pr20-state.snap is the checkpoint, and
 // testdata/pr20-suffix.log the WAL segment behind it, that the last build
-// with the starts/uint64-seqs run columns and the bucket-per-hash head left
-// after running pr20Script on an OS directory (fsync=always, no Close);
-// testdata/pr20-probes.txt is what that build answered to pr20ProbeAnswers after
-// the whole script.
+// to write container version 3 left after running pr20Script on an OS
+// directory (fsync=always, no Close); testdata/pr20-probes.txt is what the
+// last build with the starts/uint64-seqs run columns and the
+// bucket-per-hash head answered to pr20ProbeAnswers after the whole
+// script, and what every build since has answered.
 const (
 	pr20Checkpoint = "pr20-state.snap"
 	pr20Suffix     = "pr20-suffix.log"
@@ -130,12 +131,15 @@ func readFixture(t testing.TB, name string) []byte {
 // epoch) start.
 const afterMeta = len("BFLOWSNB") + 2 + 5*binSectionEntrySize + 4 + binMetaSize
 
-// TestCrossVersionPR20Fixture: the PR 20 build's checkpoint (container
-// version 2) and WAL suffix recover here to the state the script builds
-// here and answer the probes as that build did; the version 3 image of the
-// loaded checkpoint is the version 3 image of the script run from empty.
+// TestCrossVersionPR20Fixture: the version 3 checkpoint and its WAL suffix
+// recover here to the state the script builds here and answer the
+// recorded probes; the version 4 image of the loaded checkpoint is the
+// version 4 image of the script run from empty.
 func TestCrossVersionPR20Fixture(t *testing.T) {
 	fixture := readFixture(t, pr20Checkpoint)
+	if fixture[8] != binVersionRead {
+		t.Fatalf("fixture is container version %d, want %d", fixture[8], binVersionRead)
+	}
 
 	// The script run from empty on this build: the image at the
 	// checkpoint call, and the complete state.
@@ -193,9 +197,9 @@ func TestCrossVersionPR20Fixture(t *testing.T) {
 }
 
 // The PR 22 fixture: testdata/pr22-state.snap is the image the last build
-// that wrote container version 2 (index codec 1, JSON registry) captured
-// after pr22Script, and testdata/pr22-probes.txt what that build answered
-// to pr22ProbeAnswers.
+// that wrote container version 3 (index codec 2) captured after
+// pr22Script, and testdata/pr22-probes.txt what the last build to write
+// version 2 answered to pr22ProbeAnswers, as every build since has.
 const (
 	pr22Image  = "pr22-state.snap"
 	pr22Probes = "pr22-probes.txt"
@@ -206,7 +210,7 @@ const (
 const pr22MemoText = "terms of the partner agreement and the staged payment schedule"
 
 // pr22Script builds the state behind the fixture: the op mix of genOps,
-// then every case where container version 3 stores a fact differently from
+// then every case where container version 3 stored a fact differently from
 // version 2. In the index: fingerprint hashes whose postings expired, a
 // posted union larger than the fingerprint, a segment edited and then
 // pruned (its writer left the first version's postings behind without a
@@ -275,23 +279,6 @@ func pr22Script(t testing.TB, w *world) {
 // pr22MovedText is bravo/moved#p0's first version in pr22Script.
 var pr22MovedText = opTexts[4] + " in its first wording"
 
-// pr22Resettle observes bravo/moved#p0's first version once more and
-// prunes it again. The fixture's writer pruned only a segment's last
-// version, so the fixture still holds the first version's postings, with
-// no DBpar entry; observed again, the segment adopts them into its posted
-// union, and pruned, it takes them along. Run on the fixture and on the
-// script run from empty alike, it leaves the two in one state.
-func pr22Resettle(t testing.TB, w *world) {
-	t.Helper()
-	if _, err := w.engine.ObserveEdit("bravo/moved#p0", "bravo", pr22MovedText); err != nil {
-		t.Fatal(err)
-	}
-	k := segment.Key("bravo/moved#p0")
-	if _, err := w.engine.PruneRange(context.Background(), k, k); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // movedHeld reports whether bravo/moved#p0 holds a posting of any hash of
 // its first version.
 func movedHeld(t testing.TB, w *world) bool {
@@ -334,32 +321,23 @@ func pr22ProbeAnswers(t testing.TB, w *world) []byte {
 	return out.Bytes()
 }
 
-// TestCrossVersionPR22Fixture: the last version 2 image — JSON registry with
-// explicit, implicit, suppressed and custom-owner tags, index codec 1 over
-// every case codec 2 encodes differently — loads and answers the probes as
-// its writer did. The version 3 image of the script run from empty loads
-// to that run's state and re-encodes to the same bytes; the fixture holds
-// the first-version postings its writer's prune left behind, and once
-// pr22Resettle has taken them on both sides, it loads to the state of the
-// script run from empty and re-encodes to that state's bytes.
+// TestCrossVersionPR22Fixture: the last version 3 image — binary registry
+// with explicit, implicit, suppressed and custom-owner tags, index codec 2
+// over every case codec 2 encoded differently from codec 1 — loads and
+// answers the probes as its writer did, and so does the version 4 image of
+// the script run from empty; each loads to that run's state and re-encodes
+// to its bytes.
 func TestCrossVersionPR22Fixture(t *testing.T) {
 	fixture := readFixture(t, pr22Image)
-	if fixture[8] != binVersionJSONRegistry {
-		t.Fatalf("fixture is container version %d, want %d", fixture[8], binVersionJSONRegistry)
+	if fixture[8] != binVersionRead {
+		t.Fatalf("fixture is container version %d, want %d", fixture[8], binVersionRead)
 	}
-	capture := func(w *world) []byte {
-		t.Helper()
-		image, err := CaptureBytes(w.tracker, w.registry, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return image
-	}
-	fresh, settled := newWorld(t, fixedClock), newWorld(t, fixedClock)
+	fresh := newWorld(t, fixedClock)
 	pr22Script(t, fresh)
-	pr22Script(t, settled)
-	pr22Resettle(t, settled)
-	image := capture(fresh)
+	image, err := CaptureBytes(fresh.tracker, fresh.registry, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := readFixture(t, pr22Probes)
 	if got := pr22ProbeAnswers(t, fresh); !bytes.Equal(got, want) {
 		t.Errorf("script run from empty answers\n%s\nparent answered\n%s", got, want)
@@ -368,12 +346,11 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 		t.Error("the script run from empty left postings of the pruned segment")
 	}
 	for _, tc := range []struct {
-		name     string
-		blob     []byte
-		resettle bool
+		name string
+		blob []byte
 	}{
-		{"version 2 fixture", fixture, true},
-		{"version 3 image", image, false},
+		{"version 3 fixture", fixture},
+		{"version 4 image", image},
 	} {
 		loaded := newWorld(t, fixedClock)
 		if _, err := RestoreBytes(tc.name, tc.blob, loaded.tracker, loaded.registry); err != nil {
@@ -382,18 +359,17 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 		if got := pr22ProbeAnswers(t, loaded); !bytes.Equal(got, want) {
 			t.Errorf("%s: loaded state answers\n%s\nparent answered\n%s", tc.name, got, want)
 		}
-		if held := movedHeld(t, loaded); held != tc.resettle {
-			t.Errorf("%s: the pruned segment's first-version postings are present: %v, want %v", tc.name, held, tc.resettle)
+		if movedHeld(t, loaded) {
+			t.Errorf("%s: the pruned segment's postings are present", tc.name)
 		}
-		ref, refImage := fresh, image
-		if tc.resettle {
-			pr22Resettle(t, loaded)
-			ref, refImage = settled, capture(settled)
-		}
-		if !bytes.Equal(export(t, loaded), export(t, ref)) {
+		if !bytes.Equal(export(t, loaded), export(t, fresh)) {
 			t.Errorf("%s: loaded state differs from the script run from empty", tc.name)
 		}
-		if again := capture(loaded); !bytes.Equal(again[afterMeta:], refImage[afterMeta:]) {
+		again, err := CaptureBytes(loaded.tracker, loaded.registry, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again[afterMeta:], image[afterMeta:]) {
 			t.Errorf("%s: image of the loaded state differs from the image of the script run from empty after the meta section", tc.name)
 		}
 	}
@@ -413,8 +389,8 @@ const (
 	pr22ParsDigest  uint64 = 0x1811e97322d3e062
 	pr22DocsDigest  uint64 = 0x662d5566b2318fbb
 	pr22StripesSHA         = "570eb0e6a6987f257a93c6edf8086dddbf998b1d84680af5b5e2ee1f192264da"
-	pr22ImageSHA           = "b3e094da68ea86d37f3f946a5b75d0feeec3753c6486cd58874f6602e7f3538b"
-	pr22ImageLength        = 5895
+	pr22ImageSHA           = "8e90d2690d90c15cf87969f38ac1fc9a4778d31cb1389658d8828d6de1a8788b"
+	pr22ImageLength        = 5849
 )
 
 // TestPR22ScriptPins holds this build's digests and image of pr22Script to
@@ -452,11 +428,12 @@ func TestPR22ScriptPins(t *testing.T) {
 // Frames ship to standbys verbatim and a newer build replays an older
 // build's log, so neither a record encoder nor a decoder may move; the
 // replayed state moves with the state the script builds, as the pins
-// above do.
+// above do, and its SHA-256 with the index codec too, since export holds
+// the state's image.
 const (
 	walPinSHA       = "9f636e8c1284332f3db4779d9760be78dbaba0131c71be86b09006c7d94bdc7d"
 	walPinLength    = 14509
-	walPinReplaySHA = "4ad6a7c25350d4d59e07fd302fab3810741be91fad77151563142df55cfd586f"
+	walPinReplaySHA = "c60ab3e3069db36b896620c67af5c558e03efe03e1b5bf24753888f8add9741c"
 )
 
 // TestScriptWALPin holds the WAL segment pr22Script writes, and the

@@ -33,10 +33,17 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)                     // container version 3
-	f.Add(readFixture(f, pr22Image)) // container version 2
-	f.Add(valid[:len(valid)-1])      // truncated last section
-	f.Add(valid[:9])                 // truncated section table
+	im, err := parseBinary("seed", valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)                                 // container version 4
+	f.Add(shapesImage(f))                        // version 4, every group shape
+	f.Add(readFixture(f, pr22Image))             // container version 3
+	f.Add(frameImage(2, im.sections))            // retired version 2
+	f.Add(frameImage(binVersion+1, im.sections)) // newer
+	f.Add(valid[:len(valid)-1])                  // truncated last section
+	f.Add(valid[:9])                             // truncated section table
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/2] ^= 0x80 // payload bit flip
 	f.Add(flip)
@@ -79,8 +86,9 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 			t.Fatalf("negative corruption offset: %+v", ce)
 		}
 		var rfe *RetiredFormatError
-		if retired := retiredFormat(plain) != ""; retired != errors.As(err, &rfe) {
-			t.Fatalf("retired format = %v, but err = %v", retired, err)
+		retiredVersion := IsBinarySnapshot(plain) && len(plain) > 8 && plain[8] < binVersionRead
+		if retired := errors.As(err, &rfe); retiredFormat(plain) != "" && !retired || retired && retiredFormat(plain) == "" && !retiredVersion {
+			t.Fatalf("retired format %q, container version retired %v, but err = %v", retiredFormat(plain), retiredVersion, err)
 		}
 		var nfe *NewerFormatError
 		if errors.As(err, &nfe) && (!IsBinarySnapshot(plain) || int(plain[8]) != nfe.Version || nfe.Version <= binVersion) {
@@ -103,6 +111,45 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 			restore(t, refreshCRCs(plain))
 		}
 	})
+}
+
+// shapesImage is a version 4 image whose paragraph section holds every
+// group shape of the posting stream: single holders between the groups of
+// a tail spelled out once and then repeated, and groups that are not plain
+// — a later holder edited since it posted (stamped), one whose hashes left
+// its fingerprint (stale), and a single holder edited since.
+func shapesImage(t testing.TB) []byte {
+	t.Helper()
+	tracker, registry := buildState(t)
+	texts := []string{
+		"the pasted paragraph travels between documents with every copy it makes",
+		"an edited holder keeps its first stamps below its last update",
+		"a segment rewritten leaves its old hashes outside its fingerprint",
+		"something else entirely, written in another place by another hand",
+	}
+	for _, o := range []struct {
+		seg  segment.ID
+		text string
+	}{
+		{"wiki/a#p0", texts[0] + " " + texts[1]},
+		{"docs/b#p0", texts[0]},
+		{"docs/c#p0", texts[0]},
+		{"docs/d#p0", texts[1]},
+		{"docs/d#p0", texts[1] + " " + texts[2]},
+		{"docs/e#p0", texts[2]},
+		{"docs/e#p0", texts[3]},
+		{"docs/f#p0", "a paragraph that nobody else has written down"},
+		{"docs/f#p0", "a paragraph that nobody else has written down, and then extended"},
+	} {
+		if _, err := tracker.ObserveParagraph(o.seg, o.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image, err := CaptureBytes(tracker, registry, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image
 }
 
 // hugeHashCountRecords are, for each observe record type, a payload that

@@ -44,11 +44,11 @@ func (e *CorruptSnapshotError) Error() string {
 }
 
 // RetiredFormatError reports an intact state file in a format this build
-// no longer reads (framed or bare JSON, last written before the BFLOWSNB
-// container). It is deliberately not a CorruptSnapshotError: recovery
-// skips corrupt checkpoints in favour of older spares and the scrubber
-// quarantines them, and either would silently lose the state an old file
-// still holds. See README, "Upgrading from a pre-PR 7 state file".
+// no longer reads (framed or bare JSON, written before the BFLOWSNB
+// container, or a BFLOWSNB version 2 image). It is deliberately not a
+// CorruptSnapshotError: recovery skips corrupt checkpoints in favour of
+// older spares and the scrubber quarantines them, and either would
+// silently lose the state an old file still holds. See README, "Upgrading".
 type RetiredFormatError struct {
 	Path   string
 	Format string
