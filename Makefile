@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check node-copies fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean
+.PHONY: all build vet test race check node-copies wallclock fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean
 
 all: build check
 
 # check is the gate, and runs each test once: static analysis and the
 # gofmt gate (vet); the guard against tests that assemble a node of their
-# own (node-copies); the full suite under the race detector, split in two
+# own (node-copies); the guard against code that reads the wall clock past
+# the node's clock seam (wallclock); the full suite under the race detector, split in two
 # invocations only so the policy package's run also yields its coverage
 # profile (that suite holds the crash/corruption-injection recovery
 # properties, the replication, partition, overload and self-healing chaos
@@ -21,7 +22,7 @@ all: build check
 # vulnerability scan when govulncheck is installed; and the benchmark
 # module, which tier-1 does not build.
 POLICY_COVER ?= /tmp/policyfile.cover
-check: vet node-copies
+check: vet node-copies wallclock
 	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/policyfile$$')
 	$(MAKE) policy-floor
@@ -37,14 +38,29 @@ check: vet node-copies
 # calls both OpenDurable( and NewServer(. Such a test exercises a wiring
 # that does not ship; it should open an internal/node Node instead. The
 # one exception is internal/tagserver/metrics_test.go, whose wiredNode
-# drives a wedged engine under a fake clock behind the node.prom golden,
-# which a Node cannot do before it has a clock seam.
+# drives a wedged engine behind the node.prom golden, which a Node cannot
+# do: its engine is the policy file's.
 node-copies:
 	@copies=$$(grep -rl --include='*_test.go' 'OpenDurable(' . | xargs -r grep -l 'NewServer(' | \
 		grep -v -e '^./internal/node/' -e '^./internal/store/' -e '^./internal/replication/' \
 			-e '^./internal/tagserver/metrics_test.go$$'); \
 	if [ -n "$$copies" ]; then \
 		echo "node-copies: tests assembling their own node (open an internal/node Node):"; echo "$$copies"; exit 1; \
+	fi
+
+# wallclock fails when non-test code a node runs reads the wall clock
+# directly instead of through its clock.Clock (node.Config.Clock, handed to
+# obs.New and store.DurableOptions): such a timer or timestamp ignores the
+# clock a test injects, so the test can no longer move the node's time by
+# hand, and two clocks disagree (a wake-up armed on one, judged on the
+# other, never comes). Comment lines are skipped.
+WALLCLOCK_SCOPE = internal/node internal/store internal/wal internal/replication internal/admission internal/obs
+wallclock:
+	@calls=$$(ls $(addsuffix /*.go,$(WALLCLOCK_SCOPE)) internal/tagserver/server.go | grep -v '_test\.go$$' | \
+		xargs grep -nE '\btime\.(Now|Since|Until|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)\b|\bcontext\.With(Timeout|Deadline)\b' | \
+		grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$calls" ]; then \
+		echo "wallclock: direct wall-clock use (go through the node's clock.Clock):"; echo "$$calls"; exit 1; \
 	fi
 
 # bench-check vets, tests and builds the benchmark (its own module, so

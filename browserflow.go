@@ -29,6 +29,7 @@ package browserflow
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/disclosure"
@@ -454,7 +455,7 @@ func (m *Middleware) Stats() Stats {
 // run beside observes: each fingerprint database is captured as one
 // consistent cut.
 func (m *Middleware) Save(path, passphrase string) error {
-	blob, err := store.CaptureBytes(m.tracker, m.registry, 0)
+	blob, err := store.CaptureBytes(m.tracker, m.registry, 0, time.Now())
 	if err != nil {
 		return err
 	}

@@ -48,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/obs"
@@ -163,11 +164,9 @@ type Config struct {
 	RetryAfterMin time.Duration
 	RetryAfterMax time.Duration
 
-	// Clock is the injectable time source (default time.Now).
-	Clock func() time.Time
-
 	// Obs, when set, registers queue-depth gauges, shed/fold counters and
-	// per-lane wait/exec latency histograms in the bundle's registry.
+	// per-lane wait/exec latency histograms in the bundle's registry. The
+	// pipeline reads its clock (the real one when nil).
 	Obs *obs.Obs
 }
 
@@ -192,9 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfterMax <= 0 {
 		c.RetryAfterMax = 30 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -301,6 +297,7 @@ func (s Stats) Lane(l Lane) LaneStats {
 type Pipeline struct {
 	engine Engine
 	cfg    Config
+	clock  clock.Clock
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -327,6 +324,7 @@ func New(engine Engine, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		engine:  engine,
 		cfg:     cfg,
+		clock:   cfg.Obs.Clock(),
 		pending: make(map[coalesceKey]*job),
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -379,11 +377,11 @@ func (p *Pipeline) Observe(ctx context.Context, service string, seg segment.ID, 
 		gran = segment.GranularityParagraph
 	}
 	w := &waiter{ctx: ctx, done: make(chan result, 1)}
-	now := p.cfg.Clock()
+	now := p.clock.Now()
 
 	p.mu.Lock()
 	if p.draining {
-		p.shedLocked(LaneInteractive, ReasonDraining, now)
+		p.shedLocked(LaneInteractive, ReasonDraining)
 		p.mu.Unlock()
 		return policy.Verdict{}, &OverloadError{Lane: LaneInteractive, Reason: ReasonDraining, RetryAfter: p.cfg.RetryAfterMin}
 	}
@@ -415,8 +413,8 @@ func (p *Pipeline) Observe(ctx context.Context, service string, seg segment.ID, 
 		if p.cfg.CoalesceWindow > 0 {
 			j.readyAt = now.Add(p.cfg.CoalesceWindow)
 			// Wake a worker when the debounce window elapses; the worker
-			// re-checks readiness against the pipeline clock.
-			time.AfterFunc(p.cfg.CoalesceWindow, p.cond.Broadcast)
+			// re-checks readiness against the same clock.
+			p.clock.AfterFunc(p.cfg.CoalesceWindow, p.cond.Broadcast)
 		}
 		p.pushLocked(j)
 		p.mu.Unlock()
@@ -434,11 +432,11 @@ func (p *Pipeline) Observe(ctx context.Context, service string, seg segment.ID, 
 // its verdicts are computed, the context expires, or the pipeline sheds it.
 func (p *Pipeline) ObserveBatch(ctx context.Context, service string, items []disclosure.BatchObservation) ([]policy.Verdict, error) {
 	w := &waiter{ctx: ctx, done: make(chan result, 1)}
-	now := p.cfg.Clock()
+	now := p.clock.Now()
 
 	p.mu.Lock()
 	if p.draining {
-		p.shedLocked(LaneBulk, ReasonDraining, now)
+		p.shedLocked(LaneBulk, ReasonDraining)
 		p.mu.Unlock()
 		return nil, &OverloadError{Lane: LaneBulk, Reason: ReasonDraining, RetryAfter: p.cfg.RetryAfterMin}
 	}
@@ -470,7 +468,7 @@ func (p *Pipeline) ObserveBatch(ctx context.Context, service string, items []dis
 func (p *Pipeline) admitLocked(lane Lane, now time.Time) error {
 	ls := p.lanes[lane]
 	if len(ls.queue) >= ls.cap {
-		p.shedLocked(lane, ReasonQueueFull, now)
+		p.shedLocked(lane, ReasonQueueFull)
 		return &OverloadError{Lane: lane, Reason: ReasonQueueFull, RetryAfter: p.retryAfterLocked(lane, now)}
 	}
 	// Adaptive shed: a head-of-line item older than the dwell bound means
@@ -478,7 +476,7 @@ func (p *Pipeline) admitLocked(lane Lane, now time.Time) error {
 	// misses. The bulk lane's bound is tighter, so it degrades first.
 	if len(ls.queue) > 0 {
 		if dwell := now.Sub(ls.queue[0].enqueued); dwell > ls.maxDwell {
-			p.shedLocked(lane, ReasonStale, now)
+			p.shedLocked(lane, ReasonStale)
 			return &OverloadError{Lane: lane, Reason: ReasonStale, RetryAfter: p.retryAfterLocked(lane, now)}
 		}
 	}
@@ -501,7 +499,7 @@ func (p *Pipeline) retryAfterLocked(lane Lane, now time.Time) time.Duration {
 	return est
 }
 
-func (p *Pipeline) shedLocked(lane Lane, reason string, _ time.Time) {
+func (p *Pipeline) shedLocked(lane Lane, reason string) {
 	p.lanes[lane].shed++
 	if c := p.shedCtr[lane.String()+"/"+reason]; c != nil {
 		c.Inc()
@@ -524,14 +522,13 @@ func (p *Pipeline) pushLocked(j *job) {
 // nextLocked pops the next eligible job, preferring the interactive lane.
 // Every eighth dequeue offers the bulk lane first so sustained interactive
 // saturation degrades bulk to a trickle rather than total starvation.
-// Returns (nil, wait) when no job is eligible; wait>0 means a queued job
-// becomes ready at now+wait. Caller holds p.mu.
-func (p *Pipeline) nextLocked(now time.Time) (*job, time.Duration) {
+// Returns nil when no job is eligible; a debouncing job's timer wakes the
+// workers when it becomes ready. Caller holds p.mu.
+func (p *Pipeline) nextLocked(now time.Time) *job {
 	order := [2]Lane{LaneInteractive, LaneBulk}
 	if p.rr%8 == 7 {
 		order = [2]Lane{LaneBulk, LaneInteractive}
 	}
-	var wait time.Duration
 	for _, lane := range order {
 		ls := p.lanes[lane]
 		if len(ls.queue) == 0 {
@@ -541,9 +538,6 @@ func (p *Pipeline) nextLocked(now time.Time) (*job, time.Duration) {
 		if head.readyAt.After(now) && !p.draining {
 			// Still inside its debounce window (drain ignores windows —
 			// folding opportunities are over).
-			if d := head.readyAt.Sub(now); wait == 0 || d < wait {
-				wait = d
-			}
 			continue
 		}
 		ls.queue[0] = nil
@@ -552,9 +546,9 @@ func (p *Pipeline) nextLocked(now time.Time) (*job, time.Duration) {
 			delete(p.pending, head.key)
 		}
 		p.rr++ // count successful dequeues only, so lane order is deterministic
-		return head, 0
+		return head
 	}
-	return nil, wait
+	return nil
 }
 
 // worker drains the lanes until the pipeline closes.
@@ -568,10 +562,7 @@ func (p *Pipeline) worker() {
 				p.mu.Unlock()
 				return
 			}
-			now := p.cfg.Clock()
-			var wait time.Duration
-			j, wait = p.nextLocked(now)
-			if j != nil {
+			if j = p.nextLocked(p.clock.Now()); j != nil {
 				break
 			}
 			if p.draining && p.queuesEmptyLocked() {
@@ -579,11 +570,6 @@ func (p *Pipeline) worker() {
 				p.cond.Broadcast()
 				p.mu.Unlock()
 				return
-			}
-			if wait > 0 {
-				// A job is debouncing; its AfterFunc will broadcast.
-				p.cond.Wait()
-				continue
 			}
 			p.cond.Wait()
 		}
@@ -625,7 +611,7 @@ func (p *Pipeline) execute(j *job) {
 		return
 	}
 
-	start := p.cfg.Clock()
+	start := p.clock.Now()
 	if h := p.lanes[j.lane].waitHist; h != nil {
 		h.Observe(start.Sub(j.enqueued))
 	}
@@ -641,7 +627,7 @@ func (p *Pipeline) execute(j *job) {
 		r.verdict, r.err = p.engine.ObserveEditFPCtx(ctx, j.key.seg, j.service, j.fp)
 	}
 	if h := p.lanes[j.lane].execHist; h != nil {
-		h.Observe(p.cfg.Clock().Sub(start))
+		h.Observe(p.clock.Now().Sub(start))
 	}
 	for _, w := range live {
 		w.done <- r // buffered; never blocks
@@ -717,7 +703,7 @@ func (p *Pipeline) Close(ctx context.Context) error {
 		for lane, ls := range p.lanes {
 			for _, j := range ls.queue {
 				stranded = append(stranded, j.waiters...)
-				p.shedLocked(Lane(lane), ReasonDraining, p.cfg.Clock())
+				p.shedLocked(Lane(lane), ReasonDraining)
 			}
 			ls.queue = nil
 		}

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 )
@@ -251,17 +253,13 @@ func TestQueueFullSheds(t *testing.T) {
 // Adaptive shedding: long before the queue is full, a stale head-of-line
 // item (dwell past the bound) sheds new arrivals.
 func TestAdaptiveDwellShed(t *testing.T) {
-	var now atomic.Pointer[time.Time]
-	t0 := time.Unix(1000, 0)
-	now.Store(&t0)
-	clock := func() time.Time { return *now.Load() }
-
+	clk := clock.NewFake(time.Unix(1000, 0))
 	eng := &fakeEngine{gate: make(chan struct{})}
 	p, err := New(eng, Config{
 		Workers:          1,
 		InteractiveQueue: 1000,
 		MaxDwell:         2 * time.Second,
-		Clock:            clock,
+		Obs:              obs.New(clk, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,8 +293,7 @@ func TestAdaptiveDwellShed(t *testing.T) {
 	waitFor(t, func() bool { return p.Stats().Interactive.Depth == 2 })
 
 	// Advance the clock past MaxDwell: the head item is stale, arrivals shed.
-	t1 := t0.Add(3 * time.Second)
-	now.Store(&t1)
+	clk.Advance(3 * time.Second)
 	_, err = p.Observe(context.Background(), "docs", "docs/d#p3", segment.GranularityParagraph, fp(8))
 	oe, ok := AsOverload(err)
 	if !ok || oe.Reason != ReasonStale {
@@ -415,32 +412,38 @@ func TestPriorityInteractiveFirst(t *testing.T) {
 }
 
 // The debounce window delays an idle observe so trailing keystrokes fold
-// in even when workers are free.
+// in even when workers are free: it runs once its window has passed on the
+// pipeline's clock, and not a nanosecond before.
 func TestCoalesceWindowDebounces(t *testing.T) {
 	eng := &fakeEngine{}
-	p, err := New(eng, Config{Workers: 2, CoalesceWindow: 50 * time.Millisecond})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	p, err := New(eng, Config{Workers: 2, CoalesceWindow: 50 * time.Millisecond, Obs: obs.New(clk, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close(context.Background())
 
 	var wg sync.WaitGroup
-	results := make([]policy.Verdict, 2)
 	for i := 0; i < 2; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := p.Observe(context.Background(), "docs", "docs/d#p0", segment.GranularityParagraph, fp(uint32(i+1)))
+			_, err := p.Observe(context.Background(), "docs", "docs/d#p0", segment.GranularityParagraph, fp(uint32(i+1)))
 			if err != nil {
 				t.Errorf("observe: %v", err)
 			}
-			results[i] = v
 		}()
 		if i == 0 {
-			waitFor(t, func() bool { return p.Stats().Interactive.Depth == 1 })
+			clk.WaitArmed(1)
 		}
 	}
+	waitFor(t, func() bool { return p.Stats().Folds == 1 })
+	clk.Advance(50*time.Millisecond - 1)
+	if n := eng.n.Load(); n != 0 {
+		t.Fatalf("engine calls = %d inside the debounce window", n)
+	}
+	clk.Advance(1)
+	waitFor(t, func() bool { return eng.n.Load() == 1 })
 	wg.Wait()
 	if n := eng.n.Load(); n != 1 {
 		t.Fatalf("engine calls = %d, want 1 (debounce window must fold)", n)

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
@@ -350,7 +352,9 @@ func TestSustainedOverloadShedsAndRecovers(t *testing.T) {
 // sheds bulk arrivals while interactive work is still being admitted.
 func TestBulkDegradesBeforeInteractive(t *testing.T) {
 	eng := &fakeEngine{gate: make(chan struct{})}
+	clk := clock.NewFake(time.Unix(1000, 0))
 	p, err := New(eng, Config{
+		Obs:              obs.New(clk, 0),
 		Workers:          1,
 		InteractiveQueue: 100,
 		BulkQueue:        100,
@@ -379,7 +383,7 @@ func TestBulkDegradesBeforeInteractive(t *testing.T) {
 		p.ObserveBatch(context.Background(), "docs", []disclosure.BatchObservation{{Seg: "docs/bulk#p0", FP: fp(2)}})
 	}()
 	waitFor(t, func() bool { return p.Stats().Bulk.Depth == 1 })
-	time.Sleep(80 * time.Millisecond) // past BulkMaxDwell, far under MaxDwell
+	clk.Advance(80 * time.Millisecond) // past BulkMaxDwell, far under MaxDwell
 
 	// Bulk arrivals shed; interactive arrivals are still admitted.
 	if _, err := p.ObserveBatch(context.Background(), "docs", []disclosure.BatchObservation{{Seg: "docs/bulk2#p0", FP: fp(3)}}); err == nil {

@@ -9,6 +9,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
 // Action classifies an audit entry.
@@ -55,19 +57,17 @@ type Entry struct {
 // Log is an append-only, thread-safe audit trail.
 type Log struct {
 	mu      sync.RWMutex
-	now     func() time.Time
+	clock   clock.Clock
 	entries []Entry
 }
 
-// NewLog returns an empty Log stamping entries with time.Now.
-func NewLog() *Log {
-	return &Log{now: time.Now}
-}
+// NewLog returns an empty Log stamping entries with the real clock.
+func NewLog() *Log { return NewLogWithClock(nil) }
 
-// NewLogWithClock returns a Log with an injected time source, for
-// deterministic tests.
-func NewLogWithClock(now func() time.Time) *Log {
-	return &Log{now: now}
+// NewLogWithClock returns an empty Log stamping entries with c (nil means
+// the real clock).
+func NewLogWithClock(c clock.Clock) *Log {
+	return &Log{clock: clock.Or(c)}
 }
 
 // Append records e (its Seq and Time are assigned by the log) and returns
@@ -76,7 +76,7 @@ func (l *Log) Append(e Entry) Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e.Seq = uint64(len(l.entries) + 1)
-	e.Time = l.now()
+	e.Time = l.clock.Now()
 	l.entries = append(l.entries, e)
 	return e
 }

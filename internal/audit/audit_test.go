@@ -5,20 +5,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
-func fixedClock() func() time.Time {
-	t0 := time.Date(2016, 12, 12, 9, 0, 0, 0, time.UTC)
-	n := 0
-	return func() time.Time {
-		n++
-		return t0.Add(time.Duration(n) * time.Second)
-	}
-}
+var epoch = time.Date(2016, 12, 12, 9, 0, 0, 0, time.UTC)
 
 func TestAppendAssignsSeqAndTime(t *testing.T) {
-	l := NewLogWithClock(fixedClock())
+	clk := clock.NewFake(epoch)
+	l := NewLogWithClock(clk)
 	a := l.Append(Entry{User: "alice", Action: ActionSuppress, Tag: "ti"})
+	clk.Advance(time.Second)
 	b := l.Append(Entry{User: "bob", Action: ActionAllocate, Tag: "tn"})
 	if a.Seq != 1 || b.Seq != 2 {
 		t.Errorf("seqs=%d,%d, want 1,2", a.Seq, b.Seq)
@@ -32,7 +29,7 @@ func TestAppendAssignsSeqAndTime(t *testing.T) {
 }
 
 func TestFilters(t *testing.T) {
-	l := NewLogWithClock(fixedClock())
+	l := NewLogWithClock(clock.NewFake(epoch))
 	l.Append(Entry{User: "alice", Action: ActionSuppress, Tag: "ti", Justification: "sharing with legal"})
 	l.Append(Entry{User: "bob", Action: ActionSuppress, Tag: "tw"})
 	l.Append(Entry{User: "alice", Action: ActionGrant, Tag: "tw", Service: "itool"})
@@ -49,7 +46,7 @@ func TestFilters(t *testing.T) {
 }
 
 func TestEntriesIsCopy(t *testing.T) {
-	l := NewLogWithClock(fixedClock())
+	l := NewLogWithClock(clock.NewFake(epoch))
 	l.Append(Entry{User: "alice", Action: ActionSuppress})
 	es := l.Entries()
 	es[0].User = "tampered"
@@ -59,7 +56,7 @@ func TestEntriesIsCopy(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	l := NewLogWithClock(fixedClock())
+	l := NewLogWithClock(clock.NewFake(epoch))
 	l.Append(Entry{User: "alice", Action: ActionSuppress, Tag: "ti", Segment: "wiki#p0", Justification: "client request"})
 	l.Append(Entry{User: "bob", Action: ActionOverride, Service: "docs"})
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/tagserver"
 )
@@ -40,21 +41,25 @@ func TestHealthzDurabilityBlock(t *testing.T) {
 
 // TestHealthzStandbyStorageBlocks: a standby's durable store is the one a
 // primary runs, so — before any promotion — its /healthz carries the
-// storage and durability blocks, scrub passes and checkpoints advance, and
-// the segments it streams are pruned behind its own checkpoints.
+// storage and durability blocks, each hour of its cadences runs one scrub
+// pass and at least one checkpoint, and the segments it streams are pruned
+// behind its own checkpoints.
 func TestHealthzStandbyStorageBlocks(t *testing.T) {
 	c := newCluster(t)
-	primary := c.open("primary", Config{Fsync: "none"})
-	c.open("standby", Config{
-		ReplicaOf: primaryURL, Fsync: "none",
-		CheckpointEvery: 5 * time.Millisecond, ScrubEvery: 5 * time.Millisecond,
+	clk := clock.NewFake(time.Unix(1000, 0))
+	primary := c.open("primary", Config{Fsync: "none", Clock: clk})
+	standby := c.open("standby", Config{
+		ReplicaOf: primaryURL, Fsync: "none", Clock: clk,
+		CheckpointEvery: time.Hour, ScrubEvery: time.Hour,
 	})
 	// awaitHealth waits until the standby's /healthz, which must carry the
-	// storage and durability blocks, satisfies cond.
+	// storage and durability blocks, satisfies cond, stepping the clock
+	// through any 200ms stream back-off (far short of the hourly cadences).
 	var h tagserver.HealthResponse
 	awaitHealth := func(what string, cond func() bool) {
 		t.Helper()
 		await(t, what, func() bool {
+			clk.Advance(200 * time.Millisecond)
 			if h = c.getHealth(standbyURL); h.Storage == nil || h.Durability == nil {
 				t.Fatalf("standby healthz lacks a storage or durability block: %+v", h)
 			}
@@ -75,9 +80,14 @@ func TestHealthzStandbyStorageBlocks(t *testing.T) {
 		if err := primary.durable.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		awaitHealth("the standby to hold the round", func() bool { return standby.mw.Tracker().Digest() == primary.mw.Tracker().Digest() })
+		clk.Advance(time.Hour)
 		awaitHealth(fmt.Sprintf("round %d: scrub and checkpoint past %d/%d", round, prev.Storage.ScrubPasses, prev.Durability.Checkpoints), func() bool {
 			return h.Storage.ScrubPasses > prev.Storage.ScrubPasses && h.Durability.Checkpoints > prev.Durability.Checkpoints
 		})
+		if passes := h.Storage.ScrubPasses - prev.Storage.ScrubPasses; passes != 1 {
+			t.Errorf("round %d: an hour ran %d scrub passes, want 1", round, passes)
+		}
 		if h.Durability.WALSegments > 2 {
 			t.Errorf("round %d: standby holds %d WAL segments; its checkpoints should prune behind the stream", round, h.Durability.WALSegments)
 		}

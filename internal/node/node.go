@@ -14,6 +14,7 @@ import (
 
 	"github.com/lsds/browserflow"
 	"github.com/lsds/browserflow/internal/admission"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/dashboard"
 	"github.com/lsds/browserflow/internal/index"
 	"github.com/lsds/browserflow/internal/obs"
@@ -29,8 +30,9 @@ import (
 
 // Config is a node's settings: bftagd's flags, each field named after its
 // flag (PolicyPath is -policy, WALDir -wal-dir, AdmitMaxDwell
-// -admit-max-dwell; see `bftagd -h`), plus two seams. A zero value means
-// what the underlying package's zero means.
+// -admit-max-dwell; see `bftagd -h`), plus three seams: the filesystem,
+// the transport and the clock. A zero value means what the underlying
+// package's zero means.
 type Config struct {
 	PolicyPath, Passphrase                     string
 	PolicyLint                                 bool
@@ -52,6 +54,7 @@ type Config struct {
 
 	FS        wal.FS            // under WALDir and TermFile; nil is the real one
 	Transport http.RoundTripper // a standby's to its primary; nil is http.DefaultTransport
+	Clock     clock.Clock       // every timer and timestamp of the node; nil is the real one
 }
 
 // Node is one assembled tag-service node. Serve Handler (and, with
@@ -97,7 +100,7 @@ func Open(cfg Config) (_ *Node, err error) {
 		}
 	}
 
-	n := &Node{mw: mw, obs: obs.New(nil, 0)}
+	n := &Node{mw: mw, obs: obs.New(cfg.Clock, 0)}
 	defer func() {
 		if err != nil && n.pipeline != nil {
 			n.pipeline.Close(context.Background()) //nolint:errcheck
@@ -217,25 +220,19 @@ func (cfg Config) check() (split *segment.KeyRange, err error) {
 	return split, err
 }
 
-// every runs fn each d until the node closes; d <= 0 never runs it.
+// every runs fn every d from the node's opening until it closes; d <= 0
+// never runs it.
 func (n *Node) every(d time.Duration, fn func()) {
 	if d <= 0 {
 		return
 	}
-	ticker := time.NewTicker(d)
+	t := n.obs.Clock().NewTimer(d)
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		for {
-			select {
-			case <-ticker.C:
-				fn()
-			case <-stop:
-				return
-			}
-		}
+		clock.Every(n.obs.Clock(), t, d, stop, func() bool { fn(); return true })
 	}()
-	n.stops = append(n.stops, func() { ticker.Stop(); close(stop); <-done })
+	n.stops = append(n.stops, func() { close(stop); <-done })
 }
 
 // openDurable gives the node its durable store and replication role. One
@@ -255,6 +252,7 @@ func (n *Node) openDurable(cfg Config, split *segment.KeyRange) (*replication.No
 	dopts := store.DurableOptions{
 		Dir:             cfg.WALDir,
 		FS:              cfg.FS,
+		Clock:           cfg.Clock,
 		Key:             key,
 		Fsync:           fsync,
 		FsyncInterval:   cfg.FsyncInterval,

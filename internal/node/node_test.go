@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tagserver"
@@ -142,11 +143,12 @@ func caughtUp(primary, standby *Node) func() bool {
 	}
 }
 
-// TestTickers: with ExpireEvery the node drops the segments last observed
-// more than Retain observations ago and keeps the recent ones; with
-// CompactEvery it merges the index heads into their runs.
+// TestTickers: ExpireEvery after opening, not before, the node drops the
+// segments last observed more than Retain observations ago and keeps the
+// recent ones; CompactEvery after, it merges the index heads into runs.
 func TestTickers(t *testing.T) {
-	n := newCluster(t).open("node", Config{ExpireEvery: time.Millisecond, Retain: 2, CompactEvery: time.Millisecond})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	n := newCluster(t).open("node", Config{ExpireEvery: time.Minute, Retain: 2, CompactEvery: time.Minute, Clock: clk})
 	pars := n.mw.Tracker().Paragraphs()
 	for i := 0; i < 10; i++ {
 		seg := segment.ID(fmt.Sprintf("wiki/gen#p%d", i))
@@ -154,10 +156,15 @@ func TestTickers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	await(t, "the old segment to expire and the heads to merge", func() bool {
-		_, old := pars.Fingerprint("wiki/gen#p0")
-		return !old && pars.Stats().HeadPostings == 0
-	})
+	clk.Advance(time.Minute - 1)
+	if _, old := pars.Fingerprint("wiki/gen#p0"); !old || pars.Stats().HeadPostings == 0 {
+		t.Fatal("a segment expired or the heads merged before their cadence")
+	}
+	clk.Advance(1)
+	clk.WaitArmed(2) // both ran and wait for their next turn
+	if _, old := pars.Fingerprint("wiki/gen#p0"); old || pars.Stats().HeadPostings != 0 {
+		t.Errorf("after a minute: oldest segment kept %v, %d head postings", old, pars.Stats().HeadPostings)
+	}
 	if _, ok := pars.Fingerprint("wiki/gen#p9"); !ok {
 		t.Error("the newest segment expired")
 	}

@@ -10,9 +10,9 @@
 //     observe path. Registration (creating a metric) takes a lock, but
 //     metrics are registered once at startup.
 //  2. Determinism under test. Every time source in the package is the
-//     registry's injectable clock, so histogram contents, rate windows,
-//     span durations, and the full Prometheus exposition are
-//     byte-reproducible with a fake clock.
+//     bundle's clock, so histogram contents, rate windows, span durations,
+//     and the full Prometheus exposition are byte-reproducible with a
+//     clock.Fake.
 //  3. Privacy. Traces carry span names, IDs, hashes, and durations only —
 //     never monitored text. This matches the journal's privacy rule.
 //
@@ -25,12 +25,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
-	"time"
-)
 
-// Clock is the injectable time source. Production code uses time.Now;
-// tests substitute a fake for byte-deterministic output.
-type Clock func() time.Time
+	"github.com/lsds/browserflow/internal/clock"
+)
 
 // Obs bundles the metric registry and trace log that instrumented
 // components share. All methods are safe on a nil receiver, which
@@ -43,19 +40,24 @@ type Obs struct {
 }
 
 // New constructs an observability bundle with the given clock (nil means
-// time.Now) and a trace ring of traceCap spans (<=0 means DefaultTraceCap).
-func New(clock Clock, traceCap int) *Obs {
-	if clock == nil {
-		clock = time.Now
-	}
+// the real one) and a trace ring of traceCap spans (<=0 means
+// DefaultTraceCap).
+func New(c clock.Clock, traceCap int) *Obs {
+	c = clock.Or(c)
 	o := &Obs{
-		reg:    NewRegistry(clock),
-		traces: NewTraceLog(clock, traceCap),
+		reg:    newRegistry(c),
+		traces: newTraceLog(c, traceCap),
 	}
 	// Seed the trace-ID base from the clock so IDs differ between
 	// processes but remain deterministic under a fake clock.
-	o.idBase = uint64(clock().UnixNano())
+	o.idBase = uint64(c.Now().UnixNano())
 	return o
+}
+
+// Clock is the bundle's time source: the real clock on a nil Obs. The
+// components handed an Obs read their time from it.
+func (o *Obs) Clock() clock.Clock {
+	return o.Registry().clk()
 }
 
 // Registry returns the bundled metric registry (nil on a nil Obs).

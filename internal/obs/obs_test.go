@@ -11,35 +11,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
-// fakeClock is a deterministic, manually advanced time source.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
+func newFakeClock() *clock.Fake { return clock.NewFake(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)) }
 
 // populate drives a fixed event sequence into a registry. Called twice
 // in the determinism test to prove byte-identical output.
-func populate(reg *Registry, clk *fakeClock) {
+func populate(reg *Registry, clk *clock.Fake) {
 	obsv := reg.Counter("bf_engine_observe_total", "Engine observe calls.")
 	obsv.Add(41)
 	obsv.Inc()
@@ -65,7 +47,7 @@ func populate(reg *Registry, clk *fakeClock) {
 func exposition(t *testing.T) string {
 	t.Helper()
 	clk := newFakeClock()
-	reg := NewRegistry(clk.Now)
+	reg := newRegistry(clk)
 	populate(reg, clk)
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
@@ -115,7 +97,7 @@ func TestPrometheusDeterministic(t *testing.T) {
 // samples are sorted into the exposition beside the registered metrics.
 func TestCollectorContract(t *testing.T) {
 	clk := newFakeClock()
-	reg := NewRegistry(clk.Now)
+	reg := newRegistry(clk)
 	reg.Counter("bf_b_total", "Registered.").Add(2)
 	started := clk.Now()
 	clk.Advance(90 * time.Second)
@@ -198,7 +180,7 @@ func TestHistogramBoundaries(t *testing.T) {
 // out of the window.
 func TestRateWindowRollover(t *testing.T) {
 	clk := newFakeClock()
-	w := newRateWindow(clk.Now, 4)
+	w := newRateWindow(clk, 4)
 
 	w.MarkN(8) // second 0, still in progress
 	if got := w.Rate(); got != 0 {
@@ -255,7 +237,7 @@ func TestCounterStriping(t *testing.T) {
 // clock, inert handles without a trace, and ring-buffer eviction.
 func TestTraceContext(t *testing.T) {
 	clk := newFakeClock()
-	log := NewTraceLog(clk.Now, 4)
+	log := newTraceLog(clk, 4)
 
 	// No trace in ctx: handle is inert.
 	sp := StartSpan(context.Background(), "noop")
@@ -310,7 +292,7 @@ func TestTraceContext(t *testing.T) {
 // uniqueness; with a fake clock the sequence is reproducible.
 func TestNewTraceIDUniqueness(t *testing.T) {
 	clk := newFakeClock()
-	o := New(clk.Now, 16)
+	o := New(clk, 16)
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
 		id := o.NewTraceID()
@@ -323,8 +305,8 @@ func TestNewTraceIDUniqueness(t *testing.T) {
 		seen[id] = true
 	}
 	// Reproducible under the same fake clock.
-	o2 := New(newFakeClock().Now, 16)
-	if a, b := o2.NewTraceID(), New(newFakeClock().Now, 16).NewTraceID(); a != b {
+	o2 := New(newFakeClock(), 16)
+	if a, b := o2.NewTraceID(), New(newFakeClock(), 16).NewTraceID(); a != b {
 		t.Fatalf("fake-clock trace IDs not reproducible: %q vs %q", a, b)
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
 // numStripes is the number of independent cells a Counter spreads its
@@ -175,24 +177,24 @@ type rateSlot struct {
 // atomic add. The window is aligned to the registry clock, so rollover
 // is deterministic under a fake clock.
 type RateWindow struct {
-	clock Clock
+	clock clock.Clock
 	slots []rateSlot
 }
 
-func newRateWindow(clock Clock, windowSecs int) *RateWindow {
+func newRateWindow(c clock.Clock, windowSecs int) *RateWindow {
 	if windowSecs < 1 {
 		windowSecs = 1
 	}
 	// One extra slot so the current (partial) second never aliases the
 	// oldest full second being summed.
-	return &RateWindow{clock: clock, slots: make([]rateSlot, windowSecs+1)}
+	return &RateWindow{clock: c, slots: make([]rateSlot, windowSecs+1)}
 }
 
 // Mark records one event at the current clock second.
 func (w *RateWindow) Mark() { w.MarkN(1) }
 
 // MarkN records n events at the current clock second.
-func (w *RateWindow) MarkN(n uint64) { w.markSec(w.clock().Unix(), n) }
+func (w *RateWindow) MarkN(n uint64) { w.markSec(w.clock.Now().Unix(), n) }
 
 // MarkAt records one event at t's second. Callers that already hold a
 // timestamp (e.g. the RED wrapper, which reads the clock for the
@@ -216,7 +218,7 @@ func (w *RateWindow) markSec(sec int64, n uint64) {
 // Rate returns events/second over the last window, excluding the
 // current in-progress second.
 func (w *RateWindow) Rate() float64 {
-	sec := w.clock().Unix()
+	sec := w.clock.Now().Unix()
 	window := int64(len(w.slots) - 1)
 	var total uint64
 	for i := range w.slots {
@@ -291,44 +293,30 @@ func (s *Scrape) Histogram(name, help string, h HistogramSnapshot) {
 // so two registries fed identical events under identical clocks produce
 // byte-identical output.
 type Registry struct {
-	clock      Clock
-	real       bool // clock is the wall clock; Since may take the monotonic fast path
+	clock      clock.Clock
 	mu         sync.RWMutex
 	metrics    map[string]*metric
 	collectors []func(*Scrape)
 }
 
-// NewRegistry builds a registry with the given clock (nil means time.Now).
-func NewRegistry(clock Clock) *Registry {
-	real := clock == nil
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Registry{clock: clock, real: real, metrics: make(map[string]*metric)}
+func newRegistry(c clock.Clock) *Registry {
+	return &Registry{clock: c, metrics: make(map[string]*metric)}
 }
 
-// Clock returns the registry's time source.
-func (r *Registry) Clock() Clock {
+// clk is the registry's clock; the real one on a nil registry.
+func (r *Registry) clk() clock.Clock {
 	if r == nil {
-		return time.Now
+		return clock.Or(nil)
 	}
 	return r.clock
 }
 
-// Now is shorthand for Clock()(). Safe on nil (falls back to time.Now).
-func (r *Registry) Now() time.Time { return r.Clock()() }
+// Now reads the registry's clock. Safe on nil (the real clock).
+func (r *Registry) Now() time.Time { return r.clk().Now() }
 
-// Since returns the elapsed time since start on the registry's clock.
-// Under the real clock it uses time.Since, which reads only the cheap
-// monotonic counter instead of the full wall clock — about half the
-// cost of a second Now() on the latency-measurement hot path. Fake
-// clocks keep the deterministic Sub path.
-func (r *Registry) Since(start time.Time) time.Duration {
-	if r == nil || r.real {
-		return time.Since(start)
-	}
-	return r.clock().Sub(start)
-}
+// Since returns the elapsed time since start on the registry's clock; on
+// the real clock that reads only the monotonic counter (clock.Clock).
+func (r *Registry) Since(start time.Time) time.Duration { return r.clk().Since(start) }
 
 func (r *Registry) lookup(name string, kind int) (*metric, bool) {
 	r.mu.RLock()
@@ -421,7 +409,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // reporting events/second.
 func (r *Registry) RateWindow(name, help string, windowSecs int) *RateWindow {
 	if r == nil {
-		return newRateWindow(time.Now, windowSecs)
+		return newRateWindow(clock.Or(nil), windowSecs)
 	}
 	if m, ok := r.lookup(name, kindRate); ok {
 		return m.rate
@@ -459,7 +447,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
-	sc := &Scrape{now: r.clock()}
+	sc := &Scrape{now: r.clock.Now()}
 	r.mu.RLock()
 	sc.samples = make([]sample, 0, 2*len(r.metrics))
 	for _, m := range r.metrics {

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
 // TestRegistryStress hammers one registry from 32 goroutines — counters,
@@ -156,7 +158,7 @@ func TestRegistryStress(t *testing.T) {
 // TestTraceLogStress records spans from many goroutines while snapshots
 // are taken concurrently; run under -race.
 func TestTraceLogStress(t *testing.T) {
-	log := NewTraceLog(nil, 256)
+	log := newTraceLog(clock.Or(nil), 256)
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
 // TraceHeader is the HTTP header that carries a BrowserFlow trace ID
@@ -28,7 +30,7 @@ type Span struct {
 // append under a short mutex (span completion is not the per-hash hot
 // path); readers snapshot.
 type TraceLog struct {
-	clock Clock
+	clock clock.Clock
 	mu    sync.Mutex
 	ring  []Span
 	next  int
@@ -38,16 +40,13 @@ type TraceLog struct {
 // DefaultTraceCap is the default ring capacity.
 const DefaultTraceCap = 4096
 
-// NewTraceLog builds a trace ring with the given clock (nil means
-// time.Now) and capacity (<=0 means DefaultTraceCap).
-func NewTraceLog(clock Clock, capacity int) *TraceLog {
-	if clock == nil {
-		clock = time.Now
-	}
+// newTraceLog builds a trace ring with the given clock and capacity (<=0
+// means DefaultTraceCap).
+func newTraceLog(c clock.Clock, capacity int) *TraceLog {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &TraceLog{clock: clock, ring: make([]Span, capacity)}
+	return &TraceLog{clock: c, ring: make([]Span, capacity)}
 }
 
 // Record appends a completed span to the ring, evicting the oldest span
@@ -149,7 +148,7 @@ func StartSpan(ctx context.Context, name string) SpanHandle {
 	if !ok || tc.log == nil {
 		return SpanHandle{}
 	}
-	return SpanHandle{tc: tc, name: name, start: tc.log.clock()}
+	return SpanHandle{tc: tc, name: name, start: tc.log.clock.Now()}
 }
 
 // Active reports whether the span will be recorded; hot paths use it
@@ -173,7 +172,7 @@ func (h SpanHandle) End(err error) {
 	if h.tc.log == nil {
 		return
 	}
-	end := h.tc.log.clock()
+	end := h.tc.log.clock.Now()
 	s := Span{
 		Trace:    h.tc.id,
 		Name:     h.name,

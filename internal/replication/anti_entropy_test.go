@@ -8,14 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
+	"github.com/lsds/browserflow/internal/store"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
 // TestDigestEndpointServesPrimaryState checks /v1/repl/digest serves the
 // tracker digest breakdown with the combined fold mirrored in the header.
 func TestDigestEndpointServesPrimaryState(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
 		mutate(t, p.w.engine, rng)
@@ -57,7 +59,7 @@ func TestDigestEndpointServesPrimaryState(t *testing.T) {
 // ordered to re-bootstrap with a 410 + X-BF-Diverged, and comes back
 // byte-identical — all without operator involvement.
 func TestDivergedReplicaAutoRebootstraps(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 60; i++ {
 		mutate(t, p.w.engine, rng)
@@ -115,19 +117,23 @@ func TestDivergedReplicaAutoRebootstraps(t *testing.T) {
 // property: a healthy replica exchanging digests on every round while
 // traffic starts and stops never earns a confirmed divergence.
 func TestMatchingDigestsNeverTriggerRebootstrap(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	clk := clock.NewFake(testEpoch)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone, Clock: clk})
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 30; i++ {
 		mutate(t, p.w.engine, rng)
 	}
-	r := newReplicaFixture(t, p.server.URL, "", nil)
+	r := newReplicaFixtureOpts(t, p.server.URL, nil, store.DurableOptions{Clock: clk})
 	startBootstrapped(t, r)
 
-	// Bursts separated by caught-up idle windows (several digest
-	// adjudication rounds each).
+	// Bursts separated by caught-up idle windows of exactly two digest
+	// adjudication rounds: each long-poll the clock expires is one.
 	for burst := 0; burst < 3; burst++ {
 		waitFor(t, 10*time.Second, "burst catch-up", func() bool { return caughtUp(p, r) })
-		time.Sleep(600 * time.Millisecond)
+		for round := 0; round < 2; round++ {
+			clk.WaitArmed(2) // the replica's request timeout and the primary's long-poll
+			clk.Advance(250 * time.Millisecond)
+		}
 		for i := 0; i < 15; i++ {
 			mutate(t, p.w.engine, rng)
 		}

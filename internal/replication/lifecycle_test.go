@@ -89,7 +89,7 @@ func checkpointFiles(t *testing.T, fs wal.FS, dir string) int {
 // eight of the nine checkpoints after the first ordered a re-bootstrap.
 func TestStandbySurvivesPrimaryCheckpoints(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	counter := &snapshotCounter{}
 	r := newReplicaFixture(t, p.server.URL, "", &http.Client{Transport: counter})
 	startBootstrapped(t, r)
@@ -118,7 +118,7 @@ func TestStandbySurvivesPrimaryCheckpoints(t *testing.T) {
 // acked writes and told the operator it was already promoted.
 func TestFailedPromotionStaysStandby(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	fs := faultinject.NewMemFS(1)
 	r := memStandby(t, p.server.URL, fs, store.DurableOptions{})
 	startBootstrapped(t, r)
@@ -236,7 +236,7 @@ func (c *readCountingFS) Map(name string) ([]byte, func() error, error) {
 // the whole of the second OpenDurable.
 func TestPromotionFlipsRoleWithoutRereading(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	bigState(t, p.w.engine, 50_000)
 	fs := &readCountingFS{}
 	r := newReplicaFixtureOpts(t, p.server.URL, nil, store.DurableOptions{FS: fs, Fsync: wal.SyncNone})
@@ -359,7 +359,7 @@ func copyDir(t *testing.T, src string) string {
 // starting over.
 func TestStandbyScrubHealsBitRot(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	fs := faultinject.NewMemFS(3)
 	r := memStandby(t, p.server.URL, fs, store.DurableOptions{ScrubEvery: 10 * time.Millisecond})
 	startBootstrapped(t, r)
@@ -416,7 +416,7 @@ func TestStandbyScrubHealsBitRot(t *testing.T) {
 // than replaying around it.
 func TestStandbyWithHoleRebootstraps(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	fs := faultinject.NewMemFS(5)
 	r := memStandby(t, p.server.URL, fs, store.DurableOptions{})
 	startBootstrapped(t, r)
@@ -459,7 +459,7 @@ func TestStandbyWithHoleRebootstraps(t *testing.T) {
 // stops.
 func TestStandbyPrunesOnDiskFull(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	fs := faultinject.NewMemFS(7)
 	r := memStandby(t, p.server.URL, fs, store.DurableOptions{KeepCheckpoints: 3})
 	startBootstrapped(t, r)
@@ -506,7 +506,7 @@ func TestStandbyDegradesOnEIOAndHeals(t *testing.T) {
 	t.Parallel()
 	for _, failOpen := range []bool{false, true} {
 		t.Run(fmt.Sprintf("failOpen=%v", failOpen), func(t *testing.T) {
-			p := newPrimaryFixture(t, wal.SyncNone)
+			p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 			fs := faultinject.NewMemFS(11)
 			r := memStandby(t, p.server.URL, fs, store.DurableOptions{FailOpen: failOpen})
 			startBootstrapped(t, r)
@@ -557,7 +557,7 @@ func TestStandbyDegradesOnEIOAndHeals(t *testing.T) {
 // whole, re-bootstraps over; both end byte-equal to the primary.
 func TestStandbyCrashSweep(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	rng := rand.New(rand.NewSource(71))
 	resumed, restarted := 0, 0
 	for n := 1; n <= 12; n++ {

@@ -280,7 +280,7 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 	log := p.durable.WAL()
 	frames, n, start, next, err := log.ReadFrom(from, p.maxBatch)
 	if err == nil && n == 0 && wait > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		ctx, cancel := log.Clock().WithTimeout(r.Context(), wait)
 		werr := log.WaitFrom(ctx, from)
 		cancel()
 		if werr == nil {

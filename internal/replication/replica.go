@@ -58,7 +58,8 @@ type ReplicaOptions struct {
 	// (batches, records, bytes, confirmed divergences, apply latency) and
 	// "replica.apply" spans attributed to the trace IDs journalled inside
 	// streamed observe records. Lag, position and role are Status fields;
-	// whoever is handed Status exports them.
+	// whoever is handed Status exports them. Its clock paces the back-off
+	// and bounds each request (the real one when nil).
 	Obs *obs.Obs
 }
 
@@ -225,10 +226,12 @@ func (r *Replica) run(ctx context.Context) {
 			continue
 		}
 		r.logf("replication: %v (retrying in %s)", err, r.opts.RetryBackoff)
+		backoff := r.opts.Obs.Clock().NewTimer(r.opts.RetryBackoff)
 		select {
 		case <-ctx.Done():
-		case <-time.After(r.opts.RetryBackoff):
+		case <-backoff.C():
 		}
+		backoff.Stop()
 	}
 }
 
@@ -275,7 +278,7 @@ func (r *Replica) observeResponseTerm(resp *http.Response) {
 // it to the store, which replaces everything it holds with it and stands
 // at the image's WAL epoch barrier.
 func (r *Replica) bootstrap(ctx context.Context) error {
-	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+	rctx, cancel := r.opts.Obs.Clock().WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	query := ""
 	if kr := r.opts.Durable.KeyRange; kr != nil {
@@ -326,7 +329,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 // and hand the returned frame bytes to the store.
 func (r *Replica) streamOnce(ctx context.Context, pos wal.Pos) error {
 	waitMS := strconv.FormatInt(r.opts.PollWait.Milliseconds(), 10)
-	rctx, cancel := context.WithTimeout(ctx, r.opts.PollWait+30*time.Second)
+	rctx, cancel := r.opts.Obs.Clock().WithTimeout(ctx, r.opts.PollWait+30*time.Second)
 	defer cancel()
 	req, err := r.newRequest(rctx, http.MethodGet, "/v1/repl/stream", "from="+pos.String()+"&wait="+waitMS)
 	if err != nil {

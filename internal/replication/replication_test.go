@@ -14,10 +14,12 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/index"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/store"
@@ -27,9 +29,7 @@ import (
 
 var testEpoch = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 
-func fixedClock() time.Time { return testEpoch }
-
-// world is one complete engine stack with a deterministic audit clock.
+// world is one complete engine stack with a fake audit clock.
 type world struct {
 	tracker  *disclosure.Tracker
 	registry *tdm.Registry
@@ -46,7 +46,7 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(fixedClock))
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(clock.NewFake(testEpoch)))
 	if err := registry.RegisterService("alpha", tdm.NewTagSet("ta"), tdm.NewTagSet("ta")); err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +135,14 @@ type primaryFixture struct {
 	dir     string
 }
 
-func newPrimaryFixture(t *testing.T, fsync wal.SyncPolicy) *primaryFixture {
+// newPrimaryFixture opens the primary's store as dopts describes, in a
+// fresh temp dir.
+func newPrimaryFixture(t *testing.T, dopts store.DurableOptions) *primaryFixture {
 	t.Helper()
 	dir := t.TempDir()
+	dopts.Dir = dir
 	w := newWorld(t)
-	durable, err := store.OpenDurable(store.DurableOptions{
-		Dir:   dir,
-		Fsync: fsync,
-	}, w.tracker, w.registry)
+	durable, err := store.OpenDurable(dopts, w.tracker, w.registry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +205,7 @@ func newReplicaFixturePoll(t *testing.T, primaryURL string, client *http.Client,
 		HTTPClient:   client,
 		PollWait:     pollWait,
 		RetryBackoff: 20 * time.Millisecond,
+		Obs:          obs.New(dopts.Clock, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +295,7 @@ func assertBytePrefix(t *testing.T, primaryDir, replicaDir string) {
 }
 
 func TestReplicaFollowsPrimary(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	r := newReplicaFixture(t, p.server.URL, "", nil)
 	startBootstrapped(t, r)
 
@@ -319,7 +320,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 }
 
 func TestReplicaRestartResumesFromLocalMirror(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	r := newReplicaFixture(t, p.server.URL, "", nil)
 	startBootstrapped(t, r)
 
@@ -347,11 +348,13 @@ func TestReplicaRestartResumesFromLocalMirror(t *testing.T) {
 	}
 }
 
+// TestPartitionAndHeal: a partitioned replica retries exactly RetryBackoff
+// after each failed round, on its clock, and catches up once healed.
 func TestPartitionAndHeal(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	inj := faultinject.New(nil, 1)
-	client := &http.Client{Transport: inj}
-	r := newReplicaFixture(t, p.server.URL, "", client)
+	clk := clock.NewFake(testEpoch)
+	r := newReplicaFixtureOpts(t, p.server.URL, &http.Client{Transport: inj}, store.DurableOptions{Clock: clk})
 	startBootstrapped(t, r)
 
 	rng := rand.New(rand.NewSource(13))
@@ -367,8 +370,14 @@ func TestPartitionAndHeal(t *testing.T) {
 	waitFor(t, 10*time.Second, "disconnect noticed", func() bool {
 		return !r.replica.Status().Connected
 	})
-
+	clk.WaitArmed(1) // the back-off: the failed round's timeout is gone
 	inj.Heal()
+	rounds := inj.Attempts("/v1/repl/stream")
+	clk.Advance(20*time.Millisecond - 1)
+	if n := inj.Attempts("/v1/repl/stream"); n != rounds {
+		t.Fatalf("%d stream rounds inside the back-off", n-rounds)
+	}
+	clk.Advance(1)
 	waitFor(t, 10*time.Second, "post-heal catch-up", func() bool { return caughtUp(p, r) })
 	assertStateMatch(t, p, r)
 	assertBytePrefix(t, p.dir, r.dir)
@@ -378,7 +387,7 @@ func TestPartitionAndHeal(t *testing.T) {
 }
 
 func TestChaosTransportNeverDiverges(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	inj := faultinject.New(nil, 42)
 	// A middlebox that randomly truncates stream bodies and injects 503s.
 	inj.AddRule(faultinject.Rule{PathPrefix: "/v1/repl/stream", Kind: faultinject.KindTruncateBody, P: 0.3})
@@ -398,7 +407,7 @@ func TestChaosTransportNeverDiverges(t *testing.T) {
 }
 
 func TestStreamPositionGoneTriggersRebootstrap(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	r := newReplicaFixture(t, p.server.URL, "", nil)
 	startBootstrapped(t, r)
 
@@ -437,7 +446,7 @@ func TestStreamPositionGoneTriggersRebootstrap(t *testing.T) {
 // the replica stands at the primary's WAL position with S still holding G
 // — and would serve that state once promoted.
 func TestRebootstrapDropsCachedDecisions(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	inj := faultinject.New(nil, 1)
 	r := newReplicaFixture(t, p.server.URL, "", &http.Client{Transport: inj})
 	startBootstrapped(t, r)
@@ -476,7 +485,7 @@ func TestRebootstrapDropsCachedDecisions(t *testing.T) {
 }
 
 func TestPromotionFencesOldPrimary(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	r := newReplicaFixture(t, p.server.URL, "", nil)
 	startBootstrapped(t, r)
 
@@ -582,7 +591,7 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 // role change (they used to be dropped, because the replica carried its
 // own subset of the options under Promote* names).
 func TestPromotionKeepsStoragePolicy(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	r := newReplicaFixtureOpts(t, p.server.URL, nil, store.DurableOptions{
 		FailOpen:      true,
 		ScrubEvery:    20 * time.Millisecond,
@@ -624,7 +633,7 @@ func TestPromotionKeepsStoragePolicy(t *testing.T) {
 }
 
 func TestInPlacePromotionViaServiceEndpoint(t *testing.T) {
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	r := newReplicaFixture(t, p.server.URL, "", nil)
 	startBootstrapped(t, r)
 

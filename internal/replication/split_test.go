@@ -123,7 +123,7 @@ func (w *splitWorkload) check(t *testing.T, source *primaryFixture, target *poli
 // crash — the in-process form of the -split-range path.
 func TestFilteredSplitTarget(t *testing.T) {
 	t.Parallel()
-	p := newPrimaryFixture(t, wal.SyncNone)
+	p := newPrimaryFixture(t, store.DurableOptions{Fsync: wal.SyncNone})
 	w := newSplitWorkload()
 	w.observePairs(t, p.w.engine, 2) // in the bootstrap image
 

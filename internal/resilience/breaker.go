@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
 // ErrCircuitOpen is returned (possibly wrapped) when the breaker rejects a
@@ -59,9 +61,8 @@ type BreakerConfig struct {
 	// half-open breaker (default 1).
 	SuccessThreshold int
 
-	// Now is the clock (default time.Now); injectable for deterministic
-	// tests.
-	Now func() time.Time
+	// Clock times the cooldown; nil means the real one.
+	Clock clock.Clock
 
 	// OnStateChange, if set, observes every transition (metrics hook).
 	// It is called without the breaker's lock held.
@@ -81,9 +82,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.SuccessThreshold <= 0 {
 		c.SuccessThreshold = 1
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
+	c.Clock = clock.Or(c.Clock)
 	return c
 }
 
@@ -209,7 +208,7 @@ func (b *Breaker) record(success bool) {
 // refreshLocked transitions open -> half-open once the cooldown elapses.
 // It returns the state and any transition to notify after unlocking.
 func (b *Breaker) refreshLocked() (State, [][2]State) {
-	if b.state == StateOpen && b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == StateOpen && b.cfg.Clock.Since(b.openedAt) >= b.cfg.Cooldown {
 		return StateHalfOpen, [][2]State{b.setStateLocked(StateHalfOpen)}
 	}
 	return b.state, nil
@@ -222,7 +221,7 @@ func (b *Breaker) setStateLocked(to State) [2]State {
 	b.state = to
 	switch to {
 	case StateOpen:
-		b.openedAt = b.cfg.Now()
+		b.openedAt = b.cfg.Clock.Now()
 		b.opens++
 		b.halfOpenSuccesses = 0
 		b.halfOpenInFlight = 0

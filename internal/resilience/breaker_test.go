@@ -7,33 +7,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/lsds/browserflow/internal/clock"
 )
 
-// fakeClock is an injectable, manually advanced clock.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+func newFakeClock() *clock.Fake { return clock.NewFake(time.Unix(1700000000, 0)) }
 
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1700000000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func testBreaker(clk *fakeClock, onChange func(from, to State)) *Breaker {
+func testBreaker(clk *clock.Fake, onChange func(from, to State)) *Breaker {
 	return NewBreaker(BreakerConfig{
 		FailureThreshold: 3,
 		Cooldown:         10 * time.Second,
-		Now:              clk.Now,
+		Clock:            clk,
 		OnStateChange:    onChange,
 	})
 }
@@ -139,7 +123,7 @@ func TestBreakerSuccessThreshold(t *testing.T) {
 		Cooldown:         time.Second,
 		SuccessThreshold: 2,
 		HalfOpenMax:      2,
-		Now:              clk.Now,
+		Clock:            clk,
 	})
 	mustAllow(t, b)(false)
 	clk.Advance(2 * time.Second)
@@ -188,7 +172,7 @@ func TestBreakerConcurrentUse(t *testing.T) {
 
 func TestBreakerTransport(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute, Now: clk.Now})
+	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute, Clock: clk})
 	script := &scriptRT{steps: []func(*http.Request) (*http.Response, error){
 		status(500), fail(errors.New("boom")), ok200(),
 	}}

@@ -249,8 +249,9 @@ func wrapCodecErr(path string, sec binSection, err error) error {
 // consistent cut of that DB (see index.AppendSnapshot); the paragraph DB,
 // document DB, registry and audit log are captured one after another. A
 // caller that needs the four aligned with each other and with a WAL
-// position holds Durable's barrier around the call.
-func CaptureBytes(tracker *disclosure.Tracker, registry *tdm.Registry, walSeg uint64) ([]byte, error) {
+// position holds Durable's barrier around the call. savedAt is the capture
+// time the image records.
+func CaptureBytes(tracker *disclosure.Tracker, registry *tdm.Registry, walSeg uint64, savedAt time.Time) ([]byte, error) {
 	const sections = 5
 	headerLen := len(binMagic) + 2 + sections*binSectionEntrySize
 	// Sized from the counters for what the codecs typically spend — a hash
@@ -276,7 +277,7 @@ func CaptureBytes(tracker *disclosure.Tracker, registry *tdm.Registry, walSeg ui
 		binary.LittleEndian.PutUint32(row[20:], crc32.Checksum(out[off:], crcTable))
 		written++
 	}
-	section(secMeta, func(buf []byte) []byte { return appendBinaryMeta(buf, SnapshotVersion, time.Now().UTC(), walSeg) })
+	section(secMeta, func(buf []byte) []byte { return appendBinaryMeta(buf, SnapshotVersion, savedAt, walSeg) })
 	section(secParagraphs, tracker.Paragraphs().AppendSnapshot)
 	section(secDocuments, tracker.Documents().AppendSnapshot)
 	section(secRegistry, func(buf []byte) []byte { return registry.Export().AppendBinary(buf) })

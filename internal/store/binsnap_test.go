@@ -78,7 +78,7 @@ func indexSections(t testing.TB, blob []byte) []byte {
 // binary image → bulk restore.
 func TestCaptureRestoreBytes(t *testing.T) {
 	tracker, registry := buildState(t)
-	blob, err := CaptureBytes(tracker, registry, 9)
+	blob, err := CaptureBytes(tracker, registry, 9, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSaveWritesBinaryFormat(t *testing.T) {
 // bytes for that state as for the one this build ingests itself.
 func TestCrossVersionFixtures(t *testing.T) {
 	want, wantRegistry := buildState(t)
-	wantBlob, err := CaptureBytes(want, wantRegistry, 0)
+	wantBlob, err := CaptureBytes(want, wantRegistry, 0, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCrossVersionFixtures(t *testing.T) {
 		}
 		// Same bytes: this build's image of the loaded fixture carries the
 		// index sections of its image of the freshly built state.
-		blob, err := CaptureBytes(tracker, registry, 0)
+		blob, err := CaptureBytes(tracker, registry, 0, testEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func (r *readLog) ReadFile(name string) ([]byte, error) {
 // version 2 (index codec 1, JSON registry).
 func TestRecoverRefusesRetiredFormat(t *testing.T) {
 	tracker, registry := buildState(t)
-	blob, err := CaptureBytes(tracker, registry, 3)
+	blob, err := CaptureBytes(tracker, registry, 3, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRecoverRefusesRetiredFormat(t *testing.T) {
 // with a damaged header are plain corruption.
 func TestRecoverRefusesNewerVersion(t *testing.T) {
 	tracker, registry := buildState(t)
-	blob, err := CaptureBytes(tracker, registry, 3)
+	blob, err := CaptureBytes(tracker, registry, 3, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func testRefusedCheckpoint(t *testing.T, what string, payload []byte, refused fu
 	// the state it was handed — alone in the directory, and with an older
 	// loadable spare to fall back to.
 	tracker, registry := buildState(t)
-	spare, err := CaptureBytes(tracker, registry, 1)
+	spare, err := CaptureBytes(tracker, registry, 1, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func testRefusedCheckpoint(t *testing.T, what string, payload []byte, refused fu
 
 	// Beside a newer loadable checkpoint: recovery never opens the old
 	// file, and the scrubber reports it but leaves it in place.
-	blob, err := CaptureBytes(tracker, registry, 5)
+	blob, err := CaptureBytes(tracker, registry, 5, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestRecoverSkipsCorruptBinaryCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seg := range []uint64{1, 2} {
-		blob, err := CaptureBytes(tracker, registry, seg)
+		blob, err := CaptureBytes(tracker, registry, seg, testEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestRecoverSkipsCorruptBinaryCheckpoint(t *testing.T) {
 // with a sane offset, no panic, and an untouched tracker.
 func TestBinarySnapshotCorruptionSweep(t *testing.T) {
 	tracker, registry := buildState(t)
-	blob, err := CaptureBytes(tracker, registry, 5)
+	blob, err := CaptureBytes(tracker, registry, 5, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,13 +423,13 @@ func TestBinarySnapshotCorruptionSweep(t *testing.T) {
 // rejected — corruption with an offset inside the file — leaving the state
 // as it was.
 func TestRestoreBelowTheCRC(t *testing.T) {
-	src := newWorld(t, fixedClock)
+	src := newWorld(t)
 	pr22Script(t, src)
-	blob, err := CaptureBytes(src.tracker, src.registry, 5)
+	blob, err := CaptureBytes(src.tracker, src.registry, 5, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	rng := rand.New(rand.NewSource(23))
 	loaded, rejected := 0, 0
 	for off := afterMeta - binMetaSize; off < len(blob); off += 1 + rng.Intn(23) {
@@ -440,7 +440,7 @@ func TestRestoreBelowTheCRC(t *testing.T) {
 		_, err := RestoreBytes("mut.bf", mut, w.tracker, w.registry)
 		if err == nil {
 			loaded++
-			if _, err := CaptureBytes(w.tracker, w.registry, 5); err != nil {
+			if _, err := CaptureBytes(w.tracker, w.registry, 5, testEpoch); err != nil {
 				t.Fatalf("offset %d: accepted image does not capture again: %v", off, err)
 			}
 			continue

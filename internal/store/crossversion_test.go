@@ -143,21 +143,21 @@ func TestCrossVersionPR20Fixture(t *testing.T) {
 
 	// The script run from empty on this build: the image at the
 	// checkpoint call, and the complete state.
-	fresh := newWorld(t, fixedClock)
+	fresh := newWorld(t)
 	var image []byte
 	pr20Script(t, fresh, func() {
 		var err error
-		if image, err = CaptureBytes(fresh.tracker, fresh.registry, pr20Barrier); err != nil {
+		if image, err = CaptureBytes(fresh.tracker, fresh.registry, pr20Barrier, testEpoch); err != nil {
 			t.Fatal(err)
 		}
 	})
 
 	// The checkpoint alone: load, re-encode, same bytes.
-	loaded := newWorld(t, fixedClock)
+	loaded := newWorld(t)
 	if _, err := RestoreBytes(pr20Checkpoint, fixture, loaded.tracker, loaded.registry); err != nil {
 		t.Fatal(err)
 	}
-	again, err := CaptureBytes(loaded.tracker, loaded.registry, pr20Barrier)
+	again, err := CaptureBytes(loaded.tracker, loaded.registry, pr20Barrier, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCrossVersionPR20Fixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recovered := newWorld(t, fixedClock)
+	recovered := newWorld(t)
 	d, err := OpenDurable(DurableOptions{Dir: dir, Fsync: wal.SyncNone}, recovered.tracker, recovered.registry)
 	if err != nil {
 		t.Fatal(err)
@@ -332,9 +332,9 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 	if fixture[8] != binVersionRead {
 		t.Fatalf("fixture is container version %d, want %d", fixture[8], binVersionRead)
 	}
-	fresh := newWorld(t, fixedClock)
+	fresh := newWorld(t)
 	pr22Script(t, fresh)
-	image, err := CaptureBytes(fresh.tracker, fresh.registry, 0)
+	image, err := CaptureBytes(fresh.tracker, fresh.registry, 0, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 		{"version 3 fixture", fixture},
 		{"version 4 image", image},
 	} {
-		loaded := newWorld(t, fixedClock)
+		loaded := newWorld(t)
 		if _, err := RestoreBytes(tc.name, tc.blob, loaded.tracker, loaded.registry); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -365,7 +365,7 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 		if !bytes.Equal(export(t, loaded), export(t, fresh)) {
 			t.Errorf("%s: loaded state differs from the script run from empty", tc.name)
 		}
-		again, err := CaptureBytes(loaded.tracker, loaded.registry, 0)
+		again, err := CaptureBytes(loaded.tracker, loaded.registry, 0, testEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +396,7 @@ const (
 // TestPR22ScriptPins holds this build's digests and image of pr22Script to
 // the values recorded above.
 func TestPR22ScriptPins(t *testing.T) {
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	pr22Script(t, w)
 	if d := w.tracker.Digest(); d.Combined != pr22Digest || d.Paragraphs.Combined != pr22ParsDigest || d.Documents.Combined != pr22DocsDigest {
 		t.Errorf("tracker digest %#x (paragraphs %#x, documents %#x), want %#x (%#x, %#x)",
@@ -412,7 +412,7 @@ func TestPR22ScriptPins(t *testing.T) {
 	if got := hex.EncodeToString(stripes.Sum(nil)); got != pr22StripesSHA {
 		t.Errorf("per-stripe digests hash to %s, want %s", got, pr22StripesSHA)
 	}
-	image, err := CaptureBytes(w.tracker, w.registry, 0)
+	image, err := CaptureBytes(w.tracker, w.registry, 0, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ const (
 // state it replays to, to the values recorded above.
 func TestScriptWALPin(t *testing.T) {
 	fs := faultinject.NewMemFS(22)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	defer d.Close()
 	w.engine.SetJournal(d)
@@ -461,7 +461,7 @@ func TestScriptWALPin(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, wal.SegmentName(segs[0])), data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	replayed := newWorld(t, fixedClock)
+	replayed := newWorld(t)
 	rd, err := OpenDurable(DurableOptions{Dir: dir, Fsync: wal.SyncNone}, replayed.tracker, replayed.registry)
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
@@ -57,6 +58,10 @@ type DurableOptions struct {
 
 	// FS is the filesystem to write through; nil means the real one.
 	FS wal.FS
+
+	// Clock stamps and paces everything the store and its WAL time; nil
+	// means the real one.
+	Clock clock.Clock
 
 	// Key encrypts checkpoint snapshots at rest (nil = plaintext with an
 	// integrity header).
@@ -258,6 +263,7 @@ func openDurable(opts DurableOptions, tracker *disclosure.Tracker, registry *tdm
 	if opts.ProbeEvery <= 0 {
 		opts.ProbeEvery = time.Second
 	}
+	opts.Clock = clock.Or(opts.Clock)
 	d := &Durable{
 		opts:      opts,
 		fs:        opts.FS,
@@ -273,18 +279,18 @@ func openDurable(opts DurableOptions, tracker *disclosure.Tracker, registry *tdm
 	if opts.CheckpointEvery > 0 {
 		d.stop = make(chan struct{})
 		d.done = make(chan struct{})
-		go d.checkpointLoop()
+		go d.checkpointLoop(opts.Clock.NewTimer(opts.CheckpointEvery))
 	}
 	if opts.ScrubEvery > 0 {
 		d.wg.Add(1)
-		go d.scrubLoop()
+		go d.scrubLoop(opts.Clock.NewTimer(opts.ScrubEvery))
 	}
 	return d, nil
 }
 
 // recover performs checkpoint load + WAL replay and opens the log.
 func (d *Durable) recover() error {
-	start := time.Now()
+	start := d.opts.Clock.Now()
 	if err := d.fs.MkdirAll(d.opts.Dir, 0o700); err != nil {
 		return fmt.Errorf("store: mkdir %s: %w", d.opts.Dir, err)
 	}
@@ -325,6 +331,7 @@ func (d *Durable) recover() error {
 	log, err := open(wal.Options{
 		Dir:               d.opts.Dir,
 		FS:                d.fs,
+		Clock:             d.opts.Clock,
 		Policy:            d.opts.Fsync,
 		Interval:          d.opts.FsyncInterval,
 		SegmentBytes:      d.opts.SegmentBytes,
@@ -362,7 +369,7 @@ func (d *Durable) recover() error {
 	if d.following {
 		d.position = log.End()
 	}
-	d.recovery.Duration = time.Since(start)
+	d.recovery.Duration = d.opts.Clock.Since(start)
 	d.lastCheckpointSeg = barrier
 	d.lastCheckpointAt = start
 	d.recordsAtLastCkpt = 0
@@ -562,7 +569,7 @@ func (d *Durable) noteCheckpoint(barrier uint64) {
 	d.mu.Lock()
 	d.checkpoints++
 	d.lastCheckpointSeg = barrier
-	d.lastCheckpointAt = time.Now()
+	d.lastCheckpointAt = d.opts.Clock.Now()
 	d.recordsAtLastCkpt = appended
 	d.checkpointDue = false
 	d.mu.Unlock()
@@ -593,23 +600,17 @@ func PruneCheckpoints(fs wal.FS, dir string, barrier uint64, keep int) error {
 }
 
 // checkpointLoop is the background checkpointer.
-func (d *Durable) checkpointLoop() {
+func (d *Durable) checkpointLoop(t clock.Timer) {
 	defer close(d.done)
-	ticker := time.NewTicker(d.opts.CheckpointEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-ticker.C:
-			if d.covered() {
-				continue // nothing new to cover
-			}
-			if err := d.Checkpoint(); err != nil {
-				d.opts.Logf("store: background checkpoint: %v", err)
-			}
+	clock.Every(d.opts.Clock, t, d.opts.CheckpointEvery, d.stop, func() bool {
+		if d.covered() {
+			return true // nothing new to cover
 		}
-	}
+		if err := d.Checkpoint(); err != nil {
+			d.opts.Logf("store: background checkpoint: %v", err)
+		}
+		return true
+	})
 }
 
 // covered reports whether the newest checkpoint on disk already holds the
@@ -670,7 +671,7 @@ func (d *Durable) CaptureImage(kr *segment.KeyRange) (blob []byte, barrier uint6
 		d.barrier.Unlock()
 		return nil, 0, err
 	}
-	blob, err = CaptureBytes(d.tracker, d.registry, barrier)
+	blob, err = CaptureBytes(d.tracker, d.registry, barrier, d.opts.Clock.Now())
 	d.barrier.Unlock()
 	if err != nil {
 		d.mu.Lock()

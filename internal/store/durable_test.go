@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -25,16 +26,15 @@ import (
 
 var testEpoch = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 
-func fixedClock() time.Time { return testEpoch }
-
-// world is one complete engine stack with a deterministic audit clock.
+// world is one complete engine stack with a fake audit clock at testEpoch.
 type world struct {
+	clk      *clock.Fake
 	tracker  *disclosure.Tracker
 	registry *tdm.Registry
 	engine   *policy.Engine
 }
 
-func newWorld(t testing.TB, clock func() time.Time) *world {
+func newWorld(t testing.TB) *world {
 	t.Helper()
 	tracker, err := disclosure.NewTracker(disclosure.Params{
 		Fingerprint: fingerprint.Config{NGram: 6, Window: 3},
@@ -44,7 +44,8 @@ func newWorld(t testing.TB, clock func() time.Time) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(clock))
+	clk := clock.NewFake(testEpoch)
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(clk))
 	if err := registry.RegisterService("alpha", tdm.NewTagSet("ta"), tdm.NewTagSet("ta")); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func newWorld(t testing.TB, clock func() time.Time) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{tracker: tracker, registry: registry, engine: engine}
+	return &world{clk: clk, tracker: tracker, registry: registry, engine: engine}
 }
 
 // export captures comparable state bytes: each database's snapshot (a pure
@@ -220,7 +221,7 @@ func openDurableForTest(t testing.TB, fs wal.FS, pol wal.SyncPolicy, w *world) *
 // final checkpoint with nothing to replay.
 func TestDurableCleanShutdownRoundTrip(t *testing.T) {
 	fs := faultinject.NewMemFS(1)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 
@@ -233,7 +234,7 @@ func TestDurableCleanShutdownRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	if got := export(t, w2); !bytes.Equal(got, want) {
@@ -289,7 +290,7 @@ func TestCloseCheckpointsOnlyUncoveredState(t *testing.T) {
 		}
 	}
 	open := func() (*world, *Durable) {
-		w := newWorld(t, fixedClock)
+		w := newWorld(t)
 		d := openDurableForTest(t, fs, wal.SyncAlways, w)
 		w.engine.SetJournal(d)
 		return w, d
@@ -350,7 +351,7 @@ func TestCloseCheckpointsOnlyUncoveredState(t *testing.T) {
 // Crash without any checkpoint: everything comes back from the WAL alone.
 func TestDurableWALOnlyRecovery(t *testing.T) {
 	fs := faultinject.NewMemFS(2)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 
@@ -363,7 +364,7 @@ func TestDurableWALOnlyRecovery(t *testing.T) {
 	want := export(t, w)
 	fs.Crash() // no Close: kill -9
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	if got := export(t, w2); !bytes.Equal(got, want) {
@@ -382,7 +383,7 @@ func TestDurableWALOnlyRecovery(t *testing.T) {
 // suffix.
 func TestCheckpointTruncatesAndReplaysSuffix(t *testing.T) {
 	fs := faultinject.NewMemFS(3)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 
@@ -409,7 +410,7 @@ func TestCheckpointTruncatesAndReplaysSuffix(t *testing.T) {
 	want := export(t, w)
 	fs.Crash()
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	if got := export(t, w2); !bytes.Equal(got, want) {
@@ -432,7 +433,7 @@ func TestCheckpointTruncatesAndReplaysSuffix(t *testing.T) {
 // saved by sharing disappears at the first restart.
 func TestRecoveryKeepsLabelSharing(t *testing.T) {
 	fs := faultinject.NewMemFS(11)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 
@@ -465,7 +466,7 @@ func TestRecoveryKeepsLabelSharing(t *testing.T) {
 	}
 	fs.Crash()
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	if got := export(t, w2); !bytes.Equal(got, want) {
@@ -482,7 +483,7 @@ func TestRecoveryKeepsLabelSharing(t *testing.T) {
 // A corrupt newest checkpoint falls back to the previous one.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	fs := faultinject.NewMemFS(4)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 
@@ -503,7 +504,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	fs.Crash()
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	rec := d2.Stats().Recovery
@@ -522,7 +523,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 func TestEncryptedCheckpointRoundTrip(t *testing.T) {
 	fs := faultinject.NewMemFS(5)
 	key := DeriveKey("hunter2")
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{Dir: "/data", FS: fs, Key: key}, w.tracker, w.registry)
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +537,7 @@ func TestEncryptedCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2, err := OpenDurable(DurableOptions{Dir: "/data", FS: fs, Key: key}, w2.tracker, w2.registry)
 	if err != nil {
 		t.Fatal(err)
@@ -554,25 +555,25 @@ func TestEncryptedCheckpointRoundTrip(t *testing.T) {
 // their journalled originals even though the recovering process has a
 // different clock.
 func TestAuditTimestampsRestoredFromWAL(t *testing.T) {
-	var tick int64
-	tickingClock := func() time.Time {
-		tick++
-		return testEpoch.Add(time.Duration(tick) * time.Second)
-	}
 	fs := faultinject.NewMemFS(6)
-	w := newWorld(t, tickingClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 
+	// Each entry gets its own time, so a restore that misplaces one shows.
+	w.clk.Advance(time.Second)
 	if _, err := w.engine.ObserveEdit("alpha/doc#p0", "alpha", opTexts[0]); err != nil {
 		t.Fatal(err)
 	}
+	w.clk.Advance(time.Second)
 	if err := w.engine.Suppress("auditor", "alpha/doc#p0", "ta", "cleared"); err != nil {
 		t.Fatal(err)
 	}
+	w.clk.Advance(time.Second)
 	if err := w.engine.AllocateTag("user", "user:projx"); err != nil {
 		t.Fatal(err)
 	}
+	w.clk.Advance(time.Second)
 	w.engine.Override("boss", "alpha/doc#p0", "bravo", "deadline")
 	want := w.registry.Audit().Entries()
 	if len(want) < 3 {
@@ -582,11 +583,8 @@ func TestAuditTimestampsRestoredFromWAL(t *testing.T) {
 
 	// The recovering process starts its clock much later: without the
 	// amend pass every entry would be restamped.
-	lateClock := func() time.Time {
-		tick++
-		return testEpoch.Add(24*time.Hour + time.Duration(tick)*time.Second)
-	}
-	w2 := newWorld(t, lateClock)
+	w2 := newWorld(t)
+	w2.clk.Advance(24 * time.Hour)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	got := w2.registry.Audit().Entries()
@@ -602,7 +600,7 @@ func TestAuditTimestampsRestoredFromWAL(t *testing.T) {
 // refuse to acknowledge the request.
 func TestJournalFailureSurfaces(t *testing.T) {
 	fs := faultinject.NewMemFS(7)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 
@@ -624,7 +622,7 @@ func runCrashScenario(t *testing.T, seed int64, pol wal.SyncPolicy, withCheckpoi
 	rng := rand.New(rand.NewSource(seed))
 	ops := genOps(rng, 35)
 
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
 		Dir:          "/data",
 		FS:           fs,
@@ -659,7 +657,7 @@ func runCrashScenario(t *testing.T, seed int64, pol wal.SyncPolicy, withCheckpoi
 	}
 	fs.Crash() // power loss + reboot (no-op on schedules if already fired)
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2, err := OpenDurable(DurableOptions{Dir: "/data", FS: fs, Fsync: pol}, w2.tracker, w2.registry)
 	if err != nil {
 		t.Fatalf("seed %d (%v, ckpt=%v): recovery failed: %v", seed, pol, withCheckpoints, err)
@@ -670,7 +668,7 @@ func runCrashScenario(t *testing.T, seed int64, pol wal.SyncPolicy, withCheckpoi
 	// Reference: acknowledged prefix states, plus (optionally) the
 	// operation that was in flight when the crash hit — its record may
 	// have reached disk even though it was never acknowledged.
-	ref := newWorld(t, fixedClock)
+	ref := newWorld(t)
 	candidates := [][]byte{export(t, ref)}
 	for i, op := range acked {
 		if err := op.run(ref.engine); err != nil {
@@ -726,7 +724,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // policy decisions (belt-and-braces on top of the epoch barrier).
 func TestReplaySemanticIdempotence(t *testing.T) {
 	fs := faultinject.NewMemFS(8)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 	rng := rand.New(rand.NewSource(9))
@@ -735,7 +733,7 @@ func TestReplaySemanticIdempotence(t *testing.T) {
 	}
 	fs.Crash()
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	statsBefore := w2.tracker.Paragraphs().Stats()

@@ -28,6 +28,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
@@ -145,13 +146,13 @@ func (d *Durable) enterDegraded(cause string, err error) error {
 	d.mu.Lock()
 	if !d.degraded {
 		d.degraded = true
-		d.degradedSince = time.Now()
+		d.degradedSince = d.opts.Clock.Now()
 		d.degradedCause = cause
 		d.opts.Logf("store: journal degraded (%s, fail-open=%v): %v", cause, d.opts.FailOpen, err)
 		if !d.probing && !d.closed {
 			d.probing = true
 			d.wg.Add(1)
-			go d.probeLoop()
+			go d.probeLoop(d.opts.Clock.NewTimer(d.opts.ProbeEvery))
 		}
 	}
 	ret := d.degradedAppendLocked()
@@ -179,26 +180,15 @@ func (d *Durable) emergencyPrune() {
 
 // probeLoop retries ProbeRecover at the probe cadence until the node
 // recovers or shuts down.
-func (d *Durable) probeLoop() {
+func (d *Durable) probeLoop(t clock.Timer) {
 	defer d.wg.Done()
-	ticker := time.NewTicker(d.opts.ProbeEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.quiesce:
-			d.mu.Lock()
-			d.probing = false
-			d.mu.Unlock()
-			return
-		case <-ticker.C:
-			if recovered, _ := d.ProbeRecover(); recovered {
-				d.mu.Lock()
-				d.probing = false
-				d.mu.Unlock()
-				return
-			}
-		}
-	}
+	clock.Every(d.opts.Clock, t, d.opts.ProbeEvery, d.quiesce, func() bool {
+		recovered, _ := d.ProbeRecover()
+		return !recovered
+	})
+	d.mu.Lock()
+	d.probing = false
+	d.mu.Unlock()
 }
 
 // ProbeRecover checks whether the medium accepts writes again and, if it

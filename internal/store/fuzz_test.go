@@ -29,7 +29,7 @@ import (
 func FuzzRestoreBinarySnapshot(f *testing.F) {
 	key := DeriveKey("fuzz-passphrase")
 	tracker, registry := buildState(f)
-	valid, err := CaptureBytes(tracker, registry, 7)
+	valid, err := CaptureBytes(tracker, registry, 7, testEpoch)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 			if n := tracker.CacheLen(); n != 0 {
 				t.Fatalf("%d cached decisions survived a restore", n)
 			}
-			if _, err := CaptureBytes(tracker, registry, meta.WALSeg); err != nil {
+			if _, err := CaptureBytes(tracker, registry, meta.WALSeg, testEpoch); err != nil {
 				t.Fatalf("re-capture of accepted restore failed: %v", err)
 			}
 			// Warm the cache again for the next rejection to leave alone.
@@ -145,7 +145,7 @@ func shapesImage(t testing.TB) []byte {
 			t.Fatal(err)
 		}
 	}
-	image, err := CaptureBytes(tracker, registry, 3)
+	image, err := CaptureBytes(tracker, registry, 3, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,5 +41,5 @@ func filterImage(blob []byte, params disclosure.Params, kr segment.KeyRange) ([]
 	if kr.Hi < math.MaxUint32 {
 		tracker.ForgetRange(kr.Hi+1, math.MaxUint32)
 	}
-	return CaptureBytes(tracker, registry, meta.WALSeg)
+	return CaptureBytes(tracker, registry, meta.WALSeg, meta.SavedAt)
 }

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
@@ -27,7 +28,7 @@ type ScrubStats struct {
 	Passes int64 `json:"passes"`
 	// LastPassAt is when the most recent pass finished.
 	LastPassAt time.Time `json:"last_pass_at"`
-	// LastPassDuration is how long that pass took (rate-limit sleeps
+	// LastPassDuration is how long that pass took (rate-limit waits
 	// included).
 	LastPassDuration time.Duration `json:"last_pass_duration"`
 	// SegmentsVerified / FramesVerified / BytesVerified count clean
@@ -94,18 +95,15 @@ func VerifyCheckpointFile(fs wal.FS, path string, key []byte) (ImageInfo, error)
 }
 
 // scrubLimiter paces scrub reads to a byte budget per second. Debt is
-// accumulated and paid in one sleep once it is long enough to matter, so
-// small segments do not turn into thousands of micro-sleeps.
+// accumulated and paid in one wait once it is long enough to matter, so
+// small segments do not turn into thousands of micro-waits. Close cuts a
+// wait short: stopped is then set, and the pass ends.
 type scrubLimiter struct {
 	bytesPerSec float64
 	debt        float64 // seconds owed
-}
-
-func newScrubLimiter(rateMB int) *scrubLimiter {
-	if rateMB <= 0 {
-		return &scrubLimiter{}
-	}
-	return &scrubLimiter{bytesPerSec: float64(rateMB) * (1 << 20)}
+	clock       clock.Clock
+	quiesce     <-chan struct{}
+	stopped     bool
 }
 
 func (l *scrubLimiter) pay(n int64) {
@@ -113,27 +111,28 @@ func (l *scrubLimiter) pay(n int64) {
 		return
 	}
 	l.debt += float64(n) / l.bytesPerSec
-	if l.debt >= 0.001 {
-		time.Sleep(time.Duration(l.debt * float64(time.Second)))
-		l.debt = 0
+	if l.debt < 0.001 {
+		return
+	}
+	t := l.clock.NewTimer(time.Duration(l.debt * float64(time.Second)))
+	defer t.Stop()
+	l.debt = 0
+	select {
+	case <-t.C():
+	case <-l.quiesce:
+		l.stopped = true
 	}
 }
 
 // scrubLoop runs ScrubPass every ScrubEvery until Close.
-func (d *Durable) scrubLoop() {
+func (d *Durable) scrubLoop(t clock.Timer) {
 	defer d.wg.Done()
-	ticker := time.NewTicker(d.opts.ScrubEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.quiesce:
-			return
-		case <-ticker.C:
-			if _, err := d.ScrubPass(); err != nil {
-				d.opts.Logf("store: scrub pass: %v", err)
-			}
+	clock.Every(d.opts.Clock, t, d.opts.ScrubEvery, d.quiesce, func() bool {
+		if _, err := d.ScrubPass(); err != nil {
+			d.opts.Logf("store: scrub pass: %v", err)
 		}
-	}
+		return true
+	})
 }
 
 // ScrubPass walks every sealed WAL segment and every checkpoint image
@@ -141,16 +140,20 @@ func (d *Durable) scrubLoop() {
 // files are quarantined and the state re-checkpointed immediately. It
 // returns the number of corruptions found this pass. The background
 // scrubber calls it on its cadence; tests and tools may call it
-// directly.
+// directly. Close ends a pass waiting on its rate bound; such a pass is
+// not counted in Passes.
 func (d *Durable) ScrubPass() (corruptions int, err error) {
-	start := time.Now()
-	limiter := newScrubLimiter(d.opts.ScrubRateMB)
+	start := d.opts.Clock.Now()
+	limiter := &scrubLimiter{bytesPerSec: float64(d.opts.ScrubRateMB) * (1 << 20), clock: d.opts.Clock, quiesce: d.quiesce}
 	var firstErr error
 	needCheckpoint := false
 
 	// Sealed segments. The list is re-fetched from the live log, so
 	// segments truncated or rotated mid-pass are simply not visited.
 	for _, idx := range d.log.SealedSegments() {
+		if limiter.stopped {
+			break
+		}
 		recs, bytes, verr := wal.VerifySegmentFile(d.fs, d.opts.Dir, idx, d.log.MaxRecordBytes())
 		limiter.pay(bytes)
 		if verr == nil {
@@ -183,7 +186,7 @@ func (d *Durable) ScrubPass() (corruptions int, err error) {
 		return corruptions, derr
 	}
 	for _, name := range names {
-		if _, ok := parseCheckpointName(name); !ok {
+		if _, ok := parseCheckpointName(name); !ok || limiter.stopped {
 			continue
 		}
 		path := filepath.Join(d.opts.Dir, name)
@@ -229,10 +232,13 @@ func (d *Durable) ScrubPass() (corruptions int, err error) {
 		}
 	}
 
+	if limiter.stopped {
+		return corruptions, firstErr
+	}
 	d.mu.Lock()
 	d.scrub.Passes++
-	d.scrub.LastPassAt = time.Now()
-	d.scrub.LastPassDuration = time.Since(start)
+	d.scrub.LastPassAt = d.opts.Clock.Now()
+	d.scrub.LastPassDuration = d.opts.Clock.Since(start)
 	d.mu.Unlock()
 	return corruptions, firstErr
 }

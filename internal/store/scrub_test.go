@@ -33,7 +33,7 @@ func seedSealedSegments(t *testing.T, d *Durable, w *world, rounds, opsPerRound 
 // kill -9 right after loses nothing that was acked.
 func TestScrubQuarantinesDecayedSegmentNoAckedLoss(t *testing.T) {
 	fs := faultinject.NewMemFS(21)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 	seedSealedSegments(t, d, w, 3, 8)
@@ -79,7 +79,7 @@ func TestScrubQuarantinesDecayedSegmentNoAckedLoss(t *testing.T) {
 	// kill -9 right after the scrub: the forced checkpoint already holds
 	// everything acked, quarantine included.
 	fs.Crash()
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	if got := export(t, w2); !bytes.Equal(got, want) {
@@ -90,7 +90,7 @@ func TestScrubQuarantinesDecayedSegmentNoAckedLoss(t *testing.T) {
 // A checkpoint image that decays at rest is quarantined and replaced.
 func TestScrubQuarantinesDecayedCheckpoint(t *testing.T) {
 	fs := faultinject.NewMemFS(22)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	defer d.Close()
 	w.engine.SetJournal(d)
@@ -143,7 +143,7 @@ func TestScrubQuarantinesDecayedCheckpoint(t *testing.T) {
 // the decayed segment are the only loss, which DESIGN.md documents.
 func TestKillDuringQuarantineWindowRestarts(t *testing.T) {
 	fs := faultinject.NewMemFS(23)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 	seedSealedSegments(t, d, w, 3, 6)
@@ -154,7 +154,7 @@ func TestKillDuringQuarantineWindowRestarts(t *testing.T) {
 	}
 	fs.Crash() // power loss before the healing checkpoint ran
 
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2, err := OpenDurable(DurableOptions{Dir: "/data", FS: fs, Fsync: wal.SyncAlways}, w2.tracker, w2.registry)
 	if err != nil {
 		t.Fatalf("restart over quarantine gap refused: %v", err)
@@ -169,7 +169,7 @@ func TestKillDuringQuarantineWindowRestarts(t *testing.T) {
 // quarantines the segment itself and starts, instead of refusing.
 func TestRecoveryQuarantinesMidLogDecay(t *testing.T) {
 	fs := faultinject.NewMemFS(24)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d := openDurableForTest(t, fs, wal.SyncAlways, w)
 	w.engine.SetJournal(d)
 	seedSealedSegments(t, d, w, 3, 6)
@@ -179,7 +179,7 @@ func TestRecoveryQuarantinesMidLogDecay(t *testing.T) {
 	if err := fs.FlipByte(filepath.Join("/data", wal.SegmentName(sealed[0])), wal.HeaderSize+7, 0x10); err != nil {
 		t.Fatal(err)
 	}
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2, err := OpenDurable(DurableOptions{Dir: "/data", FS: fs, Fsync: wal.SyncAlways}, w2.tracker, w2.registry)
 	if err != nil {
 		t.Fatalf("recovery refused to start over mid-log decay: %v", err)
@@ -199,7 +199,7 @@ func TestRecoveryQuarantinesMidLogDecay(t *testing.T) {
 // probing resumes service with nothing acked lost.
 func TestDiskFaultFailClosed(t *testing.T) {
 	fs := faultinject.NewMemFS(25)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
 		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
 		ProbeEvery: time.Hour, // manual ProbeRecover in this test
@@ -262,7 +262,7 @@ func TestDiskFaultFailClosed(t *testing.T) {
 // right after loses nothing.
 func TestDiskFaultFailOpen(t *testing.T) {
 	fs := faultinject.NewMemFS(26)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
 		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
 		FailOpen:   true,
@@ -301,7 +301,7 @@ func TestDiskFaultFailOpen(t *testing.T) {
 	// The journal gap is healed: crash now and everything — including the
 	// never-journalled fail-open mutations — comes back.
 	fs.Crash()
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	if got := export(t, w2); !bytes.Equal(got, want) {
@@ -315,7 +315,7 @@ func TestDiskFaultFailOpen(t *testing.T) {
 // fail-open window survives the shutdown.
 func TestCloseWhileDegradedStillCheckpoints(t *testing.T) {
 	fs := faultinject.NewMemFS(27)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
 		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
 		FailOpen:   true,
@@ -343,7 +343,7 @@ func TestCloseWhileDegradedStillCheckpoints(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	w2 := newWorld(t, fixedClock)
+	w2 := newWorld(t)
 	d2 := openDurableForTest(t, fs, wal.SyncAlways, w2)
 	defer d2.Close()
 	if got := export(t, w2); !bytes.Equal(got, want) {
@@ -355,7 +355,7 @@ func TestCloseWhileDegradedStillCheckpoints(t *testing.T) {
 // segments are freed and the append retried before the node degrades.
 func TestENOSPCPruneSelfRecovery(t *testing.T) {
 	fs := faultinject.NewMemFS(27)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
 		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
 		ProbeEvery: time.Hour,
@@ -393,7 +393,7 @@ func TestENOSPCPruneSelfRecovery(t *testing.T) {
 // ENOSPC with -on-disk-full=fail: no pruning, immediate degradation.
 func TestENOSPCFailPolicy(t *testing.T) {
 	fs := faultinject.NewMemFS(28)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
 		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
 		OnDiskFull: OnDiskFullFail,
@@ -428,7 +428,7 @@ func TestENOSPCFailPolicy(t *testing.T) {
 // A read-only remount degrades with cause erofs.
 func TestReadOnlyRemountDegrades(t *testing.T) {
 	fs := faultinject.NewMemFS(29)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
 		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
 		ProbeEvery: time.Hour,
@@ -450,12 +450,13 @@ func TestReadOnlyRemountDegrades(t *testing.T) {
 	}
 }
 
-// The background scrub loop runs on its cadence without manual passes.
+// The background scrub loop runs a pass every ScrubEvery, the first one
+// ScrubEvery after the store opened.
 func TestBackgroundScrubLoop(t *testing.T) {
 	fs := faultinject.NewMemFS(30)
-	w := newWorld(t, fixedClock)
+	w := newWorld(t)
 	d, err := OpenDurable(DurableOptions{
-		Dir: "/data", FS: fs, Fsync: wal.SyncAlways,
+		Dir: "/data", FS: fs, Fsync: wal.SyncAlways, Clock: w.clk,
 		ScrubEvery: 5 * time.Millisecond,
 	}, w.tracker, w.registry)
 	if err != nil {
@@ -465,12 +466,36 @@ func TestBackgroundScrubLoop(t *testing.T) {
 	w.engine.SetJournal(d)
 	seedSealedSegments(t, d, w, 2, 4)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if d.Stats().Scrub.Passes > 0 {
-			return
+	for i, step := range []time.Duration{5*time.Millisecond - 1, 1, 5 * time.Millisecond} {
+		w.clk.Advance(step)
+		w.clk.WaitArmed(1) // the loop is waiting for its next pass
+		if got := d.Stats().Scrub.Passes; got != int64(i) {
+			t.Fatalf("after %v: %d passes, want %d", w.clk.Since(testEpoch), got, i)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("background scrubber never completed a pass")
+}
+
+// Close ends a background pass that waits on its rate bound instead of
+// waiting it out, and the cut-short pass is not counted.
+func TestCloseEndsThrottledScrubPass(t *testing.T) {
+	w := newWorld(t)
+	d, err := OpenDurable(DurableOptions{
+		Dir: "/data", FS: faultinject.NewMemFS(31), Fsync: wal.SyncAlways, Clock: w.clk,
+		ScrubEvery: time.Minute, ScrubRateMB: 1,
+	}, w.tracker, w.registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.engine.SetJournal(d)
+	seedSealedSegments(t, d, w, 2, 64)
+
+	w.clk.Advance(time.Minute)
+	// The pass waits on the limiter; the clock never moves to end that wait.
+	w.clk.WaitArmed(1)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats().Scrub; st.Passes != 0 || st.SegmentsVerified == 0 {
+		t.Errorf("scrub stats %+v: want a pass cut short after verifying a segment, and not counted", st)
+	}
 }

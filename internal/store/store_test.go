@@ -84,7 +84,7 @@ func verifyRestored(t *testing.T, tracker *disclosure.Tracker, registry *tdm.Reg
 // saveState writes the state to path the way Middleware.Save does.
 func saveState(t testing.TB, path string, tracker *disclosure.Tracker, registry *tdm.Registry, key []byte) error {
 	t.Helper()
-	blob, err := CaptureBytes(tracker, registry, 0)
+	blob, err := CaptureBytes(tracker, registry, 0, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLoadCorruptFile(t *testing.T) {
 
 func TestRestoreVersionCheck(t *testing.T) {
 	tracker, registry := buildState(t)
-	blob, err := CaptureBytes(tracker, registry, 0)
+	blob, err := CaptureBytes(tracker, registry, 0, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,31 +14,14 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/resilience"
 	"github.com/lsds/browserflow/internal/segment"
 )
 
-// fakeClock drives the breaker's cooldown deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1700000000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+func newFakeClock() *clock.Fake { return clock.NewFake(time.Unix(1700000000, 0)) }
 
 // observeRecorder records every /v1/observe request the server actually
 // receives — segment order and per-segment delivery counts — so tests can
@@ -116,12 +99,12 @@ func newChaosService(t *testing.T, mode policy.Mode) *chaosService {
 	return &chaosService{srv: srv, recorder: recorder, engine: engine, injector: inj, client: client}
 }
 
-func newFailover(t *testing.T, cs *chaosService, mode policy.Mode, clk *fakeClock, log *audit.Log) *FailoverEngine {
+func newFailover(t *testing.T, cs *chaosService, mode policy.Mode, clk *clock.Fake, log *audit.Log) *FailoverEngine {
 	t.Helper()
 	breaker := resilience.NewBreaker(resilience.BreakerConfig{
 		FailureThreshold: 3,
 		Cooldown:         10 * time.Second,
-		Now:              clk.Now,
+		Clock:            clk,
 	})
 	f, err := NewFailoverEngine(FailoverConfig{
 		Client:  cs.client,
@@ -338,7 +321,7 @@ func TestFailoverQueueLimit(t *testing.T) {
 	breaker := resilience.NewBreaker(resilience.BreakerConfig{
 		FailureThreshold: 1,
 		Cooldown:         10 * time.Second,
-		Now:              clk.Now,
+		Clock:            clk,
 	})
 	f, err := NewFailoverEngine(FailoverConfig{
 		Client: cs.client, Mode: policy.ModeEnforcing, Breaker: breaker, QueueLimit: 2,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/index"
@@ -28,8 +29,7 @@ func newIdemWorld(t *testing.T) (*policy.Engine, *disclosure.Tracker, *tdm.Regis
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
-	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(clock))
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(clock.NewFake(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))))
 	if err := registry.RegisterService("docs", tdm.NewTagSet("confidential"), tdm.NewTagSet("confidential")); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"github.com/lsds/browserflow/internal/admission"
 	"github.com/lsds/browserflow/internal/audit"
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/fingerprint"
@@ -47,7 +48,7 @@ func (solePartition) SetRing([]byte) (uint64, error) { return 0, fmt.Errorf("fix
 // under a fake clock: a durable journal on MemFS, an admission pipeline,
 // a replication status source, a partition ring and policy info.
 type wiredNode struct {
-	clk      *fakeClock
+	clk      *clock.Fake
 	obs      *obs.Obs
 	server   *Server
 	durable  *store.Durable
@@ -61,13 +62,13 @@ type wiredNode struct {
 func newWiredNode(t *testing.T) *wiredNode {
 	t.Helper()
 	n := &wiredNode{clk: newFakeClock()}
-	n.obs = obs.New(n.clk.Now, 0)
+	n.obs = obs.New(n.clk, 0)
 
 	tracker, err := disclosure.NewTracker(disclosure.Params{Fingerprint: fpConfig(), Tpar: 0.3, Tdoc: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(n.clk.Now))
+	registry := tdm.NewRegistry(tracker.Table(), audit.NewLogWithClock(n.clk))
 	if err := registry.RegisterService("wiki", tdm.NewTagSet("tw"), tdm.NewTagSet("tw")); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func newWiredNode(t *testing.T) *wiredNode {
 		t.Fatal(err)
 	}
 	n.durable, err = store.OpenDurable(store.DurableOptions{
-		Dir: "/data", FS: faultinject.NewMemFS(7), Fsync: wal.SyncAlways,
+		Dir: "/data", FS: faultinject.NewMemFS(7), Fsync: wal.SyncAlways, Clock: n.clk,
 	}, tracker, registry)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +92,7 @@ func newWiredNode(t *testing.T) *wiredNode {
 	// drives the pipeline directly; the wedged engine lets it saturate.
 	n.wedged = &wedgedEngine{gate: make(chan struct{})}
 	n.pipeline, err = admission.New(n.wedged, admission.Config{
-		InteractiveQueue: 1, Workers: 1, Clock: n.clk.Now, Obs: n.obs,
+		InteractiveQueue: 1, Workers: 1, Obs: n.obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,22 +113,7 @@ func newWiredNode(t *testing.T) *wiredNode {
 		}),
 		WithDurabilitySource(func() (store.DurabilityStats, bool) {
 			n.durabilityCalls.Add(1)
-			st := n.durable.Stats()
-			// The journal stamps wall-clock times and times real fsyncs;
-			// put both on the fake timeline so the exposition is stable.
-			at := func(t time.Time) time.Time {
-				if t.IsZero() {
-					return t
-				}
-				return n.clk.Now().Add(-30 * time.Second)
-			}
-			st.LastCheckpointAt, st.Scrub.LastPassAt = at(st.LastCheckpointAt), at(st.Scrub.LastPassAt)
-			fsyncs := obs.NewHistogram(nil)
-			for i := int64(0); i < st.WAL.Fsyncs; i++ {
-				fsyncs.Observe(200 * time.Microsecond)
-			}
-			st.WAL.FsyncLatency = fsyncs.Snapshot()
-			return st, true
+			return n.durable.Stats(), true
 		}),
 	)
 	if err != nil {

@@ -322,7 +322,6 @@ func NewServer(engine *policy.Engine, opts ...ServerOption) (*Server, error) {
 		engine:  engine,
 		mux:     http.NewServeMux(),
 		maxBody: DefaultMaxBodyBytes,
-		started: time.Now(),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -330,6 +329,7 @@ func NewServer(engine *policy.Engine, opts ...ServerOption) (*Server, error) {
 	if s.obs == nil {
 		s.obs = obs.New(nil, 0)
 	}
+	s.started = s.obs.Clock().Now()
 	// Every endpoint gains RED metrics and trace lifting under a stable
 	// endpoint label.
 	handle := func(path, endpoint string, h http.HandlerFunc) {
@@ -709,7 +709,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	stats := s.engine.Tracker().Paragraphs().Stats()
 	resp := HealthResponse{
 		Status:   "ok",
-		Uptime:   time.Since(s.started).Round(time.Second).String(),
+		Uptime:   s.obs.Clock().Since(s.started).Round(time.Second).String(),
 		Segments: stats.Segments,
 	}
 	if rs := s.replication; rs != nil {
@@ -764,7 +764,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			DiskRecoveries:   d.Disk.Recoveries,
 		}
 		if !d.Scrub.LastPassAt.IsZero() {
-			hs.LastScrubAge = time.Since(d.Scrub.LastPassAt).Round(time.Second).String()
+			hs.LastScrubAge = s.obs.Clock().Since(d.Scrub.LastPassAt).Round(time.Second).String()
 		}
 		resp.Storage = hs
 		hd := &HealthDurability{
@@ -777,7 +777,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			CheckpointLoaded: d.Recovery.CheckpointLoaded,
 		}
 		if !d.LastCheckpointAt.IsZero() {
-			hd.LastCheckpointAge = time.Since(d.LastCheckpointAt).Round(time.Second).String()
+			hd.LastCheckpointAge = s.obs.Clock().Since(d.LastCheckpointAt).Round(time.Second).String()
 		}
 		resp.Durability = hd
 	}

@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/obs"
 )
 
@@ -155,6 +156,9 @@ type Options struct {
 	// FS is the filesystem to write through; nil means OSFS.
 	FS FS
 
+	// Clock times fsyncs and paces group commit; nil means the real one.
+	Clock clock.Clock
+
 	// Policy selects the fsync policy; zero means SyncAlways.
 	Policy SyncPolicy
 
@@ -197,6 +201,7 @@ func (o *Options) withDefaults() Options {
 	if opts.FS == nil {
 		opts.FS = OSFS{}
 	}
+	opts.Clock = clock.Or(opts.Clock)
 	if opts.Policy == 0 {
 		opts.Policy = SyncAlways
 	}
@@ -400,7 +405,7 @@ func open(o Options) (*Log, error) {
 	if opts.Policy == SyncInterval {
 		l.stopFlush = make(chan struct{})
 		l.flushDone = make(chan struct{})
-		go l.flushLoop()
+		go l.flushLoop(opts.Clock.NewTimer(opts.Interval))
 	}
 	return l, nil
 }
@@ -622,11 +627,11 @@ func (l *Log) syncLocked() error {
 	if l.cur == nil {
 		return nil
 	}
-	start := time.Now()
+	start := l.opts.Clock.Now()
 	if err := l.cur.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.fsyncLat.Observe(time.Since(start))
+	l.fsyncLat.Observe(l.opts.Clock.Since(start))
 	l.fsyncs++
 	l.dirty = false
 	return nil
@@ -750,25 +755,22 @@ func (l *Log) Stats() Stats {
 }
 
 // flushLoop is the SyncInterval group-commit goroutine.
-func (l *Log) flushLoop() {
+func (l *Log) flushLoop(t clock.Timer) {
 	defer close(l.flushDone)
-	ticker := time.NewTicker(l.opts.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.stopFlush:
-			return
-		case <-ticker.C:
-			l.mu.Lock()
-			if !l.closed && l.dirty {
-				if err := l.syncLocked(); err != nil {
-					l.opts.Logf("wal: group commit: %v", err)
-				}
+	clock.Every(l.opts.Clock, t, l.opts.Interval, l.stopFlush, func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if !l.closed && l.dirty {
+			if err := l.syncLocked(); err != nil {
+				l.opts.Logf("wal: group commit: %v", err)
 			}
-			l.mu.Unlock()
 		}
-	}
+		return true
+	})
 }
+
+// Clock is the log's time source (Options.Clock).
+func (l *Log) Clock() clock.Clock { return l.opts.Clock }
 
 // Close flushes and closes the log. Further operations return ErrClosed.
 func (l *Log) Close() error {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/clock"
 	"github.com/lsds/browserflow/internal/faultinject"
 	"github.com/lsds/browserflow/internal/wal"
 )
@@ -310,13 +311,11 @@ func TestSyncNoneCrashLeavesValidPrefix(t *testing.T) {
 	}
 }
 
+// TestSyncIntervalGroupCommit: under SyncInterval an append is fsynced by
+// the first group commit an Interval on, and an idle round syncs nothing.
 func TestSyncIntervalGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	l, err := wal.Open(wal.Options{
-		Dir:      dir,
-		Policy:   wal.SyncInterval,
-		Interval: 5 * time.Millisecond,
-	})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncInterval, Interval: 5 * time.Millisecond, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +323,15 @@ func TestSyncIntervalGroupCommit(t *testing.T) {
 	if err := l.Append(rec(1, "grouped")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for l.Stats().Fsyncs == before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if l.Stats().Fsyncs == before {
-		t.Error("group commit never fsynced the appended record")
+	for _, step := range []struct {
+		d    time.Duration
+		want int64
+	}{{5*time.Millisecond - 1, 0}, {1, 1}, {5 * time.Millisecond, 1}} {
+		clk.Advance(step.d)
+		clk.WaitArmed(1)
+		if got := l.Stats().Fsyncs - before; got != step.want {
+			t.Errorf("%v after the append: %d group-commit fsyncs, want %d", clk.Since(time.Unix(1000, 0)), got, step.want)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
