@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check node-copies wallclock fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean
+.PHONY: all build vet test race check node-copies wallclock fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean index-mutants pins
 
 all: build check
 
@@ -15,10 +15,8 @@ all: build check
 # properties, the replication, partition, overload and self-healing chaos
 # suites and the observability goldens); the policy gates that are not
 # tests (coverage floor, fixture lint); a short fuzz smoke over the parsers
-# that read attacker-controlled bytes; the memory-budget tests and the
-# allocation pins (the WAL validation, the zero-alloc decided observe in the
-# tracker and the engine, the index's candidate-discovery and head-insert
-# paths), which skip under -race and so run here without it; a
+# that read attacker-controlled bytes; the pins and the index's model-rig
+# tests, which skip under -race and so run here without it (see pins); a
 # vulnerability scan when govulncheck is installed; and the benchmark
 # module, which tier-1 does not build.
 POLICY_COVER ?= /tmp/policyfile.cover
@@ -28,10 +26,39 @@ check: vet node-copies wallclock
 	$(MAKE) policy-floor
 	$(MAKE) policy-fixtures
 	$(MAKE) fuzz
-	$(GO) test -run 'TestEngineHeapBudget|TestMixedGranularityHeap|TestApproxBytesTracksHeap|TestSaveHeapAndLoadLayout|TestValidationDoesNotAllocatePerRecord|TestObserveSteadyStateAllocs|TestGoldenObserveCacheHitAllocs|TestAppendOldestHoldersReusesCapacity|TestAppendHoldersReusesCapacity|TestHeadInsertAllocatesNoObjectPerHash' \
-		./internal/policy ./internal/index ./internal/disclosure ./internal/wal .
+	$(MAKE) pins
 	$(MAKE) vuln
 	$(MAKE) bench-check
+
+# pins runs without -race the tests that skip under it. PINS are the
+# memory-budget tests and the allocation pins (the WAL validation, the
+# zero-alloc decided observe in the tracker and the engine, the index's
+# candidate-discovery and head-insert paths), as package:test. A name that
+# no longer matches a test would leave the step green while it ran nothing,
+# so the step fails on a name its package's `go test -list` does not print.
+# Then internal/index runs whole: its model-rig tests are one goroutine,
+# which the race detector has nothing to say about, so they skip under
+# -race and run once, here. That run takes in the package's pins, so the
+# -run step leaves internal/index out; its names are still checked above.
+PINS = ./internal/policy:TestEngineHeapBudget ./internal/policy:TestMixedGranularityHeap \
+	./internal/policy:TestGoldenObserveCacheHitAllocs ./internal/disclosure:TestObserveSteadyStateAllocs \
+	./internal/wal:TestValidationDoesNotAllocatePerRecord .:TestSaveHeapAndLoadLayout \
+	./internal/index:TestApproxBytesTracksHeap ./internal/index:TestAppendOldestHoldersReusesCapacity \
+	./internal/index:TestAppendHoldersReusesCapacity ./internal/index:TestHeadInsertAllocatesNoObjectPerHash
+PIN_PKGS = $(sort $(foreach p,$(PINS),$(firstword $(subst :, ,$(p)))))
+PIN_NAMES = $(foreach p,$(PINS),$(lastword $(subst :, ,$(p))))
+empty :=
+space := $(empty) $(empty)
+pins:
+	@for pkg in $(PIN_PKGS); do \
+		listed=$$($(GO) test -list . $$pkg) || exit 1; \
+		for pin in $(PINS); do \
+			[ "$${pin%%:*}" = "$$pkg" ] || continue; \
+			echo "$$listed" | grep -qx "$${pin#*:}" || { echo "pins: $$pkg has no test $${pin#*:}"; exit 1; }; \
+		done; \
+	done
+	$(GO) test -run '^($(subst $(space),|,$(strip $(PIN_NAMES))))$$' $(filter-out ./internal/index,$(PIN_PKGS))
+	$(GO) test ./internal/index
 
 # node-copies fails when a test outside internal/node, internal/store and
 # internal/replication assembles a node of its own: a _test.go file that
@@ -62,6 +89,37 @@ wallclock:
 	if [ -n "$$calls" ]; then \
 		echo "wallclock: direct wall-clock use (go through the node's clock.Clock):"; echo "$$calls"; exit 1; \
 	fi
+
+# index-mutants re-checks the mutation parity of internal/index's tests:
+# each patch under $(MUTANTS) is a hand-picked fault in the package's
+# code. The target copies the module to a temporary directory once, then
+# per patch applies it, runs the package's tests and reverts it, and
+# prints "killed" (a test failed) or "survived". A patch that no longer
+# applies, or a mutant that does not build, fails the target by name: the
+# code it mutates has moved, and the patch must be redone. Not part of
+# check: it runs the package's tests once per mutant.
+MUTANTS = internal/index/testdata/mutants
+index-mutants:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	tar -cf - go.mod internal | tar -C "$$tmp" -xf -; \
+	bad=""; killed=0; survived=0; \
+	for p in $(MUTANTS)/*.patch; do \
+		name=$$(basename $$p .patch); \
+		if ! patch -s -p1 -d "$$tmp" --dry-run < $$p >/dev/null 2>&1; then \
+			echo "stale    $$name"; bad="$$bad $$name"; continue; \
+		fi; \
+		patch -s -p1 -d "$$tmp" < $$p; \
+		if out=$$(cd "$$tmp" && $(GO) test -count=1 ./internal/index 2>&1); then \
+			echo "survived $$name"; survived=$$((survived+1)); \
+		elif echo "$$out" | grep -q -e 'build failed' -e 'setup failed'; then \
+			echo "broken   $$name"; bad="$$bad $$name"; \
+		else \
+			echo "killed   $$name"; killed=$$((killed+1)); \
+		fi; \
+		patch -s -R -p1 -d "$$tmp" < $$p; \
+	done; \
+	echo "index-mutants: $$killed killed, $$survived survived"; \
+	if [ -n "$$bad" ]; then echo "index-mutants: stale or broken patches:$$bad"; exit 1; fi
 
 # bench-check vets, tests and builds the benchmark (its own module, so
 # `go build ./...` never sees it): an API change that breaks it fails
@@ -119,8 +177,10 @@ vuln:
 # replica runs over streamed records, the state-image restore (unseal +
 # BFLOWSNB decode, the one route every load takes), the index digest
 # codec the anti-entropy comparator trusts, the index itself against its
-# reference model (generated operation streams over the packed runs and
-# the head tables), the segment table's flat index against a map, the
+# reference model (generated operation streams on the model rig's nine
+# layouts: head-only, merging inline and merged when told, at 1, 64 and
+# 256 shards, each checked after every operation, with restores), the
+# segment table's flat index against a map, the
 # ring codec, the two
 # policy-language targets, and the JSON bodies and X-BF-Trace header a
 # node's HTTP endpoints read.

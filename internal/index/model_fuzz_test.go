@@ -10,12 +10,13 @@ import (
 
 // FuzzIndexModel decodes its input into a stream of updates, removals,
 // late postings, clock jumps, expiries, merges and snapshot restores, and
-// applies it to the reference model and to two DBs: one shard merging
-// inline once its head holds four postings and a sixteenth of its run,
-// and 64 shards merging only when told to. After every operation each DB
-// must answer as the model does for every hash of the pool — hashes on
-// bucket and shard edges, and hashes that share a head-table probe chain
-// — and both must encode the same image. An update carries a decision by
+// applies it to the reference model and to the model rig's standard
+// layouts: head-only, merging inline as soon as a head holds a sixteenth
+// of its run, and merging only when told to, each at 1, 64 and 256
+// shards. After every operation each DB must answer as the model
+// does for every hash of the pool — hashes on bucket and shard edges, and
+// hashes that share a head-table probe chain — and all must encode the
+// same image, which restores to the model. An update carries a decision by
 // its operation byte (0: one that discloses nothing, 1: one with sources,
 // 2: none), and after every operation each entry must hold exactly the
 // model's decision. Seeds 5–7 remove a segment after an edit — straight
@@ -58,8 +59,8 @@ var modelDecisions = [3]*Decision{
 }
 
 // replayModel decodes data into an operation stream, applies it to the
-// reference model and the DBs, checking them after every operation, and
-// returns the rig.
+// model rig, which checks every DB after every operation, and returns the
+// rig.
 func replayModel(t *testing.T, data []byte) *modelRig {
 	if len(data) > 256 {
 		data = data[:256]
@@ -74,7 +75,7 @@ func replayModel(t *testing.T, data []byte) *modelRig {
 		return int(b)
 	}
 	pool := append(runEdgeHashes(DefaultShards), chainHashes(16)...)
-	rig := newModelRig(t, &segment.Table{}, []int{1, DefaultShards}, []int{4, -1}, pool)
+	rig := newModelRig(t, &segment.Table{}, standardLayouts(), pool)
 	seg := func() segment.ID { return segment.ID(fmt.Sprintf("doc%d#p0", next()%8)) }
 	hashes := func() []uint32 { // ascending and distinct, as a fingerprint holds them
 		var hs []uint32
@@ -84,39 +85,29 @@ func replayModel(t *testing.T, data []byte) *modelRig {
 		slices.Sort(hs)
 		return slices.Compact(hs)
 	}
-	for step := 0; len(in) > 0; step++ {
-		var name string
+	for len(in) > 0 {
 		switch op := next() % 9; op {
 		case 0, 1, 2:
 			s, hs := seg(), hashes()
 			rig.update(s, hs, modelDecisions[op])
-			name = fmt.Sprintf("update %s (decision %d)", s, op)
 		case 3:
-			s := seg()
-			rig.remove(s)
-			name = "remove " + string(s)
+			rig.remove(seg())
 		case 4:
 			s, hs := seg(), hashes()
 			seq := rig.m.clock - min(rig.m.clock, uint64(next()%8))
 			rig.post(s, hs, seq)
-			name = fmt.Sprintf("late postings of %s at %d", s, seq)
 		case 5:
 			jump := []uint64{1, 1 << 16, 1<<31 + 1, 1 << 40}[next()%4]
 			rig.floor(rig.m.clock + jump)
-			name = fmt.Sprintf("clock +%d", jump)
 		case 6:
 			stamps := append(rig.m.stamps(), rig.m.clock)
 			cut := stamps[next()%len(stamps)]
 			rig.expire(cut)
-			name = fmt.Sprintf("expire before %d", cut)
 		case 7:
 			rig.compact()
-			name = "compact"
 		case 8:
-			rig.restore()
-			name = "restore"
+			rig.restoreAll()
 		}
-		rig.check(fmt.Sprintf("op %d (%s)", step, name))
 	}
 	return rig
 }
@@ -125,6 +116,7 @@ func replayModel(t *testing.T, data []byte) *modelRig {
 // a merge meet every one of spliceCases, so the fuzz smoke checks each of
 // splice's edges against the model even before it generates an input.
 func TestModelSeedsMeetSpliceCases(t *testing.T) {
+	t.Parallel()
 	met := map[string]bool{}
 	for _, seed := range modelSeeds {
 		for c := range replayModel(t, seed).cases {

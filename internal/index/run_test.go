@@ -1,243 +1,21 @@
 package index
 
-// The quotiented run against a reference: a run stores each group's low 16
-// bits under a bucket directory, so every hash that shares a low half with
-// another in the same shard — or that lies outside the directory — is a
-// place a lookup can go wrong. A map from hash to holders, driven through
-// the same inserts, removals, expiries, merges and restores, says what
-// every lookup must answer.
+// The layouts' own edges, driven through the model rig (model_test.go): a
+// run stores each group's low 16 bits under a bucket directory, so every
+// hash that shares a low half with another in the same shard — or that
+// lies outside the directory — is a place a lookup can go wrong; a merge
+// splices a run's untouched stretches over as bits; packed columns widen
+// as refs and stamp codes grow; a head table's rows share probe chains.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
-	"github.com/lsds/browserflow/internal/fingerprint"
 	"github.com/lsds/browserflow/internal/segment"
 )
-
-// refPosting is one holder of a hash in the reference model.
-type refPosting struct {
-	seg segment.ID
-	seq uint64
-}
-
-// refSeg is a segment's DBpar entry in the reference model; posted is its
-// posted union, every hash it holds a posting of since the entry was made
-// (postings made by post aside), ascending; decided marks that it holds
-// the decision made for hashes, whose sources are sources.
-type refSeg struct {
-	hashes, posted []uint32
-	updated        uint64
-	decided        bool
-	sources        []Source
-}
-
-// refModel is the reference: every live posting by hash, oldest first
-// (arrival order on equal stamps), every DBpar entry, and the clock.
-type refModel struct {
-	postings map[uint32][]refPosting
-	segs     map[segment.ID]refSeg
-	clock    uint64
-}
-
-func newRefModel() *refModel {
-	return &refModel{postings: map[uint32][]refPosting{}, segs: map[segment.ID]refSeg{}}
-}
-
-// update is DB.Update: the entry's decision becomes d (nil: none), an
-// unchanged fingerprint changes nothing else, a new one ticks the clock
-// and posts every hash seg does not hold yet. It returns the stamp Update
-// must return.
-func (m *refModel) update(seg segment.ID, hs []uint32, d *Decision) uint64 {
-	decided, sources := d != nil, []Source(nil)
-	if decided {
-		sources = d.Sources
-	}
-	if s, ok := m.segs[seg]; ok && slices.Equal(s.hashes, hs) {
-		s.decided, s.sources = decided, sources
-		m.segs[seg] = s
-		return s.updated
-	}
-	m.clock++
-	m.post(seg, hs, m.clock)
-	posted := slices.Clone(hs)
-	if s, ok := m.segs[seg]; ok {
-		posted = append(posted, s.posted...)
-		slices.Sort(posted)
-		posted = slices.Compact(posted)
-	}
-	m.segs[seg] = refSeg{hashes: hs, posted: posted, updated: m.clock, decided: decided, sources: sources}
-	return m.clock
-}
-
-// post records (h, seg, seq) for every h of hs that seg does not hold,
-// with no DBpar change: what postAt does.
-func (m *refModel) post(seg segment.ID, hs []uint32, seq uint64) {
-	for _, h := range hs {
-		ps := m.postings[h]
-		if slices.ContainsFunc(ps, func(p refPosting) bool { return p.seg == seg }) {
-			continue
-		}
-		i := len(ps)
-		for i > 0 && ps[i-1].seq > seq {
-			i--
-		}
-		m.postings[h] = slices.Insert(ps, i, refPosting{seg, seq})
-	}
-}
-
-// remove is DB.RemoveSegment: the entry goes, and the postings of its
-// posted union, earlier versions' included.
-func (m *refModel) remove(seg segment.ID) {
-	s, ok := m.segs[seg]
-	if !ok {
-		return
-	}
-	for _, h := range s.posted {
-		m.dropPostings(h, func(p refPosting) bool { return p.seg == seg })
-	}
-	delete(m.segs, seg)
-}
-
-// expire is DB.ExpireBefore: each surviving entry's union keeps the
-// hashes whose posting survived.
-func (m *refModel) expire(cut uint64) {
-	for h := range m.postings {
-		m.dropPostings(h, func(p refPosting) bool { return p.seq < cut })
-	}
-	for seg, s := range m.segs {
-		if s.updated < cut {
-			delete(m.segs, seg)
-			continue
-		}
-		s.posted = slices.DeleteFunc(slices.Clone(s.posted), func(h uint32) bool { return !m.holds(seg, h) })
-		m.segs[seg] = s
-	}
-}
-
-// restore is what a snapshot restore makes of the entries: each one's
-// union is every hash its segment holds a posting of, post's included, and
-// no decision survives (an image holds none).
-func (m *refModel) restore() {
-	for seg, s := range m.segs {
-		s.decided, s.sources = false, nil
-		s.posted = nil
-		for h := range m.postings {
-			if m.holds(seg, h) {
-				s.posted = append(s.posted, h)
-			}
-		}
-		slices.Sort(s.posted)
-		m.segs[seg] = s
-	}
-}
-
-// holds reports whether seg holds a posting of h.
-func (m *refModel) holds(seg segment.ID, h uint32) bool {
-	return slices.ContainsFunc(m.postings[h], func(p refPosting) bool { return p.seg == seg })
-}
-
-func (m *refModel) dropPostings(h uint32, del func(refPosting) bool) {
-	if ps := slices.DeleteFunc(m.postings[h], del); len(ps) == 0 {
-		delete(m.postings, h)
-	} else {
-		m.postings[h] = ps
-	}
-}
-
-// stamps returns the distinct live stamps, ascending.
-func (m *refModel) stamps() []uint64 {
-	var out []uint64
-	for _, ps := range m.postings {
-		for _, p := range ps {
-			out = append(out, p.seq)
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// modelRig drives DBs and the reference through the same operations,
-// checking each DB against the model after every one.
-type modelRig struct {
-	t          *testing.T
-	tab        *segment.Table // shared by every DB, so refs are the same in all
-	dbs        []*DB
-	shards     []int // each DB's shard count
-	compactMin []int // each DB's compact threshold
-	m          *refModel
-	probe      []uint32
-	cases      map[string]bool // the spliceCases compact has met
-}
-
-func newModelRig(t *testing.T, tab *segment.Table, shards, thresholds []int, probes []uint32) *modelRig {
-	rig := &modelRig{t: t, tab: tab, shards: shards, compactMin: thresholds, m: newRefModel(), probe: probes, cases: map[string]bool{}}
-	for i := range shards {
-		rig.dbs = append(rig.dbs, rig.newDB(i))
-	}
-	return rig
-}
-
-func (rig *modelRig) newDB(i int) *DB {
-	db := NewWithShards(rig.tab, 0.5, rig.shards[i])
-	db.SetCompactThreshold(rig.compactMin[i])
-	return db
-}
-
-func (rig *modelRig) update(seg segment.ID, hs []uint32, d *Decision) {
-	rig.t.Helper()
-	want := rig.m.update(seg, hs, d)
-	for i, db := range rig.dbs {
-		if got := db.Update(seg, fingerprint.FromHashes(hs), d); got != want {
-			rig.t.Fatalf("update %s on db %d: stamp %d, want %d", seg, i, got, want)
-		}
-	}
-}
-
-func (rig *modelRig) post(seg segment.ID, hs []uint32, seq uint64) {
-	rig.m.post(seg, hs, seq)
-	for _, db := range rig.dbs {
-		postAt(db, seg, hs, seq)
-	}
-}
-
-func (rig *modelRig) remove(seg segment.ID) {
-	rig.m.remove(seg)
-	for _, db := range rig.dbs {
-		db.RemoveSegment(seg)
-	}
-}
-
-func (rig *modelRig) expire(cut uint64) {
-	rig.m.expire(cut)
-	for _, db := range rig.dbs {
-		db.ExpireBefore(cut)
-	}
-}
-
-func (rig *modelRig) floor(f uint64) {
-	rig.m.clock = max(rig.m.clock, f)
-	for _, db := range rig.dbs {
-		db.SetClockFloor(f)
-	}
-}
-
-// compact merges every DB, recording the splice cases each merge meets.
-func (rig *modelRig) compact() {
-	for _, db := range rig.dbs {
-		for si := range db.hashShards {
-			for c := range spliceCasesOf(&db.hashShards[si]) {
-				rig.cases[c] = true
-			}
-		}
-		db.Compact()
-	}
-}
 
 // spliceCases are the shapes of a merge where splicing a run's untouched
 // groups over can slip (see run.splice).
@@ -346,36 +124,6 @@ func (rig *modelRig) missingCases() []string {
 	return missing
 }
 
-// restore replaces every DB with one restored from its image, on the same
-// segment table: the image's refs are renumbered to the table's, so the
-// restore re-packs the run's ref columns.
-func (rig *modelRig) restore() {
-	rig.t.Helper()
-	rig.m.restore()
-	for i, db := range rig.dbs {
-		restored := rig.newDB(i)
-		if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
-			rig.t.Fatal(err)
-		}
-		rig.dbs[i] = restored
-	}
-}
-
-// check compares every DB with the model, and their images with each
-// other's.
-func (rig *modelRig) check(step string) {
-	rig.t.Helper()
-	for i, db := range rig.dbs {
-		checkAgainstModel(rig.t, fmt.Sprintf("%s/shards=%d,min=%d", step, rig.shards[i], rig.compactMin[i]), db, rig.m, rig.probe)
-	}
-	img := rig.dbs[0].AppendSnapshot(nil)
-	for i, db := range rig.dbs[1:] {
-		if !bytes.Equal(db.AppendSnapshot(nil), img) {
-			rig.t.Fatalf("%s: db %d encodes another image than db 0", step, i+1)
-		}
-	}
-}
-
 // runEdgeHashes are the hashes where a quotiented run's arithmetic can
 // slip, for a DB of the given shard count: both ends of the low half and
 // of the high half, the first and last hash of every shard, and hashes
@@ -389,107 +137,6 @@ func runEdgeHashes(shards int) []uint32 {
 		hs = append(hs, first, last, first|0x1234, last&^0xFFFF|0x1234)
 	}
 	return hs
-}
-
-// checkAgainstModel compares db with the reference: the lookup a probe
-// does (find, then the group's low half), the oldest holder, every holder
-// in posting order, the per-shard digests and the image a restore reads.
-// probes may hold hashes the model lacks; those must be absent.
-func checkAgainstModel(t *testing.T, step string, db *DB, m *refModel, probes []uint32) {
-	t.Helper()
-	for _, h := range probes {
-		want := m.postings[h]
-		sh := &db.hashShards[db.hashShardIdx(h)]
-		sh.mu.RLock()
-		g := sh.run.find(h)
-		inHead := sh.head.find(h) >= 0
-		ref, seq, ok := db.oldestLocked(sh, h, true)
-		sh.mu.RUnlock()
-		if g >= 0 && sh.run.lo[g] != uint16(h) {
-			t.Fatalf("%s: find(%#x) = group %d holding low half %#x", step, h, g, sh.run.lo[g])
-		}
-		if len(want) > 0 && g < 0 && !inHead {
-			t.Fatalf("%s: hash %#x with %d holders is in neither tier", step, h, len(want))
-		}
-		if len(want) == 0 && g >= 0 && sh.run.first(g) != tombstoneRef {
-			t.Fatalf("%s: absent hash %#x found live at group %d", step, h, g)
-		}
-		if ok != (len(want) > 0) || ok && (db.tab.ID(ref) != want[0].seg || seq != want[0].seq) {
-			t.Fatalf("%s: oldest holder of %#x = (%s, %d, %v), want %v", step, h, db.tab.ID(ref), seq, ok, want)
-		}
-		var segs []segment.ID
-		for _, p := range want {
-			segs = append(segs, p.seg)
-		}
-		if got := db.Holders(h); !reflect.DeepEqual(got, segs) {
-			t.Fatalf("%s: holders of %#x = %v, want %v", step, h, got, segs)
-		}
-	}
-
-	wantShards := make([]uint64, db.NumShards())
-	for h, ps := range m.postings {
-		for _, p := range ps {
-			wantShards[db.hashShardIdx(h)] ^= postingCode(h, segDigestKey(string(p.seg)), p.seq)
-		}
-	}
-	if got, _ := db.ShardDigests(); !slices.Equal(got, wantShards) {
-		t.Fatalf("%s: shard digests %x, want %x", step, got, wantShards)
-	}
-	if st := db.Stats(); st.DistinctHashes != len(m.postings) || st.Segments != len(m.segs) {
-		t.Fatalf("%s: %d hashes in %d segments, want %d in %d", step, st.DistinctHashes, st.Segments, len(m.postings), len(m.segs))
-	}
-	decided, sourced := 0, 0
-	for seg, s := range m.segs {
-		ss := db.segShardFor(seg)
-		ss.mu.RLock()
-		_, row := db.lookupRow(seg)
-		posted := ss.postedOf(row)
-		ss.mu.RUnlock()
-		if !slices.Equal(posted, s.posted) && len(posted)+len(s.posted) > 0 {
-			t.Fatalf("%s: posted union of %s = %#x, want %#x", step, seg, posted, s.posted)
-		}
-		// The decision answers the fingerprint the entry holds, and no
-		// other: not one that differs from it in a single hash.
-		sources, ok := db.Decision(seg, s.hashes)
-		if ok != s.decided || !slices.Equal(sources, s.sources) {
-			t.Fatalf("%s: decision of %s = %v (%v), want %v (%v)", step, seg, sources, ok, s.sources, s.decided)
-		}
-		if len(s.hashes) > 0 {
-			if _, ok := db.Decision(seg, s.hashes[1:]); ok {
-				t.Fatalf("%s: %s answers a decision for a fingerprint it does not hold", step, seg)
-			}
-		}
-		if s.decided {
-			decided++
-		}
-		if len(s.sources) > 0 {
-			sourced++
-		}
-	}
-	if d, s := db.Decisions(); d != decided || s != sourced {
-		t.Fatalf("%s: %d decided entries, %d with sources; want %d, %d", step, d, s, decided, sourced)
-	}
-	checkInvariants(t, db)
-}
-
-// fillTable interns filler segments until tab issues ref n next.
-func fillTable(tab *segment.Table, n int) {
-	for tab.Len() < n {
-		tab.Intern(segment.ID(fmt.Sprintf("filler#%d", tab.Len())))
-	}
-}
-
-// liveSeg returns one of the model's segments with an entry, chosen by rng.
-func (m *refModel) liveSeg(rng *rand.Rand) (segment.ID, bool) {
-	segs := make([]segment.ID, 0, len(m.segs))
-	for seg := range m.segs {
-		segs = append(segs, seg)
-	}
-	if len(segs) == 0 {
-		return "", false
-	}
-	slices.Sort(segs)
-	return segs[rng.Intn(len(segs))], true
 }
 
 // stampCodeOf returns the stamp code of ref's posting of h in db's run,
@@ -537,6 +184,7 @@ func stampCodeOf(db *DB, h, ref uint32) (code uint32, ok bool) {
 func TestQuotientedRunMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			shardCounts := []int{1, DefaultShards, 256}
 			// A hash space where edges recur: every edge hash of every
 			// layout, winnowed-like small hashes that crowd the low shards'
@@ -550,8 +198,9 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 				pool = append(pool, uint32(rng.Intn(1<<20)), rng.Uint32())
 			}
 			const hot = uint32(0x00012345)
-			// Probes: the pool, and every pool hash moved to the
-			// neighbouring buckets with its low half kept — present or
+			// Probes: the pool, and every pool hash moved to neighbouring
+			// buckets and a far one with its low half kept (below 2^16,
+			// the bucket before wraps to the top shard) — present or
 			// absent, a lookup that ignored the bucket would confuse them.
 			var probes []uint32
 			for _, h := range pool {
@@ -563,7 +212,8 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 
 			tab := &segment.Table{}
 			fillTable(tab, 1<<15-4)
-			rig := newModelRig(t, tab, shardCounts, []int{16, 16, 16}, probes)
+			rig := newModelRig(t, tab, layoutsAt(16, shardCounts...), probes)
+			rig.noCopies = true // two steps in 25 restore every DB
 
 			next, sawBig, sawWide := 0, false, false
 			refWidths, stampWidths := map[uint]bool{}, map[uint]bool{}
@@ -571,7 +221,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 				if step == 60 {
 					fillTable(tab, 1<<16-4)
 				}
-				var name string
+				rebuilt := false // a fresh run in every DB
 				switch op := rng.Intn(25); {
 				case op >= 22:
 					// An edit: the segment keeps some of its hashes and
@@ -584,10 +234,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					for j := 0; j < 1+rng.Intn(6); j++ {
 						hs = append(hs, pool[rng.Intn(len(pool))])
 					}
-					slices.Sort(hs)
-					hs = slices.Compact(hs)
 					rig.update(seg, hs, nil)
-					name = "edit " + string(seg)
 				case op < 14:
 					seg := segment.ID(fmt.Sprintf("doc%d#p%d", next/8, next%8))
 					next++
@@ -596,46 +243,38 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 						hs = append(hs, pool[rng.Intn(len(pool))])
 					}
 					hs = append(hs, hot)
-					slices.Sort(hs)
-					hs = slices.Compact(hs)
 					rig.update(seg, hs, nil)
-					name = "update " + string(seg)
 				case op < 15:
 					gone, ok := rig.m.liveSeg(rng)
 					if !ok {
 						continue
 					}
 					rig.remove(gone)
-					name = "remove " + string(gone)
 				case op < 16:
 					// Among the oldest quarter of the live stamps, so a clock
 					// jump does not make every expiry a wipe.
 					stamps := append(rig.m.stamps(), rig.m.clock)
 					cut := stamps[rng.Intn(len(stamps)/4+1)]
 					rig.expire(cut)
-					name = fmt.Sprintf("expire before %d", cut)
 				case op < 18:
 					rig.compact()
-					name = "compact"
+					rebuilt = true
 				case op < 20:
-					rig.restore()
-					name = "restore"
+					rig.restoreAll()
+					rebuilt = true
 				case op < 21:
 					jump := []uint64{1<<15 - 2, 1 << 16, 1<<31 + 7}[rng.Intn(3)]
 					rig.floor(rig.m.clock + jump)
-					name = fmt.Sprintf("clock +%d", jump)
 				case op < 22:
 					rig.floor(rig.m.clock + 1<<40)
-					name = "clock +2^40"
 				}
-				rig.check(fmt.Sprintf("step %d (%s)", step, name))
-				if name == "compact" || name == "restore" {
+				if rebuilt {
 					// A fresh run gives a group of bigGroupMin holders its
 					// membership set.
 					big := len(rig.m.postings[hot]) >= bigGroupMin
 					for i, db := range rig.dbs {
 						if got := db.hashShards[db.hashShardIdx(hot)].big[hot] != nil; got != big {
-							t.Fatalf("step %d (%s)/shards=%d: hot hash with %d holders has a membership set: %v", step, name, shardCounts[i], len(rig.m.postings[hot]), got)
+							t.Fatalf("step %d/shards=%d: hot hash with %d holders has a membership set: %v", step, shardCounts[i], len(rig.m.postings[hot]), got)
 						}
 					}
 					sawBig = sawBig || big
@@ -657,7 +296,6 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					sawWide, refWidths, stampWidths)
 			}
 			rig.compact()
-			rig.check("final compact")
 			if missing := rig.missingCases(); len(missing) > 0 {
 				t.Errorf("no merge met %q", missing)
 			}
@@ -685,7 +323,6 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			rig.floor(rig.m.clock + 1<<20)
 			rig.update("widest/succ#p0", []uint32{x, x + 2}, nil)
 			rig.compact()
-			rig.check("holder-relative fixtures built")
 			old, _ := tab.Lookup("widest/old#p0")
 			// succ's posting of x is 2^20 + 1 after its born stamp.
 			const succ, succCode = 1<<17 - 1, 2 * (1<<20 + 1)
@@ -711,7 +348,6 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			// Removing old moves the successor inline, coded against its
 			// own born stamp, and takes old's postings of both versions.
 			rig.remove("widest/old#p0")
-			rig.check("successor moved inline")
 			for i, db := range rig.dbs {
 				if c, ok := stampCodeOf(db, x, succ); !ok || c != succCode {
 					t.Fatalf("shards=%d: the moved successor has code %d (%v), want %d", shardCounts[i], c, ok, succCode)
@@ -723,8 +359,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			rig.update("neg/held#p0", []uint32{x + 4}, nil)
 			rig.update("neg/other#p0", []uint32{x + 8}, nil)
 			rig.update("neg/held#p0", []uint32{x + 4, x + 6}, nil)
-			rig.restore()
-			rig.check("edited holder restored")
+			rig.restoreAll()
 			held, _ := tab.Lookup("neg/held#p0")
 			for i, db := range rig.dbs {
 				if c, ok := stampCodeOf(db, x+4, held); !ok || c != 3 {
@@ -732,7 +367,6 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 				}
 			}
 			rig.remove("neg/held#p0")
-			rig.check("edited holder removed after the restore")
 		})
 	}
 }
@@ -757,6 +391,7 @@ func chainHashes(n int) []uint32 {
 // late postings carry stamps older than the table's base, some by more
 // than 32 bits.
 func TestHeadTableMatchesReference(t *testing.T) {
+	t.Parallel()
 	shardCounts := []int{1, DefaultShards, 256}
 	chain := chainHashes(12)
 	var fill []uint32 // more hashes of the same shard
@@ -767,14 +402,13 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	}
 	probes := append(slices.Clone(chain), fill...)
 	slices.Sort(probes)
-	rig := newModelRig(t, &segment.Table{}, shardCounts, []int{-1, -1, -1}, probes)
+	rig := newModelRig(t, &segment.Table{}, layoutsAt(-1, shardCounts...), probes)
 	seg := func(i int) segment.ID { return segment.ID(fmt.Sprintf("chain#p%d", i)) }
 
 	// The table's base is a stamp 2^40 up the clock.
 	rig.floor(1 << 40)
 	for i, h := range chain {
 		rig.update(seg(i), []uint32{h}, nil)
-		rig.check(fmt.Sprintf("chain hash %d", i))
 	}
 	for _, db := range rig.dbs {
 		t0 := &db.hashShards[0].head
@@ -787,7 +421,6 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	// Out of the middle of the chain, then its head and its tail.
 	for _, i := range []int{5, 6, 0, 11} {
 		rig.remove(seg(i))
-		rig.check(fmt.Sprintf("removed chain hash %d", i))
 	}
 	// Late postings older than the base: by a few stamps, and by more
 	// than 32 bits. The second displaces the row's holder to the overflow
@@ -795,7 +428,6 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	base := rig.dbs[0].hashShards[0].head.base
 	rig.post("late#p0", chain[1:3], base-3)
 	rig.post("late#p1", chain[2:4], 5)
-	rig.check("late stamps")
 	for _, db := range rig.dbs {
 		t0 := &db.hashShards[0].head
 		if i := t0.find(chain[1]); i < 0 || t0.rows[i].off != -3 || len(t0.wide) == 0 {
@@ -818,11 +450,9 @@ func TestHeadTableMatchesReference(t *testing.T) {
 				grows[j]++
 			}
 		}
-		rig.check(fmt.Sprintf("fill %d", i))
 		if i%18 == 12 {
 			rig.remove(segment.ID(fmt.Sprintf("fill#p%d", i-6)))
 			rig.remove(seg(i/18 + 7))
-			rig.check(fmt.Sprintf("removal after fill %d", i))
 		}
 	}
 	for j, n := range grows {
@@ -831,9 +461,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 		}
 	}
 	rig.expire(base + 2)
-	rig.check("expiry between the late stamps")
 	rig.compact()
-	rig.check("compact")
 }
 
 // TestRunDirectoryBounds pins find's two ways of answering absent without

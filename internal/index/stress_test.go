@@ -39,6 +39,7 @@ func stressFP(worker, generation int) *fingerprint.Fingerprint {
 }
 
 func TestConcurrentUpdateExpireInvariants(t *testing.T) {
+	t.Parallel()
 	const (
 		workers     = 8
 		generations = 150
@@ -97,6 +98,8 @@ func checkInvariants(t *testing.T, db *DB) {
 	t.Helper()
 	var distinct, postings, headN, dead int
 	var runBytes, headRows int64
+	var ps []posting
+	seen := map[uint32]bool{}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
@@ -230,13 +233,13 @@ func checkInvariants(t *testing.T, db *DB) {
 			t.Errorf("shard %d: %d spilled postings belong to no group", si, len(sh.run.moreHashes)-spilled)
 		}
 		sh.walkHashesLocked(func(h uint32, g, i int) {
-			ps := sh.appendPostingsLocked(h, g, i, nil)
+			ps = sh.appendPostingsLocked(h, g, i, ps[:0])
 			if len(ps) == 0 {
 				return // fully tombstoned group awaiting merge
 			}
 			distinct++
 			postings += len(ps)
-			seen := make(map[uint32]bool, len(ps))
+			clear(seen)
 			for i, p := range ps {
 				if seen[p.ref] {
 					t.Errorf("hash %#x: duplicate posting for %s", h, db.tab.ID(p.ref))
@@ -267,11 +270,19 @@ func checkInvariants(t *testing.T, db *DB) {
 	}
 }
 
+// liveRows counts the DB's DBpar entries by walking its rows.
+func liveRows(db *DB) (n int) {
+	defer db.lockStripes(false)()
+	db.eachRow(func(*parRow) { n++ })
+	return n
+}
+
 // TestConcurrentExportImport races AppendSnapshot against writers: every
 // image taken mid-flight, and the final one, must load into a fresh DB
 // with its invariants intact, and the final one must carry exactly the
 // source's contents.
 func TestConcurrentExportImport(t *testing.T) {
+	t.Parallel()
 	db := New(nil, 0.5)
 	load := func(blob []byte) *DB {
 		restored := New(nil, 0.5)
@@ -331,6 +342,7 @@ func stateOf(db *DB) logicalState {
 // pass is atomic per shard only, a state from which finishing the same
 // pass lands exactly where the source did.
 func TestSnapshotBesideMaintenance(t *testing.T) {
+	t.Parallel()
 	const (
 		segs   = 5_000
 		rounds = 20

@@ -224,6 +224,14 @@ func (l *Log) ReadFrom(from Pos, maxBytes int) (frames []byte, n int, start, nex
 	path := filepath.Join(dir, SegmentName(p.Segment))
 	data, err := l.fs.ReadFile(path)
 	if err != nil {
+		// A TruncateBefore between the unlock and the read removes the
+		// segment: the position is gone, not the read failed.
+		l.mu.Lock()
+		_, live := l.sizes[p.Segment]
+		l.mu.Unlock()
+		if !live {
+			return nil, 0, p, p, positionErr(p, false)
+		}
 		return nil, 0, p, p, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 	if int64(len(data)) > limit {

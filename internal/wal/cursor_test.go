@@ -201,6 +201,43 @@ func TestReadFromPositionGone(t *testing.T) {
 	}
 }
 
+// truncatingFS runs before, once, ahead of the first ReadFile: a
+// checkpoint's TruncateBefore landing between ReadFrom's unlock and its
+// read of the segment.
+type truncatingFS struct {
+	OSFS
+	before func()
+}
+
+func (fs *truncatingFS) ReadFile(name string) ([]byte, error) {
+	if before := fs.before; before != nil {
+		fs.before = nil
+		before()
+	}
+	return fs.OSFS.ReadFile(name)
+}
+
+// TestReadFromRacingTruncationIsPositionGone: a read whose segment a
+// checkpoint removes under it reports ErrPositionGone, which a standby
+// answers by re-bootstrapping at once, not a failed read it retries.
+func TestReadFromRacingTruncationIsPositionGone(t *testing.T) {
+	fs := &truncatingFS{}
+	l := openTestLog(t, t.TempDir(), Options{FS: fs})
+	appendN(t, l, 0, 3)
+	barrier, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.before = func() {
+		if err := l.TruncateBefore(barrier); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, _, _, _, err := l.ReadFrom(Pos{Segment: 1, Offset: HeaderSize}, 0); !errors.Is(err, ErrPositionGone) {
+		t.Fatalf("read racing a truncation: err = %v, want ErrPositionGone", err)
+	}
+}
+
 func TestWaitFromWakesOnAppend(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir, Options{})
