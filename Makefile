@@ -32,10 +32,12 @@ check: vet node-copies wallclock
 
 # pins runs without -race the tests that skip under it. PINS are the
 # memory-budget tests and the allocation pins (the WAL validation, the
-# zero-alloc decided observe in the tracker and the engine, the index's
-# candidate-discovery and head-insert paths), as package:test. A name that
-# no longer matches a test would leave the step green while it ran nothing,
-# so the step fails on a name its package's `go test -list` does not print.
+# zero-alloc decided observe in the tracker and the engine, the zero-alloc
+# release allow in the registry and the engine, the shared fingerprint
+# scratch, the proxy's forward path, the index's candidate-discovery and
+# head-insert paths), as package:test. A name that no longer matches a
+# test would leave the step green while it ran nothing, so the step fails
+# on a name its package's `go test -list` does not print.
 # Then internal/index runs whole: its model-rig tests are one goroutine,
 # which the race detector has nothing to say about, so they skip under
 # -race and run once, here. That run takes in the package's pins, so the
@@ -43,6 +45,8 @@ check: vet node-copies wallclock
 PINS = ./internal/policy:TestEngineHeapBudget ./internal/policy:TestMixedGranularityHeap \
 	./internal/policy:TestGoldenObserveCacheHitAllocs ./internal/disclosure:TestObserveSteadyStateAllocs \
 	./internal/wal:TestValidationDoesNotAllocatePerRecord .:TestSaveHeapAndLoadLayout \
+	./internal/tdm:TestCheckReleaseAllocFree ./internal/policy:TestGoldenCheckUploadAllocFree \
+	./internal/fingerprint:TestComputeSharedZeroAlloc ./internal/proxy:TestForwardAllocs \
 	./internal/index:TestApproxBytesTracksHeap ./internal/index:TestAppendOldestHoldersReusesCapacity \
 	./internal/index:TestAppendHoldersReusesCapacity ./internal/index:TestHeadInsertAllocatesNoObjectPerHash
 PIN_PKGS = $(sort $(foreach p,$(PINS),$(firstword $(subst :, ,$(p)))))

@@ -190,9 +190,8 @@ func New(cfg Config, services ...Service) (*Middleware, error) {
 // policy document (see internal/policyfile for the JSON schema): service
 // classes, propagation rules, transforms, enforcement mode, thresholds and
 // exact-match secrets. The policy is compiled — class inheritance and
-// propagation flattened into per-service labels — and the resulting bitset
-// check table is installed on the registry, so release checks run on the
-// compiled fast path.
+// propagation flattened into per-service labels — and the services are
+// registered with those labels.
 func NewFromPolicyFile(path string) (*Middleware, error) {
 	pf, err := policyfile.Load(path)
 	if err != nil {
@@ -217,9 +216,6 @@ func NewFromPolicyFile(path string) (*Middleware, error) {
 	mw, err := New(cfg, services...)
 	if err != nil {
 		return nil, err
-	}
-	if err := mw.registry.InstallCheckTable(compiled.Table); err != nil {
-		return nil, fmt.Errorf("browserflow: %w", err)
 	}
 	mw.compiled = compiled
 	for _, s := range pf.Secrets {

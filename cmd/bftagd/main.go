@@ -11,12 +11,12 @@
 //	       -shutdown-grace 10s -max-body 1048576
 //
 // The policy file is compiled at startup: service classes and
-// propagation rules are resolved into flat bitset check tables installed
-// on the registry, and the compile fingerprint is published on /healthz
-// so a fleet can be audited for policy agreement. Before compiling, the
-// file is linted (bfctl policy lint's analysis) and the server refuses to
-// start on any diagnostic — including warnings like fail-open holes —
-// unless -policy-lint=false.
+// propagation rules are resolved into flat per-service labels the
+// registry is built from, and the compile fingerprint is published on
+// /healthz so a fleet can be audited for policy agreement. Before
+// compiling, the file is linted (bfctl policy lint's analysis) and the
+// server refuses to start on any diagnostic — including warnings like
+// fail-open holes — unless -policy-lint=false.
 //
 // Devices connect with internal/tagserver.Client; text never leaves the
 // device — only winnowed fingerprint hashes cross the wire. The server

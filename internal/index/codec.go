@@ -119,51 +119,17 @@ func (db *DB) appendCut(buf []byte) (_ []byte, hashes []uint32, unposted []uint6
 		}
 	}()
 
-	// Pass A: collect the referenced segments — DBpar entries and live
-	// postings, all interned before these locks were taken, so below n.
-	n := db.tab.Len()
-	used := make([]bool, n)
-	var rows []*parRow
-	db.eachRow(func(row *parRow) {
-		rows = append(rows, row)
-		used[row.ref] = true
-	})
-	for si := range db.hashShards {
-		sh := &db.hashShards[si]
-		for _, r := range sh.head.rows {
-			if r.ref != emptyRow {
-				used[r.ref&^moreBit] = true
-			}
-		}
-		for _, b := range sh.over {
-			for _, p := range b.postings {
-				used[p.ref] = true
-			}
-		}
-		for g := range sh.run.lo {
-			if r := sh.run.first(g); r != tombstoneRef {
-				used[r&^moreBit] = true
-			}
-		}
-		for k := range sh.run.moreHashes {
-			if r := sh.run.moreRef(k); r != tombstoneRef {
-				used[r] = true
-			}
-		}
-	}
-
-	// The image's table is the universe sorted by ID; pos maps a ref to its
+	// The image's table is the referenced segments — DBpar entries and live
+	// postings — sorted by ID; pos maps a ref's rank among them to its
 	// place in it.
-	var table []uint32
-	for r, u := range used {
-		if u {
-			table = append(table, uint32(r))
-		}
-	}
+	held := db.heldRefs()
+	var rows []*parRow
+	db.eachRow(func(row *parRow) { rows = append(rows, row) })
+	table := held.members()
 	slices.SortFunc(table, func(a, b uint32) int { return cmp.Compare(db.tab.ID(a), db.tab.ID(b)) })
-	pos := make([]uint32, n)
+	pos := make([]uint32, len(table))
 	for i, r := range table {
-		pos[r] = uint32(i)
+		pos[held.rank(r)] = uint32(i)
 	}
 
 	// Header and segment table.
@@ -192,11 +158,11 @@ func (db *DB) appendCut(buf []byte) (_ []byte, hashes []uint32, unposted []uint6
 	for i := range holders {
 		holders[i].base = clock
 	}
-	slices.SortFunc(rows, func(a, b *parRow) int { return cmp.Compare(pos[a.ref], pos[b.ref]) })
+	slices.SortFunc(rows, func(a, b *parRow) int { return cmp.Compare(pos[held.rank(a.ref)], pos[held.rank(b.ref)]) })
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	next := uint32(0)
 	for _, row := range rows {
-		ref := pos[row.ref]
+		ref := pos[held.rank(row.ref)]
 		if row.flags&rowOwnThreshold == 0 {
 			buf = binary.AppendUvarint(buf, uint64(ref-next)<<1)
 		} else {
@@ -240,7 +206,7 @@ func (db *DB) appendCut(buf []byte) (_ []byte, hashes []uint32, unposted []uint6
 				}
 				hashes, group = append(hashes, h), group[:0]
 				for _, p := range scratch {
-					ref := pos[p.ref]
+					ref := pos[held.rank(p.ref)]
 					hd := &holders[ref]
 					for len(hd.fp) > 0 && hd.fp[0] < h {
 						unposted = append(unposted, uint64(ref)<<32|uint64(hd.fp[0]))
@@ -267,6 +233,71 @@ func (db *DB) appendCut(buf []byte) (_ []byte, hashes []uint32, unposted []uint6
 		}
 	}
 	return buf, hashes, unposted
+}
+
+// refSet is a set of refs of a segment table other owners may share, and
+// each member's rank among the members: a bit per ref of the table and a
+// count per 64 refs, where an array by ref would cost every encode 4
+// bytes per ref of the whole table however few of them the DB holds.
+type refSet struct {
+	bits  []uint64
+	below []uint32 // by word, the members in the words before it
+	n     int
+}
+
+// heldRefs returns the set of refs the DB holds: its DBpar entries' and
+// its live postings' holders, all interned before the caller's locks were
+// taken. Caller holds every stripe and every shard.
+func (db *DB) heldRefs() *refSet {
+	s := &refSet{bits: make([]uint64, (db.tab.Len()+63)/64)}
+	add := func(ref uint32) { s.bits[ref>>6] |= 1 << (ref & 63) }
+	db.eachRow(func(row *parRow) { add(row.ref) })
+	for si := range db.hashShards {
+		sh := &db.hashShards[si]
+		for _, r := range sh.head.rows {
+			if r.ref != emptyRow {
+				add(r.ref &^ moreBit)
+			}
+		}
+		for _, b := range sh.over {
+			for _, p := range b.postings {
+				add(p.ref)
+			}
+		}
+		for g := range sh.run.lo {
+			if r := sh.run.first(g); r != tombstoneRef {
+				add(r &^ moreBit)
+			}
+		}
+		for k := range sh.run.moreHashes {
+			if r := sh.run.moreRef(k); r != tombstoneRef {
+				add(r)
+			}
+		}
+	}
+	s.below = make([]uint32, len(s.bits))
+	for i, w := range s.bits {
+		s.below[i] = uint32(s.n)
+		s.n += bits.OnesCount64(w)
+	}
+	return s
+}
+
+// rank returns the number of members below ref, a member.
+func (s *refSet) rank(ref uint32) uint32 {
+	w := ref >> 6
+	return s.below[w] + uint32(bits.OnesCount64(s.bits[w]&(1<<(ref&63)-1)))
+}
+
+// members returns the members in ascending order, so each at its rank.
+func (s *refSet) members() []uint32 {
+	out := make([]uint32, 0, s.n)
+	for i, w := range s.bits {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, uint32(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }
 
 // The hash stream cuts the hash space into 1 << hashPartBits parts.

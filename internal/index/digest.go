@@ -146,10 +146,15 @@ func (db *DB) ShardDigests() (postings, pars []uint64) {
 // maintenance against the ground truth. It must not run concurrently
 // with mutations (reads are fine).
 func (db *DB) RecomputeDigests() {
-	// Each segment's key is hashed once, not once per posting.
+	// Each segment's key is hashed once, not once per posting, and only
+	// for the segments this DB holds: the table is shared, so keys fills in
+	// as the walk meets a ref (a key that hashes to 0 is hashed again).
 	keys := make([]uint64, db.tab.Len())
-	for ref := range keys {
-		keys[ref] = segDigestKey(string(db.tab.ID(uint32(ref))))
+	key := func(ref uint32) uint64 {
+		if keys[ref] == 0 {
+			keys[ref] = segDigestKey(string(db.tab.ID(ref)))
+		}
+		return keys[ref]
 	}
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
@@ -158,7 +163,7 @@ func (db *DB) RecomputeDigests() {
 		// structure fold on their own, with no per-hash merge.
 		var d uint64
 		fold := func(h, ref uint32, seq uint64) {
-			d ^= postingCode(h, keys[ref], seq)
+			d ^= postingCode(h, key(ref), seq)
 		}
 		r := &sh.run
 		for c := (runCursor{r: r}); c.ok(); c.next() {
@@ -191,7 +196,7 @@ func (db *DB) RecomputeDigests() {
 	}
 	db.eachRow(func(row *parRow) {
 		ss := db.segShardFor(db.tab.ID(row.ref))
-		ss.digest ^= db.rowCode(ss, keys[row.ref], row)
+		ss.digest ^= db.rowCode(ss, key(row.ref), row)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -20,12 +21,13 @@ import (
 	"github.com/lsds/browserflow/internal/tdm"
 )
 
-// The policy golden suite holds the compiled bitset check path to its core
-// contract: for the same seed web-app scenario scripts, an engine whose
-// registry runs on a policyfile-compiled check table answers with bytes
-// identical to the seed semilattice path. Sources are cross-checked
-// against expt.SeedTracker, the reference Algorithm 1 engine, so a
-// divergence in either layer is caught where it happens.
+// The policy golden suite holds an engine built from the compiled seed
+// web-app policy to the two references of its verdicts: every release
+// decision and its violating tags must be what Label.ReleasableTo gives
+// for the label the registry holds (or, for ad-hoc text, the union of its
+// sources' explicit tags), and the sources are cross-checked against
+// expt.SeedTracker, the reference Algorithm 1 engine, so a divergence in
+// either layer is caught where it happens.
 
 const (
 	goldenWikiPlan   = "The 2027 acquisition plan targets Initech for three hundred million dollars pending diligence on their flux capacitor patents and the retention of their core engineering group."
@@ -101,10 +103,9 @@ func loadSeedPolicy(t testing.TB) *policyfile.Compiled {
 	return c
 }
 
-// newCompiledEngine builds an engine from the compiled policy. With
-// bitset true the registry runs on the compiled check table; with false it
-// walks the semilattice, the seed reference path.
-func newCompiledEngine(t testing.TB, c *policyfile.Compiled, bitset bool) *policy.Engine {
+// newCompiledEngine builds an engine whose services carry the compiled
+// policy's labels.
+func newCompiledEngine(t testing.TB, c *policyfile.Compiled) *policy.Engine {
 	t.Helper()
 	tracker, err := disclosure.NewTracker(disclosure.Params{
 		Fingerprint: fingerprint.DefaultConfig(),
@@ -117,11 +118,6 @@ func newCompiledEngine(t testing.TB, c *policyfile.Compiled, bitset bool) *polic
 	registry := tdm.NewRegistry(tracker.Table(), audit.NewLog())
 	for _, rs := range c.Services {
 		if err := registry.RegisterService(rs.Name, tdm.NewTagSet(rs.Privilege...), tdm.NewTagSet(rs.Confidentiality...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bitset {
-		if err := registry.InstallCheckTable(c.Table); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,36 +170,63 @@ func playGolden(t *testing.T, e *policy.Engine, o goldenOp) string {
 	}
 }
 
-// TestGoldenBitsetVerdicts replays each scenario against the semilattice
-// engine and the bitset engine, requiring byte-identical renderings at
-// every step, and cross-checks observe attributions against the
+// referenceRelease is Label.ReleasableTo's answer for the release o's
+// verdict v decided: of o.seg's label for an observe or an upload, of the
+// union of v's sources' explicit tags for an ad-hoc check.
+func referenceRelease(t *testing.T, e *policy.Engine, o goldenOp, v policy.Verdict) (bool, []tdm.Tag) {
+	t.Helper()
+	svc, err := e.Registry().Service(v.Service)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := tdm.NewLabel()
+	if o.kind == "check" {
+		implicit := tdm.NewTagSet()
+		for _, src := range v.Sources {
+			if l := e.Registry().Label(src.Seg); l != nil {
+				implicit = implicit.Union(l.Explicit())
+			}
+		}
+		label.SetImplicit(implicit)
+	} else if l := e.Registry().Label(segment.ID(o.seg)); l != nil {
+		label = l
+	}
+	return label.ReleasableTo(svc.Privilege)
+}
+
+// TestGoldenReleaseVerdicts replays each scenario against an engine built
+// from the compiled policy, requiring every verdict to match
+// Label.ReleasableTo's and every observe's attributions to match the
 // expt.SeedTracker reference.
-func TestGoldenBitsetVerdicts(t *testing.T) {
+func TestGoldenReleaseVerdicts(t *testing.T) {
 	c := loadSeedPolicy(t)
 	for name, script := range goldenScripts() {
 		t.Run(name, func(t *testing.T) {
-			slow := newCompiledEngine(t, c, false)
-			fast := newCompiledEngine(t, c, true)
-			if !fast.Registry().FastCheckEnabled() || slow.Registry().FastCheckEnabled() {
-				t.Fatal("fixture engines mis-wired")
-			}
+			e := newCompiledEngine(t, c)
 			seed := expt.NewSeedTracker(disclosure.Params{
 				Fingerprint: fingerprint.DefaultConfig(),
 				Tpar:        c.Source.Tpar,
 				Tdoc:        c.Source.Tdoc,
 			})
 			for i, o := range script {
-				want := playGolden(t, slow, o)
-				got := playGolden(t, fast, o)
-				if got != want {
-					t.Errorf("step %d (%s %s%s): bitset verdict diverged\nsemilattice: %q\nbitset:      %q",
-						i, o.kind, o.seg, o.dest, want, got)
+				got := playGolden(t, e, o)
+				if o.kind != "observe" && o.kind != "upload" && o.kind != "check" {
+					continue
+				}
+				var v policy.Verdict
+				if err := json.Unmarshal([]byte(got), &v); err != nil {
+					t.Fatalf("step %d: verdict rendering not JSON: %v", i, err)
+				}
+				ok, violating := referenceRelease(t, e, o, v)
+				if (v.Decision == policy.DecisionAllow) != ok || !reflect.DeepEqual(v.Violating, violating) {
+					t.Errorf("step %d (%s %s%s): verdict %q, reference ok=%v violating=%v",
+						i, o.kind, o.seg, o.dest, got, ok, violating)
 				}
 				if o.kind != "observe" {
 					continue
 				}
 				// Independent oracle: the seed reference tracker must
-				// attribute the same sources the engines reported.
+				// attribute the same sources the engine reported.
 				g := segment.GranularityParagraph
 				if o.doc {
 					g = segment.GranularityDocument
@@ -212,12 +235,8 @@ func TestGoldenBitsetVerdicts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var v policy.Verdict
-				if err := json.Unmarshal([]byte(got), &v); err != nil {
-					t.Fatalf("step %d: verdict rendering not JSON: %v", i, err)
-				}
 				if len(report.Sources) != len(v.Sources) {
-					t.Fatalf("step %d: seed reference found %d sources, engines found %d (%v vs %v)",
+					t.Fatalf("step %d: seed reference found %d sources, engine found %d (%v vs %v)",
 						i, len(report.Sources), len(v.Sources), report.Sources, v.Sources)
 				}
 				for j := range report.Sources {
@@ -230,12 +249,20 @@ func TestGoldenBitsetVerdicts(t *testing.T) {
 	}
 }
 
-// observeCacheHitAllocs measures the steady-state cache-hit ObserveEdit
-// allocation count for one engine configuration.
-func observeCacheHitAllocs(t *testing.T, bitset bool) float64 {
-	t.Helper()
-	c := loadSeedPolicy(t)
-	e := newCompiledEngine(t, c, bitset)
+// TestGoldenObserveCacheHitAllocs pins the steady-state cache-hit
+// ObserveEdit of an engine built from the compiled policy. A cache-hit
+// observe owes the heap exactly what it returns or hands to a journal: the
+// owned fingerprint (its struct and its hash slice; this segment has no
+// sources, and the verdict is returned by value). The fingerprinting
+// buffers come from the tracker's scratch pool and the registry's
+// keystroke path, release check included, allocates nothing. Was 26 when
+// every call built a fresh Scratch, a positioned fingerprint and a label
+// clone.
+func TestGoldenObserveCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := newCompiledEngine(t, loadSeedPolicy(t))
 	seg := segment.ID("wiki/steady#p0")
 	// Warm up: label the segment, create the decision-cache entry, grow
 	// the pooled scratch.
@@ -244,7 +271,7 @@ func observeCacheHitAllocs(t *testing.T, bitset bool) float64 {
 			t.Fatal(err)
 		}
 	}
-	return testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		v, err := e.ObserveEdit(seg, "wiki", goldenWikiPlan)
 		if err != nil {
 			t.Fatal(err)
@@ -253,43 +280,20 @@ func observeCacheHitAllocs(t *testing.T, bitset bool) float64 {
 			t.Fatalf("steady state broken: %+v", v)
 		}
 	})
-}
-
-// TestGoldenObserveCacheHitAllocs pins the tentpole's perf claim at the
-// engine level: switching the release check from the semilattice walk to
-// the compiled bitset table adds zero allocations to the cache-hit
-// ObserveEdit path (it removes the Effective() set-algebra allocations, so
-// the count must not go up, and in practice goes down).
-func TestGoldenObserveCacheHitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	slow := observeCacheHitAllocs(t, false)
-	fast := observeCacheHitAllocs(t, true)
-	t.Logf("cache-hit ObserveEdit allocs/op: semilattice=%.1f bitset=%.1f", slow, fast)
-	if fast > slow {
-		t.Errorf("bitset check added allocations to cache-hit ObserveEdit: %.1f -> %.1f", slow, fast)
-	}
-	// A cache-hit observe owes the heap exactly what it returns or hands to
-	// a journal: the owned fingerprint (its struct and its hash slice; this
-	// segment has no sources, and the verdict is returned by value). The
-	// fingerprinting buffers come from the tracker's scratch pool and the
-	// registry's keystroke path allocates nothing. Was 26 when every call
-	// built a fresh Scratch, a positioned fingerprint and a label clone.
-	if fast > 2 {
-		t.Errorf("cache-hit ObserveEdit allocates %.1f objects/op, want ≤ 2 (the owned fingerprint)", fast)
+	if allocs > 2 {
+		t.Errorf("cache-hit ObserveEdit allocates %.1f objects/op, want ≤ 2 (the owned fingerprint)", allocs)
 	}
 }
 
 // TestGoldenCheckUploadAllocFree pins the pure release check — the
 // interception path that carries no observe bookkeeping — at zero
-// allocations on the allow outcome once the check table is installed.
+// allocations on the allow outcome.
 func TestGoldenCheckUploadAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := loadSeedPolicy(t)
-	e := newCompiledEngine(t, c, true)
+	e := newCompiledEngine(t, c)
 	seg := segment.ID("wiki/steady#p0")
 	if _, err := e.ObserveEdit(seg, "wiki", goldenWikiPlan); err != nil {
 		t.Fatal(err)
@@ -301,7 +305,7 @@ func TestGoldenCheckUploadAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("bitset CheckUpload allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("CheckUpload allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -338,7 +342,7 @@ func TestEngineHeapBudget(t *testing.T) {
 	for i := range segs {
 		segs[i] = segment.ID(fmt.Sprintf("wiki/book%d#p%d", i/50, i%50))
 	}
-	e := newCompiledEngine(t, loadSeedPolicy(t), true)
+	e := newCompiledEngine(t, loadSeedPolicy(t))
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -395,7 +399,7 @@ func TestMixedGranularityHeap(t *testing.T) {
 	for i := range texts {
 		texts[i] = gen.Sentence(14, 20)
 	}
-	e := newCompiledEngine(t, loadSeedPolicy(t), true)
+	e := newCompiledEngine(t, loadSeedPolicy(t))
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()

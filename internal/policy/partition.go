@@ -284,25 +284,11 @@ func (e *Engine) applyShadowTags(tags map[segment.ID][]string) {
 // checkSources enforcement body with the registry lookups replaced by the
 // scatter-gathered tags.
 func (e *Engine) CheckResolved(destService string, sources []disclosure.Source, implicit []string) (Verdict, error) {
-	svc, err := e.registry.Service(destService)
-	if err != nil {
-		return Verdict{}, err
-	}
-	label := tdm.NewLabel()
-	set := tdm.NewTagSet()
+	set := make(tdm.TagSet, len(implicit))
 	for _, n := range implicit {
 		set.Add(tdm.Tag(n))
 	}
-	label.SetImplicit(set)
-	ok, violating := label.ReleasableTo(svc.Privilege)
-	v := Verdict{Service: destService, Sources: sources}
-	if ok {
-		v.Decision = DecisionAllow
-		return v, nil
-	}
-	v.Violating = violating
-	v.Decision = e.violationDecision()
-	return v, nil
+	return e.checkTags(set, sources, destService)
 }
 
 // PruneRange removes every segment homed in the inclusive key range

@@ -345,21 +345,25 @@ func (e *Engine) CheckFP(fp *fingerprint.Fingerprint, destService string) (Verdi
 	return e.checkSources(sources, destService)
 }
 
-// checkSources evaluates ad-hoc content given its disclosure sources.
+// checkSources evaluates ad-hoc content given its disclosure sources: its
+// label is the union of their explicit tags.
 func (e *Engine) checkSources(sources []disclosure.Source, destService string) (Verdict, error) {
-	svc, err := e.registry.Service(destService)
-	if err != nil {
-		return Verdict{}, err
-	}
-	label := tdm.NewLabel()
 	implicit := tdm.NewTagSet()
 	for _, src := range sources {
 		if srcLabel := e.registry.Label(src.Seg); srcLabel != nil {
 			implicit = implicit.Union(srcLabel.Explicit())
 		}
 	}
-	label.SetImplicit(implicit)
-	ok, violating := label.ReleasableTo(svc.Privilege)
+	return e.checkTags(implicit, sources, destService)
+}
+
+// checkTags is the verdict of an ad-hoc release check of content labelled
+// tags.
+func (e *Engine) checkTags(tags tdm.TagSet, sources []disclosure.Source, destService string) (Verdict, error) {
+	ok, violating, err := e.registry.CheckTags(tags, destService)
+	if err != nil {
+		return Verdict{}, err
+	}
 	v := Verdict{Service: destService, Sources: sources}
 	if ok {
 		v.Decision = DecisionAllow

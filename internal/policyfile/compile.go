@@ -3,7 +3,6 @@ package policyfile
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -11,11 +10,10 @@ import (
 )
 
 // Compiled is a policy flattened for the runtime: class inheritance and
-// propagation resolved into per-service labels, the label universe
-// interned, and the §3.1 release check lowered to a tdm.CheckTable of
-// dense bitset rows. The compiled form is deterministic — the same
-// document always produces the same table and the same Hash — so two
-// devices can compare policy fingerprints over /healthz.
+// propagation resolved into per-service labels over a sorted tag
+// universe. The compiled form is deterministic — the same document always
+// produces the same labels and the same Hash — so two devices can compare
+// policy fingerprints over /healthz.
 type Compiled struct {
 	// Source is the validated policy the artefact was compiled from, with
 	// defaults applied.
@@ -24,9 +22,8 @@ type Compiled struct {
 	// Services holds the flat resolved labels, sorted by name.
 	Services []ResolvedService
 
-	// Table is the compiled bitset check table for
-	// (*tdm.Registry).InstallCheckTable.
-	Table *tdm.CheckTable
+	// Table is the tag universe: every tag the policy mentions, sorted.
+	Table []tdm.Tag
 
 	// Transforms maps each sanitizer transform name to the tags applying
 	// it suppresses.
@@ -36,9 +33,9 @@ type Compiled struct {
 }
 
 // Compile validates and flattens a policy. It refuses to compile a policy
-// carrying any error-severity diagnostic, so a compiled table can only
-// exist for a loadable policy — the fuzz harness leans on this: every
-// input either fails with a typed error or yields a Validate-clean table.
+// carrying any error-severity diagnostic, so a compiled policy can only
+// exist for a loadable one — the fuzz harness leans on this: every input
+// either fails with a typed error or yields a Validate-clean compile.
 func Compile(p Policy) (*Compiled, error) {
 	if diag := firstError(p.diagnostics(nil, false)); diag != nil {
 		return nil, diag.err()
@@ -52,8 +49,8 @@ func Compile(p Policy) (*Compiled, error) {
 	}
 	sort.Slice(c.Services, func(i, j int) bool { return c.Services[i].Name < c.Services[j].Name })
 
-	// The tag universe is every tag the policy mentions, sorted, so bit
-	// positions and the policy hash are independent of declaration order.
+	// The tag universe is sorted, so the policy hash is independent of
+	// declaration order.
 	universe := stringSet{}
 	for _, rs := range c.Services {
 		for _, t := range rs.Privilege {
@@ -69,14 +66,7 @@ func Compile(p Policy) (*Compiled, error) {
 	for _, tr := range p.Transforms {
 		universe.addAll(tr.Suppresses)
 	}
-	tags := toTags(universe.sorted())
-
-	c.Table = tdm.NewCheckTable(tags)
-	for _, rs := range c.Services {
-		if err := c.Table.AddRow(rs.Name, rs.Privilege, rs.Confidentiality); err != nil {
-			return nil, fmt.Errorf("policyfile: compile %s: %w", rs.Name, err)
-		}
-	}
+	c.Table = toTags(universe.sorted())
 	for _, tr := range p.Transforms {
 		set := stringSet{}
 		set.addAll(tr.Suppresses)
@@ -104,7 +94,7 @@ func (c *Compiled) fingerprint() string {
 		"tpar", strconv.FormatFloat(c.Source.Tpar, 'g', -1, 64),
 		"tdoc", strconv.FormatFloat(c.Source.Tdoc, 'g', -1, 64))
 	w("tags")
-	for _, t := range c.Table.Tags {
+	for _, t := range c.Table {
 		w(string(t))
 	}
 	for _, rs := range c.Services {

@@ -53,8 +53,8 @@ func TestCompileResolvesClassesAndPropagation(t *testing.T) {
 	if !sort.SliceIsSorted(c.Services, func(i, j int) bool { return c.Services[i].Name < c.Services[j].Name }) {
 		t.Error("services not sorted")
 	}
-	if !sort.SliceIsSorted(c.Table.Tags, func(i, j int) bool { return c.Table.Tags[i] < c.Table.Tags[j] }) {
-		t.Errorf("tag universe not sorted: %v", c.Table.Tags)
+	if !sort.SliceIsSorted(c.Table, func(i, j int) bool { return c.Table[i] < c.Table[j] }) {
+		t.Errorf("tag universe not sorted: %v", c.Table)
 	}
 	if got, want := c.Transforms["redact-pii"], []tdm.Tag{"pii"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("transforms=%v want %v", got, want)
@@ -102,33 +102,6 @@ func TestCompileHashDeterministicAcrossOrder(t *testing.T) {
 	],"mode":"enforcing"}`)
 	if cc.Hash() == ca.Hash() {
 		t.Error("mode change did not move the hash")
-	}
-}
-
-func TestCompiledTableInstalls(t *testing.T) {
-	c := compileFixture(t, "seed-webapps.json")
-	reg := tdm.NewRegistry(nil, nil)
-	for _, rs := range c.Services {
-		if err := reg.RegisterService(rs.Name, tdm.NewTagSet(rs.Privilege...), tdm.NewTagSet(rs.Confidentiality...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := reg.InstallCheckTable(c.Table); err != nil {
-		t.Fatal(err)
-	}
-	if !reg.FastCheckEnabled() {
-		t.Error("fast check not enabled")
-	}
-
-	// A drifted registry refuses the stale table.
-	drifted := tdm.NewRegistry(nil, nil)
-	for _, rs := range c.Services {
-		if err := drifted.RegisterService(rs.Name, tdm.NewTagSet("tother"), tdm.NewTagSet(rs.Confidentiality...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := drifted.InstallCheckTable(c.Table); err == nil {
-		t.Error("stale table installed")
 	}
 }
 

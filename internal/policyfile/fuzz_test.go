@@ -72,22 +72,22 @@ func FuzzCompilePolicy(f *testing.F) {
 		if err != nil || c.Hash() != c2.Hash() {
 			t.Fatalf("compile not deterministic: %v / %s vs %s", err, c.Hash(), c2.Hash())
 		}
-		if len(c.Table.Rows) != len(p.Services) {
-			t.Fatalf("rows=%d services=%d", len(c.Table.Rows), len(p.Services))
+		if len(c.Services) != len(p.Services) {
+			t.Fatalf("resolved=%d services=%d", len(c.Services), len(p.Services))
 		}
-		inTable := make(map[string]bool, len(c.Table.Tags))
-		for _, tag := range c.Table.Tags {
-			inTable[string(tag)] = true
+		inUniverse := make(map[string]bool, len(c.Table))
+		for _, tag := range c.Table {
+			inUniverse[string(tag)] = true
 		}
 		for _, rs := range c.Services {
 			for _, tag := range rs.Privilege {
-				if !inTable[string(tag)] {
-					t.Fatalf("privilege tag %q not interned", tag)
+				if !inUniverse[string(tag)] {
+					t.Fatalf("privilege tag %q not in the tag universe", tag)
 				}
 			}
 			for _, tag := range rs.Confidentiality {
-				if !inTable[string(tag)] {
-					t.Fatalf("confidentiality tag %q not interned", tag)
+				if !inUniverse[string(tag)] {
+					t.Fatalf("confidentiality tag %q not in the tag universe", tag)
 				}
 			}
 		}

@@ -30,10 +30,8 @@
 //	}
 //
 // Compile resolves class inheritance and propagation into flat per-service
-// label rows and emits a tdm.CheckTable — dense uint64 bitset rows over
-// interned tag IDs — which the TDM registry consults instead of walking
-// the tag-set semilattice (see tdm.InstallCheckTable). Lint runs the
-// static analysis pass behind `bfctl policy lint`.
+// labels, which the TDM registry is built from, and fingerprints the
+// result. Lint runs the static analysis pass behind `bfctl policy lint`.
 package policyfile
 
 import (

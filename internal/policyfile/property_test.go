@@ -57,9 +57,6 @@ func simulateFlows(t *testing.T, c *Compiled, rng *rand.Rand, steps int) bool {
 		confEmpty[rs.Name] = len(rs.Confidentiality) == 0
 		names = append(names, rs.Name)
 	}
-	if err := reg.InstallCheckTable(c.Table); err != nil {
-		t.Fatal(err)
-	}
 
 	hole := false
 	var segs []segment.ID

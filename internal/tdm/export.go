@@ -108,17 +108,6 @@ func (r *Registry) Import(data ExportData) {
 	defer r.mu.Unlock()
 	r.services = services
 	r.tagOwners = tagOwners
-	// The compiled fast path, if installed, is derived state: rebuild the
-	// privilege rows for the imported world before its labels are interned
-	// (interning computes their effective bitsets). The row map is replaced
-	// wholesale so services absent from the snapshot do not leave stale
-	// rows behind.
-	if f := r.fast; f != nil {
-		f.priv = make(map[string]Bits, len(r.services))
-		for _, svc := range r.services {
-			r.fastService(svc)
-		}
-	}
 	r.rows.Reset()
 	r.interned = make(map[string]*labelValue)
 	r.storedSets = nil

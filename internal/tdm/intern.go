@@ -21,10 +21,9 @@ type labelValue struct {
 	key   string // canonical content key, the index into Registry.interned
 	refs  int    // segments referencing this value; dropped from the table at zero
 
-	// eff is label.Effective() as a bitset over the registry's interner,
-	// computed once per value. Meaningful only while the compiled fast path
-	// is installed (Registry.fast != nil).
-	eff Bits
+	// eff is label.Effective().Sorted(): the tags CheckRelease walks,
+	// computed once per value, so a check neither builds sets nor sorts.
+	eff []Tag
 }
 
 // appendLabelKey appends l's canonical content key: the explicit, implicit
@@ -56,10 +55,7 @@ func (r *Registry) intern(l Label) *labelValue {
 	if v, ok := r.interned[string(r.keyBuf)]; ok {
 		return v
 	}
-	v := &labelValue{label: l, key: string(r.keyBuf)}
-	if r.fast != nil {
-		v.eff = r.fast.effective(&v.label)
-	}
+	v := &labelValue{label: l, key: string(r.keyBuf), eff: l.Effective().Sorted()}
 	r.interned[v.key] = v
 	return v
 }

@@ -144,10 +144,10 @@ func (m *model) distinctLabels() int {
 }
 
 // TestRegistryMatchesNaiveModel drives random operation sequences through
-// two registries — compiled fast path on and off — and the model, and after
-// every step compares everything observable about every segment. A shared
-// value mutated in place, a reference count off by one, or a stale bitset
-// shows up as some *other* segment's label or verdict changing. Readers run
+// a registry and the model, and after every step compares everything
+// observable about every segment. A shared value mutated in place, a
+// reference count off by one, or stale cached effective tags show up as
+// some *other* segment's label or verdict changing. Readers run
 // concurrently throughout so `-race` sees the sharing.
 func TestRegistryMatchesNaiveModel(t *testing.T) {
 	const segments = 50
@@ -179,14 +179,11 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				stored: make(map[segment.ID]map[string]bool),
 				owners: make(map[Tag]string),
 			}
-			regs := []*Registry{NewRegistry(nil, nil), NewRegistry(nil, nil)}
-			for _, r := range regs {
-				for _, name := range services {
-					svc := m.services[name]
-					mustRegister(t, r, name, NewTagSet(sortedTags(svc.priv)...), NewTagSet(sortedTags(svc.conf)...))
-				}
+			r := NewRegistry(nil, nil)
+			for _, name := range services {
+				svc := m.services[name]
+				mustRegister(t, r, name, NewTagSet(sortedTags(svc.priv)...), NewTagSet(sortedTags(svc.conf)...))
 			}
-			regs[0].EnableFastCheck()
 
 			// Concurrent readers: no assertions of their own beyond not
 			// racing and not crashing; the step comparisons below are the
@@ -204,7 +201,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 							return
 						default:
 						}
-						r, seg := regs[rrng.Intn(2)], segs[rrng.Intn(segments)]
+						seg := segs[rrng.Intn(segments)]
 						if l := r.Label(seg); l != nil {
 							l.AddExplicit("scribble") // a copy: must reach nobody
 						}
@@ -227,14 +224,12 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				user := users[rng.Intn(len(users))]
 				service := services[rng.Intn(len(services))]
 				var desc string
-				// apply runs one operation on both registries and reports
-				// whether both agreed with the model's outcome.
+				// apply runs one operation on the registry and fails unless
+				// it agrees with the model's outcome.
 				apply := func(want bool, op func(r *Registry) error) {
 					t.Helper()
-					for i, r := range regs {
-						if err := op(r); (err == nil) != want {
-							t.Fatalf("step %d %s: registry %d err=%v, model ok=%v", step, desc, i, err, want)
-						}
+					if err := op(r); (err == nil) != want {
+						t.Fatalf("step %d %s: err=%v, model ok=%v", step, desc, err, want)
 					}
 				}
 				switch k := rng.Intn(20); {
@@ -299,50 +294,56 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				}
 
 				want := m.distinctLabels()
-				for i, r := range regs {
-					if got := r.DistinctLabels(); got > want {
-						t.Fatalf("step %d %s: registry %d holds %d interned values for %d distinct label contents", step, desc, i, got, want)
+				if got := r.DistinctLabels(); got > want {
+					t.Fatalf("step %d %s: holds %d interned values for %d distinct label contents", step, desc, got, want)
+				}
+				exported := make(map[segment.ID]LabelRecord)
+				for _, rec := range r.Export().Labels {
+					exported[rec.Seg] = rec
+				}
+				if len(exported) != len(m.labels) {
+					t.Fatalf("step %d %s: exports %d labels, model has %d", step, desc, len(exported), len(m.labels))
+				}
+				for _, s := range segs {
+					ml, known := m.labels[s]
+					got := r.Label(s)
+					if (got != nil) != known {
+						t.Fatalf("step %d %s: %s known=%v, model %v", step, desc, s, got != nil, known)
 					}
-					exported := make(map[segment.ID]LabelRecord)
-					for _, rec := range r.Export().Labels {
-						exported[rec.Seg] = rec
+					wantStored := make([]string, 0)
+					for name := range m.stored[s] {
+						wantStored = append(wantStored, name)
 					}
-					if len(exported) != len(m.labels) {
-						t.Fatalf("step %d %s: registry %d exports %d labels, model has %d", step, desc, i, len(exported), len(m.labels))
+					sort.Strings(wantStored)
+					if stored := r.StoredBy(s); !reflect.DeepEqual(stored, wantStored) {
+						t.Fatalf("step %d %s: StoredBy(%s)=%v, model %v", step, desc, s, stored, wantStored)
 					}
-					for _, s := range segs {
-						ml, known := m.labels[s]
-						got := r.Label(s)
-						if (got != nil) != known {
-							t.Fatalf("step %d %s: registry %d %s known=%v, model %v", step, desc, i, s, got != nil, known)
+					if known {
+						wantRec := LabelRecord{Seg: s, Explicit: sortedTags(ml.explicit), Implicit: sortedTags(ml.implicit), Suppressed: sortedTags(ml.suppressed)}
+						gotRec := LabelRecord{Seg: s, Explicit: got.Explicit().Sorted(), Implicit: got.Implicit().Sorted(), Suppressed: got.Suppressed().Sorted()}
+						if !reflect.DeepEqual(gotRec, wantRec) {
+							t.Fatalf("step %d %s: Label(%s)=%+v, model %+v", step, desc, s, gotRec, wantRec)
 						}
-						wantStored := make([]string, 0)
-						for name := range m.stored[s] {
-							wantStored = append(wantStored, name)
+						if len(wantStored) > 0 {
+							wantRec.StoredBy = wantStored
 						}
-						sort.Strings(wantStored)
-						if stored := r.StoredBy(s); !reflect.DeepEqual(stored, wantStored) {
-							t.Fatalf("step %d %s: registry %d StoredBy(%s)=%v, model %v", step, desc, i, s, stored, wantStored)
+						if !reflect.DeepEqual(exported[s], wantRec) {
+							t.Fatalf("step %d %s: Export[%s]=%+v, model %+v", step, desc, s, exported[s], wantRec)
 						}
-						if known {
-							wantRec := LabelRecord{Seg: s, Explicit: sortedTags(ml.explicit), Implicit: sortedTags(ml.implicit), Suppressed: sortedTags(ml.suppressed)}
-							gotRec := LabelRecord{Seg: s, Explicit: got.Explicit().Sorted(), Implicit: got.Implicit().Sorted(), Suppressed: got.Suppressed().Sorted()}
-							if !reflect.DeepEqual(gotRec, wantRec) {
-								t.Fatalf("step %d %s: registry %d Label(%s)=%+v, model %+v", step, desc, i, s, gotRec, wantRec)
-							}
-							if len(wantStored) > 0 {
-								wantRec.StoredBy = wantStored
-							}
-							if !reflect.DeepEqual(exported[s], wantRec) {
-								t.Fatalf("step %d %s: registry %d Export[%s]=%+v, model %+v", step, desc, i, s, exported[s], wantRec)
-							}
+					}
+					for _, dest := range services {
+						wantOK, wantViol := m.check(s, dest)
+						ok, viol, err := r.CheckRelease(s, dest)
+						if err != nil || ok != wantOK || !reflect.DeepEqual(viol, wantViol) {
+							t.Fatalf("step %d %s: CheckRelease(%s, %s)=(%v, %v, %v), model (%v, %v)", step, desc, s, dest, ok, viol, err, wantOK, wantViol)
 						}
-						for _, dest := range services {
-							wantOK, wantViol := m.check(s, dest)
-							ok, viol, err := r.CheckRelease(s, dest)
-							if err != nil || ok != wantOK || !reflect.DeepEqual(viol, wantViol) {
-								t.Fatalf("step %d %s: registry %d CheckRelease(%s, %s)=(%v, %v, %v), model (%v, %v)", step, desc, i, s, dest, ok, viol, err, wantOK, wantViol)
-							}
+						if !known {
+							continue
+						}
+						// The ad-hoc check of the same effective tags answers alike.
+						ok, viol, err = r.CheckTags(got.Effective(), dest)
+						if err != nil || ok != wantOK || !reflect.DeepEqual(viol, wantViol) {
+							t.Fatalf("step %d %s: CheckTags(%s, %s)=(%v, %v, %v), model (%v, %v)", step, desc, s, dest, ok, viol, err, wantOK, wantViol)
 						}
 					}
 				}

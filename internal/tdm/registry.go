@@ -3,6 +3,7 @@ package tdm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -57,10 +58,6 @@ type Registry struct {
 	storedSets map[string]*[]string
 	keyBuf     []byte // intern's and store's key scratch
 	implicit   TagSet // RefreshImplicit's scratch, cleared per call
-
-	// fast, when installed, is the compiled bitset check state (see
-	// fastcheck.go). nil keeps the original semilattice-only behaviour.
-	fast *fastCheck
 
 	auditLog *audit.Log
 }
@@ -142,7 +139,6 @@ func (r *Registry) RegisterService(name string, lp, lc TagSet) error {
 		Confidentiality: lc.Clone(),
 	}
 	r.services[name] = svc
-	r.fastService(svc)
 	return nil
 }
 
@@ -257,7 +253,10 @@ func (r *Registry) RefreshImplicit(seg segment.ID, sources []segment.ID) {
 
 // CheckRelease evaluates the §3.1 release condition for seg towards
 // service: effective(label) ⊆ Lp. Unknown segments (never observed) carry
-// the empty label and are releasable anywhere.
+// the empty label and are releasable anywhere. It walks the label's
+// sorted effective tags against the live privilege label, so an allow
+// allocates nothing and a violation names the violating tags sorted and
+// unique, as Label.ReleasableTo does.
 func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violating []Tag, err error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -269,17 +268,31 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 	if row == nil {
 		return true, nil, nil
 	}
-	// Compiled fast path: a word-wise subset test over the interned-tag
-	// bitsets, allocation-free on the allow outcome. A violation falls
-	// through to the semilattice, which names the violating tags in the
-	// exact bytes the slow path always produced.
-	if f := r.fast; f != nil {
-		if priv, rowOK := f.priv[service]; rowOK && row.label.eff.SubsetOf(priv) {
-			return true, nil, nil
+	for _, t := range row.label.eff {
+		if !svc.Privilege.Has(t) {
+			violating = append(violating, t)
 		}
 	}
-	ok, violating = row.label.label.ReleasableTo(svc.Privilege)
-	return ok, violating, nil
+	return violating == nil, violating, nil
+}
+
+// CheckTags evaluates the release condition for content whose label is
+// the tag set tags — ad-hoc text, whose tags are the explicit tags of the
+// sources it discloses — towards service, with CheckRelease's answers.
+func (r *Registry) CheckTags(tags TagSet, service string) (ok bool, violating []Tag, err error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	svc, found := r.services[service]
+	if !found {
+		return false, nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
+	}
+	for t := range tags {
+		if !svc.Privilege.Has(t) {
+			violating = append(violating, t)
+		}
+	}
+	slices.Sort(violating)
+	return violating == nil, violating, nil
 }
 
 // SuppressTag declassifies tag on seg for this propagation (§3.1 "User tag
@@ -362,7 +375,6 @@ func (r *Registry) AddTagToSegment(user string, seg segment.ID, tag Tag) error {
 	for _, svcName := range row.storedNames() {
 		if svc, ok := r.services[svcName]; ok {
 			svc.Privilege.Add(tag)
-			r.fastService(svc)
 		}
 	}
 	return nil
@@ -416,7 +428,6 @@ func (r *Registry) mutatePrivilege(user, service string, tag Tag, add bool) erro
 	} else {
 		svc.Privilege.Remove(tag)
 	}
-	r.fastService(svc)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package tdm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/audit"
@@ -384,5 +385,124 @@ func TestAuditTrailForTagLifecycle(t *testing.T) {
 		if actions[i] != want[i] {
 			t.Errorf("actions[%d]=%v, want %v", i, actions[i], want[i])
 		}
+	}
+}
+
+// TestFastCheckMatchesSemilattice drives the registry through every label
+// mutation it exposes and requires CheckRelease — the fast check, over
+// each label's cached sorted effective tags — to give the verdict and the
+// violating tags the semilattice gives: Label.ReleasableTo of the label
+// against the service's privilege label.
+func TestFastCheckMatchesSemilattice(t *testing.T) {
+	r := paperRegistry(t)
+	ops := []func() error{
+		func() error { return r.ObserveSegment("s1", "wiki") },
+		func() error { return r.ObserveSegment("s2", "itool") },
+		func() error { return r.ObserveSegment("s3", "docs") },
+		func() error { r.RefreshImplicit("s3", []segment.ID{"s1", "s2"}); return nil },
+		func() error { return r.AllocateTag("alice", "custom.alice.x") },
+		func() error { return r.AddTagToSegment("alice", "s1", "custom.alice.x") },
+		func() error { return r.GrantTag("alice", "docs", "custom.alice.x") },
+		func() error { return r.SuppressTag("alice", "s3", "tw", "reviewed: public figures only") },
+		func() error { return r.RevokeTag("alice", "docs", "custom.alice.x") },
+		func() error { r.UpsertExplicit("s4", []Tag{"tw", "ti"}); return nil },
+	}
+	for step, op := range ops {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range []segment.ID{"s1", "s2", "s3", "s4"} {
+			for _, svc := range r.Services() {
+				ok, violating, err := r.CheckRelease(seg, svc.Name)
+				wantOK, wantViolating := true, []Tag(nil)
+				if l := r.Label(seg); l != nil {
+					wantOK, wantViolating = l.ReleasableTo(svc.Privilege)
+				}
+				if err != nil || ok != wantOK || !reflect.DeepEqual(violating, wantViolating) {
+					t.Fatalf("step %d %s->%s: (%v, %v, %v), semilattice (%v, %v)",
+						step, seg, svc.Name, ok, violating, err, wantOK, wantViolating)
+				}
+			}
+		}
+	}
+}
+
+// TestFastCheckSurvivesImport: Import interns the snapshot's labels, so
+// the fast check's cached effective tags are rebuilt for the imported
+// world and none of the replaced one's linger.
+func TestFastCheckSurvivesImport(t *testing.T) {
+	r := paperRegistry(t)
+	if err := r.ObserveSegment("s1", "wiki"); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.Export()
+
+	r2 := paperRegistry(t)
+	if err := r2.ObserveSegment("s1", "itool"); err != nil {
+		t.Fatal(err)
+	}
+	r2.Import(snap)
+	ok, _, err := r2.CheckRelease("s1", "wiki")
+	if err != nil || !ok {
+		t.Fatalf("wiki->wiki after import: ok=%v err=%v", ok, err)
+	}
+	ok, violating, err := r2.CheckRelease("s1", "itool")
+	if err != nil || ok || len(violating) != 1 || violating[0] != "tw" {
+		t.Fatalf("wiki->itool after import: ok=%v violating=%v err=%v", ok, violating, err)
+	}
+}
+
+// TestLabelCopiesCannotReachTheRegistry: the registry's labels are shared
+// immutable values, so their cached effective tags need no invalidation —
+// provided nothing a caller can hold aliases them. Mutating every copy the
+// API hands out must leave the verdict, and the labels of the segments
+// sharing the value, untouched.
+func TestLabelCopiesCannotReachTheRegistry(t *testing.T) {
+	r := paperRegistry(t)
+	for _, seg := range []segment.ID{"s1", "s2"} {
+		if err := r.ObserveSegment(seg, "wiki"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.DistinctLabels(); n != 1 {
+		t.Fatalf("two segments of one service hold %d label values, want 1", n)
+	}
+	label := r.Label("s1")
+	label.AddExplicit("ti")
+	label.Explicit().Add("ti")
+	svc, err := r.Service("wiki")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Confidentiality.Add("ti") // default labels alias the service's own Lc, not this copy
+	r.Export().Labels[0].Explicit[0] = "ti"
+	for _, seg := range []segment.ID{"s1", "s2"} {
+		if ok, violating, err := r.CheckRelease(seg, "wiki"); err != nil || !ok {
+			t.Fatalf("%s: a mutated copy changed the verdict: ok=%v violating=%v err=%v", seg, ok, violating, err)
+		}
+		if got := r.Label(seg).Explicit(); got.Len() != 1 || !got.Has("tw") {
+			t.Fatalf("%s: a mutated copy changed the label: %v", seg, got)
+		}
+	}
+}
+
+// TestCheckReleaseAllocFree pins the allow verdict at zero allocations:
+// the check walks the label's cached effective tags, building no set.
+func TestCheckReleaseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation behaviour differs under -race")
+	}
+	r := paperRegistry(t)
+	if err := r.ObserveSegment("s1", "wiki"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		ok, _, err := r.CheckRelease("s1", "wiki")
+		if !ok || err != nil {
+			t.Fatalf("ok=%v err=%v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CheckRelease allocs=%v, want 0", allocs)
 	}
 }
