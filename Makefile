@@ -33,7 +33,8 @@ check: vet node-copies wallclock
 # pins runs without -race the tests that skip under it. PINS are the
 # memory-budget tests and the allocation pins (the WAL validation, the
 # zero-alloc decided observe in the tracker and the engine, the zero-alloc
-# release allow in the registry and the engine, the shared fingerprint
+# release allow in the registry and the engine, the ad-hoc text check with
+# two sources, the shared fingerprint
 # scratch, the proxy's forward path, the index's candidate-discovery and
 # head-insert paths), as package:test. A name that no longer matches a
 # test would leave the step green while it ran nothing, so the step fails
@@ -46,6 +47,7 @@ PINS = ./internal/policy:TestEngineHeapBudget ./internal/policy:TestMixedGranula
 	./internal/policy:TestGoldenObserveCacheHitAllocs ./internal/disclosure:TestObserveSteadyStateAllocs \
 	./internal/wal:TestValidationDoesNotAllocatePerRecord .:TestSaveHeapAndLoadLayout \
 	./internal/tdm:TestCheckReleaseAllocFree ./internal/policy:TestGoldenCheckUploadAllocFree \
+	./internal/policy:TestGoldenCheckTextAllocs \
 	./internal/fingerprint:TestComputeSharedZeroAlloc ./internal/proxy:TestForwardAllocs \
 	./internal/index:TestApproxBytesTracksHeap ./internal/index:TestAppendOldestHoldersReusesCapacity \
 	./internal/index:TestAppendHoldersReusesCapacity ./internal/index:TestHeadInsertAllocatesNoObjectPerHash

@@ -298,38 +298,6 @@ func (m *Middleware) Transforms() []string {
 	return out
 }
 
-// ApplyTransform records that the named policy-declared sanitizer was
-// applied to a segment: every tag the transform suppresses that is present
-// on the label is suppressed (audited declassification), with the
-// transform recorded as the justification — "redaction counts as
-// suppression". Tags the transform lists but the label does not carry are
-// skipped. It returns the tags actually suppressed.
-func (m *Middleware) ApplyTransform(user string, seg SegmentID, transform string) ([]Tag, error) {
-	if m.compiled == nil {
-		return nil, fmt.Errorf("browserflow: no policy file loaded; transforms require NewFromPolicyFile")
-	}
-	tags, ok := m.compiled.Transforms[transform]
-	if !ok {
-		return nil, fmt.Errorf("browserflow: unknown transform %q", transform)
-	}
-	label := m.registry.Label(seg)
-	if label == nil {
-		return nil, nil
-	}
-	present := label.Explicit().Union(label.Implicit())
-	var applied []Tag
-	for _, tag := range tags {
-		if !present.Has(tag) {
-			continue
-		}
-		if err := m.engine.Suppress(user, seg, tag, "transform:"+transform); err != nil {
-			return applied, err
-		}
-		applied = append(applied, tag)
-	}
-	return applied, nil
-}
-
 // Override records a user explicitly permitting a flagged upload.
 func (m *Middleware) Override(user string, seg SegmentID, destService, justification string) Verdict {
 	return m.engine.Override(user, seg, destService, justification)
@@ -399,12 +367,6 @@ func (m *Middleware) SecretStore() *exactmatch.Store { return m.secrets }
 // the fingerprint).
 func (m *Middleware) SetParagraphThreshold(seg SegmentID, threshold float64) {
 	m.tracker.Paragraphs().SetThreshold(seg, threshold)
-}
-
-// SetDocumentThreshold overrides the disclosure threshold of one document
-// segment.
-func (m *Middleware) SetDocumentThreshold(seg SegmentID, threshold float64) {
-	m.tracker.Documents().SetThreshold(seg, threshold)
 }
 
 // Attribute returns the passages of text that disclose src — the exact

@@ -51,17 +51,6 @@ type EbookConfig struct {
 	PopularEvery int
 }
 
-// DefaultEbookConfig returns a laptop-scale configuration (~5 MB total,
-// ~1 M hashes); the bench harness scales it up towards the paper's 90 MB.
-func DefaultEbookConfig() EbookConfig {
-	return EbookConfig{
-		Seed:     42,
-		Books:    10,
-		MinBytes: 200 << 10,
-		MaxBytes: 800 << 10,
-	}
-}
-
 // GenerateEbooks builds the book corpus. Books share one large vocabulary
 // (like English prose), so popular phrases occasionally collide across
 // books — the realistic overlap that drives Figure 12's W1/W3 latencies.

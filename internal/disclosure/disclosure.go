@@ -290,11 +290,6 @@ func (t *Tracker) QueryParagraph(text string, exclude segment.ID) ([]Source, err
 	return t.query(text, exclude, t.pars)
 }
 
-// QueryDocument is QueryParagraph at document granularity.
-func (t *Tracker) QueryDocument(text string, exclude segment.ID) ([]Source, error) {
-	return t.query(text, exclude, t.docs)
-}
-
 // query fingerprints text into the pooled scratch (queries never retain the
 // fingerprint, so no detach is needed) and runs Algorithm 1.
 func (t *Tracker) query(text string, exclude segment.ID, db *index.DB) ([]Source, error) {

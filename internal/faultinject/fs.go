@@ -43,9 +43,7 @@ type MemFS struct {
 	dirs    map[string]bool
 
 	writeOps     int
-	syncOps      int
 	crashAtWrite int // fire when writeOps reaches this value; 0 = disabled
-	crashAtSync  int
 	crashed      bool
 	tornWrites   bool
 	flipBitProb  float64
@@ -154,17 +152,6 @@ func (m *MemFS) CrashAfterWrites(n int) {
 	m.crashAtWrite = m.writeOps + n
 }
 
-// CrashAfterSyncs schedules a crash to fire on the n-th Sync from now.
-func (m *MemFS) CrashAfterSyncs(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n <= 0 {
-		m.crashAtSync = 0
-		return
-	}
-	m.crashAtSync = m.syncOps + n
-}
-
 // SetTornWrites makes the crashing write apply a random partial prefix
 // instead of nothing (a torn sector write).
 func (m *MemFS) SetTornWrites(v bool) {
@@ -187,13 +174,6 @@ func (m *MemFS) Crashed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.crashed
-}
-
-// WriteOps returns the number of Write calls seen so far.
-func (m *MemFS) WriteOps() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.writeOps
 }
 
 // Crash simulates power loss followed by reboot:
@@ -230,7 +210,6 @@ func (m *MemFS) Crash() {
 	}
 	m.crashed = false
 	m.crashAtWrite = 0
-	m.crashAtSync = 0
 }
 
 // FlipByte XORs mask into the byte at offset of name — deliberate at-rest
@@ -360,11 +339,6 @@ func (h *memHandle) Sync() error {
 	}
 	if h.closed {
 		return os.ErrClosed
-	}
-	m.syncOps++
-	if m.crashAtSync > 0 && m.syncOps >= m.crashAtSync {
-		m.crashed = true
-		return ErrCrashed
 	}
 	if m.eioActive {
 		return injectErr("fsync", h.name, syscall.EIO)

@@ -98,11 +98,6 @@ func (o *Obs) Instrument(endpoint string, h http.Handler) http.Handler {
 	})
 }
 
-// InstrumentFunc is Instrument for a HandlerFunc.
-func (o *Obs) InstrumentFunc(endpoint string, h http.HandlerFunc) http.Handler {
-	return o.Instrument(endpoint, h)
-}
-
 // StampRequest copies the trace ID carried by the request's context
 // onto its X-BF-Trace header, so outbound calls (client → tagserver,
 // replica → primary) keep the trace stitched together.

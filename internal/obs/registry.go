@@ -69,9 +69,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetInt stores an integral value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
 // Add adds delta (CAS loop; gauges are not hot-path).
 func (g *Gauge) Add(delta float64) {
 	for {

@@ -224,14 +224,6 @@ func ParseRing(payload []byte) (*Ring, error) {
 	return &r, nil
 }
 
-// MarshalJSONRing returns the bare JSON document for a validated ring.
-func MarshalJSONRing(r *Ring) ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(r)
-}
-
 // LoadRingFile reads and decodes a framed ring file.
 func LoadRingFile(path string) (*Ring, error) {
 	data, err := os.ReadFile(path)

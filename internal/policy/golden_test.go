@@ -309,6 +309,35 @@ func TestGoldenCheckUploadAllocFree(t *testing.T) {
 	}
 }
 
+// TestGoldenCheckTextAllocs pins the ad-hoc text check — the form path —
+// with two disclosure sources on the allow outcome. It allocates one
+// object, the verdict's copy of the sources: the sources' explicit tags
+// are unioned and checked under one registry read lock without building a
+// set. The bound of 3 leaves room for a GC emptying the scratch pool
+// mid-run; it was 15 while each source's label was deep-copied and
+// re-unioned into a fresh set.
+func TestGoldenCheckTextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := newCompiledEngine(t, loadSeedPolicy(t))
+	for seg, text := range map[segment.ID]string{"wiki/plan#p0": goldenWikiPlan, "wiki/budget#p0": goldenWikiBudget} {
+		if _, err := e.ObserveEdit(seg, "wiki", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := goldenWikiPlan + " " + goldenWikiBudget
+	allocs := testing.AllocsPerRun(200, func() {
+		v, err := e.CheckText(text, "wiki")
+		if err != nil || v.Decision != policy.DecisionAllow || len(v.Sources) != 2 {
+			t.Fatalf("v=%+v err=%v", v, err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("CheckText with two sources allocates %.1f objects/op, want ≤ 3", allocs)
+	}
+}
+
 // TestEngineHeapBudget is the memory gate on the path that deploys: 4 000
 // generated ~600-byte paragraphs through ObserveEdit on a policy-file engine
 // must retain at most 13.7 B of heap per distinct hash (11.8 at the time

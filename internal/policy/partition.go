@@ -288,7 +288,8 @@ func (e *Engine) CheckResolved(destService string, sources []disclosure.Source, 
 	for _, n := range implicit {
 		set.Add(tdm.Tag(n))
 	}
-	return e.checkTags(set, sources, destService)
+	ok, violating, err := e.registry.CheckTags(set, destService)
+	return e.adHocVerdict(ok, violating, err, sources, destService)
 }
 
 // PruneRange removes every segment homed in the inclusive key range

@@ -348,19 +348,13 @@ func (e *Engine) CheckFP(fp *fingerprint.Fingerprint, destService string) (Verdi
 // checkSources evaluates ad-hoc content given its disclosure sources: its
 // label is the union of their explicit tags.
 func (e *Engine) checkSources(sources []disclosure.Source, destService string) (Verdict, error) {
-	implicit := tdm.NewTagSet()
-	for _, src := range sources {
-		if srcLabel := e.registry.Label(src.Seg); srcLabel != nil {
-			implicit = implicit.Union(srcLabel.Explicit())
-		}
-	}
-	return e.checkTags(implicit, sources, destService)
+	ok, violating, err := e.registry.CheckSources(len(sources), func(i int) segment.ID { return sources[i].Seg }, destService)
+	return e.adHocVerdict(ok, violating, err, sources, destService)
 }
 
-// checkTags is the verdict of an ad-hoc release check of content labelled
-// tags.
-func (e *Engine) checkTags(tags tdm.TagSet, sources []disclosure.Source, destService string) (Verdict, error) {
-	ok, violating, err := e.registry.CheckTags(tags, destService)
+// adHocVerdict is the verdict of an ad-hoc release check that answered
+// (ok, violating, err).
+func (e *Engine) adHocVerdict(ok bool, violating []tdm.Tag, err error, sources []disclosure.Source, destService string) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}

@@ -62,9 +62,6 @@ func (h *Hasher) Init(n int) error {
 	return nil
 }
 
-// WindowLen returns the configured window length n.
-func (h *Hasher) WindowLen() int { return h.n }
-
 // Roll feeds one byte into the window. It returns the hash of the most
 // recent n bytes and true once at least n bytes have been written; before
 // that it returns 0 and false.

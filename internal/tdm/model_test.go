@@ -135,6 +135,25 @@ func (m *model) check(seg segment.ID, service string) (ok bool, violating []Tag)
 	return len(violating) == 0, violating
 }
 
+// checkSources is the release check of ad-hoc content disclosing sources:
+// its label is the union of their explicit tags.
+func (m *model) checkSources(sources []segment.ID, service string) (ok bool, violating []Tag) {
+	union := make(map[Tag]bool)
+	for _, s := range sources {
+		if l, found := m.labels[s]; found {
+			for t := range l.explicit {
+				union[t] = true
+			}
+		}
+	}
+	for _, t := range sortedTags(union) {
+		if !m.services[service].priv[t] {
+			violating = append(violating, t)
+		}
+	}
+	return len(violating) == 0, violating
+}
+
 func (m *model) distinctLabels() int {
 	seen := make(map[string]bool)
 	for _, l := range m.labels {
@@ -345,6 +364,19 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 						if err != nil || ok != wantOK || !reflect.DeepEqual(viol, wantViol) {
 							t.Fatalf("step %d %s: CheckTags(%s, %s)=(%v, %v, %v), model (%v, %v)", step, desc, s, dest, ok, viol, err, wantOK, wantViol)
 						}
+					}
+				}
+				// Ad-hoc text disclosing a random few segments, known or
+				// not, repeats allowed.
+				sources := make([]segment.ID, rng.Intn(4))
+				for i := range sources {
+					sources[i] = segs[rng.Intn(segments)]
+				}
+				for _, dest := range services {
+					wantOK, wantViol := m.checkSources(sources, dest)
+					ok, viol, err := r.CheckSources(len(sources), func(i int) segment.ID { return sources[i] }, dest)
+					if err != nil || ok != wantOK || !reflect.DeepEqual(viol, wantViol) {
+						t.Fatalf("step %d %s: CheckSources(%v, %s)=(%v, %v, %v), model (%v, %v)", step, desc, sources, dest, ok, viol, err, wantOK, wantViol)
 					}
 				}
 			}

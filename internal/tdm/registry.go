@@ -295,6 +295,30 @@ func (r *Registry) CheckTags(tags TagSet, service string) (ok bool, violating []
 	return violating == nil, violating, nil
 }
 
+// CheckSources is CheckTags for ad-hoc content that discloses n sources,
+// the i-th named by source(i): its label is the union of their explicit
+// tags — the implicit label a new destination segment would receive
+// (§3.2) — and unknown sources add nothing. The union is walked under one
+// read lock without building a set, so an allow allocates nothing.
+func (r *Registry) CheckSources(n int, source func(i int) segment.ID, service string) (ok bool, violating []Tag, err error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	svc, found := r.services[service]
+	if !found {
+		return false, nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
+	}
+	for i := 0; i < n; i++ {
+		for t := range r.known(source(i)).value().explicit {
+			if !svc.Privilege.Has(t) {
+				violating = append(violating, t)
+			}
+		}
+	}
+	slices.Sort(violating)
+	violating = slices.Compact(violating)
+	return violating == nil, violating, nil
+}
+
 // SuppressTag declassifies tag on seg for this propagation (§3.1 "User tag
 // suppression"). The suppression is recorded in the audit trail with the
 // user and justification. Suppression is case-by-case: it applies to this
