@@ -19,7 +19,7 @@ import (
 	"github.com/lsds/browserflow/internal/browser"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/intercept"
-	"github.com/lsds/browserflow/internal/metrics"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/webapp"
@@ -95,7 +95,7 @@ func runDemo(server *webapp.Server, htmlOut string) error {
 	httpSrv := httptest.NewServer(server)
 	defer httpSrv.Close()
 
-	latency := metrics.NewRecorder()
+	latency := obs.NewHistogram(obs.LatencyBuckets)
 	plugin, err := intercept.New(intercept.Config{
 		Engine:  engine,
 		User:    "demo-user",
@@ -141,7 +141,7 @@ func runDemo(server *webapp.Server, htmlOut string) error {
 	plugin.Flush()
 
 	fmt.Printf("demo: %d warnings issued, decision latency %s\n",
-		plugin.WarnCount(), latency.Summarize())
+		plugin.WarnCount(), latency.Snapshot())
 
 	if htmlOut != "" {
 		html := docsTab.Document().Root().OuterHTML()

@@ -18,7 +18,7 @@ import (
 	"github.com/lsds/browserflow/internal/browser"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/intercept"
-	"github.com/lsds/browserflow/internal/metrics"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/webapp"
@@ -63,7 +63,7 @@ func run() error {
 		return err
 	}
 
-	latency := metrics.NewRecorder()
+	latency := obs.NewHistogram(obs.LatencyBuckets)
 	plugin, err := intercept.New(intercept.Config{
 		Engine:  engine,
 		User:    "oncall",
@@ -123,6 +123,6 @@ func run() error {
 	fmt.Printf("  wiki page now has %d paragraphs ✔\n", len(services.WikiPage("playbook")))
 
 	plugin.Flush()
-	fmt.Printf("\ndisclosure decisions: %s\n", latency.Summarize())
+	fmt.Printf("\ndisclosure decisions: %s\n", latency.Snapshot())
 	return nil
 }

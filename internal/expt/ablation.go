@@ -8,7 +8,7 @@ import (
 	"github.com/lsds/browserflow/internal/dataset"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
-	"github.com/lsds/browserflow/internal/metrics"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/segment"
 )
 
@@ -21,8 +21,8 @@ import (
 // AblationCacheResult compares typing latency with the fingerprint-keyed
 // decision cache on and off.
 type AblationCacheResult struct {
-	WithCache    metrics.Summary
-	WithoutCache metrics.Summary
+	WithCache    obs.HistogramSnapshot
+	WithoutCache obs.HistogramSnapshot
 
 	// HitRate is the cache hit fraction during the cached run.
 	HitRate float64
@@ -30,7 +30,8 @@ type AblationCacheResult struct {
 	// HitMedian and MissMedian break the cached run down per request:
 	// hits skip the disclosure calculation entirely (the <30 ms mass of
 	// Figure 12), misses pay for Algorithm 1. Medians are reported
-	// because GC pauses skew means at these latencies.
+	// because GC pauses skew means at these latencies; each is the upper
+	// bound of its obs.LatencyBuckets bucket.
 	HitMedian  time.Duration
 	MissMedian time.Duration
 }
@@ -43,12 +44,12 @@ func RunAblationCache(scale Scale, params disclosure.Params) (AblationCacheResul
 
 	page := books[0].Page(0)
 
-	run := func(disable bool) (metrics.Summary, float64, time.Duration, time.Duration, error) {
+	run := func(disable bool) (obs.HistogramSnapshot, float64, time.Duration, time.Duration, error) {
 		p := params
 		p.DisableCache = disable
 		tracker, err := disclosure.NewTracker(p)
 		if err != nil {
-			return metrics.Summary{}, 0, 0, 0, err
+			return obs.HistogramSnapshot{}, 0, 0, 0, err
 		}
 		// Seed small "popular passage" paragraphs covering the page
 		// *before* the books load, so the typed text overlaps many
@@ -64,15 +65,15 @@ func RunAblationCache(scale Scale, params disclosure.Params) (AblationCacheResul
 			}
 			seg := segment.ID(fmt.Sprintf("popular#p%d", c))
 			if _, err := tracker.ObserveParagraph(seg, strings.Join(words[c*chunkWords:end], " ")); err != nil {
-				return metrics.Summary{}, 0, 0, 0, err
+				return obs.HistogramSnapshot{}, 0, 0, 0, err
 			}
 		}
 		if err := loadBooks(tracker, books); err != nil {
-			return metrics.Summary{}, 0, 0, 0, err
+			return obs.HistogramSnapshot{}, 0, 0, 0, err
 		}
 
-		rec := metrics.NewRecorder()
-		hitRec, missRec := metrics.NewRecorder(), metrics.NewRecorder()
+		rec := obs.NewHistogram(obs.LatencyBuckets)
+		hitRec, missRec := obs.NewHistogram(obs.LatencyBuckets), obs.NewHistogram(obs.LatencyBuckets)
 		hits, total := 0, 0
 		cur := ""
 		for _, w := range words {
@@ -84,22 +85,22 @@ func RunAblationCache(scale Scale, params disclosure.Params) (AblationCacheResul
 			report, err := tracker.ObserveParagraph("cache-probe#p0", cur)
 			elapsed := time.Since(start)
 			if err != nil {
-				return metrics.Summary{}, 0, 0, 0, err
+				return obs.HistogramSnapshot{}, 0, 0, 0, err
 			}
-			rec.Add(elapsed)
+			rec.Observe(elapsed)
 			total++
 			if report.CacheHit {
 				hits++
-				hitRec.Add(elapsed)
+				hitRec.Observe(elapsed)
 			} else {
-				missRec.Add(elapsed)
+				missRec.Observe(elapsed)
 			}
 		}
 		var rate float64
 		if total > 0 {
 			rate = float64(hits) / float64(total)
 		}
-		return rec.Summarize(), rate, hitRec.Percentile(50), missRec.Percentile(50), nil
+		return rec.Snapshot(), rate, hitRec.Snapshot().Quantile(0.5), missRec.Snapshot().Quantile(0.5), nil
 	}
 
 	var err error

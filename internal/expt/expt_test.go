@@ -205,7 +205,7 @@ func TestRunFigure12Workflows(t *testing.T) {
 		t.Error("no hashes loaded")
 	}
 	for name, s := range map[string]struct {
-		count int
+		count uint64
 	}{
 		"W1": {count: r.W1.Count},
 		"W2": {count: r.W2.Count},
@@ -215,7 +215,7 @@ func TestRunFigure12Workflows(t *testing.T) {
 			t.Errorf("%s recorded no samples", name)
 		}
 	}
-	if len(r.W1CDF) == 0 || len(r.W2CDF) == 0 || len(r.W3CDF) == 0 {
+	if len(r.W1.CDF()) == 0 || len(r.W2.CDF()) == 0 || len(r.W3.CDF()) == 0 {
 		t.Error("missing CDFs")
 	}
 	if !strings.Contains(r.Format(), "Figure 12") {

@@ -8,7 +8,7 @@ import (
 
 	"github.com/lsds/browserflow/internal/dataset"
 	"github.com/lsds/browserflow/internal/disclosure"
-	"github.com/lsds/browserflow/internal/metrics"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/segment"
 )
 
@@ -16,11 +16,9 @@ import (
 
 // Fig12Result holds the three workflow distributions of Figure 12:
 // creation-with-overlap (W1), creation-without-overlap (W2) and
-// modification (W3).
+// modification (W3), each over obs.LatencyBuckets.
 type Fig12Result struct {
-	W1, W2, W3 metrics.Summary
-
-	W1CDF, W2CDF, W3CDF []metrics.CDFPoint
+	W1, W2, W3 obs.HistogramSnapshot
 
 	// Hashes is the fingerprint-database size the workflows ran against.
 	Hashes int
@@ -46,7 +44,7 @@ func RunFigure12(scale Scale, params disclosure.Params) (Fig12Result, error) {
 
 	// W1: create a new document and enter a page from an existing e-book.
 	page := books[0].Page(0)
-	w1 := metrics.NewRecorder()
+	w1 := obs.NewHistogram(obs.LatencyBuckets)
 	if err := typeText(tracker, "w1doc#p0", page, 4, w1); err != nil {
 		return Fig12Result{}, err
 	}
@@ -60,7 +58,7 @@ func RunFigure12(scale Scale, params disclosure.Params) (Fig12Result, error) {
 		freshB.WriteByte(' ')
 	}
 	fresh := strings.Join(strings.Fields(freshB.String())[:len(strings.Fields(page))], " ")
-	w2 := metrics.NewRecorder()
+	w2 := obs.NewHistogram(obs.LatencyBuckets)
 	if err := typeText(tracker, "w2doc#p0", fresh, 4, w2); err != nil {
 		return Fig12Result{}, err
 	}
@@ -70,13 +68,12 @@ func RunFigure12(scale Scale, params disclosure.Params) (Fig12Result, error) {
 	// by word.
 	original := books[0].Page(4)
 	modified := gen.LightEdit(original, 0.3)
-	w3 := metrics.NewRecorder()
+	w3 := obs.NewHistogram(obs.LatencyBuckets)
 	if err := restoreText(tracker, "w3doc#p0", modified, original, w3); err != nil {
 		return Fig12Result{}, err
 	}
 
-	result.W1, result.W2, result.W3 = w1.Summarize(), w2.Summarize(), w3.Summarize()
-	result.W1CDF, result.W2CDF, result.W3CDF = w1.CDF(20), w2.CDF(20), w3.CDF(20)
+	result.W1, result.W2, result.W3 = w1.Snapshot(), w2.Snapshot(), w3.Snapshot()
 	return result, nil
 }
 
@@ -97,7 +94,7 @@ func loadBooks(tracker *disclosure.Tracker, books []dataset.Ebook) error {
 
 // typeText simulates typing text into one paragraph in chunks of chunk
 // words, timing each disclosure decision.
-func typeText(tracker *disclosure.Tracker, seg segment.ID, text string, chunk int, rec *metrics.Recorder) error {
+func typeText(tracker *disclosure.Tracker, seg segment.ID, text string, chunk int, rec *obs.Histogram) error {
 	words := strings.Fields(text)
 	if chunk < 1 {
 		chunk = 1
@@ -108,14 +105,14 @@ func typeText(tracker *disclosure.Tracker, seg segment.ID, text string, chunk in
 		if _, err := tracker.ObserveParagraph(seg, cur); err != nil {
 			return err
 		}
-		rec.Add(time.Since(start))
+		rec.Observe(time.Since(start))
 	}
 	return nil
 }
 
 // restoreText starts from a modified paragraph and restores it towards the
 // original word by word, timing each decision (workflow W3).
-func restoreText(tracker *disclosure.Tracker, seg segment.ID, modified, original string, rec *metrics.Recorder) error {
+func restoreText(tracker *disclosure.Tracker, seg segment.ID, modified, original string, rec *obs.Histogram) error {
 	cur := strings.Fields(modified)
 	orig := strings.Fields(original)
 	n := len(cur)
@@ -126,7 +123,7 @@ func restoreText(tracker *disclosure.Tracker, seg segment.ID, modified, original
 	if _, err := tracker.ObserveParagraph(seg, strings.Join(cur, " ")); err != nil {
 		return err
 	}
-	rec.Add(time.Since(start))
+	rec.Observe(time.Since(start))
 	for i := 0; i < n; i++ {
 		if cur[i] == orig[i] {
 			continue
@@ -136,7 +133,7 @@ func restoreText(tracker *disclosure.Tracker, seg segment.ID, modified, original
 		if _, err := tracker.ObserveParagraph(seg, strings.Join(cur, " ")); err != nil {
 			return err
 		}
-		rec.Add(time.Since(start))
+		rec.Observe(time.Since(start))
 	}
 	return nil
 }
@@ -149,9 +146,15 @@ func (r Fig12Result) Format() string {
 	fmt.Fprintf(&sb, "W1 creation-with-overlap:    %s\n", r.W1)
 	fmt.Fprintf(&sb, "W2 creation-without-overlap: %s\n", r.W2)
 	fmt.Fprintf(&sb, "W3 modification:             %s\n", r.W3)
-	sb.WriteString("W1 CDF:\n" + metrics.FormatCDF(r.W1CDF))
-	sb.WriteString("W2 CDF:\n" + metrics.FormatCDF(r.W2CDF))
-	sb.WriteString("W3 CDF:\n" + metrics.FormatCDF(r.W3CDF))
+	for _, w := range []struct {
+		name string
+		h    obs.HistogramSnapshot
+	}{{"W1", r.W1}, {"W2", r.W2}, {"W3", r.W3}} {
+		sb.WriteString(w.name + " CDF:\n")
+		for _, p := range w.h.CDF() {
+			fmt.Fprintf(&sb, "%12v  %6.4f\n", p.Value, p.Fraction)
+		}
+	}
 	return sb.String()
 }
 
@@ -166,7 +169,8 @@ type Fig13Point struct {
 	ApproxMB float64
 
 	// P95 is the 95th-percentile response time for pasting a 500-character
-	// paragraph from a loaded book into an empty document.
+	// paragraph from a loaded book into an empty document, as the upper
+	// bound of its obs.LatencyBuckets bucket.
 	P95 time.Duration
 }
 
@@ -207,7 +211,7 @@ func RunFigure13(scale Scale, params disclosure.Params, steps, probes int) (Fig1
 		// Settle the heap after bulk loading so step boundaries do not
 		// charge GC debt to the first probes, then warm up the caches.
 		runtime.GC()
-		rec := metrics.NewRecorder()
+		rec := obs.NewHistogram(obs.LatencyBuckets)
 		for warm := 0; warm < 8; warm++ {
 			seg := segment.ID(fmt.Sprintf("warm%d-%d#p0", step, warm))
 			if _, err := tracker.ObserveParagraph(seg, books[0].Page(warm)); err != nil {
@@ -229,14 +233,14 @@ func RunFigure13(scale Scale, params disclosure.Params, steps, probes int) (Fig1
 			if _, err := tracker.ObserveParagraph(seg, text); err != nil {
 				return Fig13Result{}, err
 			}
-			rec.Add(time.Since(start))
+			rec.Observe(time.Since(start))
 			tracker.Forget(seg, segment.GranularityParagraph)
 		}
 		stats := tracker.Paragraphs().Stats()
 		result.Points = append(result.Points, Fig13Point{
 			Hashes:   stats.DistinctHashes,
 			ApproxMB: float64(stats.ApproxBytes) / (1 << 20),
-			P95:      rec.Percentile(95),
+			P95:      rec.Snapshot().Quantile(0.95),
 		})
 	}
 	return result, nil

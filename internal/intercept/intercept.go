@@ -27,7 +27,7 @@ import (
 	"github.com/lsds/browserflow/internal/browser"
 	"github.com/lsds/browserflow/internal/dom"
 	"github.com/lsds/browserflow/internal/exactmatch"
-	"github.com/lsds/browserflow/internal/metrics"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
@@ -115,8 +115,9 @@ type Config struct {
 	// for concurrent use.
 	OnEvent func(Event)
 
-	// Latency, if set, records edit-decision latencies (Figure 12).
-	Latency *metrics.Recorder
+	// Latency, if set, records edit-decision latencies (Figure 12); make
+	// it over obs.LatencyBuckets to read quantiles back.
+	Latency *obs.Histogram
 
 	// Logger, if set, receives structured logs: violations at Info,
 	// decision errors at Error. Nil disables logging.
@@ -421,7 +422,7 @@ func (p *Plugin) decide(task editTask) {
 		return
 	}
 	if p.cfg.Latency != nil {
-		p.cfg.Latency.Add(latency)
+		p.cfg.Latency.Observe(latency)
 	}
 	if task.par != nil {
 		p.recolour(task, verdict)

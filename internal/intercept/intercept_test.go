@@ -13,7 +13,7 @@ import (
 	"github.com/lsds/browserflow/internal/browser"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
-	"github.com/lsds/browserflow/internal/metrics"
+	"github.com/lsds/browserflow/internal/obs"
 	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/webapp"
@@ -28,7 +28,7 @@ type world struct {
 	browser *browser.Browser
 	plugin  *Plugin
 	engine  *policy.Engine
-	latency *metrics.Recorder
+	latency *obs.Histogram
 
 	mu     sync.Mutex
 	events []Event
@@ -72,7 +72,7 @@ func newWorld(t *testing.T, mode policy.Mode) *world {
 	w := &world{
 		server:  webapp.NewServer(),
 		engine:  engine,
-		latency: metrics.NewRecorder(),
+		latency: obs.NewHistogram(obs.LatencyBuckets),
 	}
 	w.srv = httptest.NewServer(w.server)
 	t.Cleanup(w.srv.Close)
@@ -173,7 +173,7 @@ func TestPasteIntoDocsAdvisoryWarnsAndRecolours(t *testing.T) {
 	if w.plugin.WarnCount() == 0 {
 		t.Error("no warnings recorded")
 	}
-	if w.latency.Count() == 0 {
+	if w.latency.Snapshot().Count == 0 {
 		t.Error("no latencies recorded")
 	}
 }

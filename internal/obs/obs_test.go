@@ -175,6 +175,76 @@ func TestHistogramBoundaries(t *testing.T) {
 	}
 }
 
+// TestLatencyBuckets pins the quantile resolution the experiments rely
+// on: bounds from 1µs to 10s, ascending, adjacent bounds at most 10%
+// apart.
+func TestLatencyBuckets(t *testing.T) {
+	b := LatencyBuckets
+	if lo, hi := secs(b[0]), secs(b[len(b)-1]); lo != time.Microsecond || hi != 10*time.Second {
+		t.Fatalf("bounds span %v..%v, want 1µs..10s", lo, hi)
+	}
+	for i := 1; i < len(b); i++ {
+		if r := b[i] / b[i-1]; r <= 1 || r > 1.10 {
+			t.Fatalf("bounds %d and %d are %.4fx apart, want (1, 1.10]", i-1, i, r)
+		}
+	}
+}
+
+// TestHistogramQuantile pins nearest rank over buckets: the q-quantile is
+// the upper bound of the bucket holding the ⌈q·n⌉-th sample, a rank past
+// the last bound reports that bound, and no samples read 0.
+func TestHistogramQuantile(t *testing.T) {
+	h := NewHistogram([]float64{0.001, 0.002, 0.003, 0.004})
+	if got := h.Snapshot().Quantile(0.5); got != 0 {
+		t.Fatalf("empty p50 = %v, want 0", got)
+	}
+	for _, d := range []time.Duration{500 * time.Microsecond, time.Millisecond, 1500 * time.Microsecond, 2500 * time.Microsecond, 3 * time.Millisecond, time.Second} {
+		h.Observe(d) // buckets: 2, 1, 2, 0, +Inf 1
+	}
+	s := h.Snapshot()
+	for _, tt := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0, time.Millisecond}, {0.1, time.Millisecond}, {2.0 / 6, time.Millisecond},
+		{0.5, 2 * time.Millisecond}, {4.0 / 6, 3 * time.Millisecond},
+		{5.0 / 6, 3 * time.Millisecond}, {0.99, 4 * time.Millisecond}, {1, 4 * time.Millisecond},
+	} {
+		if got := s.Quantile(tt.q); got != tt.want {
+			t.Errorf("Quantile(%.3f) = %v, want %v", tt.q, got, tt.want)
+		}
+	}
+	cdf := s.CDF()
+	want := []CDFPoint{{time.Millisecond, 2.0 / 6}, {2 * time.Millisecond, 3.0 / 6}, {3 * time.Millisecond, 5.0 / 6}}
+	if len(cdf) != len(want) {
+		t.Fatalf("CDF = %v, want %v", cdf, want)
+	}
+	for i := range want {
+		if cdf[i] != want[i] {
+			t.Errorf("CDF[%d] = %v, want %v", i, cdf[i], want[i])
+		}
+	}
+	if NewHistogram(nil).Snapshot().CDF() != nil {
+		t.Error("empty CDF is not nil")
+	}
+}
+
+// TestHistogramString pins the one-line summary: n, mean, p50, p95, p99
+// and the bucket resolution.
+func TestHistogramString(t *testing.T) {
+	h := NewHistogram(LatencyBuckets)
+	if got := h.Snapshot().String(); got != "no samples" {
+		t.Errorf("empty summary = %q", got)
+	}
+	for i := 1; i <= 100; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	const want = "n=100 mean=50.5ms p50≤50.5ms p95≤100ms p99≤100ms (buckets 9.3% wide)"
+	if got := h.Snapshot().String(); got != want {
+		t.Errorf("summary = %q, want %q", got, want)
+	}
+}
+
 // TestRateWindowRollover drives a rate window across slot boundaries
 // with a fake clock and checks the reported rate as events age in and
 // out of the window.

@@ -91,6 +91,24 @@ var DefBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// LatencyBuckets are the bounds of a latency distribution that is read
+// back as quantiles (Figures 12 and 13, the decision-cache ablation, the
+// demos' decision latency): 27 log-spaced bounds per decade from 1µs to
+// 10s, each rounded to three significant digits, so adjacent bounds are at
+// most 9.3% apart and a quantile is known to within that. DefBuckets
+// starts at 100µs with bounds up to 2.5x apart, which would put the
+// cache's ≈105µs hits and ≈160µs misses in one bucket.
+var LatencyBuckets = func() []float64 {
+	const perDecade, decades = 27, 7
+	b := make([]float64, perDecade*decades+1)
+	for i := range b {
+		v := math.Pow(10, float64(i)/perDecade-6)
+		scale := math.Pow(10, 2-math.Floor(math.Log10(v)))
+		b[i] = math.Round(v*scale) / scale
+	}
+	return b
+}()
+
 // Histogram is a fixed-bucket latency histogram. Observe performs one
 // atomic add on the matching bucket cell and one atomic add on the
 // nanosecond sum — no locks, no allocation. The exposed _count is
@@ -162,6 +180,68 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.SumSecs = time.Duration(h.sumNano.Load()).Seconds()
 	return s
 }
+
+// Quantile returns the nearest-rank q-quantile (0 < q <= 1): the upper
+// bound of the bucket holding the ⌈q·Count⌉-th smallest sample, so the
+// true value lies between the bound below and the one returned. A rank in
+// the overflow bucket reports the largest bound. 0 with no samples.
+func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	if s.Count == 0 || len(s.Bounds) == 0 {
+		return 0
+	}
+	rank := max(uint64(math.Ceil(q*float64(s.Count))), 1)
+	var cum uint64
+	for i, c := range s.Counts[:len(s.Bounds)] {
+		if cum += c; cum >= rank {
+			return secs(s.Bounds[i])
+		}
+	}
+	return secs(s.Bounds[len(s.Bounds)-1])
+}
+
+// CDFPoint is one point of a cumulative distribution: Fraction of the
+// samples are at most Value.
+type CDFPoint struct {
+	Value    time.Duration
+	Fraction float64
+}
+
+// CDF returns the cumulative distribution at the upper bound of every
+// non-empty bucket, ascending. Samples beyond the largest bound are in no
+// point, so the last fraction is below 1 when there are any.
+func (s HistogramSnapshot) CDF() []CDFPoint {
+	var out []CDFPoint
+	var cum uint64
+	for i, c := range s.Counts[:len(s.Bounds)] {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		out = append(out, CDFPoint{Value: secs(s.Bounds[i]), Fraction: float64(cum) / float64(s.Count)})
+	}
+	return out
+}
+
+// String summarises the distribution on one line: the sample count, the
+// mean, and the p50, p95 and p99 bucket bounds, with the bucket
+// resolution — the widest relative gap between adjacent bounds, how far a
+// quantile may sit below the bound reported for it.
+func (s HistogramSnapshot) String() string {
+	if s.Count == 0 {
+		return "no samples"
+	}
+	var gap float64
+	for i := 1; i < len(s.Bounds); i++ {
+		if s.Bounds[i-1] > 0 {
+			gap = max(gap, s.Bounds[i]/s.Bounds[i-1]-1)
+		}
+	}
+	return fmt.Sprintf("n=%d mean=%v p50≤%v p95≤%v p99≤%v (buckets %.1f%% wide)",
+		s.Count, secs(s.SumSecs/float64(s.Count)), s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99), 100*gap)
+}
+
+// secs converts seconds to a Duration, rounded to the nanosecond.
+func secs(v float64) time.Duration { return time.Duration(math.Round(v * 1e9)) }
 
 // rateSlot is one second of a RateWindow ring.
 type rateSlot struct {
