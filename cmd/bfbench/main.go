@@ -10,11 +10,22 @@
 // Experiments: table1, fig8, fig9a, fig9b, fig9adoc, fig9bdoc, fig10,
 // fig11, fig12, fig13, ablation-cache, ablation-auth, ablation-winnow,
 // baseline, orgsim, usability, and all (every one of those, in that order).
+//
+// All but fig12, fig13 and ablation-cache are goldens: they print counts,
+// ratios and verdicts, no timings, so at default scale and seed 1 their
+// output is fixed by the code. golden_test.go holds each to
+// testdata/<name>.txt and to its block in EXPERIMENTS.md. After a change
+// that is meant to move them, re-record both with
+//
+//	go test ./cmd/bfbench -run Golden -update
+//
+// (or `make experiments`) and say in CHANGES.md what the diff means.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +36,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bfbench:", err)
 		os.Exit(1)
 	}
@@ -36,7 +47,8 @@ var order = []string{"table1", "fig8", "fig9a", "fig9b", "fig9adoc",
 	"fig9bdoc", "fig10", "fig11", "fig12", "fig13", "ablation-cache",
 	"ablation-auth", "ablation-winnow", "baseline", "orgsim", "usability"}
 
-func run(args []string) error {
+// run runs the experiments args select, printing each output to stdout.
+func run(args []string, stdout io.Writer) error {
 	experiments := strings.Join(order, ", ") + ", all"
 	fs := flag.NewFlagSet("bfbench", flag.ContinueOnError)
 	var (
@@ -163,7 +175,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 		if *outDir != "" {
 			path := filepath.Join(*outDir, name+".txt")
 			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {

@@ -1,32 +1,16 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestRunSingleExperiments(t *testing.T) {
-	// Keep fast: only cheap experiments, overridden to tiny corpora.
-	for _, exp := range []string{"table1", "fig8", "ablation-winnow"} {
-		t.Run(exp, func(t *testing.T) {
-			if err := run([]string{"-experiment", exp, "-revisions", "10", "-books", "2"}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestRunFig11(t *testing.T) {
-	if err := run([]string{"-experiment", "fig11"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunWritesOutputFiles(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-experiment", "table1", "-out", dir}); err != nil {
+	if err := run([]string{"-experiment", "table1", "-out", dir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "table1.txt"))
@@ -54,7 +38,7 @@ func TestRunErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := run(tt.args)
+			err := run(tt.args, io.Discard)
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("args %v: err = %v, want one containing %q", tt.args, err, tt.want)
 			}
