@@ -228,10 +228,18 @@ cover:
 benchall:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate every table and figure of the paper's evaluation (§6) and
-# nothing else; performance is measured by bench/ (`bash bench/run.sh`).
+# experiments regenerates the paper's evaluation (§6) and nothing else;
+# performance is measured by bench/ (`bash bench/run.sh`). It first
+# re-records the goldens, the thirteen experiments that print no timings
+# (cmd/bfbench/testdata and the blocks EXPERIMENTS.md quotes), then prints
+# the timing experiments, which vary run to run. Every re-recording that
+# changes a golden is listed in CHANGES.md with what its diff means:
+# which verdict, fingerprint or corpus moved, and why
+# (`git diff cmd/bfbench/testdata EXPERIMENTS.md` shows it).
+TIMED_EXPERIMENTS = fig12 fig13 ablation-cache
 experiments:
-	$(GO) run ./cmd/bfbench -experiment all
+	$(GO) test -count=1 ./cmd/bfbench -run Golden -update
+	@for e in $(TIMED_EXPERIMENTS); do $(GO) run ./cmd/bfbench -experiment $$e || exit 1; done
 
 # Record the outputs the repro instructions ask for.
 outputs:
