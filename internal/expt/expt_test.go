@@ -3,9 +3,11 @@ package expt
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/obs"
 )
 
 // testScale keeps experiment tests fast while preserving shapes.
@@ -220,6 +222,23 @@ func TestRunFigure12Workflows(t *testing.T) {
 	}
 	if !strings.Contains(r.Format(), "Figure 12") {
 		t.Error("format header missing")
+	}
+}
+
+// TestFigure12FormatCDF pins the CDF rows Figure 12 prints under each
+// workflow: one aligned "value fraction" row per CDF point.
+func TestFigure12FormatCDF(t *testing.T) {
+	h := obs.NewHistogram([]float64{0.001, 0.002})
+	for _, d := range []time.Duration{time.Millisecond, 1500 * time.Microsecond, 2 * time.Millisecond, 2 * time.Millisecond} {
+		h.Observe(d)
+	}
+	s := h.Snapshot()
+	out := Fig12Result{W1: s, W2: s, W3: s}.Format()
+	const rows = "         1ms  0.2500\n         2ms  1.0000\n"
+	for _, w := range []string{"W1", "W2", "W3"} {
+		if !strings.Contains(out, w+" CDF:\n"+rows) {
+			t.Errorf("%s CDF rows missing from:\n%s", w, out)
+		}
 	}
 }
 

@@ -190,18 +190,21 @@ func TestLatencyBuckets(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile pins nearest rank over buckets: the q-quantile is
-// the upper bound of the bucket holding the ⌈q·n⌉-th sample, a rank past
-// the last bound reports that bound, and no samples read 0.
-func TestHistogramQuantile(t *testing.T) {
+// quantileFixture holds six samples over four bounds; bucket counts are
+// 2, 1, 2, 0 and one past the last bound.
+func quantileFixture() HistogramSnapshot {
 	h := NewHistogram([]float64{0.001, 0.002, 0.003, 0.004})
-	if got := h.Snapshot().Quantile(0.5); got != 0 {
-		t.Fatalf("empty p50 = %v, want 0", got)
-	}
 	for _, d := range []time.Duration{500 * time.Microsecond, time.Millisecond, 1500 * time.Microsecond, 2500 * time.Microsecond, 3 * time.Millisecond, time.Second} {
-		h.Observe(d) // buckets: 2, 1, 2, 0, +Inf 1
+		h.Observe(d)
 	}
-	s := h.Snapshot()
+	return h.Snapshot()
+}
+
+// TestHistogramQuantile pins nearest rank over buckets: the q-quantile is
+// the upper bound of the bucket holding the ⌈q·n⌉-th sample, and a rank
+// past the last bound reports that bound.
+func TestHistogramQuantile(t *testing.T) {
+	s := quantileFixture()
 	for _, tt := range []struct {
 		q    float64
 		want time.Duration
@@ -214,7 +217,24 @@ func TestHistogramQuantile(t *testing.T) {
 			t.Errorf("Quantile(%.3f) = %v, want %v", tt.q, got, tt.want)
 		}
 	}
-	cdf := s.CDF()
+}
+
+// TestHistogramQuantileEmpty pins that a histogram with no samples reads 0
+// at every quantile.
+func TestHistogramQuantileEmpty(t *testing.T) {
+	s := NewHistogram(LatencyBuckets).Snapshot()
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := s.Quantile(q); got != 0 {
+			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
+		}
+	}
+}
+
+// TestHistogramCDF pins the CDF reader: one point at the upper bound of
+// each non-empty bucket with the cumulative fraction, none for samples
+// past the last bound, and a nil CDF for no samples.
+func TestHistogramCDF(t *testing.T) {
+	cdf := quantileFixture().CDF()
 	want := []CDFPoint{{time.Millisecond, 2.0 / 6}, {2 * time.Millisecond, 3.0 / 6}, {3 * time.Millisecond, 5.0 / 6}}
 	if len(cdf) != len(want) {
 		t.Fatalf("CDF = %v, want %v", cdf, want)
@@ -226,6 +246,26 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if NewHistogram(nil).Snapshot().CDF() != nil {
 		t.Error("empty CDF is not nil")
+	}
+}
+
+// TestHistogramConcurrentObserve pins that Observe from many goroutines
+// loses no sample.
+func TestHistogramConcurrentObserve(t *testing.T) {
+	h := NewHistogram(LatencyBuckets)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				h.Observe(time.Duration(j) * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := h.Snapshot().Count; got != 800 {
+		t.Errorf("Count = %d, want 800", got)
 	}
 }
 
