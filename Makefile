@@ -36,7 +36,8 @@ check: vet node-copies wallclock
 # release allow in the registry and the engine, the ad-hoc text check with
 # two sources, the shared fingerprint
 # scratch, the proxy's forward path, the index's candidate-discovery and
-# head-insert paths), as package:test. A name that no longer matches a
+# head-insert paths, the corpus generator's one string per result), as
+# package:test. A name that no longer matches a
 # test would leave the step green while it ran nothing, so the step fails
 # on a name its package's `go test -list` does not print.
 # Then internal/index runs whole: its model-rig tests are one goroutine,
@@ -50,7 +51,8 @@ PINS = ./internal/policy:TestEngineHeapBudget ./internal/policy:TestMixedGranula
 	./internal/policy:TestGoldenCheckTextAllocs \
 	./internal/fingerprint:TestComputeSharedZeroAlloc ./internal/proxy:TestForwardAllocs \
 	./internal/index:TestApproxBytesTracksHeap ./internal/index:TestAppendOldestHoldersReusesCapacity \
-	./internal/index:TestAppendHoldersReusesCapacity ./internal/index:TestHeadInsertAllocatesNoObjectPerHash
+	./internal/index:TestAppendHoldersReusesCapacity ./internal/index:TestHeadInsertAllocatesNoObjectPerHash \
+	./internal/dataset:TestTextGenAllocs
 PIN_PKGS = $(sort $(foreach p,$(PINS),$(firstword $(subst :, ,$(p)))))
 PIN_NAMES = $(foreach p,$(PINS),$(lastword $(subst :, ,$(p))))
 empty :=

@@ -81,10 +81,6 @@ func TestSentenceOps(t *testing.T) {
 	if got := strings.Count(g.AppendSentence(p), "."); got != 5 {
 		t.Errorf("AppendSentence: %d sentences, want 5", got)
 	}
-	shuffled := g.ShuffleSentences(p)
-	if strings.Count(shuffled, ".") != 4 {
-		t.Error("ShuffleSentences changed sentence count")
-	}
 	single := "Only one sentence here."
 	if g.DropSentence(single) != single {
 		t.Error("DropSentence removed the only sentence")
@@ -210,7 +206,11 @@ func TestGenerateEbooks(t *testing.T) {
 			t.Errorf("%s: size=%d < min %d", b.Title, b.SizeBytes(), cfg.MinBytes)
 		}
 	}
-	if TotalSizeBytes(books) < 30<<10 {
+	total := 0
+	for _, b := range books {
+		total += b.SizeBytes()
+	}
+	if total < 30<<10 {
 		t.Error("total size too small")
 	}
 	page := books[0].Page(0)
@@ -234,7 +234,7 @@ func TestPopularPassagesShared(t *testing.T) {
 	// passage is a sentence that also appears verbatim in another book.
 	shared := 0
 	for _, p0 := range books[0].Paragraphs {
-		for _, sentence := range splitSentences(p0) {
+		for _, sentence := range splitSentences(nil, p0) {
 			if len(sentence) < 60 {
 				continue
 			}
@@ -253,7 +253,7 @@ func TestPopularPassagesShared(t *testing.T) {
 	plain := GenerateEbooks(cfg)
 	sharedPlain := 0
 	for _, p0 := range plain[0].Paragraphs[:20] {
-		for _, sentence := range splitSentences(p0) {
+		for _, sentence := range splitSentences(nil, p0) {
 			if len(sentence) < 60 {
 				continue
 			}
@@ -375,5 +375,56 @@ func TestGenerateEbooksFuncStopsOnError(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("generator kept going after error: %d calls", calls)
+	}
+}
+
+// TestTextGenAllocs pins each TextGen method at one allocation per
+// returned string, the string itself (Word returns a vocabulary word and
+// allocates none), and checks that no result aliases the scratch buffer
+// the methods build in: a string returned earlier reads the same after
+// every later call.
+func TestTextGenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation behaviour differs under -race")
+	}
+	g := NewTextGen(19, 300)
+	p := g.Paragraph(4, 6)
+	kept := []string{p, g.Sentence(8, 16)}
+	want := []string{strings.Clone(kept[0]), strings.Clone(kept[1])}
+	methods := []struct {
+		name   string
+		call   func() string
+		allocs float64
+	}{
+		{"Word", g.Word, 0},
+		{"Sentence", func() string { return g.Sentence(8, 16) }, 1},
+		{"Paragraph", func() string { return g.Paragraph(4, 9) }, 1},
+		{"Rephrase", func() string { return g.Rephrase(p) }, 1},
+		{"LightEdit", func() string { return g.LightEdit(p, 0.1) }, 1},
+		{"DropSentence", func() string { return g.DropSentence(p) }, 1},
+		{"AppendSentence", func() string { return g.AppendSentence(p) }, 1},
+	}
+	for _, m := range methods {
+		kept = append(kept, m.call())
+		want = append(want, strings.Clone(kept[len(kept)-1]))
+		if got := testing.AllocsPerRun(200, func() { m.call() }); got > m.allocs {
+			t.Errorf("%s: %v allocations per call, want <= %v", m.name, got, m.allocs)
+		}
+	}
+	for i := range kept {
+		if kept[i] != want[i] {
+			t.Errorf("result %d changed after later calls: %q, was %q", i, kept[i], want[i])
+		}
+	}
+}
+
+// BenchmarkGenerateEbooks generates the benchmark's corpus shape: 1 MB
+// books, no popular passages.
+func BenchmarkGenerateEbooks(b *testing.B) {
+	cfg := EbookConfig{Seed: 1, Books: 4, MinBytes: 1 << 20, MaxBytes: 1 << 20}
+	b.SetBytes(int64(cfg.Books * cfg.MinBytes)) // each book overshoots by under a paragraph
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = GenerateEbooksFunc(cfg, func(Ebook) error { return nil })
 	}
 }

@@ -99,6 +99,7 @@ func GenerateEbooksFunc(cfg EbookConfig, fn func(book Ebook) error) error {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	var buf []byte // one paragraph at a time, its passages appended in place
 	for b := 0; b < cfg.Books; b++ {
 		gen := NewTextGen(cfg.Seed+int64(b)*1009, 3000)
 		target := cfg.MinBytes
@@ -108,16 +109,17 @@ func GenerateEbooksFunc(cfg EbookConfig, fn func(book Ebook) error) error {
 		book := Ebook{Title: fmt.Sprintf("Synthetic Classic %03d", b)}
 		size := 0
 		for size < target {
-			p := gen.Paragraph(4, 9)
+			buf = gen.appendParagraph(buf[:0], 4, 9)
 			// Zipf-like injection: passage k every (k+1)*PopularEvery
 			// paragraphs, so low-k passages recur in many paragraphs
 			// across many books.
 			idx := len(book.Paragraphs)
 			for k, passage := range popular {
 				if idx%((k+1)*cfg.PopularEvery) == (k+1)*7%cfg.PopularEvery {
-					p = p + " " + passage
+					buf = append(append(buf, ' '), passage...)
 				}
 			}
+			p := string(buf)
 			book.Paragraphs = append(book.Paragraphs, p)
 			size += len(p) + 2
 		}
@@ -137,13 +139,4 @@ func (e Ebook) Page(offset int) string {
 		sb.WriteString("\n\n")
 	}
 	return strings.TrimSpace(sb.String())
-}
-
-// TotalSizeBytes sums the corpus size.
-func TotalSizeBytes(books []Ebook) int {
-	n := 0
-	for _, b := range books {
-		n += b.SizeBytes()
-	}
-	return n
 }

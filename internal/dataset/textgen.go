@@ -10,20 +10,30 @@
 //     truth (Figures 10–11), and
 //   - large e-books for fingerprint-database scaling (Figures 12–13).
 //
-// All generation is deterministic given a seed.
+// All generation is deterministic given a seed: each generator draws from
+// its RNG in a fixed order, so a seed gives the same bytes on every run
+// (TestGeneratorDigests pins them).
 package dataset
 
 import (
 	"math/rand"
 	"strings"
+	"unicode"
 )
 
 // TextGen produces deterministic pseudo-English text from a synthetic
 // vocabulary. Different articles use disjoint vocabulary slices where the
-// experiments need guaranteed non-overlap.
+// experiments need guaranteed non-overlap. A TextGen is for one goroutine
+// at a time, as its *rand.Rand is.
 type TextGen struct {
 	rng   *rand.Rand
 	vocab []string
+
+	// Scratch reused across calls: each method builds its result in buf
+	// and converts it to a string once; parts holds the words or the
+	// sentences of the paragraph an edit takes apart.
+	buf   []byte
+	parts []string
 }
 
 // syllable inventory for vocabulary construction.
@@ -38,21 +48,22 @@ var (
 func NewTextGen(seed int64, size int) *TextGen {
 	rng := rand.New(rand.NewSource(seed))
 	vocab := make([]string, 0, size)
-	seen := make(map[string]bool, size)
+	seen := make(map[string]struct{}, size)
+	var word [32]byte // a word is at most 4 syllables of 4 bytes and a 2-byte stop
 	for len(vocab) < size {
-		var sb strings.Builder
+		w := word[:0]
 		syllables := 2 + rng.Intn(3)
 		for s := 0; s < syllables; s++ {
-			sb.WriteString(onsets[rng.Intn(len(onsets))])
-			sb.WriteString(nuclei[rng.Intn(len(nuclei))])
+			w = append(w, onsets[rng.Intn(len(onsets))]...)
+			w = append(w, nuclei[rng.Intn(len(nuclei))]...)
 			if s == syllables-1 {
-				sb.WriteString(stopper[rng.Intn(len(stopper))])
+				w = append(w, stopper[rng.Intn(len(stopper))]...)
 			}
 		}
-		w := sb.String()
-		if !seen[w] {
-			seen[w] = true
-			vocab = append(vocab, w)
+		if _, dup := seen[string(w)]; !dup {
+			s := string(w)
+			seen[s] = struct{}{}
+			vocab = append(vocab, s)
 		}
 	}
 	return &TextGen{rng: rng, vocab: vocab}
@@ -66,95 +77,142 @@ func (g *TextGen) Word() string {
 // Sentence returns a sentence of between minWords and maxWords words,
 // capitalised and full-stopped.
 func (g *TextGen) Sentence(minWords, maxWords int) string {
-	n := minWords
-	if maxWords > minWords {
-		n += g.rng.Intn(maxWords - minWords + 1)
-	}
-	words := make([]string, n)
-	for i := range words {
-		words[i] = g.Word()
-	}
-	s := strings.Join(words, " ")
-	return strings.ToUpper(s[:1]) + s[1:] + "."
+	g.buf = g.appendSentence(g.buf[:0], minWords, maxWords)
+	return string(g.buf)
 }
 
 // Paragraph returns a paragraph of between minSentences and maxSentences
 // sentences.
 func (g *TextGen) Paragraph(minSentences, maxSentences int) string {
-	n := minSentences
-	if maxSentences > minSentences {
-		n += g.rng.Intn(maxSentences - minSentences + 1)
-	}
-	sentences := make([]string, n)
-	for i := range sentences {
-		sentences[i] = g.Sentence(8, 16)
-	}
-	return strings.Join(sentences, " ")
+	g.buf = g.appendParagraph(g.buf[:0], minSentences, maxSentences)
+	return string(g.buf)
 }
 
 // Rephrase rewrites a paragraph completely with fresh words, preserving
 // only its approximate shape — the "same concept, different words" edit
 // that escapes fingerprint tracking (§4.4).
 func (g *TextGen) Rephrase(paragraph string) string {
-	sentences := strings.Count(paragraph, ".")
-	if sentences < 1 {
-		sentences = 1
-	}
-	out := make([]string, sentences)
-	for i := range out {
-		out[i] = g.Sentence(8, 16)
-	}
-	return strings.Join(out, " ")
+	g.buf = g.appendSentences(g.buf[:0], max(strings.Count(paragraph, "."), 1))
+	return string(g.buf)
 }
 
 // LightEdit perturbs a paragraph slightly: it replaces roughly frac of the
 // words, keeping the bulk of the text (and its fingerprint) intact.
 func (g *TextGen) LightEdit(paragraph string, frac float64) string {
-	words := strings.Fields(paragraph)
-	changes := int(float64(len(words)) * frac)
-	if changes < 1 {
-		changes = 1
-	}
+	g.parts = appendFields(g.parts[:0], paragraph)
+	words := g.parts
+	changes := max(int(float64(len(words))*frac), 1)
 	for c := 0; c < changes; c++ {
 		i := g.rng.Intn(len(words))
 		words[i] = g.Word()
 	}
-	return strings.Join(words, " ")
-}
-
-// ShuffleSentences reorders the sentences of a paragraph.
-func (g *TextGen) ShuffleSentences(paragraph string) string {
-	sentences := splitSentences(paragraph)
-	g.rng.Shuffle(len(sentences), func(i, j int) {
-		sentences[i], sentences[j] = sentences[j], sentences[i]
-	})
-	return strings.Join(sentences, " ")
+	return g.join(words)
 }
 
 // DropSentence removes one sentence (if the paragraph has more than one).
 func (g *TextGen) DropSentence(paragraph string) string {
-	sentences := splitSentences(paragraph)
+	g.parts = splitSentences(g.parts[:0], paragraph)
+	sentences := g.parts
 	if len(sentences) <= 1 {
 		return paragraph
 	}
 	i := g.rng.Intn(len(sentences))
-	sentences = append(sentences[:i], sentences[i+1:]...)
-	return strings.Join(sentences, " ")
+	return g.join(append(sentences[:i], sentences[i+1:]...))
 }
 
 // AppendSentence adds a fresh sentence to the paragraph.
 func (g *TextGen) AppendSentence(paragraph string) string {
-	return paragraph + " " + g.Sentence(8, 16)
+	g.buf = append(append(g.buf[:0], paragraph...), ' ')
+	g.buf = g.appendSentence(g.buf, 8, 16)
+	return string(g.buf)
 }
 
-func splitSentences(paragraph string) []string {
-	parts := strings.SplitAfter(paragraph, ".")
-	var out []string
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
+// between returns a draw from [lo, hi], or lo without drawing when hi <= lo.
+func (g *TextGen) between(lo, hi int) int {
+	if hi > lo {
+		lo += g.rng.Intn(hi - lo + 1)
+	}
+	return lo
+}
+
+// appendSentence appends to dst what Sentence returns.
+func (g *TextGen) appendSentence(dst []byte, minWords, maxWords int) []byte {
+	n := g.between(minWords, maxWords)
+	start := len(dst)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, g.Word()...)
+	}
+	if len(dst) > start {
+		dst[start] -= 'a' - 'A' // every word starts with a lower-case ASCII onset
+	}
+	return append(dst, '.')
+}
+
+// appendParagraph appends to dst what Paragraph returns.
+func (g *TextGen) appendParagraph(dst []byte, minSentences, maxSentences int) []byte {
+	return g.appendSentences(dst, g.between(minSentences, maxSentences))
+}
+
+// appendSentences appends n space-separated sentences of 8–16 words.
+func (g *TextGen) appendSentences(dst []byte, n int) []byte {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = g.appendSentence(dst, 8, 16)
+	}
+	return dst
+}
+
+// join returns parts separated by single spaces.
+func (g *TextGen) join(parts []string) string {
+	g.buf = g.buf[:0]
+	for i, p := range parts {
+		if i > 0 {
+			g.buf = append(g.buf, ' ')
+		}
+		g.buf = append(g.buf, p...)
+	}
+	return string(g.buf)
+}
+
+// appendFields appends the fields of s to dst: its maximal runs of
+// non-space runes, as strings.Fields splits it.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
 		}
 	}
-	return out
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// splitSentences appends the sentences of paragraph to dst: the pieces
+// that end at each full stop, and the tail after the last, with the space
+// around them trimmed and empty ones dropped.
+func splitSentences(dst []string, paragraph string) []string {
+	for paragraph != "" {
+		i := strings.IndexByte(paragraph, '.') + 1
+		if i == 0 {
+			i = len(paragraph)
+		}
+		if s := strings.TrimSpace(paragraph[:i]); s != "" {
+			dst = append(dst, s)
+		}
+		paragraph = paragraph[i:]
+	}
+	return dst
 }
