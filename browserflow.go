@@ -28,7 +28,6 @@ package browserflow
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
@@ -283,19 +282,6 @@ func (m *Middleware) PolicyHash() string {
 		return ""
 	}
 	return m.compiled.Hash()
-}
-
-// Transforms lists the sanitizer transforms the loaded policy declares.
-func (m *Middleware) Transforms() []string {
-	if m.compiled == nil {
-		return nil
-	}
-	out := make([]string, 0, len(m.compiled.Transforms))
-	for name := range m.compiled.Transforms {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Override records a user explicitly permitting a flagged upload.
