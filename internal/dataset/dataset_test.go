@@ -2,8 +2,12 @@ package dataset
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/lsds/browserflow/internal/fingerprint"
 )
@@ -84,6 +88,22 @@ func TestSentenceOps(t *testing.T) {
 	single := "Only one sentence here."
 	if g.DropSentence(single) != single {
 		t.Error("DropSentence removed the only sentence")
+	}
+}
+
+// TestAppendFieldsMatchesStringsFields: the ASCII fast path splits as
+// strings.Fields does, and so does the rune path, on Unicode spaces
+// (U+0085, U+00A0, U+2028, U+3000), non-space runes and invalid UTF-8.
+func TestAppendFieldsMatchesStringsFields(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "one", "  one\ttwo \n three ", "a\vb\fc\rd\x1ce\x00f\x7fg",
+		"nbsp\u00a0here", "nel\u0085x", "line\u2028sep", "ideo\u3000graphic", "\u3000\u00a0",
+		"caf\u00e9 na\u00efve \u65e5\u672c", "bad\xffutf8 \xc3", "\xe2\x80 \xe2\x80\xa8x", "tail\u2029",
+	} {
+		got, want := appendFields(nil, s), strings.Fields(s)
+		if !slices.Equal(got, want) {
+			t.Errorf("appendFields(%q) = %q, strings.Fields = %q", s, got, want)
+		}
 	}
 }
 
@@ -359,8 +379,12 @@ func TestGenerateEbooksFuncMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestGenerateEbooksFuncStopsOnError runs more books than builders: after
+// fn's error, fn is not called again and no builder outlives the call.
 func TestGenerateEbooksFuncStopsOnError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := EbookConfig{Seed: 7, Books: 10, MinBytes: 2 << 10, MaxBytes: 4 << 10}
+	before := runtime.NumGoroutine()
 	calls := 0
 	sentinel := errors.New("stop")
 	err := GenerateEbooksFunc(cfg, func(Ebook) error {
@@ -375,6 +399,73 @@ func TestGenerateEbooksFuncStopsOnError(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("generator kept going after error: %d calls", calls)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestGenerateEbooksFuncPanicStopsBuilders: a panic in fn reaches the
+// caller, and the builders are stopped, not left blocked handing over.
+func TestGenerateEbooksFuncPanicStopsBuilders(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := EbookConfig{Seed: 7, Books: 10, MinBytes: 2 << 10, MaxBytes: 4 << 10}
+	before := runtime.NumGoroutine()
+	calls := 0
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the panic of fn", r)
+			}
+		}()
+		_ = GenerateEbooksFunc(cfg, func(Ebook) error {
+			if calls++; calls == 3 {
+				panic("boom")
+			}
+			return nil
+		})
+	}()
+	if calls != 3 {
+		t.Errorf("fn called %d times, want 3", calls)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestGenerateEbooksFuncCallsFnInOrderOnCaller: fn runs one call at a
+// time, on the caller's goroutine, in book order. inFn and calls are
+// plain variables, so a call made from a builder, or overlapping another,
+// is a data race that -race reports.
+func TestGenerateEbooksFuncCallsFnInOrderOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := EbookConfig{Seed: 7, Books: 9, MinBytes: 2 << 10, MaxBytes: 32 << 10}
+	inFn, calls := false, 0
+	if err := GenerateEbooksFunc(cfg, func(book Ebook) error {
+		if inFn {
+			t.Error("fn entered while another call was running")
+		}
+		inFn = true
+		defer func() { inFn = false }()
+		if want := fmt.Sprintf("Synthetic Classic %03d", calls); book.Title != want {
+			t.Errorf("call %d got %q, want %q", calls, book.Title, want)
+		}
+		calls++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != cfg.Books {
+		t.Errorf("fn called %d times, want %d", calls, cfg.Books)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// want: a builder that returned is gone a moment after it said so.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the call, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
