@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TextGen produces deterministic pseudo-English text from a synthetic
@@ -180,18 +181,28 @@ func (g *TextGen) join(parts []string) string {
 }
 
 // appendFields appends the fields of s to dst: its maximal runs of
-// non-space runes, as strings.Fields splits it.
+// non-space runes, as strings.Fields splits it. Up to the first byte from
+// utf8.RuneSelf up it compares bytes with unicode.IsSpace's ASCII spaces;
+// from there on it decodes runes.
 func appendFields(dst []string, s string) []string {
-	start := -1
-	for i, r := range s {
+	start, i := -1, 0
+	for ; i < len(s) && s[i] < utf8.RuneSelf; i++ {
+		if c := s[i]; c == ' ' || '\t' <= c && c <= '\r' {
+			if start >= 0 {
+				dst, start = append(dst, s[start:i]), -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	for j, r := range s[i:] {
 		switch {
 		case !unicode.IsSpace(r):
 			if start < 0 {
-				start = i
+				start = i + j
 			}
 		case start >= 0:
-			dst = append(dst, s[start:i])
-			start = -1
+			dst, start = append(dst, s[start:i+j]), -1
 		}
 	}
 	if start >= 0 {
