@@ -13,7 +13,10 @@ all: build check
 # invocations only so the policy package's run also yields its coverage
 # profile (that suite holds the crash/corruption-injection recovery
 # properties, the replication, partition, overload and self-healing chaos
-# suites and the observability goldens); the policy gates that are not
+# suites and the observability goldens); the e-book generator's digests
+# and hand-over tests once with one P and once with four, so the books
+# and their order are checked whether they are built one at a time or
+# concurrently, whatever the runner's core count; the policy gates that are not
 # tests (coverage floor, fixture lint); a short fuzz smoke over the parsers
 # that read attacker-controlled bytes; the pins and the index's model-rig
 # tests, which skip under -race and so run here without it (see pins); a
@@ -23,6 +26,7 @@ POLICY_COVER ?= /tmp/policyfile.cover
 check: vet node-copies wallclock
 	$(GO) test -race -coverprofile=$(POLICY_COVER) ./internal/policyfile
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/policyfile$$')
+	$(GO) test -cpu 1,4 -run 'TestGeneratorDigests|TestGenerateEbooks' ./internal/dataset
 	$(MAKE) policy-floor
 	$(MAKE) policy-fixtures
 	$(MAKE) fuzz
