@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -473,7 +474,8 @@ func waitGoroutines(t *testing.T, want int) {
 // returned string, the string itself (Word returns a vocabulary word and
 // allocates none), and checks that no result aliases the scratch buffer
 // the methods build in: a string returned earlier reads the same after
-// every later call.
+// every later call. It also pins NewTextGen and GenerateEbooksFunc at a
+// few allocations in all.
 func TestTextGenAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation behaviour differs under -race")
@@ -507,6 +509,70 @@ func TestTextGenAllocs(t *testing.T) {
 			t.Errorf("result %d changed after later calls: %q, was %q", i, kept[i], want[i])
 		}
 	}
+	// A vocabulary and an e-book are a few allocations, not one per word
+	// or per paragraph.
+	if got := testing.AllocsPerRun(20, func() { NewTextGen(19, 3000) }); got > 20 {
+		t.Errorf("NewTextGen: %v allocations for 3000 words, want <= 20", got)
+	}
+	cfg := EbookConfig{Seed: 1, Books: 2, MinBytes: 256 << 10, MaxBytes: 256 << 10}
+	if got := testing.AllocsPerRun(5, func() { _ = GenerateEbooksFunc(cfg, func(Ebook) error { return nil }) }); got > 100 {
+		t.Errorf("GenerateEbooksFunc: %v allocations for 2 x 256 KB, want <= 100", got)
+	}
+}
+
+// TestIntnMatchesRandIntn checks that intn draws what rand.Rand.Intn
+// draws, and consumes the same source values: after each run the next
+// Int63 of the two sources is equal. 2^30+1 rejects about half its draws.
+func TestIntnMatchesRandIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 10, 31, 64, 1000, 3000, 20000, 1<<20 + 1, 1 << 30, 1<<30 + 1, 1<<31 - 1} {
+		d := newIntn(n)
+		for seed := int64(1); seed <= 3; seed++ {
+			want, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for i := 0; i < 200000; i++ {
+				if w, g := want.Intn(n), d.draw(got); w != g {
+					t.Fatalf("n=%d seed=%d draw %d: intn gives %d, Intn %d", n, seed, i, g, w)
+				}
+			}
+			if want.Int63() != got.Int63() {
+				t.Fatalf("n=%d seed=%d: intn consumed other source values than Intn", n, seed)
+			}
+		}
+	}
+}
+
+// TestWordSlots checks that slotBytes fits the longest word the syllable
+// inventory spells, that each index fits its bits of a word's key, and
+// that each slot reads back its word in the generator's text, and that the
+// words are distinct, so the key dedupes exactly as the spelling would.
+func TestWordSlots(t *testing.T) {
+	longest := func(ss []string) int {
+		n := 0
+		for _, s := range ss {
+			n = max(n, len(s))
+		}
+		return n
+	}
+	if n := 4*(longest(onsets)+longest(nuclei)) + longest(stopper); n != slotBytes {
+		t.Fatalf("the longest word is %d bytes, slotBytes %d", n, slotBytes)
+	}
+	if len(onsets) > 1<<onsetBits || len(nuclei) > 1<<nucleusBits || len(stopper) > 1<<stopBits {
+		t.Fatalf("%d onsets, %d nuclei, %d stops overflow their key bits", len(onsets), len(nuclei), len(stopper))
+	}
+	g := NewTextGen(17, 20000)
+	seen := make(map[string]bool, len(g.slots))
+	for i, s := range g.slots {
+		w := g.text[s.off : s.off+uint32(s.n)]
+		if string(s.b[:s.n]) != w {
+			t.Fatalf("slot %d reads %q, text %q", i, s.b[:s.n], w)
+		}
+		if seen[w] {
+			t.Fatalf("word %q twice", w)
+		}
+		seen[w] = true
+	}
+	if len(seen) != 20000 {
+		t.Fatalf("%d words, want 20000", len(seen))
+	}
 }
 
 // BenchmarkGenerateEbooks generates the benchmark's corpus shape: 1 MB
@@ -517,5 +583,16 @@ func BenchmarkGenerateEbooks(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = GenerateEbooksFunc(cfg, func(Ebook) error { return nil })
+	}
+}
+
+// BenchmarkTextGenParagraph builds one e-book paragraph at a time on one
+// goroutine from a 3 000-word generator: the word path alone, without the
+// e-book builders' parallelism.
+func BenchmarkTextGenParagraph(b *testing.B) {
+	g := NewTextGen(1, 3000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = g.Paragraph(4, 9)
 	}
 }

@@ -76,9 +76,11 @@ func GenerateEbooks(cfg EbookConfig) []Ebook {
 // waits for fn, so a caller that ingests and drops every book as it arrives
 // peaks at about GOMAXPROCS+1 books (~MaxBytes each) of text instead of the
 // whole corpus: that is how the 10M-hash scalability runs load a corpus far
-// larger than memory. Generation is deterministic: a given cfg yields
-// byte-identical books whether consumed through GenerateEbooks or streamed
-// here, whatever GOMAXPROCS is. An error from fn stops generation and is
+// larger than memory. A book's paragraphs are substrings of one string, so
+// a caller that keeps one paragraph keeps that book's whole text alive.
+// Generation is deterministic: a given cfg yields byte-identical books
+// whether consumed through GenerateEbooks or streamed here, whatever
+// GOMAXPROCS is. An error from fn stops generation and is
 // returned. GenerateEbooksFunc returns, or passes on a panic of fn, only
 // after every builder has stopped.
 func GenerateEbooksFunc(cfg EbookConfig, fn func(book Ebook) error) error {
@@ -153,10 +155,13 @@ func GenerateEbooksFunc(cfg EbookConfig, fn func(book Ebook) error) error {
 }
 
 // buildBook builds book b of at least target bytes from its own TextGen,
-// in buf, and returns the book and buf for reuse.
+// in buf, and returns the book and buf for reuse. Each paragraph is built
+// in buf and written to one string, of which the paragraphs are substrings.
 func buildBook(cfg EbookConfig, b, target int, popular []string, buf []byte) (Ebook, []byte) {
 	gen := NewTextGen(cfg.Seed+int64(b)*1009, 3000)
 	book := Ebook{Title: fmt.Sprintf("Synthetic Classic %03d", b)}
+	var text strings.Builder
+	text.Grow(target + 4<<10) // the last paragraph overshoots target
 	for size := 0; size < target; {
 		buf = gen.appendParagraph(buf[:0], 4, 9)
 		// Zipf-like injection: passage k every (k+1)*PopularEvery
@@ -168,9 +173,15 @@ func buildBook(cfg EbookConfig, b, target int, popular []string, buf []byte) (Eb
 				buf = append(append(buf, ' '), passage...)
 			}
 		}
-		p := string(buf)
-		book.Paragraphs = append(book.Paragraphs, p)
-		size += len(p) + 2
+		// The paragraph may point into a buffer text outgrows; the loop
+		// after this one points it into the final string.
+		text.Write(buf)
+		book.Paragraphs = append(book.Paragraphs, text.String()[text.Len()-len(buf):])
+		size += len(buf) + 2
+	}
+	all := text.String()
+	for i, p := range book.Paragraphs {
+		book.Paragraphs[i], all = all[:len(p)], all[len(p):]
 	}
 	return book, buf
 }

@@ -12,11 +12,15 @@
 //
 // All generation is deterministic given a seed: each generator draws from
 // its RNG in a fixed order, so a seed gives the same bytes on every run
-// (TestGeneratorDigests pins them).
+// (TestGeneratorDigests pins them). Draws for a fixed n go through intn,
+// which makes the same Int31 draws as rand.Rand.Intn and returns the same
+// values (TestIntnMatchesRandIntn).
 package dataset
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -28,7 +32,9 @@ import (
 // at a time, as its *rand.Rand is.
 type TextGen struct {
 	rng   *rand.Rand
-	vocab []string
+	pick  intn   // draws a vocabulary index
+	text  string // the vocabulary's words, end to end
+	slots []slot // each word, and where it is in text
 
 	// Scratch reused across calls: each method builds its result in buf
 	// and converts it to a string once; parts holds the words or the
@@ -42,37 +48,74 @@ var (
 	onsets  = []string{"b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s", "t", "v", "w", "z", "br", "ch", "cl", "dr", "fl", "gr", "pl", "pr", "sh", "sl", "st", "th", "tr"}
 	nuclei  = []string{"a", "e", "i", "o", "u", "ai", "ea", "ee", "io", "ou"}
 	stopper = []string{"", "n", "r", "s", "t", "l", "m", "nd", "st", "rt"}
+
+	drawSyllables = newIntn(3)
+	drawOnset     = newIntn(len(onsets))
+	drawNucleus   = newIntn(len(nuclei))
+	drawStop      = newIntn(len(stopper))
 )
+
+// slotBytes is the longest word the inventory spells: four syllables of a
+// 2-byte onset and a 2-byte nucleus, then a 2-byte stop.
+const slotBytes = 18
+
+// slot holds a word left-aligned in slotBytes bytes, so appendSentence
+// copies it with one fixed-size store, and the word's offset in text, so
+// Word returns it without allocating.
+type slot struct {
+	b   [slotBytes]byte
+	n   uint8
+	off uint32
+}
+
+// The bits a word's key gives each index into onsets, nuclei and stopper.
+const onsetBits, nucleusBits, stopBits = 5, 4, 4
 
 // NewTextGen returns a generator with a vocabulary of size words derived
 // from seed.
 func NewTextGen(seed int64, size int) *TextGen {
 	rng := rand.New(rand.NewSource(seed))
-	vocab := make([]string, 0, size)
-	seen := make(map[string]struct{}, size)
-	var word [32]byte // a word is at most 4 syllables of 4 bytes and a 2-byte stop
-	for len(vocab) < size {
-		w := word[:0]
-		syllables := 2 + rng.Intn(3)
+	slots := make([]slot, 0, size)
+	// A word is keyed by its indices, packed under a leading 1 bit that
+	// fixes the syllable count. The key is as unique as the spelling:
+	// onsets and stops are consonant runs and nuclei vowel runs, so a
+	// spelling splits into its onsets, nuclei and stop one way only.
+	seen := make(map[uint64]struct{}, size)
+	total := 0
+	for len(slots) < size {
+		var w slot
+		key := uint64(1)
+		syllables := 2 + drawSyllables.draw(rng)
 		for s := 0; s < syllables; s++ {
-			w = append(w, onsets[rng.Intn(len(onsets))]...)
-			w = append(w, nuclei[rng.Intn(len(nuclei))]...)
+			o, v := drawOnset.draw(rng), drawNucleus.draw(rng)
+			w.n += uint8(copy(w.b[w.n:], onsets[o]))
+			w.n += uint8(copy(w.b[w.n:], nuclei[v]))
+			key = key<<(onsetBits+nucleusBits) | uint64(o)<<nucleusBits | uint64(v)
 			if s == syllables-1 {
-				w = append(w, stopper[rng.Intn(len(stopper))]...)
+				t := drawStop.draw(rng)
+				w.n += uint8(copy(w.b[w.n:], stopper[t]))
+				key = key<<stopBits | uint64(t)
 			}
 		}
-		if _, dup := seen[string(w)]; !dup {
-			s := string(w)
-			seen[s] = struct{}{}
-			vocab = append(vocab, s)
+		if _, dup := seen[key]; !dup {
+			seen[key] = struct{}{}
+			w.off = uint32(total)
+			slots = append(slots, w)
+			total += int(w.n)
 		}
 	}
-	return &TextGen{rng: rng, vocab: vocab}
+	var text strings.Builder
+	text.Grow(total)
+	for i := range slots {
+		text.Write(slots[i].b[:slots[i].n])
+	}
+	return &TextGen{rng: rng, pick: newIntn(size), text: text.String(), slots: slots}
 }
 
 // Word returns one random vocabulary word.
 func (g *TextGen) Word() string {
-	return g.vocab[g.rng.Intn(len(g.vocab))]
+	w := &g.slots[g.pick.draw(g.rng)]
+	return g.text[w.off : w.off+uint32(w.n)]
 }
 
 // Sentence returns a sentence of between minWords and maxWords words,
@@ -144,7 +187,11 @@ func (g *TextGen) appendSentence(dst []byte, minWords, maxWords int) []byte {
 		if i > 0 {
 			dst = append(dst, ' ')
 		}
-		dst = append(dst, g.Word()...)
+		w := &g.slots[g.pick.draw(g.rng)]
+		l := len(dst)
+		dst = slices.Grow(dst, slotBytes)[:l+slotBytes]
+		*(*[slotBytes]byte)(dst[l:]) = w.b
+		dst = dst[:l+int(w.n)]
 	}
 	if len(dst) > start {
 		dst[start] -= 'a' - 'A' // every word starts with a lower-case ASCII onset
@@ -226,4 +273,30 @@ func splitSentences(dst []string, paragraph string) []string {
 		paragraph = paragraph[i:]
 	}
 	return dst
+}
+
+// intn draws from [0, n) for one fixed n as rand.Rand.Intn(n) does: the
+// same Int31 draws, rejected above the same bound, and the same value,
+// v % n, taken by a multiply (Lemire, Kaser and Kurz, "Faster remainder by
+// direct computation", 2019). For a power of two, where Intn masks, the
+// bound rejects nothing and the product is the masked value.
+type intn struct {
+	n     uint64
+	max   int32  // the largest draw kept
+	recip uint64 // ceil(2^64 / n), 0 for n = 1
+}
+
+// newIntn returns the draw for n, which must be in [1, 2^31-1].
+func newIntn(n int) intn {
+	return intn{n: uint64(n), max: int32(1<<31 - 1 - (1<<31)%uint32(n)), recip: ^uint64(0)/uint64(n) + 1}
+}
+
+// draw returns the next draw of rng, as rng.Intn(d.n) would.
+func (d *intn) draw(rng *rand.Rand) int {
+	for {
+		if v := rng.Int31(); v <= d.max {
+			hi, _ := bits.Mul64(d.recip*uint64(v), d.n)
+			return int(hi)
+		}
+	}
 }
