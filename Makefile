@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check node-copies wallclock fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean index-mutants pins
+.PHONY: all build vet test race check node-copies wallclock fuzz policy policy-floor policy-fixtures bench-check vuln cover benchall experiments loc clean index-mutants wal-mutants pins
 
 all: build check
 
@@ -102,26 +102,26 @@ wallclock:
 		echo "wallclock: direct wall-clock use (go through the node's clock.Clock):"; echo "$$calls"; exit 1; \
 	fi
 
-# index-mutants re-checks the mutation parity of internal/index's tests:
-# each patch under $(MUTANTS) is a hand-picked fault in the package's
-# code. The target copies the module to a temporary directory once, then
-# per patch applies it, runs the package's tests and reverts it, and
+# mutants re-checks the mutation parity of a package's tests: each patch
+# under the patch directories ($(2)) is a hand-picked fault in the code.
+# The rule copies the module to a temporary directory once, then per patch
+# applies it, runs the tests of the packages ($(1)) and reverts it, and
 # prints "killed" (a test failed) or "survived". A patch that no longer
 # applies, or a mutant that does not build, fails the target by name: the
-# code it mutates has moved, and the patch must be redone. Not part of
-# check: it runs the package's tests once per mutant.
-MUTANTS = internal/index/testdata/mutants
-index-mutants:
+# code it mutates has moved, and the patch must be redone. index-mutants
+# covers internal/index, wal-mutants the log and the durable store. Not
+# part of check: they run the packages' tests once per mutant.
+define mutants
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	tar -cf - go.mod internal | tar -C "$$tmp" -xf -; \
 	bad=""; killed=0; survived=0; \
-	for p in $(MUTANTS)/*.patch; do \
+	for p in $(addsuffix /*.patch,$(2)); do \
 		name=$$(basename $$p .patch); \
 		if ! patch -s -p1 -d "$$tmp" --dry-run < $$p >/dev/null 2>&1; then \
 			echo "stale    $$name"; bad="$$bad $$name"; continue; \
 		fi; \
 		patch -s -p1 -d "$$tmp" < $$p; \
-		if out=$$(cd "$$tmp" && $(GO) test -count=1 ./internal/index 2>&1); then \
+		if out=$$(cd "$$tmp" && $(GO) test -count=1 $(1) 2>&1); then \
 			echo "survived $$name"; survived=$$((survived+1)); \
 		elif echo "$$out" | grep -q -e 'build failed' -e 'setup failed'; then \
 			echo "broken   $$name"; bad="$$bad $$name"; \
@@ -130,8 +130,13 @@ index-mutants:
 		fi; \
 		patch -s -R -p1 -d "$$tmp" < $$p; \
 	done; \
-	echo "index-mutants: $$killed killed, $$survived survived"; \
-	if [ -n "$$bad" ]; then echo "index-mutants: stale or broken patches:$$bad"; exit 1; fi
+	echo "$@: $$killed killed, $$survived survived"; \
+	if [ -n "$$bad" ]; then echo "$@: stale or broken patches:$$bad"; exit 1; fi
+endef
+index-mutants:
+	$(call mutants,./internal/index,internal/index/testdata/mutants)
+wal-mutants:
+	$(call mutants,./internal/wal ./internal/store,internal/wal/testdata/mutants internal/store/testdata/mutants)
 
 # bench-check vets, tests and builds the benchmark (its own module, so
 # `go build ./...` never sees it): an API change that breaks it fails

@@ -308,8 +308,8 @@ func (d *Durable) recover() error {
 	d.recovery.CheckpointSeg = barrier
 
 	// 2. Segments entirely covered by the checkpoint are obsolete; clear
-	// them before the WAL's strict mid-log validation runs so stale
-	// corruption cannot brick recovery.
+	// them before the WAL validates the log, so stale corruption below the
+	// barrier is neither quarantined nor counted as a gap.
 	if barrier > 0 {
 		removed, err := wal.RemoveSegmentsBelow(d.fs, d.opts.Dir, barrier)
 		if err != nil {
@@ -329,15 +329,14 @@ func (d *Durable) recover() error {
 		open = wal.OpenFollowing
 	}
 	log, err := open(wal.Options{
-		Dir:               d.opts.Dir,
-		FS:                d.fs,
-		Clock:             d.opts.Clock,
-		Policy:            d.opts.Fsync,
-		Interval:          d.opts.FsyncInterval,
-		SegmentBytes:      d.opts.SegmentBytes,
-		MinSegment:        barrier + 1,
-		QuarantineCorrupt: true,
-		Logf:              d.opts.Logf,
+		Dir:          d.opts.Dir,
+		FS:           d.fs,
+		Clock:        d.opts.Clock,
+		Policy:       d.opts.Fsync,
+		Interval:     d.opts.FsyncInterval,
+		SegmentBytes: d.opts.SegmentBytes,
+		MinSegment:   barrier + 1,
+		Logf:         d.opts.Logf,
 	})
 	if err != nil {
 		return err

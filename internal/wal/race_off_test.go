@@ -1,6 +1,6 @@
 //go:build !race
 
-package wal
+package wal_test
 
 // raceEnabled reports whether the race detector is active. Allocation
 // tests skip under -race: instrumentation changes allocation behaviour in

@@ -28,11 +28,13 @@
 // Open scans every segment. A bad frame in the *newest* segment is a torn
 // tail — the expected signature of a crash mid-write — and the segment is
 // truncated at the first bad byte. A bad frame (or bad header) in any
-// older segment is mid-log corruption: Open fails with *CorruptError
-// rather than silently dropping interior records, because replaying around
-// a hole would resurrect a state the log never contained. Appends always
-// go to a fresh segment, so a recovered (truncated) tail is never written
-// to again.
+// older segment is mid-log corruption: at-rest decay, not a torn write.
+// That whole segment is renamed aside with QuarantineSuffix (a partial
+// replay of it would resurrect a state the log never contained) and
+// recovery resumes at the next segment, reporting the gap in Stats; the
+// store re-covers it from its newest checkpoint, and anti-entropy digests
+// catch any replica it diverged. Appends always go to a fresh segment, so
+// a recovered (truncated) tail is never written to again.
 package wal
 
 import (
@@ -135,8 +137,8 @@ type Record struct {
 	Data []byte
 }
 
-// CorruptError reports mid-log corruption that recovery must not paper
-// over.
+// CorruptError reports a bad frame or header where the log must be
+// intact: a sealed segment read by Replay, VerifySegmentFile or ReadFrom.
 type CorruptError struct {
 	Path   string
 	Offset int64
@@ -180,16 +182,6 @@ type Options struct {
 	// MaxRecordBytes bounds one record payload (default
 	// DefaultMaxRecordBytes).
 	MaxRecordBytes int
-
-	// QuarantineCorrupt changes how Open treats mid-log corruption in a
-	// sealed (non-newest) segment: instead of refusing to start, the
-	// corrupt segment is renamed aside with QuarantineSuffix and recovery
-	// resumes from the next valid segment boundary, reporting the gap in
-	// Stats. The default (false) keeps the strict fail-fast behaviour;
-	// store.Durable opts in because its recovery can re-cover the gap
-	// from the newest checkpoint and the anti-entropy digests catch any
-	// replica the gap diverged.
-	QuarantineCorrupt bool
 
 	// Logf, when set, receives recovery notes (torn tails truncated,
 	// segments removed).
@@ -244,8 +236,8 @@ type Stats struct {
 	RecoveredRecords   int64
 	TornBytesTruncated int64
 
-	// QuarantinedSegments counts segments this Log renamed aside (at Open
-	// under QuarantineCorrupt, or live via Quarantine). RecoveryGaps is
+	// QuarantinedSegments counts segments this Log renamed aside (at Open,
+	// or live via Quarantine). RecoveryGaps is
 	// the number of missing segment indexes inside the live range at
 	// Open — each gap is a span of records that recovery skipped.
 	QuarantinedSegments int64
@@ -309,8 +301,8 @@ func ParseSegmentName(name string) (uint64, bool) {
 // parseSegmentName is the internal alias of ParseSegmentName.
 func parseSegmentName(name string) (uint64, bool) { return ParseSegmentName(name) }
 
-// Open validates the log directory (truncating a torn tail, failing on
-// mid-log corruption), then creates a fresh segment for appends.
+// Open validates the log directory (truncating a torn tail, quarantining
+// a corrupt sealed segment), then creates a fresh segment for appends.
 func Open(o Options) (*Log, error) {
 	l, err := open(o)
 	if err != nil {
@@ -363,9 +355,9 @@ func open(o Options) (*Log, error) {
 		notify:   make(chan struct{}),
 	}
 
-	// Validate every segment up front: strict for all but the newest,
+	// Validate every segment up front: quarantine for all but the newest,
 	// torn-tail truncation for the newest.
-	sc, err := validateDir(opts.FS, opts.Dir, opts.MaxRecordBytes, opts.QuarantineCorrupt, opts.Logf)
+	sc, err := validateDir(opts.FS, opts.Dir, opts.MaxRecordBytes, opts.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +436,7 @@ func ListSegments(fs FS, dir string) ([]uint64, error) {
 
 // RemoveSegmentsBelow deletes every segment file in dir with an index
 // strictly below seg. Recovery uses it to clear segments already covered
-// by a checkpoint before Open's strict mid-log validation runs.
+// by a checkpoint before Open validates what is left.
 func RemoveSegmentsBelow(fs FS, dir string, seg uint64) (removed int, err error) {
 	if fs == nil {
 		fs = OSFS{}
