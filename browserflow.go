@@ -146,8 +146,8 @@ type Middleware struct {
 	secrets  *exactmatch.Store
 
 	// compiled is the policy artefact this instance was built from, when
-	// constructed via NewFromPolicyFile: the source of the policy hash and
-	// the declared sanitizer transforms. nil for programmatic construction.
+	// constructed via NewFromPolicyFile: the source of the policy hash. nil
+	// for programmatic construction.
 	compiled *policyfile.Compiled
 }
 
@@ -187,7 +187,7 @@ func New(cfg Config, services ...Service) (*Middleware, error) {
 
 // NewFromPolicyFile builds a Middleware from an administrator-authored
 // policy document (see internal/policyfile for the JSON schema): service
-// classes, propagation rules, transforms, enforcement mode, thresholds and
+// classes, propagation rules, enforcement mode, thresholds and
 // exact-match secrets. The policy is compiled — class inheritance and
 // propagation flattened into per-service labels — and the services are
 // registered with those labels.

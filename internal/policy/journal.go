@@ -20,8 +20,10 @@ var ErrJournal = errors.New("policy: journal append failed")
 
 // Journal records every state mutation the engine applies, so that a
 // durability layer (internal/store's write-ahead log) can replay them
-// after a crash. The engine stays storage-agnostic: it calls these typed
-// hooks and never sees frames, segments or fsync policies.
+// after a crash. The engine stays storage-agnostic: it calls one hook per
+// kind of mutation (observations, control operations, standalone audit
+// entries, key-range prunes) and never sees frames, segments or fsync
+// policies.
 //
 // Ordering contract: the engine invokes the journal *after* the in-memory
 // mutation succeeds and inside the bracket returned by Begin, so a
@@ -44,22 +46,14 @@ type Journal interface {
 	// ctx carries the request trace exactly as in Observe.
 	ObserveBatch(ctx context.Context, service string, items []disclosure.BatchObservation) error
 
-	// Suppress records an accepted tag suppression.
-	Suppress(user string, seg segment.ID, tag tdm.Tag, justification string) error
+	// Control records an applied control operation together with the
+	// audit entries it appended, exactly as stored (original Seq and
+	// Time): one record, so recovery keeps both or neither and installs
+	// the entries instead of regenerating them.
+	Control(op ControlOp, entries []audit.Entry) error
 
-	// AllocateTag records a custom tag allocation.
-	AllocateTag(user string, tag tdm.Tag) error
-
-	// AddSegmentTag records a custom tag being attached to a segment.
-	AddSegmentTag(user string, seg segment.ID, tag tdm.Tag) error
-
-	// GrantTag and RevokeTag record privilege-label changes.
-	GrantTag(user, service string, tag tdm.Tag) error
-	RevokeTag(user, service string, tag tdm.Tag) error
-
-	// AuditAppend records audit entries exactly as stored (with their
-	// original Seq and Time), so recovery can restore timestamps that
-	// replaying the operation would otherwise regenerate.
+	// AuditAppend records audit entries that no operation produced (an
+	// override), exactly as stored.
 	AuditAppend(entries []audit.Entry) error
 
 	// ObserveResolved records a routed (partition-mode) observation whose
@@ -132,19 +126,61 @@ func journalErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrJournal, err)
 }
 
-// journalOp records a control operation plus whatever audit entries it
-// appended (everything past auditFrom).
-func (e *Engine) journalOp(auditFrom int, fn func(Journal) error) error {
-	j := e.journalRef()
-	if j == nil {
-		return nil
+// ControlKind names a control-plane mutation of the TDM (§3.1).
+type ControlKind int
+
+const (
+	ControlSuppress ControlKind = iota + 1
+	ControlAllocateTag
+	ControlAddSegmentTag
+	ControlGrantTag
+	ControlRevokeTag
+)
+
+// ControlOp is one control-plane mutation: a tag suppression, a custom
+// tag's allocation or attachment to a segment, or a privilege grant or
+// revoke. The JSON tags are its journal encoding; the journal records the
+// kind separately.
+type ControlOp struct {
+	Kind          ControlKind `json:"-"`
+	User          string      `json:"user,omitempty"`
+	Seg           segment.ID  `json:"seg,omitempty"`
+	Tag           tdm.Tag     `json:"tag,omitempty"`
+	Service       string      `json:"service,omitempty"`
+	Justification string      `json:"justification,omitempty"`
+}
+
+// apply runs op on the registry.
+func (op ControlOp) apply(r *tdm.Registry) error {
+	switch op.Kind {
+	case ControlSuppress:
+		return r.SuppressTag(op.User, op.Seg, op.Tag, op.Justification)
+	case ControlAllocateTag:
+		return r.AllocateTag(op.User, op.Tag)
+	case ControlAddSegmentTag:
+		return r.AddTagToSegment(op.User, op.Seg, op.Tag)
+	case ControlGrantTag:
+		return r.GrantTag(op.User, op.Service, op.Tag)
+	case ControlRevokeTag:
+		return r.RevokeTag(op.User, op.Service, op.Tag)
 	}
-	if err := fn(j); err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
+	return fmt.Errorf("policy: unknown control op %d", op.Kind)
+}
+
+// Control applies a control operation and journals it, with the audit
+// entries it appended, as one record. The five wrappers below are its
+// callers on a live node; WAL replay calls it directly.
+func (e *Engine) Control(op ControlOp) error {
+	if end := e.begin(); end != nil {
+		defer end()
 	}
-	if entries := e.registry.Audit().Since(auditFrom); len(entries) > 0 {
-		if err := j.AuditAppend(entries); err != nil {
-			return fmt.Errorf("%w: %v", ErrJournal, err)
+	before := e.registry.Audit().Len()
+	if err := op.apply(e.registry); err != nil {
+		return err
+	}
+	if j := e.journalRef(); j != nil {
+		if err := j.Control(op, e.registry.Audit().Since(before)); err != nil {
+			return journalErr(err)
 		}
 	}
 	return nil
@@ -155,72 +191,27 @@ func (e *Engine) journalOp(auditFrom int, fn func(Journal) error) error {
 // suppressions through this method rather than Registry().SuppressTag so
 // that accepted declassifications survive a crash.
 func (e *Engine) Suppress(user string, seg segment.ID, tag tdm.Tag, justification string) error {
-	if end := e.begin(); end != nil {
-		defer end()
-	}
-	before := e.registry.Audit().Len()
-	if err := e.registry.SuppressTag(user, seg, tag, justification); err != nil {
-		return err
-	}
-	return e.journalOp(before, func(j Journal) error {
-		return j.Suppress(user, seg, tag, justification)
-	})
+	return e.Control(ControlOp{Kind: ControlSuppress, User: user, Seg: seg, Tag: tag, Justification: justification})
 }
 
 // AllocateTag reserves a custom tag owned by user, journalled.
 func (e *Engine) AllocateTag(user string, tag tdm.Tag) error {
-	if end := e.begin(); end != nil {
-		defer end()
-	}
-	before := e.registry.Audit().Len()
-	if err := e.registry.AllocateTag(user, tag); err != nil {
-		return err
-	}
-	return e.journalOp(before, func(j Journal) error {
-		return j.AllocateTag(user, tag)
-	})
+	return e.Control(ControlOp{Kind: ControlAllocateTag, User: user, Tag: tag})
 }
 
 // AddTagToSegment attaches an allocated custom tag to a segment,
 // journalled.
 func (e *Engine) AddTagToSegment(user string, seg segment.ID, tag tdm.Tag) error {
-	if end := e.begin(); end != nil {
-		defer end()
-	}
-	before := e.registry.Audit().Len()
-	if err := e.registry.AddTagToSegment(user, seg, tag); err != nil {
-		return err
-	}
-	return e.journalOp(before, func(j Journal) error {
-		return j.AddSegmentTag(user, seg, tag)
-	})
+	return e.Control(ControlOp{Kind: ControlAddSegmentTag, User: user, Seg: seg, Tag: tag})
 }
 
 // GrantTag adds a custom tag to a service's privilege label, journalled.
 func (e *Engine) GrantTag(user, service string, tag tdm.Tag) error {
-	if end := e.begin(); end != nil {
-		defer end()
-	}
-	before := e.registry.Audit().Len()
-	if err := e.registry.GrantTag(user, service, tag); err != nil {
-		return err
-	}
-	return e.journalOp(before, func(j Journal) error {
-		return j.GrantTag(user, service, tag)
-	})
+	return e.Control(ControlOp{Kind: ControlGrantTag, User: user, Service: service, Tag: tag})
 }
 
 // RevokeTag removes a custom tag from a service's privilege label,
 // journalled.
 func (e *Engine) RevokeTag(user, service string, tag tdm.Tag) error {
-	if end := e.begin(); end != nil {
-		defer end()
-	}
-	before := e.registry.Audit().Len()
-	if err := e.registry.RevokeTag(user, service, tag); err != nil {
-		return err
-	}
-	return e.journalOp(before, func(j Journal) error {
-		return j.RevokeTag(user, service, tag)
-	})
+	return e.Control(ControlOp{Kind: ControlRevokeTag, User: user, Service: service, Tag: tag})
 }

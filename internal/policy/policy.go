@@ -322,11 +322,11 @@ func (e *Engine) ObserveBatchFPCtx(ctx context.Context, service string, items []
 	if err != nil {
 		return nil, err
 	}
-	if journal != nil {
-		if err := journal.ObserveBatch(ctx, service, items); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrJournal, err)
-		}
-	}
+	// Each item's label is refreshed and judged in turn, so a segment
+	// edited twice in one batch is judged per edit, as the singular calls
+	// would judge it. Both run before the journal append, as on the
+	// singular paths: a failed append returns an error, yet the tracker
+	// holds the batch, and so must the labels.
 	verdicts = make([]Verdict, len(reports))
 	for i, report := range reports {
 		e.registry.RefreshImplicit(report.Seg, report.SourceSegs())
@@ -335,6 +335,11 @@ func (e *Engine) ObserveBatchFPCtx(ctx context.Context, service string, items []
 			return nil, err
 		}
 		verdicts[i] = v
+	}
+	if journal != nil {
+		if err := journal.ObserveBatch(ctx, service, items); err != nil {
+			return nil, journalErr(err)
+		}
 	}
 	return verdicts, nil
 }

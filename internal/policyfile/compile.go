@@ -25,10 +25,6 @@ type Compiled struct {
 	// Table is the tag universe: every tag the policy mentions, sorted.
 	Table []tdm.Tag
 
-	// Transforms maps each sanitizer transform name to the tags applying
-	// it suppresses.
-	Transforms map[string][]tdm.Tag
-
 	hash string
 }
 
@@ -43,7 +39,7 @@ func Compile(p Policy) (*Compiled, error) {
 	p.applyDefaults()
 
 	res := newResolver(p)
-	c := &Compiled{Source: p, Transforms: make(map[string][]tdm.Tag, len(p.Transforms))}
+	c := &Compiled{Source: p}
 	for _, s := range p.Services {
 		c.Services = append(c.Services, res.resolveService(s))
 	}
@@ -63,22 +59,14 @@ func Compile(p Policy) (*Compiled, error) {
 			universe[string(t)] = true
 		}
 	}
-	for _, tr := range p.Transforms {
-		universe.addAll(tr.Suppresses)
-	}
 	c.Table = toTags(universe.sorted())
-	for _, tr := range p.Transforms {
-		set := stringSet{}
-		set.addAll(tr.Suppresses)
-		c.Transforms[tr.Name] = toTags(set.sorted())
-	}
 
 	c.hash = c.fingerprint()
 	return c, nil
 }
 
 // Hash returns the compiled policy's fingerprint: a sha256 over the
-// resolved labels, tag universe, transforms, mode and thresholds. Devices
+// resolved labels, tag universe, mode, thresholds and secret names. Devices
 // expose it on /healthz so drift between fleet members is visible.
 func (c *Compiled) Hash() string { return c.hash }
 
@@ -109,17 +97,6 @@ func (c *Compiled) fingerprint() string {
 		}
 		w("untrusted")
 		for _, t := range rs.Untrusted {
-			w(string(t))
-		}
-	}
-	names := make([]string, 0, len(c.Transforms))
-	for name := range c.Transforms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w("transform", name)
-		for _, t := range c.Transforms[name] {
 			w(string(t))
 		}
 	}

@@ -144,7 +144,7 @@ func (p Policy) diagnostics(idx offsetIndex, lintLevel bool) []Diagnostic {
 		}
 	}
 
-	// Propagation and transform structure.
+	// Propagation structure.
 	for i, rule := range p.Propagation {
 		if rule.Tag == "" {
 			add("bad-propagation", SeverityError, elemPath("propagation", i), "propagation rule with empty tag")
@@ -156,19 +156,6 @@ func (p Policy) diagnostics(idx offsetIndex, lintLevel bool) []Diagnostic {
 			if t == "" {
 				add("bad-propagation", SeverityError, tagPath("propagation", i, "implies", j), "propagation rule for %q implies an empty tag", rule.Tag)
 			}
-		}
-	}
-	transformSeen := make(map[string]bool, len(p.Transforms))
-	for i, tr := range p.Transforms {
-		path := elemPath("transforms", i)
-		if tr.Name == "" {
-			add("bad-transform", SeverityError, path, "transform with empty name")
-		} else if transformSeen[tr.Name] {
-			add("bad-transform", SeverityError, path+".name", "duplicate transform %q", tr.Name)
-		}
-		transformSeen[tr.Name] = true
-		if len(tr.Suppresses) == 0 {
-			add("bad-transform", SeverityError, path, "transform %q suppresses nothing", tr.Name)
 		}
 	}
 

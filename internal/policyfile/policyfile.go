@@ -2,9 +2,8 @@
 // policies. §3.1: "Policies are set by enterprise-wide administrators
 // once" — this is the artefact administrators author and ship to every
 // device. Beyond the flat service list, the language supports named
-// service classes that services inherit labels from, tag-propagation
-// rules ("a segment tagged X also counts as tagged Y"), and declared
-// sanitizer transforms ("redaction counts as suppression of these tags"):
+// service classes that services inherit labels from and tag-propagation
+// rules ("a segment tagged X also counts as tagged Y"):
 //
 //	{
 //	  "classes": [
@@ -17,9 +16,6 @@
 //	  ],
 //	  "propagation": [
 //	    {"tag": "ti", "implies": ["tc"]}
-//	  ],
-//	  "transforms": [
-//	    {"name": "redact-pii", "suppresses": ["ti"]}
 //	  ],
 //	  "mode": "advisory",
 //	  "tpar": 0.5,
@@ -77,14 +73,6 @@ type PropagationRule struct {
 	Implies []string `json:"implies"`
 }
 
-// TransformSpec declares a sanitizer: applying the named transform to a
-// segment counts as (audited) suppression of the listed tags — e.g.
-// "redaction counts as suppression of the PII tag".
-type TransformSpec struct {
-	Name       string   `json:"name"`
-	Suppresses []string `json:"suppresses"`
-}
-
 // SecretSpec registers one exact-match secret.
 type SecretSpec struct {
 	Name  string `json:"name"`
@@ -97,7 +85,6 @@ type Policy struct {
 	Services []ServiceSpec `json:"services"`
 
 	Propagation []PropagationRule `json:"propagation,omitempty"`
-	Transforms  []TransformSpec   `json:"transforms,omitempty"`
 
 	// Mode is "advisory" (default), "enforcing" or "encrypting".
 	Mode string `json:"mode,omitempty"`

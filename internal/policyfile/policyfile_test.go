@@ -71,6 +71,7 @@ func TestParseErrors(t *testing.T) {
 		{name: "bad tdoc", give: `{"services":[{"name":"a"}],"tdoc":-1}`},
 		{name: "secret missing value", give: `{"services":[{"name":"a"}],"secrets":[{"name":"x"}]}`},
 		{name: "unknown field", give: `{"services":[{"name":"a"}],"bogus":1}`},
+		{name: "transforms", give: `{"services":[{"name":"a"}],"transforms":[{"name":"redact","suppresses":["a"]}]}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -421,23 +421,27 @@ func TestPR22ScriptPins(t *testing.T) {
 	}
 }
 
-// What the build before the shared wire reader journalled for pr22Script on
-// an empty directory: the SHA-256 and length of its one WAL segment, and the
-// SHA-256 of the export of the state that segment replays to (the script's
-// expiry and thresholds are not journalled, so not the script's own state).
+// What this build journals for pr22Script on an empty directory: the
+// SHA-256 and length of its one WAL segment, and the SHA-256 of the export
+// of the state that segment replays to (the script's expiry and thresholds
+// are not journalled, so not the script's own state). testdata/pr22-script.log
+// is the segment the last build to journal an op's audit entries in a
+// record of their own wrote for the script; it replays to the same state.
 // Frames ship to standbys verbatim and a newer build replays an older
-// build's log, so neither a record encoder nor a decoder may move; the
-// replayed state moves with the state the script builds, as the pins
-// above do, and its SHA-256 with the index codec too, since export holds
-// the state's image.
+// build's log, so no decoder may move, nor an encoder but on purpose, with
+// the fixture of the layout before; the replayed state moves with the
+// state the script builds, as the pins above do, and its SHA-256 with the
+// index codec too, since export holds the state's image.
 const (
-	walPinSHA       = "9f636e8c1284332f3db4779d9760be78dbaba0131c71be86b09006c7d94bdc7d"
+	walPinSHA       = "5bcf57bd5fa4100ec02b5768516ec6e588d76decfb9bb5c7c0a8a2e314135604"
 	walPinLength    = 14509
 	walPinReplaySHA = "c60ab3e3069db36b896620c67af5c558e03efe03e1b5bf24753888f8add9741c"
+	pr22WAL         = "pr22-script.log"
 )
 
-// TestScriptWALPin holds the WAL segment pr22Script writes, and the
-// state it replays to, to the values recorded above.
+// TestScriptWALPin holds the WAL segment pr22Script writes, and the state
+// it and the fixture of the layout before replay to, to the values
+// recorded above.
 func TestScriptWALPin(t *testing.T) {
 	fs := faultinject.NewMemFS(22)
 	w := newWorld(t)
@@ -446,10 +450,10 @@ func TestScriptWALPin(t *testing.T) {
 	w.engine.SetJournal(d)
 	pr22Script(t, w)
 	segs, err := wal.ListSegments(fs, "/data")
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments %v, %v; want one", segs, err)
+	if err != nil || len(segs) != 1 || segs[0] != 1 {
+		t.Fatalf("segments %v, %v; want segment 1 alone", segs, err)
 	}
-	data, err := fs.ReadFile(filepath.Join("/data", wal.SegmentName(segs[0])))
+	data, err := fs.ReadFile(filepath.Join("/data", wal.SegmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,17 +461,19 @@ func TestScriptWALPin(t *testing.T) {
 		t.Errorf("WAL segment: %d bytes, SHA-256 %x; want %d bytes, %s", len(data), got, walPinLength, walPinSHA)
 	}
 
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, wal.SegmentName(segs[0])), data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	replayed := newWorld(t)
-	rd, err := OpenDurable(DurableOptions{Dir: dir, Fsync: wal.SyncNone}, replayed.tracker, replayed.registry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	if got := sha256.Sum256(export(t, replayed)); hex.EncodeToString(got[:]) != walPinReplaySHA {
-		t.Errorf("replayed state exports to SHA-256 %x, want %s", got, walPinReplaySHA)
+	for name, segment := range map[string][]byte{"this build's segment": data, pr22WAL: readFixture(t, pr22WAL)} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, wal.SegmentName(1)), segment, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		replayed := newWorld(t)
+		rd, err := OpenDurable(DurableOptions{Dir: dir, Fsync: wal.SyncNone}, replayed.tracker, replayed.registry)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := sha256.Sum256(export(t, replayed)); hex.EncodeToString(got[:]) != walPinReplaySHA {
+			t.Errorf("%s: replayed state exports to SHA-256 %x, want %s", name, got, walPinReplaySHA)
+		}
+		rd.Close()
 	}
 }

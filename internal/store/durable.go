@@ -144,10 +144,6 @@ type RecoveryStats struct {
 	// checkpoint.
 	RecordsReplayed int64
 
-	// AuditRestored counts audit entries whose original timestamps were
-	// restored from journalled audit records.
-	AuditRestored int
-
 	// TornBytesTruncated is how many trailing bytes the WAL torn-tail
 	// scan discarded.
 	TornBytesTruncated int64
@@ -192,7 +188,7 @@ type Durable struct {
 
 	// Follower role (follower.go). following is written under barrier and
 	// mu both, so either lock reads it; applier is the stream's one record
-	// applier, replaced by Bootstrap under the barrier's write side.
+	// applier, built at open (replay or reset) and dropped by Promote.
 	following bool
 	applier   *Applier
 	traces    *obs.TraceLog
@@ -403,7 +399,7 @@ func (d *Durable) replay(barrier uint64) error {
 	}
 	walStats := d.log.Stats()
 	tolerate := walStats.RecoveryGaps > 0 || walStats.QuarantinedSegments > 0
-	replayErr := d.log.Replay(barrier, func(seg uint64, rec wal.Record) error {
+	return d.log.Replay(barrier, func(seg uint64, rec wal.Record) error {
 		if err := applier.Apply(rec); err != nil {
 			if tolerate {
 				d.recovery.ReplaySkipped++
@@ -417,12 +413,6 @@ func (d *Durable) replay(barrier uint64) error {
 		d.recovery.RecordsReplayed++
 		return nil
 	})
-	if replayErr != nil {
-		return replayErr
-	}
-	// Restore original timestamps on regenerated audit entries.
-	d.recovery.AuditRestored = applier.RestoreAuditTimestamps()
-	return nil
 }
 
 // newApplier builds a record applier under the store's key range.
@@ -478,29 +468,10 @@ func (d *Durable) ObserveBatch(ctx context.Context, service string, items []disc
 	return d.appendTraced(ctx, rec, err)
 }
 
-// Suppress implements policy.Journal.
-func (d *Durable) Suppress(user string, seg segment.ID, tag tdm.Tag, justification string) error {
-	return d.append(encodeControl(recSuppress, controlOp{User: user, Seg: seg, Tag: tag, Justification: justification}))
-}
-
-// AllocateTag implements policy.Journal.
-func (d *Durable) AllocateTag(user string, tag tdm.Tag) error {
-	return d.append(encodeControl(recAllocateTag, controlOp{User: user, Tag: tag}))
-}
-
-// AddSegmentTag implements policy.Journal.
-func (d *Durable) AddSegmentTag(user string, seg segment.ID, tag tdm.Tag) error {
-	return d.append(encodeControl(recAddSegTag, controlOp{User: user, Seg: seg, Tag: tag}))
-}
-
-// GrantTag implements policy.Journal.
-func (d *Durable) GrantTag(user, service string, tag tdm.Tag) error {
-	return d.append(encodeControl(recGrantTag, controlOp{User: user, Service: service, Tag: tag}))
-}
-
-// RevokeTag implements policy.Journal.
-func (d *Durable) RevokeTag(user, service string, tag tdm.Tag) error {
-	return d.append(encodeControl(recRevokeTag, controlOp{User: user, Service: service, Tag: tag}))
+// Control implements policy.Journal: the op and its audit entries are one
+// record.
+func (d *Durable) Control(op policy.ControlOp, entries []audit.Entry) error {
+	return d.append(encodeControl(controlOp{ControlOp: op, Audit: entries}))
 }
 
 // AuditAppend implements policy.Journal.

@@ -764,12 +764,22 @@ func TestEncryptedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// Audit timestamps survive replay: regenerated entries are amended back to
-// their journalled originals though the recovering clock reads later.
+// Audit entries survive replay as they were stored: each recovered entry
+// equals its original, Time included, though the recovering clock reads
+// later than any of them, whether an op produced it or an override did.
 func TestAuditTimestampsRestoredFromWAL(t *testing.T) {
-	r := runStore(t, DurableOptions{}, "tick ops:3 tick ops:3 tick ops:3 tick crash")
-	if r.d.Stats().Recovery.AuditRestored == 0 {
-		t.Error("no audit timestamps restored")
+	r := runStore(t, DurableOptions{}, "tick ops:20 tick ops:20 tick ops:20 tick")
+	want := r.w.registry.Audit().Entries()
+	actions := map[audit.Action]int{}
+	for _, e := range want {
+		actions[e.Action]++
+	}
+	if actions[audit.ActionOverride] == 0 || len(actions) < 3 {
+		t.Fatalf("fixture: audit actions %v, want overrides and two kinds of op", actions)
+	}
+	r.run("crash")
+	if got := r.w.registry.Audit().Entries(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered audit trail\n%v\nwant\n%v", got, want)
 	}
 }
 
@@ -1017,9 +1027,10 @@ func TestFollowerScripts(t *testing.T) {
 
 // TestStoreScripts runs random scripts of the store's operations — ops,
 // checkpoints, rotations, crashes at writes, clean restarts, disk faults
-// healed by probes — at every fsync policy.
+// healed by probes — at every fsync policy, then the named seeds that
+// once failed.
 func TestStoreScripts(t *testing.T) {
-	seeds, steps := 3, 40
+	seeds, steps := 30, 60
 	if testing.Short() || raceEnabled {
 		seeds, steps = 1, 25
 	}
@@ -1027,12 +1038,22 @@ func TestStoreScripts(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				r := newStoreRig(t, seed, DurableOptions{Fsync: pol, SegmentBytes: 1024, FailOpen: seed%2 == 0, ProbeEvery: time.Hour})
-				for i := 0; i < steps; i++ {
-					r.run([]string{"ops:3", "ops:1", "ckpt", "rot", "crash", fmt.Sprintf("crashw:%d", 1+r.rng.Intn(20)),
-						"close", "eio ops:2 heal probe", "full:10 jrn heal probe", "scrub", "tick"}[r.rng.Intn(11)])
-				}
+				randomStoreScript(t, pol, seed, steps)
 			}
 		})
+	}
+	// An allocation's record reached the disk and its audit entry, then a
+	// record of its own, did not: replay stamped the entry with the
+	// recovering clock's time.
+	t.Run("interval-seed-37", func(t *testing.T) { randomStoreScript(t, wal.SyncInterval, 37, 80) })
+}
+
+// randomStoreScript runs steps random script steps on a rig seeded with
+// seed.
+func randomStoreScript(t *testing.T, pol wal.SyncPolicy, seed int64, steps int) {
+	r := newStoreRig(t, seed, DurableOptions{Fsync: pol, SegmentBytes: 1024, FailOpen: seed%2 == 0, ProbeEvery: time.Hour})
+	for i := 0; i < steps; i++ {
+		r.run([]string{"ops:3", "ops:1", "ckpt", "rot", "crash", fmt.Sprintf("crashw:%d", 1+r.rng.Intn(20)),
+			"close", "eio ops:2 heal probe", "full:10 jrn heal probe", "scrub", "tick"}[r.rng.Intn(11)])
 	}
 }

@@ -108,11 +108,6 @@ func (d *Durable) Bootstrap(image []byte) (barrier uint64, err error) {
 	if err := SaveCheckpointBytes(d.fs, path, image, d.opts.Key); err != nil {
 		return 0, fmt.Errorf("store: save bootstrap checkpoint: %w", err)
 	}
-	// A fresh applier: the old one's pending audit amendments describe
-	// the state the image just replaced.
-	if d.applier, err = d.newApplier(); err != nil {
-		return 0, err
-	}
 	at := wal.Pos{Segment: barrier, Offset: wal.HeaderSize}
 	if _, _, err := d.log.AppendFrames(at, nil); err != nil {
 		return 0, err
@@ -170,7 +165,6 @@ func (d *Durable) follow(at wal.Pos, frames []byte) (int, wal.Pos, error) {
 	if err != nil {
 		return 0, wal.Pos{}, err
 	}
-	d.applier.RestoreAuditTimestamps()
 	d.setPosition(next)
 	return len(recs), next, nil
 }

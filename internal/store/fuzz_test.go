@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/wal"
 )
@@ -187,8 +189,9 @@ func TestDecodeObserveRejectsHugeHashCount(t *testing.T) {
 // network and every node runs over its own log at recovery. The contract
 // under test: never panic, whatever the payload; and Applied() advances
 // exactly when Apply returns nil, so a rejected record is never counted as
-// replayed. Seeds are one well-formed record of each of the ten types, and
-// each observe type declaring more hashes than a record can hold.
+// replayed. Seeds are one well-formed record of each of the ten types, a
+// control record carrying its audit entry, and each observe type declaring
+// more hashes than a record can hold.
 func FuzzApplyRecord(f *testing.F) {
 	fp := fingerprint.FromHashes([]uint32{1, 2, 3, 4, 5})
 	seed := func(rec wal.Record, err error) {
@@ -202,11 +205,19 @@ func FuzzApplyRecord(f *testing.F) {
 		{Seg: "docs/fuzz#p0", FP: fp},
 		{Seg: "docs/fuzz", FP: fp, Granularity: segment.GranularityDocument},
 	}, ""))
-	seed(encodeControl(recSuppress, controlOp{User: "alice", Seg: "wiki/plan#p0", Tag: "tw", Justification: "ok"}))
-	seed(encodeControl(recAllocateTag, controlOp{User: "bob", Tag: "bob:x"}))
-	seed(encodeControl(recAddSegTag, controlOp{User: "bob", Seg: "wiki/plan#p0", Tag: "bob:x"}))
-	seed(encodeControl(recGrantTag, controlOp{User: "bob", Service: "docs", Tag: "bob:x"}))
-	seed(encodeControl(recRevokeTag, controlOp{User: "bob", Service: "docs", Tag: "bob:x"}))
+	for _, op := range []policy.ControlOp{
+		{Kind: policy.ControlSuppress, User: "alice", Seg: "wiki/plan#p0", Tag: "tw", Justification: "ok"},
+		{Kind: policy.ControlAllocateTag, User: "bob", Tag: "bob:x"},
+		{Kind: policy.ControlAddSegmentTag, User: "bob", Seg: "wiki/plan#p0", Tag: "bob:x"},
+		{Kind: policy.ControlGrantTag, User: "bob", Service: "docs", Tag: "bob:x"},
+		{Kind: policy.ControlRevokeTag, User: "bob", Service: "docs", Tag: "bob:x"},
+	} {
+		seed(encodeControl(controlOp{ControlOp: op}))
+	}
+	seed(encodeControl(controlOp{
+		ControlOp: policy.ControlOp{Kind: policy.ControlAllocateTag, User: "carol", Tag: "carol:y"},
+		Audit:     []audit.Entry{{Seq: 1, Time: time.Unix(1, 0).UTC(), User: "carol", Action: audit.ActionAllocate, Tag: "carol:y"}},
+	}))
 	seed(encodeAudit([]audit.Entry{{Seq: 1, User: "alice", Action: "suppress", Tag: "tw", Segment: "wiki/plan#p0"}}))
 	seed(encodeObserveResolved(observeResolvedOp{
 		Seg: "docs/fuzz#p1", Service: "docs", G: segment.GranularityParagraph, Clock: 9,
@@ -231,6 +242,5 @@ func FuzzApplyRecord(f *testing.F) {
 		if got := applier.Applied() - before; (err == nil) != (got == 1) || got < 0 || got > 1 {
 			t.Fatalf("Apply(type %d) = %v, Applied() advanced by %d", typ, err, got)
 		}
-		applier.RestoreAuditTimestamps()
 	})
 }

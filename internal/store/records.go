@@ -5,13 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/fingerprint"
+	"github.com/lsds/browserflow/internal/policy"
 	"github.com/lsds/browserflow/internal/segment"
-	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 	"github.com/lsds/browserflow/internal/wire"
 )
@@ -20,7 +21,8 @@ import (
 // binary encoding, read back through a wire.Reader: a malformed one is a
 // *wire.Error with the record offset where decoding failed. Control-plane
 // records (suppressions, tag operations, audit entries) are rare and use
-// JSON for inspectability.
+// JSON for inspectability. A control record carries the audit entries
+// its op appended; recAudit carries entries no op produced (overrides).
 const (
 	recObserve      byte = 1
 	recObserveBatch byte = 2
@@ -309,28 +311,41 @@ func decodePruneRange(data []byte) (segment.KeyRange, error) {
 	return op, nil
 }
 
-// controlOp is the JSON form of the rare control-plane mutations.
+// controlOp is the JSON form of a control record: the operation and the
+// audit entries it appended, exactly as stored. A log written before the
+// entries rode in their op's record holds control records without them,
+// each followed by a recAudit record; the same decoder reads both.
 type controlOp struct {
-	User          string     `json:"user,omitempty"`
-	Seg           segment.ID `json:"seg,omitempty"`
-	Tag           tdm.Tag    `json:"tag,omitempty"`
-	Service       string     `json:"service,omitempty"`
-	Justification string     `json:"justification,omitempty"`
+	policy.ControlOp
+	Audit []audit.Entry `json:"audit,omitempty"`
 }
 
-func encodeControl(typ byte, op controlOp) (wal.Record, error) {
+// controlTypes maps each policy.ControlKind to its record type.
+var controlTypes = [...]byte{
+	policy.ControlSuppress:      recSuppress,
+	policy.ControlAllocateTag:   recAllocateTag,
+	policy.ControlAddSegmentTag: recAddSegTag,
+	policy.ControlGrantTag:      recGrantTag,
+	policy.ControlRevokeTag:     recRevokeTag,
+}
+
+// encodeControl frames op; its Kind is one the engine applied.
+func encodeControl(op controlOp) (wal.Record, error) {
 	data, err := json.Marshal(op)
 	if err != nil {
 		return wal.Record{}, fmt.Errorf("store: encode control record: %w", err)
 	}
-	return wal.Record{Type: typ, Data: data}, nil
+	return wal.Record{Type: controlTypes[op.Kind], Data: data}, nil
 }
 
-func decodeControl(data []byte) (controlOp, error) {
+// decodeControl inverts encodeControl for a record of type typ, one of
+// controlTypes.
+func decodeControl(typ byte, data []byte) (controlOp, error) {
 	var op controlOp
 	if err := json.Unmarshal(data, &op); err != nil {
 		return controlOp{}, fmt.Errorf("store: decode control record: %w", err)
 	}
+	op.Kind = policy.ControlKind(slices.Index(controlTypes[:], typ))
 	return op, nil
 }
 

@@ -88,24 +88,51 @@ func TestBatchMatchesSingularVerdicts(t *testing.T) {
 		{Seg: "wiki/a#p0", Text: batchSecret}, // repeat → cache hit
 		{Seg: "wiki/b#p0", Text: strings.Repeat("Unrelated prose about lighthouse maintenance schedules on the coast. ", 3)},
 	}
+	singular := func(service string, items []BatchItem) []Verdict {
+		t.Helper()
+		want := make([]Verdict, 0, len(items))
+		for _, item := range items {
+			fp, err := fingerprint.Compute(item.Text, singleDev.FingerprintConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := singleDev.ObserveHashes(context.Background(), service, item.Seg, fp.Hashes(), item.Granularity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, v)
+		}
+		return want
+	}
 	got, err := batchDev.ObserveBatch("wiki", items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]Verdict, 0, len(items))
-	for _, item := range items {
-		fp, err := fingerprint.Compute(item.Text, singleDev.FingerprintConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := singleDev.ObserveHashes(context.Background(), "wiki", item.Seg, fp.Hashes(), item.Granularity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, v)
-	}
+	want := singular("wiki", items)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch diverged from singular sequence:\nbatch:    %+v\nsingular: %+v", got, want)
+	}
+
+	// A segment edited twice in one batch is judged per edit: a copy of
+	// the wiki secret into docs blocks even when the same batch later
+	// rewrites it to unrelated text, and the reverse.
+	unrelated := strings.Repeat("Notes on the canteen menu rotation for the coming autumn weeks. ", 3)
+	items = []BatchItem{
+		{Seg: "docs/x#p0", Text: batchSecret},
+		{Seg: "docs/x#p0", Text: unrelated},
+		{Seg: "docs/y#p0", Text: unrelated},
+		{Seg: "docs/y#p0", Text: batchSecret},
+	}
+	got, err = batchDev.ObserveBatch("docs", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = singular("docs", items)
+	if decisions := []string{want[0].Decision, want[1].Decision, want[2].Decision, want[3].Decision}; !reflect.DeepEqual(decisions, []string{"block", "allow", "allow", "block"}) {
+		t.Fatalf("singular decisions = %v, want [block allow allow block]", decisions)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch diverged from singular sequence on repeated segments:\nbatch:    %+v\nsingular: %+v", got, want)
 	}
 }
 
