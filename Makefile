@@ -37,7 +37,8 @@ check: vet node-copies wallclock
 # pins runs without -race the tests that skip under it. PINS are the
 # memory-budget tests and the allocation pins (the WAL validation, the
 # zero-alloc decided observe in the tracker and the engine, the zero-alloc
-# release allow in the registry and the engine, the ad-hoc text check with
+# release allow in the registry and the engine, the registry export's
+# allocations per distinct label, not per segment, the ad-hoc text check with
 # two sources, the shared fingerprint
 # scratch, the proxy's forward path, the index's candidate-discovery and
 # head-insert paths, the corpus generator's one string per result), as
@@ -51,7 +52,8 @@ check: vet node-copies wallclock
 PINS = ./internal/policy:TestEngineHeapBudget ./internal/policy:TestMixedGranularityHeap \
 	./internal/policy:TestGoldenObserveCacheHitAllocs ./internal/disclosure:TestObserveSteadyStateAllocs \
 	./internal/wal:TestValidationDoesNotAllocatePerRecord .:TestSaveHeapAndLoadLayout \
-	./internal/tdm:TestCheckReleaseAllocFree ./internal/policy:TestGoldenCheckUploadAllocFree \
+	./internal/tdm:TestCheckReleaseAllocFree ./internal/tdm:TestExportAllocs \
+	./internal/policy:TestGoldenCheckUploadAllocFree \
 	./internal/policy:TestGoldenCheckTextAllocs \
 	./internal/fingerprint:TestComputeSharedZeroAlloc ./internal/proxy:TestForwardAllocs \
 	./internal/index:TestApproxBytesTracksHeap ./internal/index:TestAppendOldestHoldersReusesCapacity \
@@ -192,8 +194,9 @@ vuln:
 # each): the WAL segment reader (one frame decoder behind recovery, scrub
 # and the replication stream, held to one answer), the record applier a
 # replica runs over streamed records, the state-image restore (unseal +
-# BFLOWSNB decode, the one route every load takes), the index digest
-# codec the anti-entropy comparator trusts, the index itself against its
+# BFLOWSNB decode, the one route every load takes), the registry section's
+# decoder on its own (both codecs it reads), the index digest codec the
+# anti-entropy comparator trusts, the index itself against its
 # reference model (generated operation streams on the model rig's nine
 # layouts: head-only, merging inline and merged when told, at 1, 64 and
 # 256 shards, each checked after every operation, with restores), the
@@ -206,6 +209,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzOpenSegment' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -fuzz 'FuzzApplyRecord' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzRestoreBinarySnapshot' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -fuzz 'FuzzDecodeExportData' -fuzztime $(FUZZTIME) ./internal/tdm
 	$(GO) test -fuzz 'FuzzDecodeDigest' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzIndexModel' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzTableModel' -fuzztime $(FUZZTIME) ./internal/segment

@@ -53,11 +53,6 @@ package index
 // builds the compacted runs directly, in one pass, and the restored DB
 // starts with nothing in the mutable heads. A malformed payload is a
 // *wire.Error with the payload offset where decoding failed.
-//
-// Codec version 2, in container version 3 images, is still read: in place
-// of the two streams, per hash a uvarint delta, then per posting uvarint
-// ref << 3 | postStamped | postStale | postMore and, with postStamped, the
-// varint base − stamp.
 
 import (
 	"cmp"
@@ -70,18 +65,7 @@ import (
 	"github.com/lsds/browserflow/internal/wire"
 )
 
-const (
-	snapshotCodecVersion = 3
-	bytewiseCodecVersion = 2 // read, never written
-)
-
-// Flags in the low bits of a codec 2 posting's ref varint.
-const (
-	postMore     = 1 << iota // later holders of the same hash follow
-	postStale                // the hash has left the holder's fingerprint, or the holder has no DBpar entry
-	postStamped              // the stamp is not the holder's base: the distance follows
-	postFlagBits = 3
-)
+const snapshotCodecVersion = 3
 
 // AppendSnapshot appends the DB's binary snapshot to buf and returns the
 // extended slice. The DB takes its own consistent cut: every segment
@@ -449,13 +433,11 @@ func (db *DB) PrepareSnapshot(data []byte) (*PreparedSnapshot, error) {
 }
 
 // decode does PrepareSnapshot's work: it fills p from data, sharded for
-// p.db. The codecs differ only in their posting streams, each read into
-// one groupDecoder.
+// p.db; a groupDecoder reads the posting streams.
 func (p *PreparedSnapshot) decode(data []byte) error {
 	db := p.db
 	d := wire.NewReader(data)
-	version := d.Byte("codec version")
-	if version != snapshotCodecVersion && version != bytewiseCodecVersion {
+	if d.Byte("codec version") != snapshotCodecVersion {
 		return &wire.Error{Reason: "empty payload or unsupported codec version"}
 	}
 	clock, thrBits := d.U64("clock"), d.U64("default threshold")
@@ -539,11 +521,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		g.runs[i] = newRun(&p.born, 0, 0, 0, 0)
 	}
 	g.cur = &g.runs[0]
-	if version == snapshotCodecVersion {
-		g.readGroups(distinct)
-	} else {
-		g.readGroupsBytewise(distinct)
-	}
+	g.readGroups(distinct)
 	g.cur.finish()
 	if d.Err() == nil && g.postings != total {
 		return d.Fail("posting total mismatch")
@@ -614,15 +592,6 @@ type groupDecoder struct {
 	postings, total uint64
 }
 
-// begin opens the group of hash h.
-func (g *groupDecoder) begin(h uint32) {
-	if r := &g.runs[g.db.hashShardIdx(h)]; r != g.cur {
-		g.cur.finish()
-		g.cur = r
-	}
-	g.h, g.group, g.prevSeq = h, g.group+1, 0
-}
-
 // post adds the group's next posting: its holder's ref, its zigzagged
 // distance below the holder's base, and whether it is stale. Hashes
 // ascend, so a holder twice in one group would be a hash twice in a
@@ -671,7 +640,7 @@ func (g *groupDecoder) post(ref, distance uint64, stale bool) error {
 	return nil
 }
 
-// readGroups reads codec 3's group and hash streams.
+// readGroups reads the group and hash streams.
 func (g *groupDecoder) readGroups(distinct uint64) {
 	d := g.d
 	gs, hs := d.Bits("group stream"), d.Bits("hash stream")
@@ -695,7 +664,11 @@ func (g *groupDecoder) readGroups(distinct uint64) {
 			return
 		}
 		inPart--
-		g.begin(uint32(h))
+		if r := &g.runs[g.db.hashShardIdx(uint32(h))]; r != g.cur { // hashes ascend: the shards fill in turn
+			g.cur.finish()
+			g.cur = r
+		}
+		g.h, g.group, g.prevSeq = uint32(h), g.group+1, 0
 
 		first, tail, flagged, spelled := gs.Read(width, "first holder"), []uint32(nil), uint64(0), false
 		switch {
@@ -746,36 +719,6 @@ func (g *groupDecoder) readGroups(distinct uint64) {
 	}
 	hs.Done("hash stream")
 	gs.Done("group stream")
-}
-
-// readGroupsBytewise reads codec 2's posting stream.
-func (g *groupDecoder) readGroupsBytewise(distinct uint64) {
-	d := g.d
-	prevHash := uint64(0)
-	for i := uint64(0); i < distinct; i++ {
-		dv := d.Uvarint("posting hash delta")
-		if d.Err() != nil || i > 0 && dv == 0 {
-			d.Fail("posting hashes not strictly ascending")
-			return
-		}
-		if dv > math.MaxUint32-prevHash {
-			d.Fail("posting hash overflows 32 bits")
-			return
-		}
-		prevHash += dv
-		g.begin(uint32(prevHash))
-		for more := true; more; {
-			v := d.Uvarint("posting segment ref")
-			var distance uint64
-			if v&postStamped != 0 {
-				distance = d.Uvarint("posting stamp distance")
-			}
-			if g.post(v>>postFlagBits, distance, v&postStale != 0) != nil {
-				return
-			}
-			more = v&postMore != 0
-		}
-	}
 }
 
 // CommitSnapshot swaps a prepared snapshot's state into the DB that

@@ -15,12 +15,12 @@ import (
 	"github.com/lsds/browserflow/internal/wire"
 )
 
-// noEntryImage hand-encodes a codec 2 payload in which edgeSeg(0), with
-// no DBpar entry, holds every hash of edgeFP(0) stamped 2, and
-// edgeSeg(1), updated at 5, holds them all after it.
+// noEntryImage hand-encodes a payload in which edgeSeg(0), with no DBpar
+// entry, holds every hash of edgeFP(0) stamped 2, and edgeSeg(1), updated
+// at 5, holds them all after it.
 func noEntryImage() []byte {
 	const clock, updated = 9, 5
-	b := binary.LittleEndian.AppendUint64([]byte{bytewiseCodecVersion}, clock)
+	b := binary.LittleEndian.AppendUint64([]byte{snapshotCodecVersion}, clock)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
 	b = append(b, 2)
 	b = wire.AppendFrontCoded(b, "", string(edgeSeg(0)))
@@ -31,14 +31,19 @@ func noEntryImage() []byte {
 	b = binary.AppendUvarint(b, uint64(len(hs)))
 	b = binary.AppendUvarint(b, uint64(len(hs)))
 	b = binary.AppendUvarint(b, uint64(2*len(hs)))
-	prev := uint32(0)
-	for _, h := range hs {
-		b = binary.AppendUvarint(b, uint64(h-prev))
-		prev = h
-		b = append(b, 0<<postFlagBits|postMore|postStale|postStamped)
-		b = binary.AppendVarint(b, clock-2) // its base is the clock
-		b = append(b, 1<<postFlagBits)
-	}
+	b = wire.AppendBits(b, func(gs *wire.BitWriter) { // refs are one bit wide
+		for range hs {
+			gs.Write(0, 1)    // first holder: ref 0,
+			gs.Write(0b11, 2) // spelled out,
+			gs.Write(1, 1)    // flagged,
+			gs.Gamma(1)       // one later holder,
+			gs.Write(1, 1)    // ref 1
+			gs.Write(flagStale|flagStamped, 2)
+			gs.Gamma((clock - 2) << 1) // ref 0's base is the clock
+			gs.Write(0, 2)             // ref 1: in its fingerprint at its base
+		}
+	})
+	b = wire.AppendBits(b, func(w *wire.BitWriter) { writeHashStream(w, hs) })
 	return append(b, 0) // nothing unposted
 }
 
@@ -140,71 +145,54 @@ func TestSnapshotRefusesExpansion(t *testing.T) {
 	}
 }
 
-// TestImportRejectsInconsistentClock hand-encodes the smallest payload of
-// each documented layout — one segment, one DBpar entry, one posting — and
-// requires the decoder to refuse stamps from the future of its own clock.
+// TestImportRejectsInconsistentClock hand-encodes the smallest payload —
+// one segment, one DBpar entry, one posting — and requires the decoder to
+// refuse stamps from the future of its own clock.
 func TestImportRejectsInconsistentClock(t *testing.T) {
-	header := func(version byte, clock uint64) []byte {
-		b := binary.LittleEndian.AppendUint64([]byte{version}, clock)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+	encode := func(clock, updated, seq uint64) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte{snapshotCodecVersion}, clock)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+		b = append(b, 1, 0, 1, 'a') // segment table: ["a"], sharing nothing
+		b = append(b, 1, 0)         // one DBpar entry, ref 0, default threshold
+		b = binary.AppendUvarint(b, updated)
+		b = append(b, 1, 1, 1)                            // a fingerprint of one hash; one distinct hash, one posting
+		b = wire.AppendBits(b, func(gs *wire.BitWriter) { // ref 0 is zero bits wide
+			gs.Write(0, 1) // a single holder
+			d := int64(updated - seq)
+			if distance := uint64(d<<1) ^ uint64(d>>63); distance == 0 {
+				gs.Write(0, 1) // plain
+			} else {
+				gs.Write(1, 1)           // flagged:
+				gs.Write(flagStamped, 2) // in the fingerprint, stamped
+				gs.Gamma(distance)
+			}
+		})
+		b = wire.AppendBits(b, func(hs *wire.BitWriter) {
+			hs.Gamma(2)    // the first 1/64 holds one hash,
+			hs.Write(2, 5) // Rice parameter 2,
+			hs.Rice(7, 2)  // at offset 7
+			for i := 1; i < 64; i++ {
+				hs.Gamma(1) // the rest hold none
+			}
+		})
+		return append(b, 0) // nothing unposted
 	}
-	for name, encode := range map[string]func(clock, updated, seq uint64) []byte{
-		"codec 2": func(clock, updated, seq uint64) []byte {
-			b := header(bytewiseCodecVersion, clock)
-			b = append(b, 1, 0, 1, 'a') // segment table: ["a"], sharing nothing
-			b = append(b, 1, 0)         // one DBpar entry, ref 0, default threshold
-			b = binary.AppendUvarint(b, updated)
-			b = append(b, 1)                // a fingerprint of one hash
-			b = append(b, 1, 1)             // one distinct hash, one posting
-			b = append(b, 7, 0|postStamped) // hash 7: ref 0, last, in the fingerprint
-			b = binary.AppendVarint(b, int64(updated-seq))
-			return append(b, 0) // nothing unposted
-		},
-		"codec 3": func(clock, updated, seq uint64) []byte {
-			b := header(snapshotCodecVersion, clock)
-			b = append(b, 1, 0, 1, 'a') // segment table: ["a"], sharing nothing
-			b = append(b, 1, 0)         // one DBpar entry, ref 0, default threshold
-			b = binary.AppendUvarint(b, updated)
-			b = append(b, 1, 1, 1)                            // a fingerprint of one hash; one distinct hash, one posting
-			b = wire.AppendBits(b, func(gs *wire.BitWriter) { // ref 0 is zero bits wide
-				gs.Write(0, 1) // a single holder
-				d := int64(updated - seq)
-				if distance := uint64(d<<1) ^ uint64(d>>63); distance == 0 {
-					gs.Write(0, 1) // plain
-				} else {
-					gs.Write(1, 1)           // flagged:
-					gs.Write(flagStamped, 2) // in the fingerprint, stamped
-					gs.Gamma(distance)
-				}
-			})
-			b = wire.AppendBits(b, func(hs *wire.BitWriter) {
-				hs.Gamma(2)    // the first 1/64 holds one hash,
-				hs.Write(2, 5) // Rice parameter 2,
-				hs.Rice(7, 2)  // at offset 7
-				for i := 1; i < 64; i++ {
-					hs.Gamma(1) // the rest hold none
-				}
-			})
-			return append(b, 0) // nothing unposted
-		},
-	} {
-		db := New(nil, 0.5)
-		if err := db.LoadSnapshot(encode(5, 5, 4)); err != nil {
-			t.Fatalf("%s: consistent payload rejected: %v", name, err)
-		}
-		if refs := db.AppendOldestRefs([]uint32{7}, nil); len(refs) != 1 || refs[0].Seg != "a" || refs[0].Seq != 4 {
-			t.Errorf("%s: oldest holder of the one hash = %+v, want a at 4", name, refs)
-		}
-		if fp, ok := db.Fingerprint("a"); !ok || !reflect.DeepEqual(fp.Hashes(), []uint32{7}) {
-			t.Errorf("%s: fingerprint = %v, want [7]", name, fp)
-		}
-		var we *wire.Error
-		if err := New(nil, 0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &we) {
-			t.Errorf("%s: posting seq beyond clock: err=%v, want *wire.Error", name, err)
-		}
-		if err := New(nil, 0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &we) {
-			t.Errorf("%s: segment updated beyond clock: err=%v, want *wire.Error", name, err)
-		}
+	db := New(nil, 0.5)
+	if err := db.LoadSnapshot(encode(5, 5, 4)); err != nil {
+		t.Fatalf("consistent payload rejected: %v", err)
+	}
+	if refs := db.AppendOldestRefs([]uint32{7}, nil); len(refs) != 1 || refs[0].Seg != "a" || refs[0].Seq != 4 {
+		t.Errorf("oldest holder of the one hash = %+v, want a at 4", refs)
+	}
+	if fp, ok := db.Fingerprint("a"); !ok || !reflect.DeepEqual(fp.Hashes(), []uint32{7}) {
+		t.Errorf("fingerprint = %v, want [7]", fp)
+	}
+	var we *wire.Error
+	if err := New(nil, 0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &we) {
+		t.Errorf("posting seq beyond clock: err=%v, want *wire.Error", err)
+	}
+	if err := New(nil, 0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &we) {
+		t.Errorf("segment updated beyond clock: err=%v, want *wire.Error", err)
 	}
 }
 

@@ -11,14 +11,15 @@
 // Every section carries its own CRC32C (Castagnoli, shared with the WAL
 // framing) and the section table itself is CRC-framed, so truncation, bit
 // flips and garbage tails are all detected before any payload is parsed.
-// Version 4, the one written, holds the two fingerprint databases in the
+// Version 5, the one written, holds the two fingerprint databases in the
 // index package's codec 3 (a bit-coded posting stream), the registry in
-// the tdm package's string-table codec; the audit section stays JSON — it
-// is small and schema-flexible. Version 3 (index codec 2, its posting
-// stream in varints) is still read, so an upgraded node recovers the
-// checkpoint its predecessor wrote. Version 2 (index codec 1, JSON
-// registry) is retired: refused by name (RetiredFormatError), as a
-// version above 4 is (NewerFormatError), never skipped as damage.
+// the tdm package's codec 2 (each distinct label once); the audit section
+// stays JSON — it is small and schema-flexible. Version 4 (registry codec
+// 1, a label per segment) is still read, so an upgraded node recovers the
+// checkpoint its predecessor wrote. Versions 3 (index codec 2) and 2
+// (index codec 1, JSON registry) are retired: refused by name
+// (RetiredFormatError), as a version above 5 is (NewerFormatError), never
+// skipped as damage.
 //
 // There is one way in and one way out. CaptureBytes encodes straight from
 // the live DBs (index.AppendSnapshot, which takes its own consistent cut)
@@ -27,8 +28,8 @@
 // runs directly. RestoreFile is RestoreBytes for a file: mapped when the
 // filesystem supports it (wal.MapFS), unsealed when keyed.
 //
-// The formats that preceded BFLOWSNB, and its version 2, are recognised
-// only to be refused with a RetiredFormatError.
+// The formats that preceded BFLOWSNB, and its versions 2 and 3, are
+// recognised only to be refused with a RetiredFormatError.
 package store
 
 import (
@@ -55,13 +56,12 @@ import (
 var binMagic = []byte("BFLOWSNB")
 
 // binVersion is the container format version this build writes, and
-// binVersionRead the oldest it reads. Version 1 was the retired
-// framed-JSON payload; binVersionRetired, the first sectioned container
-// (index codec 1, JSON registry), is refused by name.
+// binVersionRead the oldest it reads; versions 2 and binVersionRetired
+// (index codecs 1 and 2) are refused by name.
 const (
-	binVersion        = 4
-	binVersionRead    = 3
-	binVersionRetired = 2
+	binVersion        = 5
+	binVersionRead    = 4
+	binVersionRetired = 3
 )
 
 // Section kinds. Unknown kinds are rejected: the format is immutable per
@@ -146,7 +146,7 @@ func parseBinary(path string, data []byte) (*binImage, error) {
 		return fail(0, "not a BFLOWSNB image")
 	}
 	version := data[8]
-	if version < binVersionRetired {
+	if version < 2 { // the first sectioned container was version 2
 		return fail(8, fmt.Sprintf("unsupported binary snapshot version %d", version))
 	}
 	count := int(data[9])

@@ -117,10 +117,10 @@ func TestSaveWritesBinaryFormat(t *testing.T) {
 }
 
 // TestCrossVersionFixtures loads state files that Middleware.Save wrote
-// over buildState in the last build to write container version 3,
-// plaintext and sealed with the passphrase "pr15-fixture": the one route
-// must read them to the same state, and must write the same version 4
-// bytes for that state as for the one this build ingests itself.
+// over buildState, as the last build to write container version 4
+// re-saved them, plaintext and sealed with the passphrase "pr15-fixture":
+// the one route must read them to the same state, and must write the same
+// version 5 bytes for that state as for the one this build ingests itself.
 func TestCrossVersionFixtures(t *testing.T) {
 	want, wantRegistry := buildState(t)
 	wantBlob, err := CaptureBytes(want, wantRegistry, 0, testEpoch)
@@ -189,7 +189,7 @@ func (r *readLog) ReadFile(name string) ([]byte, error) {
 // (recovery would fall back past the state it holds) and never
 // quarantined as rot — and is not even opened when a newer loadable
 // checkpoint covers it. That includes the first sectioned container,
-// version 2 (index codec 1, JSON registry).
+// version 2 (index codec 1, JSON registry), and version 3 (index codec 2).
 func TestRecoverRefusesRetiredFormat(t *testing.T) {
 	tracker, registry := buildState(t)
 	blob, err := CaptureBytes(tracker, registry, 3, testEpoch)
@@ -203,7 +203,8 @@ func TestRecoverRefusesRetiredFormat(t *testing.T) {
 	for format, payload := range map[string][]byte{
 		"BFLOWSNP framed-JSON": []byte("BFLOWSNP\x01\x00\x00\x00\x00\x00\x00\x00\x02\xb3\x9b\x0d\xd5{}"),
 		"bare-JSON":            []byte(`{"version":1,"savedAt":"2024-01-02T03:04:05Z","walSeg":3}`),
-		"BFLOWSNB version 2":   frameImage(binVersionRetired, im.sections),
+		"BFLOWSNB version 2":   frameImage(2, im.sections),
+		"BFLOWSNB version 3":   frameImage(binVersionRetired, im.sections),
 	} {
 		testRefusedCheckpoint(t, format, payload, func(path string, err error) bool {
 			var rfe *RetiredFormatError
@@ -228,7 +229,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer := frameImage(binVersion+1, im.sections)
-	testRefusedCheckpoint(t, "version 5", newer, func(path string, err error) bool {
+	testRefusedCheckpoint(t, "version 6", newer, func(path string, err error) bool {
 		var nfe *NewerFormatError
 		return errors.As(err, &nfe) && nfe.Path == path && nfe.Version == binVersion+1
 	})
@@ -236,7 +237,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 	newer[len(binMagic)+3] ^= 0x01 // a section-table byte: the header CRC no longer holds
 	var ce *CorruptSnapshotError
 	if _, err := RestoreBytes("mem.bf", newer, tracker, registry); !errors.As(err, &ce) {
-		t.Errorf("version 5 under a damaged header: err=%v, want CorruptSnapshotError", err)
+		t.Errorf("version 6 under a damaged header: err=%v, want CorruptSnapshotError", err)
 	}
 }
 

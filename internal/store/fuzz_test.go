@@ -39,13 +39,13 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)                                 // container version 4
-	f.Add(shapesImage(f))                        // version 4, every group shape
-	f.Add(readFixture(f, pr22Image))             // container version 3
-	f.Add(frameImage(2, im.sections))            // retired version 2
-	f.Add(frameImage(binVersion+1, im.sections)) // newer
-	f.Add(valid[:len(valid)-1])                  // truncated last section
-	f.Add(valid[:9])                             // truncated section table
+	f.Add(valid)                                      // container version 5
+	f.Add(shapesImage(f))                             // version 5, every group shape
+	f.Add(readFixture(f, pr22Image))                  // container version 4: registry codec 1
+	f.Add(frameImage(binVersionRetired, im.sections)) // retired version 3
+	f.Add(frameImage(binVersion+1, im.sections))      // newer
+	f.Add(valid[:len(valid)-1])                       // truncated last section
+	f.Add(valid[:9])                                  // truncated section table
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/2] ^= 0x80 // payload bit flip
 	f.Add(flip)
@@ -115,7 +115,7 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	})
 }
 
-// shapesImage is a version 4 image whose paragraph section holds every
+// shapesImage is a version 5 image whose paragraph section holds every
 // group shape of the posting stream: single holders between the groups of
 // a tail spelled out once and then repeated, and groups that are not plain
 // — a later holder edited since it posted (stamped), one whose hashes left

@@ -2,36 +2,41 @@ package tdm
 
 // Binary codec for ExportData: the registry section of the BFLOWSNB state
 // image (see internal/store). A registry names a handful of tags, services
-// and users from a hundred thousand labels, so every string is stored once
-// and referred to by its index in a table that builds up as the payload is
-// read:
+// and users, and a handful of distinct labels, for a hundred thousand
+// segments, so each string and each label is stored once:
 //
-//	u8      codec version (1)
+//	u8      codec version (2)
 //	uvarint service count
 //	  per service, ascending by name: name, privilege set, confidentiality set
 //	uvarint custom-tag count
 //	  per tag, ascending: tag, owner
-//	uvarint label count
-//	  per label, ascending by segment ID: front-coded segment ID
-//	  (wire.AppendFrontCoded), explicit set, implicit set, suppressed
-//	  set, stored-by set
+//	uvarint label table length
+//	  per entry, in the order the segments first name it: explicit set,
+//	  implicit set, suppressed set, stored-by set
+//	uvarint labelled segment count
+//	  per segment, ascending by ID: front-coded segment ID
+//	  (wire.AppendFrontCoded), uvarint label table index
 //
-// where a set is a uvarint count followed by that many strings, and a
-// string — name, tag or owner — is a uvarint table index; an index equal to
-// the table's length adds the string to the table: uvarint byte length and
-// the bytes follow (wire.AppendString). The encoding is a pure function of
-// the ExportData, which Export orders deterministically. The decoder keeps
-// only its string table on top of a wire.Reader, so a malformed payload is
-// a *wire.Error with the payload offset where decoding failed.
+// where a set is a uvarint count followed by that many strings, ascending,
+// and a string — name, tag or owner — is a uvarint index into a table that
+// builds up as the payload is read; an index equal to the table's length
+// adds the string to the table: uvarint byte length and the bytes follow
+// (wire.AppendString). The encoding is a pure function of the registry:
+// the decoder refuses a set out of order, two equal label entries, an index
+// past the entries named so far and an entry no segment names. A malformed
+// payload is a *wire.Error with the payload offset where decoding failed.
+// Codec 1, in container version 4 images, is still read: it has no label
+// table, and each segment's entry follows its ID in place of the index.
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/wire"
 )
 
-const exportCodecVersion = 1
+const exportCodecVersion = 2 // codec 1 is read, never written
 
 // AppendBinary appends the binary encoding of d, which must be ordered as
 // Export orders it, to buf and returns the extended slice.
@@ -68,10 +73,7 @@ func (d ExportData) AppendBinary(buf []byte) []byte {
 		str(rec.Owner)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
-	prev := ""
 	for _, l := range d.Labels {
-		buf = wire.AppendFrontCoded(buf, prev, string(l.Seg))
-		prev = string(l.Seg)
 		tags(l.Explicit)
 		tags(l.Implicit)
 		tags(l.Suppressed)
@@ -79,6 +81,13 @@ func (d ExportData) AppendBinary(buf []byte) []byte {
 		for _, name := range l.StoredBy {
 			str(name)
 		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(d.Segments)))
+	prev := ""
+	for _, s := range d.Segments {
+		buf = wire.AppendFrontCoded(buf, prev, string(s.Seg))
+		prev = string(s.Seg)
+		buf = binary.AppendUvarint(buf, uint64(s.Label))
 	}
 	return buf
 }
@@ -102,25 +111,34 @@ func (d *stringTable) str(what string) string {
 	return d.table[i]
 }
 
-// readSet reads a set of names or tags; the empty set decodes to nil.
+// readSet reads an ascending set of names or tags.
 func readSet[T ~string](d *stringTable, what string) []T {
-	n := d.Count(what+" count", 1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, n)
+	out := make([]T, d.Count(what+" count", 1))
 	for i := range out {
-		out[i] = T(d.str(what))
+		if out[i] = T(d.str(what)); i > 0 && out[i] <= out[i-1] {
+			d.Fail(what + "s not ascending")
+		}
 	}
 	return out
 }
 
-// DecodeExportData inverts ExportData.AppendBinary. Errors are *wire.Error.
-// Nothing in the result aliases data.
+// label reads one label table entry.
+func (d *stringTable) label() LabelRecord {
+	return LabelRecord{
+		Explicit:   readSet[Tag](d, "explicit tag"),
+		Implicit:   readSet[Tag](d, "implicit tag"),
+		Suppressed: readSet[Tag](d, "suppressed tag"),
+		StoredBy:   readSet[string](d, "storing service"),
+	}
+}
+
+// DecodeExportData inverts ExportData.AppendBinary, and reads codec 1.
+// Errors are *wire.Error. Nothing in the result aliases data.
 func DecodeExportData(data []byte) (ExportData, error) {
 	var out ExportData
 	d := &stringTable{Reader: wire.NewReader(data)}
-	if d.Byte("codec version") != exportCodecVersion {
+	codec := d.Byte("codec version")
+	if codec != exportCodecVersion && codec != 1 {
 		return out, &wire.Error{Reason: "empty payload or unsupported codec version"}
 	}
 	out.Services = make([]ServiceRecord, d.Count("service count", 3))
@@ -135,24 +153,40 @@ func DecodeExportData(data []byte) (ExportData, error) {
 	for i := range out.Tags {
 		out.Tags[i] = TagRecord{Tag: Tag(d.str("custom tag")), Owner: d.str("custom tag owner")}
 	}
-	out.Labels = make([]LabelRecord, d.Count("label count", 6))
+	if codec == exportCodecVersion {
+		out.Labels = make([]LabelRecord, d.Count("label table length", 4))
+		seen := make(map[string]bool, len(out.Labels))
+		for i := 0; i < len(out.Labels) && d.Err() == nil; i++ {
+			out.Labels[i] = d.label()
+			if seen[fmt.Sprintf("%q", out.Labels[i])] = true; len(seen) <= i {
+				d.Fail("label table entry repeated")
+			}
+		}
+	}
+	out.Segments = make([]SegmentRecord, d.Count("labelled segment count", 3))
 	var id []byte
-	for i := range out.Labels {
+	named := 0 // entries named so far: the next new one is out.Labels[named]
+	for i := 0; i < len(out.Segments) && d.Err() == nil; i++ {
 		id = d.FrontCoded(id)
 		// Import assigns labels one by one and must see each segment once.
-		if i > 0 && string(id) <= string(out.Labels[i-1].Seg) {
-			d.Fail("labels not strictly ascending by segment")
+		if i > 0 && string(id) <= string(out.Segments[i-1].Seg) {
+			d.Fail("labelled segments not strictly ascending")
 		}
-		out.Labels[i] = LabelRecord{
-			Seg:        segment.ID(id),
-			Explicit:   readSet[Tag](d, "explicit tag"),
-			Implicit:   readSet[Tag](d, "implicit tag"),
-			Suppressed: readSet[Tag](d, "suppressed tag"),
-			StoredBy:   readSet[string](d, "storing service"),
+		label := uint64(named)
+		if codec == exportCodecVersion {
+			label = d.Uvarint("label table index")
+		} else {
+			out.Labels = append(out.Labels, d.label())
 		}
-		if d.Err() != nil {
-			break // the rest of a long list is not worth walking
+		if label > uint64(named) || label >= uint64(len(out.Labels)) {
+			d.Fail("label table index past the entries named so far")
+		} else if label == uint64(named) {
+			named++
 		}
+		out.Segments[i] = SegmentRecord{Seg: segment.ID(id), Label: int(label)}
+	}
+	if named < len(out.Labels) {
+		d.Fail("label table entry no segment names")
 	}
 	if err := d.Done("registry payload"); err != nil {
 		return ExportData{}, err

@@ -75,17 +75,22 @@ func (r *Registry) assign(row *segRow, l Label) {
 	row.label = v
 }
 
-// store adds service to row's stored-by set. Sets are interned like labels
-// but never dropped: they name registered services, and a segment only
-// moves to larger ones.
+// store adds service to row's stored-by set.
 func (r *Registry) store(row *segRow, service string) {
 	names := row.storedNames()
-	i, found := slices.BinarySearch(names, service)
-	if found {
-		return
+	if i, found := slices.BinarySearch(names, service); !found {
+		// Clipped, so the insert copies rather than writing the shared set.
+		row.stored = r.internStored(slices.Insert(slices.Clip(names), i, service))
 	}
-	// Clipped, so the insert copies rather than writing the shared set.
-	names = slices.Insert(slices.Clip(names), i, service)
+}
+
+// internStored returns the shared stored-by set of the ascending names,
+// nil for none. Sets are interned like labels but never dropped: they name
+// registered services, and a segment only moves to larger ones.
+func (r *Registry) internStored(names []string) *[]string {
+	if len(names) == 0 {
+		return nil
+	}
 	r.keyBuf = r.keyBuf[:0]
 	for _, name := range names {
 		r.keyBuf = binary.AppendUvarint(r.keyBuf, uint64(len(name)))
@@ -100,7 +105,7 @@ func (r *Registry) store(row *segRow, service string) {
 		*set = names
 		r.storedSets[string(r.keyBuf)] = set
 	}
-	row.stored = set
+	return set
 }
 
 // DistinctLabels returns the number of distinct label contents the

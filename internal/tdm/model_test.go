@@ -317,8 +317,9 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 					t.Fatalf("step %d %s: holds %d interned values for %d distinct label contents", step, desc, got, want)
 				}
 				exported := make(map[segment.ID]LabelRecord)
-				for _, rec := range r.Export().Labels {
-					exported[rec.Seg] = rec
+				data := r.Export()
+				for _, s := range data.Segments {
+					exported[s.Seg] = data.Labels[s.Label]
 				}
 				if len(exported) != len(m.labels) {
 					t.Fatalf("step %d %s: exports %d labels, model has %d", step, desc, len(exported), len(m.labels))
@@ -338,8 +339,8 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 						t.Fatalf("step %d %s: StoredBy(%s)=%v, model %v", step, desc, s, stored, wantStored)
 					}
 					if known {
-						wantRec := LabelRecord{Seg: s, Explicit: sortedTags(ml.explicit), Implicit: sortedTags(ml.implicit), Suppressed: sortedTags(ml.suppressed)}
-						gotRec := LabelRecord{Seg: s, Explicit: got.Explicit().Sorted(), Implicit: got.Implicit().Sorted(), Suppressed: got.Suppressed().Sorted()}
+						wantRec := LabelRecord{Explicit: sortedTags(ml.explicit), Implicit: sortedTags(ml.implicit), Suppressed: sortedTags(ml.suppressed)}
+						gotRec := LabelRecord{Explicit: got.Explicit().Sorted(), Implicit: got.Implicit().Sorted(), Suppressed: got.Suppressed().Sorted()}
 						if !reflect.DeepEqual(gotRec, wantRec) {
 							t.Fatalf("step %d %s: Label(%s)=%+v, model %+v", step, desc, s, gotRec, wantRec)
 						}

@@ -64,7 +64,7 @@ type Registry struct {
 
 // segRow is everything the registry holds per segment: its shared label
 // value (nil: an unknown segment) and the shared, ascending names of the
-// services storing it, which alias Service.Name (nil: none).
+// services storing it (nil: none).
 type segRow struct {
 	label  *labelValue
 	stored *[]string

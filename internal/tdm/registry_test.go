@@ -20,7 +20,7 @@ func paperRegistry(t *testing.T) *Registry {
 	return r
 }
 
-func mustRegister(t *testing.T, r *Registry, name string, lp, lc TagSet) {
+func mustRegister(t testing.TB, r *Registry, name string, lp, lc TagSet) {
 	t.Helper()
 	if err := r.RegisterService(name, lp, lc); err != nil {
 		t.Fatalf("RegisterService(%s): %v", name, err)
