@@ -195,8 +195,7 @@ vuln:
 # and the replication stream, held to one answer), the record applier a
 # replica runs over streamed records, the state-image restore (unseal +
 # BFLOWSNB decode, the one route every load takes), the registry section's
-# decoder on its own (both codecs it reads), the index digest codec the
-# anti-entropy comparator trusts, the index itself against its
+# decoder on its own (both codecs it reads), the index itself against its
 # reference model (generated operation streams on the model rig's nine
 # layouts: head-only, merging inline and merged when told, at 1, 64 and
 # 256 shards, each checked after every operation, with restores), the
@@ -210,7 +209,6 @@ fuzz:
 	$(GO) test -fuzz 'FuzzApplyRecord' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzRestoreBinarySnapshot' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz 'FuzzDecodeExportData' -fuzztime $(FUZZTIME) ./internal/tdm
-	$(GO) test -fuzz 'FuzzDecodeDigest' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzIndexModel' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -fuzz 'FuzzTableModel' -fuzztime $(FUZZTIME) ./internal/segment
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition

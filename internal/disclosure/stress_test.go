@@ -103,7 +103,8 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 	// the loaded copy — rebuilt from the encoded postings alone — has the
 	// counters and the digest the source maintained incrementally.
 	restored := index.New(nil, 0)
-	if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
+	img, _ := db.AppendSnapshot(nil)
+	if err := restored.LoadSnapshot(img); err != nil {
 		t.Fatalf("image of the churned database does not load: %v", err)
 	}
 	s, rs := db.Stats(), restored.Stats()

@@ -6,9 +6,10 @@ package index
 // of the posting stream, one flag per posting; a stamp is its distance
 // below the holder's DBpar updated, zero unless the segment was edited
 // after it first posted the hash; a threshold is stored where it differs
-// from the default; sorted segment IDs are front-coded. The postings are
-// two bit streams (wire.AppendBits), a ref in them ⌈log2 table length⌉
-// bits wide.
+// from the default; sorted segment IDs are front-coded, and the registry
+// section (internal/tdm) names segments through the paragraph section's
+// table. The postings are two bit streams (wire.AppendBits), a ref in them
+// ⌈log2 table length⌉ bits wide.
 //
 //	u8      codec version (3)
 //	u64     clock, u64 defaultThreshold (IEEE 754 bits), little endian
@@ -76,9 +77,11 @@ const snapshotCodecVersion = 3
 // before any shard) cannot deadlock under the package's lock ordering: no
 // writer waits for a stripe while holding a shard, and none holds two
 // locks of one kind. The hash stream and the unposted list are written
-// after the locks are released, from the encoder's own lists.
-func (db *DB) AppendSnapshot(buf []byte) []byte {
-	buf, hashes, unposted := db.appendCut(buf)
+// after the locks are released, from the encoder's own lists. It also
+// returns the image's segment table, ascending by ID, which the registry
+// section names its segments by.
+func (db *DB) AppendSnapshot(buf []byte) ([]byte, []segment.ID) {
+	buf, table, hashes, unposted := db.appendCut(buf)
 	buf = wire.AppendBits(buf, func(w *wire.BitWriter) { writeHashStream(w, hashes) })
 	slices.Sort(unposted)
 	buf = binary.AppendUvarint(buf, uint64(len(unposted)))
@@ -86,13 +89,13 @@ func (db *DB) AppendSnapshot(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, u>>32)
 		buf = binary.AppendUvarint(buf, u&math.MaxUint32)
 	}
-	return buf
+	return buf, table
 }
 
 // appendCut appends the image up to its hash stream under the locks, and
-// returns the hashes in the order they were posted and the fingerprint
-// hashes without a live posting, as ref << 32 | hash.
-func (db *DB) appendCut(buf []byte) (_ []byte, hashes []uint32, unposted []uint64) {
+// returns its segment table, the hashes in the order they were posted and
+// the fingerprint hashes without a live posting, as ref << 32 | hash.
+func (db *DB) appendCut(buf []byte) (_ []byte, ids []segment.ID, hashes []uint32, unposted []uint64) {
 	defer db.lockStripes(false)()
 	for si := range db.hashShards {
 		db.hashShards[si].mu.RLock()
@@ -123,11 +126,12 @@ func (db *DB) appendCut(buf []byte) (_ []byte, hashes []uint32, unposted []uint6
 	buf = binary.LittleEndian.AppendUint64(buf, clock)
 	buf = binary.LittleEndian.AppendUint64(buf, thrBits)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	ids = make([]segment.ID, len(table))
 	prevSeg := ""
-	for _, r := range table {
-		seg := string(db.tab.ID(r))
-		buf = wire.AppendFrontCoded(buf, prevSeg, seg)
-		prevSeg = seg
+	for i, r := range table {
+		ids[i] = db.tab.ID(r)
+		buf = wire.AppendFrontCoded(buf, prevSeg, string(ids[i]))
+		prevSeg = string(ids[i])
 	}
 
 	// DBpar entries, ascending by (new) ref. holders is the other side of
@@ -216,7 +220,7 @@ func (db *DB) appendCut(buf []byte) (_ []byte, hashes []uint32, unposted []uint6
 			unposted = append(unposted, uint64(ref)<<32|uint64(h))
 		}
 	}
-	return buf, hashes, unposted
+	return buf, ids, hashes, unposted
 }
 
 // refSet is a set of refs of a segment table other owners may share, and
@@ -405,6 +409,9 @@ type PreparedSnapshot struct {
 	// zero distance (and never 0, DB.born's "none yet").
 	born segment.Column[uint64]
 }
+
+// Table returns the image's segment table, ascending by ID.
+func (p *PreparedSnapshot) Table() []segment.ID { return p.table }
 
 // LoadSnapshot replaces the DB's contents with the decoded snapshot,
 // building the compacted runs directly from the posting arrays. It must

@@ -61,7 +61,7 @@ func TestSnapshotRepeatCostsNothing(t *testing.T) {
 		shared.Update(edgeSeg(i), fingerprint.FromHashes(hs), nil)   // every hash: one tail, spelled, then repeated
 		once.Update(edgeSeg(i), fingerprint.FromHashes(hs[:1]), nil) // the first hash only
 	}
-	a, b := shared.AppendSnapshot(nil), once.AppendSnapshot(nil)
+	a, b := snapshot(shared), snapshot(once)
 	if shared.Stats().Postings != 3*len(hs) || once.Stats().Postings != len(hs)+2 || len(a) != len(b) {
 		t.Fatalf("%d postings in %d bytes against %d in %d; want %d against %d in the same bytes",
 			shared.Stats().Postings, len(a), once.Stats().Postings, len(b), 3*len(hs), len(hs)+2)
@@ -218,12 +218,19 @@ func workloadDB() *DB {
 	return db
 }
 
+// snapshot is db's image, without the segment table AppendSnapshot also
+// returns.
+func snapshot(db *DB) []byte {
+	img, _ := db.AppendSnapshot(nil)
+	return img
+}
+
 // TestLoadSnapshotRejectsCorruption flips or truncates bytes across the
 // payload and requires a typed *wire.Error (never a panic) and an untouched
 // (fully reset, not partially loaded) DB.
 func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	t.Parallel()
-	blob := workloadDB().AppendSnapshot(nil)
+	blob := snapshot(workloadDB())
 	// Sanity: pristine blob loads.
 	if err := New(nil, 0).LoadSnapshot(blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
@@ -269,7 +276,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 		}
 		db.Update(segment.ID(fmt.Sprintf("doc%d#p%d", i/10, i%10)), fingerprint.FromHashes(hs), nil)
 	}
-	blob := db.AppendSnapshot(nil)
+	blob := snapshot(db)
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -16,13 +16,7 @@ package index
 // sets never enter a code. Compaction is digest-neutral by construction
 // (it preserves every live (hash, seg, seq) triple exactly).
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-	"math"
-
-	"github.com/lsds/browserflow/internal/wire"
-)
+import "math"
 
 // mix64 is the splitmix64 finalizer: a cheap bijective mixer with full
 // avalanche, so XOR-combining codes of distinct items does not cancel
@@ -198,58 +192,4 @@ func (db *DB) RecomputeDigests() {
 		ss := db.segShardFor(db.tab.ID(row.ref))
 		ss.digest ^= db.rowCode(ss, key(row.ref), row)
 	})
-}
-
-// Digest wire codec: the compact form replicas attach to stream rounds
-// and /v1/repl/digest serves. Fixed-width little-endian framing behind a
-// magic, a version byte and a trailing CRC32C, so a corrupt or truncated
-// frame decodes to an error, never to a plausible digest.
-
-// digestMagic opens an encoded digest frame.
-const digestMagic = "BFDIGST1"
-
-// digestCodecVersion is the current frame layout version.
-const digestCodecVersion = 1
-
-var digestCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// AppendEncode appends the digest's wire frame to buf.
-func (d Digest) AppendEncode(buf []byte) []byte {
-	start := len(buf)
-	buf = append(buf, digestMagic...)
-	buf = append(buf, digestCodecVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, d.Clock)
-	buf = binary.LittleEndian.AppendUint64(buf, d.Postings)
-	buf = binary.LittleEndian.AppendUint64(buf, d.Pars)
-	buf = binary.LittleEndian.AppendUint64(buf, d.Combined)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], digestCRCTable))
-}
-
-// EncodedDigestLen is the exact wire size of one digest frame.
-const EncodedDigestLen = len(digestMagic) + 1 + 4*8 + 4
-
-// DecodeDigest parses one digest frame, rejecting bad magic, unknown
-// versions, length mismatches and CRC failures with a *wire.Error.
-func DecodeDigest(data []byte) (Digest, error) {
-	var d Digest
-	if len(data) != EncodedDigestLen {
-		return d, &wire.Error{Offset: len(data), Reason: "digest frame length mismatch"}
-	}
-	if string(data[:len(digestMagic)]) != digestMagic {
-		return d, &wire.Error{Offset: 0, Reason: "bad digest magic"}
-	}
-	if data[len(digestMagic)] != digestCodecVersion {
-		return d, &wire.Error{Offset: len(digestMagic), Reason: "unsupported digest codec version"}
-	}
-	body := data[: len(data)-4 : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, digestCRCTable); got != want {
-		return d, &wire.Error{Offset: len(data) - 4, Reason: "digest CRC mismatch"}
-	}
-	off := len(digestMagic) + 1
-	d.Clock = binary.LittleEndian.Uint64(data[off:])
-	d.Postings = binary.LittleEndian.Uint64(data[off+8:])
-	d.Pars = binary.LittleEndian.Uint64(data[off+16:])
-	d.Combined = binary.LittleEndian.Uint64(data[off+24:])
-	return d, nil
 }

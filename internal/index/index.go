@@ -878,30 +878,6 @@ func (db *DB) Holders(h uint32) []segment.ID {
 	return db.AppendHolders(h, nil)
 }
 
-// AuthoritativeCount returns |Fauthoritative(seg)|: how many of seg's
-// fingerprint hashes have seg as their oldest holder.
-func (db *DB) AuthoritativeCount(seg segment.ID) int {
-	ref, hs, _, ok := db.origin(seg)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for i := 0; i < len(hs); {
-		si := db.hashShardIdx(hs[i])
-		sh := &db.hashShards[si]
-		j := i
-		sh.mu.RLock()
-		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if oldest, _, ok := db.oldestLocked(sh, hs[j], false); ok && oldest == ref {
-				n++
-			}
-		}
-		sh.mu.RUnlock()
-		i = j
-	}
-	return n
-}
-
 // AuthoritativeOverlap returns |Fauthoritative(src) ∩ target| — the core
 // quantity of the adjusted disclosure metrics of §4.3 — together with
 // |F(src)|. It returns (0, 0) if src has no stored fingerprint.

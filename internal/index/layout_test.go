@@ -78,7 +78,7 @@ func TestRestoreLeavesNoDeadCapacity(t *testing.T) {
 			t.Errorf("%s: run columns hold %d entries in %d of capacity, want at most 2 %% spare", name, length, capacity)
 		}
 	}
-	if !bytes.Equal(restored.AppendSnapshot(nil), db.AppendSnapshot(nil)) {
+	if !bytes.Equal(snapshot(restored), snapshot(db)) {
 		t.Error("the restored copy encodes another image")
 	}
 }
@@ -88,7 +88,7 @@ func TestRestoreLeavesNoDeadCapacity(t *testing.T) {
 func restoredCopy(t *testing.T, db *DB) *DB {
 	t.Helper()
 	restored := New(nil, 0)
-	if err := restored.LoadSnapshot(db.AppendSnapshot(nil)); err != nil {
+	if err := restored.LoadSnapshot(snapshot(db)); err != nil {
 		t.Fatal(err)
 	}
 	return restored

@@ -67,6 +67,22 @@ func newRefModel() *refModel {
 	return &refModel{postings: map[uint32][]refPosting{}, segs: map[segment.ID]refSeg{}, def: 0.5}
 }
 
+// held is the segments an image's table names, ascending: the DBpar
+// entries and the holders of live postings.
+func (m *refModel) held() []segment.ID {
+	var out []segment.ID
+	for seg := range m.segs {
+		out = append(out, seg)
+	}
+	for _, ps := range m.postings {
+		for _, p := range ps {
+			out = append(out, p.seg)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // update is DB.Update: the entry's decision becomes d (nil: none), an
 // unchanged fingerprint changes nothing else, a new one ticks the clock
 // and posts every hash seg does not hold yet. It returns the stamp Update
@@ -430,7 +446,7 @@ func (r *modelRig) restoreAll() {
 	r.t.Helper()
 	r.m = r.m.restored()
 	for i, db := range r.dbs {
-		r.dbs[i] = r.restored(r.tab, db.AppendSnapshot(nil), i)
+		r.dbs[i] = r.restored(r.tab, snapshot(db), i)
 	}
 	r.done("restore")
 }
@@ -485,9 +501,13 @@ func (r *modelRig) check(step string) {
 	for i, db := range r.dbs {
 		want.check(r.t, fmt.Sprintf("%s/%v", step, r.layouts[i]), db)
 	}
-	img, digest := r.dbs[0].AppendSnapshot(nil), r.dbs[0].Digest()
+	img, table := r.dbs[0].AppendSnapshot(nil)
+	if want := r.m.held(); !slices.Equal(table, want) {
+		r.t.Fatalf("%s: the image's segment table is %v, want %v", step, table, want)
+	}
+	digest := r.dbs[0].Digest()
 	for i, db := range r.dbs[1:] {
-		if !bytes.Equal(db.AppendSnapshot(nil), img) || db.Digest() != digest {
+		if !bytes.Equal(snapshot(db), img) || db.Digest() != digest {
 			r.t.Fatalf("%s: %v encodes another image or digest than %v", step, r.layouts[i+1], r.layouts[0])
 		}
 	}
@@ -504,7 +524,7 @@ func (r *modelRig) check(step string) {
 		}
 	}
 	r.m.restored().answers(live, names).check(r.t, fmt.Sprintf("%s/restored into %v", step, r.layouts[i]), c)
-	if !bytes.Equal(c.AppendSnapshot(nil), img) {
+	if !bytes.Equal(snapshot(c), img) {
 		r.t.Fatalf("%s: restored into %v, the image encodes differently", step, r.layouts[i])
 	}
 }
@@ -652,7 +672,7 @@ func (a *answers) check(t *testing.T, step string, db *DB) {
 			ok != (fp != nil) || fp != nil && !slices.Equal(fp.Hashes(), s.hashes) {
 			t.Fatalf("%s: entry of %s = %#x, threshold %v (%v); want %#x, %v (%v)", step, seg, hashes, threshold, got, s.hashes, s.threshold, ok)
 		}
-		if got := db.AuthoritativeCount(seg); got != a.count[i] {
+		if got, _ := db.AuthoritativeOverlap(seg, fingerprint.FromSortedHashes(s.hashes)); got != a.count[i] {
 			t.Fatalf("%s: authoritative count of %s = %d, want %d", step, seg, got, a.count[i])
 		}
 		target := m.segs[a.names[(i+1)%len(a.names)]].hashes

@@ -466,7 +466,7 @@ var snapshotCases = []struct {
 				}
 			}
 		})
-		if n, bits := r.dbs[0].Stats().Postings, 8*len(r.dbs[0].AppendSnapshot(nil)); n != 64*400 || n > bits {
+		if n, bits := r.dbs[0].Stats().Postings, 8*len(snapshot(r.dbs[0])); n != 64*400 || n > bits {
 			r.t.Fatalf("%d postings in an image of %d bits; want 25600, within the bits", n, bits)
 		}
 	}},

@@ -306,12 +306,12 @@ func TestConcurrentExportImport(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			load(db.AppendSnapshot(nil))
+			load(snapshot(db))
 		}
 	}()
 	wg.Wait()
 
-	restored := load(db.AppendSnapshot(nil))
+	restored := load(snapshot(db))
 	got, want := restored.Stats(), db.Stats()
 	if got.Postings != want.Postings || got.DistinctHashes != want.DistinctHashes || got.Segments != want.Segments {
 		t.Fatalf("import drifted: got %+v want %+v", got, want)
@@ -363,7 +363,7 @@ func TestSnapshotBesideMaintenance(t *testing.T) {
 			defer close(done)
 			mutate()
 		}()
-		img := db.AppendSnapshot(nil)
+		img := snapshot(db)
 		<-done
 		restored := New(nil, 0)
 		if err := restored.LoadSnapshot(img); err != nil {

@@ -68,7 +68,8 @@ func export(t testing.TB, tracker *disclosure.Tracker, registry *tdm.Registry) [
 	t.Helper()
 	var out []byte
 	for _, db := range []*index.DB{tracker.Paragraphs(), tracker.Documents()} {
-		out = db.Digest().AppendEncode(db.AppendSnapshot(out))
+		out, _ = db.AppendSnapshot(out)
+		out = fmt.Appendf(out, "%+v", db.Digest())
 	}
 	for _, v := range []interface{}{registry.Export(), registry.Audit().Entries()} {
 		data, err := json.Marshal(v)

@@ -11,15 +11,16 @@
 // Every section carries its own CRC32C (Castagnoli, shared with the WAL
 // framing) and the section table itself is CRC-framed, so truncation, bit
 // flips and garbage tails are all detected before any payload is parsed.
-// Version 5, the one written, holds the two fingerprint databases in the
+// Version 6, the one written, holds the two fingerprint databases in the
 // index package's codec 3 (a bit-coded posting stream), the registry in
-// the tdm package's codec 2 (each distinct label once); the audit section
-// stays JSON — it is small and schema-flexible. Version 4 (registry codec
-// 1, a label per segment) is still read, so an upgraded node recovers the
-// checkpoint its predecessor wrote. Versions 3 (index codec 2) and 2
-// (index codec 1, JSON registry) are retired: refused by name
-// (RetiredFormatError), as a version above 5 is (NewerFormatError), never
-// skipped as damage.
+// the tdm package's codec 3 (each distinct label once, and a code per
+// segment of the paragraph section's table in place of its ID); the audit
+// section stays JSON — it is small and schema-flexible. Version 5
+// (registry codec 2, every labelled segment by ID) is still read, so an
+// upgraded node recovers the checkpoint its predecessor wrote. Versions 4
+// (registry codec 1), 3 (index codec 2) and 2 (index codec 1, JSON
+// registry) are retired: refused by name (RetiredFormatError), as a
+// version above 6 is (NewerFormatError), never skipped as damage.
 //
 // There is one way in and one way out. CaptureBytes encodes straight from
 // the live DBs (index.AppendSnapshot, which takes its own consistent cut)
@@ -28,7 +29,7 @@
 // runs directly. RestoreFile is RestoreBytes for a file: mapped when the
 // filesystem supports it (wal.MapFS), unsealed when keyed.
 //
-// The formats that preceded BFLOWSNB, and its versions 2 and 3, are
+// The formats that preceded BFLOWSNB, and its versions 2 to 4, are
 // recognised only to be refused with a RetiredFormatError.
 package store
 
@@ -47,6 +48,7 @@ import (
 	"github.com/lsds/browserflow/internal/audit"
 	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/index"
+	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 	"github.com/lsds/browserflow/internal/wire"
@@ -56,12 +58,12 @@ import (
 var binMagic = []byte("BFLOWSNB")
 
 // binVersion is the container format version this build writes, and
-// binVersionRead the oldest it reads; versions 2 and binVersionRetired
-// (index codecs 1 and 2) are refused by name.
+// binVersionRead the oldest it reads; versions 2 to binVersionRetired are
+// refused by name.
 const (
-	binVersion        = 5
-	binVersionRead    = 4
-	binVersionRetired = 3
+	binVersion        = 6
+	binVersionRead    = 5
+	binVersionRetired = 4
 )
 
 // Section kinds. Unknown kinds are rejected: the format is immutable per
@@ -247,7 +249,9 @@ func wrapCodecErr(path string, sec binSection, err error) error {
 // walk over the postings and the labels and the image exists once. It is
 // safe beside observes and index maintenance: each DB's section is a
 // consistent cut of that DB (see index.AppendSnapshot); the paragraph DB,
-// document DB, registry and audit log are captured one after another. A
+// document DB, registry and audit log are captured one after another. The
+// registry section names segments by the paragraph section's table and
+// lists by ID those the table lacks, so it is exact whatever the cut. A
 // caller that needs the four aligned with each other and with a WAL
 // position holds Durable's barrier around the call. savedAt is the capture
 // time the image records.
@@ -278,9 +282,16 @@ func CaptureBytes(tracker *disclosure.Tracker, registry *tdm.Registry, walSeg ui
 		written++
 	}
 	section(secMeta, func(buf []byte) []byte { return appendBinaryMeta(buf, SnapshotVersion, savedAt, walSeg) })
-	section(secParagraphs, tracker.Paragraphs().AppendSnapshot)
-	section(secDocuments, tracker.Documents().AppendSnapshot)
-	section(secRegistry, func(buf []byte) []byte { return registry.Export().AppendBinary(buf) })
+	var table []segment.ID // the paragraph section's, which the registry section names segments by
+	section(secParagraphs, func(buf []byte) []byte {
+		buf, table = tracker.Paragraphs().AppendSnapshot(buf)
+		return buf
+	})
+	section(secDocuments, func(buf []byte) []byte {
+		buf, _ = tracker.Documents().AppendSnapshot(buf)
+		return buf
+	})
+	section(secRegistry, func(buf []byte) []byte { return registry.Export().AppendBinary(buf, table) })
 	aud, err := json.Marshal(registry.Audit().Entries())
 	if err != nil {
 		return nil, fmt.Errorf("store: capture audit: %w", err)
@@ -320,18 +331,19 @@ func RestoreBytes(path string, data []byte, tracker *disclosure.Tracker, registr
 	}
 	// Decode every section before touching tracker or registry state, so no
 	// corruption — which the CRCs screen on disk, but not in an image sent to
-	// a bootstrapping standby — can leave a partial load.
-	regData, err := tdm.DecodeExportData(reg.payload)
+	// a bootstrapping standby — can leave a partial load. The registry names
+	// its segments by the paragraph section's table, so that comes first.
+	parsPrep, err := tracker.Paragraphs().PrepareSnapshot(pars.payload)
+	if err != nil {
+		return BinaryMeta{}, wrapCodecErr(path, pars, err)
+	}
+	regData, err := tdm.DecodeExportData(reg.payload, parsPrep.Table())
 	if err != nil {
 		return BinaryMeta{}, wrapCodecErr(path, reg, err)
 	}
 	var entries []audit.Entry
 	if err := json.Unmarshal(aud.payload, &entries); err != nil {
 		return BinaryMeta{}, fmt.Errorf("store: decode audit: %w", err)
-	}
-	parsPrep, err := tracker.Paragraphs().PrepareSnapshot(pars.payload)
-	if err != nil {
-		return BinaryMeta{}, wrapCodecErr(path, pars, err)
 	}
 	docsPrep, err := tracker.Documents().PrepareSnapshot(docs.payload)
 	if err != nil {

@@ -9,10 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/lsds/browserflow/internal/disclosure"
 	"github.com/lsds/browserflow/internal/faultinject"
+	"github.com/lsds/browserflow/internal/segment"
+	"github.com/lsds/browserflow/internal/tdm"
 	"github.com/lsds/browserflow/internal/wal"
 )
 
@@ -117,10 +121,10 @@ func TestSaveWritesBinaryFormat(t *testing.T) {
 }
 
 // TestCrossVersionFixtures loads state files that Middleware.Save wrote
-// over buildState, as the last build to write container version 4
+// over buildState, as the last build to write container version 5
 // re-saved them, plaintext and sealed with the passphrase "pr15-fixture":
 // the one route must read them to the same state, and must write the same
-// version 5 bytes for that state as for the one this build ingests itself.
+// version 6 bytes for that state as for the one this build ingests itself.
 func TestCrossVersionFixtures(t *testing.T) {
 	want, wantRegistry := buildState(t)
 	wantBlob, err := CaptureBytes(want, wantRegistry, 0, testEpoch)
@@ -184,12 +188,87 @@ func (r *readLog) ReadFile(name string) ([]byte, error) {
 	return r.FS.ReadFile(name)
 }
 
+// listedState is buildState with labelled segments the paragraph
+// section's table does not name: an explicit tag on a segment never
+// observed, a document's label, and a label kept after its paragraph left
+// the index.
+func listedState(t testing.TB) (*disclosure.Tracker, *tdm.Registry) {
+	t.Helper()
+	tracker, registry := buildState(t)
+	registry.UpsertExplicit("docs/unseen#p0", []tdm.Tag{"tw"})
+	if err := registry.ObserveSegment("wiki/plan", "wiki"); err != nil {
+		t.Fatal(err)
+	}
+	if err := registry.ObserveSegment("wiki/old#p0", "wiki"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tracker.ObserveParagraph("wiki/old#p0", "an old paragraph that the wiki has since deleted from the page"); err != nil {
+		t.Fatal(err)
+	}
+	tracker.Paragraphs().RemoveSegment("wiki/old#p0")
+	return tracker, registry
+}
+
+// TestRestoreListsSegmentsOutsideTheTable: the registry section codes the
+// segments of the paragraph section's table and lists the labelled
+// segments it does not name; the image restores to the registry it was
+// captured from and re-encodes to its own bytes.
+func TestRestoreListsSegmentsOutsideTheTable(t *testing.T) {
+	tracker, registry := listedState(t)
+	blob, err := CaptureBytes(tracker, registry, 0, testEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := parseBinary("mem.bf", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := im.require(secParagraphs, secRegistry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := freshState(t)
+	prep, err := fresh.Paragraphs().PrepareSnapshot(secs[0].payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := tdm.DecodeExportData(secs[1].payload, prep.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []segment.ID
+	for _, s := range data.Segments {
+		if _, named := slices.BinarySearch(prep.Table(), s.Seg); !named {
+			listed = append(listed, s.Seg)
+		}
+	}
+	if want := []segment.ID{"docs/unseen#p0", "wiki/old#p0", "wiki/plan"}; !slices.Equal(listed, want) || len(data.Segments) != len(want)+1 {
+		t.Errorf("the registry section lists %v of %d labelled segments, want %v of %d", listed, len(data.Segments), want, len(want)+1)
+	}
+
+	restoredTracker, restoredRegistry := freshState(t)
+	if _, err := RestoreBytes("mem.bf", blob, restoredTracker, restoredRegistry); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restoredRegistry.Export(), registry.Export(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored registry exports\n%+v\nwant\n%+v", got, want)
+	}
+	again, err := CaptureBytes(restoredTracker, restoredRegistry, 0, testEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Errorf("the restored state captures to %d bytes, not the %d it was restored from", len(again), len(blob))
+	}
+}
+
 // TestRecoverRefusesRetiredFormat: an intact checkpoint in a format this
 // build no longer reads is refused by name — never skipped as corrupt
 // (recovery would fall back past the state it holds) and never
 // quarantined as rot — and is not even opened when a newer loadable
 // checkpoint covers it. That includes the first sectioned container,
-// version 2 (index codec 1, JSON registry), and version 3 (index codec 2).
+// version 2 (index codec 1, JSON registry), version 3 (index codec 2) and
+// version 4 (registry codec 1).
 func TestRecoverRefusesRetiredFormat(t *testing.T) {
 	tracker, registry := buildState(t)
 	blob, err := CaptureBytes(tracker, registry, 3, testEpoch)
@@ -204,7 +283,8 @@ func TestRecoverRefusesRetiredFormat(t *testing.T) {
 		"BFLOWSNP framed-JSON": []byte("BFLOWSNP\x01\x00\x00\x00\x00\x00\x00\x00\x02\xb3\x9b\x0d\xd5{}"),
 		"bare-JSON":            []byte(`{"version":1,"savedAt":"2024-01-02T03:04:05Z","walSeg":3}`),
 		"BFLOWSNB version 2":   frameImage(2, im.sections),
-		"BFLOWSNB version 3":   frameImage(binVersionRetired, im.sections),
+		"BFLOWSNB version 3":   frameImage(3, im.sections),
+		"BFLOWSNB version 4":   frameImage(binVersionRetired, im.sections),
 	} {
 		testRefusedCheckpoint(t, format, payload, func(path string, err error) bool {
 			var rfe *RetiredFormatError
@@ -229,7 +309,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer := frameImage(binVersion+1, im.sections)
-	testRefusedCheckpoint(t, "version 6", newer, func(path string, err error) bool {
+	testRefusedCheckpoint(t, "version 7", newer, func(path string, err error) bool {
 		var nfe *NewerFormatError
 		return errors.As(err, &nfe) && nfe.Path == path && nfe.Version == binVersion+1
 	})
@@ -237,7 +317,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 	newer[len(binMagic)+3] ^= 0x01 // a section-table byte: the header CRC no longer holds
 	var ce *CorruptSnapshotError
 	if _, err := RestoreBytes("mem.bf", newer, tracker, registry); !errors.As(err, &ce) {
-		t.Errorf("version 6 under a damaged header: err=%v, want CorruptSnapshotError", err)
+		t.Errorf("version 7 under a damaged header: err=%v, want CorruptSnapshotError", err)
 	}
 }
 

@@ -70,7 +70,8 @@ func export(t testing.TB, w *world) []byte {
 	t.Helper()
 	var out []byte
 	for _, db := range []*index.DB{w.tracker.Paragraphs(), w.tracker.Documents()} {
-		out = db.Digest().AppendEncode(db.AppendSnapshot(out))
+		out, _ = db.AppendSnapshot(out)
+		out = fmt.Appendf(out, "%+v", db.Digest())
 	}
 	for _, v := range []interface{}{w.registry.Export(), w.registry.Audit().Entries()} {
 		data, err := json.Marshal(v)

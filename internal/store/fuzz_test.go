@@ -39,10 +39,16 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)                                      // container version 5
-	f.Add(shapesImage(f))                             // version 5, every group shape
-	f.Add(readFixture(f, pr22Image))                  // container version 4: registry codec 1
-	f.Add(frameImage(binVersionRetired, im.sections)) // retired version 3
+	listedTracker, listedRegistry := listedState(f)
+	listed, err := CaptureBytes(listedTracker, listedRegistry, 7, testEpoch)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)                                      // container version 6
+	f.Add(listed)                                     // version 6, segments listed beside the table's codes
+	f.Add(shapesImage(f))                             // version 6, every group shape
+	f.Add(readFixture(f, pr22Image))                  // container version 5: registry codec 2
+	f.Add(frameImage(binVersionRetired, im.sections)) // retired version 4
 	f.Add(frameImage(binVersion+1, im.sections))      // newer
 	f.Add(valid[:len(valid)-1])                       // truncated last section
 	f.Add(valid[:9])                                  // truncated section table
@@ -115,7 +121,7 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	})
 }
 
-// shapesImage is a version 5 image whose paragraph section holds every
+// shapesImage is a version 6 image whose paragraph section holds every
 // group shape of the posting stream: single holders between the groups of
 // a tail spelled out once and then repeated, and groups that are not plain
 // — a later holder edited since it posted (stamped), one whose hashes left

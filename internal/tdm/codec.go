@@ -3,9 +3,11 @@ package tdm
 // Binary codec for ExportData: the registry section of the BFLOWSNB state
 // image (see internal/store). A registry names a handful of tags, services
 // and users, and a handful of distinct labels, for a hundred thousand
-// segments, so each string and each label is stored once:
+// segments, nearly all of which the paragraph section's segment table
+// names already; so each string and each label is stored once, and a
+// segment of that table costs a code, not its ID:
 //
-//	u8      codec version (2)
+//	u8      codec version (3)
 //	uvarint service count
 //	  per service, ascending by name: name, privilege set, confidentiality set
 //	uvarint custom-tag count
@@ -13,40 +15,51 @@ package tdm
 //	uvarint label table length
 //	  per entry, in the order the segments first name it: explicit set,
 //	  implicit set, suppressed set, stored-by set
-//	uvarint labelled segment count
-//	  per segment, ascending by ID: front-coded segment ID
-//	  (wire.AppendFrontCoded), uvarint label table index
+//	label code stream (wire.AppendBits): per segment of the table, in
+//	  table order, a code bits.Len(label table length) bits wide: 0 for
+//	  an unlabelled segment, i+1 for label table entry i
+//	uvarint listed segment count
+//	  per labelled segment the table does not name, ascending by ID:
+//	  front-coded segment ID (wire.AppendFrontCoded), uvarint label table
+//	  index
 //
 // where a set is a uvarint count followed by that many strings, ascending,
 // and a string — name, tag or owner — is a uvarint index into a table that
 // builds up as the payload is read; an index equal to the table's length
 // adds the string to the table: uvarint byte length and the bytes follow
-// (wire.AppendString). The encoding is a pure function of the registry:
-// the decoder refuses a set out of order, two equal label entries, an index
-// past the entries named so far and an entry no segment names. A malformed
-// payload is a *wire.Error with the payload offset where decoding failed.
-// Codec 1, in container version 4 images, is still read: it has no label
-// table, and each segment's entry follows its ID in place of the index.
+// (wire.AppendString). The listed segments are what the table cannot name:
+// explicit tags on segments never observed, document labels, and labels
+// that outlive their DBpar entry. The encoding is a pure function of the
+// registry and the table: the decoder merges the table's labelled segments
+// and the list into one ascending list and refuses a set out of order, two
+// equal label entries, a code past the label table, a listed segment the
+// table names, an index past the entries named so far and an entry no
+// segment names. A malformed payload is a *wire.Error with the payload
+// offset where decoding failed. Codec 2, in container version 5 images, is
+// still read: it has no code stream and lists every labelled segment.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/lsds/browserflow/internal/segment"
 	"github.com/lsds/browserflow/internal/wire"
 )
 
-const exportCodecVersion = 2 // codec 1 is read, never written
+const exportCodecVersion = 3 // codec 2 is read, never written
 
 // AppendBinary appends the binary encoding of d, which must be ordered as
-// Export orders it, to buf and returns the extended slice.
-func (d ExportData) AppendBinary(buf []byte) []byte {
-	table := make(map[string]uint64)
+// Export orders it, to buf and returns the extended slice. table is the
+// image's segment table, ascending by ID: the segments it names are coded
+// in its order, the rest listed.
+func (d ExportData) AppendBinary(buf []byte, table []segment.ID) []byte {
+	strs := make(map[string]uint64)
 	str := func(s string) {
-		i, known := table[s]
+		i, known := strs[s]
 		if !known {
-			i = uint64(len(table))
-			table[s] = i
+			i = uint64(len(strs))
+			strs[s] = i
 		}
 		buf = binary.AppendUvarint(buf, i)
 		if !known {
@@ -82,9 +95,25 @@ func (d ExportData) AppendBinary(buf []byte) []byte {
 			str(name)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(d.Segments)))
+	var listed []SegmentRecord
+	width := uint(bits.Len(uint(len(d.Labels))))
+	buf = wire.AppendBits(buf, func(w *wire.BitWriter) {
+		rest := d.Segments
+		for _, id := range table {
+			for len(rest) > 0 && rest[0].Seg < id {
+				listed, rest = append(listed, rest[0]), rest[1:]
+			}
+			code := 0
+			if len(rest) > 0 && rest[0].Seg == id {
+				code, rest = rest[0].Label+1, rest[1:]
+			}
+			w.Write(uint64(code), width)
+		}
+		listed = append(listed, rest...)
+	})
+	buf = binary.AppendUvarint(buf, uint64(len(listed)))
 	prev := ""
-	for _, s := range d.Segments {
+	for _, s := range listed {
 		buf = wire.AppendFrontCoded(buf, prev, string(s.Seg))
 		prev = string(s.Seg)
 		buf = binary.AppendUvarint(buf, uint64(s.Label))
@@ -132,13 +161,14 @@ func (d *stringTable) label() LabelRecord {
 	}
 }
 
-// DecodeExportData inverts ExportData.AppendBinary, and reads codec 1.
-// Errors are *wire.Error. Nothing in the result aliases data.
-func DecodeExportData(data []byte) (ExportData, error) {
+// DecodeExportData inverts ExportData.AppendBinary over the same table,
+// and reads codec 2, which ignores it. Errors are *wire.Error. Nothing in
+// the result aliases data.
+func DecodeExportData(data []byte, table []segment.ID) (ExportData, error) {
 	var out ExportData
 	d := &stringTable{Reader: wire.NewReader(data)}
 	codec := d.Byte("codec version")
-	if codec != exportCodecVersion && codec != 1 {
+	if codec != exportCodecVersion && codec != 2 {
 		return out, &wire.Error{Reason: "empty payload or unsupported codec version"}
 	}
 	out.Services = make([]ServiceRecord, d.Count("service count", 3))
@@ -153,37 +183,59 @@ func DecodeExportData(data []byte) (ExportData, error) {
 	for i := range out.Tags {
 		out.Tags[i] = TagRecord{Tag: Tag(d.str("custom tag")), Owner: d.str("custom tag owner")}
 	}
-	if codec == exportCodecVersion {
-		out.Labels = make([]LabelRecord, d.Count("label table length", 4))
-		seen := make(map[string]bool, len(out.Labels))
-		for i := 0; i < len(out.Labels) && d.Err() == nil; i++ {
-			out.Labels[i] = d.label()
-			if seen[fmt.Sprintf("%q", out.Labels[i])] = true; len(seen) <= i {
-				d.Fail("label table entry repeated")
-			}
+	out.Labels = make([]LabelRecord, d.Count("label table length", 4))
+	seen := make(map[string]bool, len(out.Labels))
+	for i := 0; i < len(out.Labels) && d.Err() == nil; i++ {
+		out.Labels[i] = d.label()
+		if seen[fmt.Sprintf("%q", out.Labels[i])] = true; len(seen) <= i {
+			d.Fail("label table entry repeated")
 		}
 	}
-	out.Segments = make([]SegmentRecord, d.Count("labelled segment count", 3))
-	var id []byte
+	var codes *wire.BitReader
+	if codec == exportCodecVersion {
+		codes = d.Bits("label code stream")
+	} else {
+		table = nil
+	}
+
+	// The table's labelled segments and the list merge into Segments.
 	named := 0 // entries named so far: the next new one is out.Labels[named]
-	for i := 0; i < len(out.Segments) && d.Err() == nil; i++ {
-		id = d.FrontCoded(id)
+	add := func(id segment.ID, label uint64) {
 		// Import assigns labels one by one and must see each segment once.
-		if i > 0 && string(id) <= string(out.Segments[i-1].Seg) {
+		if k := len(out.Segments); k > 0 && id <= out.Segments[k-1].Seg {
 			d.Fail("labelled segments not strictly ascending")
-		}
-		label := uint64(named)
-		if codec == exportCodecVersion {
-			label = d.Uvarint("label table index")
-		} else {
-			out.Labels = append(out.Labels, d.label())
 		}
 		if label > uint64(named) || label >= uint64(len(out.Labels)) {
 			d.Fail("label table index past the entries named so far")
 		} else if label == uint64(named) {
 			named++
 		}
-		out.Segments[i] = SegmentRecord{Seg: segment.ID(id), Label: int(label)}
+		out.Segments = append(out.Segments, SegmentRecord{Seg: id, Label: int(label)})
+	}
+	width, next := uint(bits.Len(uint(len(out.Labels)))), 0
+	// fromTable adds the table's labelled segments that sort below upTo, or
+	// all that are left.
+	fromTable := func(upTo []byte, all bool) {
+		for ; next < len(table) && (all || string(table[next]) < string(upTo)) && d.Err() == nil; next++ {
+			if code := codes.Read(width, "label code"); code > uint64(len(out.Labels)) {
+				codes.Fail("label code past the label table")
+			} else if code > 0 {
+				add(table[next], code-1)
+			}
+		}
+	}
+	n := d.Count("listed segment count", 3)
+	out.Segments = make([]SegmentRecord, 0, n+len(table))
+	var id []byte
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id = d.FrontCoded(id)
+		if fromTable(id, false); next < len(table) && string(table[next]) == string(id) {
+			d.Fail("listed segment the segment table names")
+		}
+		add(segment.ID(id), d.Uvarint("label table index"))
+	}
+	if fromTable(nil, true); codes != nil {
+		codes.Done("label code stream")
 	}
 	if named < len(out.Labels) {
 		d.Fail("label table entry no segment names")

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/segment"
@@ -105,40 +107,85 @@ func randomRegistry(t testing.TB, seed int64, steps int) *Registry {
 	return r
 }
 
+// segIDs is the IDs of data's labelled segments, a table that names all
+// of them.
+func segIDs(data ExportData) []segment.ID {
+	ids := make([]segment.ID, len(data.Segments))
+	for i, s := range data.Segments {
+		ids[i] = s.Seg
+	}
+	return ids
+}
+
+// halfTable is a segment table as a paragraph section could hold it
+// beside data: every other labelled segment, each with an unlabelled one
+// after it, ascending. The other half of the labelled segments is listed.
+func halfTable(data ExportData) []segment.ID {
+	var table []segment.ID
+	for i := 0; i < len(data.Segments); i += 2 {
+		table = append(table, data.Segments[i].Seg, data.Segments[i].Seg+"~unlabelled")
+	}
+	slices.Sort(table)
+	return slices.Compact(table)
+}
+
 // TestExportBinaryRoundTrip: a registry imported from the binary encoding
-// of an export exports the same again, and encodes to the same bytes.
+// of an export, over no table, over half the labelled segments and over
+// all of them, exports the same again, and encodes to the same bytes.
 func TestExportBinaryRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := randomRegistry(t, seed, int(seed)*15) // seed 0: the empty registry
 		want := r.Export()
-		blob := want.AppendBinary(nil)
-		data, err := DecodeExportData(blob)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		r2 := NewRegistry(nil, nil)
-		r2.Import(data)
-		got := r2.Export()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: export after the round trip\n%+v\nbefore\n%+v", seed, got, want)
-		}
-		if again := got.AppendBinary(nil); !reflect.DeepEqual(again, blob) {
-			t.Fatalf("seed %d: re-encoded to %d bytes, first encoding was %d", seed, len(again), len(blob))
-		}
-		if r2.DistinctLabels() != r.DistinctLabels() {
-			t.Fatalf("seed %d: %d interned label values after the round trip, %d before", seed, r2.DistinctLabels(), r.DistinctLabels())
+		for name, table := range map[string][]segment.ID{"no table": nil, "half": halfTable(want), "all": segIDs(want)} {
+			blob := want.AppendBinary(nil, table)
+			data, err := DecodeExportData(blob, table)
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, name, err)
+			}
+			r2 := NewRegistry(nil, nil)
+			r2.Import(data)
+			got := r2.Export()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: export after the round trip\n%+v\nbefore\n%+v", seed, name, got, want)
+			}
+			if again := got.AppendBinary(nil, table); !reflect.DeepEqual(again, blob) {
+				t.Fatalf("seed %d, %s: re-encoded to %d bytes, first encoding was %d", seed, name, len(again), len(blob))
+			}
+			if r2.DistinctLabels() != r.DistinctLabels() {
+				t.Fatalf("seed %d, %s: %d interned label values after the round trip, %d before", seed, name, r2.DistinctLabels(), r.DistinctLabels())
+			}
 		}
 	}
+}
+
+// codeStream returns where the code stream of blob, an encoding of d,
+// starts and its length in bytes: behind what d encodes to without
+// segments, less that encoding's empty stream and list.
+func codeStream(d ExportData, blob []byte) (at, n int) {
+	head := ExportData{Services: d.Services, Tags: d.Tags, Labels: d.Labels}.AppendBinary(nil, nil)
+	l, k := binary.Uvarint(blob[len(head)-2:])
+	return len(head) - 2 + k, int(l)
+}
+
+// appendCodec2 encodes d in codec 2, which container version 5 wrote:
+// codec 3 over no table, without the code stream.
+func appendCodec2(d ExportData) []byte {
+	blob := d.AppendBinary(nil, nil)
+	at, _ := codeStream(d, blob)
+	blob[0] = 2
+	return append(blob[:at-1], blob[at:]...)
 }
 
 // TestDecodeExportDataRejectsCorruption truncates, flips and extends
 // payloads of both codecs: every outcome is a *wire.Error inside the
 // payload or a payload that decodes and imports — never a panic. Then it
-// takes payloads apart by hand: what no registry encodes to is refused.
+// takes payloads apart by hand: what no registry encodes to is refused,
+// for the reason it is wrong.
 func TestDecodeExportDataRejectsCorruption(t *testing.T) {
 	data := randomRegistry(t, 7, 200).Export()
+	table := halfTable(data)
 	rng := rand.New(rand.NewSource(99))
-	for _, blob := range [][]byte{data.AppendBinary(nil), appendPerSegment(data)} {
+	for _, blob := range [][]byte{data.AppendBinary(nil, table), appendCodec2(data)} {
 		for trial := 0; trial < 600; trial++ {
 			mut := append([]byte(nil), blob...)
 			switch trial % 3 {
@@ -149,52 +196,105 @@ func TestDecodeExportDataRejectsCorruption(t *testing.T) {
 			case 2:
 				mut = append(mut, byte(rng.Intn(256)))
 			}
-			checkDecode(t, mut)
+			checkDecode(t, mut, table)
 		}
 	}
 
+	refuse := func(name string, blob []byte, table []segment.ID, reason string) *wire.Error {
+		t.Helper()
+		_, err := DecodeExportData(blob, table)
+		var we *wire.Error
+		if !errors.As(err, &we) || !strings.Contains(we.Reason, reason) {
+			t.Errorf("%s: err=%v, want a *wire.Error for %q", name, err, reason)
+		}
+		return we
+	}
 	if len(data.Labels) < 2 || data.Segments[0].Label != 0 {
 		t.Fatalf("the registry exports %d labels; the cases below need two", len(data.Labels))
 	}
 	for _, tc := range []struct {
-		name   string
-		mutate func(d *ExportData)
+		name, reason string
+		mutate       func(d *ExportData)
 	}{
-		{"an index past the table", func(d *ExportData) { d.Segments[len(d.Segments)-1].Label = len(d.Labels) }},
-		{"an entry named before the one before it", func(d *ExportData) { d.Segments[0].Label = 1 }},
-		{"an entry no segment names", func(d *ExportData) { d.Labels = append(d.Labels, LabelRecord{Explicit: []Tag{"unnamed"}}) }},
-		{"two equal entries", func(d *ExportData) { d.Labels = append(d.Labels, d.Labels[1]) }},
-		{"a set out of order", func(d *ExportData) { d.Labels[0].StoredBy = []string{"wiki", "docs"} }},
+		{"an index past the table", "index past the entries named so far", func(d *ExportData) { d.Segments[len(d.Segments)-1].Label = len(d.Labels) }},
+		{"an entry named before the one before it", "index past the entries named so far", func(d *ExportData) { d.Segments[0].Label = 1 }},
+		{"an entry no segment names", "entry no segment names", func(d *ExportData) { d.Labels = append(d.Labels, LabelRecord{Explicit: []Tag{"unnamed"}}) }},
+		{"two equal entries", "entry repeated", func(d *ExportData) { d.Labels = append(d.Labels, d.Labels[1]) }},
+		{"a set out of order", "storing services not ascending", func(d *ExportData) { d.Labels[0].StoredBy = []string{"wiki", "docs"} }},
+		{"a list not ascending", "not strictly ascending", func(d *ExportData) {
+			k := sameEntry(d) // two neighbours naming one entry trade places
+			d.Segments[k].Seg, d.Segments[k-1].Seg = d.Segments[k-1].Seg, d.Segments[k].Seg
+		}},
+		{"a segment listed twice", "not strictly ascending", func(d *ExportData) {
+			k := sameEntry(d)
+			d.Segments[k].Seg = d.Segments[k-1].Seg
+		}},
 	} {
 		d := randomRegistry(t, 7, 200).Export()
 		tc.mutate(&d)
-		blob := d.AppendBinary(nil)
-		_, err := DecodeExportData(blob)
-		var we *wire.Error
-		if !errors.As(err, &we) {
-			t.Fatalf("%s: err=%v, want a *wire.Error", tc.name, err)
-		}
+		blob := d.AppendBinary(nil, nil)
 		// The index is the payload's last field, and the reader fails where
 		// it stands: just past it.
-		if tc.name == "an index past the table" && we.Offset != len(blob) {
+		if we := refuse(tc.name, blob, nil, tc.reason); tc.name == "an index past the table" && we != nil && we.Offset != len(blob) {
 			t.Errorf("%s: refused at offset %d, want %d, past the index", tc.name, we.Offset, len(blob))
 		}
 	}
 
+	// The code stream. Over half the segments, two entries: codes are 2
+	// bits wide, and the last byte ends in padding.
+	d := twoLabelRegistry(t, 42).Export()
+	table = halfTable(d)
+	if len(d.Labels) != 2 || len(table)%4 == 0 {
+		t.Fatalf("%d labels over a table of %d segments: the cases below need 2, and padding", len(d.Labels), len(table))
+	}
+	past := d
+	past.Segments = slices.Clone(d.Segments)
+	past.Segments[0].Label = len(d.Labels) // in the table: code 3 of 2 entries
+	if we := refuse("a code past the label table", past.AppendBinary(nil, table), table, "label code past the label table"); we != nil {
+		if at, _ := codeStream(past, past.AppendBinary(nil, table)); we.Offset != at {
+			t.Errorf("a code past the label table: refused at offset %d, want %d, in the code's byte", we.Offset, at)
+		}
+	}
+	blob := d.AppendBinary(nil, table)
+	listed := d.Segments[1].Seg
+	i, _ := slices.BinarySearch(table, listed)
+	named := slices.Insert(slices.Clone(table), i, listed)
+	refuse("a listed segment the table names", blob, named, "listed segment the segment table names")
+	at, n := codeStream(d, blob)
+	padded := slices.Clone(blob)
+	padded[at+n-1] |= 0x80
+	refuse("non-zero padding", padded, table, "trailing bits after label code stream")
+	long := slices.Insert(slices.Clone(blob), at+n, 0)
+	long[at-1]++
+	refuse("a stream a byte too long", long, table, "trailing bits after label code stream")
+	short := slices.Delete(slices.Clone(blob), at+n-1, at+n)
+	short[at-1]--
+	refuse("a stream a byte too short", short, table, "truncated label code")
+
 	// A table length no payload of this size could hold is refused before
 	// anything is allocated for it.
 	huge := binary.AppendUvarint([]byte{exportCodecVersion, 0, 0}, 1<<40)
-	if _, err := DecodeExportData(append(huge, make([]byte, 64)...)); err == nil {
+	if _, err := DecodeExportData(append(huge, make([]byte, 64)...), nil); err == nil {
 		t.Error("a label table of 2^40 entries in 68 bytes decoded")
 	}
 }
 
-// checkDecode decodes data and requires a *wire.Error inside it with no
-// data, or a result that imports and then exports to what its own
-// encoding decodes to.
-func checkDecode(t *testing.T, data []byte) {
+// sameEntry returns the first k whose segment names the entry the one
+// before it names.
+func sameEntry(d *ExportData) int {
+	k := 1
+	for k < len(d.Segments)-1 && d.Segments[k].Label != d.Segments[k-1].Label {
+		k++
+	}
+	return k
+}
+
+// checkDecode decodes data over table and requires a *wire.Error inside
+// it with no data, or a result that imports and then exports to what its
+// own encoding decodes to.
+func checkDecode(t *testing.T, data []byte, table []segment.ID) {
 	t.Helper()
-	got, err := DecodeExportData(data)
+	got, err := DecodeExportData(data, table)
 	if err != nil {
 		var we *wire.Error
 		if !errors.As(err, &we) || we.Offset < 0 || we.Offset > len(data) {
@@ -208,7 +308,7 @@ func checkDecode(t *testing.T, data []byte) {
 	r := NewRegistry(nil, nil)
 	r.Import(got)
 	exported := r.Export()
-	again, err := DecodeExportData(exported.AppendBinary(nil))
+	again, err := DecodeExportData(exported.AppendBinary(nil, table), table)
 	if err != nil {
 		t.Fatalf("the export of an accepted payload does not decode: %v", err)
 	}
@@ -221,15 +321,18 @@ func checkDecode(t *testing.T, data []byte) {
 
 // FuzzDecodeExportData throws bytes at the registry section's decoder,
 // which a recovering node runs over its checkpoint and a bootstrapping
-// standby over a primary's image. Seeds are payloads of both codecs.
+// standby over a primary's image, over a table that names half of the
+// first seed's labelled segments. Seeds are payloads of both codecs; the
+// first codec 3 one lists the other half.
 func FuzzDecodeExportData(f *testing.F) {
+	table := halfTable(randomRegistry(f, 7, 200).Export())
 	for _, r := range []*Registry{randomRegistry(f, 7, 200), twoLabelRegistry(f, 40)} {
 		data := r.Export()
-		f.Add(data.AppendBinary(nil))
-		f.Add(appendPerSegment(data))
+		f.Add(data.AppendBinary(nil, table))
+		f.Add(appendCodec2(data))
 	}
 	f.Add([]byte{})
-	f.Fuzz(checkDecode)
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, table) })
 }
 
 // twoLabelRegistry is n paragraphs ingested from two services in turn: n
@@ -250,22 +353,20 @@ func twoLabelRegistry(t testing.TB, n int) *Registry {
 }
 
 // TestRegistryImageBytes pins the registry section at a label table entry
-// per distinct label: 20 000 segments over two labels encode in their
-// front-coded IDs, a byte of label index each, and what an export without
-// segments encodes to (services, tags, the two-entry table) but for its
-// segment count. Codec 1, a label per segment, took 183 951 B for them.
+// per distinct label and a code per segment of the paragraph section's
+// table: 20 000 segments over two labels, all in the table, take
+// ⌈20 000·2/8⌉ B of codes, and what an export without segments encodes to
+// (services, tags, the two-entry table) but for its empty stream's length:
+// no segment ID. Codec 2 spelled their IDs out, as codec 1 did (183 951 B).
 func TestRegistryImageBytes(t *testing.T) {
 	const n = 20000
 	data := twoLabelRegistry(t, n).Export()
-	ids, prev := 0, ""
-	for _, s := range data.Segments {
-		ids += len(wire.AppendFrontCoded(nil, prev, string(s.Seg)))
-		prev = string(s.Seg)
-	}
+	table := segIDs(data)
 	rest := data
 	rest.Segments = nil
-	bound := len(rest.AppendBinary(nil)) - 1 + len(binary.AppendUvarint(nil, n)) + ids + n
-	if got := len(data.AppendBinary(nil)); got > bound || len(data.Labels) != 2 {
+	codes := (n*2 + 7) / 8
+	bound := len(rest.AppendBinary(nil, nil)) - 1 + len(binary.AppendUvarint(nil, uint64(codes))) + codes
+	if got := len(data.AppendBinary(nil, table)); got > bound || len(data.Labels) != 2 {
 		t.Errorf("%d segments over %d labels encode in %d B, want at most %d", n, len(data.Labels), got, bound)
 	}
 }
@@ -293,8 +394,9 @@ func TestExportAllocs(t *testing.T) {
 func TestImportInternsEachEntryOnce(t *testing.T) {
 	r := twoLabelRegistry(t, 2000)
 	data := r.Export()
-	for name, blob := range map[string][]byte{"codec 2": data.AppendBinary(nil), "codec 1": appendPerSegment(data)} {
-		decoded, err := DecodeExportData(blob)
+	table := halfTable(data)
+	for name, blob := range map[string][]byte{"codec 3": data.AppendBinary(nil, table), "codec 2": appendCodec2(data)} {
+		decoded, err := DecodeExportData(blob, table)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -308,57 +410,4 @@ func TestImportInternsEachEntryOnce(t *testing.T) {
 			t.Errorf("%s: restored registry exports differently", name)
 		}
 	}
-}
-
-// appendPerSegment encodes d in codec 1, which container version 4 wrote:
-// no label table, and each segment's entry after its ID.
-func appendPerSegment(d ExportData) []byte {
-	table := make(map[string]uint64)
-	buf := []byte{1}
-	str := func(s string) {
-		i, known := table[s]
-		if !known {
-			i = uint64(len(table))
-			table[s] = i
-		}
-		if buf = binary.AppendUvarint(buf, i); !known {
-			buf = wire.AppendString(buf, s)
-		}
-	}
-	set := func(names []string) {
-		buf = binary.AppendUvarint(buf, uint64(len(names)))
-		for _, name := range names {
-			str(name)
-		}
-	}
-	tags := func(t []Tag) {
-		names := make([]string, len(t))
-		for i := range t {
-			names[i] = string(t[i])
-		}
-		set(names)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(d.Services)))
-	for _, svc := range d.Services {
-		str(svc.Name)
-		tags(svc.Privilege)
-		tags(svc.Confidentiality)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(d.Tags)))
-	for _, rec := range d.Tags {
-		str(string(rec.Tag))
-		str(rec.Owner)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(d.Segments)))
-	prev := ""
-	for _, s := range d.Segments {
-		buf = wire.AppendFrontCoded(buf, prev, string(s.Seg))
-		prev = string(s.Seg)
-		l := d.Labels[s.Label]
-		tags(l.Explicit)
-		tags(l.Implicit)
-		tags(l.Suppressed)
-		set(l.StoredBy)
-	}
-	return buf
 }

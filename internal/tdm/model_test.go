@@ -303,7 +303,8 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 						data := r.Export()
 						if binary {
 							var err error
-							if data, err = DecodeExportData(data.AppendBinary(nil)); err != nil {
+							table := halfTable(data)
+							if data, err = DecodeExportData(data.AppendBinary(nil, table), table); err != nil {
 								return err
 							}
 						}

@@ -84,7 +84,9 @@ func (r *Reader) Bits(what string) *BitReader {
 	return &BitReader{r: r, data: r.next(n, what), base: base}
 }
 
-func (b *BitReader) fail(reason string) {
+// Fail records a failure at the byte holding the next bit, unless one is
+// recorded already.
+func (b *BitReader) Fail(reason string) {
 	if b.r.err == nil {
 		b.r.err = &Error{Offset: b.base + int((uint(b.next)*8-b.n)/8), Reason: reason}
 	}
@@ -106,7 +108,7 @@ func (b *BitReader) Read(n uint, what string) uint64 {
 		b.n += 8
 	}
 	if b.r.err != nil || b.n < n {
-		b.fail("truncated " + what)
+		b.Fail("truncated " + what)
 		return 0
 	}
 	v := b.acc & (1<<n - 1)
@@ -120,7 +122,7 @@ func (b *BitReader) Unary(max uint64, what string) uint64 {
 	for q := uint64(0); ; q++ {
 		ones := min(uint(bits.TrailingZeros64(^b.acc)), b.n)
 		if b.acc, b.n, q = b.acc>>ones, b.n-ones, q+uint64(ones); q > max {
-			b.fail("over-long unary run: " + what)
+			b.Fail("over-long unary run: " + what)
 			return 0
 		}
 		if b.Read(1, what) == 0 {
@@ -145,7 +147,7 @@ func (b *BitReader) Gamma(what string) uint64 {
 // its last byte.
 func (b *BitReader) Done(what string) error {
 	if b.n >= 8 || b.next < len(b.data) || b.acc&(1<<b.n-1) != 0 {
-		b.fail("trailing bits after " + what)
+		b.Fail("trailing bits after " + what)
 	}
 	return b.r.err
 }
