@@ -35,9 +35,9 @@ check: vet node-copies wallclock
 	$(MAKE) bench-check
 
 # pins runs without -race the tests that skip under it. PINS are the
-# memory-budget tests and the allocation pins (the WAL validation, the
-# zero-alloc decided observe in the tracker and the engine, the zero-alloc
-# release allow in the registry and the engine, the registry export's
+# memory-budget tests (the engine's, the registry's 4-byte row) and the
+# allocation pins (the WAL validation, the zero-alloc decided observe in
+# the tracker and the engine, the zero-alloc release allow in the registry and the engine, the registry export's
 # allocations per distinct label, not per segment, the ad-hoc text check with
 # two sources, the shared fingerprint
 # scratch, the proxy's forward path, the index's candidate-discovery and
@@ -53,6 +53,7 @@ PINS = ./internal/policy:TestEngineHeapBudget ./internal/policy:TestMixedGranula
 	./internal/policy:TestGoldenObserveCacheHitAllocs ./internal/disclosure:TestObserveSteadyStateAllocs \
 	./internal/wal:TestValidationDoesNotAllocatePerRecord .:TestSaveHeapAndLoadLayout \
 	./internal/tdm:TestCheckReleaseAllocFree ./internal/tdm:TestExportAllocs \
+	./internal/tdm:TestRegistryRowBytes \
 	./internal/policy:TestGoldenCheckUploadAllocFree \
 	./internal/policy:TestGoldenCheckTextAllocs \
 	./internal/fingerprint:TestComputeSharedZeroAlloc ./internal/proxy:TestForwardAllocs \

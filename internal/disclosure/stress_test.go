@@ -104,9 +104,11 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 	// counters and the digest the source maintained incrementally.
 	restored := index.New(nil, 0)
 	img, _ := db.AppendSnapshot(nil)
-	if err := restored.LoadSnapshot(img); err != nil {
+	p, err := restored.PrepareSnapshot(img)
+	if err != nil {
 		t.Fatalf("image of the churned database does not load: %v", err)
 	}
+	restored.CommitSnapshot(p)
 	s, rs := db.Stats(), restored.Stats()
 	if s.Postings != rs.Postings || s.Segments != rs.Segments || s.DistinctHashes != rs.DistinctHashes {
 		t.Fatalf("counters drifted: Stats %+v vs reloaded %+v", s, rs)

@@ -413,24 +413,11 @@ type PreparedSnapshot struct {
 // Table returns the image's segment table, ascending by ID.
 func (p *PreparedSnapshot) Table() []segment.ID { return p.table }
 
-// LoadSnapshot replaces the DB's contents with the decoded snapshot,
-// building the compacted runs directly from the posting arrays. It must
-// not run concurrently with other operations on the same DB. The payload
-// is fully validated before the DB is touched, so on error the DB is left
-// unchanged — never partially loaded.
-func (db *DB) LoadSnapshot(data []byte) error {
-	p, err := db.PrepareSnapshot(data)
-	if err != nil {
-		return err
-	}
-	db.CommitSnapshot(p)
-	return nil
-}
-
 // PrepareSnapshot decodes and validates a snapshot payload against this
-// DB's shard layout without touching its state. The result must be passed
-// to CommitSnapshot on the same DB (and is invalidated by it). Nothing in
-// the prepared state aliases data, which may be a memory mapping.
+// DB's shard layout without touching its state, so on error the DB is left
+// unchanged — never partially loaded. The result must be passed to
+// CommitSnapshot on the same DB (and is invalidated by it). Nothing in the
+// prepared state aliases data, which may be a memory mapping.
 func (db *DB) PrepareSnapshot(data []byte) (*PreparedSnapshot, error) {
 	p := &PreparedSnapshot{db: db}
 	if err := p.decode(data); err != nil {

@@ -132,7 +132,7 @@ func TestSnapshotRefusesExpansion(t *testing.T) {
 		data := expansionImage(n, tc.declared, tc.total, repeats)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := New(nil, 0.5).LoadSnapshot(data)
+		err := loadSnapshot(New(nil, 0.5), data)
 		runtime.ReadMemStats(&after)
 		var we *wire.Error
 		if !errors.As(err, &we) {
@@ -178,7 +178,7 @@ func TestImportRejectsInconsistentClock(t *testing.T) {
 		return append(b, 0) // nothing unposted
 	}
 	db := New(nil, 0.5)
-	if err := db.LoadSnapshot(encode(5, 5, 4)); err != nil {
+	if err := loadSnapshot(db, encode(5, 5, 4)); err != nil {
 		t.Fatalf("consistent payload rejected: %v", err)
 	}
 	if refs := db.AppendOldestRefs([]uint32{7}, nil); len(refs) != 1 || refs[0].Seg != "a" || refs[0].Seq != 4 {
@@ -188,10 +188,10 @@ func TestImportRejectsInconsistentClock(t *testing.T) {
 		t.Errorf("fingerprint = %v, want [7]", fp)
 	}
 	var we *wire.Error
-	if err := New(nil, 0.5).LoadSnapshot(encode(1, 1, 5)); !errors.As(err, &we) {
+	if err := loadSnapshot(New(nil, 0.5), encode(1, 1, 5)); !errors.As(err, &we) {
 		t.Errorf("posting seq beyond clock: err=%v, want *wire.Error", err)
 	}
-	if err := New(nil, 0.5).LoadSnapshot(encode(1, 9, 1)); !errors.As(err, &we) {
+	if err := loadSnapshot(New(nil, 0.5), encode(1, 9, 1)); !errors.As(err, &we) {
 		t.Errorf("segment updated beyond clock: err=%v, want *wire.Error", err)
 	}
 }
@@ -225,6 +225,17 @@ func snapshot(db *DB) []byte {
 	return img
 }
 
+// loadSnapshot restores db from data as a state restore does: prepare,
+// which validates without touching db, then commit.
+func loadSnapshot(db *DB, data []byte) error {
+	p, err := db.PrepareSnapshot(data)
+	if err != nil {
+		return err
+	}
+	db.CommitSnapshot(p)
+	return nil
+}
+
 // TestLoadSnapshotRejectsCorruption flips or truncates bytes across the
 // payload and requires a typed *wire.Error (never a panic) and an untouched
 // (fully reset, not partially loaded) DB.
@@ -232,7 +243,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	t.Parallel()
 	blob := snapshot(workloadDB())
 	// Sanity: pristine blob loads.
-	if err := New(nil, 0).LoadSnapshot(blob); err != nil {
+	if err := loadSnapshot(New(nil, 0), blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -248,7 +259,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 			mut = append(mut, byte(rng.Intn(256)))
 		}
 		restored := New(nil, 0)
-		err := restored.LoadSnapshot(mut)
+		err := loadSnapshot(restored, mut)
 		if err == nil {
 			// A flip can produce a different but well-formed snapshot
 			// (e.g. a threshold bit); that is fine — CRC framing above
@@ -282,7 +293,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		restored := New(nil, 0)
-		if err := restored.LoadSnapshot(blob); err != nil {
+		if err := loadSnapshot(restored, blob); err != nil {
 			b.Fatal(err)
 		}
 	}

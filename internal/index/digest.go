@@ -114,8 +114,8 @@ func Fold(ds ...Digest) uint64 {
 }
 
 // ShardDigests returns the per-shard posting and DBpar digests (index =
-// shard), the breakdown served by /v1/repl/digest so a diverged replica
-// can be localised to a stripe.
+// shard): the stripe breakdown that the cross-version pins and the model
+// rig compare, so a divergence is localised to a stripe.
 func (db *DB) ShardDigests() (postings, pars []uint64) {
 	postings = make([]uint64, len(db.hashShards))
 	for si := range db.hashShards {

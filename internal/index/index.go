@@ -295,9 +295,6 @@ func normalizeShards(n int) int {
 	return p
 }
 
-// NumShards returns the lock-stripe count.
-func (db *DB) NumShards() int { return len(db.hashShards) }
-
 func (db *DB) hashShardIdx(h uint32) int {
 	return int(h >> db.hashShift) // shift of 32 (one shard) yields 0
 }
@@ -451,10 +448,6 @@ func (db *DB) eachRow(fn func(row *parRow)) {
 		}
 	}
 }
-
-// DefaultThreshold returns the threshold assigned to segments that have not
-// set their own.
-func (db *DB) DefaultThreshold() float64 { return db.defaultThreshold }
 
 // Update stores fp as the latest fingerprint for seg and records first-seen
 // postings for any hash not previously associated with seg. It returns the

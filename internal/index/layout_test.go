@@ -63,7 +63,7 @@ func columns(db *DB) (length, capacity int) {
 }
 
 // TestRestoreLeavesNoDeadCapacity: a restored run lives until its shard's
-// next merge — on a standby, possibly for ever — so LoadSnapshot must size
+// next merge — on a standby, possibly for ever — so a restore must size
 // every shard's columns from the shard's real share of the hashes, which
 // for winnowed hashes is nowhere near total/shards.
 func TestRestoreLeavesNoDeadCapacity(t *testing.T) {
@@ -88,7 +88,7 @@ func TestRestoreLeavesNoDeadCapacity(t *testing.T) {
 func restoredCopy(t *testing.T, db *DB) *DB {
 	t.Helper()
 	restored := New(nil, 0)
-	if err := restored.LoadSnapshot(snapshot(db)); err != nil {
+	if err := loadSnapshot(restored, snapshot(db)); err != nil {
 		t.Fatal(err)
 	}
 	return restored

@@ -469,23 +469,14 @@ func (r *modelRig) load(img []byte, m *refModel) {
 
 // restored returns a DB of layout i restored from img on tab, whose refs
 // the image's are renumbered to. Its own default threshold is not the
-// image's, which must win. Odd layouts restore in two steps,
-// PrepareSnapshot then CommitSnapshot.
+// image's, which must win.
 func (r *modelRig) restored(tab *segment.Table, img []byte, i int) *DB {
 	r.t.Helper()
 	db := NewWithShards(tab, 0, r.layouts[i].shards)
 	db.SetCompactThreshold(r.layouts[i].compactMin)
-	if i%2 == 0 {
-		if err := db.LoadSnapshot(img); err != nil {
-			r.t.Fatalf("restore into %v: %v", r.layouts[i], err)
-		}
-		return db
+	if err := loadSnapshot(db, img); err != nil {
+		r.t.Fatalf("restore into %v: %v", r.layouts[i], err)
 	}
-	p, err := db.PrepareSnapshot(img)
-	if err != nil {
-		r.t.Fatalf("prepare a restore into %v: %v", r.layouts[i], err)
-	}
-	db.CommitSnapshot(p)
 	return db
 }
 
@@ -639,7 +630,7 @@ func (a *answers) check(t *testing.T, step string, db *DB) {
 		}
 	}
 
-	want := a.shardDigests(db.NumShards())
+	want := a.shardDigests(len(db.hashShards))
 	var d Digest
 	for i := range want[0] {
 		d.Postings, d.Pars = d.Postings^want[0][i], d.Pars^want[1][i]
@@ -654,8 +645,8 @@ func (a *answers) check(t *testing.T, step string, db *DB) {
 		t.Fatalf("%s: %d hashes, %d postings in %d segments; want %d, %d in %d", step,
 			st.DistinctHashes, st.Postings, st.Segments, len(m.postings), a.postings, len(m.segs))
 	}
-	if db.Now() != m.clock || db.DefaultThreshold() != m.def {
-		t.Fatalf("%s: clock %d, default threshold %v; want %d, %v", step, db.Now(), db.DefaultThreshold(), m.clock, m.def)
+	if db.Now() != m.clock || db.defaultThreshold != m.def {
+		t.Fatalf("%s: clock %d, default threshold %v; want %d, %v", step, db.Now(), db.defaultThreshold, m.clock, m.def)
 	}
 	if got := db.Segments(); !slices.Equal(got, a.segs) {
 		t.Fatalf("%s: segments %v, want %v", step, got, a.segs)

@@ -414,7 +414,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 		t0 := &db.hashShards[0].head
 		for _, h := range chain[1:] {
 			if t0.home(h) != t0.home(chain[0]) {
-				t.Fatalf("shards=%d: chain hashes %#x and %#x have different homes", db.NumShards(), h, chain[0])
+				t.Fatalf("shards=%d: chain hashes %#x and %#x have different homes", len(db.hashShards), h, chain[0])
 			}
 		}
 	}
@@ -431,7 +431,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	for _, db := range rig.dbs {
 		t0 := &db.hashShards[0].head
 		if i := t0.find(chain[1]); i < 0 || t0.rows[i].off != -3 || len(t0.wide) == 0 {
-			t.Fatalf("shards=%d: late stamps are not a negative offset and a wide one", db.NumShards())
+			t.Fatalf("shards=%d: late stamps are not a negative offset and a wide one", len(db.hashShards))
 		}
 	}
 	// Grow the shard's table, a few hashes at a time.

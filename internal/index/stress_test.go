@@ -286,7 +286,7 @@ func TestConcurrentExportImport(t *testing.T) {
 	db := New(nil, 0.5)
 	load := func(blob []byte) *DB {
 		restored := New(nil, 0.5)
-		if err := restored.LoadSnapshot(blob); err != nil {
+		if err := loadSnapshot(restored, blob); err != nil {
 			t.Error(err)
 		}
 		checkInvariants(t, restored)
@@ -366,7 +366,7 @@ func TestSnapshotBesideMaintenance(t *testing.T) {
 		img := snapshot(db)
 		<-done
 		restored := New(nil, 0)
-		if err := restored.LoadSnapshot(img); err != nil {
+		if err := loadSnapshot(restored, img); err != nil {
 			t.Fatalf("image taken beside maintenance does not load: %v", err)
 		}
 		return restored

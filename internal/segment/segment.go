@@ -66,12 +66,6 @@ func (id ID) Document() DocumentID {
 	return DocumentID(s)
 }
 
-// IsParagraph reports whether id names a paragraph (rather than a whole
-// document).
-func (id ID) IsParagraph() bool {
-	return strings.IndexByte(string(id), '#') >= 0
-}
-
 // Key maps a segment ID onto the 32-bit partition keyspace (FNV-1a). A
 // paragraph and its owning document hash independently, so a document's
 // paragraphs spread across partitions while each individual segment has

@@ -57,11 +57,8 @@ func TestSegmentIDs(t *testing.T) {
 	doc := DocumentID("wiki/guidelines")
 	docID := DocSegmentID(doc)
 	parID := ParSegmentID(doc, "p3")
-	if docID.IsParagraph() {
-		t.Error("document ID reported as paragraph")
-	}
-	if !parID.IsParagraph() {
-		t.Error("paragraph ID not reported as paragraph")
+	if docID != "wiki/guidelines" || parID != "wiki/guidelines#p3" {
+		t.Errorf("document ID %q, paragraph ID %q", docID, parID)
 	}
 	if parID.Document() != doc {
 		t.Errorf("parID.Document()=%q, want %q", parID.Document(), doc)

@@ -66,29 +66,29 @@ func (r *Registry) Export() ExportData {
 	n := uint32(r.tab.Len())
 	data.Segments = make([]SegmentRecord, 0, n)
 	for ref := uint32(0); ref < n; ref++ {
-		if row := r.rows.At(ref); row != nil && row.label != nil {
+		if row := r.rows.At(ref); row != nil && *row != 0 {
 			data.Segments = append(data.Segments, SegmentRecord{Seg: r.tab.ID(ref), Label: int(ref)})
 		}
 	}
 	slices.SortFunc(data.Segments, func(a, b SegmentRecord) int { return cmp.Compare(a.Seg, b.Seg) })
 
-	// A segment's entry is its row, the interned label and stored-by set,
-	// numbered as the sorted segments first name it: equal rows are equal
-	// contents, and the export does not depend on the order of the refs.
-	entries := make(map[segRow]int)
+	// A segment's record is its entry's, numbered as the sorted segments
+	// first name it (remap holds that number + 1, 0 before), so the export
+	// does not depend on the order of the refs or of the entry slots.
+	remap := make([]int32, len(r.entries))
 	for k := range data.Segments {
-		row := *r.rows.At(uint32(data.Segments[k].Label))
-		i, ok := entries[row]
-		if !ok {
-			i, entries[row] = len(data.Labels), len(data.Labels)
+		i := *r.rows.At(uint32(data.Segments[k].Label)) - 1
+		if remap[i] == 0 {
+			e := &r.entries[i]
 			data.Labels = append(data.Labels, LabelRecord{
-				Explicit:   row.label.label.explicit.Sorted(),
-				Implicit:   row.label.label.implicit.Sorted(),
-				Suppressed: row.label.label.suppressed.Sorted(),
-				StoredBy:   append([]string(nil), row.storedNames()...),
+				Explicit:   e.label.explicit.Sorted(),
+				Implicit:   e.label.implicit.Sorted(),
+				Suppressed: e.label.suppressed.Sorted(),
+				StoredBy:   append([]string(nil), e.stored...),
 			})
+			remap[i] = int32(len(data.Labels))
 		}
-		data.Segments[k].Label = i
+		data.Segments[k].Label = int(remap[i] - 1)
 	}
 
 	for tag, owner := range r.tagOwners {
@@ -99,13 +99,14 @@ func (r *Registry) Export() ExportData {
 }
 
 // Import replaces the registry's contents with a previously exported
-// snapshot. The audit log is untouched. Each entry of data.Labels is
-// interned once, so a recovered node or a bootstrapped replica shares
-// labels and stored-by sets exactly as the node that ingested the segments
-// does; the segments are interned into the registry's segment table, which
-// a state restore resets, together with every other owner's rows, first.
-// data is as Export returns it or DecodeExportData accepts it: stored-by
-// lists ascending, every entry named by a segment.
+// snapshot. The audit log is untouched. The entry table is built straight
+// from data.Labels, an entry per record, so a recovered node or a
+// bootstrapped replica shares labels and stored-by sets exactly as the node
+// that ingested the segments does; the segments are interned into the
+// registry's segment table, which a state restore resets, together with
+// every other owner's rows, first. data is as Export returns it or
+// DecodeExportData accepts it: stored-by lists ascending, no two records
+// equal, every record named by a segment.
 func (r *Registry) Import(data ExportData) {
 	services := make(map[string]*Service, len(data.Services))
 	for _, rec := range data.Services {
@@ -125,19 +126,18 @@ func (r *Registry) Import(data ExportData) {
 	r.services = services
 	r.tagOwners = tagOwners
 	r.rows.Reset()
-	r.interned = make(map[string]*labelValue)
-	r.storedSets = nil
-	entries := make([]segRow, len(data.Labels))
-	for i, rec := range data.Labels {
-		entries[i].label = r.intern(Label{
+	r.entries = make([]entry, 0, len(data.Labels))
+	r.interned = make(map[string]uint32, len(data.Labels))
+	r.free = nil
+	for _, rec := range data.Labels { // no two equal: record i becomes entry i
+		r.intern(Label{
 			explicit:   NewTagSet(rec.Explicit...),
 			implicit:   NewTagSet(rec.Implicit...),
 			suppressed: NewTagSet(rec.Suppressed...),
-		})
-		entries[i].stored = r.internStored(slices.Clone(rec.StoredBy))
+		}, rec.StoredBy)
 	}
 	for _, s := range data.Segments {
-		entries[s.Label].label.refs++
-		*r.rows.Make(r.tab.Intern(s.Seg)) = entries[s.Label]
+		r.entries[s.Label].refs++
+		*r.rows.Make(r.tab.Intern(s.Seg)) = uint32(s.Label) + 1
 	}
 }

@@ -152,7 +152,7 @@ func TestExportBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d, %s: re-encoded to %d bytes, first encoding was %d", seed, name, len(again), len(blob))
 			}
 			if r2.DistinctLabels() != r.DistinctLabels() {
-				t.Fatalf("seed %d, %s: %d interned label values after the round trip, %d before", seed, name, r2.DistinctLabels(), r.DistinctLabels())
+				t.Fatalf("seed %d, %s: %d entries after the round trip, %d before", seed, name, r2.DistinctLabels(), r.DistinctLabels())
 			}
 		}
 	}
@@ -389,8 +389,8 @@ func TestExportAllocs(t *testing.T) {
 }
 
 // TestImportInternsEachEntryOnce: a registry restored from either codec
-// interns exactly as many label values and stored-by sets as the registry
-// exported, and exports the same.
+// holds one entry per exported record, as many as the registry exported,
+// and exports the same.
 func TestImportInternsEachEntryOnce(t *testing.T) {
 	r := twoLabelRegistry(t, 2000)
 	data := r.Export()
@@ -402,9 +402,9 @@ func TestImportInternsEachEntryOnce(t *testing.T) {
 		}
 		r2 := NewRegistry(nil, nil)
 		r2.Import(decoded)
-		if len(r2.interned) != len(r.interned) || len(r2.storedSets) != len(r.storedSets) {
-			t.Errorf("%s: restored registry interns %d labels and %d stored-by sets, the exported one %d and %d",
-				name, len(r2.interned), len(r2.storedSets), len(r.interned), len(r.storedSets))
+		if len(r2.entries) != len(data.Labels) || r2.DistinctLabels() != r.DistinctLabels() {
+			t.Errorf("%s: restored registry holds %d entries, %d live, for %d records; the exported one %d live",
+				name, len(r2.entries), r2.DistinctLabels(), len(data.Labels), r.DistinctLabels())
 		}
 		if !reflect.DeepEqual(r2.Export(), data) {
 			t.Errorf("%s: restored registry exports differently", name)

@@ -5,32 +5,35 @@ import (
 	"slices"
 )
 
-// labelValue is one distinct label content, shared by every segment that
-// currently carries it: a corpus of 50 k paragraphs ingested from two
-// services holds two of these, not 50 k labels. All fields are guarded by
+// entry is one distinct (label, stored-by) pair, shared by every segment
+// that currently carries both: a corpus of 50 k paragraphs ingested from two
+// services holds two of these, not 50 k labels. A segment's registry row is
+// one uint32 naming its entry (see Registry.rows). All fields are guarded by
 // the registry lock.
 //
-// A value never escapes the registry (Label and Export hand out deep
-// copies) and its label is never mutated once interned. Registry mutators
-// build the new content, intern it and swap the segment's pointer with
-// assign, so changing one segment's label cannot change another's. The tag
-// sets inside may be shared between values and with Service.Confidentiality,
+// An entry never escapes the registry (Label, StoredBy and Export hand out
+// copies) and is never mutated once interned. Registry mutators build the
+// new pair, intern it and move the segment's row to it, so changing one
+// segment's label or stored-by set cannot change another's. The tag sets
+// inside may be shared between entries and with Service.Confidentiality,
 // and a nil set stands for the empty one.
-type labelValue struct {
-	label Label
-	key   string // canonical content key, the index into Registry.interned
-	refs  int    // segments referencing this value; dropped from the table at zero
+type entry struct {
+	label  Label
+	stored []string // ascending names of the storing services
+	key    string   // canonical key, the index into Registry.interned
+	refs   int      // rows naming the entry; freed at zero
 
 	// eff is label.Effective().Sorted(): the tags CheckRelease walks,
-	// computed once per value, so a check neither builds sets nor sorts.
+	// computed once per entry, so a check neither builds sets nor sorts.
 	eff []Tag
 }
 
-// appendLabelKey appends l's canonical content key: the explicit, implicit
-// and suppressed sets in that order, each as a count followed by its tags
-// in ascending order, every tag length-prefixed. Equal contents give equal
-// keys whatever the map iteration order or nil-ness of the sets.
-func appendLabelKey(buf []byte, l *Label) []byte {
+// appendKey appends the canonical key of the pair (l, stored): the
+// explicit, implicit and suppressed sets in that order, each as a count
+// followed by its tags in ascending order, then the stored-by names; every
+// tag and name is length-prefixed. Equal pairs give equal keys whatever the
+// map iteration order or nil-ness of the sets.
+func appendKey(buf []byte, l *Label, stored []string) []byte {
 	var small [8]Tag
 	for _, set := range [...]TagSet{l.explicit, l.implicit, l.suppressed} {
 		tags := small[:0]
@@ -44,72 +47,61 @@ func appendLabelKey(buf []byte, l *Label) []byte {
 			buf = append(buf, t...)
 		}
 	}
+	for _, name := range stored {
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+	}
 	return buf
 }
 
-// intern returns the shared value with l's content, adding it to the table
-// on first sight. l's tag sets become part of the value and must not be
-// written afterwards. Caller holds the registry write lock.
-func (r *Registry) intern(l Label) *labelValue {
-	r.keyBuf = appendLabelKey(r.keyBuf[:0], &l)
-	if v, ok := r.interned[string(r.keyBuf)]; ok {
-		return v
+// intern returns the index of the entry holding the pair (l, stored),
+// adding it on first sight, in a freed slot if there is one. l's tag sets
+// become part of the entry and must not be written afterwards; stored, which
+// must be ascending, is copied. An intern can grow r.entries, so callers
+// hold indexes across it, never entry pointers. Caller holds the registry
+// write lock.
+func (r *Registry) intern(l Label, stored []string) uint32 {
+	r.keyBuf = appendKey(r.keyBuf[:0], &l, stored)
+	if i, ok := r.interned[string(r.keyBuf)]; ok {
+		return i
 	}
-	v := &labelValue{label: l, key: string(r.keyBuf), eff: l.Effective().Sorted()}
-	r.interned[v.key] = v
-	return v
+	e := entry{label: l, stored: slices.Clone(stored), key: string(r.keyBuf), eff: l.Effective().Sorted()}
+	i := uint32(len(r.entries))
+	if n := len(r.free); n > 0 {
+		i, r.free = r.free[n-1], r.free[:n-1]
+		r.entries[i] = e
+	} else {
+		r.entries = append(r.entries, e)
+	}
+	r.interned[e.key] = i
+	return i
 }
 
-// assign gives row the label l: l is interned, the row's previous value
-// loses a reference, and a value nobody references any more leaves the
-// table — custom-tag churn cannot grow it without bound. Caller holds the
-// registry write lock.
-func (r *Registry) assign(row *segRow, l Label) {
-	v := r.intern(l)
-	v.refs++
-	if old := row.label; old != nil {
-		if old.refs--; old.refs == 0 {
-			delete(r.interned, old.key)
+// move points row at entry i. The entry the row leaves loses a reference,
+// and one nobody references any more is freed: it leaves the map and its
+// slot goes on the free list, so custom-tag churn cannot grow the table
+// without bound. Caller holds the registry write lock.
+func (r *Registry) move(row *uint32, i uint32) {
+	r.entries[i].refs++
+	if old := *row; old != 0 {
+		if e := &r.entries[old-1]; e.refs > 1 {
+			e.refs--
+		} else {
+			delete(r.interned, e.key)
+			*e = entry{}
+			r.free = append(r.free, old-1)
 		}
 	}
-	row.label = v
+	*row = i + 1
 }
 
-// store adds service to row's stored-by set.
-func (r *Registry) store(row *segRow, service string) {
-	names := row.storedNames()
-	if i, found := slices.BinarySearch(names, service); !found {
-		// Clipped, so the insert copies rather than writing the shared set.
-		row.stored = r.internStored(slices.Insert(slices.Clip(names), i, service))
-	}
+// assign gives row the label l, keeping its stored-by set.
+func (r *Registry) assign(row *uint32, l Label) {
+	r.move(row, r.intern(l, r.storedNames(row)))
 }
 
-// internStored returns the shared stored-by set of the ascending names,
-// nil for none. Sets are interned like labels but never dropped: they name
-// registered services, and a segment only moves to larger ones.
-func (r *Registry) internStored(names []string) *[]string {
-	if len(names) == 0 {
-		return nil
-	}
-	r.keyBuf = r.keyBuf[:0]
-	for _, name := range names {
-		r.keyBuf = binary.AppendUvarint(r.keyBuf, uint64(len(name)))
-		r.keyBuf = append(r.keyBuf, name...)
-	}
-	set, ok := r.storedSets[string(r.keyBuf)]
-	if !ok {
-		if r.storedSets == nil {
-			r.storedSets = make(map[string]*[]string)
-		}
-		set = new([]string) // not &names: names would then escape on every call
-		*set = names
-		r.storedSets[string(r.keyBuf)] = set
-	}
-	return set
-}
-
-// DistinctLabels returns the number of distinct label contents the
-// registry currently holds — the size of its intern table, which is what
+// DistinctLabels returns the number of distinct (label, stored-by) pairs
+// the registry currently holds — the size of its entry table, which is what
 // label memory is proportional to (not the number of segments).
 func (r *Registry) DistinctLabels() int {
 	r.mu.RLock()

@@ -154,12 +154,49 @@ func (m *model) checkSources(sources []segment.ID, service string) (ok bool, vio
 	return len(violating) == 0, violating
 }
 
-func (m *model) distinctLabels() int {
+// distinctEntries counts the distinct (label, stored-by) pairs of the
+// labelled segments: the entries the registry must hold, no more, no less.
+func (m *model) distinctEntries() int {
 	seen := make(map[string]bool)
-	for _, l := range m.labels {
-		seen[fmt.Sprint(sortedTags(l.explicit), sortedTags(l.implicit), sortedTags(l.suppressed))] = true
+	for seg, l := range m.labels {
+		stored := make([]string, 0, len(m.stored[seg]))
+		for name := range m.stored[seg] {
+			stored = append(stored, name)
+		}
+		sort.Strings(stored)
+		seen[fmt.Sprint(sortedTags(l.explicit), sortedTags(l.implicit), sortedTags(l.suppressed), stored)] = true
 	}
 	return len(seen)
+}
+
+// checkEntryCounts fails unless every entry the map names has its own key
+// and counts exactly the rows that name it, at least one, and every row
+// names such an entry: a zero-count entry left in the table, a freed slot
+// whose key stayed in the map, or a count off by one shows up here.
+func checkEntryCounts(r *Registry) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	named := make([]int, len(r.entries))
+	for ref := uint32(0); ref < uint32(r.tab.Len()); ref++ {
+		if row := r.rows.At(ref); row != nil && *row != 0 {
+			named[*row-1]++
+		}
+	}
+	for key, i := range r.interned {
+		if e := &r.entries[i]; e.key != key || e.refs == 0 || e.refs != named[i] {
+			return fmt.Errorf("entry %d keyed %q counts %d rows, %d name it (its key %q)", i, key, e.refs, named[i], e.key)
+		}
+	}
+	live := 0
+	for _, n := range named {
+		if n > 0 {
+			live++
+		}
+	}
+	if live != len(r.interned) {
+		return fmt.Errorf("rows name %d entries, the map %d", live, len(r.interned))
+	}
+	return nil
 }
 
 // TestRegistryMatchesNaiveModel drives random operation sequences through
@@ -313,9 +350,11 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 					})
 				}
 
-				want := m.distinctLabels()
-				if got := r.DistinctLabels(); got > want {
-					t.Fatalf("step %d %s: holds %d interned values for %d distinct label contents", step, desc, got, want)
+				if got, want := r.DistinctLabels(), m.distinctEntries(); got != want {
+					t.Fatalf("step %d %s: holds %d entries for %d distinct (label, stored-by) pairs", step, desc, got, want)
+				}
+				if err := checkEntryCounts(r); err != nil {
+					t.Fatalf("step %d %s: %v", step, desc, err)
 				}
 				exported := make(map[segment.ID]LabelRecord)
 				data := r.Export()

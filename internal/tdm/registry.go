@@ -47,45 +47,40 @@ type Registry struct {
 	tagOwners map[Tag]string
 
 	// rows holds a row per ref of tab — the segment table of the tracker
-	// the registry's engine pairs it with — guarded by mu.
-	tab  *segment.Table
-	rows segment.Column[segRow]
-
-	// interned holds one labelValue per distinct label content currently
-	// referenced from rows and storedSets one stored-by set per distinct
-	// set, each by canonical key (see intern.go).
-	interned   map[string]*labelValue
-	storedSets map[string]*[]string
-	keyBuf     []byte // intern's and store's key scratch
-	implicit   TagSet // RefreshImplicit's scratch, cleared per call
+	// the registry's engine pairs it with: 0 for an unknown segment, i+1
+	// for a segment carrying entries[i]. entries holds the distinct
+	// (label, stored-by) pairs the rows name, interned by canonical key
+	// (see intern.go); free lists the slots of freed entries. All guarded
+	// by mu.
+	tab      *segment.Table
+	rows     segment.Column[uint32]
+	entries  []entry
+	interned map[string]uint32
+	free     []uint32
+	keyBuf   []byte   // intern's key scratch
+	names    []string // ObserveSegment's stored-by scratch
+	implicit TagSet   // RefreshImplicit's scratch, cleared per call
 
 	auditLog *audit.Log
 }
 
-// segRow is everything the registry holds per segment: its shared label
-// value (nil: an unknown segment) and the shared, ascending names of the
-// services storing it (nil: none).
-type segRow struct {
-	label  *labelValue
-	stored *[]string
-}
-
-// value returns the segment's label content, the empty label for an unknown
-// segment. The copy shares the interned value's tag sets: read it, or
+// value returns the label of row's entry, the empty label for an unknown
+// segment (row nil or 0). The copy shares the entry's tag sets: read it, or
 // replace a set wholesale and hand it to assign — never write through it.
-func (row *segRow) value() Label {
-	if row == nil || row.label == nil {
+func (r *Registry) value(row *uint32) Label {
+	if row == nil || *row == 0 {
 		return Label{}
 	}
-	return row.label.label
+	return r.entries[*row-1].label
 }
 
-// storedNames returns the interned stored-by set; never write it.
-func (row *segRow) storedNames() []string {
-	if row == nil || row.stored == nil {
+// storedNames returns the stored-by set of row's entry, nil for an unknown
+// segment; never write it.
+func (r *Registry) storedNames(row *uint32) []string {
+	if row == nil || *row == 0 {
 		return nil
 	}
-	return *row.stored
+	return r.entries[*row-1].stored
 }
 
 // NewRegistry returns an empty Registry keeping its per-segment state on
@@ -103,7 +98,7 @@ func NewRegistry(segs *segment.Table, auditLog *audit.Log) *Registry {
 		services:  make(map[string]*Service),
 		tagOwners: make(map[Tag]string),
 		tab:       segs,
-		interned:  make(map[string]*labelValue),
+		interned:  make(map[string]uint32),
 		implicit:  make(TagSet),
 		auditLog:  auditLog,
 	}
@@ -113,9 +108,9 @@ func NewRegistry(segs *segment.Table, auditLog *audit.Log) *Registry {
 func (r *Registry) Table() *segment.Table { return r.tab }
 
 // known returns seg's row, nil for an unknown seg. Caller holds r.mu.
-func (r *Registry) known(seg segment.ID) *segRow {
+func (r *Registry) known(seg segment.ID) *uint32 {
 	if ref, ok := r.tab.Lookup(seg); ok {
-		if row := r.rows.At(ref); row != nil && row.label != nil {
+		if row := r.rows.At(ref); row != nil && *row != 0 {
 			return row
 		}
 	}
@@ -185,10 +180,17 @@ func (r *Registry) ObserveSegment(seg segment.ID, service string) error {
 		return fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
 	row := r.rows.Make(r.tab.Intern(seg))
-	r.store(row, svc.Name)
-	if row.label == nil {
-		r.assign(row, Label{explicit: svc.Confidentiality})
+	names := r.storedNames(row)
+	i, found := slices.BinarySearch(names, svc.Name)
+	if found {
+		return nil
 	}
+	label := Label{explicit: svc.Confidentiality}
+	if *row != 0 {
+		label = r.value(row)
+	}
+	r.names = slices.Insert(append(r.names[:0], names...), i, svc.Name)
+	r.move(row, r.intern(label, r.names))
 	return nil
 }
 
@@ -204,7 +206,7 @@ func (r *Registry) UpsertExplicit(seg segment.ID, tags []Tag) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	row := r.rows.Make(r.tab.Intern(seg))
-	label := row.value()
+	label := r.value(row)
 	label.explicit = NewTagSet(tags...)
 	r.assign(row, label)
 }
@@ -214,7 +216,7 @@ func (r *Registry) Label(seg segment.ID) *Label {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if row := r.known(seg); row != nil {
-		return row.label.label.Clone()
+		return r.entries[*row-1].label.Clone()
 	}
 	return nil
 }
@@ -230,10 +232,10 @@ func (r *Registry) RefreshImplicit(seg segment.ID, sources []segment.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	row := r.known(seg)
-	label := row.value()
+	label := r.value(row)
 	clear(r.implicit)
 	for _, src := range sources {
-		for t := range r.known(src).value().explicit {
+		for t := range r.value(r.known(src)).explicit {
 			// The segment's own explicit tags need not be duplicated as
 			// implicit.
 			if !label.explicit.Has(t) {
@@ -268,7 +270,7 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 	if row == nil {
 		return true, nil, nil
 	}
-	for _, t := range row.label.eff {
+	for _, t := range r.entries[*row-1].eff {
 		if !svc.Privilege.Has(t) {
 			violating = append(violating, t)
 		}
@@ -308,7 +310,7 @@ func (r *Registry) CheckSources(n int, source func(i int) segment.ID, service st
 		return false, nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
 	for i := 0; i < n; i++ {
-		for t := range r.known(source(i)).value().explicit {
+		for t := range r.value(r.known(source(i))).explicit {
 			if !svc.Privilege.Has(t) {
 				violating = append(violating, t)
 			}
@@ -327,7 +329,7 @@ func (r *Registry) CheckSources(n int, source func(i int) segment.ID, service st
 func (r *Registry) SuppressTag(user string, seg segment.ID, tag Tag, justification string) error {
 	r.mu.Lock()
 	row := r.known(seg)
-	label := row.value()
+	label := r.value(row)
 	if !label.explicit.Has(tag) && !label.implicit.Has(tag) {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %s on %s", ErrTagNotOnSegment, tag, seg)
@@ -391,12 +393,12 @@ func (r *Registry) AddTagToSegment(user string, seg segment.ID, tag Tag) error {
 		return fmt.Errorf("%w: %s owned by %s", ErrNotTagOwner, tag, owner)
 	}
 	row := r.rows.Make(r.tab.Intern(seg))
-	label := row.value()
+	label := r.value(row)
 	if !label.explicit.Has(tag) {
 		label.explicit = label.explicit.Clone().Add(tag)
 	}
 	r.assign(row, label)
-	for _, svcName := range row.storedNames() {
+	for _, svcName := range r.storedNames(row) {
 		if svc, ok := r.services[svcName]; ok {
 			svc.Privilege.Add(tag)
 		}
@@ -459,7 +461,7 @@ func (r *Registry) mutatePrivilege(user, service string, tag Tag, add bool) erro
 func (r *Registry) StoredBy(seg segment.ID) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	stored := r.known(seg).storedNames()
+	stored := r.storedNames(r.known(seg))
 	out := make([]string, len(stored))
 	copy(out, stored)
 	return out

@@ -2,7 +2,9 @@ package tdm
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/lsds/browserflow/internal/audit"
@@ -465,7 +467,7 @@ func TestLabelCopiesCannotReachTheRegistry(t *testing.T) {
 		}
 	}
 	if n := r.DistinctLabels(); n != 1 {
-		t.Fatalf("two segments of one service hold %d label values, want 1", n)
+		t.Fatalf("two segments of one service hold %d entries, want 1", n)
 	}
 	label := r.Label("s1")
 	label.AddExplicit("ti")
@@ -505,4 +507,46 @@ func TestCheckReleaseAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("CheckRelease allocs=%v, want 0", allocs)
 	}
+}
+
+// TestRegistryRowBytes pins a segment's registry row at 4 bytes: 20 000
+// segments already in the segment table, observed over two services, grow
+// the heap by their rows' 4 KiB pages (1 024 rows a page) and a little for
+// the two entries and the page directory. A row of two pointers, to a
+// shared label and a shared stored-by set, cost 16 B.
+func TestRegistryRowBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const n = 20000
+	r := NewRegistry(nil, nil)
+	for _, name := range []string{"wiki", "docs"} {
+		mustRegister(t, r, name, NewTagSet("tw"), NewTagSet(Tag("t"+name)))
+	}
+	ids := make([]segment.ID, n)
+	for i := range ids {
+		ids[i] = segment.ID(fmt.Sprintf("doc%d#p%d", i/16, i%16))
+		r.Table().Intern(ids[i])
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for i, id := range ids {
+		if err := r.ObserveSegment(id, []string{"wiki", "docs"}[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew := int64(heap()) - int64(before)
+	bound := int64((n+1023)/1024*4096 + 2048)
+	t.Logf("%d rows over %d entries: heap +%d B, %.2f B a row", n, r.DistinctLabels(), grew, float64(grew)/n)
+	if grew > bound {
+		t.Errorf("%d rows grow the heap by %d B, want at most %d (4 B a row and page rounding)", n, grew, bound)
+	}
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(ids)
 }
