@@ -196,7 +196,7 @@ vuln:
 # and the replication stream, held to one answer), the record applier a
 # replica runs over streamed records, the state-image restore (unseal +
 # BFLOWSNB decode, the one route every load takes), the registry section's
-# decoder on its own (both codecs it reads), the index itself against its
+# decoder on its own, the index itself against its
 # reference model (generated operation streams on the model rig's nine
 # layouts: head-only, merging inline and merged when told, at 1, 64 and
 # 256 shards, each checked after every operation, with restores), the

@@ -78,7 +78,7 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 		t.Fatalf("clean fsck output missing summary:\n%s", out.String())
 	}
 	// Where the checkpoint bytes go: container version and every section.
-	for _, want := range []string{" bytes, version 6: meta 24 pars ", " docs ", " registry ", " audit "} {
+	for _, want := range []string{" bytes, version 7: meta 24 pars ", " docs ", " registry ", " audit "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("clean fsck output does not break the checkpoint down (%q missing):\n%s", want, out.String())
 		}
@@ -103,7 +103,7 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 	}
 
 	// So are intact checkpoints from a retired and from a newer build: the
-	// real checkpoint with its version byte set to 4, then raised to 7, and
+	// real checkpoint with its version byte set to 5, then raised to 8, and
 	// the header checksum made to match.
 	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
 	if err != nil || len(matches) != 1 {
@@ -123,21 +123,21 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 		}
 		return path
 	}
-	writeVersion(4)
+	writeVersion(5)
 	out.Reset()
 	if err := run([]string{"-wal-dir", dir, "fsck"}, nil, &out); err == nil {
-		t.Fatalf("fsck passed a directory with a version 4 checkpoint:\n%s", out.String())
+		t.Fatalf("fsck passed a directory with a version 5 checkpoint:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "RETIRED  "+store.CheckpointName(0)+"  BFLOWSNB version 4 format") ||
+	if !strings.Contains(out.String(), "RETIRED  "+store.CheckpointName(0)+"  BFLOWSNB version 5 format") ||
 		strings.Contains(out.String(), "CORRUPT") || !strings.Contains(out.String(), "0 corrupt") {
 		t.Fatalf("fsck output does not report the retired version on its own:\n%s", out.String())
 	}
-	newer := writeVersion(7)
+	newer := writeVersion(8)
 	out.Reset()
 	if err := run([]string{"-wal-dir", dir, "fsck"}, nil, &out); err == nil {
 		t.Fatalf("fsck passed a directory with a checkpoint from a newer build:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "NEWER    "+store.CheckpointName(0)+"  version 7") ||
+	if !strings.Contains(out.String(), "NEWER    "+store.CheckpointName(0)+"  version 8") ||
 		strings.Contains(out.String(), "CORRUPT") || !strings.Contains(out.String(), "0 corrupt") {
 		t.Fatalf("fsck output does not report the newer version on its own:\n%s", out.String())
 	}

@@ -346,7 +346,7 @@ func TestCheckpointBesideCompaction(t *testing.T) {
 // The upgrade path from the removed -state mode: a state file that
 // `bftagd -state` wrote (after seedObservations, plain and with
 // -passphrase), loaded and re-saved by the last build to write container
-// version 5, is a checkpoint image, so renamed to the barrier-0
+// version 6, is a checkpoint image, so renamed to the barrier-0
 // checkpoint inside a -wal-dir it is recovered with the verdicts it was
 // saved with.
 func TestStateFileUpgradesToWALDir(t *testing.T) {

@@ -143,16 +143,6 @@ func (l *Log) Filter(keep func(Entry) bool) []Entry {
 	return out
 }
 
-// ByUser returns all entries initiated by user.
-func (l *Log) ByUser(user string) []Entry {
-	return l.Filter(func(e Entry) bool { return e.User == user })
-}
-
-// ByTag returns all entries involving tag.
-func (l *Log) ByTag(tag string) []Entry {
-	return l.Filter(func(e Entry) bool { return e.Tag == tag })
-}
-
 // Replace swaps the log's contents for a previously captured entry list
 // (used when restoring persisted state).
 func (l *Log) Replace(entries []Entry) {

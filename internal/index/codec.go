@@ -11,7 +11,7 @@ package index
 // table. The postings are two bit streams (wire.AppendBits), a ref in them
 // ⌈log2 table length⌉ bits wide.
 //
-//	u8      codec version (3)
+//	u8      codec version (4)
 //	u64     clock, u64 defaultThreshold (IEEE 754 bits), little endian
 //	uvarint segment-table length
 //	  per entry, ascending by ID: wire.AppendFrontCoded
@@ -19,13 +19,13 @@ package index
 //	  per entry, ascending by table ref:
 //	    uvarint refs skipped since the previous entry << 1 | own threshold
 //	    u64 threshold bits, only with the own-threshold bit
-//	    uvarint updated, uvarint fingerprint length
+//	    varint updated − the previous entry's, uvarint fingerprint length
 //	uvarint distinct hash count, uvarint total posting count
 //	group stream, per hash ascending, its postings oldest first:
 //	    first holder's ref; shape: 0 single holder, 10 repeat, 11 spelled
 //	    flagged bit, unless a repeat; spelled: γ(count), the later refs
 //	    flagged: per posting flagStale | flagStamped in 2 bits, and with
-//	    flagStamped γ(zigzag(holder's base − stamp))
+//	    flagStamped distanceCode(zigzag(holder's base − stamp))
 //	hash stream, per 1/64 of the hash space: γ(hash count + 1), then with
 //	  hashes a 5-bit Rice parameter and the Rice codes of the first hash's
 //	  offset in the 1/64 and of each later gap less one
@@ -46,7 +46,8 @@ package index
 // postings stay within the payload's bits, so the decoder refuses declared
 // lengths or a posting total past them. The unposted list is what
 // ExpireBefore can leave — a posting expired, its segment did not — and
-// the decoder checks every fingerprint reaches its declared length.
+// the decoder checks every fingerprint reaches its declared length. Codec
+// 3 (container version 6) is still read: updated absolute, distances γ(d).
 //
 // The encoding is a pure function of the DB's logical contents, so the
 // same state encodes to the same bytes regardless of shard count or merge
@@ -66,7 +67,7 @@ import (
 	"github.com/lsds/browserflow/internal/wire"
 )
 
-const snapshotCodecVersion = 3
+const snapshotCodecVersion = 4 // codec 3 is read, never written
 
 // AppendSnapshot appends the DB's binary snapshot to buf and returns the
 // extended slice. The DB takes its own consistent cut: every segment
@@ -148,7 +149,7 @@ func (db *DB) appendCut(buf []byte) (_ []byte, ids []segment.ID, hashes []uint32
 	}
 	slices.SortFunc(rows, func(a, b *parRow) int { return cmp.Compare(pos[held.rank(a.ref)], pos[held.rank(b.ref)]) })
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	next := uint32(0)
+	next, updated := uint32(0), uint64(0)
 	for _, row := range rows {
 		ref := pos[held.rank(row.ref)]
 		if row.flags&rowOwnThreshold == 0 {
@@ -158,10 +159,10 @@ func (db *DB) appendCut(buf []byte) (_ []byte, ids []segment.ID, hashes []uint32
 			ss := db.segShardFor(db.tab.ID(row.ref))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ss.own[row.ref]))
 		}
-		buf = binary.AppendUvarint(buf, row.updated)
+		buf = binary.AppendVarint(buf, int64(row.updated-updated))
 		buf = binary.AppendUvarint(buf, uint64(len(row.hashes)))
 		holders[ref] = holder{base: row.updated, fp: row.hashes}
-		next = ref + 1
+		next, updated = ref+1, row.updated
 	}
 
 	// Postings, globally ascending by hash: shard index is the hash's top
@@ -178,6 +179,7 @@ func (db *DB) appendCut(buf []byte) (_ []byte, ids []segment.ID, hashes []uint32
 		scratch []posting
 		group   []groupPosting
 		later   []uint32
+		stamps  = distanceCode{adaptive: true}
 		repeats = make(tails, len(table))
 		posted  uint64
 	)
@@ -211,7 +213,7 @@ func (db *DB) appendCut(buf []byte) (_ []byte, ids []segment.ID, hashes []uint32
 				}
 				posted += uint64(len(group))
 				mayRepeat := posted <= prefix+w.Len()+uint64(width)+2
-				later = repeats.writeGroup(w, width, group, mayRepeat, later[:0])
+				later = repeats.writeGroup(w, width, group, mayRepeat, &stamps, later[:0])
 			})
 		}
 	})
@@ -329,8 +331,52 @@ type groupPosting struct {
 // Posting flags, written per posting of a flagged group.
 const (
 	flagStale   = 1 << iota // the hash is off the holder's fingerprint, or the holder has no entry
-	flagStamped             // the stamp is not the holder's base: γ(distance) follows
+	flagStamped             // the stamp is not the holder's base: its distance follows
 )
+
+// distanceCode is the adaptive exp-Golomb code both ends of a group stream
+// run over its distances in stream order: d ≥ 1 is γ(((d−1) >> k) + 1) and
+// the k low bits of d−1, k the least with n·2^k ≥ sum over the n distances
+// so far (LOCO-I's rule), both halved when n reaches 64. So the image needs
+// no parameter. At k = 0, codec 3's reading (adaptive unset), it is γ(d).
+type distanceCode struct {
+	sum, n   uint64
+	adaptive bool
+}
+
+func (c *distanceCode) k() uint {
+	if !c.adaptive || c.n == 0 {
+		return 0
+	}
+	return uint(bits.Len64((c.sum - 1) / c.n))
+}
+
+// add counts d into the running mean. Both ends wrap a sum past 64 bits
+// alike, so it costs bits, never a mismatch.
+func (c *distanceCode) add(d uint64) {
+	if c.sum, c.n = c.sum+d, c.n+1; c.n == 64 {
+		c.sum, c.n = c.sum>>1, 32
+	}
+}
+
+func (c *distanceCode) write(w *wire.BitWriter, d uint64) {
+	k := c.k()
+	w.Gamma((d-1)>>k + 1)
+	w.Write(d-1, k)
+	c.add(d)
+}
+
+// read reads a distance, refusing one past 64 bits.
+func (c *distanceCode) read(r *wire.BitReader) uint64 {
+	k := c.k()
+	q := r.Gamma("posting stamp distance") - 1
+	if v := q<<k | r.Read(k, "posting stamp distance"); q <= math.MaxUint64>>k && v < math.MaxUint64 {
+		c.add(v + 1)
+		return v + 1
+	}
+	r.Fail("posting stamp distance past 64 bits")
+	return 0
+}
 
 // tails is what both ends of the group stream keep to code a repeat: per
 // first holder, the later holders of the last group it led that spelled
@@ -344,9 +390,10 @@ func (t tails) remember(first uint32, later []uint32, flagged bool) {
 	}
 }
 
-// writeGroup writes one group, oldest posting first, using later as
-// scratch; it spells a repeatable tail out unless mayRepeat.
-func (t tails) writeGroup(w *wire.BitWriter, width uint, group []groupPosting, mayRepeat bool, later []uint32) []uint32 {
+// writeGroup writes one group, oldest posting first, its distances in
+// stamps, using later as scratch; it spells a repeatable tail out unless
+// mayRepeat.
+func (t tails) writeGroup(w *wire.BitWriter, width uint, group []groupPosting, mayRepeat bool, stamps *distanceCode, later []uint32) []uint32 {
 	first, flags := group[0].ref, uint64(0)
 	for i, p := range group {
 		if flags |= p.flags; i > 0 {
@@ -376,7 +423,7 @@ func (t tails) writeGroup(w *wire.BitWriter, width uint, group []groupPosting, m
 	}
 	for _, p := range group {
 		if w.Write(p.flags, 2); p.flags&flagStamped != 0 {
-			w.Gamma(p.distance)
+			stamps.write(w, p.distance)
 		}
 	}
 	return later
@@ -431,7 +478,8 @@ func (db *DB) PrepareSnapshot(data []byte) (*PreparedSnapshot, error) {
 func (p *PreparedSnapshot) decode(data []byte) error {
 	db := p.db
 	d := wire.NewReader(data)
-	if d.Byte("codec version") != snapshotCodecVersion {
+	codec := d.Byte("codec version")
+	if codec != snapshotCodecVersion && codec != 3 {
 		return &wire.Error{Reason: "empty payload or unsupported codec version"}
 	}
 	clock, thrBits := d.U64("clock"), d.U64("default threshold")
@@ -465,7 +513,7 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	// total are refused past the payload's bits: what an image decodes to
 	// grows with its length. Declared lengths are allocated up front only
 	// while they add up to no more than the payload's bytes.
-	next, declared, limit, budget := uint64(0), uint64(0), 8*uint64(len(data)), uint64(len(data))
+	next, updated, declared, limit, budget := uint64(0), uint64(0), uint64(0), 8*uint64(len(data)), uint64(len(data))
 	for i := range pars {
 		ref := d.Uvarint("DBpar segment ref")
 		ref, ownThreshold := next+ref>>1, ref&1 != 0
@@ -476,7 +524,11 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 		if ownThreshold {
 			tb = d.U64("DBpar threshold")
 		}
-		updated := d.Uvarint("DBpar updated")
+		if u := d.Uvarint("DBpar updated"); codec == 3 {
+			updated = u
+		} else {
+			updated += u>>1 ^ -(u & 1)
+		}
 		if updated > clock {
 			return d.Fail("DBpar updated exceeds clock")
 		}
@@ -510,7 +562,8 @@ func (p *PreparedSnapshot) decode(data []byte) error {
 	if total > limit {
 		return d.Fail("posting total exceeds the payload's bits")
 	}
-	g := &groupDecoder{d: d, db: db, clock: clock, refs: refs, pars: pars, total: total, runs: make([]run, len(db.hashShards))}
+	g := &groupDecoder{d: d, db: db, clock: clock, refs: refs, pars: pars, total: total, runs: make([]run, len(db.hashShards)),
+		stamps: distanceCode{adaptive: codec == snapshotCodecVersion}}
 	for i := range g.runs {
 		g.runs[i] = newRun(&p.born, 0, 0, 0, 0)
 	}
@@ -584,6 +637,7 @@ type groupDecoder struct {
 	h, group        uint32
 	clock, prevSeq  uint64
 	postings, total uint64
+	stamps          distanceCode
 }
 
 // post adds the group's next posting: its holder's ref, its zigzagged
@@ -695,7 +749,7 @@ func (g *groupDecoder) readGroups(distinct uint64) {
 				flags = gs.Read(2, "posting flags")
 			}
 			if flags&flagStamped != 0 {
-				distance = gs.Gamma("posting stamp distance")
+				distance = g.stamps.read(gs)
 			}
 			if g.post(ref, distance, flags&flagStale != 0) != nil {
 				return

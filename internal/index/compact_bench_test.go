@@ -16,7 +16,7 @@ import (
 // of the head's postings for hashes the run already holds. Every fourth
 // merge starts over from a freshly built run, outside the timer, so the
 // run stays between 20 000 and 23 000 groups. It drives the DB through
-// Update, SetCompactThreshold and Compact only.
+// Update and Compact only, head-only between its merges.
 func BenchmarkCompact(b *testing.B) {
 	const (
 		baseSegs, basePer = 200, 100 // the run: 20 000 hashes
@@ -61,7 +61,7 @@ func BenchmarkCompact(b *testing.B) {
 	}
 	build := func() *DB {
 		db := New(tab, 0.5)
-		db.SetCompactThreshold(-1)
+		db.headOnly = true
 		for i, hs := range base {
 			db.Update(segment.ID(fmt.Sprintf("base#p%d", i)), fingerprint.FromHashes(hs), nil)
 		}

@@ -247,8 +247,10 @@ type DB struct {
 	runBytes  atomic.Int64 // bytes of every run's columns, moved by merges and restores
 	headRows  atomic.Int64 // rows of every head table, moved as one grows or is dropped
 
-	// compactMin tunes the inline merge policy; see SetCompactThreshold.
-	compactMin atomic.Int64
+	// headOnly turns inline merging off, so every posting stays in the
+	// heads until an explicit Compact or an expiry; only tests set it, to
+	// hold a DB in one layout.
+	headOnly bool
 }
 
 // New returns an empty DB on the segment table tab (nil: a table of its

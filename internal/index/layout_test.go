@@ -102,7 +102,7 @@ func TestHeadInsertAllocatesNoObjectPerHash(t *testing.T) {
 	}
 	const novel = 1000
 	db := NewWithShards(nil, 0.5, 1)
-	db.SetCompactThreshold(-1)
+	db.headOnly = true
 	sh := &db.hashShards[0]
 	w := postingWriter{ref: db.tab.Intern("wiki/alloc#p0"), segKey: segDigestKey("wiki/alloc#p0"), seq: db.clock.Add(1)}
 	next := uint32(0)
@@ -155,7 +155,7 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 	raw := make([]uint32, perSeg)
 	before := heap()
 	db := New(nil, 0.5)
-	db.SetCompactThreshold(-1)
+	db.headOnly = true
 	for _, seg := range segs {
 		for i := range raw {
 			raw[i] = rng.Uint32()
@@ -188,7 +188,7 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 	// most against its groups, a merged DB must still model smaller than
 	// the same DB head-only.
 	small := New(nil, 0.5)
-	small.SetCompactThreshold(-1)
+	small.headOnly = true
 	for i := 0; i < 4000; i++ {
 		hs := make([]uint32, 32)
 		for j := range hs {

@@ -11,7 +11,7 @@ import (
 // FuzzIndexModel decodes its input into a stream of updates, removals,
 // late postings, clock jumps, expiries, merges and snapshot restores, and
 // applies it to the reference model and to the model rig's standard
-// layouts: head-only, merging inline as soon as a head holds a sixteenth
+// layouts: head-only, merging inline as soon as a head holds a thirty-second
 // of its run, and merging only when told to, each at 1, 64 and 256
 // shards. After every operation each DB must answer as the model
 // does for every hash of the pool — hashes on bucket and shard edges, and

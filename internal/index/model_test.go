@@ -242,39 +242,39 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// layout is one way a rig's DB holds its postings: its shard count, its
-// compact threshold (SetCompactThreshold's n; -1: never on its own) and
-// whether the rig's compact op merges it.
+// layout is one way a rig's DB holds its postings: its shard count,
+// whether it merges inline (headOnly: never on its own) and whether the
+// rig's compact op merges it.
 type layout struct {
-	shards, compactMin int
-	merges             bool
+	shards           int
+	headOnly, merges bool
 }
 
 func (l layout) String() string {
-	return fmt.Sprintf("%d shards, compact threshold %d, merged when told: %v", l.shards, l.compactMin, l.merges)
+	return fmt.Sprintf("%d shards, head-only: %v, merged when told: %v", l.shards, l.headOnly, l.merges)
 }
 
 // standardLayouts are, at each shard count (1, 64 and 256 when none is
 // given), a head-only DB (only an expiry merges it), one merging inline
-// as soon as its head holds a sixteenth of its run (compact threshold 1,
-// the most eager), and one merging only at the script's compact ops.
+// as the merge policy says, and one merging only at the script's compact
+// ops.
 func standardLayouts(shards ...int) []layout {
 	if len(shards) == 0 {
 		shards = []int{1, DefaultShards, 256}
 	}
 	var ls []layout
 	for _, n := range shards {
-		ls = append(ls, layout{n, -1, false}, layout{n, 1, true}, layout{n, -1, true})
+		ls = append(ls, layout{n, true, false}, layout{n, false, true}, layout{n, true, true})
 	}
 	return ls
 }
 
-// layoutsAt are DBs of the given shard counts with the compact threshold
-// compactMin, merged at the compact ops too.
-func layoutsAt(compactMin int, shards ...int) []layout {
+// layoutsAt are DBs of the given shard counts, head-only or merging
+// inline, merged at the compact ops too.
+func layoutsAt(headOnly bool, shards ...int) []layout {
 	var ls []layout
 	for _, n := range shards {
-		ls = append(ls, layout{n, compactMin, true})
+		ls = append(ls, layout{n, headOnly, true})
 	}
 	return ls
 }
@@ -312,7 +312,7 @@ func newModelRig(t *testing.T, tab *segment.Table, layouts []layout, probes []ui
 	r.probe(probes)
 	for _, l := range layouts {
 		db := NewWithShards(tab, 0.5, l.shards)
-		db.SetCompactThreshold(l.compactMin)
+		db.headOnly = l.headOnly
 		r.dbs = append(r.dbs, db)
 	}
 	return r
@@ -473,7 +473,7 @@ func (r *modelRig) load(img []byte, m *refModel) {
 func (r *modelRig) restored(tab *segment.Table, img []byte, i int) *DB {
 	r.t.Helper()
 	db := NewWithShards(tab, 0, r.layouts[i].shards)
-	db.SetCompactThreshold(r.layouts[i].compactMin)
+	db.headOnly = r.layouts[i].headOnly
 	if err := loadSnapshot(db, img); err != nil {
 		r.t.Fatalf("restore into %v: %v", r.layouts[i], err)
 	}

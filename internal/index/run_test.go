@@ -158,13 +158,14 @@ func stampCodeOf(db *DB, h, ref uint32) (code uint32, ok bool) {
 	return 0, false
 }
 
-// TestQuotientedRunMatchesReference drives a DB of 1, 64 and 256 shards and
-// the reference model through one random sequence of inserts, removals,
-// expiries, clock jumps, merges and restores, over hashes at every bucket
-// and shard edge plus a hot hash with enough holders for a membership set.
-// After every step each DB answers as the model does for every edge hash
-// and its low-half twins, present or absent, and all three encode the same
-// image.
+// TestQuotientedRunMatchesReference drives DBs of 1, 64 and 256 shards —
+// at each, one merging inline as the merge policy says and one head-only
+// between the merges it is told to make — and the reference model through
+// one random sequence of inserts, removals, expiries, clock jumps, merges
+// and restores, over hashes at every bucket and shard edge plus a hot hash
+// with enough holders for a membership set. After every step each DB
+// answers as the model does for every edge hash and its low-half twins,
+// present or absent, and all six encode the same image.
 //
 // The packed columns' widths are crossed on purpose: the DBs share a
 // segment table whose fillers push the refs of new segments across 2^15
@@ -177,7 +178,8 @@ func stampCodeOf(db *DB, h, ref uint32) (code uint32, ok bool) {
 // run's widest ref and the run's widest code into the inline slot.
 //
 // Each seed's explicit merges must between them meet every one of
-// spliceCases — stretches copied across bit offsets, columns widened by a
+// spliceCases (the inline-merging DBs leave less than a thirty-second of their
+// runs for those; the head-only ones meet the head's widest codes) — stretches copied across bit offsets, columns widened by a
 // head code, tombstones, wide stamps in a copied stretch, head hashes
 // outside the run's directory and at a bucket's ends, a spill column cut
 // by a head hash — so the model checks each of splice's edges.
@@ -212,7 +214,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 
 			tab := &segment.Table{}
 			fillTable(tab, 1<<15-4)
-			rig := newModelRig(t, tab, layoutsAt(16, shardCounts...), probes)
+			rig := newModelRig(t, tab, append(layoutsAt(false, shardCounts...), layoutsAt(true, shardCounts...)...), probes)
 			rig.noCopies = true // two steps in 25 restore every DB
 
 			next, sawBig, sawWide := 0, false, false
@@ -274,7 +276,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 					big := len(rig.m.postings[hot]) >= bigGroupMin
 					for i, db := range rig.dbs {
 						if got := db.hashShards[db.hashShardIdx(hot)].big[hot] != nil; got != big {
-							t.Fatalf("step %d/shards=%d: hot hash with %d holders has a membership set: %v", step, shardCounts[i], len(rig.m.postings[hot]), got)
+							t.Fatalf("step %d/%v: hot hash with %d holders has a membership set: %v", step, rig.layouts[i], len(rig.m.postings[hot]), got)
 						}
 					}
 					sawBig = sawBig || big
@@ -328,20 +330,20 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			const succ, succCode = 1<<17 - 1, 2 * (1<<20 + 1)
 			for i, db := range rig.dbs {
 				if c, ok := stampCodeOf(db, x+1, old); !ok || c != wideSeq {
-					t.Fatalf("shards=%d: old's posting after the jump has code %d (%v), want the wide sentinel", shardCounts[i], c, ok)
+					t.Fatalf("%v: old's posting after the jump has code %d (%v), want the wide sentinel", rig.layouts[i], c, ok)
 				}
 				r := &db.hashShards[db.hashShardIdx(x)].run
 				k, hi := r.more(x)
 				c, _ := stampCodeOf(db, x, succ)
 				if r.first(r.find(x))&^moreBit != old || hi != k+1 || r.moreRef(k) != succ || c != succCode {
-					t.Fatalf("shards=%d: fixture is not old inline and one spilled successor at ref %d with code %d", shardCounts[i], succ, succCode)
+					t.Fatalf("%v: fixture is not old inline and one spilled successor at ref %d with code %d", rig.layouts[i], succ, succCode)
 				}
 				if *db.born.At(old) == *db.born.At(succ) {
-					t.Fatalf("shards=%d: old and its successor share a born stamp", shardCounts[i])
+					t.Fatalf("%v: old and its successor share a born stamp", rig.layouts[i])
 				}
 				for g := range r.lo {
 					if first := r.first(g); first != tombstoneRef && first&^moreBit > succ || r.stamps.at(g) != wideSeq && r.stamps.at(g) > c {
-						t.Fatalf("shards=%d: group %d holds a ref or code wider than the successor's", shardCounts[i], g)
+						t.Fatalf("%v: group %d holds a ref or code wider than the successor's", rig.layouts[i], g)
 					}
 				}
 			}
@@ -350,7 +352,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			rig.remove("widest/old#p0")
 			for i, db := range rig.dbs {
 				if c, ok := stampCodeOf(db, x, succ); !ok || c != succCode {
-					t.Fatalf("shards=%d: the moved successor has code %d (%v), want %d", shardCounts[i], c, ok, succCode)
+					t.Fatalf("%v: the moved successor has code %d (%v), want %d", rig.layouts[i], c, ok, succCode)
 				}
 			}
 
@@ -363,7 +365,7 @@ func TestQuotientedRunMatchesReference(t *testing.T) {
 			held, _ := tab.Lookup("neg/held#p0")
 			for i, db := range rig.dbs {
 				if c, ok := stampCodeOf(db, x+4, held); !ok || c != 3 {
-					t.Fatalf("shards=%d: the restored holder's older posting has code %d (%v), want zigzag(-2) = 3", shardCounts[i], c, ok)
+					t.Fatalf("%v: the restored holder's older posting has code %d (%v), want zigzag(-2) = 3", rig.layouts[i], c, ok)
 				}
 			}
 			rig.remove("neg/held#p0")
@@ -402,7 +404,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	}
 	probes := append(slices.Clone(chain), fill...)
 	slices.Sort(probes)
-	rig := newModelRig(t, &segment.Table{}, layoutsAt(-1, shardCounts...), probes)
+	rig := newModelRig(t, &segment.Table{}, layoutsAt(true, shardCounts...), probes)
 	seg := func(i int) segment.ID { return segment.ID(fmt.Sprintf("chain#p%d", i)) }
 
 	// The table's base is a stamp 2^40 up the clock.
@@ -414,7 +416,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 		t0 := &db.hashShards[0].head
 		for _, h := range chain[1:] {
 			if t0.home(h) != t0.home(chain[0]) {
-				t.Fatalf("shards=%d: chain hashes %#x and %#x have different homes", len(db.hashShards), h, chain[0])
+				t.Fatalf("%v: chain hashes %#x and %#x have different homes", len(db.hashShards), h, chain[0])
 			}
 		}
 	}
@@ -431,7 +433,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	for _, db := range rig.dbs {
 		t0 := &db.hashShards[0].head
 		if i := t0.find(chain[1]); i < 0 || t0.rows[i].off != -3 || len(t0.wide) == 0 {
-			t.Fatalf("shards=%d: late stamps are not a negative offset and a wide one", len(db.hashShards))
+			t.Fatalf("%v: late stamps are not a negative offset and a wide one", len(db.hashShards))
 		}
 	}
 	// Grow the shard's table, a few hashes at a time.
@@ -457,7 +459,7 @@ func TestHeadTableMatchesReference(t *testing.T) {
 	}
 	for j, n := range grows {
 		if n < 2 {
-			t.Errorf("shards=%d: the head table grew %d times, want at least 2", shardCounts[j], n)
+			t.Errorf("%v: the head table grew %d times, want at least 2", shardCounts[j], n)
 		}
 	}
 	rig.expire(base + 2)

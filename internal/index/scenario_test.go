@@ -422,6 +422,11 @@ var snapshotCases = []struct {
 	// holder's last update.
 	{"wide stamps on both sides of a clock-floor jump",
 		script("s0:f0 s1:f0 compact floor:0x10000000000 s2:f0 s0:f1 s3@3:f1 floor:0x10000000003 s1@0x10000000003:f2")},
+	// s0 edited on both sides of a 2^40 jump: its postings' distances below
+	// its updated run from a few ticks to 2^41 in one stream, so the
+	// adaptive code's parameter climbs to a wide distance and comes down.
+	{"an edit history straddling a clock-floor jump",
+		script("s0:f0 s1:f1 s0:f0,f2 s0:f0,f2,f4 floor:0x10000000000 s0:f0,f2,f4,f6 s1:f1,f3 s0:f0,f2,f4,f6,f8")},
 	// Layouts that do not merge inline keep the tombstones.
 	{"multi-holder groups with the inline holder tombstoned", script("s0:f0 s1:f0 s2:f0 s3:f0 compact -s0 -s2 s4:f0")},
 	// s0 leads every group; f4's hashes, its alone, fall between those of

@@ -375,7 +375,7 @@ func TestSnapshotBesideMaintenance(t *testing.T) {
 	// Head-only: the first merge of a shard interns every segment in it,
 	// which is what an encoder without its own cut trips over.
 	db := New(nil, 0.5)
-	db.SetCompactThreshold(-1)
+	db.headOnly = true
 	for i := 0; i < segs; i++ {
 		db.Update(id(i), fp(i), nil)
 	}

@@ -146,11 +146,14 @@ func caughtUp(primary, standby *Node) func() bool {
 // TestTickers: ExpireEvery after opening, not before, the node drops the
 // segments last observed more than Retain observations ago and keeps the
 // recent ones; CompactEvery after, it merges the index heads into runs.
+// The index merges a head inline once it holds a thirty-second of its run, so
+// the paragraphs are enough for the last ones to leave postings in heads.
 func TestTickers(t *testing.T) {
+	const paragraphs = 400
 	clk := clock.NewFake(time.Unix(1000, 0))
 	n := newCluster(t).open("node", Config{ExpireEvery: time.Minute, Retain: 2, CompactEvery: time.Minute, Clock: clk})
 	pars := n.mw.Tracker().Paragraphs()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < paragraphs; i++ {
 		seg := segment.ID(fmt.Sprintf("wiki/gen#p%d", i))
 		if _, err := n.mw.Engine().ObserveEdit(seg, "wiki", fmt.Sprintf("paragraph %d of the quarterly plan, with enough words to fingerprint", i)); err != nil {
 			t.Fatal(err)
@@ -158,14 +161,14 @@ func TestTickers(t *testing.T) {
 	}
 	clk.Advance(time.Minute - 1)
 	if _, old := pars.Fingerprint("wiki/gen#p0"); !old || pars.Stats().HeadPostings == 0 {
-		t.Fatal("a segment expired or the heads merged before their cadence")
+		t.Fatalf("a segment expired or the heads merged before their cadence: %+v", pars.Stats())
 	}
 	clk.Advance(1)
 	clk.WaitArmed(2) // both ran and wait for their next turn
 	if _, old := pars.Fingerprint("wiki/gen#p0"); old || pars.Stats().HeadPostings != 0 {
 		t.Errorf("after a minute: oldest segment kept %v, %d head postings", old, pars.Stats().HeadPostings)
 	}
-	if _, ok := pars.Fingerprint("wiki/gen#p9"); !ok {
+	if _, ok := pars.Fingerprint(segment.ID(fmt.Sprintf("wiki/gen#p%d", paragraphs-1))); !ok {
 		t.Error("the newest segment expired")
 	}
 }

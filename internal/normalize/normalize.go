@@ -85,9 +85,3 @@ func (r Result) OrigRange(start, end int) (int, int) {
 	}
 	return origStart, last + size
 }
-
-// Equivalent reports whether two strings normalise to the same text, i.e.
-// they differ only in case, whitespace and punctuation.
-func Equivalent(a, b string) bool {
-	return Normalize(a).Text == Normalize(b).Text
-}

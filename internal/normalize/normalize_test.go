@@ -94,6 +94,8 @@ func TestOrigRangeInvalid(t *testing.T) {
 	}
 }
 
+// TestEquivalent: strings that differ only in case, whitespace and
+// punctuation normalise to the same text.
 func TestEquivalent(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -105,8 +107,8 @@ func TestEquivalent(t *testing.T) {
 		{"", "  ...  ", true},
 	}
 	for _, tt := range tests {
-		if got := Equivalent(tt.a, tt.b); got != tt.want {
-			t.Errorf("Equivalent(%q,%q)=%v, want %v", tt.a, tt.b, got, tt.want)
+		if got := Normalize(tt.a).Text == Normalize(tt.b).Text; got != tt.want {
+			t.Errorf("%q and %q normalise alike: %v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}
 }

@@ -268,7 +268,7 @@ func TestOverrideAudited(t *testing.T) {
 	if v.Decision != DecisionAllow {
 		t.Errorf("override decision=%v, want allow", v.Decision)
 	}
-	entries := e.Registry().Audit().ByUser("alice")
+	entries := e.Registry().Audit().Filter(func(e audit.Entry) bool { return e.User == "alice" })
 	if len(entries) != 1 || entries[0].Action != audit.ActionOverride {
 		t.Errorf("audit=%+v", entries)
 	}

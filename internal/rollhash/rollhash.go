@@ -121,28 +121,12 @@ func (h *Hasher) AppendNGrams(dst []uint32, data []byte) []uint32 {
 	return dst
 }
 
-// AppendNGrams appends the rolling hashes of every n-gram of data to dst.
-// It is the capacity-reusing form of NGrams.
+// AppendNGrams appends the rolling hashes of every n-gram of data to dst,
+// in order; it appends nothing when data holds fewer than n bytes.
 func AppendNGrams(dst []uint32, data []byte, n int) ([]uint32, error) {
 	var h Hasher
 	if err := h.Init(n); err != nil {
 		return dst, err
 	}
 	return h.AppendNGrams(dst, data), nil
-}
-
-// NGrams returns the rolling hashes of every n-gram of data, in order. It
-// returns nil if data holds fewer than n bytes.
-func NGrams(data []byte, n int) ([]uint32, error) {
-	if n <= 0 {
-		return nil, ErrWindowSize
-	}
-	if len(data) < n {
-		return nil, nil
-	}
-	var h Hasher
-	if err := h.Init(n); err != nil {
-		return nil, err
-	}
-	return h.AppendNGrams(make([]uint32, 0, len(data)-n+1), data), nil
 }

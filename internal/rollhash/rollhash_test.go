@@ -87,7 +87,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestNGrams(t *testing.T) {
-	hashes, err := NGrams([]byte("helloworld"), 6)
+	hashes, err := AppendNGrams(nil, []byte("helloworld"), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +109,18 @@ func TestNGrams(t *testing.T) {
 }
 
 func TestNGramsShortInput(t *testing.T) {
-	hashes, err := NGrams([]byte("hi"), 6)
+	hashes, err := AppendNGrams(nil, []byte("hi"), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hashes != nil {
-		t.Errorf("NGrams on short input: got %v, want nil", hashes)
+		t.Errorf("AppendNGrams on short input: got %v, want nil", hashes)
 	}
 }
 
 func TestNGramsBadWindow(t *testing.T) {
-	if _, err := NGrams([]byte("hi"), 0); err == nil {
-		t.Error("NGrams(n=0): want error")
+	if _, err := AppendNGrams(nil, []byte("hi"), 0); err == nil {
+		t.Error("AppendNGrams(n=0): want error")
 	}
 }
 
@@ -132,7 +132,7 @@ func TestQuickRollEquivalence(t *testing.T) {
 		if len(data) < n {
 			return true
 		}
-		got, err := NGrams(data, n)
+		got, err := AppendNGrams(nil, data, n)
 		if err != nil {
 			return false
 		}
@@ -159,7 +159,7 @@ func TestQuickShiftInvariance(t *testing.T) {
 		prefix := make([]byte, rng.Intn(32))
 		rng.Read(prefix)
 		data := append(append([]byte{}, prefix...), window...)
-		hashes, err := NGrams(data, n)
+		hashes, err := AppendNGrams(nil, data, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,16 +11,17 @@
 // Every section carries its own CRC32C (Castagnoli, shared with the WAL
 // framing) and the section table itself is CRC-framed, so truncation, bit
 // flips and garbage tails are all detected before any payload is parsed.
-// Version 6, the one written, holds the two fingerprint databases in the
-// index package's codec 3 (a bit-coded posting stream), the registry in
-// the tdm package's codec 3 (each distinct label once, and a code per
-// segment of the paragraph section's table in place of its ID); the audit
-// section stays JSON — it is small and schema-flexible. Version 5
-// (registry codec 2, every labelled segment by ID) is still read, so an
-// upgraded node recovers the checkpoint its predecessor wrote. Versions 4
-// (registry codec 1), 3 (index codec 2) and 2 (index codec 1, JSON
-// registry) are retired: refused by name (RetiredFormatError), as a
-// version above 6 is (NewerFormatError), never skipped as damage.
+// Version 7, the one written, holds the two fingerprint databases in the
+// index package's codec 4 (a bit-coded posting stream, its stamp distances
+// in an adaptive exp-Golomb code), the registry in the tdm package's codec
+// 3 (each distinct label once, and a code per segment of the paragraph
+// section's table in place of its ID); the audit section stays JSON — it
+// is small and schema-flexible. Version 6 (index codec 3: stamp distances
+// in Elias γ, each DBpar updated absolute) is still read, so an upgraded
+// node recovers the checkpoint its predecessor wrote. Versions 5 (registry
+// codec 2), 4 (registry codec 1), 3 (index codec 2) and 2 (index codec 1,
+// JSON registry) are retired: refused by name (RetiredFormatError), as a
+// version above 7 is (NewerFormatError), never skipped as damage.
 //
 // There is one way in and one way out. CaptureBytes encodes straight from
 // the live DBs (index.AppendSnapshot, which takes its own consistent cut)
@@ -29,7 +30,7 @@
 // runs directly. RestoreFile is RestoreBytes for a file: mapped when the
 // filesystem supports it (wal.MapFS), unsealed when keyed.
 //
-// The formats that preceded BFLOWSNB, and its versions 2 to 4, are
+// The formats that preceded BFLOWSNB, and its versions 2 to 5, are
 // recognised only to be refused with a RetiredFormatError.
 package store
 
@@ -61,9 +62,9 @@ var binMagic = []byte("BFLOWSNB")
 // binVersionRead the oldest it reads; versions 2 to binVersionRetired are
 // refused by name.
 const (
-	binVersion        = 6
-	binVersionRead    = 5
-	binVersionRetired = 4
+	binVersion        = 7
+	binVersionRead    = 6
+	binVersionRetired = 5
 )
 
 // Section kinds. Unknown kinds are rejected: the format is immutable per

@@ -121,10 +121,10 @@ func TestSaveWritesBinaryFormat(t *testing.T) {
 }
 
 // TestCrossVersionFixtures loads state files that Middleware.Save wrote
-// over buildState, as the last build to write container version 5
+// over buildState, as the last build to write container version 6
 // re-saved them, plaintext and sealed with the passphrase "pr15-fixture":
 // the one route must read them to the same state, and must write the same
-// version 6 bytes for that state as for the one this build ingests itself.
+// version 7 bytes for that state as for the one this build ingests itself.
 func TestCrossVersionFixtures(t *testing.T) {
 	want, wantRegistry := buildState(t)
 	wantBlob, err := CaptureBytes(want, wantRegistry, 0, testEpoch)
@@ -267,8 +267,8 @@ func TestRestoreListsSegmentsOutsideTheTable(t *testing.T) {
 // (recovery would fall back past the state it holds) and never
 // quarantined as rot — and is not even opened when a newer loadable
 // checkpoint covers it. That includes the first sectioned container,
-// version 2 (index codec 1, JSON registry), version 3 (index codec 2) and
-// version 4 (registry codec 1).
+// version 2 (index codec 1, JSON registry), version 3 (index codec 2),
+// version 4 (registry codec 1) and version 5 (registry codec 2).
 func TestRecoverRefusesRetiredFormat(t *testing.T) {
 	tracker, registry := buildState(t)
 	blob, err := CaptureBytes(tracker, registry, 3, testEpoch)
@@ -284,7 +284,8 @@ func TestRecoverRefusesRetiredFormat(t *testing.T) {
 		"bare-JSON":            []byte(`{"version":1,"savedAt":"2024-01-02T03:04:05Z","walSeg":3}`),
 		"BFLOWSNB version 2":   frameImage(2, im.sections),
 		"BFLOWSNB version 3":   frameImage(3, im.sections),
-		"BFLOWSNB version 4":   frameImage(binVersionRetired, im.sections),
+		"BFLOWSNB version 4":   frameImage(4, im.sections),
+		"BFLOWSNB version 5":   frameImage(binVersionRetired, im.sections),
 	} {
 		testRefusedCheckpoint(t, format, payload, func(path string, err error) bool {
 			var rfe *RetiredFormatError
@@ -309,7 +310,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer := frameImage(binVersion+1, im.sections)
-	testRefusedCheckpoint(t, "version 7", newer, func(path string, err error) bool {
+	testRefusedCheckpoint(t, "version 8", newer, func(path string, err error) bool {
 		var nfe *NewerFormatError
 		return errors.As(err, &nfe) && nfe.Path == path && nfe.Version == binVersion+1
 	})
@@ -317,7 +318,7 @@ func TestRecoverRefusesNewerVersion(t *testing.T) {
 	newer[len(binMagic)+3] ^= 0x01 // a section-table byte: the header CRC no longer holds
 	var ce *CorruptSnapshotError
 	if _, err := RestoreBytes("mem.bf", newer, tracker, registry); !errors.As(err, &ce) {
-		t.Errorf("version 7 under a damaged header: err=%v, want CorruptSnapshotError", err)
+		t.Errorf("version 8 under a damaged header: err=%v, want CorruptSnapshotError", err)
 	}
 }
 

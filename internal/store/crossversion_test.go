@@ -22,7 +22,7 @@ import (
 // The PR 20 fixture: testdata/pr20-state.snap is the checkpoint, and
 // testdata/pr20-suffix.log the WAL segment behind it, that pr20Script left
 // on an OS directory (fsync=always, no Close), the checkpoint as the last
-// build to write container version 5 re-saved it; testdata/pr20-probes.txt
+// build to write container version 6 re-saved it; testdata/pr20-probes.txt
 // is what the last build with the starts/uint64-seqs run columns and the
 // bucket-per-hash head answered to pr20ProbeAnswers after the whole
 // script, and what every build since has answered.
@@ -131,10 +131,10 @@ func readFixture(t testing.TB, name string) []byte {
 // epoch) start.
 const afterMeta = len("BFLOWSNB") + 2 + 5*binSectionEntrySize + 4 + binMetaSize
 
-// TestCrossVersionPR20Fixture: the version 5 checkpoint and its WAL suffix
+// TestCrossVersionPR20Fixture: the version 6 checkpoint and its WAL suffix
 // recover here to the state the script builds here and answer the
-// recorded probes; the version 6 image of the loaded checkpoint is the
-// version 6 image of the script run from empty.
+// recorded probes; the version 7 image of the loaded checkpoint is the
+// version 7 image of the script run from empty.
 func TestCrossVersionPR20Fixture(t *testing.T) {
 	fixture := readFixture(t, pr20Checkpoint)
 	if fixture[8] != binVersionRead {
@@ -197,7 +197,7 @@ func TestCrossVersionPR20Fixture(t *testing.T) {
 }
 
 // The PR 22 fixture: testdata/pr22-state.snap is the image of pr22Script
-// as the last build that wrote container version 5 (registry codec 2)
+// as the last build that wrote container version 6 (index codec 3)
 // re-saved it, and testdata/pr22-probes.txt what the last build to write
 // version 2 answered to pr22ProbeAnswers, as every build since has.
 const (
@@ -322,12 +322,12 @@ func pr22ProbeAnswers(t testing.TB, w *world) []byte {
 	return out.Bytes()
 }
 
-// TestCrossVersionPR22Fixture: the last version 5 image — every labelled
-// segment listed by ID, with explicit, implicit, suppressed and
-// custom-owner tags, over the index cases container version 3 stored
-// differently from version 2 — loads and answers the probes as its writer
-// did, and so does the version 6 image of the script run from empty; each
-// loads to that run's state and re-encodes to its bytes.
+// TestCrossVersionPR22Fixture: the last version 6 image — stamp distances
+// in γ and every DBpar updated absolute, with explicit, implicit,
+// suppressed and custom-owner tags, over the index cases container version
+// 3 stored differently from version 2 — loads and answers the probes as
+// its writer did, and so does the version 7 image of the script run from
+// empty; each loads to that run's state and re-encodes to its bytes.
 func TestCrossVersionPR22Fixture(t *testing.T) {
 	fixture := readFixture(t, pr22Image)
 	if fixture[8] != binVersionRead {
@@ -350,8 +350,8 @@ func TestCrossVersionPR22Fixture(t *testing.T) {
 		name string
 		blob []byte
 	}{
-		{"version 5 fixture", fixture},
-		{"version 6 image", image},
+		{"version 6 fixture", fixture},
+		{"version 7 image", image},
 	} {
 		loaded := newWorld(t)
 		if _, err := RestoreBytes(tc.name, tc.blob, loaded.tracker, loaded.registry); err != nil {
@@ -390,8 +390,8 @@ const (
 	pr22ParsDigest  uint64 = 0x1811e97322d3e062
 	pr22DocsDigest  uint64 = 0x662d5566b2318fbb
 	pr22StripesSHA         = "570eb0e6a6987f257a93c6edf8086dddbf998b1d84680af5b5e2ee1f192264da"
-	pr22ImageSHA           = "06bba43e789e3d94f002c5ad3258583ccaf9a06ccf43d55312812d00ef37f572"
-	pr22ImageLength        = 5751
+	pr22ImageSHA           = "9e60043205780ba7bbfd39f457d75aa1c797a1a55038395db43dd0428512404e"
+	pr22ImageLength        = 6061
 )
 
 // TestPR22ScriptPins holds this build's digests and image of pr22Script to
@@ -438,7 +438,7 @@ func TestPR22ScriptPins(t *testing.T) {
 const (
 	walPinSHA       = "5bcf57bd5fa4100ec02b5768516ec6e588d76decfb9bb5c7c0a8a2e314135604"
 	walPinLength    = 14509
-	walPinReplaySHA = "464c835f44c452e419ad90cb8f63df8bb8269ad838eeb0ace5527d0f4e5180da"
+	walPinReplaySHA = "a8b2b13add950f8013ae94c6f765a96664effe60e08bc5a922cca33a17a37d64"
 	pr22WAL         = "pr22-script.log"
 )
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,11 +45,12 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)                                      // container version 6
-	f.Add(listed)                                     // version 6, segments listed beside the table's codes
-	f.Add(shapesImage(f))                             // version 6, every group shape
-	f.Add(readFixture(f, pr22Image))                  // container version 5: registry codec 2
-	f.Add(frameImage(binVersionRetired, im.sections)) // retired version 4
+	f.Add(valid)                                      // container version 7
+	f.Add(listed)                                     // version 7, segments listed beside the table's codes
+	f.Add(shapesImage(f))                             // version 7, every group shape
+	f.Add(editsImage(f))                              // version 7, stamp distances of an edit history
+	f.Add(readFixture(f, pr22Image))                  // container version 6: index codec 3
+	f.Add(frameImage(binVersionRetired, im.sections)) // retired version 5
 	f.Add(frameImage(binVersion+1, im.sections))      // newer
 	f.Add(valid[:len(valid)-1])                       // truncated last section
 	f.Add(valid[:9])                                  // truncated section table
@@ -121,7 +123,7 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	})
 }
 
-// shapesImage is a version 6 image whose paragraph section holds every
+// shapesImage is a version 7 image whose paragraph section holds every
 // group shape of the posting stream: single holders between the groups of
 // a tail spelled out once and then repeated, and groups that are not plain
 // — a later holder edited since it posted (stamped), one whose hashes left
@@ -150,6 +152,29 @@ func shapesImage(t testing.TB) []byte {
 		{"docs/f#p0", "a paragraph that nobody else has written down, and then extended"},
 	} {
 		if _, err := tracker.ObserveParagraph(o.seg, o.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image, err := CaptureBytes(tracker, registry, 3, testEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
+
+// editsImage is a version 7 image whose paragraph section holds an edit
+// history: two paragraphs typed a word at a time, in turn, each keystroke
+// observed, so both keep postings stamped below their updated at the
+// distances the adaptive code follows.
+func editsImage(t testing.TB) []byte {
+	t.Helper()
+	tracker, registry := buildState(t)
+	words := strings.Fields("every keystroke observes the paragraph again and the words it adds post hashes at later stamps while the earlier ones keep theirs")
+	for i := range words {
+		if _, err := tracker.ObserveParagraph("docs/typed#p0", strings.Join(words[:i+1], " ")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tracker.ObserveParagraph("wiki/typed#p1", strings.Join(words[len(words)-1-i:], " ")); err != nil {
 			t.Fatal(err)
 		}
 	}

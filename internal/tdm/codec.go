@@ -35,8 +35,7 @@ package tdm
 // equal label entries, a code past the label table, a listed segment the
 // table names, an index past the entries named so far and an entry no
 // segment names. A malformed payload is a *wire.Error with the payload
-// offset where decoding failed. Codec 2, in container version 5 images, is
-// still read: it has no code stream and lists every labelled segment.
+// offset where decoding failed.
 
 import (
 	"encoding/binary"
@@ -47,7 +46,7 @@ import (
 	"github.com/lsds/browserflow/internal/wire"
 )
 
-const exportCodecVersion = 3 // codec 2 is read, never written
+const exportCodecVersion = 3
 
 // AppendBinary appends the binary encoding of d, which must be ordered as
 // Export orders it, to buf and returns the extended slice. table is the
@@ -161,14 +160,12 @@ func (d *stringTable) label() LabelRecord {
 	}
 }
 
-// DecodeExportData inverts ExportData.AppendBinary over the same table,
-// and reads codec 2, which ignores it. Errors are *wire.Error. Nothing in
-// the result aliases data.
+// DecodeExportData inverts ExportData.AppendBinary over the same table.
+// Errors are *wire.Error. Nothing in the result aliases data.
 func DecodeExportData(data []byte, table []segment.ID) (ExportData, error) {
 	var out ExportData
 	d := &stringTable{Reader: wire.NewReader(data)}
-	codec := d.Byte("codec version")
-	if codec != exportCodecVersion && codec != 2 {
+	if d.Byte("codec version") != exportCodecVersion {
 		return out, &wire.Error{Reason: "empty payload or unsupported codec version"}
 	}
 	out.Services = make([]ServiceRecord, d.Count("service count", 3))
@@ -191,12 +188,7 @@ func DecodeExportData(data []byte, table []segment.ID) (ExportData, error) {
 			d.Fail("label table entry repeated")
 		}
 	}
-	var codes *wire.BitReader
-	if codec == exportCodecVersion {
-		codes = d.Bits("label code stream")
-	} else {
-		table = nil
-	}
+	codes := d.Bits("label code stream")
 
 	// The table's labelled segments and the list merge into Segments.
 	named := 0 // entries named so far: the next new one is out.Labels[named]
@@ -234,9 +226,8 @@ func DecodeExportData(data []byte, table []segment.ID) (ExportData, error) {
 		}
 		add(segment.ID(id), d.Uvarint("label table index"))
 	}
-	if fromTable(nil, true); codes != nil {
-		codes.Done("label code stream")
-	}
+	fromTable(nil, true)
+	codes.Done("label code stream")
 	if named < len(out.Labels) {
 		d.Fail("label table entry no segment names")
 	}

@@ -167,37 +167,28 @@ func codeStream(d ExportData, blob []byte) (at, n int) {
 	return len(head) - 2 + k, int(l)
 }
 
-// appendCodec2 encodes d in codec 2, which container version 5 wrote:
-// codec 3 over no table, without the code stream.
-func appendCodec2(d ExportData) []byte {
-	blob := d.AppendBinary(nil, nil)
-	at, _ := codeStream(d, blob)
-	blob[0] = 2
-	return append(blob[:at-1], blob[at:]...)
-}
-
-// TestDecodeExportDataRejectsCorruption truncates, flips and extends
-// payloads of both codecs: every outcome is a *wire.Error inside the
-// payload or a payload that decodes and imports — never a panic. Then it
-// takes payloads apart by hand: what no registry encodes to is refused,
-// for the reason it is wrong.
+// TestDecodeExportDataRejectsCorruption truncates, flips and extends a
+// payload: every outcome is a *wire.Error inside the payload or a payload
+// that decodes and imports — never a panic. Then it takes payloads apart
+// by hand: what no registry encodes to is refused, for the reason it is
+// wrong, and so is codec 2, which only retired container version 5 images
+// hold.
 func TestDecodeExportDataRejectsCorruption(t *testing.T) {
 	data := randomRegistry(t, 7, 200).Export()
 	table := halfTable(data)
 	rng := rand.New(rand.NewSource(99))
-	for _, blob := range [][]byte{data.AppendBinary(nil, table), appendCodec2(data)} {
-		for trial := 0; trial < 600; trial++ {
-			mut := append([]byte(nil), blob...)
-			switch trial % 3 {
-			case 0:
-				mut = mut[:rng.Intn(len(mut))]
-			case 1:
-				mut[rng.Intn(len(mut))] ^= 1 << uint(rng.Intn(8))
-			case 2:
-				mut = append(mut, byte(rng.Intn(256)))
-			}
-			checkDecode(t, mut, table)
+	blob := data.AppendBinary(nil, table)
+	for trial := 0; trial < 600; trial++ {
+		mut := append([]byte(nil), blob...)
+		switch trial % 3 {
+		case 0:
+			mut = mut[:rng.Intn(len(mut))]
+		case 1:
+			mut[rng.Intn(len(mut))] ^= 1 << uint(rng.Intn(8))
+		case 2:
+			mut = append(mut, byte(rng.Intn(256)))
 		}
+		checkDecode(t, mut, table)
 	}
 
 	refuse := func(name string, blob []byte, table []segment.ID, reason string) *wire.Error {
@@ -209,6 +200,8 @@ func TestDecodeExportDataRejectsCorruption(t *testing.T) {
 		}
 		return we
 	}
+	blob[0] = 2
+	refuse("codec 2", blob, table, "unsupported codec version")
 	if len(data.Labels) < 2 || data.Segments[0].Label != 0 {
 		t.Fatalf("the registry exports %d labels; the cases below need two", len(data.Labels))
 	}
@@ -255,7 +248,7 @@ func TestDecodeExportDataRejectsCorruption(t *testing.T) {
 			t.Errorf("a code past the label table: refused at offset %d, want %d, in the code's byte", we.Offset, at)
 		}
 	}
-	blob := d.AppendBinary(nil, table)
+	blob = d.AppendBinary(nil, table)
 	listed := d.Segments[1].Seg
 	i, _ := slices.BinarySearch(table, listed)
 	named := slices.Insert(slices.Clone(table), i, listed)
@@ -322,14 +315,16 @@ func checkDecode(t *testing.T, data []byte, table []segment.ID) {
 // FuzzDecodeExportData throws bytes at the registry section's decoder,
 // which a recovering node runs over its checkpoint and a bootstrapping
 // standby over a primary's image, over a table that names half of the
-// first seed's labelled segments. Seeds are payloads of both codecs; the
-// first codec 3 one lists the other half.
+// first seed's labelled segments. The first seed lists the other half;
+// each payload is also a seed under codec 2's version byte, which only
+// retired images carry and the decoder refuses.
 func FuzzDecodeExportData(f *testing.F) {
 	table := halfTable(randomRegistry(f, 7, 200).Export())
 	for _, r := range []*Registry{randomRegistry(f, 7, 200), twoLabelRegistry(f, 40)} {
 		data := r.Export()
-		f.Add(data.AppendBinary(nil, table))
-		f.Add(appendCodec2(data))
+		blob := data.AppendBinary(nil, table)
+		f.Add(blob)
+		f.Add(append([]byte{2}, blob[1:]...))
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, table) })
@@ -388,26 +383,24 @@ func TestExportAllocs(t *testing.T) {
 	}
 }
 
-// TestImportInternsEachEntryOnce: a registry restored from either codec
+// TestImportInternsEachEntryOnce: a registry restored from its payload
 // holds one entry per exported record, as many as the registry exported,
 // and exports the same.
 func TestImportInternsEachEntryOnce(t *testing.T) {
 	r := twoLabelRegistry(t, 2000)
 	data := r.Export()
 	table := halfTable(data)
-	for name, blob := range map[string][]byte{"codec 3": data.AppendBinary(nil, table), "codec 2": appendCodec2(data)} {
-		decoded, err := DecodeExportData(blob, table)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		r2 := NewRegistry(nil, nil)
-		r2.Import(decoded)
-		if len(r2.entries) != len(data.Labels) || r2.DistinctLabels() != r.DistinctLabels() {
-			t.Errorf("%s: restored registry holds %d entries, %d live, for %d records; the exported one %d live",
-				name, len(r2.entries), r2.DistinctLabels(), len(data.Labels), r.DistinctLabels())
-		}
-		if !reflect.DeepEqual(r2.Export(), data) {
-			t.Errorf("%s: restored registry exports differently", name)
-		}
+	decoded, err := DecodeExportData(data.AppendBinary(nil, table), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := NewRegistry(nil, nil)
+	r2.Import(decoded)
+	if len(r2.entries) != len(data.Labels) || r2.DistinctLabels() != r.DistinctLabels() {
+		t.Errorf("restored registry holds %d entries, %d live, for %d records; the exported one %d live",
+			len(r2.entries), r2.DistinctLabels(), len(data.Labels), r.DistinctLabels())
+	}
+	if !reflect.DeepEqual(r2.Export(), data) {
+		t.Error("restored registry exports differently")
 	}
 }

@@ -134,7 +134,7 @@ func TestFigure4Suppression(t *testing.T) {
 	if !r.Label(seg).All().Has("ti") {
 		t.Error("suppressed tag lost from label")
 	}
-	entries := log.ByUser("alice")
+	entries := log.Filter(func(e audit.Entry) bool { return e.User == "alice" })
 	if len(entries) != 1 || entries[0].Action != audit.ActionSuppress ||
 		entries[0].Tag != "ti" || entries[0].Justification == "" {
 		t.Errorf("audit entries=%+v", entries)
