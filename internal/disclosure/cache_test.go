@@ -1,12 +1,13 @@
 package disclosure
 
 // Regression tests for the two decision-cache bugs fixed alongside the
-// sharded hot path, kept now that a decision lives on its DBpar row:
+// sharded hot path, kept now that a database memoises its decisions:
 //
 //  1. stale cache: ExpireBefore/RemoveSegment dropped segments from the
 //     index but the Tracker kept their cache entries forever, so a
 //     re-observation with an unchanged fingerprint served a Report naming
-//     sources that no longer exist (a dropped row now takes its decision);
+//     sources that no longer exist (each now moves the generation, which
+//     outdates every decision memoised before it);
 //  2. cache aliasing: the cached Report shared its Sources slice with the
 //     Report handed to the caller, so a caller mutating its result
 //     corrupted every future cache hit.
@@ -34,6 +35,9 @@ func newCacheTestTracker(t *testing.T, mutate func(*Params)) *Tracker {
 	return tr
 }
 
+// memoLen counts the decisions both databases answer from their memos.
+func memoLen(tr *Tracker) int { return tr.Paragraphs().MemoLen() + tr.Documents().MemoLen() }
+
 func mustObserve(t *testing.T, tr *Tracker, seg segment.ID, text string) Report {
 	t.Helper()
 	r, err := tr.ObserveParagraph(seg, text)
@@ -52,15 +56,17 @@ func TestExpireEvictsDecisionCache(t *testing.T) {
 	if len(got.Sources) != 1 || got.Sources[0].Seg != "doc#src" {
 		t.Fatalf("setup: copy should disclose src, got %+v", got.Sources)
 	}
-	if tr.CacheLen() != 2 {
-		t.Fatalf("CacheLen = %d, want 2", tr.CacheLen())
+	// The copy's new fingerprint moved the generation: only its own
+	// decision is memoised.
+	if n := memoLen(tr); n != 1 {
+		t.Fatalf("memoised decisions = %d, want 1", n)
 	}
 
 	// Expire everything directly on the database, bypassing the Tracker —
-	// the decisions must still go with their rows.
+	// the decisions must still be outdated.
 	tr.Paragraphs().ExpireBefore(tr.Paragraphs().Now() + 1)
-	if tr.CacheLen() != 0 {
-		t.Fatalf("CacheLen after expiry = %d, want 0 (stale entries kept)", tr.CacheLen())
+	if n := memoLen(tr); n != 0 {
+		t.Fatalf("memoised decisions after expiry = %d, want 0 (stale entries kept)", n)
 	}
 
 	// Same text, same fingerprint digest: without eviction this would be a
@@ -84,8 +90,8 @@ func TestForgetEvictsDecisionCache(t *testing.T) {
 	// Direct database removal (not through Forget) must also evict.
 	tr.Paragraphs().RemoveSegment("doc#src")
 	tr.Paragraphs().RemoveSegment("doc#copy")
-	if tr.CacheLen() != 0 {
-		t.Fatalf("CacheLen after RemoveSegment = %d, want 0", tr.CacheLen())
+	if n := memoLen(tr); n != 0 {
+		t.Fatalf("memoised decisions after RemoveSegment = %d, want 0", n)
 	}
 	again := mustObserve(t, tr, "doc#copy", cacheTestText)
 	if again.CacheHit || len(again.Sources) != 0 {
@@ -94,32 +100,48 @@ func TestForgetEvictsDecisionCache(t *testing.T) {
 }
 
 // TestForgetRangeDropsDecisions: the source-side cleanup after a partition
-// split takes the decisions of exactly the segments it forgets, at both
-// granularities, and the rest still answer.
+// split removes segments from both databases, which outdates every
+// decision either memoised before it, the kept segments' too: what the
+// forgotten segments held may have been what those decisions rested on.
+// Decided again with nothing changing in between, every segment answers
+// from the memo again.
 func TestForgetRangeDropsDecisions(t *testing.T) {
 	tr := newCacheTestTracker(t, nil)
 	segs := []segment.ID{"doc#a", "doc#b", "doc#c", "doc#d"}
-	for _, seg := range segs {
-		mustObserve(t, tr, seg, cacheTestText+" "+string(seg))
-		if _, err := tr.ObserveDocument(seg, cacheTestText+" "+string(seg)); err != nil {
-			t.Fatal(err)
+	observe := func(pass int) (hits int) {
+		for _, seg := range segs {
+			p := mustObserve(t, tr, seg, cacheTestText+" "+string(seg))
+			d, err := tr.ObserveDocument(seg, cacheTestText+" "+string(seg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.CacheHit {
+				hits++
+			}
+			if d.CacheHit {
+				hits++
+			}
 		}
+		return hits
 	}
-	if n := tr.CacheLen(); n != 2*len(segs) {
-		t.Fatalf("CacheLen = %d, want %d", n, 2*len(segs))
+	observe(0) // new fingerprints: each moves the generation
+	observe(1) // unchanged: each decision is memoised
+	if n := memoLen(tr); n != 2*len(segs) {
+		t.Fatalf("memoised decisions = %d, want %d", n, 2*len(segs))
 	}
 	k := segment.Key("doc#b")
 	if n := tr.ForgetRange(k, k); n != 2 {
 		t.Fatalf("ForgetRange removed %d segments, want doc#b's paragraph and document", n)
 	}
-	if n := tr.CacheLen(); n != 2*len(segs)-2 {
-		t.Fatalf("CacheLen after ForgetRange = %d, want %d", n, 2*len(segs)-2)
+	if n := memoLen(tr); n != 0 {
+		t.Fatalf("memoised decisions after ForgetRange = %d, want 0", n)
 	}
-	for _, seg := range segs {
-		r := mustObserve(t, tr, seg, cacheTestText+" "+string(seg))
-		if r.CacheHit != (seg != "doc#b") {
-			t.Errorf("%s: cache hit %v after forgetting doc#b", seg, r.CacheHit)
-		}
+	if hits := observe(2); hits != 0 {
+		t.Errorf("%d cache hits after forgetting doc#b, want none", hits)
+	}
+	observe(3) // doc#b came back in the pass before: decide the rest again
+	if hits := observe(4); hits != 2*len(segs) {
+		t.Errorf("%d cache hits once every segment is decided again, want %d", hits, 2*len(segs))
 	}
 }
 
@@ -219,8 +241,7 @@ func TestBatchMatchesSingularSequence(t *testing.T) {
 // TestCacheHitNeedsSameGranularity: one segment ID observed as a paragraph
 // and then as a document names an entry in each database, so the first
 // decision must not answer the second observation — a hit there left the
-// document unindexed live while a cold-cache WAL replay indexed it. The
-// routed probe answers the same way.
+// document unindexed live while a cold-cache WAL replay indexed it.
 func TestCacheHitNeedsSameGranularity(t *testing.T) {
 	tr := newCacheTestTracker(t, nil)
 	mustObserve(t, tr, "x", cacheTestText)
@@ -228,8 +249,8 @@ func TestCacheHitNeedsSameGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tr.ProbeFP("x", fp, segment.GranularityDocument); ok {
-		t.Error("ProbeFP answered a document probe with the paragraph's decision")
+	if _, ok := tr.Documents().Decision("x", fp.Hashes()); ok {
+		t.Error("the document database answered with the paragraph's decision")
 	}
 	got, err := tr.ObserveDocument("x", cacheTestText)
 	if err != nil {

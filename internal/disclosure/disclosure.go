@@ -33,9 +33,9 @@ type Params struct {
 	// the ablation experiments; leave false in production.
 	DisableAuthoritative bool
 
-	// DisableCache turns off the decision cache: no decision is kept on a
-	// DBpar row, so none answers a re-observation. Only used by the
-	// ablation experiments.
+	// DisableCache turns off the decision cache: no decision is memoised,
+	// so none answers a re-observation. Only used by the ablation
+	// experiments.
 	DisableCache bool
 }
 
@@ -49,8 +49,8 @@ func DefaultParams() Params {
 }
 
 // Source is one origin segment from which significant information is being
-// disclosed. The index owns the type: a DBpar row keeps the sources of the
-// decision made for its fingerprint.
+// disclosed. The index owns the type: its memo keeps the sources of the
+// decisions made for its segments' fingerprints.
 type Source = index.Source
 
 // Report is the outcome of observing one text segment.
@@ -70,7 +70,9 @@ type Report struct {
 	Sources []Source
 
 	// CacheHit reports whether the result was served from the decision
-	// cache: the segment's DBpar row held this fingerprint, decided.
+	// cache: the segment's DBpar row held this fingerprint, and its
+	// database memoised a decision for it that no change has outdated
+	// since. A hit answers what Algorithm 1 would; it only skips the work.
 	CacheHit bool
 }
 
@@ -92,9 +94,9 @@ func (r Report) SourceSegs() []segment.ID {
 //
 // Both databases keep their per-segment state as rows of one
 // segment.Table (Table), which a tdm.Registry paired with the tracker
-// shares. The decision cache is no structure of the tracker's: each DBpar
-// row holds the decision made for its fingerprint (see index.Decision),
-// under the same stripe lock, so a decision goes with its row.
+// shares. The decision cache is no structure of the tracker's: each
+// database memoises the decisions made since its last change (see
+// index.Decision), so a hit is what Algorithm 1 answers now.
 type Tracker struct {
 	params Params
 
@@ -134,8 +136,8 @@ func NewTracker(params Params) (*Tracker, error) {
 // per-segment state.
 func (t *Tracker) Table() *segment.Table { return t.segs }
 
-// decided returns the report of the decision seg's row in db holds for fp,
-// if it holds one. Each granularity has its own database, so a decision of
+// decided returns the report of the decision db memoised for seg's fp, if
+// it holds one. Each granularity has its own database, so a decision of
 // the other granularity is a miss.
 func (t *Tracker) decided(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, db *index.DB) (Report, bool) {
 	if t.params.DisableCache {
@@ -149,9 +151,9 @@ func (t *Tracker) decided(seg segment.ID, fp *fingerprint.Fingerprint, g segment
 }
 
 // cloneSources returns an owned copy of sources, preserving nil-ness so
-// serialised reports stay byte-identical. Decided rows and the reports
-// handed to callers must not share a Sources slice: a caller mutating its
-// result would otherwise corrupt every future cache hit.
+// serialised reports stay byte-identical. The memo and the reports handed
+// to callers must not share a Sources slice: a caller mutating its result
+// would otherwise corrupt every future cache hit.
 func cloneSources(sources []Source) []Source {
 	if sources == nil {
 		return nil
@@ -185,7 +187,8 @@ func (t *Tracker) Fingerprint(text string) (*fingerprint.Fingerprint, error) {
 // returns the set of origin paragraphs it now discloses. This is the per-
 // keystroke entry point of the middleware: the decision cache means that
 // edits that do not change the winnowed fingerprint are answered without
-// recomputing Algorithm 1.
+// recomputing Algorithm 1, as long as nothing in the index has changed
+// since the last decision.
 func (t *Tracker) ObserveParagraph(seg segment.ID, text string) (Report, error) {
 	return t.observe(seg, text, segment.GranularityParagraph, t.pars)
 }
@@ -245,6 +248,7 @@ func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, 
 	if report, ok := t.decided(seg, fp, g, db); ok {
 		return report, nil
 	}
+	gen := db.Generation() // before Algorithm 1 reads anything
 	if borrowed {
 		// Past the cache check the fingerprint is retained (db.Update
 		// stores it as the segment's latest fingerprint) — detach it from
@@ -255,14 +259,15 @@ func (t *Tracker) observeFPScratch(seg segment.ID, fp *fingerprint.Fingerprint, 
 	// raw is backed by the (possibly pooled) scratch buffer — it must be
 	// copied out before this call returns.
 	raw := t.sourcesScratch(fp, seg, db, sc)
-	return t.update(seg, fp, g, db, raw), nil
+	return t.update(seg, fp, g, db, raw, gen), nil
 }
 
 // update finishes an evaluated observation of seg: it stores fp in db with
-// the decision made for it and builds the report from the resolved
-// sources (which it copies, so raw may be scratch-backed).
-func (t *Tracker) update(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, db *index.DB, raw []Source) Report {
-	// The caller's report and the decided row need independent Sources
+// the decision Algorithm 1 made for it at generation gen and builds the
+// report from the resolved sources (which it copies, so raw may be
+// scratch-backed).
+func (t *Tracker) update(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, db *index.DB, raw []Source, gen uint64) Report {
+	// The caller's report and the memo need independent Sources
 	// slices (a caller mutating its result must not corrupt future cache
 	// hits); both copies come out of one allocation, with full-slice-
 	// expression caps so neither can append into the other. nil-ness is
@@ -273,7 +278,7 @@ func (t *Tracker) update(seg segment.ID, fp *fingerprint.Fingerprint, g segment.
 		db.Update(seg, fp, nil)
 		return report
 	}
-	d := index.Decision{}
+	d := index.Decision{Gen: gen}
 	if n := len(raw); n > 0 {
 		buf := make([]Source, 2*n)
 		copy(buf, raw)
@@ -477,16 +482,8 @@ func (t *Tracker) Pairwise(a, b string) (float64, error) {
 	return fa.Containment(fb), nil
 }
 
-// Forget removes a segment, and so its decision, from the given
-// granularity's database.
+// Forget removes a segment from the given granularity's database, which
+// outdates every decision it memoised.
 func (t *Tracker) Forget(seg segment.ID, g segment.Granularity) {
 	t.dbFor(g).RemoveSegment(seg)
-}
-
-// CacheLen returns the number of decided rows in both databases (for
-// tests and metrics).
-func (t *Tracker) CacheLen() int {
-	p, _ := t.pars.Decisions()
-	d, _ := t.docs.Decisions()
-	return p + d
 }

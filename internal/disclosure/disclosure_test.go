@@ -269,8 +269,8 @@ func TestCacheDisabled(t *testing.T) {
 	if r.CacheHit {
 		t.Error("cache disabled but got a cache hit")
 	}
-	if tr.CacheLen() != 0 {
-		t.Errorf("CacheLen=%d, want 0", tr.CacheLen())
+	if n := memoLen(tr); n != 0 {
+		t.Errorf("memoised decisions = %d, want 0", n)
 	}
 }
 

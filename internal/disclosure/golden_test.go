@@ -1,12 +1,12 @@
 package disclosure_test
 
 // Golden-equivalence harness: the sharded, allocation-lean Algorithm 1 hot
-// path must produce byte-identical Reports to the original single-lock,
-// map-based seed implementation. expt.SeedTracker is a faithful
-// re-implementation of that seed (one mutex, map-backed DBhash/DBpar,
-// linear posting scans, per-call candidate discovery); the tests replay the
-// synthetic evaluation corpora through both engines and compare every
-// Report via its JSON encoding.
+// path, decision cache on, must report what Algorithm 1 stated directly
+// reports. expt.Reference is that statement (maps, no cache, no locks);
+// the tests replay the synthetic evaluation corpora through both and
+// compare every Report via its JSON encoding, all but CacheHit, which the
+// reference has nothing to compare with: a cache hit must answer what a
+// fresh run of Algorithm 1 answers.
 
 import (
 	"encoding/json"
@@ -73,8 +73,10 @@ func goldenStream(t *testing.T) []goldenObs {
 	return stream
 }
 
+// reportJSON encodes r without its CacheHit.
 func reportJSON(t *testing.T, r disclosure.Report) string {
 	t.Helper()
+	r.CacheHit = false
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +84,12 @@ func reportJSON(t *testing.T, r disclosure.Report) string {
 	return string(b)
 }
 
-// runGolden replays the corpus through the seed reference and the current
-// engine under params and requires byte-identical reports.
+// runGolden replays the corpus through the reference and the engine under
+// params and requires byte-identical reports.
 func runGolden(t *testing.T, params disclosure.Params) {
 	t.Helper()
 	stream := goldenStream(t)
-	ref := expt.NewSeedTracker(params)
+	ref := expt.NewReference(params)
 	tracker, err := disclosure.NewTracker(params)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +111,7 @@ func runGolden(t *testing.T, params disclosure.Params) {
 		}
 		wantJSON, gotJSON := reportJSON(t, want), reportJSON(t, got)
 		if wantJSON != gotJSON {
-			t.Fatalf("observation %d (%s): report diverged\nseed: %s\n new: %s", i, obs.seg, wantJSON, gotJSON)
+			t.Fatalf("observation %d (%s): report diverged\nreference: %s\n   engine: %s", i, obs.seg, wantJSON, gotJSON)
 		}
 		if got.CacheHit {
 			hits++
@@ -129,7 +131,7 @@ func runGolden(t *testing.T, params disclosure.Params) {
 }
 
 // TestGoldenEquivalenceDefault pins the default (authoritative, cached,
-// non-incremental) engine to the seed behaviour.
+// non-incremental) engine to the reference.
 func TestGoldenEquivalenceDefault(t *testing.T) {
 	runGolden(t, disclosure.DefaultParams())
 }
@@ -152,12 +154,12 @@ func TestGoldenEquivalenceNoAuthoritative(t *testing.T) {
 // TestGoldenEquivalencePeriodicCompact replays the corpus while merging
 // the index heads into their compacted runs every few observations — the
 // cadence a long-lived bftagd runs with -compact-every. Reports must stay
-// byte-identical to the never-merging seed, pinning that mid-stream
-// compaction is invisible to Algorithm 1.
+// byte-identical to the reference, which never merges, pinning that
+// mid-stream compaction is invisible to Algorithm 1.
 func TestGoldenEquivalencePeriodicCompact(t *testing.T) {
 	params := disclosure.DefaultParams()
 	stream := goldenStream(t)
-	ref := expt.NewSeedTracker(params)
+	ref := expt.NewReference(params)
 	tracker, err := disclosure.NewTracker(params)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,7 @@ func TestGoldenEquivalencePeriodicCompact(t *testing.T) {
 		}
 		wantJSON, gotJSON := reportJSON(t, want), reportJSON(t, got)
 		if wantJSON != gotJSON {
-			t.Fatalf("observation %d (%s): report diverged after periodic compaction\nseed: %s\n new: %s", i, obs.seg, wantJSON, gotJSON)
+			t.Fatalf("observation %d (%s): report diverged after periodic compaction\nreference: %s\n   engine: %s", i, obs.seg, wantJSON, gotJSON)
 		}
 		if i%23 == 22 {
 			tracker.Paragraphs().Compact()
@@ -188,12 +190,12 @@ func TestGoldenEquivalencePeriodicCompact(t *testing.T) {
 }
 
 // TestGoldenEquivalenceBatch replays the same corpus through ObserveBatch
-// in flushes and requires the flushed reports to match the seed's
+// in flushes and requires the flushed reports to match the reference's
 // one-by-one replay.
 func TestGoldenEquivalenceBatch(t *testing.T) {
 	params := disclosure.DefaultParams()
 	stream := goldenStream(t)
-	ref := expt.NewSeedTracker(params)
+	ref := expt.NewReference(params)
 	tracker, err := disclosure.NewTracker(params)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +225,7 @@ func TestGoldenEquivalenceBatch(t *testing.T) {
 			}
 			wantJSON, gotJSON := reportJSON(t, want), reportJSON(t, reports[i])
 			if wantJSON != gotJSON {
-				t.Fatalf("batch observation %d (%s): report diverged\nseed: %s\n new: %s", start+i, obs.seg, wantJSON, gotJSON)
+				t.Fatalf("batch observation %d (%s): report diverged\nreference: %s\n   engine: %s", start+i, obs.seg, wantJSON, gotJSON)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // the routing tier merges replies into exactly the evaluation
 // evaluateCandidate performs against one shared database. The methods in
 // this file are those local pieces plus the resolved-application path that
-// installs a router-merged result without re-running Algorithm 1.
+// applies a router-merged result without re-running Algorithm 1.
 
 // RemoteCand carries the per-candidate facts a remote evaluator needs to
 // run the candidate body of Algorithm 1 without this partition's database:
@@ -95,23 +95,16 @@ func overlapIndices(a, hashes []uint32) []int {
 	return out
 }
 
-// ProbeFP consults the decided row without changing the index — the
-// phase-1 fast path of a routed observe. When the row holds fp decided it
-// returns the same report a single-node cache hit produces; on a miss it
-// returns ok=false and changes nothing, leaving the caller to
-// scatter-gather and come back through ObserveResolvedFP.
-func (t *Tracker) ProbeFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity) (Report, bool) {
-	return t.decided(seg, fp, g, t.dbFor(g))
-}
-
 // ObserveResolvedFP applies an observation whose disclosure sources were
 // already resolved elsewhere (by the routing tier's merge, or by WAL
-// replay of such an observation): it stores the fingerprint in the index
-// with the resolved sources as its decision, mirroring the state
-// transitions of observeFPScratch with the evaluation replaced by the
-// provided result. The caller owns fp and sources.
+// replay of such an observation): it stores the fingerprint in the index,
+// mirroring the state transitions of observeFPScratch with the evaluation
+// replaced by the provided result. Nothing is memoised: this database
+// cannot tell when a change elsewhere outdates such a result. The caller
+// owns fp and sources.
 func (t *Tracker) ObserveResolvedFP(seg segment.ID, fp *fingerprint.Fingerprint, g segment.Granularity, sources []Source) Report {
-	return t.update(seg, fp, g, t.dbFor(g), sources)
+	t.dbFor(g).Update(seg, fp, nil)
+	return Report{Seg: seg, Granularity: g, FingerprintLen: fp.Len(), Sources: cloneSources(sources)}
 }
 
 // SetClockFloor raises the logical clock of the given granularity's
@@ -128,9 +121,8 @@ func (t *Tracker) Clock(g segment.Granularity) uint64 {
 }
 
 // ForgetRange removes every segment whose partition key falls in the
-// inclusive range [lo, hi], and so its decision, from both databases. It
-// returns the number of segments
-// removed. This is the source-side cleanup after a partition split hands
+// inclusive range [lo, hi] from both databases. It returns the number of
+// segments removed. This is the source-side cleanup after a partition split hands
 // a key range to a new partition; labels are deliberately untouched — the
 // registry is global shadow state in a partitioned cluster.
 func (t *Tracker) ForgetRange(lo, hi uint32) int {

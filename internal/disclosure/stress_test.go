@@ -159,13 +159,17 @@ func TestTrackerConcurrentObserveExpireForget(t *testing.T) {
 
 // TestSameSegmentChurnKeepsDecisionWithItsFingerprint: goroutines churn
 // two texts on one segment through the singular, batched and routed
-// entry points. A decision lands on the DBpar row in the stripe write
-// that stores its fingerprint, so once the churn quiesces a hit implies
-// the row holds the hit's fingerprint, and every quiesced observe leaves
-// the row holding its own — the state a replay of the same observes
-// reaches. With the decision kept apart from the row, two concurrent
-// observes could leave the row holding B beside A's decision; an observe
-// of A then hit, skipped the index update and left the row at B.
+// entry points. A decision is memoised in the stripe write that stores
+// its fingerprint, and a hit needs the row to hold the fingerprint asked
+// about with the generation unmoved since, so once the churn quiesces a
+// hit implies the row holds the hit's fingerprint, and every quiesced
+// observe leaves the row holding its own — the state a replay of the same
+// observes reaches. A quiesced observe that resolved its sources itself
+// (not the routed one, which memoises nothing) is then answered from the
+// memo when repeated. With the decision kept apart from the row, two
+// concurrent observes could leave the row holding B beside A's decision;
+// an observe of A then hit, skipped the index update and left the row at
+// B.
 func TestSameSegmentChurnKeepsDecisionWithItsFingerprint(t *testing.T) {
 	tracker, err := NewTracker(DefaultParams())
 	if err != nil {
@@ -201,9 +205,6 @@ func TestSameSegmentChurnKeepsDecisionWithItsFingerprint(t *testing.T) {
 			}
 			return reports[0], nil
 		case 1:
-			if report, ok := tracker.ProbeFP(seg, fps[i], segment.GranularityParagraph); ok {
-				return report, nil
-			}
 			return tracker.ObserveResolvedFP(seg, fps[i].Clone(), segment.GranularityParagraph, nil), nil
 		}
 		return tracker.ObserveParagraph(seg, texts[i])
@@ -230,7 +231,8 @@ func TestSameSegmentChurnKeepsDecisionWithItsFingerprint(t *testing.T) {
 		wg.Wait()
 		for _, i := range rng.Perm(2) {
 			held := holds(i)
-			report, err := observe(rng.Intn(3), i)
+			w := rng.Intn(3)
+			report, err := observe(w, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,6 +242,71 @@ func TestSameSegmentChurnKeepsDecisionWithItsFingerprint(t *testing.T) {
 			if !holds(i) {
 				t.Fatalf("round %d: after a quiesced observe of text %d (hit %v) the row holds another fingerprint", r, i, report.CacheHit)
 			}
+			if w%3 == 1 {
+				continue
+			}
+			if again, err := observe(w, i); err != nil || !again.CacheHit {
+				t.Fatalf("round %d: a quiesced re-observe of text %d missed the memo (%v)", r, i, err)
+			}
 		}
+	}
+}
+
+// TestConcurrentEditsLeaveNoStaleDecision: goroutines rewrite sources
+// while others re-observe an unchanged copy of each. A decision Algorithm
+// 1 made beside a source's rewrite read a generation the rewrite then
+// moved past, so it is never memoised over it: once the churn quiesces,
+// every hit answers what a fresh run of Algorithm 1 does.
+func TestConcurrentEditsLeaveNoStaleDecision(t *testing.T) {
+	tracker, err := NewTracker(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 4
+	rounds := 400
+	if raceEnabled {
+		rounds = 80
+	}
+	src := func(p int) segment.ID { return segment.ID(fmt.Sprintf("src/doc#p%d", p)) }
+	dst := func(p int) segment.ID { return segment.ID(fmt.Sprintf("dst/doc#p%d", p)) }
+	hits := 0
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for p := 0; p < pairs; p++ {
+			wg.Add(2)
+			go func(p int) {
+				defer wg.Done()
+				if _, err := tracker.ObserveParagraph(src(p), stressText(p, r%3)); err != nil {
+					t.Error(err)
+				}
+			}(p)
+			go func(p int) {
+				defer wg.Done()
+				if _, err := tracker.ObserveParagraph(dst(p), stressText(p, 0)); err != nil {
+					t.Error(err)
+				}
+			}(p)
+		}
+		wg.Wait()
+		for p := 0; p < pairs; p++ {
+			fp, err := tracker.Fingerprint(stressText(p, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := tracker.QueryParagraphFP(fp, dst(p))
+			got, err := tracker.ObserveParagraph(dst(p), stressText(p, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.CacheHit {
+				hits++
+			}
+			if !slices.Equal(got.Sources, fresh) {
+				t.Fatalf("round %d: %s answered %v (hit %v), Algorithm 1 now %v", r, dst(p), got.Sources, got.CacheHit, fresh)
+			}
+		}
+	}
+	if hits == 0 {
+		t.Error("no quiesced re-observe hit the cache")
 	}
 }

@@ -18,8 +18,8 @@ import (
 
 // --- decision cache ---------------------------------------------------------
 
-// AblationCacheResult compares typing latency with the fingerprint-keyed
-// decision cache on and off.
+// AblationCacheResult compares typing latency with the decision cache on
+// and off.
 type AblationCacheResult struct {
 	WithCache    obs.HistogramSnapshot
 	WithoutCache obs.HistogramSnapshot

@@ -825,6 +825,7 @@ func (db *DB) CommitSnapshot(p *PreparedSnapshot) {
 	db.postings.Store(int64(p.total))
 	db.parHashes.Store(parHashes)
 	db.RecomputeDigests()
+	db.advance()
 }
 
 // reset empties every stripe, the DBpar rows and all counters (the clock
@@ -846,7 +847,7 @@ func (db *DB) reset() {
 	for si := range db.segShards {
 		ss := &db.segShards[si]
 		ss.mu.Lock()
-		ss.own, ss.apart, ss.srcs = nil, nil, nil
+		ss.own, ss.apart = nil, nil
 		ss.digest = 0
 		ss.mu.Unlock()
 	}

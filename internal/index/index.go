@@ -4,7 +4,11 @@
 //   - DBhash: associations of fingerprint hashes to the segments that were
 //     observed to contain them, with first-seen timestamps, and
 //   - DBpar: the last fingerprint calculated for each segment, plus its
-//     disclosure threshold and the decision Algorithm 1 made for it.
+//     disclosure threshold.
+//
+// Beside them a DB memoises the decisions Algorithm 1 made since its
+// generation last moved (see Decision), which is what lets an unchanged
+// fingerprint be answered without re-running it.
 //
 // First-seen timestamps are logical sequence numbers from an internal
 // monotonic clock so that behaviour is deterministic; ordering semantics are
@@ -55,7 +59,7 @@
 // for their whole critical section so that a segment's DBpar entry and its
 // DBhash postings cannot interleave with a concurrent removal of the same
 // segment. Walks over every DBpar row (AppendSnapshot, ExpireBefore,
-// Segments, Decisions, RecomputeDigests) hold every stripe, taken in
+// Segments, RecomputeDigests) hold every stripe, taken in
 // ascending order while no shard is held; AppendSnapshot then takes every
 // shard ascending for a consistent cut. Both are safe precisely because
 // writers obey the rules above.
@@ -137,15 +141,13 @@ type hashShard struct {
 }
 
 // segShard is one segment stripe: the lock over its segments' slots and
-// DBpar rows, and, by ref, the three rare facts kept beside the rows —
-// thresholds other than the default (rowOwnThreshold), posted unions
-// that diverged from the fingerprint (rowApart) and the sources of a
-// disclosing decision (rowSources); nil until first needed.
+// DBpar rows, and, by ref, the two rare facts kept beside the rows —
+// thresholds other than the default (rowOwnThreshold) and posted unions
+// that diverged from the fingerprint (rowApart); nil until first needed.
 type segShard struct {
 	mu    sync.RWMutex
 	own   map[uint32]float64
 	apart map[uint32][]uint32
-	srcs  map[uint32][]Source
 
 	// digest is the XOR-fold of parCode over the stripe's entries,
 	// maintained incrementally (see digest.go).
@@ -160,9 +162,7 @@ type segShard struct {
 // every posting an earlier version left. It is hashes while the two are
 // equal, and otherwise lives in the stripe's apart map.
 //
-// rowDecided marks that the row holds the decision made for hashes (see
-// Decision); a decision that discloses nothing is that flag alone. The
-// row's parCode share of the stripe digest is not kept: a change
+// The row's parCode share of the stripe digest is not kept: a change
 // recomputes it to XOR it out.
 type parRow struct {
 	hashes     []uint32 // the current fingerprint's, ascending, immutable
@@ -175,8 +175,6 @@ const (
 	rowLive         = 1 << iota // the row holds an entry
 	rowOwnThreshold             // the threshold is in the stripe's own map
 	rowApart                    // the posted union is in the stripe's apart map, not hashes
-	rowDecided                  // the decision made for hashes is held
-	rowSources                  // that decision's sources are in the stripe's srcs map
 )
 
 // Source is one origin segment from which significant information is being
@@ -195,11 +193,19 @@ type Source struct {
 }
 
 // Decision is what Algorithm 1 decided for one fingerprint of a segment:
-// the origins it discloses, nil when none. Update keeps it on the
-// segment's DBpar row beside that fingerprint, so it goes whenever the
-// row does or the fingerprint changes.
+// the origins it discloses, nil when none, and the generation of the DB
+// it read (Generation, taken before it ran).
+//
+// The generation moves after every change that can alter what Algorithm 1
+// answers for any fingerprint: an Update that changes a segment's hashes,
+// a RemoveSegment, an ExpireBefore, a SetThreshold and a restore. The DB
+// memoises the decisions handed to Update since it last moved, and
+// answers one (see DB.Decision) only while it has not moved since: a
+// decision is never older than the state it was made from, so a hit is
+// what Algorithm 1 would answer now.
 type Decision struct {
 	Sources []Source
+	Gen     uint64
 }
 
 // DB is one fingerprint database (the paper instantiates one per tracking
@@ -236,6 +242,15 @@ type DB struct {
 
 	// clock is the logical time source; increments on every observation.
 	clock atomic.Uint64
+
+	// gen is the generation (see Decision). memo holds, by ref, the
+	// sources of the decisions installed at generation memoGen; memoMu, a
+	// leaf, guards both. A move of gen leaves the memo to be cleared by
+	// the next install: until then memoGen != gen, which is a miss.
+	gen     atomic.Uint64
+	memoMu  sync.RWMutex
+	memoGen uint64
+	memo    map[uint32][]Source
 
 	// Incremental Stats counters.
 	segments  atomic.Int64
@@ -348,7 +363,6 @@ func (db *DB) dropRow(ss *segShard, row *parRow) {
 	ss.digest ^= db.rowCode(ss, segDigestKey(string(db.tab.ID(row.ref))), row)
 	delete(ss.own, row.ref)
 	delete(ss.apart, row.ref)
-	delete(ss.srcs, row.ref)
 	db.parHashes.Add(int64(-len(row.hashes)))
 	*row = parRow{}
 	db.segments.Add(-1)
@@ -399,22 +413,47 @@ func (ss *segShard) setPosted(row *parRow, posted []uint32) {
 	}
 }
 
-// setDecision keeps d on row, made for its hashes; nil leaves it undecided.
-func (ss *segShard) setDecision(row *parRow, d *Decision) {
-	delete(ss.srcs, row.ref)
-	row.flags &^= rowDecided | rowSources
-	switch {
-	case d == nil:
+// memoise installs d, made for ref's current fingerprint, if the DB is
+// still at generation d.Gen, or one past it when moved says the caller's
+// own change moved it. A d made at an older generation read a state that
+// has changed since, and is dropped. Caller holds ref's stripe.
+func (db *DB) memoise(ref uint32, d *Decision, moved bool) {
+	if d == nil {
 		return
-	case len(d.Sources) > 0:
-		if ss.srcs == nil {
-			ss.srcs = make(map[uint32][]Source)
-		}
-		ss.srcs[row.ref] = d.Sources
-		row.flags |= rowSources
 	}
-	row.flags |= rowDecided
+	gen := d.Gen
+	if moved {
+		gen++
+	}
+	if db.gen.Load() != gen {
+		return
+	}
+	db.memoMu.Lock()
+	defer db.memoMu.Unlock()
+	switch {
+	case db.memoGen > gen:
+		return // a later generation's memo is already filling
+	case db.memoGen < gen || db.memo == nil:
+		// A memo that grew large is dropped rather than cleared, so a
+		// clear costs no more than the few entries one generation holds.
+		if len(db.memo) > 64 || db.memo == nil {
+			db.memo = make(map[uint32][]Source)
+		} else {
+			clear(db.memo)
+		}
+		db.memoGen = gen
+	}
+	db.memo[ref] = d.Sources
 }
+
+// advance moves the generation, after a change that can alter what
+// Algorithm 1 answers has become visible to readers. A decision computed
+// concurrently with the change was then made at an older generation than
+// the current one, and is dropped.
+func (db *DB) advance() { db.gen.Add(1) }
+
+// Generation returns the DB's generation (see Decision).
+func (db *DB) Generation() uint64 { return db.gen.Load() }
 
 // rowCode is row's parCode share of its stripe's digest, segKey its
 // segment's digest key. A change XORs it out before and in after.
@@ -463,19 +502,19 @@ func (db *DB) eachRow(fn func(row *parRow)) {
 // edit that oscillates within previously seen text touches no hash shard
 // at all — the §4.3 "incremental fashion" on the index side.
 //
-// d is the decision made for fp, which the row keeps until the next Update
-// or its removal (nil: none, and a decision held is dropped); Update
+// d is the decision made for fp (nil: none to memoise). It is memoised if
+// nothing but this Update has moved the generation since d.Gen; Update
 // retains d.Sources, which the caller must not modify afterwards. The
 // fingerprint and its decision land under one stripe write, so Decision
 // never answers for a fingerprint the row does not hold.
 //
 // An Update whose hash set is identical to the segment's current
-// fingerprint changes nothing else: it neither ticks the logical clock
-// nor refreshes the recency stamp. This matches the decided fast path (a
-// hit never reaches Update at all), so the index's evolution is a
-// deterministic function of the observation stream — WAL replay after a
-// crash reconstructs it byte-for-byte even though no decision survives
-// the restart.
+// fingerprint changes nothing else: it neither ticks the logical clock,
+// nor refreshes the recency stamp, nor moves the generation. This matches
+// the decided fast path (a hit never reaches Update at all), so the
+// index's evolution is a deterministic function of the observation
+// stream — WAL replay after a crash reconstructs it byte-for-byte even
+// though no decision survives the restart.
 func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint, d *Decision) uint64 {
 	hs := fp.Hashes()
 	ss := db.segShardFor(seg)
@@ -484,7 +523,7 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint, d *Decision) u
 	ref := db.tab.Intern(seg)
 	row := db.rowOf(ref)
 	if row != nil && slices.Equal(row.hashes, hs) {
-		ss.setDecision(row, d)
+		db.memoise(ref, d, false)
 		return row.updated
 	}
 	now := db.clock.Add(1)
@@ -512,42 +551,47 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint, d *Decision) u
 	}
 	row.hashes, row.updated = hs, now
 	ss.setPosted(row, posted)
-	ss.setDecision(row, d)
 	ss.digest ^= db.rowCode(ss, segKey, row)
+	db.advance()
+	db.memoise(ref, d, true)
 	return now
 }
 
-// Decision returns the sources of the decision seg's row holds, an owned
-// copy (nil when it discloses nothing), if the row is decided and its
-// fingerprint is exactly hs (ascending). Anything else is a miss: no row,
-// no decision, or a decision made for another fingerprint.
+// Decision returns the sources of the decision memoised for seg, an owned
+// copy (nil when it discloses nothing), if seg's fingerprint is exactly hs
+// (ascending) and the generation has not moved since the decision was
+// installed. Anything else is a miss. The generation is read before any
+// lock: had it moved while the row was read, the row may hold another
+// fingerprint than the one decided.
 func (db *DB) Decision(seg segment.ID, hs []uint32) (sources []Source, ok bool) {
+	gen := db.gen.Load()
 	ss := db.segShardFor(seg)
 	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	_, row := db.lookupRow(seg)
-	if row == nil || row.flags&rowDecided == 0 || !slices.Equal(row.hashes, hs) {
+	ref, row := db.lookupRow(seg)
+	held := row != nil && slices.Equal(row.hashes, hs)
+	ss.mu.RUnlock()
+	if !held {
 		return nil, false
 	}
-	if row.flags&rowSources != 0 {
-		sources = slices.Clone(ss.srcs[row.ref])
+	db.memoMu.RLock()
+	defer db.memoMu.RUnlock()
+	if db.memoGen != gen || db.gen.Load() != gen {
+		return nil, false
 	}
-	return sources, true
+	if sources, ok = db.memo[ref]; !ok {
+		return nil, false
+	}
+	return slices.Clone(sources), true
 }
 
-// Decisions counts the rows holding a decision, and those whose decision
-// has sources (the stripes' srcs entries).
-func (db *DB) Decisions() (decided, sourced int) {
-	defer db.lockStripes(false)()
-	db.eachRow(func(row *parRow) {
-		if row.flags&rowDecided != 0 {
-			decided++
-		}
-		if row.flags&rowSources != 0 {
-			sourced++
-		}
-	})
-	return decided, sourced
+// MemoLen returns how many decisions the memo answers now.
+func (db *DB) MemoLen() int {
+	db.memoMu.RLock()
+	defer db.memoMu.RUnlock()
+	if db.memoGen != db.gen.Load() {
+		return 0
+	}
+	return len(db.memo)
 }
 
 // countMissing returns |hs \ posted| for two ascending slices — a pure
@@ -727,6 +771,7 @@ func (db *DB) SetThreshold(seg segment.ID, t float64) {
 	}
 	db.setThreshold(ss, row, t)
 	ss.digest ^= db.rowCode(ss, segKey, row)
+	db.advance()
 }
 
 // Threshold returns seg's disclosure threshold, or the default if seg is
@@ -921,25 +966,25 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 	return overlap, srcLen
 }
 
-// RemoveSegment deletes seg's fingerprint, its decision and all its
-// postings, those of its earlier versions too. Subsequent oldest-holder
-// queries may promote younger segments to authoritative.
+// RemoveSegment deletes seg's fingerprint and all its postings, those of
+// its earlier versions too, and moves the generation. Subsequent
+// oldest-holder queries may promote younger segments to authoritative.
 func (db *DB) RemoveSegment(seg segment.ID) {
 	ss := db.segShardFor(seg)
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	ref, row := db.lookupRow(seg)
 	if row == nil {
-		ss.mu.Unlock()
 		return
 	}
 	db.removePostings(ref, seg, ss.postedOf(row))
 	db.dropRow(ss, row)
-	ss.mu.Unlock()
+	db.advance()
 }
 
 // ExpireBefore removes postings whose first observation is older than the
-// given logical time, and drops segments whose last update is older (their
-// decisions with them). This implements the periodic removal of old
+// given logical time, drops segments whose last update is older, and moves
+// the generation. This implements the periodic removal of old
 // fingerprints recommended in §4.4. It returns the number of postings
 // removed.
 //
@@ -974,6 +1019,7 @@ func (db *DB) ExpireBefore(seq uint64) int {
 			ss.setPosted(row, db.survivingPosted(row.ref, ss.postedOf(row)))
 		}
 	})
+	db.advance()
 	unlock()
 	return removed
 }
@@ -1031,9 +1077,8 @@ func (db *DB) Stats() Stats {
 	// is at (60–75 %; the few hashes with several head holders add an
 	// overflow bucket, not modelled). DBpar holds each hash once, in the
 	// fingerprint (4 B — the posted union aliases it); a segment costs
-	// ≈ 74 B: its 40-byte DBpar row (its decision included: a flag, and a
-	// side-map entry only for the rare decision with sources), 4-byte slot
-	// and 8-byte born stamp, and its segment table entry — a 16-byte ID
+	// ≈ 74 B: its 40-byte DBpar row, 4-byte slot and 8-byte born stamp,
+	// and its segment table entry — a 16-byte ID
 	// header and a 4-byte index slot at 60–75 % fill, ≈ 6 B — shared with
 	// the table's other owners.
 	// TestApproxBytesTracksHeap pins the sum to measured heap growth.

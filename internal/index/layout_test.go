@@ -121,9 +121,10 @@ func TestHeadInsertAllocatesNoObjectPerHash(t *testing.T) {
 }
 
 // TestDBparRowSize pins a DBpar row at 40 bytes: the fingerprint's slice
-// header, the stamp, the ref and the flags. A decision is a flag on it and
-// its digest share is recomputed, so neither costs a field — at a row per
-// segment, every field is ≈ 0.3 B per hash of a corpus.
+// header, the stamp, the ref and the flags. Decisions live in the DB's
+// memo, not on rows, and a row's digest share is recomputed, so neither
+// costs a field — at a row per segment, every field is ≈ 0.3 B per hash
+// of a corpus.
 func TestDBparRowSize(t *testing.T) {
 	if got := unsafe.Sizeof(parRow{}); got != 40 {
 		t.Errorf("a DBpar row is %d bytes, want 40", got)

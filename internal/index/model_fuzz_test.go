@@ -18,14 +18,15 @@ import (
 // hashes that share a head-table probe chain — and all must encode the
 // same image, which restores to the model. An update carries a decision by
 // its operation byte (0: one that discloses nothing, 1: one with sources,
-// 2: none), and after every operation each entry must hold exactly the
-// model's decision. Seeds 5–7 remove a segment after an edit — straight
+// 2: none), and after every operation each entry must answer exactly the
+// model's memoised decision. Seeds 5–7 remove a segment after an edit — straight
 // away, after an expiry took its first version's postings, and after a
 // restore rebuilt its posted union, late postings included — and then post
 // its first version's hashes again, which must find no holder left. Seed 8
-// builds every one of spliceCases in turn. Seeds 9–13 each clear a
-// decision one way: an undecided update with a new fingerprint, one with
-// the same fingerprint, a removal, an expiry and a restore.
+// builds every one of spliceCases in turn. Seeds 9–13 each follow a
+// decision with one operation: an undecided update with a new fingerprint
+// (which empties the memo), one with the same fingerprint (which keeps
+// it), a removal, an expiry and a restore (which empty it).
 func FuzzIndexModel(f *testing.F) {
 	for _, seed := range modelSeeds {
 		f.Add(seed)
@@ -51,11 +52,14 @@ var modelSeeds = [][]byte{
 	{1, 0, 2, 1, 2, 0, 1, 1, 3, 8},
 }
 
-// modelDecisions are the decisions an update's operation byte carries.
-var modelDecisions = [3]*Decision{
+// modelDecisions are the decisions an update's operation byte carries
+// (the first three), and, last, a decision made a generation before the
+// update (see modelRig.update), which must not be memoised.
+var modelDecisions = [4]*Decision{
 	{},
 	{Sources: []Source{{Seg: "origin#p0", Disclosure: 0.75, Threshold: 0.5}}},
 	nil,
+	{Sources: []Source{{Seg: "origin#p0", Disclosure: 0.75, Threshold: 0.5}}, Gen: 1},
 }
 
 // replayModel decodes data into an operation stream, applies it to the

@@ -43,28 +43,27 @@ type refPosting struct {
 
 // refSeg is a segment's DBpar entry in the reference model; posted is its
 // posted union, every hash it holds a posting of since the entry was made
-// (postings made by post aside), ascending; decided marks that it holds
-// the decision made for hashes, whose sources are sources.
+// (postings made by post aside), ascending.
 type refSeg struct {
 	hashes, posted []uint32
 	updated        uint64
 	threshold      float64
-	decided        bool
-	sources        []Source
 }
 
 // refModel is the reference: every live posting by hash, oldest first
-// (arrival order on equal stamps), every DBpar entry, the clock and the
-// default threshold.
+// (arrival order on equal stamps), every DBpar entry, the clock, the
+// default threshold and the memo: the sources of each decision made since
+// the last change that can alter what Algorithm 1 answers.
 type refModel struct {
 	postings map[uint32][]refPosting
 	segs     map[segment.ID]refSeg
 	clock    uint64
 	def      float64
+	memo     map[segment.ID][]Source
 }
 
 func newRefModel() *refModel {
-	return &refModel{postings: map[uint32][]refPosting{}, segs: map[segment.ID]refSeg{}, def: 0.5}
+	return &refModel{postings: map[uint32][]refPosting{}, segs: map[segment.ID]refSeg{}, def: 0.5, memo: map[segment.ID][]Source{}}
 }
 
 // held is the segments an image's table names, ascending: the DBpar
@@ -83,23 +82,25 @@ func (m *refModel) held() []segment.ID {
 	return slices.Compact(out)
 }
 
-// update is DB.Update: the entry's decision becomes d (nil: none), an
-// unchanged fingerprint changes nothing else, a new one ticks the clock
-// and posts every hash seg does not hold yet. It returns the stamp Update
-// must return.
+// update is DB.Update: an unchanged fingerprint changes nothing, a new
+// one ticks the clock, posts every hash seg does not hold yet and empties
+// the memo. Then d, unless it is nil or stale (the rig's d.Gen counts the
+// generations it was made before the update), is memoised. It returns
+// the stamp Update must return.
 func (m *refModel) update(seg segment.ID, hs []uint32, d *Decision) uint64 {
+	defer func() {
+		if d != nil && d.Gen == 0 {
+			m.memo[seg] = d.Sources
+		}
+	}()
 	s, ok := m.segs[seg]
 	if !ok {
 		s.threshold = m.def
 	}
-	s.decided, s.sources = d != nil, nil
-	if d != nil {
-		s.sources = d.Sources
-	}
 	if ok && slices.Equal(s.hashes, hs) {
-		m.segs[seg] = s
 		return s.updated
 	}
+	m.moved()
 	m.clock++
 	m.post(seg, hs, m.clock)
 	s.posted = append(slices.Clone(hs), s.posted...)
@@ -126,12 +127,16 @@ func (m *refModel) post(seg segment.ID, hs []uint32, seq uint64) {
 	}
 }
 
+// moved empties the memo, as a move of the generation does.
+func (m *refModel) moved() { m.memo = map[segment.ID][]Source{} }
+
 // setThreshold is DB.SetThreshold: an unknown segment gets an entry with
 // no fingerprint, updated at 0.
 func (m *refModel) setThreshold(seg segment.ID, t float64) {
 	s := m.segs[seg]
 	s.threshold = t
 	m.segs[seg] = s
+	m.moved()
 }
 
 // remove is DB.RemoveSegment: the entry goes, and the postings of its
@@ -141,6 +146,7 @@ func (m *refModel) remove(seg segment.ID) {
 	if !ok {
 		return
 	}
+	m.moved()
 	for _, h := range s.posted {
 		m.dropPostings(h, func(p refPosting) bool { return p.seg == seg })
 	}
@@ -150,6 +156,7 @@ func (m *refModel) remove(seg segment.ID) {
 // expire is DB.ExpireBefore, returning the postings it drops: each
 // surviving entry's union keeps the hashes whose posting survived.
 func (m *refModel) expire(cut uint64) (removed int) {
+	m.moved()
 	for h, ps := range m.postings {
 		n := len(ps)
 		m.dropPostings(h, func(p refPosting) bool { return p.seq < cut })
@@ -167,9 +174,9 @@ func (m *refModel) expire(cut uint64) (removed int) {
 }
 
 // restored returns what a snapshot restore makes of the model: the same
-// postings (shared, not to be modified), and entries whose union is every
-// hash their segment holds a posting of, post's included, and which hold
-// no decision (an image holds none).
+// postings (shared, not to be modified), entries whose union is every hash
+// their segment holds a posting of, post's included, and an empty memo (an
+// image holds no decision).
 func (m *refModel) restored() *refModel {
 	held := map[segment.ID][]uint32{}
 	for h, ps := range m.postings {
@@ -177,9 +184,9 @@ func (m *refModel) restored() *refModel {
 			held[p.seg] = append(held[p.seg], h)
 		}
 	}
-	r := &refModel{postings: m.postings, segs: make(map[segment.ID]refSeg, len(m.segs)), clock: m.clock, def: m.def}
+	r := &refModel{postings: m.postings, segs: make(map[segment.ID]refSeg, len(m.segs)), clock: m.clock, def: m.def,
+		memo: map[segment.ID][]Source{}}
 	for seg, s := range m.segs {
-		s.decided, s.sources = false, nil
 		s.posted = held[seg]
 		slices.Sort(s.posted)
 		r.segs[seg] = s
@@ -356,7 +363,8 @@ func (r *modelRig) batch(what string, ops func()) {
 	r.check(what)
 }
 
-// update is DB.Update of the fingerprint of hs on every DB.
+// update is DB.Update of the fingerprint of hs on every DB, with d made
+// d.Gen generations before each DB's current one (nil: no decision).
 func (r *modelRig) update(seg segment.ID, hs []uint32, d *Decision) {
 	r.t.Helper()
 	fp := fingerprint.FromHashes(hs)
@@ -365,7 +373,11 @@ func (r *modelRig) update(seg segment.ID, hs []uint32, d *Decision) {
 	r.probe(hs)
 	want := r.m.update(seg, hs, d)
 	for i, db := range r.dbs {
-		if got := db.Update(seg, fp, d); got != want {
+		var made *Decision
+		if d != nil {
+			made = &Decision{Sources: d.Sources, Gen: db.Generation() - d.Gen}
+		}
+		if got := db.Update(seg, fp, made); got != want {
 			r.t.Fatalf("update %s on %v: stamp %d, want %d", seg, r.layouts[i], got, want)
 		}
 	}
@@ -525,16 +537,15 @@ func (r *modelRig) check(step string) {
 // named segments (ascending), each of whose authoritative overlap is
 // read with the fingerprint of the next.
 type answers struct {
-	m                *refModel
-	probes           []uint32
-	absent           uint32 // a probe the model lacks, if any
-	names, segs      []segment.ID
-	refs             []OldestRef
-	oldest           []segment.ID
-	postings         int
-	digests          map[int][2][]uint64 // per shard count: posting and DBpar shard digests
-	count, overlap   []int               // per name
-	decided, sourced int
+	m              *refModel
+	probes         []uint32
+	absent         uint32 // a probe the model lacks, if any
+	names, segs    []segment.ID
+	refs           []OldestRef
+	oldest         []segment.ID
+	postings       int
+	digests        map[int][2][]uint64 // per shard count: posting and DBpar shard digests
+	count, overlap []int               // per name
 
 	gotRefs   []OldestRef // scratch for the DBs' answers
 	gotOldest []segment.ID
@@ -556,12 +567,6 @@ func (m *refModel) answers(probes []uint32, names []segment.ID) *answers {
 	for i, seg := range names {
 		a.count = append(a.count, m.authoritative(seg, nil))
 		a.overlap = append(a.overlap, m.authoritative(seg, append([]uint32{}, m.segs[names[(i+1)%len(names)]].hashes...)))
-		if s := m.segs[seg]; s.decided {
-			a.decided++
-			if len(s.sources) > 0 {
-				a.sourced++
-			}
-		}
 	}
 	return a
 }
@@ -681,11 +686,12 @@ func (a *answers) check(t *testing.T, step string, db *DB) {
 		if !slices.Equal(posted, s.posted) && len(posted)+len(s.posted) > 0 {
 			t.Fatalf("%s: posted union of %s = %#x, want %#x", step, seg, posted, s.posted)
 		}
-		// The decision answers the fingerprint the entry holds, and no
-		// other: not one that differs from it in a single hash.
+		// The memoised decision answers the fingerprint the entry holds,
+		// and no other: not one that differs from it in a single hash.
+		want, decided := m.memo[seg]
 		sources, ok := db.Decision(seg, s.hashes)
-		if ok != s.decided || !slices.Equal(sources, s.sources) {
-			t.Fatalf("%s: decision of %s = %v (%v), want %v (%v)", step, seg, sources, ok, s.sources, s.decided)
+		if ok != decided || !slices.Equal(sources, want) {
+			t.Fatalf("%s: decision of %s = %v (%v), want %v (%v)", step, seg, sources, ok, want, decided)
 		}
 		if len(s.hashes) > 0 {
 			if _, ok := db.Decision(seg, s.hashes[1:]); ok {
@@ -693,8 +699,8 @@ func (a *answers) check(t *testing.T, step string, db *DB) {
 			}
 		}
 	}
-	if d, s := db.Decisions(); d != a.decided || s != a.sourced {
-		t.Fatalf("%s: %d decided entries, %d with sources; want %d, %d", step, d, s, a.decided, a.sourced)
+	if n := db.MemoLen(); n != len(m.memo) {
+		t.Fatalf("%s: %d memoised decisions, want %d", step, n, len(m.memo))
 	}
 	checkInvariants(t, db)
 }

@@ -29,6 +29,9 @@ func script(ops string) func(r *modelRig) { return func(r *modelRig) { r.run(ops
 //
 //	seg:h,h,…   Update seg's fingerprint to the hashes, with no decision;
 //	            a hash is a number, fN is edgeFP(N)'s and fN<k its first k
+//	seg+:h,…    the same with a decision made at the current generation,
+//	            which discloses origin#p0
+//	seg~:h,…    the same with one made a generation before it
 //	seg@n:h,…   post seg's postings of the hashes, stamped n
 //	-seg        RemoveSegment
 //	seg=t       SetThreshold
@@ -78,6 +81,10 @@ func (r *modelRig) run(ops string) {
 			r.threshold(segment.ID(seg), f)
 		case late:
 			r.post(segment.ID(seg), fingerprint.FromHashes(hs).Hashes(), num(at))
+		case strings.HasSuffix(name, "+"):
+			r.update(segment.ID(strings.TrimSuffix(name, "+")), hs, modelDecisions[1])
+		case strings.HasSuffix(name, "~"):
+			r.update(segment.ID(strings.TrimSuffix(name, "~")), hs, modelDecisions[3])
 		default:
 			r.update(segment.ID(name), hs, nil)
 		}
@@ -97,8 +104,8 @@ func edgeFP(base int) []uint32 {
 }
 
 // workload applies ops random operations over edgeSeg's 96 segments and
-// edgeFP's 40 fingerprints — updates (a third decided, a third with
-// sources), removals, thresholds, and expiries up to a stamp among the
+// edgeFP's 40 fingerprints — updates (with each of modelDecisions),
+// removals, thresholds, and expiries up to a stamp among the
 // oldest quarter of the live ones, so they cut into the state at any
 // length — and runs tick (nil: none) then checks after each every.
 func workload(r *modelRig, seed int64, ops, every int, tick func()) {
@@ -110,7 +117,7 @@ func workload(r *modelRig, seed int64, ops, every int, tick func()) {
 				seg := edgeSeg(rng.Intn(96))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4, 5, 6:
-					r.update(seg, edgeFP(rng.Intn(40)), modelDecisions[rng.Intn(3)])
+					r.update(seg, edgeFP(rng.Intn(40)), modelDecisions[rng.Intn(len(modelDecisions))])
 				case 7:
 					r.remove(seg)
 				case 8:
@@ -225,28 +232,47 @@ func TestExpireBefore(t *testing.T) { runOps(t, "a:1 b:1,2 expire:2") }
 func TestExportImportRoundTrip(t *testing.T) { runOps(t, "a:1,2,3 b:2,4 b=0.8 restore c:9") }
 func TestExportDeterministic(t *testing.T)   { runOps(t, "z:5,6 a:5,7") }
 
+// TestMemoAnswersUntilAChange: a decision is memoised until the next
+// change that can alter what Algorithm 1 answers — an update that changes
+// a fingerprint, a threshold, a removal, an expiry or a restore — and
+// survives what cannot: an unchanged re-observation, a removal of a
+// segment never seen, a clock floor and a merge.
+func TestMemoAnswersUntilAChange(t *testing.T) {
+	runOps(t, "a+:1,2 b+:3,4 a+:1,2 c:5 a+:1,2 b+:3,4 b=0.8 a+:1,2 -c a+:1,2 -never a:1,2 floor:100 compact "+
+		"a+:1,2 b+:3,4 expire:1 a+:1,2 restore a+:1,2 b:1,2,3")
+}
+
+// TestStaleDecisionIsNotMemoised: a decision made before the generation
+// last moved read a state that has changed since, so neither an update
+// that changes the fingerprint nor one that leaves it memoises it.
+func TestStaleDecisionIsNotMemoised(t *testing.T) {
+	runOps(t, "a~:1,2 a~:1,2 b:3 a~:1,2 a+:1,2 b~:3,4 b~:3,4")
+}
+
 // decideAll updates segments lo … hi−1 to hashes shared with their
 // neighbours', so every shard holds run and head postings of one hash,
-// each with a decision: every third one discloses a source, so both the
-// flag-only and the side-map forms are dropped.
+// then re-observes each unchanged with a decision, so the memo holds one
+// for every segment: every third one discloses a source.
 func decideAll(r *modelRig, lo, hi int) {
 	r.batch(fmt.Sprintf("segments %d to %d decided", lo, hi-1), func() {
-		for i := lo; i < hi; i++ {
-			hs := make([]uint32, 0, 24)
-			for j := 0; j < 24; j++ {
-				hs = append(hs, uint32((i*5+j*17)%96)*0x9e3779b1)
+		for pass := 0; pass < 2; pass++ {
+			for i := lo; i < hi; i++ {
+				hs := make([]uint32, 0, 24)
+				for j := 0; j < 24; j++ {
+					hs = append(hs, uint32((i*5+j*17)%96)*0x9e3779b1)
+				}
+				d := &Decision{}
+				if i%3 == 0 {
+					d.Sources = []Source{{Seg: edgeSeg(i + 100), Disclosure: 0.75, Threshold: 0.5}}
+				}
+				r.update(edgeSeg(i), hs, d)
 			}
-			d := &Decision{}
-			if i%3 == 0 {
-				d.Sources = []Source{{Seg: edgeSeg(i + 100), Disclosure: 0.75, Threshold: 0.5}}
-			}
-			r.update(edgeSeg(i), hs, d)
 		}
 	})
 }
 
 // TestExpireBeforeEvictsExactlyOnceAcrossLayouts: an expiry takes exactly
-// the rows of the segments it drops, and their decisions, whether their
+// the rows of the segments it drops, and every decision, whether their
 // postings are in the heads, the runs, both, or a restore rebuilt them; a
 // second expiry at the same cutoff has nothing left to drop.
 func TestExpireBeforeEvictsExactlyOnceAcrossLayouts(t *testing.T) {
@@ -272,8 +298,8 @@ func TestExpireBeforeEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 }
 
 // TestRemoveSegmentEvictsExactlyOnceAcrossLayouts: a removal takes the
-// row and its decision once; removing it again, or a segment never seen,
-// drops nothing; re-added undecided, then decided and removed again.
+// row once, and every decision; removing it again, or a segment never
+// seen, drops nothing; re-added undecided, then decided and removed again.
 func TestRemoveSegmentEvictsExactlyOnceAcrossLayouts(t *testing.T) {
 	for _, layout := range []string{"head", "compacted", "restored"} {
 		t.Run(layout, func(t *testing.T) {

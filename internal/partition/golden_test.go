@@ -31,7 +31,10 @@ import (
 // routing tier answers with bytes identical to a single node. Three
 // scripts model the seed web-app scenarios: a wiki->docs paste (Dpar
 // violation), an itool->notes copy with a declassification, and
-// document-granularity edit tracking (Ddoc).
+// document-granularity edit tracking (Ddoc). Two more rewrite a source
+// on one partition while the copy is homed on another: a rewritten source
+// no longer discloses its old text, whether the copy is new or a
+// re-observation of one the home decided before.
 
 // op is one scripted wire request.
 type op struct {
@@ -72,7 +75,7 @@ func scripts() map[string][]op {
 			{kind: "check", dest: "docs", text: docsIntro},
 			{kind: "label", seg: "docs/blog-draft#p1"},
 			{kind: "upload", seg: "docs/blog-draft#p1", dest: "docs"},
-			{kind: "observe", service: "docs", seg: "docs/blog-draft#p1", text: wikiPlan}, // re-observe: decision cache
+			{kind: "observe", service: "docs", seg: "docs/blog-draft#p1", text: wikiPlan}, // re-observe, unchanged
 			// Past the node's body bound: refused with the node's 413 by
 			// the tier's front door too, whether or not the legs it would
 			// have been split into each fit (1.5 MB used to be answered
@@ -91,6 +94,26 @@ func scripts() map[string][]op {
 			{kind: "suppress", user: "alice", seg: "itool/reviews#p0", tag: "ti", why: "review published"},
 			{kind: "label", seg: "itool/reviews#p0"},
 			{kind: "upload", seg: "itool/reviews#p0", dest: "notes"},
+		},
+		// The source is rewritten before the copy is observed: it still
+		// holds the oldest postings of its first text, but its fingerprint
+		// no longer has them, so the copy discloses nothing.
+		"source-rewritten": {
+			{kind: "observe", service: "wiki", seg: "wiki/acquisitions#p0", text: wikiPlan},
+			{kind: "observe", service: "wiki", seg: "wiki/acquisitions#p0", text: wikiBudget},
+			{kind: "observe", service: "docs", seg: "docs/blog-draft#p1", text: wikiPlan},
+			{kind: "label", seg: "docs/blog-draft#p1"},
+		},
+		// The copy is observed, the source rewritten, and the copy
+		// re-observed unchanged: its home's decision from before the edit
+		// must not answer.
+		"source-edit": {
+			{kind: "observe", service: "wiki", seg: "wiki/acquisitions#p0", text: wikiPlan},
+			{kind: "observe", service: "docs", seg: "docs/blog-draft#p1", text: wikiPlan},
+			{kind: "label", seg: "docs/blog-draft#p1"},
+			{kind: "observe", service: "wiki", seg: "wiki/acquisitions#p0", text: wikiBudget},
+			{kind: "observe", service: "docs", seg: "docs/blog-draft#p1", text: wikiPlan},
+			{kind: "label", seg: "docs/blog-draft#p1"},
 		},
 		// Document-granularity tracking across edits, flushed as batches
 		// the way the extension ships coalesced DOM mutations.

@@ -188,7 +188,7 @@ func (rt *Router) Prime(ctx context.Context) {
 	// folding only one could still stamp behind the cluster, so prime
 	// from both.
 	for _, gran := range []string{"paragraph", "document"} {
-		replies, _ := rt.scatter(ctx, ring, clients, nil, gran, "")
+		replies, _ := rt.scatter(ctx, ring, clients, nil, gran)
 		for _, r := range replies {
 			rt.fold(r.Clock)
 		}
@@ -259,22 +259,19 @@ func homeFor(ring *Ring, clients map[string]*groupClient, seg segment.ID) (*Part
 	return home, cc, nil
 }
 
-// scatter queries every partition except skip for its contribution to a
-// disclosure resolve, each leg under its own deadline. The replies are
-// indexed like ring.Partitions; a skipped or failed leg leaves its entry
-// zero, which contributes nothing to a merge. The error names the first
+// scatter queries every partition for its contribution to a disclosure
+// resolve, each leg under its own deadline. The replies are indexed like
+// ring.Partitions; a failed leg leaves its entry zero, which contributes
+// nothing to a merge. The error names the first
 // failed leg: callers that need completeness fail closed on it, since a
 // missing contribution could hide the authoritative holder and flip a
 // block to an allow.
-func (rt *Router) scatter(ctx context.Context, ring *Ring, clients map[string]*groupClient, hashes []uint32, granularity, skip string) ([]policy.PartResolve, error) {
+func (rt *Router) scatter(ctx context.Context, ring *Ring, clients map[string]*groupClient, hashes []uint32, granularity string) ([]policy.PartResolve, error) {
 	replies := make([]policy.PartResolve, len(ring.Partitions))
 	errs := make([]error, len(ring.Partitions))
 	var wg sync.WaitGroup
 	for i := range ring.Partitions {
 		p := &ring.Partitions[i]
-		if p.ID == skip {
-			continue
-		}
 		cc := clients[p.ID]
 		if cc == nil {
 			errs[i] = fmt.Errorf("partition %q: no client", p.ID)
@@ -300,46 +297,37 @@ func (rt *Router) scatter(ctx context.Context, ring *Ring, clients map[string]*g
 	return replies, nil
 }
 
-// ObserveHashes routes one observation: phase 1 at the segment's home
-// partition (decision-cache probe), on a miss a scatter-gather resolve
-// across the other partitions, phase 2 applying the merged result at the
-// home. A sole-partition ring short-circuits inside the node (one round
-// trip). A stale ring is refreshed on 421 and the whole observation
-// re-routed: when ownership moved between the phases, the merged resolve
-// may predate the move.
+// ObserveHashes routes one observation: a scatter-gather resolve across
+// every partition, the home included, in one parallel round, then the
+// merged result applied at the segment's home — N + 1 legs in two
+// sequential round trips. No partition's decision cache answers a routed
+// observe: a change homed on another partition can outdate a decision
+// without the home seeing it. A sole-partition ring resolves inside the
+// node (one round trip). A stale ring is refreshed on 421 and the whole
+// observation re-routed: when ownership moved between the phases, the
+// merged resolve may predate the move.
 func (rt *Router) ObserveHashes(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string) (tagserver.Verdict, error) {
 	hs := fingerprint.FromHashes(hashes).Hashes()
 	var v tagserver.Verdict
 	err := rt.routed(ctx, func(ring *Ring, clients map[string]*groupClient) error {
-		home, cc, err := homeFor(ring, clients, seg)
+		_, cc, err := homeFor(ring, clients, seg)
 		if err != nil {
 			return err
 		}
 		stamp := rt.tick()
-		resp, err := cc.PartObserve(ctx, service, seg, hs, granularity, stamp, nil)
+		var resolved *tagserver.PartResolved
+		if len(ring.Partitions) > 1 {
+			replies, err := rt.scatter(ctx, ring, clients, hs, granularity)
+			if err != nil {
+				return err
+			}
+			sources, tags, maxClock := policy.MergeResolves(len(hs), seg, replies)
+			rt.fold(maxClock)
+			resolved = &tagserver.PartResolved{Sources: sources, Tags: tags}
+		}
+		resp, err := cc.PartObserve(ctx, service, seg, hs, granularity, stamp, resolved)
 		if err != nil {
 			return err
-		}
-		if resp.Verdict != nil {
-			v = *resp.Verdict
-			return nil
-		}
-
-		// Cache miss: gather the other partitions' contributions and merge.
-		others, err := rt.scatter(ctx, ring, clients, hs, granularity, home.ID)
-		if err != nil {
-			return err
-		}
-		replies := append([]policy.PartResolve{*resp.Resolve}, others...)
-		sources, tags, maxClock := policy.MergeResolves(len(hs), seg, replies)
-		rt.fold(maxClock)
-
-		resolved := &tagserver.PartResolved{Sources: sources, Tags: tags}
-		if resp, err = cc.PartObserve(ctx, service, seg, hs, granularity, stamp, resolved); err != nil {
-			return err
-		}
-		if resp.Verdict == nil {
-			return fmt.Errorf("partition %q: resolved observe returned no verdict", home.ID)
 		}
 		v = *resp.Verdict
 		return nil
@@ -357,7 +345,7 @@ func (rt *Router) ObserveHashes(ctx context.Context, service string, seg segment
 func (rt *Router) CheckHashes(ctx context.Context, dest string, hashes []uint32) (tagserver.Verdict, error) {
 	hs := fingerprint.FromHashes(hashes).Hashes()
 	ring, clients := rt.snapshot()
-	replies, err := rt.scatter(ctx, ring, clients, hs, "", "")
+	replies, err := rt.scatter(ctx, ring, clients, hs, "")
 	if err != nil {
 		return tagserver.Verdict{}, err
 	}

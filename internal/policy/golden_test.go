@@ -26,8 +26,8 @@ import (
 // decision and its violating tags must be what Label.ReleasableTo gives
 // for the label the registry holds (or, for ad-hoc text, the union of its
 // sources' explicit tags), and the sources are cross-checked against
-// expt.SeedTracker, the reference Algorithm 1 engine, so a divergence in
-// either layer is caught where it happens.
+// expt.Reference, Algorithm 1 stated directly, so a divergence in either
+// layer is caught where it happens.
 
 const (
 	goldenWikiPlan   = "The 2027 acquisition plan targets Initech for three hundred million dollars pending diligence on their flux capacitor patents and the retention of their core engineering group."
@@ -197,13 +197,13 @@ func referenceRelease(t *testing.T, e *policy.Engine, o goldenOp, v policy.Verdi
 // TestGoldenReleaseVerdicts replays each scenario against an engine built
 // from the compiled policy, requiring every verdict to match
 // Label.ReleasableTo's and every observe's attributions to match the
-// expt.SeedTracker reference.
+// expt.Reference oracle.
 func TestGoldenReleaseVerdicts(t *testing.T) {
 	c := loadSeedPolicy(t)
 	for name, script := range goldenScripts() {
 		t.Run(name, func(t *testing.T) {
 			e := newCompiledEngine(t, c)
-			seed := expt.NewSeedTracker(disclosure.Params{
+			ref := expt.NewReference(disclosure.Params{
 				Fingerprint: fingerprint.DefaultConfig(),
 				Tpar:        c.Source.Tpar,
 				Tdoc:        c.Source.Tdoc,
@@ -225,23 +225,23 @@ func TestGoldenReleaseVerdicts(t *testing.T) {
 				if o.kind != "observe" {
 					continue
 				}
-				// Independent oracle: the seed reference tracker must
+				// Independent oracle: Algorithm 1 stated directly must
 				// attribute the same sources the engine reported.
 				g := segment.GranularityParagraph
 				if o.doc {
 					g = segment.GranularityDocument
 				}
-				report, err := seed.Observe(segment.ID(o.seg), o.text, g)
+				report, err := ref.Observe(segment.ID(o.seg), o.text, g)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(report.Sources) != len(v.Sources) {
-					t.Fatalf("step %d: seed reference found %d sources, engine found %d (%v vs %v)",
+					t.Fatalf("step %d: reference found %d sources, engine found %d (%v vs %v)",
 						i, len(report.Sources), len(v.Sources), report.Sources, v.Sources)
 				}
 				for j := range report.Sources {
 					if report.Sources[j].Seg != v.Sources[j].Seg {
-						t.Errorf("step %d source %d: seed=%s engine=%s", i, j, report.Sources[j].Seg, v.Sources[j].Seg)
+						t.Errorf("step %d source %d: reference=%s engine=%s", i, j, report.Sources[j].Seg, v.Sources[j].Seg)
 					}
 				}
 			}

@@ -13,12 +13,13 @@ import (
 )
 
 // Partitioned-cluster entry points. In a partitioned deployment each
-// engine instance holds the vertical state (index, labels, cache) for the
+// engine instance holds the vertical state (index, labels) for the
 // segments homed on its partition. A routed observation runs in two
-// phases: phase 1 probes the home partition's decision cache (ObservePart)
-// and, on a miss, hands back this partition's scatter contribution; the
-// router merges contributions from every partition and phase 2
-// (ObserveResolvedFPCtx) applies the merged result. The byte-equivalence
+// phases: the router gathers every partition's scatter contribution
+// (PartQuery), the home's included, and merges them (MergeResolves); then
+// the home applies the merged result (ObserveResolvedFPCtx). The home's
+// decision cache takes no part: a change on another partition can outdate
+// a decision without the home seeing it. The byte-equivalence
 // contract with a single node is carried by three facts: candidate
 // evaluation uses the identical arithmetic on identical inputs (the merge
 // reconstructs the single-database oldest-holder assignment), SortSources
@@ -27,8 +28,7 @@ import (
 // source's explicit tags.
 
 // PartResolve is one partition's full contribution to a scatter-gather
-// disclosure query. It is also the wire form: a /v1/part/query reply, and
-// the "resolve" of a phase-1 /v1/part/observe miss.
+// disclosure query. It is also the wire form: a /v1/part/query reply.
 type PartResolve struct {
 	// Clock is the partition's logical time for the queried granularity;
 	// routers fold it into their Lamport stamp so a restarted router
@@ -73,48 +73,6 @@ func (e *Engine) explicitTags(seg segment.ID) []string {
 	return out
 }
 
-// ObservePart is phase 1 of a routed observation at the segment's home
-// partition. On a decision-cache hit it applies the observation exactly
-// like a single-node cache hit would (label refresh from the cached
-// sources, journalled as a resolved observation so replay needs no
-// evaluation) and returns the verdict with done=true. On a miss it
-// mutates nothing and returns this partition's scatter contribution with
-// done=false; the router completes the observation through
-// ObserveResolvedFPCtx.
-func (e *Engine) ObservePart(ctx context.Context, seg segment.ID, service string, fp *fingerprint.Fingerprint, g segment.Granularity, clock uint64) (verdict Verdict, resolve PartResolve, done bool, err error) {
-	sp := obs.StartSpan(ctx, "engine.observe_part")
-	if sp.Active() {
-		sp.SetAttr("seg", string(seg))
-		sp.SetAttr("hashes", strconv.Itoa(len(fp.Hashes())))
-		defer func() { sp.End(err) }()
-	}
-	report, hit := e.tracker.ProbeFP(seg, fp, g)
-	if !hit {
-		return Verdict{}, e.PartQuery(fp.Hashes(), g), false, nil
-	}
-	if end := e.begin(); end != nil {
-		defer end()
-	}
-	clock = e.stampClock(g, clock)
-	e.tracker.SetClockFloor(g, clock)
-	if err := e.registry.ObserveSegment(seg, service); err != nil {
-		return Verdict{}, PartResolve{}, false, err
-	}
-	e.registry.RefreshImplicit(seg, report.SourceSegs())
-	// A cache hit in partition mode is still journalled as a *resolved*
-	// observation (cached sources + the sources' current local tags):
-	// replaying it must not re-run Algorithm 1, whose inputs on this
-	// partition are only a slice of the cluster's state.
-	if err := e.journalObserveResolved(ctx, seg, service, g, fp.Hashes(), clock, report.Sources, e.sourceTags(report.Sources)); err != nil {
-		return Verdict{}, PartResolve{}, false, err
-	}
-	v, err := e.verdictFor(seg, service, report.Sources, report.CacheHit)
-	if err != nil {
-		return Verdict{}, PartResolve{}, false, err
-	}
-	return v, PartResolve{}, true, nil
-}
-
 // stampClock returns the Lamport stamp a partition-mode mutation
 // journals and floors into the index clock. A router-provided stamp is
 // used as-is; an unstamped mutation (sole mode, or a direct client)
@@ -129,14 +87,18 @@ func (e *Engine) stampClock(g segment.Granularity, clock uint64) uint64 {
 	return e.tracker.Clock(g) + 1
 }
 
-// sourceTags collects the current explicit tags of each source segment.
+// sourceTags collects the current explicit tags of each source segment
+// that has any (nil when none has), as MergeResolves does from the
+// partitions' replies.
 func (e *Engine) sourceTags(sources []disclosure.Source) map[segment.ID][]string {
-	if len(sources) == 0 {
-		return nil
-	}
-	tags := make(map[segment.ID][]string, len(sources))
+	var tags map[segment.ID][]string
 	for _, src := range sources {
-		tags[src.Seg] = e.explicitTags(src.Seg)
+		if t := e.explicitTags(src.Seg); len(t) > 0 {
+			if tags == nil {
+				tags = make(map[segment.ID][]string, len(sources))
+			}
+			tags[src.Seg] = t
+		}
 	}
 	return tags
 }
@@ -179,19 +141,8 @@ func MergeResolves(fpLen int, exclude segment.ID, replies []PartResolve) (source
 			}
 		}
 	}
-	// A candidate's authoritative overlap is the number of hash indices
-	// whose *global* oldest holder it is: it necessarily holds each such
-	// hash, and no other candidate is authoritative for it.
-	counts := make(map[segment.ID]int, len(cands))
-	for _, r := range oldest {
-		counts[r.seg]++
-	}
-	for cand, overlap := range counts {
+	for cand, entry := range cands {
 		if cand == exclude {
-			continue
-		}
-		entry, ok := cands[cand]
-		if !ok {
 			continue
 		}
 		// Identical arithmetic to evaluateCandidate, fed by the shipped
@@ -199,8 +150,19 @@ func MergeResolves(fpLen int, exclude segment.ID, replies []PartResolve) (source
 		if entry.Len == 0 || float64(entry.Len)*entry.Threshold > float64(fpLen) {
 			continue
 		}
+		// A candidate's authoritative overlap counts the query hashes its
+		// current fingerprint holds (Overlap) whose *global* oldest holder
+		// it is. Being the oldest holder is not enough: postings outlive
+		// an edit, so a rewritten source is still the oldest holder of
+		// hashes its fingerprint no longer has.
+		overlap := 0
+		for _, i := range entry.Overlap {
+			if r, ok := oldest[i]; ok && r.seg == cand {
+				overlap++
+			}
+		}
 		d := float64(overlap) / float64(entry.Len)
-		if d < entry.Threshold {
+		if overlap == 0 || d < entry.Threshold {
 			continue
 		}
 		sources = append(sources, disclosure.Source{Seg: cand, Disclosure: d, Threshold: entry.Threshold})
@@ -221,18 +183,42 @@ func MergeResolves(fpLen int, exclude segment.ID, replies []PartResolve) (source
 }
 
 // ObserveSoleFPCtx is the partition-mode observation path for a
-// single-partition ring: the same probe / query / resolved-apply cycle
-// as a routed observation, collapsed in-process so it stays one round
-// trip. Journalling still goes through resolved records, so a later
-// split can replay this partition's WAL with deterministic sequence
-// numbers (every record carries its Lamport stamp).
-func (e *Engine) ObserveSoleFPCtx(ctx context.Context, seg segment.ID, service string, fp *fingerprint.Fingerprint, g segment.Granularity, clock uint64) (Verdict, error) {
-	v, resolve, done, err := e.ObservePart(ctx, seg, service, fp, g, clock)
-	if err != nil || done {
-		return v, err
+// single-partition ring, in one round trip. The partition holds the whole
+// cluster's state, so the tracker resolves the sources itself, from its
+// decision cache or by Algorithm 1, which is what the scatter and merge
+// would compute. Journalling still goes through resolved records (the
+// sources with their current explicit tags, as a merge ships them), so a
+// later split can replay this partition's WAL with deterministic sequence
+// numbers (every record carries its Lamport stamp) and without
+// re-running Algorithm 1 on a slice of the cluster's state.
+func (e *Engine) ObserveSoleFPCtx(ctx context.Context, seg segment.ID, service string, fp *fingerprint.Fingerprint, g segment.Granularity, clock uint64) (verdict Verdict, err error) {
+	sp := obs.StartSpan(ctx, "engine.observe_sole")
+	if sp.Active() {
+		sp.SetAttr("seg", string(seg))
+		sp.SetAttr("hashes", strconv.Itoa(len(fp.Hashes())))
+		defer func() { sp.End(err) }()
 	}
-	sources, tags, _ := MergeResolves(fp.Len(), seg, []PartResolve{resolve})
-	return e.ObserveResolvedFPCtx(ctx, seg, service, fp, g, clock, sources, tags)
+	if end := e.begin(); end != nil {
+		defer end()
+	}
+	clock = e.stampClock(g, clock)
+	e.tracker.SetClockFloor(g, clock)
+	if err := e.registry.ObserveSegment(seg, service); err != nil {
+		return Verdict{}, err
+	}
+	observe := e.tracker.ObserveParagraphFP
+	if g == segment.GranularityDocument {
+		observe = e.tracker.ObserveDocumentFP
+	}
+	report, err := observe(seg, fp)
+	if err != nil {
+		return Verdict{}, err
+	}
+	e.registry.RefreshImplicit(seg, report.SourceSegs())
+	if err := e.journalObserveResolved(ctx, seg, service, g, fp.Hashes(), clock, report.Sources, e.sourceTags(report.Sources)); err != nil {
+		return Verdict{}, err
+	}
+	return e.verdictFor(seg, service, report.Sources, report.CacheHit)
 }
 
 // ObserveResolvedFPCtx is phase 2 of a routed observation: it applies a

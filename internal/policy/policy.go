@@ -126,7 +126,10 @@ type Verdict struct {
 	Sources []disclosure.Source
 
 	// CacheHit reports whether the disclosure result came from the
-	// decision cache.
+	// decision cache, which answers only what Algorithm 1 would answer
+	// now (see disclosure.Report.CacheHit). A routed observe at a
+	// partition of several never hits: the cache there cannot see changes
+	// homed elsewhere.
 	CacheHit bool
 
 	// Degraded reports that the verdict was NOT computed by an engine:

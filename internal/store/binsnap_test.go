@@ -359,13 +359,13 @@ func testRefusedCheckpoint(t *testing.T, what string, payload []byte, refused fu
 				t.Fatal(err)
 			}
 		}
-		before, cached := tracker.Digest(), tracker.CacheLen()
+		before, cached := tracker.Digest(), memoLen(tracker)
 		_, name, corrupt, err := RecoverNewestCheckpoint(fs, dir, nil, tracker, registry, t.Logf)
 		check("RecoverNewestCheckpoint", err)
 		if name != "" || corrupt != 0 {
 			t.Fatalf("%s: recovered (%q, corrupt=%d), want nothing loaded and nothing counted corrupt", what, name, corrupt)
 		}
-		if tracker.Digest() != before || tracker.CacheLen() != cached || registry.Audit().Len() != 1 {
+		if tracker.Digest() != before || memoLen(tracker) != cached || registry.Audit().Len() != 1 {
 			t.Fatalf("%s: refused recovery touched the tracker or registry", what)
 		}
 		tracker2, registry2 := freshState(t)

@@ -649,6 +649,11 @@ func (r *storeRig) check(op string) {
 	}
 }
 
+// memoLen counts the decisions tracker's databases answer from their memos.
+func memoLen(tracker *disclosure.Tracker) int {
+	return tracker.Paragraphs().MemoLen() + tracker.Documents().MemoLen()
+}
+
 // summary is what check compares after every op: the tracker's digest,
 // the registry and the audit trail.
 func summary(t testing.TB, w *world) []byte {
@@ -662,6 +667,48 @@ func summary(t testing.TB, w *world) []byte {
 		out = append(out, data...)
 	}
 	return out
+}
+
+// TestRestoreAnswersAsTheOriginal is the restore differential: an engine
+// restored from the image its original captured after any prefix of an
+// op stream must go on as the original does, op by op (compared by
+// summary), although an image carries no decision. Verdicts that depend
+// on whether a decision was cached, not on the state, fail it: a seed
+// fails at a cache that keeps a decision past a change that can alter
+// what Algorithm 1 answers.
+func TestRestoreAnswersAsTheOriginal(t *testing.T) {
+	seeds, n := 40, 40
+	if testing.Short() || raceEnabled {
+		seeds = 4
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		ops := genOps(rand.New(rand.NewSource(seed)), n)
+		orig := newWorld(t)
+		images, after := make([][]byte, n), make([][]byte, n)
+		for i, op := range ops {
+			img, err := CaptureBytes(orig.tracker, orig.registry, 1, testEpoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images[i] = img
+			op.run(orig.engine) //nolint:errcheck // an op may be refused; both sides must agree on it
+			after[i] = summary(t, orig)
+		}
+	prefixes:
+		for k := 1; k < n; k++ {
+			w := newWorld(t)
+			if _, err := RestoreBytes("prefix.bf", images[k], w.tracker, w.registry); err != nil {
+				t.Fatalf("seed %d: restore after %d ops: %v", seed, k, err)
+			}
+			for i := k; i < n; i++ {
+				ops[i].run(w.engine) //nolint:errcheck
+				if !bytes.Equal(summary(t, w), after[i]) {
+					t.Errorf("seed %d: restored after %d ops, the state after op %d (%s) is not the original's", seed, k, i, ops[i].name)
+					break prefixes
+				}
+			}
+		}
+	}
 }
 
 // Clean shutdown: recovery loads the final checkpoint with nothing to
@@ -1031,7 +1078,7 @@ func TestFollowerScripts(t *testing.T) {
 // healed by probes — at every fsync policy, then the named seeds that
 // once failed.
 func TestStoreScripts(t *testing.T) {
-	seeds, steps := 30, 60
+	seeds, steps := 100, 80
 	if testing.Short() || raceEnabled {
 		seeds, steps = 1, 25
 	}

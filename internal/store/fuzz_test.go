@@ -74,12 +74,12 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 	// fuzzer its throughput): a rejected restore must leave it as it was,
 	// an accepted one replaces it.
 	restore := func(t *testing.T, plain []byte) {
-		before, cached, refs := tracker.Digest(), tracker.CacheLen(), tracker.Table().Len()
+		before, cached, refs := tracker.Digest(), memoLen(tracker), tracker.Table().Len()
 		meta, err := RestoreBytes("fuzz.bf", plain, tracker, registry)
 		if err == nil {
-			// An accepted restore starts with no cached decision and
+			// An accepted restore starts with no memoised decision and
 			// must be re-capturable.
-			if n := tracker.CacheLen(); n != 0 {
+			if n := memoLen(tracker); n != 0 {
 				t.Fatalf("%d cached decisions survived a restore", n)
 			}
 			if _, err := CaptureBytes(tracker, registry, meta.WALSeg, testEpoch); err != nil {
@@ -104,7 +104,7 @@ func FuzzRestoreBinarySnapshot(f *testing.F) {
 		if errors.As(err, &nfe) && (!IsBinarySnapshot(plain) || int(plain[8]) != nfe.Version || nfe.Version <= binVersion) {
 			t.Fatalf("err = %v for an image that does not say so", err)
 		}
-		if tracker.Digest() != before || tracker.CacheLen() != cached || tracker.Table().Len() != refs {
+		if tracker.Digest() != before || memoLen(tracker) != cached || tracker.Table().Len() != refs {
 			t.Fatalf("rejected restore touched the index, the decision cache or the segment table")
 		}
 	}

@@ -100,17 +100,17 @@ type HealthPartition struct {
 // type (policy.PartResolve, disclosure.Source, segment.KeyRange): their
 // JSON tags are this wire, pinned by TestPartWirePinned.
 
-// PartResolved is the router-merged disclosure result a phase-2 observe
-// applies. Sources carry their thresholds so the home partition can seed
-// its decision cache.
+// PartResolved is the router-merged disclosure result a routed observe
+// applies at the segment's home.
 type PartResolved struct {
 	Sources []disclosure.Source     `json:"sources"`
 	Tags    map[segment.ID][]string `json:"tags,omitempty"`
 }
 
 // PartObserveRequest is a routed observation. Clock is the router's
-// Lamport stamp (0 lets the home partition self-stamp). Resolved nil
-// means phase 1; set means phase 2.
+// Lamport stamp (0 lets the home partition self-stamp). Resolved is the
+// router's merge of every partition's PartQuery reply; only a partition
+// that is its ring's sole one resolves an observation itself (nil).
 type PartObserveRequest struct {
 	Device      string        `json:"device,omitempty"`
 	Service     string        `json:"service"`
@@ -121,12 +121,9 @@ type PartObserveRequest struct {
 	Resolved    *PartResolved `json:"resolved,omitempty"`
 }
 
-// PartObserveResponse carries either a final verdict (phase 1 hit, sole
-// mode, or phase 2) or the home partition's scatter contribution for
-// the router to merge.
+// PartObserveResponse carries the routed observation's verdict.
 type PartObserveResponse struct {
-	Verdict *Verdict            `json:"verdict,omitempty"`
-	Resolve *policy.PartResolve `json:"resolve,omitempty"`
+	Verdict *Verdict `json:"verdict,omitempty"`
 }
 
 // PartQueryRequest asks a partition for its scatter contribution.
@@ -174,12 +171,18 @@ func (s *Server) registerPartitionHandlers(handle func(path, endpoint string, h 
 // own: 421 plus the ring version, so a router with a stale ring fetches
 // the fresh one and re-dispatches.
 func (s *Server) writeNotOwner(w http.ResponseWriter, seg segment.ID) {
+	s.writeStaleRing(w, fmt.Sprintf("does not own segment %q", seg))
+}
+
+// writeStaleRing answers 421 with the ring version, why naming what the
+// request assumed of a ring this partition no longer has.
+func (s *Server) writeStaleRing(w http.ResponseWriter, why string) {
 	ps := s.partition
 	w.Header().Set(HeaderRingVersion, strconv.FormatUint(ps.RingVersion(), 10))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusMisdirectedRequest)
 	json.NewEncoder(w).Encode(map[string]interface{}{ //nolint:errcheck
-		"error":       fmt.Sprintf("partition %s does not own segment %q (ring v%d)", ps.ID(), seg, ps.RingVersion()),
+		"error":       fmt.Sprintf("partition %s %s (ring v%d)", ps.ID(), why, ps.RingVersion()),
 		"ringVersion": ps.RingVersion(),
 	})
 }
@@ -217,8 +220,6 @@ func (s *Server) handlePartObserve(w http.ResponseWriter, r *http.Request) {
 	fp := fingerprint.FromHashes(req.Hashes)
 	var (
 		verdict policy.Verdict
-		resolve policy.PartResolve
-		done    = true
 		err     error
 	)
 	switch {
@@ -227,14 +228,13 @@ func (s *Server) handlePartObserve(w http.ResponseWriter, r *http.Request) {
 	case s.partition.Sole():
 		verdict, err = s.engine.ObserveSoleFPCtx(r.Context(), req.Seg, req.Service, fp, gran, req.Clock)
 	default:
-		verdict, resolve, done, err = s.engine.ObservePart(r.Context(), req.Seg, req.Service, fp, gran, req.Clock)
+		// Only a sole partition sees every partition's state: a router
+		// that sends no merge holds a one-partition ring that is stale.
+		s.writeStaleRing(w, "is not its ring's sole partition: an observe needs the merged resolve")
+		return
 	}
 	if err != nil {
 		s.writeEngineError(w, err)
-		return
-	}
-	if !done {
-		writeJSON(w, PartObserveResponse{Resolve: &resolve})
 		return
 	}
 	s.observes.Add(1)
@@ -335,9 +335,9 @@ func (s *Server) handlePartPrune(w http.ResponseWriter, r *http.Request) {
 
 // --- client methods ---------------------------------------------------------
 
-// PartObserve sends a routed observation (phase 1 when resolved is nil,
-// phase 2 otherwise). Exactly one of the response's Verdict / Resolve is
-// set on success.
+// PartObserve sends a routed observation: with resolved, the router's
+// merge for the home to apply; nil, to a sole partition, which resolves
+// it itself. The response's Verdict is set on success.
 func (c *Client) PartObserve(ctx context.Context, service string, seg segment.ID, hashes []uint32, granularity string, clock uint64, resolved *PartResolved) (PartObserveResponse, error) {
 	const path = "/v1/part/observe"
 	if resolved != nil && resolved.Sources == nil {
@@ -356,8 +356,8 @@ func (c *Client) PartObserve(ctx context.Context, service string, seg segment.ID
 	}, &out); err != nil {
 		return PartObserveResponse{}, err
 	}
-	if out.Verdict == nil && out.Resolve == nil {
-		return PartObserveResponse{}, &UnavailableError{Op: path, Err: fmt.Errorf("response carries neither verdict nor resolve")}
+	if out.Verdict == nil {
+		return PartObserveResponse{}, &UnavailableError{Op: path, Err: fmt.Errorf("response carries no verdict")}
 	}
 	return out, nil
 }

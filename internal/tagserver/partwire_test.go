@@ -103,11 +103,11 @@ func TestPartWirePinned(t *testing.T) {
 	}
 
 	requests := []struct{ name, got, want string }{
-		{"observe phase 1", sent(observe(nil)),
+		{"observe at a sole partition", sent(observe(nil)),
 			`{"device":"dev","service":"wiki","seg":"wiki/memo#p0","hashes":[1,2,3],"granularity":"paragraph","clock":7}`},
-		{"observe phase 2", sent(observe(&PartResolved{Sources: sources, Tags: tags})),
+		{"observe resolved", sent(observe(&PartResolved{Sources: sources, Tags: tags})),
 			`{"device":"dev","service":"wiki","seg":"wiki/memo#p0","hashes":[1,2,3],"granularity":"paragraph","clock":7,"resolved":{"sources":[{"seg":"wiki/plan#p0","disclosure":0.75,"threshold":0.3},{"seg":"docs/a#p1","disclosure":0.5,"threshold":0.25}],"tags":{"wiki/plan#p0":["tw"]}}}`},
-		{"observe phase 2, empty resolve", sent(observe(&PartResolved{})),
+		{"observe resolved, empty resolve", sent(observe(&PartResolved{})),
 			`{"device":"dev","service":"wiki","seg":"wiki/memo#p0","hashes":[1,2,3],"granularity":"paragraph","clock":7,"resolved":{"sources":[]}}`},
 		{"query", sent(func() error { _, err := c.PartQuery(ctx, []uint32{1, 2, 3}, "document"); return err }),
 			`{"hashes":[1,2,3],"granularity":"document"}`},
@@ -131,10 +131,6 @@ func TestPartWirePinned(t *testing.T) {
 	}{
 		{"observe verdict", PartObserveResponse{Verdict: &warn},
 			`{"verdict":{"decision":"warn","violating":["tw"],"sources":[{"seg":"wiki/plan#p0","disclosure":0.75}]}}`},
-		{"observe resolve", PartObserveResponse{Resolve: &resolve},
-			`{"resolve":{"clock":9,"oldest":[{"i":0,"seg":"wiki/plan#p0","seq":3},{"i":2,"seg":"docs/a#p1","seq":5}],"cands":[{"seg":"wiki/plan#p0","len":34,"thr":0.3,"ov":[0,2],"tags":["tw"]},{"seg":"docs/a#p1","len":10,"thr":0.25}]}}`},
-		{"observe empty resolve", PartObserveResponse{Resolve: &policy.PartResolve{Clock: 4}},
-			`{"resolve":{"clock":4}}`},
 		{"query", resolve,
 			`{"clock":9,"oldest":[{"i":0,"seg":"wiki/plan#p0","seq":3},{"i":2,"seg":"docs/a#p1","seq":5}],"cands":[{"seg":"wiki/plan#p0","len":34,"thr":0.3,"ov":[0,2],"tags":["tw"]},{"seg":"docs/a#p1","len":10,"thr":0.25}]}`},
 		{"verdict", warn,
